@@ -69,12 +69,12 @@ fn bench_runtime(c: &mut Criterion) {
             )
         })
     });
-    group.bench_function("distributed_bank_threaded", |b| {
+    group.bench_function("distributed_bank_pool2", |b| {
         b.iter(|| {
             run_distributed(
                 &programs,
                 &ClusterConfig {
-                    schedule: Schedule::Threaded,
+                    schedule: Schedule::Pool { threads: 2 },
                     ..ClusterConfig::paper_testbed()
                 },
             )

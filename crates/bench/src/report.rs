@@ -179,7 +179,7 @@ const OP_DISPATCH_SRC: &str = "class Main {
 /// Ready-queue delivery probe: `nodes` endpoints on one simulated fabric, 1000
 /// request packets fanned out from rank 0, each delivered immediately by popping
 /// its ready key off the transport's shared queue and receiving **exactly one
-/// packet per popped key** — the event-driven schedulers' real delivery discipline
+/// packet per popped key** — the worker loop's real delivery discipline
 /// (`deliver_one`). Reports the median cost **per packet** in microseconds; because
 /// the sender enqueues each packet's destination at send time, the figure is
 /// independent of the fabric width (the pre-ready-queue design paid an O(nodes)

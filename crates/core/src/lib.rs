@@ -33,7 +33,7 @@ use autodist_ir::program::Program;
 use autodist_ir::verify::verify_program;
 use autodist_partition::{partition, Graph, GraphBuilder, Method, PartitionConfig, Partitioning};
 use autodist_runtime::cluster::{
-    run_centralized, run_distributed_profiled, ClusterConfig, ExecutionReport, Schedule,
+    run_centralized, run_distributed_profiled, ClusterConfig, ExecutionReport,
 };
 use autodist_runtime::serve::run_serving;
 
@@ -133,13 +133,12 @@ impl DistributionPlan {
 
     /// Executes the plan on the simulated cluster.
     ///
-    /// [`Schedule::Auto`] resolves to the cooperative single-threaded scheduler
-    /// ([`Schedule::Inline`]) for **every** placement: the continuation-based
-    /// interpreter parks a node's frame stack while it awaits a remote response, so
-    /// cyclic/re-entrant placements are scheduled on one OS thread just like acyclic
-    /// ones. Thread-per-node execution survives as the [`Schedule::Threaded`]
-    /// cross-check, and [`Schedule::Pool`] runs the same event-driven core on a
-    /// work-stealing pool.
+    /// Every placement runs through the runtime's one worker loop: the
+    /// continuation-based interpreter parks a node's frame stack while it awaits a
+    /// remote response, so cyclic/re-entrant placements are scheduled just like
+    /// acyclic ones — on the calling thread under `Schedule::Inline` (the default),
+    /// on several workers under `Schedule::Pool`, with identical virtual times,
+    /// traffic and results.
     pub fn execute(&self, cluster: &ClusterConfig) -> ExecutionReport {
         self.execute_profiled(cluster, Vec::new())
     }
@@ -147,19 +146,14 @@ impl DistributionPlan {
     /// Executes the plan with per-node profiler sinks attached (`profilers[r]` goes
     /// to rank `r`; a shorter or empty vector leaves the remaining nodes
     /// unprofiled). The interpreter's call stack travels with each parked
-    /// continuation, so sampling profilers see exact per-node stacks under every
-    /// [`Schedule`] — cooperative and pooled distributed runs included.
+    /// continuation, so sampling profilers see exact per-node stacks under either
+    /// schedule.
     pub fn execute_profiled(
         &self,
         cluster: &ClusterConfig,
         profilers: Vec<Option<NodeProfiler>>,
     ) -> ExecutionReport {
-        let programs = self.programs();
-        let mut config = cluster.clone();
-        if config.schedule == Schedule::Auto {
-            config.schedule = Schedule::Inline;
-        }
-        run_distributed_profiled(&programs, &config, profilers)
+        run_distributed_profiled(&self.programs(), cluster, profilers)
     }
 
     /// `true` when no chain of inter-node dependences can revisit a node, i.e. the
@@ -403,6 +397,7 @@ impl Distributor {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use autodist_runtime::cluster::Schedule;
     use autodist_runtime::NetworkConfig;
     use autodist_workloads as workloads;
 

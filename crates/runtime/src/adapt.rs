@@ -209,7 +209,7 @@ struct AppEpoch<'s> {
     bytes: u64,
 }
 
-/// The epoch controller of one serving run: owned by `ServeShared` when
+/// The epoch controller of one serving run: owned by the run's `sched::Server` when
 /// `ServeOptions::adapt` is set, untouched (and unallocated) otherwise.
 pub(crate) struct AdaptState<'s> {
     opts: &'s AdaptOptions,

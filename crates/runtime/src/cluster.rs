@@ -8,41 +8,36 @@
 //! machine; wall-clock time is reported as well.
 //!
 //! This module holds the run configuration ([`ClusterConfig`], [`Schedule`]) and the
-//! reporting surface ([`ExecutionReport`], [`NodeStats`]); the schedulers themselves —
-//! the event-driven cooperative core, the work-stealing pool and the thread-per-node
-//! cross-check — live in [`crate::sched`].
+//! reporting surface ([`ExecutionReport`], [`NodeStats`]). There is one way to drive
+//! a distributed execution — the worker loop in [`crate::sched`] — and
+//! [`run_distributed`] goes through it as a serving run of one request at window 1.
 
 use std::collections::BTreeMap;
-use std::time::Instant;
+use std::sync::{Arc, Mutex};
+use std::time::{Duration, Instant};
 
+use autodist_ir::layout::ProgramLayout;
 use autodist_ir::program::Program;
 
 use crate::interp::{ExecError, Interp, ProfilerSink};
 use crate::net::{FaultPlan, FaultSummary, NetworkConfig};
-use crate::sched;
+use crate::sched::{AppView, Server};
 use crate::services::ExecutionStarter;
 use crate::value::Value;
 
-/// How the simulated nodes are scheduled onto OS threads.
+/// How many OS threads run the worker loop. Virtual times, message counts and
+/// results are identical under both.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum Schedule {
-    /// Resolves to [`Schedule::Inline`]: the continuation-based cooperative scheduler
-    /// handles every placement, including cyclic/re-entrant ones.
-    #[default]
-    Auto,
-    /// Cooperative single-threaded scheduling: virtual nodes are multiplexed on one
-    /// OS thread; a node waiting on a remote operation parks its frame stack as a
-    /// continuation and the scheduler pops the next ready rank off the transport's
+    /// One worker, on the calling thread: virtual nodes are multiplexed on it; a
+    /// node waiting on a remote operation parks its frame stack as a continuation
+    /// and the worker pops the next ready `(root, rank)` key off the transport's
     /// shared ready queue (O(1) delivery per packet).
+    #[default]
     Inline,
-    /// One OS thread per node (the pre-pool behaviour, kept as an opt-in cross-check
-    /// of the cooperative scheduler).
-    Threaded,
-    /// A work-stealing pool of `threads` OS threads over the parked continuations'
-    /// home ranks: workers pop ready ranks from per-worker run queues, refill from
-    /// the transport's shared ready queue and steal from siblings when idle. Virtual
-    /// times and message counts stay deterministic; the extra threads pay off for
-    /// workloads with several root computations in flight.
+    /// `threads` workers over the same loop and the same queue. A single root
+    /// computation has one control flow, so the extra workers pay off when several
+    /// are in flight (serving) — above all by overlapping blocking admissions.
     Pool {
         /// Worker thread count (clamped to at least 1).
         threads: usize,
@@ -54,12 +49,12 @@ pub enum Schedule {
 pub struct ClusterConfig {
     /// The network / CPU cost model. The number of nodes is `network.nodes()`.
     pub network: NetworkConfig,
-    /// Node-to-thread scheduling policy.
+    /// How many threads run the worker loop.
     pub schedule: Schedule,
     /// Optional deterministic fault-injection plan wrapping the transport (see
     /// [`FaultPlan`]). `None` — the default — leaves the hot path untouched.
     pub faults: Option<FaultPlan>,
-    /// Disables per-link ready-key coalescing in the cooperative schedulers.
+    /// Disables per-link ready-key coalescing.
     /// Coalescing is a transport detail — virtual times, message counts, and
     /// checksums are identical either way — so this exists for the A/B parity
     /// tests pinning exactly that, not for tuning.
@@ -75,7 +70,7 @@ impl ClusterConfig {
     pub fn paper_testbed() -> Self {
         ClusterConfig {
             network: NetworkConfig::paper_testbed(),
-            schedule: Schedule::Auto,
+            schedule: Schedule::Inline,
             faults: None,
             no_coalesce: false,
             no_buffer_pool: false,
@@ -234,19 +229,18 @@ impl NodeProfiler {
 /// Runs the per-node program copies distributed over `config.network.nodes()` nodes.
 ///
 /// `programs[r]` is the (rewritten) program copy executed by rank `r`; `programs.len()`
-/// must equal the node count of the network configuration. [`Schedule::Auto`] resolves
-/// to the cooperative scheduler, which handles every placement — request
-/// [`Schedule::Threaded`] explicitly to cross-check against thread-per-node execution,
-/// or [`Schedule::Pool`] for the work-stealing pool.
+/// must equal the node count of the network configuration. Every placement is
+/// schedulable, cyclic/re-entrant ones included: a node serves callbacks as fresh
+/// continuations while its own computation stays parked.
 pub fn run_distributed(programs: &[Program], config: &ClusterConfig) -> ExecutionReport {
     run_distributed_profiled(programs, config, Vec::new())
 }
 
 /// [`run_distributed`] with per-node profiler sinks attached. `profilers[r]`, when
 /// present, is handed to rank `r`'s interpreter; a shorter (or empty) vector leaves
-/// the remaining nodes unprofiled. Works under every [`Schedule`] — the call stack
-/// lives on each [`crate::interp::Continuation`], so sampling attribution is exact on
-/// the cooperative and pool schedulers too.
+/// the remaining nodes unprofiled. Works under either [`Schedule`] — the call stack
+/// lives on each [`crate::interp::Continuation`], so sampling attribution is exact
+/// however many workers interleave.
 pub fn run_distributed_profiled(
     programs: &[Program],
     config: &ClusterConfig,
@@ -259,11 +253,36 @@ pub fn run_distributed_profiled(
         config.network.nodes(),
         "one program copy per configured node"
     );
-    match config.schedule {
-        Schedule::Auto | Schedule::Inline => sched::run_inline(programs, config, profilers),
-        Schedule::Threaded => sched::run_threaded(programs, config, profilers),
-        Schedule::Pool { threads } => sched::run_pool(programs, config, profilers, threads),
-    }
+    let start = Instant::now();
+    let layouts: Vec<_> = programs
+        .iter()
+        .map(|p| Arc::new(ProgramLayout::build(p)))
+        .collect();
+    let faults: Vec<_> = config.faults.iter().map(|plan| (0, plan.clone())).collect();
+    let server = Server {
+        apps: vec![AppView {
+            programs,
+            layouts: &layouts,
+            network: &config.network,
+        }],
+        sequence: &[0],
+        concurrency: 1,
+        schedule: config.schedule,
+        ingress_wait: Duration::ZERO,
+        comm_wait: Duration::ZERO,
+        faults: &faults,
+        adapt: None,
+        profilers: Mutex::new(profilers),
+        no_coalesce: config.no_coalesce,
+        no_buffer_pool: config.no_buffer_pool,
+        // A single-root run reports virtual time; its delivery deadline is the
+        // instant its one world quiesces.
+        deadline_wait: Duration::ZERO,
+    };
+    let (mut requests, _) = server.run();
+    let mut report = requests.pop().expect("one request, one report").report;
+    report.wall_time_ms = start.elapsed().as_secs_f64() * 1e3;
+    report
 }
 
 #[cfg(test)]
@@ -327,6 +346,77 @@ mod tests {
         home.insert(p.class_by_name("Bank").unwrap(), 1);
         home.insert(p.class_by_name("Account").unwrap(), 1);
         ClassPlacement { home, nparts: 2 }
+    }
+
+    /// What the deleted thread-per-node schedule (`Schedule::Threaded`: one blocking
+    /// OS thread per node, nested requests served re-entrantly on the native stack)
+    /// computed for a fixed program, recorded on the last commit that had it. It was
+    /// the independent implementation the worker loop was cross-checked against;
+    /// its verdicts survive as data.
+    struct ThreadedRecord {
+        virtual_time_us: f64,
+        messages: u64,
+        bytes: u64,
+        /// `(instructions, requests_served)` per node.
+        per_node: &'static [(u64, u64)],
+    }
+
+    const BANK_THREADED: ThreadedRecord = ThreadedRecord {
+        virtual_time_us: 2131.472380952402,
+        messages: 14,
+        bytes: 283,
+        per_node: &[(88, 0), (625, 7)],
+    };
+
+    const RELAY_THREADED: ThreadedRecord = ThreadedRecord {
+        virtual_time_us: 1211.9333333333325,
+        messages: 8,
+        bytes: 135,
+        per_node: &[(42, 2), (14, 2)],
+    };
+
+    fn assert_matches_threaded_record(report: &ExecutionReport, record: &ThreadedRecord) {
+        assert!(report.is_ok(), "{:?}", report.error);
+        assert_eq!(report.virtual_time_us, record.virtual_time_us);
+        assert_eq!(report.total_messages(), record.messages);
+        assert_eq!(report.total_bytes(), record.bytes);
+        let per_node: Vec<_> = report
+            .per_node
+            .iter()
+            .map(|n| (n.instructions, n.requests_served))
+            .collect();
+        assert_eq!(per_node, record.per_node);
+    }
+
+    /// The re-entrant placement: node 1's method calls back into an object living
+    /// on node 0, so the inter-node digraph is cyclic.
+    fn relay_copies() -> Vec<autodist_ir::Program> {
+        let src = r#"
+            class Cell {
+                int v;
+                int bump() { this.v = this.v + 1; return this.v; }
+            }
+            class Relay {
+                int poke(Cell c) { return c.bump() + c.bump(); }
+            }
+            class Main {
+                static int result;
+                static void main() {
+                    Cell c = new Cell();
+                    Relay r = new Relay();
+                    result = r.poke(c);
+                }
+            }
+        "#;
+        let p = compile_source(src).unwrap();
+        let mut home = Map::new();
+        home.insert(p.class_by_name("Main").unwrap(), 0);
+        home.insert(p.class_by_name("Cell").unwrap(), 0);
+        home.insert(p.class_by_name("Relay").unwrap(), 1);
+        let placement = ClassPlacement { home, nparts: 2 };
+        (0..2)
+            .map(|n| rewrite_for_node(&p, &placement, n).program)
+            .collect()
     }
 
     #[test]
@@ -429,6 +519,8 @@ mod tests {
         );
     }
 
+    /// Both schedules reproduce, bit for bit, what thread-per-node execution
+    /// computed for the split bank.
     #[test]
     fn inline_schedule_matches_threaded_results_and_virtual_time() {
         let p = compile_source(BANK_SRC).unwrap();
@@ -436,38 +528,24 @@ mod tests {
         let copies: Vec<autodist_ir::Program> = (0..2)
             .map(|n| rewrite_for_node(&p, &placement, n).program)
             .collect();
-        let threaded = run_distributed(
-            &copies,
-            &ClusterConfig {
-                schedule: Schedule::Threaded,
-                ..ClusterConfig::paper_testbed()
-            },
-        );
-        let inline = run_distributed(
-            &copies,
-            &ClusterConfig {
-                schedule: Schedule::Inline,
-                ..ClusterConfig::paper_testbed()
-            },
-        );
-        assert!(inline.is_ok(), "{:?}", inline.error);
-        assert_eq!(inline.final_statics, threaded.final_statics);
-        assert_eq!(inline.total_messages(), threaded.total_messages());
-        assert_eq!(inline.total_bytes(), threaded.total_bytes());
-        assert!(
-            (inline.virtual_time_us - threaded.virtual_time_us).abs() < 1e-6,
-            "virtual clocks must agree: inline {} vs threaded {}",
-            inline.virtual_time_us,
-            threaded.virtual_time_us
-        );
-        for (a, b) in inline.per_node.iter().zip(threaded.per_node.iter()) {
-            assert_eq!(a.requests_served, b.requests_served);
-            assert_eq!(a.instructions, b.instructions);
+        for schedule in [Schedule::Inline, Schedule::Pool { threads: 2 }] {
+            let report = run_distributed(
+                &copies,
+                &ClusterConfig {
+                    schedule,
+                    ..ClusterConfig::paper_testbed()
+                },
+            );
+            assert_matches_threaded_record(&report, &BANK_THREADED);
+            assert_eq!(
+                report.final_statics.get("Main::result"),
+                Some(&Value::Int(10 * 1000 + 50000 - 900))
+            );
         }
     }
 
-    /// The work-stealing pool must be indistinguishable from the inline scheduler:
-    /// same results, same traffic, same virtual clocks — and deterministic across
+    /// Several workers must be indistinguishable from one: same results, same
+    /// traffic, same virtual clocks — and deterministic across
     /// repeated runs (per-node clocks depend only on per-node packet order, which
     /// the FIFO transport fixes regardless of worker interleaving).
     #[test]
@@ -508,8 +586,8 @@ mod tests {
         }
     }
 
-    /// A run whose root computation never parks (single node, no messages) must not
-    /// spin up pool workers at all — the seeded root completes on the calling thread.
+    /// A run whose root computation never parks (single node, no messages) completes
+    /// during its own admission: the admitting worker closes the run, the rest exit.
     #[test]
     fn pool_schedule_handles_single_node_runs() {
         let p = compile_source(BANK_SRC).unwrap();
@@ -531,8 +609,7 @@ mod tests {
 
     #[test]
     fn inline_schedule_scales_to_many_virtual_nodes() {
-        // 64 virtual nodes on one OS thread: the pre-pool design would have spawned 64
-        // threads with 32 MB stacks for this.
+        // 64 virtual nodes on one OS thread.
         let p = compile_source(BANK_SRC).unwrap();
         let nodes = 64;
         let mut home = Map::new();
@@ -561,125 +638,48 @@ mod tests {
         assert!(report.total_messages() > 0);
     }
 
-    /// A placement whose inter-node digraph is cyclic: node 1's method calls back into
-    /// an object living on node 0. The threaded scheduler must handle this (the waiting
-    /// launch node serves the callback from its own mailbox).
+    /// A cyclic placement under several workers: whichever worker delivers the
+    /// callback runs it as a fresh continuation on node 0 while node 0's root
+    /// computation stays parked. Same numbers as thread-per-node execution, where
+    /// the waiting launch node served the callback from its own mailbox.
     #[test]
-    fn threaded_schedule_supports_reentrant_callbacks() {
-        let src = r#"
-            class Cell {
-                int v;
-                int bump() { this.v = this.v + 1; return this.v; }
-            }
-            class Relay {
-                int poke(Cell c) { return c.bump() + c.bump(); }
-            }
-            class Main {
-                static int result;
-                static void main() {
-                    Cell c = new Cell();
-                    Relay r = new Relay();
-                    result = r.poke(c);
-                }
-            }
-        "#;
-        let p = compile_source(src).unwrap();
-        let baseline = run_centralized(&p, 1.0);
-        let mut home = Map::new();
-        home.insert(p.class_by_name("Main").unwrap(), 0);
-        home.insert(p.class_by_name("Cell").unwrap(), 0);
-        home.insert(p.class_by_name("Relay").unwrap(), 1);
-        let placement = ClassPlacement { home, nparts: 2 };
-        let copies: Vec<autodist_ir::Program> = (0..2)
-            .map(|n| rewrite_for_node(&p, &placement, n).program)
-            .collect();
+    fn pool_schedule_supports_reentrant_callbacks() {
         let report = run_distributed(
-            &copies,
+            &relay_copies(),
             &ClusterConfig {
-                schedule: Schedule::Threaded,
+                schedule: Schedule::Pool { threads: 2 },
                 ..ClusterConfig::paper_testbed()
             },
         );
-        assert!(report.is_ok(), "{:?}", report.error);
+        assert_matches_threaded_record(&report, &RELAY_THREADED);
         assert_eq!(
             report.final_statics.get("Main::result"),
-            baseline.final_statics.get("Main::result")
-        );
-        assert!(
-            report.per_node[0].requests_served > 0,
-            "the launch node served the callback"
+            Some(&Value::Int(3))
         );
     }
 
-    /// The same cyclic placement as `threaded_schedule_supports_reentrant_callbacks`,
-    /// but on the cooperative scheduler: node 0's main parks while node 1 serves
-    /// `poke`, which calls back into node 0 — the callback runs as a fresh
+    /// The same cyclic placement on one worker: node 0's main parks while node 1
+    /// serves `poke`, which calls back into node 0 — the callback runs as a fresh
     /// continuation on node 0 while its root computation stays parked. Results,
-    /// traffic and virtual clocks must be identical to thread-per-node execution.
+    /// traffic and virtual clocks are those of thread-per-node execution.
     #[test]
     fn inline_schedule_supports_reentrant_callbacks() {
-        let src = r#"
-            class Cell {
-                int v;
-                int bump() { this.v = this.v + 1; return this.v; }
-            }
-            class Relay {
-                int poke(Cell c) { return c.bump() + c.bump(); }
-            }
-            class Main {
-                static int result;
-                static void main() {
-                    Cell c = new Cell();
-                    Relay r = new Relay();
-                    result = r.poke(c);
-                }
-            }
-        "#;
-        let p = compile_source(src).unwrap();
-        let mut home = Map::new();
-        home.insert(p.class_by_name("Main").unwrap(), 0);
-        home.insert(p.class_by_name("Cell").unwrap(), 0);
-        home.insert(p.class_by_name("Relay").unwrap(), 1);
-        let placement = ClassPlacement { home, nparts: 2 };
-        let copies: Vec<autodist_ir::Program> = (0..2)
-            .map(|n| rewrite_for_node(&p, &placement, n).program)
-            .collect();
-        let threaded = run_distributed(
-            &copies,
-            &ClusterConfig {
-                schedule: Schedule::Threaded,
-                ..ClusterConfig::paper_testbed()
-            },
-        );
-        let inline = run_distributed(
-            &copies,
+        let report = run_distributed(
+            &relay_copies(),
             &ClusterConfig {
                 schedule: Schedule::Inline,
                 ..ClusterConfig::paper_testbed()
             },
         );
-        assert!(inline.is_ok(), "{:?}", inline.error);
+        assert_matches_threaded_record(&report, &RELAY_THREADED);
         assert_eq!(
-            inline.final_statics.get("Main::result"),
+            report.final_statics.get("Main::result"),
             Some(&Value::Int(3))
         );
-        assert_eq!(inline.final_statics, threaded.final_statics);
-        assert_eq!(inline.total_messages(), threaded.total_messages());
-        assert_eq!(inline.total_bytes(), threaded.total_bytes());
         assert!(
-            (inline.virtual_time_us - threaded.virtual_time_us).abs() < 1e-9,
-            "virtual clocks must agree: inline {} vs threaded {}",
-            inline.virtual_time_us,
-            threaded.virtual_time_us
-        );
-        assert!(
-            inline.per_node[0].requests_served > 0,
+            report.per_node[0].requests_served > 0,
             "the launch node served the callback while parked"
         );
-        for (a, b) in inline.per_node.iter().zip(threaded.per_node.iter()) {
-            assert_eq!(a.requests_served, b.requests_served);
-            assert_eq!(a.instructions, b.instructions);
-        }
     }
 
     #[test]

@@ -21,12 +21,12 @@
 //! Execution itself runs on an **explicit frame stack** ([`Continuation`]): a single
 //! dispatch loop ([`Interp::run_task`]) drives a `Vec` of [`Frame`]s (locals + operand
 //! stack + pc each) instead of recursing through Rust. An in-flight computation is
-//! therefore plain data — when a node executing under the cooperative cluster
-//! scheduler hits a remote operation, the machine sends the request and *parks* the
-//! whole frame stack as a continuation keyed by the request id ([`TaskOutcome::Parked`]);
-//! the scheduler resumes it when the response is delivered. Under thread-per-node
-//! execution the same machine blocks in [`Interp::round_trip`] instead, serving nested
-//! requests re-entrantly on the native stack exactly as before.
+//! therefore plain data — when a node of a distributed run hits a remote operation,
+//! the machine sends the request and *parks* the whole frame stack as a continuation
+//! keyed by the request id ([`TaskOutcome::Parked`]); the worker loop
+//! ([`crate::sched`]) resumes it when the response is delivered. There is no blocking
+//! remote path: a node with a [`DistState`] always parks, and a node without one
+//! fails remote operations with [`ExecError::NotDistributed`].
 
 use std::collections::{BTreeMap, HashMap};
 use std::fmt;
@@ -38,7 +38,7 @@ use autodist_ir::program::{ClassId, FieldRef, MethodId, Program, Type};
 
 use bytes::Bytes;
 
-use crate::net::{LossReason, LostPacket, MpiEndpoint, Packet, PacketKind, RecvStall};
+use crate::net::{LossReason, LostPacket, MpiEndpoint, Packet};
 use crate::value::{HeapObject, ObjRef, Value};
 use crate::wire::{AccessKind, Request, Response, WireError, WireValue};
 
@@ -181,14 +181,6 @@ pub fn loss_to_error(loss: LostPacket) -> ExecError {
     }
 }
 
-/// Maps a transport receive stall (thread-per-node path) to its typed error.
-pub fn stall_to_error(stall: RecvStall) -> ExecError {
-    match stall {
-        RecvStall::Lost(loss) => loss_to_error(loss),
-        RecvStall::Quiet => ExecError::Transport(TransportStall::default()),
-    }
-}
-
 impl fmt::Display for TransportStall {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "transport stall")?;
@@ -252,12 +244,6 @@ pub struct DistState {
     pub exports: Vec<u32>,
     /// Reverse export table: heap index -> export id.
     pub export_ids: HashMap<u32, u64>,
-    /// Set once a `Shutdown` request is received.
-    pub shutdown: bool,
-    /// `true` when this node is driven by the cooperative (continuation-based)
-    /// cluster scheduler: remote operations then *park* the running frame stack
-    /// instead of blocking the OS thread in a round trip.
-    pub coop: bool,
     /// Per-destination: whether the one-time fingerprint hello already went out
     /// on that link (it precedes the first slot-addressed frame we send there).
     hello_sent: Vec<bool>,
@@ -267,29 +253,20 @@ pub struct DistState {
 }
 
 impl DistState {
-    /// Wraps an endpoint.
-    pub fn new(endpoint: MpiEndpoint) -> Self {
+    /// Wraps an endpoint. Nodes batch ready-key publication per destination link:
+    /// the packets still enter the channels at send time (sequence numbers, fault
+    /// rolls and arrival times are unchanged), but the worker loop observes one
+    /// coalesced wake per link per delivery slice.
+    pub fn new(mut endpoint: MpiEndpoint) -> Self {
         let n = endpoint.size;
+        endpoint.set_coalescing(true);
         DistState {
             endpoint,
             exports: Vec::new(),
             export_ids: HashMap::new(),
-            shutdown: false,
-            coop: false,
             hello_sent: vec![false; n],
             peer_ok: vec![false; n],
         }
-    }
-
-    /// Marks this node as scheduled cooperatively (continuation mode). Cooperative
-    /// nodes batch ready-key publication per destination link: the packets still
-    /// enter the channels at send time (sequence numbers, fault rolls and arrival
-    /// times are unchanged), but the scheduler observes one coalesced wake per
-    /// link per scheduling step.
-    pub fn with_coop(mut self) -> Self {
-        self.coop = true;
-        self.endpoint.set_coalescing(true);
-        self
     }
 
     /// This node's rank.
@@ -345,13 +322,13 @@ enum ResumeAction {
 
 /// An in-flight computation as plain data: the explicit frame stack, the method call
 /// stack mirroring it, and — when parked — what to do with the awaited response.
-/// This is the continuation the cooperative cluster scheduler keys by request id.
+/// This is the continuation the worker loop keys by request id.
 ///
 /// The call stack lives **here**, not on the interpreter: a node interleaving several
 /// parked continuations carries each computation's exact stack with the computation
-/// itself, so the sampling profiler observes correct per-computation stacks under the
-/// cooperative and pool schedulers (an interpreter-global stack would mix frames of
-/// unrelated continuations above the live prefix).
+/// itself, so the sampling profiler observes correct per-computation stacks under
+/// either schedule (an interpreter-global stack would mix frames of unrelated
+/// continuations above the live prefix).
 #[derive(Debug, Default)]
 pub struct Continuation {
     frames: Vec<Frame>,
@@ -388,7 +365,7 @@ pub enum TaskOutcome {
 
 /// What [`Interp::accept_request`] did with an incoming request packet.
 pub enum ServeOutcome {
-    /// Fully handled: the response was sent (or the shutdown flag was set).
+    /// Fully handled: the response was sent (or it was a shutdown, which owes none).
     Handled,
     /// Bytecode must run to produce the response: the scheduler runs `task` and
     /// replies with its result — or with `reply_override` (the freshly created
@@ -448,8 +425,8 @@ enum MemberAddr {
     Name(String),
 }
 
-/// Decision produced for invoke sites that leave the fast path under cooperative
-/// scheduling (proxies, remote receivers, the DependentObject protocol).
+/// Decision produced for invoke sites that leave the fast path (proxies, remote
+/// receivers, the DependentObject protocol).
 enum SlowInvoke {
     /// Send a `DEPENDENCE` message and park.
     Remote {
@@ -678,9 +655,9 @@ impl<'p> Interp<'p> {
     }
 
     /// Invokes `method` with `args` (receiver first for instance methods), driving the
-    /// explicit-stack machine to completion on the current thread. Remote operations
-    /// block in a round trip (thread-per-node semantics); under the cooperative
-    /// scheduler use [`Self::task_for`] + [`Self::run_task`] instead, which park.
+    /// explicit-stack machine to completion on the current thread (centralized
+    /// execution). A distributed node uses [`Self::task_for`] + [`Self::run_task`]
+    /// instead: its remote operations park, which this entry point cannot honour.
     pub fn invoke(&mut self, method: MethodId, args: Vec<Value>) -> Result<Value, ExecError> {
         if self.live_frames >= self.max_depth {
             return Err(ExecError::StackOverflow);
@@ -692,7 +669,7 @@ impl<'p> Interp<'p> {
         match self.run_task(&mut task) {
             TaskOutcome::Done(r) => r,
             TaskOutcome::Parked { .. } => Err(ExecError::Unsupported(
-                "computation suspended outside the cooperative scheduler".into(),
+                "computation suspended outside the worker loop".into(),
             )),
         }
     }
@@ -791,11 +768,6 @@ impl<'p> Interp<'p> {
         e
     }
 
-    /// `true` when this node parks on remote operations instead of blocking.
-    fn coop(&self) -> bool {
-        self.dist.as_ref().map(|d| d.coop).unwrap_or(false)
-    }
-
     /// Resumes a parked continuation with the decoded response of its outstanding
     /// request (`Err` carries a remote failure message) and drives it onward.
     pub fn resume_task(
@@ -870,9 +842,9 @@ impl<'p> Interp<'p> {
     }
 
     /// The dispatch loop of the explicit-stack machine: drives `task` until its bottom
-    /// frame returns, it faults, or (cooperative mode only) it parks on a remote
-    /// request. All local calls push frames onto the continuation — the Rust stack
-    /// stays flat — so an in-flight computation is always resumable plain data.
+    /// frame returns, it faults, or it parks on a remote request. All local calls
+    /// push frames onto the continuation — the Rust stack stays flat — so an
+    /// in-flight computation is always resumable plain data.
     pub fn run_task(&mut self, task: &mut Continuation) -> TaskOutcome {
         // Split the continuation into its fields so the sampler can read the call
         // stack while a frame is mutably borrowed (the two are disjoint).
@@ -885,13 +857,12 @@ impl<'p> Interp<'p> {
         let layout = Arc::clone(&self.layout);
         let program = self.program;
         // Hoisted out of the loop: the per-instruction virtual-time increment (node
-        // speed and instruction cost never change mid-run) and the mode flags.
+        // speed and instruction cost never change mid-run) and the sampling flag.
         let unit_cost = self.instr_cost_us / self.speed;
         let sampling = self.sample_interval > 0;
-        let coop = self.coop();
         // The virtual clock and instruction count are accumulated in locals
         // (registers) and flushed back to `self` at every exit and around every call
-        // that can observe them (remote accesses, the profiler, blocking dispatch).
+        // that can observe them (remote sends, the profiler).
         let mut clock = self.clock_us;
         let mut executed: u64 = 0;
         let mut dispatched: u64 = 0;
@@ -1000,21 +971,18 @@ impl<'p> Interp<'p> {
                         }
                     };
                 }
-                // Runs a blocking `self`-method that may advance the clock (remote
-                // round trips, slow dispatch): flush, call, re-load the clock.
+                // Runs a slow-path `self`-helper (local accesses the fast paths
+                // skipped, and their faults); none of them observes the clock.
                 macro_rules! call {
-                    ($e:expr) => {{
-                        flush!();
-                        let r = $e;
-                        clock = self.clock_us;
-                        match r {
+                    ($e:expr) => {
+                        match $e {
                             Ok(v) => v,
                             Err(e) => break Transfer::Fail(e),
                         }
-                    }};
+                    };
                 }
-                // Sends a remote request and parks the continuation (cooperative
-                // mode): the frame resumes at the next instruction.
+                // Sends a remote request and parks the continuation: the frame
+                // resumes at the next instruction.
                 macro_rules! park {
                     ($send:expr, $action:expr) => {{
                         flush!();
@@ -1184,24 +1152,22 @@ impl<'p> Interp<'p> {
                                     }
                                 }
                             }
-                            if coop {
-                                if let Value::Ref(r @ ObjRef::Remote { .. }) = arr {
-                                    let i = match idx.as_int() {
-                                        Some(i) => i,
-                                        None => fail!(ExecError::Unsupported(
-                                            "array index not an int".into()
-                                        )),
-                                    };
-                                    park!(
-                                        self.remote_send(
-                                            r,
-                                            AccessKind::GetElement,
-                                            WireMember::None,
-                                            vec![Value::Int(i)]
-                                        ),
-                                        ResumeAction::Push
-                                    );
-                                }
+                            if let Value::Ref(r @ ObjRef::Remote { .. }) = arr {
+                                let i = match idx.as_int() {
+                                    Some(i) => i,
+                                    None => fail!(ExecError::Unsupported(
+                                        "array index not an int".into()
+                                    )),
+                                };
+                                park!(
+                                    self.remote_send(
+                                        r,
+                                        AccessKind::GetElement,
+                                        WireMember::None,
+                                        vec![Value::Int(i)]
+                                    ),
+                                    ResumeAction::Push
+                                );
                             }
                             let v = call!(self.array_load(arr, idx));
                             frame.stack.push(v);
@@ -1226,41 +1192,37 @@ impl<'p> Interp<'p> {
                                     }
                                 }
                             }
-                            if coop {
-                                if let Value::Ref(r @ ObjRef::Remote { .. }) = arr {
-                                    let i = match idx.as_int() {
-                                        Some(i) => i,
-                                        None => fail!(ExecError::Unsupported(
-                                            "array index not an int".into()
-                                        )),
-                                    };
-                                    park!(
-                                        self.remote_send(
-                                            r,
-                                            AccessKind::PutElement,
-                                            WireMember::None,
-                                            vec![Value::Int(i), val]
-                                        ),
-                                        ResumeAction::Drop
-                                    );
-                                }
+                            if let Value::Ref(r @ ObjRef::Remote { .. }) = arr {
+                                let i = match idx.as_int() {
+                                    Some(i) => i,
+                                    None => fail!(ExecError::Unsupported(
+                                        "array index not an int".into()
+                                    )),
+                                };
+                                park!(
+                                    self.remote_send(
+                                        r,
+                                        AccessKind::PutElement,
+                                        WireMember::None,
+                                        vec![Value::Int(i), val]
+                                    ),
+                                    ResumeAction::Drop
+                                );
                             }
                             call!(self.array_store(arr, idx, val));
                         }
                         Op::ArrayLength => {
                             let arr = pop!();
-                            if coop {
-                                if let Value::Ref(r @ ObjRef::Remote { .. }) = arr {
-                                    park!(
-                                        self.remote_send(
-                                            r,
-                                            AccessKind::ArrayLength,
-                                            WireMember::None,
-                                            vec![]
-                                        ),
-                                        ResumeAction::Push
-                                    );
-                                }
+                            if let Value::Ref(r @ ObjRef::Remote { .. }) = arr {
+                                park!(
+                                    self.remote_send(
+                                        r,
+                                        AccessKind::ArrayLength,
+                                        WireMember::None,
+                                        vec![]
+                                    ),
+                                    ResumeAction::Push
+                                );
                             }
                             let v = call!(self.array_length(arr));
                             frame.stack.push(v);
@@ -1285,27 +1247,20 @@ impl<'p> Interp<'p> {
                                     }
                                 }
                             }
-                            if coop {
-                                match self.remote_field_target(&obj, *fr) {
-                                    Ok(Some(target)) => {
-                                        let name: &str = &program.field(*fr).name;
-                                        let wm = match layout.field_slot(*fr) {
-                                            Some(slot) => WireMember::Field(slot, name),
-                                            None => WireMember::Dynamic(name),
-                                        };
-                                        park!(
-                                            self.remote_send(
-                                                target,
-                                                AccessKind::GetField,
-                                                wm,
-                                                vec![]
-                                            ),
-                                            ResumeAction::Push
-                                        );
-                                    }
-                                    Ok(None) => {}
-                                    Err(e) => fail!(e),
+                            match self.remote_field_target(&obj, *fr) {
+                                Ok(Some(target)) => {
+                                    let name: &str = &program.field(*fr).name;
+                                    let wm = match layout.field_slot(*fr) {
+                                        Some(slot) => WireMember::Field(slot, name),
+                                        None => WireMember::Dynamic(name),
+                                    };
+                                    park!(
+                                        self.remote_send(target, AccessKind::GetField, wm, vec![]),
+                                        ResumeAction::Push
+                                    );
                                 }
+                                Ok(None) => {}
+                                Err(e) => fail!(e),
                             }
                             let v = call!(self.get_field(obj, *fr));
                             frame.stack.push(v);
@@ -1327,27 +1282,25 @@ impl<'p> Interp<'p> {
                                     }
                                 }
                             }
-                            if coop {
-                                match self.remote_field_target(&obj, *fr) {
-                                    Ok(Some(target)) => {
-                                        let name: &str = &program.field(*fr).name;
-                                        let wm = match layout.field_slot(*fr) {
-                                            Some(slot) => WireMember::Field(slot, name),
-                                            None => WireMember::Dynamic(name),
-                                        };
-                                        park!(
-                                            self.remote_send(
-                                                target,
-                                                AccessKind::PutField,
-                                                wm,
-                                                vec![val]
-                                            ),
-                                            ResumeAction::Drop
-                                        );
-                                    }
-                                    Ok(None) => {}
-                                    Err(e) => fail!(e),
+                            match self.remote_field_target(&obj, *fr) {
+                                Ok(Some(target)) => {
+                                    let name: &str = &program.field(*fr).name;
+                                    let wm = match layout.field_slot(*fr) {
+                                        Some(slot) => WireMember::Field(slot, name),
+                                        None => WireMember::Dynamic(name),
+                                    };
+                                    park!(
+                                        self.remote_send(
+                                            target,
+                                            AccessKind::PutField,
+                                            wm,
+                                            vec![val]
+                                        ),
+                                        ResumeAction::Drop
+                                    );
                                 }
+                                Ok(None) => {}
+                                Err(e) => fail!(e),
                             }
                             call!(self.put_field(obj, *fr, val));
                         }
@@ -1428,7 +1381,7 @@ impl<'p> Interp<'p> {
                                     frame.pc = (pc + 1) as u32;
                                     break Transfer::Call(f);
                                 }
-                            } else if coop {
+                            } else {
                                 // Proxies, remote receivers, the DependentObject
                                 // protocol: suspendable paths.
                                 let args = frame.stack.split_off(base);
@@ -1497,14 +1450,6 @@ impl<'p> Interp<'p> {
                                         }
                                     }
                                     Err(e) => fail!(e),
-                                }
-                            } else {
-                                // Blocking slow path (threaded / centralized): the
-                                // classic dispatcher, re-entrant on the native stack.
-                                let args = frame.stack.split_off(base);
-                                let v = call!(self.dispatch(*kind, *target, args));
-                                if *push_ret {
-                                    frame.stack.push(v);
                                 }
                             }
                         }
@@ -1661,27 +1606,20 @@ impl<'p> Interp<'p> {
                                     }
                                 }
                             }
-                            if coop {
-                                match self.remote_field_target(&obj, *fr) {
-                                    Ok(Some(target)) => {
-                                        let name: &str = &program.field(*fr).name;
-                                        let wm = match layout.field_slot(*fr) {
-                                            Some(slot) => WireMember::Field(slot, name),
-                                            None => WireMember::Dynamic(name),
-                                        };
-                                        park!(
-                                            self.remote_send(
-                                                target,
-                                                AccessKind::GetField,
-                                                wm,
-                                                vec![]
-                                            ),
-                                            ResumeAction::Push
-                                        );
-                                    }
-                                    Ok(None) => {}
-                                    Err(e) => fail!(e),
+                            match self.remote_field_target(&obj, *fr) {
+                                Ok(Some(target)) => {
+                                    let name: &str = &program.field(*fr).name;
+                                    let wm = match layout.field_slot(*fr) {
+                                        Some(slot) => WireMember::Field(slot, name),
+                                        None => WireMember::Dynamic(name),
+                                    };
+                                    park!(
+                                        self.remote_send(target, AccessKind::GetField, wm, vec![]),
+                                        ResumeAction::Push
+                                    );
                                 }
+                                Ok(None) => {}
+                                Err(e) => fail!(e),
                             }
                             let v = call!(self.get_field(obj, *fr));
                             frame.stack.push(v);
@@ -1709,32 +1647,30 @@ impl<'p> Interp<'p> {
                                     }
                                 }
                             }
-                            if coop {
-                                match self.remote_field_target(&obj, *fr) {
-                                    Ok(Some(target)) => {
-                                        let name: &str = &program.field(*fr).name;
-                                        let wm = match layout.field_slot(*fr) {
-                                            Some(slot) => WireMember::Field(slot, name),
-                                            None => WireMember::Dynamic(name),
-                                        };
-                                        // The write parks mid-pattern: the resume
-                                        // action owes the trailing Pop (and its
-                                        // underflow fault) after dropping the reply.
-                                        park!(
-                                            self.remote_send(
-                                                target,
-                                                AccessKind::PutField,
-                                                wm,
-                                                vec![val]
-                                            ),
-                                            ResumeAction::DropThenPop {
-                                                pop_pc: seed_pc!(pc) + 1,
-                                            }
-                                        );
-                                    }
-                                    Ok(None) => {}
-                                    Err(e) => fail!(e),
+                            match self.remote_field_target(&obj, *fr) {
+                                Ok(Some(target)) => {
+                                    let name: &str = &program.field(*fr).name;
+                                    let wm = match layout.field_slot(*fr) {
+                                        Some(slot) => WireMember::Field(slot, name),
+                                        None => WireMember::Dynamic(name),
+                                    };
+                                    // The write parks mid-pattern: the resume
+                                    // action owes the trailing Pop (and its
+                                    // underflow fault) after dropping the reply.
+                                    park!(
+                                        self.remote_send(
+                                            target,
+                                            AccessKind::PutField,
+                                            wm,
+                                            vec![val]
+                                        ),
+                                        ResumeAction::DropThenPop {
+                                            pop_pc: seed_pc!(pc) + 1,
+                                        }
+                                    );
                                 }
+                                Ok(None) => {}
+                                Err(e) => fail!(e),
                             }
                             call!(self.put_field(obj, *fr, val));
                             charge!(1);
@@ -1794,10 +1730,10 @@ impl<'p> Interp<'p> {
         }
     }
 
-    /// For the cooperative slow paths of `GetField`/`PutField`: decides whether the
-    /// access must travel to another node. Returns `Ok(Some(remote))` for proxies
-    /// being forwarded and for remote references, `Ok(None)` when the access is
-    /// local (or is a fault the blocking helpers will report identically).
+    /// For the slow paths of `GetField`/`PutField`: decides whether the access must
+    /// travel to another node. Returns `Ok(Some(remote))` for proxies being
+    /// forwarded and for remote references, `Ok(None)` when the access is local (or
+    /// is a fault the local helpers report).
     fn remote_field_target(&self, obj: &Value, fr: FieldRef) -> Result<Option<ObjRef>, ExecError> {
         match obj {
             Value::Ref(ObjRef::Local(h)) => match &self.heap[*h as usize] {
@@ -1813,10 +1749,10 @@ impl<'p> Interp<'p> {
         }
     }
 
-    /// Classifies an invoke that left the hot path under cooperative scheduling:
-    /// everything the recursive `dispatch` + `dependent_object_call` pair did, minus
-    /// the blocking round trips (those become [`SlowInvoke`] decisions the machine
-    /// turns into parks). `args` includes the receiver.
+    /// Classifies an invoke that left the hot path — proxies, remote receivers, the
+    /// DependentObject protocol, and faults — into a [`SlowInvoke`] decision the
+    /// machine turns into a park, a frame push or an error. `args` includes the
+    /// receiver.
     fn prep_slow_invoke(
         &mut self,
         mut args: Vec<Value>,
@@ -1891,8 +1827,8 @@ impl<'p> Interp<'p> {
         }
     }
 
-    /// The cooperative-mode counterpart of [`Self::dependent_object_call`]: parses
-    /// `DependentObject.<init>` / `.access` and decides how the machine proceeds.
+    /// Parses `DependentObject.<init>` / `.access` and decides how the machine
+    /// proceeds.
     fn prep_dependent_object_call(
         &mut self,
         target: MethodId,
@@ -1948,8 +1884,6 @@ impl<'p> Interp<'p> {
 
     /// Parses the argument list of `DependentObject.<init>` — `[proxy, location,
     /// className, argsArray]` — into (home node, class name, constructor args).
-    /// Shared by both schedulers' proxy-interception paths so the wire protocol is
-    /// decoded in exactly one place.
     fn parse_dep_init(&self, args: &[Value]) -> Result<(usize, String, Vec<Value>), ExecError> {
         let location = args
             .get(1)
@@ -1970,7 +1904,6 @@ impl<'p> Interp<'p> {
 
     /// Parses a `DependentObject.access` call — `[proxy-or-remote, kind, member,
     /// argsArray]` — into the remote target, access kind, member name and call args.
-    /// Shared by both schedulers' proxy-interception paths.
     fn parse_dep_access(
         &self,
         receiver: &Value,
@@ -2089,9 +2022,7 @@ impl<'p> Interp<'p> {
                 }
                 _ => Err(ExecError::Unsupported("array load on object".into())),
             },
-            Value::Ref(r @ ObjRef::Remote { .. }) => {
-                self.remote_access(r, AccessKind::GetElement, "", vec![Value::Int(i)])
-            }
+            Value::Ref(ObjRef::Remote { .. }) => Err(ExecError::NotDistributed),
             Value::Null => Err(ExecError::NullPointer("array load".into())),
             _ => Err(ExecError::Unsupported("array load on non-reference".into())),
         }
@@ -2122,10 +2053,7 @@ impl<'p> Interp<'p> {
                     _ => Err(ExecError::Unsupported("array store on object".into())),
                 }
             }
-            Value::Ref(r @ ObjRef::Remote { .. }) => {
-                self.remote_access(r, AccessKind::PutElement, "", vec![Value::Int(i), val])?;
-                Ok(())
-            }
+            Value::Ref(ObjRef::Remote { .. }) => Err(ExecError::NotDistributed),
             Value::Null => Err(ExecError::NullPointer("array store".into())),
             _ => Err(ExecError::Unsupported(
                 "array store on non-reference".into(),
@@ -2136,9 +2064,7 @@ impl<'p> Interp<'p> {
     fn array_length(&mut self, arr: Value) -> Result<Value, ExecError> {
         match arr {
             Value::Ref(ObjRef::Local(h)) => Ok(Value::Int(self.array_len(h) as i64)),
-            Value::Ref(r @ ObjRef::Remote { .. }) => {
-                self.remote_access(r, AccessKind::ArrayLength, "", vec![])
-            }
+            Value::Ref(ObjRef::Remote { .. }) => Err(ExecError::NotDistributed),
             Value::Null => Err(ExecError::NullPointer("array length".into())),
             _ => Err(ExecError::Unsupported("length of non-reference".into())),
         }
@@ -2147,42 +2073,22 @@ impl<'p> Interp<'p> {
     // --- fields -------------------------------------------------------------------
 
     /// Reads an instance field through its pre-resolved slot: one array index, no
-    /// string and no map probe. Remote references (and proxies reached by accesses the
-    /// type-based rewriter missed) fall through to the wire path, which is the only
-    /// place the field *name* is materialised.
+    /// string and no map probe. Remote references and forwarded proxies never get
+    /// here — the dispatch loop parks them on the wire path
+    /// ([`Self::remote_field_target`]), the only place the field *name* is
+    /// materialised.
     fn get_field(&mut self, obj: Value, fr: FieldRef) -> Result<Value, ExecError> {
         match obj {
             Value::Ref(ObjRef::Local(h)) => match &self.heap[h as usize] {
-                HeapObject::Object { class, fields } => {
-                    if Some(*class) == self.dep_class && Some(fr.class) != self.dep_class {
-                        // The object is a proxy: forward transparently to its home.
-                        let target = self.proxy_target(h)?;
-                        let program = self.program;
-                        let name: &'p str = &program.field(fr).name;
-                        let wm = match self.layout.field_slot(fr) {
-                            Some(slot) => WireMember::Field(slot, name),
-                            None => WireMember::Dynamic(name),
-                        };
-                        return self.remote_access_wm(target, AccessKind::GetField, wm, vec![]);
-                    }
-                    Ok(self
-                        .layout
-                        .field_slot(fr)
-                        .and_then(|slot| fields.get(slot as usize))
-                        .cloned()
-                        .unwrap_or(Value::Null))
-                }
+                HeapObject::Object { fields, .. } => Ok(self
+                    .layout
+                    .field_slot(fr)
+                    .and_then(|slot| fields.get(slot as usize))
+                    .cloned()
+                    .unwrap_or(Value::Null)),
                 _ => Err(ExecError::Unsupported("field read on array".into())),
             },
-            Value::Ref(r @ ObjRef::Remote { .. }) => {
-                let program = self.program;
-                let name: &'p str = &program.field(fr).name;
-                let wm = match self.layout.field_slot(fr) {
-                    Some(slot) => WireMember::Field(slot, name),
-                    None => WireMember::Dynamic(name),
-                };
-                self.remote_access_wm(r, AccessKind::GetField, wm, vec![])
-            }
+            Value::Ref(ObjRef::Remote { .. }) => Err(ExecError::NotDistributed),
             Value::Null => Err(ExecError::NullPointer(format!(
                 "read of field {}",
                 self.program.field(fr).name
@@ -2195,18 +2101,7 @@ impl<'p> Interp<'p> {
     fn put_field(&mut self, obj: Value, fr: FieldRef, val: Value) -> Result<(), ExecError> {
         match obj {
             Value::Ref(ObjRef::Local(h)) => match &mut self.heap[h as usize] {
-                HeapObject::Object { class, fields } => {
-                    if Some(*class) == self.dep_class && Some(fr.class) != self.dep_class {
-                        let target = self.proxy_target(h)?;
-                        let program = self.program;
-                        let name: &'p str = &program.field(fr).name;
-                        let wm = match self.layout.field_slot(fr) {
-                            Some(slot) => WireMember::Field(slot, name),
-                            None => WireMember::Dynamic(name),
-                        };
-                        self.remote_access_wm(target, AccessKind::PutField, wm, vec![val])?;
-                        return Ok(());
-                    }
+                HeapObject::Object { fields, .. } => {
                     if let Some(cell) = self
                         .layout
                         .field_slot(fr)
@@ -2218,16 +2113,7 @@ impl<'p> Interp<'p> {
                 }
                 _ => Err(ExecError::Unsupported("field write on array".into())),
             },
-            Value::Ref(r @ ObjRef::Remote { .. }) => {
-                let program = self.program;
-                let name: &'p str = &program.field(fr).name;
-                let wm = match self.layout.field_slot(fr) {
-                    Some(slot) => WireMember::Field(slot, name),
-                    None => WireMember::Dynamic(name),
-                };
-                self.remote_access_wm(r, AccessKind::PutField, wm, vec![val])?;
-                Ok(())
-            }
+            Value::Ref(ObjRef::Remote { .. }) => Err(ExecError::NotDistributed),
             Value::Null => Err(ExecError::NullPointer(format!(
                 "write of field {}",
                 self.program.field(fr).name
@@ -2252,9 +2138,7 @@ impl<'p> Interp<'p> {
                     .unwrap_or(Value::Null)),
                 _ => Err(ExecError::Unsupported("field read on array".into())),
             },
-            Value::Ref(r @ ObjRef::Remote { .. }) => {
-                self.remote_access(r, AccessKind::GetField, name, vec![])
-            }
+            Value::Ref(ObjRef::Remote { .. }) => Err(ExecError::NotDistributed),
             Value::Null => Err(ExecError::NullPointer(format!("read of field {name}"))),
             _ => Err(ExecError::Unsupported("field read on non-reference".into())),
         }
@@ -2277,10 +2161,7 @@ impl<'p> Interp<'p> {
                 }
                 _ => Err(ExecError::Unsupported("field write on array".into())),
             },
-            Value::Ref(r @ ObjRef::Remote { .. }) => {
-                self.remote_access(r, AccessKind::PutField, name, vec![val])?;
-                Ok(())
-            }
+            Value::Ref(ObjRef::Remote { .. }) => Err(ExecError::NotDistributed),
             Value::Null => Err(ExecError::NullPointer(format!("write of field {name}"))),
             _ => Err(ExecError::Unsupported(
                 "field write on non-reference".into(),
@@ -2288,122 +2169,11 @@ impl<'p> Interp<'p> {
         }
     }
 
-    // --- dispatch -----------------------------------------------------------------
-
-    /// The blocking slow-path dispatcher (thread-per-node / centralized execution):
-    /// proxies, remote receivers, the DependentObject protocol and faults. Hot-path
-    /// calls never reach it — the machine pushes their frames directly.
-    fn dispatch(
-        &mut self,
-        kind: InvokeKind,
-        target: MethodId,
-        mut args: Vec<Value>,
-    ) -> Result<Value, ExecError> {
-        if kind == InvokeKind::Static {
-            return self.invoke(target, args);
-        }
-        let program = self.program;
-        let callee_class = program.method(target).class;
-
-        // Instance call: args[0] is the receiver.
-        let receiver = args
-            .first()
-            .cloned()
-            .ok_or_else(|| ExecError::Unsupported("instance call without receiver".into()))?;
-
-        // Interception of the DependentObject proxy protocol.
-        if Some(callee_class) == self.dep_class {
-            return self.dependent_object_call(target, receiver, args);
-        }
-
-        match receiver {
-            Value::Null => Err(ExecError::NullPointer(format!(
-                "call to {}",
-                program.method(target).name
-            ))),
-            Value::Ref(ObjRef::Local(h)) => {
-                let runtime_class = self.heap[h as usize].class();
-                match runtime_class {
-                    Some(c) if Some(c) == self.dep_class => {
-                        // A proxy object reached a normal (non-rewritten) call site:
-                        // forward transparently to its home node.
-                        let remote = self.proxy_target(h)?;
-                        args.remove(0);
-                        let callee = program.method(target);
-                        let k = if callee.ret == Type::Void {
-                            AccessKind::InvokeVoid
-                        } else {
-                            AccessKind::InvokeRet
-                        };
-                        let wm = WireMember::Method(self.layout.selector(target), &callee.name);
-                        self.remote_access_wm(remote, k, wm, args)
-                    }
-                    Some(c) => {
-                        // Dynamic dispatch through the selector-indexed vtable: no
-                        // name compare, no superclass walk.
-                        let resolved = match kind {
-                            InvokeKind::Special => target,
-                            _ => self.layout.resolve_virtual(c, target).ok_or_else(|| {
-                                ExecError::UnknownMethod(self.layout.method_name(target).clone())
-                            })?,
-                        };
-                        self.invoke(resolved, args)
-                    }
-                    None => Err(ExecError::Unsupported(
-                        "method call on an array reference".into(),
-                    )),
-                }
-            }
-            Value::Ref(r @ ObjRef::Remote { .. }) => {
-                // Transparent forwarding: type-based rewriting missed this receiver, but
-                // the object actually lives remotely.
-                args.remove(0);
-                let callee = program.method(target);
-                let k = if callee.ret == Type::Void {
-                    AccessKind::InvokeVoid
-                } else {
-                    AccessKind::InvokeRet
-                };
-                let wm = WireMember::Method(self.layout.selector(target), &callee.name);
-                self.remote_access_wm(r, k, wm, args)
-            }
-            other => Err(ExecError::Unsupported(format!(
-                "method call on non-reference {other:?}"
-            ))),
-        }
-    }
-
-    /// Handles `DependentObject.<init>` and `DependentObject.access`.
-    fn dependent_object_call(
-        &mut self,
-        target: MethodId,
-        receiver: Value,
-        args: Vec<Value>,
-    ) -> Result<Value, ExecError> {
-        match self.program.method(target).name.as_str() {
-            "<init>" => {
-                let proxy = receiver;
-                let (location, class_name, ctor_args) = self.parse_dep_init(&args)?;
-                let remote = self.remote_new(location, &class_name, ctor_args)?;
-                if let (Value::Ref(ObjRef::Local(h)), ObjRef::Remote { node, id }) = (proxy, remote)
-                {
-                    self.bind_proxy(h, node, id, &class_name);
-                }
-                Ok(Value::Null)
-            }
-            "access" => {
-                let (target, kind, member, call_args) = self.parse_dep_access(&receiver, &args)?;
-                self.remote_access(target, kind, &member, call_args)
-            }
-            other => Err(ExecError::UnknownMethod(
-                format!("rt/DependentObject.{other}").into(),
-            )),
-        }
-    }
+    // --- proxies ------------------------------------------------------------------
 
     /// Records a remote identity in a proxy object's home/remoteId/className slots so
     /// later accesses route to the object's home node — the single encoding of the
-    /// proxy representation, shared by the blocking and cooperative `<init>` paths.
+    /// proxy representation.
     fn bind_proxy(&mut self, proxy: u32, node: usize, id: u64, class_name: &str) {
         if let Some((hs, rs, cs)) = self.proxy_slots {
             if let HeapObject::Object { fields, .. } = &mut self.heap[proxy as usize] {
@@ -2416,8 +2186,7 @@ impl<'p> Interp<'p> {
 
     /// Creates an instance of `class_name` on this node (the placement put the
     /// "remote" class here, so no message is needed) and returns the reference plus
-    /// the constructor to run, if one with a body exists. Shared by the blocking and
-    /// cooperative at-home `NEW` paths.
+    /// the constructor to run, if one with a body exists.
     fn create_at_home(
         &mut self,
         class_name: &str,
@@ -2542,79 +2311,6 @@ impl<'p> Interp<'p> {
         }
     }
 
-    /// Sends a `NEW` message to `home` and returns the remote reference.
-    pub fn remote_new(
-        &mut self,
-        home: usize,
-        class_name: &str,
-        args: Vec<Value>,
-    ) -> Result<ObjRef, ExecError> {
-        if self.dist.is_none() {
-            return Err(ExecError::NotDistributed);
-        }
-        if home == self.dist.as_ref().unwrap().rank() {
-            let (r, ctor) = self.create_at_home(class_name)?;
-            if let Some(ctor) = ctor {
-                let mut full = vec![Value::Ref(r)];
-                full.extend(args);
-                self.invoke(ctor, full)?;
-            }
-            return Ok(r);
-        }
-        let (data, charged) = self.encode_new_frame(home, class_name, &args);
-        self.counters.remote_requests += 1;
-        let resp = self.round_trip(home, data, charged)?;
-        match self.unmarshal(resp) {
-            Value::Ref(r) => Ok(r),
-            other => Err(ExecError::RemoteFailure(format!(
-                "NEW returned a non-reference {other:?}"
-            ))),
-        }
-    }
-
-    /// Sends a `DEPENDENCE` message for an access on a remote object.
-    pub fn remote_access(
-        &mut self,
-        target: ObjRef,
-        kind: AccessKind,
-        member: &str,
-        args: Vec<Value>,
-    ) -> Result<Value, ExecError> {
-        let wm = if kind.has_member() {
-            WireMember::Dynamic(member)
-        } else {
-            WireMember::None
-        };
-        self.remote_access_wm(target, kind, wm, args)
-    }
-
-    /// [`Self::remote_access`] with a pre-resolved member id when one is known —
-    /// the id lets the frame travel slot-addressed (v2) instead of carrying the
-    /// member name.
-    fn remote_access_wm(
-        &mut self,
-        target: ObjRef,
-        kind: AccessKind,
-        member: WireMember<'_>,
-        args: Vec<Value>,
-    ) -> Result<Value, ExecError> {
-        let (node, id) = match target {
-            ObjRef::Remote { node, id } => (node, id),
-            ObjRef::Local(_) => {
-                return Err(ExecError::Unsupported(
-                    "remote access on a local reference".into(),
-                ))
-            }
-        };
-        if self.dist.is_none() {
-            return Err(ExecError::NotDistributed);
-        }
-        let (data, charged) = self.encode_dependence_frame(node, id, kind, member, &args);
-        self.counters.remote_requests += 1;
-        let resp = self.round_trip(node, data, charged)?;
-        Ok(self.unmarshal(resp))
-    }
-
     /// Marshals `args` and encodes one `DEPENDENCE` frame into a pooled buffer:
     /// slot-addressed v2 (prefixed by the one-time fingerprint hello on this
     /// link) when the member id is known and the frame fits, v1 strings
@@ -2696,8 +2392,8 @@ impl<'p> Interp<'p> {
         (data, charged)
     }
 
-    /// Sends a `DEPENDENCE` request without waiting for the answer (cooperative
-    /// mode): the machine parks the running continuation on the returned request id.
+    /// Sends a `DEPENDENCE` request without waiting for the answer: the machine parks
+    /// the running continuation on the returned request id.
     fn remote_send(
         &mut self,
         target: ObjRef,
@@ -2727,8 +2423,7 @@ impl<'p> Interp<'p> {
         Ok(req_id)
     }
 
-    /// Sends a `NEW` request without waiting (cooperative mode, see
-    /// [`Self::remote_send`]).
+    /// Sends a `NEW` request without waiting (see [`Self::remote_send`]).
     fn remote_new_send(
         &mut self,
         home: usize,
@@ -2749,93 +2444,7 @@ impl<'p> Interp<'p> {
         Ok(req_id)
     }
 
-    /// Sends a request and waits for its response, serving any nested requests that
-    /// arrive in the meantime (the re-entrant Message Exchange behaviour). This is
-    /// the thread-per-node wait: it blocks the OS thread on this node's mailbox.
-    /// Cooperative nodes never call it — their machine parks instead.
-    fn round_trip(
-        &mut self,
-        to: usize,
-        data: Bytes,
-        charged: usize,
-    ) -> Result<WireValue, ExecError> {
-        let req_id = {
-            let clock = self.clock_us;
-            let dist = self.dist.as_mut().unwrap();
-            let (clock, req_id) = dist.endpoint.send_request_charged(to, data, clock, charged);
-            self.clock_us = clock;
-            req_id
-        };
-        loop {
-            // With a fault plan attached the screened receive bounds this wait: a
-            // lost packet or a dead link surfaces as a typed error instead of
-            // blocking the thread forever.
-            let pkt = match self.dist.as_mut().unwrap().endpoint.recv_screened() {
-                Ok(pkt) => pkt,
-                Err(stall) => return Err(stall_to_error(stall)),
-            };
-            if let Some(v) = self.absorb(pkt, req_id)? {
-                return Ok(v);
-            }
-        }
-    }
-
-    /// Absorbs one packet while waiting inside a round trip: returns the decoded
-    /// response when it arrives, serves nested requests, and notes shutdowns.
-    /// Round trips nest LIFO on the native stack, so the first response observed at
-    /// each nesting level is the one for `expected` — the id check is a hard
-    /// invariant, not a filter.
-    fn absorb(&mut self, pkt: Packet, expected: u64) -> Result<Option<WireValue>, ExecError> {
-        self.clock_us = self.clock_us.max(pkt.arrival_time_us);
-        match pkt.kind {
-            PacketKind::Response => {
-                if pkt.req_id != expected {
-                    return Err(ExecError::RemoteFailure(format!(
-                        "response correlation mismatch: got {}, awaiting {expected}",
-                        pkt.req_id
-                    )));
-                }
-                let mut data = pkt.data;
-                let decoded = Response::decode(&mut data);
-                if let Some(d) = self.dist.as_mut() {
-                    d.endpoint.reclaim(data);
-                }
-                match decoded {
-                    Ok(Response::Value(v)) => Ok(Some(v)),
-                    Ok(Response::Error(e)) => Err(ExecError::RemoteFailure(e)),
-                    Err(e) => Err(ExecError::Wire(e)),
-                }
-            }
-            PacketKind::Request => {
-                self.serve_request(pkt.from, pkt.req_id, pkt.data);
-                Ok(None)
-            }
-        }
-    }
-
-    /// Serves one incoming request packet synchronously (the thread-per-node serve
-    /// path): decodes it, notes shutdowns, and sends the response back with the
-    /// modelled cost. The caller has already advanced the clock to the packet's
-    /// arrival time.
-    fn serve_request(&mut self, from: usize, req_id: u64, data: Bytes) {
-        let result = match self.accept_frame(from, data) {
-            Ok(None) => return, // shutdown noted
-            Ok(Some(Accepted::Value(v))) => Ok(v),
-            Ok(Some(Accepted::Run {
-                mut task,
-                reply_override,
-            })) => match self.run_task(&mut task) {
-                TaskOutcome::Done(r) => r.map(|v| reply_override.unwrap_or(v)),
-                TaskOutcome::Parked { .. } => Err(ExecError::Unsupported(
-                    "computation suspended outside the cooperative scheduler".into(),
-                )),
-            },
-            Err(e) => Err(e),
-        };
-        self.send_reply(from, req_id, result);
-    }
-
-    /// Non-blocking receive for the cooperative scheduler; advances the virtual clock
+    /// Non-blocking receive for the worker loop; advances the virtual clock
     /// to the packet's arrival time (a receiver can never observe a message before it
     /// was sent).
     pub fn poll_packet(&mut self) -> Option<Packet> {
@@ -2844,14 +2453,14 @@ impl<'p> Interp<'p> {
         Some(pkt)
     }
 
-    /// Processes one incoming *request* packet under cooperative scheduling. Requests
-    /// that need no bytecode (field/array accesses on local objects) are answered on
-    /// the spot; invocations and constructions spawn a [`Continuation`] the scheduler
-    /// runs — re-entrantly with any continuation this node already has parked, which
-    /// is exactly what makes cyclic placements schedulable on one thread.
+    /// Processes one incoming *request* packet. Requests that need no bytecode
+    /// (field/array accesses on local objects) are answered on the spot; invocations
+    /// and constructions spawn a [`Continuation`] the worker loop runs — re-entrantly
+    /// with any continuation this node already has parked, which is exactly what
+    /// makes cyclic placements schedulable on one thread.
     pub fn accept_request(&mut self, from: usize, req_id: u64, data: Bytes) -> ServeOutcome {
         match self.accept_frame(from, data) {
-            Ok(None) => ServeOutcome::Handled, // shutdown noted
+            Ok(None) => ServeOutcome::Handled, // shutdown: nothing to reply
             Ok(Some(Accepted::Value(v))) => {
                 self.send_reply(from, req_id, Ok(v));
                 ServeOutcome::Handled
@@ -2870,12 +2479,11 @@ impl<'p> Interp<'p> {
         }
     }
 
-    /// Decodes and classifies one incoming request frame, shared by both serve
-    /// paths: strips and verifies the fingerprint hello, routes slot-addressed
-    /// (v2) frames through the id-based dispatchers — never dispatching a slot
-    /// from an unverified peer — and everything else through the v1 string
-    /// decoder. Returns `Ok(None)` for `Shutdown` (the flag is set; no reply is
-    /// owed).
+    /// Decodes and classifies one incoming request frame: strips and verifies the
+    /// fingerprint hello, routes slot-addressed (v2) frames through the id-based
+    /// dispatchers — never dispatching a slot from an unverified peer — and
+    /// everything else through the v1 string decoder. Returns `Ok(None)` for
+    /// `Shutdown` (no reply is owed).
     fn accept_frame(
         &mut self,
         from: usize,
@@ -2897,9 +2505,6 @@ impl<'p> Interp<'p> {
         }
         let req = Request::decode(data)?;
         if matches!(req, Request::Shutdown) {
-            if let Some(d) = self.dist.as_mut() {
-                d.shutdown = true;
-            }
             return Ok(None);
         }
         self.counters.requests_served += 1;
@@ -2989,11 +2594,9 @@ impl<'p> Interp<'p> {
         }
     }
 
-    /// The single request classifier behind both serve paths: decodes the request,
-    /// answers bytecode-free accesses on the spot ([`Accepted::Value`]) and returns
-    /// anything that needs bytecode as a task ([`Accepted::Run`]) — the cooperative
-    /// scheduler interleaves it, the synchronous [`Self::try_handle`] runs it to
-    /// completion.
+    /// The request classifier: answers bytecode-free accesses on the spot
+    /// ([`Accepted::Value`]) and returns anything that needs bytecode as a task
+    /// ([`Accepted::Run`]) for the worker loop to interleave.
     fn accept_inner(&mut self, req: Request) -> Result<Accepted, ExecError> {
         match req {
             Request::Shutdown => Ok(Accepted::Value(Value::Null)),
@@ -3195,7 +2798,7 @@ impl<'p> Interp<'p> {
     }
 
     /// Sends the response for request `req_id` back to `to`, marshalling the result
-    /// (errors travel as `Response::Error`, exactly like the synchronous serve path).
+    /// (errors travel as `Response::Error`).
     pub fn send_reply(&mut self, to: usize, req_id: u64, result: Result<Value, ExecError>) {
         let resp = match result {
             Ok(v) => Response::Value(self.marshal(&v)),
@@ -3208,37 +2811,6 @@ impl<'p> Interp<'p> {
         self.clock_us = dist.endpoint.send_response(to, req_id, data, clock);
     }
 
-    /// Handles one incoming request (the body of the Message Exchange service).
-    pub fn handle_request(&mut self, req: Request) -> Response {
-        self.counters.requests_served += 1;
-        match self.try_handle(req) {
-            Ok(v) => {
-                let w = self.marshal(&v);
-                Response::Value(w)
-            }
-            Err(e) => Response::Error(e.to_string()),
-        }
-    }
-
-    /// The body of [`Self::handle_request`]: request classification is shared with
-    /// the cooperative path through [`Self::accept_inner`] (so the two schedulers
-    /// can never disagree on how a request is interpreted); the only difference is
-    /// that a spawned task runs to completion on the native stack right here.
-    fn try_handle(&mut self, req: Request) -> Result<Value, ExecError> {
-        match self.accept_inner(req)? {
-            Accepted::Value(v) => Ok(v),
-            Accepted::Run {
-                mut task,
-                reply_override,
-            } => match self.run_task(&mut task) {
-                TaskOutcome::Done(r) => r.map(|v| reply_override.unwrap_or(v)),
-                TaskOutcome::Parked { .. } => Err(ExecError::Unsupported(
-                    "computation suspended outside the cooperative scheduler".into(),
-                )),
-            },
-        }
-    }
-
     /// A snapshot of all static fields (replicated per node), keyed `Class::field`.
     /// Used by tests and by the cluster driver to compare centralized and distributed
     /// final states.
@@ -3249,37 +2821,6 @@ impl<'p> Interp<'p> {
             .cloned()
             .zip(self.statics.iter().cloned())
             .collect()
-    }
-
-    /// Runs the Message Exchange serve loop until a `Shutdown` request arrives.
-    pub fn serve_loop(&mut self) {
-        loop {
-            if self.dist.as_ref().map(|d| d.shutdown).unwrap_or(true) {
-                return;
-            }
-            let pkt = match self
-                .dist
-                .as_mut()
-                .unwrap()
-                .endpoint
-                .recv_timeout(std::time::Duration::from_millis(50))
-            {
-                Some(p) => p,
-                None => continue,
-            };
-            self.clock_us = self.clock_us.max(pkt.arrival_time_us);
-            match pkt.kind {
-                PacketKind::Request => {
-                    self.serve_request(pkt.from, pkt.req_id, pkt.data);
-                    if self.dist.as_ref().map(|d| d.shutdown).unwrap_or(true) {
-                        return;
-                    }
-                }
-                PacketKind::Response => {
-                    // Stray response (should not happen): ignore.
-                }
-            }
-        }
     }
 }
 
@@ -3527,15 +3068,25 @@ mod tests {
         "#;
         let p = compile_source(src).unwrap();
         let mut interp = Interp::new(&p);
+        let remote = ObjRef::Remote { node: 1, id: 0 };
         let err = interp
-            .remote_access(
-                ObjRef::Remote { node: 1, id: 0 },
+            .remote_send(
+                remote,
                 AccessKind::GetField,
-                "x",
+                WireMember::Dynamic("x"),
                 vec![],
             )
             .unwrap_err();
         assert_eq!(err, ExecError::NotDistributed);
+        assert_eq!(
+            interp.remote_new_send(1, "C", vec![]),
+            Err(ExecError::NotDistributed)
+        );
+        // The local slow-path helpers have no remote arm to fall back on either.
+        assert_eq!(
+            interp.array_length(Value::Ref(remote)),
+            Err(ExecError::NotDistributed)
+        );
     }
 
     #[test]

@@ -14,16 +14,17 @@
 //!   call sites into message exchanges, and the profiler hook surface.
 //! * [`services`] — the three per-node services of Figure 10: the MPI service, the
 //!   Execution Starter and the Message Exchange service.
-//! * [`sched`] — the event-driven scheduler core: the cooperative inline scheduler
-//!   and the work-stealing pool pop ready ranks off the transport's shared ready
-//!   queue (O(1) delivery per packet); thread-per-node execution survives as a
-//!   cross-check.
+//! * [`sched`] — the scheduler: **one worker loop** popping `(root, rank)` keys off the
+//!   transport's shared ready queue (O(1) delivery per packet) into a fixed table of
+//!   in-flight worlds, one lock each, with quiescence *counted* per world
+//!   (published minus consumed keys) instead of inferred from timeouts.
 //! * [`cluster`] — the driver configuration and reporting surface: runs a distributed
 //!   (or centralized) execution and reports virtual time, wall time and traffic
-//!   statistics.
+//!   statistics. A distributed run is a one-request serving run at window 1; the two
+//!   schedules are one worker or several over the same loop.
 //! * [`serve`] — serving mode: the cluster as a server admitting N concurrent root
 //!   computations, each over its own request-scoped world (clocks, channels,
-//!   correlation ids) while all requests share one ready queue and worker pool.
+//!   correlation ids) while all requests share one ready queue and the workers.
 //! * [`adapt`] — adaptive placement: an epoch controller that feeds live serving
 //!   profiles back into a caller-supplied [`adapt::Replanner`] and swaps better
 //!   placements in for subsequently admitted requests.
@@ -48,7 +49,7 @@ pub use interp::{
 };
 pub use net::{
     FaultPlan, FaultState, FaultSummary, KillNode, LinkProbs, LossReason, LostPacket, MpiEndpoint,
-    MpiWorld, NetworkConfig, ReadyQueue, RecvStall,
+    MpiWorld, NetworkConfig, ReadyQueue,
 };
 pub use serve::{run_serving, RequestReport, ServeOptions, ServerApp, ServingReport};
 pub use value::{HeapObject, ObjRef, Value};

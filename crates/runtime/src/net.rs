@@ -8,11 +8,10 @@
 //! never observe a message before it was sent).
 
 use bytes::{Bytes, BytesMut};
-use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
+use crossbeam::channel::{unbounded, Receiver, Sender};
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
-use std::time::Duration;
 
 use crate::wire::{SeqVerdict, SeqWindow};
 
@@ -135,12 +134,6 @@ pub struct FaultPlan {
     pub drop_exact: Option<u64>,
     /// Kill one rank at a virtual time.
     pub kill_node: Option<KillNode>,
-    /// Wall-clock poll quantum for the thread-per-node blocking receive path, in
-    /// milliseconds (the event-driven schedulers use virtual-time quiescence
-    /// instead and never wait on this).
-    pub poll_interval_ms: u64,
-    /// Quiet polls before the thread-per-node path declares a transport stall.
-    pub poll_strikes: u32,
 }
 
 /// Decision salts keeping each fault class's rolls independent for the same packet.
@@ -163,8 +156,6 @@ impl FaultPlan {
             retry_backoff_us: 450.0,
             drop_exact: None,
             kill_node: None,
-            poll_interval_ms: 25,
-            poll_strikes: 40,
         }
     }
 
@@ -366,15 +357,6 @@ impl FaultState {
     }
 }
 
-/// Why a fault-aware blocking receive gave up (thread-per-node path).
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub enum RecvStall {
-    /// A packet of this world was permanently lost; the carried record names it.
-    Lost(LostPacket),
-    /// The link stayed quiet past every deadline with no recorded loss.
-    Quiet,
-}
-
 /// Whether a packet carries a request or a response (nested requests are served while
 /// waiting for a response, so receivers must be able to tell them apart).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -413,114 +395,143 @@ pub struct Packet {
 
 /// A ready-queue entry: `(root, rank)`.
 ///
-/// `root` identifies the root computation (the serving request) the packet belongs
-/// to; single-root runs use root 0 throughout. `rank` is the destination node. The
-/// serving scheduler uses the root to find the request-scoped node set a popped
-/// entry must be delivered to; the single-root schedulers ignore it.
+/// `root` identifies the root computation (the world) the packet belongs to and
+/// `rank` its destination node. The worker loop uses the root to find the world a
+/// popped entry must be delivered to, and to recognise a *stale* key — one whose
+/// world already completed — by root mismatch.
 pub type ReadyKey = (u32, u32);
+
+/// What [`ReadyQueue::next`] handed the calling worker.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Next {
+    /// The oldest ready entry: its key and how many packets it covers.
+    Entry(ReadyKey, u32),
+    /// The run is over ([`ReadyQueue::close`] was called): exit.
+    Closed,
+    /// The queue is empty and every other worker is already blocked on it, so no
+    /// entry can ever arrive: the caller is the last worker standing.
+    AllIdle,
+}
 
 /// The transport's shared **ready queue**: `(root, rank)` keys for the nodes that
 /// have undelivered packets, in send order.
 ///
 /// The sender of a packet knows its destination, so it enqueues the destination key
-/// here at send time — delivery in the event-driven schedulers is then O(1) per
-/// packet (pop a key, drain that node's mailbox) instead of an O(nodes) `try_recv`
-/// sweep over every mailbox per batch. A key may appear more than once (one entry
-/// per packet); popping a key whose mailbox was already drained is a cheap no-op.
+/// here at send time — delivery is then O(1) per packet (pop a key, drain that
+/// node's mailbox) instead of an O(nodes) `try_recv` sweep over every mailbox. A key
+/// may appear more than once (one entry per packet); popping a key whose mailbox was
+/// already drained is a cheap no-op.
 ///
-/// The queue is shared by every endpoint of a world and is thread-safe so the
-/// work-stealing pool scheduler can use it as its global injector; the cooperative
-/// inline scheduler pops from it without contention. In serving mode one queue is
-/// shared by *many* per-request worlds, so continuations from different requests
-/// interleave freely on the same pool.
+/// One queue is shared by every world of a run (a single-root run has one world, a
+/// serving run up to `concurrency`), so continuations from different requests
+/// interleave freely on the same workers.
 ///
 /// Every entry carries a packet **count**: a plain [`ReadyQueue::push`] enqueues
-/// count 1 (one entry per packet, as always), while a coalescing sender that
-/// accumulated several packets for one destination before the scheduler woke
-/// publishes them as a single counted entry via [`ReadyQueue::push_counted`] —
-/// one pop then delivers the whole batch.
+/// count 1, while a coalescing sender that accumulated several packets for one
+/// destination during a delivery slice publishes them as a single counted entry via
+/// [`ReadyQueue::push_counted`] — one pop then delivers the whole batch.
 #[derive(Default)]
 pub struct ReadyQueue {
-    queue: Mutex<VecDeque<(ReadyKey, u32)>>,
+    state: Mutex<QueueState>,
     ready: Condvar,
-    /// Threads currently blocked in [`ReadyQueue::wait_for_ready`]. Pushes only
-    /// notify when this is non-zero: a condvar notify is a futex syscall, and the
-    /// single-threaded inline scheduler (which never waits) sends thousands of
-    /// messages — the hot send path must stay syscall-free.
-    waiters: AtomicUsize,
+}
+
+#[derive(Default)]
+struct QueueState {
+    queue: VecDeque<(ReadyKey, u32)>,
+    /// Workers currently blocked in [`ReadyQueue::next`].
+    waiters: usize,
+    closed: bool,
 }
 
 impl ReadyQueue {
-    /// Enqueues `key` as having one deliverable packet and wakes one waiter, if any.
+    fn lock(&self) -> std::sync::MutexGuard<'_, QueueState> {
+        self.state.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
+    /// Enqueues `key` as having one deliverable packet.
     pub fn push(&self, key: ReadyKey) {
         self.push_counted(key, 1);
     }
 
     /// Enqueues `key` carrying `count` deliverable packets as one entry (a
-    /// coalescing sender accumulated that many sends before the scheduler woke).
+    /// coalescing sender accumulated that many sends during its delivery slice).
     /// A zero count is ignored.
+    ///
+    /// A blocked worker is woken only when more is queued than the pusher will take
+    /// itself: the pusher is a worker in the middle of a slice, about to come back
+    /// for the next entry, and a condvar notify is a futex syscall — one control
+    /// flow bouncing between two nodes must not pay it per message just because a
+    /// sibling is asleep. A pusher that is *not* about to come back says so with
+    /// [`ReadyQueue::nudge`].
     pub fn push_counted(&self, key: ReadyKey, count: u32) {
         if count == 0 {
             return;
         }
-        let mut q = self.queue.lock().unwrap_or_else(|e| e.into_inner());
-        q.push_back((key, count));
-        drop(q);
-        // Waiters register under the queue lock before blocking, so this load after
-        // the unlock cannot miss one: either the waiter saw our entry, or it
-        // registered first and this notify wakes it.
-        if self.waiters.load(Ordering::SeqCst) > 0 {
+        let mut s = self.lock();
+        s.queue.push_back((key, count));
+        let wake = s.waiters > 0 && s.queue.len() > 1;
+        drop(s);
+        if wake {
             self.ready.notify_one();
         }
     }
 
-    /// Pops the oldest ready entry `(key, packet count)`, if any.
-    pub fn pop(&self) -> Option<(ReadyKey, u32)> {
-        self.queue
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .pop_front()
+    /// Wakes a blocked worker if anything is queued: called by a worker about to
+    /// block elsewhere (a modelled ingress read) instead of coming back to pop.
+    pub fn nudge(&self) {
+        let s = self.lock();
+        let wake = s.waiters > 0 && !s.queue.is_empty();
+        drop(s);
+        if wake {
+            self.ready.notify_one();
+        }
     }
 
-    /// Pops up to `n` ready entries in one lock acquisition (used by pool workers
-    /// to refill their local run queues in a batch).
-    pub fn pop_batch(&self, n: usize) -> Vec<(ReadyKey, u32)> {
-        let mut q = self.queue.lock().unwrap_or_else(|e| e.into_inner());
-        let take = n.min(q.len());
-        q.drain(..take).collect()
+    /// Pops the oldest ready entry `(key, packet count)` without blocking (probes
+    /// and tests; the worker loop uses [`ReadyQueue::next`]).
+    pub fn pop(&self) -> Option<(ReadyKey, u32)> {
+        self.lock().queue.pop_front()
+    }
+
+    /// The worker loop's pop: the oldest entry, blocking on the condvar — with no
+    /// timeout — while the queue is empty. Returns [`Next::Closed`] once the run
+    /// is over, and [`Next::AllIdle`] instead of blocking when the caller would be
+    /// the last of `workers` to go idle (waiters are counted under the queue lock,
+    /// so a push can never slip between the emptiness check and the wait).
+    pub fn next(&self, workers: usize) -> Next {
+        let mut s = self.lock();
+        loop {
+            if s.closed {
+                return Next::Closed;
+            }
+            if let Some((key, count)) = s.queue.pop_front() {
+                return Next::Entry(key, count);
+            }
+            if s.waiters + 1 >= workers {
+                return Next::AllIdle;
+            }
+            s.waiters += 1;
+            s = self.ready.wait(s).unwrap_or_else(|e| e.into_inner());
+            s.waiters -= 1;
+        }
+    }
+
+    /// Ends the run: every blocked worker wakes and every later
+    /// [`ReadyQueue::next`] returns [`Next::Closed`].
+    pub fn close(&self) {
+        self.lock().closed = true;
+        self.ready.notify_all();
     }
 
     /// Number of queued entries (each may carry several packets when coalesced).
     pub fn len(&self) -> usize {
-        self.queue.lock().unwrap_or_else(|e| e.into_inner()).len()
+        self.lock().queue.len()
     }
 
     /// `true` when no rank is queued.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
-    }
-
-    /// Blocks until the queue is non-empty or `timeout` elapses; returns `true` if
-    /// an entry may be available. Used by idle pool workers — registration happens
-    /// under the queue lock, so a push can never slip between the emptiness check
-    /// and the wait.
-    pub fn wait_for_ready(&self, timeout: Duration) -> bool {
-        let q = self.queue.lock().unwrap_or_else(|e| e.into_inner());
-        if !q.is_empty() {
-            return true;
-        }
-        self.waiters.fetch_add(1, Ordering::SeqCst);
-        let (q, _timed_out) = self
-            .ready
-            .wait_timeout(q, timeout)
-            .unwrap_or_else(|e| e.into_inner());
-        self.waiters.fetch_sub(1, Ordering::SeqCst);
-        !q.is_empty()
-    }
-
-    /// Wakes every waiter (used when a run completes so idle workers can exit).
-    pub fn notify_all(&self) {
-        self.ready.notify_all();
     }
 }
 
@@ -531,28 +542,24 @@ pub struct MpiWorld {
     receivers: Vec<Option<Receiver<Packet>>>,
     config: NetworkConfig,
     ready: Arc<ReadyQueue>,
-    /// Root-computation id stamped on every ready-queue key (0 outside serving).
+    /// Root-computation id stamped on every ready-queue key.
     root: u32,
     /// Shared fault-plan state, if fault injection is enabled for this world.
     faults: Option<Arc<FaultState>>,
 }
 
 impl MpiWorld {
-    /// Creates the interconnect for `n` nodes.
+    /// Creates the interconnect for `n` nodes over a private ready queue (root 0).
     pub fn new(n: usize, config: NetworkConfig) -> Self {
-        Self::with_ready(n, config, Arc::new(ReadyQueue::default()), 0)
+        Self::new_serving(n, config, Arc::new(ReadyQueue::default()), 0)
     }
 
-    /// Creates a *request-scoped* interconnect that feeds an externally shared ready
-    /// queue, stamping every enqueued key with `root`. The serving scheduler builds
-    /// one such world per admitted request so continuations from different requests
-    /// interleave on one queue while their channels, clocks, and correlation ids
-    /// stay fully isolated.
+    /// Creates a *world-scoped* interconnect that feeds an externally shared ready
+    /// queue, stamping every enqueued key with `root`. The worker loop builds one
+    /// such world per admitted root computation so continuations from different
+    /// requests interleave on one queue while their channels, clocks, and
+    /// correlation ids stay fully isolated.
     pub fn new_serving(n: usize, config: NetworkConfig, ready: Arc<ReadyQueue>, root: u32) -> Self {
-        Self::with_ready(n, config, ready, root)
-    }
-
-    fn with_ready(n: usize, config: NetworkConfig, ready: Arc<ReadyQueue>, root: u32) -> Self {
         let mut senders = Vec::with_capacity(n);
         let mut receivers = Vec::with_capacity(n);
         for _ in 0..n {
@@ -608,7 +615,7 @@ impl MpiWorld {
             config: self.config.clone(),
             ready: Arc::clone(&self.ready),
             root: self.root,
-            track_ready: true,
+            published: 0,
             messages_sent: 0,
             bytes_sent: 0,
             messages_received: 0,
@@ -672,15 +679,14 @@ pub struct MpiEndpoint {
     receiver: Receiver<Packet>,
     /// The shared cost model.
     pub config: NetworkConfig,
-    /// The world's shared ready queue; sends enqueue `(root, destination)` while
-    /// `track_ready` holds.
+    /// The run's shared ready queue; sends enqueue `(root, destination)`.
     ready: Arc<ReadyQueue>,
-    /// Root-computation id stamped on ready-queue keys (0 outside serving).
+    /// Root-computation id stamped on ready-queue keys.
     root: u32,
-    /// `false` opts this endpoint out of ready-queue tracking (thread-per-node
-    /// execution blocks on its mailbox and never drains the queue — tracking would
-    /// only grow it and contend the shared lock).
-    track_ready: bool,
+    /// Ready keys (one per packet) this endpoint recorded since the last
+    /// [`MpiEndpoint::take_published`] — the "published" half of its world's
+    /// published-minus-consumed key count.
+    published: u32,
     /// Number of messages sent by this endpoint.
     pub messages_sent: u64,
     /// Bytes sent by this endpoint.
@@ -856,9 +862,8 @@ impl MpiEndpoint {
     }
 
     /// Turns per-link ready-key coalescing on or off; turning it off releases
-    /// anything accumulated. Only the cooperative schedulers enable this — they
-    /// flush explicitly after every delivery slice, whereas a blocking receiver
-    /// would wait forever on keys a sender is still holding back.
+    /// anything accumulated. The worker loop flushes explicitly after every
+    /// delivery slice.
     pub fn set_coalescing(&mut self, on: bool) {
         if !on {
             self.flush_coalesced();
@@ -875,11 +880,10 @@ impl MpiEndpoint {
     }
 
     /// Records one deliverable packet for `to`: published immediately when
-    /// coalescing is off, else accumulated for the next flush.
+    /// coalescing is off, else accumulated for the next flush. Either way it counts
+    /// towards [`MpiEndpoint::take_published`] now.
     fn mark_ready(&mut self, to: usize) {
-        if !self.track_ready {
-            return;
-        }
+        self.published += 1;
         let key = (self.root, to as u32);
         if self.coalesce {
             if let Some(entry) = self.pending_keys.iter_mut().find(|(k, _)| *k == key) {
@@ -944,9 +948,9 @@ impl MpiEndpoint {
                     kind,
                     reason: LossReason::NodeDown(k.rank),
                 });
-                // Wake the destination anyway: an event-driven scheduler pops the
-                // key, finds nothing, quiesces, and the delivery deadline turns the
-                // recorded loss into a typed error instead of a hang.
+                // Wake the destination anyway: the worker loop pops the key, finds
+                // nothing, the world's key count reaches zero, and the delivery
+                // deadline turns the recorded loss into a typed error, not a hang.
                 self.mark_ready(to);
                 return ret;
             }
@@ -1030,87 +1034,17 @@ impl MpiEndpoint {
         ret
     }
 
-    /// Opts this endpoint out of ready-queue tracking (see
-    /// [`MpiEndpoint::track_ready`]). Called by the thread-per-node scheduler, whose
-    /// blocking receives make the queue dead weight.
-    pub fn untrack_ready(&mut self) {
-        self.track_ready = false;
+    /// Returns and resets the number of ready keys this endpoint recorded since
+    /// the last call. Keys for a world are only ever recorded by that world's own
+    /// endpoints — sends, sequence-window releases, gap repairs — and those only run
+    /// inside the world's delivery slices, so the worker holding the world's lock
+    /// reads an exact figure.
+    pub fn take_published(&mut self) -> u32 {
+        std::mem::take(&mut self.published)
     }
 
-    /// Blocking receive. Returns the packet; the caller is responsible for advancing
-    /// its clock to at least `arrival_time_us`. With a fault plan attached, use
-    /// [`MpiEndpoint::recv_screened`] instead — a lost packet would block this
-    /// forever.
-    pub fn recv(&mut self) -> Packet {
-        let pkt = self.receiver.recv().expect("cluster channel closed");
-        self.messages_received += 1;
-        self.bytes_received += pkt.data.len() as u64;
-        pkt
-    }
-
-    /// Fault-aware blocking receive for the thread-per-node path: polls the mailbox
-    /// on the plan's wall-clock quantum, screens arrivals through the sequence
-    /// window, and gives up with a typed [`RecvStall`] when a packet of this world
-    /// is recorded lost or the link stays quiet past the plan's strike budget —
-    /// bounded termination instead of a hang. Without a plan it degenerates to
-    /// [`MpiEndpoint::recv`].
-    pub fn recv_screened(&mut self) -> Result<Packet, RecvStall> {
-        if self.faults.is_none() {
-            return Ok(self.recv());
-        }
-        if let Some(p) = self.take_pending() {
-            return Ok(p);
-        }
-        let (interval_ms, strikes) = {
-            let plan = self
-                .faults
-                .as_ref()
-                .expect("fault plan present")
-                .state
-                .plan();
-            (plan.poll_interval_ms, plan.poll_strikes)
-        };
-        let mut quiet = 0u32;
-        loop {
-            match self
-                .receiver
-                .recv_timeout(Duration::from_millis(interval_ms))
-            {
-                Ok(pkt) => {
-                    quiet = 0;
-                    if let Some(p) = self.screen(pkt) {
-                        return Ok(p);
-                    }
-                }
-                Err(_) => {
-                    if let Some(loss) = self
-                        .faults
-                        .as_ref()
-                        .expect("fault plan present")
-                        .state
-                        .first_loss()
-                    {
-                        return Err(RecvStall::Lost(loss));
-                    }
-                    // The quantum passed with the link quiet: any sequence gap is a
-                    // packet that is not coming (or a reorder whose partner is late
-                    // — the skipped-seq memory keeps a premature repair harmless).
-                    if self.repair_gaps() > 0 {
-                        if let Some(p) = self.take_pending() {
-                            return Ok(p);
-                        }
-                    }
-                    quiet += 1;
-                    if quiet >= strikes {
-                        return Err(RecvStall::Quiet);
-                    }
-                }
-            }
-        }
-    }
-
-    /// Non-blocking receive, used by the cooperative cluster scheduler to drain a
-    /// node's mailbox without parking the worker thread. With a fault plan attached,
+    /// Non-blocking receive — the only receive there is: the worker loop drains a
+    /// node's mailbox when it pops that node's ready key. With a fault plan attached,
     /// arrivals are screened through the per-link sequence window (duplicates
     /// suppressed, reorders buffered), so `None` may also mean "a physical packet
     /// arrived but nothing is deliverable yet".
@@ -1130,36 +1064,6 @@ impl MpiEndpoint {
         }
         let pkt = self.receiver.try_recv().ok()?;
         self.screen(pkt)
-    }
-
-    /// Receive with a timeout, used by serve loops to notice shutdown. Screened like
-    /// [`MpiEndpoint::try_recv`] when a fault plan is attached; a timeout
-    /// additionally repairs any sequence gap so a server parked behind a lost
-    /// predecessor packet still drains its buffer.
-    pub fn recv_timeout(&mut self, timeout: Duration) -> Option<Packet> {
-        if self.faults.is_some() {
-            if let Some(p) = self.take_pending() {
-                return Some(p);
-            }
-        }
-        match self.receiver.recv_timeout(timeout) {
-            Ok(pkt) => {
-                if self.faults.is_some() {
-                    self.screen(pkt)
-                } else {
-                    self.messages_received += 1;
-                    self.bytes_received += pkt.data.len() as u64;
-                    Some(pkt)
-                }
-            }
-            Err(RecvTimeoutError::Timeout) => {
-                if self.faults.is_some() && self.repair_gaps() > 0 {
-                    return self.take_pending();
-                }
-                None
-            }
-            Err(RecvTimeoutError::Disconnected) => None,
-        }
     }
 
     /// Pops a packet previously released by a sequence window (gap fill or repair),
@@ -1279,7 +1183,7 @@ mod tests {
         let mut b = world.take_endpoint(1);
         let clock_after = a.send(1, PacketKind::Request, Bytes::from_static(b"hello"), 100.0);
         assert!(clock_after >= 100.0);
-        let pkt = b.recv();
+        let pkt = b.try_recv().expect("delivered");
         assert_eq!(pkt.from, 0);
         assert_eq!(pkt.to, 1);
         assert_eq!(&pkt.data[..], b"hello");
@@ -1298,22 +1202,19 @@ mod tests {
         let (_, id1) = a.send_request(1, Bytes::from_static(b"q1"), 0.0);
         let (_, id2) = a.send_request(1, Bytes::from_static(b"q2"), 0.0);
         assert_ne!(id1, id2, "each request gets a fresh correlation id");
-        let p1 = b.recv();
+        let p1 = b.try_recv().expect("first request");
         assert_eq!(p1.req_id, id1);
         b.send_response(0, p1.req_id, Bytes::from_static(b"r1"), 0.0);
-        let resp = a.recv();
+        let resp = a.try_recv().expect("response");
         assert_eq!(resp.kind, PacketKind::Response);
         assert_eq!(resp.req_id, id1, "response echoes the request id");
         assert!(a.send(1, PacketKind::Request, Bytes::new(), 0.0) >= 0.0);
-        assert_eq!(b.recv().req_id, id2);
-        assert_eq!(b.recv().req_id, 0, "uncorrelated sends travel with id 0");
-    }
-
-    #[test]
-    fn recv_timeout_returns_none_when_idle() {
-        let mut world = MpiWorld::new(1, NetworkConfig::uniform(1));
-        let mut a = world.take_endpoint(0);
-        assert!(a.recv_timeout(Duration::from_millis(10)).is_none());
+        assert_eq!(b.try_recv().map(|p| p.req_id), Some(id2));
+        assert_eq!(
+            b.try_recv().map(|p| p.req_id),
+            Some(0),
+            "uncorrelated sends travel with id 0"
+        );
     }
 
     #[test]
@@ -1335,17 +1236,53 @@ mod tests {
         a.send(2, PacketKind::Request, Bytes::from_static(b"z"), 0.0);
         assert_eq!(ready.len(), 3, "one entry per packet");
         assert_eq!(ready.pop(), Some(((0, 2), 1)));
-        assert_eq!(ready.pop_batch(8), vec![((0, 1), 1), ((0, 2), 1)]);
+        assert_eq!(ready.pop(), Some(((0, 1), 1)));
+        assert_eq!(ready.pop(), Some(((0, 2), 1)));
         assert_eq!(ready.pop(), None);
+        assert_eq!(a.take_published(), 3, "every key is counted as published");
+        assert_eq!(a.take_published(), 0, "taking resets the count");
     }
 
+    /// The worker loop's pop: entries first, `AllIdle` for the last worker standing
+    /// (never a block nobody can end), a condvar wait otherwise, `Closed` at the end.
     #[test]
     fn ready_queue_wait_observes_pushed_entries() {
         let ready = std::sync::Arc::new(ReadyQueue::default());
-        assert!(!ready.wait_for_ready(Duration::from_millis(5)));
+        assert_eq!(ready.next(1), Next::AllIdle, "a lone worker never blocks");
         ready.push((0, 7));
-        assert!(ready.wait_for_ready(Duration::from_millis(5)));
-        assert_eq!(ready.pop(), Some(((0, 7), 1)));
+        assert_eq!(ready.next(1), Next::Entry((0, 7), 1));
+        // Two workers: the first to find the queue empty blocks until a push.
+        std::thread::scope(|scope| {
+            let waiter = scope.spawn(|| ready.next(2));
+            while ready.lock().waiters == 0 {
+                std::thread::yield_now();
+            }
+            assert_eq!(ready.next(2), Next::AllIdle, "the other worker is blocked");
+            // One entry is the pusher's own to take; a second one wakes the sibling.
+            ready.push_counted((3, 1), 2);
+            ready.push((3, 0));
+            assert_eq!(waiter.join().unwrap(), Next::Entry((3, 1), 2));
+            assert_eq!(ready.next(2), Next::Entry((3, 0), 1));
+            // A pusher that will not come back hands its entry over explicitly.
+            let waiter = scope.spawn(|| ready.next(2));
+            while ready.lock().waiters == 0 {
+                std::thread::yield_now();
+            }
+            ready.push((4, 0));
+            ready.nudge();
+            assert_eq!(waiter.join().unwrap(), Next::Entry((4, 0), 1));
+        });
+        // Closing wakes blocked workers and wins over queued (stale) entries.
+        std::thread::scope(|scope| {
+            let waiter = scope.spawn(|| ready.next(2));
+            while ready.lock().waiters == 0 {
+                std::thread::yield_now();
+            }
+            ready.close();
+            assert_eq!(waiter.join().unwrap(), Next::Closed);
+        });
+        ready.push((0, 0));
+        assert_eq!(ready.next(2), Next::Closed);
     }
 
     #[test]
@@ -1367,7 +1304,10 @@ mod tests {
         assert_eq!(shared.pop(), Some(((3, 1), 1)));
         // Channels stay per-world: w9's node 1 sees only its own packet.
         let mut b9 = w9.take_endpoint(1);
-        assert_eq!(&b9.recv().data[..], b"y");
+        assert_eq!(
+            b9.try_recv().map(|p| p.data),
+            Some(Bytes::from_static(b"y"))
+        );
         assert!(b9.try_recv().is_none());
     }
 
@@ -1433,7 +1373,7 @@ mod tests {
         // Physically 4 bytes, charged as if 100: arrival reflects the charge,
         // traffic counters reflect the wire.
         a.send_request_charged(1, Bytes::from_static(b"tiny"), 0.0, 100);
-        let pkt = b.recv();
+        let pkt = b.try_recv().expect("delivered");
         let want = a.config.transfer_time_us(100);
         assert!((pkt.arrival_time_us - want).abs() < 1e-9);
         assert_eq!(a.bytes_sent, 4);
@@ -1461,7 +1401,7 @@ mod tests {
         let (fc, fid) = fa.send_request(1, Bytes::from_static(b"payload"), 10.0);
         assert_eq!(pc, fc, "sender clock identical under a quiet plan");
         assert_eq!(pid, fid);
-        let pp = pb.recv();
+        let pp = pb.try_recv().expect("plain delivery");
         let fp = fb.try_recv().expect("screened delivery");
         assert_eq!(pp.arrival_time_us, fp.arrival_time_us, "arrival identical");
         assert_eq!(pp.seq, 0, "no plan: unsequenced");
@@ -1543,7 +1483,7 @@ mod tests {
         assert_eq!(loss.reason, LossReason::Dropped);
         assert_eq!((loss.from, loss.to), (0, 1));
         // One key for the delivered packet, one *wake-up* key for the lost one so
-        // the event-driven schedulers quiesce and diagnose instead of sleeping.
+        // the world's key count reaches zero on a pop and the worker diagnoses.
         assert_eq!(ready.len(), 2);
     }
 
@@ -1631,22 +1571,6 @@ mod tests {
         assert_eq!(s1, s2);
         let (a3, _) = run(100);
         assert_ne!(a1, a3, "different seed takes a different schedule");
-    }
-
-    #[test]
-    fn recv_screened_surfaces_losses_instead_of_hanging() {
-        let mut world = MpiWorld::new(2, NetworkConfig::uniform(2)).with_fault_plan(FaultPlan {
-            poll_interval_ms: 1,
-            poll_strikes: 3,
-            ..FaultPlan::drop_packet(0)
-        });
-        let mut a = world.take_endpoint(0);
-        let mut b = world.take_endpoint(1);
-        let (_, id) = a.send_request(1, Bytes::from_static(b"gone"), 0.0);
-        match b.recv_screened() {
-            Err(RecvStall::Lost(loss)) => assert_eq!(loss.req_id, id),
-            other => panic!("expected a typed loss, got {other:?}"),
-        }
     }
 
     #[test]

@@ -1,56 +1,69 @@
-//! The event-driven scheduler core.
+//! The scheduler: **one worker loop** with counted per-world quiescence.
 //!
-//! Every distributed run is driven by one of three schedulers over the same
-//! continuation machinery (see [`crate::interp`]):
+//! Every distributed execution — [`crate::cluster::run_distributed`] under either
+//! [`Schedule`], and [`crate::serve::run_serving`] — is the same thing: a sequence
+//! of root computations admitted through a window into a fixed table of **worlds**
+//! and driven by `Running::worker` popping `(root, rank)` keys off one shared
+//! [`ReadyQueue`]. A single-root run is a serving run of one request at window 1;
+//! [`Schedule::Inline`] is a pool of one worker on the calling thread.
 //!
-//! * [`run_inline`] — the cooperative single-threaded scheduler. All virtual nodes
-//!   are multiplexed on the calling thread and delivery is **event-driven**: the
-//!   transport's shared [`ReadyQueue`] records each packet's destination at send
-//!   time, so the scheduler pops a ready rank and drains exactly that node's mailbox
-//!   — O(1) per packet, independent of the fabric width (the previous design swept
-//!   every node's mailbox per batch, O(nodes) `try_recv` probes per hop).
-//! * [`run_pool`] — an opt-in work-stealing pool over the same ready queue: `threads`
-//!   workers each keep a local run queue of ready ranks, refill it in batches from
-//!   the shared queue (the injector) and steal from siblings when idle. Virtual
-//!   times, message counts and results are deterministic — per-node clocks depend
-//!   only on that node's packet arrival order, which the transport's FIFO channels
-//!   and the synchronous request/response protocol fix regardless of worker
-//!   interleaving. The paper's communication style admits little real concurrency
-//!   for a single root computation; the pool pays off when several root computations
-//!   are in flight and is otherwise a cross-check like [`run_threaded`].
-//! * [`run_threaded`] — the original thread-per-node execution, kept as an opt-in
-//!   cross-check: its virtual clocks, message counts and results must be identical
-//!   to the event-driven schedulers'.
+//! * A **world** ([`World`]) is one in-flight root computation: its request-scoped
+//!   nodes (interpreter + parked continuations each), behind **one mutex**. The
+//!   paper's protocol is synchronous request/response, so a root computation has
+//!   exactly one live control flow — per-node locks would buy nothing.
+//! * The slot table has `concurrency` entries and a world's root id is
+//!   `slot + slots × generation`, so a popped key finds its world by index, and a
+//!   **stale** key (say the duplicate of a finished request's final response) is
+//!   recognised by root mismatch and skipped without touching the new tenant.
+//! * **Quiescence is counted, not inferred.** Ready keys for a world are only ever
+//!   published by that world's own endpoints (sends, sequence-window releases, gap
+//!   repairs), and those only run inside that world's delivery slices — i.e. under
+//!   the world's lock. So `keys` = published − consumed, maintained under that lock,
+//!   is exact: when it reaches zero and the root has not completed, nothing is
+//!   queued and nothing is in another worker's hands — *that* world is stuck *now*.
+//!   The worker holding it fails it on the spot if it is doomed (a recorded packet
+//!   loss, or nothing left that could free it): no global verdict, no timeout, and
+//!   no second worker that can reach the same conclusion.
+//! * A world stuck behind a **sequence gap** waits for the **delivery deadline**:
+//!   the moment every worker is idle with nothing queued ([`Next::AllIdle`] — the
+//!   idle count lives under the queue lock, so this too is a fact, observed by
+//!   exactly one worker). That worker skips the gaps of every stuck world and the
+//!   loop carries on. For a single-root run the deadline is the instant its one
+//!   world quiesces; a serving run additionally sits out a modelled ack timeout
+//!   first ([`SERVING_DELIVERY_DEADLINE`]). Idle workers otherwise block on the
+//!   queue's condvar without a timeout and exit when the last completion closes it.
 //!
-//! All three accept optional per-node profiler sinks ([`NodeProfiler`]): with the
-//! call stack stored per [`Continuation`], sampling profilers attach to cooperative
-//! and pooled distributed runs with exactly the same per-node attribution as
-//! thread-per-node execution.
+//! Virtual times, message counts and results are deterministic under any worker
+//! count: per-node clocks depend only on that node's packet arrival order, which
+//! the transport's FIFO channels and the synchronous protocol fix regardless of
+//! worker interleaving. Per-node profiler sinks attach the same way under either
+//! schedule — the call stack lives on each [`Continuation`].
 
-use std::collections::{BTreeMap, VecDeque};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
+use autodist_ir::layout::ProgramLayout;
 use autodist_ir::program::Program;
 
-use crate::cluster::{stats_of, ClusterConfig, ExecutionReport, NodeProfiler, NodeStats};
+use crate::adapt::AdaptState;
+use crate::cluster::{stats_of, ExecutionReport, NodeProfiler, Schedule};
 use crate::interp::{
     loss_to_error, Continuation, DistState, ExecError, Interp, ServeOutcome, TaskOutcome,
     TransportStall,
 };
-use crate::net::{PacketKind, ReadyKey, ReadyQueue};
-use crate::services::{ExecutionStarter, MessageExchange, MpiService};
+use crate::net::{FaultPlan, MpiEndpoint, NetworkConfig, Next, PacketKind, ReadyQueue};
+use crate::serve::RequestReport;
+use crate::services::{MessageExchange, MpiService};
 use crate::value::Value;
 use crate::wire::Response;
 
-/// What to do with a cooperative task's result once its bottom frame returns.
-pub(crate) enum TaskDone {
-    /// The Execution Starter's `main` on the launch node: its result ends the run.
+/// What to do with a task's result once its bottom frame returns.
+enum TaskDone {
+    /// The Execution Starter's `main` on the launch node: its result ends the world.
     Root,
     /// A serving computation: reply to `to` for request `req_id`. `reply_override`
     /// carries the freshly created object reference for `NEW` requests (the
-    /// constructor's return value is discarded, as in the synchronous serve path).
+    /// constructor's return value is discarded).
     Reply {
         to: usize,
         req_id: u64,
@@ -58,35 +71,24 @@ pub(crate) enum TaskDone {
     },
 }
 
-/// A cooperative computation: the interpreter-level continuation plus its completion
+/// A computation in flight: the interpreter-level continuation plus its completion
 /// action.
-pub(crate) struct CoopTask {
+struct CoopTask {
     cont: Continuation,
     done: TaskDone,
 }
 
-/// One virtual node of the event-driven schedulers: its interpreter plus every
-/// continuation currently parked on an outstanding remote request, keyed by the
-/// request id the response will echo.
+/// One virtual node of a world: its interpreter plus every continuation currently
+/// parked on an outstanding remote request, keyed by the request id the response
+/// will echo.
 ///
 /// The parked set is a plain vector, not a hash map: a node rarely holds more than a
 /// handful of parked computations (one per live cross-node recursion level, bounded
 /// by the call-depth guard), and the park/resume pair sits on the per-message hot
 /// path where two SipHash probes cost more than a short scan.
-pub(crate) struct CoopNode<'p> {
-    pub(crate) interp: Interp<'p>,
+struct CoopNode<'p> {
+    interp: Interp<'p>,
     parked: Vec<(u64, CoopTask)>,
-}
-
-impl<'p> CoopNode<'p> {
-    /// Wraps `interp` with an empty parked set (used by the serving scheduler, which
-    /// builds request-scoped nodes itself).
-    pub(crate) fn from_interp(interp: Interp<'p>) -> Self {
-        CoopNode {
-            interp,
-            parked: Vec::new(),
-        }
-    }
 }
 
 impl CoopNode<'_> {
@@ -98,22 +100,17 @@ impl CoopNode<'_> {
         Some(self.parked.swap_remove(idx).1)
     }
 
-    /// Drives `task` until it parks or completes. Completions either finish the run
-    /// (the returned root result) or send the response for the request being served.
-    /// Every slice ends by flushing coalesced ready keys: the sends it performed are
-    /// published before control returns to the scheduler.
+    /// Drives `task` until it parks or completes. Completions either finish the
+    /// world (the returned root result) or send the response for the request being
+    /// served.
     fn run(&mut self, mut task: CoopTask) -> Option<Result<Value, ExecError>> {
         let outcome = self.interp.run_task(&mut task.cont);
-        let res = self.settle(task, outcome);
-        self.flush_ready();
-        res
+        self.settle(task, outcome)
     }
 
-    /// Publishes any ready keys this node's endpoint accumulated while coalescing.
-    fn flush_ready(&mut self) {
-        if let Some(d) = self.interp.dist.as_mut() {
-            d.endpoint.flush_coalesced();
-        }
+    fn endpoint(&mut self) -> &mut MpiEndpoint {
+        let dist = self.interp.dist.as_mut();
+        &mut dist.expect("world nodes are distributed").endpoint
     }
 
     fn settle(&mut self, task: CoopTask, outcome: TaskOutcome) -> Option<Result<Value, ExecError>> {
@@ -137,29 +134,23 @@ impl CoopNode<'_> {
         }
     }
 
-    /// Delivers the oldest packet in this node's mailbox, if any: a request spawns
+    /// Delivers up to `count` packets from this node's mailbox (a coalesced ready
+    /// entry covers several), stopping early on the root result: a request spawns
     /// (or answers) a serving task, a response resumes the parked continuation.
-    /// Returns the root result when the root computation completes. The ready queue
-    /// holds one entry per packet (or a counted entry per coalesced batch), so each
-    /// popped entry delivers its packets without a trailing empty mailbox probe.
-    pub(crate) fn deliver_one(&mut self) -> Option<Result<Value, ExecError>> {
-        let res = self.deliver_one_inner();
-        self.flush_ready();
-        res
-    }
-
-    /// Delivers up to `count` packets (a coalesced ready-queue entry covers
-    /// several), stopping early on a root result or a dry mailbox.
-    pub(crate) fn deliver_many(&mut self, count: u32) -> Option<Result<Value, ExecError>> {
+    /// Every packet's slice ends by flushing coalesced ready keys: the sends it
+    /// performed are published before control returns to the worker loop.
+    fn deliver_many(&mut self, count: u32) -> Option<Result<Value, ExecError>> {
         for _ in 0..count {
-            if let Some(res) = self.deliver_one() {
-                return Some(res);
+            let res = self.deliver_one();
+            self.endpoint().flush_coalesced();
+            if res.is_some() {
+                return res;
             }
         }
         None
     }
 
-    fn deliver_one_inner(&mut self) -> Option<Result<Value, ExecError>> {
+    fn deliver_one(&mut self) -> Option<Result<Value, ExecError>> {
         let pkt = self.interp.poll_packet()?;
         match pkt.kind {
             PacketKind::Request => {
@@ -184,9 +175,7 @@ impl CoopNode<'_> {
                 let mut data = pkt.data;
                 let decoded = Response::decode(&mut data);
                 // The frame is fully read: recycle its storage through the pool.
-                if let Some(d) = self.interp.dist.as_mut() {
-                    d.endpoint.reclaim(data);
-                }
+                self.endpoint().reclaim(data);
                 let resp = match decoded {
                     Ok(Response::Value(v)) => Ok(v),
                     Ok(Response::Error(e)) => Err(e),
@@ -203,497 +192,656 @@ impl CoopNode<'_> {
     }
 }
 
-/// What the delivery-deadline recovery decided about a quiesced run.
-pub(crate) enum Recovery {
-    /// The run is doomed: finish with this typed error.
-    Fail(ExecError),
-    /// Sequence gaps were repaired and buffered packets released (with fresh ready
-    /// keys): resume delivering.
-    Repaired,
+/// One in-flight root computation: its request-scoped nodes, its exact ready-key
+/// count, and the bookkeeping its report needs.
+struct World<'p> {
+    /// The id stamped on this world's ready keys: `slot + slots × generation`.
+    root: u32,
+    nodes: Vec<CoopNode<'p>>,
+    /// Ready keys published by this world's endpoints minus keys consumed by its
+    /// delivery slices — exact, because both only happen under this world's lock.
+    keys: u32,
+    /// Position in the submitted sequence.
+    index: usize,
+    /// Index of the app this request instantiated.
+    app: usize,
+    started: Instant,
 }
 
-/// The **virtual-time delivery deadline**, shared by the event-driven schedulers.
-///
-/// An empty ready queue before the root completes is the cooperative protocol's
-/// quiescence point: under fault-free execution exactly one logical control flow is
-/// live at any moment, so quiescence used to be an unconditional scheduler bug.
-/// With a fault plan it is the moment every virtual clock has advanced past any
-/// packet still owed — the deadline. In order:
-///
-/// 1. a recorded packet loss → the typed error ([`ExecError::MessageTimeout`] /
-///    [`ExecError::NodeDown`]); under the synchronous request/response protocol a
-///    single lost packet dooms the computation;
-/// 2. a sequence gap on some rank (a reorder whose partner is still owed) → repair
-///    it and resume;
-/// 3. neither → a typed [`ExecError::Transport`] diagnosis naming which ranks hold
-///    undeliverable traffic and which continuations are parked on which requests —
-///    a genuine deadlock reports its shape instead of tripping the CI watchdog.
-pub(crate) fn recover_or_diagnose(mut nodes: Vec<&mut CoopNode<'_>>) -> Recovery {
-    let fault_state = nodes
-        .first()
-        .and_then(|n| n.interp.dist.as_ref())
-        .and_then(|d| d.endpoint.fault_state());
-    if let Some(state) = &fault_state {
-        if let Some(loss) = state.first_loss() {
-            return Recovery::Fail(loss_to_error(loss));
-        }
-    }
-    let mut released = 0;
-    for node in nodes.iter_mut() {
-        if let Some(d) = node.interp.dist.as_mut() {
-            released += d.endpoint.repair_gaps();
-            // The repair publishes the released packets' ready keys through the
-            // coalescing accumulator, and quiescence means no delivery slice is
-            // coming to flush it — flush here or the repair is invisible.
-            d.endpoint.flush_coalesced();
-        }
-    }
-    if released > 0 {
-        return Recovery::Repaired;
-    }
-    let mut stall = TransportStall::default();
-    for node in nodes.iter() {
-        let Some(d) = node.interp.dist.as_ref() else {
-            continue;
-        };
-        let rank = d.endpoint.rank;
-        if d.endpoint.has_sequence_gap() {
-            stall.gapped.push(rank);
-        }
-        for (req_id, _) in &node.parked {
-            stall.parked.push((rank, *req_id));
-        }
-    }
-    Recovery::Fail(ExecError::Transport(stall))
-}
-
-/// Builds the per-rank cooperative nodes, attaching any per-node profiler sinks.
-fn build_nodes<'p>(
-    programs: &'p [Program],
-    mpi: &mut MpiService,
-    mut profilers: Vec<Option<NodeProfiler>>,
-    no_coalesce: bool,
-    no_buffer_pool: bool,
-) -> Vec<CoopNode<'p>> {
-    programs
-        .iter()
-        .enumerate()
-        .map(|(rank, program)| {
-            let mut dist = DistState::new(mpi.endpoint(rank)).with_coop();
-            if no_coalesce {
-                dist.endpoint.set_coalescing(false);
-            }
-            if no_buffer_pool {
-                dist.endpoint.set_buffer_pool(false);
-            }
-            let mut interp = Interp::new(program).with_dist(dist);
-            if let Some(p) = profilers.get_mut(rank).and_then(Option::take) {
-                interp = interp.with_profiler(p.sink, p.sample_interval);
-            }
-            CoopNode {
-                interp,
-                parked: Vec::new(),
-            }
-        })
-        .collect()
-}
-
-/// The Execution Starter: launches `main` as the root continuation on the launch
-/// node. Returns the root result if it completed without ever parking.
-pub(crate) fn seed_root(node: &mut CoopNode<'_>) -> Option<Result<Value, ExecError>> {
-    match node.interp.program.entry {
-        None => Some(Err(ExecError::NoEntry)),
-        Some(entry) => match node.interp.task_for(entry, Vec::new()) {
-            None => Some(Ok(Value::Null)),
-            Some(cont) => node.run(CoopTask {
-                cont,
-                done: TaskDone::Root,
-            }),
-        },
-    }
-}
-
-/// Assembles the report from per-node stats. The distributed execution ends when the
-/// launch node finishes `main`; its clock has already absorbed every synchronous
-/// round trip (the communication style is request/response), so node 0's final clock
-/// is the execution time the paper measures. This is the single statement of that
-/// rule, shared by every scheduler.
-pub(crate) fn assemble_report(
-    per_node: Vec<NodeStats>,
-    final_statics: BTreeMap<String, Value>,
-    error: Option<ExecError>,
-    wall: Duration,
-) -> ExecutionReport {
-    let virtual_time_us = per_node.first().map(|s| s.clock_us).unwrap_or(0.0);
-    ExecutionReport {
-        virtual_time_us,
-        wall_time_ms: wall.as_secs_f64() * 1e3,
-        per_node,
-        final_statics,
-        error,
-        faults: None,
-    }
-}
-
-/// Shared epilogue of the event-driven schedulers: snapshot the launch node, deliver
-/// the shutdown broadcast (bookkeeping, not part of the measured execution — it only
-/// advances each node's clock to the shutdown's arrival, exactly like the threaded
-/// serve loop does before exiting) and assemble the report.
-fn finish_coop(
-    nodes: &mut [CoopNode<'_>],
-    root: Result<Value, ExecError>,
-    start: Instant,
-) -> ExecutionReport {
-    let error = root.err();
-    let stats0 = stats_of(&nodes[0].interp, 0);
-    let final_statics = nodes[0].interp.statics_snapshot();
-    MessageExchange::broadcast_shutdown(&mut nodes[0].interp);
-    for node in nodes.iter_mut().skip(1) {
-        while let Some(pkt) = node.interp.poll_packet() {
-            if pkt.kind == PacketKind::Request {
-                let _ = node.interp.accept_request(pkt.from, pkt.req_id, pkt.data);
-            }
-        }
-    }
-    let wall = start.elapsed();
-    let mut per_node = vec![stats0];
-    for (rank, node) in nodes.iter().enumerate().skip(1) {
-        per_node.push(stats_of(&node.interp, rank));
-    }
-    let faults = nodes[0]
-        .interp
-        .dist
-        .as_ref()
-        .and_then(|d| d.endpoint.fault_state())
-        .map(|s| s.summary());
-    let mut report = assemble_report(per_node, final_statics, error, wall);
-    report.faults = faults;
-    report
-}
-
-/// Cooperative single-threaded distributed execution (see
-/// [`crate::cluster::Schedule::Inline`]): the continuation-based scheduler with an
-/// explicit run queue. All virtual nodes run on the calling thread; the
-/// explicit-stack machine never recurses, so no oversized stack is needed and a node
-/// can serve re-entrant callbacks while its own computation is parked.
-pub(crate) fn run_inline(
-    programs: &[Program],
-    config: &ClusterConfig,
-    profilers: Vec<Option<NodeProfiler>>,
-) -> ExecutionReport {
-    let start = Instant::now();
-    let mut mpi = MpiService::init_with_faults(
-        programs.len(),
-        config.network.clone(),
-        config.faults.clone(),
-    );
-    let ready = mpi.ready_queue();
-    let mut nodes = build_nodes(
-        programs,
-        &mut mpi,
-        profilers,
-        config.no_coalesce,
-        config.no_buffer_pool,
-    );
-
-    let mut root_result = seed_root(&mut nodes[0]);
-
-    // The scheduler proper: pop the next ready key off the transport's queue and
-    // deliver that node's oldest packet — resuming a parked continuation (response)
-    // or spawning a serving task (request) — until the root computation completes.
-    // Single-root runs have exactly one root (0), so the key's root half is ignored.
-    // An empty queue before the root completes is the virtual-time delivery
-    // deadline: the recovery either repairs a sequence gap and resumes, or ends the
-    // run with a typed error (lost packet, dead node, or a stall diagnosis).
-    while root_result.is_none() {
-        match ready.pop() {
-            Some(((_root, rank), count)) => root_result = nodes[rank as usize].deliver_many(count),
-            None => match recover_or_diagnose(nodes.iter_mut().collect()) {
-                Recovery::Repaired => {}
-                Recovery::Fail(e) => root_result = Some(Err(e)),
+impl World<'_> {
+    /// The Execution Starter: launches `main` as the root continuation on the
+    /// launch node. Returns the root result if the world is already over.
+    fn seed(&mut self) -> Option<Result<Value, ExecError>> {
+        let node = &mut self.nodes[0];
+        let res = match node.interp.program.entry {
+            None => Some(Err(ExecError::NoEntry)),
+            Some(entry) => match node.interp.task_for(entry, Vec::new()) {
+                None => Some(Ok(Value::Null)),
+                Some(cont) => node.run(CoopTask {
+                    cont,
+                    done: TaskDone::Root,
+                }),
             },
+        };
+        node.endpoint().flush_coalesced();
+        self.settle(0, 0, res)
+    }
+
+    /// One delivery slice: the popped entry's `count` packets on node `rank`.
+    /// Returns the root result when this ends the world.
+    fn deliver(&mut self, rank: usize, count: u32) -> Option<Result<Value, ExecError>> {
+        let res = self.nodes[rank].deliver_many(count);
+        self.settle(rank, count, res)
+    }
+
+    /// Closes a slice on node `rank` that consumed `consumed` keys: only that
+    /// node's endpoint can have published any. A live world whose count reaches
+    /// zero is stuck — nothing is queued, nothing is in another worker's hands — and
+    /// unless a gap repair can still free it ([`World::repair`]) it is failed here
+    /// and now, whatever its neighbours are doing.
+    fn settle(
+        &mut self,
+        rank: usize,
+        consumed: u32,
+        res: Option<Result<Value, ExecError>>,
+    ) -> Option<Result<Value, ExecError>> {
+        self.keys =
+            (self.keys + self.nodes[rank].endpoint().take_published()).saturating_sub(consumed);
+        if res.is_none() && self.keys == 0 {
+            return self.doomed().map(Err);
+        }
+        res
+    }
+
+    /// Why a quiesced world can never complete, if it cannot. Under fault-free
+    /// execution exactly one logical control flow is live at any moment, so a zero
+    /// key count before the root completes would be a scheduler bug; with a fault
+    /// plan it means a packet is owed. In order:
+    ///
+    /// 1. a recorded packet loss → the typed error ([`ExecError::MessageTimeout`] /
+    ///    [`ExecError::NodeDown`]); under the synchronous protocol a single lost
+    ///    packet dooms the computation;
+    /// 2. a sequence gap on some rank (a reorder whose partner is still owed) →
+    ///    `None`: the world waits for the delivery deadline to repair it;
+    /// 3. neither → a typed [`ExecError::Transport`] naming which continuations are
+    ///    parked on which requests — a genuine deadlock reports its shape.
+    fn doomed(&mut self) -> Option<ExecError> {
+        let state = self.nodes[0].endpoint().fault_state();
+        if let Some(loss) = state.and_then(|s| s.first_loss()) {
+            return Some(loss_to_error(loss));
+        }
+        let stall = self.stall();
+        stall
+            .gapped
+            .is_empty()
+            .then_some(ExecError::Transport(stall))
+    }
+
+    /// The shape of this world's stall: which ranks buffer packets behind a sequence
+    /// gap, which continuations are parked on which requests.
+    fn stall(&mut self) -> TransportStall {
+        let mut stall = TransportStall::default();
+        for (rank, node) in self.nodes.iter_mut().enumerate() {
+            if node.endpoint().has_sequence_gap() {
+                stall.gapped.push(rank);
+            }
+            stall
+                .parked
+                .extend(node.parked.iter().map(|(req_id, _)| (rank, *req_id)));
+        }
+        stall
+    }
+
+    /// The delivery deadline passed: the packets the sequence gaps are waiting for
+    /// are not coming. Skips every gap and counts the released packets' keys;
+    /// `false` if there was nothing to release.
+    fn repair(&mut self) -> bool {
+        for node in &mut self.nodes {
+            let endpoint = node.endpoint();
+            if endpoint.repair_gaps() > 0 {
+                // No delivery slice is coming to flush the released packets' keys —
+                // flush here or the repair is invisible.
+                endpoint.flush_coalesced();
+                self.keys += endpoint.take_published();
+            }
+        }
+        self.keys > 0
+    }
+
+    /// The epilogue of every world: snapshot the launch node, deliver the shutdown
+    /// broadcast (bookkeeping, not part of the measured execution — it only
+    /// advances each node's clock to the shutdown's arrival) and assemble the
+    /// report. The execution ends when the launch node finishes `main`; its clock
+    /// has already absorbed every synchronous round trip, so node 0's final clock
+    /// is the execution time the paper measures.
+    fn finish(mut self, root: Result<Value, ExecError>, wall: Duration) -> ExecutionReport {
+        let node0 = &mut self.nodes[0];
+        let stats0 = stats_of(&node0.interp, 0);
+        let final_statics = node0.interp.statics_snapshot();
+        let faults = node0.endpoint().fault_state().map(|s| s.summary());
+        // The shutdown keys are never flushed: the world is over, nobody delivers.
+        MessageExchange::broadcast_shutdown(&mut node0.interp);
+        let mut per_node = vec![stats0];
+        for (rank, node) in self.nodes.iter_mut().enumerate().skip(1) {
+            while let Some(pkt) = node.interp.poll_packet() {
+                if pkt.kind == PacketKind::Request {
+                    let _ = node.interp.accept_request(pkt.from, pkt.req_id, pkt.data);
+                }
+            }
+            per_node.push(stats_of(&node.interp, rank));
+        }
+        // Dropping the nodes drops any attached profiler sinks, which flushes a
+        // planner sink's per-request tallies into its shared aggregate — before
+        // the epoch controller (which runs right after this) reads it.
+        drop(self);
+        ExecutionReport {
+            virtual_time_us: per_node[0].clock_us,
+            wall_time_ms: wall.as_secs_f64() * 1e3,
+            per_node,
+            final_statics,
+            error: root.err(),
+            faults,
         }
     }
-
-    finish_coop(&mut nodes, root_result.expect("root completed"), start)
 }
 
-/// The shared state of one work-stealing pool run.
-struct PoolShared<'s, 'p> {
-    /// Every virtual node, lockable by any worker (per-node processing serializes on
-    /// the node's mutex; the transport channel keeps its packet order FIFO).
-    nodes: &'s [Mutex<CoopNode<'p>>],
-    /// The global injector: the transport's ready queue.
-    ready: &'s ReadyQueue,
-    /// Per-worker local run queues of counted ready entries (stolen from the back).
-    locals: Vec<Mutex<VecDeque<(ReadyKey, u32)>>>,
-    /// The root computation's result, set exactly once.
-    root: Mutex<Option<Result<Value, ExecError>>>,
-    /// Set once `root` is; checked by every worker iteration.
-    done: AtomicBool,
-    /// Workers currently claiming or processing work. Incremented *before* looking
-    /// for work so a claimed-but-invisible rank is always covered by a non-zero
-    /// count.
-    active: AtomicUsize,
-    /// Total ranks processed; incremented (while still active) after every claimed
-    /// delivery. The stall detector requires this to hold still across several
-    /// consecutive idle checks, which closes the non-atomic-snapshot race between
-    /// reading `active` and scanning the queues.
-    deliveries: AtomicUsize,
+/// The modelled *wall-clock* length of the delivery deadline in serving mode — the
+/// third modelled wait next to `ServeOptions::ingress_wait` and
+/// `ServeOptions::comm_wait`: a receiver holding packets behind a sequence gap
+/// cannot know the missing one is not coming until the link has stayed quiet for an
+/// ack timeout, so an idle server sits that long before skipping the gap. Whether
+/// the server *is* idle and which worlds are stuck is counted, never timed; this is
+/// the price of the repair, not a detector. The committed benchmark's
+/// `serve_degraded` workload — and its unit test asserting that a reordered request
+/// is slower than every healthy one — are calibrated to 6 ms.
+pub(crate) const SERVING_DELIVERY_DEADLINE: Duration = Duration::from_millis(6);
+
+/// What a world is instantiated from: the placed per-node programs, their shared
+/// pre-built layouts and the cost model.
+#[derive(Clone, Copy)]
+pub(crate) struct AppView<'s> {
+    pub(crate) programs: &'s [Program],
+    pub(crate) layouts: &'s [Arc<ProgramLayout>],
+    pub(crate) network: &'s NetworkConfig,
 }
 
-impl PoolShared<'_, '_> {
-    /// Records the root result (first writer wins) and wakes every idle worker.
-    fn finish(&self, res: Result<Value, ExecError>) {
-        let mut root = self.root.lock().unwrap_or_else(|e| e.into_inner());
-        if root.is_none() {
-            *root = Some(res);
+/// The admission window, guarded by one lock so claim-and-count is atomic.
+struct Window {
+    /// Next sequence index to admit.
+    next: usize,
+    /// Slots with no live world.
+    free: Vec<usize>,
+    /// The root id each slot's next tenant gets.
+    roots: Vec<u32>,
+    completed: usize,
+}
+
+/// Everything one run of the worker loop shares. [`crate::serve::run_serving`] and
+/// [`crate::cluster::run_distributed_profiled`] both fill this in and call
+/// [`Server::run`]; the fields below `adapt` are zero/empty for the other one.
+pub(crate) struct Server<'s> {
+    pub(crate) apps: Vec<AppView<'s>>,
+    /// `sequence[i]` names the app request `i` instantiates.
+    pub(crate) sequence: &'s [usize],
+    /// Maximum worlds in flight (the closed-loop window).
+    pub(crate) concurrency: usize,
+    pub(crate) schedule: Schedule,
+    /// Modelled wire-read cost paid by the admitting worker per request.
+    pub(crate) ingress_wait: Duration,
+    /// Modelled wire-stall cost paid by the completing worker per cross-node
+    /// message of the finished request.
+    pub(crate) comm_wait: Duration,
+    /// Fault plans by submission index.
+    pub(crate) faults: &'s [(usize, FaultPlan)],
+    /// Adaptive-placement epoch controller; `None` keeps the admission and
+    /// completion paths identical to a server without it.
+    pub(crate) adapt: Option<AdaptState<'s>>,
+    /// Caller-supplied per-node profiler sinks for request 0 (single-root runs).
+    pub(crate) profilers: Mutex<Vec<Option<NodeProfiler>>>,
+    /// A/B controls of the transport's wall-clock optimisations (single-root runs).
+    pub(crate) no_coalesce: bool,
+    pub(crate) no_buffer_pool: bool,
+    /// Modelled wall-clock length of the delivery deadline (see
+    /// [`Running::delivery_deadline`]): how long an idle server gives a reordered
+    /// packet's predecessor to show up before skipping it.
+    pub(crate) deadline_wait: Duration,
+}
+
+/// The state [`Server::run`] adds around a [`Server`] for the duration of the run.
+struct Running<'a, 's> {
+    server: &'a Server<'s>,
+    workers: usize,
+    /// The one ready queue every world feeds.
+    ready: Arc<ReadyQueue>,
+    /// The world table, a power of two long so `root & mask` finds a key's slot.
+    slots: Vec<Mutex<Option<World<'s>>>>,
+    window: Mutex<Window>,
+    /// Per-request outcomes, indexed by submission order.
+    results: Mutex<Vec<Option<RequestReport>>>,
+}
+
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(|e| e.into_inner())
+}
+
+impl<'s> Server<'s> {
+    /// Runs the closed loop to completion and returns the per-request outcomes in
+    /// submission order, plus the worker count used.
+    pub(crate) fn run(&self) -> (Vec<RequestReport>, usize) {
+        let workers = match self.schedule {
+            Schedule::Inline => 1,
+            Schedule::Pool { threads } => threads.max(1),
+        };
+        let concurrency = self.concurrency.max(1);
+        let slots = concurrency.next_power_of_two();
+        let run = Running {
+            server: self,
+            workers,
+            ready: Arc::new(ReadyQueue::default()),
+            slots: (0..slots).map(|_| Mutex::new(None)).collect(),
+            window: Mutex::new(Window {
+                next: 0,
+                free: (0..concurrency).rev().collect(),
+                roots: (0..slots as u32).collect(),
+                completed: 0,
+            }),
+            results: Mutex::new((0..self.sequence.len()).map(|_| None).collect()),
+        };
+        if self.sequence.is_empty() {
+            return (Vec::new(), workers);
         }
-        drop(root);
-        self.done.store(true, Ordering::SeqCst);
-        self.ready.notify_all();
-    }
-
-    /// `true` when neither the injector nor any worker's local queue holds work.
-    fn queues_idle(&self) -> bool {
-        self.ready.is_empty()
-            && self
-                .locals
-                .iter()
-                .all(|l| l.lock().unwrap_or_else(|e| e.into_inner()).is_empty())
-    }
-}
-
-/// One pool worker: local queue → injector batch → steal from a sibling; park on the
-/// ready queue when everything is empty.
-fn pool_worker(shared: &PoolShared<'_, '_>, id: usize) {
-    /// Ranks moved from the injector into the local queue per refill.
-    const BATCH: usize = 4;
-    /// Consecutive quiet idle checks before a stall is declared (see below).
-    const STALL_STRIKES: u32 = 3;
-    let idle_wait = Duration::from_millis(2);
-    let mut strikes = 0u32;
-    let mut last_epoch = None;
-    while !shared.done.load(Ordering::SeqCst) {
-        shared.active.fetch_add(1, Ordering::SeqCst);
-        let mut key = shared.locals[id]
-            .lock()
+        if workers == 1 {
+            run.worker();
+        } else {
+            std::thread::scope(|scope| {
+                for id in 0..workers {
+                    let run = &run;
+                    std::thread::Builder::new()
+                        .name(format!("worker-{id}"))
+                        .spawn_scoped(scope, move || run.worker())
+                        .expect("spawn worker");
+                }
+            });
+        }
+        let requests = run
+            .results
+            .into_inner()
             .unwrap_or_else(|e| e.into_inner())
-            .pop_front();
-        if key.is_none() {
-            let batch = shared.ready.pop_batch(BATCH);
-            let mut it = batch.into_iter();
-            key = it.next();
-            shared.locals[id]
-                .lock()
-                .unwrap_or_else(|e| e.into_inner())
-                .extend(it);
-        }
-        if key.is_none() {
-            for victim in 0..shared.locals.len() {
-                if victim == id {
-                    continue;
-                }
-                key = shared.locals[victim]
-                    .lock()
-                    .unwrap_or_else(|e| e.into_inner())
-                    .pop_back();
-                if key.is_some() {
-                    break;
-                }
-            }
-        }
-        match key {
-            Some(((_root, r), count)) => {
-                let completed = shared.nodes[r as usize]
-                    .lock()
-                    .unwrap_or_else(|e| e.into_inner())
-                    .deliver_many(count);
-                // Finish and bump the delivery epoch before going inactive so the
-                // stall detector below can never race a completed root or mistake
-                // this delivery for quiescence.
-                if let Some(res) = completed {
-                    shared.finish(res);
-                }
-                shared.deliveries.fetch_add(1, Ordering::SeqCst);
-                shared.active.fetch_sub(1, Ordering::SeqCst);
-                strikes = 0;
-            }
-            None => {
-                shared.active.fetch_sub(1, Ordering::SeqCst);
-                if shared.ready.wait_for_ready(idle_wait) {
-                    strikes = 0;
-                    continue;
-                }
-                // Stall detection. A single (active == 0 && queues idle) snapshot is
-                // not atomic: a sibling can move a rank from a queue into its claim
-                // between the two reads. But every claim raises `active` *before*
-                // removing the rank, and every processed claim bumps `deliveries`
-                // before lowering `active` — so across several consecutive quiet
-                // checks, live work must either show up in a queue, keep `active`
-                // non-zero, or advance the delivery epoch. Only a genuine stall
-                // (a scheduler bug: one logical control flow always has a
-                // deliverable message until the root completes) stays quiet on all
-                // three for STALL_STRIKES checks in a row.
-                let epoch = shared.deliveries.load(Ordering::SeqCst);
-                let quiet = !shared.done.load(Ordering::SeqCst)
-                    && shared.active.load(Ordering::SeqCst) == 0
-                    && shared.queues_idle()
-                    && last_epoch == Some(epoch);
-                last_epoch = Some(epoch);
-                strikes = if quiet { strikes + 1 } else { 0 };
-                if strikes >= STALL_STRIKES {
-                    // The pool's delivery deadline: every worker idle and every
-                    // queue empty across STALL_STRIKES checks. `active == 0` held,
-                    // so locking the full node set here cannot deadlock a working
-                    // sibling — at worst a freshly woken one briefly waits.
-                    let mut guards: Vec<_> = shared
-                        .nodes
-                        .iter()
-                        .map(|m| m.lock().unwrap_or_else(|e| e.into_inner()))
-                        .collect();
-                    match recover_or_diagnose(guards.iter_mut().map(|g| &mut **g).collect()) {
-                        Recovery::Repaired => strikes = 0,
-                        Recovery::Fail(e) => shared.finish(Err(e)),
+            .into_iter()
+            .map(|r| r.expect("every request completed or failed"))
+            .collect();
+        (requests, workers)
+    }
+}
+
+impl<'s> Running<'_, 's> {
+    /// **The** worker loop: fill the window, then pop a `(root, rank)` key and run
+    /// one delivery slice on that world's node. A world completes on whichever
+    /// worker delivers its final response; that worker reports it and refills the
+    /// freed slot.
+    fn worker(&self) {
+        self.admit();
+        loop {
+            match self.ready.next(self.workers) {
+                Next::Entry((root, rank), count) => {
+                    let slot = root as usize & (self.slots.len() - 1);
+                    let mut guard = lock(&self.slots[slot]);
+                    // A key whose root is not the slot's tenant is stale — its
+                    // world already completed — and is skipped, count untouched.
+                    let done = match guard.as_mut() {
+                        Some(world) if world.root == root => world.deliver(rank as usize, count),
+                        _ => None,
+                    };
+                    if let Some(res) = done {
+                        let world = guard.take().expect("the world just delivered");
+                        drop(guard);
+                        self.complete(slot, world, res);
+                        self.admit();
                     }
                 }
+                Next::Closed => return,
+                Next::AllIdle => self.delivery_deadline(),
             }
+        }
+    }
+
+    /// Admits requests until the window is full or the sequence is exhausted.
+    fn admit(&self) {
+        loop {
+            let (index, slot, root) = {
+                let mut w = lock(&self.window);
+                if w.next >= self.server.sequence.len() {
+                    return;
+                }
+                let Some(slot) = w.free.pop() else { return };
+                let index = w.next;
+                w.next += 1;
+                let root = w.roots[slot];
+                w.roots[slot] = root.wrapping_add(self.slots.len() as u32);
+                (index, slot, root)
+            };
+            // This worker is about to be busy admitting (and possibly blocked in
+            // the modelled ingress read): anything it left queued is a sibling's.
+            self.ready.nudge();
+            self.admit_one(index, slot, root);
+        }
+    }
+
+    /// Instantiates request `index` in `slot`: fresh endpoints over the shared
+    /// ready queue (keys tagged `root`), fresh per-node interpreters over the app's
+    /// shared layouts, then the root computation seeded on node 0.
+    fn admit_one(&self, index: usize, slot: usize, root: u32) {
+        let server = self.server;
+        if !server.ingress_wait.is_zero() {
+            // Blocking ingress: this worker is "in read(2)" on the request's
+            // connection for the modelled wire time. Other workers keep serving.
+            std::thread::sleep(server.ingress_wait);
+        }
+        let app_idx = server.sequence[index];
+        // Adaptive placement: admit under the app's *current* placement — the seed
+        // one the caller passed in, or whichever the epoch controller last
+        // installed. The choice is sealed at admission; a later swap never touches
+        // this request.
+        let app = server
+            .adapt
+            .as_ref()
+            .and_then(|a| a.current(app_idx))
+            .map_or(server.apps[app_idx], |a| a.view());
+        let plan = server.faults.iter().find(|(i, _)| *i == index);
+        let mut mpi = MpiService::init(
+            app.programs.len(),
+            app.network.clone(),
+            Arc::clone(&self.ready),
+            root,
+            plan.map(|(_, plan)| plan.clone()),
+        );
+        // The planner's sinks are observational (they record, never steer), so
+        // attaching them leaves virtual time and traffic byte-identical — but the
+        // instrumentation costs wall-clock, so only an epoch's profiled prefix of
+        // admissions carries them.
+        let planner = server
+            .adapt
+            .as_ref()
+            .filter(|adapt| adapt.admit_profiled(app_idx));
+        let mut own = std::mem::take(&mut *lock(&server.profilers));
+        let nodes = app
+            .programs
+            .iter()
+            .zip(app.layouts)
+            .enumerate()
+            .map(|(rank, (program, layout))| {
+                let mut dist = DistState::new(mpi.endpoint(rank));
+                if server.no_coalesce {
+                    dist.endpoint.set_coalescing(false);
+                }
+                if server.no_buffer_pool {
+                    dist.endpoint.set_buffer_pool(false);
+                }
+                let mut interp = Interp::with_layout(program, Arc::clone(layout)).with_dist(dist);
+                let sink = match own.get_mut(rank).and_then(Option::take) {
+                    Some(p) => Some((p.sink, p.sample_interval)),
+                    None => planner.and_then(|adapt| adapt.profiler_for(app_idx, rank)),
+                };
+                if let Some((sink, interval)) = sink {
+                    interp = interp.with_profiler(sink, interval);
+                }
+                CoopNode {
+                    interp,
+                    parked: Vec::new(),
+                }
+            })
+            .collect();
+        // Install before seeding, and seed under the slot's lock: the root's first
+        // send publishes a key another worker may pop immediately, and that worker
+        // must find this world — and wait for the seeding slice to end.
+        let mut guard = lock(&self.slots[slot]);
+        let world = guard.insert(World {
+            root,
+            nodes,
+            keys: 0,
+            index,
+            app: app_idx,
+            started: Instant::now(),
+        });
+        if let Some(res) = world.seed() {
+            // The request never parked (e.g. a single-node placement), or is
+            // already doomed: complete it here; the caller keeps admitting.
+            let world = guard.take().expect("the world just seeded");
+            drop(guard);
+            self.complete(slot, world, res);
+        }
+    }
+
+    /// Finishes a world taken out of `slot`: epilogue, result slot, window refill
+    /// bookkeeping — and the end of the run when it was the last one.
+    fn complete(&self, slot: usize, world: World<'s>, res: Result<Value, ExecError>) {
+        let server = self.server;
+        let latency = world.started.elapsed();
+        let (index, app, nodes) = (world.index, world.app, world.nodes.len());
+        let report = world.finish(res, latency);
+        if !server.comm_wait.is_zero() {
+            // Modelled wire stalls: this worker is "on the wire" for the request's
+            // cross-node traffic (the measured latency above excludes it; only
+            // throughput sees the cost, which is what the stall steals on a real
+            // testbed's closed loop).
+            let messages = report.total_messages().min(u32::MAX as u64) as u32;
+            std::thread::sleep(server.comm_wait * messages);
+        }
+        // Feed the completed request into the epoch controller *after* its report
+        // is sealed: adaptation can only influence requests admitted later.
+        if let Some(adapt) = server.adapt.as_ref() {
+            adapt.observe(app, nodes, &report);
+        }
+        lock(&self.results)[index] = Some(RequestReport {
+            index,
+            app,
+            latency_us: latency.as_secs_f64() * 1e6,
+            report,
+        });
+        let mut w = lock(&self.window);
+        w.free.push(slot);
+        w.completed += 1;
+        if w.completed == server.sequence.len() {
+            drop(w);
+            self.ready.close();
+        }
+    }
+
+    /// The **delivery deadline**, behind [`Next::AllIdle`]: every worker is idle and
+    /// nothing is queued, so every live world is stuck — and since a doomed world is
+    /// failed by its own count the moment it quiesces, what is left waits behind a
+    /// sequence gap. Exactly one worker gets here (all others are blocked on the
+    /// queue), which is what makes the verdict single: it sits out the modelled
+    /// deadline, then skips the gaps of every stuck world under that world's lock
+    /// and carries on.
+    fn delivery_deadline(&self) {
+        if !self.server.deadline_wait.is_zero() {
+            std::thread::sleep(self.server.deadline_wait);
+        }
+        let mut repaired = false;
+        for slot in &self.slots {
+            // A world with keys is running again (a sibling this pass woke may
+            // even have re-let the slot): not this deadline's business.
+            if let Some(world) = lock(slot).as_mut().filter(|w| w.keys == 0) {
+                repaired |= world.repair();
+            }
+        }
+        if repaired {
+            return;
+        }
+        // Nothing was repairable, so nothing was published and every sibling is
+        // still blocked: the live worlds are exactly as `AllIdle` found them —
+        // holding keys that are not in the queue. Exact counts make this
+        // unreachable; it exists to turn a counting bug into typed failures, each
+        // with its own stall diagnosis, instead of a hang.
+        let mut live = false;
+        for slot in 0..self.slots.len() {
+            let Some(mut world) = lock(&self.slots[slot]).take() else {
+                continue;
+            };
+            live = true;
+            let stall = world.stall();
+            self.complete(slot, world, Err(ExecError::Transport(stall)));
+        }
+        self.admit();
+        if !live {
+            // Nothing live and nothing admissible, yet the run is not over: give
+            // up loudly (the missing reports panic in `Server::run`), never spin.
+            self.ready.close();
         }
     }
 }
 
-/// Work-stealing pool execution (see [`crate::cluster::Schedule::Pool`]): `threads`
-/// workers over the shared ready queue and per-worker run queues of parked
-/// continuations' home ranks.
-pub(crate) fn run_pool(
-    programs: &[Program],
-    config: &ClusterConfig,
-    profilers: Vec<Option<NodeProfiler>>,
-    threads: usize,
-) -> ExecutionReport {
-    let threads = threads.max(1);
-    let start = Instant::now();
-    let mut mpi = MpiService::init_with_faults(
-        programs.len(),
-        config.network.clone(),
-        config.faults.clone(),
-    );
-    let ready = mpi.ready_queue();
-    let mut plain_nodes = build_nodes(
-        programs,
-        &mut mpi,
-        profilers,
-        config.no_coalesce,
-        config.no_buffer_pool,
-    );
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::serve::ServerApp;
+    use autodist_codegen::rewrite::{rewrite_for_node, ClassPlacement};
+    use autodist_ir::frontend::compile_source;
+    use std::collections::BTreeMap;
 
-    // Seed the root on the calling thread before any worker runs.
-    let root_seed = seed_root(&mut plain_nodes[0]);
-    let seeded_done = root_seed.is_some();
-    let nodes: Vec<Mutex<CoopNode<'_>>> = plain_nodes.into_iter().map(Mutex::new).collect();
-    let shared = PoolShared {
-        nodes: &nodes,
-        ready: &ready,
-        locals: (0..threads).map(|_| Mutex::new(VecDeque::new())).collect(),
-        root: Mutex::new(root_seed),
-        done: AtomicBool::new(seeded_done),
-        active: AtomicUsize::new(0),
-        deliveries: AtomicUsize::new(0),
-    };
-    if !seeded_done {
-        std::thread::scope(|scope| {
-            for id in 0..threads {
-                let shared = &shared;
-                std::thread::Builder::new()
-                    .name(format!("pool-worker-{id}"))
-                    .spawn_scoped(scope, move || pool_worker(shared, id))
-                    .expect("spawn pool worker");
+    /// A two-node ping app: `Main` on node 0 bounces off a `Worker` on node 1.
+    fn ping_app() -> ServerApp {
+        let p = compile_source(
+            r#"
+            class Worker { int bounce(int x) { return x * 2 + 1; } }
+            class Main {
+                static int result;
+                static void main() {
+                    Worker w = new Worker();
+                    result = w.bounce(1) + w.bounce(2);
+                }
             }
-        });
+        "#,
+        )
+        .unwrap();
+        let mut home = BTreeMap::new();
+        home.insert(p.class_by_name("Main").unwrap(), 0);
+        home.insert(p.class_by_name("Worker").unwrap(), 1);
+        let placement = ClassPlacement { home, nparts: 2 };
+        let programs = (0..2)
+            .map(|n| rewrite_for_node(&p, &placement, n).program)
+            .collect();
+        ServerApp::prepare(programs, NetworkConfig::paper_testbed())
     }
 
-    let root = shared
-        .root
-        .into_inner()
-        .unwrap_or_else(|e| e.into_inner())
-        .expect("pool run completed");
-    let mut nodes: Vec<CoopNode<'_>> = nodes
-        .into_iter()
-        .map(|m| m.into_inner().unwrap_or_else(|e| e.into_inner()))
-        .collect();
-    finish_coop(&mut nodes, root, start)
-}
+    fn server<'s>(app: &'s ServerApp, sequence: &'s [usize], schedule: Schedule) -> Server<'s> {
+        Server {
+            apps: vec![app.view()],
+            sequence,
+            concurrency: 2,
+            schedule,
+            ingress_wait: Duration::ZERO,
+            comm_wait: Duration::ZERO,
+            faults: &[],
+            adapt: None,
+            profilers: Mutex::new(Vec::new()),
+            no_coalesce: false,
+            no_buffer_pool: false,
+            deadline_wait: Duration::ZERO,
+        }
+    }
 
-/// Thread-per-node distributed execution (see [`crate::cluster::Schedule::Threaded`]).
-pub(crate) fn run_threaded(
-    programs: &[Program],
-    config: &ClusterConfig,
-    mut profilers: Vec<Option<NodeProfiler>>,
-) -> ExecutionReport {
-    let nodes = programs.len();
-    let start = Instant::now();
-    let mut mpi =
-        MpiService::init_with_faults(nodes, config.network.clone(), config.faults.clone());
-    let fault_state = mpi.fault_state();
+    /// A two-slot run whose slots have each seen one tenant already (roots 0 and 1
+    /// are spent; the next ones are 2 and 3).
+    fn running<'a, 's>(server: &'a Server<'s>, workers: usize) -> Running<'a, 's> {
+        Running {
+            server,
+            workers,
+            ready: Arc::new(ReadyQueue::default()),
+            slots: (0..2).map(|_| Mutex::new(None)).collect(),
+            window: Mutex::new(Window {
+                next: 0,
+                free: vec![1, 0],
+                roots: vec![2, 3],
+                completed: 0,
+            }),
+            results: Mutex::new((0..server.sequence.len()).map(|_| None).collect()),
+        }
+    }
 
-    let mut endpoints: Vec<_> = (0..nodes).map(|r| Some(mpi.endpoint(r))).collect();
-
-    let results: Vec<(NodeStats, BTreeMap<String, Value>, Option<ExecError>)> =
-        std::thread::scope(|scope| {
-            let mut handles = Vec::new();
-            for (rank, program) in programs.iter().enumerate() {
-                let mut endpoint = endpoints[rank].take().expect("endpoint");
-                // Thread-per-node execution blocks on its mailbox; ready-queue
-                // tracking would only grow the queue and contend its lock.
-                endpoint.untrack_ready();
-                let profiler = profilers.get_mut(rank).and_then(Option::take);
-                let builder = std::thread::Builder::new()
-                    .name(format!("node-{rank}"))
-                    .stack_size(32 * 1024 * 1024);
-                let handle = builder
-                    .spawn_scoped(scope, move || {
-                        let mut interp = Interp::new(program).with_dist(DistState::new(endpoint));
-                        if let Some(p) = profiler {
-                            interp = interp.with_profiler(p.sink, p.sample_interval);
-                        }
-                        let mut error = None;
-                        let stats;
-                        if rank == 0 {
-                            if let Err(e) = ExecutionStarter::start(&mut interp) {
-                                error = Some(e);
-                            }
-                            // Execution ends when main returns on the launch node; the
-                            // shutdown broadcast is bookkeeping and not part of the
-                            // measured execution.
-                            stats = stats_of(&interp, rank);
-                            MessageExchange::broadcast_shutdown(&mut interp);
-                        } else {
-                            MessageExchange::serve(&mut interp);
-                            stats = stats_of(&interp, rank);
-                        }
-                        (stats, interp.statics_snapshot(), error)
-                    })
-                    .expect("spawn node thread");
-                handles.push(handle);
+    /// The key count is exact at every step of a healthy world: one key out after
+    /// the seed, one per delivery slice, zero only when the root completes.
+    #[test]
+    fn key_count_tracks_published_minus_consumed() {
+        let app = ping_app();
+        let server = server(&app, &[0], Schedule::Inline);
+        let run = running(&server, 1);
+        run.admit();
+        let mut slices = 0;
+        while let Some(((root, rank), count)) = run.ready.pop() {
+            let mut guard = lock(&run.slots[0]);
+            let world = guard.as_mut().expect("live until its last slice");
+            assert_eq!((world.root, world.keys), (root, count), "one control flow");
+            if let Some(res) = world.deliver(rank as usize, count) {
+                assert_eq!(res, Ok(Value::Null));
+                assert_eq!(world.keys, 0, "the final response was the last key");
+                break;
             }
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("node thread panicked"))
-                .collect()
-        });
+            assert_eq!(world.keys, 1, "the slice published its successor");
+            slices += 1;
+        }
+        assert_eq!(
+            slices, 5,
+            "NEW + two bounces: six packets, the last one ends it"
+        );
+    }
 
-    let wall = start.elapsed();
-    let error = results.iter().find_map(|(_, _, e)| e.clone());
-    let final_statics = results
-        .first()
-        .map(|(_, s, _)| s.clone())
-        .unwrap_or_default();
-    let mut report = assemble_report(
-        results.into_iter().map(|(s, _, _)| s).collect(),
-        final_statics,
-        error,
-        wall,
-    );
-    report.faults = fault_state.map(|s| s.summary());
-    report
+    /// A stale key — its world completed, its slot re-let — is skipped by root
+    /// mismatch without touching the new tenant's key count, clocks or verdict.
+    #[test]
+    fn stale_keys_do_not_touch_the_next_tenant() {
+        let app = ping_app();
+        let server = server(&app, &[0, 0, 0], Schedule::Inline);
+        let run = running(&server, 1);
+        // Leftovers of the slots' previous tenants, ahead of everything else.
+        run.ready.push_counted((0, 0), 3);
+        run.ready.push((1, 1));
+        run.worker();
+        let results = run.results.into_inner().unwrap();
+        let solo = crate::cluster::run_distributed(
+            &app.programs,
+            &crate::cluster::ClusterConfig::paper_testbed(),
+        );
+        for r in results.into_iter().map(Option::unwrap) {
+            assert!(r.report.is_ok(), "{:?}", r.report.error);
+            assert_eq!(r.report.virtual_time_us, solo.virtual_time_us);
+            assert_eq!(r.report.per_node, solo.per_node);
+        }
+    }
+
+    /// The global guard: a world whose key went missing (stolen here) leaves every
+    /// worker idle; the last one fails it with its real stall shape and the loop
+    /// goes on to serve the rest of the sequence.
+    #[test]
+    fn a_lost_key_fails_that_world_typed_and_the_run_continues() {
+        let app = ping_app();
+        for workers in [1, 3] {
+            let server = server(&app, &[0, 0, 0], Schedule::Pool { threads: workers });
+            let run = running(&server, workers);
+            run.admit();
+            // Steal request 0's only key: its count says 1, the queue says none.
+            let stolen = run.ready.pop().expect("request 0's NEW");
+            assert_eq!(stolen, ((2, 1), 1));
+            std::thread::scope(|scope| {
+                for _ in 0..workers {
+                    scope.spawn(|| run.worker());
+                }
+            });
+            let results = run.results.into_inner().unwrap();
+            let errors: Vec<_> = results
+                .iter()
+                .map(|r| r.as_ref().unwrap().report.error.clone())
+                .collect();
+            assert_eq!(
+                errors[0],
+                Some(ExecError::Transport(TransportStall {
+                    gapped: vec![],
+                    parked: vec![(0, 1)],
+                })),
+                "{workers} workers"
+            );
+            assert_eq!(errors[1..], [None, None], "{workers} workers");
+        }
+    }
 }

@@ -1,30 +1,27 @@
 //! Serving mode: the cluster as a server admitting N concurrent root computations.
 //!
-//! Every scheduler before this module drives exactly one root computation (`main` on
-//! node 0). Serving mode turns the cluster into a closed-loop server: an ingress
-//! admits up to `concurrency` requests at a time, each request is a full root
-//! computation over its **own request-scoped world** — fresh channels, fresh virtual
-//! clocks, fresh correlation ids, fresh per-node interpreters — while all requests
-//! share one transport [`ReadyQueue`] and one worker pool. A ready-queue key is
-//! `(root, rank)`: the root half routes a popped entry to the owning request's node
-//! set, so serving continuations from different requests interleave freely on the
-//! same workers (the work-stealing pool finally buys wall-clock, not just
-//! determinism cross-checks).
+//! An ingress admits up to `concurrency` requests at a time; each request is a full
+//! root computation over its **own request-scoped world** — fresh channels, fresh
+//! virtual clocks, fresh correlation ids, fresh per-node interpreters — while all
+//! requests share one transport ready queue and one set of workers. This module is
+//! the public surface (prepared apps, options, reports); the loop that drives it is
+//! the one worker loop of [`crate::sched`], the same one a single
+//! [`crate::cluster::run_distributed`] goes through as a one-request run.
 //!
 //! Isolation is what makes the results reproducible: a request's virtual clocks and
 //! message counts depend only on its own packet order, which its private FIFO
 //! channels and the synchronous request/response protocol fix regardless of how
 //! many other requests are in flight or how workers interleave. N concurrent
 //! requests therefore produce byte-identical per-request [`ExecutionReport`]s to
-//! running the same requests one at a time (pinned by `tests/serving_parity.rs`).
+//! running the same requests one at a time (pinned by `tests/serving_parity.rs`) —
+//! faulted ones included: a world that quiesces is recovered or failed by its own
+//! key count, the moment it happens, whatever its neighbours are doing.
 //!
 //! The expensive part of spinning up a request — decoding, fusing and interning the
 //! placed programs into a [`ProgramLayout`] — is hoisted into [`ServerApp::prepare`]
 //! and shared by every request via `Arc`, so admission cost is just interpreter
 //! state (empty heap, default statics) plus channel setup.
 
-use std::collections::{BTreeMap, HashMap};
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
@@ -32,12 +29,9 @@ use autodist_ir::layout::ProgramLayout;
 use autodist_ir::program::Program;
 
 use crate::adapt::{AdaptOptions, AdaptState, SnapshotArena};
-use crate::cluster::{stats_of, ExecutionReport, Schedule};
-use crate::interp::{DistState, ExecError, Interp, TransportStall};
-use crate::net::{FaultPlan, MpiWorld, NetworkConfig, PacketKind, ReadyQueue};
-use crate::sched::{assemble_report, recover_or_diagnose, seed_root, CoopNode, Recovery};
-use crate::services::MessageExchange;
-use crate::value::Value;
+use crate::cluster::{ExecutionReport, Schedule};
+use crate::net::{FaultPlan, NetworkConfig};
+use crate::sched::{AppView, Server, SERVING_DELIVERY_DEADLINE};
 
 /// A *prepared* application the server can instantiate per request: the placed
 /// per-node programs plus their pre-built (shared) layouts and the cost model.
@@ -72,6 +66,14 @@ impl ServerApp {
     pub fn nodes(&self) -> usize {
         self.programs.len()
     }
+
+    pub(crate) fn view(&self) -> AppView<'_> {
+        AppView {
+            programs: &self.programs,
+            layouts: &self.layouts,
+            network: &self.network,
+        }
+    }
 }
 
 /// Ingress configuration for [`run_serving`].
@@ -80,10 +82,8 @@ pub struct ServeOptions {
     /// Maximum number of requests in flight at once (the closed-loop load
     /// generator's window). Clamped to at least 1.
     pub concurrency: usize,
-    /// Worker scheduling. `Pool { threads }` spawns that many serve workers;
-    /// everything else (`Auto`/`Inline`/`Threaded`) drives the whole closed loop on
-    /// the calling thread — serving has no thread-per-node path, so `Threaded`
-    /// degrades to inline.
+    /// Worker scheduling: `Inline` drives the whole closed loop on the calling
+    /// thread, `Pool { threads }` spawns that many workers over the same loop.
     pub schedule: Schedule,
     /// Modelled *wall-clock* cost of reading one request off the wire before it is
     /// admitted (a blocking-ingress model: the admitting worker sleeps this long,
@@ -106,10 +106,11 @@ pub struct ServeOptions {
     /// price. Virtual clocks are unaffected either way.
     pub comm_wait: Duration,
     /// Per-request fault plans, keyed by submission index. A listed request's
-    /// world is built with [`MpiWorld::with_fault_plan`], so injected faults are
-    /// scoped to that request alone: its report carries the typed error and fault
-    /// counters while every other request stays byte-identical to a solo run
-    /// (pinned by `tests/serving_parity.rs`). Unlisted requests pay nothing.
+    /// world is built with that plan, so injected faults are scoped to that request
+    /// alone: its report — typed error, fault counters, clocks — is byte-identical
+    /// to its solo faulted run while every other request stays byte-identical to
+    /// its solo healthy run (pinned by `tests/serving_parity.rs`). Unlisted
+    /// requests pay nothing.
     pub faults: Vec<(usize, FaultPlan)>,
     /// Adaptive placement (see [`crate::adapt`]): when set, the server accumulates
     /// live per-request traffic and profile data and repartitions between requests
@@ -123,7 +124,7 @@ impl Default for ServeOptions {
     fn default() -> Self {
         ServeOptions {
             concurrency: 16,
-            schedule: Schedule::Auto,
+            schedule: Schedule::Inline,
             ingress_wait: Duration::ZERO,
             comm_wait: Duration::ZERO,
             faults: Vec::new(),
@@ -135,7 +136,7 @@ impl Default for ServeOptions {
 /// The outcome of one served request.
 #[derive(Debug)]
 pub struct RequestReport {
-    /// Position in the submitted sequence (also the request's root id).
+    /// Position in the submitted sequence.
     pub index: usize,
     /// Index into the `apps` slice this request instantiated.
     pub app: usize,
@@ -201,379 +202,6 @@ impl ServingReport {
     }
 }
 
-/// One admitted, in-flight request: its request-scoped node set plus timing.
-struct LiveReq<'p> {
-    index: usize,
-    app: usize,
-    nodes: Vec<Mutex<CoopNode<'p>>>,
-    started: Instant,
-}
-
-/// Admission window state, guarded by one lock so claim-and-count is atomic.
-struct AdmitState {
-    next: usize,
-    in_flight: usize,
-}
-
-/// Shared state of one serving run.
-struct ServeShared<'s> {
-    apps: &'s [ServerApp],
-    sequence: &'s [usize],
-    /// The one ready queue every request-scoped world feeds.
-    ready: Arc<ReadyQueue>,
-    /// Live requests by root id. A root's entry is inserted *before* its root
-    /// computation is seeded (the first send races with other workers' pops) and
-    /// removed on completion.
-    live: Mutex<HashMap<u32, Arc<LiveReq<'s>>>>,
-    admit: Mutex<AdmitState>,
-    /// Per-request outcomes, indexed by submission order.
-    results: Mutex<Vec<Option<RequestReport>>>,
-    completed: AtomicUsize,
-    /// Workers currently claiming or processing work (see the pool scheduler's
-    /// stall detector for the protocol).
-    active: AtomicUsize,
-    /// Delivery epoch: bumped after every delivered packet and every admission.
-    deliveries: AtomicUsize,
-    concurrency: usize,
-    /// Modelled wire-read cost paid by the admitting worker per request.
-    ingress_wait: Duration,
-    /// Modelled wire-stall cost paid by the completing worker per cross-node
-    /// message of the finished request.
-    comm_wait: Duration,
-    /// Fault plans by submission index (see [`ServeOptions::faults`]).
-    faults: &'s [(usize, FaultPlan)],
-    /// Adaptive-placement epoch controller (see [`crate::adapt`]); `None` keeps
-    /// the admission and completion paths identical to a server without it.
-    adapt: Option<AdaptState<'s>>,
-}
-
-impl<'s> ServeShared<'s> {
-    /// Admits requests until the window is full or the sequence is exhausted.
-    fn try_admit(&self) {
-        loop {
-            let index = {
-                let mut adm = self.admit.lock().unwrap_or_else(|e| e.into_inner());
-                if adm.next >= self.sequence.len() || adm.in_flight >= self.concurrency {
-                    return;
-                }
-                adm.in_flight += 1;
-                let index = adm.next;
-                adm.next += 1;
-                index
-            };
-            self.admit_one(index);
-        }
-    }
-
-    /// Instantiates request `index`: a fresh world over the shared ready queue
-    /// (keys tagged with the request's root id), fresh per-node interpreters over
-    /// the app's shared layouts, then the root computation seeded on node 0.
-    fn admit_one(&self, index: usize) {
-        if !self.ingress_wait.is_zero() {
-            // Blocking ingress: this worker is "in read(2)" on the request's
-            // connection for the modelled wire time. Other workers keep serving.
-            std::thread::sleep(self.ingress_wait);
-        }
-        let app_idx = self.sequence[index];
-        // Adaptive placement: admit under the app's *current* placement — the seed
-        // one the caller passed in, or whichever the epoch controller last
-        // installed. The choice is sealed at admission; a later swap never touches
-        // this request.
-        let app = self
-            .adapt
-            .as_ref()
-            .and_then(|a| a.current(app_idx))
-            .unwrap_or(&self.apps[app_idx]);
-        let root = index as u32;
-        let n = app.programs.len();
-        let mut world =
-            MpiWorld::new_serving(n, app.network.clone(), Arc::clone(&self.ready), root);
-        if let Some((_, plan)) = self.faults.iter().find(|(i, _)| *i == index) {
-            world = world.with_fault_plan(plan.clone());
-        }
-        // The planner's sinks are observational (they record, never steer), so
-        // attaching them leaves virtual time and traffic byte-identical — but the
-        // instrumentation costs wall-clock, so only an epoch's profiled prefix of
-        // admissions carries them (relative per-class weights need a sample, not
-        // the whole epoch).
-        let profiled = self
-            .adapt
-            .as_ref()
-            .is_some_and(|adapt| adapt.admit_profiled(app_idx));
-        let mut nodes = Vec::with_capacity(n);
-        for (rank, program) in app.programs.iter().enumerate() {
-            let endpoint = world.take_endpoint(rank);
-            let mut interp = Interp::with_layout(program, Arc::clone(&app.layouts[rank]))
-                .with_dist(DistState::new(endpoint).with_coop());
-            if profiled {
-                if let Some((sink, interval)) = self
-                    .adapt
-                    .as_ref()
-                    .and_then(|adapt| adapt.profiler_for(app_idx, rank))
-                {
-                    interp = interp.with_profiler(sink, interval);
-                }
-            }
-            nodes.push(Mutex::new(CoopNode::from_interp(interp)));
-        }
-        let live = Arc::new(LiveReq {
-            index,
-            app: app_idx,
-            nodes,
-            started: Instant::now(),
-        });
-        // Register before seeding: the root's first send enqueues a key another
-        // worker may pop immediately, and that worker must find the node set.
-        self.live
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .insert(root, Arc::clone(&live));
-        let seeded = {
-            let mut node0 = live.nodes[0].lock().unwrap_or_else(|e| e.into_inner());
-            seed_root(&mut node0)
-        };
-        self.deliveries.fetch_add(1, Ordering::SeqCst);
-        if let Some(res) = seeded {
-            // The request never parked (e.g. a single-node placement): complete it
-            // inline and let the admission loop continue refilling the window.
-            self.complete(root, &live, res);
-        }
-    }
-
-    /// Finishes request `root`: per-request epilogue, result slot, window refill.
-    fn complete(&self, root: u32, live: &LiveReq<'s>, res: Result<Value, ExecError>) {
-        self.live
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .remove(&root);
-        let latency = live.started.elapsed();
-        let report = finalize_request(live, res, latency);
-        if !self.comm_wait.is_zero() {
-            // Modelled wire stalls: this worker is "on the wire" for the request's
-            // cross-node traffic (the measured latency above excludes it; only
-            // throughput sees the cost, which is what the stall steals on a real
-            // testbed's closed loop).
-            let messages = report.total_messages().min(u32::MAX as u64) as u32;
-            std::thread::sleep(self.comm_wait * messages);
-        }
-        // Feed the completed request into the epoch controller *after* its report
-        // is sealed: adaptation can only influence requests admitted later.
-        if let Some(adapt) = self.adapt.as_ref() {
-            adapt.observe(live.app, live.nodes.len(), &report);
-        }
-        let outcome = RequestReport {
-            index: live.index,
-            app: live.app,
-            latency_us: latency.as_secs_f64() * 1e6,
-            report,
-        };
-        self.results.lock().unwrap_or_else(|e| e.into_inner())[live.index] = Some(outcome);
-        self.admit
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .in_flight -= 1;
-        self.completed.fetch_add(1, Ordering::SeqCst);
-        // Wake idle workers: the freed window slot admits the next request.
-        self.ready.notify_all();
-    }
-
-    /// Recovery pass when the stall detector fires: every request still live at
-    /// global quiescence is stuck (an un-faulted request always has a deliverable
-    /// packet under the synchronous protocol), so diagnose each one against *its
-    /// own* request-scoped fault state. Fault-implicated requests complete through
-    /// the normal path with their typed error — freeing their window slot so the
-    /// remaining sequence keeps flowing — and sequence gaps left by late packets
-    /// are repaired in place. Returns `true` if anything progressed (the caller
-    /// resets its strike counter); `false` means a genuinely quiet stall and the
-    /// caller falls back to [`ServeShared::fail_remaining`].
-    fn handle_stall(&self) -> bool {
-        let stalled: Vec<(u32, Arc<LiveReq<'s>>)> = {
-            let live = self.live.lock().unwrap_or_else(|e| e.into_inner());
-            live.iter().map(|(r, l)| (*r, Arc::clone(l))).collect()
-        };
-        let mut progressed = false;
-        for (root, live) in stalled {
-            let action = {
-                let mut guards: Vec<_> = live
-                    .nodes
-                    .iter()
-                    .map(|m| m.lock().unwrap_or_else(|e| e.into_inner()))
-                    .collect();
-                recover_or_diagnose(guards.iter_mut().map(|g| &mut **g).collect())
-            };
-            match action {
-                Recovery::Repaired => progressed = true,
-                Recovery::Fail(e) => {
-                    self.complete(root, &live, Err(e));
-                    progressed = true;
-                }
-            }
-        }
-        progressed
-    }
-
-    /// Fails every request still live or unadmitted after a stall (idempotent —
-    /// several workers may trip the detector at once).
-    fn fail_remaining(&self) {
-        let stall = || ExecError::Transport(TransportStall::default());
-        let stalled: Vec<(u32, Arc<LiveReq<'s>>)> = {
-            let mut live = self.live.lock().unwrap_or_else(|e| e.into_inner());
-            live.drain().collect()
-        };
-        for (_root, live) in stalled {
-            let latency = live.started.elapsed();
-            let outcome = RequestReport {
-                index: live.index,
-                app: live.app,
-                latency_us: latency.as_secs_f64() * 1e6,
-                report: assemble_report(Vec::new(), BTreeMap::new(), Some(stall()), latency),
-            };
-            self.results.lock().unwrap_or_else(|e| e.into_inner())[live.index] = Some(outcome);
-            self.admit
-                .lock()
-                .unwrap_or_else(|e| e.into_inner())
-                .in_flight -= 1;
-            self.completed.fetch_add(1, Ordering::SeqCst);
-        }
-        loop {
-            let index = {
-                let mut adm = self.admit.lock().unwrap_or_else(|e| e.into_inner());
-                if adm.next >= self.sequence.len() {
-                    break;
-                }
-                let index = adm.next;
-                adm.next += 1;
-                index
-            };
-            let outcome = RequestReport {
-                index,
-                app: self.sequence[index],
-                latency_us: 0.0,
-                report: assemble_report(Vec::new(), BTreeMap::new(), Some(stall()), Duration::ZERO),
-            };
-            self.results.lock().unwrap_or_else(|e| e.into_inner())[index] = Some(outcome);
-            self.completed.fetch_add(1, Ordering::SeqCst);
-        }
-        self.ready.notify_all();
-    }
-}
-
-/// Per-request epilogue, mirroring the single-root schedulers' `finish_coop`:
-/// snapshot the launch node, deliver the shutdown broadcast (bookkeeping, not part
-/// of the measured execution) and assemble the report. The launch node's endpoint
-/// stops ready-queue tracking first — the request is over, so its shutdown packets
-/// must not enqueue keys other workers would pop and find dead.
-fn finalize_request(
-    live: &LiveReq<'_>,
-    root_res: Result<Value, ExecError>,
-    latency: Duration,
-) -> ExecutionReport {
-    let error = root_res.err();
-    let mut node0 = live.nodes[0].lock().unwrap_or_else(|e| e.into_inner());
-    let stats0 = stats_of(&node0.interp, 0);
-    let final_statics = node0.interp.statics_snapshot();
-    let faults = node0
-        .interp
-        .dist
-        .as_ref()
-        .and_then(|d| d.endpoint.fault_state())
-        .map(|s| s.summary());
-    if let Some(dist) = node0.interp.dist.as_mut() {
-        dist.endpoint.untrack_ready();
-    }
-    MessageExchange::broadcast_shutdown(&mut node0.interp);
-    // Dropping a planner-attached sink flushes its per-request tallies into the
-    // planner's shared aggregate, so the epoch controller (which runs right after
-    // this epilogue) decides on a profile that includes the finishing request.
-    drop(node0.interp.take_profiler());
-    drop(node0);
-    let mut per_node = vec![stats0];
-    for (rank, slot) in live.nodes.iter().enumerate().skip(1) {
-        let mut node = slot.lock().unwrap_or_else(|e| e.into_inner());
-        while let Some(pkt) = node.interp.poll_packet() {
-            if pkt.kind == PacketKind::Request {
-                let _ = node.interp.accept_request(pkt.from, pkt.req_id, pkt.data);
-            }
-        }
-        drop(node.interp.take_profiler());
-        per_node.push(stats_of(&node.interp, rank));
-    }
-    let mut report = assemble_report(per_node, final_statics, error, latency);
-    report.faults = faults;
-    report
-}
-
-/// One serve worker: admit while the window has room, then pop a `(root, rank)` key
-/// and deliver that request-scoped node's oldest packet. Requests complete on
-/// whichever worker delivers their final response.
-fn serve_worker(shared: &ServeShared<'_>) {
-    /// Consecutive quiet idle checks before a stall is declared (the same
-    /// three-signal protocol as the single-root pool's detector).
-    const STALL_STRIKES: u32 = 3;
-    let idle_wait = Duration::from_millis(2);
-    let total = shared.sequence.len();
-    let mut strikes = 0u32;
-    let mut last_epoch = None;
-    while shared.completed.load(Ordering::SeqCst) < total {
-        shared.active.fetch_add(1, Ordering::SeqCst);
-        shared.try_admit();
-        match shared.ready.pop() {
-            Some(((root, rank), count)) => {
-                let live = shared
-                    .live
-                    .lock()
-                    .unwrap_or_else(|e| e.into_inner())
-                    .get(&root)
-                    .cloned();
-                // A key for a root no longer live is stale (its request already
-                // completed); under synchronous request/response this cannot
-                // happen, but skipping is the safe answer regardless.
-                if let Some(live) = live {
-                    let completed = live.nodes[rank as usize]
-                        .lock()
-                        .unwrap_or_else(|e| e.into_inner())
-                        .deliver_many(count);
-                    if let Some(res) = completed {
-                        shared.complete(root, &live, res);
-                    }
-                }
-                shared.deliveries.fetch_add(1, Ordering::SeqCst);
-                shared.active.fetch_sub(1, Ordering::SeqCst);
-                strikes = 0;
-            }
-            None => {
-                shared.active.fetch_sub(1, Ordering::SeqCst);
-                if shared.completed.load(Ordering::SeqCst) >= total {
-                    break;
-                }
-                if shared.ready.wait_for_ready(idle_wait) {
-                    strikes = 0;
-                    continue;
-                }
-                // Stall detection, as in the single-root pool: across several
-                // consecutive quiet checks live work must show up in the queue,
-                // keep `active` non-zero, or advance the delivery epoch.
-                let epoch = shared.deliveries.load(Ordering::SeqCst);
-                let quiet = shared.completed.load(Ordering::SeqCst) < total
-                    && shared.active.load(Ordering::SeqCst) == 0
-                    && shared.ready.is_empty()
-                    && last_epoch == Some(epoch);
-                last_epoch = Some(epoch);
-                strikes = if quiet { strikes + 1 } else { 0 };
-                if strikes >= STALL_STRIKES {
-                    if shared.handle_stall() {
-                        strikes = 0;
-                        last_epoch = None;
-                        continue;
-                    }
-                    shared.fail_remaining();
-                    break;
-                }
-            }
-        }
-    }
-}
-
 /// Runs the closed-loop server: `sequence[i]` names the app request `i`
 /// instantiates, at most `opts.concurrency` requests are in flight at once, and the
 /// run ends when every request has completed. Returns per-request reports (in
@@ -585,29 +213,16 @@ pub fn run_serving(apps: &[ServerApp], sequence: &[usize], opts: &ServeOptions) 
         "sequence indexes into apps"
     );
     let concurrency = opts.concurrency.max(1);
-    let threads = match opts.schedule {
-        Schedule::Pool { threads } => threads.max(1),
-        _ => 1,
-    };
     let start = Instant::now();
-    // Declared before `shared` so it outlives every borrow the epoch controller
+    // Declared before the server so it outlives every borrow the epoch controller
     // hands out (locals drop in reverse declaration order): placements installed
     // mid-run live here until the serving run itself ends.
     let adapt_arena = SnapshotArena::default();
-    let shared = ServeShared {
-        apps,
+    let server = Server {
+        apps: apps.iter().map(ServerApp::view).collect(),
         sequence,
-        ready: Arc::new(ReadyQueue::default()),
-        live: Mutex::new(HashMap::new()),
-        admit: Mutex::new(AdmitState {
-            next: 0,
-            in_flight: 0,
-        }),
-        results: Mutex::new((0..sequence.len()).map(|_| None).collect()),
-        completed: AtomicUsize::new(0),
-        active: AtomicUsize::new(0),
-        deliveries: AtomicUsize::new(0),
         concurrency,
+        schedule: opts.schedule,
         ingress_wait: opts.ingress_wait,
         comm_wait: opts.comm_wait,
         faults: &opts.faults,
@@ -615,34 +230,17 @@ pub fn run_serving(apps: &[ServerApp], sequence: &[usize], opts: &ServeOptions) 
             .adapt
             .as_ref()
             .map(|o| AdaptState::new(o, &adapt_arena, apps.len())),
+        profilers: Mutex::new(Vec::new()),
+        no_coalesce: false,
+        no_buffer_pool: false,
+        deadline_wait: SERVING_DELIVERY_DEADLINE,
     };
-    if threads > 1 {
-        std::thread::scope(|scope| {
-            for id in 0..threads {
-                let shared = &shared;
-                std::thread::Builder::new()
-                    .name(format!("serve-worker-{id}"))
-                    .spawn_scoped(scope, move || serve_worker(shared))
-                    .expect("spawn serve worker");
-            }
-        });
-    } else {
-        serve_worker(&shared);
-    }
-    let wall = start.elapsed();
-    let placement_swaps = shared.adapt.as_ref().map_or(0, |a| a.swaps());
-    let requests = shared
-        .results
-        .into_inner()
-        .unwrap_or_else(|e| e.into_inner())
-        .into_iter()
-        .map(|r| r.expect("every request completed or failed"))
-        .collect();
+    let (requests, threads) = server.run();
     ServingReport {
         concurrency,
         threads,
-        wall_time_ms: wall.as_secs_f64() * 1e3,
-        placement_swaps,
+        wall_time_ms: start.elapsed().as_secs_f64() * 1e3,
+        placement_swaps: server.adapt.as_ref().map_or(0, |a| a.swaps()),
         requests,
     }
 }
@@ -654,6 +252,7 @@ mod tests {
     use autodist_codegen::rewrite::{rewrite_for_node, ClassPlacement};
     use autodist_ir::frontend::compile_source;
     use std::collections::BTreeMap as Map;
+    use std::sync::atomic::Ordering;
 
     const PING_SRC: &str = r#"
         class Worker {

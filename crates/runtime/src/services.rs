@@ -3,49 +3,48 @@
 //! Each node of the distributed execution environment runs three supporting services:
 //!
 //! * the **MPI service** sets up the communication world (groups, communicators and the
-//!   communication context — here: the [`MpiWorld`] and its per-rank endpoints);
+//!   communication context — here: one world's [`MpiWorld`] and its per-rank endpoints,
+//!   feeding the run's shared ready queue);
 //! * the **Execution Starter** invokes the `main()` method of the application class on
 //!   the one node where the user launches the program;
 //! * the **Message Exchange** service processes all the send/receive communication
 //!   generated from the object dependence information (`NEW` and `DEPENDENCE`
 //!   messages), using the `DependentObject` and `Message` structures.
 //!
-//! These types are thin, named façades over [`MpiWorld`] / [`Interp`] so that the
-//! runtime's structure matches the paper's; the heavy lifting lives in
-//! [`crate::interp`] and [`crate::net`].
+//! These types are thin, named façades so that the runtime's structure matches the
+//! paper's. The paper's Message Exchange speaks a synchronous request/response
+//! protocol, so a root computation has exactly one live control flow; here that one
+//! flow is driven by the worker loop in [`crate::sched`], which delivers each packet
+//! to [`crate::interp::Interp::accept_request`] or resumes the continuation parked on
+//! it — there is no per-node serve loop to run.
 
 use crate::interp::{ExecError, Interp};
-use crate::net::{FaultPlan, FaultState, MpiWorld, NetworkConfig, PacketKind};
+use crate::net::{FaultPlan, MpiEndpoint, MpiWorld, NetworkConfig, PacketKind, ReadyQueue};
 use crate::value::Value;
 use crate::wire::Request;
 use std::sync::Arc;
 
-/// The MPI service: owns the simulated communication world.
+/// The MPI service: owns one world's simulated communication context.
 pub struct MpiService {
     world: MpiWorld,
 }
 
 impl MpiService {
-    /// Initialises the MPI working environment for `nodes` ranks.
-    pub fn init(nodes: usize, config: NetworkConfig) -> Self {
-        MpiService {
-            world: MpiWorld::new(nodes, config),
-        }
-    }
-
-    /// Initialises the MPI working environment with an optional fault plan wrapping
-    /// every endpoint's correlated sends.
-    pub fn init_with_faults(nodes: usize, config: NetworkConfig, plan: Option<FaultPlan>) -> Self {
-        let mut world = MpiWorld::new(nodes, config);
+    /// Initialises the MPI working environment of one world: `nodes` ranks whose
+    /// sends publish `(root, rank)` keys on `ready`, with an optional fault plan
+    /// wrapping every endpoint's correlated sends.
+    pub fn init(
+        nodes: usize,
+        config: NetworkConfig,
+        ready: Arc<ReadyQueue>,
+        root: u32,
+        plan: Option<FaultPlan>,
+    ) -> Self {
+        let mut world = MpiWorld::new_serving(nodes, config, ready, root);
         if let Some(plan) = plan {
             world = world.with_fault_plan(plan);
         }
         MpiService { world }
-    }
-
-    /// The world's shared fault state, when a plan is attached.
-    pub fn fault_state(&self) -> Option<Arc<FaultState>> {
-        self.world.fault_state()
     }
 
     /// World size.
@@ -53,15 +52,9 @@ impl MpiService {
         self.world.size()
     }
 
-    /// Hands the endpoint for `rank` to that node's thread.
-    pub fn endpoint(&mut self, rank: usize) -> crate::net::MpiEndpoint {
+    /// Hands out the endpoint for `rank`.
+    pub fn endpoint(&mut self, rank: usize) -> MpiEndpoint {
         self.world.take_endpoint(rank)
-    }
-
-    /// The transport's shared ready queue: the ranks with undelivered packets, in
-    /// send order. The event-driven schedulers pop it for O(1) delivery per packet.
-    pub fn ready_queue(&self) -> std::sync::Arc<crate::net::ReadyQueue> {
-        self.world.ready_queue()
     }
 }
 
@@ -75,16 +68,11 @@ impl ExecutionStarter {
     }
 }
 
-/// The Message Exchange service: serves incoming `NEW` / `DEPENDENCE` requests until a
-/// shutdown message arrives.
+/// The Message Exchange service. Serving `NEW` / `DEPENDENCE` requests is the worker
+/// loop's delivery slice; what remains here is the orderly end of a world.
 pub struct MessageExchange;
 
 impl MessageExchange {
-    /// Runs the serve loop on this node.
-    pub fn serve(interp: &mut Interp<'_>) {
-        interp.serve_loop();
-    }
-
     /// Broadcasts an orderly shutdown to every other rank (called by the launch node
     /// once `main` returns).
     pub fn broadcast_shutdown(interp: &mut Interp<'_>) {
@@ -113,7 +101,8 @@ mod tests {
 
     #[test]
     fn mpi_service_hands_out_each_rank_once() {
-        let mut svc = MpiService::init(3, NetworkConfig::uniform(3));
+        let ready = Arc::new(ReadyQueue::default());
+        let mut svc = MpiService::init(3, NetworkConfig::uniform(3), ready, 0, None);
         assert_eq!(svc.size(), 3);
         let e0 = svc.endpoint(0);
         let e2 = svc.endpoint(2);

@@ -132,7 +132,7 @@ proptest! {
         let copies: Vec<Program> = (0..2)
             .map(|n| rewrite_for_node(&p, &placement, n).program)
             .collect();
-        for schedule in [Schedule::Inline, Schedule::Threaded] {
+        for schedule in [Schedule::Inline, Schedule::Pool { threads: 2 }] {
             let report = run_distributed(
                 &copies,
                 &ClusterConfig {

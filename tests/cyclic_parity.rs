@@ -1,15 +1,17 @@
-//! Inline-vs-threaded parity on deliberately *cyclic* placements.
+//! Schedule parity on deliberately *cyclic* placements.
 //!
 //! Mutually recursive classes are pinned to different nodes, so every level of the
 //! recursion crosses the node boundary and the placement's inter-node digraph is a
-//! cycle — the case the cooperative scheduler used to reject. The property: under
-//! [`Schedule::Inline`] (all virtual nodes on one OS thread, parked continuations)
-//! the run must produce the same result, the same traffic and the same virtual
-//! clocks as [`Schedule::Threaded`] (one OS thread per node), and both must agree
-//! with the centralized baseline and a direct Rust evaluation of the recursion.
+//! cycle — every callback a node serves arrives while its own computation is parked.
+//! The property: [`Schedule::Inline`] (one worker) and [`Schedule::Pool`] (several)
+//! produce the same result, the same traffic and the same virtual clocks, and agree
+//! with the centralized baseline and a direct Rust evaluation of the recursion. The
+//! fixed-program cases are also pinned to what the deleted thread-per-node schedule
+//! (`Schedule::Threaded`, one blocking OS thread per node) computed for them,
+//! recorded on the last commit that had it.
 //!
 //! CI runs this test binary under a watchdog timeout (see `.github/workflows/ci.yml`)
-//! so a cooperative-scheduler deadlock fails fast instead of hanging the job.
+//! so a worker-loop deadlock fails fast instead of hanging the job.
 
 use autodist_codegen::rewrite::{rewrite_for_node, ClassPlacement};
 use autodist_ir::frontend::compile_source;
@@ -59,23 +61,42 @@ fn run_pinned(
 
 /// Asserts that two reports from the same placement are indistinguishable: results,
 /// traffic, virtual clocks and per-node instruction counts.
-fn assert_parity(inline: &ExecutionReport, threaded: &ExecutionReport) {
+fn assert_parity(inline: &ExecutionReport, pool: &ExecutionReport) {
     assert!(inline.is_ok(), "inline: {:?}", inline.error);
-    assert!(threaded.is_ok(), "threaded: {:?}", threaded.error);
-    assert_eq!(inline.final_statics, threaded.final_statics);
-    assert_eq!(inline.total_messages(), threaded.total_messages());
-    assert_eq!(inline.total_bytes(), threaded.total_bytes());
-    assert!(
-        (inline.virtual_time_us - threaded.virtual_time_us).abs() < 1e-9,
-        "virtual clocks must agree: inline {} vs threaded {}",
-        inline.virtual_time_us,
-        threaded.virtual_time_us
+    assert!(pool.is_ok(), "pool: {:?}", pool.error);
+    assert_eq!(inline.final_statics, pool.final_statics);
+    assert_eq!(inline.total_messages(), pool.total_messages());
+    assert_eq!(inline.total_bytes(), pool.total_bytes());
+    assert_eq!(inline.virtual_time_us, pool.virtual_time_us);
+    assert_eq!(inline.per_node, pool.per_node);
+}
+
+/// A thread-per-node run of a fixed program, as data (see the module docs).
+struct ThreadedRecord {
+    virtual_time_us: f64,
+    messages: u64,
+    bytes: u64,
+    /// `(instructions, requests_served, remote_requests)` per node.
+    per_node: &'static [(u64, u64, u64)],
+}
+
+fn assert_matches_threaded_record(
+    schedule: Schedule,
+    report: &ExecutionReport,
+    record: &ThreadedRecord,
+) {
+    assert_eq!(
+        report.virtual_time_us, record.virtual_time_us,
+        "{schedule:?}"
     );
-    for (a, b) in inline.per_node.iter().zip(threaded.per_node.iter()) {
-        assert_eq!(a.instructions, b.instructions, "node {}", a.node);
-        assert_eq!(a.requests_served, b.requests_served, "node {}", a.node);
-        assert_eq!(a.remote_requests, b.remote_requests, "node {}", a.node);
-    }
+    assert_eq!(report.total_messages(), record.messages, "{schedule:?}");
+    assert_eq!(report.total_bytes(), record.bytes, "{schedule:?}");
+    let per_node: Vec<_> = report
+        .per_node
+        .iter()
+        .map(|n| (n.instructions, n.requests_served, n.remote_requests))
+        .collect();
+    assert_eq!(per_node, record.per_node, "{schedule:?}");
 }
 
 proptest! {
@@ -126,9 +147,11 @@ proptest! {
         prop_assert_eq!(baseline.final_statics.get("Main::result"), Some(&expected));
 
         let pins = [("Main", 0), ("Ping", 0), ("Pong", 1)];
-        let threaded = run_pinned(&program, &pins, 2, Schedule::Threaded);
         let inline = run_pinned(&program, &pins, 2, Schedule::Inline);
-        assert_parity(&inline, &threaded);
+        for threads in [2, 3] {
+            let pool = run_pinned(&program, &pins, 2, Schedule::Pool { threads });
+            assert_parity(&inline, &pool);
+        }
         prop_assert_eq!(inline.final_statics.get("Main::result"), Some(&expected));
         if depth > 0 {
             prop_assert!(inline.total_messages() > 0, "the cycle must cross nodes");
@@ -144,9 +167,10 @@ proptest! {
 }
 
 /// Cross-node recursion far beyond the interpreter's call-depth limit must surface
-/// `StackOverflow` (travelling back to the launch node as a remote failure) on both
-/// schedulers — not hang the cooperative scheduler or blow the threaded native
-/// stack. Guards the serve-side depth check in `accept_inner`.
+/// `StackOverflow` (travelling back to the launch node as a remote failure, one hop
+/// per live recursion level) under both schedules — not hang the worker loop.
+/// Guards the serve-side depth check in `accept_inner`. The numbers are those of
+/// thread-per-node execution, which overflowed at exactly the same frame.
 #[test]
 fn deep_cross_node_recursion_overflows_cleanly() {
     let src = "
@@ -173,20 +197,29 @@ fn deep_cross_node_recursion_overflows_cleanly() {
     ";
     let program = compile_source(src).expect("deep recursion compiles");
     let pins = [("Main", 0), ("Ping", 0), ("Pong", 1)];
-    for schedule in [
-        Schedule::Inline,
-        Schedule::Threaded,
-        Schedule::Pool { threads: 2 },
-    ] {
+    let threaded = ThreadedRecord {
+        virtual_time_us: 85908.58857142924,
+        messages: 398,
+        bytes: 326726,
+        per_node: &[(2390, 99, 100), (2376, 100, 99)],
+    };
+    for schedule in [Schedule::Inline, Schedule::Pool { threads: 2 }] {
         let report = run_pinned(&program, &pins, 2, schedule);
         let err = report
             .error
             .as_ref()
             .unwrap_or_else(|| panic!("{schedule:?}: depth 400 must exceed the call-depth limit"));
+        let text = err.to_string();
         assert!(
-            err.to_string().contains("call depth limit exceeded"),
+            text.ends_with("call depth limit exceeded"),
             "{schedule:?}: expected a stack overflow, got {err}"
         );
+        assert_eq!(
+            text.matches("remote failure: ").count(),
+            198,
+            "{schedule:?}: the overflow unwinds through every parked level"
+        );
+        assert_matches_threaded_record(schedule, &report, &threaded);
     }
 }
 
@@ -225,16 +258,22 @@ fn three_node_ring_is_schedule_invariant() {
     ";
     let program = compile_source(src).expect("ring compiles");
     let pins = [("Main", 0), ("A", 0), ("B", 1), ("C", 2)];
-    let threaded = run_pinned(&program, &pins, 3, Schedule::Threaded);
+    let threaded = ThreadedRecord {
+        virtual_time_us: 5802.360000000005,
+        messages: 38,
+        bytes: 1140,
+        per_node: &[(217, 5, 8), (192, 7, 6), (165, 7, 5)],
+    };
     let inline = run_pinned(&program, &pins, 3, Schedule::Inline);
-    assert_parity(&inline, &threaded);
     assert_eq!(
         inline.final_statics.get("Main::result"),
         Some(&Value::Int(17))
     );
-    assert!(inline.total_messages() > 0);
-    // The work-stealing pool runs the same event-driven core: full parity too, even
-    // though every hop of this placement crosses the node ring.
-    let pool = run_pinned(&program, &pins, 3, Schedule::Pool { threads: 3 });
-    assert_parity(&pool, &threaded);
+    assert_matches_threaded_record(Schedule::Inline, &inline, &threaded);
+    // Several workers over the same loop: full parity too, even though every hop
+    // of this placement crosses the node ring.
+    let schedule = Schedule::Pool { threads: 3 };
+    let pool = run_pinned(&program, &pins, 3, schedule);
+    assert_parity(&inline, &pool);
+    assert_matches_threaded_record(schedule, &pool, &threaded);
 }

@@ -7,15 +7,17 @@
 //! workloads:
 //!
 //! * **Attribution parity** — a per-node sampling profiler attached to a
-//!   [`Schedule::Inline`] run observes exactly the same per-node samples (hot-method
-//!   counts, hence ranking) as one attached to a [`Schedule::Threaded`] run: per-node
-//!   instruction streams are identical, and both schedulers now sample the running
-//!   continuation's own stack.
+//!   [`Schedule::Inline`] or [`Schedule::Pool`] run observes exactly the per-node
+//!   samples (hot-method counts, hence ranking) that one attached to a
+//!   thread-per-node run did: per-node instruction streams are identical, and the
+//!   worker loop samples the running continuation's own stack. Thread-per-node
+//!   execution (`Schedule::Threaded`) is gone; its Table 1 hot-method tables,
+//!   recorded on the last commit that had it, are the reference.
 //! * **Pool determinism** — [`Schedule::Pool`] runs deliver deterministic virtual
-//!   times, message counts and results, identical to the inline scheduler's.
+//!   times, message counts and results, identical to a single worker's.
 //!
 //! CI runs this test binary under the deadlock watchdog (see
-//! `.github/workflows/ci.yml`): the pool scheduler's worst failure mode is a hang.
+//! `.github/workflows/ci.yml`): the worker loop's worst failure mode is a hang.
 
 use autodist::{Distributor, DistributorConfig, NodeProfiler};
 use autodist_profiler::{Metric, ProfileHandle, Profiler};
@@ -45,66 +47,58 @@ fn run_profiled(
     (plan.execute_profiled(&config, profilers), handles)
 }
 
-/// The sampling profiler attaches to cooperative distributed runs and agrees with
-/// thread-per-node execution sample for sample: per-node hot-method maps (counts
-/// included, so the ranking too) are identical on every Table 1 workload.
+/// One node's hot-method table: `(method id, top-of-stack samples)`.
+type HotMethods = &'static [(u32, u64)];
+
+/// Per-node hot-method tables of every Table 1 workload under thread-per-node
+/// execution, in node order.
+const THREADED_HOT_METHODS: [(&str, [HotMethods; 2]); 8] = [
+    ("CreateBench (Custom[])", [&[], &[(0, 2), (1, 5)]]),
+    ("method", [&[(0, 1), (2, 1), (3, 1), (5, 7)], &[]]),
+    ("crypt", [&[], &[(0, 11), (1, 34)]]),
+    ("heapsort", [&[], &[(0, 10), (1, 218), (2, 18)]]),
+    ("moldyn", [&[], &[(1, 13)]]),
+    ("search", [&[(2, 66)], &[(1, 8)]]),
+    ("compress", [&[], &[(0, 12), (1, 24), (2, 15), (3, 17)]]),
+    ("db", [&[], &[(3, 1), (4, 86), (5, 44), (6, 12), (8, 1)]]),
+];
+
+/// The sampling profiler attaches to distributed runs and agrees with what
+/// thread-per-node execution sampled, sample for sample: per-node hot-method maps
+/// (counts included, so the ranking too) are the recorded ones on every Table 1
+/// workload, under one worker and under several.
 #[test]
 fn inline_and_threaded_sampling_attribution_agree_per_node() {
     let distributor = Distributor::new(DistributorConfig::default());
-    for w in autodist_workloads::table1_workloads(1) {
+    let workloads = autodist_workloads::table1_workloads(1);
+    assert_eq!(workloads.len(), THREADED_HOT_METHODS.len());
+    for (w, (name, threaded)) in workloads.iter().zip(THREADED_HOT_METHODS) {
+        assert_eq!(w.name, name);
         let plan = distributor.try_distribute(&w.program).expect("pipeline");
         let nodes = plan.node_programs.len();
-        let (inline_report, inline_handles) = run_profiled(&plan, nodes, Schedule::Inline);
-        let (threaded_report, threaded_handles) = run_profiled(&plan, nodes, Schedule::Threaded);
-        assert!(
-            inline_report.is_ok(),
-            "{}: {:?}",
-            w.name,
-            inline_report.error
-        );
-        assert!(
-            threaded_report.is_ok(),
-            "{}: {:?}",
-            w.name,
-            threaded_report.error
-        );
-
-        let mut sampled_somewhere = false;
-        for (rank, (i, t)) in inline_handles
-            .iter()
-            .zip(threaded_handles.iter())
-            .enumerate()
-        {
-            let inline_data = i.lock();
-            let threaded_data = t.lock();
-            assert_eq!(
-                inline_data.samples, threaded_data.samples,
-                "{}: node {rank} sample counts diverge",
-                w.name
-            );
-            assert_eq!(
-                inline_data.hot_methods, threaded_data.hot_methods,
-                "{}: node {rank} hot-method attribution diverges",
-                w.name
-            );
-            assert_eq!(
-                inline_data.hottest_methods(5),
-                threaded_data.hottest_methods(5),
-                "{}: node {rank} hot-method ranking diverges",
-                w.name
-            );
-            sampled_somewhere |= inline_data.samples > 0;
+        assert_eq!(nodes, threaded.len());
+        for schedule in [Schedule::Inline, Schedule::Pool { threads: 2 }] {
+            let (report, handles) = run_profiled(&plan, nodes, schedule);
+            assert!(report.is_ok(), "{name} {schedule:?}: {:?}", report.error);
+            for (rank, (handle, expected)) in handles.iter().zip(threaded).enumerate() {
+                let data = handle.lock();
+                let hot: Vec<(u32, u64)> =
+                    data.hot_methods.iter().map(|(m, c)| (m.0, *c)).collect();
+                assert_eq!(
+                    hot, expected,
+                    "{name} {schedule:?}: node {rank} hot-method attribution diverges"
+                );
+                assert_eq!(
+                    data.samples,
+                    expected.iter().map(|(_, c)| c).sum::<u64>(),
+                    "{name} {schedule:?}: node {rank} sample count diverges"
+                );
+            }
         }
-        assert!(
-            sampled_somewhere,
-            "{}: the cooperative run produced no samples at all — the profiler did \
-             not attach",
-            w.name
-        );
     }
 }
 
-/// Hot-path sampling on a cooperative run attributes samples to the node actually
+/// Hot-path sampling on a distributed run attributes samples to the node actually
 /// burning the instructions: distribute a workload whose hot loop is served remotely
 /// and check the serving node collects samples while parked continuations on the
 /// launch node do not pollute its stacks.
@@ -133,7 +127,7 @@ fn cooperative_sampling_attributes_work_to_the_serving_node() {
 }
 
 /// Pool runs produce deterministic virtual times: two runs under the same
-/// configuration agree with each other and with the inline scheduler, on every
+/// configuration agree with each other and with a single worker, on every
 /// Table 1 workload.
 #[test]
 fn pool_runs_are_deterministic_on_table1_workloads() {
@@ -154,7 +148,7 @@ fn pool_runs_are_deterministic_on_table1_workloads() {
             assert!(pool.is_ok(), "{}: {:?}", w.name, pool.error);
             assert_eq!(
                 pool.virtual_time_us, inline.virtual_time_us,
-                "{}: pool virtual time must equal the inline scheduler's",
+                "{}: pool virtual time must equal a single worker's",
                 w.name
             );
             assert_eq!(pool.total_messages(), inline.total_messages(), "{}", w.name);
@@ -165,7 +159,7 @@ fn pool_runs_are_deterministic_on_table1_workloads() {
 }
 
 /// A sampling profiler attached to a pool run collects the same per-node samples as
-/// the inline scheduler: worker interleaving never changes what each node executes.
+/// a single worker: worker interleaving never changes what each node executes.
 #[test]
 fn pool_sampling_matches_inline_sampling() {
     let distributor = Distributor::new(DistributorConfig::default());
