@@ -46,10 +46,10 @@ fn bench_runtime(c: &mut Criterion) {
     });
 
     group.bench_function("wire_encode_decode", |b| {
-        let req = Request::Dependence {
+        let req = Request::DependenceById {
             target: 7,
             kind: autodist_runtime::wire::AccessKind::InvokeRet,
-            member: "getSavings".into(),
+            member: 3,
             args: vec![WireValue::Int(1), WireValue::Str("x".into())],
         };
         b.iter(|| Request::decode(req.encode()))

@@ -9,7 +9,7 @@
 //! fields, which must be byte-identical across purely mechanical interpreter changes,
 //! and the `serving` section's `requests_per_sec` per schedule (see the README's
 //! "Performance" section for the schema and the committed `BENCH_pr3.json` …
-//! `BENCH_pr9.json` baselines). The `adaptive_serving` section A/Bs static vs
+//! `BENCH_pr16.json` baselines). The `adaptive_serving` section A/Bs static vs
 //! adaptive placement on the skewed generated workload; its deterministic
 //! `adaptive_messages < static_messages` comparison is the CI guard on the
 //! online repartition loop.
@@ -23,7 +23,7 @@ use autodist_bench::report::measure;
 fn main() -> Result<(), PipelineError> {
     let mut repeats = 5usize;
     let mut scale = 1usize;
-    let mut out = "BENCH_pr10.json".to_string();
+    let mut out = "BENCH_pr16.json".to_string();
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {

@@ -11,10 +11,9 @@
 //! their agreement is the O(1)-per-packet delivery property). An **op census**
 //! section records, per Table 1 workload and chain microbench, the superinstruction
 //! counts the fusion pass emits and the dynamic dispatch reduction it buys. A
-//! **wire_codec** section compares the v1 string framing against the slot-addressed
-//! v2 framing per message shape — nanoseconds per encode+decode and deterministic
-//! frame sizes (the CI guard holds v2 to be no slower and no larger than v1). A
-//! **serving** section drives the closed-loop load generator ([`crate::serving`])
+//! **wire_codec** section reports, per message shape, nanoseconds per encode+decode
+//! and the deterministic frame size (CI holds the sizes equal to the committed
+//! baseline's). A **serving** section drives the closed-loop load generator ([`crate::serving`])
 //! over a Table 1 mix under `Inline` and `Pool { 1 | 4 | 16 }`, reporting
 //! requests/sec, p50/p99 latency, and (deterministic) cross-node message/byte
 //! totals. An **adaptive_serving** section A/Bs the affinity-skewed generated
@@ -39,8 +38,7 @@ use autodist_runtime::cluster::ClusterConfig;
 use autodist_runtime::interp::Interp;
 use autodist_runtime::net::{MpiWorld, NetworkConfig, PacketKind};
 use autodist_runtime::wire::{
-    decode_dep_v2_head, decode_new_v2_head, decode_values_into, encode_dependence_v2,
-    encode_new_v2, AccessKind, Request, WireValue,
+    decode_head, decode_values_into, encode_dependence, encode_new, AccessKind, Request, WireValue,
 };
 use bytes::{Bytes, BytesMut};
 
@@ -67,25 +65,19 @@ pub struct WorkloadReport {
     pub checksum_matches: bool,
 }
 
-/// One wire-codec comparison: the same logical remote-access message pushed through
-/// the v1 string framing and the slot-addressed v2 framing, end to end (encode +
-/// decode). The v2 side runs the runtime's actual steady-state discipline — a
-/// recycled encode buffer and a reused value scratch vector — so its figure is the
-/// per-message codec cost the serving path really pays; the v1 side allocates per
-/// message, as the string path always did.
+/// One wire-codec area: a remote-access message pushed through the codec end to end
+/// (encode + decode) under the runtime's steady-state discipline — a recycled encode
+/// buffer and a reused value scratch vector — so the figure is the per-message codec
+/// cost the serving path really pays.
 #[derive(Clone, Debug)]
 pub struct WireCodecArea {
     /// Message shape (e.g. `dep_invoke_1int`, Table 1's bounce-call frame).
     pub name: String,
-    /// Median v1 encode+decode cost per message, nanoseconds.
-    pub v1_ns: f64,
-    /// Median v2 encode+decode cost per message, nanoseconds.
-    pub v2_ns: f64,
-    /// Encoded v1 frame size, bytes (deterministic).
-    pub v1_bytes: usize,
-    /// Encoded v2 frame size, bytes (deterministic, hello excluded — it is paid
-    /// once per link, not per message).
-    pub v2_bytes: usize,
+    /// Median encode+decode cost per message, nanoseconds.
+    pub ns: f64,
+    /// Encoded frame size, bytes (deterministic, hello excluded — it is paid once
+    /// per link, not per message).
+    pub bytes: usize,
 }
 
 /// One micro-benchmark area (median seconds per iteration, scaled to microseconds).
@@ -113,8 +105,8 @@ pub struct BenchReport {
     /// Fusion census (static superinstruction counts + dynamic dispatch reduction)
     /// per Table 1 workload and chain microbench.
     pub census: Vec<OpCensus>,
-    /// Wire-codec areas: v1 vs v2 encode+decode cost and frame size per message
-    /// shape (the CI guard asserts v2 is never slower and never larger).
+    /// Wire-codec areas: encode+decode cost and frame size per message shape (CI
+    /// holds the sizes equal to the committed baseline's).
     pub wire_codec: Vec<WireCodecArea>,
     /// Serving-mode throughput/latency areas (closed-loop load generator over a
     /// Table 1 mix under `Inline` and `Pool { 1 | 4 | 16 }`).
@@ -200,7 +192,8 @@ fn measure_message_delivery(repeats: usize, nodes: usize) -> f64 {
         for i in 0..PACKETS {
             let to = 1 + (i % (nodes - 1));
             endpoints[0].send(to, PacketKind::Request, Bytes::from_static(b"ping"), 0.0);
-            // Coalescing is off on this fabric, so every entry carries one packet.
+            // One send per slice, so every flushed entry carries one packet.
+            endpoints[0].flush_coalesced();
             let ((_root, rank), _count) = ready.pop().expect("send marked its destination ready");
             if endpoints[rank as usize].try_recv().is_some() {
                 delivered += 1;
@@ -211,79 +204,45 @@ fn measure_message_delivery(repeats: usize, nodes: usize) -> f64 {
     per_run_us / PACKETS as f64
 }
 
-/// Wire-codec probe: encode + fully decode the same logical message `ITERS` times
-/// through both framings and report nanoseconds per message plus the encoded sizes.
+/// Wire-codec probe: encode + fully decode the same message `ITERS` times and report
+/// nanoseconds per message plus the encoded size.
 ///
-/// The v2 arm reproduces the runtime's steady-state codec discipline exactly: the
+/// The loop reproduces the runtime's steady-state codec discipline exactly: the
 /// encode buffer is reclaimed from the decoded frame (`try_into_mut` — the bench
 /// holds the only reference, as the endpoint pool does after delivery) and the
 /// decoded values land in a reused scratch vector, so after the first iteration
-/// the loop touches the allocator not at all. The v1 arm goes through
-/// `Request::encode`/`Request::decode`, which allocate the frame, the member
-/// string, and the args vector per message — that asymmetry *is* the measurement.
+/// the loop touches the allocator not at all.
 fn measure_wire_codec(repeats: usize) -> Vec<WireCodecArea> {
     const ITERS: usize = 1000;
-    /// (area name, dependence access as (kind, v1 member name, v2 slot) or
-    /// `None` for a NEW frame, argument values).
-    type CodecShape = (
-        &'static str,
-        Option<(AccessKind, &'static str, u32)>,
-        Vec<WireValue>,
-    );
+    /// (area name, dependence access as (kind, member id) or `None` for a NEW
+    /// frame, argument values).
+    type CodecShape = (&'static str, Option<(AccessKind, u32)>, Vec<WireValue>);
     // Shapes mirror the dominant Table 1 remote accesses: the bounce invoke with
     // one int argument, the bare field read, and a one-arg constructor.
     let shapes: [CodecShape; 3] = [
         (
             "dep_invoke_1int",
-            Some((AccessKind::InvokeRet, "getSavings", 3)),
+            Some((AccessKind::InvokeRet, 3)),
             vec![WireValue::Int(1)],
         ),
-        (
-            "dep_getfield",
-            Some((AccessKind::GetField, "balance", 1)),
-            vec![],
-        ),
+        ("dep_getfield", Some((AccessKind::GetField, 1)), vec![]),
         ("new_1int", None, vec![WireValue::Int(42)]),
     ];
     shapes
         .into_iter()
         .map(|(name, access, args)| {
-            let v1_req = match access {
-                Some((kind, member, _)) => Request::Dependence {
-                    target: 7,
-                    kind,
-                    member: member.to_string(),
-                    args: args.clone(),
-                },
-                None => Request::New {
-                    class_name: "Account".to_string(),
-                    args: args.clone(),
-                },
-            };
-            let v1_bytes = v1_req.encode().len();
-            let v1_ns = median_wall_ms(repeats.max(3), || {
-                for _ in 0..ITERS {
-                    let _ = std::hint::black_box(Request::decode(v1_req.encode()));
-                }
-            }) * 1e6
-                / ITERS as f64;
-
             let mut buf = BytesMut::with_capacity(64);
             let mut scratch: Vec<WireValue> = Vec::with_capacity(8);
-            let encode_v2 = |buf: BytesMut, args: &[WireValue]| match access {
-                Some((kind, _, slot)) => encode_dependence_v2(buf, None, 7, kind, slot, args),
-                None => encode_new_v2(buf, None, 4, args),
+            let encode = |buf: BytesMut, args: &[WireValue]| match access {
+                Some((kind, member)) => encode_dependence(buf, None, 7, kind, member, args),
+                None => encode_new(buf, None, 4, args),
             };
-            let v2_bytes = encode_v2(BytesMut::new(), &args).len();
-            let v2_ns = median_wall_ms(repeats.max(3), || {
+            let bytes = encode(BytesMut::new(), &args).len();
+            let ns = median_wall_ms(repeats.max(3), || {
                 for _ in 0..ITERS {
-                    let mut data = encode_v2(std::mem::take(&mut buf), &args);
-                    let argc = if access.is_some() {
-                        decode_dep_v2_head(&mut data).expect("v2 head decodes").argc
-                    } else {
-                        decode_new_v2_head(&mut data).expect("v2 head decodes").argc
-                    };
-                    decode_values_into(&mut data, argc, &mut scratch).expect("v2 values decode");
+                    let mut data = encode(std::mem::take(&mut buf), &args);
+                    let argc = decode_head(&mut data).expect("head decodes").argc();
+                    decode_values_into(&mut data, argc, &mut scratch).expect("values decode");
                     std::hint::black_box(&scratch);
                     scratch.clear();
                     buf = data.try_into_mut().unwrap_or_default();
@@ -294,10 +253,8 @@ fn measure_wire_codec(repeats: usize) -> Vec<WireCodecArea> {
 
             WireCodecArea {
                 name: name.to_string(),
-                v1_ns,
-                v2_ns,
-                v1_bytes,
-                v2_bytes,
+                ns,
+                bytes,
             }
         })
         .collect()
@@ -390,10 +347,10 @@ pub fn measure(scale: usize, repeats: usize) -> PipelineResult<BenchReport> {
         MicroReport {
             name: "runtime_wire_roundtrip".to_string(),
             median_us: median_wall_ms(repeats, || {
-                let req = Request::Dependence {
+                let req = Request::DependenceById {
                     target: 7,
                     kind: AccessKind::InvokeRet,
-                    member: "getSavings".into(),
+                    member: 3,
                     args: vec![WireValue::Int(1), WireValue::Str("x".into())],
                 };
                 for _ in 0..1000 {
@@ -419,8 +376,8 @@ pub fn measure(scale: usize, repeats: usize) -> PipelineResult<BenchReport> {
         &microbench::compile_chain(COND_CHAIN_DEEP),
     ));
 
-    // Wire codec: v1 vs v2 per-message cost and size for the dominant frame
-    // shapes (sizes are deterministic; CI guards v2 <= v1 on both axes).
+    // Wire codec: per-message cost and size for the dominant frame shapes (sizes
+    // are deterministic; CI holds them equal to the committed baseline's).
     let wire_codec = measure_wire_codec(repeats);
 
     // Serving mode: the closed-loop load generator under each schedule of
@@ -437,7 +394,7 @@ pub fn measure(scale: usize, repeats: usize) -> PipelineResult<BenchReport> {
     let fault_overhead = fault::measure_fault_overhead(scale, repeats)?;
 
     Ok(BenchReport {
-        schema_version: 2,
+        schema_version: 3,
         scale,
         repeats,
         workloads,
@@ -530,13 +487,10 @@ impl BenchReport {
         out.push_str("  ],\n  \"wire_codec\": [\n");
         for (i, c) in self.wire_codec.iter().enumerate() {
             out.push_str(&format!(
-                "    {{\"name\": {}, \"v1_ns\": {:.1}, \"v2_ns\": {:.1}, \
-                 \"v1_bytes\": {}, \"v2_bytes\": {}}}{}\n",
+                "    {{\"name\": {}, \"ns\": {:.1}, \"bytes\": {}}}{}\n",
                 json_string(&c.name),
-                c.v1_ns,
-                c.v2_ns,
-                c.v1_bytes,
-                c.v2_bytes,
+                c.ns,
+                c.bytes,
                 if i + 1 < self.wire_codec.len() {
                     ","
                 } else {
@@ -662,21 +616,14 @@ mod tests {
         assert!(report.workloads.iter().all(|w| w.checksum_matches));
         assert!(report.total_suite_ms() > 0.0);
         let json = report.to_json();
-        assert!(json.contains("\"schema_version\": 2"));
+        assert!(json.contains("\"schema_version\": 3"));
         assert!(json.contains("\"heapsort\""));
         assert!(json.contains("\"microbench\""));
         assert!(json.contains("\"message_delivery_256n\""));
         assert!(json.contains("\"wire_codec\""));
         assert!(json.contains("\"dep_invoke_1int\""));
-        for c in &report.wire_codec {
-            assert!(
-                c.v2_bytes < c.v1_bytes,
-                "{}: v2 frame ({} B) must be smaller than v1 ({} B)",
-                c.name,
-                c.v2_bytes,
-                c.v1_bytes
-            );
-        }
+        let sizes: Vec<usize> = report.wire_codec.iter().map(|c| c.bytes).collect();
+        assert_eq!(sizes, [13, 4, 12], "frame sizes are deterministic");
         assert!(json.contains("\"serving\""));
         assert!(json.contains("\"pool_4\""));
         assert!(json.contains("\"requests_per_sec\""));

@@ -13,9 +13,15 @@
 //! * every method name to a **selector** and every class to a selector-indexed
 //!   **vtable**, replacing the name-based superclass walk of dynamic dispatch.
 //!
-//! Name-keyed lookups remain available (`slot_of_name`, `static_slot_names`) for the
-//! wire format, `statics_snapshot` and diagnostics — the boundaries where names are the
-//! protocol — but the interpret loop itself only ever uses the dense indices.
+//! Names are interned too, for the wire boundary: every method name has its selector
+//! (`selector_of_name`) and every field name a dense **field-name id**
+//! (`field_name_id`), and each class carries a field-name-id-indexed slot column
+//! shaped like its vtable. A sender resolves the name it holds to the id once; the
+//! receiver resolves the id against the target's *runtime* class
+//! (`slot_of_field_name`, `resolve_selector`), so shadowing and overriding come out
+//! exactly as name-based resolution would. `slot_of_name` and `static_names` remain
+//! for `statics_snapshot` and diagnostics; the interpret loop itself only ever uses
+//! the dense indices.
 //!
 //! Field-name shadowing note: the previous map-based heap stored one entry per *name*,
 //! so a subclass redeclaring a superclass field aliased it. The layout reproduces that
@@ -27,7 +33,8 @@
 //! argument counts and selectors, interned constant-pool indices for string literals,
 //! and `u32` branch targets. The interpreter's dispatch loop runs over `Op`s and never
 //! touches a string or a resolution table; the original [`FieldRef`]s survive inside
-//! the ops only for the proxy/remote slow paths, where the *name* is the wire protocol.
+//! the ops only for the proxy/remote slow paths, which send the field's name id and
+//! charge its name length.
 //!
 //! After decoding, a **fusion pass** (on by default, toggled by
 //! [`LayoutOptions::fuse`]) rewrites each op stream, collapsing the dominant
@@ -138,7 +145,7 @@ pub enum Op {
     /// Pop an array reference, push its length.
     ArrayLength,
     /// Pop an object reference, push the field at `slot`. `fr` survives only for the
-    /// proxy/remote slow path, where the field *name* travels on the wire.
+    /// proxy/remote slow path, which sends the field's name id.
     GetField {
         /// Pre-resolved dense instance slot ([`NO_SLOT`] if unresolvable).
         slot: u32,
@@ -295,8 +302,14 @@ pub struct ClassLayout {
     /// Global static slot per entry of this class's own `Class::fields` (None for
     /// instance fields).
     static_slot: Vec<Option<u32>>,
-    /// Name → slot, for the wire boundary (remote field accesses travel by name).
-    name_to_slot: HashMap<String, u32>,
+    /// Field-name id per entry of this class's own `Class::fields`: the member word
+    /// a forwarded field access sends.
+    field_name: Vec<u32>,
+    /// Field-name-id-indexed slot column ([`NO_SLOT`] where this class has no
+    /// instance field of that name, inherited ones included). The wire boundary
+    /// resolves the member word of a field frame here, against the target's runtime
+    /// class — the field twin of the vtable.
+    name_slot: Vec<u32>,
     /// Selector-indexed dispatch table (`NO_METHOD` where unbound).
     vtable: Vec<u32>,
 }
@@ -321,6 +334,12 @@ pub struct ProgramLayout {
     pub static_types: Vec<Type>,
     /// Selector per [`MethodId`] (methods with the same name share a selector).
     selectors: Vec<u32>,
+    /// Method name → selector: the one probe a `DependentObject.access` invoke pays
+    /// at its send site. Keys share the `Arc`s of `method_names`.
+    selector_of_name: HashMap<Arc<str>, u32>,
+    /// Field name → dense field-name id, assigned in declaration order (class
+    /// order, then field order; statics included so every [`FieldRef`] has one).
+    field_name_ids: HashMap<String, u32>,
     /// Interned method names, indexed by [`MethodId`]. Cold error paths (unknown
     /// method) carry one of these `Arc`s instead of cloning the `String`.
     method_names: Vec<Arc<str>>,
@@ -336,7 +355,10 @@ pub struct ProgramLayout {
     /// classes — but **not** method bodies or local counts. Per-node program
     /// rewrites only touch bodies, so every node of a placement computes the same
     /// fingerprint; two layouts agreeing on it assign identical class ids, field
-    /// slots and selectors, which is what licenses the slot-addressed wire frames.
+    /// slots, selectors and field-name ids, which is what licenses the id-addressed
+    /// wire frames. That holds because every id space is assigned by walking the
+    /// hashed tables in declaration order — never in map-iteration order, which
+    /// differs between processes.
     fingerprint: u64,
 }
 
@@ -348,19 +370,45 @@ impl ProgramLayout {
 
     /// Runs the resolution pass over `program`.
     pub fn build_with(program: &Program, opts: LayoutOptions) -> ProgramLayout {
-        // Selectors: one per distinct method name.
-        let mut selector_of_name: HashMap<&str, u32> = HashMap::new();
+        // Selectors: one per distinct method name, in method order.
+        let mut selector_of_name: HashMap<Arc<str>, u32> = HashMap::new();
         let mut selectors = Vec::with_capacity(program.methods.len());
+        let mut method_names: Vec<Arc<str>> = Vec::with_capacity(program.methods.len());
         for m in &program.methods {
-            let next = selector_of_name.len() as u32;
-            let sel = *selector_of_name.entry(m.name.as_str()).or_insert(next);
+            let (name, sel) = match selector_of_name.get_key_value(m.name.as_str()) {
+                Some((name, &sel)) => (Arc::clone(name), sel),
+                None => {
+                    let name: Arc<str> = Arc::from(m.name.as_str());
+                    let sel = selector_of_name.len() as u32;
+                    selector_of_name.insert(Arc::clone(&name), sel);
+                    (name, sel)
+                }
+            };
             selectors.push(sel);
+            method_names.push(name);
         }
         let selector_count = selector_of_name.len();
-        let method_names: Vec<Arc<str>> = program
-            .methods
+
+        // Field-name ids: one per distinct field name, in (class, field)
+        // declaration order.
+        let mut field_name_ids: HashMap<String, u32> = HashMap::new();
+        let field_names: Vec<Vec<u32>> = program
+            .classes
             .iter()
-            .map(|m| Arc::from(m.name.as_str()))
+            .map(|class| {
+                class
+                    .fields
+                    .iter()
+                    .map(|f| match field_name_ids.get(f.name.as_str()) {
+                        Some(&id) => id,
+                        None => {
+                            let id = field_name_ids.len() as u32;
+                            field_name_ids.insert(f.name.clone(), id);
+                            id
+                        }
+                    })
+                    .collect()
+            })
             .collect();
 
         let mut classes: Vec<ClassLayout> = (0..program.classes.len())
@@ -396,6 +444,7 @@ impl ProgramLayout {
             chain.reverse();
 
             let layout = &mut classes[class.id.0 as usize];
+            layout.name_slot = vec![NO_SLOT; field_name_ids.len()];
             for &cid in &chain {
                 let c = program.class(cid);
                 let record_own = cid == class.id;
@@ -409,19 +458,20 @@ impl ProgramLayout {
                         }
                         continue;
                     }
-                    let slot = match layout.name_to_slot.get(f.name.as_str()) {
-                        Some(&s) => {
+                    let name_id = field_names[cid.0 as usize][idx] as usize;
+                    let slot = match layout.name_slot[name_id] {
+                        NO_SLOT => {
+                            let s = layout.slot_names.len() as u32;
+                            layout.slot_names.push(f.name.clone());
+                            layout.slot_types.push(f.ty.clone());
+                            layout.name_slot[name_id] = s;
+                            s
+                        }
+                        s => {
                             // Shadowed: alias the inherited slot. The most-derived
                             // declaration's type wins (the map-based heap defaulted
                             // fields subclass-first), so overwrite the slot type.
                             layout.slot_types[s as usize] = f.ty.clone();
-                            s
-                        }
-                        None => {
-                            let s = layout.slot_names.len() as u32;
-                            layout.slot_names.push(f.name.clone());
-                            layout.slot_types.push(f.ty.clone());
-                            layout.name_to_slot.insert(f.name.clone(), s);
                             s
                         }
                     };
@@ -442,12 +492,17 @@ impl ProgramLayout {
             }
             classes[class.id.0 as usize].vtable = vtable;
         }
+        for (layout, names) in classes.iter_mut().zip(field_names) {
+            layout.field_name = names;
+        }
 
         let mut layout = ProgramLayout {
             classes,
             static_names,
             static_types,
             selectors,
+            selector_of_name,
+            field_name_ids,
             method_names,
             selector_count,
             method_ops: Vec::new(),
@@ -571,13 +626,50 @@ impl ProgramLayout {
             .flatten()
     }
 
-    /// Resolves a field *name* against the layout of `class` (the wire boundary path:
-    /// remote `DEPENDENCE` messages carry names).
+    /// Resolves a field *name* against the layout of `class` (load-time setup and
+    /// diagnostics; the wire carries [`Self::field_name_id`]s).
     pub fn slot_of_name(&self, class: ClassId, name: &str) -> Option<u32> {
-        self.classes[class.0 as usize]
-            .name_to_slot
-            .get(name)
-            .copied()
+        self.slot_of_field_name(class, self.field_name_id(name)?)
+    }
+
+    /// The dense id of a field name, if any class declares a field so named. One
+    /// probe at the send site of a `DependentObject.access` field access.
+    pub fn field_name_id(&self, name: &str) -> Option<u32> {
+        self.field_name_ids.get(name).copied()
+    }
+
+    /// The field-name id of a field reference (what a forwarded field access sends).
+    #[inline]
+    pub fn field_name_id_of(&self, fr: FieldRef) -> u32 {
+        self.classes[fr.class.0 as usize].field_name[fr.index as usize]
+    }
+
+    /// Resolves a wire-carried field-name id against `class`, the target's runtime
+    /// class: one array index, and a subclass that shadows the name answers with
+    /// its own slot. `None` for ids the class has no instance field for (out of
+    /// range included).
+    #[inline]
+    pub fn slot_of_field_name(&self, class: ClassId, name_id: u32) -> Option<u32> {
+        match self.classes[class.0 as usize]
+            .name_slot
+            .get(name_id as usize)
+        {
+            Some(&s) if s != NO_SLOT => Some(s),
+            _ => None,
+        }
+    }
+
+    /// The selector of a method *name*, if any method is so named. One probe at the
+    /// send site of a `DependentObject.access` invoke.
+    pub fn selector_of_name(&self, name: &str) -> Option<u32> {
+        self.selector_of_name.get(name).copied()
+    }
+
+    /// The method name behind `sel` (cold error paths: an unbound selector reports
+    /// the name it stands for).
+    pub fn selector_name(&self, sel: u32) -> Option<&Arc<str>> {
+        let method = self.selectors.iter().position(|&s| s == sel)?;
+        Some(&self.method_names[method])
     }
 
     /// The canonical name of `slot` in `class` (diagnostics).
@@ -903,6 +995,37 @@ mod tests {
         let layout = ProgramLayout::build(&p);
         assert_eq!(layout.field_slot(shadow), Some(0));
         assert_eq!(layout.slot_count(b), 1);
+    }
+
+    #[test]
+    fn names_intern_in_declaration_order_and_resolve_against_the_runtime_class() {
+        let p = sample();
+        let layout = ProgramLayout::build(&p);
+        let a = p.class_by_name("A").unwrap();
+        let b = p.class_by_name("B").unwrap();
+        // Class order, then field order; statics take an id too.
+        for (id, name) in ["x", "s", "y", "z"].into_iter().enumerate() {
+            assert_eq!(layout.field_name_id(name), Some(id as u32), "{name}");
+        }
+        assert_eq!(layout.field_name_id("nope"), None);
+        let fz = p.resolve_field(b, "z").unwrap();
+        let z = layout.field_name_id_of(fz);
+        assert_eq!(layout.slot_of_field_name(b, z), layout.field_slot(fz));
+        assert_eq!(layout.slot_of_field_name(a, z), None, "A has no z");
+        let s = layout.field_name_id("s").unwrap();
+        assert_eq!(
+            layout.slot_of_field_name(a, s),
+            None,
+            "statics have no slot"
+        );
+        assert_eq!(layout.slot_of_field_name(a, 99), None, "out of range");
+
+        let am = p.find_method(a, "m").unwrap();
+        assert_eq!(layout.selector_of_name("m"), Some(layout.selector(am)));
+        assert_eq!(layout.selector_of_name("nope"), None);
+        let n = layout.selector_of_name("n").unwrap();
+        assert_eq!(layout.selector_name(n).map(|s| &**s), Some("n"));
+        assert_eq!(layout.selector_name(99), None);
     }
 
     #[test]

@@ -54,15 +54,6 @@ pub struct ClusterConfig {
     /// Optional deterministic fault-injection plan wrapping the transport (see
     /// [`FaultPlan`]). `None` — the default — leaves the hot path untouched.
     pub faults: Option<FaultPlan>,
-    /// Disables per-link ready-key coalescing.
-    /// Coalescing is a transport detail — virtual times, message counts, and
-    /// checksums are identical either way — so this exists for the A/B parity
-    /// tests pinning exactly that, not for tuning.
-    pub no_coalesce: bool,
-    /// Disables per-link encode-buffer recycling. Like [`Self::no_coalesce`]
-    /// this is an A/B control for the parity suites, not a tuning knob — the
-    /// pool only changes wall-clock allocation behaviour.
-    pub no_buffer_pool: bool,
 }
 
 impl ClusterConfig {
@@ -72,8 +63,6 @@ impl ClusterConfig {
             network: NetworkConfig::paper_testbed(),
             schedule: Schedule::Inline,
             faults: None,
-            no_coalesce: false,
-            no_buffer_pool: false,
         }
     }
 
@@ -273,8 +262,6 @@ pub fn run_distributed_profiled(
         faults: &faults,
         adapt: None,
         profilers: Mutex::new(profilers),
-        no_coalesce: config.no_coalesce,
-        no_buffer_pool: config.no_buffer_pool,
         // A single-root run reports virtual time; its delivery deadline is the
         // instant its one world quiesces.
         deadline_wait: Duration::ZERO,
@@ -356,6 +343,8 @@ mod tests {
     struct ThreadedRecord {
         virtual_time_us: f64,
         messages: u64,
+        /// Physical frame bytes: the one field that follows the wire encoding
+        /// (re-recorded with it) rather than the cost model.
         bytes: u64,
         /// `(instructions, requests_served)` per node.
         per_node: &'static [(u64, u64)],
@@ -364,14 +353,14 @@ mod tests {
     const BANK_THREADED: ThreadedRecord = ThreadedRecord {
         virtual_time_us: 2131.472380952402,
         messages: 14,
-        bytes: 283,
+        bytes: 159,
         per_node: &[(88, 0), (625, 7)],
     };
 
     const RELAY_THREADED: ThreadedRecord = ThreadedRecord {
         virtual_time_us: 1211.9333333333325,
         messages: 8,
-        bytes: 135,
+        bytes: 90,
         per_node: &[(42, 2), (14, 2)],
     };
 

@@ -15,8 +15,10 @@
 //! every method body into the compact [`Op`] format (resolved slots, selectors,
 //! argument counts, interned string constants, `u32` branch targets), so the dispatch
 //! loop performs no string clone, no map probe and no signature lookup per
-//! instruction; names only appear at the wire boundary (remote `DEPENDENCE` messages
-//! and `statics_snapshot`).
+//! instruction. Names do not cross the wire either: the one place a name is still
+//! data — the `Value::Str` member a rewritten `DependentObject.access` site passes —
+//! is resolved to a dense id by one probe of the layout's interning maps at the send
+//! site, and the receiver resolves the id against the target's runtime class.
 //!
 //! Execution itself runs on an **explicit frame stack** ([`Continuation`]): a single
 //! dispatch loop ([`Interp::run_task`]) drives a `Vec` of [`Frame`]s (locals + operand
@@ -40,7 +42,7 @@ use bytes::Bytes;
 
 use crate::net::{LossReason, LostPacket, MpiEndpoint, Packet};
 use crate::value::{HeapObject, ObjRef, Value};
-use crate::wire::{AccessKind, Request, Response, WireError, WireValue};
+use crate::wire::{AccessKind, FrameHead, Response, WireError, WireValue};
 
 /// Name of the proxy class injected by the communication rewriter.
 pub const DEPENDENT_OBJECT_CLASS: &str = "rt/DependentObject";
@@ -245,21 +247,17 @@ pub struct DistState {
     /// Reverse export table: heap index -> export id.
     pub export_ids: HashMap<u32, u64>,
     /// Per-destination: whether the one-time fingerprint hello already went out
-    /// on that link (it precedes the first slot-addressed frame we send there).
+    /// on that link (it wraps the first request we send there).
     hello_sent: Vec<bool>,
     /// Per-source: whether that peer's hello matched our layout fingerprint.
-    /// Slot-addressed frames from unverified peers are rejected, never dispatched.
+    /// Requests from unverified peers are rejected, never dispatched.
     peer_ok: Vec<bool>,
 }
 
 impl DistState {
-    /// Wraps an endpoint. Nodes batch ready-key publication per destination link:
-    /// the packets still enter the channels at send time (sequence numbers, fault
-    /// rolls and arrival times are unchanged), but the worker loop observes one
-    /// coalesced wake per link per delivery slice.
-    pub fn new(mut endpoint: MpiEndpoint) -> Self {
+    /// Wraps an endpoint.
+    pub fn new(endpoint: MpiEndpoint) -> Self {
         let n = endpoint.size;
-        endpoint.set_coalescing(true);
         DistState {
             endpoint,
             exports: Vec::new(),
@@ -315,8 +313,8 @@ enum ResumeAction {
     NewProxy {
         /// Heap index of the proxy, if it can be bound.
         proxy: Option<u32>,
-        /// Class name recorded into the proxy.
-        class_name: String,
+        /// Class name recorded into the proxy (the rewriter's interned literal).
+        class_name: Arc<str>,
     },
 }
 
@@ -378,51 +376,21 @@ pub enum ServeOutcome {
     },
 }
 
-/// How the member of an outgoing remote access is addressed at the wire boundary:
-/// by pre-resolved id (slot-addressed v2 frames) with the name kept for the v1
-/// fallback and for virtual-time charging, or by name only (dynamic accesses the
-/// layout cannot pre-resolve).
+/// The member of an outgoing `DEPENDENCE`, resolved at the send site: the dense id
+/// the frame carries, and the length of the name it stands for — which is all the
+/// virtual-time charge needs of the name.
 #[derive(Clone, Copy)]
-enum WireMember<'a> {
-    /// Instance field: declaring-class slot + name. Superclass-prefix layout makes
-    /// the slot valid on the receiver's runtime subclass.
-    Field(u32, &'a str),
-    /// Method: global selector + name (the receiver resolves through its vtable,
-    /// which agrees with name-based resolution by construction).
-    Method(u32, &'a str),
-    /// Name-only member (e.g. `DependentObject.access` with a computed name).
-    Dynamic(&'a str),
-    /// Array accesses carry no member; v1 frames send the empty name.
-    None,
+struct WireMember {
+    /// Method selector (`Invoke*`) or field-name id (`GetField`/`PutField`): the
+    /// receiver resolves either against the target's runtime class.
+    id: u32,
+    /// Length of the member name, for [`crate::wire::charged_dependence_size`].
+    name_len: usize,
 }
 
-impl<'a> WireMember<'a> {
-    /// The member name as v1 would send it (also the charged name length).
-    fn name(&self) -> &'a str {
-        match self {
-            WireMember::Field(_, n) | WireMember::Method(_, n) | WireMember::Dynamic(n) => n,
-            WireMember::None => "",
-        }
-    }
-
-    /// The dense id a v2 frame carries, if one is known.
-    fn id(&self) -> Option<u32> {
-        match self {
-            WireMember::Field(s, _) | WireMember::Method(s, _) => Some(*s),
-            WireMember::Dynamic(_) => None,
-            WireMember::None => Some(0),
-        }
-    }
-}
-
-/// The member of a parked remote invoke: the statically known callee (name and
-/// selector both come from the method tables, so nothing is cloned), or a
-/// dynamic name.
-enum MemberAddr {
-    /// Statically known callee method.
-    Method(MethodId),
-    /// Dynamic member name (DependentObject.access).
-    Name(String),
+impl WireMember {
+    /// Array accesses carry no member and are charged the empty name.
+    const NONE: WireMember = WireMember { id: 0, name_len: 0 };
 }
 
 /// Decision produced for invoke sites that leave the fast path (proxies, remote
@@ -432,14 +400,15 @@ enum SlowInvoke {
     Remote {
         target_ref: ObjRef,
         kind: AccessKind,
-        member: MemberAddr,
+        member: WireMember,
         args: Vec<Value>,
         push: bool,
     },
     /// Send a `NEW` message and park; bind the proxy on resume.
     NewRemote {
         home: usize,
-        class_name: String,
+        class: ClassId,
+        class_name: Arc<str>,
         args: Vec<Value>,
         proxy: Option<u32>,
     },
@@ -509,7 +478,7 @@ pub struct Interp<'p> {
     /// Scratch for marshalling outgoing argument lists (recycled across sends so a
     /// steady-state remote access allocates no per-message vector).
     wire_out: Vec<WireValue>,
-    /// Scratch for decoding incoming v2 value lists (recycled across frames).
+    /// Scratch for decoding incoming value lists (recycled across frames).
     wire_vals: Vec<WireValue>,
 }
 
@@ -779,27 +748,26 @@ impl<'p> Interp<'p> {
             .pending
             .take()
             .expect("resumed continuation has no pending request");
-        let w = match response {
-            Ok(w) => w,
+        let v = match response
+            .map_err(ExecError::RemoteFailure)
+            .and_then(|w| self.unmarshal(w))
+        {
+            Ok(v) => v,
             Err(e) => {
-                let e = self.unwind_frames(task, ExecError::RemoteFailure(e));
+                let e = self.unwind_frames(task, e);
                 return TaskOutcome::Done(Err(e));
             }
         };
         match action {
             ResumeAction::Push => {
-                let v = self.unmarshal(w);
                 task.frames
                     .last_mut()
                     .expect("parked continuation has a frame")
                     .stack
                     .push(v);
             }
-            ResumeAction::Drop => {
-                let _ = self.unmarshal(w);
-            }
+            ResumeAction::Drop => {}
             ResumeAction::DropThenPop { pop_pc } => {
-                let _ = self.unmarshal(w);
                 // The collapsed trailing Pop would have been its own dispatch in the
                 // unfused stream, executed after the response arrived: charge it
                 // identically before applying its stack effect.
@@ -822,10 +790,10 @@ impl<'p> Interp<'p> {
                     return TaskOutcome::Done(Err(e));
                 }
             }
-            ResumeAction::NewProxy { proxy, class_name } => match self.unmarshal(w) {
+            ResumeAction::NewProxy { proxy, class_name } => match v {
                 Value::Ref(ObjRef::Remote { node, id }) => {
                     if let Some(h) = proxy {
-                        self.bind_proxy(h, node, id, &class_name);
+                        self.bind_proxy(h, node, id, class_name);
                     }
                 }
                 Value::Ref(ObjRef::Local(_)) => {}
@@ -1163,7 +1131,7 @@ impl<'p> Interp<'p> {
                                     self.remote_send(
                                         r,
                                         AccessKind::GetElement,
-                                        WireMember::None,
+                                        WireMember::NONE,
                                         vec![Value::Int(i)]
                                     ),
                                     ResumeAction::Push
@@ -1203,7 +1171,7 @@ impl<'p> Interp<'p> {
                                     self.remote_send(
                                         r,
                                         AccessKind::PutElement,
-                                        WireMember::None,
+                                        WireMember::NONE,
                                         vec![Value::Int(i), val]
                                     ),
                                     ResumeAction::Drop
@@ -1218,7 +1186,7 @@ impl<'p> Interp<'p> {
                                     self.remote_send(
                                         r,
                                         AccessKind::ArrayLength,
-                                        WireMember::None,
+                                        WireMember::NONE,
                                         vec![]
                                     ),
                                     ResumeAction::Push
@@ -1249,10 +1217,9 @@ impl<'p> Interp<'p> {
                             }
                             match self.remote_field_target(&obj, *fr) {
                                 Ok(Some(target)) => {
-                                    let name: &str = &program.field(*fr).name;
-                                    let wm = match layout.field_slot(*fr) {
-                                        Some(slot) => WireMember::Field(slot, name),
-                                        None => WireMember::Dynamic(name),
+                                    let wm = WireMember {
+                                        id: layout.field_name_id_of(*fr),
+                                        name_len: program.field(*fr).name.len(),
                                     };
                                     park!(
                                         self.remote_send(target, AccessKind::GetField, wm, vec![]),
@@ -1284,10 +1251,9 @@ impl<'p> Interp<'p> {
                             }
                             match self.remote_field_target(&obj, *fr) {
                                 Ok(Some(target)) => {
-                                    let name: &str = &program.field(*fr).name;
-                                    let wm = match layout.field_slot(*fr) {
-                                        Some(slot) => WireMember::Field(slot, name),
-                                        None => WireMember::Dynamic(name),
+                                    let wm = WireMember {
+                                        id: layout.field_name_id_of(*fr),
+                                        name_len: program.field(*fr).name.len(),
                                     };
                                     park!(
                                         self.remote_send(
@@ -1393,15 +1359,8 @@ impl<'p> Interp<'p> {
                                         args,
                                         push,
                                     }) => {
-                                        let wm = match &member {
-                                            MemberAddr::Method(m) => WireMember::Method(
-                                                layout.selector(*m),
-                                                &program.method(*m).name,
-                                            ),
-                                            MemberAddr::Name(n) => WireMember::Dynamic(n.as_str()),
-                                        };
                                         park!(
-                                            self.remote_send(target_ref, kind, wm, args),
+                                            self.remote_send(target_ref, kind, member, args),
                                             if push {
                                                 ResumeAction::Push
                                             } else {
@@ -1411,12 +1370,18 @@ impl<'p> Interp<'p> {
                                     }
                                     Ok(SlowInvoke::NewRemote {
                                         home,
+                                        class,
                                         class_name,
                                         args,
                                         proxy,
                                     }) => {
                                         park!(
-                                            self.remote_new_send(home, &class_name, args),
+                                            self.remote_new_send(
+                                                home,
+                                                class,
+                                                class_name.len(),
+                                                args
+                                            ),
                                             ResumeAction::NewProxy { proxy, class_name }
                                         );
                                     }
@@ -1608,10 +1573,9 @@ impl<'p> Interp<'p> {
                             }
                             match self.remote_field_target(&obj, *fr) {
                                 Ok(Some(target)) => {
-                                    let name: &str = &program.field(*fr).name;
-                                    let wm = match layout.field_slot(*fr) {
-                                        Some(slot) => WireMember::Field(slot, name),
-                                        None => WireMember::Dynamic(name),
+                                    let wm = WireMember {
+                                        id: layout.field_name_id_of(*fr),
+                                        name_len: program.field(*fr).name.len(),
                                     };
                                     park!(
                                         self.remote_send(target, AccessKind::GetField, wm, vec![]),
@@ -1649,10 +1613,9 @@ impl<'p> Interp<'p> {
                             }
                             match self.remote_field_target(&obj, *fr) {
                                 Ok(Some(target)) => {
-                                    let name: &str = &program.field(*fr).name;
-                                    let wm = match layout.field_slot(*fr) {
-                                        Some(slot) => WireMember::Field(slot, name),
-                                        None => WireMember::Dynamic(name),
+                                    let wm = WireMember {
+                                        id: layout.field_name_id_of(*fr),
+                                        name_len: program.field(*fr).name.len(),
                                     };
                                     // The write parks mid-pattern: the resume
                                     // action owes the trailing Pop (and its
@@ -1755,7 +1718,7 @@ impl<'p> Interp<'p> {
     /// receiver.
     fn prep_slow_invoke(
         &mut self,
-        mut args: Vec<Value>,
+        args: Vec<Value>,
         target: MethodId,
         push_ret: bool,
     ) -> Result<SlowInvoke, ExecError> {
@@ -1781,20 +1744,7 @@ impl<'p> Interp<'p> {
                     // A proxy object reached a normal (non-rewritten) call site:
                     // forward transparently to its home node.
                     let remote = self.proxy_target(h)?;
-                    args.remove(0);
-                    let callee = program.method(target);
-                    let k = if callee.ret == Type::Void {
-                        AccessKind::InvokeVoid
-                    } else {
-                        AccessKind::InvokeRet
-                    };
-                    Ok(SlowInvoke::Remote {
-                        target_ref: remote,
-                        kind: k,
-                        member: MemberAddr::Method(target),
-                        args,
-                        push: push_ret,
-                    })
+                    Ok(self.forward_invoke(remote, target, args, push_ret))
                 }
                 Some(_) => Err(ExecError::Unsupported(
                     "internal: local receiver missed the dispatch fast path".into(),
@@ -1806,24 +1756,38 @@ impl<'p> Interp<'p> {
             Value::Ref(r @ ObjRef::Remote { .. }) => {
                 // Transparent forwarding: type-based rewriting missed this receiver,
                 // but the object actually lives remotely.
-                args.remove(0);
-                let callee = program.method(target);
-                let k = if callee.ret == Type::Void {
-                    AccessKind::InvokeVoid
-                } else {
-                    AccessKind::InvokeRet
-                };
-                Ok(SlowInvoke::Remote {
-                    target_ref: r,
-                    kind: k,
-                    member: MemberAddr::Method(target),
-                    args,
-                    push: push_ret,
-                })
+                Ok(self.forward_invoke(r, target, args, push_ret))
             }
             other => Err(ExecError::Unsupported(format!(
                 "method call on non-reference {other:?}"
             ))),
+        }
+    }
+
+    /// A call on a receiver that lives on another node: strips the receiver and
+    /// addresses the statically known callee by its selector.
+    fn forward_invoke(
+        &self,
+        target_ref: ObjRef,
+        target: MethodId,
+        mut args: Vec<Value>,
+        push: bool,
+    ) -> SlowInvoke {
+        args.remove(0);
+        let callee = self.program.method(target);
+        SlowInvoke::Remote {
+            target_ref,
+            kind: if callee.ret == Type::Void {
+                AccessKind::InvokeVoid
+            } else {
+                AccessKind::InvokeRet
+            },
+            member: WireMember {
+                id: self.layout.selector(target),
+                name_len: callee.name.len(),
+            },
+            args,
+            push,
         }
     }
 
@@ -1838,12 +1802,12 @@ impl<'p> Interp<'p> {
     ) -> Result<SlowInvoke, ExecError> {
         match self.program.method(target).name.as_str() {
             "<init>" => {
-                let (location, class_name, ctor_args) = self.parse_dep_init(&args)?;
+                let (location, class, class_name, ctor_args) = self.parse_dep_init(&args)?;
                 if self.dist.is_none() {
                     return Err(ExecError::NotDistributed);
                 }
                 if location == self.dist.as_ref().unwrap().rank() {
-                    let (r, ctor) = self.create_at_home(&class_name)?;
+                    let (r, ctor) = self.create_at_home(class);
                     match ctor {
                         Some(ctor) => Ok(SlowInvoke::CallCtor {
                             ctor,
@@ -1859,6 +1823,7 @@ impl<'p> Interp<'p> {
                     };
                     Ok(SlowInvoke::NewRemote {
                         home: location,
+                        class,
                         class_name,
                         args: ctor_args,
                         proxy,
@@ -1871,7 +1836,7 @@ impl<'p> Interp<'p> {
                 Ok(SlowInvoke::Remote {
                     target_ref,
                     kind,
-                    member: MemberAddr::Name(member),
+                    member,
                     args: call_args,
                     push: push_ret,
                 })
@@ -1883,41 +1848,67 @@ impl<'p> Interp<'p> {
     }
 
     /// Parses the argument list of `DependentObject.<init>` — `[proxy, location,
-    /// className, argsArray]` — into (home node, class name, constructor args).
-    fn parse_dep_init(&self, args: &[Value]) -> Result<(usize, String, Vec<Value>), ExecError> {
+    /// className, argsArray]` — into (home node, class, class name, constructor
+    /// args). The class is resolved here, once: a name the program does not declare
+    /// cannot be instantiated on any node, so it fails before anything is sent.
+    fn parse_dep_init(
+        &self,
+        args: &[Value],
+    ) -> Result<(usize, ClassId, Arc<str>, Vec<Value>), ExecError> {
         let location = args
             .get(1)
             .and_then(|v| v.as_int())
             .ok_or_else(|| ExecError::Unsupported("DependentObject.<init>: location".into()))?
             as usize;
         let class_name = match args.get(2) {
-            Some(Value::Str(s)) => s.to_string(),
+            Some(Value::Str(s)) => Arc::clone(s),
             _ => {
                 return Err(ExecError::Unsupported(
                     "DependentObject.<init>: class name".into(),
                 ))
             }
         };
+        let class = self
+            .program
+            .class_by_name(&class_name)
+            .ok_or_else(|| ExecError::Unsupported(format!("unknown class {class_name}")))?;
         let ctor_args = self.unpack_args_array(args.get(3).cloned())?;
-        Ok((location, class_name, ctor_args))
+        Ok((location, class, class_name, ctor_args))
     }
 
     /// Parses a `DependentObject.access` call — `[proxy-or-remote, kind, member,
-    /// argsArray]` — into the remote target, access kind, member name and call args.
+    /// argsArray]` — into the remote target, access kind, member and call args. The
+    /// member name costs one probe of the layout's interning maps here; a name the
+    /// layout never interned cannot be served by any node, so it fails typed before
+    /// anything is sent.
     fn parse_dep_access(
         &self,
         receiver: &Value,
         args: &[Value],
-    ) -> Result<(ObjRef, AccessKind, String, Vec<Value>), ExecError> {
+    ) -> Result<(ObjRef, AccessKind, WireMember, Vec<Value>), ExecError> {
         let kind_tag = args
             .get(1)
             .and_then(|v| v.as_int())
             .ok_or_else(|| ExecError::Unsupported("access: kind".into()))?;
         let kind = AccessKind::from_tag(kind_tag)
             .ok_or_else(|| ExecError::Unsupported(format!("access: bad kind {kind_tag}")))?;
-        let member = match args.get(2) {
-            Some(Value::Str(s)) => s.to_string(),
-            _ => return Err(ExecError::Unsupported("access: member name".into())),
+        let Some(Value::Str(name)) = args.get(2) else {
+            return Err(ExecError::Unsupported("access: member name".into()));
+        };
+        let id = match kind {
+            AccessKind::InvokeVoid | AccessKind::InvokeRet => self
+                .layout
+                .selector_of_name(name)
+                .ok_or_else(|| ExecError::UnknownMethod(Arc::clone(name)))?,
+            AccessKind::GetField | AccessKind::PutField => self
+                .layout
+                .field_name_id(name)
+                .ok_or_else(|| ExecError::UnknownField(name.to_string()))?,
+            AccessKind::GetElement | AccessKind::PutElement | AccessKind::ArrayLength => 0,
+        };
+        let member = WireMember {
+            id,
+            name_len: name.len(),
         };
         let call_args = self.unpack_args_array(args.get(3).cloned())?;
         let target_ref = match receiver {
@@ -2075,8 +2066,7 @@ impl<'p> Interp<'p> {
     /// Reads an instance field through its pre-resolved slot: one array index, no
     /// string and no map probe. Remote references and forwarded proxies never get
     /// here — the dispatch loop parks them on the wire path
-    /// ([`Self::remote_field_target`]), the only place the field *name* is
-    /// materialised.
+    /// ([`Self::remote_field_target`]).
     fn get_field(&mut self, obj: Value, fr: FieldRef) -> Result<Value, ExecError> {
         match obj {
             Value::Ref(ObjRef::Local(h)) => match &self.heap[h as usize] {
@@ -2124,83 +2114,31 @@ impl<'p> Interp<'p> {
         }
     }
 
-    /// Name-keyed field read, used only at the wire boundary (incoming `DEPENDENCE`
-    /// messages carry member names). Resolves the name against the runtime class's
-    /// layout; unknown names read as null, mirroring the pre-slot map semantics.
-    fn get_field_by_name(&mut self, obj: Value, name: &str) -> Result<Value, ExecError> {
-        match obj {
-            Value::Ref(ObjRef::Local(h)) => match &self.heap[h as usize] {
-                HeapObject::Object { class, fields } => Ok(self
-                    .layout
-                    .slot_of_name(*class, name)
-                    .and_then(|slot| fields.get(slot as usize))
-                    .cloned()
-                    .unwrap_or(Value::Null)),
-                _ => Err(ExecError::Unsupported("field read on array".into())),
-            },
-            Value::Ref(ObjRef::Remote { .. }) => Err(ExecError::NotDistributed),
-            Value::Null => Err(ExecError::NullPointer(format!("read of field {name}"))),
-            _ => Err(ExecError::Unsupported("field read on non-reference".into())),
-        }
-    }
-
-    /// Name-keyed field write for the wire boundary; writes to unknown names are
-    /// dropped (the declared layout is the schema).
-    fn put_field_by_name(&mut self, obj: Value, name: &str, val: Value) -> Result<(), ExecError> {
-        match obj {
-            Value::Ref(ObjRef::Local(h)) => match &mut self.heap[h as usize] {
-                HeapObject::Object { class, fields } => {
-                    if let Some(cell) = self
-                        .layout
-                        .slot_of_name(*class, name)
-                        .and_then(|slot| fields.get_mut(slot as usize))
-                    {
-                        *cell = val;
-                    }
-                    Ok(())
-                }
-                _ => Err(ExecError::Unsupported("field write on array".into())),
-            },
-            Value::Ref(ObjRef::Remote { .. }) => Err(ExecError::NotDistributed),
-            Value::Null => Err(ExecError::NullPointer(format!("write of field {name}"))),
-            _ => Err(ExecError::Unsupported(
-                "field write on non-reference".into(),
-            )),
-        }
-    }
-
     // --- proxies ------------------------------------------------------------------
 
     /// Records a remote identity in a proxy object's home/remoteId/className slots so
     /// later accesses route to the object's home node — the single encoding of the
     /// proxy representation.
-    fn bind_proxy(&mut self, proxy: u32, node: usize, id: u64, class_name: &str) {
+    fn bind_proxy(&mut self, proxy: u32, node: usize, id: u64, class_name: Arc<str>) {
         if let Some((hs, rs, cs)) = self.proxy_slots {
             if let HeapObject::Object { fields, .. } = &mut self.heap[proxy as usize] {
                 fields[hs] = Value::Int(node as i64);
                 fields[rs] = Value::Int(id as i64);
-                fields[cs] = Value::str(class_name);
+                fields[cs] = Value::Str(class_name);
             }
         }
     }
 
-    /// Creates an instance of `class_name` on this node (the placement put the
-    /// "remote" class here, so no message is needed) and returns the reference plus
-    /// the constructor to run, if one with a body exists.
-    fn create_at_home(
-        &mut self,
-        class_name: &str,
-    ) -> Result<(ObjRef, Option<MethodId>), ExecError> {
-        let class = self
-            .program
-            .class_by_name(class_name)
-            .ok_or_else(|| ExecError::Unsupported(format!("unknown class {class_name}")))?;
+    /// Creates an instance of `class` on this node (the placement put the "remote"
+    /// class here, so no message is needed) and returns the reference plus the
+    /// constructor to run, if one with a body exists.
+    fn create_at_home(&mut self, class: ClassId) -> (ObjRef, Option<MethodId>) {
         let r = self.new_instance(class);
         let ctor = self
             .program
             .find_method(class, "<init>")
             .filter(|&c| !self.layout.ops(c).ops.is_empty());
-        Ok((r, ctor))
+        (r, ctor)
     }
 
     /// Extracts the remote identity recorded in a proxy object.
@@ -2288,117 +2226,66 @@ impl<'p> Interp<'p> {
     }
 
     /// Converts a wire value back into a runtime value, resolving references that point
-    /// at this node back to local heap objects.
-    fn unmarshal(&mut self, v: WireValue) -> Value {
-        match v {
+    /// at this node back to local heap objects. The export id comes off the wire, so
+    /// one this node never handed out is a typed failure.
+    fn unmarshal(&mut self, v: WireValue) -> Result<Value, ExecError> {
+        Ok(match v {
             WireValue::Null => Value::Null,
             WireValue::Int(i) => Value::Int(i),
             WireValue::Float(f) => Value::Float(f),
             WireValue::Bool(b) => Value::Bool(b),
             WireValue::Str(s) => Value::str(&s),
-            WireValue::Remote { node, id } => {
-                let my_rank = self.dist.as_ref().map(|d| d.rank()).unwrap_or(usize::MAX);
-                if node as usize == my_rank {
-                    let h = self.dist.as_ref().expect("dist").exports[id as usize];
-                    Value::Ref(ObjRef::Local(h))
-                } else {
-                    Value::Ref(ObjRef::Remote {
-                        node: node as usize,
-                        id,
-                    })
-                }
-            }
-        }
+            WireValue::Remote { node, id } => match &self.dist {
+                Some(d) if d.rank() == node as usize => Value::Ref(ObjRef::Local(exported(d, id)?)),
+                _ => Value::Ref(ObjRef::Remote {
+                    node: node as usize,
+                    id,
+                }),
+            },
+        })
     }
 
-    /// Marshals `args` and encodes one `DEPENDENCE` frame into a pooled buffer:
-    /// slot-addressed v2 (prefixed by the one-time fingerprint hello on this
-    /// link) when the member id is known and the frame fits, v1 strings
-    /// otherwise. Returns the frame plus the v1-equivalent size the virtual
-    /// clock is charged — the wire format is a transport detail, so committed
-    /// timings must not move with it.
-    fn encode_dependence_frame(
-        &mut self,
-        node: usize,
-        id: u64,
-        kind: AccessKind,
-        member: WireMember<'_>,
-        args: &[Value],
-    ) -> (Bytes, usize) {
+    /// Marshals `args` into the recycled outgoing scratch vector (hand it back to
+    /// `self.wire_out` after encoding, so a steady-state send allocates no vector).
+    fn marshal_args(&mut self, args: &[Value]) -> Vec<WireValue> {
         let mut wire_args = std::mem::take(&mut self.wire_out);
         wire_args.clear();
         for a in args {
             let w = self.marshal(a);
             wire_args.push(w);
         }
-        let name = member.name();
-        let charged = crate::wire::charged_dependence_size(name.len(), &wire_args);
-        let fp = self.layout.fingerprint();
-        let dist = self.dist.as_mut().expect("dist state attached");
-        let buf = dist.endpoint.take_buf();
-        let member_id = if kind.has_member() {
-            member.id()
-        } else {
-            Some(0)
-        };
-        let data = match member_id {
-            Some(m) if crate::wire::dep_fits_v2(id, &wire_args) => {
-                let hello = if dist.hello_sent[node] {
-                    None
-                } else {
-                    dist.hello_sent[node] = true;
-                    Some(fp)
-                };
-                crate::wire::encode_dependence_v2(buf, hello, id, kind, m, &wire_args)
-            }
-            _ => crate::wire::encode_dependence_in(buf, id, kind, name, &wire_args),
-        };
-        self.wire_out = wire_args;
-        (data, charged)
+        wire_args
     }
 
-    /// The `NEW` counterpart of [`Self::encode_dependence_frame`]: class-id v2
-    /// when the class is known to the shared tables, string v1 otherwise.
-    fn encode_new_frame(
-        &mut self,
-        home: usize,
-        class_name: &str,
-        args: &[Value],
-    ) -> (Bytes, usize) {
-        let mut wire_args = std::mem::take(&mut self.wire_out);
-        wire_args.clear();
-        for a in args {
-            let w = self.marshal(a);
-            wire_args.push(w);
-        }
-        let charged = crate::wire::charged_new_size(class_name.len(), &wire_args);
-        let class = self.program.class_by_name(class_name);
+    /// A pooled encode buffer for a request to `node`, plus the fingerprint hello if
+    /// this is the first request on that link.
+    fn frame_start(&mut self, node: usize) -> (bytes::BytesMut, Option<u64>) {
         let fp = self.layout.fingerprint();
         let dist = self.dist.as_mut().expect("dist state attached");
-        let buf = dist.endpoint.take_buf();
-        let data = match class {
-            Some(c) if crate::wire::new_fits_v2(&wire_args) => {
-                let hello = if dist.hello_sent[home] {
-                    None
-                } else {
-                    dist.hello_sent[home] = true;
-                    Some(fp)
-                };
-                crate::wire::encode_new_v2(buf, hello, c.0, &wire_args)
-            }
-            _ => crate::wire::encode_new_in(buf, class_name, &wire_args),
-        };
-        self.wire_out = wire_args;
-        (data, charged)
+        let hello = (!dist.hello_sent[node]).then_some(fp);
+        dist.hello_sent[node] = true;
+        (dist.endpoint.take_buf(), hello)
     }
 
-    /// Sends a `DEPENDENCE` request without waiting for the answer: the machine parks
-    /// the running continuation on the returned request id.
+    /// Sends an encoded request, charging the virtual clock for `charged` bytes —
+    /// the size the cost model defines for the message, not the frame's — and
+    /// returns the request id the machine parks the running continuation on.
+    fn send_request(&mut self, node: usize, data: Bytes, charged: usize) -> u64 {
+        self.counters.remote_requests += 1;
+        let dist = self.dist.as_mut().expect("dist state attached");
+        let (clock, req_id) =
+            dist.endpoint
+                .send_request_charged(node, data, self.clock_us, charged);
+        self.clock_us = clock;
+        req_id
+    }
+
+    /// Sends a `DEPENDENCE` request without waiting for the answer.
     fn remote_send(
         &mut self,
         target: ObjRef,
         kind: AccessKind,
-        member: WireMember<'_>,
+        member: WireMember,
         args: Vec<Value>,
     ) -> Result<u64, ExecError> {
         let (node, id) = match target {
@@ -2412,36 +2299,31 @@ impl<'p> Interp<'p> {
         if self.dist.is_none() {
             return Err(ExecError::NotDistributed);
         }
-        let (data, charged) = self.encode_dependence_frame(node, id, kind, member, &args);
-        self.counters.remote_requests += 1;
-        let clock = self.clock_us;
-        let dist = self.dist.as_mut().unwrap();
-        let (clock, req_id) = dist
-            .endpoint
-            .send_request_charged(node, data, clock, charged);
-        self.clock_us = clock;
-        Ok(req_id)
+        let wire_args = self.marshal_args(&args);
+        let charged = crate::wire::charged_dependence_size(member.name_len, &wire_args);
+        let (buf, hello) = self.frame_start(node);
+        let data = crate::wire::encode_dependence(buf, hello, id, kind, member.id, &wire_args);
+        self.wire_out = wire_args;
+        Ok(self.send_request(node, data, charged))
     }
 
     /// Sends a `NEW` request without waiting (see [`Self::remote_send`]).
     fn remote_new_send(
         &mut self,
         home: usize,
-        class_name: &str,
+        class: ClassId,
+        class_name_len: usize,
         args: Vec<Value>,
     ) -> Result<u64, ExecError> {
         if self.dist.is_none() {
             return Err(ExecError::NotDistributed);
         }
-        let (data, charged) = self.encode_new_frame(home, class_name, &args);
-        self.counters.remote_requests += 1;
-        let clock = self.clock_us;
-        let dist = self.dist.as_mut().unwrap();
-        let (clock, req_id) = dist
-            .endpoint
-            .send_request_charged(home, data, clock, charged);
-        self.clock_us = clock;
-        Ok(req_id)
+        let wire_args = self.marshal_args(&args);
+        let charged = crate::wire::charged_new_size(class_name_len, &wire_args);
+        let (buf, hello) = self.frame_start(home);
+        let data = crate::wire::encode_new(buf, hello, class.0, &wire_args);
+        self.wire_out = wire_args;
+        Ok(self.send_request(home, data, charged))
     }
 
     /// Non-blocking receive for the worker loop; advances the virtual clock
@@ -2479,11 +2361,10 @@ impl<'p> Interp<'p> {
         }
     }
 
-    /// Decodes and classifies one incoming request frame: strips and verifies the
-    /// fingerprint hello, routes slot-addressed (v2) frames through the id-based
-    /// dispatchers — never dispatching a slot from an unverified peer — and
-    /// everything else through the v1 string decoder. Returns `Ok(None)` for
-    /// `Shutdown` (no reply is owed).
+    /// Classifies one incoming request frame: strips and verifies the fingerprint
+    /// hello, then — `Shutdown` alone exempt — refuses anything from a peer whose
+    /// fingerprint was never verified before decoding a single id. Returns
+    /// `Ok(None)` for `Shutdown` (no reply is owed).
     fn accept_frame(
         &mut self,
         from: usize,
@@ -2491,28 +2372,18 @@ impl<'p> Interp<'p> {
     ) -> Result<Option<Accepted>, ExecError> {
         let hello = crate::wire::split_hello(&mut data)?;
         self.verify_hello(from, hello)?;
-        let tag = crate::wire::peek_tag(&data)?;
-        if crate::wire::is_slot_addressed(tag) {
-            let verified = self
-                .dist
-                .as_ref()
-                .map(|d| d.peer_ok.get(from).copied().unwrap_or(false))
-                .unwrap_or(false);
-            if !verified {
-                return Err(ExecError::Wire(WireError::UnverifiedSlotFrame));
-            }
-            return self.accept_slot_frame(data).map(Some);
+        let verified = self
+            .dist
+            .as_ref()
+            .is_some_and(|d| d.peer_ok.get(from).copied().unwrap_or(false));
+        if !verified && crate::wire::peek_tag(&data)? != crate::wire::TAG_SHUTDOWN {
+            return Err(ExecError::Wire(WireError::UnverifiedSlotFrame));
         }
-        let req = Request::decode(data)?;
-        if matches!(req, Request::Shutdown) {
-            return Ok(None);
-        }
-        self.counters.requests_served += 1;
-        self.accept_inner(req).map(Some)
+        self.accept_slot_frame(data)
     }
 
     /// Checks a received hello envelope against this node's layout fingerprint.
-    /// A match unlocks slot-addressed dispatch from `from`; a mismatch is a hard
+    /// A match unlocks dispatch of requests from `from`; a mismatch is a hard
     /// typed error (the peer's dense ids mean something else entirely).
     fn verify_hello(&mut self, from: usize, hello: Option<u64>) -> Result<(), ExecError> {
         let Some(theirs) = hello else { return Ok(()) };
@@ -2531,200 +2402,72 @@ impl<'p> Interp<'p> {
         Ok(())
     }
 
-    /// Decodes a slot-addressed frame — head, then the value list into a recycled
-    /// scratch vector — returns its buffer to the link pool, and dispatches by
-    /// dense id. The steady-state decode performs no per-message allocation and
-    /// no string comparison.
-    fn accept_slot_frame(&mut self, mut data: Bytes) -> Result<Accepted, ExecError> {
-        enum Head {
-            New {
-                class: u32,
-            },
-            Dep {
-                target: u64,
-                kind: AccessKind,
-                member: u32,
-            },
-        }
-        let tag = crate::wire::peek_tag(&data)?;
+    /// Decodes a request frame — head, then the value list into a recycled scratch
+    /// vector — returns its buffer to the link pool, and dispatches by dense id.
+    /// The steady-state decode performs no per-message allocation and no string
+    /// comparison.
+    fn accept_slot_frame(&mut self, mut data: Bytes) -> Result<Option<Accepted>, ExecError> {
         let mut vals = std::mem::take(&mut self.wire_vals);
-        vals.clear();
-        let decoded = if tag == crate::wire::TAG_NEW_V2 {
-            crate::wire::decode_new_v2_head(&mut data)
-                .map(|h| (Head::New { class: h.class }, h.argc))
-        } else {
-            crate::wire::decode_dep_v2_head(&mut data).map(|h| {
-                (
-                    Head::Dep {
-                        target: h.target,
-                        kind: h.kind,
-                        member: h.member,
-                    },
-                    h.argc,
-                )
-            })
-        }
-        .and_then(|(head, argc)| {
-            crate::wire::decode_values_into(&mut data, argc, &mut vals).map(|_| head)
+        let decoded = crate::wire::decode_head(&mut data).and_then(|head| {
+            crate::wire::decode_values_into(&mut data, head.argc(), &mut vals).map(|_| head)
         });
         if let Some(d) = self.dist.as_mut() {
             d.endpoint.reclaim(data);
         }
-        let head = match decoded {
-            Ok(h) => h,
-            Err(e) => {
-                self.wire_vals = vals;
-                return Err(ExecError::Wire(e));
-            }
-        };
+        // A failed frame forfeits the scratch vector's capacity; the next one regrows it.
+        let head = decoded?;
         let mut args: Vec<Value> = Vec::with_capacity(vals.len());
         for w in vals.drain(..) {
-            let v = self.unmarshal(w);
-            args.push(v);
+            args.push(self.unmarshal(w)?);
         }
         self.wire_vals = vals;
-        self.counters.requests_served += 1;
         match head {
-            Head::New { class } => self.accept_new_by_id(class, args),
-            Head::Dep {
+            FrameHead::Shutdown => Ok(None),
+            FrameHead::New { class, .. } => self.accept_new(class, args).map(Some),
+            FrameHead::Dependence {
                 target,
                 kind,
                 member,
-            } => self.accept_dep_by_slot(target, kind, member, args),
+                ..
+            } => self
+                .accept_dep_by_slot(target, kind, member, args)
+                .map(Some),
         }
     }
 
-    /// The request classifier: answers bytecode-free accesses on the spot
-    /// ([`Accepted::Value`]) and returns anything that needs bytecode as a task
-    /// ([`Accepted::Run`]) for the worker loop to interleave.
-    fn accept_inner(&mut self, req: Request) -> Result<Accepted, ExecError> {
-        match req {
-            Request::Shutdown => Ok(Accepted::Value(Value::Null)),
-            Request::New { class_name, args } => {
-                let class = self
-                    .program
-                    .class_by_name(&class_name)
-                    .ok_or_else(|| ExecError::Unsupported(format!("unknown class {class_name}")))?;
-                let args: Vec<Value> = args.into_iter().map(|a| self.unmarshal(a)).collect();
-                self.accept_new(class, args)
-            }
-            Request::NewById { class, args } => {
-                let args: Vec<Value> = args.into_iter().map(|a| self.unmarshal(a)).collect();
-                self.accept_new_by_id(class, args)
-            }
-            Request::DependenceById {
-                target,
-                kind,
-                member,
-                args,
-            } => {
-                let args: Vec<Value> = args.into_iter().map(|a| self.unmarshal(a)).collect();
-                self.accept_dep_by_slot(target, kind, member, args)
-            }
-            Request::Dependence {
-                target,
-                kind,
-                member,
-                args,
-            } => {
-                let heap_idx = {
-                    let dist = self.dist.as_ref().ok_or(ExecError::NotDistributed)?;
-                    *dist.exports.get(target as usize).ok_or_else(|| {
-                        ExecError::RemoteFailure(format!("bad export id {target}"))
-                    })?
-                };
-                let args: Vec<Value> = args.into_iter().map(|a| self.unmarshal(a)).collect();
-                let receiver = Value::Ref(ObjRef::Local(heap_idx));
-                match kind {
-                    AccessKind::GetField => self
-                        .get_field_by_name(receiver, &member)
-                        .map(Accepted::Value),
-                    AccessKind::PutField => {
-                        let v = args.into_iter().next().unwrap_or(Value::Null);
-                        self.put_field_by_name(receiver, &member, v)?;
-                        Ok(Accepted::Value(Value::Null))
-                    }
-                    AccessKind::GetElement => {
-                        let idx = args.into_iter().next().unwrap_or(Value::Int(0));
-                        self.array_load(receiver, idx).map(Accepted::Value)
-                    }
-                    AccessKind::PutElement => {
-                        let mut it = args.into_iter();
-                        let idx = it.next().unwrap_or(Value::Int(0));
-                        let val = it.next().unwrap_or(Value::Null);
-                        self.array_store(receiver, idx, val)?;
-                        Ok(Accepted::Value(Value::Null))
-                    }
-                    AccessKind::ArrayLength => self.array_length(receiver).map(Accepted::Value),
-                    AccessKind::InvokeVoid | AccessKind::InvokeRet => {
-                        let class = self.heap[heap_idx as usize]
-                            .class()
-                            .ok_or_else(|| ExecError::Unsupported("invoke on array".into()))?;
-                        let m = self
-                            .program
-                            .resolve_method(class, &member)
-                            .ok_or_else(|| ExecError::UnknownMethod(member.as_str().into()))?;
-                        // See the `New` arm: served frames stay in the live-frame
-                        // count across parks, so this is where cross-node recursion
-                        // is bounded.
-                        if self.live_frames >= self.max_depth {
-                            return Err(ExecError::StackOverflow);
-                        }
-                        let mut full = vec![receiver];
-                        full.extend(args);
-                        match self.task_for(m, full) {
-                            Some(task) => Ok(Accepted::Run {
-                                task,
-                                reply_override: None,
-                            }),
-                            // Abstract / intrinsic methods behave as no-ops.
-                            None => Ok(Accepted::Value(Value::Null)),
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    /// The shared `NEW` service behind both wire formats: instantiate, and when a
-    /// constructor with a body exists return it as a task (replying with the
-    /// fresh reference either way).
-    fn accept_new(&mut self, class: ClassId, args: Vec<Value>) -> Result<Accepted, ExecError> {
-        let r = self.new_instance(class);
-        match self.program.find_method(class, "<init>") {
-            Some(ctor) if !self.layout.ops(ctor).ops.is_empty() => {
-                // Serving pushes a frame that stays live while the task runs
-                // (or parks), so unbounded cross-node recursion shows up as
-                // live-frame growth here — guard it like any other call.
-                if self.live_frames >= self.max_depth {
-                    return Err(ExecError::StackOverflow);
-                }
-                let mut full = vec![Value::Ref(r)];
-                full.extend(args);
-                let task = self.task_for(ctor, full).expect("constructor has a body");
-                Ok(Accepted::Run {
-                    task,
-                    reply_override: Some(Value::Ref(r)),
-                })
-            }
-            _ => Ok(Accepted::Value(Value::Ref(r))),
-        }
-    }
-
-    /// [`Self::accept_new`] from a wire-carried dense class id, range-checked
-    /// against the shared tables.
-    fn accept_new_by_id(&mut self, class: u32, args: Vec<Value>) -> Result<Accepted, ExecError> {
+    /// The `NEW` service: instantiate the class with the wire-carried dense id
+    /// (range-checked against the shared tables), and when a constructor with a
+    /// body exists return it as a task (replying with the fresh reference either
+    /// way).
+    fn accept_new(&mut self, class: u32, args: Vec<Value>) -> Result<Accepted, ExecError> {
+        self.counters.requests_served += 1;
         if (class as usize) >= self.layout.classes.len() {
             return Err(ExecError::RemoteFailure(format!("bad class id {class}")));
         }
-        self.accept_new(ClassId(class), args)
+        let (r, ctor) = self.create_at_home(ClassId(class));
+        let Some(ctor) = ctor else {
+            return Ok(Accepted::Value(Value::Ref(r)));
+        };
+        // Serving pushes a frame that stays live while the task runs (or parks), so
+        // unbounded cross-node recursion shows up as live-frame growth here — guard
+        // it like any other call.
+        if self.live_frames >= self.max_depth {
+            return Err(ExecError::StackOverflow);
+        }
+        let mut full = vec![Value::Ref(r)];
+        full.extend(args);
+        let task = self.task_for(ctor, full).expect("constructor has a body");
+        Ok(Accepted::Run {
+            task,
+            reply_override: Some(Value::Ref(r)),
+        })
     }
 
-    /// The slot-addressed `DEPENDENCE` service: the dense-id twin of the string
-    /// arm in [`Self::accept_inner`], with identical out-of-range semantics —
-    /// an unknown field slot reads as null and drops the write, exactly like an
-    /// unknown member name; invokes resolve through the selector-indexed vtable,
-    /// which agrees with name-based resolution by construction.
+    /// The `DEPENDENCE` service. `member` is resolved against the target's runtime
+    /// class: a field-name id through the class's slot column — so a subclass that
+    /// shadows the name answers with its own slot, and a name the class has no
+    /// field for reads as null and drops the write — and a selector through its
+    /// vtable.
     fn accept_dep_by_slot(
         &mut self,
         target: u64,
@@ -2732,26 +2475,30 @@ impl<'p> Interp<'p> {
         member: u32,
         args: Vec<Value>,
     ) -> Result<Accepted, ExecError> {
-        let heap_idx = {
-            let dist = self.dist.as_ref().ok_or(ExecError::NotDistributed)?;
-            *dist
-                .exports
-                .get(target as usize)
-                .ok_or_else(|| ExecError::RemoteFailure(format!("bad export id {target}")))?
-        };
+        self.counters.requests_served += 1;
+        let dist = self.dist.as_ref().ok_or(ExecError::NotDistributed)?;
+        let heap_idx = exported(dist, target)?;
         let receiver = Value::Ref(ObjRef::Local(heap_idx));
         match kind {
             AccessKind::GetField => match &self.heap[heap_idx as usize] {
-                HeapObject::Object { fields, .. } => Ok(Accepted::Value(
-                    fields.get(member as usize).cloned().unwrap_or(Value::Null),
+                HeapObject::Object { class, fields } => Ok(Accepted::Value(
+                    self.layout
+                        .slot_of_field_name(*class, member)
+                        .and_then(|slot| fields.get(slot as usize))
+                        .cloned()
+                        .unwrap_or(Value::Null),
                 )),
                 _ => Err(ExecError::Unsupported("field read on array".into())),
             },
             AccessKind::PutField => {
                 let v = args.into_iter().next().unwrap_or(Value::Null);
                 match &mut self.heap[heap_idx as usize] {
-                    HeapObject::Object { fields, .. } => {
-                        if let Some(cell) = fields.get_mut(member as usize) {
+                    HeapObject::Object { class, fields } => {
+                        if let Some(cell) = self
+                            .layout
+                            .slot_of_field_name(*class, member)
+                            .and_then(|slot| fields.get_mut(slot as usize))
+                        {
                             *cell = v;
                         }
                         Ok(Accepted::Value(Value::Null))
@@ -2776,7 +2523,12 @@ impl<'p> Interp<'p> {
                     .class()
                     .ok_or_else(|| ExecError::Unsupported("invoke on array".into()))?;
                 let m = self.layout.resolve_selector(class, member).ok_or_else(|| {
-                    ExecError::UnknownMethod(format!("selector #{member}").into())
+                    // The reply is charged at its encoded length, so the text is
+                    // part of virtual time: report the name the selector stands for.
+                    ExecError::UnknownMethod(match self.layout.selector_name(member) {
+                        Some(name) => Arc::clone(name),
+                        None => format!("selector #{member}").into(),
+                    })
                 })?;
                 // See `accept_new`: served frames stay in the live-frame count
                 // across parks, so this is where cross-node recursion is bounded.
@@ -2822,6 +2574,16 @@ impl<'p> Interp<'p> {
             .zip(self.statics.iter().cloned())
             .collect()
     }
+}
+
+/// The heap index behind export id `id` — an id read off the wire, so one this node
+/// never handed out is a typed failure, not an index panic.
+fn exported(dist: &DistState, id: u64) -> Result<u32, ExecError> {
+    usize::try_from(id)
+        .ok()
+        .and_then(|i| dist.exports.get(i))
+        .copied()
+        .ok_or_else(|| ExecError::RemoteFailure(format!("bad export id {id}")))
 }
 
 /// The Java-style default value for a declared type (0, 0.0, false, null).
@@ -3070,22 +2832,156 @@ mod tests {
         let mut interp = Interp::new(&p);
         let remote = ObjRef::Remote { node: 1, id: 0 };
         let err = interp
-            .remote_send(
-                remote,
-                AccessKind::GetField,
-                WireMember::Dynamic("x"),
-                vec![],
-            )
+            .remote_send(remote, AccessKind::GetField, WireMember::NONE, vec![])
             .unwrap_err();
         assert_eq!(err, ExecError::NotDistributed);
         assert_eq!(
-            interp.remote_new_send(1, "C", vec![]),
+            interp.remote_new_send(1, ClassId(0), 1, vec![]),
             Err(ExecError::NotDistributed)
         );
         // The local slow-path helpers have no remote arm to fall back on either.
         assert_eq!(
             interp.array_length(Value::Ref(remote)),
             Err(ExecError::NotDistributed)
+        );
+    }
+
+    /// The wire boundary of a serving node, driven frame by frame: node 1 of a
+    /// two-node world, with the requester's endpoint to read the replies from.
+    const WIRE_SRC: &str = r#"
+        class Cell { int v; int get() { return this.v; } }
+        class Other { int other() { return 1; } }
+        class Main { static void main() { } }
+    "#;
+
+    fn reply_to(
+        node: &mut Interp<'_>,
+        peer: &mut MpiEndpoint,
+        frame: Bytes,
+    ) -> Option<Result<WireValue, String>> {
+        assert!(matches!(
+            node.accept_request(0, 1, frame),
+            ServeOutcome::Handled
+        ));
+        let mut data = peer.try_recv()?.data;
+        Some(match Response::decode(&mut data).expect("reply decodes") {
+            Response::Value(v) => Ok(v),
+            Response::Error(e) => Err(e),
+        })
+    }
+
+    #[test]
+    fn wire_ids_are_checked_before_they_index_anything() {
+        use crate::wire::{encode_dependence, Request};
+        let p = compile_source(WIRE_SRC).unwrap();
+        let mut world = crate::net::MpiWorld::new(2, crate::net::NetworkConfig::uniform(2));
+        let mut peer = world.take_endpoint(0);
+        let mut node = Interp::new(&p).with_dist(DistState::new(world.take_endpoint(1)));
+        let fp = node.layout().fingerprint();
+        let frame = |hello, target, kind, member, args: &[WireValue]| {
+            encode_dependence(bytes::BytesMut::new(), hello, target, kind, member, args)
+        };
+
+        // No hello yet: nothing but a shutdown is honoured from this peer.
+        let unverified = reply_to(
+            &mut node,
+            &mut peer,
+            frame(None, 0, AccessKind::ArrayLength, 0, &[]),
+        );
+        assert_eq!(
+            unverified,
+            Some(Err(
+                ExecError::Wire(WireError::UnverifiedSlotFrame).to_string()
+            ))
+        );
+        assert_eq!(
+            reply_to(&mut node, &mut peer, Request::Shutdown.encode()),
+            None
+        );
+        assert_eq!(node.counters.requests_served, 0);
+
+        // An export id this node never handed out — as the target, or inside an
+        // argument that claims to point back here — is a typed failure.
+        let bad_target = frame(Some(fp), 998, AccessKind::ArrayLength, 0, &[]);
+        assert_eq!(
+            reply_to(&mut node, &mut peer, bad_target),
+            Some(Err("remote failure: bad export id 998".into()))
+        );
+        let cell = p.class_by_name("Cell").unwrap();
+        let ObjRef::Local(h) = node.new_instance(cell) else {
+            unreachable!("new_instance allocates locally")
+        };
+        let id = node.export(h);
+        let bad_arg = [WireValue::Remote { node: 1, id: 999 }];
+        let put = node.layout().field_name_id("v").unwrap();
+        assert_eq!(
+            reply_to(
+                &mut node,
+                &mut peer,
+                frame(None, id, AccessKind::PutField, put, &bad_arg)
+            ),
+            Some(Err("remote failure: bad export id 999".into()))
+        );
+
+        // A selector the target's class does not bind reports the *name* (the
+        // reply's length is charged, so its text is part of virtual time).
+        let other = node.layout().selector_of_name("other").unwrap();
+        assert_eq!(
+            reply_to(
+                &mut node,
+                &mut peer,
+                frame(None, id, AccessKind::InvokeRet, other, &[])
+            ),
+            Some(Err("unknown method other".into()))
+        );
+        // A field-name id the class has no field for reads as null.
+        assert_eq!(
+            reply_to(
+                &mut node,
+                &mut peer,
+                frame(None, id, AccessKind::GetField, 9_999, &[])
+            ),
+            Some(Ok(WireValue::Null))
+        );
+    }
+
+    #[test]
+    fn names_the_layout_never_interned_fail_at_the_sender() {
+        let p = compile_source(WIRE_SRC).unwrap();
+        let mut world = crate::net::MpiWorld::new(2, crate::net::NetworkConfig::uniform(2));
+        let node = Interp::new(&p).with_dist(DistState::new(world.take_endpoint(0)));
+        let remote = Value::Ref(ObjRef::Remote { node: 1, id: 0 });
+        let access = |kind: AccessKind, name: &str| {
+            let args = [
+                remote.clone(),
+                Value::Int(i64::from(kind.tag())),
+                Value::str(name),
+            ];
+            node.parse_dep_access(&remote, &args)
+                .map(|(_, _, member, _)| (member.id, member.name_len))
+        };
+        let layout = node.layout();
+        assert_eq!(
+            access(AccessKind::InvokeRet, "get"),
+            Ok((layout.selector_of_name("get").unwrap(), 3))
+        );
+        assert_eq!(
+            access(AccessKind::PutField, "v"),
+            Ok((layout.field_name_id("v").unwrap(), 1))
+        );
+        assert_eq!(
+            access(AccessKind::InvokeVoid, "nope"),
+            Err(ExecError::UnknownMethod("nope".into()))
+        );
+        // Selectors and field names are separate id spaces.
+        assert_eq!(
+            access(AccessKind::GetField, "get"),
+            Err(ExecError::UnknownField("get".into()))
+        );
+        let init = [Value::Null, Value::Int(1), Value::str("Nope"), Value::Null];
+        assert_eq!(
+            node.parse_dep_init(&init).map(|(home, ..)| home),
+            Err(ExecError::Unsupported("unknown class Nope".into()))
         );
     }
 

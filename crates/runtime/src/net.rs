@@ -417,19 +417,18 @@ pub enum Next {
 /// have undelivered packets, in send order.
 ///
 /// The sender of a packet knows its destination, so it enqueues the destination key
-/// here at send time — delivery is then O(1) per packet (pop a key, drain that
-/// node's mailbox) instead of an O(nodes) `try_recv` sweep over every mailbox. A key
-/// may appear more than once (one entry per packet); popping a key whose mailbox was
-/// already drained is a cheap no-op.
+/// here when its delivery slice ends — delivery is then O(1) per packet (pop a key,
+/// drain that node's mailbox) instead of an O(nodes) `try_recv` sweep over every
+/// mailbox. A key may appear more than once (one entry per sender's slice); popping
+/// a key whose mailbox was already drained is a cheap no-op.
 ///
 /// One queue is shared by every world of a run (a single-root run has one world, a
 /// serving run up to `concurrency`), so continuations from different requests
 /// interleave freely on the same workers.
 ///
-/// Every entry carries a packet **count**: a plain [`ReadyQueue::push`] enqueues
-/// count 1, while a coalescing sender that accumulated several packets for one
-/// destination during a delivery slice publishes them as a single counted entry via
-/// [`ReadyQueue::push_counted`] — one pop then delivers the whole batch.
+/// Every entry carries a packet **count**: a sender that accumulated several packets
+/// for one destination during a delivery slice publishes them as a single counted
+/// entry via [`ReadyQueue::push_counted`] — one pop then delivers the whole batch.
 #[derive(Default)]
 pub struct ReadyQueue {
     state: Mutex<QueueState>,
@@ -447,11 +446,6 @@ struct QueueState {
 impl ReadyQueue {
     fn lock(&self) -> std::sync::MutexGuard<'_, QueueState> {
         self.state.lock().unwrap_or_else(|e| e.into_inner())
-    }
-
-    /// Enqueues `key` as having one deliverable packet.
-    pub fn push(&self, key: ReadyKey) {
-        self.push_counted(key, 1);
     }
 
     /// Enqueues `key` carrying `count` deliverable packets as one entry (a
@@ -626,8 +620,6 @@ impl MpiWorld {
                 .as_ref()
                 .map(|state| EndpointFaults::new(Arc::clone(state), n)),
             pool: Vec::new(),
-            pool_enabled: true,
-            coalesce: false,
             pending_keys: Vec::new(),
         }
     }
@@ -703,14 +695,8 @@ pub struct MpiEndpoint {
     /// Recycled encode buffers ([`MpiEndpoint::take_buf`] / [`MpiEndpoint::reclaim`]):
     /// the steady-state wire path reuses one allocation per in-flight message.
     pool: Vec<BytesMut>,
-    /// When cleared, [`MpiEndpoint::take_buf`] always allocates and
-    /// [`MpiEndpoint::reclaim`] always drops — the A/B control proving the pool
-    /// is invisible to everything the execution reports.
-    pool_enabled: bool,
-    /// When set, ready-key publications accumulate per destination and are released
-    /// as counted batches by [`MpiEndpoint::flush_coalesced`].
-    coalesce: bool,
-    /// Accumulated `(key, count)` publications awaiting a flush.
+    /// Ready-key publications accumulated per destination since the last
+    /// [`MpiEndpoint::flush_coalesced`], which releases them as counted batches.
     pending_keys: Vec<(ReadyKey, u32)>,
 }
 
@@ -733,9 +719,9 @@ impl MpiEndpoint {
     }
 
     /// Like [`MpiEndpoint::send_request`], but charges the cost model for
-    /// `charged_len` bytes instead of the physical frame length. The slot-addressed
-    /// v2 wire path uses this to keep virtual time identical to the v1 encoding it
-    /// replaces while physically moving fewer bytes.
+    /// `charged_len` bytes instead of the physical frame length: the cost model
+    /// defines a request's size by formula (`wire::charged_*_size`), independent of
+    /// how compactly the frame happens to be encoded.
     pub fn send_request_charged(
         &mut self,
         to: usize,
@@ -831,9 +817,6 @@ impl MpiEndpoint {
     /// [`MpiEndpoint::reclaim`] on the matching decoded `Bytes` to keep the
     /// steady-state wire path allocation-free.
     pub fn take_buf(&mut self) -> BytesMut {
-        if !self.pool_enabled {
-            return BytesMut::with_capacity(64);
-        }
         self.pool
             .pop()
             .unwrap_or_else(|| BytesMut::with_capacity(64))
@@ -844,55 +827,35 @@ impl MpiEndpoint {
     /// fails the refcount check and is dropped — correctness never depends on a
     /// reclaim succeeding.
     pub fn reclaim(&mut self, data: Bytes) {
-        if self.pool_enabled && self.pool.len() < BUF_POOL_CAP {
+        if self.pool.len() < BUF_POOL_CAP {
             if let Ok(buf) = data.try_into_mut() {
                 self.pool.push(buf);
             }
         }
     }
 
-    /// Turns buffer recycling on or off; turning it off releases the pooled
-    /// storage. Pure wall-clock optimisation — virtual times, traffic counters
-    /// and checksums must be identical either way (the parity suites pin this).
-    pub fn set_buffer_pool(&mut self, on: bool) {
-        if !on {
-            self.pool.clear();
-        }
-        self.pool_enabled = on;
-    }
-
-    /// Turns per-link ready-key coalescing on or off; turning it off releases
-    /// anything accumulated. The worker loop flushes explicitly after every
-    /// delivery slice.
-    pub fn set_coalescing(&mut self, on: bool) {
-        if !on {
-            self.flush_coalesced();
-        }
-        self.coalesce = on;
-    }
-
     /// Publishes every accumulated `(key, count)` pair as one counted ready-queue
-    /// entry each. No-op when nothing has accumulated.
+    /// entry each. No-op when nothing has accumulated. The worker loop calls this
+    /// at the end of every delivery slice, so it observes one wake per link per
+    /// slice however many packets the slice sent there.
     pub fn flush_coalesced(&mut self) {
         for (key, count) in self.pending_keys.drain(..) {
             self.ready.push_counted(key, count);
         }
     }
 
-    /// Records one deliverable packet for `to`: published immediately when
-    /// coalescing is off, else accumulated for the next flush. Either way it counts
-    /// towards [`MpiEndpoint::take_published`] now.
+    /// Records one deliverable packet for `to`. The packet itself already entered
+    /// its channel (sequence numbers, fault rolls and arrival times are decided at
+    /// send time); only the ready key is held back for the next
+    /// [`MpiEndpoint::flush_coalesced`]. It counts towards
+    /// [`MpiEndpoint::take_published`] now.
     fn mark_ready(&mut self, to: usize) {
         self.published += 1;
         let key = (self.root, to as u32);
-        if self.coalesce {
-            if let Some(entry) = self.pending_keys.iter_mut().find(|(k, _)| *k == key) {
-                entry.1 += 1;
-            } else {
-                self.pending_keys.push((key, 1));
-            }
+        if let Some(entry) = self.pending_keys.iter_mut().find(|(k, _)| *k == key) {
+            entry.1 += 1;
         } else {
-            self.ready.push(key);
+            self.pending_keys.push((key, 1));
         }
     }
 
@@ -1234,10 +1197,10 @@ mod tests {
         a.send(2, PacketKind::Request, Bytes::from_static(b"x"), 0.0);
         a.send(1, PacketKind::Request, Bytes::from_static(b"y"), 0.0);
         a.send(2, PacketKind::Request, Bytes::from_static(b"z"), 0.0);
-        assert_eq!(ready.len(), 3, "one entry per packet");
-        assert_eq!(ready.pop(), Some(((0, 2), 1)));
+        a.flush_coalesced();
+        assert_eq!(ready.len(), 2, "one entry per destination");
+        assert_eq!(ready.pop(), Some(((0, 2), 2)));
         assert_eq!(ready.pop(), Some(((0, 1), 1)));
-        assert_eq!(ready.pop(), Some(((0, 2), 1)));
         assert_eq!(ready.pop(), None);
         assert_eq!(a.take_published(), 3, "every key is counted as published");
         assert_eq!(a.take_published(), 0, "taking resets the count");
@@ -1249,7 +1212,7 @@ mod tests {
     fn ready_queue_wait_observes_pushed_entries() {
         let ready = std::sync::Arc::new(ReadyQueue::default());
         assert_eq!(ready.next(1), Next::AllIdle, "a lone worker never blocks");
-        ready.push((0, 7));
+        ready.push_counted((0, 7), 1);
         assert_eq!(ready.next(1), Next::Entry((0, 7), 1));
         // Two workers: the first to find the queue empty blocks until a push.
         std::thread::scope(|scope| {
@@ -1260,7 +1223,7 @@ mod tests {
             assert_eq!(ready.next(2), Next::AllIdle, "the other worker is blocked");
             // One entry is the pusher's own to take; a second one wakes the sibling.
             ready.push_counted((3, 1), 2);
-            ready.push((3, 0));
+            ready.push_counted((3, 0), 1);
             assert_eq!(waiter.join().unwrap(), Next::Entry((3, 1), 2));
             assert_eq!(ready.next(2), Next::Entry((3, 0), 1));
             // A pusher that will not come back hands its entry over explicitly.
@@ -1268,7 +1231,7 @@ mod tests {
             while ready.lock().waiters == 0 {
                 std::thread::yield_now();
             }
-            ready.push((4, 0));
+            ready.push_counted((4, 0), 1);
             ready.nudge();
             assert_eq!(waiter.join().unwrap(), Next::Entry((4, 0), 1));
         });
@@ -1281,7 +1244,7 @@ mod tests {
             ready.close();
             assert_eq!(waiter.join().unwrap(), Next::Closed);
         });
-        ready.push((0, 0));
+        ready.push_counted((0, 0), 1);
         assert_eq!(ready.next(2), Next::Closed);
     }
 
@@ -1292,9 +1255,13 @@ mod tests {
         let mut w9 = MpiWorld::new_serving(2, NetworkConfig::uniform(2), Arc::clone(&shared), 9);
         let mut a3 = w3.take_endpoint(0);
         let mut a9 = w9.take_endpoint(0);
-        a3.send(1, PacketKind::Request, Bytes::from_static(b"x"), 0.0);
-        a9.send(1, PacketKind::Request, Bytes::from_static(b"y"), 0.0);
-        a3.send(1, PacketKind::Request, Bytes::from_static(b"z"), 0.0);
+        let send = |endpoint: &mut MpiEndpoint, payload: &'static [u8]| {
+            endpoint.send(1, PacketKind::Request, Bytes::from_static(payload), 0.0);
+            endpoint.flush_coalesced();
+        };
+        send(&mut a3, b"x");
+        send(&mut a9, b"y");
+        send(&mut a3, b"z");
         assert_eq!(
             shared.pop(),
             Some(((3, 1), 1)),
@@ -1316,7 +1283,6 @@ mod tests {
         let mut world = MpiWorld::new(3, NetworkConfig::uniform(3));
         let ready = world.ready_queue();
         let mut a = world.take_endpoint(0);
-        a.set_coalescing(true);
         a.send(1, PacketKind::Request, Bytes::from_static(b"x"), 0.0);
         a.send(2, PacketKind::Request, Bytes::from_static(b"y"), 0.0);
         a.send(1, PacketKind::Request, Bytes::from_static(b"z"), 0.0);
@@ -1325,24 +1291,35 @@ mod tests {
         assert_eq!(ready.pop(), Some(((0, 1), 2)), "two packets, one entry");
         assert_eq!(ready.pop(), Some(((0, 2), 1)));
         assert_eq!(ready.pop(), None);
-        // Turning coalescing off releases anything still pending.
-        a.send(1, PacketKind::Request, Bytes::from_static(b"w"), 0.0);
-        a.set_coalescing(false);
-        assert_eq!(ready.pop(), Some(((0, 1), 1)));
+        a.flush_coalesced();
+        assert_eq!(
+            ready.pop(),
+            None,
+            "a flush with nothing pending publishes nothing"
+        );
     }
 
     #[test]
     fn coalescing_leaves_clocks_and_counters_untouched() {
-        let run = |coalesce: bool| {
-            let mut world = MpiWorld::new(2, NetworkConfig::paper_testbed());
-            let mut a = world.take_endpoint(0);
-            a.set_coalescing(coalesce);
-            let (c1, id1) = a.send_request(1, Bytes::from_static(b"abc"), 5.0);
-            let (c2, id2) = a.send_request(1, Bytes::from_static(b"defg"), c1);
-            a.flush_coalesced();
-            (c1, id1, c2, id2, a.messages_sent, a.bytes_sent)
-        };
-        assert_eq!(run(false), run(true), "coalescing is a transport detail");
+        let mut world = MpiWorld::new(2, NetworkConfig::paper_testbed());
+        let mut a = world.take_endpoint(0);
+        let mut b = world.take_endpoint(1);
+        let (c1, id1) = a.send_request(1, Bytes::from_static(b"abc"), 5.0);
+        let (c2, id2) = a.send_request(1, Bytes::from_static(b"defg"), c1);
+        // Everything the execution reports is decided at send time; only the
+        // ready keys wait for the flush.
+        let overhead = a.config.latency_us * 0.1;
+        assert_eq!(
+            (c1, id1, c2, id2),
+            (5.0 + overhead, 1, 5.0 + 2.0 * overhead, 2)
+        );
+        let sent = (a.messages_sent, a.bytes_sent);
+        assert_eq!(sent, (2, 7));
+        let first = b.try_recv().expect("in the channel before any flush");
+        assert_eq!(first.arrival_time_us, 5.0 + a.config.transfer_time_us(3));
+        a.flush_coalesced();
+        assert_eq!((a.messages_sent, a.bytes_sent), sent);
+        assert_eq!(a.take_published(), 2);
     }
 
     #[test]
@@ -1420,12 +1397,11 @@ mod tests {
     fn duplicates_are_injected_and_suppressed_transparently() {
         let mut world = MpiWorld::new(2, NetworkConfig::uniform(2))
             .with_fault_plan(FaultPlan::quiet(7).with_duplicate(1.0));
-        let ready = world.ready_queue();
         let state = world.fault_state().unwrap();
         let mut a = world.take_endpoint(0);
         let mut b = world.take_endpoint(1);
         a.send_request(1, Bytes::from_static(b"once"), 0.0);
-        assert_eq!(ready.len(), 2, "one ready key per physical packet");
+        assert_eq!(a.take_published(), 2, "one ready key per physical packet");
         let first = b.try_recv().expect("first copy delivers");
         assert_eq!(&first.data[..], b"once");
         assert!(b.try_recv().is_none(), "second copy suppressed");
@@ -1447,7 +1423,6 @@ mod tests {
                 },
             ),
         );
-        let ready = world.ready_queue();
         let state = world.fault_state().unwrap();
         let mut a = world.take_endpoint(0);
         let mut b = world.take_endpoint(1);
@@ -1463,14 +1438,13 @@ mod tests {
         assert_eq!(&p3.data[..], b"first");
         assert_eq!(state.summary().reordered, 1);
         // Two send keys plus one self-key for the released buffer entry.
-        assert_eq!(ready.len(), 3);
+        assert_eq!((a.take_published(), b.take_published()), (2, 1));
     }
 
     #[test]
     fn drop_exact_loses_one_packet_and_records_it() {
         let mut world =
             MpiWorld::new(2, NetworkConfig::uniform(2)).with_fault_plan(FaultPlan::drop_packet(1));
-        let ready = world.ready_queue();
         let state = world.fault_state().unwrap();
         let mut a = world.take_endpoint(0);
         let mut b = world.take_endpoint(1);
@@ -1484,7 +1458,7 @@ mod tests {
         assert_eq!((loss.from, loss.to), (0, 1));
         // One key for the delivered packet, one *wake-up* key for the lost one so
         // the world's key count reaches zero on a pop and the worker diagnoses.
-        assert_eq!(ready.len(), 2);
+        assert_eq!(a.take_published(), 2);
     }
 
     #[test]

@@ -398,9 +398,6 @@ pub(crate) struct Server<'s> {
     pub(crate) adapt: Option<AdaptState<'s>>,
     /// Caller-supplied per-node profiler sinks for request 0 (single-root runs).
     pub(crate) profilers: Mutex<Vec<Option<NodeProfiler>>>,
-    /// A/B controls of the transport's wall-clock optimisations (single-root runs).
-    pub(crate) no_coalesce: bool,
-    pub(crate) no_buffer_pool: bool,
     /// Modelled wall-clock length of the delivery deadline (see
     /// [`Running::delivery_deadline`]): how long an idle server gives a reordered
     /// packet's predecessor to show up before skipping it.
@@ -570,13 +567,7 @@ impl<'s> Running<'_, 's> {
             .zip(app.layouts)
             .enumerate()
             .map(|(rank, (program, layout))| {
-                let mut dist = DistState::new(mpi.endpoint(rank));
-                if server.no_coalesce {
-                    dist.endpoint.set_coalescing(false);
-                }
-                if server.no_buffer_pool {
-                    dist.endpoint.set_buffer_pool(false);
-                }
+                let dist = DistState::new(mpi.endpoint(rank));
                 let mut interp = Interp::with_layout(program, Arc::clone(layout)).with_dist(dist);
                 let sink = match own.get_mut(rank).and_then(Option::take) {
                     Some(p) => Some((p.sink, p.sample_interval)),
@@ -736,8 +727,6 @@ mod tests {
             faults: &[],
             adapt: None,
             profilers: Mutex::new(Vec::new()),
-            no_coalesce: false,
-            no_buffer_pool: false,
             deadline_wait: Duration::ZERO,
         }
     }
@@ -796,7 +785,7 @@ mod tests {
         let run = running(&server, 1);
         // Leftovers of the slots' previous tenants, ahead of everything else.
         run.ready.push_counted((0, 0), 3);
-        run.ready.push((1, 1));
+        run.ready.push_counted((1, 1), 1);
         run.worker();
         let results = run.results.into_inner().unwrap();
         let solo = crate::cluster::run_distributed(

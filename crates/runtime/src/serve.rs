@@ -231,8 +231,6 @@ pub fn run_serving(apps: &[ServerApp], sequence: &[usize], opts: &ServeOptions) 
             .as_ref()
             .map(|o| AdaptState::new(o, &adapt_arena, apps.len())),
         profilers: Mutex::new(Vec::new()),
-        no_coalesce: false,
-        no_buffer_pool: false,
         deadline_wait: SERVING_DELIVERY_DEADLINE,
     };
     let (requests, threads) = server.run();

@@ -4,39 +4,59 @@
 //! format" and distinguishes two message types, `NEW` (remote instantiation) and
 //! `DEPENDENCE` (data/method dependences). This module defines exactly those requests,
 //! the responses, and a compact hand-rolled binary encoding built on the `bytes` crate
-//! so that the byte counts fed into the network cost model are real.
+//! so that the byte counts the transport reports are real.
 //!
-//! # Protocol versions
+//! # One protocol
 //!
-//! **v1** frames address members by *name*: `NEW` carries the class name, `DEPENDENCE`
-//! the method/field name. They remain fully supported — they are the fallback for
-//! dynamically computed names (the proxy protocol's `Value::Str` members) and for
-//! anything a compact frame cannot represent.
+//! Every request addresses its member by a dense id that both ends derive from their
+//! [`ProgramLayout`](autodist_ir::layout::ProgramLayout): `NEW` carries the class id;
+//! `DEPENDENCE` carries a method selector (`Invoke*`), a field-name id
+//! (`GetField`/`PutField`) or nothing (array kinds — the kind alone names the
+//! operation). The **sender** resolves the name it holds to the id; the **receiver**
+//! resolves the id against the target's runtime class. No frame carries a name.
 //!
-//! **v2** frames address members by the dense ids every node already agrees on
-//! through its [`ProgramLayout`](autodist_ir::layout::ProgramLayout): `NEW` carries
-//! the class id, `DEPENDENCE` a field slot or method selector. What licenses this is
-//! the layout **fingerprint** — a stable hash of the program's shape tables. The
-//! first v2 frame on a link travels inside a one-time *hello* envelope carrying the
-//! sender's fingerprint; the receiver verifies it against its own layout before
-//! honouring any slot-addressed frame, so version skew yields a typed
-//! [`WireError::FingerprintMismatch`], never a wrong-slot dispatch.
+//! What licenses the ids is the layout **fingerprint** — a stable hash of the
+//! program's shape tables. The first request on a link travels inside a one-time
+//! *hello* envelope carrying the sender's fingerprint; the receiver verifies it
+//! against its own layout before honouring any request from that peer, so version
+//! skew yields a typed [`WireError::FingerprintMismatch`] and a peer that never said
+//! hello a [`WireError::UnverifiedSlotFrame`] — never a wrong-slot dispatch.
 //!
-//! Frame tags: `0` NEW v1 · `1` DEPENDENCE v1 · `2` shutdown · `3` NEW v2 ·
-//! `5` hello envelope (fingerprint + inner frame) · `0x40 | kind` DEPENDENCE v2.
-//! v2 head fields (class id, target, slot/selector) are LEB128 varints — dense
-//! ids are almost always below 128, so the typical head field is a single byte.
+//! | tag           | frame        | body                                                  |
+//! |---------------|--------------|-------------------------------------------------------|
+//! | `2`           | shutdown     | —                                                     |
+//! | `3`           | `NEW`        | class id · argc · values                              |
+//! | `5`           | hello        | fingerprint `u64` · one inner request frame           |
+//! | `0x40 \| kind` | `DEPENDENCE` | target · member id (`Invoke*`/field kinds) · argc · values |
+//!
+//! Head fields (class id, target, member id, argc) are LEB128 varints: ids are
+//! almost always below 128, so the typical head field is one byte, and nothing a
+//! run can produce (a target beyond `u32::MAX`, hundreds of arguments) needs another
+//! frame shape. Values are a tag byte plus a fixed-width or length-prefixed payload
+//! ([`value_wire_size`]). Responses are `0` + value or `1` + length-prefixed error
+//! text. Tags `0` and `1` belonged to the retired name-carrying frames and are
+//! rejected like any unknown tag.
 //!
 //! All decode paths are total: corrupt bytes surface as a typed [`WireError`]
-//! (truncation, bad tags, invalid UTF-8), not a panic or silent mangling.
+//! (truncation, bad tags, overlong varints, invalid UTF-8), not a panic, and a count
+//! read off the wire is bounded by the bytes that remain before anything is reserved.
 //!
 //! # Virtual-time charging
 //!
-//! The network cost model keeps charging the **v1-equivalent** byte size of every
-//! message (`charged_new_size`/`charged_dependence_size`), while the transport counts
-//! the *physical* encoded bytes. That decouples the wire optimisation from the
-//! simulation: committed virtual-time baselines stay byte-identical while the real
-//! bytes on the link drop.
+//! The transport counts the *physical* encoded bytes; the network cost model charges
+//! a request by a formula over what the sender holds — the member's *name* length and
+//! the argument values:
+//!
+//! ```text
+//! charged(NEW)        = 1 + 4 + len(class name)          + 4 + Σ value_wire_size(arg)
+//! charged(DEPENDENCE) = 1 + 8 + 1 + 4 + len(member name) + 4 + Σ value_wire_size(arg)
+//! ```
+//!
+//! ([`charged_new_size`], [`charged_dependence_size`]; array accesses have the empty
+//! member name). That is the exact size of the name-carrying frame the first protocol
+//! version sent — its encoder lives on in `tests/wire_roundtrip.rs` as the executable
+//! definition — which is why every committed virtual time predates and survives the
+//! id frames. Responses are charged at their encoded length.
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 
@@ -87,8 +107,8 @@ impl AccessKind {
         })
     }
 
-    /// Whether a v2 frame of this kind carries a member word (slot or selector).
-    /// Array accesses don't: the kind alone determines the operation.
+    /// Whether a frame of this kind carries a member word (selector or field-name
+    /// id). Array accesses don't: the kind alone determines the operation.
     pub fn has_member(self) -> bool {
         matches!(
             self,
@@ -100,8 +120,8 @@ impl AccessKind {
     }
 }
 
-/// A typed decode failure: corrupt bytes, a version-skewed peer, or a slot-addressed
-/// frame from a link that never presented a matching fingerprint.
+/// A typed decode failure: corrupt bytes, a version-skewed peer, or a request from a
+/// link that never presented a matching fingerprint.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum WireError {
     /// The frame ended before a field could be read.
@@ -127,15 +147,14 @@ pub enum WireError {
         what: &'static str,
     },
     /// The peer's hello carried a different layout fingerprint: its dense ids do not
-    /// mean what ours mean, so no slot-addressed frame from it may be honoured.
+    /// mean what ours mean, so no request from it may be honoured.
     FingerprintMismatch {
         /// Our layout's fingerprint.
         ours: u64,
         /// The fingerprint the peer presented.
         theirs: u64,
     },
-    /// A slot-addressed (v2) frame arrived on a link that never completed the
-    /// fingerprint hello.
+    /// A request arrived on a link that never completed the fingerprint hello.
     UnverifiedSlotFrame,
     /// A varint field ran past its maximum width (corrupt frame).
     VarintOverflow {
@@ -205,42 +224,22 @@ pub enum WireValue {
 /// A request sent to a node's Message Exchange service.
 #[derive(Clone, Debug, PartialEq)]
 pub enum Request {
-    /// `NEW` (v1): instantiate `class_name` on the receiving node with the given
-    /// constructor arguments; the response carries the remote reference.
-    New {
-        /// Class to instantiate.
-        class_name: String,
-        /// Constructor arguments.
-        args: Vec<WireValue>,
-    },
-    /// `DEPENDENCE` (v1): perform an access on a previously exported object.
-    Dependence {
-        /// Export id of the target object on the receiving node.
-        target: u64,
-        /// What to do.
-        kind: AccessKind,
-        /// Method or field name (element index for array accesses travels in `args`).
-        member: String,
-        /// Arguments / the value to store.
-        args: Vec<WireValue>,
-    },
-    /// `NEW` (v2): instantiate by dense class id. Only valid between peers that
-    /// agreed on a layout fingerprint.
+    /// `NEW`: instantiate the class with dense id `class` on the receiving node with
+    /// the given constructor arguments; the response carries the remote reference.
     NewById {
         /// Dense class id in the shared layout.
         class: u32,
         /// Constructor arguments.
         args: Vec<WireValue>,
     },
-    /// `DEPENDENCE` (v2): access by field slot / method selector. Only valid between
-    /// peers that agreed on a layout fingerprint.
+    /// `DEPENDENCE`: perform an access on a previously exported object.
     DependenceById {
         /// Export id of the target object on the receiving node.
         target: u64,
         /// What to do.
         kind: AccessKind,
-        /// Field slot (`GetField`/`PutField`) or method selector (`Invoke*`);
-        /// 0 and unused for array accesses.
+        /// Method selector (`Invoke*`) or field-name id (`GetField`/`PutField`);
+        /// 0 and not sent for array accesses.
         member: u32,
         /// Arguments / the value to store.
         args: Vec<WireValue>,
@@ -258,19 +257,11 @@ pub enum Response {
     Error(String),
 }
 
-const TAG_NEW: u8 = 0;
-const TAG_DEP: u8 = 1;
-const TAG_SHUTDOWN: u8 = 2;
-pub(crate) const TAG_NEW_V2: u8 = 3;
+pub(crate) const TAG_SHUTDOWN: u8 = 2;
+const TAG_NEW: u8 = 3;
 const TAG_HELLO: u8 = 5;
-/// v2 `DEPENDENCE` tags pack the access kind into the frame tag: `0x40 | kind`.
-const TAG_DEP_V2_BASE: u8 = 0x40;
-
-/// `true` for frame tags that dispatch by dense id and therefore require a verified
-/// fingerprint on the receiving link.
-pub fn is_slot_addressed(tag: u8) -> bool {
-    tag == TAG_NEW_V2 || (tag & 0xf8) == TAG_DEP_V2_BASE
-}
+/// `DEPENDENCE` tags pack the access kind into the frame tag: `0x40 | kind`.
+const TAG_DEP_BASE: u8 = 0x40;
 
 fn need(buf: &Bytes, n: usize, what: &'static str) -> Result<(), WireError> {
     if buf.remaining() < n {
@@ -362,22 +353,6 @@ fn get_value(buf: &mut Bytes) -> Result<WireValue, WireError> {
     })
 }
 
-fn put_values(buf: &mut BytesMut, vs: &[WireValue]) {
-    buf.put_u32(vs.len() as u32);
-    for v in vs {
-        put_value(buf, v);
-    }
-}
-
-fn get_values(buf: &mut Bytes) -> Result<Vec<WireValue>, WireError> {
-    let n = rd_u32(buf, "value count")? as usize;
-    let mut out = Vec::with_capacity(n.min(64));
-    for _ in 0..n {
-        out.push(get_value(buf)?);
-    }
-    Ok(out)
-}
-
 /// Decodes exactly `argc` values into a caller-owned scratch vector (cleared first).
 /// This is the allocation-free receive path: the scratch's capacity is reused across
 /// messages.
@@ -387,6 +362,8 @@ pub fn decode_values_into(
     out: &mut Vec<WireValue>,
 ) -> Result<(), WireError> {
     out.clear();
+    // Bounded by the frame itself: every value is at least one byte.
+    out.reserve(argc.min(buf.remaining()));
     for _ in 0..argc {
         out.push(get_value(buf)?);
     }
@@ -394,10 +371,10 @@ pub fn decode_values_into(
 }
 
 // ---------------------------------------------------------------------------
-// v1-equivalent sizes: the virtual-time charge
+// The virtual-time charge (see the module doc)
 // ---------------------------------------------------------------------------
 
-/// Exact encoded size of one value (identical in v1 and v2 frames).
+/// Exact encoded size of one value.
 pub fn value_wire_size(v: &WireValue) -> usize {
     match v {
         WireValue::Null => 1,
@@ -408,86 +385,30 @@ pub fn value_wire_size(v: &WireValue) -> usize {
     }
 }
 
-/// Exact encoded size of a value list (count word + values).
-pub fn values_wire_size(vs: &[WireValue]) -> usize {
+/// What the cost model charges for a value list: a four-byte count plus the values.
+fn charged_values_size(vs: &[WireValue]) -> usize {
     4 + vs.iter().map(value_wire_size).sum::<usize>()
 }
 
-/// Exact v1 encoded size of a `NEW` — what the cost model charges regardless of the
-/// frame version actually sent.
+/// What the cost model charges for a `NEW` of a class with a name this long.
 pub fn charged_new_size(class_name_len: usize, args: &[WireValue]) -> usize {
-    1 + 4 + class_name_len + values_wire_size(args)
+    1 + 4 + class_name_len + charged_values_size(args)
 }
 
-/// Exact v1 encoded size of a `DEPENDENCE` — the cost-model charge.
+/// What the cost model charges for a `DEPENDENCE` on a member with a name this long
+/// (0 for array accesses).
 pub fn charged_dependence_size(member_len: usize, args: &[WireValue]) -> usize {
-    1 + 8 + 1 + 4 + member_len + values_wire_size(args)
+    1 + 8 + 1 + 4 + member_len + charged_values_size(args)
 }
 
 // ---------------------------------------------------------------------------
 // Encoders
 // ---------------------------------------------------------------------------
 
-/// Encodes a `NEW` request without materialising a [`Request`] (the runtime's send
-/// path encodes straight from borrowed data; one buffer allocation, no string clone).
-pub fn encode_new(class_name: &str, args: &[WireValue]) -> Bytes {
-    encode_new_in(
-        BytesMut::with_capacity(16 + class_name.len() + values_wire_size(args)),
-        class_name,
-        args,
-    )
-}
-
-/// Encodes a `DEPENDENCE` request without materialising a [`Request`].
-pub fn encode_dependence(target: u64, kind: AccessKind, member: &str, args: &[WireValue]) -> Bytes {
-    encode_dependence_in(
-        BytesMut::with_capacity(24 + member.len() + values_wire_size(args)),
-        target,
-        kind,
-        member,
-        args,
-    )
-}
-
-/// v1 `NEW` into a caller-provided (pooled) buffer.
-pub fn encode_new_in(mut buf: BytesMut, class_name: &str, args: &[WireValue]) -> Bytes {
-    buf.put_u8(TAG_NEW);
-    put_string(&mut buf, class_name);
-    put_values(&mut buf, args);
-    buf.freeze()
-}
-
-/// v1 `DEPENDENCE` into a caller-provided (pooled) buffer.
-pub fn encode_dependence_in(
-    mut buf: BytesMut,
-    target: u64,
-    kind: AccessKind,
-    member: &str,
-    args: &[WireValue],
-) -> Bytes {
-    buf.put_u8(TAG_DEP);
-    buf.put_u64(target);
-    buf.put_u8(kind.tag());
-    put_string(&mut buf, member);
-    put_values(&mut buf, args);
-    buf.freeze()
-}
-
-/// `true` when a `NEW` is representable as a v2 frame (arg count fits the compact
-/// count byte).
-pub fn new_fits_v2(args: &[WireValue]) -> bool {
-    args.len() <= 0xff
-}
-
-/// `true` when a `DEPENDENCE` is representable as a v2 frame.
-pub fn dep_fits_v2(target: u64, args: &[WireValue]) -> bool {
-    target <= u64::from(u32::MAX) && args.len() <= 0xff
-}
-
-/// LEB128-encodes a `u32`. Dense ids — class ids, field slots, selectors — and
-/// export counters are almost always tiny, so the common v2 head field is one
-/// byte instead of four.
-fn put_vu32(buf: &mut BytesMut, mut v: u32) {
+/// LEB128-encodes a head field. Dense ids — class ids, selectors, field-name ids —
+/// export counters and argument counts are almost always tiny, so the common head
+/// field is one byte.
+fn put_varint(buf: &mut BytesMut, mut v: u64) {
     loop {
         let byte = (v & 0x7f) as u8;
         v >>= 7;
@@ -499,17 +420,42 @@ fn put_vu32(buf: &mut BytesMut, mut v: u32) {
     }
 }
 
-/// Reads a LEB128 `u32`; an encoding past 5 bytes is a typed corruption error.
-fn rd_vu32(buf: &mut Bytes, what: &'static str) -> Result<u32, WireError> {
-    let mut v = 0u32;
-    for shift in (0..35).step_by(7) {
+/// Reads a LEB128 `u64`; an encoding that runs past 64 bits is a typed corruption
+/// error.
+fn rd_varint(buf: &mut Bytes, what: &'static str) -> Result<u64, WireError> {
+    let mut v = 0u64;
+    for shift in (0..64).step_by(7) {
         let byte = rd_u8(buf, what)?;
-        v |= u32::from(byte & 0x7f) << shift;
+        let bits = u64::from(byte & 0x7f);
+        if shift == 63 && bits > 1 {
+            break;
+        }
+        v |= bits << shift;
         if byte & 0x80 == 0 {
             return Ok(v);
         }
     }
     Err(WireError::VarintOverflow { what })
+}
+
+/// Reads a varint head field that must fit a dense `u32` id.
+fn rd_id(buf: &mut Bytes, what: &'static str) -> Result<u32, WireError> {
+    u32::try_from(rd_varint(buf, what)?).map_err(|_| WireError::VarintOverflow { what })
+}
+
+/// Reads an argument count and bounds it by the bytes that remain (every value is
+/// at least one byte), so no count off the wire can size an allocation the frame
+/// could not fill.
+fn rd_argc(buf: &mut Bytes) -> Result<usize, WireError> {
+    let argc = rd_varint(buf, "arg count")?;
+    match usize::try_from(argc) {
+        Ok(n) if n <= buf.remaining() => Ok(n),
+        _ => Err(WireError::Truncated {
+            what: "argument values",
+            needed: usize::try_from(argc).unwrap_or(usize::MAX),
+            remaining: buf.remaining(),
+        }),
+    }
 }
 
 fn put_hello(buf: &mut BytesMut, hello: Option<u64>) {
@@ -519,30 +465,27 @@ fn put_hello(buf: &mut BytesMut, hello: Option<u64>) {
     }
 }
 
-/// v2 `NEW` (class addressed by dense id) into a caller-provided buffer, optionally
-/// wrapped in a one-time hello envelope carrying the sender's layout fingerprint.
-/// Caller must have checked [`new_fits_v2`].
-pub fn encode_new_v2(
-    mut buf: BytesMut,
-    hello: Option<u64>,
-    class: u32,
-    args: &[WireValue],
-) -> Bytes {
-    debug_assert!(new_fits_v2(args));
-    put_hello(&mut buf, hello);
-    buf.put_u8(TAG_NEW_V2);
-    put_vu32(&mut buf, class);
-    buf.put_u8(args.len() as u8);
+fn put_args(buf: &mut BytesMut, args: &[WireValue]) {
+    put_varint(buf, args.len() as u64);
     for v in args {
-        put_value(&mut buf, v);
+        put_value(buf, v);
     }
+}
+
+/// Encodes a `NEW` into a caller-provided (pooled) buffer, optionally wrapped in the
+/// one-time hello envelope carrying the sender's layout fingerprint.
+pub fn encode_new(mut buf: BytesMut, hello: Option<u64>, class: u32, args: &[WireValue]) -> Bytes {
+    put_hello(&mut buf, hello);
+    buf.put_u8(TAG_NEW);
+    put_varint(&mut buf, u64::from(class));
+    put_args(&mut buf, args);
     buf.freeze()
 }
 
-/// v2 `DEPENDENCE` (member addressed by field slot / method selector) into a
-/// caller-provided buffer, optionally wrapped in the hello envelope. Caller must have
-/// checked [`dep_fits_v2`]. Array-access kinds omit the member word entirely.
-pub fn encode_dependence_v2(
+/// Encodes a `DEPENDENCE` into a caller-provided (pooled) buffer, optionally wrapped
+/// in the hello envelope. `member` is the selector or field-name id; array-access
+/// kinds omit the member word entirely.
+pub fn encode_dependence(
     mut buf: BytesMut,
     hello: Option<u64>,
     target: u64,
@@ -550,17 +493,13 @@ pub fn encode_dependence_v2(
     member: u32,
     args: &[WireValue],
 ) -> Bytes {
-    debug_assert!(dep_fits_v2(target, args));
     put_hello(&mut buf, hello);
-    buf.put_u8(TAG_DEP_V2_BASE | kind.tag());
-    put_vu32(&mut buf, target as u32);
+    buf.put_u8(TAG_DEP_BASE | kind.tag());
+    put_varint(&mut buf, target);
     if kind.has_member() {
-        put_vu32(&mut buf, member);
+        put_varint(&mut buf, u64::from(member));
     }
-    buf.put_u8(args.len() as u8);
-    for v in args {
-        put_value(&mut buf, v);
-    }
+    put_args(&mut buf, args);
     buf.freeze()
 }
 
@@ -583,27 +522,40 @@ pub fn encode_response_in(mut buf: BytesMut, resp: &Response) -> Bytes {
 // Decoders
 // ---------------------------------------------------------------------------
 
-/// Decoded header of a v2 `DEPENDENCE` frame; `argc` values follow in the buffer
-/// (read them with [`decode_values_into`]).
+/// The decoded head of a request frame. For `New` and `Dependence`, `argc` values
+/// follow in the buffer (read them with [`decode_values_into`]).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct DepV2Head {
-    /// Export id of the target object.
-    pub target: u64,
-    /// What to do.
-    pub kind: AccessKind,
-    /// Field slot or method selector (0 and unused for array kinds).
-    pub member: u32,
-    /// Number of argument values following the header.
-    pub argc: usize,
+pub enum FrameHead {
+    /// `NEW` of the class with this dense id.
+    New {
+        /// Dense class id to instantiate.
+        class: u32,
+        /// Number of constructor arguments following the head.
+        argc: usize,
+    },
+    /// `DEPENDENCE` on an exported object.
+    Dependence {
+        /// Export id of the target object.
+        target: u64,
+        /// What to do.
+        kind: AccessKind,
+        /// Selector or field-name id (0 and not sent for array kinds).
+        member: u32,
+        /// Number of argument values following the head.
+        argc: usize,
+    },
+    /// Shutdown (no body).
+    Shutdown,
 }
 
-/// Decoded header of a v2 `NEW` frame; `argc` constructor args follow.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct NewV2Head {
-    /// Dense class id to instantiate.
-    pub class: u32,
-    /// Number of constructor arguments following the header.
-    pub argc: usize,
+impl FrameHead {
+    /// Number of values following the head in the buffer.
+    pub fn argc(&self) -> usize {
+        match *self {
+            FrameHead::New { argc, .. } | FrameHead::Dependence { argc, .. } => argc,
+            FrameHead::Shutdown => 0,
+        }
+    }
 }
 
 /// Peeks the frame tag without consuming it.
@@ -628,142 +580,81 @@ pub fn split_hello(buf: &mut Bytes) -> Result<Option<u64>, WireError> {
     Ok(Some(rd_u64(buf, "hello fingerprint")?))
 }
 
-/// Decodes a v2 `DEPENDENCE` header (tag through arg count), leaving the argument
-/// values in `buf`. The hot receive path: no allocation, no string in sight.
-pub fn decode_dep_v2_head(buf: &mut Bytes) -> Result<DepV2Head, WireError> {
+/// Decodes a request head (tag through arg count), leaving the argument values in
+/// `buf`. The hot receive path: no allocation, no string in sight.
+pub fn decode_head(buf: &mut Bytes) -> Result<FrameHead, WireError> {
     let tag = rd_u8(buf, "frame tag")?;
-    let kind = AccessKind::from_tag(i64::from(tag & !TAG_DEP_V2_BASE))
-        .filter(|_| tag & TAG_DEP_V2_BASE == TAG_DEP_V2_BASE)
-        .ok_or(WireError::BadAccessKind(tag))?;
-    let target = u64::from(rd_vu32(buf, "dependence target")?);
-    let member = if kind.has_member() {
-        rd_vu32(buf, "dependence member")?
-    } else {
-        0
-    };
-    let argc = rd_u8(buf, "arg count")? as usize;
-    Ok(DepV2Head {
-        target,
-        kind,
-        member,
-        argc,
-    })
-}
-
-/// Decodes a v2 `NEW` header, leaving the constructor args in `buf`.
-pub fn decode_new_v2_head(buf: &mut Bytes) -> Result<NewV2Head, WireError> {
-    let tag = rd_u8(buf, "frame tag")?;
-    if tag != TAG_NEW_V2 {
-        return Err(WireError::BadRequestTag(tag));
+    match tag {
+        TAG_SHUTDOWN => Ok(FrameHead::Shutdown),
+        TAG_NEW => Ok(FrameHead::New {
+            class: rd_id(buf, "class id")?,
+            argc: rd_argc(buf)?,
+        }),
+        _ if tag & 0xf8 == TAG_DEP_BASE => {
+            let kind =
+                AccessKind::from_tag(i64::from(tag & 0x07)).ok_or(WireError::BadAccessKind(tag))?;
+            let target = rd_varint(buf, "dependence target")?;
+            let member = if kind.has_member() {
+                rd_id(buf, "dependence member")?
+            } else {
+                0
+            };
+            Ok(FrameHead::Dependence {
+                target,
+                kind,
+                member,
+                argc: rd_argc(buf)?,
+            })
+        }
+        _ => Err(WireError::BadRequestTag(tag)),
     }
-    let class = rd_vu32(buf, "class id")?;
-    let argc = rd_u8(buf, "arg count")? as usize;
-    Ok(NewV2Head { class, argc })
 }
 
-/// Decodes a whole request frame, surfacing the hello fingerprint when present.
-/// Runtime receive paths use this so they can verify the fingerprint *before*
-/// honouring slot-addressed frames.
+/// Decodes a whole request frame, surfacing the hello fingerprint when present
+/// (the runtime verifies it before honouring anything else from that peer).
 pub fn decode_request(mut bytes: Bytes) -> Result<(Option<u64>, Request), WireError> {
     let hello = split_hello(&mut bytes)?;
-    let tag = peek_tag(&bytes)?;
-    let req = match tag {
-        TAG_NEW => {
-            let _ = bytes.get_u8();
-            Request::New {
-                class_name: get_string(&mut bytes, "class name")?,
-                args: get_values(&mut bytes)?,
-            }
-        }
-        TAG_DEP => {
-            let _ = bytes.get_u8();
-            Request::Dependence {
-                target: rd_u64(&mut bytes, "dependence target")?,
-                kind: {
-                    let k = rd_u8(&mut bytes, "access kind")?;
-                    AccessKind::from_tag(i64::from(k)).ok_or(WireError::BadAccessKind(k))?
-                },
-                member: get_string(&mut bytes, "member name")?,
-                args: get_values(&mut bytes)?,
-            }
-        }
-        TAG_SHUTDOWN => Request::Shutdown,
-        TAG_NEW_V2 => {
-            let head = decode_new_v2_head(&mut bytes)?;
-            let mut args = Vec::with_capacity(head.argc);
-            decode_values_into(&mut bytes, head.argc, &mut args)?;
-            Request::NewById {
-                class: head.class,
-                args,
-            }
-        }
-        t if is_slot_addressed(t) => {
-            let head = decode_dep_v2_head(&mut bytes)?;
-            let mut args = Vec::with_capacity(head.argc);
-            decode_values_into(&mut bytes, head.argc, &mut args)?;
-            Request::DependenceById {
-                target: head.target,
-                kind: head.kind,
-                member: head.member,
-                args,
-            }
-        }
-        t => return Err(WireError::BadRequestTag(t)),
+    let head = decode_head(&mut bytes)?;
+    let mut args = Vec::new();
+    decode_values_into(&mut bytes, head.argc(), &mut args)?;
+    let req = match head {
+        FrameHead::Shutdown => Request::Shutdown,
+        FrameHead::New { class, .. } => Request::NewById { class, args },
+        FrameHead::Dependence {
+            target,
+            kind,
+            member,
+            ..
+        } => Request::DependenceById {
+            target,
+            kind,
+            member,
+            args,
+        },
     };
     Ok((hello, req))
 }
 
 impl Request {
-    /// Encodes the request into the streamed format. The id-addressed variants
-    /// require [`new_fits_v2`]/[`dep_fits_v2`] (the runtime send path checks and
-    /// falls back to v1 otherwise).
+    /// Encodes the request into the streamed format (no hello envelope).
     pub fn encode(&self) -> Bytes {
+        let mut buf = BytesMut::with_capacity(16);
         match self {
-            Request::New { class_name, args } => encode_new(class_name, args),
-            Request::Dependence {
-                target,
-                kind,
-                member,
-                args,
-            } => encode_dependence(*target, *kind, member, args),
-            Request::NewById { class, args } => {
-                assert!(new_fits_v2(args), "NEW not v2-representable");
-                encode_new_v2(
-                    BytesMut::with_capacity(8 + values_wire_size(args)),
-                    None,
-                    *class,
-                    args,
-                )
-            }
+            Request::NewById { class, args } => encode_new(buf, None, *class, args),
             Request::DependenceById {
                 target,
                 kind,
                 member,
                 args,
-            } => {
-                assert!(
-                    dep_fits_v2(*target, args),
-                    "DEPENDENCE not v2-representable"
-                );
-                encode_dependence_v2(
-                    BytesMut::with_capacity(12 + values_wire_size(args)),
-                    None,
-                    *target,
-                    *kind,
-                    *member,
-                    args,
-                )
-            }
+            } => encode_dependence(buf, None, *target, *kind, *member, args),
             Request::Shutdown => {
-                let mut buf = BytesMut::with_capacity(1);
                 buf.put_u8(TAG_SHUTDOWN);
                 buf.freeze()
             }
         }
     }
 
-    /// Decodes a request from bytes, discarding any hello header. Receive paths that
-    /// enforce fingerprint verification use [`decode_request`] instead.
+    /// Decodes a request from bytes, discarding any hello header.
     pub fn decode(bytes: Bytes) -> Result<Request, WireError> {
         decode_request(bytes).map(|(_, req)| req)
     }
@@ -912,8 +803,8 @@ mod tests {
     #[test]
     fn request_round_trips() {
         let reqs = vec![
-            Request::New {
-                class_name: "Account".to_string(),
+            Request::NewById {
+                class: 2,
                 args: vec![
                     WireValue::Int(1),
                     WireValue::Str("ABC Market".to_string()),
@@ -923,10 +814,10 @@ mod tests {
                     WireValue::Remote { node: 1, id: 42 },
                 ],
             },
-            Request::Dependence {
+            Request::DependenceById {
                 target: 7,
                 kind: AccessKind::InvokeRet,
-                member: "getSavings".to_string(),
+                member: 4,
                 args: vec![],
             },
             Request::Shutdown,
@@ -969,6 +860,13 @@ mod tests {
                 member: 0,
                 args: vec![],
             },
+            // The two shapes that once needed a second frame format.
+            Request::DependenceById {
+                target: u64::MAX,
+                kind: AccessKind::InvokeVoid,
+                member: u32::MAX,
+                args: vec![WireValue::Null; 300],
+            },
         ];
         for r in reqs {
             let enc = r.encode();
@@ -1005,66 +903,61 @@ mod tests {
         assert_eq!(AccessKind::from_tag(99), None);
     }
 
+    fn dep(target: u64, kind: AccessKind, member: u32, args: Vec<WireValue>) -> usize {
+        Request::DependenceById {
+            target,
+            kind,
+            member,
+            args,
+        }
+        .encode()
+        .len()
+    }
+
     #[test]
     fn encoding_is_compact() {
-        let r = Request::Dependence {
-            target: 1,
-            kind: AccessKind::GetField,
-            member: "savings".to_string(),
-            args: vec![],
-        };
-        // tag(1) + target(8) + kind(1) + len(4) + 7 + argc(4) = 25 bytes.
-        assert_eq!(r.encode().len(), 25);
+        // Invoke: tag + target varint(1) + selector varint(1) + argc(1) + int(9).
+        assert_eq!(
+            dep(1, AccessKind::InvokeRet, 9, vec![WireValue::Int(5)]),
+            13
+        );
+        // Field read: tag + target(1) + field-name id(1) + argc(1).
+        assert_eq!(dep(1, AccessKind::GetField, 0, vec![]), 4);
+        // Array read drops the member word: tag + target(1) + argc(1) + index(9).
+        assert_eq!(
+            dep(1, AccessKind::GetElement, 0, vec![WireValue::Int(2)]),
+            12
+        );
+        // Wide ids widen gracefully: five bytes per maxed-out u32 field, ten for a
+        // maxed-out target, two for a count past 127.
+        let wide = u64::from(u32::MAX);
+        assert_eq!(dep(wide, AccessKind::InvokeRet, u32::MAX, vec![]), 12);
+        assert_eq!(dep(u64::MAX, AccessKind::ArrayLength, 0, vec![]), 12);
+        assert_eq!(
+            dep(1, AccessKind::InvokeVoid, 1, vec![WireValue::Null; 128]),
+            5 + 128
+        );
     }
 
     #[test]
     fn v2_encoding_is_smaller_than_v1() {
-        // The v1 "bounce" invoke: tag + target(8) + kind + len(4)+6 + argc(4) + int(9).
-        let v1 = Request::Dependence {
-            target: 1,
-            kind: AccessKind::InvokeRet,
-            member: "bounce".to_string(),
-            args: vec![WireValue::Int(5)],
-        };
-        assert_eq!(v1.encode().len(), 33);
-        // v2: tag + target varint(1) + selector varint(1) + argc(1) + int(9).
-        let v2 = Request::DependenceById {
-            target: 1,
-            kind: AccessKind::InvokeRet,
-            member: 9,
-            args: vec![WireValue::Int(5)],
-        };
-        assert_eq!(v2.encode().len(), 13);
-        // Field read: 25 bytes v1 (above) vs tag + target(1) + slot(1) + argc(1).
-        let field = Request::DependenceById {
-            target: 1,
-            kind: AccessKind::GetField,
-            member: 0,
-            args: vec![],
-        };
-        assert_eq!(field.encode().len(), 4);
-        // Array read drops the member word: tag + target(1) + argc(1) + index(9).
-        let elem = Request::DependenceById {
-            target: 1,
-            kind: AccessKind::GetElement,
-            member: 0,
-            args: vec![WireValue::Int(2)],
-        };
-        assert_eq!(elem.encode().len(), 12);
-        // Wide ids widen gracefully: a five-byte varint per maxed-out field.
-        let wide = Request::DependenceById {
-            target: u64::from(u32::MAX),
-            kind: AccessKind::InvokeRet,
-            member: u32::MAX,
-            args: vec![],
-        };
-        assert_eq!(wide.encode().len(), 12);
+        // Whatever the names, an id frame undercuts the size the cost model charges
+        // for it (the name-carrying frame's), even for the empty name.
+        let args = vec![WireValue::Int(5)];
+        assert_eq!(charged_dependence_size("bounce".len(), &args), 33);
+        assert!(dep(1, AccessKind::InvokeRet, 9, args.clone()) < 33);
+        assert!(
+            dep(u64::MAX, AccessKind::InvokeRet, u32::MAX, args.clone())
+                < charged_dependence_size(0, &args)
+        );
+        let new = Request::NewById { class: 3, args };
+        assert!(new.encode().len() < charged_new_size(1, &[WireValue::Int(5)]));
     }
 
     #[test]
     fn hello_envelope_carries_the_fingerprint_once() {
         let args = [WireValue::Int(5)];
-        let enc = encode_dependence_v2(
+        let enc = encode_dependence(
             BytesMut::new(),
             Some(0xfeed_f00d_dead_beef),
             7,
@@ -1084,61 +977,77 @@ mod tests {
             }
         );
         // Without the envelope the same frame decodes with no fingerprint.
-        let bare = encode_dependence_v2(BytesMut::new(), None, 7, AccessKind::InvokeRet, 3, &args);
+        let bare = encode_dependence(BytesMut::new(), None, 7, AccessKind::InvokeRet, 3, &args);
         let (hello, _) = decode_request(bare).unwrap();
         assert_eq!(hello, None);
     }
 
+    /// The charging rule, spelled out field by field against the layout of the
+    /// name-carrying frames it is defined by (the encoder itself is the oracle of
+    /// the property test in `tests/wire_roundtrip.rs`).
     #[test]
     fn charged_sizes_match_v1_encodings_exactly() {
-        let arg_sets: Vec<Vec<WireValue>> = vec![
-            vec![],
-            vec![WireValue::Int(1), WireValue::Null, WireValue::Bool(true)],
-            vec![
-                WireValue::Str("héllo".to_string()),
-                WireValue::Float(2.0),
-                WireValue::Remote { node: 3, id: 9 },
-            ],
+        assert_eq!(charged_new_size(7, &[]), 1 + (4 + 7) + 4);
+        assert_eq!(charged_dependence_size(10, &[]), 1 + 8 + 1 + (4 + 10) + 4);
+        let args = [
+            WireValue::Str("héllo".to_string()),  // 1 + 4 + 6 UTF-8 bytes
+            WireValue::Float(2.0),                // 1 + 8
+            WireValue::Remote { node: 3, id: 9 }, // 1 + 4 + 8
+            WireValue::Bool(true),                // 1 + 1
+            WireValue::Null,                      // 1
         ];
-        for args in &arg_sets {
-            assert_eq!(
-                charged_new_size("Account".len(), args),
-                encode_new("Account", args).len()
-            );
-            assert_eq!(
-                charged_dependence_size("getSavings".len(), args),
-                encode_dependence(42, AccessKind::InvokeRet, "getSavings", args).len()
-            );
-        }
+        assert_eq!(charged_new_size(7, &args), 16 + 11 + 9 + 13 + 2 + 1);
+        assert_eq!(charged_dependence_size(0, &args), 18 + 11 + 9 + 13 + 2 + 1);
     }
 
     #[test]
     fn corrupt_frames_fail_typed_not_panicking() {
-        // Bad request tag.
+        // Unknown request tags, the retired name-carrying frames' among them.
+        for tag in [0u8, 1, 4, 99] {
+            assert_eq!(
+                Request::decode(Bytes::from(vec![tag, 0, 0, 0])),
+                Err(WireError::BadRequestTag(tag))
+            );
+        }
+        // A dependence tag with no such access kind.
         assert_eq!(
-            Request::decode(Bytes::from(vec![99u8])),
-            Err(WireError::BadRequestTag(99))
+            Request::decode(Bytes::from(vec![0x40u8, 0, 0])),
+            Err(WireError::BadAccessKind(0x40))
         );
         // Bad value tag inside a NEW arg list.
-        let mut buf = BytesMut::new();
-        buf.put_u8(0);
-        put_string(&mut buf, "A");
-        buf.put_u32(1);
-        buf.put_u8(9); // no such value tag
         assert_eq!(
-            Request::decode(buf.freeze()),
+            Request::decode(Bytes::from(vec![TAG_NEW, 1, 1, 9])),
             Err(WireError::BadValueTag(9))
         );
-        // Truncated mid-header.
-        let enc = encode_dependence(7, AccessKind::GetField, "f", &[]);
-        let cut = {
-            let mut b = enc;
-            b.split_to(6)
-        };
+        // Truncated mid-head.
+        let mut enc = Request::DependenceById {
+            target: 1 << 40,
+            kind: AccessKind::GetField,
+            member: 1,
+            args: vec![],
+        }
+        .encode();
         assert!(matches!(
-            Request::decode(cut),
+            Request::decode(enc.split_to(4)),
             Err(WireError::Truncated { .. })
         ));
+        // An id that does not fit 32 bits, and a varint that never ends.
+        let mut buf = BytesMut::new();
+        buf.put_u8(TAG_NEW);
+        put_varint(&mut buf, u64::from(u32::MAX) + 1);
+        buf.put_u8(0);
+        assert_eq!(
+            Request::decode(buf.freeze()),
+            Err(WireError::VarintOverflow { what: "class id" })
+        );
+        let mut endless = vec![TAG_DEP_BASE | AccessKind::ArrayLength.tag()];
+        endless.extend([0xff; 11]);
+        assert_eq!(
+            Request::decode(Bytes::from(endless)),
+            Err(WireError::VarintOverflow {
+                what: "dependence target"
+            })
+        );
         // Bad response tag.
         assert_eq!(
             Response::decode(&mut Bytes::from(vec![7u8])),
@@ -1154,20 +1063,34 @@ mod tests {
     #[test]
     fn invalid_utf8_is_a_typed_error_not_lossy_mangling() {
         let mut buf = BytesMut::new();
-        buf.put_u8(0); // NEW v1
+        buf.put_u8(TAG_NEW);
+        buf.put_u8(0); // class id
+        buf.put_u8(1); // one argument
+        buf.put_u8(4); // a string value
         buf.put_u32(2);
-        buf.put_slice(&[0xff, 0xfe]); // invalid UTF-8 class name
-        buf.put_u32(0);
+        buf.put_slice(&[0xff, 0xfe]);
         assert_eq!(
             Request::decode(buf.freeze()),
-            Err(WireError::BadUtf8 { what: "class name" })
+            Err(WireError::BadUtf8 {
+                what: "string value"
+            })
+        );
+        let mut buf = BytesMut::new();
+        buf.put_u8(1); // error response
+        buf.put_u32(1);
+        buf.put_u8(0xff);
+        assert_eq!(
+            Response::decode(&mut buf.freeze()),
+            Err(WireError::BadUtf8 {
+                what: "error message"
+            })
         );
     }
 
     #[test]
     fn unicode_strings_survive() {
-        let r = Request::New {
-            class_name: "Bank".to_string(),
+        let r = Request::NewById {
+            class: 1,
             args: vec![WireValue::Str("Mérchants € 銀行".to_string())],
         };
         assert_eq!(Request::decode(r.encode()).unwrap(), r);

@@ -1,12 +1,13 @@
 //! Property tests: the slot-interning refactor must be invisible through the wire.
 //!
-//! Field accesses execute through dense slots locally but travel **by name** in
-//! `DEPENDENCE` messages, so two resolutions of the same field — the load-time slot
-//! resolution and the wire-boundary name resolution on the serving node — must always
-//! agree, including under superclass field inheritance and shadowing. These tests
-//! drive randomly shaped class hierarchies through (a) the wire format itself and
-//! (b) a full distributed execution, and require bit-identical results with the
-//! centralized run.
+//! Field accesses execute through dense slots locally but travel as a **field-name
+//! id** in `DEPENDENCE` messages — resolved from the name by the sender, and against
+//! the target's runtime class by the receiver — so two resolutions of the same field,
+//! the load-time slot resolution and the wire-boundary resolution on the serving
+//! node, must always agree, including under superclass field inheritance and
+//! shadowing. These tests drive randomly shaped class hierarchies through (a) the
+//! wire format itself and (b) a full distributed execution, and require bit-identical
+//! results with the centralized run.
 
 use autodist_codegen::rewrite::{rewrite_for_node, ClassPlacement};
 use autodist_ir::frontend::compile_source;
@@ -43,7 +44,8 @@ fn hierarchy(depth: usize, fields_per_class: usize, shadow: &[bool]) -> Program 
 
 proptest! {
     /// Every instance field of every class resolves to the same slot before and after
-    /// its name transits the wire format inside a `DEPENDENCE` request.
+    /// its name transits the wire format — as the id the sender interns it to —
+    /// inside a `DEPENDENCE` request.
     #[test]
     fn slot_resolution_survives_wire_transit(
         depth in 1usize..5,
@@ -57,31 +59,34 @@ proptest! {
             for slot in 0..layout.slot_count(class.id) {
                 let name = layout
                     .slot_name(class.id, slot as u32)
-                    .expect("every slot is named")
-                    .to_string();
-                let req = Request::Dependence {
+                    .expect("every slot is named");
+                let req = Request::DependenceById {
                     target,
                     kind: AccessKind::GetField,
-                    member: name.clone(),
+                    member: layout.field_name_id(name).expect("declared names are interned"),
                     args: vec![],
                 };
                 let decoded = Request::decode(req.encode());
                 let member = match decoded {
-                    Ok(Request::Dependence { member, .. }) => member,
+                    Ok(Request::DependenceById { member, .. }) => member,
                     other => panic!("wrong request decoded: {other:?}"),
                 };
                 prop_assert_eq!(
-                    layout.slot_of_name(class.id, &member),
+                    layout.slot_of_field_name(class.id, member),
                     Some(slot as u32),
-                    "class {} member {}", class.name, member
+                    "class {} member {}", class.name, name
                 );
+                prop_assert_eq!(layout.slot_of_name(class.id, name), Some(slot as u32));
             }
         }
     }
 
-    /// End to end: a program whose remote field reads/writes travel by name computes
-    /// the same checksum distributed as centralized, for random field counts, random
-    /// stored values, and with/without a shadowed field in the hierarchy.
+    /// End to end: a program whose remote field reads/writes are *rewritten* into
+    /// `DependentObject.access(GET_FIELD/PUT_FIELD, "f…")` computes the same checksum
+    /// distributed as centralized, for random field counts and stored values. With
+    /// `shadowed`, the access goes through a variable of the base type holding a
+    /// subclass instance that re-declares `f0`: the sender interns the *name*, the
+    /// receiver resolves it against the runtime class.
     #[test]
     fn remote_field_access_by_name_hits_the_same_slots(
         nfields in 1usize..6,
@@ -93,8 +98,9 @@ proptest! {
         let mut reads = String::new();
         for (f, v) in values.iter().enumerate().take(nfields) {
             decls.push_str(&format!("int f{f};\n"));
-            writes.push_str(&format!("d.f{f} = {v};\n"));
-            reads.push_str(&format!("+ d.f{f} * {}", f + 1));
+            let var = if shadowed && f == 0 { "b" } else { "d" };
+            writes.push_str(&format!("{var}.f{f} = {v};\n"));
+            reads.push_str(&format!("+ {var}.f{f} * {}", f + 1));
         }
         let base = if shadowed {
             "class BaseData { int f0; }".to_string()
@@ -102,6 +108,7 @@ proptest! {
             String::new()
         };
         let extends = if shadowed { "extends BaseData " } else { "" };
+        let alias = if shadowed { "BaseData b = d;" } else { "" };
         let src = format!(
             r#"
             {base}
@@ -112,6 +119,7 @@ proptest! {
                 static int checksum;
                 static void main() {{
                     Data d = new Data();
+                    {alias}
                     {writes}
                     checksum = 0 {reads};
                 }}
@@ -129,9 +137,13 @@ proptest! {
             home.insert(p.class_by_name("BaseData").unwrap(), 1);
         }
         let placement = ClassPlacement { home, nparts: 2 };
-        let copies: Vec<Program> = (0..2)
-            .map(|n| rewrite_for_node(&p, &placement, n).program)
-            .collect();
+        let rewritten: Vec<_> = (0..2).map(|n| rewrite_for_node(&p, &placement, n)).collect();
+        prop_assert_eq!(
+            rewritten[0].stats.rewritten_field_accesses,
+            2 * nfields,
+            "every field access of Main went through the rewriter"
+        );
+        let copies: Vec<Program> = rewritten.into_iter().map(|r| r.program).collect();
         for schedule in [Schedule::Inline, Schedule::Pool { threads: 2 }] {
             let report = run_distributed(
                 &copies,
@@ -144,7 +156,7 @@ proptest! {
             prop_assert_eq!(
                 report.final_statics.get("Main::checksum"),
                 centralized.final_statics.get("Main::checksum"),
-                "{:?}: wire-name access must hit the same slots", schedule
+                "{:?}: rewritten access must hit the same slots", schedule
             );
             prop_assert!(report.total_messages() > 0, "fields really crossed the wire");
         }

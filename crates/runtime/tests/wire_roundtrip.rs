@@ -1,15 +1,77 @@
 //! Property tests for the streamed wire format. The distributed-vs-centralized
 //! checksum equivalence tests depend silently on wire fidelity: every request and
-//! response must survive serialize → deserialize byte-exactly — in both the v1
-//! string framing and the slot-addressed v2 framing, and a v2 frame must decode
-//! to the id-based request its v1 twin would have dispatched to the same slot.
+//! response must survive serialize → deserialize byte-exactly, no input may panic
+//! the decoder, and the virtual-time charge must stay what it was defined to be —
+//! the length of the name-carrying frame the first protocol version sent, whose
+//! encoder survives here as the oracle for exactly that definition.
 
 use autodist_runtime::wire::{
-    charged_dependence_size, charged_new_size, decode_request, dep_fits_v2, encode_dependence_v2,
-    encode_new_v2, new_fits_v2, AccessKind, Request, Response, WireValue,
+    charged_dependence_size, charged_new_size, decode_request, encode_dependence, encode_new,
+    value_wire_size, AccessKind, Request, Response, WireError, WireValue,
 };
-use bytes::BytesMut;
+use bytes::{Bytes, BytesMut};
 use proptest::prelude::*;
+
+/// The retired name-carrying (v1) frames, written independently of the crate's
+/// codec: `NEW` = tag 0 · class name · values, `DEPENDENCE` = tag 1 · target `u64` ·
+/// kind · member name · values; names and value lists are `u32`-length-prefixed,
+/// integers big-endian.
+mod v1_oracle {
+    use super::{AccessKind, WireValue};
+
+    fn put_str(out: &mut Vec<u8>, s: &str) {
+        out.extend((s.len() as u32).to_be_bytes());
+        out.extend(s.as_bytes());
+    }
+
+    fn put_values(out: &mut Vec<u8>, vs: &[WireValue]) {
+        out.extend((vs.len() as u32).to_be_bytes());
+        for v in vs {
+            match v {
+                WireValue::Null => out.push(0),
+                WireValue::Int(x) => {
+                    out.push(1);
+                    out.extend(x.to_be_bytes());
+                }
+                WireValue::Float(x) => {
+                    out.push(2);
+                    out.extend(x.to_be_bytes());
+                }
+                WireValue::Bool(x) => out.extend([3, *x as u8]),
+                WireValue::Str(s) => {
+                    out.push(4);
+                    put_str(out, s);
+                }
+                WireValue::Remote { node, id } => {
+                    out.push(5);
+                    out.extend(node.to_be_bytes());
+                    out.extend(id.to_be_bytes());
+                }
+            }
+        }
+    }
+
+    pub fn encode_new(class_name: &str, args: &[WireValue]) -> Vec<u8> {
+        let mut out = vec![0];
+        put_str(&mut out, class_name);
+        put_values(&mut out, args);
+        out
+    }
+
+    pub fn encode_dependence(
+        target: u64,
+        kind: AccessKind,
+        member: &str,
+        args: &[WireValue],
+    ) -> Vec<u8> {
+        let mut out = vec![1];
+        out.extend(target.to_be_bytes());
+        out.push(kind.tag());
+        put_str(&mut out, member);
+        put_values(&mut out, args);
+        out
+    }
+}
 
 fn arb_access_kind() -> impl Strategy<Value = AccessKind> {
     prop_oneof![
@@ -34,51 +96,58 @@ fn arb_wire_value() -> impl Strategy<Value = WireValue> {
     ]
 }
 
+/// Decoding must return, whatever the bytes: a typed error or a well-formed request.
+fn decode_never_panics(frame: &[u8]) -> Result<Request, WireError> {
+    decode_request(Bytes::from(frame.to_vec())).map(|(_, req)| req)
+}
+
 proptest! {
-    /// `NEW` requests round-trip for arbitrary class names and argument vectors.
+    /// `NEW` requests round-trip for arbitrary class ids and argument vectors.
     #[test]
     fn new_requests_round_trip(
-        class_name in "[A-Za-z_][A-Za-z0-9_]{0,20}",
+        class in any::<u32>(),
         args in prop::collection::vec(arb_wire_value(), 0..8),
     ) {
-        let req = Request::New { class_name, args };
+        let req = Request::NewById { class, args };
         prop_assert_eq!(Request::decode(req.encode()), Ok(req));
     }
 
-    /// `DEPENDENCE` requests round-trip for every access kind.
+    /// `DEPENDENCE` requests round-trip for every access kind and any 64-bit target.
     #[test]
     fn dependence_requests_round_trip(
         target in any::<u64>(),
         kind in arb_access_kind(),
-        member in "[a-zA-Z0-9 _.]{0,24}",
+        member in any::<u32>(),
         args in prop::collection::vec(arb_wire_value(), 0..8),
     ) {
-        let req = Request::Dependence { target, kind, member, args };
-        prop_assert_eq!(Request::decode(req.encode()), Ok(req));
+        let expect_member = if kind.has_member() { member } else { 0 };
+        let req = Request::DependenceById { target, kind, member, args: args.clone() };
+        prop_assert_eq!(
+            Request::decode(req.encode()),
+            Ok(Request::DependenceById { target, kind, member: expect_member, args })
+        );
     }
 
-    /// Slot-addressed v2 requests round-trip for every access kind, with and
-    /// without the fingerprint hello envelope — and the v2 frame is never larger
-    /// than the charged (v1-equivalent) size of the same logical message.
+    /// The same through the raw encoder, with and without the fingerprint hello
+    /// envelope — and the frame is never larger than what the cost model charges
+    /// for the same message, even one with an empty member name.
     #[test]
     fn v2_dependence_requests_round_trip(
-        target in any::<u32>(),
+        target in any::<u64>(),
         kind in arb_access_kind(),
         member in any::<u32>(),
         args in prop::collection::vec(arb_wire_value(), 0..8),
         has_hello in any::<bool>(),
         hello_fp in any::<u64>(),
     ) {
-        let target = u64::from(target);
         let hello = if has_hello { Some(hello_fp) } else { None };
-        prop_assert!(dep_fits_v2(target, &args), "these shapes always fit v2");
-        let data = encode_dependence_v2(BytesMut::new(), hello, target, kind, member, &args);
+        let data = encode_dependence(BytesMut::new(), hello, target, kind, member, &args);
         let hello_len = if hello.is_some() { 9 } else { 0 };
         prop_assert!(
             data.len() - hello_len <= charged_dependence_size(0, &args),
-            "v2 frame larger than the empty-name v1 frame"
+            "frame larger than the charge for an empty-name message"
         );
-        let (seen_hello, req) = decode_request(data).expect("v2 frame decodes");
+        let (seen_hello, req) = decode_request(data).expect("frame decodes");
         prop_assert_eq!(seen_hello, hello);
         let expect_member = if kind.has_member() { member } else { 0 };
         prop_assert_eq!(
@@ -87,8 +156,8 @@ proptest! {
         );
     }
 
-    /// Slot-addressed v2 `NEW` requests round-trip, and stay under the charged
-    /// size of any v1 `NEW` naming a real class (names are non-empty).
+    /// `NEW` through the raw encoder: round-trips, and stays under the charge for
+    /// any class that has a name at all.
     #[test]
     fn v2_new_requests_round_trip(
         class in any::<u32>(),
@@ -97,47 +166,51 @@ proptest! {
         hello_fp in any::<u64>(),
     ) {
         let hello = if has_hello { Some(hello_fp) } else { None };
-        prop_assert!(new_fits_v2(&args), "these shapes always fit v2");
-        let data = encode_new_v2(BytesMut::new(), hello, class, &args);
+        let data = encode_new(BytesMut::new(), hello, class, &args);
         let hello_len = if hello.is_some() { 9 } else { 0 };
         prop_assert!(data.len() - hello_len <= charged_new_size(1, &args));
-        let (seen_hello, req) = decode_request(data).expect("v2 frame decodes");
+        let (seen_hello, req) = decode_request(data).expect("frame decodes");
         prop_assert_eq!(seen_hello, hello);
         prop_assert_eq!(req, Request::NewById { class, args: args.clone() });
     }
 
-    /// v1 ↔ v2 semantic equivalence: for the same logical message the two
-    /// framings decode to requests carrying the same target, kind, and argument
-    /// vector — only the member addressing differs (name vs dense id).
+    /// The charging rule *is* the v1 frame length: for arbitrary names (empty and
+    /// multi-byte included) and arbitrary values, the formula and the oracle agree.
+    #[test]
+    fn charged_sizes_are_the_v1_frame_lengths(
+        name in "[a-zA-Z0-9_<>/é銀 ]{0,24}",
+        target in any::<u64>(),
+        kind in arb_access_kind(),
+        args in prop::collection::vec(arb_wire_value(), 0..8),
+    ) {
+        prop_assert_eq!(
+            charged_new_size(name.len(), &args),
+            v1_oracle::encode_new(&name, &args).len()
+        );
+        prop_assert_eq!(
+            charged_dependence_size(name.len(), &args),
+            v1_oracle::encode_dependence(target, kind, &name, &args).len()
+        );
+    }
+
+    /// Both framings carry the argument values as the same bytes — only the head
+    /// (how target, member and count are written) differs — which is why charging
+    /// by the old head and sending the new one cannot disagree about a payload.
     #[test]
     fn v1_and_v2_framings_agree_on_payload(
-        target in any::<u32>(),
+        target in any::<u64>(),
         kind in arb_access_kind(),
         member_name in "[a-z][A-Za-z0-9]{0,12}",
         member_id in any::<u32>(),
         args in prop::collection::vec(arb_wire_value(), 0..6),
     ) {
-        let target = u64::from(target);
-        let v1 = Request::Dependence {
-            target,
-            kind,
-            member: member_name,
-            args: args.clone(),
-        };
-        let v1_back = Request::decode(v1.encode()).expect("v1 decodes");
-        let data = encode_dependence_v2(BytesMut::new(), None, target, kind, member_id, &args);
-        let v2_back = Request::decode(data).expect("v2 decodes");
-        match (v1_back, v2_back) {
-            (
-                Request::Dependence { target: t1, kind: k1, args: a1, .. },
-                Request::DependenceById { target: t2, kind: k2, args: a2, .. },
-            ) => {
-                prop_assert_eq!(t1, t2);
-                prop_assert_eq!(k1, k2);
-                prop_assert_eq!(a1, a2);
-            }
-            other => prop_assert!(false, "unexpected decode pair: {other:?}"),
-        }
+        let payload: usize = args.iter().map(value_wire_size).sum();
+        let v1 = v1_oracle::encode_dependence(target, kind, &member_name, &args);
+        let v2 = encode_dependence(BytesMut::new(), None, target, kind, member_id, &args);
+        prop_assert_eq!(&v1[v1.len() - payload..], &v2[v2.len() - payload..]);
+        let v1 = v1_oracle::encode_new(&member_name, &args);
+        let v2 = encode_new(BytesMut::new(), None, member_id, &args);
+        prop_assert_eq!(&v1[v1.len() - payload..], &v2[v2.len() - payload..]);
     }
 
     /// Responses round-trip for values and errors alike.
@@ -150,14 +223,14 @@ proptest! {
     }
 
     /// Encoding is deterministic: the same request always produces the same bytes
-    /// (the network cost model charges by encoded size, so this must be stable).
+    /// (the transport's byte counters are compared exactly across runs).
     #[test]
     fn encoding_is_deterministic(
-        member in "[a-z]{1,12}",
+        member in any::<u32>(),
         target in any::<u64>(),
         args in prop::collection::vec(arb_wire_value(), 0..4),
     ) {
-        let req = Request::Dependence {
+        let req = Request::DependenceById {
             target,
             kind: AccessKind::InvokeRet,
             member,
@@ -166,26 +239,89 @@ proptest! {
         prop_assert_eq!(&req.encode()[..], &req.encode()[..]);
     }
 
-    /// Truncating a v2 frame anywhere yields a typed error, never a panic and
-    /// never a silently wrong request (frames carry their arg count up front, so
-    /// no strict prefix can decode as a complete message).
+    /// *Every* strict prefix of a frame is a typed error — frames carry their arg
+    /// count up front, so no prefix can decode as a complete message — and *every*
+    /// single-bit corruption decodes without a panic.
     #[test]
     fn truncated_v2_frames_fail_typed(
-        target in any::<u32>(),
+        target in any::<u64>(),
         kind in arb_access_kind(),
         member in any::<u32>(),
         args in prop::collection::vec(arb_wire_value(), 0..4),
-        cut in any::<u16>(),
     ) {
-        let mut data = encode_new_v2(BytesMut::new(), Some(7), member, &args);
-        let cut_at = cut as usize % data.len();
-        prop_assert!(decode_request(data.split_to(cut_at)).is_err());
-        let mut data = encode_dependence_v2(
-            BytesMut::new(), None, u64::from(target), kind, member, &args,
-        );
-        let cut_at = cut as usize % data.len();
-        prop_assert!(decode_request(data.split_to(cut_at)).is_err());
+        let frames = [
+            encode_new(BytesMut::new(), Some(7), member, &args),
+            encode_dependence(BytesMut::new(), None, target, kind, member, &args),
+        ];
+        for frame in frames {
+            for cut in 0..frame.len() {
+                prop_assert!(decode_never_panics(&frame[..cut]).is_err(), "cut at {}", cut);
+            }
+            let mut bytes = frame.to_vec();
+            for at in 0..bytes.len() {
+                for bit in 0..8 {
+                    bytes[at] ^= 1 << bit;
+                    let _ = decode_never_panics(&bytes);
+                    bytes[at] ^= 1 << bit;
+                }
+            }
+        }
     }
+}
+
+/// The two shapes that used to force a name-carrying frame — a target past
+/// `u32::MAX`, more than 255 arguments — are ordinary frames now.
+#[test]
+fn wide_targets_and_long_argument_lists_round_trip() {
+    for target in [u64::from(u32::MAX) + 1, 1 << 40, u64::MAX] {
+        for argc in [0usize, 255, 256, 300] {
+            let args: Vec<WireValue> = (0..argc).map(|i| WireValue::Int(i as i64)).collect();
+            let dep = Request::DependenceById {
+                target,
+                kind: AccessKind::InvokeRet,
+                member: 3,
+                args: args.clone(),
+            };
+            assert_eq!(Request::decode(dep.encode()), Ok(dep));
+            let new = Request::NewById { class: 5, args };
+            assert_eq!(Request::decode(new.encode()), Ok(new));
+        }
+    }
+}
+
+/// A node still speaking the name-carrying protocol is refused by tag, not
+/// misread: tags 0 and 1 are unknown request tags like any other.
+#[test]
+fn retired_name_frames_are_rejected_by_tag() {
+    let args = [WireValue::Int(1)];
+    assert_eq!(
+        decode_never_panics(&v1_oracle::encode_new("Account", &args)),
+        Err(WireError::BadRequestTag(0))
+    );
+    assert_eq!(
+        decode_never_panics(&v1_oracle::encode_dependence(
+            7,
+            AccessKind::InvokeRet,
+            "getSavings",
+            &args
+        )),
+        Err(WireError::BadRequestTag(1))
+    );
+}
+
+/// A five-byte frame cannot ask the decoder to reserve four billion values.
+#[test]
+fn an_arg_count_beyond_the_frame_is_truncation_not_allocation() {
+    // NEW · class 0 · argc = u32::MAX as a five-byte varint · nothing.
+    let frame = [3u8, 0, 0xff, 0xff, 0xff, 0xff, 0x0f];
+    assert!(matches!(
+        decode_never_panics(&frame),
+        Err(WireError::Truncated {
+            what: "argument values",
+            remaining: 0,
+            ..
+        })
+    ));
 }
 
 #[test]

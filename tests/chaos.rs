@@ -207,14 +207,13 @@ fn full_reordering_is_repaired_to_byte_identity() {
     }
 }
 
-/// The transport's wall-clock optimisations are invisible under chaos. With
-/// ready-key coalescing and/or the encode-buffer pool disabled, full
-/// reordering, full duplication, and a lossy retried link all heal to reports
-/// byte-identical to the same faulted run with both optimisations on — the
-/// sequence window and gap repair operate per *logical* message, so batching
+/// How a faulted run heals does not depend on who runs it: full reordering, full
+/// duplication, and a lossy retried link each produce, under two workers racing
+/// for the one world, the report the single inline worker produces — the sequence
+/// window and gap repair operate per *logical* message, so the interleaving of
 /// deliveries cannot change what heals or when it is charged.
 #[test]
-fn transport_toggles_heal_chaos_identically() {
+fn chaos_heals_identically_under_both_schedules() {
     let chaos: [(&str, FaultPlan); 3] = [
         ("reorder", FaultPlan::quiet(13).with_reorder(1.0)),
         ("duplicate", FaultPlan::quiet(7).with_duplicate(1.0)),
@@ -227,42 +226,28 @@ fn transport_toggles_heal_chaos_identically() {
         ),
     ];
     for (name, plan) in plans() {
-        for schedule in SCHEDULES {
-            for (fault_name, fault) in &chaos {
-                // The reorder cases are the interleaving-sensitive ones.
-                let repeats = if *fault_name == "reorder" {
-                    REORDER_REPEATS
-                } else {
-                    1
-                };
-                let base_config = ClusterConfig {
-                    faults: Some(fault.clone()),
-                    schedule,
-                    ..ClusterConfig::paper_testbed()
-                };
-                let baseline = plan.execute(&base_config);
-                assert!(
-                    baseline.is_ok(),
-                    "{name}/{fault_name} under {schedule:?}: {:?}",
-                    baseline.error
-                );
-                for (no_coalesce, no_buffer_pool) in [(true, false), (false, true), (true, true)] {
-                    for _ in 0..repeats {
-                        let run = plan.execute(&ClusterConfig {
-                            no_coalesce,
-                            no_buffer_pool,
-                            ..base_config.clone()
-                        });
-                        assert_byte_identical(
-                            &format!(
-                                "{name}/{fault_name} no_coalesce={no_coalesce} \
-                                 no_buffer_pool={no_buffer_pool}"
-                            ),
-                            schedule,
-                            &baseline,
-                            &run,
-                        );
-                    }
+        for (fault_name, fault) in &chaos {
+            let baseline = run_with(&plan, Schedule::Inline, Some(fault.clone()));
+            assert!(
+                baseline.is_ok(),
+                "{name}/{fault_name}: {:?}",
+                baseline.error
+            );
+            // The reorder cases are the interleaving-sensitive ones.
+            let repeats = if *fault_name == "reorder" {
+                REORDER_REPEATS
+            } else {
+                1
+            };
+            for schedule in SCHEDULES {
+                for _ in 0..repeats {
+                    let run = run_with(&plan, schedule, Some(fault.clone()));
+                    assert_byte_identical(
+                        &format!("{name}/{fault_name}"),
+                        schedule,
+                        &baseline,
+                        &run,
+                    );
                 }
             }
         }

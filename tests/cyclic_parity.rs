@@ -75,6 +75,8 @@ fn assert_parity(inline: &ExecutionReport, pool: &ExecutionReport) {
 struct ThreadedRecord {
     virtual_time_us: f64,
     messages: u64,
+    /// Physical frame bytes: the one field that follows the wire encoding
+    /// (re-recorded with it) rather than the cost model.
     bytes: u64,
     /// `(instructions, requests_served, remote_requests)` per node.
     per_node: &'static [(u64, u64, u64)],
@@ -200,7 +202,7 @@ fn deep_cross_node_recursion_overflows_cleanly() {
     let threaded = ThreadedRecord {
         virtual_time_us: 85908.58857142924,
         messages: 398,
-        bytes: 326726,
+        bytes: 323171,
         per_node: &[(2390, 99, 100), (2376, 100, 99)],
     };
     for schedule in [Schedule::Inline, Schedule::Pool { threads: 2 }] {
@@ -261,7 +263,7 @@ fn three_node_ring_is_schedule_invariant() {
     let threaded = ThreadedRecord {
         virtual_time_us: 5802.360000000005,
         messages: 38,
-        bytes: 1140,
+        bytes: 903,
         per_node: &[(217, 5, 8), (192, 7, 6), (165, 7, 5)],
     };
     let inline = run_pinned(&program, &pins, 3, Schedule::Inline);

@@ -45,18 +45,12 @@ struct Reference {
 /// Distributes each workload and records its solo (sequential) execution report —
 /// the byte-exact yardstick every served request is held to.
 fn references() -> Vec<Reference> {
-    references_under(&ClusterConfig::paper_testbed())
-}
-
-/// [`references`] under an explicit cluster config, so the transport-toggle
-/// parity test can build its yardstick with the optimisations disabled.
-fn references_under(cluster: &ClusterConfig) -> Vec<Reference> {
     let distributor = Distributor::new(DistributorConfig::default());
     mix()
         .into_iter()
         .map(|w| {
             let plan = distributor.distribute(&w.program);
-            let solo = plan.execute(cluster);
+            let solo = plan.execute(&ClusterConfig::paper_testbed());
             assert!(solo.is_ok(), "{}: solo run fails: {:?}", w.name, solo.error);
             Reference {
                 virtual_time_us: solo.virtual_time_us,
@@ -118,36 +112,6 @@ fn pool_serving_is_byte_identical_to_sequential() {
     let refs = references();
     assert_serving_parity(&refs, Schedule::Pool { threads: 1 }, 16);
     assert_serving_parity(&refs, Schedule::Pool { threads: 4 }, 16);
-}
-
-/// Transport-toggle parity: the serving path always runs with ready-key
-/// coalescing and the encode-buffer pool enabled, so holding its reports to a
-/// yardstick computed with both optimisations *disabled* proves neither can
-/// leak into virtual time, traffic counters, or checksums. The toggled solo
-/// runs must also match the default references exactly.
-#[test]
-fn serving_with_optimisations_matches_deoptimised_references() {
-    let default_refs = references();
-    let toggled = ClusterConfig {
-        no_coalesce: true,
-        no_buffer_pool: true,
-        ..ClusterConfig::paper_testbed()
-    };
-    let toggled_refs = references_under(&toggled);
-    for (d, t) in default_refs.iter().zip(&toggled_refs) {
-        assert!(
-            (d.virtual_time_us - t.virtual_time_us).abs() < 1e-9,
-            "toggles shifted the solo virtual clock: {} vs {}",
-            d.virtual_time_us,
-            t.virtual_time_us
-        );
-        assert_eq!(d.messages, t.messages, "toggles changed the message count");
-        assert_eq!(d.bytes, t.bytes, "toggles changed the byte count");
-        assert_eq!(d.checksum, t.checksum, "toggles changed the checksum");
-    }
-    // Serving (optimisations on) against the de-optimised yardstick.
-    assert_serving_parity(&toggled_refs, Schedule::Inline, 16);
-    assert_serving_parity(&toggled_refs, Schedule::Pool { threads: 4 }, 16);
 }
 
 /// The window is a real bound: serving the whole sequence at concurrency 1 must
