@@ -1,0 +1,242 @@
+//! The identity baseline: every deterministic quantity the repository pins, rendered
+//! as one JSON document and committed as `BENCH_baseline.json` at the repository
+//! root.
+//!
+//! Nothing here reads a clock — time belongs to the frozen benchmark
+//! (`crates/bench/src/bin/benchmark/`). What is left is what must not move under a
+//! purely mechanical change, so [`render`] is compared to the committed file byte for
+//! byte by `tests::committed_baseline_is_current`:
+//!
+//! * `workloads` — the eight Table 1 rows, centralized vs distributed on the paper
+//!   testbed: virtual times, message count, checksum agreement.
+//! * `op_census` — per Table 1 workload and chain microbench ([`crate::microbench`]),
+//!   the superinstruction counts the fusion pass emits and the dynamic dispatch
+//!   reduction they buy.
+//! * `wire_codec` — the encoded frame size of the three dominant remote accesses.
+//! * `serving` / `adaptive_serving` — traffic totals of the two closed loops in
+//!   [`crate::serving`].
+//! * `quiet_fault_plans` — the identity booleans of [`crate::fault`].
+//!
+//! A change that moves one of these on purpose (a cost-model or wire-format change)
+//! re-records the file (`cargo run --release -p autodist-bench --bin baseline >
+//! BENCH_baseline.json` from the repository root) and says so; nothing parses the
+//! document, so it is written by hand (the vendored serde stub has no JSON half).
+
+use autodist::{DistributorConfig, PipelineResult};
+use autodist_runtime::wire::{encode_dependence, encode_new, AccessKind, WireValue};
+use bytes::BytesMut;
+
+use crate::microbench::{self, ARITH_CHAIN_DEEP, COND_CHAIN_DEEP};
+use crate::{fault, measure_speedup, serving};
+
+/// Encoded sizes of the dominant Table 1 remote accesses — the bounce invoke with one
+/// int argument, the bare field read, a one-argument constructor — hello excluded (it
+/// is paid once per link, not per message).
+fn frame_sizes() -> [(&'static str, usize); 3] {
+    let dep = |kind, member, args: &[WireValue]| {
+        encode_dependence(BytesMut::new(), None, 7, kind, member, args).len()
+    };
+    [
+        (
+            "dep_invoke_1int",
+            dep(AccessKind::InvokeRet, 3, &[WireValue::Int(1)]),
+        ),
+        ("dep_getfield", dep(AccessKind::GetField, 1, &[])),
+        (
+            "new_1int",
+            encode_new(BytesMut::new(), None, 4, &[WireValue::Int(42)]).len(),
+        ),
+    ]
+}
+
+/// One array section: `"key": [`, one object per line, `]`.
+fn rows_section(key: &str, rows: &[String]) -> String {
+    let rows: Vec<String> = rows.iter().map(|r| format!("    {{{r}}}")).collect();
+    format!("  \"{key}\": [\n{}\n  ]", rows.join(",\n"))
+}
+
+/// Measures every section at scale 1 and renders the document.
+pub fn render() -> PipelineResult<String> {
+    let table1 = autodist_workloads::table1_workloads(1);
+    let mut sections = vec!["  \"scale\": 1".to_string()];
+
+    let mut rows = Vec::new();
+    for w in &table1 {
+        let r = measure_speedup(w, &DistributorConfig::default())?;
+        rows.push(format!(
+            "\"name\": {}, \"centralized_virtual_us\": {:.1}, \
+             \"distributed_virtual_us\": {:.1}, \"messages\": {}, \"checksum_matches\": {}",
+            json_string(&r.benchmark),
+            r.centralized_us,
+            r.distributed_us,
+            r.messages,
+            r.checksum_matches
+        ));
+    }
+    sections.push(rows_section("workloads", &rows));
+
+    let chains = [
+        ("arith_chain_deep", ARITH_CHAIN_DEEP),
+        ("cond_chain_deep", COND_CHAIN_DEEP),
+    ];
+    let census = table1
+        .iter()
+        .map(|w| microbench::census(&w.name, &w.program))
+        .chain(
+            chains
+                .iter()
+                .map(|(name, src)| microbench::census(name, &microbench::compile_chain(src))),
+        );
+    let rows: Vec<String> = census
+        .map(|c| {
+            let supers = c
+                .static_
+                .super_counts
+                .iter()
+                .map(|(k, n)| format!("{}: {}", json_string(k), n))
+                .collect::<Vec<_>>()
+                .join(", ");
+            format!(
+                "\"name\": {}, \"unfused_ops\": {}, \"fused_ops\": {}, \
+                 \"supers\": {{{}}}, \"instructions\": {}, \"dispatches\": {}, \
+                 \"dispatch_reduction_pct\": {:.1}",
+                json_string(&c.name),
+                c.static_.unfused_ops,
+                c.static_.fused_ops,
+                supers,
+                c.dynamic.instructions,
+                c.dynamic.dispatches,
+                c.dynamic.dispatch_reduction_pct()
+            )
+        })
+        .collect();
+    sections.push(rows_section("op_census", &rows));
+
+    let rows: Vec<String> = frame_sizes()
+        .iter()
+        .map(|(name, bytes)| format!("\"name\": {}, \"bytes\": {}", json_string(name), bytes))
+        .collect();
+    sections.push(rows_section("wire_codec", &rows));
+
+    let s = serving::measure_serving()?;
+    sections.push(format!(
+        "  \"serving\": {{\"requests\": {}, \"concurrency\": {}, \"messages\": {}, \
+         \"bytes\": {}, \"all_ok\": {}}}",
+        s.requests, s.concurrency, s.messages, s.bytes, s.all_ok
+    ));
+
+    let a = serving::measure_adaptive_serving()?;
+    sections.push(format!(
+        "  \"adaptive_serving\": {{\n    \"requests\": {}, \"epoch_requests\": {},\n    \
+         \"static_messages\": {}, \"static_bytes\": {},\n    \
+         \"adaptive_messages\": {}, \"adaptive_bytes\": {},\n    \
+         \"placement_swaps\": {}, \"all_ok\": {}, \"checksums_match\": {}\n  }}",
+        a.requests,
+        a.epoch_requests,
+        a.static_messages,
+        a.static_bytes,
+        a.adaptive_messages,
+        a.adaptive_bytes,
+        a.placement_swaps,
+        a.all_ok,
+        a.checksums_match
+    ));
+
+    let rows: Vec<String> = fault::quiet_plan_identity()?
+        .iter()
+        .map(|q| {
+            format!(
+                "\"name\": {}, \"virtual_identical\": {}, \"messages_identical\": {}",
+                json_string(&q.name),
+                q.virtual_identical,
+                q.messages_identical
+            )
+        })
+        .collect();
+    sections.push(rows_section("quiet_fault_plans", &rows));
+
+    Ok(format!("{{\n{}\n}}\n", sections.join(",\n")))
+}
+
+/// Escapes a string into a JSON string literal.
+fn json_string(s: &str) -> String {
+    let mut out = String::with_capacity(s.len() + 2);
+    out.push('"');
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\t' => out.push_str("\\t"),
+            '\r' => out.push_str("\\r"),
+            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+            c => out.push(c),
+        }
+    }
+    out.push('"');
+    out
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    const COMMITTED: &str = include_str!("../../../BENCH_baseline.json");
+    const RERECORD: &str =
+        "cargo run --release -p autodist-bench --bin baseline > BENCH_baseline.json";
+
+    /// `None` when the two documents are equal, else the first line that differs
+    /// (1-based) with both sides' text (`<end of file>` for the shorter one).
+    fn first_difference(committed: &str, fresh: &str) -> Option<String> {
+        if committed == fresh {
+            return None;
+        }
+        // Unequal strings have unequal `split` sequences, so the loop ends.
+        let (mut c, mut f) = (committed.split('\n'), fresh.split('\n'));
+        let mut line = 1;
+        loop {
+            let (cl, fl) = (c.next(), f.next());
+            if cl != fl {
+                let show = |l: Option<&str>| l.unwrap_or("<end of file>").trim().to_string();
+                return Some(format!(
+                    "line {line}\n  committed: {}\n  measured:  {}",
+                    show(cl),
+                    show(fl)
+                ));
+            }
+            line += 1;
+        }
+    }
+
+    #[test]
+    fn json_strings_are_escaped() {
+        assert_eq!(json_string("plain"), "\"plain\"");
+        assert_eq!(json_string("a\"b\\c"), "\"a\\\"b\\\\c\"");
+        assert_eq!(json_string("x\ny"), "\"x\\ny\"");
+    }
+
+    #[test]
+    fn first_difference_names_the_line_and_both_sides() {
+        assert_eq!(first_difference("a\nb\n", "a\nb\n"), None);
+        let d = first_difference("a\n\"messages\": 4\n", "a\n\"messages\": 5\n").unwrap();
+        assert!(d.starts_with("line 2"), "{d}");
+        assert!(d.contains("committed: \"messages\": 4"), "{d}");
+        assert!(d.contains("measured:  \"messages\": 5"), "{d}");
+        let d = first_difference("a", "a\nb").unwrap();
+        assert!(d.contains("committed: <end of file>"), "{d}");
+    }
+
+    /// The byte-identity net: every virtual time, message and byte count, census
+    /// count, frame size and identity boolean equals its committed value.
+    #[test]
+    fn committed_baseline_is_current() {
+        let fresh = render().expect("every section measures");
+        if let Some(diff) = first_difference(COMMITTED, &fresh) {
+            panic!(
+                "BENCH_baseline.json is not what this tree measures; first difference at {diff}\n\
+                 If the change is intended (cost model, wire format), re-record with\n  {RERECORD}\n\
+                 and name the moved fields in CHANGES.md."
+            );
+        }
+    }
+}

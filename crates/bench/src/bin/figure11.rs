@@ -5,7 +5,7 @@ use autodist::{DistributorConfig, PipelineError};
 use autodist_bench::{measure_speedup, scale_from_args};
 
 fn main() -> Result<(), PipelineError> {
-    let scale = scale_from_args();
+    let scale = scale_from_args()?;
     println!("Figure 11 — centralized vs distributed execution (scale = {scale})");
     println!(
         "{:<12} {:>14} {:>14} {:>10} {:>10} {:>10} {:>9}",

@@ -5,7 +5,7 @@ use autodist::{DistributorConfig, PipelineError, Table1Row};
 use autodist_bench::{scale_from_args, table1_row};
 
 fn main() -> Result<(), PipelineError> {
-    let scale = scale_from_args();
+    let scale = scale_from_args()?;
     println!("Table 1 — benchmark and graph sizes (scale = {scale})");
     println!("{}", Table1Row::header());
     for w in autodist_workloads::table1_workloads(scale) {

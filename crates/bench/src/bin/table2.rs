@@ -5,7 +5,7 @@ use autodist::{Distributor, DistributorConfig, PipelineError};
 use autodist_bench::scale_from_args;
 
 fn main() -> Result<(), PipelineError> {
-    let scale = scale_from_args();
+    let scale = scale_from_args()?;
     println!("Table 2 — distribution transformation times in ms (scale = {scale})");
     println!(
         "{:<12} {:>12} {:>12} {:>12} {:>12} {:>12}",

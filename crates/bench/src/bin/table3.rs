@@ -1,12 +1,13 @@
 //! Regenerates Table 3: profiler overhead per metric over the Java Grande-style
 //! workloads (baseline = profiling compiled in but not enabled).
 
+use autodist::PipelineError;
 use autodist_bench::scale_from_args;
 use autodist_profiler::overhead::measure_overheads;
 use autodist_profiler::Metric;
 
-fn main() {
-    let scale = scale_from_args();
+fn main() -> Result<(), PipelineError> {
+    let scale = scale_from_args()?;
     let workloads: Vec<(String, autodist_ir::Program)> =
         autodist_workloads::table3_workloads(scale)
             .into_iter()
@@ -19,4 +20,5 @@ fn main() {
         "average overhead across all profilers: {:.2}% (paper reports 21.94%)",
         table.average_overhead_pct()
     );
+    Ok(())
 }

@@ -1,7 +1,9 @@
 //! # autodist-bench
 //!
 //! The experiment harness: one binary per table/figure of the paper's evaluation
-//! (Section 7) plus criterion micro-benchmarks for the individual pipeline phases.
+//! (Section 7), the frozen repository benchmark (`benchmark`, which owns every
+//! wall-clock figure) and the identity baseline ([`baseline`], which owns every
+//! deterministic one).
 //!
 //! | target | reproduces |
 //! |---|---|
@@ -12,16 +14,18 @@
 //! | `figure5_7` | Figures 5–7 — quads, AST and x86/StrongARM code for `Example.ex` |
 //! | `figure8_9` | Figures 8 & 9 — bytecode transformations for remote calls and `new` |
 //! | `figure11`  | Figure 11 — centralized vs distributed execution speedup |
+//! | `baseline`  | prints the document committed as `BENCH_baseline.json` |
 //!
-//! Run any of them with `cargo run -p autodist-bench --bin <name> [-- scale]`.
+//! Run any of them with `cargo run -p autodist-bench --bin <name>`; the tables and
+//! `figure11` take an optional integer scale (`-- 2`).
 
-use autodist::{Distributor, DistributorConfig, PipelineResult, Table1Row};
+use autodist::{Distributor, DistributorConfig, PipelineError, PipelineResult, Table1Row};
 use autodist_runtime::cluster::ClusterConfig;
 use autodist_workloads::Workload;
 
+pub mod baseline;
 pub mod fault;
 pub mod microbench;
-pub mod report;
 pub mod serving;
 
 /// One row of the Figure 11 experiment.
@@ -88,12 +92,20 @@ pub fn table1_row(workload: &Workload, config: &DistributorConfig) -> PipelineRe
     ))
 }
 
-/// Parses the optional `scale` argument used by the table/figure binaries.
-pub fn scale_from_args() -> usize {
-    std::env::args()
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(1)
+/// Parses the optional `scale` argument used by the table/figure binaries: absent
+/// means 1, anything else must be an integer of at least 1.
+pub fn scale_from_args() -> PipelineResult<usize> {
+    parse_scale(std::env::args().nth(1).as_deref())
+}
+
+fn parse_scale(arg: Option<&str>) -> PipelineResult<usize> {
+    let Some(arg) = arg else { return Ok(1) };
+    match arg.parse() {
+        Ok(scale) if scale >= 1 => Ok(scale),
+        _ => Err(PipelineError::Config(format!(
+            "scale must be an integer >= 1, got {arg:?}"
+        ))),
+    }
 }
 
 #[cfg(test)]
@@ -108,6 +120,19 @@ mod tests {
         assert!(row.centralized_us > 0.0);
         assert!(row.distributed_us > 0.0);
         assert!(row.speedup_pct() > 0.0);
+    }
+
+    #[test]
+    fn scale_argument_is_absent_or_a_positive_integer() {
+        assert_eq!(parse_scale(None).unwrap(), 1);
+        assert_eq!(parse_scale(Some("3")).unwrap(), 3);
+        for bad in ["0", "x"] {
+            let err = parse_scale(Some(bad)).unwrap_err();
+            assert!(
+                matches!(&err, PipelineError::Config(msg) if msg.contains(bad)),
+                "{bad}: {err:?}"
+            );
+        }
     }
 
     #[test]

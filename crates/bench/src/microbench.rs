@@ -5,9 +5,8 @@
 //! this family instead maximises the density of the op *patterns* the fusion pass in
 //! `autodist_ir::layout` targets — `Load Load Bin`, `Load Const Bin`, `Bin Store`,
 //! compare-and-branch chains, and the `Load Const Add Store` increment idiom — so
-//! the `arith_chain_deep` / `cond_chain_deep` bench areas measure the fused
-//! dispatch loop's best case while `op_dispatch_1k_ops_nofuse` pins its A/B
-//! baseline. The [`census`] half counts, per workload, (a) **statically** how many
+//! the `arith_chain_deep` / `cond_chain_deep` census rows record the fusion pass's
+//! best case. The [`census`] half counts, per workload, (a) **statically** how many
 //! superinstructions of each kind the fusion pass emits and (b) **dynamically** how
 //! many dispatch-loop iterations fusion saves at run time (`instructions` counts
 //! seed ops, `dispatches` counts loop trips, so `1 - dispatches/instructions` is the
@@ -75,15 +74,6 @@ pub const COND_CHAIN_DEEP: &str = "class Main {
 /// Compiles one of the chain sources (or any standalone `Main` program).
 pub fn compile_chain(src: &str) -> Program {
     compile_source(src).expect("chain microbench source compiles")
-}
-
-/// Counts the seed ops one execution of `program` interprets (the normalisation
-/// constant for per-1k-ops medians). `instructions` counts seed-op widths whether
-/// or not the layout fused, so fused and unfused runs share the same constant.
-pub fn executed_seed_ops(program: &Program) -> u64 {
-    let mut interp = Interp::new(program);
-    interp.run_entry().expect("chain program runs");
-    interp.counters.instructions
 }
 
 /// Static fusion census of one program: how many ops the unfused decode yields,
@@ -210,7 +200,7 @@ mod tests {
     fn chain_sources_compile_and_run() {
         for src in [ARITH_CHAIN_DEEP, COND_CHAIN_DEEP] {
             let p = compile_chain(src);
-            assert!(executed_seed_ops(&p) > 10_000, "chains run deep");
+            assert!(dynamic_census(&p).instructions > 10_000, "chains run deep");
         }
     }
 

@@ -1,89 +1,59 @@
-//! The closed-loop serving load generator behind the `serving` bench area.
+//! The deterministic serving sections of the identity baseline ([`crate::baseline`]).
 //!
-//! Turns the serving mode (`autodist_runtime::serve`) into a benchmark: a fixed,
-//! deterministic mix of Table 1 programs is prepared once ([`serving_mix`] — the
-//! layout interning is shared by every request), then driven as a closed loop at a
-//! fixed admission window under each schedule of interest (`Inline`,
-//! `Pool { threads: 1 | 4 | 16 }`). Each area reports requests/sec and p50/p99
-//! request latency. This is the first bench area where the pool is *supposed* to
-//! beat the inline scheduler on wall-clock, and for two compounding reasons:
+//! Two closed loops over `autodist_runtime::serve`, both counted rather than timed
+//! (the frozen benchmark's `serve_steady` / `serve_degraded` workloads own serving
+//! *time*):
 //!
-//! * **Ingress overlap.** Each admission pays the paper testbed's one-way wire
-//!   latency as real wall-clock time (`ServeOptions::ingress_wait`, the
-//!   blocking-ingress model: the admitting worker is "in `read(2)`" for the
-//!   request bytes). The inline loop serialises those reads like any
-//!   single-threaded blocking server; pool workers overlap them with
-//!   interpretation, so the pool wins on any machine — including a single-core
-//!   runner, where pure CPU work cannot parallelise.
-//! * **Core scaling.** Requests are independent root computations, so on
-//!   multi-core machines the interpretation itself also spreads across workers.
-//!
-//! The committed baseline's CI guard checks the hardware-independent half:
-//! pool-4 requests/sec must stay above inline.
+//! * [`measure_serving`] drives a fixed mix of Table 1 programs (`serving_mix`,
+//!   prepared once so every request shares the interned layouts) through the
+//!   `Inline` schedule and reports the cross-node message and byte totals. One
+//!   schedule is enough: `tests/serving_parity.rs` pins `Pool == Inline` request by
+//!   request.
+//! * [`measure_adaptive_serving`] A/Bs the affinity-skewed generated workload with
+//!   adaptation off vs. on (the epoch controller's profile-driven repartition) and
+//!   reports both arms' message volume.
 
 use autodist::{
     AdaptOptions, Distributor, DistributorConfig, PipelineResult, PlanReplanner, Replanner,
     ServeOptions, ServerApp,
 };
 use autodist_runtime::cluster::{ClusterConfig, Schedule};
-use autodist_runtime::serve::{run_serving, ServingReport};
+use autodist_runtime::serve::run_serving;
 use autodist_workloads::GenConfig;
 use std::sync::Arc;
-use std::time::Duration;
 
-/// Requests per serving area measurement.
+/// Requests the serving mix is driven for.
 pub const REQUESTS: usize = 48;
-/// The closed-loop admission window (the acceptance comparison point is
-/// concurrency >= 16).
+/// The closed-loop admission window.
 pub const CONCURRENCY: usize = 16;
-/// Modelled wire-read cost per admission, microseconds: the paper testbed's
-/// one-way 100 Mb Ethernet latency (`NetworkConfig::paper_testbed().latency_us`),
-/// paid in *wall-clock* by the admitting worker (see the module doc).
-pub const INGRESS_US: u64 = 150;
 
-/// One measured serving area.
+/// The serving mix's traffic totals.
 #[derive(Clone, Debug)]
 pub struct ServingArea {
-    /// Area name: `inline`, `pool_1`, `pool_4`, `pool_16`.
-    pub name: String,
-    /// Worker threads the schedule used (1 for inline).
-    pub threads: usize,
-    /// Admission window.
-    pub concurrency: usize,
     /// Requests served.
     pub requests: usize,
-    /// Modelled per-request wire-read cost the admitting worker paid, microseconds.
-    pub ingress_us: u64,
-    /// Completed requests per wall-clock second (median run).
-    pub requests_per_sec: f64,
-    /// Median request latency, microseconds.
-    pub p50_us: f64,
-    /// 99th-percentile request latency, microseconds.
-    pub p99_us: f64,
-    /// Total cross-node messages over the median run's requests (deterministic:
-    /// identical across runs and schedules — the comm-volume metric the adaptive
-    /// A/B diffs).
+    /// Admission window.
+    pub concurrency: usize,
+    /// Total cross-node messages over the run's requests (identical across runs
+    /// and schedules).
     pub messages: u64,
-    /// Total cross-node bytes over the median run's requests (deterministic).
+    /// Total cross-node bytes over the run's requests.
     pub bytes: u64,
-    /// `true` when every request of the median run completed without a fault.
+    /// `true` when every request completed without a fault.
     pub all_ok: bool,
 }
 
 /// The deterministic workload mix the load generator cycles through: three Table 1
 /// programs with distinct shapes (object-graph traffic, virtual dispatch, array
-/// number crunching), sized so one request is a fraction of a millisecond — large
-/// enough to dominate admission cost, small enough that a serving run stays in CI
-/// smoke budget.
-pub fn serving_mix(scale: usize) -> PipelineResult<Vec<ServerApp>> {
-    let s = scale.max(1);
+/// number crunching), sized so one request is a fraction of a millisecond.
+fn serving_mix() -> PipelineResult<Vec<ServerApp>> {
     let distributor = Distributor::new(DistributorConfig::default());
     let cluster = ClusterConfig::paper_testbed();
     let mut apps = Vec::new();
     for w in [
-        autodist_workloads::bank(40 * s),
-        autodist_workloads::method_bench(200 * s),
-        autodist_workloads::crypt(400 * s),
+        autodist_workloads::bank(40),
+        autodist_workloads::method_bench(200),
+        autodist_workloads::crypt(400),
     ] {
         let plan = distributor.try_distribute(&w.program)?;
         apps.push(plan.prepare_server(&cluster));
@@ -92,50 +62,30 @@ pub fn serving_mix(scale: usize) -> PipelineResult<Vec<ServerApp>> {
 }
 
 /// The request sequence: `requests` entries cycling round-robin over the mix, so
-/// every run of every area serves the identical workload multiset in the identical
-/// submission order.
+/// every run serves the identical workload multiset in the identical submission
+/// order.
 pub fn round_robin_sequence(apps: usize, requests: usize) -> Vec<usize> {
     (0..requests).map(|i| i % apps.max(1)).collect()
 }
 
-/// Runs one serving area `repeats` times and keeps the run with the median
-/// requests/sec, so the reported percentiles come from a single coherent run
-/// rather than a mix of runs.
-fn measure_area(
-    name: &str,
-    apps: &[ServerApp],
-    sequence: &[usize],
-    schedule: Schedule,
-    repeats: usize,
-) -> ServingArea {
+/// Serves [`REQUESTS`] requests of the mix at window [`CONCURRENCY`] on the
+/// calling thread and counts the traffic.
+pub fn measure_serving() -> PipelineResult<ServingArea> {
+    let apps = serving_mix()?;
+    let sequence = round_robin_sequence(apps.len(), REQUESTS);
     let opts = ServeOptions {
         concurrency: CONCURRENCY,
-        schedule,
-        ingress_wait: Duration::from_micros(INGRESS_US),
+        schedule: Schedule::Inline,
         ..ServeOptions::default()
     };
-    let mut runs: Vec<ServingReport> = (0..repeats.max(1))
-        .map(|_| run_serving(apps, sequence, &opts))
-        .collect();
-    runs.sort_by(|a, b| {
-        a.requests_per_sec()
-            .partial_cmp(&b.requests_per_sec())
-            .expect("throughput is finite")
-    });
-    let median = runs.swap_remove(runs.len() / 2);
-    ServingArea {
-        name: name.to_string(),
-        threads: median.threads,
-        concurrency: median.concurrency,
-        requests: median.requests.len(),
-        ingress_us: INGRESS_US,
-        requests_per_sec: median.requests_per_sec(),
-        p50_us: median.latency_percentile_us(0.50),
-        p99_us: median.latency_percentile_us(0.99),
-        messages: median.total_messages(),
-        bytes: median.total_bytes(),
-        all_ok: median.is_ok(),
-    }
+    let run = run_serving(&apps, &sequence, &opts);
+    Ok(ServingArea {
+        requests: run.requests.len(),
+        concurrency: run.concurrency,
+        messages: run.total_messages(),
+        bytes: run.total_bytes(),
+        all_ok: run.is_ok(),
+    })
 }
 
 /// The static-vs-adaptive A/B comparison on the affinity-skewed generated
@@ -147,21 +97,14 @@ pub struct AdaptiveServingArea {
     pub requests: usize,
     /// Epoch length the adaptive arm repartitions at.
     pub epoch_requests: usize,
-    /// Modelled wall-clock wire-stall cost per cross-node message, microseconds
-    /// (paid identically by both arms; see `ServeOptions::comm_wait`).
-    pub comm_wait_us: u64,
     /// Cross-node messages under the static (build-time) placement.
     pub static_messages: u64,
     /// Cross-node bytes under the static placement.
     pub static_bytes: u64,
-    /// Requests/sec of the static arm (median run).
-    pub static_rps: f64,
     /// Cross-node messages with online adaptation enabled.
     pub adaptive_messages: u64,
     /// Cross-node bytes with online adaptation enabled.
     pub adaptive_bytes: u64,
-    /// Requests/sec of the adaptive arm (median run).
-    pub adaptive_rps: f64,
     /// Placement swaps the epoch controller committed during the adaptive run.
     pub placement_swaps: usize,
     /// `true` when every request of both arms completed without a fault.
@@ -194,9 +137,9 @@ pub const ADAPTIVE_EPOCH: usize = 16;
 
 /// Measures the adaptive-placement A/B: the skewed workload served twice under
 /// `Schedule::Inline`, concurrency 1 (fully deterministic admission order, so the
-/// message totals are exact and CI can guard on them), once with `adapt: None`
-/// and once with a fresh [`PlanReplanner`] per run.
-pub fn measure_adaptive_serving(repeats: usize) -> PipelineResult<AdaptiveServingArea> {
+/// message totals are exact), once with `adapt: None` and once with a
+/// [`PlanReplanner`].
+pub fn measure_adaptive_serving() -> PipelineResult<AdaptiveServingArea> {
     let generated = autodist_workloads::generated(&adaptive_workload_config());
     let distributor = Distributor::new(DistributorConfig::default());
     let cluster = ClusterConfig::paper_testbed();
@@ -204,51 +147,27 @@ pub fn measure_adaptive_serving(repeats: usize) -> PipelineResult<AdaptiveServin
     let apps = vec![plan.prepare_server(&cluster)];
     let sequence = vec![0usize; ADAPTIVE_REQUESTS];
 
-    // No modelled ingress here (identical in both arms, it would only dilute the
-    // signal); instead both arms pay the testbed's one-way wire latency per
-    // cross-node message as wall-clock (`comm_wait`) — on the real cluster every
-    // internode round-trip stalls the requesting node, so a placement that moves
-    // fewer messages serves more requests per second. The per-message price is
-    // identical in both arms; only the message counts differ.
-    let base_opts = ServeOptions {
+    let static_opts = ServeOptions {
         concurrency: 1,
         schedule: Schedule::Inline,
-        comm_wait: Duration::from_micros(INGRESS_US),
         ..ServeOptions::default()
     };
-    let adaptive_opts = || {
-        // A fresh replanner per run: the controller's learned placement must not
-        // leak across repeats, so every adaptive run starts from the static plan.
-        let mut planner = PlanReplanner::new();
-        planner.add_plan(
-            &distributor.config,
-            &generated.workload.program,
-            &plan,
-            &cluster,
-        );
-        ServeOptions {
-            adapt: Some(
-                AdaptOptions::new(Arc::new(planner) as Arc<dyn Replanner>)
-                    .with_epoch(ADAPTIVE_EPOCH),
-            ),
-            ..base_opts.clone()
-        }
+    let mut planner = PlanReplanner::new();
+    planner.add_plan(
+        &distributor.config,
+        &generated.workload.program,
+        &plan,
+        &cluster,
+    );
+    let adaptive_opts = ServeOptions {
+        adapt: Some(
+            AdaptOptions::new(Arc::new(planner) as Arc<dyn Replanner>).with_epoch(ADAPTIVE_EPOCH),
+        ),
+        ..static_opts.clone()
     };
 
-    let run_arm = |mk_opts: &dyn Fn() -> ServeOptions| -> ServingReport {
-        let mut runs: Vec<ServingReport> = (0..repeats.max(1))
-            .map(|_| run_serving(&apps, &sequence, &mk_opts()))
-            .collect();
-        runs.sort_by(|a, b| {
-            a.requests_per_sec()
-                .partial_cmp(&b.requests_per_sec())
-                .expect("throughput is finite")
-        });
-        runs.swap_remove(runs.len() / 2)
-    };
-
-    let static_run = run_arm(&|| base_opts.clone());
-    let adaptive_run = run_arm(&adaptive_opts);
+    let static_run = run_serving(&apps, &sequence, &static_opts);
+    let adaptive_run = run_serving(&apps, &sequence, &adaptive_opts);
     let checksums_match = static_run.requests.len() == adaptive_run.requests.len()
         && static_run
             .requests
@@ -258,44 +177,14 @@ pub fn measure_adaptive_serving(repeats: usize) -> PipelineResult<AdaptiveServin
     Ok(AdaptiveServingArea {
         requests: ADAPTIVE_REQUESTS,
         epoch_requests: ADAPTIVE_EPOCH,
-        comm_wait_us: INGRESS_US,
         static_messages: static_run.total_messages(),
         static_bytes: static_run.total_bytes(),
-        static_rps: static_run.requests_per_sec(),
         adaptive_messages: adaptive_run.total_messages(),
         adaptive_bytes: adaptive_run.total_bytes(),
-        adaptive_rps: adaptive_run.requests_per_sec(),
         placement_swaps: adaptive_run.placement_swaps,
         all_ok: static_run.is_ok() && adaptive_run.is_ok(),
         checksums_match,
     })
-}
-
-/// Measures the full serving section: the same closed loop under `Inline` and
-/// `Pool { threads: 1 | 4 | 16 }`.
-pub fn measure_serving(scale: usize, repeats: usize) -> PipelineResult<Vec<ServingArea>> {
-    measure_serving_sized(scale, repeats, REQUESTS)
-}
-
-/// [`measure_serving`] with an explicit request count (CI smoke uses a smaller
-/// load than the committed baseline).
-pub fn measure_serving_sized(
-    scale: usize,
-    repeats: usize,
-    requests: usize,
-) -> PipelineResult<Vec<ServingArea>> {
-    let apps = serving_mix(scale)?;
-    let sequence = round_robin_sequence(apps.len(), requests);
-    let areas = [
-        ("inline", Schedule::Inline),
-        ("pool_1", Schedule::Pool { threads: 1 }),
-        ("pool_4", Schedule::Pool { threads: 4 }),
-        ("pool_16", Schedule::Pool { threads: 16 }),
-    ];
-    Ok(areas
-        .iter()
-        .map(|(name, schedule)| measure_area(name, &apps, &sequence, *schedule, repeats))
-        .collect())
 }
 
 #[cfg(test)]
@@ -307,22 +196,5 @@ mod tests {
         let seq = round_robin_sequence(3, 7);
         assert_eq!(seq, vec![0, 1, 2, 0, 1, 2, 0]);
         assert_eq!(round_robin_sequence(1, 3), vec![0, 0, 0]);
-    }
-
-    #[test]
-    fn serving_measurement_produces_all_areas() {
-        let areas = measure_serving_sized(1, 1, 8).expect("serving bench");
-        assert_eq!(areas.len(), 4);
-        let names: Vec<&str> = areas.iter().map(|a| a.name.as_str()).collect();
-        assert_eq!(names, ["inline", "pool_1", "pool_4", "pool_16"]);
-        for a in &areas {
-            assert!(a.all_ok, "{}: every request completes", a.name);
-            assert!(a.requests_per_sec > 0.0);
-            assert!(a.p99_us >= a.p50_us);
-            assert_eq!(a.requests, 8);
-            assert_eq!(a.concurrency, CONCURRENCY);
-        }
-        assert_eq!(areas[0].threads, 1);
-        assert_eq!(areas[2].threads, 4);
     }
 }

@@ -162,9 +162,8 @@ pub fn measure_overheads(
     }
 }
 
-/// Median (upper median for even counts) of a non-empty sample vector. Shared with
-/// the bench crate's report so every "median" in the repo means the same statistic.
-pub fn median(mut xs: Vec<f64>) -> f64 {
+/// Median (upper median for even counts) of a non-empty sample vector.
+fn median(mut xs: Vec<f64>) -> f64 {
     xs.sort_by(|a, b| a.partial_cmp(b).expect("wall times are never NaN"));
     xs[xs.len() / 2]
 }
@@ -196,6 +195,13 @@ mod tests {
         "#,
         )
         .unwrap()
+    }
+
+    #[test]
+    fn median_is_order_insensitive() {
+        assert_eq!(median(vec![3.0, 1.0, 2.0]), 2.0);
+        assert_eq!(median(vec![5.0]), 5.0);
+        assert_eq!(median(vec![4.0, 1.0]), 4.0, "upper median for even counts");
     }
 
     #[test]

@@ -257,8 +257,6 @@ pub fn run_distributed_profiled(
         sequence: &[0],
         concurrency: 1,
         schedule: config.schedule,
-        ingress_wait: Duration::ZERO,
-        comm_wait: Duration::ZERO,
         faults: &faults,
         adapt: None,
         profilers: Mutex::new(profilers),

@@ -472,7 +472,7 @@ impl ReadyQueue {
     }
 
     /// Wakes a blocked worker if anything is queued: called by a worker about to
-    /// block elsewhere (a modelled ingress read) instead of coming back to pop.
+    /// be busy elsewhere (admitting a request) instead of coming back to pop.
     pub fn nudge(&self) {
         let s = self.lock();
         let wake = s.waiters > 0 && !s.queue.is_empty();
@@ -482,9 +482,10 @@ impl ReadyQueue {
         }
     }
 
-    /// Pops the oldest ready entry `(key, packet count)` without blocking (probes
-    /// and tests; the worker loop uses [`ReadyQueue::next`]).
-    pub fn pop(&self) -> Option<(ReadyKey, u32)> {
+    /// Pops the oldest ready entry `(key, packet count)` without blocking (tests
+    /// only; the worker loop uses [`ReadyQueue::next`]).
+    #[cfg(test)]
+    pub(crate) fn pop(&self) -> Option<(ReadyKey, u32)> {
         self.lock().queue.pop_front()
     }
 
@@ -586,7 +587,8 @@ impl MpiWorld {
     }
 
     /// The shared ready queue fed by every endpoint of this world.
-    pub fn ready_queue(&self) -> Arc<ReadyQueue> {
+    #[cfg(test)]
+    pub(crate) fn ready_queue(&self) -> Arc<ReadyQueue> {
         Arc::clone(&self.ready)
     }
 

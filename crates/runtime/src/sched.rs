@@ -346,8 +346,7 @@ impl World<'_> {
 }
 
 /// The modelled *wall-clock* length of the delivery deadline in serving mode — the
-/// third modelled wait next to `ServeOptions::ingress_wait` and
-/// `ServeOptions::comm_wait`: a receiver holding packets behind a sequence gap
+/// only modelled wait in the runtime: a receiver holding packets behind a sequence gap
 /// cannot know the missing one is not coming until the link has stayed quiet for an
 /// ack timeout, so an idle server sits that long before skipping the gap. Whether
 /// the server *is* idle and which worlds are stuck is counted, never timed; this is
@@ -386,11 +385,6 @@ pub(crate) struct Server<'s> {
     /// Maximum worlds in flight (the closed-loop window).
     pub(crate) concurrency: usize,
     pub(crate) schedule: Schedule,
-    /// Modelled wire-read cost paid by the admitting worker per request.
-    pub(crate) ingress_wait: Duration,
-    /// Modelled wire-stall cost paid by the completing worker per cross-node
-    /// message of the finished request.
-    pub(crate) comm_wait: Duration,
     /// Fault plans by submission index.
     pub(crate) faults: &'s [(usize, FaultPlan)],
     /// Adaptive-placement epoch controller; `None` keeps the admission and
@@ -517,8 +511,8 @@ impl<'s> Running<'_, 's> {
                 w.roots[slot] = root.wrapping_add(self.slots.len() as u32);
                 (index, slot, root)
             };
-            // This worker is about to be busy admitting (and possibly blocked in
-            // the modelled ingress read): anything it left queued is a sibling's.
+            // This worker is about to be busy admitting: anything it left queued
+            // is a sibling's.
             self.ready.nudge();
             self.admit_one(index, slot, root);
         }
@@ -529,11 +523,6 @@ impl<'s> Running<'_, 's> {
     /// shared layouts, then the root computation seeded on node 0.
     fn admit_one(&self, index: usize, slot: usize, root: u32) {
         let server = self.server;
-        if !server.ingress_wait.is_zero() {
-            // Blocking ingress: this worker is "in read(2)" on the request's
-            // connection for the modelled wire time. Other workers keep serving.
-            std::thread::sleep(server.ingress_wait);
-        }
         let app_idx = server.sequence[index];
         // Adaptive placement: admit under the app's *current* placement — the seed
         // one the caller passed in, or whichever the epoch controller last
@@ -610,14 +599,6 @@ impl<'s> Running<'_, 's> {
         let latency = world.started.elapsed();
         let (index, app, nodes) = (world.index, world.app, world.nodes.len());
         let report = world.finish(res, latency);
-        if !server.comm_wait.is_zero() {
-            // Modelled wire stalls: this worker is "on the wire" for the request's
-            // cross-node traffic (the measured latency above excludes it; only
-            // throughput sees the cost, which is what the stall steals on a real
-            // testbed's closed loop).
-            let messages = report.total_messages().min(u32::MAX as u64) as u32;
-            std::thread::sleep(server.comm_wait * messages);
-        }
         // Feed the completed request into the epoch controller *after* its report
         // is sealed: adaptation can only influence requests admitted later.
         if let Some(adapt) = server.adapt.as_ref() {
@@ -722,8 +703,6 @@ mod tests {
             sequence,
             concurrency: 2,
             schedule,
-            ingress_wait: Duration::ZERO,
-            comm_wait: Duration::ZERO,
             faults: &[],
             adapt: None,
             profilers: Mutex::new(Vec::new()),

@@ -23,7 +23,7 @@
 //! state (empty heap, default statics) plus channel setup.
 
 use std::sync::{Arc, Mutex};
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use autodist_ir::layout::ProgramLayout;
 use autodist_ir::program::Program;
@@ -85,26 +85,6 @@ pub struct ServeOptions {
     /// Worker scheduling: `Inline` drives the whole closed loop on the calling
     /// thread, `Pool { threads }` spawns that many workers over the same loop.
     pub schedule: Schedule,
-    /// Modelled *wall-clock* cost of reading one request off the wire before it is
-    /// admitted (a blocking-ingress model: the admitting worker sleeps this long,
-    /// like a thread-per-connection server blocked in `read`). Zero (the default)
-    /// admits instantly. The serving bench sets this to the paper testbed's one-way
-    /// latency so the single-threaded server serialises request reads while a
-    /// worker pool overlaps them — the throughput gap this opens is real
-    /// concurrency, not core-count-dependent parallelism. Virtual clocks are
-    /// unaffected either way (ingress happens before the request's world exists).
-    pub ingress_wait: Duration,
-    /// Modelled *wall-clock* cost per cross-node message a request exchanged,
-    /// paid by the completing worker (the wire-stall counterpart of
-    /// [`ingress_wait`](Self::ingress_wait): on a real testbed every internode
-    /// round-trip stalls the requesting node for the wire time, which the
-    /// simulator otherwise charges to the *virtual* clock only). Zero (the
-    /// default) completes instantly — serving stays byte- and wall-identical to
-    /// the pre-adaptation server. The adaptive bench area sets this so a
-    /// placement that moves fewer messages wins real throughput, exactly as it
-    /// would on the paper's cluster; both A/B arms pay the same per-message
-    /// price. Virtual clocks are unaffected either way.
-    pub comm_wait: Duration,
     /// Per-request fault plans, keyed by submission index. A listed request's
     /// world is built with that plan, so injected faults are scoped to that request
     /// alone: its report — typed error, fault counters, clocks — is byte-identical
@@ -125,8 +105,6 @@ impl Default for ServeOptions {
         ServeOptions {
             concurrency: 16,
             schedule: Schedule::Inline,
-            ingress_wait: Duration::ZERO,
-            comm_wait: Duration::ZERO,
             faults: Vec::new(),
             adapt: None,
         }
@@ -223,8 +201,6 @@ pub fn run_serving(apps: &[ServerApp], sequence: &[usize], opts: &ServeOptions) 
         sequence,
         concurrency,
         schedule: opts.schedule,
-        ingress_wait: opts.ingress_wait,
-        comm_wait: opts.comm_wait,
         faults: &opts.faults,
         adapt: opts
             .adapt

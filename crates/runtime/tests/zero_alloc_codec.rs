@@ -1,4 +1,4 @@
-//! Pins the wire acceptance criterion directly: a steady-state round trip — the
+//! Pins the wire acceptance condition directly: a steady-state round trip — the
 //! sender's name probe, recycled encode buffer in, head + values decoded, the member
 //! id resolved against the target's runtime class, buffer reclaimed — performs
 //! **zero heap allocations** per message. A counting global allocator observes every

@@ -4,17 +4,16 @@
 //! request stream: up to `CONCURRENCY` root computations are in flight at a time,
 //! each with its own request-scoped virtual clocks and message channels, all
 //! interleaving on one shared ready queue. The same load runs under the inline
-//! scheduler (one thread, pure interleaving) and a worker pool (threads overlap
-//! request ingress with interpretation — and, on multi-core machines, the
-//! interpretation itself). Every request's checksum and virtual clock must match
-//! the program's solo run exactly.
+//! scheduler (one thread, pure interleaving) and a worker pool (four threads over
+//! the same loop). The point is isolation: under both schedules every request's
+//! virtual clock equals the program's solo run exactly. Both throughputs are
+//! printed as measured — which schedule is faster depends on the machine.
 //!
 //! Run with: `cargo run --release --example serve_demo`
 
 use autodist::{Distributor, DistributorConfig, PipelineError, ServeOptions};
 use autodist_runtime::cluster::{ClusterConfig, Schedule};
 use autodist_runtime::serve::run_serving;
-use std::time::Duration;
 
 const REQUESTS: usize = 48;
 const CONCURRENCY: usize = 16;
@@ -43,8 +42,7 @@ fn main() -> Result<(), PipelineError> {
         apps.push(plan.prepare_server(&cluster));
     }
 
-    // 2. The closed-loop request stream: round-robin over the mix, each admission
-    //    paying the testbed's one-way wire latency as real (wall-clock) ingress.
+    // 2. The closed-loop request stream: round-robin over the mix.
     let sequence: Vec<usize> = (0..REQUESTS).map(|i| i % apps.len()).collect();
     println!("\nserving {REQUESTS} requests at concurrency {CONCURRENCY}:\n");
     for (label, schedule) in [
@@ -57,7 +55,6 @@ fn main() -> Result<(), PipelineError> {
             &ServeOptions {
                 concurrency: CONCURRENCY,
                 schedule,
-                ingress_wait: Duration::from_micros(cluster.network.latency_us as u64),
                 ..ServeOptions::default()
             },
         );

@@ -1,23 +1,20 @@
 //! Adaptive placement: the online profile → repartition loop in serving mode.
 //!
-//! Three properties, matching the PR's acceptance criteria:
+//! Two properties here; the third — **off means off**: with `ServeOptions::adapt:
+//! None` (the default) the Table 1 distributed runs keep their committed virtual
+//! times and message counts — is the `workloads` section of `BENCH_baseline.json`,
+//! pinned by `autodist_bench::baseline`'s `committed_baseline_is_current`.
 //!
-//! 1. **Off means off.** With `ServeOptions::adapt: None` (the default), every
-//!    committed baseline is untouched: the Table 1 distributed runs reproduce
-//!    `BENCH_pr8.json`'s virtual times and message counts exactly (the adaptation
-//!    plumbing — profiler hooks, epoch accounting — must be zero-cost and
-//!    invisible when absent).
-//! 2. **Epoch swap helps later requests only.** On the affinity-skewed generated
+//! 1. **Epoch swap helps later requests only.** On the affinity-skewed generated
 //!    workload, requests admitted before the first epoch boundary execute
 //!    byte-identically to a solo run under the build-time placement; requests
 //!    after the boundary run under the repartitioned placement and exchange
 //!    strictly fewer cross-node messages — with identical results.
-//! 3. **No-op repartition.** When the live profile agrees with the build-time
+//! 2. **No-op repartition.** When the live profile agrees with the build-time
 //!    weights (a balanced workload), the controller declines to swap and every
 //!    request stays byte-identical to solo execution.
 //!
-//! CI runs this binary under the watchdog timeout and separately guards the
-//! committed `BENCH_pr9.json`'s `adaptive_messages < static_messages`.
+//! CI runs this binary under the watchdog timeout.
 
 use std::sync::Arc;
 
@@ -27,42 +24,6 @@ use autodist::{
 use autodist_bench::serving::{adaptive_workload_config, measure_adaptive_serving};
 use autodist_runtime::cluster::{ClusterConfig, Schedule};
 use autodist_runtime::serve::run_serving;
-
-/// The `BENCH_pr8.json` committed baseline: per Table 1 workload, the distributed
-/// run's deterministic virtual time (as serialised, one decimal) and message count.
-const PR8_BASELINES: &[(&str, &str, u64)] = &[
-    ("CreateBench (Custom[])", "739.5", 4),
-    ("method", "182186.5", 1202),
-    ("crypt", "1465.2", 4),
-    ("heapsort", "5307.0", 4),
-    ("moldyn", "2076.3", 12),
-    ("search", "686833.9", 4516),
-    ("compress", "1909.7", 4),
-    ("db", "3672.9", 6),
-];
-
-#[test]
-fn adaptation_off_reproduces_bench_pr8_baselines() {
-    let distributor = Distributor::new(DistributorConfig::default());
-    let cluster = ClusterConfig::paper_testbed();
-    let workloads = autodist_workloads::table1_workloads(1);
-    assert_eq!(workloads.len(), PR8_BASELINES.len());
-    for (w, (name, virtual_us, messages)) in workloads.iter().zip(PR8_BASELINES) {
-        assert_eq!(&w.name, name);
-        let plan = distributor.try_distribute(&w.program).expect("distributes");
-        let report = plan.try_execute(&cluster).expect("executes");
-        assert_eq!(
-            format!("{:.1}", report.virtual_time_us),
-            *virtual_us,
-            "{name}: virtual time must match the committed BENCH_pr8 baseline"
-        );
-        assert_eq!(
-            report.total_messages(),
-            *messages,
-            "{name}: message count must match the committed BENCH_pr8 baseline"
-        );
-    }
-}
 
 #[test]
 fn epoch_swap_cuts_messages_for_later_requests_only() {
@@ -153,12 +114,12 @@ fn balanced_workload_declines_every_repartition() {
     }
 }
 
-/// The bench-area contract CI guards on the committed artifact, checked live:
-/// adaptation strictly reduces message volume on the skewed workload and never
-/// perturbs results.
+/// The relation that must survive any re-record of the baseline's
+/// `adaptive_serving` section: adaptation strictly reduces message volume on the
+/// skewed workload and never perturbs results.
 #[test]
 fn adaptive_bench_area_shows_the_win() {
-    let area = measure_adaptive_serving(1).expect("adaptive A/B measures");
+    let area = measure_adaptive_serving().expect("adaptive A/B measures");
     assert!(area.all_ok);
     assert!(area.checksums_match);
     assert!(area.placement_swaps >= 1);
