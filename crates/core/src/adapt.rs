@@ -3,8 +3,7 @@
 //! pipeline (partition + rewrite) on live serving profiles.
 //!
 //! The runtime's epoch controller (`autodist_runtime::adapt`) knows *when* to
-//! repartition — every N completed requests, or early on comm-volume drift — but
-//! not *how*: that is this module. Per served app the planner keeps the static
+//! repartition — every N completed requests — but not *how*: that is this module. Per served app the planner keeps the static
 //! analysis products (the original program and its ODG — the expensive RTA/CRG
 //! phases are **not** re-run), a shared [`AggregateProfile`] its per-request
 //! [`AggregateSink`]s tally into, and the currently installed class placement.
@@ -61,9 +60,6 @@ struct AppState {
     profile: AggregateHandle,
     /// The currently installed class placement (starts as the plan's).
     home: Mutex<BTreeMap<ClassId, usize>>,
-    /// The static plan's own estimate of cut use-edge weight — the baseline the
-    /// drift trigger compares observed traffic against, normalised per request.
-    predicted_cut: f64,
 }
 
 /// Live-weighted cut of `home`: total weight of ODG use edges whose endpoint
@@ -123,8 +119,6 @@ impl PlanReplanner {
             seed: config.seed,
             ..PartitionConfig::default()
         };
-        let home = plan.placement.home.clone();
-        let predicted_cut = placement_cut(&plan.analysis.odg, &home) as f64;
         self.apps.push(AppState {
             program: program.clone(),
             odg: plan.analysis.odg.clone(),
@@ -133,8 +127,7 @@ impl PlanReplanner {
             method_class: method_table(program),
             class_count: program.class_count(),
             profile: aggregate_handle(),
-            home: Mutex::new(home),
-            predicted_cut,
+            home: Mutex::new(plan.placement.home.clone()),
         });
         self.apps.len() - 1
     }
@@ -201,14 +194,6 @@ impl Replanner for PlanReplanner {
         // the sampling machinery would add nothing.
         Some((Box::new(sink), 0))
     }
-
-    fn predicted_bytes_per_request(&self, app: usize) -> Option<f64> {
-        // The ODG's use-edge weights estimate communication volume, so the cut
-        // weight under the installed placement is the plan's own per-request
-        // traffic prediction (in model units; the drift factor absorbs the
-        // scale difference to observed wire bytes).
-        self.apps.get(app).map(|a| a.predicted_cut)
-    }
 }
 
 #[cfg(test)]
@@ -233,7 +218,7 @@ mod tests {
     }
 
     #[test]
-    fn replanner_coalesces_the_hot_chain_and_drift_triggers_early() {
+    fn replanner_coalesces_the_hot_chain() {
         let g = skewed();
         let config = DistributorConfig::default();
         let distributor = Distributor::new(config.clone());
@@ -250,25 +235,23 @@ mod tests {
             0
         );
         let planner = Arc::new(planner);
-        // Huge epoch, tight drift bound: only the drift trigger can fire the
-        // swap. The observed wire bytes of even a few requests dwarf the model's
-        // cut estimate, so adaptation kicks in well before request 1000.
+        // The first epoch's profiled prefix is the whole epoch: one replan, after
+        // request 4, and nothing left to improve at the later boundaries.
         let report = run_serving(
             std::slice::from_ref(&plan.prepare_server(&cluster)),
             &[0usize; 24],
             &ServeOptions {
                 concurrency: 1,
                 schedule: Schedule::Inline,
-                adapt: Some(
-                    AdaptOptions::new(planner.clone() as Arc<dyn Replanner>)
-                        .with_epoch(1000)
-                        .with_drift(1.0, 4),
-                ),
+                adapt: Some(AdaptOptions::new(planner.clone() as Arc<dyn Replanner>).with_epoch(4)),
                 ..ServeOptions::default()
             },
         );
         assert!(report.is_ok());
-        assert_eq!(report.placement_swaps, 1, "drift fires exactly one replan");
+        assert_eq!(
+            report.placement_swaps, 1,
+            "exactly one replan improves the cut"
+        );
         let last = report.requests.last().unwrap();
         assert!(
             last.report.total_messages() < solo.total_messages(),
@@ -345,7 +328,5 @@ mod tests {
         assert!(none.is_none());
         // Unknown app indices are not an error either.
         assert!(planner.profiler(7, 0).is_none());
-        assert!(planner.predicted_bytes_per_request(7).is_none());
-        assert!(planner.predicted_bytes_per_request(0).unwrap() > 0.0);
     }
 }

@@ -194,8 +194,16 @@ impl DistributionPlan {
     }
 
     /// Executes the plan and surfaces any execution failure as a [`PipelineError`]
-    /// instead of an error field inside the report.
+    /// instead of an error field inside the report — a cluster that does not
+    /// describe one node per program copy included ([`DistributionPlan::execute`]
+    /// panics on that).
     pub fn try_execute(&self, cluster: &ClusterConfig) -> PipelineResult<ExecutionReport> {
+        let (planned, configured) = (self.node_programs.len(), cluster.network.nodes());
+        if planned != configured {
+            return Err(PipelineError::Config(format!(
+                "the plan distributes over {planned} nodes but the cluster describes {configured}"
+            )));
+        }
         PipelineError::check_report(self.execute(cluster))
     }
 
@@ -204,13 +212,18 @@ impl DistributionPlan {
     /// its interpreters over them. Hand the result to [`run_serving`] — directly or
     /// via [`DistributionPlan::serve`] — possibly alongside apps prepared from
     /// other plans for a mixed workload.
+    ///
+    /// # Panics
+    ///
+    /// If `cluster.network` does not describe exactly one node per program copy of
+    /// the plan.
     pub fn prepare_server(&self, cluster: &ClusterConfig) -> ServerApp {
         ServerApp::prepare(self.programs(), cluster.network.clone())
     }
 
     /// Serves `requests` root computations of this plan as a closed-loop server:
     /// up to `opts.concurrency` requests are in flight at once, each over its own
-    /// request-scoped world (virtual clocks, channels, correlation ids), scheduled
+    /// request-scoped world (virtual clocks, mailboxes, correlation ids), scheduled
     /// per `opts.schedule` (`Pool { threads }` for parallel serving, anything else
     /// drives the loop on the calling thread). The returned [`ServingReport`]
     /// carries one full per-request [`ExecutionReport`] per request plus the
@@ -507,6 +520,18 @@ mod tests {
             report.final_statics.get("Main::checksum"),
             baseline.final_statics.get("Main::checksum")
         );
+    }
+
+    #[test]
+    fn a_cluster_of_the_wrong_size_is_a_config_error_not_a_panic() {
+        let w = workloads::bank(5);
+        let plan = Distributor::new(DistributorConfig::multilevel(4)).distribute(&w.program);
+        match plan.try_execute(&ClusterConfig::paper_testbed()) {
+            Err(PipelineError::Config(m)) => {
+                assert!(m.contains("4 nodes") && m.contains("describes 2"), "{m}")
+            }
+            other => panic!("expected a config error, got {other:?}"),
+        }
     }
 
     #[test]

@@ -11,17 +11,10 @@
 //! [`Replanner`] for a better placement. When the planner returns one, the
 //! controller swaps it in for **subsequently admitted** requests.
 //!
-//! Two triggers close an epoch:
+//! An epoch closes every [`AdaptOptions::epoch_requests`] completed requests of an
+//! app.
 //!
-//! * **Request count** — every [`AdaptOptions::epoch_requests`] completed requests
-//!   of an app.
-//! * **Drift** — early, when the observed cross-node byte volume exceeds
-//!   [`AdaptOptions::drift_factor`] × the plan's own prediction
-//!   ([`Replanner::predicted_bytes_per_request`]): live traffic has diverged from
-//!   the model the current placement was computed from, so waiting out the epoch
-//!   just burns more round-trips.
-//!
-//! **In-flight requests are never migrated.** A request's world (channels, virtual
+//! **In-flight requests are never migrated.** A request's world (mailboxes, virtual
 //! clocks, interpreters over the placed programs) is instantiated at admission and
 //! sealed; moving a live object graph between ranks mid-computation would require
 //! distributed state transfer the paper's runtime does not have, and would destroy
@@ -88,14 +81,6 @@ pub trait Replanner: Send + Sync {
         let _ = (app, rank);
         None
     }
-
-    /// The plan's own prediction of cross-node bytes one request of `app` moves
-    /// (the drift trigger's baseline). `None` (the default) disables the drift
-    /// trigger for the app.
-    fn predicted_bytes_per_request(&self, app: usize) -> Option<f64> {
-        let _ = app;
-        None
-    }
 }
 
 /// Configuration of the adaptive-placement epoch controller
@@ -105,34 +90,22 @@ pub trait Replanner: Send + Sync {
 pub struct AdaptOptions {
     /// Completed requests per app between repartition attempts. Clamped to >= 1.
     pub epoch_requests: usize,
-    /// Early-repartition trigger: close the epoch as soon as observed cross-node
-    /// bytes exceed `drift_factor` × predicted bytes ×  completed requests
-    /// (requires [`Replanner::predicted_bytes_per_request`]). `0.0` disables the
-    /// trigger and epochs close on request count alone.
-    pub drift_factor: f64,
-    /// Minimum completed requests before the drift trigger may fire, so one
-    /// unusually chatty request cannot force a repartition on its own.
-    pub min_drift_requests: usize,
-    /// Admissions per epoch that get the planner's profiler sinks attached
-    /// (clamped to >= 1). Per-class weights only feed *relative* hot-method
-    /// ratios into the repartition, so profiling a prefix of each epoch's
-    /// admissions is as informative as profiling all of them — and the remaining
-    /// requests run uninstrumented at full interpreter speed, keeping the
-    /// adaptive arm's throughput at parity with the static server.
-    pub profile_requests: usize,
     /// The planner consulted at every epoch boundary.
     pub planner: Arc<dyn Replanner>,
 }
 
+/// Admissions per epoch that get the planner's profiler sinks attached. Per-class
+/// weights only feed *relative* hot-method ratios into the repartition, so profiling
+/// a prefix of each epoch's admissions is as informative as profiling all of them —
+/// and the remaining requests run uninstrumented at full interpreter speed, keeping
+/// the adaptive arm's throughput at parity with the static server.
+const PROFILED_ADMISSIONS: usize = 4;
+
 impl AdaptOptions {
-    /// Options with the default epoch length (16 requests) and the drift trigger
-    /// disabled.
+    /// Options with the default epoch length (16 requests).
     pub fn new(planner: Arc<dyn Replanner>) -> Self {
         AdaptOptions {
             epoch_requests: 16,
-            drift_factor: 0.0,
-            min_drift_requests: 4,
-            profile_requests: 4,
             planner,
         }
     }
@@ -142,30 +115,12 @@ impl AdaptOptions {
         self.epoch_requests = requests.max(1);
         self
     }
-
-    /// Sets how many admissions per epoch are profiled.
-    pub fn with_profile(mut self, requests: usize) -> Self {
-        self.profile_requests = requests.max(1);
-        self
-    }
-
-    /// Enables the drift trigger: repartition early once observed comm volume
-    /// exceeds `factor` × the plan's prediction, after at least `min_requests`
-    /// completions.
-    pub fn with_drift(mut self, factor: f64, min_requests: usize) -> Self {
-        self.drift_factor = factor.max(0.0);
-        self.min_drift_requests = min_requests.max(1);
-        self
-    }
 }
 
 impl fmt::Debug for AdaptOptions {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("AdaptOptions")
             .field("epoch_requests", &self.epoch_requests)
-            .field("drift_factor", &self.drift_factor)
-            .field("min_drift_requests", &self.min_drift_requests)
-            .field("profile_requests", &self.profile_requests)
             .field("planner", &"<dyn Replanner>")
             .finish()
     }
@@ -248,13 +203,13 @@ impl<'s> AdaptState<'s> {
     }
 
     /// Whether a request of `app` being admitted now should carry profiler sinks:
-    /// only the first [`AdaptOptions::profile_requests`] admissions of each epoch
-    /// do, so the bulk of traffic runs uninstrumented. Called once per admission
-    /// (it advances the epoch's admission counter).
+    /// only the first [`PROFILED_ADMISSIONS`] admissions of each epoch do, so the
+    /// bulk of traffic runs uninstrumented. Called once per admission (it advances
+    /// the epoch's admission counter).
     pub(crate) fn admit_profiled(&self, app: usize) -> bool {
         let mut epoch = self.apps[app].lock().unwrap_or_else(|e| e.into_inner());
         epoch.admitted += 1;
-        epoch.admitted <= self.opts.profile_requests.max(1)
+        epoch.admitted <= PROFILED_ADMISSIONS
     }
 
     /// The planner's profiler sink for node `rank` of a new request of `app`.
@@ -272,7 +227,7 @@ impl<'s> AdaptState<'s> {
     }
 
     /// Feeds one completed request's report into the epoch accumulator and, at an
-    /// epoch boundary (count or drift), consults the planner. A successful replan
+    /// epoch boundary, consults the planner. A successful replan
     /// installs the new placement for subsequently admitted requests of `app`.
     ///
     /// The per-app lock is held across the replan on purpose: concurrent
@@ -284,16 +239,7 @@ impl<'s> AdaptState<'s> {
         epoch.completed += 1;
         epoch.messages += report.total_messages();
         epoch.bytes += report.total_bytes();
-        let full = epoch.completed >= self.opts.epoch_requests.max(1);
-        let drifted = self.opts.drift_factor > 0.0
-            && epoch.completed >= self.opts.min_drift_requests
-            && match self.opts.planner.predicted_bytes_per_request(app) {
-                Some(predicted) if predicted > 0.0 => {
-                    epoch.bytes as f64 > self.opts.drift_factor * predicted * epoch.completed as f64
-                }
-                _ => false,
-            };
-        if !full && !drifted {
+        if epoch.completed < self.opts.epoch_requests.max(1) {
             return;
         }
         let profile = EpochProfile {
@@ -333,16 +279,10 @@ mod tests {
     fn options_builders_clamp_and_configure() {
         let opts = AdaptOptions::new(Arc::new(NeverReplan));
         assert_eq!(opts.epoch_requests, 16);
-        assert_eq!(opts.drift_factor, 0.0);
-        let opts = opts.with_epoch(0).with_drift(-1.0, 0);
+        let opts = opts.with_epoch(0);
         assert_eq!(opts.epoch_requests, 1, "epoch length clamps to 1");
-        assert_eq!(
-            opts.drift_factor, 0.0,
-            "negative drift factors clamp to off"
-        );
-        assert_eq!(opts.min_drift_requests, 1);
-        let dbg = format!("{:?}", opts.with_drift(1.5, 4));
-        assert!(dbg.contains("drift_factor: 1.5"), "{dbg}");
+        let dbg = format!("{:?}", opts.with_epoch(5));
+        assert!(dbg.contains("epoch_requests: 5"), "{dbg}");
     }
 
     #[test]

@@ -22,7 +22,6 @@ use autodist_ir::program::Program;
 use crate::interp::{ExecError, Interp, ProfilerSink};
 use crate::net::{FaultPlan, FaultSummary, NetworkConfig};
 use crate::sched::{AppView, Server};
-use crate::services::ExecutionStarter;
 use crate::value::Value;
 
 /// How many OS threads run the worker loop. Virtual times, message counts and
@@ -36,8 +35,8 @@ pub enum Schedule {
     #[default]
     Inline,
     /// `threads` workers over the same loop and the same queue. A single root
-    /// computation has one control flow, so the extra workers pay off when several
-    /// are in flight (serving) — above all by overlapping blocking admissions.
+    /// computation has one control flow, so the extra workers can only pay off when
+    /// several worlds are in flight (serving).
     Pool {
         /// Worker thread count (clamped to at least 1).
         threads: usize,
@@ -184,7 +183,7 @@ pub fn run_centralized_profiled(
     if let Some(p) = profiler {
         interp = interp.with_profiler(p, sample_interval);
     }
-    let result = ExecutionStarter::start(&mut interp);
+    let result = interp.run_entry();
     let wall = start.elapsed();
     ExecutionReport {
         virtual_time_us: interp.clock_us,

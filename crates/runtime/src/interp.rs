@@ -40,7 +40,7 @@ use autodist_ir::program::{ClassId, FieldRef, MethodId, Program, Type};
 
 use bytes::Bytes;
 
-use crate::net::{LossReason, LostPacket, MpiEndpoint, Packet};
+use crate::net::{LossReason, LostPacket, MpiEndpoint};
 use crate::value::{HeapObject, ObjRef, Value};
 use crate::wire::{AccessKind, FrameHead, Response, WireError, WireValue};
 
@@ -239,9 +239,9 @@ impl std::error::Error for ExecError {}
 
 /// Distributed-execution state attached to an interpreter running as one node of the
 /// simulated cluster.
-pub struct DistState {
+pub struct DistState<'n> {
     /// This node's endpoint into the simulated MPI world.
-    pub endpoint: MpiEndpoint,
+    pub endpoint: MpiEndpoint<'n>,
     /// Export table: export id -> heap index.
     pub exports: Vec<u32>,
     /// Reverse export table: heap index -> export id.
@@ -254,9 +254,9 @@ pub struct DistState {
     peer_ok: Vec<bool>,
 }
 
-impl DistState {
+impl<'n> DistState<'n> {
     /// Wraps an endpoint.
-    pub fn new(endpoint: MpiEndpoint) -> Self {
+    pub fn new(endpoint: MpiEndpoint<'n>) -> Self {
         let n = endpoint.size;
         DistState {
             endpoint,
@@ -453,7 +453,7 @@ pub struct Interp<'p> {
     /// Sampling quantum in instructions (0 disables sampling).
     pub sample_interval: u64,
     /// Distributed runtime state (None for centralized execution).
-    pub dist: Option<DistState>,
+    pub dist: Option<DistState<'p>>,
     /// The interning tables built at load time: field slots, static slots, vtables,
     /// and the pre-decoded op bodies. Shared by refcount so the dispatch loop can
     /// hold a borrow of the ops while the interpreter mutates its own state.
@@ -564,7 +564,7 @@ impl<'p> Interp<'p> {
     }
 
     /// Attaches the distributed runtime state.
-    pub fn with_dist(mut self, dist: DistState) -> Self {
+    pub fn with_dist(mut self, dist: DistState<'p>) -> Self {
         self.instr_cost_us = dist.endpoint.config.instr_cost_us;
         self.speed = dist.endpoint.config.speed_of(dist.endpoint.rank);
         self.dist = Some(dist);
@@ -2326,15 +2326,6 @@ impl<'p> Interp<'p> {
         Ok(self.send_request(home, data, charged))
     }
 
-    /// Non-blocking receive for the worker loop; advances the virtual clock
-    /// to the packet's arrival time (a receiver can never observe a message before it
-    /// was sent).
-    pub fn poll_packet(&mut self) -> Option<Packet> {
-        let pkt = self.dist.as_mut()?.endpoint.try_recv()?;
-        self.clock_us = self.clock_us.max(pkt.arrival_time_us);
-        Some(pkt)
-    }
-
     /// Processes one incoming *request* packet. Requests that need no bytecode
     /// (field/array accesses on local objects) are answered on the spot; invocations
     /// and constructions spawn a [`Continuation`] the worker loop runs — re-entrantly
@@ -2560,7 +2551,11 @@ impl<'p> Interp<'p> {
         let dist = self.dist.as_mut().expect("reply requires dist state");
         let buf = dist.endpoint.take_buf();
         let data = crate::wire::encode_response_in(buf, &resp);
-        self.clock_us = dist.endpoint.send_response(to, req_id, data, clock);
+        // A response is charged at its encoded length.
+        let charged = data.len();
+        self.clock_us = dist
+            .endpoint
+            .send_response_charged(to, req_id, data, clock, charged);
     }
 
     /// A snapshot of all static fields (replicated per node), keyed `Class::field`.
@@ -2578,7 +2573,7 @@ impl<'p> Interp<'p> {
 
 /// The heap index behind export id `id` — an id read off the wire, so one this node
 /// never handed out is a typed failure, not an index panic.
-fn exported(dist: &DistState, id: u64) -> Result<u32, ExecError> {
+fn exported(dist: &DistState<'_>, id: u64) -> Result<u32, ExecError> {
     usize::try_from(id)
         .ok()
         .and_then(|i| dist.exports.get(i))
@@ -2656,6 +2651,7 @@ fn compare(op: CmpOp, lhs: &Value, rhs: &Value) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::net::{NetworkConfig, Transport};
     use autodist_ir::frontend::compile_source;
 
     fn run(src: &str) -> (Value, ExecCounters) {
@@ -2847,7 +2843,7 @@ mod tests {
     }
 
     /// The wire boundary of a serving node, driven frame by frame: node 1 of a
-    /// two-node world, with the requester's endpoint to read the replies from.
+    /// two-node world, its replies read back out of the world's transport.
     const WIRE_SRC: &str = r#"
         class Cell { int v; int get() { return this.v; } }
         class Other { int other() { return 1; } }
@@ -2856,14 +2852,15 @@ mod tests {
 
     fn reply_to(
         node: &mut Interp<'_>,
-        peer: &mut MpiEndpoint,
+        net: &mut Transport,
         frame: Bytes,
     ) -> Option<Result<WireValue, String>> {
         assert!(matches!(
             node.accept_request(0, 1, frame),
             ServeOutcome::Handled
         ));
-        let mut data = peer.try_recv()?.data;
+        net.route(&mut node.dist.as_mut().unwrap().endpoint);
+        let mut data = net.recv(0)?.data;
         Some(match Response::decode(&mut data).expect("reply decodes") {
             Response::Value(v) => Ok(v),
             Response::Error(e) => Err(e),
@@ -2874,9 +2871,9 @@ mod tests {
     fn wire_ids_are_checked_before_they_index_anything() {
         use crate::wire::{encode_dependence, Request};
         let p = compile_source(WIRE_SRC).unwrap();
-        let mut world = crate::net::MpiWorld::new(2, crate::net::NetworkConfig::uniform(2));
-        let mut peer = world.take_endpoint(0);
-        let mut node = Interp::new(&p).with_dist(DistState::new(world.take_endpoint(1)));
+        let config = NetworkConfig::uniform(2);
+        let mut net = Transport::new(2, None);
+        let mut node = Interp::new(&p).with_dist(DistState::new(MpiEndpoint::new(1, 2, &config)));
         let fp = node.layout().fingerprint();
         let frame = |hello, target, kind, member, args: &[WireValue]| {
             encode_dependence(bytes::BytesMut::new(), hello, target, kind, member, args)
@@ -2885,7 +2882,7 @@ mod tests {
         // No hello yet: nothing but a shutdown is honoured from this peer.
         let unverified = reply_to(
             &mut node,
-            &mut peer,
+            &mut net,
             frame(None, 0, AccessKind::ArrayLength, 0, &[]),
         );
         assert_eq!(
@@ -2895,7 +2892,7 @@ mod tests {
             ))
         );
         assert_eq!(
-            reply_to(&mut node, &mut peer, Request::Shutdown.encode()),
+            reply_to(&mut node, &mut net, Request::Shutdown.encode()),
             None
         );
         assert_eq!(node.counters.requests_served, 0);
@@ -2904,7 +2901,7 @@ mod tests {
         // argument that claims to point back here — is a typed failure.
         let bad_target = frame(Some(fp), 998, AccessKind::ArrayLength, 0, &[]);
         assert_eq!(
-            reply_to(&mut node, &mut peer, bad_target),
+            reply_to(&mut node, &mut net, bad_target),
             Some(Err("remote failure: bad export id 998".into()))
         );
         let cell = p.class_by_name("Cell").unwrap();
@@ -2917,7 +2914,7 @@ mod tests {
         assert_eq!(
             reply_to(
                 &mut node,
-                &mut peer,
+                &mut net,
                 frame(None, id, AccessKind::PutField, put, &bad_arg)
             ),
             Some(Err("remote failure: bad export id 999".into()))
@@ -2929,7 +2926,7 @@ mod tests {
         assert_eq!(
             reply_to(
                 &mut node,
-                &mut peer,
+                &mut net,
                 frame(None, id, AccessKind::InvokeRet, other, &[])
             ),
             Some(Err("unknown method other".into()))
@@ -2938,7 +2935,7 @@ mod tests {
         assert_eq!(
             reply_to(
                 &mut node,
-                &mut peer,
+                &mut net,
                 frame(None, id, AccessKind::GetField, 9_999, &[])
             ),
             Some(Ok(WireValue::Null))
@@ -2948,8 +2945,8 @@ mod tests {
     #[test]
     fn names_the_layout_never_interned_fail_at_the_sender() {
         let p = compile_source(WIRE_SRC).unwrap();
-        let mut world = crate::net::MpiWorld::new(2, crate::net::NetworkConfig::uniform(2));
-        let node = Interp::new(&p).with_dist(DistState::new(world.take_endpoint(0)));
+        let config = NetworkConfig::uniform(2);
+        let node = Interp::new(&p).with_dist(DistState::new(MpiEndpoint::new(0, 2, &config)));
         let remote = Value::Ref(ObjRef::Remote { node: 1, id: 0 });
         let access = |kind: AccessKind, name: &str| {
             let args = [

@@ -1,17 +1,17 @@
 //! The simulated MPI transport.
 //!
 //! The paper runs on two Pentium III machines connected by 100 Mb Ethernet and talks
-//! MPI between them. We have one machine, so the "network" is a set of crossbeam
-//! channels between node threads plus an explicit cost model: each node has a relative
-//! CPU speed, and every message pays `latency + bytes / bandwidth` of virtual time.
-//! Virtual clocks are carried on the packets so causality is preserved (a receiver can
-//! never observe a message before it was sent).
+//! MPI between them. We have one machine, so the "network" is a set of mailboxes owned
+//! by the world (one [`Transport`] per root computation: plain queues and plain
+//! counters under the one lock that already guards the world) plus an explicit cost
+//! model: each node has a relative CPU speed, and every message pays
+//! `latency + bytes / bandwidth` of virtual time. Virtual clocks are carried on the
+//! packets so causality is preserved (a receiver can never observe a message before it
+//! was sent). The only state shared *between* worlds is the [`ReadyQueue`].
 
 use bytes::{Bytes, BytesMut};
-use crossbeam::channel::{unbounded, Receiver, Sender};
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Condvar, Mutex};
 
 use crate::wire::{SeqVerdict, SeqWindow};
 
@@ -107,11 +107,11 @@ pub struct KillNode {
 
 /// A deterministic fault schedule for one world, reproducible from its seed.
 ///
-/// The plan wraps every sequenced [`MpiEndpoint`] send (correlated request/response
-/// traffic; shutdown broadcasts and other `req_id == 0` control messages are exempt
-/// — losing a fire-and-forget control packet would model nothing the protocol
-/// waits on). Disabled (no plan attached) costs one branch per send/receive and
-/// leaves every byte of the execution report untouched.
+/// The plan wraps every correlated send the world routes (request/response traffic;
+/// shutdown broadcasts and other `req_id == 0` control messages are exempt — losing a
+/// fire-and-forget control packet would model nothing the protocol waits on).
+/// Disabled (no plan attached) costs one branch per send/receive and leaves every
+/// byte of the execution report untouched.
 #[derive(Clone, Debug)]
 pub struct FaultPlan {
     /// PRNG seed: every probabilistic decision is a pure function of
@@ -281,82 +281,6 @@ pub struct FaultSummary {
     /// Sequence gaps repaired at the delivery deadline.
     pub repaired: u64,
 }
-
-/// Shared runtime state of one world's fault plan: the plan itself, the global
-/// sequenced-send counter (for [`FaultPlan::drop_exact`]) and the loss ledger the
-/// schedulers' delivery-deadline diagnosis reads.
-pub struct FaultState {
-    plan: FaultPlan,
-    sequenced_sends: AtomicU64,
-    lost: Mutex<Vec<LostPacket>>,
-    dropped_attempts: AtomicU64,
-    retries: AtomicU64,
-    duplicated: AtomicU64,
-    suppressed: AtomicU64,
-    reordered: AtomicU64,
-    delayed: AtomicU64,
-    repaired: AtomicU64,
-}
-
-impl FaultState {
-    fn new(plan: FaultPlan) -> Self {
-        FaultState {
-            plan,
-            sequenced_sends: AtomicU64::new(0),
-            lost: Mutex::new(Vec::new()),
-            dropped_attempts: AtomicU64::new(0),
-            retries: AtomicU64::new(0),
-            duplicated: AtomicU64::new(0),
-            suppressed: AtomicU64::new(0),
-            reordered: AtomicU64::new(0),
-            delayed: AtomicU64::new(0),
-            repaired: AtomicU64::new(0),
-        }
-    }
-
-    /// The plan this world runs under.
-    pub fn plan(&self) -> &FaultPlan {
-        &self.plan
-    }
-
-    fn record_loss(&self, loss: LostPacket) {
-        self.lost
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .push(loss);
-    }
-
-    /// The first permanently lost packet, if any. Under the synchronous
-    /// request/response protocol a single lost packet dooms its computation, so the
-    /// first loss is the diagnosis.
-    pub fn first_loss(&self) -> Option<LostPacket> {
-        self.lost
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .first()
-            .copied()
-    }
-
-    /// Every recorded loss (for the transport-stall diagnosis).
-    pub fn losses(&self) -> Vec<LostPacket> {
-        self.lost.lock().unwrap_or_else(|e| e.into_inner()).clone()
-    }
-
-    /// Snapshot of the fault-layer activity counters.
-    pub fn summary(&self) -> FaultSummary {
-        FaultSummary {
-            dropped_attempts: self.dropped_attempts.load(Ordering::Relaxed),
-            lost: self.lost.lock().unwrap_or_else(|e| e.into_inner()).len() as u64,
-            retries: self.retries.load(Ordering::Relaxed),
-            duplicated: self.duplicated.load(Ordering::Relaxed),
-            suppressed: self.suppressed.load(Ordering::Relaxed),
-            reordered: self.reordered.load(Ordering::Relaxed),
-            delayed: self.delayed.load(Ordering::Relaxed),
-            repaired: self.repaired.load(Ordering::Relaxed),
-        }
-    }
-}
-
 /// Whether a packet carries a request or a response (nested requests are served while
 /// waiting for a response, so receivers must be able to tell them apart).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -416,19 +340,19 @@ pub enum Next {
 /// The transport's shared **ready queue**: `(root, rank)` keys for the nodes that
 /// have undelivered packets, in send order.
 ///
-/// The sender of a packet knows its destination, so it enqueues the destination key
-/// here when its delivery slice ends — delivery is then O(1) per packet (pop a key,
-/// drain that node's mailbox) instead of an O(nodes) `try_recv` sweep over every
-/// mailbox. A key may appear more than once (one entry per sender's slice); popping
-/// a key whose mailbox was already drained is a cheap no-op.
+/// A packet names its destination, so the world routing it enqueues the destination
+/// key here when the sender's delivery slice ends — delivery is then O(1) per packet
+/// (pop a key, take from that node's mailbox) instead of an O(nodes) sweep over
+/// every mailbox. A key may appear more than once (one entry per sender's slice);
+/// popping a key whose mailbox was already drained is a cheap no-op.
 ///
 /// One queue is shared by every world of a run (a single-root run has one world, a
 /// serving run up to `concurrency`), so continuations from different requests
 /// interleave freely on the same workers.
 ///
-/// Every entry carries a packet **count**: a sender that accumulated several packets
-/// for one destination during a delivery slice publishes them as a single counted
-/// entry via [`ReadyQueue::push_counted`] — one pop then delivers the whole batch.
+/// Every entry carries a packet **count**: several packets for one destination
+/// accumulated during a delivery slice are published as a single counted entry via
+/// [`ReadyQueue::push_counted`] — one pop then delivers the whole batch.
 #[derive(Default)]
 pub struct ReadyQueue {
     state: Mutex<QueueState>,
@@ -448,8 +372,8 @@ impl ReadyQueue {
         self.state.lock().unwrap_or_else(|e| e.into_inner())
     }
 
-    /// Enqueues `key` carrying `count` deliverable packets as one entry (a
-    /// coalescing sender accumulated that many sends during its delivery slice).
+    /// Enqueues `key` carrying `count` deliverable packets as one entry (its world
+    /// recorded that many for the rank during one delivery slice).
     /// A zero count is ignored.
     ///
     /// A blocked worker is woken only when more is queued than the pusher will take
@@ -529,104 +453,6 @@ impl ReadyQueue {
         self.len() == 0
     }
 }
-
-/// The whole simulated cluster interconnect: create once, then [`MpiWorld::take_endpoint`]
-/// per node thread.
-pub struct MpiWorld {
-    senders: Vec<Sender<Packet>>,
-    receivers: Vec<Option<Receiver<Packet>>>,
-    config: NetworkConfig,
-    ready: Arc<ReadyQueue>,
-    /// Root-computation id stamped on every ready-queue key.
-    root: u32,
-    /// Shared fault-plan state, if fault injection is enabled for this world.
-    faults: Option<Arc<FaultState>>,
-}
-
-impl MpiWorld {
-    /// Creates the interconnect for `n` nodes over a private ready queue (root 0).
-    pub fn new(n: usize, config: NetworkConfig) -> Self {
-        Self::new_serving(n, config, Arc::new(ReadyQueue::default()), 0)
-    }
-
-    /// Creates a *world-scoped* interconnect that feeds an externally shared ready
-    /// queue, stamping every enqueued key with `root`. The worker loop builds one
-    /// such world per admitted root computation so continuations from different
-    /// requests interleave on one queue while their channels, clocks, and
-    /// correlation ids stay fully isolated.
-    pub fn new_serving(n: usize, config: NetworkConfig, ready: Arc<ReadyQueue>, root: u32) -> Self {
-        let mut senders = Vec::with_capacity(n);
-        let mut receivers = Vec::with_capacity(n);
-        for _ in 0..n {
-            let (tx, rx) = unbounded();
-            senders.push(tx);
-            receivers.push(Some(rx));
-        }
-        MpiWorld {
-            senders,
-            receivers,
-            config,
-            ready,
-            root,
-            faults: None,
-        }
-    }
-
-    /// Attaches a fault plan: every endpoint taken afterwards sequences its
-    /// correlated sends and runs them through the plan's injection rolls. Call
-    /// before [`MpiWorld::take_endpoint`].
-    pub fn with_fault_plan(mut self, plan: FaultPlan) -> Self {
-        self.faults = Some(Arc::new(FaultState::new(plan)));
-        self
-    }
-
-    /// The shared fault state, when a plan is attached (one per world — serving mode
-    /// therefore isolates faults per request).
-    pub fn fault_state(&self) -> Option<Arc<FaultState>> {
-        self.faults.clone()
-    }
-
-    /// The shared ready queue fed by every endpoint of this world.
-    #[cfg(test)]
-    pub(crate) fn ready_queue(&self) -> Arc<ReadyQueue> {
-        Arc::clone(&self.ready)
-    }
-
-    /// Number of ranks.
-    pub fn size(&self) -> usize {
-        self.senders.len()
-    }
-
-    /// Hands out the endpoint for `rank`. Panics if taken twice.
-    pub fn take_endpoint(&mut self, rank: usize) -> MpiEndpoint {
-        let rx = self.receivers[rank]
-            .take()
-            .expect("endpoint already taken for this rank");
-        let n = self.senders.len();
-        MpiEndpoint {
-            rank,
-            size: n,
-            senders: self.senders.clone(),
-            receiver: rx,
-            config: self.config.clone(),
-            ready: Arc::clone(&self.ready),
-            root: self.root,
-            published: 0,
-            messages_sent: 0,
-            bytes_sent: 0,
-            messages_received: 0,
-            bytes_received: 0,
-            next_req_id: 0,
-            faults: self
-                .faults
-                .as_ref()
-                .map(|state| EndpointFaults::new(Arc::clone(state), n)),
-            pool: Vec::new(),
-            pending_keys: Vec::new(),
-        }
-    }
-}
-
 /// A sender-side sequencing slot for one directed link.
 #[derive(Clone, Copy, Debug, Default)]
 struct TxLink {
@@ -639,48 +465,359 @@ struct TxLink {
     owed: Option<u64>,
 }
 
-/// Per-endpoint fault machinery: the world-shared [`FaultState`] plus this
-/// endpoint's sender-side sequencers and receiver-side reassembly windows.
-struct EndpointFaults {
-    state: Arc<FaultState>,
+/// One rank's share of a world's fault machinery.
+struct RankFaults {
     /// Outgoing sequencing per destination rank.
     tx: Vec<TxLink>,
     /// Incoming reassembly window per source rank.
     rx: Vec<SeqWindow<Packet>>,
     /// Packets released by a window in bulk (a gap fill or a repair), awaiting pickup
-    /// by the next receive call.
-    pending: VecDeque<Packet>,
+    /// by this rank's next [`Transport::recv`].
+    released: VecDeque<Packet>,
 }
 
-impl EndpointFaults {
-    fn new(state: Arc<FaultState>, n: usize) -> Self {
-        EndpointFaults {
-            state,
-            tx: vec![TxLink::default(); n],
-            rx: (0..n).map(|_| SeqWindow::default()).collect(),
-            pending: VecDeque::new(),
+/// The fault state of one world, present only when a [`FaultPlan`] is attached.
+struct Faults {
+    plan: FaultPlan,
+    ranks: Vec<RankFaults>,
+    /// Sequenced sends so far, in world send order (for [`FaultPlan::drop_exact`]).
+    sequenced_sends: u64,
+    /// The loss ledger the delivery-deadline diagnosis reads.
+    lost: Vec<LostPacket>,
+    summary: FaultSummary,
+}
+
+impl Faults {
+    fn record_loss(&mut self, pkt: &Packet, reason: LossReason) {
+        self.summary.lost += 1;
+        self.lost.push(LostPacket {
+            from: pkt.from,
+            to: pkt.to,
+            req_id: pkt.req_id,
+            kind: pkt.kind,
+            reason,
+        });
+    }
+
+    /// The fault-layer send path: sequences `pkt`, then rolls kill, drop/retry,
+    /// delay and duplication from the plan's seed. Returns how many physical copies
+    /// reach the destination's mailbox — 0 for a lost packet, 2 for a duplicated
+    /// one. Faults only move `arrival_time_us` (retries, delays) or
+    /// suppress/replicate physical transmission, so with every probability at zero
+    /// the execution is byte-identical to running unfaulted.
+    fn decide(&mut self, pkt: &mut Packet, sent_at_us: f64) -> usize {
+        let (from, to) = (pkt.from, pkt.to);
+        let probs = self.plan.link_probs(from, to);
+        let logical = self.sequenced_sends;
+        self.sequenced_sends += 1;
+
+        // Sequence the packet, honouring a pending reorder swap: a reordered packet
+        // takes its successor's number and "owes" its own to the next send on the
+        // link, so the pair travels swapped without holding any packet back.
+        let link = &mut self.ranks[from].tx[to];
+        pkt.seq = if let Some(owed) = link.owed.take() {
+            owed
+        } else {
+            link.issued += 1;
+            let mine = link.issued;
+            if probs.reorder > 0.0 && self.plan.roll(from, to, mine, SALT_REORDER) < probs.reorder {
+                link.owed = Some(mine);
+                link.issued = mine + 1;
+                self.summary.reordered += 1;
+                mine + 1
+            } else {
+                mine
+            }
+        };
+
+        // A killed rank loses everything that would reach it after its death and
+        // everything it would itself send past it.
+        if let Some(k) = self.plan.kill_node {
+            let dead = (k.rank == to && pkt.arrival_time_us >= k.at_virtual_us)
+                || (k.rank == from && sent_at_us >= k.at_virtual_us);
+            if dead {
+                self.record_loss(pkt, LossReason::NodeDown(k.rank));
+                return 0;
+            }
+        }
+
+        // The "drop any single packet" probe loses exactly one logical packet, in
+        // world send order, retries notwithstanding.
+        if self.plan.drop_exact == Some(logical) {
+            self.summary.dropped_attempts += 1 + self.plan.max_retries as u64;
+            self.record_loss(pkt, LossReason::Dropped);
+            return 0;
+        }
+
+        // Drop/retry: every transmission attempt rolls independently; the first
+        // surviving attempt delivers late by the accumulated ack-timeout backoff,
+        // and a packet whose every attempt drops is lost.
+        if probs.drop > 0.0 {
+            let mut survived = None;
+            for attempt in 0..=self.plan.max_retries {
+                let salt = SALT_DROP_BASE + attempt as u64;
+                if self.plan.roll(from, to, pkt.seq, salt) < probs.drop {
+                    self.summary.dropped_attempts += 1;
+                } else {
+                    survived = Some(attempt);
+                    break;
+                }
+            }
+            let Some(attempt) = survived else {
+                self.record_loss(pkt, LossReason::Dropped);
+                return 0;
+            };
+            self.summary.retries += attempt as u64;
+            pkt.arrival_time_us += attempt as f64 * self.plan.retry_backoff_us;
+        }
+
+        if probs.delay > 0.0 && self.plan.roll(from, to, pkt.seq, SALT_DELAY) < probs.delay {
+            pkt.arrival_time_us += self.plan.delay_us;
+            self.summary.delayed += 1;
+        }
+
+        if probs.duplicate > 0.0
+            && self.plan.roll(from, to, pkt.seq, SALT_DUPLICATE) < probs.duplicate
+        {
+            self.summary.duplicated += 1;
+            return 2;
+        }
+        1
+    }
+}
+
+/// Ready keys recorded per destination rank since the last [`Transport::publish`],
+/// and those ranks in first-recorded order (the order the entries are published in).
+struct Tally {
+    counts: Vec<u32>,
+    order: Vec<u32>,
+}
+
+impl Tally {
+    /// Records `n` deliverable packets for `to`.
+    fn mark(&mut self, to: usize, n: u32) {
+        if n > 0 {
+            if self.counts[to] == 0 {
+                self.order.push(to as u32);
+            }
+            self.counts[to] += n;
         }
     }
 }
 
-/// Per-node communication endpoint (the paper's "MPI service" sets this up).
-pub struct MpiEndpoint {
+/// One world's interconnect: per-rank mailboxes, the world's exact ready-key count
+/// and — when a plan is attached — its fault state, all plain data. The world that
+/// owns it sits behind one mutex, so every send, receive, window release and gap
+/// repair of its nodes runs under that lock by ownership, not by convention: there
+/// is nothing in here another thread could hold.
+///
+/// A node never touches it. What a node sends during a delivery slice waits in its
+/// [`MpiEndpoint`]'s outbox; when the slice ends the world [`Transport::route`]s
+/// the outbox — fault rolls, sequencing, duplicate copies, mailbox push — and
+/// [`Transport::publish`]es one counted ready key per destination.
+pub(crate) struct Transport {
+    /// Undelivered packets per destination rank, FIFO.
+    mailboxes: Vec<VecDeque<Packet>>,
+    /// Ready keys published minus keys consumed by delivery slices.
+    keys: u32,
+    tally: Tally,
+    /// Present only when the world has a [`FaultPlan`] — the disabled hot path pays
+    /// one branch per send and receive.
+    faults: Option<Faults>,
+}
+
+impl Transport {
+    /// The interconnect of an `n`-rank world. With a plan, every correlated send
+    /// is sequenced and run through the plan's injection rolls.
+    pub(crate) fn new(n: usize, plan: Option<FaultPlan>) -> Self {
+        Transport {
+            mailboxes: (0..n).map(|_| VecDeque::new()).collect(),
+            keys: 0,
+            tally: Tally {
+                counts: vec![0; n],
+                order: Vec::new(),
+            },
+            faults: plan.map(|plan| Faults {
+                plan,
+                ranks: (0..n)
+                    .map(|_| RankFaults {
+                        tx: vec![TxLink::default(); n],
+                        rx: (0..n).map(|_| SeqWindow::default()).collect(),
+                        released: VecDeque::new(),
+                    })
+                    .collect(),
+                sequenced_sends: 0,
+                lost: Vec::new(),
+                summary: FaultSummary::default(),
+            }),
+        }
+    }
+
+    /// Ready keys published for this world and not yet consumed. Exact, because
+    /// both halves are only ever counted here: zero before the root completes
+    /// means nothing is queued and nothing is in another worker's hands.
+    pub(crate) fn keys(&self) -> u32 {
+        self.keys
+    }
+
+    /// Puts `pkt` into its destination's mailbox and records its key. Called
+    /// directly only for `req_id == 0` control traffic (the shutdown broadcast),
+    /// which no fault plan touches: losing a fire-and-forget control packet would
+    /// model nothing the protocol waits on.
+    pub(crate) fn post(&mut self, pkt: Packet) {
+        let to = pkt.to;
+        self.mailboxes[to].push_back(pkt);
+        self.tally.mark(to, 1);
+    }
+
+    /// Routes everything `endpoint` sent since the last call, in send order —
+    /// world send order, since a world has one live control flow — so a fault plan
+    /// decides each packet's fate exactly as if it had been consulted at the send.
+    pub(crate) fn route(&mut self, endpoint: &mut MpiEndpoint<'_>) {
+        for Posted {
+            mut pkt,
+            sent_at_us,
+        } in endpoint.outbox.drain(..)
+        {
+            let copies = match self.faults.as_mut() {
+                Some(f) if pkt.req_id != 0 => f.decide(&mut pkt, sent_at_us),
+                _ => 1,
+            };
+            if copies == 0 {
+                // A lost packet wakes its destination anyway: the worker pops the
+                // key, finds nothing, the key count reaches zero, and the recorded
+                // loss becomes a typed error, not a hang.
+                self.tally.mark(pkt.to, 1);
+                continue;
+            }
+            // One key per *physical* packet keeps the pop-one deliver-one
+            // invariant; the receiver's window suppresses the duplicate.
+            for _ in 1..copies {
+                self.post(pkt.clone());
+            }
+            self.post(pkt);
+        }
+    }
+
+    /// Publishes the keys recorded since the last call as one counted ready-queue
+    /// entry per destination `(root, rank)`, in first-recorded order, and counts
+    /// them. The worker loop calls this at the end of every packet's slice, so it
+    /// observes one wake per link per slice however many packets went there.
+    pub(crate) fn publish(&mut self, root: u32, ready: &ReadyQueue) {
+        for to in self.tally.order.drain(..) {
+            let count = std::mem::take(&mut self.tally.counts[to as usize]);
+            self.keys += count;
+            ready.push_counted((root, to), count);
+        }
+    }
+
+    /// A delivery slice consumed `count` keys.
+    pub(crate) fn consume(&mut self, count: u32) {
+        self.keys = self.keys.saturating_sub(count);
+    }
+
+    /// Non-blocking receive — the only receive there is: the worker loop takes one
+    /// packet per key it popped for `rank`. With a fault plan attached, arrivals are
+    /// screened through the per-link sequence window (duplicates suppressed,
+    /// reorders buffered), so `None` may also mean "a physical packet arrived but
+    /// nothing is deliverable yet". A delivery that closes a gap releases the
+    /// buffered run for the following calls, with one self ready-key per released
+    /// packet (their original keys were consumed when they buffered).
+    pub(crate) fn recv(&mut self, rank: usize) -> Option<Packet> {
+        let Some(f) = self.faults.as_mut() else {
+            return self.mailboxes[rank].pop_front();
+        };
+        let me = &mut f.ranks[rank];
+        if let Some(pkt) = me.released.pop_front() {
+            return Some(pkt);
+        }
+        let pkt = self.mailboxes[rank].pop_front()?;
+        if pkt.seq == 0 {
+            // Exempt control traffic travels unsequenced.
+            return Some(pkt);
+        }
+        let window = &mut me.rx[pkt.from];
+        match window.offer(pkt.seq, pkt) {
+            SeqVerdict::Deliver(pkt) => {
+                let before = me.released.len();
+                me.released
+                    .extend(std::iter::from_fn(|| window.pop_ready()));
+                let released = me.released.len() - before;
+                self.tally.mark(rank, released as u32);
+                Some(pkt)
+            }
+            SeqVerdict::Duplicate => {
+                f.summary.suppressed += 1;
+                None
+            }
+            SeqVerdict::Buffered => None,
+        }
+    }
+
+    /// Skips the sequence gap in front of every buffered run of the world (the
+    /// delivery deadline passed — the missing packets are not coming). Released
+    /// packets queue for their rank's next receives, with one self ready-key each.
+    /// Returns how many packets were released. No-op without a fault plan.
+    pub(crate) fn repair_gaps(&mut self) -> usize {
+        let Some(f) = self.faults.as_mut() else {
+            return 0;
+        };
+        let mut total = 0;
+        for (rank, me) in f.ranks.iter_mut().enumerate() {
+            let before = me.released.len();
+            for window in me.rx.iter_mut().filter(|w| w.has_gap()) {
+                if window.repair() > 0 {
+                    f.summary.repaired += 1;
+                    me.released
+                        .extend(std::iter::from_fn(|| window.pop_ready()));
+                }
+            }
+            let released = me.released.len() - before;
+            self.tally.mark(rank, released as u32);
+            total += released;
+        }
+        total
+    }
+
+    /// `true` when packets are buffered behind a sequence gap on any of `rank`'s
+    /// incoming links (candidates for [`Transport::repair_gaps`]).
+    pub(crate) fn has_sequence_gap(&self, rank: usize) -> bool {
+        self.faults
+            .as_ref()
+            .is_some_and(|f| f.ranks[rank].rx.iter().any(|w| w.has_gap()))
+    }
+
+    /// The first permanently lost packet, if any. Under the synchronous
+    /// request/response protocol a single lost packet dooms its computation, so the
+    /// first loss is the diagnosis.
+    pub(crate) fn first_loss(&self) -> Option<LostPacket> {
+        self.faults.as_ref()?.lost.first().copied()
+    }
+
+    /// The fault-layer activity so far, when a plan is attached.
+    pub(crate) fn fault_summary(&self) -> Option<FaultSummary> {
+        self.faults.as_ref().map(|f| f.summary)
+    }
+}
+
+/// A packet a node sent during a delivery slice, waiting in its outbox for the
+/// world to route it.
+struct Posted {
+    pkt: Packet,
+    /// The sender's clock at the send (a kill-node plan silences a rank by it).
+    sent_at_us: f64,
+}
+
+/// The node half of the transport: what an interpreter needs to *send* — its rank,
+/// the cost model, traffic counters, correlation ids, recycled encode buffers —
+/// and the outbox its sends wait in until the world routes them.
+pub struct MpiEndpoint<'n> {
     /// This node's rank.
     pub rank: usize,
     /// World size.
     pub size: usize,
-    senders: Vec<Sender<Packet>>,
-    receiver: Receiver<Packet>,
     /// The shared cost model.
-    pub config: NetworkConfig,
-    /// The run's shared ready queue; sends enqueue `(root, destination)`.
-    ready: Arc<ReadyQueue>,
-    /// Root-computation id stamped on ready-queue keys.
-    root: u32,
-    /// Ready keys (one per packet) this endpoint recorded since the last
-    /// [`MpiEndpoint::take_published`] — the "published" half of its world's
-    /// published-minus-consumed key count.
-    published: u32,
+    pub config: &'n NetworkConfig,
     /// Number of messages sent by this endpoint.
     pub messages_sent: u64,
     /// Bytes sent by this endpoint.
@@ -691,38 +828,37 @@ pub struct MpiEndpoint {
     pub bytes_received: u64,
     /// Next outgoing request correlation id (ids are unique per endpoint).
     next_req_id: u64,
-    /// Fault-injection machinery, present only when the world has a [`FaultPlan`] —
-    /// the disabled hot path pays a single `is_some` branch per send and receive.
-    faults: Option<EndpointFaults>,
     /// Recycled encode buffers ([`MpiEndpoint::take_buf`] / [`MpiEndpoint::reclaim`]):
     /// the steady-state wire path reuses one allocation per in-flight message.
     pool: Vec<BytesMut>,
-    /// Ready-key publications accumulated per destination since the last
-    /// [`MpiEndpoint::flush_coalesced`], which releases them as counted batches.
-    pending_keys: Vec<(ReadyKey, u32)>,
+    outbox: Vec<Posted>,
 }
 
 /// Upper bound on recycled encode buffers kept per endpoint.
 const BUF_POOL_CAP: usize = 32;
 
-impl MpiEndpoint {
-    /// Sends `data` to `to`. `clock_us` is the sender's current virtual time; the
-    /// returned value is the sender's clock after the (modelled) send overhead.
-    /// Shutdown broadcasts and other uncorrelated messages travel with `req_id` 0.
-    pub fn send(&mut self, to: usize, kind: PacketKind, data: Bytes, clock_us: f64) -> f64 {
-        self.send_with_id(to, kind, 0, data, clock_us)
+impl<'n> MpiEndpoint<'n> {
+    /// The endpoint of `rank` in a world of `size` nodes under `config`.
+    pub fn new(rank: usize, size: usize, config: &'n NetworkConfig) -> Self {
+        MpiEndpoint {
+            rank,
+            size,
+            config,
+            messages_sent: 0,
+            bytes_sent: 0,
+            messages_received: 0,
+            bytes_received: 0,
+            next_req_id: 0,
+            pool: Vec::new(),
+            outbox: Vec::new(),
+        }
     }
 
-    /// Sends a request stamped with a fresh correlation id; returns the updated clock
-    /// and the id the matching response will echo.
-    pub fn send_request(&mut self, to: usize, data: Bytes, clock_us: f64) -> (f64, u64) {
-        let charged = data.len();
-        self.send_request_charged(to, data, clock_us, charged)
-    }
-
-    /// Like [`MpiEndpoint::send_request`], but charges the cost model for
-    /// `charged_len` bytes instead of the physical frame length: the cost model
-    /// defines a request's size by formula (`wire::charged_*_size`), independent of
+    /// Sends a request stamped with a fresh correlation id; returns the sender's
+    /// clock after the (modelled) send overhead and the id the matching response
+    /// will echo. `clock_us` is the sender's current virtual time. The cost model
+    /// is charged for `charged_len` bytes instead of the physical frame length: it
+    /// defines a message's size by formula (`wire::charged_*_size`), independent of
     /// how compactly the frame happens to be encoded.
     pub fn send_request_charged(
         &mut self,
@@ -733,18 +869,11 @@ impl MpiEndpoint {
     ) -> (f64, u64) {
         self.next_req_id += 1;
         let id = self.next_req_id;
-        let clock =
-            self.send_with_id_charged(to, PacketKind::Request, id, data, clock_us, charged_len);
+        let clock = self.send(to, PacketKind::Request, id, data, clock_us, charged_len);
         (clock, id)
     }
 
-    /// Sends the response for request `req_id` back to `to`.
-    pub fn send_response(&mut self, to: usize, req_id: u64, data: Bytes, clock_us: f64) -> f64 {
-        let charged = data.len();
-        self.send_response_charged(to, req_id, data, clock_us, charged)
-    }
-
-    /// Charged-length variant of [`MpiEndpoint::send_response`] (see
+    /// Sends the response for request `req_id` back to `to` (see
     /// [`MpiEndpoint::send_request_charged`]).
     pub fn send_response_charged(
         &mut self,
@@ -754,7 +883,7 @@ impl MpiEndpoint {
         clock_us: f64,
         charged_len: usize,
     ) -> f64 {
-        self.send_with_id_charged(
+        self.send(
             to,
             PacketKind::Response,
             req_id,
@@ -764,19 +893,7 @@ impl MpiEndpoint {
         )
     }
 
-    fn send_with_id(
-        &mut self,
-        to: usize,
-        kind: PacketKind,
-        req_id: u64,
-        data: Bytes,
-        clock_us: f64,
-    ) -> f64 {
-        let charged = data.len();
-        self.send_with_id_charged(to, kind, req_id, data, clock_us, charged)
-    }
-
-    fn send_with_id_charged(
+    fn send(
         &mut self,
         to: usize,
         kind: PacketKind,
@@ -785,34 +902,31 @@ impl MpiEndpoint {
         clock_us: f64,
         charged_len: usize,
     ) -> f64 {
-        let transfer = self.config.transfer_time_us(charged_len);
-        let arrival = clock_us + transfer;
         self.messages_sent += 1;
         // Traffic counters record *physical* bytes; only the virtual-time charge
         // uses `charged_len`.
         self.bytes_sent += data.len() as u64;
-        // Correlated traffic goes through the fault layer when a plan is attached;
-        // `req_id == 0` control messages (shutdown broadcasts) are exempt so the
-        // protocol's fire-and-forget teardown stays reliable.
-        if self.faults.is_some() && req_id != 0 {
-            return self.send_faulted(to, kind, req_id, data, clock_us, arrival);
-        }
-        let pkt = Packet {
-            from: self.rank,
-            to,
-            kind,
-            req_id,
-            seq: 0,
-            data,
-            arrival_time_us: arrival,
-        };
+        self.outbox.push(Posted {
+            pkt: Packet {
+                from: self.rank,
+                to,
+                kind,
+                req_id,
+                seq: 0,
+                data,
+                arrival_time_us: clock_us + self.config.transfer_time_us(charged_len),
+            },
+            sent_at_us: clock_us,
+        });
         // Sending is cheap for the sender itself (asynchronous message exchange):
         // charge only a fixed software overhead.
-        let _ = self.senders[to].send(pkt);
-        // The sender knows the destination: mark the rank ready so event-driven
-        // schedulers deliver in O(1) per packet (no mailbox sweep).
-        self.mark_ready(to);
         clock_us + self.config.latency_us * 0.1
+    }
+
+    /// Counts one logically delivered packet.
+    pub fn received(&mut self, pkt: &Packet) {
+        self.messages_received += 1;
+        self.bytes_received += pkt.data.len() as u64;
     }
 
     /// Pops a recycled encode buffer, or allocates one. Pair with
@@ -835,300 +949,53 @@ impl MpiEndpoint {
             }
         }
     }
-
-    /// Publishes every accumulated `(key, count)` pair as one counted ready-queue
-    /// entry each. No-op when nothing has accumulated. The worker loop calls this
-    /// at the end of every delivery slice, so it observes one wake per link per
-    /// slice however many packets the slice sent there.
-    pub fn flush_coalesced(&mut self) {
-        for (key, count) in self.pending_keys.drain(..) {
-            self.ready.push_counted(key, count);
-        }
-    }
-
-    /// Records one deliverable packet for `to`. The packet itself already entered
-    /// its channel (sequence numbers, fault rolls and arrival times are decided at
-    /// send time); only the ready key is held back for the next
-    /// [`MpiEndpoint::flush_coalesced`]. It counts towards
-    /// [`MpiEndpoint::take_published`] now.
-    fn mark_ready(&mut self, to: usize) {
-        self.published += 1;
-        let key = (self.root, to as u32);
-        if let Some(entry) = self.pending_keys.iter_mut().find(|(k, _)| *k == key) {
-            entry.1 += 1;
-        } else {
-            self.pending_keys.push((key, 1));
-        }
-    }
-
-    /// The fault-layer send path: sequences the packet, then rolls kill, drop/retry,
-    /// delay and duplication from the plan's seed. Counters were already charged by
-    /// [`MpiEndpoint::send_with_id`] — faults only move `arrival_time_us` (retries,
-    /// delays) or suppress/replicate physical transmission, so with every
-    /// probability at zero the execution is byte-identical to running unfaulted.
-    fn send_faulted(
-        &mut self,
-        to: usize,
-        kind: PacketKind,
-        req_id: u64,
-        data: Bytes,
-        clock_us: f64,
-        mut arrival: f64,
-    ) -> f64 {
-        let ret = clock_us + self.config.latency_us * 0.1;
-        let state = Arc::clone(&self.faults.as_ref().expect("fault plan present").state);
-        let plan = state.plan();
-        let probs = plan.link_probs(self.rank, to);
-        let logical = state.sequenced_sends.fetch_add(1, Ordering::Relaxed);
-
-        // Sequence the packet, honouring a pending reorder swap: a reordered packet
-        // takes its successor's number and "owes" its own to the next send on the
-        // link, so the pair travels swapped without holding any packet back.
-        let link = &mut self.faults.as_mut().expect("fault plan present").tx[to];
-        let seq = if let Some(owed) = link.owed.take() {
-            owed
-        } else {
-            link.issued += 1;
-            let mine = link.issued;
-            if probs.reorder > 0.0 && plan.roll(self.rank, to, mine, SALT_REORDER) < probs.reorder {
-                link.owed = Some(mine);
-                link.issued = mine + 1;
-                state.reordered.fetch_add(1, Ordering::Relaxed);
-                mine + 1
-            } else {
-                mine
-            }
-        };
-
-        // A killed rank loses everything that would reach it after its death and
-        // everything it would itself send past it.
-        if let Some(k) = plan.kill_node {
-            let dead = (k.rank == to && arrival >= k.at_virtual_us)
-                || (k.rank == self.rank && clock_us >= k.at_virtual_us);
-            if dead {
-                state.record_loss(LostPacket {
-                    from: self.rank,
-                    to,
-                    req_id,
-                    kind,
-                    reason: LossReason::NodeDown(k.rank),
-                });
-                // Wake the destination anyway: the worker loop pops the key, finds
-                // nothing, the world's key count reaches zero, and the delivery
-                // deadline turns the recorded loss into a typed error, not a hang.
-                self.mark_ready(to);
-                return ret;
-            }
-        }
-
-        // The "drop any single packet" probe loses exactly one logical packet, in
-        // world send order, retries notwithstanding.
-        if plan.drop_exact == Some(logical) {
-            state
-                .dropped_attempts
-                .fetch_add(1 + plan.max_retries as u64, Ordering::Relaxed);
-            state.record_loss(LostPacket {
-                from: self.rank,
-                to,
-                req_id,
-                kind,
-                reason: LossReason::Dropped,
-            });
-            self.mark_ready(to);
-            return ret;
-        }
-
-        // Drop/retry: every transmission attempt rolls independently; the first
-        // surviving attempt delivers late by the accumulated ack-timeout backoff,
-        // and a packet whose every attempt drops is lost.
-        if probs.drop > 0.0 {
-            let mut survived = None;
-            for attempt in 0..=plan.max_retries {
-                if plan.roll(self.rank, to, seq, SALT_DROP_BASE + attempt as u64) < probs.drop {
-                    state.dropped_attempts.fetch_add(1, Ordering::Relaxed);
-                } else {
-                    survived = Some(attempt);
-                    break;
-                }
-            }
-            match survived {
-                Some(0) => {}
-                Some(attempt) => {
-                    state.retries.fetch_add(attempt as u64, Ordering::Relaxed);
-                    arrival += attempt as f64 * plan.retry_backoff_us;
-                }
-                None => {
-                    state.record_loss(LostPacket {
-                        from: self.rank,
-                        to,
-                        req_id,
-                        kind,
-                        reason: LossReason::Dropped,
-                    });
-                    self.mark_ready(to);
-                    return ret;
-                }
-            }
-        }
-
-        if probs.delay > 0.0 && plan.roll(self.rank, to, seq, SALT_DELAY) < probs.delay {
-            arrival += plan.delay_us;
-            state.delayed.fetch_add(1, Ordering::Relaxed);
-        }
-
-        let duplicate = probs.duplicate > 0.0
-            && plan.roll(self.rank, to, seq, SALT_DUPLICATE) < probs.duplicate;
-        let pkt = Packet {
-            from: self.rank,
-            to,
-            kind,
-            req_id,
-            seq,
-            data,
-            arrival_time_us: arrival,
-        };
-        if duplicate {
-            state.duplicated.fetch_add(1, Ordering::Relaxed);
-            let _ = self.senders[to].send(pkt.clone());
-            // One ready-queue entry per *physical* packet keeps the pop-one
-            // deliver-one invariant; the receiver's window suppresses the copy.
-            self.mark_ready(to);
-        }
-        let _ = self.senders[to].send(pkt);
-        self.mark_ready(to);
-        ret
-    }
-
-    /// Returns and resets the number of ready keys this endpoint recorded since
-    /// the last call. Keys for a world are only ever recorded by that world's own
-    /// endpoints — sends, sequence-window releases, gap repairs — and those only run
-    /// inside the world's delivery slices, so the worker holding the world's lock
-    /// reads an exact figure.
-    pub fn take_published(&mut self) -> u32 {
-        std::mem::take(&mut self.published)
-    }
-
-    /// Non-blocking receive — the only receive there is: the worker loop drains a
-    /// node's mailbox when it pops that node's ready key. With a fault plan attached,
-    /// arrivals are screened through the per-link sequence window (duplicates
-    /// suppressed, reorders buffered), so `None` may also mean "a physical packet
-    /// arrived but nothing is deliverable yet".
-    pub fn try_recv(&mut self) -> Option<Packet> {
-        if self.faults.is_none() {
-            return match self.receiver.try_recv() {
-                Ok(pkt) => {
-                    self.messages_received += 1;
-                    self.bytes_received += pkt.data.len() as u64;
-                    Some(pkt)
-                }
-                Err(_) => None,
-            };
-        }
-        if let Some(p) = self.take_pending() {
-            return Some(p);
-        }
-        let pkt = self.receiver.try_recv().ok()?;
-        self.screen(pkt)
-    }
-
-    /// Pops a packet previously released by a sequence window (gap fill or repair),
-    /// charging the receive counters at the moment of logical delivery.
-    fn take_pending(&mut self) -> Option<Packet> {
-        let pkt = self
-            .faults
-            .as_mut()
-            .expect("fault plan present")
-            .pending
-            .pop_front()?;
-        self.messages_received += 1;
-        self.bytes_received += pkt.data.len() as u64;
-        Some(pkt)
-    }
-
-    /// Screens one physical arrival through the per-link sequence window. Returns
-    /// the packet when it is logically deliverable now; `None` for suppressed
-    /// duplicates and buffered reorders. A delivery that closes a gap releases the
-    /// buffered run into the pending queue and pushes one self ready-key per
-    /// released packet (their original keys were consumed when they buffered).
-    fn screen(&mut self, pkt: Packet) -> Option<Packet> {
-        if pkt.seq == 0 {
-            // Exempt control traffic travels unsequenced.
-            self.messages_received += 1;
-            self.bytes_received += pkt.data.len() as u64;
-            return Some(pkt);
-        }
-        let from = pkt.from;
-        let seq = pkt.seq;
-        let f = self.faults.as_mut().expect("fault plan present");
-        match f.rx[from].offer(seq, pkt) {
-            SeqVerdict::Deliver(p) => {
-                let mut released = 0;
-                while let Some(next) = f.rx[from].pop_ready() {
-                    f.pending.push_back(next);
-                    released += 1;
-                }
-                let me = self.rank;
-                for _ in 0..released {
-                    self.mark_ready(me);
-                }
-                self.messages_received += 1;
-                self.bytes_received += p.data.len() as u64;
-                Some(p)
-            }
-            SeqVerdict::Duplicate => {
-                f.state.suppressed.fetch_add(1, Ordering::Relaxed);
-                None
-            }
-            SeqVerdict::Buffered => None,
-        }
-    }
-
-    /// Skips the sequence gap in front of every buffered run on this endpoint (the
-    /// delivery deadline passed — the missing packets are not coming). Released
-    /// packets queue for the next receive call, with one self ready-key each.
-    /// Returns how many packets were released. No-op without a fault plan.
-    pub fn repair_gaps(&mut self) -> usize {
-        let Some(f) = self.faults.as_mut() else {
-            return 0;
-        };
-        let mut released = 0;
-        for w in f.rx.iter_mut() {
-            if w.has_gap() {
-                let n = w.repair();
-                if n > 0 {
-                    f.state.repaired.fetch_add(1, Ordering::Relaxed);
-                    while let Some(p) = w.pop_ready() {
-                        f.pending.push_back(p);
-                        released += 1;
-                    }
-                }
-            }
-        }
-        let me = self.rank;
-        for _ in 0..released {
-            self.mark_ready(me);
-        }
-        released
-    }
-
-    /// `true` when packets are buffered behind a sequence gap on any of this
-    /// endpoint's links (candidates for [`MpiEndpoint::repair_gaps`]).
-    pub fn has_sequence_gap(&self) -> bool {
-        self.faults
-            .as_ref()
-            .map(|f| f.rx.iter().any(|w| w.has_gap()))
-            .unwrap_or(false)
-    }
-
-    /// The world-shared fault state, when a plan is attached.
-    pub fn fault_state(&self) -> Option<Arc<FaultState>> {
-        self.faults.as_ref().map(|f| Arc::clone(&f.state))
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// One world the way `sched::World` holds it: the transport plus one endpoint
+    /// per rank.
+    fn world(config: &NetworkConfig, plan: Option<FaultPlan>) -> (Transport, Vec<MpiEndpoint<'_>>) {
+        let n = config.nodes();
+        let endpoints = (0..n).map(|r| MpiEndpoint::new(r, n, config)).collect();
+        (Transport::new(n, plan), endpoints)
+    }
+
+    /// A request charged at its physical length, routed at once (a one-send slice).
+    fn request(
+        net: &mut Transport,
+        from: &mut MpiEndpoint<'_>,
+        to: usize,
+        payload: &'static [u8],
+        clock_us: f64,
+    ) -> (f64, u64) {
+        let sent =
+            from.send_request_charged(to, Bytes::from_static(payload), clock_us, payload.len());
+        net.route(from);
+        sent
+    }
+
+    /// The world's delivery step: take `at`'s next packet and count it received.
+    fn recv(net: &mut Transport, at: &mut MpiEndpoint<'_>) -> Option<Packet> {
+        let pkt = net.recv(at.rank)?;
+        at.received(&pkt);
+        Some(pkt)
+    }
+
+    /// An uncorrelated control packet (`req_id` 0), as the shutdown broadcast posts.
+    fn control(from: usize, to: usize, payload: &'static [u8]) -> Packet {
+        Packet {
+            from,
+            to,
+            kind: PacketKind::Request,
+            req_id: 0,
+            seq: 0,
+            data: Bytes::from_static(payload),
+            arrival_time_us: 0.0,
+        }
+    }
 
     #[test]
     fn transfer_time_scales_with_size_and_latency() {
@@ -1143,76 +1010,70 @@ mod tests {
 
     #[test]
     fn endpoints_exchange_packets_and_count_traffic() {
-        let mut world = MpiWorld::new(2, NetworkConfig::uniform(2));
-        let mut a = world.take_endpoint(0);
-        let mut b = world.take_endpoint(1);
-        let clock_after = a.send(1, PacketKind::Request, Bytes::from_static(b"hello"), 100.0);
+        let cfg = NetworkConfig::uniform(2);
+        let (mut net, mut eps) = world(&cfg, None);
+        let (clock_after, _) = request(&mut net, &mut eps[0], 1, b"hello", 100.0);
         assert!(clock_after >= 100.0);
-        let pkt = b.try_recv().expect("delivered");
+        let pkt = recv(&mut net, &mut eps[1]).expect("delivered");
         assert_eq!(pkt.from, 0);
         assert_eq!(pkt.to, 1);
         assert_eq!(&pkt.data[..], b"hello");
         assert!(pkt.arrival_time_us > 100.0, "arrival accounts for the link");
-        assert_eq!(a.messages_sent, 1);
-        assert_eq!(a.bytes_sent, 5);
-        assert_eq!(b.messages_received, 1);
-        assert_eq!(b.bytes_received, 5);
+        assert_eq!(eps[0].messages_sent, 1);
+        assert_eq!(eps[0].bytes_sent, 5);
+        assert_eq!(eps[1].messages_received, 1);
+        assert_eq!(eps[1].bytes_received, 5);
     }
 
     #[test]
     fn request_ids_are_fresh_and_echoed_on_responses() {
-        let mut world = MpiWorld::new(2, NetworkConfig::uniform(2));
-        let mut a = world.take_endpoint(0);
-        let mut b = world.take_endpoint(1);
-        let (_, id1) = a.send_request(1, Bytes::from_static(b"q1"), 0.0);
-        let (_, id2) = a.send_request(1, Bytes::from_static(b"q2"), 0.0);
+        let cfg = NetworkConfig::uniform(2);
+        let (mut net, mut eps) = world(&cfg, None);
+        let (_, id1) = request(&mut net, &mut eps[0], 1, b"q1", 0.0);
+        let (_, id2) = request(&mut net, &mut eps[0], 1, b"q2", 0.0);
         assert_ne!(id1, id2, "each request gets a fresh correlation id");
-        let p1 = b.try_recv().expect("first request");
+        let p1 = recv(&mut net, &mut eps[1]).expect("first request");
         assert_eq!(p1.req_id, id1);
-        b.send_response(0, p1.req_id, Bytes::from_static(b"r1"), 0.0);
-        let resp = a.try_recv().expect("response");
+        eps[1].send_response_charged(0, p1.req_id, Bytes::from_static(b"r1"), 0.0, 2);
+        net.route(&mut eps[1]);
+        let resp = recv(&mut net, &mut eps[0]).expect("response");
         assert_eq!(resp.kind, PacketKind::Response);
         assert_eq!(resp.req_id, id1, "response echoes the request id");
-        assert!(a.send(1, PacketKind::Request, Bytes::new(), 0.0) >= 0.0);
-        assert_eq!(b.try_recv().map(|p| p.req_id), Some(id2));
+        net.post(control(0, 1, b""));
+        assert_eq!(recv(&mut net, &mut eps[1]).map(|p| p.req_id), Some(id2));
         assert_eq!(
-            b.try_recv().map(|p| p.req_id),
+            recv(&mut net, &mut eps[1]).map(|p| p.req_id),
             Some(0),
-            "uncorrelated sends travel with id 0"
+            "uncorrelated control packets travel with id 0"
         );
     }
 
     #[test]
-    #[should_panic(expected = "endpoint already taken")]
-    fn endpoints_cannot_be_taken_twice() {
-        let mut world = MpiWorld::new(1, NetworkConfig::uniform(1));
-        let _a = world.take_endpoint(0);
-        let _b = world.take_endpoint(0);
-    }
-
-    #[test]
     fn sends_mark_destinations_ready_in_send_order() {
-        let mut world = MpiWorld::new(4, NetworkConfig::uniform(4));
-        let ready = world.ready_queue();
-        let mut a = world.take_endpoint(0);
+        let cfg = NetworkConfig::uniform(4);
+        let (mut net, mut eps) = world(&cfg, None);
+        let ready = ReadyQueue::default();
+        request(&mut net, &mut eps[0], 2, b"x", 0.0);
+        request(&mut net, &mut eps[0], 1, b"y", 0.0);
+        request(&mut net, &mut eps[0], 2, b"z", 0.0);
         assert!(ready.is_empty());
-        a.send(2, PacketKind::Request, Bytes::from_static(b"x"), 0.0);
-        a.send(1, PacketKind::Request, Bytes::from_static(b"y"), 0.0);
-        a.send(2, PacketKind::Request, Bytes::from_static(b"z"), 0.0);
-        a.flush_coalesced();
+        net.publish(0, &ready);
         assert_eq!(ready.len(), 2, "one entry per destination");
         assert_eq!(ready.pop(), Some(((0, 2), 2)));
         assert_eq!(ready.pop(), Some(((0, 1), 1)));
         assert_eq!(ready.pop(), None);
-        assert_eq!(a.take_published(), 3, "every key is counted as published");
-        assert_eq!(a.take_published(), 0, "taking resets the count");
+        assert_eq!(net.keys(), 3, "every key is counted as published");
+        net.publish(0, &ready);
+        assert_eq!(net.keys(), 3, "publishing resets the tally");
+        net.consume(5);
+        assert_eq!(net.keys(), 0, "consumption saturates at zero");
     }
 
     /// The worker loop's pop: entries first, `AllIdle` for the last worker standing
     /// (never a block nobody can end), a condvar wait otherwise, `Closed` at the end.
     #[test]
     fn ready_queue_wait_observes_pushed_entries() {
-        let ready = std::sync::Arc::new(ReadyQueue::default());
+        let ready = ReadyQueue::default();
         assert_eq!(ready.next(1), Next::AllIdle, "a lone worker never blocks");
         ready.push_counted((0, 7), 1);
         assert_eq!(ready.next(1), Next::Entry((0, 7), 1));
@@ -1252,18 +1113,16 @@ mod tests {
 
     #[test]
     fn serving_worlds_tag_ready_keys_with_their_root() {
-        let shared = std::sync::Arc::new(ReadyQueue::default());
-        let mut w3 = MpiWorld::new_serving(2, NetworkConfig::uniform(2), Arc::clone(&shared), 3);
-        let mut w9 = MpiWorld::new_serving(2, NetworkConfig::uniform(2), Arc::clone(&shared), 9);
-        let mut a3 = w3.take_endpoint(0);
-        let mut a9 = w9.take_endpoint(0);
-        let send = |endpoint: &mut MpiEndpoint, payload: &'static [u8]| {
-            endpoint.send(1, PacketKind::Request, Bytes::from_static(payload), 0.0);
-            endpoint.flush_coalesced();
-        };
-        send(&mut a3, b"x");
-        send(&mut a9, b"y");
-        send(&mut a3, b"z");
+        let shared = ReadyQueue::default();
+        let cfg = NetworkConfig::uniform(2);
+        let (mut w3, mut eps3) = world(&cfg, None);
+        let (mut w9, mut eps9) = world(&cfg, None);
+        request(&mut w3, &mut eps3[0], 1, b"x", 0.0);
+        w3.publish(3, &shared);
+        request(&mut w9, &mut eps9[0], 1, b"y", 0.0);
+        w9.publish(9, &shared);
+        request(&mut w3, &mut eps3[0], 1, b"z", 0.0);
+        w3.publish(3, &shared);
         assert_eq!(
             shared.pop(),
             Some(((3, 1), 1)),
@@ -1271,64 +1130,65 @@ mod tests {
         );
         assert_eq!(shared.pop(), Some(((9, 1), 1)));
         assert_eq!(shared.pop(), Some(((3, 1), 1)));
-        // Channels stay per-world: w9's node 1 sees only its own packet.
-        let mut b9 = w9.take_endpoint(1);
+        // Mailboxes stay per-world: w9's node 1 sees only its own packet.
         assert_eq!(
-            b9.try_recv().map(|p| p.data),
+            recv(&mut w9, &mut eps9[1]).map(|p| p.data),
             Some(Bytes::from_static(b"y"))
         );
-        assert!(b9.try_recv().is_none());
+        assert!(recv(&mut w9, &mut eps9[1]).is_none());
     }
 
     #[test]
     fn coalescing_batches_ready_keys_per_destination() {
-        let mut world = MpiWorld::new(3, NetworkConfig::uniform(3));
-        let ready = world.ready_queue();
-        let mut a = world.take_endpoint(0);
-        a.send(1, PacketKind::Request, Bytes::from_static(b"x"), 0.0);
-        a.send(2, PacketKind::Request, Bytes::from_static(b"y"), 0.0);
-        a.send(1, PacketKind::Request, Bytes::from_static(b"z"), 0.0);
-        assert!(ready.is_empty(), "keys held back until the flush");
-        a.flush_coalesced();
+        let cfg = NetworkConfig::uniform(3);
+        let (mut net, mut eps) = world(&cfg, None);
+        let ready = ReadyQueue::default();
+        request(&mut net, &mut eps[0], 1, b"x", 0.0);
+        request(&mut net, &mut eps[0], 2, b"y", 0.0);
+        request(&mut net, &mut eps[0], 1, b"z", 0.0);
+        assert!(ready.is_empty(), "keys held back until the publish");
+        net.publish(0, &ready);
         assert_eq!(ready.pop(), Some(((0, 1), 2)), "two packets, one entry");
         assert_eq!(ready.pop(), Some(((0, 2), 1)));
         assert_eq!(ready.pop(), None);
-        a.flush_coalesced();
+        net.publish(0, &ready);
         assert_eq!(
             ready.pop(),
             None,
-            "a flush with nothing pending publishes nothing"
+            "a publish with nothing recorded publishes nothing"
         );
     }
 
     #[test]
     fn coalescing_leaves_clocks_and_counters_untouched() {
-        let mut world = MpiWorld::new(2, NetworkConfig::paper_testbed());
-        let mut a = world.take_endpoint(0);
-        let mut b = world.take_endpoint(1);
-        let (c1, id1) = a.send_request(1, Bytes::from_static(b"abc"), 5.0);
-        let (c2, id2) = a.send_request(1, Bytes::from_static(b"defg"), c1);
+        let cfg = NetworkConfig::paper_testbed();
+        let (mut net, mut eps) = world(&cfg, None);
+        let ready = ReadyQueue::default();
+        let (c1, id1) = eps[0].send_request_charged(1, Bytes::from_static(b"abc"), 5.0, 3);
+        let (c2, id2) = eps[0].send_request_charged(1, Bytes::from_static(b"defg"), c1, 4);
         // Everything the execution reports is decided at send time; only the
-        // ready keys wait for the flush.
-        let overhead = a.config.latency_us * 0.1;
+        // routing and the ready keys wait for the end of the slice.
+        let overhead = cfg.latency_us * 0.1;
         assert_eq!(
             (c1, id1, c2, id2),
             (5.0 + overhead, 1, 5.0 + 2.0 * overhead, 2)
         );
-        let sent = (a.messages_sent, a.bytes_sent);
+        let sent = (eps[0].messages_sent, eps[0].bytes_sent);
         assert_eq!(sent, (2, 7));
-        let first = b.try_recv().expect("in the channel before any flush");
-        assert_eq!(first.arrival_time_us, 5.0 + a.config.transfer_time_us(3));
-        a.flush_coalesced();
-        assert_eq!((a.messages_sent, a.bytes_sent), sent);
-        assert_eq!(a.take_published(), 2);
+        assert!(net.recv(1).is_none(), "in the outbox until routed");
+        net.route(&mut eps[0]);
+        let first = recv(&mut net, &mut eps[1]).expect("in the mailbox before any publish");
+        assert_eq!(first.arrival_time_us, 5.0 + cfg.transfer_time_us(3));
+        net.publish(0, &ready);
+        assert_eq!((eps[0].messages_sent, eps[0].bytes_sent), sent);
+        assert_eq!(net.keys(), 2);
     }
 
     #[test]
     fn buffer_pool_recycles_sole_owner_frames() {
         use bytes::BufMut;
-        let mut world = MpiWorld::new(1, NetworkConfig::uniform(1));
-        let mut a = world.take_endpoint(0);
+        let cfg = NetworkConfig::uniform(1);
+        let mut a = MpiEndpoint::new(0, 1, &cfg);
         let mut buf = a.take_buf();
         let cap = buf.capacity();
         buf.put_slice(b"frame");
@@ -1346,17 +1206,17 @@ mod tests {
 
     #[test]
     fn charged_sends_split_virtual_cost_from_physical_bytes() {
-        let mut world = MpiWorld::new(2, NetworkConfig::paper_testbed());
-        let mut a = world.take_endpoint(0);
-        let mut b = world.take_endpoint(1);
+        let cfg = NetworkConfig::paper_testbed();
+        let (mut net, mut eps) = world(&cfg, None);
         // Physically 4 bytes, charged as if 100: arrival reflects the charge,
         // traffic counters reflect the wire.
-        a.send_request_charged(1, Bytes::from_static(b"tiny"), 0.0, 100);
-        let pkt = b.try_recv().expect("delivered");
-        let want = a.config.transfer_time_us(100);
+        eps[0].send_request_charged(1, Bytes::from_static(b"tiny"), 0.0, 100);
+        net.route(&mut eps[0]);
+        let pkt = recv(&mut net, &mut eps[1]).expect("delivered");
+        let want = cfg.transfer_time_us(100);
         assert!((pkt.arrival_time_us - want).abs() < 1e-9);
-        assert_eq!(a.bytes_sent, 4);
-        assert_eq!(b.bytes_received, 4);
+        assert_eq!(eps[0].bytes_sent, 4);
+        assert_eq!(eps[1].bytes_received, 4);
     }
 
     #[test]
@@ -1369,98 +1229,112 @@ mod tests {
 
     #[test]
     fn quiet_fault_plan_changes_nothing_but_sequence_stamps() {
-        let mut plain = MpiWorld::new(2, NetworkConfig::uniform(2));
-        let mut faulted =
-            MpiWorld::new(2, NetworkConfig::uniform(2)).with_fault_plan(FaultPlan::quiet(42));
-        let mut pa = plain.take_endpoint(0);
-        let mut pb = plain.take_endpoint(1);
-        let mut fa = faulted.take_endpoint(0);
-        let mut fb = faulted.take_endpoint(1);
-        let (pc, pid) = pa.send_request(1, Bytes::from_static(b"payload"), 10.0);
-        let (fc, fid) = fa.send_request(1, Bytes::from_static(b"payload"), 10.0);
+        let cfg = NetworkConfig::uniform(2);
+        let (mut plain, mut p) = world(&cfg, None);
+        let (mut faulted, mut f) = world(&cfg, Some(FaultPlan::quiet(42)));
+        let (pc, pid) = request(&mut plain, &mut p[0], 1, b"payload", 10.0);
+        let (fc, fid) = request(&mut faulted, &mut f[0], 1, b"payload", 10.0);
         assert_eq!(pc, fc, "sender clock identical under a quiet plan");
         assert_eq!(pid, fid);
-        let pp = pb.try_recv().expect("plain delivery");
-        let fp = fb.try_recv().expect("screened delivery");
+        let pp = recv(&mut plain, &mut p[1]).expect("plain delivery");
+        let fp = recv(&mut faulted, &mut f[1]).expect("screened delivery");
         assert_eq!(pp.arrival_time_us, fp.arrival_time_us, "arrival identical");
         assert_eq!(pp.seq, 0, "no plan: unsequenced");
         assert_eq!(fp.seq, 1, "plan: sequencing engaged");
-        assert_eq!(pb.messages_received, fb.messages_received);
-        assert_eq!(pb.bytes_received, fb.bytes_received);
-        let summary = faulted.fault_state().unwrap().summary();
+        assert_eq!(p[1].messages_received, f[1].messages_received);
+        assert_eq!(p[1].bytes_received, f[1].bytes_received);
+        assert_eq!(plain.fault_summary(), None);
         assert_eq!(
-            summary,
-            FaultSummary::default(),
+            faulted.fault_summary(),
+            Some(FaultSummary::default()),
             "quiet plan injects nothing"
         );
     }
 
     #[test]
     fn duplicates_are_injected_and_suppressed_transparently() {
-        let mut world = MpiWorld::new(2, NetworkConfig::uniform(2))
-            .with_fault_plan(FaultPlan::quiet(7).with_duplicate(1.0));
-        let state = world.fault_state().unwrap();
-        let mut a = world.take_endpoint(0);
-        let mut b = world.take_endpoint(1);
-        a.send_request(1, Bytes::from_static(b"once"), 0.0);
-        assert_eq!(a.take_published(), 2, "one ready key per physical packet");
-        let first = b.try_recv().expect("first copy delivers");
+        let cfg = NetworkConfig::uniform(2);
+        let (mut net, mut eps) = world(&cfg, Some(FaultPlan::quiet(7).with_duplicate(1.0)));
+        let ready = ReadyQueue::default();
+        request(&mut net, &mut eps[0], 1, b"once", 0.0);
+        net.publish(0, &ready);
+        assert_eq!(
+            ready.pop(),
+            Some(((0, 1), 2)),
+            "one ready key per physical packet"
+        );
+        let first = recv(&mut net, &mut eps[1]).expect("first copy delivers");
         assert_eq!(&first.data[..], b"once");
-        assert!(b.try_recv().is_none(), "second copy suppressed");
-        assert_eq!(b.messages_received, 1, "logical receive counted once");
-        let summary = state.summary();
+        assert!(
+            recv(&mut net, &mut eps[1]).is_none(),
+            "second copy suppressed"
+        );
+        assert_eq!(eps[1].messages_received, 1, "logical receive counted once");
+        let summary = net.fault_summary().unwrap();
         assert_eq!(summary.duplicated, 1);
         assert_eq!(summary.suppressed, 1);
     }
 
+    fn reorder_link_0_to_1(seed: u64) -> FaultPlan {
+        FaultPlan::quiet(seed).with_link(
+            0,
+            1,
+            LinkProbs {
+                reorder: 1.0,
+                ..LinkProbs::default()
+            },
+        )
+    }
+
     #[test]
     fn reordered_packets_are_buffered_and_released_in_sequence() {
-        let mut world = MpiWorld::new(2, NetworkConfig::uniform(2)).with_fault_plan(
-            FaultPlan::quiet(3).with_link(
-                0,
-                1,
-                LinkProbs {
-                    reorder: 1.0,
-                    ..LinkProbs::default()
-                },
-            ),
-        );
-        let state = world.fault_state().unwrap();
-        let mut a = world.take_endpoint(0);
-        let mut b = world.take_endpoint(1);
-        a.send_request(1, Bytes::from_static(b"first"), 0.0);
-        a.send_request(1, Bytes::from_static(b"second"), 0.0);
+        let cfg = NetworkConfig::uniform(2);
+        let (mut net, mut eps) = world(&cfg, Some(reorder_link_0_to_1(3)));
+        let ready = ReadyQueue::default();
+        request(&mut net, &mut eps[0], 1, b"first", 0.0);
+        request(&mut net, &mut eps[0], 1, b"second", 0.0);
+        net.publish(0, &ready);
+        assert_eq!(net.keys(), 2, "two send keys");
         // The wire carries (seq 2, "first") then (seq 1, "second"): the window
         // buffers seq 2, then releases both in sequence order.
-        let p1 = b.try_recv();
+        let p1 = recv(&mut net, &mut eps[1]);
         assert!(p1.is_none(), "out-of-order packet buffered behind the gap");
-        let p2 = b.try_recv().expect("gap filler delivers immediately");
+        let p2 = recv(&mut net, &mut eps[1]).expect("gap filler delivers immediately");
         assert_eq!(&p2.data[..], b"second");
-        let p3 = b.try_recv().expect("buffered packet released behind it");
+        let p3 = recv(&mut net, &mut eps[1]).expect("buffered packet released behind it");
         assert_eq!(&p3.data[..], b"first");
-        assert_eq!(state.summary().reordered, 1);
-        // Two send keys plus one self-key for the released buffer entry.
-        assert_eq!((a.take_published(), b.take_published()), (2, 1));
+        assert_eq!(net.fault_summary().unwrap().reordered, 1);
+        net.publish(0, &ready);
+        assert_eq!(
+            net.keys(),
+            3,
+            "plus one self-key for the released buffer entry"
+        );
+        assert_eq!(ready.pop(), Some(((0, 1), 2)));
+        assert_eq!(ready.pop(), Some(((0, 1), 1)));
     }
 
     #[test]
     fn drop_exact_loses_one_packet_and_records_it() {
-        let mut world =
-            MpiWorld::new(2, NetworkConfig::uniform(2)).with_fault_plan(FaultPlan::drop_packet(1));
-        let state = world.fault_state().unwrap();
-        let mut a = world.take_endpoint(0);
-        let mut b = world.take_endpoint(1);
-        let (_, id0) = a.send_request(1, Bytes::from_static(b"kept"), 0.0);
-        let (_, id1) = a.send_request(1, Bytes::from_static(b"lost"), 0.0);
-        assert_eq!(b.try_recv().map(|p| p.req_id), Some(id0));
-        assert!(b.try_recv().is_none(), "second packet never arrives");
-        let loss = state.first_loss().expect("loss recorded");
+        let cfg = NetworkConfig::uniform(2);
+        let (mut net, mut eps) = world(&cfg, Some(FaultPlan::drop_packet(1)));
+        let ready = ReadyQueue::default();
+        let (_, id0) = request(&mut net, &mut eps[0], 1, b"kept", 0.0);
+        let (_, id1) = request(&mut net, &mut eps[0], 1, b"lost", 0.0);
+        assert_eq!(recv(&mut net, &mut eps[1]).map(|p| p.req_id), Some(id0));
+        assert!(
+            recv(&mut net, &mut eps[1]).is_none(),
+            "second packet never arrives"
+        );
+        let loss = net.first_loss().expect("loss recorded");
         assert_eq!(loss.req_id, id1);
+        assert_eq!(loss.kind, PacketKind::Request);
         assert_eq!(loss.reason, LossReason::Dropped);
         assert_eq!((loss.from, loss.to), (0, 1));
         // One key for the delivered packet, one *wake-up* key for the lost one so
         // the world's key count reaches zero on a pop and the worker diagnoses.
-        assert_eq!(a.take_published(), 2);
+        net.publish(0, &ready);
+        assert_eq!(net.keys(), 2);
     }
 
     #[test]
@@ -1474,17 +1348,15 @@ mod tests {
             max_retries: 60,
             ..FaultPlan::quiet(11).with_drop(0.5)
         };
-        let mut world = MpiWorld::new(2, NetworkConfig::uniform(2)).with_fault_plan(plan);
-        let state = world.fault_state().unwrap();
-        let mut a = world.take_endpoint(0);
-        let mut b = world.take_endpoint(1);
-        let base = a.config.transfer_time_us(1);
+        let cfg = NetworkConfig::uniform(2);
+        let (mut net, mut eps) = world(&cfg, Some(plan));
+        let base = cfg.transfer_time_us(1);
         for _ in 0..32 {
-            a.send_request(1, Bytes::from_static(b"x"), 0.0);
+            request(&mut net, &mut eps[0], 1, b"x", 0.0);
         }
         let mut delivered = 0;
         let mut late = 0;
-        while let Some(p) = b.try_recv() {
+        while let Some(p) = recv(&mut net, &mut eps[1]) {
             delivered += 1;
             let extra = p.arrival_time_us - base;
             let steps = extra / 450.0;
@@ -1498,7 +1370,7 @@ mod tests {
         }
         assert_eq!(delivered, 32, "every packet eventually delivers");
         assert!(late > 0, "seed 11 at p=0.5 retries at least one packet");
-        let summary = state.summary();
+        let summary = net.fault_summary().unwrap();
         assert!(summary.retries > 0);
         assert!(summary.dropped_attempts >= summary.retries);
         assert_eq!(summary.lost, 0);
@@ -1506,40 +1378,36 @@ mod tests {
 
     #[test]
     fn killed_rank_loses_traffic_past_its_death() {
-        let mut world =
-            MpiWorld::new(2, NetworkConfig::uniform(2)).with_fault_plan(FaultPlan::kill(1, 500.0));
-        let state = world.fault_state().unwrap();
-        let mut a = world.take_endpoint(0);
-        let mut b = world.take_endpoint(1);
+        let cfg = NetworkConfig::uniform(2);
+        let (mut net, mut eps) = world(&cfg, Some(FaultPlan::kill(1, 500.0)));
         // Arrival 0.0 + transfer (~150µs) < 500: delivered.
-        a.send_request(1, Bytes::from_static(b"early"), 0.0);
-        assert!(b.try_recv().is_some());
+        request(&mut net, &mut eps[0], 1, b"early", 0.0);
+        assert!(recv(&mut net, &mut eps[1]).is_some());
         // Arrival 450 + transfer > 500: the packet dies with the node.
-        a.send_request(1, Bytes::from_static(b"late"), 450.0);
-        assert!(b.try_recv().is_none());
-        let loss = state.first_loss().expect("recorded");
+        request(&mut net, &mut eps[0], 1, b"late", 450.0);
+        assert!(recv(&mut net, &mut eps[1]).is_none());
+        let loss = net.first_loss().expect("recorded");
         assert_eq!(loss.reason, LossReason::NodeDown(1));
         // The dead rank can no longer send either.
-        b.send_request(0, Bytes::from_static(b"ghost"), 600.0);
-        assert!(a.try_recv().is_none());
-        assert_eq!(state.summary().lost, 2);
+        request(&mut net, &mut eps[1], 0, b"ghost", 600.0);
+        assert!(recv(&mut net, &mut eps[0]).is_none());
+        assert_eq!(net.fault_summary().unwrap().lost, 2);
     }
 
     #[test]
     fn fault_rolls_are_deterministic_per_seed() {
+        let cfg = NetworkConfig::uniform(2);
         let run = |seed: u64| {
             let plan = FaultPlan::quiet(seed).with_drop(0.3).with_delay(0.3, 900.0);
-            let mut world = MpiWorld::new(2, NetworkConfig::uniform(2)).with_fault_plan(plan);
-            let mut a = world.take_endpoint(0);
-            let mut b = world.take_endpoint(1);
+            let (mut net, mut eps) = world(&cfg, Some(plan));
             for _ in 0..16 {
-                a.send_request(1, Bytes::from_static(b"d"), 0.0);
+                request(&mut net, &mut eps[0], 1, b"d", 0.0);
             }
             let mut arrivals = Vec::new();
-            while let Some(p) = b.try_recv() {
+            while let Some(p) = recv(&mut net, &mut eps[1]) {
                 arrivals.push((p.seq, p.arrival_time_us.to_bits()));
             }
-            (arrivals, world.fault_state().unwrap().summary())
+            (arrivals, net.fault_summary().unwrap())
         };
         let (a1, s1) = run(99);
         let (a2, s2) = run(99);
@@ -1551,31 +1419,21 @@ mod tests {
 
     #[test]
     fn repair_gaps_releases_buffers_and_still_accepts_late_packets() {
-        let mut world = MpiWorld::new(2, NetworkConfig::uniform(2)).with_fault_plan(
-            FaultPlan::quiet(0).with_link(
-                0,
-                1,
-                LinkProbs {
-                    reorder: 1.0,
-                    ..LinkProbs::default()
-                },
-            ),
-        );
-        let state = world.fault_state().unwrap();
-        let mut a = world.take_endpoint(0);
-        let mut b = world.take_endpoint(1);
-        a.send_request(1, Bytes::from_static(b"swapped"), 0.0);
+        let cfg = NetworkConfig::uniform(2);
+        let (mut net, mut eps) = world(&cfg, Some(reorder_link_0_to_1(0)));
+        request(&mut net, &mut eps[0], 1, b"swapped", 0.0);
         // Only the reordered packet (seq 2) is on the wire; seq 1 is owed to a
         // send that never happens — the receiver sees a permanent gap.
-        assert!(b.try_recv().is_none());
-        assert!(b.has_sequence_gap());
-        assert_eq!(b.repair_gaps(), 1, "deadline repair releases the buffer");
-        let p = b.try_recv().expect("released packet delivers");
+        assert!(recv(&mut net, &mut eps[1]).is_none());
+        assert!(net.has_sequence_gap(1));
+        assert!(!net.has_sequence_gap(0));
+        assert_eq!(net.repair_gaps(), 1, "deadline repair releases the buffer");
+        let p = recv(&mut net, &mut eps[1]).expect("released packet delivers");
         assert_eq!(&p.data[..], b"swapped");
-        assert_eq!(state.summary().repaired, 1);
+        assert_eq!(net.fault_summary().unwrap().repaired, 1);
         // A late packet for the skipped number is delivered, not suppressed.
-        a.send_request(1, Bytes::from_static(b"latecomer"), 0.0);
-        let late = b.try_recv().expect("skipped seq still delivered late");
+        request(&mut net, &mut eps[0], 1, b"latecomer", 0.0);
+        let late = recv(&mut net, &mut eps[1]).expect("skipped seq still delivered late");
         assert_eq!(&late.data[..], b"latecomer");
     }
 }

@@ -8,22 +8,27 @@
 //! [`Schedule::Inline`] is a pool of one worker on the calling thread.
 //!
 //! * A **world** ([`World`]) is one in-flight root computation: its request-scoped
-//!   nodes (interpreter + parked continuations each), behind **one mutex**. The
-//!   paper's protocol is synchronous request/response, so a root computation has
-//!   exactly one live control flow — per-node locks would buy nothing.
+//!   nodes (interpreter + parked continuations each) and the [`Transport`] between
+//!   them (mailboxes owned by the world, its key count, its fault state), behind
+//!   **one mutex**. The paper's protocol is synchronous request/response, so a root
+//!   computation has exactly one live control flow — per-node locks would buy nothing.
+//! * The three per-node services of the paper's Figure 10 map onto it directly: the
+//!   **MPI service** is the world's [`Transport`], the **Execution Starter** is
+//!   `World::seed`, and the **Message Exchange** is the delivery slice
+//!   (`World::deliver`) plus the shutdown epilogue (`World::finish`).
 //! * The slot table has `concurrency` entries and a world's root id is
 //!   `slot + slots × generation`, so a popped key finds its world by index, and a
 //!   **stale** key (say the duplicate of a finished request's final response) is
 //!   recognised by root mismatch and skipped without touching the new tenant.
 //! * **Quiescence is counted, not inferred.** Ready keys for a world are only ever
-//!   published by that world's own endpoints (sends, sequence-window releases, gap
-//!   repairs), and those only run inside that world's delivery slices — i.e. under
-//!   the world's lock. So `keys` = published − consumed, maintained under that lock,
-//!   is exact: when it reaches zero and the root has not completed, nothing is
-//!   queued and nothing is in another worker's hands — *that* world is stuck *now*.
-//!   The worker holding it fails it on the spot if it is doomed (a recorded packet
-//!   loss, or nothing left that could free it): no global verdict, no timeout, and
-//!   no second worker that can reach the same conclusion.
+//!   published by that world's own transport (routed sends, sequence-window
+//!   releases, gap repairs), which nothing but the world can reach — i.e. under the
+//!   world's lock. So its key count, published − consumed, lives beside the
+//!   mailboxes it counts and is exact: when it reaches zero and the root has not
+//!   completed, nothing is queued and nothing is in another worker's hands — *that*
+//!   world is stuck *now*. The worker holding it fails it on the spot if it is
+//!   doomed (a recorded packet loss, or nothing left that could free it): no global
+//!   verdict, no timeout, and no second worker that can reach the same conclusion.
 //! * A world stuck behind a **sequence gap** waits for the **delivery deadline**:
 //!   the moment every worker is idle with nothing queued ([`Next::AllIdle`] — the
 //!   idle count lives under the queue lock, so this too is a fact, observed by
@@ -35,7 +40,7 @@
 //!
 //! Virtual times, message counts and results are deterministic under any worker
 //! count: per-node clocks depend only on that node's packet arrival order, which
-//! the transport's FIFO channels and the synchronous protocol fix regardless of
+//! the transport's FIFO mailboxes and the synchronous protocol fix regardless of
 //! worker interleaving. Per-node profiler sinks attach the same way under either
 //! schedule — the call stack lives on each [`Continuation`].
 
@@ -51,11 +56,12 @@ use crate::interp::{
     loss_to_error, Continuation, DistState, ExecError, Interp, ServeOutcome, TaskOutcome,
     TransportStall,
 };
-use crate::net::{FaultPlan, MpiEndpoint, NetworkConfig, Next, PacketKind, ReadyQueue};
+use crate::net::{
+    FaultPlan, MpiEndpoint, NetworkConfig, Next, Packet, PacketKind, ReadyQueue, Transport,
+};
 use crate::serve::RequestReport;
-use crate::services::{MessageExchange, MpiService};
 use crate::value::Value;
-use crate::wire::Response;
+use crate::wire::{Request, Response};
 
 /// What to do with a task's result once its bottom frame returns.
 enum TaskDone {
@@ -91,7 +97,7 @@ struct CoopNode<'p> {
     parked: Vec<(u64, CoopTask)>,
 }
 
-impl CoopNode<'_> {
+impl<'p> CoopNode<'p> {
     /// Removes and returns the continuation parked on `req_id`. Scans newest-first:
     /// under synchronous request/response the resumed continuation is almost always
     /// the most recently parked one.
@@ -108,9 +114,16 @@ impl CoopNode<'_> {
         self.settle(task, outcome)
     }
 
-    fn endpoint(&mut self) -> &mut MpiEndpoint {
+    fn endpoint(&mut self) -> &mut MpiEndpoint<'p> {
         let dist = self.interp.dist.as_mut();
         &mut dist.expect("world nodes are distributed").endpoint
+    }
+
+    /// A packet reaches this node: its clock advances to the arrival time (a
+    /// receiver can never observe a message before it was sent).
+    fn arrive(&mut self, pkt: &Packet) {
+        self.interp.clock_us = self.interp.clock_us.max(pkt.arrival_time_us);
+        self.endpoint().received(pkt);
     }
 
     fn settle(&mut self, task: CoopTask, outcome: TaskOutcome) -> Option<Result<Value, ExecError>> {
@@ -134,24 +147,11 @@ impl CoopNode<'_> {
         }
     }
 
-    /// Delivers up to `count` packets from this node's mailbox (a coalesced ready
-    /// entry covers several), stopping early on the root result: a request spawns
-    /// (or answers) a serving task, a response resumes the parked continuation.
-    /// Every packet's slice ends by flushing coalesced ready keys: the sends it
-    /// performed are published before control returns to the worker loop.
-    fn deliver_many(&mut self, count: u32) -> Option<Result<Value, ExecError>> {
-        for _ in 0..count {
-            let res = self.deliver_one();
-            self.endpoint().flush_coalesced();
-            if res.is_some() {
-                return res;
-            }
-        }
-        None
-    }
-
-    fn deliver_one(&mut self) -> Option<Result<Value, ExecError>> {
-        let pkt = self.interp.poll_packet()?;
+    /// Delivers one packet: a request spawns (or answers) a serving task, a
+    /// response resumes the parked continuation. Whatever the node sends on the
+    /// way waits in its endpoint's outbox for the world to route.
+    fn deliver_one(&mut self, pkt: Packet) -> Option<Result<Value, ExecError>> {
+        self.arrive(&pkt);
         match pkt.kind {
             PacketKind::Request => {
                 match self.interp.accept_request(pkt.from, pkt.req_id, pkt.data) {
@@ -192,15 +192,15 @@ impl CoopNode<'_> {
     }
 }
 
-/// One in-flight root computation: its request-scoped nodes, its exact ready-key
-/// count, and the bookkeeping its report needs.
+/// One in-flight root computation: its request-scoped nodes, the transport between
+/// them, and the bookkeeping its report needs.
 struct World<'p> {
     /// The id stamped on this world's ready keys: `slot + slots × generation`.
     root: u32,
     nodes: Vec<CoopNode<'p>>,
-    /// Ready keys published by this world's endpoints minus keys consumed by its
-    /// delivery slices — exact, because both only happen under this world's lock.
-    keys: u32,
+    /// Mailboxes, the exact ready-key count and the fault state. Owned here and
+    /// handed to nobody, so everything it does happens under this world's lock.
+    net: Transport,
     /// Position in the submitted sequence.
     index: usize,
     /// Index of the app this request instantiated.
@@ -211,7 +211,7 @@ struct World<'p> {
 impl World<'_> {
     /// The Execution Starter: launches `main` as the root continuation on the
     /// launch node. Returns the root result if the world is already over.
-    fn seed(&mut self) -> Option<Result<Value, ExecError>> {
+    fn seed(&mut self, ready: &ReadyQueue) -> Option<Result<Value, ExecError>> {
         let node = &mut self.nodes[0];
         let res = match node.interp.program.entry {
             None => Some(Err(ExecError::NoEntry)),
@@ -223,31 +223,52 @@ impl World<'_> {
                 }),
             },
         };
-        node.endpoint().flush_coalesced();
-        self.settle(0, 0, res)
+        self.route(0, ready);
+        self.settle(0, res)
     }
 
-    /// One delivery slice: the popped entry's `count` packets on node `rank`.
+    /// One delivery slice: the popped entry's `count` packets on node `rank` (a
+    /// coalesced ready entry covers several), stopping early on the root result.
     /// Returns the root result when this ends the world.
-    fn deliver(&mut self, rank: usize, count: u32) -> Option<Result<Value, ExecError>> {
-        let res = self.nodes[rank].deliver_many(count);
-        self.settle(rank, count, res)
-    }
-
-    /// Closes a slice on node `rank` that consumed `consumed` keys: only that
-    /// node's endpoint can have published any. A live world whose count reaches
-    /// zero is stuck — nothing is queued, nothing is in another worker's hands — and
-    /// unless a gap repair can still free it ([`World::repair`]) it is failed here
-    /// and now, whatever its neighbours are doing.
-    fn settle(
+    fn deliver(
         &mut self,
         rank: usize,
+        count: u32,
+        ready: &ReadyQueue,
+    ) -> Option<Result<Value, ExecError>> {
+        let mut res = None;
+        for _ in 0..count {
+            if let Some(pkt) = self.net.recv(rank) {
+                res = self.nodes[rank].deliver_one(pkt);
+            }
+            // Every packet's sends are published before the next one is taken.
+            self.route(rank, ready);
+            if res.is_some() {
+                break;
+            }
+        }
+        self.settle(count, res)
+    }
+
+    /// Ends a packet's slice on node `rank`: routes what the node sent — fault
+    /// rolls, sequencing, duplicate copies, mailbox push — and publishes one
+    /// counted ready key per destination (a window release's self keys included).
+    fn route(&mut self, rank: usize, ready: &ReadyQueue) {
+        self.net.route(self.nodes[rank].endpoint());
+        self.net.publish(self.root, ready);
+    }
+
+    /// Closes a slice that consumed `consumed` keys. A live world whose count
+    /// reaches zero is stuck — nothing is queued, nothing is in another worker's
+    /// hands — and unless a gap repair can still free it ([`World::repair`]) it is
+    /// failed here and now, whatever its neighbours are doing.
+    fn settle(
+        &mut self,
         consumed: u32,
         res: Option<Result<Value, ExecError>>,
     ) -> Option<Result<Value, ExecError>> {
-        self.keys =
-            (self.keys + self.nodes[rank].endpoint().take_published()).saturating_sub(consumed);
-        if res.is_none() && self.keys == 0 {
+        self.net.consume(consumed);
+        if res.is_none() && self.net.keys() == 0 {
             return self.doomed().map(Err);
         }
         res
@@ -265,9 +286,8 @@ impl World<'_> {
     ///    `None`: the world waits for the delivery deadline to repair it;
     /// 3. neither → a typed [`ExecError::Transport`] naming which continuations are
     ///    parked on which requests — a genuine deadlock reports its shape.
-    fn doomed(&mut self) -> Option<ExecError> {
-        let state = self.nodes[0].endpoint().fault_state();
-        if let Some(loss) = state.and_then(|s| s.first_loss()) {
+    fn doomed(&self) -> Option<ExecError> {
+        if let Some(loss) = self.net.first_loss() {
             return Some(loss_to_error(loss));
         }
         let stall = self.stall();
@@ -279,10 +299,10 @@ impl World<'_> {
 
     /// The shape of this world's stall: which ranks buffer packets behind a sequence
     /// gap, which continuations are parked on which requests.
-    fn stall(&mut self) -> TransportStall {
+    fn stall(&self) -> TransportStall {
         let mut stall = TransportStall::default();
-        for (rank, node) in self.nodes.iter_mut().enumerate() {
-            if node.endpoint().has_sequence_gap() {
+        for (rank, node) in self.nodes.iter().enumerate() {
+            if self.net.has_sequence_gap(rank) {
                 stall.gapped.push(rank);
             }
             stall
@@ -293,41 +313,52 @@ impl World<'_> {
     }
 
     /// The delivery deadline passed: the packets the sequence gaps are waiting for
-    /// are not coming. Skips every gap and counts the released packets' keys;
-    /// `false` if there was nothing to release.
-    fn repair(&mut self) -> bool {
-        for node in &mut self.nodes {
-            let endpoint = node.endpoint();
-            if endpoint.repair_gaps() > 0 {
-                // No delivery slice is coming to flush the released packets' keys —
-                // flush here or the repair is invisible.
-                endpoint.flush_coalesced();
-                self.keys += endpoint.take_published();
-            }
+    /// are not coming. Skips every gap and publishes the released packets' keys (no
+    /// delivery slice is coming to do it); `false` if there was nothing to release.
+    fn repair(&mut self, ready: &ReadyQueue) -> bool {
+        if self.net.repair_gaps() > 0 {
+            self.net.publish(self.root, ready);
         }
-        self.keys > 0
+        self.net.keys() > 0
     }
 
-    /// The epilogue of every world: snapshot the launch node, deliver the shutdown
-    /// broadcast (bookkeeping, not part of the measured execution — it only
-    /// advances each node's clock to the shutdown's arrival) and assemble the
-    /// report. The execution ends when the launch node finishes `main`; its clock
-    /// has already absorbed every synchronous round trip, so node 0's final clock
-    /// is the execution time the paper measures.
+    /// The epilogue of every world: snapshot the launch node, broadcast and deliver
+    /// the Message Exchange's orderly shutdown (bookkeeping, not part of the
+    /// measured execution — it only advances each node's clock to the shutdown's
+    /// arrival) and assemble the report. The execution ends when the launch node
+    /// finishes `main`; its clock has already absorbed every synchronous round trip,
+    /// so node 0's final clock is the execution time the paper measures.
     fn finish(mut self, root: Result<Value, ExecError>, wall: Duration) -> ExecutionReport {
         let node0 = &mut self.nodes[0];
         let stats0 = stats_of(&node0.interp, 0);
         let final_statics = node0.interp.statics_snapshot();
-        let faults = node0.endpoint().fault_state().map(|s| s.summary());
-        // The shutdown keys are never flushed: the world is over, nobody delivers.
-        MessageExchange::broadcast_shutdown(&mut node0.interp);
+        let faults = self.net.fault_summary();
+        // Control traffic: uncorrelated (`req_id` 0), so no fault plan touches it.
+        // Its keys are never published: the world is over, nobody pops them.
+        let data = Request::Shutdown.encode();
+        let arrival_time_us =
+            node0.interp.clock_us + node0.endpoint().config.transfer_time_us(data.len());
+        for to in 1..self.nodes.len() {
+            self.net.post(Packet {
+                from: 0,
+                to,
+                kind: PacketKind::Request,
+                req_id: 0,
+                seq: 0,
+                data: data.clone(),
+                arrival_time_us,
+            });
+        }
         let mut per_node = vec![stats0];
         for (rank, node) in self.nodes.iter_mut().enumerate().skip(1) {
-            while let Some(pkt) = node.interp.poll_packet() {
+            while let Some(pkt) = self.net.recv(rank) {
+                node.arrive(&pkt);
                 if pkt.kind == PacketKind::Request {
                     let _ = node.interp.accept_request(pkt.from, pkt.req_id, pkt.data);
                 }
             }
+            // A leftover request answered just now still reaches a later rank.
+            self.net.route(node.endpoint());
             per_node.push(stats_of(&node.interp, rank));
         }
         // Dropping the nodes drops any attached profiler sinks, which flushes a
@@ -403,7 +434,7 @@ struct Running<'a, 's> {
     server: &'a Server<'s>,
     workers: usize,
     /// The one ready queue every world feeds.
-    ready: Arc<ReadyQueue>,
+    ready: ReadyQueue,
     /// The world table, a power of two long so `root & mask` finds a key's slot.
     slots: Vec<Mutex<Option<World<'s>>>>,
     window: Mutex<Window>,
@@ -428,7 +459,7 @@ impl<'s> Server<'s> {
         let run = Running {
             server: self,
             workers,
-            ready: Arc::new(ReadyQueue::default()),
+            ready: ReadyQueue::default(),
             slots: (0..slots).map(|_| Mutex::new(None)).collect(),
             window: Mutex::new(Window {
                 next: 0,
@@ -480,7 +511,9 @@ impl<'s> Running<'_, 's> {
                     // A key whose root is not the slot's tenant is stale — its
                     // world already completed — and is skipped, count untouched.
                     let done = match guard.as_mut() {
-                        Some(world) if world.root == root => world.deliver(rank as usize, count),
+                        Some(world) if world.root == root => {
+                            world.deliver(rank as usize, count, &self.ready)
+                        }
                         _ => None,
                     };
                     if let Some(res) = done {
@@ -518,8 +551,8 @@ impl<'s> Running<'_, 's> {
         }
     }
 
-    /// Instantiates request `index` in `slot`: fresh endpoints over the shared
-    /// ready queue (keys tagged `root`), fresh per-node interpreters over the app's
+    /// Instantiates request `index` in `slot`: a fresh transport (its keys tagged
+    /// `root` on the shared ready queue), fresh per-node interpreters over the app's
     /// shared layouts, then the root computation seeded on node 0.
     fn admit_one(&self, index: usize, slot: usize, root: u32) {
         let server = self.server;
@@ -534,13 +567,7 @@ impl<'s> Running<'_, 's> {
             .and_then(|a| a.current(app_idx))
             .map_or(server.apps[app_idx], |a| a.view());
         let plan = server.faults.iter().find(|(i, _)| *i == index);
-        let mut mpi = MpiService::init(
-            app.programs.len(),
-            app.network.clone(),
-            Arc::clone(&self.ready),
-            root,
-            plan.map(|(_, plan)| plan.clone()),
-        );
+        let size = app.programs.len();
         // The planner's sinks are observational (they record, never steer), so
         // attaching them leaves virtual time and traffic byte-identical — but the
         // instrumentation costs wall-clock, so only an epoch's profiled prefix of
@@ -556,7 +583,7 @@ impl<'s> Running<'_, 's> {
             .zip(app.layouts)
             .enumerate()
             .map(|(rank, (program, layout))| {
-                let dist = DistState::new(mpi.endpoint(rank));
+                let dist = DistState::new(MpiEndpoint::new(rank, size, app.network));
                 let mut interp = Interp::with_layout(program, Arc::clone(layout)).with_dist(dist);
                 let sink = match own.get_mut(rank).and_then(Option::take) {
                     Some(p) => Some((p.sink, p.sample_interval)),
@@ -578,12 +605,12 @@ impl<'s> Running<'_, 's> {
         let world = guard.insert(World {
             root,
             nodes,
-            keys: 0,
+            net: Transport::new(size, plan.map(|(_, plan)| plan.clone())),
             index,
             app: app_idx,
             started: Instant::now(),
         });
-        if let Some(res) = world.seed() {
+        if let Some(res) = world.seed(&self.ready) {
             // The request never parked (e.g. a single-node placement), or is
             // already doomed: complete it here; the caller keeps admitting.
             let world = guard.take().expect("the world just seeded");
@@ -634,8 +661,8 @@ impl<'s> Running<'_, 's> {
         for slot in &self.slots {
             // A world with keys is running again (a sibling this pass woke may
             // even have re-let the slot): not this deadline's business.
-            if let Some(world) = lock(slot).as_mut().filter(|w| w.keys == 0) {
-                repaired |= world.repair();
+            if let Some(world) = lock(slot).as_mut().filter(|w| w.net.keys() == 0) {
+                repaired |= world.repair(&self.ready);
             }
         }
         if repaired {
@@ -648,7 +675,7 @@ impl<'s> Running<'_, 's> {
         // with its own stall diagnosis, instead of a hang.
         let mut live = false;
         for slot in 0..self.slots.len() {
-            let Some(mut world) = lock(&self.slots[slot]).take() else {
+            let Some(world) = lock(&self.slots[slot]).take() else {
                 continue;
             };
             live = true;
@@ -716,7 +743,7 @@ mod tests {
         Running {
             server,
             workers,
-            ready: Arc::new(ReadyQueue::default()),
+            ready: ReadyQueue::default(),
             slots: (0..2).map(|_| Mutex::new(None)).collect(),
             window: Mutex::new(Window {
                 next: 0,
@@ -740,13 +767,17 @@ mod tests {
         while let Some(((root, rank), count)) = run.ready.pop() {
             let mut guard = lock(&run.slots[0]);
             let world = guard.as_mut().expect("live until its last slice");
-            assert_eq!((world.root, world.keys), (root, count), "one control flow");
-            if let Some(res) = world.deliver(rank as usize, count) {
+            assert_eq!(
+                (world.root, world.net.keys()),
+                (root, count),
+                "one control flow"
+            );
+            if let Some(res) = world.deliver(rank as usize, count, &run.ready) {
                 assert_eq!(res, Ok(Value::Null));
-                assert_eq!(world.keys, 0, "the final response was the last key");
+                assert_eq!(world.net.keys(), 0, "the final response was the last key");
                 break;
             }
-            assert_eq!(world.keys, 1, "the slice published its successor");
+            assert_eq!(world.net.keys(), 1, "the slice published its successor");
             slices += 1;
         }
         assert_eq!(

@@ -1,16 +1,16 @@
 //! Serving mode: the cluster as a server admitting N concurrent root computations.
 //!
 //! An ingress admits up to `concurrency` requests at a time; each request is a full
-//! root computation over its **own request-scoped world** — fresh channels, fresh
-//! virtual clocks, fresh correlation ids, fresh per-node interpreters — while all
-//! requests share one transport ready queue and one set of workers. This module is
-//! the public surface (prepared apps, options, reports); the loop that drives it is
-//! the one worker loop of [`crate::sched`], the same one a single
+//! root computation over its **own request-scoped world** — mailboxes owned by the
+//! world, fresh virtual clocks, fresh correlation ids, fresh per-node interpreters —
+//! while all requests share one transport ready queue and one set of workers. This
+//! module is the public surface (prepared apps, options, reports); the loop that
+//! drives it is the one worker loop of [`crate::sched`], the same one a single
 //! [`crate::cluster::run_distributed`] goes through as a one-request run.
 //!
 //! Isolation is what makes the results reproducible: a request's virtual clocks and
 //! message counts depend only on its own packet order, which its private FIFO
-//! channels and the synchronous request/response protocol fix regardless of how
+//! mailboxes and the synchronous request/response protocol fix regardless of how
 //! many other requests are in flight or how workers interleave. N concurrent
 //! requests therefore produce byte-identical per-request [`ExecutionReport`]s to
 //! running the same requests one at a time (pinned by `tests/serving_parity.rs`) —
@@ -20,7 +20,7 @@
 //! The expensive part of spinning up a request — decoding, fusing and interning the
 //! placed programs into a [`ProgramLayout`] — is hoisted into [`ServerApp::prepare`]
 //! and shared by every request via `Arc`, so admission cost is just interpreter
-//! state (empty heap, default statics) plus channel setup.
+//! state (empty heap, default statics) plus one empty mailbox per node.
 
 use std::sync::{Arc, Mutex};
 use std::time::Instant;

@@ -704,8 +704,9 @@ pub enum SeqVerdict<T> {
 /// correlation id — it does not count against the byte cost model). The window
 /// delivers exactly once and in sequence order: duplicates are suppressed,
 /// reordered packets are buffered until their predecessors arrive. When a
-/// predecessor will never arrive (the scheduler's virtual-time delivery deadline
-/// has passed with the link quiet), [`SeqWindow::repair`] skips the gap and
+/// predecessor will never arrive (the scheduler's delivery deadline — the counted
+/// moment every worker is idle with nothing queued — has passed),
+/// [`SeqWindow::repair`] skips the gap and
 /// releases the buffer — a late packet that shows up for a skipped number is still
 /// delivered (at-least-once below, exactly-once above).
 #[derive(Debug)]

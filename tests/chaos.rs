@@ -26,7 +26,7 @@ use autodist_ir::program::Program;
 use autodist_runtime::cluster::{
     run_centralized, run_distributed, ClusterConfig, ExecutionReport, Schedule,
 };
-use autodist_runtime::net::{FaultPlan, NetworkConfig};
+use autodist_runtime::net::{FaultPlan, LinkProbs, NetworkConfig};
 use autodist_runtime::ExecError;
 use autodist_workloads::{GenConfig, Workload};
 use proptest::prelude::*;
@@ -302,6 +302,75 @@ fn killed_ranks_surface_as_node_down() {
                 }
             }
         }
+    }
+}
+
+/// An asymmetric partition — one direction of a link dead, the other healthy —
+/// fails typed at the first packet that needs the dead direction, identically
+/// under both schedules: with 0→1 dead node 1 never sees the first request, with
+/// 1→0 dead it serves the request and its response is what is lost.
+#[test]
+fn asymmetric_partitions_fail_typed_in_the_dead_direction() {
+    let program = autodist_ir::frontend::compile_source(
+        r#"
+        class Worker { int bounce(int x) { return x * 2 + 1; } }
+        class Main {
+            static int checksum;
+            static void main() {
+                Worker w = new Worker();
+                checksum = w.bounce(1) + w.bounce(2);
+            }
+        }
+    "#,
+    )
+    .unwrap();
+    // Main on node 0, Worker on node 1: node 0 only ever sends requests to node 1,
+    // node 1 only ever sends responses back.
+    let copies = place_generated(&program, &[("Worker".into(), 1)]);
+    let dead = LinkProbs {
+        drop: 1.0,
+        ..LinkProbs::default()
+    };
+    for (from, to, served_before_the_loss) in [(0, 1, 0), (1, 0, 1)] {
+        let plan = FaultPlan::quiet(5).with_link(from, to, dead);
+        let run = |schedule| {
+            run_distributed(
+                &copies,
+                &ClusterConfig {
+                    schedule,
+                    faults: Some(plan.clone()),
+                    ..ClusterConfig::paper_testbed()
+                },
+            )
+        };
+        let inline = run(Schedule::Inline);
+        // The first packet on the dead direction is request #1 (the `NEW`) when
+        // 0→1 is dead, and the response to it when 1→0 is.
+        assert_eq!(
+            inline.error,
+            Some(ExecError::MessageTimeout {
+                src: from,
+                dst: to,
+                request: 1
+            }),
+            "{from}→{to} dead"
+        );
+        assert_eq!(
+            inline.per_node[1].requests_served, served_before_the_loss,
+            "{from}→{to} dead: the healthy direction still carries traffic"
+        );
+        let faults = inline.faults.expect("faulted runs carry a summary");
+        assert_eq!(faults.lost, 1, "{from}→{to} dead: exactly one logical loss");
+        assert_eq!(
+            faults.dropped_attempts,
+            1 + plan.max_retries as u64,
+            "{from}→{to} dead: every attempt of that one packet dropped"
+        );
+        let pool = run(Schedule::Pool { threads: 2 });
+        assert_eq!(pool.error, inline.error, "{from}→{to} dead");
+        assert_eq!(pool.per_node, inline.per_node, "{from}→{to} dead");
+        assert_eq!(pool.faults, inline.faults, "{from}→{to} dead");
+        assert_eq!(pool.final_statics, inline.final_statics, "{from}→{to} dead");
     }
 }
 
