@@ -34,7 +34,14 @@ use crate::{fault, measure_speedup, serving};
 /// is paid once per link, not per message).
 fn frame_sizes() -> [(&'static str, usize); 3] {
     let dep = |kind, member, args: &[WireValue]| {
-        encode_dependence(BytesMut::new(), None, 7, kind, member, args).len()
+        let mut frame = BytesMut::new();
+        encode_dependence(&mut frame, None, 7, kind, member, args.iter().cloned());
+        frame.len()
+    };
+    let new = |class, args: &[WireValue]| {
+        let mut frame = BytesMut::new();
+        encode_new(&mut frame, None, class, args.iter().cloned());
+        frame.len()
     };
     [
         (
@@ -42,10 +49,7 @@ fn frame_sizes() -> [(&'static str, usize); 3] {
             dep(AccessKind::InvokeRet, 3, &[WireValue::Int(1)]),
         ),
         ("dep_getfield", dep(AccessKind::GetField, 1, &[])),
-        (
-            "new_1int",
-            encode_new(BytesMut::new(), None, 4, &[WireValue::Int(42)]).len(),
-        ),
+        ("new_1int", new(4, &[WireValue::Int(42)])),
     ]
 }
 

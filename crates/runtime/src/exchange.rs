@@ -1,0 +1,1080 @@
+//! The Message Exchange: everything that knows how a value crosses a node.
+//!
+//! The paper's Message Exchange service "passes objects between nodes using a streamed
+//! format". Here that is the half of [`Interp`] the machine in [`crate::interp`] never
+//! looks inside: the [`DistState`] a cluster node carries (endpoint, export table,
+//! per-link hello state), proxies and the `rt/DependentObject` protocol the rewriter
+//! targets, marshal / unmarshal, and the four things that touch a frame — send,
+//! accept, reply, response decode. [`crate::sched`] drives it through
+//! [`Interp::accept_request`], [`Interp::resume_task`] and [`Interp::send_reply`] and
+//! never sees a wire type.
+//!
+//! **An argument list exists three times**: where the program put it (the caller's
+//! operand stack, or the `Object[]` the rewriter packed for `DependentObject`), in the
+//! frame, and in the callee's locals. The send side marshals each value straight from
+//! a borrowed slice into the pooled frame buffer and charges virtual time from the
+//! bytes it appended; the accept side decodes the head, resolves the target method or
+//! slot against the receiver's runtime class, and unmarshals value by value straight
+//! into the callee frame's locals (receiver in slot 0; a field or array access needs at
+//! most two stack locals). No intermediate collection is built on either side.
+//!
+//! Names do not cross the wire: the one place a name is still data — the `Value::Str`
+//! member a rewritten `DependentObject.access` site passes — is resolved to a dense id
+//! by one probe of the layout's interning maps at the send site, and the receiver
+//! resolves the id against the target's runtime class. Ids that come *off* the wire
+//! (export ids, node ranks, class ids) are checked here, at the boundary, so nothing
+//! behind it indexes with one unchecked.
+
+use std::collections::HashMap;
+use std::sync::Arc;
+
+use autodist_ir::program::{ClassId, FieldRef, MethodId, Type};
+use bytes::{Bytes, BytesMut};
+
+use crate::interp::{Continuation, ExecError, Frame, Interp, ResumeAction};
+use crate::net::MpiEndpoint;
+use crate::value::{HeapObject, ObjRef, Value};
+use crate::wire::{self, AccessKind, FrameHead, Response, WireError, WireValue};
+
+/// Distributed-execution state attached to an interpreter running as one node of the
+/// simulated cluster.
+pub struct DistState<'n> {
+    /// This node's endpoint into the simulated MPI world.
+    pub endpoint: MpiEndpoint<'n>,
+    /// Export table: export id -> heap index.
+    pub exports: Vec<u32>,
+    /// Reverse export table: heap index -> export id.
+    pub export_ids: HashMap<u32, u64>,
+    /// Per-destination: whether the one-time fingerprint hello already went out
+    /// on that link (it wraps the first request we send there).
+    hello_sent: Vec<bool>,
+    /// Per-source: whether that peer's hello matched our layout fingerprint.
+    /// Requests from unverified peers are rejected, never dispatched.
+    peer_ok: Vec<bool>,
+}
+
+impl<'n> DistState<'n> {
+    /// Wraps an endpoint.
+    pub fn new(endpoint: MpiEndpoint<'n>) -> Self {
+        let n = endpoint.size;
+        DistState {
+            endpoint,
+            exports: Vec::new(),
+            export_ids: HashMap::new(),
+            hello_sent: vec![false; n],
+            peer_ok: vec![false; n],
+        }
+    }
+
+    /// This node's rank.
+    pub fn rank(&self) -> usize {
+        self.endpoint.rank
+    }
+
+    /// `node` as a rank of this world. Ranks reach a node inside wire values and
+    /// rewritten constants; one the world does not have must fail typed where it
+    /// enters, not index a per-rank table at the next send.
+    fn rank_in_world(&self, node: i64) -> Option<usize> {
+        usize::try_from(node)
+            .ok()
+            .filter(|&rank| rank < self.endpoint.size)
+    }
+
+    /// The heap index behind export id `id` — an id read off the wire, so one this
+    /// node never handed out is a typed failure, not an index panic.
+    fn exported(&self, id: u64) -> Result<u32, ExecError> {
+        usize::try_from(id)
+            .ok()
+            .and_then(|i| self.exports.get(i))
+            .copied()
+            .ok_or_else(|| ExecError::RemoteFailure(format!("bad export id {id}")))
+    }
+}
+
+/// What [`Interp::accept_request`] did with an incoming request packet.
+pub enum ServeOutcome {
+    /// Fully handled: the response was sent (or it was a shutdown, which owes none).
+    Handled,
+    /// Bytecode must run to produce the response: the scheduler runs `task` and
+    /// replies with its result — or with `reply_override` (the freshly created
+    /// object reference) for `NEW` requests whose constructor is still running.
+    Spawned {
+        /// The serving computation.
+        task: Continuation,
+        /// Response value overriding the task's return value (`NEW` requests).
+        reply_override: Option<Value>,
+    },
+}
+
+/// How the machine proceeds after an invoke left its fast path (proxies, remote
+/// receivers, the DependentObject protocol) — see [`Interp::slow_invoke`].
+pub(crate) enum SlowInvoke {
+    /// A request went out: park on it.
+    Park(u64, ResumeAction),
+    /// `DependentObject.<init>` whose home is this node: run the local constructor.
+    Call(Frame),
+    /// Completed locally with nothing left to do (push null if the site expects a
+    /// result).
+    Nothing,
+}
+
+/// The member of an outgoing `DEPENDENCE`, resolved at the send site: the dense id
+/// the frame carries, and the length of the name it stands for — which is all the
+/// virtual-time charge needs of the name.
+#[derive(Clone, Copy)]
+struct WireMember {
+    /// Method selector (`Invoke*`) or field-name id (`GetField`/`PutField`): the
+    /// receiver resolves either against the target's runtime class.
+    id: u32,
+    /// Length of the member name, for [`wire::charged_dependence_size`].
+    name_len: usize,
+}
+
+impl WireMember {
+    /// Array accesses carry no member and are charged the empty name.
+    const NONE: WireMember = WireMember { id: 0, name_len: 0 };
+}
+
+/// The Message Exchange's orderly shutdown frame (control traffic: no reply owed).
+pub(crate) fn shutdown_frame() -> Bytes {
+    wire::encode_shutdown()
+}
+
+impl<'p> Interp<'p> {
+    // --- proxies ------------------------------------------------------------------
+
+    /// Records a remote identity in a proxy object's home/remoteId/className slots so
+    /// later accesses route to the object's home node — the single encoding of the
+    /// proxy representation.
+    pub(crate) fn bind_proxy(&mut self, proxy: u32, node: usize, id: u64, class_name: Arc<str>) {
+        if let Some((hs, rs, cs)) = self.proxy_slots {
+            if let HeapObject::Object { fields, .. } = &mut self.heap[proxy as usize] {
+                fields[hs] = Value::Int(node as i64);
+                fields[rs] = Value::Int(id as i64);
+                fields[cs] = Value::Str(class_name);
+            }
+        }
+    }
+
+    /// Creates an instance of `class` on this node (the placement put the "remote"
+    /// class here, so no message is needed) and returns the reference plus the
+    /// constructor to run, if one with a body exists.
+    fn create_at_home(&mut self, class: ClassId) -> (ObjRef, Option<MethodId>) {
+        let r = self.new_instance(class);
+        let ctor = self
+            .program
+            .find_method(class, "<init>")
+            .filter(|&c| !self.layout.ops(c).ops.is_empty());
+        (r, ctor)
+    }
+
+    /// Extracts the remote identity recorded in a proxy object.
+    fn proxy_target(&self, heap_idx: u32) -> Result<ObjRef, ExecError> {
+        let (hs, rs, _) = self
+            .proxy_slots
+            .ok_or_else(|| ExecError::Unsupported("no DependentObject class loaded".into()))?;
+        match &self.heap[heap_idx as usize] {
+            HeapObject::Object { fields, .. } => {
+                let node = fields.get(hs).and_then(|v| v.as_int());
+                let id = fields.get(rs).and_then(|v| v.as_int());
+                match (node, id) {
+                    (Some(n), Some(i)) => Ok(ObjRef::Remote {
+                        node: n as usize,
+                        id: i as u64,
+                    }),
+                    _ => Err(ExecError::Unsupported(
+                        "DependentObject used before initialisation".into(),
+                    )),
+                }
+            }
+            _ => Err(ExecError::Unsupported("proxy is not an object".into())),
+        }
+    }
+
+    /// For the slow paths of `GetField`/`PutField`: decides whether the access must
+    /// travel to another node. Returns `Ok(Some(remote))` for proxies being
+    /// forwarded and for remote references, `Ok(None)` when the access is local (or
+    /// is a fault the local helpers report).
+    pub(crate) fn remote_field_target(
+        &self,
+        obj: &Value,
+        fr: FieldRef,
+    ) -> Result<Option<ObjRef>, ExecError> {
+        match obj {
+            Value::Ref(ObjRef::Local(h)) => match &self.heap[*h as usize] {
+                HeapObject::Object { class, .. }
+                    if Some(*class) == self.dep_class && Some(fr.class) != self.dep_class =>
+                {
+                    self.proxy_target(*h).map(Some)
+                }
+                _ => Ok(None),
+            },
+            Value::Ref(r @ ObjRef::Remote { .. }) => Ok(Some(*r)),
+            _ => Ok(None),
+        }
+    }
+
+    // --- the DependentObject protocol ---------------------------------------------
+
+    /// An invoke that left the hot path — proxies, remote receivers, the
+    /// DependentObject protocol, and faults. `args` is the caller's operand window,
+    /// receiver first, read where it lies. Whatever must travel is sent from here;
+    /// the machine only learns whether to park, push a frame or carry on.
+    pub(crate) fn slow_invoke(
+        &mut self,
+        args: &[Value],
+        target: MethodId,
+        push_ret: bool,
+    ) -> Result<SlowInvoke, ExecError> {
+        let program = self.program;
+        let callee = program.method(target);
+        let receiver = args
+            .first()
+            .ok_or_else(|| ExecError::Unsupported("instance call without receiver".into()))?;
+        if Some(callee.class) == self.dep_class {
+            return self.dependent_object_call(&callee.name, receiver, args, push_ret);
+        }
+        // Transparent forwarding: a proxy reached a normal (non-rewritten) call
+        // site, or type-based rewriting missed a receiver that actually lives
+        // remotely. The receiver is stripped and the statically known callee is
+        // addressed by its selector.
+        let remote = match receiver {
+            Value::Null => {
+                return Err(ExecError::NullPointer(format!("call to {}", callee.name)));
+            }
+            Value::Ref(ObjRef::Local(h)) => match self.heap[*h as usize].class() {
+                Some(c) if Some(c) == self.dep_class => self.proxy_target(*h)?,
+                Some(_) => {
+                    return Err(ExecError::Unsupported(
+                        "internal: local receiver missed the dispatch fast path".into(),
+                    ))
+                }
+                None => {
+                    return Err(ExecError::Unsupported(
+                        "method call on an array reference".into(),
+                    ))
+                }
+            },
+            Value::Ref(r @ ObjRef::Remote { .. }) => *r,
+            other => {
+                return Err(ExecError::Unsupported(format!(
+                    "method call on non-reference {other:?}"
+                )))
+            }
+        };
+        let kind = if callee.ret == Type::Void {
+            AccessKind::InvokeVoid
+        } else {
+            AccessKind::InvokeRet
+        };
+        let member = WireMember {
+            id: self.layout.selector(target),
+            name_len: callee.name.len(),
+        };
+        let req_id = self.remote_send(remote, kind, member, &args[1..])?;
+        Ok(SlowInvoke::Park(req_id, resume_with(push_ret)))
+    }
+
+    /// `DependentObject.<init>` / `.access`: the call sites the rewriter emits.
+    fn dependent_object_call(
+        &mut self,
+        method: &str,
+        receiver: &Value,
+        args: &[Value],
+        push_ret: bool,
+    ) -> Result<SlowInvoke, ExecError> {
+        match method {
+            "<init>" => {
+                let (home, class, class_name, ctor_args) = self.parse_dep_init(args)?;
+                if Some(home) != self.dist.as_ref().map(DistState::rank) {
+                    let proxy = match (receiver, self.proxy_slots) {
+                        (Value::Ref(ObjRef::Local(h)), Some(_)) => Some(*h),
+                        _ => None,
+                    };
+                    let req_id = self.with_args_array(ctor_args, |me, ctor_args| {
+                        me.remote_new_send(home, class, class_name.len(), ctor_args)
+                    })?;
+                    return Ok(SlowInvoke::Park(
+                        req_id,
+                        ResumeAction::NewProxy { proxy, class_name },
+                    ));
+                }
+                let (r, Some(ctor)) = self.create_at_home(class) else {
+                    return Ok(SlowInvoke::Nothing);
+                };
+                if self.live_frames >= self.max_depth {
+                    return Err(ExecError::StackOverflow);
+                }
+                self.with_args_array(ctor_args, |me, ctor_args| {
+                    let mut f = me.frame_for(ctor, false, ctor_args.len() + 1);
+                    f.locals[0] = Value::Ref(r);
+                    f.locals[1..=ctor_args.len()].clone_from_slice(ctor_args);
+                    me.enter_frame(&mut f);
+                    Ok(SlowInvoke::Call(f))
+                })
+            }
+            "access" => {
+                let (target, kind, member, call_args) = self.parse_dep_access(receiver, args)?;
+                let req_id = self.with_args_array(call_args, |me, call_args| {
+                    me.remote_send(target, kind, member, call_args)
+                })?;
+                Ok(SlowInvoke::Park(req_id, resume_with(push_ret)))
+            }
+            other => Err(ExecError::UnknownMethod(
+                format!("rt/DependentObject.{other}").into(),
+            )),
+        }
+    }
+
+    /// Parses the argument list of `DependentObject.<init>` — `[proxy, location,
+    /// className, argsArray]` — into (home node, class, class name, constructor
+    /// args array). The class is resolved here, once: a name the program does not
+    /// declare cannot be instantiated on any node, so it fails before anything is
+    /// sent — and so does a location the world has no rank for.
+    fn parse_dep_init(
+        &self,
+        args: &[Value],
+    ) -> Result<(usize, ClassId, Arc<str>, Option<u32>), ExecError> {
+        let location = args
+            .get(1)
+            .and_then(|v| v.as_int())
+            .ok_or_else(|| ExecError::Unsupported("DependentObject.<init>: location".into()))?;
+        let dist = self.dist.as_ref().ok_or(ExecError::NotDistributed)?;
+        let home = dist.rank_in_world(location).ok_or_else(|| {
+            ExecError::Unsupported(format!("DependentObject.<init>: no node {location}"))
+        })?;
+        let Some(Value::Str(class_name)) = args.get(2) else {
+            return Err(ExecError::Unsupported(
+                "DependentObject.<init>: class name".into(),
+            ));
+        };
+        let class = self
+            .program
+            .class_by_name(class_name)
+            .ok_or_else(|| ExecError::Unsupported(format!("unknown class {class_name}")))?;
+        Ok((
+            home,
+            class,
+            Arc::clone(class_name),
+            self.args_array(args.get(3))?,
+        ))
+    }
+
+    /// Parses a `DependentObject.access` call — `[proxy-or-remote, kind, member,
+    /// argsArray]` — into the remote target, access kind, member and call args
+    /// array. The member name costs one probe of the layout's interning maps here;
+    /// a name the layout never interned cannot be served by any node, so it fails
+    /// typed before anything is sent.
+    fn parse_dep_access(
+        &self,
+        receiver: &Value,
+        args: &[Value],
+    ) -> Result<(ObjRef, AccessKind, WireMember, Option<u32>), ExecError> {
+        let kind_tag = args
+            .get(1)
+            .and_then(|v| v.as_int())
+            .ok_or_else(|| ExecError::Unsupported("access: kind".into()))?;
+        let kind = AccessKind::from_tag(kind_tag)
+            .ok_or_else(|| ExecError::Unsupported(format!("access: bad kind {kind_tag}")))?;
+        let Some(Value::Str(name)) = args.get(2) else {
+            return Err(ExecError::Unsupported("access: member name".into()));
+        };
+        let id = match kind {
+            AccessKind::InvokeVoid | AccessKind::InvokeRet => self
+                .layout
+                .selector_of_name(name)
+                .ok_or_else(|| ExecError::UnknownMethod(Arc::clone(name)))?,
+            AccessKind::GetField | AccessKind::PutField => self
+                .layout
+                .field_name_id(name)
+                .ok_or_else(|| ExecError::UnknownField(name.to_string()))?,
+            AccessKind::GetElement | AccessKind::PutElement | AccessKind::ArrayLength => 0,
+        };
+        let member = WireMember {
+            id,
+            name_len: name.len(),
+        };
+        let call_args = self.args_array(args.get(3))?;
+        let target = match receiver {
+            Value::Ref(ObjRef::Local(h)) => self.proxy_target(*h)?,
+            Value::Ref(r @ ObjRef::Remote { .. }) => *r,
+            _ => {
+                return Err(ExecError::NullPointer(
+                    "DependentObject.access on null".into(),
+                ))
+            }
+        };
+        Ok((target, kind, member, call_args))
+    }
+
+    /// The rewriter's `Object[]` argument list: the heap index of the array (`None`
+    /// for `null` or no array at all, the empty list).
+    fn args_array(&self, v: Option<&Value>) -> Result<Option<u32>, ExecError> {
+        match v {
+            Some(Value::Ref(ObjRef::Local(h))) => match &self.heap[*h as usize] {
+                HeapObject::Array { .. } => Ok(Some(*h)),
+                _ => Err(ExecError::Unsupported(
+                    "argument list is not an array".into(),
+                )),
+            },
+            Some(Value::Null) | None => Ok(None),
+            Some(other) => Err(ExecError::Unsupported(format!(
+                "argument list is {other:?}"
+            ))),
+        }
+    }
+
+    /// Lends `send` the elements of an [`Self::args_array`] where the program put
+    /// them: the vector is taken out of the heap cell for the duration (marshalling
+    /// needs `&mut self` to export, and never allocates on the heap) and put back.
+    fn with_args_array<R>(
+        &mut self,
+        array: Option<u32>,
+        send: impl FnOnce(&mut Self, &[Value]) -> R,
+    ) -> R {
+        let Some(h) = array else {
+            return send(self, &[]);
+        };
+        let HeapObject::Array { data } = &mut self.heap[h as usize] else {
+            return send(self, &[]);
+        };
+        let args = std::mem::take(data);
+        let sent = send(self, &args);
+        if let HeapObject::Array { data } = &mut self.heap[h as usize] {
+            *data = args;
+        }
+        sent
+    }
+
+    // --- marshal / unmarshal ------------------------------------------------------
+
+    /// Exports a local heap object and returns its export id.
+    fn export(&mut self, heap_idx: u32) -> u64 {
+        let dist = self.dist.as_mut().expect("export requires dist state");
+        if let Some(&id) = dist.export_ids.get(&heap_idx) {
+            return id;
+        }
+        let id = dist.exports.len() as u64;
+        dist.exports.push(heap_idx);
+        dist.export_ids.insert(heap_idx, id);
+        id
+    }
+
+    /// Converts a runtime value into its wire representation, exporting local objects.
+    fn marshal(&mut self, v: &Value) -> WireValue {
+        match v {
+            Value::Null => WireValue::Null,
+            Value::Int(i) => WireValue::Int(*i),
+            Value::Float(f) => WireValue::Float(*f),
+            Value::Bool(b) => WireValue::Bool(*b),
+            Value::Str(s) => WireValue::Str(Arc::clone(s)),
+            Value::Ref(ObjRef::Remote { node, id }) => WireValue::Remote {
+                node: *node as u32,
+                id: *id,
+            },
+            Value::Ref(ObjRef::Local(h)) => {
+                // A proxy marshals as the identity of the object it stands for.
+                if self.heap[*h as usize].class() == self.dep_class {
+                    if let Ok(ObjRef::Remote { node, id }) = self.proxy_target(*h) {
+                        return WireValue::Remote {
+                            node: node as u32,
+                            id,
+                        };
+                    }
+                }
+                let my_rank = self.dist.as_ref().map(|d| d.rank()).unwrap_or(0);
+                let id = self.export(*h);
+                WireValue::Remote {
+                    node: my_rank as u32,
+                    id,
+                }
+            }
+        }
+    }
+
+    /// Converts a wire value back into a runtime value, resolving references that point
+    /// at this node back to local heap objects. Both halves of a reference come off
+    /// the wire: an export id this node never handed out, or a node the world has no
+    /// rank for, is a typed failure.
+    fn unmarshal(&self, v: WireValue) -> Result<Value, ExecError> {
+        Ok(match v {
+            WireValue::Null => Value::Null,
+            WireValue::Int(i) => Value::Int(i),
+            WireValue::Float(f) => Value::Float(f),
+            WireValue::Bool(b) => Value::Bool(b),
+            WireValue::Str(s) => Value::Str(s),
+            WireValue::Remote { node, id } => Value::Ref(match &self.dist {
+                Some(d) if d.rank() == node as usize => ObjRef::Local(d.exported(id)?),
+                Some(d) => ObjRef::Remote {
+                    node: d
+                        .rank_in_world(i64::from(node))
+                        .ok_or_else(|| ExecError::RemoteFailure(format!("bad node rank {node}")))?,
+                    id,
+                },
+                None => ObjRef::Remote {
+                    node: node as usize,
+                    id,
+                },
+            }),
+        })
+    }
+
+    /// Reads the next value of an incoming frame into its runtime form.
+    fn read_value(&self, data: &mut Bytes) -> Result<Value, ExecError> {
+        self.unmarshal(wire::decode_value(data)?)
+    }
+
+    // --- send ---------------------------------------------------------------------
+
+    /// A pooled encode buffer for a request to `node`, plus the fingerprint hello if
+    /// this is the first request on that link.
+    fn frame_start(&mut self, node: usize) -> Result<(BytesMut, Option<u64>), ExecError> {
+        let fp = self.layout.fingerprint();
+        let dist = self.dist.as_mut().ok_or(ExecError::NotDistributed)?;
+        let hello = (!dist.hello_sent[node]).then_some(fp);
+        dist.hello_sent[node] = true;
+        Ok((dist.endpoint.take_buf(), hello))
+    }
+
+    /// Sends an encoded request, charging the virtual clock for `charged` bytes —
+    /// the size the cost model defines for the message, not the frame's — and
+    /// returns the request id the machine parks the running continuation on.
+    fn send_request(&mut self, node: usize, frame: BytesMut, charged: usize) -> u64 {
+        self.counters.remote_requests += 1;
+        let dist = self.dist.as_mut().expect("frame_start found dist state");
+        let (clock, req_id) =
+            dist.endpoint
+                .send_request_charged(node, frame.freeze(), self.clock_us, charged);
+        self.clock_us = clock;
+        req_id
+    }
+
+    /// A field or array access on an object that lives on another node (`field` is
+    /// `None` for the array kinds): sends the `DEPENDENCE` and returns the request
+    /// id to park on.
+    pub(crate) fn remote_access(
+        &mut self,
+        target: ObjRef,
+        kind: AccessKind,
+        field: Option<FieldRef>,
+        args: &[Value],
+    ) -> Result<u64, ExecError> {
+        let member = field.map_or(WireMember::NONE, |fr| WireMember {
+            id: self.layout.field_name_id_of(fr),
+            name_len: self.program.field(fr).name.len(),
+        });
+        self.remote_send(target, kind, member, args)
+    }
+
+    /// Sends a `DEPENDENCE` request without waiting for the answer: each argument is
+    /// marshalled straight into the frame.
+    fn remote_send(
+        &mut self,
+        target: ObjRef,
+        kind: AccessKind,
+        member: WireMember,
+        args: &[Value],
+    ) -> Result<u64, ExecError> {
+        let ObjRef::Remote { node, id } = target else {
+            return Err(ExecError::Unsupported(
+                "remote access on a local reference".into(),
+            ));
+        };
+        let (mut buf, hello) = self.frame_start(node)?;
+        let args = args.iter().map(|v| self.marshal(v));
+        let value_bytes = wire::encode_dependence(&mut buf, hello, id, kind, member.id, args);
+        let charged = wire::charged_dependence_size(member.name_len, value_bytes);
+        Ok(self.send_request(node, buf, charged))
+    }
+
+    /// Sends a `NEW` request without waiting (see [`Self::remote_send`]).
+    fn remote_new_send(
+        &mut self,
+        home: usize,
+        class: ClassId,
+        class_name_len: usize,
+        args: &[Value],
+    ) -> Result<u64, ExecError> {
+        let (mut buf, hello) = self.frame_start(home)?;
+        let args = args.iter().map(|v| self.marshal(v));
+        let value_bytes = wire::encode_new(&mut buf, hello, class.0, args);
+        let charged = wire::charged_new_size(class_name_len, value_bytes);
+        Ok(self.send_request(home, buf, charged))
+    }
+
+    // --- accept -------------------------------------------------------------------
+
+    /// Processes one incoming *request* packet. Requests that need no bytecode
+    /// (field/array accesses on local objects) are answered on the spot; invocations
+    /// and constructions spawn a [`Continuation`] the worker loop runs — re-entrantly
+    /// with any continuation this node already has parked, which is exactly what
+    /// makes cyclic placements schedulable on one thread. The spent frame goes back
+    /// to the link's buffer pool either way.
+    pub fn accept_request(&mut self, from: usize, req_id: u64, mut data: Bytes) -> ServeOutcome {
+        let served = self.accept_frame(from, req_id, &mut data);
+        if let Some(d) = self.dist.as_mut() {
+            d.endpoint.reclaim(data);
+        }
+        served.unwrap_or_else(|e| {
+            self.send_reply(from, req_id, Err(e));
+            ServeOutcome::Handled
+        })
+    }
+
+    /// Serves one request frame: strips and verifies the fingerprint hello, then —
+    /// `Shutdown` alone exempt — refuses anything from a peer whose fingerprint was
+    /// never verified before decoding a single id, then dispatches on the head.
+    fn accept_frame(
+        &mut self,
+        from: usize,
+        req_id: u64,
+        data: &mut Bytes,
+    ) -> Result<ServeOutcome, ExecError> {
+        let hello = wire::split_hello(data)?;
+        self.verify_hello(from, hello)?;
+        let verified = self
+            .dist
+            .as_ref()
+            .is_some_and(|d| d.peer_ok.get(from).copied().unwrap_or(false));
+        if !verified && wire::peek_tag(data)? != wire::TAG_SHUTDOWN {
+            return Err(ExecError::Wire(WireError::UnverifiedSlotFrame));
+        }
+        let to = (from, req_id);
+        match wire::decode_head(data)? {
+            FrameHead::Shutdown => Ok(ServeOutcome::Handled), // nothing to reply
+            FrameHead::New { class, argc } => self.accept_new(to, class, argc, data),
+            FrameHead::Dependence {
+                target,
+                kind,
+                member,
+                argc,
+            } => self.accept_dep(to, target, kind, member, argc, data),
+        }
+    }
+
+    /// Checks a received hello envelope against this node's layout fingerprint.
+    /// A match unlocks dispatch of requests from `from`; a mismatch is a hard
+    /// typed error (the peer's dense ids mean something else entirely).
+    fn verify_hello(&mut self, from: usize, hello: Option<u64>) -> Result<(), ExecError> {
+        let Some(theirs) = hello else { return Ok(()) };
+        let ours = self.layout.fingerprint();
+        if theirs != ours {
+            return Err(ExecError::Wire(WireError::FingerprintMismatch {
+                ours,
+                theirs,
+            }));
+        }
+        if let Some(d) = self.dist.as_mut() {
+            if let Some(slot) = d.peer_ok.get_mut(from) {
+                *slot = true;
+            }
+        }
+        Ok(())
+    }
+
+    /// Answers request `to` with a value known without running bytecode.
+    fn answer(&mut self, to: (usize, u64), v: Value) -> ServeOutcome {
+        self.send_reply(to.0, to.1, Ok(v));
+        ServeOutcome::Handled
+    }
+
+    /// The `NEW` service: instantiate the class with the wire-carried dense id
+    /// (range-checked against the shared tables), and when a constructor with a
+    /// body exists return it as a task (replying with the fresh reference either
+    /// way).
+    fn accept_new(
+        &mut self,
+        to: (usize, u64),
+        class: u32,
+        argc: usize,
+        data: &mut Bytes,
+    ) -> Result<ServeOutcome, ExecError> {
+        self.counters.requests_served += 1;
+        if (class as usize) >= self.layout.classes.len() {
+            return Err(ExecError::RemoteFailure(format!("bad class id {class}")));
+        }
+        let (r, ctor) = self.create_at_home(ClassId(class));
+        let reply = Value::Ref(r);
+        let task = match ctor {
+            Some(ctor) => self.serving_task(ctor, reply.clone(), argc, data)?,
+            None => None,
+        };
+        Ok(match task {
+            Some(task) => ServeOutcome::Spawned {
+                task,
+                reply_override: Some(reply),
+            },
+            None => self.answer(to, reply),
+        })
+    }
+
+    /// The `DEPENDENCE` service. `member` is resolved against the target's runtime
+    /// class: a field-name id through the class's slot column — so a subclass that
+    /// shadows the name answers with its own slot, and a name the class has no
+    /// field for reads as null and drops the write — and a selector through its
+    /// vtable. A field or array access takes its operands off the frame into stack
+    /// locals (a missing one reads as its default); an invoke's go straight into
+    /// the callee's locals ([`Self::serving_task`]).
+    fn accept_dep(
+        &mut self,
+        to: (usize, u64),
+        target: u64,
+        kind: AccessKind,
+        member: u32,
+        argc: usize,
+        data: &mut Bytes,
+    ) -> Result<ServeOutcome, ExecError> {
+        self.counters.requests_served += 1;
+        let dist = self.dist.as_ref().ok_or(ExecError::NotDistributed)?;
+        let heap_idx = dist.exported(target)?;
+        let receiver = Value::Ref(ObjRef::Local(heap_idx));
+        let mut left = argc;
+        let mut operand = |me: &Self, default: Value| match left {
+            0 => Ok(default),
+            _ => {
+                left -= 1;
+                me.read_value(data)
+            }
+        };
+        let value = match kind {
+            AccessKind::GetField => match &self.heap[heap_idx as usize] {
+                HeapObject::Object { class, fields } => self
+                    .layout
+                    .slot_of_field_name(*class, member)
+                    .and_then(|slot| fields.get(slot as usize))
+                    .cloned()
+                    .unwrap_or(Value::Null),
+                _ => return Err(ExecError::Unsupported("field read on array".into())),
+            },
+            AccessKind::PutField => {
+                let v = operand(self, Value::Null)?;
+                match &mut self.heap[heap_idx as usize] {
+                    HeapObject::Object { class, fields } => {
+                        if let Some(cell) = self
+                            .layout
+                            .slot_of_field_name(*class, member)
+                            .and_then(|slot| fields.get_mut(slot as usize))
+                        {
+                            *cell = v;
+                        }
+                        Value::Null
+                    }
+                    _ => return Err(ExecError::Unsupported("field write on array".into())),
+                }
+            }
+            AccessKind::GetElement => {
+                let idx = operand(self, Value::Int(0))?;
+                self.array_load(receiver, idx)?
+            }
+            AccessKind::PutElement => {
+                let idx = operand(self, Value::Int(0))?;
+                let val = operand(self, Value::Null)?;
+                self.array_store(receiver, idx, val)?;
+                Value::Null
+            }
+            AccessKind::ArrayLength => self.array_length(receiver)?,
+            AccessKind::InvokeVoid | AccessKind::InvokeRet => {
+                let class = self.heap[heap_idx as usize]
+                    .class()
+                    .ok_or_else(|| ExecError::Unsupported("invoke on array".into()))?;
+                let m = self.layout.resolve_selector(class, member).ok_or_else(|| {
+                    // The reply is charged at its encoded length, so the text is
+                    // part of virtual time: report the name the selector stands for.
+                    ExecError::UnknownMethod(match self.layout.selector_name(member) {
+                        Some(name) => Arc::clone(name),
+                        None => format!("selector #{member}").into(),
+                    })
+                })?;
+                match self.serving_task(m, receiver, argc, data)? {
+                    Some(task) => {
+                        return Ok(ServeOutcome::Spawned {
+                            task,
+                            reply_override: None,
+                        })
+                    }
+                    // Abstract / intrinsic methods behave as no-ops.
+                    None => Value::Null,
+                }
+            }
+        };
+        Ok(self.answer(to, value))
+    }
+
+    /// The serving continuation for `method` on `receiver` (`None` for an empty body):
+    /// slot 0 takes the receiver, and the frame's `argc` values are unmarshalled one by
+    /// one straight into the locals behind it.
+    ///
+    /// Serving pushes a frame that stays live while the task runs (or parks), so
+    /// unbounded cross-node recursion shows up as live-frame growth here — guard it
+    /// like any other call.
+    fn serving_task(
+        &mut self,
+        method: MethodId,
+        receiver: Value,
+        argc: usize,
+        data: &mut Bytes,
+    ) -> Result<Option<Continuation>, ExecError> {
+        if self.live_frames >= self.max_depth {
+            return Err(ExecError::StackOverflow);
+        }
+        if self.layout.ops(method).ops.is_empty() {
+            return Ok(None);
+        }
+        let mut frame = self.frame_for(method, true, argc + 1);
+        frame.locals[0] = receiver;
+        for slot in 1..=argc {
+            match self.read_value(data) {
+                Ok(v) => frame.locals[slot] = v,
+                Err(e) => {
+                    self.recycle_frame(frame);
+                    return Err(e);
+                }
+            }
+        }
+        self.enter_frame(&mut frame);
+        Ok(Some(Continuation::root(frame)))
+    }
+
+    // --- reply, response decode ---------------------------------------------------
+
+    /// Sends the response for request `req_id` back to `to`, marshalling the result
+    /// (errors travel as `Response::Error`).
+    pub fn send_reply(&mut self, to: usize, req_id: u64, result: Result<Value, ExecError>) {
+        let resp = match result {
+            Ok(v) => Response::Value(self.marshal(&v)),
+            Err(e) => Response::Error(e.to_string()),
+        };
+        let clock = self.clock_us;
+        let dist = self.dist.as_mut().expect("reply requires dist state");
+        let buf = dist.endpoint.take_buf();
+        let data = wire::encode_response_in(buf, &resp);
+        // A response is charged at its encoded length.
+        let charged = data.len();
+        self.clock_us = dist
+            .endpoint
+            .send_response_charged(to, req_id, data, clock, charged);
+    }
+
+    /// Reads the one value of a response frame (`Err` for a remote failure or a
+    /// corrupt frame) and returns the frame's storage to the link's buffer pool.
+    pub(crate) fn decode_response(&mut self, mut data: Bytes) -> Result<Value, ExecError> {
+        let decoded = Response::decode(&mut data);
+        if let Some(d) = self.dist.as_mut() {
+            d.endpoint.reclaim(data);
+        }
+        match decoded? {
+            Response::Value(v) => self.unmarshal(v),
+            Response::Error(e) => Err(ExecError::RemoteFailure(e)),
+        }
+    }
+}
+
+/// What a parked invoke does with its response.
+fn resume_with(push: bool) -> ResumeAction {
+    if push {
+        ResumeAction::Push
+    } else {
+        ResumeAction::Drop
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::net::{NetworkConfig, Transport};
+    use autodist_ir::frontend::compile_source;
+
+    #[test]
+    fn remote_access_without_runtime_is_rejected() {
+        let src = r#"
+            class C { static void main() { } }
+        "#;
+        let p = compile_source(src).unwrap();
+        let mut interp = Interp::new(&p);
+        let remote = ObjRef::Remote { node: 1, id: 0 };
+        assert_eq!(
+            interp.remote_access(remote, AccessKind::ArrayLength, None, &[]),
+            Err(ExecError::NotDistributed)
+        );
+        assert_eq!(
+            interp.remote_new_send(1, ClassId(0), 1, &[]),
+            Err(ExecError::NotDistributed)
+        );
+        // The local slow-path helpers have no remote arm to fall back on either.
+        assert_eq!(
+            interp.array_length(Value::Ref(remote)),
+            Err(ExecError::NotDistributed)
+        );
+    }
+
+    /// The wire boundary of a serving node, driven frame by frame: node 1 of a
+    /// two-node world, its replies read back out of the world's transport.
+    const WIRE_SRC: &str = r#"
+        class Cell { int v; int get() { return this.v; } }
+        class Other { int other() { return 1; } }
+        class Main { static void main() { } }
+    "#;
+
+    fn reply_to(
+        node: &mut Interp<'_>,
+        net: &mut Transport,
+        frame: BytesMut,
+    ) -> Option<Result<WireValue, String>> {
+        assert!(matches!(
+            node.accept_request(0, 1, frame.freeze()),
+            ServeOutcome::Handled
+        ));
+        net.route(&mut node.dist.as_mut().unwrap().endpoint);
+        let mut data = net.recv(0)?.data;
+        Some(match Response::decode(&mut data).expect("reply decodes") {
+            Response::Value(v) => Ok(v),
+            Response::Error(e) => Err(e),
+        })
+    }
+
+    #[test]
+    fn wire_ids_are_checked_before_they_index_anything() {
+        let p = compile_source(WIRE_SRC).unwrap();
+        let config = NetworkConfig::uniform(2);
+        let mut net = Transport::new(2, None);
+        let mut node = Interp::new(&p).with_dist(DistState::new(MpiEndpoint::new(1, 2, &config)));
+        let fp = node.layout().fingerprint();
+        let frame = |hello, target, kind, member, args: &[WireValue]| {
+            let mut buf = BytesMut::new();
+            wire::encode_dependence(&mut buf, hello, target, kind, member, args.iter().cloned());
+            buf
+        };
+
+        // No hello yet: nothing but a shutdown is honoured from this peer.
+        let unverified = reply_to(
+            &mut node,
+            &mut net,
+            frame(None, 0, AccessKind::ArrayLength, 0, &[]),
+        );
+        assert_eq!(
+            unverified,
+            Some(Err(
+                ExecError::Wire(WireError::UnverifiedSlotFrame).to_string()
+            ))
+        );
+        assert!(matches!(
+            node.accept_request(0, 1, shutdown_frame()),
+            ServeOutcome::Handled
+        ));
+        net.route(&mut node.dist.as_mut().unwrap().endpoint);
+        assert!(net.recv(0).is_none(), "a shutdown owes no reply");
+        assert_eq!(node.counters.requests_served, 0);
+
+        // An export id this node never handed out — as the target, or inside an
+        // argument that claims to point back here — is a typed failure.
+        let bad_target = frame(Some(fp), 998, AccessKind::ArrayLength, 0, &[]);
+        assert_eq!(
+            reply_to(&mut node, &mut net, bad_target),
+            Some(Err("remote failure: bad export id 998".into()))
+        );
+        let cell = p.class_by_name("Cell").unwrap();
+        let ObjRef::Local(h) = node.new_instance(cell) else {
+            unreachable!("new_instance allocates locally")
+        };
+        let id = node.export(h);
+        let put = node.layout().field_name_id("v").unwrap();
+        let mut put_arg = |arg| {
+            reply_to(
+                &mut node,
+                &mut net,
+                frame(None, id, AccessKind::PutField, put, &[arg]),
+            )
+        };
+        assert_eq!(
+            put_arg(WireValue::Remote { node: 1, id: 999 }),
+            Some(Err("remote failure: bad export id 999".into()))
+        );
+        // So is a reference to a node the world has no rank for: accepted, it
+        // would index a per-rank table at the first access through it...
+        assert_eq!(
+            put_arg(WireValue::Remote { node: 2, id: 0 }),
+            Some(Err("remote failure: bad node rank 2".into()))
+        );
+        assert_eq!(
+            put_arg(WireValue::Remote { node: 0, id: 7 }),
+            Some(Ok(WireValue::Null))
+        );
+        // ...and so is a rewritten `DependentObject.<init>` whose location constant
+        // is not a rank (a negative one used to wrap).
+        for location in [-1, 2] {
+            let init = [
+                Value::Null,
+                Value::Int(location),
+                Value::str("Cell"),
+                Value::Null,
+            ];
+            assert_eq!(
+                node.parse_dep_init(&init).map(|(home, ..)| home),
+                Err(ExecError::Unsupported(format!(
+                    "DependentObject.<init>: no node {location}"
+                )))
+            );
+        }
+
+        // A selector the target's class does not bind reports the *name* (the
+        // reply's length is charged, so its text is part of virtual time).
+        let other = node.layout().selector_of_name("other").unwrap();
+        assert_eq!(
+            reply_to(
+                &mut node,
+                &mut net,
+                frame(None, id, AccessKind::InvokeRet, other, &[])
+            ),
+            Some(Err("unknown method other".into()))
+        );
+        // A field-name id the class has no field for reads as null.
+        assert_eq!(
+            reply_to(
+                &mut node,
+                &mut net,
+                frame(None, id, AccessKind::GetField, 9_999, &[])
+            ),
+            Some(Ok(WireValue::Null))
+        );
+    }
+
+    #[test]
+    fn names_the_layout_never_interned_fail_at_the_sender() {
+        let p = compile_source(WIRE_SRC).unwrap();
+        let config = NetworkConfig::uniform(2);
+        let node = Interp::new(&p).with_dist(DistState::new(MpiEndpoint::new(0, 2, &config)));
+        let remote = Value::Ref(ObjRef::Remote { node: 1, id: 0 });
+        let access = |kind: AccessKind, name: &str| {
+            let args = [
+                remote.clone(),
+                Value::Int(i64::from(kind.tag())),
+                Value::str(name),
+            ];
+            node.parse_dep_access(&remote, &args)
+                .map(|(_, _, member, _)| (member.id, member.name_len))
+        };
+        let layout = node.layout();
+        assert_eq!(
+            access(AccessKind::InvokeRet, "get"),
+            Ok((layout.selector_of_name("get").unwrap(), 3))
+        );
+        assert_eq!(
+            access(AccessKind::PutField, "v"),
+            Ok((layout.field_name_id("v").unwrap(), 1))
+        );
+        assert_eq!(
+            access(AccessKind::InvokeVoid, "nope"),
+            Err(ExecError::UnknownMethod("nope".into()))
+        );
+        // Selectors and field names are separate id spaces.
+        assert_eq!(
+            access(AccessKind::GetField, "get"),
+            Err(ExecError::UnknownField("get".into()))
+        );
+        let init = [Value::Null, Value::Int(1), Value::str("Nope"), Value::Null];
+        assert_eq!(
+            node.parse_dep_init(&init).map(|(home, ..)| home),
+            Err(ExecError::Unsupported("unknown class Nope".into()))
+        );
+    }
+}

@@ -4,9 +4,12 @@
 //! since our current experiments are conducted on resource-rich x86 platforms"); this
 //! interpreter plays that JVM's role. It executes the stack bytecode directly, maintains
 //! a virtual clock (instructions cost `instr_cost / node speed` microseconds, messages
-//! cost latency + bytes/bandwidth), exposes profiler hooks (Section 6), and — when a
-//! [`DistState`] is attached — intercepts operations on `rt/DependentObject` proxies and
-//! turns them into `NEW` / `DEPENDENCE` message exchanges (Section 5).
+//! cost latency + bytes/bandwidth) and exposes profiler hooks (Section 6). This file is
+//! the *machine*: frames, continuations, the dispatch loop and the local field / array
+//! / arithmetic helpers. Whatever leaves the node — operations on `rt/DependentObject`
+//! proxies and remote references, turned into `NEW` / `DEPENDENCE` message exchanges
+//! (Section 5) when a [`DistState`] is attached — is [`crate::exchange`]'s: the
+//! dispatch loop hands it a slice of operands and gets back a request id to park on.
 //!
 //! All name resolution is interned at program-load time by
 //! [`autodist_ir::layout::ProgramLayout`]: instance fields are flat slot-indexed
@@ -15,10 +18,7 @@
 //! every method body into the compact [`Op`] format (resolved slots, selectors,
 //! argument counts, interned string constants, `u32` branch targets), so the dispatch
 //! loop performs no string clone, no map probe and no signature lookup per
-//! instruction. Names do not cross the wire either: the one place a name is still
-//! data — the `Value::Str` member a rewritten `DependentObject.access` site passes —
-//! is resolved to a dense id by one probe of the layout's interning maps at the send
-//! site, and the receiver resolves the id against the target's runtime class.
+//! instruction.
 //!
 //! Execution itself runs on an **explicit frame stack** ([`Continuation`]): a single
 //! dispatch loop ([`Interp::run_task`]) drives a `Vec` of [`Frame`]s (locals + operand
@@ -30,7 +30,7 @@
 //! remote path: a node with a [`DistState`] always parks, and a node without one
 //! fails remote operations with [`ExecError::NotDistributed`].
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::Arc;
 
@@ -40,9 +40,10 @@ use autodist_ir::program::{ClassId, FieldRef, MethodId, Program, Type};
 
 use bytes::Bytes;
 
-use crate::net::{LossReason, LostPacket, MpiEndpoint};
+use crate::exchange::{DistState, SlowInvoke};
+use crate::net::{LossReason, LostPacket};
 use crate::value::{HeapObject, ObjRef, Value};
-use crate::wire::{AccessKind, FrameHead, Response, WireError, WireValue};
+use crate::wire::{AccessKind, WireError};
 
 /// Name of the proxy class injected by the communication rewriter.
 pub const DEPENDENT_OBJECT_CLASS: &str = "rt/DependentObject";
@@ -237,42 +238,6 @@ impl fmt::Display for ExecError {
 
 impl std::error::Error for ExecError {}
 
-/// Distributed-execution state attached to an interpreter running as one node of the
-/// simulated cluster.
-pub struct DistState<'n> {
-    /// This node's endpoint into the simulated MPI world.
-    pub endpoint: MpiEndpoint<'n>,
-    /// Export table: export id -> heap index.
-    pub exports: Vec<u32>,
-    /// Reverse export table: heap index -> export id.
-    pub export_ids: HashMap<u32, u64>,
-    /// Per-destination: whether the one-time fingerprint hello already went out
-    /// on that link (it wraps the first request we send there).
-    hello_sent: Vec<bool>,
-    /// Per-source: whether that peer's hello matched our layout fingerprint.
-    /// Requests from unverified peers are rejected, never dispatched.
-    peer_ok: Vec<bool>,
-}
-
-impl<'n> DistState<'n> {
-    /// Wraps an endpoint.
-    pub fn new(endpoint: MpiEndpoint<'n>) -> Self {
-        let n = endpoint.size;
-        DistState {
-            endpoint,
-            exports: Vec::new(),
-            export_ids: HashMap::new(),
-            hello_sent: vec![false; n],
-            peer_ok: vec![false; n],
-        }
-    }
-
-    /// This node's rank.
-    pub fn rank(&self) -> usize {
-        self.endpoint.rank
-    }
-}
-
 /// One activation record of the explicit-stack machine: everything needed to resume
 /// the method mid-flight. Frames live in a [`Continuation`]'s frame stack; their
 /// locals/operand-stack vectors are recycled through the interpreter's frame pool.
@@ -288,14 +253,14 @@ pub struct Frame {
     /// Whether profiler enter/exit hooks fire for this frame.
     instrumented: bool,
     /// Local variable slots.
-    locals: Vec<Value>,
+    pub(crate) locals: Vec<Value>,
     /// Operand stack.
     stack: Vec<Value>,
 }
 
 /// What to do with the remote response when a parked continuation is resumed.
 #[derive(Debug)]
-enum ResumeAction {
+pub(crate) enum ResumeAction {
     /// Push the unmarshalled response onto the top frame's operand stack.
     Push,
     /// Discard the response (void calls, field writes).
@@ -337,6 +302,15 @@ pub struct Continuation {
 }
 
 impl Continuation {
+    /// A computation whose bottom frame is `frame` (already live).
+    pub(crate) fn root(frame: Frame) -> Self {
+        Continuation {
+            call_stack: vec![frame.method],
+            frames: vec![frame],
+            pending: None,
+        }
+    }
+
     /// Current call depth (number of live frames).
     pub fn depth(&self) -> usize {
         self.frames.len()
@@ -358,79 +332,6 @@ pub enum TaskOutcome {
     Parked {
         /// Correlation id of the outstanding request.
         req_id: u64,
-    },
-}
-
-/// What [`Interp::accept_request`] did with an incoming request packet.
-pub enum ServeOutcome {
-    /// Fully handled: the response was sent (or it was a shutdown, which owes none).
-    Handled,
-    /// Bytecode must run to produce the response: the scheduler runs `task` and
-    /// replies with its result — or with `reply_override` (the freshly created
-    /// object reference) for `NEW` requests whose constructor is still running.
-    Spawned {
-        /// The serving computation.
-        task: Continuation,
-        /// Response value overriding the task's return value (`NEW` requests).
-        reply_override: Option<Value>,
-    },
-}
-
-/// The member of an outgoing `DEPENDENCE`, resolved at the send site: the dense id
-/// the frame carries, and the length of the name it stands for — which is all the
-/// virtual-time charge needs of the name.
-#[derive(Clone, Copy)]
-struct WireMember {
-    /// Method selector (`Invoke*`) or field-name id (`GetField`/`PutField`): the
-    /// receiver resolves either against the target's runtime class.
-    id: u32,
-    /// Length of the member name, for [`crate::wire::charged_dependence_size`].
-    name_len: usize,
-}
-
-impl WireMember {
-    /// Array accesses carry no member and are charged the empty name.
-    const NONE: WireMember = WireMember { id: 0, name_len: 0 };
-}
-
-/// Decision produced for invoke sites that leave the fast path (proxies, remote
-/// receivers, the DependentObject protocol).
-enum SlowInvoke {
-    /// Send a `DEPENDENCE` message and park.
-    Remote {
-        target_ref: ObjRef,
-        kind: AccessKind,
-        member: WireMember,
-        args: Vec<Value>,
-        push: bool,
-    },
-    /// Send a `NEW` message and park; bind the proxy on resume.
-    NewRemote {
-        home: usize,
-        class: ClassId,
-        class_name: Arc<str>,
-        args: Vec<Value>,
-        proxy: Option<u32>,
-    },
-    /// `DependentObject.<init>` whose home is this node: run the local constructor.
-    CallCtor {
-        ctor: MethodId,
-        receiver: Value,
-        args: Vec<Value>,
-    },
-    /// Completed locally with nothing left to do (push null if the site expects a
-    /// result).
-    Nothing,
-}
-
-/// Internal result of classifying an incoming request (see [`Interp::accept_request`]).
-enum Accepted {
-    /// The response value is already known.
-    Value(Value),
-    /// Bytecode must run; reply with the task's result or with `reply_override`.
-    Run {
-        task: Continuation,
-        reply_override: Option<Value>,
     },
 }
 
@@ -457,7 +358,7 @@ pub struct Interp<'p> {
     /// The interning tables built at load time: field slots, static slots, vtables,
     /// and the pre-decoded op bodies. Shared by refcount so the dispatch loop can
     /// hold a borrow of the ops while the interpreter mutates its own state.
-    layout: Arc<ProgramLayout>,
+    pub(crate) layout: Arc<ProgramLayout>,
     /// Replicated static fields, indexed by the layout's global static slot.
     statics: Vec<Value>,
     /// Per-class default field vectors cloned on instantiation.
@@ -466,20 +367,15 @@ pub struct Interp<'p> {
     /// parked). This is the recursion guard: served frames stay live while their task
     /// is parked, so unbounded cross-node recursion shows up here exactly as it did on
     /// the native stack. The frame *contents* live in each [`Continuation`].
-    live_frames: usize,
+    pub(crate) live_frames: usize,
     instructions_since_sample: u64,
-    max_depth: usize,
-    dep_class: Option<ClassId>,
+    pub(crate) max_depth: usize,
+    pub(crate) dep_class: Option<ClassId>,
     /// (home, remoteId, className) slots of the proxy class, if present.
-    proxy_slots: Option<(usize, usize, usize)>,
+    pub(crate) proxy_slots: Option<(usize, usize, usize)>,
     /// Recycled (locals, operand stack) frame vectors, so method invocation does not
     /// allocate on the hot path.
     frame_pool: Vec<(Vec<Value>, Vec<Value>)>,
-    /// Scratch for marshalling outgoing argument lists (recycled across sends so a
-    /// steady-state remote access allocates no per-message vector).
-    wire_out: Vec<WireValue>,
-    /// Scratch for decoding incoming value lists (recycled across frames).
-    wire_vals: Vec<WireValue>,
 }
 
 impl<'p> Interp<'p> {
@@ -547,8 +443,6 @@ impl<'p> Interp<'p> {
             dep_class,
             proxy_slots,
             frame_pool: Vec::new(),
-            wire_out: Vec::new(),
-            wire_vals: Vec::new(),
         }
     }
 
@@ -616,7 +510,7 @@ impl<'p> Interp<'p> {
         ObjRef::Local((self.heap.len() - 1) as u32)
     }
 
-    fn new_instance(&mut self, class: ClassId) -> ObjRef {
+    pub(crate) fn new_instance(&mut self, class: ClassId) -> ObjRef {
         // Slot vector pre-filled with Java-style default values (computed once per
         // class at load time).
         let fields = self.class_defaults[class.0 as usize].clone();
@@ -647,49 +541,55 @@ impl<'p> Interp<'p> {
     /// `args`. Returns `None` for empty (abstract/intrinsic) bodies, which complete
     /// immediately with `null` and consume no frame.
     pub fn task_for(&mut self, method: MethodId, args: Vec<Value>) -> Option<Continuation> {
-        let mops = self.layout.ops(method);
-        if mops.ops.is_empty() {
+        if self.layout.ops(method).ops.is_empty() {
             return None;
         }
-        let needed = (mops.locals as usize).max(args.len()) + 4;
-        let mut frame = self.make_frame(method, true);
-        frame.locals.resize(needed, Value::Null);
-        for (i, a) in args.into_iter().enumerate() {
-            frame.locals[i] = a;
+        let mut frame = self.frame_for(method, true, args.len());
+        for (slot, a) in frame.locals.iter_mut().zip(args) {
+            *slot = a;
         }
-        Some(Continuation {
-            frames: vec![frame],
-            call_stack: vec![method],
-            pending: None,
-        })
+        self.enter_frame(&mut frame);
+        Some(Continuation::root(frame))
     }
 
-    /// Creates an activation frame (pooled vectors, live-frame count, profiler enter).
-    /// The caller fills the locals and pushes the frame (plus its method on the owning
-    /// continuation's call stack); when the profiler is attached the caller must have
-    /// flushed the virtual clock first.
-    fn make_frame(&mut self, method: MethodId, push_ret: bool) -> Frame {
-        self.counters.method_invocations += 1;
-        self.live_frames += 1;
-        let instrumented = self
-            .profiler
-            .as_ref()
-            .map(|p| p.wants_instrumentation())
-            .unwrap_or(false);
-        if instrumented {
-            let clock = self.clock_us;
-            if let Some(p) = self.profiler.as_mut() {
-                p.method_enter(method, clock);
-            }
-        }
-        let (locals, stack) = self.frame_pool.pop().unwrap_or_default();
+    /// A pooled activation frame for `method`, its locals nulled and sized for
+    /// `nargs` arguments. Not live yet: the caller moves the arguments into the
+    /// locals — the one place the callee ever holds them — and then
+    /// [`Self::enter_frame`]s it, so a frame whose arguments fail to arrive (a
+    /// corrupt value off the wire) is recycled without ever having been counted.
+    #[inline(always)]
+    pub(crate) fn frame_for(&mut self, method: MethodId, push_ret: bool, nargs: usize) -> Frame {
+        let (mut locals, stack) = self.frame_pool.pop().unwrap_or_default();
+        let slots = (self.layout.ops(method).locals as usize).max(nargs) + 4;
+        locals.resize(slots, Value::Null);
         Frame {
             method,
             pc: 0,
             push_ret,
-            instrumented,
+            instrumented: false,
             locals,
             stack,
+        }
+    }
+
+    /// Makes a filled frame live: invocation and live-frame counts, profiler enter
+    /// (when the profiler is attached the caller must have flushed the virtual clock
+    /// first). The caller pushes it, plus its method on the owning continuation's
+    /// call stack.
+    #[inline(always)]
+    pub(crate) fn enter_frame(&mut self, frame: &mut Frame) {
+        self.counters.method_invocations += 1;
+        self.live_frames += 1;
+        frame.instrumented = self
+            .profiler
+            .as_ref()
+            .map(|p| p.wants_instrumentation())
+            .unwrap_or(false);
+        if frame.instrumented {
+            let clock = self.clock_us;
+            if let Some(p) = self.profiler.as_mut() {
+                p.method_enter(frame.method, clock);
+            }
         }
     }
 
@@ -707,7 +607,7 @@ impl<'p> Interp<'p> {
     }
 
     /// Returns a frame's vectors to the pool.
-    fn recycle_frame(&mut self, mut frame: Frame) {
+    pub(crate) fn recycle_frame(&mut self, mut frame: Frame) {
         if self.frame_pool.len() < 128 {
             frame.locals.clear();
             frame.stack.clear();
@@ -737,21 +637,15 @@ impl<'p> Interp<'p> {
         e
     }
 
-    /// Resumes a parked continuation with the decoded response of its outstanding
-    /// request (`Err` carries a remote failure message) and drives it onward.
-    pub fn resume_task(
-        &mut self,
-        task: &mut Continuation,
-        response: Result<WireValue, String>,
-    ) -> TaskOutcome {
+    /// Resumes a parked continuation with the response frame of its outstanding
+    /// request — decoded here, its one value going straight where the resume action
+    /// wants it — and drives it onward.
+    pub fn resume_task(&mut self, task: &mut Continuation, response: Bytes) -> TaskOutcome {
         let action = task
             .pending
             .take()
             .expect("resumed continuation has no pending request");
-        let v = match response
-            .map_err(ExecError::RemoteFailure)
-            .and_then(|w| self.unmarshal(w))
-        {
+        let v = match self.decode_response(response) {
             Ok(v) => v,
             Err(e) => {
                 let e = self.unwind_frames(task, e);
@@ -835,6 +729,21 @@ impl<'p> Interp<'p> {
         let mut executed: u64 = 0;
         let mut dispatched: u64 = 0;
 
+        // Flushes the register accumulators into `self` (required before any call
+        // that can observe the clock or instruction count, and at every exit).
+        macro_rules! flush {
+            () => {{
+                self.clock_us = clock;
+                self.counters.instructions += executed;
+                self.counters.dispatches += dispatched;
+                #[allow(unused_assignments)]
+                {
+                    executed = 0;
+                    dispatched = 0;
+                }
+            }};
+        }
+
         /// Control transfer out of the current activation.
         enum Transfer {
             /// Push the callee frame and continue there.
@@ -850,9 +759,7 @@ impl<'p> Interp<'p> {
         loop {
             let transfer = {
                 let Some(frame) = frames.last_mut() else {
-                    self.clock_us = clock;
-                    self.counters.instructions += executed;
-                    self.counters.dispatches += dispatched;
+                    flush!();
                     return TaskOutcome::Done(Ok(Value::Null));
                 };
                 let method = frame.method;
@@ -863,20 +770,6 @@ impl<'p> Interp<'p> {
                 let src_pc: &[u32] = &mops.src_pc;
                 let mut pc = frame.pc as usize;
 
-                // Flushes the register accumulators into `self` (required before any
-                // call that can observe the clock or instruction count).
-                macro_rules! flush {
-                    () => {{
-                        self.clock_us = clock;
-                        self.counters.instructions += executed;
-                        self.counters.dispatches += dispatched;
-                        #[allow(unused_assignments)]
-                        {
-                            executed = 0;
-                            dispatched = 0;
-                        }
-                    }};
-                }
                 macro_rules! fail {
                     ($e:expr) => {
                         break Transfer::Fail($e)
@@ -939,13 +832,48 @@ impl<'p> Interp<'p> {
                         }
                     };
                 }
-                // Runs a slow-path `self`-helper (local accesses the fast paths
-                // skipped, and their faults); none of them observes the clock.
+                // Writes local `$n` like the seed `Store` does.
+                macro_rules! store {
+                    ($n:expr, $v:expr) => {{
+                        let idx = $n as usize;
+                        if idx >= frame.locals.len() {
+                            frame.locals.resize(idx + 1, Value::Null);
+                        }
+                        frame.locals[idx] = $v;
+                    }};
+                }
+                // Runs a `self`-helper that can fault (arithmetic, the local
+                // accesses the fast paths skipped); none of them observes the clock.
                 macro_rules! call {
                     ($e:expr) => {
                         match $e {
                             Ok(v) => v,
                             Err(e) => break Transfer::Fail(e),
+                        }
+                    };
+                }
+                // `Bin` and its fused forms: integer arithmetic stays inside the
+                // loop, everything else (floats, string concatenation, coercions)
+                // goes through `binop`.
+                macro_rules! arith {
+                    ($op:expr, $lhs:expr, $rhs:expr) => {{
+                        let (lhs, rhs) = ($lhs, $rhs);
+                        if let (Value::Int(a), Value::Int(b)) = (&lhs, &rhs) {
+                            match int_bin($op, *a, *b) {
+                                Ok(r) => Value::Int(r),
+                                Err(e) => fail!(e),
+                            }
+                        } else {
+                            call!(self.binop($op, lhs, rhs))
+                        }
+                    }};
+                }
+                // Branches to `$target` when `$taken`.
+                macro_rules! branch_if {
+                    ($taken:expr, $target:expr) => {
+                        if $taken {
+                            pc = *$target as usize;
+                            continue;
                         }
                     };
                 }
@@ -959,10 +887,103 @@ impl<'p> Interp<'p> {
                                 frame.pc = (pc + 1) as u32;
                                 break Transfer::Park(req_id, $action);
                             }
-                            Err(e) => {
-                                clock = self.clock_us;
-                                break Transfer::Fail(e);
+                            Err(e) => break Transfer::Fail(e),
+                        }
+                    }};
+                }
+                // An array access whose array lives on another node: the index (and
+                // the stored value) go out as the request's arguments.
+                macro_rules! remote_element {
+                    ($arr:expr, $idx:expr, $kind:expr, [$($val:expr)?], $action:expr) => {
+                        if let Value::Ref(r @ ObjRef::Remote { .. }) = $arr {
+                            let Some(i) = $idx.as_int() else {
+                                fail!(ExecError::Unsupported("array index not an int".into()))
+                            };
+                            park!(
+                                self.remote_access(r, $kind, None, &[Value::Int(i) $(, $val)?]),
+                                $action
+                            );
+                        }
+                    };
+                }
+                // `GetField` on `$obj` (popped, or read straight from a local by the
+                // fused `LoadFieldGet`).
+                macro_rules! get_field {
+                    ($obj:expr, $slot:expr, $fr:expr) => {{
+                        let obj = $obj;
+                        // Fast path: local non-proxy object — one pre-resolved slot
+                        // index, no call.
+                        if let Value::Ref(ObjRef::Local(h)) = &obj {
+                            if let HeapObject::Object { class, fields } = &self.heap[*h as usize] {
+                                if Some(*class) != self.dep_class {
+                                    frame.stack.push(
+                                        fields.get(*$slot as usize).cloned().unwrap_or(Value::Null),
+                                    );
+                                    pc += 1;
+                                    continue;
+                                }
                             }
+                        }
+                        if let Some(target) = call!(self.remote_field_target(&obj, *$fr)) {
+                            park!(
+                                self.remote_access(target, AccessKind::GetField, Some(*$fr), &[]),
+                                ResumeAction::Push
+                            );
+                        }
+                        let v = call!(self.get_field(obj, *$fr));
+                        frame.stack.push(v);
+                    }};
+                }
+                // `PutField`, and with `$pop` the fused `PutFieldPop`: every PutField
+                // fault (underflow, null receiver) fires with only the PutField's own
+                // charge; the collapsed trailing Pop is charged right before its own
+                // stack effect (underflow coordinate = seed pc + 1).
+                macro_rules! put_field {
+                    ($slot:expr, $fr:expr, $pop:literal) => {{
+                        let val = pop!();
+                        let obj = pop!();
+                        // Fast path: local non-proxy object.
+                        if let Value::Ref(ObjRef::Local(h)) = &obj {
+                            if let HeapObject::Object { class, fields } =
+                                &mut self.heap[*h as usize]
+                            {
+                                if Some(*class) != self.dep_class {
+                                    if let Some(cell) = fields.get_mut(*$slot as usize) {
+                                        *cell = val;
+                                    }
+                                    if $pop {
+                                        charge!(1);
+                                        let _ = pop_at!(1);
+                                    }
+                                    pc += 1;
+                                    continue;
+                                }
+                            }
+                        }
+                        if let Some(target) = call!(self.remote_field_target(&obj, *$fr)) {
+                            // A fused write parks mid-pattern: the resume action owes
+                            // the trailing Pop (and its underflow fault) after
+                            // dropping the reply.
+                            park!(
+                                self.remote_access(
+                                    target,
+                                    AccessKind::PutField,
+                                    Some(*$fr),
+                                    &[val]
+                                ),
+                                if $pop {
+                                    ResumeAction::DropThenPop {
+                                        pop_pc: seed_pc!(pc) + 1,
+                                    }
+                                } else {
+                                    ResumeAction::Drop
+                                }
+                            );
+                        }
+                        call!(self.put_field(obj, *$fr, val));
+                        if $pop {
+                            charge!(1);
+                            let _ = pop_at!(1);
                         }
                     }};
                 }
@@ -992,13 +1013,7 @@ impl<'p> Interp<'p> {
                             }
                             frame.stack.push(frame.locals[idx].clone());
                         }
-                        Op::Store(n) => {
-                            let idx = *n as usize;
-                            if idx >= frame.locals.len() {
-                                frame.locals.resize(idx + 1, Value::Null);
-                            }
-                            frame.locals[idx] = pop!();
-                        }
+                        Op::Store(n) => store!(*n, pop!()),
                         Op::Dup => match frame.stack.last().cloned() {
                             Some(v) => frame.stack.push(v),
                             None => fail!(ExecError::StackUnderflow {
@@ -1022,43 +1037,19 @@ impl<'p> Interp<'p> {
                         Op::Bin(op) => {
                             let rhs = pop!();
                             let lhs = pop!();
-                            // Fast path: integer arithmetic stays inside the loop.
-                            if let (Value::Int(a), Value::Int(b)) = (&lhs, &rhs) {
-                                match int_bin(*op, *a, *b) {
-                                    Ok(r) => frame.stack.push(Value::Int(r)),
-                                    Err(e) => fail!(e),
-                                }
-                            } else {
-                                match self.binop(*op, lhs, rhs) {
-                                    Ok(v) => frame.stack.push(v),
-                                    Err(e) => fail!(e),
-                                }
-                            }
+                            frame.stack.push(arith!(*op, lhs, rhs));
                         }
                         Op::Un(op) => {
                             let v = pop!();
-                            match self.unop(*op, v) {
-                                Ok(v) => frame.stack.push(v),
-                                Err(e) => fail!(e),
-                            }
+                            frame.stack.push(call!(self.unop(*op, v)));
                         }
                         Op::IfCmp(op, target) => {
                             let rhs = pop!();
                             let lhs = pop!();
-                            // Fast path: integer comparison without the coercions.
-                            let taken = if let (Value::Int(a), Value::Int(b)) = (&lhs, &rhs) {
-                                op.eval_ord(a.cmp(b))
-                            } else {
-                                compare(*op, &lhs, &rhs)
-                            };
-                            if taken {
-                                pc = *target as usize;
-                                continue;
-                            }
+                            branch_if!(holds(*op, &lhs, &rhs), target);
                         }
                         Op::If(op, target) => {
-                            let v = pop!();
-                            let taken = match v {
+                            let taken = match pop!() {
                                 Value::Null => matches!(op, CmpOp::Eq | CmpOp::Le | CmpOp::Ge),
                                 Value::Ref(_) => matches!(op, CmpOp::Ne),
                                 other => {
@@ -1066,10 +1057,7 @@ impl<'p> Interp<'p> {
                                     op.eval_ord(i.cmp(&0))
                                 }
                             };
-                            if taken {
-                                pc = *target as usize;
-                                continue;
-                            }
+                            branch_if!(taken, target);
                         }
                         Op::Goto(target) => {
                             pc = *target as usize;
@@ -1120,23 +1108,13 @@ impl<'p> Interp<'p> {
                                     }
                                 }
                             }
-                            if let Value::Ref(r @ ObjRef::Remote { .. }) = arr {
-                                let i = match idx.as_int() {
-                                    Some(i) => i,
-                                    None => fail!(ExecError::Unsupported(
-                                        "array index not an int".into()
-                                    )),
-                                };
-                                park!(
-                                    self.remote_send(
-                                        r,
-                                        AccessKind::GetElement,
-                                        WireMember::NONE,
-                                        vec![Value::Int(i)]
-                                    ),
-                                    ResumeAction::Push
-                                );
-                            }
+                            remote_element!(
+                                arr,
+                                idx,
+                                AccessKind::GetElement,
+                                [],
+                                ResumeAction::Push
+                            );
                             let v = call!(self.array_load(arr, idx));
                             frame.stack.push(v);
                         }
@@ -1160,116 +1138,28 @@ impl<'p> Interp<'p> {
                                     }
                                 }
                             }
-                            if let Value::Ref(r @ ObjRef::Remote { .. }) = arr {
-                                let i = match idx.as_int() {
-                                    Some(i) => i,
-                                    None => fail!(ExecError::Unsupported(
-                                        "array index not an int".into()
-                                    )),
-                                };
-                                park!(
-                                    self.remote_send(
-                                        r,
-                                        AccessKind::PutElement,
-                                        WireMember::NONE,
-                                        vec![Value::Int(i), val]
-                                    ),
-                                    ResumeAction::Drop
-                                );
-                            }
+                            remote_element!(
+                                arr,
+                                idx,
+                                AccessKind::PutElement,
+                                [val],
+                                ResumeAction::Drop
+                            );
                             call!(self.array_store(arr, idx, val));
                         }
                         Op::ArrayLength => {
                             let arr = pop!();
                             if let Value::Ref(r @ ObjRef::Remote { .. }) = arr {
                                 park!(
-                                    self.remote_send(
-                                        r,
-                                        AccessKind::ArrayLength,
-                                        WireMember::NONE,
-                                        vec![]
-                                    ),
+                                    self.remote_access(r, AccessKind::ArrayLength, None, &[]),
                                     ResumeAction::Push
                                 );
                             }
                             let v = call!(self.array_length(arr));
                             frame.stack.push(v);
                         }
-                        Op::GetField { slot, fr } => {
-                            let obj = pop!();
-                            // Fast path: local non-proxy object — one pre-resolved
-                            // slot index, no call.
-                            if let Value::Ref(ObjRef::Local(h)) = &obj {
-                                if let HeapObject::Object { class, fields } =
-                                    &self.heap[*h as usize]
-                                {
-                                    if Some(*class) != self.dep_class {
-                                        frame.stack.push(
-                                            fields
-                                                .get(*slot as usize)
-                                                .cloned()
-                                                .unwrap_or(Value::Null),
-                                        );
-                                        pc += 1;
-                                        continue;
-                                    }
-                                }
-                            }
-                            match self.remote_field_target(&obj, *fr) {
-                                Ok(Some(target)) => {
-                                    let wm = WireMember {
-                                        id: layout.field_name_id_of(*fr),
-                                        name_len: program.field(*fr).name.len(),
-                                    };
-                                    park!(
-                                        self.remote_send(target, AccessKind::GetField, wm, vec![]),
-                                        ResumeAction::Push
-                                    );
-                                }
-                                Ok(None) => {}
-                                Err(e) => fail!(e),
-                            }
-                            let v = call!(self.get_field(obj, *fr));
-                            frame.stack.push(v);
-                        }
-                        Op::PutField { slot, fr } => {
-                            let val = pop!();
-                            let obj = pop!();
-                            // Fast path: local non-proxy object.
-                            if let Value::Ref(ObjRef::Local(h)) = &obj {
-                                if let HeapObject::Object { class, fields } =
-                                    &mut self.heap[*h as usize]
-                                {
-                                    if Some(*class) != self.dep_class {
-                                        if let Some(cell) = fields.get_mut(*slot as usize) {
-                                            *cell = val;
-                                        }
-                                        pc += 1;
-                                        continue;
-                                    }
-                                }
-                            }
-                            match self.remote_field_target(&obj, *fr) {
-                                Ok(Some(target)) => {
-                                    let wm = WireMember {
-                                        id: layout.field_name_id_of(*fr),
-                                        name_len: program.field(*fr).name.len(),
-                                    };
-                                    park!(
-                                        self.remote_send(
-                                            target,
-                                            AccessKind::PutField,
-                                            wm,
-                                            vec![val]
-                                        ),
-                                        ResumeAction::Drop
-                                    );
-                                }
-                                Ok(None) => {}
-                                Err(e) => fail!(e),
-                            }
-                            call!(self.put_field(obj, *fr, val));
-                        }
+                        Op::GetField { slot, fr } => get_field!(pop!(), slot, fr),
+                        Op::PutField { slot, fr } => put_field!(slot, fr, false),
                         Op::GetStatic(slot) => {
                             frame.stack.push(if *slot != NO_SLOT {
                                 self.statics[*slot as usize].clone()
@@ -1326,8 +1216,7 @@ impl<'p> Interp<'p> {
                                     frame.stack.truncate(base);
                                     fail!(ExecError::StackOverflow);
                                 }
-                                let cmops = &layout.method_ops[callee.0 as usize];
-                                if cmops.ops.is_empty() {
+                                if layout.method_ops[callee.0 as usize].ops.is_empty() {
                                     frame.stack.truncate(base);
                                     if *push_ret {
                                         frame.stack.push(Value::Null);
@@ -1336,85 +1225,40 @@ impl<'p> Interp<'p> {
                                     if self.profiler.is_some() {
                                         flush!();
                                     }
-                                    let mut f = self.make_frame(callee, *push_ret);
-                                    f.locals.resize(
-                                        (cmops.locals as usize).max(nargs) + 4,
-                                        Value::Null,
-                                    );
-                                    for (i, a) in frame.stack.drain(base..).enumerate() {
-                                        f.locals[i] = a;
+                                    // The arguments move from the operand stack
+                                    // straight into the callee's locals.
+                                    let mut f = self.frame_for(callee, *push_ret, nargs);
+                                    for (slot, a) in
+                                        f.locals.iter_mut().zip(frame.stack.drain(base..))
+                                    {
+                                        *slot = a;
                                     }
+                                    self.enter_frame(&mut f);
                                     frame.pc = (pc + 1) as u32;
                                     break Transfer::Call(f);
                                 }
                             } else {
                                 // Proxies, remote receivers, the DependentObject
-                                // protocol: suspendable paths.
-                                let args = frame.stack.split_off(base);
-                                match self.prep_slow_invoke(args, *target, *push_ret) {
-                                    Ok(SlowInvoke::Remote {
-                                        target_ref,
-                                        kind,
-                                        member,
-                                        args,
-                                        push,
-                                    }) => {
-                                        park!(
-                                            self.remote_send(target_ref, kind, member, args),
-                                            if push {
-                                                ResumeAction::Push
-                                            } else {
-                                                ResumeAction::Drop
-                                            }
-                                        );
+                                // protocol: the Message Exchange reads the operands
+                                // where they lie and says how the machine proceeds.
+                                flush!();
+                                let slow =
+                                    self.slow_invoke(&frame.stack[base..], *target, *push_ret);
+                                frame.stack.truncate(base);
+                                match call!(slow) {
+                                    SlowInvoke::Park(req_id, action) => {
+                                        frame.pc = (pc + 1) as u32;
+                                        break Transfer::Park(req_id, action);
                                     }
-                                    Ok(SlowInvoke::NewRemote {
-                                        home,
-                                        class,
-                                        class_name,
-                                        args,
-                                        proxy,
-                                    }) => {
-                                        park!(
-                                            self.remote_new_send(
-                                                home,
-                                                class,
-                                                class_name.len(),
-                                                args
-                                            ),
-                                            ResumeAction::NewProxy { proxy, class_name }
-                                        );
-                                    }
-                                    Ok(SlowInvoke::CallCtor {
-                                        ctor,
-                                        receiver,
-                                        args,
-                                    }) => {
-                                        if self.live_frames >= self.max_depth {
-                                            fail!(ExecError::StackOverflow);
-                                        }
-                                        let cmops = &layout.method_ops[ctor.0 as usize];
-                                        if self.profiler.is_some() {
-                                            flush!();
-                                        }
-                                        let mut f = self.make_frame(ctor, false);
-                                        f.locals.resize(
-                                            (cmops.locals as usize).max(args.len() + 1) + 4,
-                                            Value::Null,
-                                        );
-                                        f.locals[0] = receiver;
-                                        for (i, a) in args.into_iter().enumerate() {
-                                            f.locals[i + 1] = a;
-                                        }
+                                    SlowInvoke::Call(f) => {
                                         frame.pc = (pc + 1) as u32;
                                         break Transfer::Call(f);
                                     }
-                                    Ok(SlowInvoke::Nothing) => {
+                                    SlowInvoke::Nothing => {
                                         if *push_ret {
                                             frame.stack.push(Value::Null);
                                         }
                                     }
-                                    Err(e) => fail!(e),
                                 }
                             }
                         }
@@ -1433,34 +1277,11 @@ impl<'p> Interp<'p> {
                         // seed sequence's faults at their seed coordinates.
                         Op::LoadLoadBin(a, b, op) => {
                             charge!(2);
-                            let lhs = local!(*a);
-                            let rhs = local!(*b);
-                            if let (Value::Int(x), Value::Int(y)) = (&lhs, &rhs) {
-                                match int_bin(*op, *x, *y) {
-                                    Ok(r) => frame.stack.push(Value::Int(r)),
-                                    Err(e) => fail!(e),
-                                }
-                            } else {
-                                match self.binop(*op, lhs, rhs) {
-                                    Ok(v) => frame.stack.push(v),
-                                    Err(e) => fail!(e),
-                                }
-                            }
+                            frame.stack.push(arith!(*op, local!(*a), local!(*b)));
                         }
                         Op::LoadConstBin(n, k, op) => {
                             charge!(2);
-                            let lhs = local!(*n);
-                            if let Value::Int(x) = &lhs {
-                                match int_bin(*op, *x, *k) {
-                                    Ok(r) => frame.stack.push(Value::Int(r)),
-                                    Err(e) => fail!(e),
-                                }
-                            } else {
-                                match self.binop(*op, lhs, Value::Int(*k)) {
-                                    Ok(v) => frame.stack.push(v),
-                                    Err(e) => fail!(e),
-                                }
-                            }
+                            frame.stack.push(arith!(*op, local!(*n), Value::Int(*k)));
                         }
                         Op::BinStore(op, n) => {
                             // The seed Bin carries every fault; the Store is only
@@ -1468,23 +1289,9 @@ impl<'p> Interp<'p> {
                             // the unfused stream.
                             let rhs = pop!();
                             let lhs = pop!();
-                            let v = if let (Value::Int(a), Value::Int(b)) = (&lhs, &rhs) {
-                                match int_bin(*op, *a, *b) {
-                                    Ok(r) => Value::Int(r),
-                                    Err(e) => fail!(e),
-                                }
-                            } else {
-                                match self.binop(*op, lhs, rhs) {
-                                    Ok(v) => v,
-                                    Err(e) => fail!(e),
-                                }
-                            };
+                            let v = arith!(*op, lhs, rhs);
                             charge!(1);
-                            let idx = *n as usize;
-                            if idx >= frame.locals.len() {
-                                frame.locals.resize(idx + 1, Value::Null);
-                            }
-                            frame.locals[idx] = v;
+                            store!(*n, v);
                         }
                         Op::LoadIfCmp(op, n, target) => {
                             charge!(1);
@@ -1492,43 +1299,15 @@ impl<'p> Interp<'p> {
                             // the popped-last `rhs`. The pop is the seed IfCmp's
                             // (offset 1 into the window).
                             let lhs = pop_at!(1);
-                            let rhs = local!(*n);
-                            let taken = if let (Value::Int(a), Value::Int(b)) = (&lhs, &rhs) {
-                                op.eval_ord(a.cmp(b))
-                            } else {
-                                compare(*op, &lhs, &rhs)
-                            };
-                            if taken {
-                                pc = *target as usize;
-                                continue;
-                            }
+                            branch_if!(holds(*op, &lhs, &local!(*n)), target);
                         }
                         Op::IfCmpFused(op, a, b, target) => {
                             charge!(2);
-                            let lhs = local!(*a);
-                            let rhs = local!(*b);
-                            let taken = if let (Value::Int(x), Value::Int(y)) = (&lhs, &rhs) {
-                                op.eval_ord(x.cmp(y))
-                            } else {
-                                compare(*op, &lhs, &rhs)
-                            };
-                            if taken {
-                                pc = *target as usize;
-                                continue;
-                            }
+                            branch_if!(holds(*op, &local!(*a), &local!(*b)), target);
                         }
                         Op::LoadConstIfCmp(op, n, k, target) => {
                             charge!(2);
-                            let lhs = local!(*n);
-                            let taken = if let Value::Int(x) = &lhs {
-                                op.eval_ord(x.cmp(k))
-                            } else {
-                                compare(*op, &lhs, &Value::Int(*k))
-                            };
-                            if taken {
-                                pc = *target as usize;
-                                continue;
-                            }
+                            branch_if!(holds(*op, &local!(*n), &Value::Int(*k)), target);
                         }
                         Op::IncLocal(n, k) => {
                             // Charge Load/Const/Bin up front (they precede the only
@@ -1543,102 +1322,16 @@ impl<'p> Interp<'p> {
                                 Value::Int(x.wrapping_add(*k))
                             } else {
                                 let lhs = frame.locals[idx].clone();
-                                match self.binop(BinOp::Add, lhs, Value::Int(*k)) {
-                                    Ok(v) => v,
-                                    Err(e) => fail!(e),
-                                }
+                                call!(self.binop(BinOp::Add, lhs, Value::Int(*k)))
                             };
                             charge!(1);
                             frame.locals[idx] = v;
                         }
                         Op::LoadFieldGet { local, slot, fr } => {
                             charge!(1);
-                            let obj = local!(*local);
-                            // Fast path: local non-proxy object, as in GetField.
-                            if let Value::Ref(ObjRef::Local(h)) = &obj {
-                                if let HeapObject::Object { class, fields } =
-                                    &self.heap[*h as usize]
-                                {
-                                    if Some(*class) != self.dep_class {
-                                        frame.stack.push(
-                                            fields
-                                                .get(*slot as usize)
-                                                .cloned()
-                                                .unwrap_or(Value::Null),
-                                        );
-                                        pc += 1;
-                                        continue;
-                                    }
-                                }
-                            }
-                            match self.remote_field_target(&obj, *fr) {
-                                Ok(Some(target)) => {
-                                    let wm = WireMember {
-                                        id: layout.field_name_id_of(*fr),
-                                        name_len: program.field(*fr).name.len(),
-                                    };
-                                    park!(
-                                        self.remote_send(target, AccessKind::GetField, wm, vec![]),
-                                        ResumeAction::Push
-                                    );
-                                }
-                                Ok(None) => {}
-                                Err(e) => fail!(e),
-                            }
-                            let v = call!(self.get_field(obj, *fr));
-                            frame.stack.push(v);
+                            get_field!(local!(*local), slot, fr)
                         }
-                        Op::PutFieldPop { slot, fr } => {
-                            // Every PutField fault (underflow, null receiver) fires
-                            // with only the PutField's own charge; the trailing Pop
-                            // is charged right before its own stack effect.
-                            let val = pop!();
-                            let obj = pop!();
-                            // Fast path: local non-proxy object, then the collapsed
-                            // trailing Pop (underflow coordinate = seed pc + 1).
-                            if let Value::Ref(ObjRef::Local(h)) = &obj {
-                                if let HeapObject::Object { class, fields } =
-                                    &mut self.heap[*h as usize]
-                                {
-                                    if Some(*class) != self.dep_class {
-                                        if let Some(cell) = fields.get_mut(*slot as usize) {
-                                            *cell = val;
-                                        }
-                                        charge!(1);
-                                        let _ = pop_at!(1);
-                                        pc += 1;
-                                        continue;
-                                    }
-                                }
-                            }
-                            match self.remote_field_target(&obj, *fr) {
-                                Ok(Some(target)) => {
-                                    let wm = WireMember {
-                                        id: layout.field_name_id_of(*fr),
-                                        name_len: program.field(*fr).name.len(),
-                                    };
-                                    // The write parks mid-pattern: the resume
-                                    // action owes the trailing Pop (and its
-                                    // underflow fault) after dropping the reply.
-                                    park!(
-                                        self.remote_send(
-                                            target,
-                                            AccessKind::PutField,
-                                            wm,
-                                            vec![val]
-                                        ),
-                                        ResumeAction::DropThenPop {
-                                            pop_pc: seed_pc!(pc) + 1,
-                                        }
-                                    );
-                                }
-                                Ok(None) => {}
-                                Err(e) => fail!(e),
-                            }
-                            call!(self.put_field(obj, *fr, val));
-                            charge!(1);
-                            let _ = pop_at!(1);
-                        }
+                        Op::PutFieldPop { slot, fr } => put_field!(slot, fr, true),
                     }
                     pc += 1;
                 }
@@ -1651,11 +1344,7 @@ impl<'p> Interp<'p> {
                 }
                 Transfer::Finish(v) => {
                     if self.profiler.is_some() {
-                        self.clock_us = clock;
-                        self.counters.instructions += executed;
-                        self.counters.dispatches += dispatched;
-                        executed = 0;
-                        dispatched = 0;
+                        flush!();
                     }
                     let done = frames.pop().expect("finished frame exists");
                     call_stack.pop();
@@ -1669,9 +1358,7 @@ impl<'p> Interp<'p> {
                             }
                         }
                         None => {
-                            self.clock_us = clock;
-                            self.counters.instructions += executed;
-                            self.counters.dispatches += dispatched;
+                            flush!();
                             return TaskOutcome::Done(Ok(v));
                         }
                     }
@@ -1683,244 +1370,12 @@ impl<'p> Interp<'p> {
                     return TaskOutcome::Parked { req_id };
                 }
                 Transfer::Fail(e) => {
-                    self.clock_us = clock;
-                    self.counters.instructions += executed;
-                    self.counters.dispatches += dispatched;
+                    flush!();
                     let e = self.unwind_parts(frames, call_stack, e);
                     return TaskOutcome::Done(Err(e));
                 }
             }
         }
-    }
-
-    /// For the slow paths of `GetField`/`PutField`: decides whether the access must
-    /// travel to another node. Returns `Ok(Some(remote))` for proxies being
-    /// forwarded and for remote references, `Ok(None)` when the access is local (or
-    /// is a fault the local helpers report).
-    fn remote_field_target(&self, obj: &Value, fr: FieldRef) -> Result<Option<ObjRef>, ExecError> {
-        match obj {
-            Value::Ref(ObjRef::Local(h)) => match &self.heap[*h as usize] {
-                HeapObject::Object { class, .. }
-                    if Some(*class) == self.dep_class && Some(fr.class) != self.dep_class =>
-                {
-                    self.proxy_target(*h).map(Some)
-                }
-                _ => Ok(None),
-            },
-            Value::Ref(r @ ObjRef::Remote { .. }) => Ok(Some(*r)),
-            _ => Ok(None),
-        }
-    }
-
-    /// Classifies an invoke that left the hot path — proxies, remote receivers, the
-    /// DependentObject protocol, and faults — into a [`SlowInvoke`] decision the
-    /// machine turns into a park, a frame push or an error. `args` includes the
-    /// receiver.
-    fn prep_slow_invoke(
-        &mut self,
-        args: Vec<Value>,
-        target: MethodId,
-        push_ret: bool,
-    ) -> Result<SlowInvoke, ExecError> {
-        let program = self.program;
-        let callee_class = program.method(target).class;
-        let receiver = args
-            .first()
-            .cloned()
-            .ok_or_else(|| ExecError::Unsupported("instance call without receiver".into()))?;
-
-        // Interception of the DependentObject proxy protocol.
-        if Some(callee_class) == self.dep_class {
-            return self.prep_dependent_object_call(target, receiver, args, push_ret);
-        }
-
-        match receiver {
-            Value::Null => Err(ExecError::NullPointer(format!(
-                "call to {}",
-                program.method(target).name
-            ))),
-            Value::Ref(ObjRef::Local(h)) => match self.heap[h as usize].class() {
-                Some(c) if Some(c) == self.dep_class => {
-                    // A proxy object reached a normal (non-rewritten) call site:
-                    // forward transparently to its home node.
-                    let remote = self.proxy_target(h)?;
-                    Ok(self.forward_invoke(remote, target, args, push_ret))
-                }
-                Some(_) => Err(ExecError::Unsupported(
-                    "internal: local receiver missed the dispatch fast path".into(),
-                )),
-                None => Err(ExecError::Unsupported(
-                    "method call on an array reference".into(),
-                )),
-            },
-            Value::Ref(r @ ObjRef::Remote { .. }) => {
-                // Transparent forwarding: type-based rewriting missed this receiver,
-                // but the object actually lives remotely.
-                Ok(self.forward_invoke(r, target, args, push_ret))
-            }
-            other => Err(ExecError::Unsupported(format!(
-                "method call on non-reference {other:?}"
-            ))),
-        }
-    }
-
-    /// A call on a receiver that lives on another node: strips the receiver and
-    /// addresses the statically known callee by its selector.
-    fn forward_invoke(
-        &self,
-        target_ref: ObjRef,
-        target: MethodId,
-        mut args: Vec<Value>,
-        push: bool,
-    ) -> SlowInvoke {
-        args.remove(0);
-        let callee = self.program.method(target);
-        SlowInvoke::Remote {
-            target_ref,
-            kind: if callee.ret == Type::Void {
-                AccessKind::InvokeVoid
-            } else {
-                AccessKind::InvokeRet
-            },
-            member: WireMember {
-                id: self.layout.selector(target),
-                name_len: callee.name.len(),
-            },
-            args,
-            push,
-        }
-    }
-
-    /// Parses `DependentObject.<init>` / `.access` and decides how the machine
-    /// proceeds.
-    fn prep_dependent_object_call(
-        &mut self,
-        target: MethodId,
-        receiver: Value,
-        args: Vec<Value>,
-        push_ret: bool,
-    ) -> Result<SlowInvoke, ExecError> {
-        match self.program.method(target).name.as_str() {
-            "<init>" => {
-                let (location, class, class_name, ctor_args) = self.parse_dep_init(&args)?;
-                if self.dist.is_none() {
-                    return Err(ExecError::NotDistributed);
-                }
-                if location == self.dist.as_ref().unwrap().rank() {
-                    let (r, ctor) = self.create_at_home(class);
-                    match ctor {
-                        Some(ctor) => Ok(SlowInvoke::CallCtor {
-                            ctor,
-                            receiver: Value::Ref(r),
-                            args: ctor_args,
-                        }),
-                        None => Ok(SlowInvoke::Nothing),
-                    }
-                } else {
-                    let proxy = match (&receiver, self.proxy_slots) {
-                        (Value::Ref(ObjRef::Local(h)), Some(_)) => Some(*h),
-                        _ => None,
-                    };
-                    Ok(SlowInvoke::NewRemote {
-                        home: location,
-                        class,
-                        class_name,
-                        args: ctor_args,
-                        proxy,
-                    })
-                }
-            }
-            "access" => {
-                let (target_ref, kind, member, call_args) =
-                    self.parse_dep_access(&receiver, &args)?;
-                Ok(SlowInvoke::Remote {
-                    target_ref,
-                    kind,
-                    member,
-                    args: call_args,
-                    push: push_ret,
-                })
-            }
-            other => Err(ExecError::UnknownMethod(
-                format!("rt/DependentObject.{other}").into(),
-            )),
-        }
-    }
-
-    /// Parses the argument list of `DependentObject.<init>` — `[proxy, location,
-    /// className, argsArray]` — into (home node, class, class name, constructor
-    /// args). The class is resolved here, once: a name the program does not declare
-    /// cannot be instantiated on any node, so it fails before anything is sent.
-    fn parse_dep_init(
-        &self,
-        args: &[Value],
-    ) -> Result<(usize, ClassId, Arc<str>, Vec<Value>), ExecError> {
-        let location = args
-            .get(1)
-            .and_then(|v| v.as_int())
-            .ok_or_else(|| ExecError::Unsupported("DependentObject.<init>: location".into()))?
-            as usize;
-        let class_name = match args.get(2) {
-            Some(Value::Str(s)) => Arc::clone(s),
-            _ => {
-                return Err(ExecError::Unsupported(
-                    "DependentObject.<init>: class name".into(),
-                ))
-            }
-        };
-        let class = self
-            .program
-            .class_by_name(&class_name)
-            .ok_or_else(|| ExecError::Unsupported(format!("unknown class {class_name}")))?;
-        let ctor_args = self.unpack_args_array(args.get(3).cloned())?;
-        Ok((location, class, class_name, ctor_args))
-    }
-
-    /// Parses a `DependentObject.access` call — `[proxy-or-remote, kind, member,
-    /// argsArray]` — into the remote target, access kind, member and call args. The
-    /// member name costs one probe of the layout's interning maps here; a name the
-    /// layout never interned cannot be served by any node, so it fails typed before
-    /// anything is sent.
-    fn parse_dep_access(
-        &self,
-        receiver: &Value,
-        args: &[Value],
-    ) -> Result<(ObjRef, AccessKind, WireMember, Vec<Value>), ExecError> {
-        let kind_tag = args
-            .get(1)
-            .and_then(|v| v.as_int())
-            .ok_or_else(|| ExecError::Unsupported("access: kind".into()))?;
-        let kind = AccessKind::from_tag(kind_tag)
-            .ok_or_else(|| ExecError::Unsupported(format!("access: bad kind {kind_tag}")))?;
-        let Some(Value::Str(name)) = args.get(2) else {
-            return Err(ExecError::Unsupported("access: member name".into()));
-        };
-        let id = match kind {
-            AccessKind::InvokeVoid | AccessKind::InvokeRet => self
-                .layout
-                .selector_of_name(name)
-                .ok_or_else(|| ExecError::UnknownMethod(Arc::clone(name)))?,
-            AccessKind::GetField | AccessKind::PutField => self
-                .layout
-                .field_name_id(name)
-                .ok_or_else(|| ExecError::UnknownField(name.to_string()))?,
-            AccessKind::GetElement | AccessKind::PutElement | AccessKind::ArrayLength => 0,
-        };
-        let member = WireMember {
-            id,
-            name_len: name.len(),
-        };
-        let call_args = self.unpack_args_array(args.get(3).cloned())?;
-        let target_ref = match receiver {
-            Value::Ref(ObjRef::Local(h)) => self.proxy_target(*h)?,
-            Value::Ref(r @ ObjRef::Remote { .. }) => *r,
-            _ => {
-                return Err(ExecError::NullPointer(
-                    "DependentObject.access on null".into(),
-                ))
-            }
-        };
-        Ok((target_ref, kind, member, call_args))
     }
 
     fn binop(&self, op: BinOp, lhs: Value, rhs: Value) -> Result<Value, ExecError> {
@@ -1997,7 +1452,7 @@ impl<'p> Interp<'p> {
 
     // --- arrays -------------------------------------------------------------------
 
-    fn array_load(&mut self, arr: Value, idx: Value) -> Result<Value, ExecError> {
+    pub(crate) fn array_load(&mut self, arr: Value, idx: Value) -> Result<Value, ExecError> {
         let i = idx
             .as_int()
             .ok_or_else(|| ExecError::Unsupported("array index not an int".into()))?;
@@ -2026,7 +1481,12 @@ impl<'p> Interp<'p> {
         }
     }
 
-    fn array_store(&mut self, arr: Value, idx: Value, val: Value) -> Result<(), ExecError> {
+    pub(crate) fn array_store(
+        &mut self,
+        arr: Value,
+        idx: Value,
+        val: Value,
+    ) -> Result<(), ExecError> {
         let i = idx
             .as_int()
             .ok_or_else(|| ExecError::Unsupported("array index not an int".into()))?;
@@ -2052,7 +1512,7 @@ impl<'p> Interp<'p> {
         }
     }
 
-    fn array_length(&mut self, arr: Value) -> Result<Value, ExecError> {
+    pub(crate) fn array_length(&mut self, arr: Value) -> Result<Value, ExecError> {
         match arr {
             Value::Ref(ObjRef::Local(h)) => Ok(Value::Int(self.array_len(h) as i64)),
             Value::Ref(ObjRef::Remote { .. }) => Err(ExecError::NotDistributed),
@@ -2114,450 +1574,6 @@ impl<'p> Interp<'p> {
         }
     }
 
-    // --- proxies ------------------------------------------------------------------
-
-    /// Records a remote identity in a proxy object's home/remoteId/className slots so
-    /// later accesses route to the object's home node — the single encoding of the
-    /// proxy representation.
-    fn bind_proxy(&mut self, proxy: u32, node: usize, id: u64, class_name: Arc<str>) {
-        if let Some((hs, rs, cs)) = self.proxy_slots {
-            if let HeapObject::Object { fields, .. } = &mut self.heap[proxy as usize] {
-                fields[hs] = Value::Int(node as i64);
-                fields[rs] = Value::Int(id as i64);
-                fields[cs] = Value::Str(class_name);
-            }
-        }
-    }
-
-    /// Creates an instance of `class` on this node (the placement put the "remote"
-    /// class here, so no message is needed) and returns the reference plus the
-    /// constructor to run, if one with a body exists.
-    fn create_at_home(&mut self, class: ClassId) -> (ObjRef, Option<MethodId>) {
-        let r = self.new_instance(class);
-        let ctor = self
-            .program
-            .find_method(class, "<init>")
-            .filter(|&c| !self.layout.ops(c).ops.is_empty());
-        (r, ctor)
-    }
-
-    /// Extracts the remote identity recorded in a proxy object.
-    fn proxy_target(&self, heap_idx: u32) -> Result<ObjRef, ExecError> {
-        let (hs, rs, _) = self
-            .proxy_slots
-            .ok_or_else(|| ExecError::Unsupported("no DependentObject class loaded".into()))?;
-        match &self.heap[heap_idx as usize] {
-            HeapObject::Object { fields, .. } => {
-                let node = fields.get(hs).and_then(|v| v.as_int());
-                let id = fields.get(rs).and_then(|v| v.as_int());
-                match (node, id) {
-                    (Some(n), Some(i)) => Ok(ObjRef::Remote {
-                        node: n as usize,
-                        id: i as u64,
-                    }),
-                    _ => Err(ExecError::Unsupported(
-                        "DependentObject used before initialisation".into(),
-                    )),
-                }
-            }
-            _ => Err(ExecError::Unsupported("proxy is not an object".into())),
-        }
-    }
-
-    fn unpack_args_array(&self, v: Option<Value>) -> Result<Vec<Value>, ExecError> {
-        match v {
-            Some(Value::Ref(ObjRef::Local(h))) => match &self.heap[h as usize] {
-                HeapObject::Array { data } => Ok(data.clone()),
-                _ => Err(ExecError::Unsupported(
-                    "argument list is not an array".into(),
-                )),
-            },
-            Some(Value::Null) | None => Ok(Vec::new()),
-            Some(other) => Err(ExecError::Unsupported(format!(
-                "argument list is {other:?}"
-            ))),
-        }
-    }
-
-    // --- remote operations ----------------------------------------------------------
-
-    /// Exports a local heap object and returns its export id.
-    fn export(&mut self, heap_idx: u32) -> u64 {
-        let dist = self.dist.as_mut().expect("export requires dist state");
-        if let Some(&id) = dist.export_ids.get(&heap_idx) {
-            return id;
-        }
-        let id = dist.exports.len() as u64;
-        dist.exports.push(heap_idx);
-        dist.export_ids.insert(heap_idx, id);
-        id
-    }
-
-    /// Converts a runtime value into its wire representation, exporting local objects.
-    fn marshal(&mut self, v: &Value) -> WireValue {
-        match v {
-            Value::Null => WireValue::Null,
-            Value::Int(i) => WireValue::Int(*i),
-            Value::Float(f) => WireValue::Float(*f),
-            Value::Bool(b) => WireValue::Bool(*b),
-            Value::Str(s) => WireValue::Str(s.to_string()),
-            Value::Ref(ObjRef::Remote { node, id }) => WireValue::Remote {
-                node: *node as u32,
-                id: *id,
-            },
-            Value::Ref(ObjRef::Local(h)) => {
-                // A proxy marshals as the identity of the object it stands for.
-                if self.heap[*h as usize].class() == self.dep_class {
-                    if let Ok(ObjRef::Remote { node, id }) = self.proxy_target(*h) {
-                        return WireValue::Remote {
-                            node: node as u32,
-                            id,
-                        };
-                    }
-                }
-                let my_rank = self.dist.as_ref().map(|d| d.rank()).unwrap_or(0);
-                let id = self.export(*h);
-                WireValue::Remote {
-                    node: my_rank as u32,
-                    id,
-                }
-            }
-        }
-    }
-
-    /// Converts a wire value back into a runtime value, resolving references that point
-    /// at this node back to local heap objects. The export id comes off the wire, so
-    /// one this node never handed out is a typed failure.
-    fn unmarshal(&mut self, v: WireValue) -> Result<Value, ExecError> {
-        Ok(match v {
-            WireValue::Null => Value::Null,
-            WireValue::Int(i) => Value::Int(i),
-            WireValue::Float(f) => Value::Float(f),
-            WireValue::Bool(b) => Value::Bool(b),
-            WireValue::Str(s) => Value::str(&s),
-            WireValue::Remote { node, id } => match &self.dist {
-                Some(d) if d.rank() == node as usize => Value::Ref(ObjRef::Local(exported(d, id)?)),
-                _ => Value::Ref(ObjRef::Remote {
-                    node: node as usize,
-                    id,
-                }),
-            },
-        })
-    }
-
-    /// Marshals `args` into the recycled outgoing scratch vector (hand it back to
-    /// `self.wire_out` after encoding, so a steady-state send allocates no vector).
-    fn marshal_args(&mut self, args: &[Value]) -> Vec<WireValue> {
-        let mut wire_args = std::mem::take(&mut self.wire_out);
-        wire_args.clear();
-        for a in args {
-            let w = self.marshal(a);
-            wire_args.push(w);
-        }
-        wire_args
-    }
-
-    /// A pooled encode buffer for a request to `node`, plus the fingerprint hello if
-    /// this is the first request on that link.
-    fn frame_start(&mut self, node: usize) -> (bytes::BytesMut, Option<u64>) {
-        let fp = self.layout.fingerprint();
-        let dist = self.dist.as_mut().expect("dist state attached");
-        let hello = (!dist.hello_sent[node]).then_some(fp);
-        dist.hello_sent[node] = true;
-        (dist.endpoint.take_buf(), hello)
-    }
-
-    /// Sends an encoded request, charging the virtual clock for `charged` bytes —
-    /// the size the cost model defines for the message, not the frame's — and
-    /// returns the request id the machine parks the running continuation on.
-    fn send_request(&mut self, node: usize, data: Bytes, charged: usize) -> u64 {
-        self.counters.remote_requests += 1;
-        let dist = self.dist.as_mut().expect("dist state attached");
-        let (clock, req_id) =
-            dist.endpoint
-                .send_request_charged(node, data, self.clock_us, charged);
-        self.clock_us = clock;
-        req_id
-    }
-
-    /// Sends a `DEPENDENCE` request without waiting for the answer.
-    fn remote_send(
-        &mut self,
-        target: ObjRef,
-        kind: AccessKind,
-        member: WireMember,
-        args: Vec<Value>,
-    ) -> Result<u64, ExecError> {
-        let (node, id) = match target {
-            ObjRef::Remote { node, id } => (node, id),
-            ObjRef::Local(_) => {
-                return Err(ExecError::Unsupported(
-                    "remote access on a local reference".into(),
-                ))
-            }
-        };
-        if self.dist.is_none() {
-            return Err(ExecError::NotDistributed);
-        }
-        let wire_args = self.marshal_args(&args);
-        let charged = crate::wire::charged_dependence_size(member.name_len, &wire_args);
-        let (buf, hello) = self.frame_start(node);
-        let data = crate::wire::encode_dependence(buf, hello, id, kind, member.id, &wire_args);
-        self.wire_out = wire_args;
-        Ok(self.send_request(node, data, charged))
-    }
-
-    /// Sends a `NEW` request without waiting (see [`Self::remote_send`]).
-    fn remote_new_send(
-        &mut self,
-        home: usize,
-        class: ClassId,
-        class_name_len: usize,
-        args: Vec<Value>,
-    ) -> Result<u64, ExecError> {
-        if self.dist.is_none() {
-            return Err(ExecError::NotDistributed);
-        }
-        let wire_args = self.marshal_args(&args);
-        let charged = crate::wire::charged_new_size(class_name_len, &wire_args);
-        let (buf, hello) = self.frame_start(home);
-        let data = crate::wire::encode_new(buf, hello, class.0, &wire_args);
-        self.wire_out = wire_args;
-        Ok(self.send_request(home, data, charged))
-    }
-
-    /// Processes one incoming *request* packet. Requests that need no bytecode
-    /// (field/array accesses on local objects) are answered on the spot; invocations
-    /// and constructions spawn a [`Continuation`] the worker loop runs — re-entrantly
-    /// with any continuation this node already has parked, which is exactly what
-    /// makes cyclic placements schedulable on one thread.
-    pub fn accept_request(&mut self, from: usize, req_id: u64, data: Bytes) -> ServeOutcome {
-        match self.accept_frame(from, data) {
-            Ok(None) => ServeOutcome::Handled, // shutdown: nothing to reply
-            Ok(Some(Accepted::Value(v))) => {
-                self.send_reply(from, req_id, Ok(v));
-                ServeOutcome::Handled
-            }
-            Ok(Some(Accepted::Run {
-                task,
-                reply_override,
-            })) => ServeOutcome::Spawned {
-                task,
-                reply_override,
-            },
-            Err(e) => {
-                self.send_reply(from, req_id, Err(e));
-                ServeOutcome::Handled
-            }
-        }
-    }
-
-    /// Classifies one incoming request frame: strips and verifies the fingerprint
-    /// hello, then — `Shutdown` alone exempt — refuses anything from a peer whose
-    /// fingerprint was never verified before decoding a single id. Returns
-    /// `Ok(None)` for `Shutdown` (no reply is owed).
-    fn accept_frame(
-        &mut self,
-        from: usize,
-        mut data: Bytes,
-    ) -> Result<Option<Accepted>, ExecError> {
-        let hello = crate::wire::split_hello(&mut data)?;
-        self.verify_hello(from, hello)?;
-        let verified = self
-            .dist
-            .as_ref()
-            .is_some_and(|d| d.peer_ok.get(from).copied().unwrap_or(false));
-        if !verified && crate::wire::peek_tag(&data)? != crate::wire::TAG_SHUTDOWN {
-            return Err(ExecError::Wire(WireError::UnverifiedSlotFrame));
-        }
-        self.accept_slot_frame(data)
-    }
-
-    /// Checks a received hello envelope against this node's layout fingerprint.
-    /// A match unlocks dispatch of requests from `from`; a mismatch is a hard
-    /// typed error (the peer's dense ids mean something else entirely).
-    fn verify_hello(&mut self, from: usize, hello: Option<u64>) -> Result<(), ExecError> {
-        let Some(theirs) = hello else { return Ok(()) };
-        let ours = self.layout.fingerprint();
-        if theirs != ours {
-            return Err(ExecError::Wire(WireError::FingerprintMismatch {
-                ours,
-                theirs,
-            }));
-        }
-        if let Some(d) = self.dist.as_mut() {
-            if let Some(slot) = d.peer_ok.get_mut(from) {
-                *slot = true;
-            }
-        }
-        Ok(())
-    }
-
-    /// Decodes a request frame — head, then the value list into a recycled scratch
-    /// vector — returns its buffer to the link pool, and dispatches by dense id.
-    /// The steady-state decode performs no per-message allocation and no string
-    /// comparison.
-    fn accept_slot_frame(&mut self, mut data: Bytes) -> Result<Option<Accepted>, ExecError> {
-        let mut vals = std::mem::take(&mut self.wire_vals);
-        let decoded = crate::wire::decode_head(&mut data).and_then(|head| {
-            crate::wire::decode_values_into(&mut data, head.argc(), &mut vals).map(|_| head)
-        });
-        if let Some(d) = self.dist.as_mut() {
-            d.endpoint.reclaim(data);
-        }
-        // A failed frame forfeits the scratch vector's capacity; the next one regrows it.
-        let head = decoded?;
-        let mut args: Vec<Value> = Vec::with_capacity(vals.len());
-        for w in vals.drain(..) {
-            args.push(self.unmarshal(w)?);
-        }
-        self.wire_vals = vals;
-        match head {
-            FrameHead::Shutdown => Ok(None),
-            FrameHead::New { class, .. } => self.accept_new(class, args).map(Some),
-            FrameHead::Dependence {
-                target,
-                kind,
-                member,
-                ..
-            } => self
-                .accept_dep_by_slot(target, kind, member, args)
-                .map(Some),
-        }
-    }
-
-    /// The `NEW` service: instantiate the class with the wire-carried dense id
-    /// (range-checked against the shared tables), and when a constructor with a
-    /// body exists return it as a task (replying with the fresh reference either
-    /// way).
-    fn accept_new(&mut self, class: u32, args: Vec<Value>) -> Result<Accepted, ExecError> {
-        self.counters.requests_served += 1;
-        if (class as usize) >= self.layout.classes.len() {
-            return Err(ExecError::RemoteFailure(format!("bad class id {class}")));
-        }
-        let (r, ctor) = self.create_at_home(ClassId(class));
-        let Some(ctor) = ctor else {
-            return Ok(Accepted::Value(Value::Ref(r)));
-        };
-        // Serving pushes a frame that stays live while the task runs (or parks), so
-        // unbounded cross-node recursion shows up as live-frame growth here — guard
-        // it like any other call.
-        if self.live_frames >= self.max_depth {
-            return Err(ExecError::StackOverflow);
-        }
-        let mut full = vec![Value::Ref(r)];
-        full.extend(args);
-        let task = self.task_for(ctor, full).expect("constructor has a body");
-        Ok(Accepted::Run {
-            task,
-            reply_override: Some(Value::Ref(r)),
-        })
-    }
-
-    /// The `DEPENDENCE` service. `member` is resolved against the target's runtime
-    /// class: a field-name id through the class's slot column — so a subclass that
-    /// shadows the name answers with its own slot, and a name the class has no
-    /// field for reads as null and drops the write — and a selector through its
-    /// vtable.
-    fn accept_dep_by_slot(
-        &mut self,
-        target: u64,
-        kind: AccessKind,
-        member: u32,
-        args: Vec<Value>,
-    ) -> Result<Accepted, ExecError> {
-        self.counters.requests_served += 1;
-        let dist = self.dist.as_ref().ok_or(ExecError::NotDistributed)?;
-        let heap_idx = exported(dist, target)?;
-        let receiver = Value::Ref(ObjRef::Local(heap_idx));
-        match kind {
-            AccessKind::GetField => match &self.heap[heap_idx as usize] {
-                HeapObject::Object { class, fields } => Ok(Accepted::Value(
-                    self.layout
-                        .slot_of_field_name(*class, member)
-                        .and_then(|slot| fields.get(slot as usize))
-                        .cloned()
-                        .unwrap_or(Value::Null),
-                )),
-                _ => Err(ExecError::Unsupported("field read on array".into())),
-            },
-            AccessKind::PutField => {
-                let v = args.into_iter().next().unwrap_or(Value::Null);
-                match &mut self.heap[heap_idx as usize] {
-                    HeapObject::Object { class, fields } => {
-                        if let Some(cell) = self
-                            .layout
-                            .slot_of_field_name(*class, member)
-                            .and_then(|slot| fields.get_mut(slot as usize))
-                        {
-                            *cell = v;
-                        }
-                        Ok(Accepted::Value(Value::Null))
-                    }
-                    _ => Err(ExecError::Unsupported("field write on array".into())),
-                }
-            }
-            AccessKind::GetElement => {
-                let idx = args.into_iter().next().unwrap_or(Value::Int(0));
-                self.array_load(receiver, idx).map(Accepted::Value)
-            }
-            AccessKind::PutElement => {
-                let mut it = args.into_iter();
-                let idx = it.next().unwrap_or(Value::Int(0));
-                let val = it.next().unwrap_or(Value::Null);
-                self.array_store(receiver, idx, val)?;
-                Ok(Accepted::Value(Value::Null))
-            }
-            AccessKind::ArrayLength => self.array_length(receiver).map(Accepted::Value),
-            AccessKind::InvokeVoid | AccessKind::InvokeRet => {
-                let class = self.heap[heap_idx as usize]
-                    .class()
-                    .ok_or_else(|| ExecError::Unsupported("invoke on array".into()))?;
-                let m = self.layout.resolve_selector(class, member).ok_or_else(|| {
-                    // The reply is charged at its encoded length, so the text is
-                    // part of virtual time: report the name the selector stands for.
-                    ExecError::UnknownMethod(match self.layout.selector_name(member) {
-                        Some(name) => Arc::clone(name),
-                        None => format!("selector #{member}").into(),
-                    })
-                })?;
-                // See `accept_new`: served frames stay in the live-frame count
-                // across parks, so this is where cross-node recursion is bounded.
-                if self.live_frames >= self.max_depth {
-                    return Err(ExecError::StackOverflow);
-                }
-                let mut full = vec![receiver];
-                full.extend(args);
-                match self.task_for(m, full) {
-                    Some(task) => Ok(Accepted::Run {
-                        task,
-                        reply_override: None,
-                    }),
-                    // Abstract / intrinsic methods behave as no-ops.
-                    None => Ok(Accepted::Value(Value::Null)),
-                }
-            }
-        }
-    }
-
-    /// Sends the response for request `req_id` back to `to`, marshalling the result
-    /// (errors travel as `Response::Error`).
-    pub fn send_reply(&mut self, to: usize, req_id: u64, result: Result<Value, ExecError>) {
-        let resp = match result {
-            Ok(v) => Response::Value(self.marshal(&v)),
-            Err(e) => Response::Error(e.to_string()),
-        };
-        let clock = self.clock_us;
-        let dist = self.dist.as_mut().expect("reply requires dist state");
-        let buf = dist.endpoint.take_buf();
-        let data = crate::wire::encode_response_in(buf, &resp);
-        // A response is charged at its encoded length.
-        let charged = data.len();
-        self.clock_us = dist
-            .endpoint
-            .send_response_charged(to, req_id, data, clock, charged);
-    }
-
     /// A snapshot of all static fields (replicated per node), keyed `Class::field`.
     /// Used by tests and by the cluster driver to compare centralized and distributed
     /// final states.
@@ -2569,16 +1585,6 @@ impl<'p> Interp<'p> {
             .zip(self.statics.iter().cloned())
             .collect()
     }
-}
-
-/// The heap index behind export id `id` — an id read off the wire, so one this node
-/// never handed out is a typed failure, not an index panic.
-fn exported(dist: &DistState<'_>, id: u64) -> Result<u32, ExecError> {
-    usize::try_from(id)
-        .ok()
-        .and_then(|i| dist.exports.get(i))
-        .copied()
-        .ok_or_else(|| ExecError::RemoteFailure(format!("bad export id {id}")))
 }
 
 /// The Java-style default value for a declared type (0, 0.0, false, null).
@@ -2620,6 +1626,17 @@ fn int_bin(op: BinOp, a: i64, b: i64) -> Result<i64, ExecError> {
     })
 }
 
+/// `IfCmp` and its fused forms: integer comparison without the coercions,
+/// [`compare`] for everything else.
+#[inline(always)]
+fn holds(op: CmpOp, lhs: &Value, rhs: &Value) -> bool {
+    if let (Value::Int(a), Value::Int(b)) = (lhs, rhs) {
+        op.eval_ord(a.cmp(b))
+    } else {
+        compare(op, lhs, rhs)
+    }
+}
+
 /// Evaluates a comparison between two values.
 fn compare(op: CmpOp, lhs: &Value, rhs: &Value) -> bool {
     match (lhs, rhs) {
@@ -2651,7 +1668,6 @@ fn compare(op: CmpOp, lhs: &Value, rhs: &Value) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::net::{NetworkConfig, Transport};
     use autodist_ir::frontend::compile_source;
 
     fn run(src: &str) -> (Value, ExecCounters) {
@@ -2817,169 +1833,6 @@ mod tests {
             interp.run_entry(),
             Err(ExecError::IndexOutOfBounds { index: 5, len: 3 })
         ));
-    }
-
-    #[test]
-    fn remote_access_without_runtime_is_rejected() {
-        let src = r#"
-            class C { static void main() { } }
-        "#;
-        let p = compile_source(src).unwrap();
-        let mut interp = Interp::new(&p);
-        let remote = ObjRef::Remote { node: 1, id: 0 };
-        let err = interp
-            .remote_send(remote, AccessKind::GetField, WireMember::NONE, vec![])
-            .unwrap_err();
-        assert_eq!(err, ExecError::NotDistributed);
-        assert_eq!(
-            interp.remote_new_send(1, ClassId(0), 1, vec![]),
-            Err(ExecError::NotDistributed)
-        );
-        // The local slow-path helpers have no remote arm to fall back on either.
-        assert_eq!(
-            interp.array_length(Value::Ref(remote)),
-            Err(ExecError::NotDistributed)
-        );
-    }
-
-    /// The wire boundary of a serving node, driven frame by frame: node 1 of a
-    /// two-node world, its replies read back out of the world's transport.
-    const WIRE_SRC: &str = r#"
-        class Cell { int v; int get() { return this.v; } }
-        class Other { int other() { return 1; } }
-        class Main { static void main() { } }
-    "#;
-
-    fn reply_to(
-        node: &mut Interp<'_>,
-        net: &mut Transport,
-        frame: Bytes,
-    ) -> Option<Result<WireValue, String>> {
-        assert!(matches!(
-            node.accept_request(0, 1, frame),
-            ServeOutcome::Handled
-        ));
-        net.route(&mut node.dist.as_mut().unwrap().endpoint);
-        let mut data = net.recv(0)?.data;
-        Some(match Response::decode(&mut data).expect("reply decodes") {
-            Response::Value(v) => Ok(v),
-            Response::Error(e) => Err(e),
-        })
-    }
-
-    #[test]
-    fn wire_ids_are_checked_before_they_index_anything() {
-        use crate::wire::{encode_dependence, Request};
-        let p = compile_source(WIRE_SRC).unwrap();
-        let config = NetworkConfig::uniform(2);
-        let mut net = Transport::new(2, None);
-        let mut node = Interp::new(&p).with_dist(DistState::new(MpiEndpoint::new(1, 2, &config)));
-        let fp = node.layout().fingerprint();
-        let frame = |hello, target, kind, member, args: &[WireValue]| {
-            encode_dependence(bytes::BytesMut::new(), hello, target, kind, member, args)
-        };
-
-        // No hello yet: nothing but a shutdown is honoured from this peer.
-        let unverified = reply_to(
-            &mut node,
-            &mut net,
-            frame(None, 0, AccessKind::ArrayLength, 0, &[]),
-        );
-        assert_eq!(
-            unverified,
-            Some(Err(
-                ExecError::Wire(WireError::UnverifiedSlotFrame).to_string()
-            ))
-        );
-        assert_eq!(
-            reply_to(&mut node, &mut net, Request::Shutdown.encode()),
-            None
-        );
-        assert_eq!(node.counters.requests_served, 0);
-
-        // An export id this node never handed out — as the target, or inside an
-        // argument that claims to point back here — is a typed failure.
-        let bad_target = frame(Some(fp), 998, AccessKind::ArrayLength, 0, &[]);
-        assert_eq!(
-            reply_to(&mut node, &mut net, bad_target),
-            Some(Err("remote failure: bad export id 998".into()))
-        );
-        let cell = p.class_by_name("Cell").unwrap();
-        let ObjRef::Local(h) = node.new_instance(cell) else {
-            unreachable!("new_instance allocates locally")
-        };
-        let id = node.export(h);
-        let bad_arg = [WireValue::Remote { node: 1, id: 999 }];
-        let put = node.layout().field_name_id("v").unwrap();
-        assert_eq!(
-            reply_to(
-                &mut node,
-                &mut net,
-                frame(None, id, AccessKind::PutField, put, &bad_arg)
-            ),
-            Some(Err("remote failure: bad export id 999".into()))
-        );
-
-        // A selector the target's class does not bind reports the *name* (the
-        // reply's length is charged, so its text is part of virtual time).
-        let other = node.layout().selector_of_name("other").unwrap();
-        assert_eq!(
-            reply_to(
-                &mut node,
-                &mut net,
-                frame(None, id, AccessKind::InvokeRet, other, &[])
-            ),
-            Some(Err("unknown method other".into()))
-        );
-        // A field-name id the class has no field for reads as null.
-        assert_eq!(
-            reply_to(
-                &mut node,
-                &mut net,
-                frame(None, id, AccessKind::GetField, 9_999, &[])
-            ),
-            Some(Ok(WireValue::Null))
-        );
-    }
-
-    #[test]
-    fn names_the_layout_never_interned_fail_at_the_sender() {
-        let p = compile_source(WIRE_SRC).unwrap();
-        let config = NetworkConfig::uniform(2);
-        let node = Interp::new(&p).with_dist(DistState::new(MpiEndpoint::new(0, 2, &config)));
-        let remote = Value::Ref(ObjRef::Remote { node: 1, id: 0 });
-        let access = |kind: AccessKind, name: &str| {
-            let args = [
-                remote.clone(),
-                Value::Int(i64::from(kind.tag())),
-                Value::str(name),
-            ];
-            node.parse_dep_access(&remote, &args)
-                .map(|(_, _, member, _)| (member.id, member.name_len))
-        };
-        let layout = node.layout();
-        assert_eq!(
-            access(AccessKind::InvokeRet, "get"),
-            Ok((layout.selector_of_name("get").unwrap(), 3))
-        );
-        assert_eq!(
-            access(AccessKind::PutField, "v"),
-            Ok((layout.field_name_id("v").unwrap(), 1))
-        );
-        assert_eq!(
-            access(AccessKind::InvokeVoid, "nope"),
-            Err(ExecError::UnknownMethod("nope".into()))
-        );
-        // Selectors and field names are separate id spaces.
-        assert_eq!(
-            access(AccessKind::GetField, "get"),
-            Err(ExecError::UnknownField("get".into()))
-        );
-        let init = [Value::Null, Value::Int(1), Value::str("Nope"), Value::Null];
-        assert_eq!(
-            node.parse_dep_init(&init).map(|(home, ..)| home),
-            Err(ExecError::Unsupported("unknown class Nope".into()))
-        );
     }
 
     #[test]

@@ -9,15 +9,19 @@
 //! * [`net`] — the simulated MPI transport: mailboxes owned by the world, one sending
 //!   endpoint per node, with a configurable latency / bandwidth / CPU-speed cost model
 //!   standing in for the paper's two-machine 100 Mb Ethernet testbed.
-//! * [`interp`] — the bytecode interpreter (the JVM's role in the paper's experiments),
-//!   including the interception of `rt/DependentObject` operations that turns rewritten
-//!   call sites into message exchanges, and the profiler hook surface.
+//! * [`interp`] — the bytecode interpreter (the JVM's role in the paper's experiments):
+//!   frames, continuations, the dispatch loop, and the profiler hook surface.
+//! * [`exchange`] — the paper's Message Exchange: everything that knows how a value
+//!   crosses a node — the interception of `rt/DependentObject` operations that turns
+//!   rewritten call sites into message exchanges, marshal / unmarshal, send, accept,
+//!   reply.
 //! * [`sched`] — the scheduler: **one worker loop** popping `(root, rank)` keys off the
 //!   transport's shared ready queue (O(1) delivery per packet) into a fixed table of
 //!   in-flight worlds, one lock each, with quiescence *counted* per world
 //!   (published minus consumed keys) instead of inferred from timeouts. The three
 //!   per-node services of Figure 10 (MPI service, Execution Starter, Message
-//!   Exchange) are the world's transport, its seeding and its delivery slice.
+//!   Exchange) are the world's transport, its seeding, and [`exchange`] under its
+//!   delivery slice.
 //! * [`cluster`] — the driver configuration and reporting surface: runs a distributed
 //!   (or centralized) execution and reports virtual time, wall time and traffic
 //!   statistics. A distributed run is a one-request serving run at window 1; the two
@@ -31,6 +35,7 @@
 
 pub mod adapt;
 pub mod cluster;
+pub mod exchange;
 pub mod interp;
 pub mod net;
 pub mod sched;
@@ -51,4 +56,4 @@ pub use net::{
 };
 pub use serve::{run_serving, RequestReport, ServeOptions, ServerApp, ServingReport};
 pub use value::{HeapObject, ObjRef, Value};
-pub use wire::{AccessKind, Request, Response, WireValue};
+pub use wire::{AccessKind, Response, WireValue};

@@ -285,7 +285,7 @@ pub struct FaultSummary {
 /// waiting for a response, so receivers must be able to tell them apart).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum PacketKind {
-    /// A [`crate::wire::Request`].
+    /// A request frame: `NEW`, `DEPENDENCE` or shutdown ([`crate::wire::FrameHead`]).
     Request,
     /// A [`crate::wire::Response`].
     Response,
@@ -614,8 +614,8 @@ impl Tally {
 /// A node never touches it. What a node sends during a delivery slice waits in its
 /// [`MpiEndpoint`]'s outbox; when the slice ends the world [`Transport::route`]s
 /// the outbox — fault rolls, sequencing, duplicate copies, mailbox push — and
-/// [`Transport::publish`]es one counted ready key per destination.
-pub(crate) struct Transport {
+/// `publish`es one counted ready key per destination.
+pub struct Transport {
     /// Undelivered packets per destination rank, FIFO.
     mailboxes: Vec<VecDeque<Packet>>,
     /// Ready keys published minus keys consumed by delivery slices.
@@ -629,7 +629,7 @@ pub(crate) struct Transport {
 impl Transport {
     /// The interconnect of an `n`-rank world. With a plan, every correlated send
     /// is sequenced and run through the plan's injection rolls.
-    pub(crate) fn new(n: usize, plan: Option<FaultPlan>) -> Self {
+    pub fn new(n: usize, plan: Option<FaultPlan>) -> Self {
         Transport {
             mailboxes: (0..n).map(|_| VecDeque::new()).collect(),
             keys: 0,
@@ -673,7 +673,7 @@ impl Transport {
     /// Routes everything `endpoint` sent since the last call, in send order —
     /// world send order, since a world has one live control flow — so a fault plan
     /// decides each packet's fate exactly as if it had been consulted at the send.
-    pub(crate) fn route(&mut self, endpoint: &mut MpiEndpoint<'_>) {
+    pub fn route(&mut self, endpoint: &mut MpiEndpoint<'_>) {
         for Posted {
             mut pkt,
             sent_at_us,
@@ -723,7 +723,7 @@ impl Transport {
     /// nothing is deliverable yet". A delivery that closes a gap releases the
     /// buffered run for the following calls, with one self ready-key per released
     /// packet (their original keys were consumed when they buffered).
-    pub(crate) fn recv(&mut self, rank: usize) -> Option<Packet> {
+    pub fn recv(&mut self, rank: usize) -> Option<Packet> {
         let Some(f) = self.faults.as_mut() else {
             return self.mailboxes[rank].pop_front();
         };

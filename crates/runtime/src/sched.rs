@@ -14,8 +14,9 @@
 //!   computation has exactly one live control flow — per-node locks would buy nothing.
 //! * The three per-node services of the paper's Figure 10 map onto it directly: the
 //!   **MPI service** is the world's [`Transport`], the **Execution Starter** is
-//!   `World::seed`, and the **Message Exchange** is the delivery slice
-//!   (`World::deliver`) plus the shutdown epilogue (`World::finish`).
+//!   `World::seed`, and the **Message Exchange** is [`crate::exchange`], driven by
+//!   the delivery slice (`World::deliver`) plus the shutdown epilogue
+//!   (`World::finish`).
 //! * The slot table has `concurrency` entries and a world's root id is
 //!   `slot + slots × generation`, so a popped key finds its world by index, and a
 //!   **stale** key (say the duplicate of a finished request's final response) is
@@ -52,16 +53,13 @@ use autodist_ir::program::Program;
 
 use crate::adapt::AdaptState;
 use crate::cluster::{stats_of, ExecutionReport, NodeProfiler, Schedule};
-use crate::interp::{
-    loss_to_error, Continuation, DistState, ExecError, Interp, ServeOutcome, TaskOutcome,
-    TransportStall,
-};
+use crate::exchange::{shutdown_frame, DistState, ServeOutcome};
+use crate::interp::{loss_to_error, Continuation, ExecError, Interp, TaskOutcome, TransportStall};
 use crate::net::{
     FaultPlan, MpiEndpoint, NetworkConfig, Next, Packet, PacketKind, ReadyQueue, Transport,
 };
 use crate::serve::RequestReport;
 use crate::value::Value;
-use crate::wire::{Request, Response};
 
 /// What to do with a task's result once its bottom frame returns.
 enum TaskDone {
@@ -170,22 +168,10 @@ impl<'p> CoopNode<'p> {
                 }
             }
             PacketKind::Response => {
-                // The response for a parked continuation: resume it.
+                // The response for a parked continuation: resume it (a corrupt
+                // frame dooms the computation typed, like any other transport fault).
                 let mut task = self.unpark(pkt.req_id)?;
-                let mut data = pkt.data;
-                let decoded = Response::decode(&mut data);
-                // The frame is fully read: recycle its storage through the pool.
-                self.endpoint().reclaim(data);
-                let resp = match decoded {
-                    Ok(Response::Value(v)) => Ok(v),
-                    Ok(Response::Error(e)) => Err(e),
-                    Err(e) => {
-                        // A corrupt response frame dooms the computation typed,
-                        // like any other transport fault.
-                        return self.settle(task, TaskOutcome::Done(Err(ExecError::Wire(e))));
-                    }
-                };
-                let outcome = self.interp.resume_task(&mut task.cont, resp);
+                let outcome = self.interp.resume_task(&mut task.cont, pkt.data);
                 self.settle(task, outcome)
             }
         }
@@ -335,7 +321,7 @@ impl World<'_> {
         let faults = self.net.fault_summary();
         // Control traffic: uncorrelated (`req_id` 0), so no fault plan touches it.
         // Its keys are never published: the world is over, nobody pops them.
-        let data = Request::Shutdown.encode();
+        let data = shutdown_frame();
         let arrival_time_us =
             node0.interp.clock_us + node0.endpoint().config.transfer_time_us(data.len());
         for to in 1..self.nodes.len() {

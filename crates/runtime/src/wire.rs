@@ -32,9 +32,10 @@
 //! Head fields (class id, target, member id, argc) are LEB128 varints: ids are
 //! almost always below 128, so the typical head field is one byte, and nothing a
 //! run can produce (a target beyond `u32::MAX`, hundreds of arguments) needs another
-//! frame shape. Values are a tag byte plus a fixed-width or length-prefixed payload
-//! ([`value_wire_size`]). Responses are `0` + value or `1` + length-prefixed error
-//! text. Tags `0` and `1` belonged to the retired name-carrying frames and are
+//! frame shape. Values are a tag byte plus a fixed-width or length-prefixed payload,
+//! written and read one at a time ([`WireValue`], [`decode_value`]): no frame is ever
+//! held as a collection of values. Responses are `0` + value or `1` + length-prefixed
+//! error text. Tags `0` and `1` belonged to the retired name-carrying frames and are
 //! rejected like any unknown tag.
 //!
 //! All decode paths are total: corrupt bytes surface as a typed [`WireError`]
@@ -48,15 +49,20 @@
 //! the argument values:
 //!
 //! ```text
-//! charged(NEW)        = 1 + 4 + len(class name)          + 4 + Σ value_wire_size(arg)
-//! charged(DEPENDENCE) = 1 + 8 + 1 + 4 + len(member name) + 4 + Σ value_wire_size(arg)
+//! charged(NEW)        = 1 + 4 + len(class name)          + 4 + value bytes
+//! charged(DEPENDENCE) = 1 + 8 + 1 + 4 + len(member name) + 4 + value bytes
 //! ```
 //!
 //! ([`charged_new_size`], [`charged_dependence_size`]; array accesses have the empty
-//! member name). That is the exact size of the name-carrying frame the first protocol
-//! version sent — its encoder lives on in `tests/wire_roundtrip.rs` as the executable
-//! definition — which is why every committed virtual time predates and survives the
-//! id frames. Responses are charged at their encoded length.
+//! member name). *Value bytes* is what the encoder just appended for the arguments —
+//! [`encode_new`] and [`encode_dependence`] return it — because values are encoded
+//! today exactly as the first protocol version encoded them. The formula is the exact
+//! size of the name-carrying frame that version sent — its encoder lives on in
+//! `tests/wire_roundtrip.rs` as the executable definition — which is why every
+//! committed virtual time predates and survives the id frames. Responses are charged
+//! at their encoded length.
+
+use std::sync::Arc;
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 
@@ -210,8 +216,9 @@ pub enum WireValue {
     Float(f64),
     /// Boolean.
     Bool(bool),
-    /// String (copied by value).
-    Str(String),
+    /// String, copied by value: once into the frame from the sender's `Arc`, once
+    /// out of it into the receiver's.
+    Str(Arc<str>),
     /// Reference to an object hosted by `node` with export id `id`.
     Remote {
         /// Home node.
@@ -221,34 +228,7 @@ pub enum WireValue {
     },
 }
 
-/// A request sent to a node's Message Exchange service.
-#[derive(Clone, Debug, PartialEq)]
-pub enum Request {
-    /// `NEW`: instantiate the class with dense id `class` on the receiving node with
-    /// the given constructor arguments; the response carries the remote reference.
-    NewById {
-        /// Dense class id in the shared layout.
-        class: u32,
-        /// Constructor arguments.
-        args: Vec<WireValue>,
-    },
-    /// `DEPENDENCE`: perform an access on a previously exported object.
-    DependenceById {
-        /// Export id of the target object on the receiving node.
-        target: u64,
-        /// What to do.
-        kind: AccessKind,
-        /// Method selector (`Invoke*`) or field-name id (`GetField`/`PutField`);
-        /// 0 and not sent for array accesses.
-        member: u32,
-        /// Arguments / the value to store.
-        args: Vec<WireValue>,
-    },
-    /// Orderly shutdown of the Message Exchange service.
-    Shutdown,
-}
-
-/// A response to a [`Request`].
+/// A response to a request.
 #[derive(Clone, Debug, PartialEq)]
 pub enum Response {
     /// The result value (or an acknowledgement encoded as `Null`).
@@ -295,12 +275,17 @@ fn put_string(buf: &mut BytesMut, s: &str) {
     buf.put_slice(s.as_bytes());
 }
 
-fn get_string(buf: &mut Bytes, what: &'static str) -> Result<String, WireError> {
+/// Reads a length-prefixed string straight into its owner (`String`, `Arc<str>`):
+/// the one copy out of the frame.
+fn get_string<S: for<'a> From<&'a str>>(
+    buf: &mut Bytes,
+    what: &'static str,
+) -> Result<S, WireError> {
     let len = rd_u32(buf, what)? as usize;
     need(buf, len, what)?;
     let b = buf.split_to(len);
     match std::str::from_utf8(&b) {
-        Ok(s) => Ok(s.to_owned()),
+        Ok(s) => Ok(S::from(s)),
         Err(_) => Err(WireError::BadUtf8 { what }),
     }
 }
@@ -332,7 +317,9 @@ fn put_value(buf: &mut BytesMut, v: &WireValue) {
     }
 }
 
-fn get_value(buf: &mut Bytes) -> Result<WireValue, WireError> {
+/// Reads the next value of a frame: the `argc` values behind a request head
+/// ([`decode_head`]), one call each.
+pub fn decode_value(buf: &mut Bytes) -> Result<WireValue, WireError> {
     Ok(match rd_u8(buf, "value tag")? {
         0 => WireValue::Null,
         1 => {
@@ -353,52 +340,20 @@ fn get_value(buf: &mut Bytes) -> Result<WireValue, WireError> {
     })
 }
 
-/// Decodes exactly `argc` values into a caller-owned scratch vector (cleared first).
-/// This is the allocation-free receive path: the scratch's capacity is reused across
-/// messages.
-pub fn decode_values_into(
-    buf: &mut Bytes,
-    argc: usize,
-    out: &mut Vec<WireValue>,
-) -> Result<(), WireError> {
-    out.clear();
-    // Bounded by the frame itself: every value is at least one byte.
-    out.reserve(argc.min(buf.remaining()));
-    for _ in 0..argc {
-        out.push(get_value(buf)?);
-    }
-    Ok(())
-}
-
 // ---------------------------------------------------------------------------
 // The virtual-time charge (see the module doc)
 // ---------------------------------------------------------------------------
 
-/// Exact encoded size of one value.
-pub fn value_wire_size(v: &WireValue) -> usize {
-    match v {
-        WireValue::Null => 1,
-        WireValue::Int(_) | WireValue::Float(_) => 9,
-        WireValue::Bool(_) => 2,
-        WireValue::Str(s) => 5 + s.len(),
-        WireValue::Remote { .. } => 13,
-    }
-}
-
-/// What the cost model charges for a value list: a four-byte count plus the values.
-fn charged_values_size(vs: &[WireValue]) -> usize {
-    4 + vs.iter().map(value_wire_size).sum::<usize>()
-}
-
-/// What the cost model charges for a `NEW` of a class with a name this long.
-pub fn charged_new_size(class_name_len: usize, args: &[WireValue]) -> usize {
-    1 + 4 + class_name_len + charged_values_size(args)
+/// What the cost model charges for a `NEW` of a class with a name this long whose
+/// argument values took `value_bytes` in the frame.
+pub fn charged_new_size(class_name_len: usize, value_bytes: usize) -> usize {
+    1 + 4 + class_name_len + 4 + value_bytes
 }
 
 /// What the cost model charges for a `DEPENDENCE` on a member with a name this long
-/// (0 for array accesses).
-pub fn charged_dependence_size(member_len: usize, args: &[WireValue]) -> usize {
-    1 + 8 + 1 + 4 + member_len + charged_values_size(args)
+/// (0 for array accesses) whose argument values took `value_bytes` in the frame.
+pub fn charged_dependence_size(member_len: usize, value_bytes: usize) -> usize {
+    1 + 8 + 1 + 4 + member_len + 4 + value_bytes
 }
 
 // ---------------------------------------------------------------------------
@@ -465,42 +420,57 @@ fn put_hello(buf: &mut BytesMut, hello: Option<u64>) {
     }
 }
 
-fn put_args(buf: &mut BytesMut, args: &[WireValue]) {
+/// Writes the count, then each value as the iterator yields it — the sender marshals
+/// inside the iterator, so no list of wire values ever exists. Returns the bytes the
+/// values took: the variable term of the virtual-time charge.
+fn put_args(buf: &mut BytesMut, args: impl ExactSizeIterator<Item = WireValue>) -> usize {
     put_varint(buf, args.len() as u64);
+    let start = buf.len();
     for v in args {
-        put_value(buf, v);
+        put_value(buf, &v);
     }
+    buf.len() - start
 }
 
 /// Encodes a `NEW` into a caller-provided (pooled) buffer, optionally wrapped in the
-/// one-time hello envelope carrying the sender's layout fingerprint.
-pub fn encode_new(mut buf: BytesMut, hello: Option<u64>, class: u32, args: &[WireValue]) -> Bytes {
-    put_hello(&mut buf, hello);
+/// one-time hello envelope carrying the sender's layout fingerprint. Returns the
+/// value bytes ([`charged_new_size`]).
+pub fn encode_new(
+    buf: &mut BytesMut,
+    hello: Option<u64>,
+    class: u32,
+    args: impl ExactSizeIterator<Item = WireValue>,
+) -> usize {
+    put_hello(buf, hello);
     buf.put_u8(TAG_NEW);
-    put_varint(&mut buf, u64::from(class));
-    put_args(&mut buf, args);
-    buf.freeze()
+    put_varint(buf, u64::from(class));
+    put_args(buf, args)
 }
 
 /// Encodes a `DEPENDENCE` into a caller-provided (pooled) buffer, optionally wrapped
 /// in the hello envelope. `member` is the selector or field-name id; array-access
-/// kinds omit the member word entirely.
+/// kinds omit the member word entirely. Returns the value bytes
+/// ([`charged_dependence_size`]).
 pub fn encode_dependence(
-    mut buf: BytesMut,
+    buf: &mut BytesMut,
     hello: Option<u64>,
     target: u64,
     kind: AccessKind,
     member: u32,
-    args: &[WireValue],
-) -> Bytes {
-    put_hello(&mut buf, hello);
+    args: impl ExactSizeIterator<Item = WireValue>,
+) -> usize {
+    put_hello(buf, hello);
     buf.put_u8(TAG_DEP_BASE | kind.tag());
-    put_varint(&mut buf, target);
+    put_varint(buf, target);
     if kind.has_member() {
-        put_varint(&mut buf, u64::from(member));
+        put_varint(buf, u64::from(member));
     }
-    put_args(&mut buf, args);
-    buf.freeze()
+    put_args(buf, args)
+}
+
+/// The Message Exchange's orderly shutdown: a bare tag, no body, no reply.
+pub fn encode_shutdown() -> Bytes {
+    Bytes::from_static(&[TAG_SHUTDOWN])
 }
 
 /// Encodes a [`Response`] into a caller-provided (pooled) buffer.
@@ -523,7 +493,7 @@ pub fn encode_response_in(mut buf: BytesMut, resp: &Response) -> Bytes {
 // ---------------------------------------------------------------------------
 
 /// The decoded head of a request frame. For `New` and `Dependence`, `argc` values
-/// follow in the buffer (read them with [`decode_values_into`]).
+/// follow in the buffer (read each with [`decode_value`]).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum FrameHead {
     /// `NEW` of the class with this dense id.
@@ -546,16 +516,6 @@ pub enum FrameHead {
     },
     /// Shutdown (no body).
     Shutdown,
-}
-
-impl FrameHead {
-    /// Number of values following the head in the buffer.
-    pub fn argc(&self) -> usize {
-        match *self {
-            FrameHead::New { argc, .. } | FrameHead::Dependence { argc, .. } => argc,
-            FrameHead::Shutdown => 0,
-        }
-    }
 }
 
 /// Peeks the frame tag without consuming it.
@@ -610,73 +570,13 @@ pub fn decode_head(buf: &mut Bytes) -> Result<FrameHead, WireError> {
     }
 }
 
-/// Decodes a whole request frame, surfacing the hello fingerprint when present
-/// (the runtime verifies it before honouring anything else from that peer).
-pub fn decode_request(mut bytes: Bytes) -> Result<(Option<u64>, Request), WireError> {
-    let hello = split_hello(&mut bytes)?;
-    let head = decode_head(&mut bytes)?;
-    let mut args = Vec::new();
-    decode_values_into(&mut bytes, head.argc(), &mut args)?;
-    let req = match head {
-        FrameHead::Shutdown => Request::Shutdown,
-        FrameHead::New { class, .. } => Request::NewById { class, args },
-        FrameHead::Dependence {
-            target,
-            kind,
-            member,
-            ..
-        } => Request::DependenceById {
-            target,
-            kind,
-            member,
-            args,
-        },
-    };
-    Ok((hello, req))
-}
-
-impl Request {
-    /// Encodes the request into the streamed format (no hello envelope).
-    pub fn encode(&self) -> Bytes {
-        let mut buf = BytesMut::with_capacity(16);
-        match self {
-            Request::NewById { class, args } => encode_new(buf, None, *class, args),
-            Request::DependenceById {
-                target,
-                kind,
-                member,
-                args,
-            } => encode_dependence(buf, None, *target, *kind, *member, args),
-            Request::Shutdown => {
-                buf.put_u8(TAG_SHUTDOWN);
-                buf.freeze()
-            }
-        }
-    }
-
-    /// Decodes a request from bytes, discarding any hello header.
-    pub fn decode(bytes: Bytes) -> Result<Request, WireError> {
-        decode_request(bytes).map(|(_, req)| req)
-    }
-}
-
 impl Response {
-    /// Encodes the response.
-    pub fn encode(&self) -> Bytes {
-        let buf = BytesMut::with_capacity(match self {
-            Response::Value(WireValue::Str(s)) => 6 + s.len(),
-            Response::Value(_) => 16,
-            Response::Error(e) => 6 + e.len(),
-        });
-        encode_response_in(buf, self)
-    }
-
     /// Decodes a response. Takes the buffer by `&mut` so the caller keeps ownership
     /// of the spent [`Bytes`] and can reclaim its storage into the endpoint's buffer
     /// pool afterwards.
     pub fn decode(bytes: &mut Bytes) -> Result<Response, WireError> {
         match rd_u8(bytes, "response tag")? {
-            0 => Ok(Response::Value(get_value(bytes)?)),
+            0 => Ok(Response::Value(decode_value(bytes)?)),
             1 => Ok(Response::Error(get_string(bytes, "error message")?)),
             t => Err(WireError::BadResponseTag(t)),
         }
@@ -801,77 +701,75 @@ impl<T> SeqWindow<T> {
 mod tests {
     use super::*;
 
+    /// A request frame read back the way the Message Exchange reads it: hello, head,
+    /// then `argc` values one at a time.
+    fn read_frame(mut data: Bytes) -> Result<(Option<u64>, FrameHead, Vec<WireValue>), WireError> {
+        let hello = split_hello(&mut data)?;
+        let head = decode_head(&mut data)?;
+        let argc = match head {
+            FrameHead::New { argc, .. } | FrameHead::Dependence { argc, .. } => argc,
+            FrameHead::Shutdown => 0,
+        };
+        let args: Result<_, _> = (0..argc).map(|_| decode_value(&mut data)).collect();
+        Ok((hello, head, args?))
+    }
+
+    fn new_frame(class: u32, args: &[WireValue]) -> Bytes {
+        let mut buf = BytesMut::new();
+        encode_new(&mut buf, None, class, args.iter().cloned());
+        buf.freeze()
+    }
+
+    fn dep_frame(target: u64, kind: AccessKind, member: u32, args: &[WireValue]) -> Bytes {
+        let mut buf = BytesMut::new();
+        encode_dependence(&mut buf, None, target, kind, member, args.iter().cloned());
+        buf.freeze()
+    }
+
     #[test]
     fn request_round_trips() {
-        let reqs = vec![
-            Request::NewById {
-                class: 2,
-                args: vec![
-                    WireValue::Int(1),
-                    WireValue::Str("ABC Market".to_string()),
-                    WireValue::Float(2.5),
-                    WireValue::Bool(true),
-                    WireValue::Null,
-                    WireValue::Remote { node: 1, id: 42 },
-                ],
-            },
-            Request::DependenceById {
-                target: 7,
-                kind: AccessKind::InvokeRet,
-                member: 4,
-                args: vec![],
-            },
-            Request::Shutdown,
+        let every_kind = [
+            WireValue::Int(1),
+            WireValue::Str("ABC Market".into()),
+            WireValue::Float(2.5),
+            WireValue::Bool(true),
+            WireValue::Null,
+            WireValue::Remote { node: 1, id: 42 },
         ];
-        for r in reqs {
-            let enc = r.encode();
-            assert_eq!(Request::decode(enc).unwrap(), r);
-        }
+        let head = FrameHead::New { class: 2, argc: 6 };
+        assert_eq!(
+            read_frame(new_frame(2, &every_kind)),
+            Ok((None, head, every_kind.to_vec()))
+        );
+        assert_eq!(
+            read_frame(encode_shutdown()),
+            Ok((None, FrameHead::Shutdown, vec![]))
+        );
     }
 
     #[test]
     fn v2_requests_round_trip() {
-        let reqs = vec![
-            Request::NewById {
-                class: 3,
-                args: vec![WireValue::Int(9), WireValue::Remote { node: 2, id: 7 }],
-            },
-            Request::DependenceById {
-                target: 12,
-                kind: AccessKind::InvokeRet,
-                member: 4,
-                args: vec![WireValue::Int(100)],
-            },
-            Request::DependenceById {
-                target: 0,
-                kind: AccessKind::PutField,
-                member: 2,
-                args: vec![WireValue::Float(1.25)],
-            },
+        let wide = vec![WireValue::Null; 300];
+        for (target, kind, member, args) in [
+            (7, AccessKind::InvokeRet, 4, &[][..]),
+            (12, AccessKind::InvokeRet, 4, &[WireValue::Int(100)][..]),
+            (0, AccessKind::PutField, 2, &[WireValue::Float(1.25)][..]),
             // Array kinds carry no member word.
-            Request::DependenceById {
-                target: 5,
-                kind: AccessKind::GetElement,
-                member: 0,
-                args: vec![WireValue::Int(3)],
-            },
-            Request::DependenceById {
-                target: 5,
-                kind: AccessKind::ArrayLength,
-                member: 0,
-                args: vec![],
-            },
+            (5, AccessKind::GetElement, 0, &[WireValue::Int(3)][..]),
+            (5, AccessKind::ArrayLength, 0, &[][..]),
             // The two shapes that once needed a second frame format.
-            Request::DependenceById {
-                target: u64::MAX,
-                kind: AccessKind::InvokeVoid,
-                member: u32::MAX,
-                args: vec![WireValue::Null; 300],
-            },
-        ];
-        for r in reqs {
-            let enc = r.encode();
-            assert_eq!(Request::decode(enc).unwrap(), r);
+            (u64::MAX, AccessKind::InvokeVoid, u32::MAX, &wide[..]),
+        ] {
+            let head = FrameHead::Dependence {
+                target,
+                kind,
+                member,
+                argc: args.len(),
+            };
+            assert_eq!(
+                read_frame(dep_frame(target, kind, member, args)),
+                Ok((None, head, args.to_vec()))
+            );
         }
     }
 
@@ -882,7 +780,7 @@ mod tests {
             Response::Value(WireValue::Null),
             Response::Error("no such method".to_string()),
         ] {
-            let mut enc = r.encode();
+            let mut enc = encode_response_in(BytesMut::new(), &r);
             assert_eq!(Response::decode(&mut enc).unwrap(), r);
         }
     }
@@ -904,38 +802,25 @@ mod tests {
         assert_eq!(AccessKind::from_tag(99), None);
     }
 
-    fn dep(target: u64, kind: AccessKind, member: u32, args: Vec<WireValue>) -> usize {
-        Request::DependenceById {
-            target,
-            kind,
-            member,
-            args,
-        }
-        .encode()
-        .len()
+    fn dep(target: u64, kind: AccessKind, member: u32, args: &[WireValue]) -> usize {
+        dep_frame(target, kind, member, args).len()
     }
 
     #[test]
     fn encoding_is_compact() {
         // Invoke: tag + target varint(1) + selector varint(1) + argc(1) + int(9).
-        assert_eq!(
-            dep(1, AccessKind::InvokeRet, 9, vec![WireValue::Int(5)]),
-            13
-        );
+        assert_eq!(dep(1, AccessKind::InvokeRet, 9, &[WireValue::Int(5)]), 13);
         // Field read: tag + target(1) + field-name id(1) + argc(1).
-        assert_eq!(dep(1, AccessKind::GetField, 0, vec![]), 4);
+        assert_eq!(dep(1, AccessKind::GetField, 0, &[]), 4);
         // Array read drops the member word: tag + target(1) + argc(1) + index(9).
-        assert_eq!(
-            dep(1, AccessKind::GetElement, 0, vec![WireValue::Int(2)]),
-            12
-        );
+        assert_eq!(dep(1, AccessKind::GetElement, 0, &[WireValue::Int(2)]), 12);
         // Wide ids widen gracefully: five bytes per maxed-out u32 field, ten for a
         // maxed-out target, two for a count past 127.
         let wide = u64::from(u32::MAX);
-        assert_eq!(dep(wide, AccessKind::InvokeRet, u32::MAX, vec![]), 12);
-        assert_eq!(dep(u64::MAX, AccessKind::ArrayLength, 0, vec![]), 12);
+        assert_eq!(dep(wide, AccessKind::InvokeRet, u32::MAX, &[]), 12);
+        assert_eq!(dep(u64::MAX, AccessKind::ArrayLength, 0, &[]), 12);
         assert_eq!(
-            dep(1, AccessKind::InvokeVoid, 1, vec![WireValue::Null; 128]),
+            dep(1, AccessKind::InvokeVoid, 1, &vec![WireValue::Null; 128]),
             5 + 128
         );
     }
@@ -944,92 +829,102 @@ mod tests {
     fn v2_encoding_is_smaller_than_v1() {
         // Whatever the names, an id frame undercuts the size the cost model charges
         // for it (the name-carrying frame's), even for the empty name.
-        let args = vec![WireValue::Int(5)];
-        assert_eq!(charged_dependence_size("bounce".len(), &args), 33);
-        assert!(dep(1, AccessKind::InvokeRet, 9, args.clone()) < 33);
+        let args = [WireValue::Int(5)];
+        assert_eq!(charged_dependence_size("bounce".len(), 9), 33);
+        assert!(dep(1, AccessKind::InvokeRet, 9, &args) < 33);
         assert!(
-            dep(u64::MAX, AccessKind::InvokeRet, u32::MAX, args.clone())
-                < charged_dependence_size(0, &args)
+            dep(u64::MAX, AccessKind::InvokeRet, u32::MAX, &args) < charged_dependence_size(0, 9)
         );
-        let new = Request::NewById { class: 3, args };
-        assert!(new.encode().len() < charged_new_size(1, &[WireValue::Int(5)]));
+        assert!(new_frame(3, &args).len() < charged_new_size(1, 9));
     }
 
     #[test]
     fn hello_envelope_carries_the_fingerprint_once() {
         let args = [WireValue::Int(5)];
-        let enc = encode_dependence(
-            BytesMut::new(),
+        let mut enc = BytesMut::new();
+        encode_dependence(
+            &mut enc,
             Some(0xfeed_f00d_dead_beef),
             7,
             AccessKind::InvokeRet,
             3,
-            &args,
+            args.iter().cloned(),
         );
-        let (hello, req) = decode_request(enc).unwrap();
-        assert_eq!(hello, Some(0xfeed_f00d_dead_beef));
+        let head = FrameHead::Dependence {
+            target: 7,
+            kind: AccessKind::InvokeRet,
+            member: 3,
+            argc: 1,
+        };
         assert_eq!(
-            req,
-            Request::DependenceById {
-                target: 7,
-                kind: AccessKind::InvokeRet,
-                member: 3,
-                args: args.to_vec(),
-            }
+            read_frame(enc.freeze()),
+            Ok((Some(0xfeed_f00d_dead_beef), head, args.to_vec()))
         );
         // Without the envelope the same frame decodes with no fingerprint.
-        let bare = encode_dependence(BytesMut::new(), None, 7, AccessKind::InvokeRet, 3, &args);
-        let (hello, _) = decode_request(bare).unwrap();
-        assert_eq!(hello, None);
+        assert_eq!(
+            read_frame(dep_frame(7, AccessKind::InvokeRet, 3, &args)),
+            Ok((None, head, args.to_vec()))
+        );
     }
 
     /// The charging rule, spelled out field by field against the layout of the
     /// name-carrying frames it is defined by (the encoder itself is the oracle of
-    /// the property test in `tests/wire_roundtrip.rs`).
+    /// the property test in `tests/wire_roundtrip.rs`): the value term is the count
+    /// the encoders return.
     #[test]
     fn charged_sizes_match_v1_encodings_exactly() {
-        assert_eq!(charged_new_size(7, &[]), 1 + (4 + 7) + 4);
-        assert_eq!(charged_dependence_size(10, &[]), 1 + 8 + 1 + (4 + 10) + 4);
+        assert_eq!(charged_new_size(7, 0), 1 + (4 + 7) + 4);
+        assert_eq!(charged_dependence_size(10, 0), 1 + 8 + 1 + (4 + 10) + 4);
         let args = [
-            WireValue::Str("héllo".to_string()),  // 1 + 4 + 6 UTF-8 bytes
+            WireValue::Str("héllo".into()),       // 1 + 4 + 6 UTF-8 bytes
             WireValue::Float(2.0),                // 1 + 8
             WireValue::Remote { node: 3, id: 9 }, // 1 + 4 + 8
             WireValue::Bool(true),                // 1 + 1
             WireValue::Null,                      // 1
         ];
-        assert_eq!(charged_new_size(7, &args), 16 + 11 + 9 + 13 + 2 + 1);
-        assert_eq!(charged_dependence_size(0, &args), 18 + 11 + 9 + 13 + 2 + 1);
+        let mut buf = BytesMut::new();
+        let value_bytes = encode_new(&mut buf, Some(1), 0, args.iter().cloned());
+        assert_eq!(value_bytes, 11 + 9 + 13 + 2 + 1);
+        let dep_bytes = encode_dependence(
+            &mut buf,
+            None,
+            u64::MAX,
+            AccessKind::PutElement,
+            0,
+            args.iter().cloned(),
+        );
+        assert_eq!(dep_bytes, value_bytes, "whatever head precedes them");
+        assert_eq!(charged_new_size(7, value_bytes), 16 + 11 + 9 + 13 + 2 + 1);
+        assert_eq!(
+            charged_dependence_size(0, value_bytes),
+            18 + 11 + 9 + 13 + 2 + 1
+        );
     }
 
     #[test]
     fn corrupt_frames_fail_typed_not_panicking() {
+        let decode = |bytes: Vec<u8>| read_frame(Bytes::from(bytes));
         // Unknown request tags, the retired name-carrying frames' among them.
         for tag in [0u8, 1, 4, 99] {
             assert_eq!(
-                Request::decode(Bytes::from(vec![tag, 0, 0, 0])),
+                decode(vec![tag, 0, 0, 0]),
                 Err(WireError::BadRequestTag(tag))
             );
         }
         // A dependence tag with no such access kind.
         assert_eq!(
-            Request::decode(Bytes::from(vec![0x40u8, 0, 0])),
+            decode(vec![0x40u8, 0, 0]),
             Err(WireError::BadAccessKind(0x40))
         );
         // Bad value tag inside a NEW arg list.
         assert_eq!(
-            Request::decode(Bytes::from(vec![TAG_NEW, 1, 1, 9])),
+            decode(vec![TAG_NEW, 1, 1, 9]),
             Err(WireError::BadValueTag(9))
         );
         // Truncated mid-head.
-        let mut enc = Request::DependenceById {
-            target: 1 << 40,
-            kind: AccessKind::GetField,
-            member: 1,
-            args: vec![],
-        }
-        .encode();
+        let mut enc = dep_frame(1 << 40, AccessKind::GetField, 1, &[]);
         assert!(matches!(
-            Request::decode(enc.split_to(4)),
+            read_frame(enc.split_to(4)),
             Err(WireError::Truncated { .. })
         ));
         // An id that does not fit 32 bits, and a varint that never ends.
@@ -1038,13 +933,13 @@ mod tests {
         put_varint(&mut buf, u64::from(u32::MAX) + 1);
         buf.put_u8(0);
         assert_eq!(
-            Request::decode(buf.freeze()),
+            read_frame(buf.freeze()),
             Err(WireError::VarintOverflow { what: "class id" })
         );
         let mut endless = vec![TAG_DEP_BASE | AccessKind::ArrayLength.tag()];
         endless.extend([0xff; 11]);
         assert_eq!(
-            Request::decode(Bytes::from(endless)),
+            decode(endless),
             Err(WireError::VarintOverflow {
                 what: "dependence target"
             })
@@ -1055,10 +950,7 @@ mod tests {
             Err(WireError::BadResponseTag(7))
         );
         // Empty frame.
-        assert!(matches!(
-            Request::decode(Bytes::new()),
-            Err(WireError::Truncated { .. })
-        ));
+        assert!(matches!(decode(vec![]), Err(WireError::Truncated { .. })));
     }
 
     #[test]
@@ -1071,7 +963,7 @@ mod tests {
         buf.put_u32(2);
         buf.put_slice(&[0xff, 0xfe]);
         assert_eq!(
-            Request::decode(buf.freeze()),
+            read_frame(buf.freeze()),
             Err(WireError::BadUtf8 {
                 what: "string value"
             })
@@ -1090,11 +982,9 @@ mod tests {
 
     #[test]
     fn unicode_strings_survive() {
-        let r = Request::NewById {
-            class: 1,
-            args: vec![WireValue::Str("Mérchants € 銀行".to_string())],
-        };
-        assert_eq!(Request::decode(r.encode()).unwrap(), r);
+        let args = [WireValue::Str("Mérchants € 銀行".into())];
+        let (_, _, back) = read_frame(new_frame(1, &args)).unwrap();
+        assert_eq!(back, args);
     }
 
     #[test]

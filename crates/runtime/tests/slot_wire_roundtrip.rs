@@ -14,7 +14,8 @@ use autodist_ir::frontend::compile_source;
 use autodist_ir::layout::ProgramLayout;
 use autodist_ir::{Program, Type};
 use autodist_runtime::cluster::{run_centralized, run_distributed, ClusterConfig, Schedule};
-use autodist_runtime::wire::{AccessKind, Request};
+use autodist_runtime::wire::{decode_head, encode_dependence, AccessKind, FrameHead};
+use bytes::BytesMut;
 use proptest::prelude::*;
 use std::collections::BTreeMap;
 
@@ -60,15 +61,18 @@ proptest! {
                 let name = layout
                     .slot_name(class.id, slot as u32)
                     .expect("every slot is named");
-                let req = Request::DependenceById {
+                let name_id = layout.field_name_id(name).expect("declared names are interned");
+                let mut frame = BytesMut::new();
+                encode_dependence(
+                    &mut frame,
+                    None,
                     target,
-                    kind: AccessKind::GetField,
-                    member: layout.field_name_id(name).expect("declared names are interned"),
-                    args: vec![],
-                };
-                let decoded = Request::decode(req.encode());
-                let member = match decoded {
-                    Ok(Request::DependenceById { member, .. }) => member,
+                    AccessKind::GetField,
+                    name_id,
+                    std::iter::empty(),
+                );
+                let member = match decode_head(&mut frame.freeze()) {
+                    Ok(FrameHead::Dependence { member, .. }) => member,
                     other => panic!("wrong request decoded: {other:?}"),
                 };
                 prop_assert_eq!(

@@ -6,8 +6,9 @@
 //! encoder survives here as the oracle for exactly that definition.
 
 use autodist_runtime::wire::{
-    charged_dependence_size, charged_new_size, decode_request, encode_dependence, encode_new,
-    value_wire_size, AccessKind, Request, Response, WireError, WireValue,
+    charged_dependence_size, charged_new_size, decode_head, decode_value, encode_dependence,
+    encode_new, encode_response_in, encode_shutdown, split_hello, AccessKind, FrameHead, Response,
+    WireError, WireValue,
 };
 use bytes::{Bytes, BytesMut};
 use proptest::prelude::*;
@@ -91,14 +92,59 @@ fn arb_wire_value() -> impl Strategy<Value = WireValue> {
         any::<i64>().prop_map(WireValue::Int),
         (-1e300f64..1e300).prop_map(WireValue::Float),
         any::<bool>().prop_map(WireValue::Bool),
-        "[ -~]{0,32}".prop_map(WireValue::Str),
+        "[ -~]{0,32}".prop_map(|s| WireValue::Str(s.into())),
         (any::<u32>(), any::<u64>()).prop_map(|(node, id)| WireValue::Remote { node, id }),
     ]
 }
 
-/// Decoding must return, whatever the bytes: a typed error or a well-formed request.
-fn decode_never_panics(frame: &[u8]) -> Result<Request, WireError> {
-    decode_request(Bytes::from(frame.to_vec())).map(|(_, req)| req)
+/// A `NEW` frame as the Message Exchange builds it, plus the value bytes the encoder
+/// reports (the variable term of the virtual-time charge).
+fn new_frame(hello: Option<u64>, class: u32, args: &[WireValue]) -> (Bytes, usize) {
+    let mut buf = BytesMut::new();
+    let value_bytes = encode_new(&mut buf, hello, class, args.iter().cloned());
+    (buf.freeze(), value_bytes)
+}
+
+/// The same for a `DEPENDENCE` frame.
+fn dep_frame(
+    hello: Option<u64>,
+    target: u64,
+    kind: AccessKind,
+    member: u32,
+    args: &[WireValue],
+) -> (Bytes, usize) {
+    let mut buf = BytesMut::new();
+    let value_bytes =
+        encode_dependence(&mut buf, hello, target, kind, member, args.iter().cloned());
+    (buf.freeze(), value_bytes)
+}
+
+/// A whole request frame: the hello fingerprint if present, the head, the values.
+type Frame = (Option<u64>, FrameHead, Vec<WireValue>);
+
+/// Reads a frame the way the Message Exchange does — hello, head, then `argc`
+/// values one at a time. Must return, whatever the bytes: a typed error or a
+/// well-formed frame.
+fn read_frame(frame: &[u8]) -> Result<Frame, WireError> {
+    let mut data = Bytes::from(frame.to_vec());
+    let hello = split_hello(&mut data)?;
+    let head = decode_head(&mut data)?;
+    let argc = match head {
+        FrameHead::New { argc, .. } | FrameHead::Dependence { argc, .. } => argc,
+        FrameHead::Shutdown => 0,
+    };
+    let args: Result<_, _> = (0..argc).map(|_| decode_value(&mut data)).collect();
+    Ok((hello, head, args?))
+}
+
+/// What a `DEPENDENCE` frame must read back as (array kinds carry no member word).
+fn dep_head(target: u64, kind: AccessKind, member: u32, argc: usize) -> FrameHead {
+    FrameHead::Dependence {
+        target,
+        kind,
+        member: if kind.has_member() { member } else { 0 },
+        argc,
+    }
 }
 
 proptest! {
@@ -108,8 +154,8 @@ proptest! {
         class in any::<u32>(),
         args in prop::collection::vec(arb_wire_value(), 0..8),
     ) {
-        let req = Request::NewById { class, args };
-        prop_assert_eq!(Request::decode(req.encode()), Ok(req));
+        let head = FrameHead::New { class, argc: args.len() };
+        prop_assert_eq!(read_frame(&new_frame(None, class, &args).0), Ok((None, head, args)));
     }
 
     /// `DEPENDENCE` requests round-trip for every access kind and any 64-bit target.
@@ -120,17 +166,14 @@ proptest! {
         member in any::<u32>(),
         args in prop::collection::vec(arb_wire_value(), 0..8),
     ) {
-        let expect_member = if kind.has_member() { member } else { 0 };
-        let req = Request::DependenceById { target, kind, member, args: args.clone() };
-        prop_assert_eq!(
-            Request::decode(req.encode()),
-            Ok(Request::DependenceById { target, kind, member: expect_member, args })
-        );
+        let head = dep_head(target, kind, member, args.len());
+        let (frame, _) = dep_frame(None, target, kind, member, &args);
+        prop_assert_eq!(read_frame(&frame), Ok((None, head, args)));
     }
 
-    /// The same through the raw encoder, with and without the fingerprint hello
-    /// envelope — and the frame is never larger than what the cost model charges
-    /// for the same message, even one with an empty member name.
+    /// The same with and without the fingerprint hello envelope — and the frame is
+    /// never larger than what the cost model charges for the same message, even
+    /// one with an empty member name.
     #[test]
     fn v2_dependence_requests_round_trip(
         target in any::<u64>(),
@@ -141,22 +184,17 @@ proptest! {
         hello_fp in any::<u64>(),
     ) {
         let hello = if has_hello { Some(hello_fp) } else { None };
-        let data = encode_dependence(BytesMut::new(), hello, target, kind, member, &args);
+        let (data, value_bytes) = dep_frame(hello, target, kind, member, &args);
         let hello_len = if hello.is_some() { 9 } else { 0 };
         prop_assert!(
-            data.len() - hello_len <= charged_dependence_size(0, &args),
+            data.len() - hello_len <= charged_dependence_size(0, value_bytes),
             "frame larger than the charge for an empty-name message"
         );
-        let (seen_hello, req) = decode_request(data).expect("frame decodes");
-        prop_assert_eq!(seen_hello, hello);
-        let expect_member = if kind.has_member() { member } else { 0 };
-        prop_assert_eq!(
-            req,
-            Request::DependenceById { target, kind, member: expect_member, args: args.clone() }
-        );
+        let head = dep_head(target, kind, member, args.len());
+        prop_assert_eq!(read_frame(&data), Ok((hello, head, args)));
     }
 
-    /// `NEW` through the raw encoder: round-trips, and stays under the charge for
+    /// `NEW` under the hello envelope: round-trips, and stays under the charge for
     /// any class that has a name at all.
     #[test]
     fn v2_new_requests_round_trip(
@@ -166,16 +204,16 @@ proptest! {
         hello_fp in any::<u64>(),
     ) {
         let hello = if has_hello { Some(hello_fp) } else { None };
-        let data = encode_new(BytesMut::new(), hello, class, &args);
+        let (data, value_bytes) = new_frame(hello, class, &args);
         let hello_len = if hello.is_some() { 9 } else { 0 };
-        prop_assert!(data.len() - hello_len <= charged_new_size(1, &args));
-        let (seen_hello, req) = decode_request(data).expect("frame decodes");
-        prop_assert_eq!(seen_hello, hello);
-        prop_assert_eq!(req, Request::NewById { class, args: args.clone() });
+        prop_assert!(data.len() - hello_len <= charged_new_size(1, value_bytes));
+        let head = FrameHead::New { class, argc: args.len() };
+        prop_assert_eq!(read_frame(&data), Ok((hello, head, args)));
     }
 
     /// The charging rule *is* the v1 frame length: for arbitrary names (empty and
-    /// multi-byte included) and arbitrary values, the formula and the oracle agree.
+    /// multi-byte included) and arbitrary values, the formula — over the value bytes
+    /// the encoder reports having appended — and the oracle agree.
     #[test]
     fn charged_sizes_are_the_v1_frame_lengths(
         name in "[a-zA-Z0-9_<>/é銀 ]{0,24}",
@@ -183,12 +221,14 @@ proptest! {
         kind in arb_access_kind(),
         args in prop::collection::vec(arb_wire_value(), 0..8),
     ) {
+        let (_, value_bytes) = new_frame(Some(target), 3, &args);
         prop_assert_eq!(
-            charged_new_size(name.len(), &args),
+            charged_new_size(name.len(), value_bytes),
             v1_oracle::encode_new(&name, &args).len()
         );
+        let (_, value_bytes) = dep_frame(None, target, kind, 3, &args);
         prop_assert_eq!(
-            charged_dependence_size(name.len(), &args),
+            charged_dependence_size(name.len(), value_bytes),
             v1_oracle::encode_dependence(target, kind, &name, &args).len()
         );
     }
@@ -204,22 +244,21 @@ proptest! {
         member_id in any::<u32>(),
         args in prop::collection::vec(arb_wire_value(), 0..6),
     ) {
-        let payload: usize = args.iter().map(value_wire_size).sum();
         let v1 = v1_oracle::encode_dependence(target, kind, &member_name, &args);
-        let v2 = encode_dependence(BytesMut::new(), None, target, kind, member_id, &args);
+        let (v2, payload) = dep_frame(None, target, kind, member_id, &args);
         prop_assert_eq!(&v1[v1.len() - payload..], &v2[v2.len() - payload..]);
         let v1 = v1_oracle::encode_new(&member_name, &args);
-        let v2 = encode_new(BytesMut::new(), None, member_id, &args);
+        let (v2, payload) = new_frame(None, member_id, &args);
         prop_assert_eq!(&v1[v1.len() - payload..], &v2[v2.len() - payload..]);
     }
 
     /// Responses round-trip for values and errors alike.
     #[test]
     fn responses_round_trip(v in arb_wire_value(), error in "[ -~]{0,64}") {
-        let ok = Response::Value(v);
-        prop_assert_eq!(Response::decode(&mut ok.encode()), Ok(ok));
-        let err = Response::Error(error);
-        prop_assert_eq!(Response::decode(&mut err.encode()), Ok(err));
+        for resp in [Response::Value(v), Response::Error(error)] {
+            let mut frame = encode_response_in(BytesMut::new(), &resp);
+            prop_assert_eq!(Response::decode(&mut frame), Ok(resp));
+        }
     }
 
     /// Encoding is deterministic: the same request always produces the same bytes
@@ -230,13 +269,8 @@ proptest! {
         target in any::<u64>(),
         args in prop::collection::vec(arb_wire_value(), 0..4),
     ) {
-        let req = Request::DependenceById {
-            target,
-            kind: AccessKind::InvokeRet,
-            member,
-            args,
-        };
-        prop_assert_eq!(&req.encode()[..], &req.encode()[..]);
+        let frame = || dep_frame(None, target, AccessKind::InvokeRet, member, &args);
+        prop_assert_eq!(frame(), frame());
     }
 
     /// *Every* strict prefix of a frame is a typed error — frames carry their arg
@@ -250,18 +284,18 @@ proptest! {
         args in prop::collection::vec(arb_wire_value(), 0..4),
     ) {
         let frames = [
-            encode_new(BytesMut::new(), Some(7), member, &args),
-            encode_dependence(BytesMut::new(), None, target, kind, member, &args),
+            new_frame(Some(7), member, &args).0,
+            dep_frame(None, target, kind, member, &args).0,
         ];
         for frame in frames {
             for cut in 0..frame.len() {
-                prop_assert!(decode_never_panics(&frame[..cut]).is_err(), "cut at {}", cut);
+                prop_assert!(read_frame(&frame[..cut]).is_err(), "cut at {}", cut);
             }
             let mut bytes = frame.to_vec();
             for at in 0..bytes.len() {
                 for bit in 0..8 {
                     bytes[at] ^= 1 << bit;
-                    let _ = decode_never_panics(&bytes);
+                    let _ = read_frame(&bytes);
                     bytes[at] ^= 1 << bit;
                 }
             }
@@ -276,15 +310,14 @@ fn wide_targets_and_long_argument_lists_round_trip() {
     for target in [u64::from(u32::MAX) + 1, 1 << 40, u64::MAX] {
         for argc in [0usize, 255, 256, 300] {
             let args: Vec<WireValue> = (0..argc).map(|i| WireValue::Int(i as i64)).collect();
-            let dep = Request::DependenceById {
-                target,
-                kind: AccessKind::InvokeRet,
-                member: 3,
-                args: args.clone(),
-            };
-            assert_eq!(Request::decode(dep.encode()), Ok(dep));
-            let new = Request::NewById { class: 5, args };
-            assert_eq!(Request::decode(new.encode()), Ok(new));
+            let (dep, _) = dep_frame(None, target, AccessKind::InvokeRet, 3, &args);
+            let head = dep_head(target, AccessKind::InvokeRet, 3, argc);
+            assert_eq!(read_frame(&dep), Ok((None, head, args.clone())));
+            let head = FrameHead::New { class: 5, argc };
+            assert_eq!(
+                read_frame(&new_frame(None, 5, &args).0),
+                Ok((None, head, args))
+            );
         }
     }
 }
@@ -295,11 +328,11 @@ fn wide_targets_and_long_argument_lists_round_trip() {
 fn retired_name_frames_are_rejected_by_tag() {
     let args = [WireValue::Int(1)];
     assert_eq!(
-        decode_never_panics(&v1_oracle::encode_new("Account", &args)),
+        read_frame(&v1_oracle::encode_new("Account", &args)),
         Err(WireError::BadRequestTag(0))
     );
     assert_eq!(
-        decode_never_panics(&v1_oracle::encode_dependence(
+        read_frame(&v1_oracle::encode_dependence(
             7,
             AccessKind::InvokeRet,
             "getSavings",
@@ -315,7 +348,7 @@ fn an_arg_count_beyond_the_frame_is_truncation_not_allocation() {
     // NEW · class 0 · argc = u32::MAX as a five-byte varint · nothing.
     let frame = [3u8, 0, 0xff, 0xff, 0xff, 0xff, 0x0f];
     assert!(matches!(
-        decode_never_panics(&frame),
+        read_frame(&frame),
         Err(WireError::Truncated {
             what: "argument values",
             remaining: 0,
@@ -327,7 +360,7 @@ fn an_arg_count_beyond_the_frame_is_truncation_not_allocation() {
 #[test]
 fn shutdown_round_trips() {
     assert_eq!(
-        Request::decode(Request::Shutdown.encode()),
-        Ok(Request::Shutdown)
+        read_frame(&encode_shutdown()),
+        Ok((None, FrameHead::Shutdown, vec![]))
     );
 }

@@ -1,28 +1,27 @@
-//! Pins the wire acceptance condition directly: a steady-state round trip — the
-//! sender's name probe, recycled encode buffer in, head + values decoded, the member
-//! id resolved against the target's runtime class, buffer reclaimed — performs
-//! **zero heap allocations** per message. A counting global allocator observes every
-//! `alloc`/`realloc` in the process, so the loop below fails loudly if any future
-//! change sneaks a per-message allocation (a string, a fresh `Vec`, a copying
-//! freeze) back into the hot path.
+//! Pins what a steady-state remote call allocates — on the real path, not a model of
+//! it: two [`Interp`]s, rank 0 running a rewritten `main` and rank 1 serving it, over a
+//! [`Transport`], driven packet by packet exactly as the worker loop drives them
+//! (park → route → accept → run → reply → route → resume). A counting global allocator
+//! observes every `alloc`/`realloc` in the process.
 //!
-//! The measured loop is exactly the shape `interp.rs` runs: the layout's interning
-//! maps turn the name `DependentObject.access` holds into an id, `take_buf` hands a
-//! warm `BytesMut`, `encode_*_v2` fills and freezes it, the decode side reads the
-//! head and the values into a recycled scratch vector and resolves the id through
-//! the vtable or the field-name slot column, and `try_into_mut` reclaims the
-//! storage for the next message.
+//! The claim is that **the argument list costs nothing**: its values go from where the
+//! program put them (operand stack, the rewriter's `Object[]`) into the pooled frame
+//! buffer and from there straight into the callee frame's locals, with no vector of
+//! values or wire values in between, and a string is copied once into the frame and
+//! once out. So each kind of round trip is pinned at exactly what remains — the
+//! program's own heap objects plus the survivors named below — and any future change
+//! that sneaks a per-message collection (or a second string copy) back in fails here.
 
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-use autodist_ir::layout::ProgramLayout;
-use autodist_ir::{Program, Type};
-use autodist_runtime::wire::{
-    decode_head, decode_values_into, encode_dependence, encode_new, AccessKind, FrameHead,
-    WireValue,
-};
-use bytes::BytesMut;
+use autodist_codegen::rewrite::{rewrite_for_node, ClassPlacement};
+use autodist_ir::frontend::compile_source;
+use autodist_runtime::exchange::{DistState, ServeOutcome};
+use autodist_runtime::interp::{Interp, TaskOutcome};
+use autodist_runtime::net::{MpiEndpoint, NetworkConfig, Transport};
+use autodist_runtime::value::Value;
 
 /// Counts every allocation and reallocation; frees are uninteresting here.
 struct CountingAlloc;
@@ -48,96 +47,150 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc;
 
-/// One test drives every frame kind so nothing else in this binary allocates
-/// concurrently while the counter window is open.
+fn allocations() -> usize {
+    ALLOCATIONS.load(Ordering::Relaxed)
+}
+
+const WARM_UP: usize = 16;
+const MEASURED: usize = 200;
+
+/// Every iteration of `main`'s loop makes the same four round trips, in this order.
+const KINDS: [&str; 4] = ["invoke(int)", "field read", "NEW(int)", "invoke(String)"];
+
+/// What rank 1 allocates serving one request of each kind, request decode to reply
+/// sent. The two on every call that runs bytecode are the serving continuation's
+/// `frames` and `call_stack` vectors — the next thing a per-node free list would
+/// remove (the frame's own locals/stack vectors already come from one).
+const SERVING: [usize; 4] = [
+    2, // the continuation
+    0, // answered on the spot from the heap
+    3, // the continuation + the instance's field vector (the program's object)
+    3, // the continuation + the one copy of the string out of the frame
+];
+
+/// What rank 0 allocates per loop iteration: the program's own heap objects — three
+/// one-element `Object[]`s (the field read packs an empty one), one proxy's field
+/// vector — and the one copy of the echoed string out of its response frame.
+/// Marshal, send, park and resume add nothing.
+const CALLING: usize = 3 + 1 + 1;
+
+/// One test drives everything so nothing else in this binary allocates concurrently
+/// while the counter window is open.
 #[test]
-fn steady_state_v2_round_trip_is_allocation_free() {
-    // `Savings extends Account` and shadows `savings`: the receiver resolves ids
-    // against the subclass, as it would for a runtime instance of it.
-    let mut p = Program::new();
-    let account = p.add_class("Account", None);
-    p.add_field(account, "id", Type::Int, false);
-    p.add_field(account, "savings", Type::Int, false);
-    let get = p.add_method(account, "getSavings", vec![], Type::Int, false);
-    let savings = p.add_class("Savings", Some(account));
-    p.add_field(savings, "savings", Type::Int, false);
-    let layout = ProgramLayout::build(&p);
-    let slot = layout.slot_of_name(savings, "savings");
-    assert!(slot.is_some());
-
-    // Fixed-size argument values only: `Str` legitimately allocates on decode
-    // and the interpreter's hot remote calls (ints, floats, references) never
-    // carry one.
-    let args = [
-        WireValue::Int(-9_000_000_000),
-        WireValue::Float(2.5),
-        WireValue::Bool(true),
-        WireValue::Remote { node: 1, id: 42 },
-        WireValue::Null,
-    ];
-
-    let mut buf = BytesMut::with_capacity(256);
-    let mut scratch: Vec<WireValue> = Vec::with_capacity(args.len());
-
-    let round_trip = |buf_in: BytesMut, scratch: &mut Vec<WireValue>| -> BytesMut {
-        // Invoke: name → selector at the sender, selector → method at the receiver.
-        let sel = layout.selector_of_name("getSavings").expect("interned");
-        let mut data = encode_dependence(buf_in, None, 7, AccessKind::InvokeRet, sel, &args);
-        let Ok(FrameHead::Dependence {
-            target: 7,
-            member,
-            argc,
-            ..
-        }) = decode_head(&mut data)
-        else {
-            panic!("head decodes");
-        };
-        decode_values_into(&mut data, argc, scratch).expect("values decode");
-        assert_eq!(scratch.len(), args.len());
-        assert_eq!(layout.resolve_selector(savings, member), Some(get));
-        let mut buf = data.try_into_mut().expect("sole owner reclaims");
-        buf.clear();
-
-        // Field read: name → field-name id, id → the runtime class's slot.
-        let name_id = layout.field_name_id("savings").expect("interned");
-        let mut data = encode_dependence(buf, None, 7, AccessKind::GetField, name_id, &[]);
-        let Ok(FrameHead::Dependence {
-            member, argc: 0, ..
-        }) = decode_head(&mut data)
-        else {
-            panic!("head decodes");
-        };
-        assert_eq!(layout.slot_of_field_name(savings, member), slot);
-        let mut buf = data.try_into_mut().expect("sole owner reclaims");
-        buf.clear();
-
-        // NEW: the class id was resolved once, when the proxy was initialised.
-        let mut data = encode_new(buf, None, savings.0, &args);
-        let Ok(FrameHead::New { class, argc }) = decode_head(&mut data) else {
-            panic!("head decodes");
-        };
-        assert_eq!(class, savings.0);
-        decode_values_into(&mut data, argc, scratch).expect("values decode");
-        scratch.clear();
-        let mut buf = data.try_into_mut().expect("sole owner reclaims");
-        buf.clear();
-        buf
+fn steady_state_remote_round_trips_allocate_nothing_for_the_argument_list() {
+    let source = format!(
+        r#"
+        class Worker {{
+            int hits;
+            Worker(int seed) {{ this.hits = seed; }}
+            int bounce(int x) {{ this.hits = this.hits + 1; return x * 2 + 1; }}
+            String echo(String s) {{ return s; }}
+        }}
+        class Main {{
+            static int result;
+            static void main() {{
+                Worker w = new Worker(7);
+                int acc = 0;
+                int i = 0;
+                while (i < {rounds}) {{
+                    acc = acc + w.bounce(i);
+                    acc = acc + w.hits;
+                    Worker fresh = new Worker(i);
+                    String tag = w.echo("a tag that is longer than any inline buffer");
+                    i = i + 1;
+                }}
+                result = acc;
+            }}
+        }}
+        "#,
+        rounds = WARM_UP + MEASURED
+    );
+    let p = compile_source(&source).expect("compiles");
+    let mut home = BTreeMap::new();
+    home.insert(p.class_by_name("Main").unwrap(), 0);
+    home.insert(p.class_by_name("Worker").unwrap(), 1);
+    let placement = ClassPlacement { home, nparts: 2 };
+    let programs: Vec<_> = (0..2)
+        .map(|n| rewrite_for_node(&p, &placement, n).program)
+        .collect();
+    let config = NetworkConfig::paper_testbed();
+    let node = |rank: usize| {
+        Interp::new(&programs[rank]).with_dist(DistState::new(MpiEndpoint::new(rank, 2, &config)))
     };
+    let (mut caller, mut server) = (node(0), node(1));
+    let mut net = Transport::new(2, None);
+    // Tables that grow by amortised doubling for as long as the program keeps
+    // creating objects: sized up front so a doubling cannot land in the window.
+    caller.heap.reserve(8 * (WARM_UP + MEASURED));
+    server.heap.reserve(2 * (WARM_UP + MEASURED));
+    let exports = server.dist.as_mut().unwrap();
+    exports.exports.reserve(2 * (WARM_UP + MEASURED));
+    exports.export_ids.reserve(2 * (WARM_UP + MEASURED));
 
-    // Warm-up: lets the buffer and scratch vector settle at their steady-state
-    // capacities (the one-time allocations the pool amortises away).
-    for _ in 0..8 {
-        buf = round_trip(buf, &mut scratch);
-    }
+    let entry = programs[0].entry.unwrap();
+    let mut root = caller.task_for(entry, Vec::new()).expect("main has a body");
+    let mut outcome = caller.run_task(&mut root);
+    // Round trip 0 is `new Worker(7)`; the loop's four follow in order.
+    let mut round_trip = 0;
+    let mut iteration_start = allocations();
+    while let TaskOutcome::Parked { .. } = outcome {
+        let measured = round_trip > 4 * WARM_UP;
+        let kind = (round_trip + 3) % 4;
+        net.route(&mut caller.dist.as_mut().unwrap().endpoint);
+        let request = net.recv(1).expect("the request was routed");
 
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
-    for _ in 0..1_000 {
-        buf = round_trip(buf, &mut scratch);
+        let before = allocations();
+        match server.accept_request(request.from, request.req_id, request.data) {
+            ServeOutcome::Handled => {}
+            ServeOutcome::Spawned {
+                mut task,
+                reply_override,
+            } => {
+                let TaskOutcome::Done(result) = server.run_task(&mut task) else {
+                    panic!("a Worker method parked");
+                };
+                let result = result.map(|v| reply_override.unwrap_or(v));
+                server.send_reply(request.from, request.req_id, result);
+            }
+        }
+        if measured {
+            assert_eq!(
+                allocations() - before,
+                SERVING[kind],
+                "serving {} (round trip {round_trip})",
+                KINDS[kind]
+            );
+        }
+
+        net.route(&mut server.dist.as_mut().unwrap().endpoint);
+        let response = net.recv(0).expect("the response was routed");
+        outcome = caller.resume_task(&mut root, response.data);
+        // The resume above ran `main` up to its next request: after the last round
+        // trip of an iteration that is the next iteration's first park.
+        if kind == 3 {
+            let now = allocations();
+            if measured {
+                let serving: usize = SERVING.iter().sum();
+                assert_eq!(
+                    now - iteration_start,
+                    serving + CALLING,
+                    "iteration ending at round trip {round_trip}"
+                );
+            }
+            iteration_start = now;
+        }
+        round_trip += 1;
     }
-    let after = ALLOCATIONS.load(Ordering::Relaxed);
+    assert_eq!(round_trip, 1 + 4 * (WARM_UP + MEASURED));
+    let TaskOutcome::Done(Ok(_)) = outcome else {
+        panic!("main failed: {outcome:?}");
+    };
+    let expected: i64 = (0..(WARM_UP + MEASURED) as i64)
+        .map(|i| (i * 2 + 1) + (7 + i + 1))
+        .sum();
     assert_eq!(
-        after - before,
-        0,
-        "steady-state probe+encode+decode+resolve allocated on the hot path"
+        caller.statics_snapshot().get("Main::result"),
+        Some(&Value::Int(expected)),
+        "the loop really ran remotely"
     );
 }

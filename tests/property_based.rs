@@ -1,7 +1,11 @@
 //! Property-based tests (proptest) on the core data structures and invariants.
 
 use autodist_partition::{partition, GraphBuilder, Method, PartitionConfig};
-use autodist_runtime::wire::{Request, Response, WireValue};
+use autodist_runtime::wire::{
+    decode_head, decode_value, encode_dependence, encode_new, encode_response_in, AccessKind,
+    FrameHead, Response, WireValue,
+};
+use bytes::{Bytes, BytesMut};
 use proptest::prelude::*;
 
 fn arb_wire_value() -> impl Strategy<Value = WireValue> {
@@ -10,9 +14,20 @@ fn arb_wire_value() -> impl Strategy<Value = WireValue> {
         any::<i64>().prop_map(WireValue::Int),
         any::<bool>().prop_map(WireValue::Bool),
         (-1e12f64..1e12).prop_map(WireValue::Float),
-        "[a-zA-Z0-9 _.]{0,24}".prop_map(WireValue::Str),
+        "[a-zA-Z0-9 _.]{0,24}".prop_map(|s| WireValue::Str(s.into())),
         (any::<u32>(), any::<u64>()).prop_map(|(node, id)| WireValue::Remote { node, id }),
     ]
+}
+
+/// Reads a request frame back the way the runtime does: the head, then each value.
+fn read_frame(mut data: Bytes) -> (FrameHead, Vec<WireValue>) {
+    let head = decode_head(&mut data).expect("head decodes");
+    let argc = match head {
+        FrameHead::New { argc, .. } | FrameHead::Dependence { argc, .. } => argc,
+        FrameHead::Shutdown => 0,
+    };
+    let args = (0..argc).map(|_| decode_value(&mut data).expect("value decodes"));
+    (head, args.collect())
 }
 
 proptest! {
@@ -24,24 +39,29 @@ proptest! {
         target in any::<u64>(),
         args in prop::collection::vec(arb_wire_value(), 0..6),
     ) {
-        let new_req = Request::NewById { class, args: args.clone() };
-        prop_assert_eq!(Request::decode(new_req.encode()), Ok(new_req));
-        let dep = Request::DependenceById {
-            target,
-            kind: autodist_runtime::wire::AccessKind::InvokeRet,
-            member,
-            args,
-        };
-        prop_assert_eq!(Request::decode(dep.encode()), Ok(dep));
+        let argc = args.len();
+        let mut frame = BytesMut::new();
+        encode_new(&mut frame, None, class, args.iter().cloned());
+        prop_assert_eq!(
+            read_frame(frame.freeze()),
+            (FrameHead::New { class, argc }, args.clone())
+        );
+        let kind = AccessKind::InvokeRet;
+        let mut frame = BytesMut::new();
+        encode_dependence(&mut frame, None, target, kind, member, args.iter().cloned());
+        prop_assert_eq!(
+            read_frame(frame.freeze()),
+            (FrameHead::Dependence { target, kind, member, argc }, args)
+        );
     }
 
     /// Responses round-trip as well.
     #[test]
     fn wire_responses_round_trip(v in arb_wire_value(), err in "[ -~]{0,40}") {
-        let ok = Response::Value(v);
-        prop_assert_eq!(Response::decode(&mut ok.encode()), Ok(ok));
-        let e = Response::Error(err);
-        prop_assert_eq!(Response::decode(&mut e.encode()), Ok(e));
+        for resp in [Response::Value(v), Response::Error(err)] {
+            let mut frame = encode_response_in(BytesMut::new(), &resp);
+            prop_assert_eq!(Response::decode(&mut frame), Ok(resp));
+        }
     }
 
     /// Every partitioning method returns a complete, in-range assignment, and the
