@@ -9,6 +9,9 @@
 //!
 //! * `workloads` — the eight Table 1 rows, centralized vs distributed on the paper
 //!   testbed: virtual times, message count, checksum agreement.
+//! * `graphs` — the Table 1 graph columns of those eight, `bank(100)` and three
+//!   generated call trees under the default configuration, plus `odg_digest`, a hash
+//!   of the whole ODG edge set: the ODG is a deterministic artefact of the program.
 //! * `op_census` — per Table 1 workload and chain microbench ([`crate::microbench`]),
 //!   the superinstruction counts the fusion pass emits and the dynamic dispatch
 //!   reduction they buy.
@@ -22,8 +25,11 @@
 //! BENCH_baseline.json` from the repository root) and says so; nothing parses the
 //! document, so it is written by hand (the vendored serde stub has no JSON half).
 
-use autodist::{DistributorConfig, PipelineResult};
+use autodist::{Distributor, DistributorConfig, PipelineResult, Table1Row};
+use autodist_analysis::odg::ObjectDependenceGraph;
+use autodist_ir::program::Program;
 use autodist_runtime::wire::{encode_dependence, encode_new, AccessKind, WireValue};
+use autodist_workloads::GenConfig;
 use bytes::BytesMut;
 
 use crate::microbench::{self, ARITH_CHAIN_DEEP, COND_CHAIN_DEEP};
@@ -53,6 +59,59 @@ fn frame_sizes() -> [(&'static str, usize); 3] {
     ]
 }
 
+/// 64-bit FNV-1a over the ODG's edges as sorted `(from, to, kind, weight)` tuples
+/// (little-endian `u32, u32, u8, u64`), so the digest names the edge *set*: it moves
+/// when an edge appears, disappears or is re-weighted, not when `edges` is reordered.
+fn odg_digest(odg: &ObjectDependenceGraph) -> u64 {
+    let mut edges: Vec<_> = odg
+        .edges
+        .iter()
+        .map(|e| (e.from.0, e.to.0, e.kind as u8, e.weight))
+        .collect();
+    edges.sort_unstable();
+    let mut hash = 0xcbf2_9ce4_8422_2325u64;
+    let mut eat = |bytes: &[u8]| {
+        for &b in bytes {
+            hash = (hash ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    };
+    for (from, to, kind, weight) in edges {
+        eat(&from.to_le_bytes());
+        eat(&to.to_le_bytes());
+        eat(&[kind]);
+        eat(&weight.to_le_bytes());
+    }
+    hash
+}
+
+/// One `graphs` row: the Table 1 columns of `program` planned under the default
+/// configuration, and the digest of its ODG.
+fn graph_row(name: &str, program: &Program) -> PipelineResult<String> {
+    let plan = Distributor::new(DistributorConfig::default()).try_distribute(program)?;
+    let row = Table1Row::build(
+        name,
+        program,
+        &plan.analysis,
+        &plan.partitioning,
+        &plan.placement,
+    );
+    Ok(format!(
+        "\"name\": {}, \"classes\": {}, \"methods\": {}, \"crg_nodes\": {}, \
+         \"crg_edges\": {}, \"crg_cut\": {}, \"odg_nodes\": {}, \"odg_edges\": {}, \
+         \"odg_cut\": {}, \"odg_digest\": \"{:016x}\"",
+        json_string(name),
+        row.classes,
+        row.methods,
+        row.crg.nodes,
+        row.crg.edges,
+        row.crg.edgecut,
+        row.odg.nodes,
+        row.odg.edges,
+        row.odg.edgecut,
+        odg_digest(&plan.analysis.odg)
+    ))
+}
+
 /// One array section: `"key": [`, one object per line, `]`.
 fn rows_section(key: &str, rows: &[String]) -> String {
     let rows: Vec<String> = rows.iter().map(|r| format!("    {{{r}}}")).collect();
@@ -78,6 +137,24 @@ pub fn render() -> PipelineResult<String> {
         ));
     }
     sections.push(rows_section("workloads", &rows));
+
+    let mut rows = Vec::new();
+    for w in table1.iter().chain([&autodist_workloads::bank(100)]) {
+        rows.push(graph_row(&w.name, &w.program)?);
+    }
+    for (depth, width) in [(4, 8), (6, 12), (8, 24)] {
+        let g = autodist_workloads::generated(&GenConfig {
+            depth,
+            width,
+            fan_out: 3,
+            ..GenConfig::default()
+        });
+        rows.push(graph_row(
+            &format!("gen-d{depth}w{width}"),
+            &g.workload.program,
+        )?);
+    }
+    sections.push(rows_section("graphs", &rows));
 
     let chains = [
         ("arith_chain_deep", ARITH_CHAIN_DEEP),
