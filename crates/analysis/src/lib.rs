@@ -12,8 +12,9 @@
 //! 3. [`objects`] — the allocation-site object set: single-instance sites (prefix `1`)
 //!    and summary sites created inside control structures (prefix `*`).
 //! 4. [`odg`] — the **Object Dependence Graph**: *create*, *reference* and *use*
-//!    relations between objects, computed by propagating references against the export
-//!    and import relations of the CRG until a fixed point is reached (paper Figure 4).
+//!    relations between objects, computed by propagating each new reference once
+//!    against the export and import relations of the CRG — the least fixed point of the
+//!    paper's two rules (paper Figure 4) — with `edges` in one canonical order.
 //! 5. [`weights`] — resource models that annotate graph nodes with (memory, CPU,
 //!    battery) weight vectors and edges with communication volumes, ready for the
 //!    multi-constraint graph partitioner (Section 3).

@@ -23,7 +23,7 @@
 //! A change that moves one of these on purpose (a cost-model or wire-format change)
 //! re-records the file (`cargo run --release -p autodist-bench --bin baseline >
 //! BENCH_baseline.json` from the repository root) and says so; nothing parses the
-//! document, so it is written by hand (the vendored serde stub has no JSON half).
+//! document, so it is written by hand.
 
 use autodist::{Distributor, DistributorConfig, PipelineResult, Table1Row};
 use autodist_analysis::odg::ObjectDependenceGraph;

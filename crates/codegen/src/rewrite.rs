@@ -423,7 +423,7 @@ mod tests {
     use super::*;
     use autodist_analysis::crg::build_crg;
     use autodist_analysis::objects::collect_objects;
-    use autodist_analysis::odg::build_odg;
+    use autodist_analysis::odg::{build_odg, OdgEdgeKind};
     use autodist_analysis::rta::rapid_type_analysis;
     use autodist_analysis::weights::WeightModel;
     use autodist_ir::frontend::compile_source;
@@ -540,13 +540,12 @@ mod tests {
         let crg = build_crg(&p, &cg);
         let objects = collect_objects(&p, &cg);
         let odg = build_odg(&p, &crg, &objects, &WeightModel::default());
-        let (weights, edges) = odg.partition_input();
         let mut gb = autodist_partition::GraphBuilder::new(odg.node_count(), 3);
-        for (i, w) in weights.iter().enumerate() {
+        for (i, w) in odg.node_weights.iter().enumerate() {
             gb.set_weight(i, &w.as_array());
         }
-        for (a, b, w) in edges {
-            gb.add_edge(a, b, w);
+        for e in odg.edges_of_kind(OdgEdgeKind::Use) {
+            gb.add_edge(e.from.0 as usize, e.to.0 as usize, e.weight);
         }
         let part = partition(&gb.build(), &PartitionConfig::kway(2));
         let placement = ClassPlacement::from_odg_partition(&p, &odg, &part);

@@ -17,12 +17,13 @@
 //!    ([`repartition`]), under a **relaxed balance tolerance**: splitting a hot
 //!    call chain across nodes to balance CPU maximises the very round-trips
 //!    adaptation is meant to remove, so the replanner is comm-first and leaves
-//!    load balance to the partitioner's `min_parallelism` floor,
+//!    load balance to the partitioner's floor of two non-empty parts,
 //! 4. derives the class placement and declines unless it strictly improves the
 //!    live-weighted cut of the incumbent — the installed placement can only get
 //!    better, never churn sideways,
-//! 5. rewrites the per-node program copies and prepares them as a fresh
-//!    [`ServerApp`] for the controller to swap in.
+//! 5. rewrites the per-node program copies — verified like the offline plan's, if
+//!    the plan was (a copy the verifier rejects declines the swap) — and prepares
+//!    them as a fresh [`ServerApp`] for the controller to swap in.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -30,7 +31,7 @@ use std::sync::Mutex;
 
 use autodist_analysis::odg::{ObjectDependenceGraph, OdgEdgeKind};
 use autodist_analysis::weights::{reweigh_odg, ProfileData};
-use autodist_codegen::rewrite::{rewrite_for_node, ClassPlacement};
+use autodist_codegen::rewrite::ClassPlacement;
 use autodist_ir::program::{ClassId, Program};
 use autodist_partition::{repartition, Method, PartitionConfig};
 use autodist_profiler::{aggregate_handle, method_table, AggregateHandle, AggregateSink};
@@ -50,6 +51,8 @@ struct AppState {
     odg: ObjectDependenceGraph,
     /// Partitioner configuration for replans (comm-first, see module docs).
     part_cfg: PartitionConfig,
+    /// Whether rewritten copies are verified before a swap (`DistributorConfig::verify`).
+    verify: bool,
     /// Cost model the prepared server apps carry.
     network: NetworkConfig,
     /// Method → owning class table for the profiling sinks.
@@ -105,7 +108,6 @@ impl PlanReplanner {
         cluster: &ClusterConfig,
     ) -> usize {
         let part_cfg = PartitionConfig {
-            nparts: config.nodes,
             // Replans always use the multilevel partitioner (warm-started), even
             // when the seed plan was naive: the naive methods ignore weights
             // entirely, so they cannot act on a profile.
@@ -113,16 +115,16 @@ impl PlanReplanner {
             // Comm-first: live CPU weights concentrate on the hot chain, and a
             // tight balance constraint would force that chain apart — paying
             // round-trips to balance a load the cluster can absorb. Relax to at
-            // least 100% imbalance; `min_parallelism` still guarantees a real
-            // distribution.
+            // least 100% imbalance; the partitioner's two-part floor still
+            // guarantees a real distribution.
             balance_tolerance: config.balance_tolerance.max(1.0),
-            seed: config.seed,
-            ..PartitionConfig::default()
+            ..config.partition_config()
         };
         self.apps.push(AppState {
             program: program.clone(),
             odg: plan.analysis.odg.clone(),
             part_cfg,
+            verify: config.verify,
             network: cluster.network.clone(),
             method_class: method_table(program),
             class_count: program.class_count(),
@@ -148,7 +150,7 @@ impl PlanReplanner {
 impl Replanner for PlanReplanner {
     fn replan(&self, profile: &EpochProfile) -> Option<ServerApp> {
         let app = self.apps.get(profile.app)?;
-        let live = app.profile.lock().take();
+        let live = app.profile.lock().unwrap_or_else(|e| e.into_inner()).take();
         if live.is_empty() {
             return None;
         }
@@ -175,9 +177,10 @@ impl Replanner for PlanReplanner {
         {
             return None;
         }
-        let programs: Vec<Program> = (0..app.part_cfg.nparts.max(1))
-            .map(|n| rewrite_for_node(&app.program, &placement, n).program)
-            .collect();
+        // A copy the verifier rejects is never served: decline and keep the incumbent.
+        let nodes = app.part_cfg.nparts.max(1);
+        let copies = crate::rewrite_all(&app.program, &placement, nodes, app.verify).ok()?;
+        let programs: Vec<Program> = copies.into_iter().map(|rp| rp.program).collect();
         let server = ServerApp::prepare(programs, app.network.clone());
         *app.home.lock().unwrap_or_else(|e| e.into_inner()) = placement.home;
         Some(server)
@@ -266,8 +269,44 @@ mod tests {
     }
 
     #[test]
+    fn a_copy_the_verifier_rejects_is_never_swapped_in() {
+        // The same serving run as above, but the planner is handed a program with
+        // an unreachable `goto` out of `main`'s body: harmless to run, refused by
+        // the verifier. Registered with `verify` on, the swap that run makes is
+        // declined; with it off, it goes through as before.
+        let g = skewed();
+        let mut broken = g.workload.program.clone();
+        let entry = broken.entry.unwrap();
+        broken.methods[entry.0 as usize]
+            .body
+            .push(autodist_ir::bytecode::Insn::Goto(usize::MAX));
+        let cluster = ClusterConfig::paper_testbed();
+        for (verify, swaps) in [(true, 0), (false, 1)] {
+            let config = DistributorConfig {
+                verify,
+                ..DistributorConfig::default()
+            };
+            let plan = Distributor::new(config.clone()).distribute(&g.workload.program);
+            let mut planner = PlanReplanner::new();
+            planner.add_plan(&config, &broken, &plan, &cluster);
+            let report = run_serving(
+                std::slice::from_ref(&plan.prepare_server(&cluster)),
+                &[0usize; 8],
+                &ServeOptions {
+                    concurrency: 1,
+                    schedule: Schedule::Inline,
+                    adapt: Some(AdaptOptions::new(Arc::new(planner)).with_epoch(4)),
+                    ..ServeOptions::default()
+                },
+            );
+            assert!(report.is_ok());
+            assert_eq!(report.placement_swaps, swaps, "verify: {verify}");
+        }
+    }
+
+    #[test]
     fn balanced_placement_declines_to_replan() {
-        // Two classes on two nodes: min_parallelism pins one class per node no
+        // Two classes on two nodes: the partitioner's floor pins one class per node no
         // matter the weights, so the live profile cannot improve the cut and the
         // planner must decline — reports stay byte-identical throughout.
         let src = r#"

@@ -25,7 +25,7 @@ use std::time::Instant;
 
 use autodist_analysis::crg::{build_crg, ClassRelationGraph};
 use autodist_analysis::objects::{collect_objects, ObjectSet};
-use autodist_analysis::odg::{build_odg, ObjectDependenceGraph};
+use autodist_analysis::odg::{build_odg, ObjectDependenceGraph, OdgEdgeKind};
 use autodist_analysis::rta::{rapid_type_analysis, CallGraph};
 use autodist_analysis::weights::WeightModel;
 use autodist_codegen::rewrite::{rewrite_for_node, ClassPlacement, RewrittenProgram};
@@ -90,6 +90,17 @@ impl DistributorConfig {
             ..Default::default()
         }
     }
+
+    /// The partitioner configuration this pipeline configuration stands for.
+    pub(crate) fn partition_config(&self) -> PartitionConfig {
+        PartitionConfig {
+            nparts: self.nodes,
+            method: self.method,
+            balance_tolerance: self.balance_tolerance,
+            seed: self.seed,
+            ..Default::default()
+        }
+    }
 }
 
 /// The static analysis products for one program.
@@ -110,8 +121,6 @@ pub struct Analysis {
 pub struct DistributionPlan {
     /// The analysis products.
     pub analysis: Analysis,
-    /// The graph handed to the partitioner (built from ODG use edges).
-    pub graph: Graph,
     /// The partitioning of the ODG.
     pub partitioning: Partitioning,
     /// The derived class-level placement.
@@ -255,15 +264,38 @@ impl DistributionPlan {
 /// ([`Distributor::odg_graph`]) and the adaptive replanner, which calls it on a
 /// re-weighted clone of the same ODG.
 pub fn odg_partition_graph(odg: &ObjectDependenceGraph) -> Graph {
-    let (weights, edges) = odg.partition_input();
     let mut gb = GraphBuilder::new(odg.node_count(), 3);
-    for (i, w) in weights.iter().enumerate() {
+    for (i, w) in odg.node_weights.iter().enumerate() {
         gb.set_weight(i, &w.as_array().map(|x| x.max(1)));
     }
-    for (a, b, w) in edges {
-        gb.add_edge(a, b, w);
+    for e in odg.edges_of_kind(OdgEdgeKind::Use) {
+        gb.add_edge(e.from.0 as usize, e.to.0 as usize, e.weight.max(1));
     }
     gb.build()
+}
+
+/// Phase 4 after placement: one rewritten copy of `program` per node, each checked by
+/// the bytecode verifier when `verify` is set. Shared by the offline pipeline and the
+/// adaptive replanner, so a swapped-in copy is held to the same standard as a planned
+/// one.
+pub(crate) fn rewrite_all(
+    program: &Program,
+    placement: &ClassPlacement,
+    nodes: usize,
+    verify: bool,
+) -> PipelineResult<Vec<RewrittenProgram>> {
+    let copies: Vec<RewrittenProgram> = (0..nodes)
+        .map(|n| rewrite_for_node(program, placement, n))
+        .collect();
+    if verify {
+        for rp in &copies {
+            verify_program(&rp.program).map_err(|errors| PipelineError::Verify {
+                node: Some(rp.node),
+                errors,
+            })?;
+        }
+    }
+    Ok(copies)
 }
 
 /// The automatic distribution pipeline.
@@ -347,14 +379,7 @@ impl Distributor {
         // Phase 3: graph partitioning.
         let t2 = Instant::now();
         let graph = self.odg_graph(&analysis.odg);
-        let part_cfg = PartitionConfig {
-            nparts: self.config.nodes,
-            method: self.config.method,
-            balance_tolerance: self.config.balance_tolerance,
-            seed: self.config.seed,
-            ..Default::default()
-        };
-        let partitioning = partition(&graph, &part_cfg);
+        let partitioning = partition(&graph, &self.config.partition_config());
         if partitioning.assignment.len() != analysis.odg.node_count() {
             return Err(PipelineError::Partition(format!(
                 "assignment covers {} of {} ODG nodes",
@@ -367,22 +392,12 @@ impl Distributor {
         // Phase 4: code and communication generation.
         let t3 = Instant::now();
         let placement = ClassPlacement::from_odg_partition(program, &analysis.odg, &partitioning);
-        let node_programs: Vec<RewrittenProgram> = (0..self.config.nodes)
-            .map(|n| rewrite_for_node(program, &placement, n))
-            .collect();
-        if self.config.verify {
-            for rp in &node_programs {
-                verify_program(&rp.program).map_err(|errors| PipelineError::Verify {
-                    node: Some(rp.node),
-                    errors,
-                })?;
-            }
-        }
+        let node_programs =
+            rewrite_all(program, &placement, self.config.nodes, self.config.verify)?;
         let rewrite_ms = t3.elapsed().as_secs_f64() * 1e3;
 
         Ok(DistributionPlan {
             analysis,
-            graph,
             partitioning,
             placement,
             node_programs,
@@ -430,6 +445,28 @@ mod tests {
         // Node 0 must host the entry class.
         let main = w.program.class_by_name("Main").unwrap();
         assert_eq!(plan.placement.home_of(main), 0);
+    }
+
+    #[test]
+    fn partition_graph_matches_use_edges() {
+        let w = workloads::bank(20);
+        let distributor = Distributor::new(DistributorConfig::default());
+        let odg = distributor.analyze(&w.program).odg;
+        let graph = distributor.odg_graph(&odg);
+        assert_eq!(graph.vertex_count(), odg.node_count());
+        for v in 0..graph.vertex_count() {
+            let weight = graph.vertex_weight(v);
+            assert!(weight.len() == 3 && weight.iter().all(|&x| x >= 1));
+        }
+        // Cutting every edge cuts every use edge: opposite directions merge into
+        // one undirected edge, their weights (each at least 1) add.
+        let everyone_apart: Vec<usize> = (0..graph.vertex_count()).collect();
+        let use_weight: u64 = odg
+            .edges_of_kind(OdgEdgeKind::Use)
+            .map(|e| e.weight.max(1))
+            .sum();
+        assert!(use_weight > 0);
+        assert_eq!(graph.edge_cut(&everyone_apart), use_weight);
     }
 
     #[test]

@@ -6,13 +6,12 @@
 //! representation that the dependence analyses inspect and that the communication
 //! rewriter transforms (Figures 8 and 9 in the paper).
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 use crate::program::{ClassId, FieldRef, MethodId, Type};
 
 /// A constant that can be pushed onto the operand stack.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub enum Const {
     /// Integer constant.
     Int(i64),
@@ -52,7 +51,7 @@ impl fmt::Display for Const {
 }
 
 /// Binary arithmetic / bitwise operators.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum BinOp {
     /// Addition.
     Add,
@@ -95,7 +94,7 @@ impl BinOp {
 }
 
 /// Unary operators.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum UnOp {
     /// Arithmetic negation.
     Neg,
@@ -120,7 +119,7 @@ impl UnOp {
 }
 
 /// Comparison operators used by conditional branches.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum CmpOp {
     /// Equal.
     Eq,
@@ -177,7 +176,7 @@ impl CmpOp {
 
 /// Method invocation kinds, mirroring the JVM's `invokevirtual` / `invokestatic` /
 /// `invokespecial` distinction.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum InvokeKind {
     /// Virtual dispatch on the runtime class of the receiver.
     Virtual,
@@ -190,7 +189,7 @@ pub enum InvokeKind {
 /// A single bytecode instruction.
 ///
 /// Branch targets are absolute instruction indices within the owning method body.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub enum Insn {
     /// Push a constant.
     Const(Const),

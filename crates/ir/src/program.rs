@@ -5,22 +5,21 @@
 //! instruction set. This mirrors what the paper's front-end obtains after decoding Java
 //! class files with Joeq.
 
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::fmt;
 
 use crate::bytecode::Insn;
 
 /// Identifier of a class inside a [`Program`].
-#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct ClassId(pub u32);
 
 /// Identifier of a method inside a [`Program`] (global, not per-class).
-#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct MethodId(pub u32);
 
 /// A reference to a field: the class that *declares* it plus the field's slot index.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash)]
 pub struct FieldRef {
     /// Declaring class.
     pub class: ClassId,
@@ -48,7 +47,7 @@ impl fmt::Debug for FieldRef {
 ///
 /// This is the JVM type system trimmed to what the analyses and the runtime need:
 /// primitives, strings, object references and (possibly nested) arrays.
-#[derive(Clone, PartialEq, Eq, Hash, Debug, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Eq, Hash, Debug)]
 pub enum Type {
     /// 64-bit signed integer (stands in for Java's `int`/`long`).
     Int,
@@ -109,7 +108,7 @@ impl fmt::Display for Type {
 }
 
 /// A field declaration.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct Field {
     /// Field name, unique within its declaring class.
     pub name: String,
@@ -120,7 +119,7 @@ pub struct Field {
 }
 
 /// A method declaration together with its bytecode body.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct Method {
     /// Global identifier of this method.
     pub id: MethodId,
@@ -160,7 +159,7 @@ impl Method {
 }
 
 /// A class declaration.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct Class {
     /// Identifier of this class.
     pub id: ClassId,
@@ -200,7 +199,7 @@ impl Class {
 
 /// A whole program: the analogue of a set of loaded class files plus a designated
 /// entry point.
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default)]
 pub struct Program {
     /// All classes, indexed by [`ClassId`].
     pub classes: Vec<Class>,

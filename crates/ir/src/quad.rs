@@ -5,14 +5,13 @@
 //! each block holds quads such as `MOVE_I R1 int, IConst: 4`. The quad IR is the input
 //! of the retargetable code generator (AST construction + BURS).
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 use crate::bytecode::{BinOp, CmpOp, InvokeKind, UnOp};
 use crate::program::{ClassId, FieldRef, MethodId, Type};
 
 /// A virtual register.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Reg(pub u32);
 
 impl fmt::Debug for Reg {
@@ -27,7 +26,7 @@ impl fmt::Display for Reg {
 }
 
 /// Identifier of a basic block within a [`QuadMethod`].
-#[derive(Clone, Copy, Default, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Clone, Copy, Default, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct BlockId(pub u32);
 
 impl fmt::Debug for BlockId {
@@ -42,7 +41,7 @@ impl fmt::Display for BlockId {
 }
 
 /// An operand of a quad: either a register or a constant.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub enum Operand {
     /// Virtual register.
     Reg(Reg),
@@ -82,7 +81,7 @@ impl fmt::Display for Operand {
 }
 
 /// A single quadruple instruction.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub enum Quad {
     /// `dst := src`
     Move { dst: Reg, src: Operand },
@@ -230,7 +229,7 @@ impl Quad {
 }
 
 /// A basic block of quads.
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default)]
 pub struct QuadBlock {
     /// Block id.
     pub id: BlockId,
@@ -243,7 +242,7 @@ pub struct QuadBlock {
 }
 
 /// A method in quad form.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct QuadMethod {
     /// The bytecode method this was lowered from.
     pub method: MethodId,

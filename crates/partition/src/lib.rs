@@ -57,14 +57,14 @@ pub struct PartitionConfig {
     pub refine_passes: usize,
     /// Seed for randomized choices (matching order, random partitioning).
     pub seed: u64,
-    /// Minimum number of non-empty parts (capped at `nparts` and at the vertex
-    /// count). The multilevel scheme legitimately minimises the cut by collapsing a
-    /// small dependence graph into one part — which yields a "distribution" with zero
-    /// communication and no offloading at all. A floor of 2 guarantees the default
-    /// pipeline actually places work on more than one node; set to 0 or 1 to allow
-    /// fully collapsed partitions.
-    pub min_parallelism: usize,
 }
+
+/// Minimum number of non-empty parts (capped at `nparts` and at the vertex count). The
+/// multilevel scheme legitimately minimises the cut by collapsing a small dependence
+/// graph into one part — which yields a "distribution" with zero communication and no
+/// offloading at all. A floor of 2 guarantees the pipeline actually places work on more
+/// than one node.
+const MIN_PARALLELISM: usize = 2;
 
 impl Default for PartitionConfig {
     fn default() -> Self {
@@ -75,7 +75,6 @@ impl Default for PartitionConfig {
             coarsen_to: 64,
             refine_passes: 4,
             seed: 0x5eed,
-            min_parallelism: 2,
         }
     }
 }
@@ -117,8 +116,7 @@ pub struct Partitioning {
 /// Partitions `graph` into `config.nparts` parts.
 ///
 /// Empty graphs yield an empty assignment; `nparts == 1` puts everything in part 0.
-/// Afterwards the `min_parallelism` constraint is enforced (see
-/// [`PartitionConfig::min_parallelism`]).
+/// Afterwards the `MIN_PARALLELISM` floor is enforced.
 pub fn partition(graph: &Graph, config: &PartitionConfig) -> Partitioning {
     let n = graph.vertex_count();
     let mut assignment = if n == 0 {
@@ -134,21 +132,21 @@ pub fn partition(graph: &Graph, config: &PartitionConfig) -> Partitioning {
             Method::Random => naive::random_partition(n, config.nparts, config.seed),
         }
     };
-    enforce_min_parallelism(graph, &mut assignment, config);
+    enforce_min_parallelism(graph, &mut assignment, config.nparts);
     summarize(graph, assignment, config.nparts)
 }
 
-/// Ensures at least `min(min_parallelism, nparts, n)` parts are non-empty by moving,
+/// Ensures at least `min(MIN_PARALLELISM, nparts, n)` parts are non-empty by moving,
 /// one at a time, the vertex whose migration adds the least edge weight to the cut
 /// (choosing from parts that keep at least one vertex) into an empty part.
-fn enforce_min_parallelism(graph: &Graph, assignment: &mut [usize], config: &PartitionConfig) {
+fn enforce_min_parallelism(graph: &Graph, assignment: &mut [usize], nparts: usize) {
     let n = assignment.len();
-    let target = config.min_parallelism.min(config.nparts).min(n);
+    let target = MIN_PARALLELISM.min(nparts).min(n);
     if target <= 1 {
         return;
     }
     loop {
-        let mut part_sizes = vec![0usize; config.nparts];
+        let mut part_sizes = vec![0usize; nparts];
         for &a in assignment.iter() {
             part_sizes[a] += 1;
         }
@@ -192,7 +190,7 @@ fn enforce_min_parallelism(graph: &Graph, assignment: &mut [usize], config: &Par
 ///
 /// A hint of the wrong length, or naming parts outside `0..nparts`, is ignored
 /// (the fresh partitioning wins by default). The hint is re-subjected to the
-/// `min_parallelism` floor, so a collapsed incumbent cannot sneak past it.
+/// `MIN_PARALLELISM` floor, so a collapsed incumbent cannot sneak past it.
 pub fn repartition(graph: &Graph, config: &PartitionConfig, hint: &[usize]) -> Partitioning {
     let fresh = partition(graph, config);
     let valid =
@@ -201,7 +199,7 @@ pub fn repartition(graph: &Graph, config: &PartitionConfig, hint: &[usize]) -> P
         return fresh;
     }
     let mut warm = hint.to_vec();
-    enforce_min_parallelism(graph, &mut warm, config);
+    enforce_min_parallelism(graph, &mut warm, config.nparts);
     let warm = summarize(graph, warm, config.nparts);
     if warm.edgecut < fresh.edgecut {
         warm
@@ -336,24 +334,6 @@ mod tests {
             counts[0] > 0 && counts[1] > 0,
             "both parts must be populated: {counts:?}"
         );
-    }
-
-    #[test]
-    fn min_parallelism_can_be_disabled() {
-        let mut b = GraphBuilder::new(4, 1);
-        for v in 0..4 {
-            b.set_weight(v, &[1]);
-            b.add_edge(v, (v + 1) % 4, 9);
-        }
-        let g = b.build();
-        let cfg = PartitionConfig {
-            min_parallelism: 0,
-            ..PartitionConfig::kway(2)
-        };
-        // With the constraint off the partitioner may do whatever minimises the cut;
-        // the assignment merely has to be valid.
-        let p = partition(&g, &cfg);
-        assert!(p.assignment.iter().all(|&a| a < 2));
     }
 
     #[test]

@@ -22,11 +22,10 @@
 pub mod overhead;
 
 use std::collections::BTreeMap;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard};
 
 use autodist_ir::program::{ClassId, MethodId, Program};
 use autodist_runtime::interp::ProfilerSink;
-use parking_lot::Mutex;
 
 /// The metric a [`Profiler`] instance collects.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
@@ -172,6 +171,13 @@ impl ProfileData {
     }
 }
 
+/// Locks a profile for a tally. The tallies are independent counters, valid after any
+/// prefix of an update, so a holder that panicked leaves nothing to refuse: poisoning
+/// is ignored, explicitly.
+fn locked<T>(profile: &Mutex<T>) -> MutexGuard<'_, T> {
+    profile.lock().unwrap_or_else(|e| e.into_inner())
+}
+
 /// Shared handle to the data a [`Profiler`] collects (clone it before handing the
 /// profiler to the interpreter, read it after the run).
 pub type ProfileHandle = Arc<Mutex<ProfileData>>;
@@ -213,7 +219,10 @@ impl ProfilerSink for Profiler {
         match self.metric {
             Some(Metric::MethodDuration) => self.entry_stack.push((method, clock_us)),
             Some(Metric::MethodFrequency) => {
-                *self.data.lock().method_frequency.entry(method).or_insert(0) += 1;
+                *locked(&self.data)
+                    .method_frequency
+                    .entry(method)
+                    .or_insert(0) += 1;
             }
             _ => {}
         }
@@ -224,9 +233,7 @@ impl ProfilerSink for Profiler {
             // On a mismatched enter/exit pair (the interpreter unwinding past a
             // frame) the elapsed time is attributed to the exiting method.
             if let Some((_, start)) = self.entry_stack.pop() {
-                *self
-                    .data
-                    .lock()
+                *locked(&self.data)
                     .method_duration_us
                     .entry(method)
                     .or_insert(0.0) += clock_us - start;
@@ -236,7 +243,7 @@ impl ProfilerSink for Profiler {
 
     fn allocation(&mut self, class: Option<ClassId>, bytes: u64) {
         if self.metric == Some(Metric::MemoryAllocation) {
-            let mut d = self.data.lock();
+            let mut d = locked(&self.data);
             let e = d.allocations.entry(class).or_insert((0, 0));
             e.0 += bytes;
             e.1 += 1;
@@ -248,7 +255,7 @@ impl ProfilerSink for Profiler {
             Some(m) => m,
             None => return,
         };
-        let mut d = self.data.lock();
+        let mut d = locked(&self.data);
         d.samples += 1;
         match metric {
             Metric::HotMethods => {
@@ -385,7 +392,7 @@ impl Drop for AggregateSink {
         if self.invocations.is_empty() && self.alloc_bytes.is_empty() {
             return;
         }
-        let mut shared = self.shared.lock();
+        let mut shared = locked(&self.shared);
         for (class, n) in std::mem::take(&mut self.invocations) {
             *shared.invocations.entry(class).or_insert(0) += n;
         }
@@ -443,7 +450,7 @@ mod tests {
     #[test]
     fn method_frequency_counts_invocations() {
         let (handle, p) = run_with(Some(Metric::MethodFrequency));
-        let data = handle.lock();
+        let data = handle.lock().unwrap();
         let worker = p.class_by_name("Worker").unwrap();
         let spin = p.find_method(worker, "spin").unwrap();
         assert_eq!(data.method_frequency.get(&spin), Some(&40));
@@ -454,7 +461,7 @@ mod tests {
     #[test]
     fn method_duration_attributes_time_to_hot_methods() {
         let (handle, p) = run_with(Some(Metric::MethodDuration));
-        let data = handle.lock();
+        let data = handle.lock().unwrap();
         let worker = p.class_by_name("Worker").unwrap();
         let spin = p.find_method(worker, "spin").unwrap();
         let make = p.find_method(worker, "make").unwrap();
@@ -470,7 +477,7 @@ mod tests {
     #[test]
     fn hot_methods_sampling_finds_the_hot_loop() {
         let (handle, p) = run_with(Some(Metric::HotMethods));
-        let data = handle.lock();
+        let data = handle.lock().unwrap();
         assert!(data.samples > 0, "sampling ticks fired");
         let hottest = data.hottest_methods(1);
         assert!(!hottest.is_empty());
@@ -482,7 +489,7 @@ mod tests {
     #[test]
     fn hot_paths_contain_main_to_spin_chain() {
         let (handle, p) = run_with(Some(Metric::HotPaths));
-        let data = handle.lock();
+        let data = handle.lock().unwrap();
         let worker = p.class_by_name("Worker").unwrap();
         let spin = p.find_method(worker, "spin").unwrap();
         let main = p.entry.unwrap();
@@ -495,7 +502,7 @@ mod tests {
     #[test]
     fn memory_allocation_tracks_classes_and_arrays() {
         let (handle, p) = run_with(Some(Metric::MemoryAllocation));
-        let data = handle.lock();
+        let data = handle.lock().unwrap();
         let node = p.class_by_name("Node").unwrap();
         let (bytes, count) = data.allocations.get(&Some(node)).copied().unwrap_or((0, 0));
         assert_eq!(count, 40);
@@ -506,7 +513,7 @@ mod tests {
     #[test]
     fn dynamic_call_graph_records_caller_callee_edges() {
         let (handle, p) = run_with(Some(Metric::DynamicCallGraph));
-        let data = handle.lock();
+        let data = handle.lock().unwrap();
         let main = p.entry.unwrap();
         let worker = p.class_by_name("Worker").unwrap();
         let spin = p.find_method(worker, "spin").unwrap();
@@ -516,7 +523,7 @@ mod tests {
     #[test]
     fn baseline_profiler_collects_nothing() {
         let (handle, _p) = run_with(None);
-        let data = handle.lock();
+        let data = handle.lock().unwrap();
         assert!(data.method_frequency.is_empty());
         assert!(data.hot_methods.is_empty());
         assert!(data.allocations.is_empty());
@@ -526,7 +533,7 @@ mod tests {
     #[test]
     fn render_produces_readable_output() {
         let (handle, p) = run_with(Some(Metric::MethodFrequency));
-        let text = handle.lock().render(&p);
+        let text = handle.lock().unwrap().render(&p);
         assert!(text.contains("method frequency"));
         assert!(text.contains("Worker.spin"));
     }
@@ -544,12 +551,15 @@ mod tests {
         // drop explicitly, before the epoch controller reads the profile).
         let worker = p.class_by_name("Worker").unwrap();
         let node = p.class_by_name("Node").unwrap();
-        let data = shared.lock().take();
+        let data = shared.lock().unwrap().take();
         assert_eq!(data.flushes, 1, "one profiled run merged");
         // spin + make: 40 invocations each, keyed by the owning class.
         assert_eq!(data.invocations.get(&worker), Some(&80));
         assert!(data.alloc_bytes.get(&node).copied().unwrap_or(0) > 0);
-        assert!(shared.lock().is_empty(), "take() drained the aggregate");
+        assert!(
+            shared.lock().unwrap().is_empty(),
+            "take() drained the aggregate"
+        );
     }
 
     #[test]
@@ -562,7 +572,25 @@ mod tests {
         // accessor) must not be attributed to any application class.
         sink.method_enter(MethodId(p.method_count() as u32 + 7), 0.0);
         drop(sink);
-        assert!(shared.lock().is_empty());
+        assert!(shared.lock().unwrap().is_empty());
+    }
+
+    #[test]
+    fn a_sink_still_flushes_into_a_profile_a_panicked_holder_poisoned() {
+        let p = compile_source(WORK_SRC).unwrap();
+        let shared = aggregate_handle();
+        let poisoner = shared.clone();
+        let _ = std::thread::spawn(move || {
+            let _guard = poisoner.lock().unwrap();
+            panic!("poison the profile");
+        })
+        .join();
+        assert!(shared.is_poisoned());
+        let mut sink = AggregateSink::new(method_table(&p), p.class_count(), shared.clone());
+        sink.method_enter(MethodId(0), 0.0);
+        drop(sink);
+        let data = locked(&shared).take();
+        assert_eq!((data.flushes, data.invocations.len()), (1, 1));
     }
 
     #[test]

@@ -26,7 +26,7 @@ fn main() {
         );
         assert!(report.is_ok(), "{:?}", report.error);
         println!("==== {} ====", metric.name());
-        let text = handle.lock().render(&workload.program);
+        let text = handle.lock().unwrap().render(&workload.program);
         if text.is_empty() {
             println!("(no per-item data for this metric)");
         } else {
@@ -60,7 +60,7 @@ fn main() {
     );
     assert!(report.is_ok(), "{:?}", report.error);
     for (rank, handle) in handles.iter().enumerate() {
-        let data = handle.lock();
+        let data = handle.lock().unwrap();
         println!(
             "node {rank}: {} samples over {} instructions",
             data.samples, report.per_node[rank].instructions

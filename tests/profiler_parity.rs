@@ -81,7 +81,7 @@ fn inline_and_threaded_sampling_attribution_agree_per_node() {
             let (report, handles) = run_profiled(&plan, nodes, schedule);
             assert!(report.is_ok(), "{name} {schedule:?}: {:?}", report.error);
             for (rank, (handle, expected)) in handles.iter().zip(threaded).enumerate() {
-                let data = handle.lock();
+                let data = handle.lock().unwrap();
                 let hot: Vec<(u32, u64)> =
                     data.hot_methods.iter().map(|(m, c)| (m.0, *c)).collect();
                 assert_eq!(
@@ -114,7 +114,7 @@ fn cooperative_sampling_attributes_work_to_the_serving_node() {
     // executed a meaningful share of instructions must have collected samples.
     let interval = Profiler::sample_interval(Some(Metric::HotMethods));
     for (stats, handle) in report.per_node.iter().zip(handles.iter()) {
-        let samples = handle.lock().samples;
+        let samples = handle.lock().unwrap().samples;
         if stats.instructions > 4 * interval {
             assert!(
                 samples > 0,
@@ -172,8 +172,8 @@ fn pool_sampling_matches_inline_sampling() {
     assert!(pool_report.is_ok(), "{:?}", pool_report.error);
     for (rank, (i, p)) in inline_handles.iter().zip(pool_handles.iter()).enumerate() {
         assert_eq!(
-            i.lock().hot_methods,
-            p.lock().hot_methods,
+            i.lock().unwrap().hot_methods,
+            p.lock().unwrap().hot_methods,
             "node {rank} attribution diverges between inline and pool"
         );
     }

@@ -94,6 +94,45 @@ proptest! {
         prop_assert!(g.is_valid_assignment(&p.assignment, nparts.max(1)));
     }
 
+    /// A plan is a function of the program and the configuration alone: planning a
+    /// generated call tree twice gives the same cut, the same assignment and the
+    /// same rewritten sites (nothing between the analyses and the rewriter iterates
+    /// a container whose order varies from run to run).
+    #[test]
+    fn planning_is_a_function_of_program_and_config(
+        seed in 0u64..1_000_000,
+        depth in 1usize..5,
+        width in 1usize..7,
+        fan_out in 1usize..4,
+        nodes in 2usize..5,
+        heuristic in 0usize..2,
+    ) {
+        let g = autodist_workloads::generated(&autodist_workloads::GenConfig {
+            seed,
+            depth,
+            width,
+            fan_out,
+            iterations: 1,
+            ..Default::default()
+        });
+        let weights = [
+            autodist_analysis::WeightModel::Uniform,
+            autodist_analysis::WeightModel::static_heuristic(),
+        ][heuristic]
+            .clone();
+        let config = autodist::DistributorConfig { nodes, weights, ..Default::default() };
+        let plan = || {
+            autodist::Distributor::new(config.clone())
+                .try_distribute(&g.workload.program)
+                .expect("generated programs plan")
+        };
+        let (first, second) = (plan(), plan());
+        prop_assert_eq!(first.partitioning.edgecut, second.partitioning.edgecut);
+        prop_assert_eq!(&first.partitioning.assignment, &second.partitioning.assignment);
+        prop_assert_eq!(first.total_rewritten_sites(), second.total_rewritten_sites());
+        prop_assert_eq!(&first.analysis.odg.edges, &second.analysis.odg.edges);
+    }
+
     /// The MiniJava front-end + verifier never panic on random identifier-ish programs
     /// built from a constrained template, and verified programs always interpret
     /// without internal errors (they may legitimately hit arithmetic errors).
