@@ -10,8 +10,10 @@
 //! * `workloads` — the eight Table 1 rows, centralized vs distributed on the paper
 //!   testbed: virtual times, message count, checksum agreement.
 //! * `graphs` — the Table 1 graph columns of those eight, `bank(100)` and three
-//!   generated call trees under the default configuration, plus `odg_digest`, a hash
-//!   of the whole ODG edge set: the ODG is a deterministic artefact of the program.
+//!   generated call trees under the default configuration, plus three hashes:
+//!   `odg_digest` of the whole ODG edge set, `program_digest` of what the front end
+//!   emitted and `node_programs_digest` of what the rewriter made of it for the two
+//!   nodes — each a deterministic artefact of the source text.
 //! * `op_census` — per Table 1 workload and chain microbench ([`crate::microbench`]),
 //!   the superinstruction counts the fusion pass emits and the dynamic dispatch
 //!   reduction they buy.
@@ -27,6 +29,7 @@
 
 use autodist::{Distributor, DistributorConfig, PipelineResult, Table1Row};
 use autodist_analysis::odg::ObjectDependenceGraph;
+use autodist_ir::printer::format_insn;
 use autodist_ir::program::Program;
 use autodist_runtime::wire::{encode_dependence, encode_new, AccessKind, WireValue};
 use autodist_workloads::GenConfig;
@@ -59,9 +62,28 @@ fn frame_sizes() -> [(&'static str, usize); 3] {
     ]
 }
 
-/// 64-bit FNV-1a over the ODG's edges as sorted `(from, to, kind, weight)` tuples
-/// (little-endian `u32, u32, u8, u64`), so the digest names the edge *set*: it moves
-/// when an edge appears, disappears or is re-weighted, not when `edges` is reordered.
+/// 64-bit FNV-1a, the one hash behind every `*_digest` column.
+struct Fnv(u64);
+
+impl Fnv {
+    fn new() -> Fnv {
+        Fnv(0xcbf2_9ce4_8422_2325)
+    }
+    fn eat(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+    /// Length-prefixed, so adjacent strings cannot trade bytes.
+    fn text(&mut self, s: &str) {
+        self.eat(&(s.len() as u64).to_le_bytes());
+        self.eat(s.as_bytes());
+    }
+}
+
+/// The ODG's edges as sorted `(from, to, kind, weight)` tuples (little-endian
+/// `u32, u32, u8, u64`), so the digest names the edge *set*: it moves when an edge
+/// appears, disappears or is re-weighted, not when `edges` is reordered.
 fn odg_digest(odg: &ObjectDependenceGraph) -> u64 {
     let mut edges: Vec<_> = odg
         .edges
@@ -69,23 +91,68 @@ fn odg_digest(odg: &ObjectDependenceGraph) -> u64 {
         .map(|e| (e.from.0, e.to.0, e.kind as u8, e.weight))
         .collect();
     edges.sort_unstable();
-    let mut hash = 0xcbf2_9ce4_8422_2325u64;
-    let mut eat = |bytes: &[u8]| {
-        for &b in bytes {
-            hash = (hash ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    };
+    let mut hash = Fnv::new();
     for (from, to, kind, weight) in edges {
-        eat(&from.to_le_bytes());
-        eat(&to.to_le_bytes());
-        eat(&[kind]);
-        eat(&weight.to_le_bytes());
+        hash.eat(&from.to_le_bytes());
+        hash.eat(&to.to_le_bytes());
+        hash.eat(&[kind]);
+        hash.eat(&weight.to_le_bytes());
     }
-    hash
+    hash.0
+}
+
+/// Everything a front end or a rewriter decides about `program`, in id order: each
+/// class (name, superclass, fields with type and staticness, `is_synthetic`) and each
+/// method (name, class, parameter and return types, `is_static`, `locals`, and the
+/// printed form of every instruction). Types and instructions go in as their
+/// `Display` / [`format_insn`] text, so the digest moves exactly when a listing would.
+fn eat_program(hash: &mut Fnv, program: &Program) {
+    hash.eat(&(program.classes.len() as u64).to_le_bytes());
+    for class in &program.classes {
+        hash.text(&class.name);
+        hash.eat(
+            &class
+                .super_class
+                .map_or(0, |c| u64::from(c.0) + 1)
+                .to_le_bytes(),
+        );
+        hash.eat(&(class.fields.len() as u64).to_le_bytes());
+        for field in &class.fields {
+            hash.text(&field.name);
+            hash.text(&field.ty.to_string());
+            hash.eat(&[u8::from(field.is_static)]);
+        }
+        hash.eat(&[u8::from(class.is_synthetic)]);
+    }
+    hash.eat(&(program.methods.len() as u64).to_le_bytes());
+    for method in &program.methods {
+        hash.text(&method.name);
+        hash.eat(&method.class.0.to_le_bytes());
+        hash.eat(&(method.params.len() as u64).to_le_bytes());
+        for param in &method.params {
+            hash.text(&param.to_string());
+        }
+        hash.text(&method.ret.to_string());
+        hash.eat(&[u8::from(method.is_static)]);
+        hash.eat(&method.locals.to_le_bytes());
+        hash.eat(&(method.body.len() as u64).to_le_bytes());
+        for insn in &method.body {
+            hash.text(&format_insn(program, insn));
+        }
+    }
+}
+
+/// The digest of one program ([`eat_program`]): equal for two programs exactly when
+/// they declare the same classes and methods with the same bodies, id for id.
+pub fn program_digest(program: &Program) -> u64 {
+    let mut hash = Fnv::new();
+    eat_program(&mut hash, program);
+    hash.0
 }
 
 /// One `graphs` row: the Table 1 columns of `program` planned under the default
-/// configuration, and the digest of its ODG.
+/// configuration (two nodes), and the digests of its ODG, of the program itself and of
+/// its two rewritten copies taken together.
 fn graph_row(name: &str, program: &Program) -> PipelineResult<String> {
     let plan = Distributor::new(DistributorConfig::default()).try_distribute(program)?;
     let row = Table1Row::build(
@@ -95,10 +162,15 @@ fn graph_row(name: &str, program: &Program) -> PipelineResult<String> {
         &plan.partitioning,
         &plan.placement,
     );
+    let mut node_programs = Fnv::new();
+    for copy in &plan.node_programs {
+        eat_program(&mut node_programs, &copy.program);
+    }
     Ok(format!(
         "\"name\": {}, \"classes\": {}, \"methods\": {}, \"crg_nodes\": {}, \
          \"crg_edges\": {}, \"crg_cut\": {}, \"odg_nodes\": {}, \"odg_edges\": {}, \
-         \"odg_cut\": {}, \"odg_digest\": \"{:016x}\"",
+         \"odg_cut\": {}, \"odg_digest\": \"{:016x}\", \"program_digest\": \"{:016x}\", \
+         \"node_programs_digest\": \"{:016x}\"",
         json_string(name),
         row.classes,
         row.methods,
@@ -108,7 +180,9 @@ fn graph_row(name: &str, program: &Program) -> PipelineResult<String> {
         row.odg.nodes,
         row.odg.edges,
         row.odg.edgecut,
-        odg_digest(&plan.analysis.odg)
+        odg_digest(&plan.analysis.odg),
+        program_digest(program),
+        node_programs.0
     ))
 }
 

@@ -1534,6 +1534,65 @@ mod tests {
         assert!(compile_source("class A { static void main() { String s = \"oops; } }").is_err());
     }
 
+    /// Every diagnostic keeps its line and its wording. Body errors carry the line
+    /// their method starts on; parse errors the line of the offending token.
+    #[test]
+    fn errors_keep_their_lines_and_messages() {
+        let cases: [(&str, usize, &str); 10] = [
+            (
+                "class A {\n  static void main() {\n    x = 3;\n  }\n}",
+                2,
+                "unknown variable x",
+            ),
+            (
+                "class A {\n\n  static void main() { B b = new B(); }\n}",
+                3,
+                "unknown class B",
+            ),
+            (
+                "class C { }\nclass A {\n  static void main() {\n    C c = new C();\n    c.m();\n  }\n}",
+                3,
+                "unknown method C.m",
+            ),
+            (
+                "class A {\n  int f;\n  static void main() { Zed.go(); }\n}",
+                3,
+                "unknown receiver Zed",
+            ),
+            (
+                "class C { }\nclass A {\n  static void main() { C c = new C(1); }\n}",
+                3,
+                "class C has no constructor",
+            ),
+            (
+                "class A {\n  static void main() { }\n  int m() { }\n}",
+                3,
+                "method m may not return a value",
+            ),
+            (
+                "class A {\n  static void main() {\n    int x = 1\n  }\n}",
+                4,
+                "expected ';', found RBrace",
+            ),
+            (
+                "class A {\n  static void main() {\n    String s = \"oops;\n  }\n}",
+                3,
+                "unterminated string literal",
+            ),
+            // The two declaration errors that used to lose their line.
+            ("class A {\n  int ok;\n  Nope gone;\n}", 0, "unknown class Nope"),
+            (
+                "class A { }\n\nclass B extends Base { }",
+                0,
+                "unknown superclass Base",
+            ),
+        ];
+        for (src, line, message) in cases {
+            let e = compile_source(src).unwrap_err();
+            assert_eq!((e.line, e.message.as_str()), (line, message), "{src}");
+        }
+    }
+
     #[test]
     fn comments_are_ignored() {
         let src = r#"
