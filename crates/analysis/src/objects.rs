@@ -82,29 +82,19 @@ impl ObjectSet {
 
 /// Collects the allocation sites of all reachable methods.
 pub fn collect_objects(program: &Program, call_graph: &CallGraph) -> ObjectSet {
-    let cyclic = call_graph.methods_in_cycles();
+    // Which pcs sit inside a loop, once per reachable method (indexed by `MethodId`;
+    // empty for the rest): both passes below read it.
+    let mut loops: Vec<Vec<bool>> = vec![Vec::new(); program.methods.len()];
+    for &m in &call_graph.reachable {
+        loops[m.0 as usize] = loop_pcs(&program.method(m).body);
+    }
     // A method called from inside a loop of its caller also runs many times. We
     // approximate "may execute more than once" as: in a call-graph cycle, or called
     // from a loop pc of some reachable caller, or (transitively) called by such a method.
-    let mut multi_exec: BTreeSet<MethodId> = cyclic;
-    for &caller in &call_graph.reachable {
-        let body = &program.method(caller).body;
-        if body.is_empty() {
-            continue;
-        }
-        let loops = loop_pcs(body);
-        for (pc, insn) in body.iter().enumerate() {
-            if let Insn::Invoke(_, _) = insn {
-                if loops[pc] {
-                    for cs in call_graph
-                        .call_sites
-                        .iter()
-                        .filter(|cs| cs.caller == caller && cs.pc == pc)
-                    {
-                        multi_exec.extend(cs.targets.iter().copied());
-                    }
-                }
-            }
+    let mut multi_exec = call_graph.methods_in_cycles();
+    for cs in &call_graph.call_sites {
+        if loops[cs.caller.0 as usize][cs.pc] {
+            multi_exec.extend(cs.targets.iter().copied());
         }
     }
     // Transitive closure: anything called by a multi-exec method is multi-exec.
@@ -127,7 +117,7 @@ pub fn collect_objects(program: &Program, call_graph: &CallGraph) -> ObjectSet {
         if method.body.is_empty() || program.class(method.class).is_synthetic {
             continue;
         }
-        let loops = loop_pcs(&method.body);
+        let loops = &loops[mid.0 as usize];
         for (pc, insn) in method.body.iter().enumerate() {
             if let Insn::New(c) = insn {
                 if program.class(*c).is_synthetic {

@@ -17,12 +17,19 @@
 //! forwards accesses that reach an object which nevertheless lives remotely, so the
 //! imprecision affects performance, never correctness. Static methods and static fields
 //! are replicated on every node rather than proxied (a documented simplification).
+//!
+//! A node's copy is a copy in name only: [`rewrite_for_node`] starts from a
+//! reference-counted clone of the program, decides per method whether it holds a
+//! remote site at all (`remote_site`, the one definition of "remote"), and builds a
+//! new body only for those that do — every other class and method is the source
+//! program's own, shared.
 
 use std::collections::BTreeMap;
+use std::ops::Range;
 
 use autodist_analysis::odg::{ObjectDependenceGraph, OdgNode};
 use autodist_ir::bytecode::{Const, Insn, InvokeKind};
-use autodist_ir::program::{ClassId, MethodId, Program, Type};
+use autodist_ir::program::{Class, ClassId, FieldRef, Method, MethodId, Program, Type};
 use autodist_partition::Partitioning;
 
 /// Name of the synthetic proxy class injected into every rewritten program.
@@ -239,43 +246,81 @@ pub fn ensure_dependent_object(program: &mut Program) -> (ClassId, MethodId, Met
     (c, init, access)
 }
 
+/// One remote program point of a node's copy, by the transformation it takes.
+enum RemoteSite<'p> {
+    /// `new C` of a class hosted elsewhere (Figure 9, line 35).
+    New(&'p Class),
+    /// `invokespecial C.<init>` on such a class (Figure 9).
+    Construct(&'p Method),
+    /// `invokevirtual` of a method of such a class (Figure 8).
+    Invoke(&'p Method),
+    /// Read of an instance field of such a class.
+    GetField(FieldRef),
+    /// Write of one.
+    PutField(FieldRef),
+}
+
+/// Classifies `insn` given which classes are `remote` to the node (indexed by
+/// [`ClassId`]): `None` when it stays as it is. The rewriter asks this twice — once to
+/// decide whether a method changes at all, once to transform it — so "a remote site"
+/// has one definition.
+fn remote_site<'p>(program: &'p Program, remote: &[bool], insn: &Insn) -> Option<RemoteSite<'p>> {
+    let remote = |c: ClassId| remote[c.0 as usize];
+    match *insn {
+        Insn::New(c) if remote(c) => Some(RemoteSite::New(program.class(c))),
+        Insn::Invoke(InvokeKind::Special, m) => {
+            let callee = program.method(m);
+            (callee.is_constructor() && remote(callee.class))
+                .then_some(RemoteSite::Construct(callee))
+        }
+        Insn::Invoke(InvokeKind::Virtual, m) => {
+            let callee = program.method(m);
+            remote(callee.class).then_some(RemoteSite::Invoke(callee))
+        }
+        Insn::GetField(f) if remote(f.class) => Some(RemoteSite::GetField(f)),
+        Insn::PutField(f) if remote(f.class) => Some(RemoteSite::PutField(f)),
+        _ => None,
+    }
+}
+
 /// Produces the rewritten program copy for `node`.
+///
+/// The copy shares every class and every method of `program` that has no remote site
+/// on `node` (see [`Program`]'s module documentation); only the methods counted in
+/// [`RewriteStats::methods_transformed`] and the injected proxy class are new.
 pub fn rewrite_for_node(
     program: &Program,
     placement: &ClassPlacement,
     node: usize,
 ) -> RewrittenProgram {
     let mut out = program.clone();
-    out.rebuild_index();
     let (dep_class, init_method, access_method) = ensure_dependent_object(&mut out);
+    let remote: Vec<bool> = out
+        .classes
+        .iter()
+        .map(|c| !c.is_synthetic && placement.home_of(c.id) != node)
+        .collect();
     let mut stats = RewriteStats::default();
 
-    let method_ids: Vec<MethodId> = out.methods.iter().map(|m| m.id).collect();
-    for mid in method_ids {
-        if out.class(out.method(mid).class).is_synthetic {
+    for mid in (0..program.methods.len() as u32).map(MethodId) {
+        let method = out.method(mid);
+        if !method
+            .body
+            .iter()
+            .any(|insn| remote_site(&out, &remote, insn).is_some())
+        {
             continue;
         }
-        if out.method(mid).body.is_empty() {
-            continue;
-        }
-        let (new_body, new_locals, mstats) = rewrite_body(
+        let (body, locals) = rewrite_body(
             &out,
-            mid,
+            method,
             placement,
-            node,
-            dep_class,
-            init_method,
-            access_method,
+            &remote,
+            (dep_class, init_method, access_method),
+            &mut stats,
         );
-        if mstats.total_sites() > 0 {
-            stats.rewritten_allocations += mstats.rewritten_allocations;
-            stats.rewritten_invocations += mstats.rewritten_invocations;
-            stats.rewritten_field_accesses += mstats.rewritten_field_accesses;
-            stats.methods_transformed += 1;
-            let m = out.method_mut(mid);
-            m.body = new_body;
-            m.locals = new_locals;
-        }
+        stats.methods_transformed += 1;
+        out.set_body(mid, body, locals);
     }
 
     RewrittenProgram {
@@ -288,111 +333,90 @@ pub fn rewrite_for_node(
     }
 }
 
-/// Rewrites one method body. Returns the new body, the new local count and per-method
-/// rewrite counters.
-#[allow(clippy::too_many_arguments)]
+/// Rewrites one method body that has at least one remote site. Returns the new body
+/// and the new local count, and counts the sites into `stats`.
 fn rewrite_body(
     program: &Program,
-    mid: MethodId,
+    method: &Method,
     placement: &ClassPlacement,
-    node: usize,
-    _dep_class: ClassId,
-    init_method: MethodId,
-    access_method: MethodId,
-) -> (Vec<Insn>, u16, RewriteStats) {
-    let method = program.method(mid);
-    let mut stats = RewriteStats::default();
+    remote: &[bool],
+    (dep_class, init_method, access_method): (ClassId, MethodId, MethodId),
+    stats: &mut RewriteStats,
+) -> (Vec<Insn>, u16) {
     let mut new_body: Vec<Insn> = Vec::with_capacity(method.body.len() * 2);
     let mut new_pos: Vec<usize> = Vec::with_capacity(method.body.len() + 1);
     let mut next_temp = method.locals.max(method.entry_locals());
-    let dep_class_id = program
-        .class_by_name(DEPENDENT_OBJECT_CLASS)
-        .expect("DependentObject injected before rewriting");
-
-    let is_remote_class =
-        |c: ClassId| !program.class(c).is_synthetic && placement.home_of(c) != node;
+    // Moves the `k` arguments on the stack into fresh temporaries, last one first.
+    let mut spill = |body: &mut Vec<Insn>, k: usize| -> Range<u16> {
+        let temps = next_temp..next_temp + k as u16;
+        next_temp = temps.end;
+        body.extend(temps.clone().rev().map(Insn::Store));
+        temps
+    };
+    let str_const = |s: &str| Insn::Const(Const::Str(s.to_string()));
+    let int_const = |v: i64| Insn::Const(Const::Int(v));
 
     for insn in &method.body {
         new_pos.push(new_body.len());
-        match insn {
-            Insn::New(c) if is_remote_class(*c) => {
+        match remote_site(program, remote, insn) {
+            Some(RemoteSite::New(class)) => {
                 // Figure 9, line 35: `new Account` -> `new DependentObject`.
-                new_body.push(Insn::New(dep_class_id));
-                if program.find_method(*c, "<init>").is_none() {
+                new_body.push(Insn::New(dep_class));
+                if program.find_method(class.id, "<init>").is_none() {
                     // The class has no constructor, so no later `invokespecial` will
                     // initialise the proxy: bind it to its remote object right away.
                     new_body.push(Insn::Dup);
-                    new_body.push(Insn::Const(Const::Int(placement.home_of(*c) as i64)));
-                    new_body.push(Insn::Const(Const::Str(program.class(*c).name.clone())));
-                    push_args_array(&mut new_body, &[]);
+                    new_body.push(int_const(placement.home_of(class.id) as i64));
+                    new_body.push(str_const(&class.name));
+                    push_args_array(&mut new_body, 0..0);
                     new_body.push(Insn::Invoke(InvokeKind::Special, init_method));
                 }
                 stats.rewritten_allocations += 1;
             }
-            Insn::Invoke(InvokeKind::Special, ctor)
-                if program.method(*ctor).is_constructor()
-                    && is_remote_class(program.method(*ctor).class) =>
-            {
+            Some(RemoteSite::Construct(ctor)) => {
                 // Figure 9: pack constructor arguments, pass the home node and the
                 // class name, call DependentObject.<init>.
-                let callee = program.method(*ctor);
-                let k = callee.params.len();
-                let class = callee.class;
-                let temps: Vec<u16> = (0..k).map(|i| next_temp + i as u16).collect();
-                next_temp += k as u16;
-                for &t in temps.iter().rev() {
-                    new_body.push(Insn::Store(t));
-                }
-                new_body.push(Insn::Const(Const::Int(placement.home_of(class) as i64)));
-                new_body.push(Insn::Const(Const::Str(program.class(class).name.clone())));
-                push_args_array(&mut new_body, &temps);
+                let temps = spill(&mut new_body, ctor.params.len());
+                new_body.push(int_const(placement.home_of(ctor.class) as i64));
+                new_body.push(str_const(&program.class(ctor.class).name));
+                push_args_array(&mut new_body, temps);
                 new_body.push(Insn::Invoke(InvokeKind::Special, init_method));
                 stats.rewritten_allocations += 1;
             }
-            Insn::Invoke(InvokeKind::Virtual, target)
-                if is_remote_class(program.method(*target).class) =>
-            {
+            Some(RemoteSite::Invoke(callee)) => {
                 // Figure 8: invoke through DependentObject.access.
-                let callee = program.method(*target);
-                let k = callee.params.len();
                 let has_ret = callee.ret != Type::Void;
-                let temps: Vec<u16> = (0..k).map(|i| next_temp + i as u16).collect();
-                next_temp += k as u16;
-                for &t in temps.iter().rev() {
-                    new_body.push(Insn::Store(t));
-                }
-                new_body.push(Insn::Const(Const::Int(if has_ret {
+                let temps = spill(&mut new_body, callee.params.len());
+                new_body.push(int_const(if has_ret {
                     ACCESS_INVOKE_HASRETURN
                 } else {
                     ACCESS_INVOKE_VOID
-                })));
-                new_body.push(Insn::Const(Const::Str(callee.name.clone())));
-                push_args_array(&mut new_body, &temps);
+                }));
+                new_body.push(str_const(&callee.name));
+                push_args_array(&mut new_body, temps);
                 new_body.push(Insn::Invoke(InvokeKind::Virtual, access_method));
                 if !has_ret {
                     new_body.push(Insn::Pop);
                 }
                 stats.rewritten_invocations += 1;
             }
-            Insn::GetField(f) if is_remote_class(f.class) => {
-                new_body.push(Insn::Const(Const::Int(ACCESS_GET_FIELD)));
-                new_body.push(Insn::Const(Const::Str(program.field(*f).name.clone())));
-                push_args_array(&mut new_body, &[]);
+            Some(RemoteSite::GetField(f)) => {
+                new_body.push(int_const(ACCESS_GET_FIELD));
+                new_body.push(str_const(&program.field(f).name));
+                push_args_array(&mut new_body, 0..0);
                 new_body.push(Insn::Invoke(InvokeKind::Virtual, access_method));
                 stats.rewritten_field_accesses += 1;
             }
-            Insn::PutField(f) if is_remote_class(f.class) => {
-                let t = next_temp;
-                next_temp += 1;
-                new_body.push(Insn::Store(t));
-                new_body.push(Insn::Const(Const::Int(ACCESS_PUT_FIELD)));
-                new_body.push(Insn::Const(Const::Str(program.field(*f).name.clone())));
-                push_args_array(&mut new_body, &[t]);
+            Some(RemoteSite::PutField(f)) => {
+                let temps = spill(&mut new_body, 1);
+                new_body.push(int_const(ACCESS_PUT_FIELD));
+                new_body.push(str_const(&program.field(f).name));
+                push_args_array(&mut new_body, temps);
                 new_body.push(Insn::Invoke(InvokeKind::Virtual, access_method));
                 new_body.push(Insn::Pop);
                 stats.rewritten_field_accesses += 1;
             }
-            other => new_body.push(other.clone()),
+            None => new_body.push(insn.clone()),
         }
     }
     new_pos.push(new_body.len());
@@ -402,15 +426,15 @@ fn rewrite_body(
         insn.remap_targets(|t| new_pos[t.min(new_pos.len() - 1)]);
     }
 
-    (new_body, next_temp, stats)
+    (new_body, next_temp)
 }
 
 /// Emits the "arguments in a list" sequence: a fresh array of length `temps.len()`
 /// filled from the given temporary locals, left on the stack.
-fn push_args_array(body: &mut Vec<Insn>, temps: &[u16]) {
+fn push_args_array(body: &mut Vec<Insn>, temps: Range<u16>) {
     body.push(Insn::Const(Const::Int(temps.len() as i64)));
     body.push(Insn::NewArray(Type::Int));
-    for (i, &t) in temps.iter().enumerate() {
+    for (i, t) in temps.enumerate() {
         body.push(Insn::Dup);
         body.push(Insn::Const(Const::Int(i as i64)));
         body.push(Insn::Load(t));

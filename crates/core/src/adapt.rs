@@ -277,7 +277,8 @@ mod tests {
         let g = skewed();
         let mut broken = g.workload.program.clone();
         let entry = broken.entry.unwrap();
-        broken.methods[entry.0 as usize]
+        broken
+            .method_mut(entry)
             .body
             .push(autodist_ir::bytecode::Insn::Goto(usize::MAX));
         let cluster = ClusterConfig::paper_testbed();

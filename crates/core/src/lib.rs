@@ -132,7 +132,9 @@ pub struct DistributionPlan {
 }
 
 impl DistributionPlan {
-    /// The per-node programs as plain [`Program`]s (what the runtime consumes).
+    /// The per-node programs as plain [`Program`]s (what the runtime consumes). Each
+    /// is a reference-counted view of its `node_programs` entry — no class, method or
+    /// instruction is copied — so handing a plan to the runtime costs nothing per call.
     pub fn programs(&self) -> Vec<Program> {
         self.node_programs
             .iter()

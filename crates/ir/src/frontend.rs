@@ -8,13 +8,16 @@
 //!
 //! The front-end is a hand-written lexer + recursive-descent parser + a two-pass
 //! compiler (declaration collection, then body compilation with a per-method local
-//! symbol table).
+//! symbol table). It borrows from the source text: the lexer walks the bytes and
+//! yields `Copy` tokens whose identifiers and string literals are slices of the
+//! input, the AST holds those slices and is walked by reference once per pass, and
+//! the only owned strings are the names the finished [`Program`] keeps.
 
 use std::collections::HashMap;
 use std::fmt;
 
-use crate::bytecode::{BinOp, CmpOp, Const, Insn, InvokeKind};
-use crate::program::{ClassId, MethodId, Program, Type};
+use crate::bytecode::{BinOp, CmpOp, Const, Insn, InvokeKind, UnOp};
+use crate::program::{ClassId, FieldRef, MethodId, Program, Type};
 
 /// A source-level compilation error with a line number.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -32,23 +35,27 @@ impl fmt::Display for ParseError {
 }
 impl std::error::Error for ParseError {}
 
-fn err<T>(line: usize, message: impl Into<String>) -> Result<T, ParseError> {
-    Err(ParseError {
+fn error(line: usize, message: impl Into<String>) -> ParseError {
+    ParseError {
         line,
         message: message.into(),
-    })
+    }
+}
+
+fn err<T>(line: usize, message: impl Into<String>) -> Result<T, ParseError> {
+    Err(error(line, message))
 }
 
 // ---------------------------------------------------------------------------
 // Lexer
 // ---------------------------------------------------------------------------
 
-#[derive(Debug, Clone, PartialEq)]
-enum Tok {
-    Ident(String),
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Tok<'s> {
+    Ident(&'s str),
     Int(i64),
     Float(f64),
-    Str(String),
+    Str(&'s str),
     // punctuation
     LBrace,
     RBrace,
@@ -77,124 +84,125 @@ enum Tok {
     Eof,
 }
 
-#[derive(Debug, Clone)]
-struct SpannedTok {
-    tok: Tok,
+#[derive(Debug, Clone, Copy)]
+struct SpannedTok<'s> {
+    tok: Tok<'s>,
     line: usize,
 }
 
-fn lex(src: &str) -> Result<Vec<SpannedTok>, ParseError> {
-    let mut toks = Vec::new();
-    let bytes: Vec<char> = src.chars().collect();
+/// Every delimiter the lexer stops at is ASCII, so `i` only ever rests on a character
+/// boundary and the slices taken below are valid `str`s whatever a comment or a
+/// string literal contains.
+fn lex(src: &str) -> Result<Vec<SpannedTok<'_>>, ParseError> {
+    let bytes = src.as_bytes();
+    // Indented source runs at 3.4 bytes a token; one buffer, seldom regrown.
+    let mut toks = Vec::with_capacity(bytes.len() / 3);
     let mut i = 0;
     let mut line = 1;
     while i < bytes.len() {
         let c = bytes[i];
-        match c {
-            '\n' => {
+        let next = bytes.get(i + 1).copied();
+        let start = i;
+        let tok = match c {
+            b'\n' => {
                 line += 1;
                 i += 1;
+                continue;
             }
-            ' ' | '\t' | '\r' => i += 1,
-            '/' if i + 1 < bytes.len() && bytes[i + 1] == '/' => {
-                while i < bytes.len() && bytes[i] != '\n' {
+            b' ' | b'\t' | b'\r' => {
+                i += 1;
+                continue;
+            }
+            b'/' if next == Some(b'/') => {
+                while i < bytes.len() && bytes[i] != b'\n' {
                     i += 1;
                 }
+                continue;
             }
-            '/' if i + 1 < bytes.len() && bytes[i + 1] == '*' => {
+            b'/' if next == Some(b'*') => {
+                let opened = line;
                 i += 2;
-                while i + 1 < bytes.len() && !(bytes[i] == '*' && bytes[i + 1] == '/') {
-                    if bytes[i] == '\n' {
-                        line += 1;
+                while !bytes[i..].starts_with(b"*/") {
+                    match bytes.get(i) {
+                        None => return err(opened, "unterminated block comment"),
+                        Some(b'\n') => line += 1,
+                        Some(_) => {}
                     }
                     i += 1;
                 }
                 i += 2;
+                continue;
             }
-            '"' => {
-                let mut s = String::new();
+            b'"' => {
                 i += 1;
-                while i < bytes.len() && bytes[i] != '"' {
-                    s.push(bytes[i]);
+                while i < bytes.len() && bytes[i] != b'"' {
                     i += 1;
                 }
                 if i >= bytes.len() {
                     return err(line, "unterminated string literal");
                 }
                 i += 1;
-                toks.push(SpannedTok {
-                    tok: Tok::Str(s),
-                    line,
-                });
+                Tok::Str(&src[start + 1..i - 1])
             }
-            c if c.is_ascii_digit() => {
-                let start = i;
-                while i < bytes.len() && (bytes[i].is_ascii_digit() || bytes[i] == '.') {
+            b'0'..=b'9' => {
+                while i < bytes.len() && (bytes[i].is_ascii_digit() || bytes[i] == b'.') {
                     i += 1;
                 }
-                let text: String = bytes[start..i].iter().collect();
-                let tok = if text.contains('.') {
-                    Tok::Float(text.parse().map_err(|_| ParseError {
-                        line,
-                        message: format!("bad float literal {text}"),
-                    })?)
+                let text = &src[start..i];
+                if text.contains('.') {
+                    Tok::Float(
+                        text.parse()
+                            .map_err(|_| error(line, format!("bad float literal {text}")))?,
+                    )
                 } else {
-                    Tok::Int(text.parse().map_err(|_| ParseError {
-                        line,
-                        message: format!("bad int literal {text}"),
-                    })?)
-                };
-                toks.push(SpannedTok { tok, line });
+                    Tok::Int(
+                        text.parse()
+                            .map_err(|_| error(line, format!("bad int literal {text}")))?,
+                    )
+                }
             }
-            c if c.is_ascii_alphabetic() || c == '_' => {
-                let start = i;
-                while i < bytes.len() && (bytes[i].is_ascii_alphanumeric() || bytes[i] == '_') {
+            b'a'..=b'z' | b'A'..=b'Z' | b'_' => {
+                while i < bytes.len() && (bytes[i].is_ascii_alphanumeric() || bytes[i] == b'_') {
                     i += 1;
                 }
-                let text: String = bytes[start..i].iter().collect();
-                toks.push(SpannedTok {
-                    tok: Tok::Ident(text),
-                    line,
-                });
+                Tok::Ident(&src[start..i])
             }
             _ => {
-                let two: String = bytes[i..(i + 2).min(bytes.len())].iter().collect();
-                let (tok, len) = match two.as_str() {
-                    "==" => (Tok::EqEq, 2),
-                    "!=" => (Tok::NotEq, 2),
-                    "<=" => (Tok::Le, 2),
-                    ">=" => (Tok::Ge, 2),
-                    "&&" => (Tok::AndAnd, 2),
-                    "||" => (Tok::OrOr, 2),
+                let (tok, len) = match (c, next) {
+                    (b'=', Some(b'=')) => (Tok::EqEq, 2),
+                    (b'!', Some(b'=')) => (Tok::NotEq, 2),
+                    (b'<', Some(b'=')) => (Tok::Le, 2),
+                    (b'>', Some(b'=')) => (Tok::Ge, 2),
+                    (b'&', Some(b'&')) => (Tok::AndAnd, 2),
+                    (b'|', Some(b'|')) => (Tok::OrOr, 2),
+                    (b'{', _) => (Tok::LBrace, 1),
+                    (b'}', _) => (Tok::RBrace, 1),
+                    (b'(', _) => (Tok::LParen, 1),
+                    (b')', _) => (Tok::RParen, 1),
+                    (b'[', _) => (Tok::LBracket, 1),
+                    (b']', _) => (Tok::RBracket, 1),
+                    (b';', _) => (Tok::Semi, 1),
+                    (b',', _) => (Tok::Comma, 1),
+                    (b'.', _) => (Tok::Dot, 1),
+                    (b'=', _) => (Tok::Assign, 1),
+                    (b'+', _) => (Tok::Plus, 1),
+                    (b'-', _) => (Tok::Minus, 1),
+                    (b'*', _) => (Tok::Star, 1),
+                    (b'/', _) => (Tok::Slash, 1),
+                    (b'%', _) => (Tok::Percent, 1),
+                    (b'!', _) => (Tok::Bang, 1),
+                    (b'<', _) => (Tok::Lt, 1),
+                    (b'>', _) => (Tok::Gt, 1),
                     _ => {
-                        let t = match c {
-                            '{' => Tok::LBrace,
-                            '}' => Tok::RBrace,
-                            '(' => Tok::LParen,
-                            ')' => Tok::RParen,
-                            '[' => Tok::LBracket,
-                            ']' => Tok::RBracket,
-                            ';' => Tok::Semi,
-                            ',' => Tok::Comma,
-                            '.' => Tok::Dot,
-                            '=' => Tok::Assign,
-                            '+' => Tok::Plus,
-                            '-' => Tok::Minus,
-                            '*' => Tok::Star,
-                            '/' => Tok::Slash,
-                            '%' => Tok::Percent,
-                            '!' => Tok::Bang,
-                            '<' => Tok::Lt,
-                            '>' => Tok::Gt,
-                            other => return err(line, format!("unexpected character '{other}'")),
-                        };
-                        (t, 1)
+                        let other = src[i..].chars().next().expect("i is inside src");
+                        return err(line, format!("unexpected character '{other}'"));
                     }
                 };
-                toks.push(SpannedTok { tok, line });
                 i += len;
+                tok
             }
-        }
+        };
+        toks.push(SpannedTok { tok, line });
     }
     toks.push(SpannedTok {
         tok: Tok::Eof,
@@ -207,115 +215,135 @@ fn lex(src: &str) -> Result<Vec<SpannedTok>, ParseError> {
 // AST
 // ---------------------------------------------------------------------------
 
-#[derive(Debug, Clone, PartialEq)]
-enum TypeName {
+#[derive(Debug, PartialEq)]
+enum TypeName<'s> {
     Int,
     Float,
     Bool,
     Str,
     Void,
-    Class(String),
-    Array(Box<TypeName>),
+    Class(&'s str),
+    Array(Box<TypeName<'s>>),
 }
 
-#[derive(Debug, Clone)]
-enum Expr {
+#[derive(Debug)]
+enum Expr<'s> {
     IntLit(i64),
     FloatLit(f64),
-    StrLit(String),
+    StrLit(&'s str),
     BoolLit(bool),
     Null,
     This,
-    Var(String),
-    Field(Box<Expr>, String),
-    Index(Box<Expr>, Box<Expr>),
-    Length(Box<Expr>),
+    Var(&'s str),
+    Field(Box<Expr<'s>>, &'s str),
+    Index(Box<Expr<'s>>, Box<Expr<'s>>),
+    Length(Box<Expr<'s>>),
     Call {
-        recv: Option<Box<Expr>>,
-        class: Option<String>,
-        name: String,
-        args: Vec<Expr>,
+        recv: Option<Box<Expr<'s>>>,
+        name: &'s str,
+        args: Vec<Expr<'s>>,
     },
-    New(String, Vec<Expr>),
-    NewArray(TypeName, Box<Expr>),
-    Unary(UnKind, Box<Expr>),
-    Binary(BinKind, Box<Expr>, Box<Expr>),
-}
-
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum UnKind {
-    Neg,
-    Not,
+    New(&'s str, Vec<Expr<'s>>),
+    NewArray(TypeName<'s>, Box<Expr<'s>>),
+    Unary(UnOp, Box<Expr<'s>>),
+    Binary(BinKind, Box<Expr<'s>>, Box<Expr<'s>>),
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum BinKind {
-    Add,
-    Sub,
-    Mul,
-    Div,
-    Rem,
-    Lt,
-    Le,
-    Gt,
-    Ge,
-    Eq,
-    Ne,
+    Arith(BinOp),
+    Cmp(CmpOp),
     And,
     Or,
 }
 
-#[derive(Debug, Clone)]
-enum Stmt {
-    Block(Vec<Stmt>),
-    VarDecl(TypeName, String, Option<Expr>),
-    Assign(Expr, Expr),
-    If(Expr, Box<Stmt>, Option<Box<Stmt>>),
-    While(Expr, Box<Stmt>),
-    Return(Option<Expr>),
-    Expr(Expr),
+#[derive(Debug)]
+enum Stmt<'s> {
+    Block(Vec<Stmt<'s>>),
+    VarDecl(TypeName<'s>, &'s str, Option<Expr<'s>>),
+    Assign(Expr<'s>, Expr<'s>),
+    If(Expr<'s>, Box<Stmt<'s>>, Option<Box<Stmt<'s>>>),
+    While(Expr<'s>, Box<Stmt<'s>>),
+    Return(Option<Expr<'s>>),
+    Expr(Expr<'s>),
 }
 
-#[derive(Debug, Clone)]
-struct MethodDecl {
-    name: String,
+#[derive(Debug)]
+struct MethodDecl<'s> {
+    name: &'s str,
     is_static: bool,
-    params: Vec<(TypeName, String)>,
-    ret: TypeName,
-    body: Vec<Stmt>,
+    params: Vec<(TypeName<'s>, &'s str)>,
+    ret: TypeName<'s>,
+    body: Vec<Stmt<'s>>,
     line: usize,
 }
 
-#[derive(Debug, Clone)]
-struct ClassDecl {
-    name: String,
-    super_name: Option<String>,
-    fields: Vec<(TypeName, String, bool)>, // ty, name, is_static
-    methods: Vec<MethodDecl>,
+#[derive(Debug)]
+struct FieldDecl<'s> {
+    ty: TypeName<'s>,
+    name: &'s str,
+    is_static: bool,
+    line: usize,
+}
+
+#[derive(Debug)]
+struct ClassDecl<'s> {
+    name: &'s str,
+    super_name: Option<&'s str>,
+    fields: Vec<FieldDecl<'s>>,
+    methods: Vec<MethodDecl<'s>>,
+    line: usize,
 }
 
 // ---------------------------------------------------------------------------
 // Parser
 // ---------------------------------------------------------------------------
 
-struct Parser {
-    toks: Vec<SpannedTok>,
+/// The binary operator a token spells, with its binding power:
+/// `||` < `&&` < comparisons < `+ -` < `* / %`.
+fn binary_op(t: Tok<'_>) -> Option<(u8, BinKind)> {
+    Some(match t {
+        Tok::OrOr => (1, BinKind::Or),
+        Tok::AndAnd => (2, BinKind::And),
+        Tok::Lt => (3, BinKind::Cmp(CmpOp::Lt)),
+        Tok::Le => (3, BinKind::Cmp(CmpOp::Le)),
+        Tok::Gt => (3, BinKind::Cmp(CmpOp::Gt)),
+        Tok::Ge => (3, BinKind::Cmp(CmpOp::Ge)),
+        Tok::EqEq => (3, BinKind::Cmp(CmpOp::Eq)),
+        Tok::NotEq => (3, BinKind::Cmp(CmpOp::Ne)),
+        Tok::Plus => (4, BinKind::Arith(BinOp::Add)),
+        Tok::Minus => (4, BinKind::Arith(BinOp::Sub)),
+        Tok::Star => (5, BinKind::Arith(BinOp::Mul)),
+        Tok::Slash => (5, BinKind::Arith(BinOp::Div)),
+        Tok::Percent => (5, BinKind::Arith(BinOp::Rem)),
+        _ => return None,
+    })
+}
+
+struct Parser<'s> {
+    toks: Vec<SpannedTok<'s>>,
     pos: usize,
 }
 
-impl Parser {
-    fn peek(&self) -> &Tok {
-        &self.toks[self.pos].tok
+impl<'s> Parser<'s> {
+    fn peek(&self) -> Tok<'s> {
+        self.toks[self.pos].tok
+    }
+    /// The token after the next one (`Eof` repeats for ever).
+    fn peek2(&self) -> Tok<'s> {
+        self.toks.get(self.pos + 1).map_or(Tok::Eof, |t| t.tok)
     }
     fn line(&self) -> usize {
         self.toks[self.pos].line
     }
-    fn bump(&mut self) -> Tok {
-        let t = self.toks[self.pos].tok.clone();
-        self.pos += 1;
+    fn bump(&mut self) -> Tok<'s> {
+        let t = self.peek();
+        if t != Tok::Eof {
+            self.pos += 1;
+        }
         t
     }
-    fn expect(&mut self, t: &Tok, what: &str) -> Result<(), ParseError> {
+    fn expect(&mut self, t: Tok<'_>, what: &str) -> Result<(), ParseError> {
         if self.peek() == t {
             self.bump();
             Ok(())
@@ -326,24 +354,26 @@ impl Parser {
             )
         }
     }
-    fn expect_ident(&mut self) -> Result<String, ParseError> {
+    fn expect_ident(&mut self) -> Result<&'s str, ParseError> {
         match self.bump() {
             Tok::Ident(s) => Ok(s),
             other => err(self.line(), format!("expected identifier, found {other:?}")),
         }
     }
-    fn eat_keyword(&mut self, kw: &str) -> bool {
-        if matches!(self.peek(), Tok::Ident(s) if s == kw) {
+    fn eat(&mut self, t: Tok<'_>) -> bool {
+        let found = self.peek() == t;
+        if found {
             self.bump();
-            true
-        } else {
-            false
         }
+        found
+    }
+    fn eat_keyword(&mut self, kw: &str) -> bool {
+        self.eat(Tok::Ident(kw))
     }
 
-    fn parse_program(&mut self) -> Result<Vec<ClassDecl>, ParseError> {
+    fn parse_program(&mut self) -> Result<Vec<ClassDecl<'s>>, ParseError> {
         let mut classes = Vec::new();
-        while self.peek() != &Tok::Eof {
+        while self.peek() != Tok::Eof {
             if !self.eat_keyword("class") {
                 return err(self.line(), "expected 'class'");
             }
@@ -352,82 +382,83 @@ impl Parser {
         Ok(classes)
     }
 
-    fn parse_class(&mut self) -> Result<ClassDecl, ParseError> {
+    fn parse_class(&mut self) -> Result<ClassDecl<'s>, ParseError> {
+        let line = self.line();
         let name = self.expect_ident()?;
         let super_name = if self.eat_keyword("extends") {
             Some(self.expect_ident()?)
         } else {
             None
         };
-        self.expect(&Tok::LBrace, "'{'")?;
+        self.expect(Tok::LBrace, "'{'")?;
         let mut fields = Vec::new();
         let mut methods = Vec::new();
-        while self.peek() != &Tok::RBrace {
+        while self.peek() != Tok::RBrace {
             let line = self.line();
             let is_static = self.eat_keyword("static");
             // Constructor: IDENT '(' where IDENT == class name.
-            if let Tok::Ident(id) = self.peek().clone() {
-                if id == name && self.toks[self.pos + 1].tok == Tok::LParen {
-                    self.bump();
-                    let params = self.parse_params()?;
-                    let body = self.parse_block()?;
-                    methods.push(MethodDecl {
-                        name: "<init>".to_string(),
-                        is_static: false,
-                        params,
-                        ret: TypeName::Void,
-                        body,
-                        line,
-                    });
-                    continue;
-                }
+            if self.peek() == Tok::Ident(name) && self.peek2() == Tok::LParen {
+                self.bump();
+                methods.push(MethodDecl {
+                    name: "<init>",
+                    is_static: false,
+                    params: self.parse_params()?,
+                    ret: TypeName::Void,
+                    body: self.parse_block()?,
+                    line,
+                });
+                continue;
             }
             let ty = self.parse_type()?;
-            let member_name = self.expect_ident()?;
-            if self.peek() == &Tok::LParen {
-                let params = self.parse_params()?;
-                let body = self.parse_block()?;
+            let name = self.expect_ident()?;
+            if self.peek() == Tok::LParen {
                 methods.push(MethodDecl {
-                    name: member_name,
+                    name,
                     is_static,
-                    params,
+                    params: self.parse_params()?,
                     ret: ty,
-                    body,
+                    body: self.parse_block()?,
                     line,
                 });
             } else {
-                self.expect(&Tok::Semi, "';'")?;
-                fields.push((ty, member_name, is_static));
+                self.expect(Tok::Semi, "';'")?;
+                fields.push(FieldDecl {
+                    ty,
+                    name,
+                    is_static,
+                    line,
+                });
             }
         }
-        self.expect(&Tok::RBrace, "'}'")?;
+        self.expect(Tok::RBrace, "'}'")?;
         Ok(ClassDecl {
             name,
             super_name,
             fields,
             methods,
+            line,
         })
     }
 
-    fn parse_params(&mut self) -> Result<Vec<(TypeName, String)>, ParseError> {
-        self.expect(&Tok::LParen, "'('")?;
+    fn parse_params(&mut self) -> Result<Vec<(TypeName<'s>, &'s str)>, ParseError> {
+        self.expect(Tok::LParen, "'('")?;
         let mut params = Vec::new();
-        while self.peek() != &Tok::RParen {
+        while self.peek() != Tok::RParen {
             if !params.is_empty() {
-                self.expect(&Tok::Comma, "','")?;
+                self.expect(Tok::Comma, "','")?;
             }
             let ty = self.parse_type()?;
             let name = self.expect_ident()?;
             params.push((ty, name));
         }
-        self.expect(&Tok::RParen, "')'")?;
+        self.expect(Tok::RParen, "')'")?;
         Ok(params)
     }
 
     /// Parses a type name without any trailing `[]` suffix (needed by `new T[expr]`).
-    fn parse_base_type(&mut self) -> Result<TypeName, ParseError> {
+    fn parse_base_type(&mut self) -> Result<TypeName<'s>, ParseError> {
         match self.bump() {
-            Tok::Ident(s) => Ok(match s.as_str() {
+            Tok::Ident(s) => Ok(match s {
                 "int" => TypeName::Int,
                 "float" | "double" => TypeName::Float,
                 "boolean" => TypeName::Bool,
@@ -439,10 +470,9 @@ impl Parser {
         }
     }
 
-    fn parse_type(&mut self) -> Result<TypeName, ParseError> {
-        let base = self.parse_base_type()?;
-        let mut ty = base;
-        while self.peek() == &Tok::LBracket && self.toks[self.pos + 1].tok == Tok::RBracket {
+    fn parse_type(&mut self) -> Result<TypeName<'s>, ParseError> {
+        let mut ty = self.parse_base_type()?;
+        while self.peek() == Tok::LBracket && self.peek2() == Tok::RBracket {
             self.bump();
             self.bump();
             ty = TypeName::Array(Box::new(ty));
@@ -450,13 +480,13 @@ impl Parser {
         Ok(ty)
     }
 
-    fn parse_block(&mut self) -> Result<Vec<Stmt>, ParseError> {
-        self.expect(&Tok::LBrace, "'{'")?;
+    fn parse_block(&mut self) -> Result<Vec<Stmt<'s>>, ParseError> {
+        self.expect(Tok::LBrace, "'{'")?;
         let mut stmts = Vec::new();
-        while self.peek() != &Tok::RBrace {
+        while self.peek() != Tok::RBrace {
             stmts.push(self.parse_stmt()?);
         }
-        self.expect(&Tok::RBrace, "'}'")?;
+        self.expect(Tok::RBrace, "'}'")?;
         Ok(stmts)
     }
 
@@ -464,21 +494,11 @@ impl Parser {
         // `Type name ...` — identifier followed by identifier, or a primitive keyword,
         // or `Type[] name`.
         match self.peek() {
-            Tok::Ident(s)
-                if matches!(
-                    s.as_str(),
-                    "int" | "float" | "double" | "boolean" | "String"
-                ) =>
-            {
-                true
-            }
+            Tok::Ident("int" | "float" | "double" | "boolean" | "String") => true,
             Tok::Ident(_) => {
                 // Ident Ident  or  Ident [ ] Ident
                 matches!(
-                    (
-                        &self.toks[self.pos + 1].tok,
-                        self.toks.get(self.pos + 2).map(|t| &t.tok),
-                    ),
+                    (self.peek2(), self.toks.get(self.pos + 2).map(|t| t.tok)),
                     (Tok::Ident(_), _) | (Tok::LBracket, Some(Tok::RBracket))
                 )
             }
@@ -486,14 +506,14 @@ impl Parser {
         }
     }
 
-    fn parse_stmt(&mut self) -> Result<Stmt, ParseError> {
-        match self.peek().clone() {
+    fn parse_stmt(&mut self) -> Result<Stmt<'s>, ParseError> {
+        match self.peek() {
             Tok::LBrace => Ok(Stmt::Block(self.parse_block()?)),
-            Tok::Ident(kw) if kw == "if" => {
+            Tok::Ident("if") => {
                 self.bump();
-                self.expect(&Tok::LParen, "'('")?;
+                self.expect(Tok::LParen, "'('")?;
                 let cond = self.parse_expr()?;
-                self.expect(&Tok::RParen, "')'")?;
+                self.expect(Tok::RParen, "')'")?;
                 let then = Box::new(self.parse_stmt()?);
                 let els = if self.eat_keyword("else") {
                     Some(Box::new(self.parse_stmt()?))
@@ -502,149 +522,95 @@ impl Parser {
                 };
                 Ok(Stmt::If(cond, then, els))
             }
-            Tok::Ident(kw) if kw == "while" => {
+            Tok::Ident("while") => {
                 self.bump();
-                self.expect(&Tok::LParen, "'('")?;
+                self.expect(Tok::LParen, "'('")?;
                 let cond = self.parse_expr()?;
-                self.expect(&Tok::RParen, "')'")?;
+                self.expect(Tok::RParen, "')'")?;
                 let body = Box::new(self.parse_stmt()?);
                 Ok(Stmt::While(cond, body))
             }
-            Tok::Ident(kw) if kw == "return" => {
+            Tok::Ident("return") => {
                 self.bump();
-                if self.peek() == &Tok::Semi {
-                    self.bump();
+                if self.eat(Tok::Semi) {
                     Ok(Stmt::Return(None))
                 } else {
                     let e = self.parse_expr()?;
-                    self.expect(&Tok::Semi, "';'")?;
+                    self.expect(Tok::Semi, "';'")?;
                     Ok(Stmt::Return(Some(e)))
                 }
             }
             _ if self.looks_like_decl() => {
                 let ty = self.parse_type()?;
                 let name = self.expect_ident()?;
-                let init = if self.peek() == &Tok::Assign {
-                    self.bump();
+                let init = if self.eat(Tok::Assign) {
                     Some(self.parse_expr()?)
                 } else {
                     None
                 };
-                self.expect(&Tok::Semi, "';'")?;
+                self.expect(Tok::Semi, "';'")?;
                 Ok(Stmt::VarDecl(ty, name, init))
             }
             _ => {
                 let e = self.parse_expr()?;
-                if self.peek() == &Tok::Assign {
-                    self.bump();
+                if self.eat(Tok::Assign) {
                     let rhs = self.parse_expr()?;
-                    self.expect(&Tok::Semi, "';'")?;
+                    self.expect(Tok::Semi, "';'")?;
                     Ok(Stmt::Assign(e, rhs))
                 } else {
-                    self.expect(&Tok::Semi, "';'")?;
+                    self.expect(Tok::Semi, "';'")?;
                     Ok(Stmt::Expr(e))
                 }
             }
         }
     }
 
-    fn parse_expr(&mut self) -> Result<Expr, ParseError> {
-        self.parse_or()
+    fn parse_expr(&mut self) -> Result<Expr<'s>, ParseError> {
+        self.parse_binary(1)
     }
 
-    fn parse_or(&mut self) -> Result<Expr, ParseError> {
-        let mut lhs = self.parse_and()?;
-        while self.peek() == &Tok::OrOr {
+    /// Precedence climbing over [`binary_op`]: parses the operators that bind at least
+    /// as tightly as `min`. All associate to the left except the comparisons, which
+    /// do not chain (`a < b < c` is a syntax error, as in Java).
+    fn parse_binary(&mut self, min: u8) -> Result<Expr<'s>, ParseError> {
+        let mut lhs = self.parse_unary()?;
+        // Tightest operator that may still follow `lhs` at this level.
+        let mut max = u8::MAX;
+        while let Some((power, kind)) =
+            binary_op(self.peek()).filter(|&(power, _)| (min..=max).contains(&power))
+        {
             self.bump();
-            let rhs = self.parse_and()?;
-            lhs = Expr::Binary(BinKind::Or, Box::new(lhs), Box::new(rhs));
+            let rhs = self.parse_binary(power + 1)?;
+            lhs = Expr::Binary(kind, Box::new(lhs), Box::new(rhs));
+            max = match kind {
+                BinKind::Cmp(_) => power - 1,
+                _ => power,
+            };
         }
         Ok(lhs)
     }
 
-    fn parse_and(&mut self) -> Result<Expr, ParseError> {
-        let mut lhs = self.parse_cmp()?;
-        while self.peek() == &Tok::AndAnd {
-            self.bump();
-            let rhs = self.parse_cmp()?;
-            lhs = Expr::Binary(BinKind::And, Box::new(lhs), Box::new(rhs));
-        }
-        Ok(lhs)
-    }
-
-    fn parse_cmp(&mut self) -> Result<Expr, ParseError> {
-        let lhs = self.parse_add()?;
-        let kind = match self.peek() {
-            Tok::Lt => BinKind::Lt,
-            Tok::Le => BinKind::Le,
-            Tok::Gt => BinKind::Gt,
-            Tok::Ge => BinKind::Ge,
-            Tok::EqEq => BinKind::Eq,
-            Tok::NotEq => BinKind::Ne,
-            _ => return Ok(lhs),
+    fn parse_unary(&mut self) -> Result<Expr<'s>, ParseError> {
+        let op = match self.peek() {
+            Tok::Minus => UnOp::Neg,
+            Tok::Bang => UnOp::Not,
+            _ => return self.parse_postfix(),
         };
         self.bump();
-        let rhs = self.parse_add()?;
-        Ok(Expr::Binary(kind, Box::new(lhs), Box::new(rhs)))
+        Ok(Expr::Unary(op, Box::new(self.parse_unary()?)))
     }
 
-    fn parse_add(&mut self) -> Result<Expr, ParseError> {
-        let mut lhs = self.parse_mul()?;
-        loop {
-            let kind = match self.peek() {
-                Tok::Plus => BinKind::Add,
-                Tok::Minus => BinKind::Sub,
-                _ => break,
-            };
-            self.bump();
-            let rhs = self.parse_mul()?;
-            lhs = Expr::Binary(kind, Box::new(lhs), Box::new(rhs));
-        }
-        Ok(lhs)
-    }
-
-    fn parse_mul(&mut self) -> Result<Expr, ParseError> {
-        let mut lhs = self.parse_unary()?;
-        loop {
-            let kind = match self.peek() {
-                Tok::Star => BinKind::Mul,
-                Tok::Slash => BinKind::Div,
-                Tok::Percent => BinKind::Rem,
-                _ => break,
-            };
-            self.bump();
-            let rhs = self.parse_unary()?;
-            lhs = Expr::Binary(kind, Box::new(lhs), Box::new(rhs));
-        }
-        Ok(lhs)
-    }
-
-    fn parse_unary(&mut self) -> Result<Expr, ParseError> {
-        match self.peek() {
-            Tok::Minus => {
-                self.bump();
-                Ok(Expr::Unary(UnKind::Neg, Box::new(self.parse_unary()?)))
-            }
-            Tok::Bang => {
-                self.bump();
-                Ok(Expr::Unary(UnKind::Not, Box::new(self.parse_unary()?)))
-            }
-            _ => self.parse_postfix(),
-        }
-    }
-
-    fn parse_postfix(&mut self) -> Result<Expr, ParseError> {
+    fn parse_postfix(&mut self) -> Result<Expr<'s>, ParseError> {
         let mut e = self.parse_primary()?;
         loop {
             match self.peek() {
                 Tok::Dot => {
                     self.bump();
                     let name = self.expect_ident()?;
-                    if self.peek() == &Tok::LParen {
+                    if self.peek() == Tok::LParen {
                         let args = self.parse_args()?;
                         e = Expr::Call {
                             recv: Some(Box::new(e)),
-                            class: None,
                             name,
                             args,
                         };
@@ -657,7 +623,7 @@ impl Parser {
                 Tok::LBracket => {
                     self.bump();
                     let idx = self.parse_expr()?;
-                    self.expect(&Tok::RBracket, "']'")?;
+                    self.expect(Tok::RBracket, "']'")?;
                     e = Expr::Index(Box::new(e), Box::new(idx));
                 }
                 _ => break,
@@ -666,71 +632,60 @@ impl Parser {
         Ok(e)
     }
 
-    fn parse_args(&mut self) -> Result<Vec<Expr>, ParseError> {
-        self.expect(&Tok::LParen, "'('")?;
+    fn parse_args(&mut self) -> Result<Vec<Expr<'s>>, ParseError> {
+        self.expect(Tok::LParen, "'('")?;
         let mut args = Vec::new();
-        while self.peek() != &Tok::RParen {
+        while self.peek() != Tok::RParen {
             if !args.is_empty() {
-                self.expect(&Tok::Comma, "','")?;
+                self.expect(Tok::Comma, "','")?;
             }
             args.push(self.parse_expr()?);
         }
-        self.expect(&Tok::RParen, "')'")?;
+        self.expect(Tok::RParen, "')'")?;
         Ok(args)
     }
 
-    fn parse_primary(&mut self) -> Result<Expr, ParseError> {
+    fn parse_primary(&mut self) -> Result<Expr<'s>, ParseError> {
         match self.bump() {
             Tok::Int(v) => Ok(Expr::IntLit(v)),
             Tok::Float(v) => Ok(Expr::FloatLit(v)),
             Tok::Str(s) => Ok(Expr::StrLit(s)),
             Tok::LParen => {
                 let e = self.parse_expr()?;
-                self.expect(&Tok::RParen, "')'")?;
+                self.expect(Tok::RParen, "')'")?;
                 Ok(e)
             }
-            Tok::Ident(id) => match id.as_str() {
-                "true" => Ok(Expr::BoolLit(true)),
-                "false" => Ok(Expr::BoolLit(false)),
-                "null" => Ok(Expr::Null),
-                "this" => Ok(Expr::This),
-                "new" => {
-                    let ty = self.parse_base_type()?;
-                    if self.peek() == &Tok::LBracket {
-                        self.bump();
-                        let len = self.parse_expr()?;
-                        self.expect(&Tok::RBracket, "']'")?;
-                        Ok(Expr::NewArray(ty, Box::new(len)))
-                    } else {
-                        let class = match ty {
-                            TypeName::Class(c) => c,
-                            other => {
-                                return err(
-                                    self.line(),
-                                    format!("cannot 'new' non-class type {other:?}"),
-                                )
-                            }
-                        };
-                        let args = self.parse_args()?;
-                        Ok(Expr::New(class, args))
-                    }
+            Tok::Ident("true") => Ok(Expr::BoolLit(true)),
+            Tok::Ident("false") => Ok(Expr::BoolLit(false)),
+            Tok::Ident("null") => Ok(Expr::Null),
+            Tok::Ident("this") => Ok(Expr::This),
+            Tok::Ident("new") => {
+                let ty = self.parse_base_type()?;
+                if self.eat(Tok::LBracket) {
+                    let len = self.parse_expr()?;
+                    self.expect(Tok::RBracket, "']'")?;
+                    Ok(Expr::NewArray(ty, Box::new(len)))
+                } else {
+                    let class = match ty {
+                        TypeName::Class(c) => c,
+                        other => {
+                            return err(
+                                self.line(),
+                                format!("cannot 'new' non-class type {other:?}"),
+                            )
+                        }
+                    };
+                    Ok(Expr::New(class, self.parse_args()?))
                 }
-                _ => {
-                    // Qualified static call `Class.method(...)` is handled in postfix as a
-                    // field/virtual chain; plain `name(...)` is a same-class call.
-                    if self.peek() == &Tok::LParen {
-                        let args = self.parse_args()?;
-                        Ok(Expr::Call {
-                            recv: None,
-                            class: None,
-                            name: id,
-                            args,
-                        })
-                    } else {
-                        Ok(Expr::Var(id))
-                    }
-                }
-            },
+            }
+            // A qualified static call `Class.method(...)` is handled in postfix as a
+            // field/virtual chain; plain `name(...)` is a same-class call.
+            Tok::Ident(name) if self.peek() == Tok::LParen => Ok(Expr::Call {
+                recv: None,
+                name,
+                args: self.parse_args()?,
+            }),
+            Tok::Ident(name) => Ok(Expr::Var(name)),
             other => err(self.line(), format!("unexpected token {other:?}")),
         }
     }
@@ -740,17 +695,23 @@ impl Parser {
 // Compiler (AST -> bytecode)
 // ---------------------------------------------------------------------------
 
-struct MethodCtx {
+/// One method body being compiled: where it is declared, and what it has emitted.
+struct MethodCtx<'s> {
+    class: ClassId,
+    /// Line of the method's declaration — the line every error in its body reports.
+    line: usize,
     insns: Vec<Insn>,
-    locals: HashMap<String, (u16, Type)>,
+    locals: HashMap<&'s str, (u16, Type)>,
     next_local: u16,
     fixups: Vec<(usize, usize)>, // (insn index, label id)
     labels: Vec<Option<usize>>,
 }
 
-impl MethodCtx {
-    fn new() -> Self {
+impl<'s> MethodCtx<'s> {
+    fn new(class: ClassId, line: usize) -> Self {
         MethodCtx {
+            class,
+            line,
             insns: Vec::new(),
             locals: HashMap::new(),
             next_local: 0,
@@ -772,11 +733,14 @@ impl MethodCtx {
         self.fixups.push((self.insns.len(), label));
         self.insns.push(insn);
     }
-    fn declare(&mut self, name: &str, ty: Type) -> u16 {
+    fn declare(&mut self, name: &'s str, ty: Type) -> u16 {
         let slot = self.next_local;
         self.next_local += 1;
-        self.locals.insert(name.to_string(), (slot, ty));
+        self.locals.insert(name, (slot, ty));
         slot
+    }
+    fn err<T>(&self, message: impl Into<String>) -> Result<T, ParseError> {
+        err(self.line, message)
     }
     fn finish(mut self) -> (Vec<Insn>, u16) {
         let fixups = std::mem::take(&mut self.fixups);
@@ -797,49 +761,50 @@ impl MethodCtx {
     }
 }
 
-struct Compiler<'a> {
-    program: &'a mut Program,
-    class_ids: HashMap<String, ClassId>,
-    method_ids: HashMap<(String, String), MethodId>,
-    decls: Vec<ClassDecl>,
+/// The two passes over the declarations. Pass 1 ([`Compiler::declare_all`]) is the only
+/// one that adds to the program; pass 2 reads classes, fields and callees in place and
+/// writes each finished body once.
+struct Compiler {
+    program: Program,
 }
 
-impl<'a> Compiler<'a> {
-    fn resolve_type(&self, t: &TypeName, line: usize) -> Result<Type, ParseError> {
+impl Compiler {
+    fn class_named(&self, name: &str, line: usize) -> Result<ClassId, ParseError> {
+        self.program
+            .class_by_name(name)
+            .ok_or_else(|| error(line, format!("unknown class {name}")))
+    }
+
+    fn resolve_type(&self, t: &TypeName<'_>, line: usize) -> Result<Type, ParseError> {
         Ok(match t {
             TypeName::Int => Type::Int,
             TypeName::Float => Type::Float,
             TypeName::Bool => Type::Bool,
             TypeName::Str => Type::Str,
             TypeName::Void => Type::Void,
-            TypeName::Class(c) => Type::Ref(*self.class_ids.get(c).ok_or_else(|| ParseError {
-                line,
-                message: format!("unknown class {c}"),
-            })?),
+            TypeName::Class(c) => Type::Ref(self.class_named(c, line)?),
             TypeName::Array(inner) => Type::Array(Box::new(self.resolve_type(inner, line)?)),
         })
     }
 
-    fn declare_all(&mut self) -> Result<(), ParseError> {
-        // Pass 1a: classes.
-        for decl in &self.decls {
-            let id = self.program.add_class(&decl.name, None);
-            self.class_ids.insert(decl.name.clone(), id);
+    fn declare_all(&mut self, decls: &[ClassDecl<'_>]) -> Result<(), ParseError> {
+        // Pass 1a: classes (ids follow declaration order, so `decls[i]` is class `i`).
+        for decl in decls {
+            self.program.add_class(decl.name, None);
         }
-        // Pass 1b: supers, fields, method signatures.
-        let decls = self.decls.clone();
-        for decl in &decls {
-            let cid = self.class_ids[&decl.name];
-            if let Some(sup) = &decl.super_name {
-                let sid = *self.class_ids.get(sup).ok_or_else(|| ParseError {
-                    line: 0,
-                    message: format!("unknown superclass {sup}"),
-                })?;
+        // Pass 1b: supers, fields, method signatures (method ids follow declaration
+        // order too, which is how pass 2 finds each body's method again).
+        for (decl, cid) in decls.iter().zip((0..).map(ClassId)) {
+            if let Some(sup) = decl.super_name {
+                let sid = self
+                    .program
+                    .class_by_name(sup)
+                    .ok_or_else(|| error(decl.line, format!("unknown superclass {sup}")))?;
                 self.program.class_mut(cid).super_class = Some(sid);
             }
-            for (ty, name, is_static) in &decl.fields {
-                let rty = self.resolve_type(ty, 0)?;
-                self.program.add_field(cid, name, rty, *is_static);
+            for f in &decl.fields {
+                let ty = self.resolve_type(&f.ty, f.line)?;
+                self.program.add_field(cid, f.name, ty, f.is_static);
             }
             for m in &decl.methods {
                 let params = m
@@ -848,31 +813,23 @@ impl<'a> Compiler<'a> {
                     .map(|(t, _)| self.resolve_type(t, m.line))
                     .collect::<Result<Vec<_>, _>>()?;
                 let ret = self.resolve_type(&m.ret, m.line)?;
-                let mid = self
-                    .program
-                    .add_method(cid, &m.name, params, ret, m.is_static);
-                self.method_ids
-                    .insert((decl.name.clone(), m.name.clone()), mid);
+                self.program
+                    .add_method(cid, m.name, params, ret, m.is_static);
             }
         }
         Ok(())
     }
 
-    fn compile_bodies(&mut self) -> Result<(), ParseError> {
-        let decls = self.decls.clone();
-        for decl in &decls {
-            let cid = self.class_ids[&decl.name];
-            for m in &decl.methods {
-                let mid = self.method_ids[&(decl.name.clone(), m.name.clone())];
-                let (body, locals) = self.compile_method(cid, m)?;
-                let pm = self.program.method_mut(mid);
-                pm.body = body;
-                pm.locals = locals.max(pm.entry_locals());
-            }
+    fn compile_bodies(&mut self, decls: &[ClassDecl<'_>]) -> Result<(), ParseError> {
+        let methods = decls.iter().flat_map(|decl| &decl.methods);
+        for (m, mid) in methods.zip((0..).map(MethodId)) {
+            let (body, locals) = self.compile_method(mid, m)?;
+            let entry_locals = self.program.method(mid).entry_locals();
+            self.program.set_body(mid, body, locals.max(entry_locals));
         }
-        // entry point: a static `main` method anywhere.
-        for c in &decls {
-            if let Some(&mid) = self.method_ids.get(&(c.name.clone(), "main".to_string())) {
+        // entry point: a static `main` method anywhere (the last one declared wins).
+        for cid in (0..decls.len() as u32).map(ClassId) {
+            if let Some(mid) = self.program.find_method(cid, "main") {
                 if self.program.method(mid).is_static {
                     self.program.set_entry(mid);
                 }
@@ -881,51 +838,43 @@ impl<'a> Compiler<'a> {
         Ok(())
     }
 
-    fn compile_method(
-        &mut self,
-        class: ClassId,
-        m: &MethodDecl,
+    fn compile_method<'s>(
+        &self,
+        mid: MethodId,
+        m: &MethodDecl<'s>,
     ) -> Result<(Vec<Insn>, u16), ParseError> {
-        let mut ctx = MethodCtx::new();
+        let declared = self.program.method(mid);
+        let mut ctx = MethodCtx::new(declared.class, m.line);
         if !m.is_static {
-            ctx.declare("this", Type::Ref(class));
+            ctx.declare("this", Type::Ref(declared.class));
         }
-        for (ty, name) in &m.params {
-            let rty = self.resolve_type(ty, m.line)?;
-            ctx.declare(name, rty);
+        for ((_, name), ty) in m.params.iter().zip(&declared.params) {
+            ctx.declare(name, ty.clone());
         }
         for stmt in &m.body {
-            self.compile_stmt(class, m, &mut ctx, stmt)?;
+            self.compile_stmt(&mut ctx, stmt)?;
         }
         // Implicit return for void methods / constructors.
-        let ret = self.resolve_type(&m.ret, m.line)?;
-        if ret == Type::Void {
-            if !matches!(ctx.insns.last(), Some(i) if i.is_terminator()) {
-                ctx.emit(Insn::Return);
+        if !matches!(ctx.insns.last(), Some(i) if i.is_terminator()) {
+            if declared.ret != Type::Void {
+                return ctx.err(format!("method {} may not return a value", m.name));
             }
-        } else if !matches!(ctx.insns.last(), Some(i) if i.is_terminator()) {
-            return err(m.line, format!("method {} may not return a value", m.name));
+            ctx.emit(Insn::Return);
         }
         Ok(ctx.finish())
     }
 
-    fn compile_stmt(
-        &mut self,
-        class: ClassId,
-        m: &MethodDecl,
-        ctx: &mut MethodCtx,
-        stmt: &Stmt,
-    ) -> Result<(), ParseError> {
+    fn compile_stmt<'s>(&self, ctx: &mut MethodCtx<'s>, stmt: &Stmt<'s>) -> Result<(), ParseError> {
         match stmt {
             Stmt::Block(stmts) => {
                 for s in stmts {
-                    self.compile_stmt(class, m, ctx, s)?;
+                    self.compile_stmt(ctx, s)?;
                 }
             }
             Stmt::VarDecl(ty, name, init) => {
-                let rty = self.resolve_type(ty, m.line)?;
+                let rty = self.resolve_type(ty, ctx.line)?;
                 if let Some(e) = init {
-                    self.compile_expr(class, m, ctx, e)?;
+                    self.compile_expr(ctx, e)?;
                     let slot = ctx.declare(name, rty);
                     ctx.emit(Insn::Store(slot));
                 } else {
@@ -934,77 +883,72 @@ impl<'a> Compiler<'a> {
             }
             Stmt::Assign(lhs, rhs) => match lhs {
                 Expr::Var(name) => {
-                    if let Some((slot, _)) = ctx.locals.get(name).cloned() {
-                        self.compile_expr(class, m, ctx, rhs)?;
+                    if let Some(&(slot, _)) = ctx.locals.get(name) {
+                        self.compile_expr(ctx, rhs)?;
                         ctx.emit(Insn::Store(slot));
-                    } else if let Some(fr) = self.program.resolve_field(class, name) {
+                    } else {
                         // implicit this.field = rhs
+                        let fr = self.field_named(ctx, name)?;
                         if self.program.field(fr).is_static {
-                            self.compile_expr(class, m, ctx, rhs)?;
+                            self.compile_expr(ctx, rhs)?;
                             ctx.emit(Insn::PutStatic(fr));
                         } else {
                             ctx.emit(Insn::Load(0));
-                            self.compile_expr(class, m, ctx, rhs)?;
+                            self.compile_expr(ctx, rhs)?;
                             ctx.emit(Insn::PutField(fr));
                         }
-                    } else {
-                        return err(m.line, format!("unknown variable {name}"));
                     }
                 }
                 Expr::Field(obj, fname) => {
-                    let oty = self.compile_expr(class, m, ctx, obj)?;
-                    let ocls = oty.ref_class().ok_or_else(|| ParseError {
-                        line: m.line,
-                        message: format!("field {fname} on non-object"),
-                    })?;
+                    let oty = self.compile_expr(ctx, obj)?;
+                    let ocls = oty
+                        .ref_class()
+                        .ok_or_else(|| error(ctx.line, format!("field {fname} on non-object")))?;
                     let fr = self
                         .program
                         .resolve_field(ocls, fname)
-                        .ok_or_else(|| ParseError {
-                            line: m.line,
-                            message: format!("unknown field {fname}"),
-                        })?;
-                    self.compile_expr(class, m, ctx, rhs)?;
+                        .ok_or_else(|| error(ctx.line, format!("unknown field {fname}")))?;
+                    self.compile_expr(ctx, rhs)?;
                     ctx.emit(Insn::PutField(fr));
                 }
                 Expr::Index(arr, idx) => {
-                    self.compile_expr(class, m, ctx, arr)?;
-                    self.compile_expr(class, m, ctx, idx)?;
-                    self.compile_expr(class, m, ctx, rhs)?;
+                    self.compile_expr(ctx, arr)?;
+                    self.compile_expr(ctx, idx)?;
+                    self.compile_expr(ctx, rhs)?;
                     ctx.emit(Insn::ArrayStore);
                 }
-                _ => return err(m.line, "invalid assignment target"),
+                _ => return ctx.err("invalid assignment target"),
             },
             Stmt::If(cond, then, els) => {
                 let else_l = ctx.new_label();
                 let end_l = ctx.new_label();
-                self.compile_condition(class, m, ctx, cond, else_l)?;
-                self.compile_stmt(class, m, ctx, then)?;
+                self.compile_condition(ctx, cond, else_l)?;
+                self.compile_stmt(ctx, then)?;
                 ctx.branch(Insn::Goto(usize::MAX), end_l);
                 ctx.place(else_l);
                 if let Some(e) = els {
-                    self.compile_stmt(class, m, ctx, e)?;
+                    self.compile_stmt(ctx, e)?;
                 }
                 ctx.place(end_l);
             }
             Stmt::While(cond, body) => {
                 let head = ctx.insns.len();
                 let exit_l = ctx.new_label();
-                self.compile_condition(class, m, ctx, cond, exit_l)?;
-                self.compile_stmt(class, m, ctx, body)?;
+                self.compile_condition(ctx, cond, exit_l)?;
+                self.compile_stmt(ctx, body)?;
                 ctx.emit(Insn::Goto(head));
                 ctx.place(exit_l);
             }
             Stmt::Return(e) => {
                 if let Some(e) = e {
-                    self.compile_expr(class, m, ctx, e)?;
+                    self.compile_expr(ctx, e)?;
                     ctx.emit(Insn::ReturnValue);
                 } else {
                     ctx.emit(Insn::Return);
                 }
             }
             Stmt::Expr(e) => {
-                let ty = self.compile_expr(class, m, ctx, e)?;
+                let ty = self.compile_expr(ctx, e)?;
                 if ty != Type::Void {
                     ctx.emit(Insn::Pop);
                 }
@@ -1014,43 +958,119 @@ impl<'a> Compiler<'a> {
     }
 
     /// Compiles `cond`, branching to `false_label` if it evaluates to false.
-    fn compile_condition(
-        &mut self,
-        class: ClassId,
-        m: &MethodDecl,
-        ctx: &mut MethodCtx,
-        cond: &Expr,
+    fn compile_condition<'s>(
+        &self,
+        ctx: &mut MethodCtx<'s>,
+        cond: &Expr<'s>,
         false_label: usize,
     ) -> Result<(), ParseError> {
-        if let Expr::Binary(kind, lhs, rhs) = cond {
-            let cmp = match kind {
-                BinKind::Lt => Some(CmpOp::Lt),
-                BinKind::Le => Some(CmpOp::Le),
-                BinKind::Gt => Some(CmpOp::Gt),
-                BinKind::Ge => Some(CmpOp::Ge),
-                BinKind::Eq => Some(CmpOp::Eq),
-                BinKind::Ne => Some(CmpOp::Ne),
-                _ => None,
-            };
-            if let Some(op) = cmp {
-                self.compile_expr(class, m, ctx, lhs)?;
-                self.compile_expr(class, m, ctx, rhs)?;
-                ctx.branch(Insn::IfCmp(op.negate(), usize::MAX), false_label);
-                return Ok(());
-            }
+        if let Expr::Binary(BinKind::Cmp(op), lhs, rhs) = cond {
+            self.compile_expr(ctx, lhs)?;
+            self.compile_expr(ctx, rhs)?;
+            ctx.branch(Insn::IfCmp(op.negate(), usize::MAX), false_label);
+            return Ok(());
         }
-        self.compile_expr(class, m, ctx, cond)?;
+        self.compile_expr(ctx, cond)?;
         ctx.branch(Insn::If(CmpOp::Eq, usize::MAX), false_label);
         Ok(())
     }
 
-    fn compile_expr(
-        &mut self,
-        class: ClassId,
-        m: &MethodDecl,
-        ctx: &mut MethodCtx,
-        e: &Expr,
-    ) -> Result<Type, ParseError> {
+    /// The field (of `this`, or static) a bare name that is no local refers to.
+    fn field_named(&self, ctx: &MethodCtx<'_>, name: &str) -> Result<FieldRef, ParseError> {
+        self.program
+            .resolve_field(ctx.class, name)
+            .ok_or_else(|| error(ctx.line, format!("unknown variable {name}")))
+    }
+
+    /// The field `fname` of an object of type `oty`.
+    fn field_of(
+        &self,
+        ctx: &MethodCtx<'_>,
+        oty: &Type,
+        fname: &str,
+    ) -> Result<FieldRef, ParseError> {
+        let ocls = oty
+            .ref_class()
+            .ok_or_else(|| error(ctx.line, format!("field access {fname} on non-object")))?;
+        self.program
+            .resolve_field(ocls, fname)
+            .ok_or_else(|| error(ctx.line, format!("unknown field {fname}")))
+    }
+
+    /// The method a call expression names, and whether it is reached through a class
+    /// name (`Class.method(...)`) and therefore static whatever its declaration says.
+    fn callee<'s>(
+        &self,
+        ctx: &MethodCtx<'s>,
+        recv: Option<&Expr<'s>>,
+        name: &str,
+    ) -> Result<(MethodId, bool), ParseError> {
+        let (recv_class, via_class) = match recv {
+            None => (ctx.class, false),
+            // `Ident.method(...)` where Ident is no variable is a class name.
+            Some(Expr::Var(cname))
+                if !ctx.locals.contains_key(cname)
+                    && self.program.resolve_field(ctx.class, cname).is_none() =>
+            {
+                match self.program.class_by_name(cname) {
+                    Some(cid) => (cid, true),
+                    None => return ctx.err(format!("unknown receiver {cname}")),
+                }
+            }
+            Some(r) => match self.type_of(ctx, r)?.ref_class() {
+                Some(cid) => (cid, false),
+                None => return ctx.err(format!("call {name} on non-object")),
+            },
+        };
+        match self.program.resolve_method(recv_class, name) {
+            Some(mid) => Ok((mid, via_class)),
+            None => ctx.err(format!(
+                "unknown method {}.{name}",
+                self.program.class(recv_class).name
+            )),
+        }
+    }
+
+    /// The type [`Compiler::compile_expr`] would return for `e`, emitting nothing: a
+    /// call must know its receiver's class before it knows whether the receiver is
+    /// evaluated at all (a static callee takes none).
+    fn type_of<'s>(&self, ctx: &MethodCtx<'s>, e: &Expr<'s>) -> Result<Type, ParseError> {
+        Ok(match e {
+            Expr::IntLit(_) | Expr::Length(_) => Type::Int,
+            Expr::FloatLit(_) => Type::Float,
+            Expr::StrLit(_) => Type::Str,
+            Expr::BoolLit(_) | Expr::Binary(BinKind::Cmp(_) | BinKind::And | BinKind::Or, ..) => {
+                Type::Bool
+            }
+            Expr::Null | Expr::This => Type::Ref(ctx.class),
+            Expr::Var(name) => match ctx.locals.get(name) {
+                Some((_, ty)) => ty.clone(),
+                None => self.program.field(self.field_named(ctx, name)?).ty.clone(),
+            },
+            Expr::Field(obj, fname) => {
+                let oty = self.type_of(ctx, obj)?;
+                self.program
+                    .field(self.field_of(ctx, &oty, fname)?)
+                    .ty
+                    .clone()
+            }
+            Expr::Index(arr, _) => match self.type_of(ctx, arr)? {
+                Type::Array(inner) => *inner,
+                _ => return ctx.err("indexing a non-array"),
+            },
+            Expr::Call { recv, name, .. } => {
+                let (mid, _) = self.callee(ctx, recv.as_deref(), name)?;
+                self.program.method(mid).ret.clone()
+            }
+            Expr::New(cname, _) => Type::Ref(self.class_named(cname, ctx.line)?),
+            Expr::NewArray(ty, _) => Type::Array(Box::new(self.resolve_type(ty, ctx.line)?)),
+            Expr::Unary(_, inner) | Expr::Binary(BinKind::Arith(_), inner, _) => {
+                self.type_of(ctx, inner)?
+            }
+        })
+    }
+
+    fn compile_expr<'s>(&self, ctx: &mut MethodCtx<'s>, e: &Expr<'s>) -> Result<Type, ParseError> {
         match e {
             Expr::IntLit(v) => {
                 ctx.emit(Insn::Const(Const::Int(*v)));
@@ -1061,7 +1081,7 @@ impl<'a> Compiler<'a> {
                 Ok(Type::Float)
             }
             Expr::StrLit(s) => {
-                ctx.emit(Insn::Const(Const::Str(s.clone())));
+                ctx.emit(Insn::Const(Const::Str(s.to_string())));
                 Ok(Type::Str)
             }
             Expr::BoolLit(b) => {
@@ -1070,245 +1090,133 @@ impl<'a> Compiler<'a> {
             }
             Expr::Null => {
                 ctx.emit(Insn::Const(Const::Null));
-                Ok(Type::Ref(class))
+                Ok(Type::Ref(ctx.class))
             }
             Expr::This => {
                 ctx.emit(Insn::Load(0));
-                Ok(Type::Ref(class))
+                Ok(Type::Ref(ctx.class))
             }
             Expr::Var(name) => {
-                if let Some((slot, ty)) = ctx.locals.get(name).cloned() {
+                if let Some((slot, ty)) = ctx.locals.get(name) {
+                    let (slot, ty) = (*slot, ty.clone());
                     ctx.emit(Insn::Load(slot));
-                    Ok(ty)
-                } else if let Some(fr) = self.program.resolve_field(class, name) {
-                    let f = self.program.field(fr).clone();
-                    if f.is_static {
-                        ctx.emit(Insn::GetStatic(fr));
-                    } else {
-                        ctx.emit(Insn::Load(0));
-                        ctx.emit(Insn::GetField(fr));
-                    }
-                    Ok(f.ty)
-                } else {
-                    err(m.line, format!("unknown variable {name}"))
+                    return Ok(ty);
                 }
+                let fr = self.field_named(ctx, name)?;
+                let f = self.program.field(fr);
+                if f.is_static {
+                    ctx.emit(Insn::GetStatic(fr));
+                } else {
+                    ctx.emit(Insn::Load(0));
+                    ctx.emit(Insn::GetField(fr));
+                }
+                Ok(f.ty.clone())
             }
             Expr::Field(obj, fname) => {
-                let oty = self.compile_expr(class, m, ctx, obj)?;
-                let ocls = oty.ref_class().ok_or_else(|| ParseError {
-                    line: m.line,
-                    message: format!("field access {fname} on non-object"),
-                })?;
-                let fr = self
-                    .program
-                    .resolve_field(ocls, fname)
-                    .ok_or_else(|| ParseError {
-                        line: m.line,
-                        message: format!("unknown field {fname}"),
-                    })?;
+                let oty = self.compile_expr(ctx, obj)?;
+                let fr = self.field_of(ctx, &oty, fname)?;
                 ctx.emit(Insn::GetField(fr));
                 Ok(self.program.field(fr).ty.clone())
             }
             Expr::Index(arr, idx) => {
-                let aty = self.compile_expr(class, m, ctx, arr)?;
-                self.compile_expr(class, m, ctx, idx)?;
+                let aty = self.compile_expr(ctx, arr)?;
+                self.compile_expr(ctx, idx)?;
                 ctx.emit(Insn::ArrayLoad);
                 match aty {
                     Type::Array(inner) => Ok(*inner),
-                    _ => err(m.line, "indexing a non-array"),
+                    _ => ctx.err("indexing a non-array"),
                 }
             }
             Expr::Length(arr) => {
-                self.compile_expr(class, m, ctx, arr)?;
+                self.compile_expr(ctx, arr)?;
                 ctx.emit(Insn::ArrayLength);
                 Ok(Type::Int)
             }
-            Expr::Call {
-                recv,
-                class: _qual,
-                name,
-                args,
-            } => {
-                // Determine the receiver class.
-                let (recv_class, is_static_call) = match recv {
-                    None => (class, false),
-                    Some(r) => {
-                        // `Ident.method(...)` where Ident is a class name = static call.
-                        if let Expr::Var(cname) = r.as_ref() {
-                            if !ctx.locals.contains_key(cname)
-                                && self.program.resolve_field(class, cname).is_none()
-                            {
-                                if let Some(&cid) = self.class_ids.get(cname) {
-                                    (cid, true)
-                                } else {
-                                    return err(m.line, format!("unknown receiver {cname}"));
-                                }
-                            } else {
-                                let t = self.peek_expr_type(class, ctx, r)?;
-                                (
-                                    t.ref_class().ok_or_else(|| ParseError {
-                                        line: m.line,
-                                        message: format!("call {name} on non-object"),
-                                    })?,
-                                    false,
-                                )
-                            }
-                        } else {
-                            let t = self.peek_expr_type(class, ctx, r)?;
-                            (
-                                t.ref_class().ok_or_else(|| ParseError {
-                                    line: m.line,
-                                    message: format!("call {name} on non-object"),
-                                })?,
-                                false,
-                            )
-                        }
-                    }
-                };
-                let mid = self
-                    .program
-                    .resolve_method(recv_class, name)
-                    .ok_or_else(|| ParseError {
-                        line: m.line,
-                        message: format!(
-                            "unknown method {}.{name}",
-                            self.program.class(recv_class).name
-                        ),
-                    })?;
-                let callee = self.program.method(mid).clone();
-                if callee.is_static || is_static_call {
-                    for a in args {
-                        self.compile_expr(class, m, ctx, a)?;
-                    }
-                    ctx.emit(Insn::Invoke(InvokeKind::Static, mid));
+            Expr::Call { recv, name, args } => {
+                let (mid, via_class) = self.callee(ctx, recv.as_deref(), name)?;
+                let callee = self.program.method(mid);
+                let kind = if callee.is_static || via_class {
+                    InvokeKind::Static
                 } else {
                     match recv {
                         None => ctx.emit(Insn::Load(0)),
                         Some(r) => {
-                            self.compile_expr(class, m, ctx, r)?;
+                            self.compile_expr(ctx, r)?;
                         }
                     }
-                    for a in args {
-                        self.compile_expr(class, m, ctx, a)?;
-                    }
-                    ctx.emit(Insn::Invoke(InvokeKind::Virtual, mid));
+                    InvokeKind::Virtual
+                };
+                for a in args {
+                    self.compile_expr(ctx, a)?;
                 }
-                Ok(callee.ret)
+                ctx.emit(Insn::Invoke(kind, mid));
+                Ok(callee.ret.clone())
             }
             Expr::New(cname, args) => {
-                let cid = *self.class_ids.get(cname).ok_or_else(|| ParseError {
-                    line: m.line,
-                    message: format!("unknown class {cname}"),
-                })?;
-                let ctor = self.program.find_method(cid, "<init>");
+                let cid = self.class_named(cname, ctx.line)?;
                 ctx.emit(Insn::New(cid));
-                if let Some(ctor) = ctor {
+                if let Some(ctor) = self.program.find_method(cid, "<init>") {
                     ctx.emit(Insn::Dup);
                     for a in args {
-                        self.compile_expr(class, m, ctx, a)?;
+                        self.compile_expr(ctx, a)?;
                     }
                     ctx.emit(Insn::Invoke(InvokeKind::Special, ctor));
                 } else if !args.is_empty() {
-                    return err(m.line, format!("class {cname} has no constructor"));
+                    return ctx.err(format!("class {cname} has no constructor"));
                 }
                 Ok(Type::Ref(cid))
             }
             Expr::NewArray(ty, len) => {
-                let elem = self.resolve_type(ty, m.line)?;
-                self.compile_expr(class, m, ctx, len)?;
+                let elem = self.resolve_type(ty, ctx.line)?;
+                self.compile_expr(ctx, len)?;
                 ctx.emit(Insn::NewArray(elem.clone()));
                 Ok(Type::Array(Box::new(elem)))
             }
-            Expr::Unary(kind, inner) => {
-                let t = self.compile_expr(class, m, ctx, inner)?;
-                match kind {
-                    UnKind::Neg => ctx.emit(Insn::Un(crate::bytecode::UnOp::Neg)),
-                    UnKind::Not => ctx.emit(Insn::Un(crate::bytecode::UnOp::Not)),
-                }
+            Expr::Unary(op, inner) => {
+                let t = self.compile_expr(ctx, inner)?;
+                ctx.emit(Insn::Un(*op));
                 Ok(t)
             }
-            Expr::Binary(kind, lhs, rhs) => {
-                match kind {
-                    BinKind::Add | BinKind::Sub | BinKind::Mul | BinKind::Div | BinKind::Rem => {
-                        let t = self.compile_expr(class, m, ctx, lhs)?;
-                        self.compile_expr(class, m, ctx, rhs)?;
-                        let op = match kind {
-                            BinKind::Add => BinOp::Add,
-                            BinKind::Sub => BinOp::Sub,
-                            BinKind::Mul => BinOp::Mul,
-                            BinKind::Div => BinOp::Div,
-                            _ => BinOp::Rem,
-                        };
-                        ctx.emit(Insn::Bin(op));
-                        Ok(t)
-                    }
-                    BinKind::And | BinKind::Or => {
-                        // Java-style short-circuit evaluation: the right operand is only
-                        // evaluated when the left one has not already decided the result.
-                        let short = ctx.new_label();
-                        let end = ctx.new_label();
-                        self.compile_expr(class, m, ctx, lhs)?;
-                        if *kind == BinKind::And {
-                            ctx.branch(Insn::If(CmpOp::Eq, usize::MAX), short);
-                        } else {
-                            ctx.branch(Insn::If(CmpOp::Ne, usize::MAX), short);
-                        }
-                        self.compile_expr(class, m, ctx, rhs)?;
-                        ctx.branch(Insn::Goto(usize::MAX), end);
-                        ctx.place(short);
-                        ctx.emit(Insn::Const(Const::Bool(*kind == BinKind::Or)));
-                        ctx.place(end);
-                        Ok(Type::Bool)
-                    }
-                    _ => {
-                        // Comparison producing a boolean value: if (cmp) push true else false.
-                        self.compile_expr(class, m, ctx, lhs)?;
-                        self.compile_expr(class, m, ctx, rhs)?;
-                        let op = match kind {
-                            BinKind::Lt => CmpOp::Lt,
-                            BinKind::Le => CmpOp::Le,
-                            BinKind::Gt => CmpOp::Gt,
-                            BinKind::Ge => CmpOp::Ge,
-                            BinKind::Eq => CmpOp::Eq,
-                            _ => CmpOp::Ne,
-                        };
-                        let true_l = ctx.new_label();
-                        let end_l = ctx.new_label();
-                        ctx.branch(Insn::IfCmp(op, usize::MAX), true_l);
-                        ctx.emit(Insn::Const(Const::Bool(false)));
-                        ctx.branch(Insn::Goto(usize::MAX), end_l);
-                        ctx.place(true_l);
-                        ctx.emit(Insn::Const(Const::Bool(true)));
-                        ctx.place(end_l);
-                        Ok(Type::Bool)
-                    }
-                }
+            Expr::Binary(BinKind::Arith(op), lhs, rhs) => {
+                let t = self.compile_expr(ctx, lhs)?;
+                self.compile_expr(ctx, rhs)?;
+                ctx.emit(Insn::Bin(*op));
+                Ok(t)
+            }
+            Expr::Binary(kind @ (BinKind::And | BinKind::Or), lhs, rhs) => {
+                // Java-style short-circuit evaluation: the right operand is only
+                // evaluated when the left one has not already decided the result.
+                let short = ctx.new_label();
+                let end = ctx.new_label();
+                self.compile_expr(ctx, lhs)?;
+                let decided = if *kind == BinKind::And {
+                    CmpOp::Eq
+                } else {
+                    CmpOp::Ne
+                };
+                ctx.branch(Insn::If(decided, usize::MAX), short);
+                self.compile_expr(ctx, rhs)?;
+                ctx.branch(Insn::Goto(usize::MAX), end);
+                ctx.place(short);
+                ctx.emit(Insn::Const(Const::Bool(*kind == BinKind::Or)));
+                ctx.place(end);
+                Ok(Type::Bool)
+            }
+            Expr::Binary(BinKind::Cmp(op), lhs, rhs) => {
+                // Comparison producing a boolean value: if (cmp) push true else false.
+                self.compile_expr(ctx, lhs)?;
+                self.compile_expr(ctx, rhs)?;
+                let true_l = ctx.new_label();
+                let end_l = ctx.new_label();
+                ctx.branch(Insn::IfCmp(*op, usize::MAX), true_l);
+                ctx.emit(Insn::Const(Const::Bool(false)));
+                ctx.branch(Insn::Goto(usize::MAX), end_l);
+                ctx.place(true_l);
+                ctx.emit(Insn::Const(Const::Bool(true)));
+                ctx.place(end_l);
+                Ok(Type::Bool)
             }
         }
-    }
-
-    /// Computes the type an expression would have without emitting code twice: for the
-    /// receiver of a call we must emit the code exactly once, so this compiles into a
-    /// scratch context purely for its type. (Receivers are re-compiled for real by the
-    /// caller; bodies are small so this stays cheap.)
-    fn peek_expr_type(
-        &mut self,
-        class: ClassId,
-        ctx: &MethodCtx,
-        e: &Expr,
-    ) -> Result<Type, ParseError> {
-        let mut scratch = MethodCtx::new();
-        scratch.locals = ctx.locals.clone();
-        scratch.next_local = ctx.next_local;
-        let dummy = MethodDecl {
-            name: "<peek>".into(),
-            is_static: false,
-            params: vec![],
-            ret: TypeName::Void,
-            body: vec![],
-            line: 0,
-        };
-        self.compile_expr(class, &dummy, &mut scratch, e)
     }
 }
 
@@ -1317,19 +1225,17 @@ impl<'a> Compiler<'a> {
 /// The entry point is any `static void main()` method. See the module documentation for
 /// the supported language subset.
 pub fn compile_source(src: &str) -> Result<Program, ParseError> {
-    let toks = lex(src)?;
-    let mut parser = Parser { toks, pos: 0 };
-    let decls = parser.parse_program()?;
-    let mut program = Program::new();
-    let mut compiler = Compiler {
-        program: &mut program,
-        class_ids: HashMap::new(),
-        method_ids: HashMap::new(),
-        decls,
+    let mut parser = Parser {
+        toks: lex(src)?,
+        pos: 0,
     };
-    compiler.declare_all()?;
-    compiler.compile_bodies()?;
-    Ok(program)
+    let decls = parser.parse_program()?;
+    let mut compiler = Compiler {
+        program: Program::new(),
+    };
+    compiler.declare_all(&decls)?;
+    compiler.compile_bodies(&decls)?;
+    Ok(compiler.program)
 }
 
 #[cfg(test)]
@@ -1538,7 +1444,7 @@ mod tests {
     /// their method starts on; parse errors the line of the offending token.
     #[test]
     fn errors_keep_their_lines_and_messages() {
-        let cases: [(&str, usize, &str); 10] = [
+        let cases: [(&str, usize, &str); 12] = [
             (
                 "class A {\n  static void main() {\n    x = 3;\n  }\n}",
                 2,
@@ -1579,12 +1485,24 @@ mod tests {
                 3,
                 "unterminated string literal",
             ),
-            // The two declaration errors that used to lose their line.
-            ("class A {\n  int ok;\n  Nope gone;\n}", 0, "unknown class Nope"),
+            // Declaration errors carry the declaration's line (they reported line 0).
+            ("class A {\n  int ok;\n  Nope gone;\n}", 3, "unknown class Nope"),
             (
                 "class A { }\n\nclass B extends Base { }",
-                0,
+                3,
                 "unknown superclass Base",
+            ),
+            // So does an error inside a call's receiver, which is typed before it is
+            // compiled (it reported line 0 too).
+            (
+                "class A {\n  int f() { return 1; }\n  static void main() {\n    nope.f.f();\n  }\n}",
+                3,
+                "unknown variable nope",
+            ),
+            (
+                "class A {\n  static void main() { }\n}\n/* never closed\n\n",
+                4,
+                "unterminated block comment",
             ),
         ];
         for (src, line, message) in cases {

@@ -334,6 +334,9 @@ pub struct ProgramLayout {
     pub static_types: Vec<Type>,
     /// Selector per [`MethodId`] (methods with the same name share a selector).
     selectors: Vec<u32>,
+    /// Declaring class per [`MethodId`]: what the invoke fast path tests against the
+    /// proxy class without a detour through the `Program`.
+    method_classes: Vec<ClassId>,
     /// Method name → selector: the one probe a `DependentObject.access` invoke pays
     /// at its send site. Keys share the `Arc`s of `method_names`.
     selector_of_name: HashMap<Arc<str>, u32>,
@@ -388,6 +391,7 @@ impl ProgramLayout {
             method_names.push(name);
         }
         let selector_count = selector_of_name.len();
+        let method_classes = program.methods.iter().map(|m| m.class).collect();
 
         // Field-name ids: one per distinct field name, in (class, field)
         // declaration order.
@@ -501,6 +505,7 @@ impl ProgramLayout {
             static_names,
             static_types,
             selectors,
+            method_classes,
             selector_of_name,
             field_name_ids,
             method_names,
@@ -513,6 +518,7 @@ impl ProgramLayout {
         // Decode pass: every Insn body becomes a dense op body against the freshly
         // built resolution tables, interning string constants as it goes.
         let mut pool: HashMap<String, u32> = HashMap::new();
+        let mut fuse_scratch = (Vec::new(), Vec::new());
         let method_ops: Vec<MethodOps> = program
             .methods
             .iter()
@@ -523,7 +529,7 @@ impl ProgramLayout {
                     .map(|insn| layout.decode_insn(program, insn, &mut pool))
                     .collect();
                 let (ops, src_pc) = if opts.fuse {
-                    fuse_ops(decoded)
+                    fuse_ops(decoded, &mut fuse_scratch)
                 } else {
                     (decoded, Vec::new())
                 };
@@ -686,6 +692,12 @@ impl ProgramLayout {
         self.selectors[method.0 as usize]
     }
 
+    /// The class that declares `method`.
+    #[inline]
+    pub fn method_class(&self, method: MethodId) -> ClassId {
+        self.method_classes[method.0 as usize]
+    }
+
     /// The interned name of `method`: cloning the returned `Arc` is a refcount bump,
     /// not a string copy.
     #[inline]
@@ -827,12 +839,16 @@ fn shape_fingerprint(program: &Program) -> u64 {
 /// length, i.e. "fall off the end") are then remapped onto the shortened stream.
 ///
 /// Returns the fused ops plus the fused-pc → seed-pc map ([`MethodOps::src_pc`]);
-/// the map comes back empty when nothing fused, signalling identity.
-fn fuse_ops(ops: Vec<Op>) -> (Vec<Op>, Vec<u32>) {
+/// the map comes back empty when nothing fused, signalling identity. The two
+/// per-method work tables live in the caller's `scratch` (contents irrelevant on
+/// entry), so a layout build allocates them once rather than once per method.
+fn fuse_ops(ops: Vec<Op>, scratch: &mut (Vec<bool>, Vec<u32>)) -> (Vec<Op>, Vec<u32>) {
     let n = ops.len();
+    let (is_target, old_to_new) = scratch;
     // Seed-coordinate branch-target set. `n + 1` entries: a target may legally be
     // one past the last instruction.
-    let mut is_target = vec![false; n + 1];
+    is_target.clear();
+    is_target.resize(n + 1, false);
     for op in &ops {
         match op {
             Op::IfCmp(_, t) | Op::If(_, t) | Op::Goto(t) => is_target[*t as usize] = true,
@@ -842,7 +858,8 @@ fn fuse_ops(ops: Vec<Op>) -> (Vec<Op>, Vec<u32>) {
 
     let mut fused: Vec<Op> = Vec::with_capacity(n);
     let mut src_pc: Vec<u32> = Vec::with_capacity(n);
-    let mut old_to_new = vec![0u32; n + 1];
+    old_to_new.clear();
+    old_to_new.resize(n + 1, 0);
     let mut pc = 0usize;
     while pc < n {
         // No target may land inside the window; the window start itself is fine.

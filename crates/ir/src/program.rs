@@ -4,9 +4,16 @@
 //! [`Method`]s. Methods carry a body expressed in the stack [`bytecode`](crate::bytecode)
 //! instruction set. This mirrors what the paper's front-end obtains after decoding Java
 //! class files with Joeq.
+//!
+//! Classes and methods sit behind [`Arc`]s, so [`Program::clone`] costs one reference
+//! count per class and per method rather than a deep copy: the per-node copies the
+//! rewriter makes share every class and every method body it leaves alone. Mutation
+//! goes through [`Program::class_mut`] / [`Program::method_mut`] (and the `add_*`
+//! builders), which copy the one item on first write if another program still holds
+//! it.
 
-use std::collections::HashMap;
 use std::fmt;
+use std::sync::Arc;
 
 use crate::bytecode::Insn;
 
@@ -202,12 +209,15 @@ impl Class {
 #[derive(Clone, Debug, Default)]
 pub struct Program {
     /// All classes, indexed by [`ClassId`].
-    pub classes: Vec<Class>,
+    pub classes: Vec<Arc<Class>>,
     /// All methods, indexed by [`MethodId`].
-    pub methods: Vec<Method>,
+    pub methods: Vec<Arc<Method>>,
     /// The entry point (a static method, conventionally `main`).
     pub entry: Option<MethodId>,
-    name_to_class: HashMap<String, ClassId>,
+    /// Every class id, sorted by class name: the name index. It holds no strings of
+    /// its own, so a clone copies `4 * classes` bytes and adding a class to a copy
+    /// copies nothing else.
+    by_name: Vec<ClassId>,
 }
 
 impl Program {
@@ -216,28 +226,33 @@ impl Program {
         Self::default()
     }
 
+    /// Where `name` is (`Ok`) or would go (`Err`) in the name index.
+    fn name_slot(&self, name: &str) -> Result<usize, usize> {
+        self.by_name
+            .binary_search_by(|&id| self.class(id).name.as_str().cmp(name))
+    }
+
     /// Adds a class and returns its id. Panics if a class with the same name exists.
     pub fn add_class(&mut self, name: &str, super_class: Option<ClassId>) -> ClassId {
-        assert!(
-            !self.name_to_class.contains_key(name),
-            "duplicate class {name}"
-        );
+        let Err(slot) = self.name_slot(name) else {
+            panic!("duplicate class {name}");
+        };
         let id = ClassId(self.classes.len() as u32);
-        self.classes.push(Class {
+        self.classes.push(Arc::new(Class {
             id,
             name: name.to_string(),
             super_class,
             fields: Vec::new(),
             methods: Vec::new(),
             is_synthetic: false,
-        });
-        self.name_to_class.insert(name.to_string(), id);
+        }));
+        self.by_name.insert(slot, id);
         id
     }
 
     /// Adds a field to `class` and returns a reference to it.
     pub fn add_field(&mut self, class: ClassId, name: &str, ty: Type, is_static: bool) -> FieldRef {
-        let c = &mut self.classes[class.0 as usize];
+        let c = self.class_mut(class);
         assert!(
             c.field_index(name).is_none(),
             "duplicate field {}.{}",
@@ -265,7 +280,7 @@ impl Program {
         is_static: bool,
     ) -> MethodId {
         let id = MethodId(self.methods.len() as u32);
-        self.methods.push(Method {
+        self.methods.push(Arc::new(Method {
             id,
             class,
             name: name.to_string(),
@@ -274,14 +289,14 @@ impl Program {
             is_static,
             locals: 0,
             body: Vec::new(),
-        });
-        self.classes[class.0 as usize].methods.push(id);
+        }));
+        self.class_mut(class).methods.push(id);
         id
     }
 
     /// Looks up a class by name.
     pub fn class_by_name(&self, name: &str) -> Option<ClassId> {
-        self.name_to_class.get(name).copied()
+        self.name_slot(name).ok().map(|slot| self.by_name[slot])
     }
 
     /// Accessor for a class.
@@ -289,9 +304,10 @@ impl Program {
         &self.classes[id.0 as usize]
     }
 
-    /// Mutable accessor for a class.
+    /// Mutable accessor for a class (copies it first if another program shares it).
+    /// Renaming a class through it would invalidate the name index; nothing does.
     pub fn class_mut(&mut self, id: ClassId) -> &mut Class {
-        &mut self.classes[id.0 as usize]
+        Arc::make_mut(&mut self.classes[id.0 as usize])
     }
 
     /// Accessor for a method.
@@ -299,9 +315,31 @@ impl Program {
         &self.methods[id.0 as usize]
     }
 
-    /// Mutable accessor for a method.
+    /// Mutable accessor for a method (copies it first if another program shares it).
     pub fn method_mut(&mut self, id: MethodId) -> &mut Method {
-        &mut self.methods[id.0 as usize]
+        Arc::make_mut(&mut self.methods[id.0 as usize])
+    }
+
+    /// Gives method `id` a new body and local count. A method another program still
+    /// shares is rebuilt around the new body rather than copied first, so the body
+    /// being replaced is never cloned.
+    pub fn set_body(&mut self, id: MethodId, body: Vec<Insn>, locals: u16) {
+        let slot = &mut self.methods[id.0 as usize];
+        if let Some(m) = Arc::get_mut(slot) {
+            m.body = body;
+            m.locals = locals;
+        } else {
+            *slot = Arc::new(Method {
+                id,
+                class: slot.class,
+                name: slot.name.clone(),
+                params: slot.params.clone(),
+                ret: slot.ret.clone(),
+                is_static: slot.is_static,
+                locals,
+                body,
+            });
+        }
     }
 
     /// Accessor for a field via a [`FieldRef`].
@@ -402,15 +440,6 @@ impl Program {
                 .sum::<u64>();
         bytes.div_ceil(1024)
     }
-
-    /// Rebuilds the name lookup table. Needed after deserialization.
-    pub fn rebuild_index(&mut self) {
-        self.name_to_class = self
-            .classes
-            .iter()
-            .map(|c| (c.name.clone(), c.id))
-            .collect();
-    }
 }
 
 #[cfg(test)]
@@ -472,6 +501,65 @@ mod tests {
         p.add_method(s, "access", vec![], Type::Void, false);
         assert_eq!(p.class_count(), 1);
         assert_eq!(p.method_count(), 1);
+    }
+
+    #[test]
+    fn a_clone_shares_until_it_is_written() {
+        let mut p = Program::new();
+        let b = p.add_class("B", None);
+        let a = p.add_class("A", Some(b));
+        let kept = p.add_method(a, "kept", vec![], Type::Void, false);
+        let edited = p.add_method(a, "edited", vec![Type::Int], Type::Int, true);
+        let replaced = p.add_method(b, "replaced", vec![], Type::Void, false);
+        p.method_mut(replaced).body = vec![Insn::Return];
+
+        let mut q = p.clone();
+        assert!(p
+            .methods
+            .iter()
+            .zip(&q.methods)
+            .all(|(x, y)| Arc::ptr_eq(x, y)));
+        assert!(p
+            .classes
+            .iter()
+            .zip(&q.classes)
+            .all(|(x, y)| Arc::ptr_eq(x, y)));
+
+        // Writes land in the copy alone, one item at a time.
+        q.method_mut(edited).locals = 7;
+        q.set_body(replaced, vec![Insn::Pop, Insn::Return], 2);
+        let z = q.add_class("Z", None);
+        q.add_method(z, "fresh", vec![], Type::Void, true);
+        assert_eq!(p.method(edited).locals, 0);
+        assert_eq!(p.method(replaced).body, vec![Insn::Return]);
+        assert_eq!(
+            (q.method(edited).locals, q.method(edited).params.len()),
+            (7, 1)
+        );
+        assert_eq!(q.method(replaced).body.len(), 2);
+        assert_eq!(
+            (q.method(replaced).name.as_str(), q.method(replaced).locals),
+            ("replaced", 2)
+        );
+        assert!(Arc::ptr_eq(
+            &p.methods[kept.0 as usize],
+            &q.methods[kept.0 as usize]
+        ));
+        assert!(Arc::ptr_eq(
+            &p.classes[a.0 as usize],
+            &q.classes[a.0 as usize]
+        ));
+
+        // The name index is per program and stays sorted whatever the insertion order.
+        assert_eq!(
+            (p.class_by_name("Z"), q.class_by_name("Z")),
+            (None, Some(z))
+        );
+        for program in [&p, &q] {
+            assert_eq!(program.class_by_name("A"), Some(a));
+            assert_eq!(program.class_by_name("B"), Some(b));
+            assert_eq!(program.class_by_name("C"), None);
+        }
     }
 
     #[test]

@@ -717,7 +717,6 @@ impl<'p> Interp<'p> {
         } = task;
         debug_assert!(pending.is_none(), "running a parked continuation");
         let layout = Arc::clone(&self.layout);
-        let program = self.program;
         // Hoisted out of the loop: the per-instruction virtual-time increment (node
         // speed and instruction cost never change mid-run) and the sampling flag.
         let unit_cost = self.instr_cost_us / self.speed;
@@ -1194,7 +1193,7 @@ impl<'p> Interp<'p> {
                             if *kind == InvokeKind::Static {
                                 resolved = Some(*target);
                             } else if let Value::Ref(ObjRef::Local(h)) = &frame.stack[base] {
-                                let callee_class = program.method(*target).class;
+                                let callee_class = layout.method_class(*target);
                                 if Some(callee_class) != self.dep_class {
                                     if let Some(c) = self.heap[*h as usize].class() {
                                         if Some(c) != self.dep_class {

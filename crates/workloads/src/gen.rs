@@ -17,6 +17,8 @@
 //! Generation is deterministic: the same [`GenConfig`] (seed included) produces
 //! byte-identical source, so a chaos-test failure reproduces from its config alone.
 
+use std::fmt::Write;
+
 use crate::{build, Workload};
 
 /// Shape parameters for one generated workload. All counts are clamped to at
@@ -96,10 +98,6 @@ impl Rng {
     }
 }
 
-fn class_name(level: usize, idx: usize) -> String {
-    format!("G{level}_{idx}")
-}
-
 /// Builds the workload described by `cfg`. See the module docs for the shape.
 pub fn generated(cfg: &GenConfig) -> GeneratedWorkload {
     let depth = cfg.depth.max(1);
@@ -129,15 +127,17 @@ pub fn generated(cfg: &GenConfig) -> GeneratedWorkload {
         children.push(row);
     }
 
-    let mut src = String::new();
+    // The whole source goes into one buffer; `write!` to a `String` cannot fail.
+    let mut src = String::with_capacity(depth * width * (256 + 128 * fan_out));
     let mut levels = Vec::new();
     for (level, row) in children.iter().enumerate() {
         for (idx, picks) in row.iter().enumerate() {
-            let name = class_name(level, idx);
+            let name = format!("G{level}_{idx}");
             let salt = level * 1000 + idx * 7 + 1;
             if picks.is_empty() {
                 // Leaf: bounded local compute, no further calls.
-                src.push_str(&format!(
+                let _ = write!(
+                    src,
                     "class {name} {{\n\
                      \x20   int salt;\n\
                      \x20   {name}(int salt) {{ this.salt = salt; }}\n\
@@ -151,40 +151,35 @@ pub fn generated(cfg: &GenConfig) -> GeneratedWorkload {
                      \x20       return acc;\n\
                      \x20   }}\n\
                      }}\n"
-                ));
+                );
             } else {
-                let fields: String = picks
-                    .iter()
-                    .enumerate()
-                    .map(|(k, &c)| format!("    {} c{k};\n", class_name(level + 1, c)))
-                    .collect();
-                let params: String = picks
-                    .iter()
-                    .enumerate()
-                    .map(|(k, &c)| format!("{} c{k}", class_name(level + 1, c)))
-                    .collect::<Vec<_>>()
-                    .join(", ");
-                let assigns: String = (0..picks.len())
-                    .map(|k| format!("this.c{k} = c{k}; "))
-                    .collect();
-                let calls: String = (0..picks.len())
-                    .map(|k| {
-                        format!(
-                            "        acc = (acc + this.c{k}.work(acc % 65521, tag)) % 1000003;\n"
-                        )
-                    })
-                    .collect();
-                src.push_str(&format!(
-                    "class {name} {{\n\
-                     {fields}\
-                     \x20   {name}({params}) {{ {assigns}}}\n\
+                let next = level + 1;
+                let _ = writeln!(src, "class {name} {{");
+                for (k, &c) in picks.iter().enumerate() {
+                    let _ = writeln!(src, "    G{next}_{c} c{k};");
+                }
+                let _ = write!(src, "    {name}(");
+                for (k, &c) in picks.iter().enumerate() {
+                    let sep = if k == 0 { "" } else { ", " };
+                    let _ = write!(src, "{sep}G{next}_{c} c{k}");
+                }
+                src.push_str(") { ");
+                for k in 0..picks.len() {
+                    let _ = write!(src, "this.c{k} = c{k}; ");
+                }
+                let _ = write!(
+                    src,
+                    "}}\n\
                      \x20   int work(int n, String tag) {{\n\
-                     \x20       int acc = (n * 31 + {salt}) % 1000003;\n\
-                     {calls}\
-                     \x20       return acc;\n\
-                     \x20   }}\n\
-                     }}\n"
-                ));
+                     \x20       int acc = (n * 31 + {salt}) % 1000003;\n"
+                );
+                for k in 0..picks.len() {
+                    let _ = writeln!(
+                        src,
+                        "        acc = (acc + this.c{k}.work(acc % 65521, tag)) % 1000003;"
+                    );
+                }
+                src.push_str("        return acc;\n    }\n}\n");
             }
             levels.push((name, level));
         }
@@ -192,43 +187,42 @@ pub fn generated(cfg: &GenConfig) -> GeneratedWorkload {
 
     // Main: build the tree bottom-up (one instance per class), then drive every
     // level-0 class `iterations` times, alternating full- and half-size tags.
-    let mut main =
-        String::from("class Main {\n    static int checksum;\n    static void main() {\n");
+    src.push_str("class Main {\n    static int checksum;\n    static void main() {\n");
     for (level, row) in children.iter().enumerate().rev() {
         for (idx, picks) in row.iter().enumerate() {
-            let name = class_name(level, idx);
-            let var = name.to_lowercase();
-            let args = if picks.is_empty() {
-                format!("{}", level * 1000 + idx * 7 + 1)
-            } else {
-                picks
-                    .iter()
-                    .map(|&c| class_name(level + 1, c).to_lowercase())
-                    .collect::<Vec<_>>()
-                    .join(", ")
-            };
-            main.push_str(&format!("        {name} {var} = new {name}({args});\n"));
+            let _ = write!(
+                src,
+                "        G{level}_{idx} g{level}_{idx} = new G{level}_{idx}("
+            );
+            if picks.is_empty() {
+                let _ = write!(src, "{}", level * 1000 + idx * 7 + 1);
+            }
+            for (k, &c) in picks.iter().enumerate() {
+                let sep = if k == 0 { "" } else { ", " };
+                let _ = write!(src, "{sep}g{}_{c}", level + 1);
+            }
+            src.push_str(");\n");
         }
     }
-    main.push_str(&format!(
-        "        String tagA = \"{}\";\n        String tagB = \"{}\";\n",
-        "x".repeat(payload),
-        "x".repeat((payload / 2).max(1)),
-    ));
-    main.push_str("        int acc = 0;\n        int it = 0;\n");
-    main.push_str(&format!("        while (it < {iterations}) {{\n"));
+    let tag = "x".repeat(payload);
+    let _ = write!(
+        src,
+        "        String tagA = \"{tag}\";\n        String tagB = \"{}\";\n",
+        &tag[..(payload / 2).max(1)],
+    );
+    src.push_str("        int acc = 0;\n        int it = 0;\n");
+    let _ = writeln!(src, "        while (it < {iterations}) {{");
     for idx in 0..width {
-        let var = class_name(0, idx).to_lowercase();
-        main.push_str(&format!(
+        let _ = write!(
+            src,
             "            if (it % 2 == 0) {{\n\
-             \x20               acc = (acc + {var}.work(it + 1, tagA)) % 1000003;\n\
+             \x20               acc = (acc + g0_{idx}.work(it + 1, tagA)) % 1000003;\n\
              \x20           }} else {{\n\
-             \x20               acc = (acc + {var}.work(it + 1, tagB)) % 1000003;\n\
+             \x20               acc = (acc + g0_{idx}.work(it + 1, tagB)) % 1000003;\n\
              \x20           }}\n"
-        ));
+        );
     }
-    main.push_str("            it = it + 1;\n        }\n        checksum = acc + 1;\n    }\n}\n");
-    src.push_str(&main);
+    src.push_str("            it = it + 1;\n        }\n        checksum = acc + 1;\n    }\n}\n");
 
     let name = format!(
         "gen(seed={:#x},d={depth},w={width},f={fan_out},skew={},pay={payload})",

@@ -215,11 +215,9 @@ fn build_probe(body: Vec<Insn>) -> (Program, MethodId) {
     let mut p = Program::new();
     let c = p.add_class("Probe", None);
     let id = p.add_method(c, "probe", vec![Type::Int; 4], Type::Int, true);
-    {
-        let m = &mut p.methods[id.0 as usize];
-        m.locals = 4;
-        m.body = body;
-    }
+    let m = p.method_mut(id);
+    m.locals = 4;
+    m.body = body;
     (p, id)
 }
 

@@ -1,0 +1,176 @@
+//! An allocation budget for the compile side, and a direct check of what it rests on.
+//!
+//! Planning used to copy what it already held: the front end cloned tokens, the AST
+//! and callee methods, and every node's program was a deep copy made twice (once by
+//! the rewriter, once on the way to the server). Now the front end borrows from the
+//! source text and a [`Program`] clone shares its classes and methods by reference
+//! count, so a node's copy owns only the methods the rewriter changed. The first test
+//! counts allocations per phase of one `plan_sweep`-shaped op (`gen` d6 w12 f3 over
+//! 2, 4 and 8 nodes) and holds each cell within 10 % of what that design costs; the
+//! second asserts the sharing itself, pointer for pointer.
+//!
+//! The counter is per thread, so the two tests do not see each other.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+use std::sync::Arc;
+
+use autodist::{Distributor, DistributorConfig};
+use autodist_ir::layout::ProgramLayout;
+use autodist_runtime::cluster::ClusterConfig;
+use autodist_runtime::NetworkConfig;
+use autodist_workloads::{generated, GenConfig};
+
+/// Counts every allocation and reallocation of the calling thread.
+struct CountingAlloc;
+
+thread_local! {
+    static ALLOCATIONS: Cell<usize> = const { Cell::new(0) };
+}
+
+unsafe impl GlobalAlloc for CountingAlloc {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        ALLOCATIONS.with(|n| n.set(n.get() + 1));
+        System.alloc(layout)
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout)
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        ALLOCATIONS.with(|n| n.set(n.get() + 1));
+        System.realloc(ptr, layout, new_size)
+    }
+}
+
+#[global_allocator]
+static ALLOC: CountingAlloc = CountingAlloc;
+
+/// Runs `f` and returns its result with the number of allocations it made.
+fn counted<T>(f: impl FnOnce() -> T) -> (T, usize) {
+    let before = ALLOCATIONS.with(Cell::get);
+    let out = f();
+    (out, ALLOCATIONS.with(Cell::get) - before)
+}
+
+/// The program every `plan_sweep` op plans (its seed aside).
+fn sweep_config() -> GenConfig {
+    GenConfig {
+        seed: 0x5EED,
+        depth: 6,
+        width: 12,
+        fan_out: 3,
+        iterations: 1,
+        ..GenConfig::default()
+    }
+}
+
+fn cluster(nodes: usize) -> ClusterConfig {
+    ClusterConfig {
+        network: NetworkConfig {
+            node_speeds: vec![1.0; nodes],
+            ..NetworkConfig::paper_testbed()
+        },
+        ..ClusterConfig::default()
+    }
+}
+
+/// What the phases allocate today, per node count `[2, 4, 8]`; a cell may exceed its
+/// figure by a tenth before the test fails. Before the front end borrowed and the
+/// copies shared, the rows read 41 811, 14 171 / 23 056 / 40 409 and
+/// 5 810 / 12 426 / 25 661 (mean whole op 82 368).
+const GENERATED: usize = 5_201;
+const DISTRIBUTE: [usize; 3] = [10_386, 17_668, 31_735];
+const PREPARE: [usize; 3] = [2_715, 5_571, 11_286];
+
+#[test]
+fn planning_stays_inside_its_allocation_budget() {
+    let cfg = sweep_config();
+    let within = |what: &str, got: usize, budget: usize| {
+        assert!(
+            got * 10 <= budget * 11,
+            "{what}: {got} allocations, more than a tenth over the budget of {budget}"
+        );
+    };
+    println!("gen d6 w12 f3 — allocations per phase of one planning op");
+    println!("nodes  generated  try_distribute  prepare_server  (layouts alone)  whole op");
+    let mut whole_ops = 0;
+    for (i, nodes) in [2usize, 4, 8].into_iter().enumerate() {
+        let (g, gen_allocs) = counted(|| generated(&cfg));
+        let distributor = Distributor::new(DistributorConfig::multilevel(nodes));
+        let (plan, distribute_allocs) = counted(|| {
+            distributor
+                .try_distribute(&g.workload.program)
+                .expect("plans")
+        });
+        let cluster = cluster(nodes);
+        let (app, prepare_allocs) = counted(|| plan.prepare_server(&cluster));
+        assert_eq!(app.nodes(), nodes);
+        let ((), layout_allocs) = counted(|| {
+            for copy in &plan.node_programs {
+                std::hint::black_box(ProgramLayout::build(&copy.program));
+            }
+        });
+        let whole = gen_allocs + distribute_allocs + prepare_allocs;
+        whole_ops += whole;
+        println!(
+            "{nodes:>5}  {gen_allocs:>9}  {distribute_allocs:>14}  {prepare_allocs:>14}  \
+             {layout_allocs:>15}  {whole:>8}"
+        );
+        within("generated", gen_allocs, GENERATED);
+        within("try_distribute", distribute_allocs, DISTRIBUTE[i]);
+        within("prepare_server", prepare_allocs, PREPARE[i]);
+        // No program copy is left in the hand-off: beyond building the layouts it
+        // costs a reference-counted clone of each program (its three tables), the
+        // layout's `Arc`, and the vectors that hold them.
+        assert!(
+            prepare_allocs <= layout_allocs + 4 * nodes + 4,
+            "prepare_server on {nodes} nodes: {prepare_allocs} allocations, layouts alone {layout_allocs}"
+        );
+    }
+    let mean = whole_ops / 3;
+    println!("mean whole op: {mean}");
+    assert!(mean <= 45_000, "mean planning op: {mean} allocations");
+}
+
+#[test]
+fn a_nodes_copy_shares_every_method_the_rewriter_left_alone() {
+    let g = generated(&sweep_config());
+    let source = &g.workload.program;
+    let plan = Distributor::new(DistributorConfig::multilevel(2))
+        .try_distribute(source)
+        .expect("plans");
+    let handed_over = plan.programs();
+    for (rank, copy) in plan.node_programs.iter().enumerate() {
+        let shared = source
+            .methods
+            .iter()
+            .zip(&copy.program.methods)
+            .filter(|(ours, theirs)| Arc::ptr_eq(ours, theirs))
+            .count();
+        assert_eq!(
+            shared + copy.stats.methods_transformed,
+            source.methods.len(),
+            "node {rank}: every method is either shared or counted as transformed"
+        );
+        assert!(
+            shared > 0 && copy.stats.methods_transformed > 0,
+            "node {rank}"
+        );
+        // Classes are never rewritten: all shared, the proxy class appended.
+        assert!(source
+            .classes
+            .iter()
+            .zip(&copy.program.classes)
+            .all(|(ours, theirs)| Arc::ptr_eq(ours, theirs)));
+        assert_eq!(copy.program.classes.len(), source.classes.len() + 1);
+        // What the runtime is handed is the same copy again, method for method.
+        assert_eq!(handed_over[rank].methods.len(), copy.program.methods.len());
+        assert!(handed_over[rank]
+            .methods
+            .iter()
+            .zip(&copy.program.methods)
+            .all(|(ours, theirs)| Arc::ptr_eq(ours, theirs)));
+    }
+}

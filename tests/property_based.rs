@@ -133,6 +133,34 @@ proptest! {
         prop_assert_eq!(&first.analysis.odg.edges, &second.analysis.odg.edges);
     }
 
+    /// The front end is a function of the source text: a generated call tree of any
+    /// shape compiles to the same program twice (class for class, instruction for
+    /// instruction — the digest `BENCH_baseline.json` pins), and the verifier accepts it.
+    #[test]
+    fn compiling_is_a_function_of_the_source(
+        seed in 0u64..1_000_000,
+        depth in 1usize..6,
+        width in 1usize..8,
+        fan_out in 1usize..5,
+        payload in 0usize..40,
+    ) {
+        let cfg = autodist_workloads::GenConfig {
+            seed,
+            depth,
+            width,
+            fan_out,
+            payload,
+            ..Default::default()
+        };
+        let first = autodist_workloads::generated(&cfg).workload.program;
+        let second = autodist_workloads::generated(&cfg).workload.program;
+        prop_assert_eq!(
+            autodist_bench::baseline::program_digest(&first),
+            autodist_bench::baseline::program_digest(&second)
+        );
+        prop_assert!(autodist_ir::verify::verify_program(&first).is_ok());
+    }
+
     /// The MiniJava front-end + verifier never panic on random identifier-ish programs
     /// built from a constrained template, and verified programs always interpret
     /// without internal errors (they may legitimately hit arithmetic errors).
