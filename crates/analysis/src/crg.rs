@@ -11,8 +11,11 @@
 //!
 //! Each class contributes two nodes: the static (`ST`) part and the instance/dynamic
 //! (`DT`) part, so that static state can be placed independently of instances.
+//!
+//! A relation found at many program points is one edge whose weight counts them: edges
+//! are indexed by (from, to, kind, carried), and `edges` keeps first-insertion order.
 
-use std::collections::BTreeMap;
+use std::collections::btree_map::{BTreeMap, Entry};
 
 use autodist_ir::bytecode::{Insn, InvokeKind};
 use autodist_ir::program::{ClassId, Program, Type};
@@ -88,6 +91,11 @@ pub struct ClassRelationGraph {
     /// Edges (deduplicated on (from, to, kind, carried), weights accumulated).
     pub edges: Vec<CrgEdge>,
     index: BTreeMap<CrgNode, usize>,
+    /// Position in `edges` of each (from, to, kind, carried).
+    edge_index: BTreeMap<(CrgNode, CrgNode, CrgEdgeKind, Option<ClassId>), usize>,
+    /// Every relation as it was added, for the linear-find oracle.
+    #[cfg(test)]
+    added: Vec<CrgEdge>,
 }
 
 impl ClassRelationGraph {
@@ -128,21 +136,22 @@ impl ClassRelationGraph {
         }
         self.add_node(from);
         self.add_node(to);
-        if let Some(e) = self
-            .edges
-            .iter_mut()
-            .find(|e| e.from == from && e.to == to && e.kind == kind && e.carried == carried)
-        {
-            e.weight += 1;
-            return;
-        }
-        self.edges.push(CrgEdge {
+        let edge = CrgEdge {
             from,
             to,
             kind,
             carried,
             weight: 1,
-        });
+        };
+        #[cfg(test)]
+        self.added.push(edge.clone());
+        match self.edge_index.entry((from, to, kind, carried)) {
+            Entry::Occupied(at) => self.edges[*at.get()].weight += 1,
+            Entry::Vacant(slot) => {
+                slot.insert(self.edges.len());
+                self.edges.push(edge);
+            }
+        }
     }
 
     /// All edges of a given kind.
@@ -230,6 +239,34 @@ mod tests {
     use super::*;
     use crate::rta::rapid_type_analysis;
     use autodist_ir::frontend::compile_source;
+
+    /// What `add_edge` used to do, kept as its definition: one edge per (from, to,
+    /// kind, carried) in first-insertion order, found by scanning the edges so far,
+    /// weighted by how often the relation was added.
+    fn oracle_merge(added: &[CrgEdge]) -> Vec<CrgEdge> {
+        let mut edges: Vec<CrgEdge> = Vec::new();
+        for a in added {
+            let same = |e: &&mut CrgEdge| {
+                e.from == a.from && e.to == a.to && e.kind == a.kind && e.carried == a.carried
+            };
+            match edges.iter_mut().find(same) {
+                Some(e) => e.weight += 1,
+                None => edges.push(a.clone()),
+            }
+        }
+        edges
+    }
+
+    #[test]
+    fn edges_are_the_oracles() {
+        let mut merged = 0;
+        for (name, p) in crate::test_programs::corpus() {
+            let crg = build_crg(&p, &rapid_type_analysis(&p));
+            assert_eq!(crg.edges, oracle_merge(&crg.added), "{name}");
+            merged += crg.added.len() - crg.edges.len();
+        }
+        assert!(merged > 0, "no program repeats a relation");
+    }
 
     const BANK_SRC: &str = r#"
         class Account {

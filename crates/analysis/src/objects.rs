@@ -5,6 +5,10 @@
 //! a site inside a control structure — a loop in its method, or a method that can run
 //! multiple times because it is reachable from a cycle — is a *summary instance*
 //! (prefix `*`) standing for zero or more runtime objects.
+//!
+//! "Can run multiple times" is decided for all methods in one pass linear in the call
+//! graph (see [`collect_objects`]); the per-method search and rounds-to-fixpoint closure
+//! it replaced are the tests' oracle.
 
 use std::collections::BTreeSet;
 
@@ -88,27 +92,43 @@ pub fn collect_objects(program: &Program, call_graph: &CallGraph) -> ObjectSet {
     for &m in &call_graph.reachable {
         loops[m.0 as usize] = loop_pcs(&program.method(m).body);
     }
-    // A method called from inside a loop of its caller also runs many times. We
-    // approximate "may execute more than once" as: in a call-graph cycle, or called
-    // from a loop pc of some reachable caller, or (transitively) called by such a method.
-    let mut multi_exec = call_graph.methods_in_cycles();
-    for cs in &call_graph.call_sites {
-        if loops[cs.caller.0 as usize][cs.pc] {
-            multi_exec.extend(cs.targets.iter().copied());
+    // "May execute more than once": on or reachable from a call-graph cycle, or
+    // reachable from a call made inside a loop of a reachable caller. Peeling methods
+    // nobody left calls removes exactly those no cycle reaches, and what remains is
+    // already closed under calls; the loop targets then spread over one worklist.
+    let mut callers = vec![0u32; program.methods.len()];
+    for callee in call_graph.edges.values().flatten() {
+        callers[callee.0 as usize] += 1;
+    }
+    let mut multi_exec = vec![false; program.methods.len()];
+    let mut work: Vec<MethodId> = Vec::new();
+    for &m in call_graph.edges.keys() {
+        multi_exec[m.0 as usize] = true;
+        if callers[m.0 as usize] == 0 {
+            work.push(m);
         }
     }
-    // Transitive closure: anything called by a multi-exec method is multi-exec.
-    let mut changed = true;
-    while changed {
-        changed = false;
-        let current: Vec<MethodId> = multi_exec.iter().copied().collect();
-        for m in current {
-            for callee in call_graph.callees(m) {
-                if multi_exec.insert(callee) {
-                    changed = true;
-                }
+    while let Some(m) = work.pop() {
+        multi_exec[m.0 as usize] = false;
+        for callee in call_graph.callees(m) {
+            callers[callee.0 as usize] -= 1;
+            if callers[callee.0 as usize] == 0 {
+                work.push(callee);
             }
         }
+    }
+    let mut mark = |m: MethodId, work: &mut Vec<MethodId>| {
+        if !std::mem::replace(&mut multi_exec[m.0 as usize], true) {
+            work.push(m);
+        }
+    };
+    for cs in &call_graph.call_sites {
+        if loops[cs.caller.0 as usize][cs.pc] {
+            cs.targets.iter().for_each(|&t| mark(t, &mut work));
+        }
+    }
+    while let Some(m) = work.pop() {
+        call_graph.callees(m).for_each(|c| mark(c, &mut work));
     }
 
     let mut sites = Vec::new();
@@ -123,7 +143,7 @@ pub fn collect_objects(program: &Program, call_graph: &CallGraph) -> ObjectSet {
                 if program.class(*c).is_synthetic {
                     continue;
                 }
-                let multiplicity = if loops[pc] || multi_exec.contains(&mid) {
+                let multiplicity = if loops[pc] || multi_exec[mid.0 as usize] {
                     Multiplicity::Summary
                 } else {
                     Multiplicity::Single
@@ -147,7 +167,104 @@ pub fn collect_objects(program: &Program, call_graph: &CallGraph) -> ObjectSet {
 mod tests {
     use super::*;
     use crate::rta::rapid_type_analysis;
+    use crate::test_programs::{corpus, hand_written};
     use autodist_ir::frontend::compile_source;
+
+    /// "May execute more than once" as this module used to compute it, kept as its
+    /// definition: a DFS per method finds the ones that reach themselves, the targets
+    /// of calls inside loops join them, and rounds close the set under calls.
+    fn oracle_multi_exec(program: &Program, call_graph: &CallGraph) -> BTreeSet<MethodId> {
+        let mut multi_exec = BTreeSet::new();
+        for &m in call_graph.edges.keys() {
+            let mut seen = BTreeSet::new();
+            let mut stack: Vec<MethodId> = call_graph.callees(m).collect();
+            while let Some(x) = stack.pop() {
+                if x == m {
+                    multi_exec.insert(m);
+                    break;
+                }
+                if seen.insert(x) {
+                    stack.extend(call_graph.callees(x));
+                }
+            }
+        }
+        for cs in &call_graph.call_sites {
+            if loop_pcs(&program.method(cs.caller).body)[cs.pc] {
+                multi_exec.extend(cs.targets.iter().copied());
+            }
+        }
+        let mut changed = true;
+        while changed {
+            changed = false;
+            let current: Vec<MethodId> = multi_exec.iter().copied().collect();
+            for m in current {
+                for callee in call_graph.callees(m) {
+                    if multi_exec.insert(callee) {
+                        changed = true;
+                    }
+                }
+            }
+        }
+        multi_exec
+    }
+
+    #[test]
+    fn multiplicities_are_the_oracles() {
+        for (name, p) in corpus() {
+            let cg = rapid_type_analysis(&p);
+            let multi_exec = oracle_multi_exec(&p, &cg);
+            let objs = collect_objects(&p, &cg);
+            for s in &objs.sites {
+                let many =
+                    loop_pcs(&p.method(s.method).body)[s.pc] || multi_exec.contains(&s.method);
+                let expected = if many {
+                    Multiplicity::Summary
+                } else {
+                    Multiplicity::Single
+                };
+                assert_eq!(s.multiplicity, expected, "{name}: {s:?}");
+            }
+        }
+    }
+
+    /// `(allocating method's name, multiplicity)` of every site, in site order.
+    fn multiplicities(p: &Program) -> Vec<(&str, Multiplicity)> {
+        let objs = collect_objects(p, &rapid_type_analysis(p));
+        let name_of = |s: &AllocSite| p.method(s.method).name.as_str();
+        objs.sites
+            .iter()
+            .map(|s| (name_of(s), s.multiplicity))
+            .collect()
+    }
+
+    #[test]
+    fn recursion_is_detected_as_cycle() {
+        use Multiplicity::{Single, Summary};
+        assert_eq!(
+            multiplicities(&hand_written("self recursion")),
+            [("main", Single), ("rec", Summary)]
+        );
+        // `f` and `g` call each other and `tail` is called from the cycle; `aside`
+        // is called once from `main`.
+        assert_eq!(
+            multiplicities(&hand_written("mutual recursion")),
+            [
+                ("main", Single),
+                ("aside", Single),
+                ("f", Summary),
+                ("tail", Summary)
+            ]
+        );
+    }
+
+    #[test]
+    fn a_helper_called_from_a_loop_allocates_a_summary() {
+        // `inner` is called once directly and, through `make`, from the loop.
+        assert_eq!(
+            multiplicities(&hand_written("helper in a loop")),
+            [("inner", Multiplicity::Summary)]
+        );
+    }
 
     #[test]
     fn single_and_summary_sites_are_distinguished() {

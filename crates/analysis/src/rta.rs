@@ -5,6 +5,13 @@
 //! actually instantiated anywhere in reachable code, and resolves virtual call sites
 //! only against that set. The result is the call graph used by the CRG/ODG construction
 //! and by the profiler's dynamic-call-graph comparison.
+//!
+//! "What can this virtual call dispatch to" has one definition, `virtual_targets`, over
+//! two tables the worklist keeps by class id: the instantiated classes at or under each
+//! class, and the virtual sites declared on each class. A site asks it when first
+//! seen, a newly instantiated class asks it again for its ancestors' sites only, and the
+//! final call-site records ask it once more; nothing scans every instantiated class or
+//! every site. The analysis it replaced is the tests' oracle.
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -40,11 +47,6 @@ pub struct CallGraph {
 }
 
 impl CallGraph {
-    /// `true` if `m` is reachable from the entry point.
-    pub fn is_reachable(&self, m: MethodId) -> bool {
-        self.edges.contains_key(&m) || self.reachable.contains(&m)
-    }
-
     /// Direct callees of `m`.
     pub fn callees(&self, m: MethodId) -> impl Iterator<Item = MethodId> + '_ {
         self.edges.get(&m).into_iter().flatten().copied()
@@ -54,27 +56,49 @@ impl CallGraph {
     pub fn edge_count(&self) -> usize {
         self.edges.values().map(|s| s.len()).sum()
     }
+}
 
-    /// Methods that (transitively) can be invoked more than once per program run
-    /// because they are reachable from a cycle or from a loop in a caller. This is a
-    /// coarse approximation used by the summary-object classification.
-    pub fn methods_in_cycles(&self) -> BTreeSet<MethodId> {
-        // Tarjan-free approximation: a method is "in a cycle" if it can reach itself.
-        let mut result = BTreeSet::new();
-        for &m in self.edges.keys() {
-            let mut seen = BTreeSet::new();
-            let mut stack: Vec<MethodId> = self.callees(m).collect();
-            while let Some(x) = stack.pop() {
-                if x == m {
-                    result.insert(m);
-                    break;
-                }
-                if seen.insert(x) {
-                    stack.extend(self.callees(x));
-                }
-            }
+/// The methods a virtual call naming `declared` can dispatch to: what each
+/// instantiated class at or under the declaring class resolves the name to, or
+/// `declared` itself while no such class has been instantiated (so the analysis stays
+/// sound before the first instance is seen). `below[c]` lists those classes for `c`.
+fn virtual_targets(
+    program: &Program,
+    below: &[Vec<ClassId>],
+    declared: MethodId,
+) -> BTreeSet<MethodId> {
+    let method = program.method(declared);
+    let mut targets: BTreeSet<MethodId> = below[method.class.0 as usize]
+        .iter()
+        .filter_map(|&c| program.resolve_method(c, &method.name))
+        .collect();
+    if targets.is_empty() {
+        targets.insert(declared);
+    }
+    targets
+}
+
+/// The growing call graph: `reachable` in discovery order, its membership table, the
+/// methods still to scan and the edges found so far.
+struct Discovery {
+    reachable: Vec<MethodId>,
+    seen: Vec<bool>,
+    work: Vec<MethodId>,
+    edges: BTreeMap<MethodId, BTreeSet<MethodId>>,
+}
+
+impl Discovery {
+    /// Records that `caller` may call `target`, scheduling `target` on first sight.
+    fn call(&mut self, caller: MethodId, target: MethodId) {
+        self.edges.entry(caller).or_default().insert(target);
+        self.reach(target);
+    }
+
+    fn reach(&mut self, m: MethodId) {
+        if !std::mem::replace(&mut self.seen[m.0 as usize], true) {
+            self.reachable.push(m);
+            self.work.push(m);
         }
-        result
     }
 }
 
@@ -83,85 +107,54 @@ impl CallGraph {
 /// Panics if the program has no entry point (callers should verify first).
 pub fn rapid_type_analysis(program: &Program) -> CallGraph {
     let entry = program.entry.expect("program has an entry point");
-    analyze_from(program, &[entry])
-}
-
-/// Runs RTA from an explicit set of root methods (used by tests and by per-partition
-/// reachability checks).
-pub fn analyze_from(program: &Program, roots: &[MethodId]) -> CallGraph {
-    let mut reachable: Vec<MethodId> = Vec::new();
-    let mut reachable_set: BTreeSet<MethodId> = BTreeSet::new();
+    let classes = program.classes.len();
+    let mut found = Discovery {
+        reachable: Vec::new(),
+        seen: vec![false; program.methods.len()],
+        work: Vec::new(),
+        edges: BTreeMap::new(),
+    };
     let mut instantiated: BTreeSet<ClassId> = BTreeSet::new();
-    let mut edges: BTreeMap<MethodId, BTreeSet<MethodId>> = BTreeMap::new();
-    // Virtual call sites seen so far: (caller, pc, declared target). Re-resolved when
-    // the instantiated-type set grows.
-    let mut virtual_sites: Vec<(MethodId, usize, MethodId)> = Vec::new();
+    // Instantiated classes at or under each class, and the virtual sites seen so far
+    // (caller, declared target) with, per class, the indices of those declared on it:
+    // a newly instantiated class re-resolves its ancestors' sites and no others.
+    let mut below: Vec<Vec<ClassId>> = vec![Vec::new(); classes];
+    let mut sites: Vec<(MethodId, MethodId)> = Vec::new();
+    let mut sites_of: Vec<Vec<usize>> = vec![Vec::new(); classes];
 
-    let mut work: Vec<MethodId> = Vec::new();
-    for &r in roots {
-        if reachable_set.insert(r) {
-            reachable.push(r);
-            work.push(r);
-        }
-    }
-
-    while let Some(m) = work.pop() {
-        edges.entry(m).or_default();
-        let method = program.method(m);
-        for (pc, insn) in method.body.iter().enumerate() {
+    found.reach(entry);
+    while let Some(m) = found.work.pop() {
+        found.edges.entry(m).or_default();
+        for insn in &program.method(m).body {
             match insn {
                 Insn::New(c) if instantiated.insert(*c) => {
-                    // Newly instantiated class: previously seen virtual sites may
-                    // now dispatch to its overrides.
-                    for &(caller, _pc, declared) in &virtual_sites {
-                        let name = &program.method(declared).name;
-                        if let Some(t) = resolve_override(program, *c, declared, name) {
-                            edges.entry(caller).or_default().insert(t);
-                            if reachable_set.insert(t) {
-                                reachable.push(t);
-                                work.push(t);
-                            }
-                        }
-                    }
                     // Constructors of superclasses are conceptually reachable via
                     // implicit super() chains; we only consider explicit calls.
+                    let mut affected: Vec<usize> = Vec::new();
+                    let mut ancestor = Some(*c);
+                    while let Some(a) = ancestor {
+                        below[a.0 as usize].push(*c);
+                        affected.extend(&sites_of[a.0 as usize]);
+                        ancestor = program.class(a).super_class;
+                    }
+                    // In the order the sites were seen: `reachable`'s discovery order
+                    // fixes site order, ODG node ids and so every plan.
+                    affected.sort_unstable();
+                    for i in affected {
+                        let (caller, declared) = sites[i];
+                        for t in virtual_targets(program, &below, declared) {
+                            found.call(caller, t);
+                        }
+                    }
                 }
-                Insn::Invoke(kind, target) => match kind {
-                    InvokeKind::Static | InvokeKind::Special => {
-                        edges.entry(m).or_default().insert(*target);
-                        if reachable_set.insert(*target) {
-                            reachable.push(*target);
-                            work.push(*target);
-                        }
+                Insn::Invoke(InvokeKind::Virtual, declared) => {
+                    sites_of[program.method(*declared).class.0 as usize].push(sites.len());
+                    sites.push((m, *declared));
+                    for t in virtual_targets(program, &below, *declared) {
+                        found.call(m, t);
                     }
-                    InvokeKind::Virtual => {
-                        virtual_sites.push((m, pc, *target));
-                        let declared = program.method(*target);
-                        let decl_class = declared.class;
-                        let name = declared.name.clone();
-                        // Resolve against every instantiated subclass of the declared
-                        // receiver class (plus the declared target itself so analysis
-                        // stays sound when no instance has been seen yet).
-                        let mut targets: BTreeSet<MethodId> = BTreeSet::new();
-                        for &c in &instantiated {
-                            if program.is_subclass_of(c, decl_class) {
-                                if let Some(t) = program.resolve_method(c, &name) {
-                                    targets.insert(t);
-                                }
-                            }
-                        }
-                        if targets.is_empty() {
-                            targets.insert(*target);
-                        }
-                        for t in targets {
-                            edges.entry(m).or_default().insert(t);
-                            if reachable_set.insert(t) {
-                                reachable.push(t);
-                                work.push(t);
-                            }
-                        }
-                    }
-                },
+                }
+                Insn::Invoke(_, target) => found.call(m, *target),
                 _ => {}
             }
         }
@@ -169,24 +162,14 @@ pub fn analyze_from(program: &Program, roots: &[MethodId]) -> CallGraph {
 
     // Build precise call-site records now that the instantiated set is final.
     let mut call_sites = Vec::new();
-    for &m in &reachable {
-        let method = program.method(m);
-        for (pc, insn) in method.body.iter().enumerate() {
+    for &m in &found.reachable {
+        for (pc, insn) in program.method(m).body.iter().enumerate() {
             if let Insn::Invoke(kind, target) = insn {
-                let targets: Vec<MethodId> = match kind {
+                let targets = match kind {
                     InvokeKind::Static | InvokeKind::Special => vec![*target],
-                    InvokeKind::Virtual => {
-                        let declared = program.method(*target);
-                        let mut ts: BTreeSet<MethodId> = instantiated
-                            .iter()
-                            .filter(|&&c| program.is_subclass_of(c, declared.class))
-                            .filter_map(|&c| program.resolve_method(c, &declared.name))
-                            .collect();
-                        if ts.is_empty() {
-                            ts.insert(*target);
-                        }
-                        ts.into_iter().collect()
-                    }
+                    InvokeKind::Virtual => virtual_targets(program, &below, *target)
+                        .into_iter()
+                        .collect(),
                 };
                 call_sites.push(CallSite {
                     caller: m,
@@ -200,56 +183,189 @@ pub fn analyze_from(program: &Program, roots: &[MethodId]) -> CallGraph {
     }
 
     CallGraph {
-        reachable,
+        reachable: found.reachable,
         instantiated,
         call_sites,
-        edges,
-    }
-}
-
-/// If `c` (an instantiated class) is a subclass of the declared receiver of `declared`,
-/// returns the override that a virtual call would dispatch to for receivers of class `c`.
-fn resolve_override(
-    program: &Program,
-    c: ClassId,
-    declared: MethodId,
-    name: &str,
-) -> Option<MethodId> {
-    let decl_class = program.method(declared).class;
-    if program.is_subclass_of(c, decl_class) {
-        program.resolve_method(c, name)
-    } else {
-        None
+        edges: found.edges,
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::test_programs::{corpus, hand_written};
     use autodist_ir::frontend::compile_source;
-    use autodist_ir::ProgramBuilder;
-    use autodist_ir::Type;
+
+    /// The analysis this module replaced, kept as its definition: every first `new C`
+    /// rescans every virtual site seen so far, and every site and the final pass scan
+    /// every instantiated class.
+    fn oracle_analyze_from(program: &Program, roots: &[MethodId]) -> CallGraph {
+        let mut reachable: Vec<MethodId> = Vec::new();
+        let mut reachable_set: BTreeSet<MethodId> = BTreeSet::new();
+        let mut instantiated: BTreeSet<ClassId> = BTreeSet::new();
+        let mut edges: BTreeMap<MethodId, BTreeSet<MethodId>> = BTreeMap::new();
+        // Virtual call sites seen so far: (caller, pc, declared target). Re-resolved when
+        // the instantiated-type set grows.
+        let mut virtual_sites: Vec<(MethodId, usize, MethodId)> = Vec::new();
+
+        let mut work: Vec<MethodId> = Vec::new();
+        for &r in roots {
+            if reachable_set.insert(r) {
+                reachable.push(r);
+                work.push(r);
+            }
+        }
+
+        while let Some(m) = work.pop() {
+            edges.entry(m).or_default();
+            let method = program.method(m);
+            for (pc, insn) in method.body.iter().enumerate() {
+                match insn {
+                    Insn::New(c) if instantiated.insert(*c) => {
+                        // Newly instantiated class: previously seen virtual sites may
+                        // now dispatch to its overrides.
+                        for &(caller, _pc, declared) in &virtual_sites {
+                            let name = &program.method(declared).name;
+                            if let Some(t) = resolve_override(program, *c, declared, name) {
+                                edges.entry(caller).or_default().insert(t);
+                                if reachable_set.insert(t) {
+                                    reachable.push(t);
+                                    work.push(t);
+                                }
+                            }
+                        }
+                        // Constructors of superclasses are conceptually reachable via
+                        // implicit super() chains; we only consider explicit calls.
+                    }
+                    Insn::Invoke(kind, target) => match kind {
+                        InvokeKind::Static | InvokeKind::Special => {
+                            edges.entry(m).or_default().insert(*target);
+                            if reachable_set.insert(*target) {
+                                reachable.push(*target);
+                                work.push(*target);
+                            }
+                        }
+                        InvokeKind::Virtual => {
+                            virtual_sites.push((m, pc, *target));
+                            let declared = program.method(*target);
+                            let decl_class = declared.class;
+                            let name = declared.name.clone();
+                            // Resolve against every instantiated subclass of the declared
+                            // receiver class (plus the declared target itself so analysis
+                            // stays sound when no instance has been seen yet).
+                            let mut targets: BTreeSet<MethodId> = BTreeSet::new();
+                            for &c in &instantiated {
+                                if program.is_subclass_of(c, decl_class) {
+                                    if let Some(t) = program.resolve_method(c, &name) {
+                                        targets.insert(t);
+                                    }
+                                }
+                            }
+                            if targets.is_empty() {
+                                targets.insert(*target);
+                            }
+                            for t in targets {
+                                edges.entry(m).or_default().insert(t);
+                                if reachable_set.insert(t) {
+                                    reachable.push(t);
+                                    work.push(t);
+                                }
+                            }
+                        }
+                    },
+                    _ => {}
+                }
+            }
+        }
+
+        // Build precise call-site records now that the instantiated set is final.
+        let mut call_sites = Vec::new();
+        for &m in &reachable {
+            let method = program.method(m);
+            for (pc, insn) in method.body.iter().enumerate() {
+                if let Insn::Invoke(kind, target) = insn {
+                    let targets: Vec<MethodId> = match kind {
+                        InvokeKind::Static | InvokeKind::Special => vec![*target],
+                        InvokeKind::Virtual => {
+                            let declared = program.method(*target);
+                            let mut ts: BTreeSet<MethodId> = instantiated
+                                .iter()
+                                .filter(|&&c| program.is_subclass_of(c, declared.class))
+                                .filter_map(|&c| program.resolve_method(c, &declared.name))
+                                .collect();
+                            if ts.is_empty() {
+                                ts.insert(*target);
+                            }
+                            ts.into_iter().collect()
+                        }
+                    };
+                    call_sites.push(CallSite {
+                        caller: m,
+                        pc,
+                        kind: *kind,
+                        declared_target: *target,
+                        targets,
+                    });
+                }
+            }
+        }
+
+        CallGraph {
+            reachable,
+            instantiated,
+            call_sites,
+            edges,
+        }
+    }
+
+    /// If `c` (an instantiated class) is a subclass of the declared receiver of `declared`,
+    /// returns the override that a virtual call would dispatch to for receivers of class `c`.
+    fn resolve_override(
+        program: &Program,
+        c: ClassId,
+        declared: MethodId,
+        name: &str,
+    ) -> Option<MethodId> {
+        let decl_class = program.method(declared).class;
+        if program.is_subclass_of(c, decl_class) {
+            program.resolve_method(c, name)
+        } else {
+            None
+        }
+    }
+
+    #[test]
+    fn call_graph_is_the_oracles() {
+        for (name, p) in corpus() {
+            let cg = rapid_type_analysis(&p);
+            let expected = oracle_analyze_from(&p, &[p.entry.unwrap()]);
+            assert_eq!(cg.reachable, expected.reachable, "{name}: reachable");
+            assert_eq!(cg.instantiated, expected.instantiated, "{name}");
+            assert_eq!(cg.call_sites, expected.call_sites, "{name}: call sites");
+            assert_eq!(cg.edges, expected.edges, "{name}: edges");
+        }
+    }
+
+    /// `Class.method` → id.
+    fn method(p: &Program, class: &str, name: &str) -> MethodId {
+        p.find_method(p.class_by_name(class).unwrap(), name)
+            .unwrap()
+    }
 
     #[test]
     fn static_calls_are_followed_transitively() {
-        let mut pb = ProgramBuilder::new();
-        let c = pb.class("C");
-        let leaf = pb.static_method(c, "leaf", vec![], Type::Void).finish();
-        let mut mid = pb.static_method(c, "mid", vec![], Type::Void);
-        mid.invoke_static(leaf).ret();
-        let mid = mid.finish();
-        let mut main = pb.static_method(c, "main", vec![], Type::Void);
-        main.invoke_static(mid).ret();
-        let main = main.finish();
-        // An unreachable method.
-        let dead = pb.static_method(c, "dead", vec![], Type::Void).finish();
-        pb.entry(main);
-        let p = pb.build();
+        let src = r#"
+            class C {
+                static void leaf() { }
+                static void mid() { C.leaf(); }
+                static void main() { C.mid(); }
+                static void dead() { }
+            }
+        "#;
+        let p = compile_source(src).unwrap();
         let cg = rapid_type_analysis(&p);
-        assert!(cg.reachable.contains(&main));
-        assert!(cg.reachable.contains(&mid));
-        assert!(cg.reachable.contains(&leaf));
-        assert!(!cg.reachable.contains(&dead));
+        let [main, mid, leaf] = ["main", "mid", "leaf"].map(|m| method(&p, "C", m));
+        assert_eq!(cg.reachable, [main, mid, leaf], "and not `dead`");
         assert!(cg.callees(main).any(|m| m == mid));
         assert!(cg.callees(mid).any(|m| m == leaf));
     }
@@ -281,11 +397,9 @@ mod tests {
         let circle = p.class_by_name("Circle").unwrap();
         assert!(cg.instantiated.contains(&square));
         assert!(!cg.instantiated.contains(&circle));
-        let square_area = p.find_method(square, "area").unwrap();
-        let circle_area = p.find_method(circle, "area").unwrap();
-        assert!(cg.reachable.contains(&square_area));
+        assert!(cg.reachable.contains(&method(&p, "Square", "area")));
         assert!(
-            !cg.reachable.contains(&circle_area),
+            !cg.reachable.contains(&method(&p, "Circle", "area")),
             "Circle.area unreachable since Circle is never instantiated"
         );
     }
@@ -294,24 +408,28 @@ mod tests {
     fn instantiation_after_call_site_still_resolves() {
         // The call site is seen before the instantiation of the subclass; RTA must
         // re-resolve previously seen virtual sites.
-        let src = r#"
-            class Base { int f() { return 1; } }
-            class Derived extends Base { int f() { return 2; } }
-            class Main {
-                static int call(Base b) { return b.f(); }
-                static void main() {
-                    Base x = new Base();
-                    int r1 = Main.call(x);
-                    Derived d = new Derived();
-                    int r2 = Main.call(d);
-                }
-            }
-        "#;
-        let p = compile_source(src).unwrap();
+        let p = hand_written("late subclass");
         let cg = rapid_type_analysis(&p);
-        let derived = p.class_by_name("Derived").unwrap();
-        let derived_f = p.find_method(derived, "f").unwrap();
-        assert!(cg.reachable.contains(&derived_f));
+        assert!(cg.reachable.contains(&method(&p, "Derived", "f")));
+    }
+
+    #[test]
+    fn a_chain_resolves_each_name_at_the_nearest_override() {
+        // Mid overrides `f`, Leaf overrides `g`; only Leaf is instantiated, so a call
+        // through `Top` dispatches `f` to Mid's and `g` to Leaf's, and to nothing else.
+        let p = hand_written("three-level chain");
+        let cg = rapid_type_analysis(&p);
+        let targets_of = |name: &str| -> Vec<MethodId> {
+            let declared = method(&p, "Top", name);
+            let site = cg
+                .call_sites
+                .iter()
+                .find(|cs| cs.kind == InvokeKind::Virtual && cs.declared_target == declared);
+            site.expect("a virtual site").targets.clone()
+        };
+        assert_eq!(targets_of("f"), [method(&p, "Mid", "f")]);
+        assert_eq!(targets_of("g"), [method(&p, "Leaf", "g")]);
+        assert!(!cg.reachable.contains(&method(&p, "Mid", "g")));
     }
 
     #[test]
@@ -340,40 +458,6 @@ mod tests {
         for cs in virtual_sites {
             assert_eq!(cs.targets.len(), 2, "both overrides are candidate targets");
         }
-    }
-
-    #[test]
-    fn recursion_is_detected_as_cycle() {
-        let mut pb = ProgramBuilder::new();
-        let c = pb.class("C");
-        // rec() calls itself.
-        let rec_id = {
-            let m = pb.static_method(c, "rec", vec![], Type::Void);
-            m.id()
-        };
-        // Build body referencing its own id.
-        {
-            // finish the previously created builder with a self call
-        }
-        let p = {
-            // rebuild cleanly: builder api needs the id before the body.
-            let mut pb = ProgramBuilder::new();
-            let c = pb.class("C");
-            let mut rec = pb.static_method(c, "rec", vec![], Type::Void);
-            let self_id = rec.id();
-            rec.invoke_static(self_id).ret();
-            let rec = rec.finish();
-            let mut main = pb.static_method(c, "main", vec![], Type::Void);
-            main.invoke_static(rec).ret();
-            let main = main.finish();
-            pb.entry(main);
-            pb.build()
-        };
-        let _ = rec_id;
-        let cg = rapid_type_analysis(&p);
-        let cycles = cg.methods_in_cycles();
-        let rec = p.find_method(p.class_by_name("C").unwrap(), "rec").unwrap();
-        assert!(cycles.contains(&rec));
     }
 
     #[test]

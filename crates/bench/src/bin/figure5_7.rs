@@ -1,26 +1,17 @@
 //! Regenerates Figures 5–7: the quad listing, the AST and the x86 / StrongARM machine
 //! code for the paper's `Example.ex(int b)` method.
 
-use autodist::PipelineError;
+use autodist::{Distributor, PipelineError};
 use autodist_codegen::{ast, generate_method, Target};
-use autodist_ir::bytecode::CmpOp;
 use autodist_ir::lower::lower_method;
 use autodist_ir::printer::print_quads;
-use autodist_ir::{ProgramBuilder, Type};
 
 fn main() -> Result<(), PipelineError> {
-    // public class Example { int ex(int b) { b = 4; if (b > 2) { b++; } return b; } }
-    let mut pb = ProgramBuilder::new();
-    let example = pb.class("Example");
-    let mut m = pb.method(example, "ex", vec![Type::Int], Type::Int);
-    m.iconst(4).store(1);
-    let skip = m.label();
-    m.load(1).iconst(2).if_cmp(CmpOp::Le, skip);
-    m.load(1).iconst(1).add().store(1);
-    m.place(skip);
-    m.load(1).ret_val();
-    let id = m.finish();
-    let program = pb.build();
+    let program = Distributor::compile(
+        "class Example { int ex(int b) { b = 4; if (b > 2) { b = b + 1; } return b; } }",
+    )?;
+    let example = program.class_by_name("Example").expect("declared above");
+    let id = program.find_method(example, "ex").expect("declared above");
     let qm = lower_method(&program, program.method(id))?;
 
     println!("Figure 5 — quad listing of Example.ex:");

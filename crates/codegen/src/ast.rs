@@ -250,22 +250,10 @@ pub fn quad_to_tree(program: &Program, q: &Quad) -> TreeNode {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use autodist_ir::bytecode::CmpOp;
     use autodist_ir::lower::lower_method;
-    use autodist_ir::{ProgramBuilder, Type};
 
     fn example_forest() -> Vec<(BlockId, Vec<TreeNode>)> {
-        let mut pb = ProgramBuilder::new();
-        let example = pb.class("Example");
-        let mut m = pb.method(example, "ex", vec![Type::Int], Type::Int);
-        m.iconst(4).store(1);
-        let skip = m.label();
-        m.load(1).iconst(2).if_cmp(CmpOp::Le, skip);
-        m.load(1).iconst(1).add().store(1);
-        m.place(skip);
-        m.load(1).ret_val();
-        let id = m.finish();
-        let p = pb.build();
+        let (p, id) = crate::tests::figure5_example();
         let qm = lower_method(&p, p.method(id)).unwrap();
         build_method_forest(&p, &qm)
     }

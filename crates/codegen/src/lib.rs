@@ -68,22 +68,22 @@ pub fn generate_method(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use autodist_ir::bytecode::CmpOp;
+    use autodist_ir::frontend::compile_source;
     use autodist_ir::lower::lower_method;
-    use autodist_ir::{ProgramBuilder, Type};
+    use autodist_ir::{MethodId, Program};
 
-    fn example() -> (autodist_ir::Program, autodist_ir::QuadMethod) {
-        let mut pb = ProgramBuilder::new();
-        let example = pb.class("Example");
-        let mut m = pb.method(example, "ex", vec![Type::Int], Type::Int);
-        m.iconst(4).store(1);
-        let skip = m.label();
-        m.load(1).iconst(2).if_cmp(CmpOp::Le, skip);
-        m.load(1).iconst(1).add().store(1);
-        m.place(skip);
-        m.load(1).ret_val();
-        let id = m.finish();
-        let p = pb.build();
+    /// The paper's Figure 5 method.
+    pub(crate) fn figure5_example() -> (Program, MethodId) {
+        let p = compile_source(
+            "class Example { int ex(int b) { b = 4; if (b > 2) { b = b + 1; } return b; } }",
+        )
+        .unwrap();
+        let id = p.find_method(p.class_by_name("Example").unwrap(), "ex");
+        (p, id.unwrap())
+    }
+
+    fn example() -> (Program, autodist_ir::QuadMethod) {
+        let (p, id) = figure5_example();
         let qm = lower_method(&p, p.method(id)).unwrap();
         (p, qm)
     }

@@ -51,8 +51,6 @@ struct AppState {
     odg: ObjectDependenceGraph,
     /// Partitioner configuration for replans (comm-first, see module docs).
     part_cfg: PartitionConfig,
-    /// Whether rewritten copies are verified before a swap (`DistributorConfig::verify`).
-    verify: bool,
     /// Cost model the prepared server apps carry.
     network: NetworkConfig,
     /// Method → owning class table for the profiling sinks.
@@ -124,7 +122,6 @@ impl PlanReplanner {
             program: program.clone(),
             odg: plan.analysis.odg.clone(),
             part_cfg,
-            verify: config.verify,
             network: cluster.network.clone(),
             method_class: method_table(program),
             class_count: program.class_count(),
@@ -179,7 +176,7 @@ impl Replanner for PlanReplanner {
         }
         // A copy the verifier rejects is never served: decline and keep the incumbent.
         let nodes = app.part_cfg.nparts.max(1);
-        let copies = crate::rewrite_all(&app.program, &placement, nodes, app.verify).ok()?;
+        let copies = crate::rewrite_all(&app.program, &placement, nodes).ok()?;
         let programs: Vec<Program> = copies.into_iter().map(|rp| rp.program).collect();
         let server = ServerApp::prepare(programs, app.network.clone());
         *app.home.lock().unwrap_or_else(|e| e.into_inner()) = placement.home;
@@ -270,10 +267,10 @@ mod tests {
 
     #[test]
     fn a_copy_the_verifier_rejects_is_never_swapped_in() {
-        // The same serving run as above, but the planner is handed a program with
-        // an unreachable `goto` out of `main`'s body: harmless to run, refused by
-        // the verifier. Registered with `verify` on, the swap that run makes is
-        // declined; with it off, it goes through as before.
+        // The same serving run as above, twice: the planner is handed the program the
+        // plan was made from and makes that run's one swap, then a copy with an
+        // unreachable `goto` out of `main`'s body — harmless to run, refused by the
+        // verifier — and declines it, keeping the incumbent.
         let g = skewed();
         let mut broken = g.workload.program.clone();
         let entry = broken.entry.unwrap();
@@ -282,26 +279,32 @@ mod tests {
             .body
             .push(autodist_ir::bytecode::Insn::Goto(usize::MAX));
         let cluster = ClusterConfig::paper_testbed();
-        for (verify, swaps) in [(true, 0), (false, 1)] {
-            let config = DistributorConfig {
-                verify,
-                ..DistributorConfig::default()
-            };
-            let plan = Distributor::new(config.clone()).distribute(&g.workload.program);
+        let config = DistributorConfig::default();
+        let plan = Distributor::new(config.clone()).distribute(&g.workload.program);
+        for (program, swaps) in [(&g.workload.program, 1), (&broken, 0)] {
             let mut planner = PlanReplanner::new();
-            planner.add_plan(&config, &broken, &plan, &cluster);
+            planner.add_plan(&config, program, &plan, &cluster);
+            let planner = Arc::new(planner);
             let report = run_serving(
                 std::slice::from_ref(&plan.prepare_server(&cluster)),
                 &[0usize; 8],
                 &ServeOptions {
                     concurrency: 1,
                     schedule: Schedule::Inline,
-                    adapt: Some(AdaptOptions::new(Arc::new(planner)).with_epoch(4)),
+                    adapt: Some(
+                        AdaptOptions::new(planner.clone() as Arc<dyn Replanner>).with_epoch(4),
+                    ),
                     ..ServeOptions::default()
                 },
             );
             assert!(report.is_ok());
-            assert_eq!(report.placement_swaps, swaps, "verify: {verify}");
+            assert_eq!(report.placement_swaps, swaps);
+            let moved = plan
+                .placement
+                .home
+                .iter()
+                .any(|(&class, &home)| planner.current_home(0, class) != home);
+            assert_eq!(moved, swaps == 1, "the incumbent placement is kept");
         }
     }
 

@@ -30,7 +30,7 @@ use autodist_analysis::rta::{rapid_type_analysis, CallGraph};
 use autodist_analysis::weights::WeightModel;
 use autodist_codegen::rewrite::{rewrite_for_node, ClassPlacement, RewrittenProgram};
 use autodist_ir::program::Program;
-use autodist_ir::verify::verify_program;
+use autodist_ir::verify::{verify_program, VerifyError};
 use autodist_partition::{partition, Graph, GraphBuilder, Method, PartitionConfig, Partitioning};
 use autodist_runtime::cluster::{
     run_centralized, run_distributed_profiled, ClusterConfig, ExecutionReport,
@@ -55,8 +55,6 @@ pub struct DistributorConfig {
     pub weights: WeightModel,
     /// Allowed partition imbalance.
     pub balance_tolerance: f64,
-    /// Verify every rewritten program copy before execution.
-    pub verify: bool,
     /// Seed for the partitioner's randomised choices.
     pub seed: u64,
 }
@@ -68,7 +66,6 @@ impl Default for DistributorConfig {
             method: Method::Multilevel,
             weights: WeightModel::Uniform,
             balance_tolerance: 0.25,
-            verify: true,
             seed: 0x5eed,
         }
     }
@@ -167,43 +164,6 @@ impl DistributionPlan {
         run_distributed_profiled(&self.programs(), cluster, profilers)
     }
 
-    /// `true` when no chain of inter-node dependences can revisit a node, i.e. the
-    /// digraph over nodes induced by the CRG edges (an edge `home(A) -> home(B)` for
-    /// every class relation `A -> B` crossing nodes) has no cycle. No longer a
-    /// scheduling constraint (the continuation-based scheduler handles cycles);
-    /// retained as a placement diagnostic — an acyclic placement is one whose remote
-    /// calls can never re-enter a node that is awaiting a response.
-    pub fn placement_digraph_is_acyclic(&self) -> bool {
-        let n = self.placement.nparts.max(1);
-        let mut adj = vec![vec![false; n]; n];
-        for e in &self.analysis.crg.edges {
-            let from = self.placement.home_of(e.from.class);
-            let to = self.placement.home_of(e.to.class);
-            if from != to && from < n && to < n {
-                adj[from][to] = true;
-            }
-        }
-        // Three-colour DFS over the (tiny) node digraph.
-        const WHITE: u8 = 0;
-        const GREY: u8 = 1;
-        const BLACK: u8 = 2;
-        fn has_cycle(v: usize, adj: &[Vec<bool>], colour: &mut [u8]) -> bool {
-            colour[v] = GREY;
-            for (u, &edge) in adj[v].iter().enumerate() {
-                if !edge {
-                    continue;
-                }
-                if colour[u] == GREY || (colour[u] == WHITE && has_cycle(u, adj, colour)) {
-                    return true;
-                }
-            }
-            colour[v] = BLACK;
-            false
-        }
-        let mut colour = vec![WHITE; n];
-        (0..n).all(|v| colour[v] != WHITE || !has_cycle(v, &adj, &mut colour))
-    }
-
     /// Executes the plan and surfaces any execution failure as a [`PipelineError`]
     /// instead of an error field inside the report — a cluster that does not
     /// describe one node per program copy included ([`DistributionPlan::execute`]
@@ -277,25 +237,21 @@ pub fn odg_partition_graph(odg: &ObjectDependenceGraph) -> Graph {
 }
 
 /// Phase 4 after placement: one rewritten copy of `program` per node, each checked by
-/// the bytecode verifier when `verify` is set. Shared by the offline pipeline and the
-/// adaptive replanner, so a swapped-in copy is held to the same standard as a planned
-/// one.
+/// the bytecode verifier. Shared by the offline pipeline and the adaptive replanner, so
+/// a swapped-in copy is held to the same standard as a planned one.
 pub(crate) fn rewrite_all(
     program: &Program,
     placement: &ClassPlacement,
     nodes: usize,
-    verify: bool,
 ) -> PipelineResult<Vec<RewrittenProgram>> {
     let copies: Vec<RewrittenProgram> = (0..nodes)
         .map(|n| rewrite_for_node(program, placement, n))
         .collect();
-    if verify {
-        for rp in &copies {
-            verify_program(&rp.program).map_err(|errors| PipelineError::Verify {
-                node: Some(rp.node),
-                errors,
-            })?;
-        }
+    for rp in &copies {
+        verify_program(&rp.program).map_err(|errors| PipelineError::Verify {
+            node: Some(rp.node),
+            errors,
+        })?;
     }
     Ok(copies)
 }
@@ -359,6 +315,12 @@ impl Distributor {
                 self.config.balance_tolerance
             )));
         }
+        if program.entry.is_none() {
+            return Err(PipelineError::Verify {
+                node: None,
+                errors: vec![VerifyError::NoEntryPoint],
+            });
+        }
         // Phase 1: CRG construction (includes RTA, mirroring the paper's breakdown).
         let t0 = Instant::now();
         let call_graph = rapid_type_analysis(program);
@@ -394,8 +356,7 @@ impl Distributor {
         // Phase 4: code and communication generation.
         let t3 = Instant::now();
         let placement = ClassPlacement::from_odg_partition(program, &analysis.odg, &partitioning);
-        let node_programs =
-            rewrite_all(program, &placement, self.config.nodes, self.config.verify)?;
+        let node_programs = rewrite_all(program, &placement, self.config.nodes)?;
         let rewrite_ms = t3.elapsed().as_secs_f64() * 1e3;
 
         Ok(DistributionPlan {
@@ -543,6 +504,18 @@ mod tests {
                 Err(PipelineError::Config(m)) => assert!(m.contains(needle), "{m}"),
                 other => panic!("expected config error, got {other:?}"),
             }
+        }
+    }
+
+    #[test]
+    fn a_program_without_an_entry_point_is_an_error_not_a_panic() {
+        let program = Distributor::compile("class A { int f() { return 1; } }").expect("compiles");
+        let distributor = Distributor::new(DistributorConfig::default());
+        match distributor.try_distribute(&program) {
+            Err(PipelineError::Verify { node: None, errors }) => {
+                assert_eq!(errors, [VerifyError::NoEntryPoint])
+            }
+            other => panic!("expected a verify error, got {other:?}"),
         }
     }
 

@@ -282,11 +282,6 @@ impl Insn {
         matches!(self, Insn::Goto(_) | Insn::Return | Insn::ReturnValue)
     }
 
-    /// `true` if this is a conditional or unconditional branch.
-    pub fn is_branch(&self) -> bool {
-        matches!(self, Insn::Goto(_) | Insn::If(_, _) | Insn::IfCmp(_, _))
-    }
-
     /// Remaps branch targets through `f`; used by the bytecode rewriter when the body
     /// length changes.
     pub fn remap_targets(&mut self, f: impl Fn(usize) -> usize) {

@@ -12,10 +12,10 @@
 //! * [`quad`] — the register-based quadruple IR organised into basic blocks.
 //! * [`lower`] — translation from bytecode to quads by abstract interpretation of the
 //!   operand stack (the paper's "Bytecode to Quad" box in Figure 1).
-//! * [`builder`] — an assembler-style API for constructing programs (used by the
-//!   workload crate, playing the role of `javac` output).
-//! * [`frontend`] — a small MiniJava-like source language front-end so that programs
-//!   such as the paper's Bank/Account example (Figure 2) can be written as source text.
+//! * [`frontend`] — a small MiniJava-like source language front-end, playing the role
+//!   of `javac`: every program outside tests (the workloads, the paper's Bank/Account
+//!   example of Figure 2) is compiled from source text by it. Tests that need a shape
+//!   it never emits write a body with [`Program::add_method`] and [`Program::set_body`].
 //! * [`cfg`] — control-flow graph utilities over bytecode (leaders, back edges, loops).
 //! * [`layout`] — the load-time interning pass: dense field slots, static slots,
 //!   selector-indexed vtables, and the pre-decoded compact op format
@@ -23,7 +23,6 @@
 //! * [`printer`] — human-readable listings of bytecode and quads (Figure 5 style).
 //! * [`verify`] — a structural verifier for methods (stack discipline, branch targets).
 
-pub mod builder;
 pub mod bytecode;
 pub mod cfg;
 pub mod frontend;
@@ -34,8 +33,18 @@ pub mod program;
 pub mod quad;
 pub mod verify;
 
-pub use builder::{MethodBuilder, ProgramBuilder};
 pub use bytecode::{BinOp, CmpOp, Const, Insn, InvokeKind, UnOp};
 pub use layout::{ArrayInit, ClassLayout, MethodOps, Op, ProgramLayout, NO_SLOT};
 pub use program::{Class, ClassId, Field, FieldRef, Method, MethodId, Program, Type};
 pub use quad::{BlockId, Operand, Quad, QuadMethod, Reg};
+
+/// The paper's Figure 5 method, `Example.ex`, for the tests that lower and print it.
+#[cfg(test)]
+pub(crate) fn figure5_example() -> (Program, MethodId) {
+    let p = frontend::compile_source(
+        "class Example { int ex(int b) { b = 4; if (b > 2) { b = b + 1; } return b; } }",
+    )
+    .unwrap();
+    let id = p.find_method(p.class_by_name("Example").unwrap(), "ex");
+    (p, id.unwrap())
+}

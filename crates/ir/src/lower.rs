@@ -401,22 +401,8 @@ fn compute_entry_heights(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::builder::ProgramBuilder;
-    use crate::bytecode::{BinOp, CmpOp};
-
-    fn example_program() -> (Program, MethodId) {
-        let mut pb = ProgramBuilder::new();
-        let example = pb.class("Example");
-        let mut m = pb.method(example, "ex", vec![Type::Int], Type::Int);
-        m.iconst(4).store(1);
-        let skip = m.label();
-        m.load(1).iconst(2).if_cmp(CmpOp::Le, skip);
-        m.load(1).iconst(1).add().store(1);
-        m.place(skip);
-        m.load(1).ret_val();
-        let id = m.finish();
-        (pb.build(), id)
-    }
+    use crate::bytecode::{BinOp, Const, InvokeKind};
+    use crate::figure5_example as example_program;
 
     #[test]
     fn lowers_figure5_example() {
@@ -464,19 +450,20 @@ mod tests {
 
     #[test]
     fn invoke_lowering_passes_receiver_and_args() {
-        let mut pb = ProgramBuilder::new();
-        let c = pb.class("C");
-        let callee = pb
-            .method(c, "f", vec![Type::Int, Type::Int], Type::Int)
-            .finish();
-        let mut m = pb.static_method(c, "main", vec![], Type::Void);
-        m.null(); // receiver placeholder
-        m.iconst(1).iconst(2);
-        m.invoke_virtual(callee);
-        m.pop();
-        m.ret();
-        let main = m.finish();
-        let p = pb.build();
+        // A null receiver: a shape the front end never emits.
+        let mut p = Program::new();
+        let c = p.add_class("C", None);
+        let callee = p.add_method(c, "f", vec![Type::Int, Type::Int], Type::Int, false);
+        let main = p.add_method(c, "main", vec![], Type::Void, true);
+        let body = vec![
+            Insn::Const(Const::Null),
+            Insn::Const(Const::Int(1)),
+            Insn::Const(Const::Int(2)),
+            Insn::Invoke(InvokeKind::Virtual, callee),
+            Insn::Pop,
+            Insn::Return,
+        ];
+        p.set_body(main, body, 0);
         let qm = lower_method(&p, p.method(main)).unwrap();
         let inv = qm
             .iter_quads()
@@ -502,14 +489,20 @@ mod tests {
     fn store_spills_aliased_stack_entries() {
         // load 0; load 0; iconst 1; add; store 0; store 1  — the second stack entry
         // aliases local 0 when it is overwritten and must be spilled first.
-        let mut pb = ProgramBuilder::new();
-        let c = pb.class("C");
-        let mut m = pb.static_method(c, "f", vec![Type::Int], Type::Int);
-        m.load(0).load(0).iconst(1).add().store(0);
-        m.store(1);
-        m.load(1).ret_val();
-        let id = m.finish();
-        let p = pb.build();
+        let mut p = Program::new();
+        let c = p.add_class("C", None);
+        let id = p.add_method(c, "f", vec![Type::Int], Type::Int, true);
+        let body = vec![
+            Insn::Load(0),
+            Insn::Load(0),
+            Insn::Const(Const::Int(1)),
+            Insn::Bin(BinOp::Add),
+            Insn::Store(0),
+            Insn::Store(1),
+            Insn::Load(1),
+            Insn::ReturnValue,
+        ];
+        p.set_body(id, body, 2);
         let qm = lower_method(&p, p.method(id)).unwrap();
         // Find the Move into R0 (store 0). Before it, a spill Move from R0 must occur.
         let all: Vec<&Quad> = qm.iter_quads().map(|(_, q)| q).collect();

@@ -332,25 +332,9 @@ pub fn format_op(program: &Program, layout: &ProgramLayout, op: &Op) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::builder::ProgramBuilder;
-    use crate::bytecode::CmpOp;
+    use crate::figure5_example as example;
     use crate::layout::LayoutOptions;
     use crate::lower::lower_method;
-    use crate::program::Type;
-
-    fn example() -> (Program, MethodId) {
-        let mut pb = ProgramBuilder::new();
-        let example = pb.class("Example");
-        let mut m = pb.method(example, "ex", vec![Type::Int], Type::Int);
-        m.iconst(4).store(1);
-        let skip = m.label();
-        m.load(1).iconst(2).if_cmp(CmpOp::Le, skip);
-        m.load(1).iconst(1).add().store(1);
-        m.place(skip);
-        m.load(1).ret_val();
-        let id = m.finish();
-        (pb.build(), id)
-    }
 
     #[test]
     fn quad_listing_mentions_entry_exit_and_opcodes() {

@@ -9,7 +9,7 @@
 //! count per class and per method rather than a deep copy: the per-node copies the
 //! rewriter makes share every class and every method body it leaves alone. Mutation
 //! goes through [`Program::class_mut`] / [`Program::method_mut`] (and the `add_*`
-//! builders), which copy the one item on first write if another program still holds
+//! methods), which copy the one item on first write if another program still holds
 //! it.
 
 use std::fmt;

@@ -203,39 +203,31 @@ pub fn verify_method(program: &Program, method: &Method) -> Result<(), Vec<Verif
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::builder::ProgramBuilder;
     use crate::bytecode::{CmpOp, Const};
+    use crate::frontend::compile_source;
     use crate::program::ClassId;
 
     #[test]
     fn valid_program_verifies() {
-        let mut pb = ProgramBuilder::new();
-        let c = pb.class("C");
-        let mut m = pb.static_method(c, "main", vec![], Type::Void);
-        m.iconst(1).iconst(2).add().pop().ret();
-        let main = m.finish();
-        pb.entry(main);
-        let p = pb.build();
+        let p = compile_source("class C { static void main() { int x = 1 + 2; } }").unwrap();
         assert!(verify_program(&p).is_ok());
     }
 
     #[test]
     fn missing_entry_is_reported() {
-        let mut pb = ProgramBuilder::new();
-        let c = pb.class("C");
-        pb.static_method(c, "main", vec![], Type::Void).finish();
-        let p = pb.build();
+        let p = compile_source("class C { static void helper() { } }").unwrap();
         let errs = verify_program(&p).unwrap_err();
         assert!(errs.contains(&VerifyError::NoEntryPoint));
     }
 
     #[test]
     fn non_static_entry_is_reported() {
-        let mut pb = ProgramBuilder::new();
-        let c = pb.class("C");
-        let m = pb.method(c, "main", vec![], Type::Void).finish();
-        pb.entry(m);
-        let p = pb.build();
+        // The front end only ever names a static `main` as the entry.
+        let mut p = Program::new();
+        let c = p.add_class("C", None);
+        let m = p.add_method(c, "main", vec![], Type::Void, false);
+        p.set_body(m, vec![Insn::Return], 1);
+        p.set_entry(m);
         let errs = verify_program(&p).unwrap_err();
         assert!(matches!(errs[0], VerifyError::EntryNotStatic { .. }));
     }

@@ -12,8 +12,8 @@
 //! * [`kway`] — the multilevel driver: recursive bisection with greedy graph growing
 //!   initial partitions, projection and per-level refinement.
 //! * [`naive`] — the baselines the paper actually used for its measurements
-//!   ("we currently use a suboptimal naive partitioning"): round-robin, contiguous
-//!   block, hash and random assignment.
+//!   ("we currently use a suboptimal naive partitioning"): round-robin and random
+//!   assignment.
 //!
 //! The public entry point is [`partition`] with a [`PartitionConfig`].
 
@@ -25,7 +25,7 @@ pub mod refine;
 
 pub use graph::{Graph, GraphBuilder};
 pub use kway::multilevel_kway;
-pub use naive::{block_partition, hash_partition, random_partition, round_robin_partition};
+pub use naive::{random_partition, round_robin_partition};
 
 /// Which partitioning algorithm to run.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -34,10 +34,6 @@ pub enum Method {
     Multilevel,
     /// Round-robin assignment by vertex index (the paper's "naive" partitioning).
     RoundRobin,
-    /// Contiguous blocks of vertices.
-    Block,
-    /// Deterministic hash of the vertex index.
-    Hash,
     /// Uniform random assignment (seeded).
     Random,
 }
@@ -127,8 +123,6 @@ pub fn partition(graph: &Graph, config: &PartitionConfig) -> Partitioning {
         match config.method {
             Method::Multilevel => kway::multilevel_kway(graph, config),
             Method::RoundRobin => naive::round_robin_partition(n, config.nparts),
-            Method::Block => naive::block_partition(n, config.nparts),
-            Method::Hash => naive::hash_partition(n, config.nparts),
             Method::Random => naive::random_partition(n, config.nparts, config.seed),
         }
     };
@@ -271,13 +265,7 @@ mod tests {
     #[test]
     fn all_methods_produce_valid_assignments() {
         let g = two_clusters();
-        for method in [
-            Method::Multilevel,
-            Method::RoundRobin,
-            Method::Block,
-            Method::Hash,
-            Method::Random,
-        ] {
+        for method in [Method::Multilevel, Method::RoundRobin, Method::Random] {
             let cfg = PartitionConfig {
                 nparts: 4,
                 method,

@@ -9,26 +9,6 @@ pub fn round_robin_partition(n: usize, nparts: usize) -> Vec<usize> {
     (0..n).map(|v| v % nparts.max(1)).collect()
 }
 
-/// Assigns contiguous blocks of `ceil(n / nparts)` vertices to each part.
-pub fn block_partition(n: usize, nparts: usize) -> Vec<usize> {
-    let nparts = nparts.max(1);
-    let block = n.div_ceil(nparts).max(1);
-    (0..n).map(|v| (v / block).min(nparts - 1)).collect()
-}
-
-/// Assigns vertices by a deterministic multiplicative hash of their index.
-pub fn hash_partition(n: usize, nparts: usize) -> Vec<usize> {
-    let nparts = nparts.max(1);
-    (0..n)
-        .map(|v| {
-            let h = (v as u64)
-                .wrapping_mul(0x9e37_79b9_7f4a_7c15)
-                .rotate_left(17);
-            (h % nparts as u64) as usize
-        })
-        .collect()
-}
-
 /// Assigns vertices uniformly at random using a small xorshift generator seeded with
 /// `seed` (deterministic for a given seed).
 pub fn random_partition(n: usize, nparts: usize, seed: u64) -> Vec<usize> {
@@ -60,27 +40,6 @@ mod tests {
     }
 
     #[test]
-    fn block_partition_is_contiguous_and_covers_all_parts() {
-        let a = block_partition(10, 3);
-        assert_eq!(a.len(), 10);
-        assert!(a.windows(2).all(|w| w[0] <= w[1]), "monotone blocks");
-        assert!(a.iter().all(|&p| p < 3));
-        assert!(a.contains(&0) && a.contains(&1) && a.contains(&2));
-    }
-
-    #[test]
-    fn hash_partition_is_deterministic_and_in_range() {
-        let a = hash_partition(100, 4);
-        let b = hash_partition(100, 4);
-        assert_eq!(a, b);
-        assert!(a.iter().all(|&p| p < 4));
-        // Should touch every part for a reasonable n.
-        for p in 0..4 {
-            assert!(a.contains(&p));
-        }
-    }
-
-    #[test]
     fn random_partition_depends_on_seed_only() {
         let a = random_partition(50, 2, 42);
         let b = random_partition(50, 2, 42);
@@ -93,9 +52,7 @@ mod tests {
     #[test]
     fn degenerate_inputs() {
         assert!(round_robin_partition(0, 2).is_empty());
-        assert_eq!(block_partition(3, 1), vec![0, 0, 0]);
         assert_eq!(round_robin_partition(3, 1), vec![0, 0, 0]);
-        assert_eq!(hash_partition(3, 1), vec![0, 0, 0]);
         assert_eq!(random_partition(3, 1, 9), vec![0, 0, 0]);
     }
 }

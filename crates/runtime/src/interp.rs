@@ -34,6 +34,7 @@ use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::Arc;
 
+use autodist_codegen::rewrite::DEPENDENT_OBJECT_CLASS;
 use autodist_ir::bytecode::{BinOp, CmpOp, InvokeKind, UnOp};
 use autodist_ir::layout::{ArrayInit, LayoutOptions, Op, ProgramLayout, NO_SLOT};
 use autodist_ir::program::{ClassId, FieldRef, MethodId, Program, Type};
@@ -44,9 +45,6 @@ use crate::exchange::{DistState, SlowInvoke};
 use crate::net::{LossReason, LostPacket};
 use crate::value::{HeapObject, ObjRef, Value};
 use crate::wire::{AccessKind, WireError};
-
-/// Name of the proxy class injected by the communication rewriter.
-pub const DEPENDENT_OBJECT_CLASS: &str = "rt/DependentObject";
 
 /// Execution statistics collected by the interpreter.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -470,11 +468,6 @@ impl<'p> Interp<'p> {
         self.profiler = Some(sink);
         self.sample_interval = sample_interval;
         self
-    }
-
-    /// Consumes the interpreter and returns the profiler sink, if any.
-    pub fn take_profiler(&mut self) -> Option<Box<dyn ProfilerSink>> {
-        self.profiler.take()
     }
 
     /// Runs the program entry point.

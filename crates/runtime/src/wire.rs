@@ -64,6 +64,9 @@
 
 use std::sync::Arc;
 
+use autodist_codegen::rewrite::{
+    ACCESS_GET_FIELD, ACCESS_INVOKE_HASRETURN, ACCESS_INVOKE_VOID, ACCESS_PUT_FIELD,
+};
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 
 /// The kind of access carried by a `DEPENDENCE` message.
@@ -102,10 +105,10 @@ impl AccessKind {
     /// Decodes a tag (also accepts the integer constants the bytecode rewriter embeds).
     pub fn from_tag(t: i64) -> Option<AccessKind> {
         Some(match t {
-            1 => AccessKind::InvokeVoid,
-            2 => AccessKind::InvokeRet,
-            3 => AccessKind::GetField,
-            4 => AccessKind::PutField,
+            ACCESS_INVOKE_VOID => AccessKind::InvokeVoid,
+            ACCESS_INVOKE_HASRETURN => AccessKind::InvokeRet,
+            ACCESS_GET_FIELD => AccessKind::GetField,
+            ACCESS_PUT_FIELD => AccessKind::PutField,
             5 => AccessKind::GetElement,
             6 => AccessKind::PutElement,
             7 => AccessKind::ArrayLength,
