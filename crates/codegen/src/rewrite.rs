@@ -18,11 +18,31 @@
 //! imprecision affects performance, never correctness. Static methods and static fields
 //! are replicated on every node rather than proxied (a documented simplification).
 //!
-//! A node's copy is a copy in name only: [`rewrite_for_node`] starts from a
-//! reference-counted clone of the program, decides per method whether it holds a
-//! remote site at all (`remote_site`, the one definition of "remote"), and builds a
-//! new body only for those that do — every other class and method is the source
-//! program's own, shared.
+//! A node's copy is a copy in name only, and it costs what the node can run.
+//! [`rewrite_for_node`] starts from a reference-counted clone of the program and
+//! touches only the methods in the node's **reach**, [`runs_on`] — the one place that
+//! decides whether a method is rewritten at all:
+//!
+//! * the instance methods, constructors included, of every class at home on the node
+//!   **and of each of its ancestors** (an inherited body runs where the subclass's
+//!   objects live);
+//! * the entry method on node 0 (the Execution Starter launches `main` there);
+//! * closed under `invokestatic` (static code is replicated and runs where it is
+//!   called).
+//!
+//! That is exact, not a guess: `new C` is rewritten precisely when `C` lives elsewhere,
+//! so an object only ever exists on its class's home and a method outside the reach is
+//! never entered there (`tests/rewriter_reach.rs` watches every call of a run). Even if
+//! it were, an unrewritten access that meets a proxy or a remote reference is forwarded
+//! by the runtime — the contract above. Within the reach, `remote_site` is the one
+//! definition of a remote program point: `new C` / `C.<init>` when `C` is at home
+//! elsewhere, a *member* access (`getfield` / `putfield` / `invokevirtual`) on `C` only
+//! when neither `C` nor any subclass of `C` is at home here — the receiver of a member
+//! access on a split class family may be a local object, and an `access(..)` on a local
+//! non-proxy object is an error where a plain access on a remote one is merely
+//! forwarded. Every method outside the reach, and every method in it without a remote
+//! site, is the source program's own `Arc`, shared; [`RewriteStats`] therefore counts
+//! sites in code the node can run, not in every copy of every method.
 
 use std::collections::BTreeMap;
 use std::ops::Range;
@@ -177,7 +197,8 @@ impl ClassPlacement {
     }
 }
 
-/// Counters describing how much rewriting happened.
+/// Counters describing how much rewriting happened on one node: only sites in code the
+/// node can run ([`runs_on`]) are rewritten, so only those are counted.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct RewriteStats {
     /// Remote `new` sites transformed (Figure 9 transformations).
@@ -260,33 +281,88 @@ enum RemoteSite<'p> {
     PutField(FieldRef),
 }
 
-/// Classifies `insn` given which classes are `remote` to the node (indexed by
-/// [`ClassId`]): `None` when it stays as it is. The rewriter asks this twice — once to
-/// decide whether a method changes at all, once to transform it — so "a remote site"
-/// has one definition.
-fn remote_site<'p>(program: &'p Program, remote: &[bool], insn: &Insn) -> Option<RemoteSite<'p>> {
-    let remote = |c: ClassId| remote[c.0 as usize];
+/// How one node sees each class of the placement, indexed by [`ClassId`].
+struct NodeView {
+    /// At home on another node: `new C` and `C.<init>` there are remote.
+    away: Vec<bool>,
+    /// `C` or a subclass of `C` is at home here (synthetic classes are at home
+    /// everywhere): instances live here, so member accesses stay and the instance
+    /// methods run here.
+    hosted: Vec<bool>,
+}
+
+impl NodeView {
+    fn of(program: &Program, placement: &ClassPlacement, node: usize) -> NodeView {
+        let away: Vec<bool> = program
+            .classes
+            .iter()
+            .map(|c| !c.is_synthetic && placement.home_of(c.id) != node)
+            .collect();
+        let mut hosted: Vec<bool> = program.classes.iter().map(|c| c.is_synthetic).collect();
+        for class in program.classes.iter().filter(|c| !away[c.id.0 as usize]) {
+            let mut cur = Some(class.id);
+            while let Some(c) = cur {
+                hosted[c.0 as usize] = true;
+                cur = program.class(c).super_class;
+            }
+        }
+        NodeView { away, hosted }
+    }
+}
+
+/// The reach of `node`: which methods of `program` (indexed by [`MethodId`]) can run
+/// there under `placement` — see the module documentation for the rule. This is the
+/// only place the rewriter decides whether a method is rewritten at all.
+pub fn runs_on(program: &Program, placement: &ClassPlacement, node: usize) -> Vec<bool> {
+    let view = NodeView::of(program, placement, node);
+    let mut runs: Vec<bool> = program
+        .methods
+        .iter()
+        .map(|m| !m.is_static && view.hosted[m.class.0 as usize])
+        .collect();
+    if let (0, Some(entry)) = (node, program.entry) {
+        runs[entry.0 as usize] = true;
+    }
+    let mut work: Vec<usize> = (0..runs.len()).filter(|&m| runs[m]).collect();
+    while let Some(m) = work.pop() {
+        for insn in &program.methods[m].body {
+            if let Insn::Invoke(InvokeKind::Static, callee) = *insn {
+                if !std::mem::replace(&mut runs[callee.0 as usize], true) {
+                    work.push(callee.0 as usize);
+                }
+            }
+        }
+    }
+    runs
+}
+
+/// Classifies `insn` as `view`'s node sees it: `None` when it stays as it is. The
+/// rewriter asks this twice — once to decide whether a method changes at all, once to
+/// transform it — so "a remote site" has one definition.
+fn remote_site<'p>(program: &'p Program, view: &NodeView, insn: &Insn) -> Option<RemoteSite<'p>> {
+    let away = |c: ClassId| view.away[c.0 as usize];
+    let member = |c: ClassId| !view.hosted[c.0 as usize];
     match *insn {
-        Insn::New(c) if remote(c) => Some(RemoteSite::New(program.class(c))),
+        Insn::New(c) if away(c) => Some(RemoteSite::New(program.class(c))),
         Insn::Invoke(InvokeKind::Special, m) => {
             let callee = program.method(m);
-            (callee.is_constructor() && remote(callee.class))
-                .then_some(RemoteSite::Construct(callee))
+            (callee.is_constructor() && away(callee.class)).then_some(RemoteSite::Construct(callee))
         }
         Insn::Invoke(InvokeKind::Virtual, m) => {
             let callee = program.method(m);
-            remote(callee.class).then_some(RemoteSite::Invoke(callee))
+            member(callee.class).then_some(RemoteSite::Invoke(callee))
         }
-        Insn::GetField(f) if remote(f.class) => Some(RemoteSite::GetField(f)),
-        Insn::PutField(f) if remote(f.class) => Some(RemoteSite::PutField(f)),
+        Insn::GetField(f) if member(f.class) => Some(RemoteSite::GetField(f)),
+        Insn::PutField(f) if member(f.class) => Some(RemoteSite::PutField(f)),
         _ => None,
     }
 }
 
 /// Produces the rewritten program copy for `node`.
 ///
-/// The copy shares every class and every method of `program` that has no remote site
-/// on `node` (see [`Program`]'s module documentation); only the methods counted in
+/// The copy shares every class of `program`, every method outside the node's reach
+/// ([`runs_on`]) and every method in it that has no remote site (see [`Program`]'s
+/// module documentation); only the methods counted in
 /// [`RewriteStats::methods_transformed`] and the injected proxy class are new.
 pub fn rewrite_for_node(
     program: &Program,
@@ -295,19 +371,17 @@ pub fn rewrite_for_node(
 ) -> RewrittenProgram {
     let mut out = program.clone();
     let (dep_class, init_method, access_method) = ensure_dependent_object(&mut out);
-    let remote: Vec<bool> = out
-        .classes
-        .iter()
-        .map(|c| !c.is_synthetic && placement.home_of(c.id) != node)
-        .collect();
+    let view = NodeView::of(&out, placement, node);
+    let runs = runs_on(program, placement, node);
     let mut stats = RewriteStats::default();
 
     for mid in (0..program.methods.len() as u32).map(MethodId) {
         let method = out.method(mid);
-        if !method
-            .body
-            .iter()
-            .any(|insn| remote_site(&out, &remote, insn).is_some())
+        if !runs[mid.0 as usize]
+            || !method
+                .body
+                .iter()
+                .any(|insn| remote_site(&out, &view, insn).is_some())
         {
             continue;
         }
@@ -315,7 +389,7 @@ pub fn rewrite_for_node(
             &out,
             method,
             placement,
-            &remote,
+            &view,
             (dep_class, init_method, access_method),
             &mut stats,
         );
@@ -339,7 +413,7 @@ fn rewrite_body(
     program: &Program,
     method: &Method,
     placement: &ClassPlacement,
-    remote: &[bool],
+    view: &NodeView,
     (dep_class, init_method, access_method): (ClassId, MethodId, MethodId),
     stats: &mut RewriteStats,
 ) -> (Vec<Insn>, u16) {
@@ -358,7 +432,7 @@ fn rewrite_body(
 
     for insn in &method.body {
         new_pos.push(new_body.len());
-        match remote_site(program, remote, insn) {
+        match remote_site(program, view, insn) {
             Some(RemoteSite::New(class)) => {
                 // Figure 9, line 35: `new Account` -> `new DependentObject`.
                 new_body.push(Insn::New(dep_class));
@@ -454,6 +528,7 @@ mod tests {
     use autodist_ir::printer::print_bytecode;
     use autodist_ir::verify::verify_program;
     use autodist_partition::{partition, PartitionConfig};
+    use std::sync::Arc;
 
     const BANK_SRC: &str = r#"
         class Account {
@@ -557,22 +632,36 @@ mod tests {
         assert_eq!(rw.stats.methods_transformed, 0);
     }
 
+    /// The placements the pipeline derives for `p` (default weights, multilevel
+    /// k-way), one per node count.
+    fn pipeline_placements(
+        p: &Program,
+        nodes: std::ops::RangeInclusive<usize>,
+    ) -> Vec<ClassPlacement> {
+        let cg = rapid_type_analysis(p);
+        let crg = build_crg(p, &cg);
+        let objects = collect_objects(p, &cg);
+        let odg = build_odg(p, &crg, &objects, &WeightModel::default());
+        let mut gb = autodist_partition::GraphBuilder::new(odg.node_count(), 3);
+        for (i, w) in odg.node_weights.iter().enumerate() {
+            gb.set_weight(i, &w.as_array().map(|x| x.max(1)));
+        }
+        for e in odg.edges_of_kind(OdgEdgeKind::Use) {
+            gb.add_edge(e.from.0 as usize, e.to.0 as usize, e.weight.max(1));
+        }
+        let graph = gb.build();
+        nodes
+            .map(|n| {
+                let part = partition(&graph, &PartitionConfig::kway(n));
+                ClassPlacement::from_odg_partition(p, &odg, &part)
+            })
+            .collect()
+    }
+
     #[test]
     fn placement_from_odg_partition_pins_entry_class_to_node0() {
         let p = compile_source(BANK_SRC).unwrap();
-        let cg = rapid_type_analysis(&p);
-        let crg = build_crg(&p, &cg);
-        let objects = collect_objects(&p, &cg);
-        let odg = build_odg(&p, &crg, &objects, &WeightModel::default());
-        let mut gb = autodist_partition::GraphBuilder::new(odg.node_count(), 3);
-        for (i, w) in odg.node_weights.iter().enumerate() {
-            gb.set_weight(i, &w.as_array());
-        }
-        for e in odg.edges_of_kind(OdgEdgeKind::Use) {
-            gb.add_edge(e.from.0 as usize, e.to.0 as usize, e.weight);
-        }
-        let part = partition(&gb.build(), &PartitionConfig::kway(2));
-        let placement = ClassPlacement::from_odg_partition(&p, &odg, &part);
+        let placement = pipeline_placements(&p, 2..=2).remove(0);
         let main = p.class_by_name("Main").unwrap();
         assert_eq!(placement.home_of(main), 0);
         assert_eq!(placement.nparts, 2);
@@ -593,6 +682,256 @@ mod tests {
                     }
                 }
             }
+        }
+    }
+
+    /// The rewriter before it knew its reach: every method with a remote site is
+    /// rewritten on every node. What [`rewrite_for_node`] must agree with on every
+    /// method a node can run.
+    fn oracle_rewrite_everywhere(
+        program: &Program,
+        placement: &ClassPlacement,
+        node: usize,
+    ) -> RewrittenProgram {
+        let mut out = program.clone();
+        let (dep_class, init_method, access_method) = ensure_dependent_object(&mut out);
+        let view = NodeView::of(&out, placement, node);
+        let mut stats = RewriteStats::default();
+        for mid in (0..program.methods.len() as u32).map(MethodId) {
+            let method = out.method(mid);
+            if !method
+                .body
+                .iter()
+                .any(|insn| remote_site(&out, &view, insn).is_some())
+            {
+                continue;
+            }
+            let (body, locals) = rewrite_body(
+                &out,
+                method,
+                placement,
+                &view,
+                (dep_class, init_method, access_method),
+                &mut stats,
+            );
+            stats.methods_transformed += 1;
+            out.set_body(mid, body, locals);
+        }
+        RewrittenProgram {
+            program: out,
+            node,
+            stats,
+            dependent_object: dep_class,
+            access_method,
+            init_method,
+        }
+    }
+
+    /// A placement no partitioner would choose, which is the point: class `i` lives on
+    /// node `(i * stride) % nodes` (class families split freely), the entry class on
+    /// node 0.
+    fn scattered(p: &Program, nodes: usize, stride: usize) -> ClassPlacement {
+        let mut home: BTreeMap<ClassId, usize> = p
+            .classes
+            .iter()
+            .map(|c| (c.id, c.id.0 as usize * stride % nodes))
+            .collect();
+        if let Some(entry) = p.entry {
+            home.insert(p.method(entry).class, 0);
+        }
+        ClassPlacement {
+            home,
+            nparts: nodes,
+        }
+    }
+
+    /// Inside the reach a copy is what rewriting everything gives, outside it the
+    /// source's own method; the stats count exactly the former.
+    fn assert_reach_matches_oracle(name: &str, p: &Program, placement: &ClassPlacement) {
+        for node in 0..placement.nparts {
+            let runs = runs_on(p, placement, node);
+            let copy = rewrite_for_node(p, placement, node);
+            let oracle = oracle_rewrite_everywhere(p, placement, node);
+            assert_eq!(runs.len(), p.methods.len());
+            let mut transformed = 0;
+            for (i, source) in p.methods.iter().enumerate() {
+                let (ours, theirs) = (&copy.program.methods[i], &oracle.program.methods[i]);
+                if runs[i] {
+                    assert!(
+                        ours.body == theirs.body && ours.locals == theirs.locals,
+                        "{name}: node {node} runs {} and rewrites it differently",
+                        source.name
+                    );
+                    transformed += usize::from(!Arc::ptr_eq(ours, source));
+                } else {
+                    assert!(
+                        Arc::ptr_eq(ours, source),
+                        "{name}: node {node} cannot run {} but rewrote it",
+                        source.name
+                    );
+                }
+            }
+            assert_eq!(copy.stats.methods_transformed, transformed, "{name}");
+            assert!(copy.stats.total_sites() <= oracle.stats.total_sites());
+            verify_program(&copy.program).expect("verifies");
+        }
+    }
+
+    #[test]
+    fn a_copy_is_the_oracle_inside_the_reach_and_the_source_outside_it() {
+        use autodist_workloads::{bank, generated, table1_workloads, table3_workloads, GenConfig};
+        let mut programs: Vec<(String, Program)> = table1_workloads(1)
+            .into_iter()
+            .chain(table3_workloads(1))
+            .chain([bank(100)])
+            .map(|w| (w.name, w.program))
+            .collect();
+        for (depth, width) in [(3, 4), (4, 8), (6, 12)] {
+            for seed in [1, 2, 3] {
+                let g = generated(&GenConfig {
+                    seed,
+                    depth,
+                    width,
+                    fan_out: 3,
+                    ..Default::default()
+                });
+                programs.push((format!("d{depth}w{width} seed {seed}"), g.workload.program));
+            }
+        }
+        programs.push(("families".into(), compile_source(FAMILIES_SRC).unwrap()));
+        for (name, p) in &programs {
+            for nodes in 2..=4 {
+                for stride in [1, 3] {
+                    assert_reach_matches_oracle(name, p, &scattered(p, nodes, stride));
+                }
+            }
+            // And the placements the pipeline itself would derive.
+            for placement in pipeline_placements(p, 2..=4) {
+                assert_reach_matches_oracle(name, p, &placement);
+            }
+        }
+    }
+
+    /// One program for the hand-written reach cases: a class family (`Base` /
+    /// `Derived`) that a placement may split, a static helper only an instance
+    /// method calls, static methods that call each other, and an entry with remote
+    /// sites on every node.
+    const FAMILIES_SRC: &str = r#"
+        class Store { int v; Store(int v) { this.v = v; } int read() { return this.v; } }
+        class Tank { int w; Tank(int w) { this.w = w; } int read() { return this.w; } }
+        class Base {
+            Store s;
+            Base(Store s) { this.s = s; }
+            int peek() { return this.s.read(); }
+        }
+        class Derived extends Base {
+            int extra;
+            Derived(Store s, int extra) { this.s = s; this.extra = extra; }
+            int both() { return this.peek() + this.extra; }
+        }
+        class Helper {
+            static int probe(Store s, Tank t) { return s.read() + t.read(); }
+        }
+        class Worker {
+            int go(Store s, Tank t) { return Helper.probe(s, t); }
+        }
+        class Main {
+            static int checksum;
+            static int ping(int n) { if (n > 0) { return Main.pong(n - 1); } return 1; }
+            static int pong(int n) { if (n > 0) { return Main.ping(n - 1); } return 2; }
+            static void main() {
+                Store s = new Store(3);
+                Tank t = new Tank(4);
+                Base b = new Base(s);
+                Derived d = new Derived(s, 5);
+                Worker w = new Worker();
+                checksum = b.peek() + d.both() + w.go(s, t) + Main.ping(3);
+            }
+        }
+    "#;
+
+    /// `Store`, `Base`, `Helper` and `Main` on node 0, `Derived` and `Worker` on node 1,
+    /// `Tank` on node 2.
+    fn families() -> (Program, ClassPlacement) {
+        let p = compile_source(FAMILIES_SRC).unwrap();
+        let home = [
+            ("Store", 0),
+            ("Tank", 2),
+            ("Base", 0),
+            ("Derived", 1),
+            ("Helper", 0),
+            ("Worker", 1),
+            ("Main", 0),
+        ]
+        .into_iter()
+        .map(|(name, node)| (p.class_by_name(name).unwrap(), node))
+        .collect();
+        (p, ClassPlacement { home, nparts: 3 })
+    }
+
+    /// `(in the reach, rewritten)` of `class.method` on `node`.
+    fn fate(
+        p: &Program,
+        placement: &ClassPlacement,
+        node: usize,
+        class: &str,
+        method: &str,
+    ) -> (bool, bool) {
+        let m = p
+            .find_method(p.class_by_name(class).unwrap(), method)
+            .unwrap();
+        let copy = rewrite_for_node(p, placement, node);
+        let rewritten = !Arc::ptr_eq(
+            &copy.program.methods[m.0 as usize],
+            &p.methods[m.0 as usize],
+        );
+        (runs_on(p, placement, node)[m.0 as usize], rewritten)
+    }
+
+    #[test]
+    fn an_inherited_method_is_rewritten_where_the_subclass_lives() {
+        let (p, placement) = families();
+        // `Base.peek` calls `Store.read`: local on node 0, remote on `Derived`'s node,
+        // where the inherited body runs on `Derived` objects; node 2 hosts neither.
+        assert_eq!(fate(&p, &placement, 0, "Base", "peek"), (true, false));
+        assert_eq!(fate(&p, &placement, 1, "Base", "peek"), (true, true));
+        assert_eq!(fate(&p, &placement, 2, "Base", "peek"), (false, false));
+        // Its `this.s` stays a plain field read there: the receiver is a local object.
+        let peek = p
+            .find_method(p.class_by_name("Base").unwrap(), "peek")
+            .unwrap();
+        let on_1 = rewrite_for_node(&p, &placement, 1);
+        assert_eq!(on_1.stats.rewritten_field_accesses, 0, "{:?}", on_1.stats);
+        assert!(print_bytecode(&on_1.program, peek).contains("getfield"));
+        // The subclass's own methods run on its node only.
+        assert_eq!(fate(&p, &placement, 1, "Derived", "both"), (true, false));
+        assert!(!fate(&p, &placement, 0, "Derived", "both").0);
+    }
+
+    #[test]
+    fn static_code_is_rewritten_where_it_is_called_from() {
+        let (p, placement) = families();
+        // `Helper.probe` is called only from `Worker.go`, hosted on node 1: it runs
+        // (and is rewritten) there, although its class's static part is on node 0
+        // and node 0 has a remote site in it (`Tank.read`).
+        assert_eq!(fate(&p, &placement, 1, "Worker", "go"), (true, false));
+        assert_eq!(fate(&p, &placement, 1, "Helper", "probe"), (true, true));
+        assert_eq!(fate(&p, &placement, 0, "Helper", "probe"), (false, false));
+        assert_eq!(fate(&p, &placement, 2, "Helper", "probe"), (false, false));
+    }
+
+    #[test]
+    fn the_entry_and_what_it_calls_statically_belong_to_node_0() {
+        let (p, placement) = families();
+        assert_eq!(fate(&p, &placement, 0, "Main", "main"), (true, true));
+        for node in [1, 2] {
+            // `main` has remote sites there too (`new Store`), but never runs there.
+            assert_eq!(fate(&p, &placement, node, "Main", "main"), (false, false));
+        }
+        // `ping` and `pong` call each other: the closure terminates and takes both.
+        for method in ["ping", "pong"] {
+            assert!(fate(&p, &placement, 0, "Main", method).0);
+            assert!(!fate(&p, &placement, 1, "Main", method).0);
         }
     }
 

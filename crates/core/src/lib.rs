@@ -30,7 +30,7 @@ use autodist_analysis::rta::{rapid_type_analysis, CallGraph};
 use autodist_analysis::weights::WeightModel;
 use autodist_codegen::rewrite::{rewrite_for_node, ClassPlacement, RewrittenProgram};
 use autodist_ir::program::Program;
-use autodist_ir::verify::{verify_program, VerifyError};
+use autodist_ir::verify::{verify_copies, VerifyError};
 use autodist_partition::{partition, Graph, GraphBuilder, Method, PartitionConfig, Partitioning};
 use autodist_runtime::cluster::{
     run_centralized, run_distributed_profiled, ClusterConfig, ExecutionReport,
@@ -237,8 +237,10 @@ pub fn odg_partition_graph(odg: &ObjectDependenceGraph) -> Graph {
 }
 
 /// Phase 4 after placement: one rewritten copy of `program` per node, each checked by
-/// the bytecode verifier. Shared by the offline pipeline and the adaptive replanner, so
-/// a swapped-in copy is held to the same standard as a planned one.
+/// the bytecode verifier — every distinct method once, since the copies share all but
+/// what the rewriter changed; a failure names the first copy holding the offending
+/// method. Shared by the offline pipeline and the adaptive replanner, so a swapped-in
+/// copy is held to the same standard as a planned one.
 pub(crate) fn rewrite_all(
     program: &Program,
     placement: &ClassPlacement,
@@ -247,12 +249,12 @@ pub(crate) fn rewrite_all(
     let copies: Vec<RewrittenProgram> = (0..nodes)
         .map(|n| rewrite_for_node(program, placement, n))
         .collect();
-    for rp in &copies {
-        verify_program(&rp.program).map_err(|errors| PipelineError::Verify {
-            node: Some(rp.node),
+    verify_copies(copies.iter().map(|rp| &rp.program)).map_err(|(copy, errors)| {
+        PipelineError::Verify {
+            node: Some(copies[copy].node),
             errors,
-        })?;
-    }
+        }
+    })?;
     Ok(copies)
 }
 

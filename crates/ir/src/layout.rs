@@ -3,7 +3,8 @@
 //! The interpreter originally resolved every field access by cloning the field name and
 //! probing a per-object `BTreeMap<String, Value>`, and every virtual call by walking the
 //! superclass chain comparing method-name strings. [`ProgramLayout`] is the resolution
-//! pass that removes both costs: it is computed once per [`Program`] and maps
+//! pass that removes both costs: it is computed once per [`Program`] (once per plan
+//! for the parts its per-node copies share, see below) and maps
 //!
 //! * every instance [`FieldRef`] to a dense **slot index** into a flat per-object value
 //!   vector (superclass fields occupy a shared prefix, so a field declared in class `D`
@@ -26,6 +27,20 @@
 //! Field-name shadowing note: the previous map-based heap stored one entry per *name*,
 //! so a subclass redeclaring a superclass field aliased it. The layout reproduces that
 //! behaviour by assigning the shadowing declaration the same slot as the shadowed one.
+//!
+//! A layout is two things with two lifetimes. The **shape** ([`LayoutShape`]: class
+//! layouts, vtables, selectors, field-name ids, static slots, names — exactly what the
+//! shape fingerprint covers) depends on nothing a per-node rewrite touches, so the
+//! layouts of a plan's copies hold one shape behind one `Arc`. The **ops**
+//! (`method_ops`, `const_strs`) are the decoded bodies: `Vec<Arc<MethodOps>>`, one
+//! `Arc` per distinct `Arc<Method>`, against one string-constant pool. The family
+//! constructor [`ProgramLayout::build_family`] builds the layouts of several programs
+//! in one call and is where the sharing happens — programs are grouped by
+//! fingerprint, a body is decoded and fused when its method's address is first seen
+//! in its group, and the memo dies with the call. [`ProgramLayout::build`] /
+//! [`ProgramLayout::build_with`] are the family of one program, the same function.
+//! A [`ProgramLayout`] dereferences to its shape, so readers write `layout.classes`
+//! and `layout.field_slot(..)` whichever way the layout was built.
 //!
 //! On top of the interning tables, `build` runs a **decode pass** over every method
 //! body: each [`crate::bytecode::Insn`] becomes exactly one dense [`Op`] with its
@@ -53,7 +68,7 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use crate::bytecode::{BinOp, CmpOp, Const, Insn, InvokeKind, UnOp};
-use crate::program::{ClassId, FieldRef, MethodId, Program, Type};
+use crate::program::{ClassId, FieldRef, Method, MethodId, Program, Type};
 
 /// Sentinel for "no method bound to this selector" inside the vtables.
 const NO_METHOD: u32 = u32::MAX;
@@ -321,11 +336,13 @@ impl ClassLayout {
     }
 }
 
-/// The interning tables for a whole program. Built once with [`ProgramLayout::build`];
-/// the program must not be mutated afterwards (the interpreter builds it at load time,
-/// after all rewriting has happened).
-#[derive(Clone, Debug, Default)]
-pub struct ProgramLayout {
+/// The interning tables of a program's *shape*: everything [`LayoutShape::fingerprint`]
+/// covers and nothing a per-node rewrite touches. One allocation is shared by the
+/// layouts of every same-fingerprint program built together
+/// ([`ProgramLayout::build_family`]); a [`ProgramLayout`] dereferences to it, so
+/// `layout.classes`, `layout.field_slot(..)` and the rest read as they always did.
+#[derive(Debug, Default)]
+pub struct LayoutShape {
     /// Per-class layouts, indexed by [`ClassId`].
     pub classes: Vec<ClassLayout>,
     /// Global static slot → `Class::field` key (the `statics_snapshot` wire names).
@@ -348,11 +365,6 @@ pub struct ProgramLayout {
     method_names: Vec<Arc<str>>,
     /// Total number of selectors (vtable width).
     pub selector_count: usize,
-    /// Pre-decoded op bodies, indexed by [`MethodId`].
-    pub method_ops: Vec<MethodOps>,
-    /// Interned string constants referenced by [`Op::ConstStr`], deduplicated across
-    /// the whole program (one allocation per distinct literal, cloned by refcount).
-    pub const_strs: Vec<Arc<str>>,
     /// Stable structural hash of the *shape* tables — class names and superclass
     /// links, field names/types/staticness, method names/signatures and declaring
     /// classes — but **not** method bodies or local counts. Per-node program
@@ -365,14 +377,133 @@ pub struct ProgramLayout {
     fingerprint: u64,
 }
 
+/// The layout of one program: its (shared) shape tables plus the decoded bodies of its
+/// methods. Built with [`ProgramLayout::build`] or, for the per-node copies of a plan,
+/// [`ProgramLayout::build_family`]; the program must not be mutated afterwards (the
+/// interpreter builds it at load time, after all rewriting has happened).
+#[derive(Clone, Debug, Default)]
+pub struct ProgramLayout {
+    shape: Arc<LayoutShape>,
+    /// Pre-decoded op bodies, indexed by [`MethodId`]. Layouts built together hold
+    /// the same `Arc` wherever their programs hold the same `Arc<Method>`.
+    pub method_ops: Vec<Arc<MethodOps>>,
+    /// Interned string constants referenced by [`Op::ConstStr`], deduplicated across
+    /// the whole family (one allocation per distinct literal, cloned by refcount):
+    /// shared bodies index one pool.
+    pub const_strs: Arc<[Arc<str>]>,
+}
+
+impl std::ops::Deref for ProgramLayout {
+    type Target = LayoutShape;
+
+    #[inline]
+    fn deref(&self) -> &LayoutShape {
+        &self.shape
+    }
+}
+
+/// The string constants of a family's bodies, in first-use order, with their index.
+#[derive(Default)]
+struct StrPool {
+    strs: Vec<Arc<str>>,
+    index: HashMap<Arc<str>, u32>,
+}
+
+/// What [`ProgramLayout::build_family`] keeps per shape while it decodes: the string
+/// pool its bodies index and the bodies decoded so far, by the address of the
+/// [`Method`] they came from (the programs outlive the call, so an address names one
+/// method).
+struct Family {
+    shape: Arc<LayoutShape>,
+    pool: StrPool,
+    decoded: HashMap<*const Method, Arc<MethodOps>>,
+}
+
 impl ProgramLayout {
     /// Runs the resolution pass over `program` with the default options (fusion on).
     pub fn build(program: &Program) -> ProgramLayout {
         Self::build_with(program, LayoutOptions::default())
     }
 
-    /// Runs the resolution pass over `program`.
+    /// Runs the resolution pass over `program`: a family of one.
     pub fn build_with(program: &Program, opts: LayoutOptions) -> ProgramLayout {
+        let mut family = Self::build_family(std::slice::from_ref(program), opts);
+        family.pop().expect("one program, one layout")
+    }
+
+    /// Runs the resolution pass over `programs` together, `layouts[i]` for
+    /// `programs[i]`. Programs with the same shape fingerprint — the per-node copies
+    /// of one plan — share one [`LayoutShape`] allocation and one string-constant
+    /// pool, and each distinct `Arc<Method>` among them is decoded and fused once;
+    /// programs of different shapes share nothing. Nothing outlives the call but the
+    /// layouts.
+    pub fn build_family(programs: &[Program], opts: LayoutOptions) -> Vec<ProgramLayout> {
+        let mut families: Vec<Family> = Vec::new();
+        let mut fuse_scratch = (Vec::new(), Vec::new());
+        let bodies: Vec<(usize, Vec<Arc<MethodOps>>)> = programs
+            .iter()
+            .map(|program| {
+                let fingerprint = shape_fingerprint(program);
+                let known = families
+                    .iter()
+                    .position(|f| f.shape.fingerprint == fingerprint);
+                let at = known.unwrap_or_else(|| {
+                    families.push(Family {
+                        shape: Arc::new(LayoutShape::of(program, fingerprint)),
+                        pool: StrPool::default(),
+                        decoded: HashMap::with_capacity(program.methods.len()),
+                    });
+                    families.len() - 1
+                });
+                let Family {
+                    shape,
+                    pool,
+                    decoded,
+                } = &mut families[at];
+                let method_ops = program.methods.iter().map(|m| {
+                    let ops = decoded.entry(Arc::as_ptr(m)).or_insert_with(|| {
+                        Arc::new(shape.decode(program, m, opts, pool, &mut fuse_scratch))
+                    });
+                    Arc::clone(ops)
+                });
+                (at, method_ops.collect())
+            })
+            .collect();
+        // What the layouts of one family have in common: the shape and the finished pool.
+        let shared: Vec<ProgramLayout> = families
+            .into_iter()
+            .map(|f| ProgramLayout {
+                shape: f.shape,
+                method_ops: Vec::new(),
+                const_strs: f.pool.strs.into(),
+            })
+            .collect();
+        bodies
+            .into_iter()
+            .map(|(at, method_ops)| ProgramLayout {
+                method_ops,
+                ..shared[at].clone()
+            })
+            .collect()
+    }
+
+    /// The pre-decoded body of `method` (`ops` empty iff the bytecode body is empty).
+    #[inline]
+    pub fn ops(&self, method: MethodId) -> &MethodOps {
+        &self.method_ops[method.0 as usize]
+    }
+
+    /// An interned string constant by pool index.
+    #[inline]
+    pub fn const_str(&self, idx: u32) -> &Arc<str> {
+        &self.const_strs[idx as usize]
+    }
+}
+
+impl LayoutShape {
+    /// Builds the shape tables of `program`, whose [`shape_fingerprint`] is
+    /// `fingerprint`.
+    fn of(program: &Program, fingerprint: u64) -> LayoutShape {
         // Selectors: one per distinct method name, in method order.
         let mut selector_of_name: HashMap<Arc<str>, u32> = HashMap::new();
         let mut selectors = Vec::with_capacity(program.methods.len());
@@ -500,7 +631,7 @@ impl ProgramLayout {
             layout.field_name = names;
         }
 
-        let mut layout = ProgramLayout {
+        LayoutShape {
             classes,
             static_names,
             static_types,
@@ -510,66 +641,55 @@ impl ProgramLayout {
             field_name_ids,
             method_names,
             selector_count,
-            method_ops: Vec::new(),
-            const_strs: Vec::new(),
-            fingerprint: shape_fingerprint(program),
-        };
+            fingerprint,
+        }
+    }
 
-        // Decode pass: every Insn body becomes a dense op body against the freshly
-        // built resolution tables, interning string constants as it goes.
-        let mut pool: HashMap<String, u32> = HashMap::new();
-        let mut fuse_scratch = (Vec::new(), Vec::new());
-        let method_ops: Vec<MethodOps> = program
-            .methods
+    /// Decodes (and, per `opts`, fuses) one method body against the shape tables,
+    /// interning its string constants into `pool` as it goes.
+    fn decode(
+        &self,
+        program: &Program,
+        method: &Method,
+        opts: LayoutOptions,
+        pool: &mut StrPool,
+        fuse_scratch: &mut (Vec<bool>, Vec<u32>),
+    ) -> MethodOps {
+        let decoded: Vec<Op> = method
+            .body
             .iter()
-            .map(|m| {
-                let decoded: Vec<Op> = m
-                    .body
-                    .iter()
-                    .map(|insn| layout.decode_insn(program, insn, &mut pool))
-                    .collect();
-                let (ops, src_pc) = if opts.fuse {
-                    fuse_ops(decoded, &mut fuse_scratch)
-                } else {
-                    (decoded, Vec::new())
-                };
-                MethodOps {
-                    ops,
-                    src_pc,
-                    locals: m.locals,
-                }
-            })
+            .map(|insn| self.decode_insn(program, insn, pool))
             .collect();
-        layout.method_ops = method_ops;
-        layout
+        let (ops, src_pc) = if opts.fuse {
+            fuse_ops(decoded, fuse_scratch)
+        } else {
+            (decoded, Vec::new())
+        };
+        MethodOps {
+            ops,
+            src_pc,
+            locals: method.locals,
+        }
     }
 
     /// Decodes one instruction against the built tables. Infallible by construction:
     /// every [`Insn`] maps to exactly one [`Op`], with unresolvable field references
     /// carrying [`NO_SLOT`] (reproducing the pre-decode `Option` semantics).
-    fn decode_insn(
-        &mut self,
-        program: &Program,
-        insn: &Insn,
-        pool: &mut HashMap<String, u32>,
-    ) -> Op {
+    fn decode_insn(&self, program: &Program, insn: &Insn, pool: &mut StrPool) -> Op {
         match insn {
             Insn::Const(Const::Int(v)) => Op::ConstInt(*v),
             Insn::Const(Const::Float(v)) => Op::ConstFloat(*v),
             Insn::Const(Const::Bool(v)) => Op::ConstBool(*v),
             Insn::Const(Const::Null) => Op::ConstNull,
-            Insn::Const(Const::Str(s)) => {
-                let idx = match pool.get(s) {
-                    Some(&i) => i,
-                    None => {
-                        let i = self.const_strs.len() as u32;
-                        self.const_strs.push(Arc::from(s.as_str()));
-                        pool.insert(s.clone(), i);
-                        i
-                    }
-                };
-                Op::ConstStr(idx)
-            }
+            Insn::Const(Const::Str(s)) => Op::ConstStr(match pool.index.get(s.as_str()) {
+                Some(&i) => i,
+                None => {
+                    let i = pool.strs.len() as u32;
+                    pool.strs.push(Arc::from(s.as_str()));
+                    pool.index.insert(Arc::clone(&pool.strs[i as usize]), i);
+                    i
+                }
+            }),
             Insn::Load(n) => Op::Load(*n),
             Insn::Store(n) => Op::Store(*n),
             Insn::Dup => Op::Dup,
@@ -725,18 +845,6 @@ impl ProgramLayout {
             Some(&m) if m != NO_METHOD => Some(MethodId(m)),
             _ => None,
         }
-    }
-
-    /// The pre-decoded body of `method` (`ops` empty iff the bytecode body is empty).
-    #[inline]
-    pub fn ops(&self, method: MethodId) -> &MethodOps {
-        &self.method_ops[method.0 as usize]
-    }
-
-    /// An interned string constant by pool index.
-    #[inline]
-    pub fn const_str(&self, idx: u32) -> &Arc<str> {
-        &self.const_strs[idx as usize]
     }
 
     /// Number of instance-field slots of `class`.
@@ -936,6 +1044,8 @@ fn fuse_ops(ops: Vec<Op>, scratch: &mut (Vec<bool>, Vec<u32>)) -> (Vec<Op>, Vec<
 mod tests {
     use super::*;
     use crate::program::Program;
+
+    const OPTS: LayoutOptions = LayoutOptions { fuse: true };
 
     fn sample() -> Program {
         let mut p = Program::new();
@@ -1306,6 +1416,81 @@ mod tests {
         let m = renamed.find_method(a, "m").unwrap();
         renamed.method_mut(m).name = "m2".into();
         assert_ne!(ProgramLayout::build(&renamed).fingerprint(), fp);
+    }
+
+    /// `sample()` with bodies: `A.m` pushes a string, `A.n` another, `B.m` is empty.
+    fn bodied() -> Program {
+        let mut p = sample();
+        let a = p.class_by_name("A").unwrap();
+        for (name, literal) in [("m", "left"), ("n", "right")] {
+            let m = p.find_method(a, name).unwrap();
+            let body = vec![
+                Insn::Const(Const::Str(literal.into())),
+                Insn::Pop,
+                Insn::Return,
+            ];
+            p.set_body(m, body, 1);
+        }
+        p
+    }
+
+    #[test]
+    fn a_family_shares_its_shape_its_pool_and_every_body_its_programs_share() {
+        let source = bodied();
+        let mut copy = source.clone();
+        let n = MethodId(1);
+        let body = vec![
+            Insn::Const(Const::Str("other".into())),
+            Insn::Pop,
+            Insn::Return,
+        ];
+        copy.set_body(n, body, 2);
+        let family = ProgramLayout::build_family(&[source.clone(), copy.clone()], OPTS);
+        assert!(Arc::ptr_eq(&family[0].shape, &family[1].shape));
+        assert!(Arc::ptr_eq(&family[0].const_strs, &family[1].const_strs));
+        for m in 0..source.methods.len() {
+            assert_eq!(
+                Arc::ptr_eq(&family[0].method_ops[m], &family[1].method_ops[m]),
+                m != n.0 as usize,
+                "method {m}: decoded once unless rewritten"
+            );
+        }
+        // One pool for both: the shared bodies' literals first, then the copy's own.
+        let pool: Vec<&str> = family[0].const_strs.iter().map(|s| &**s).collect();
+        assert_eq!(pool, ["left", "right", "other"]);
+        assert_eq!(family[1].ops(n).ops[0], Op::ConstStr(2));
+        assert_eq!(family[1].ops(n).locals, 2);
+        assert_eq!(family[0].ops(n).ops[0], Op::ConstStr(1));
+    }
+
+    #[test]
+    fn programs_of_different_shapes_share_nothing() {
+        let one = bodied();
+        let mut other = one.clone();
+        let a = other.class_by_name("A").unwrap();
+        other.add_field(a, "w", Type::Int, false);
+        // `other` still holds `one`'s method `Arc`s: same bodies, another shape.
+        assert!(Arc::ptr_eq(&one.methods[0], &other.methods[0]));
+        let mixed = [one.clone(), other.clone(), one.clone()];
+        let family = ProgramLayout::build_family(&mixed, OPTS);
+        assert_ne!(family[0].fingerprint(), family[1].fingerprint());
+        assert!(!Arc::ptr_eq(&family[0].shape, &family[1].shape));
+        assert!(!Arc::ptr_eq(&family[0].const_strs, &family[1].const_strs));
+        for m in 0..one.methods.len() {
+            assert!(!Arc::ptr_eq(
+                &family[0].method_ops[m],
+                &family[1].method_ops[m]
+            ));
+            assert!(Arc::ptr_eq(
+                &family[0].method_ops[m],
+                &family[2].method_ops[m]
+            ));
+        }
+        assert!(Arc::ptr_eq(&family[0].shape, &family[2].shape));
+        assert_eq!(
+            family[1].slot_count(a),
+            ProgramLayout::build(&other).slot_count(a)
+        );
     }
 
     #[test]

@@ -34,7 +34,7 @@ pub mod quad;
 pub mod verify;
 
 pub use bytecode::{BinOp, CmpOp, Const, Insn, InvokeKind, UnOp};
-pub use layout::{ArrayInit, ClassLayout, MethodOps, Op, ProgramLayout, NO_SLOT};
+pub use layout::{ArrayInit, ClassLayout, LayoutShape, MethodOps, Op, ProgramLayout, NO_SLOT};
 pub use program::{Class, ClassId, Field, FieldRef, Method, MethodId, Program, Type};
 pub use quad::{BlockId, Operand, Quad, QuadMethod, Reg};
 

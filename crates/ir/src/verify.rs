@@ -9,6 +9,9 @@
 //! * all referenced classes / methods / fields exist,
 //! * the method ends on a terminator on every path.
 
+use std::collections::HashSet;
+use std::sync::Arc;
+
 use crate::bytecode::Insn;
 use crate::cfg::BytecodeCfg;
 use crate::program::{Method, MethodId, Program, Type};
@@ -70,28 +73,61 @@ impl std::error::Error for VerifyError {}
 
 /// Verifies a whole program: the entry point plus every method body.
 pub fn verify_program(program: &Program) -> Result<(), Vec<VerifyError>> {
-    let mut errors = Vec::new();
-    match program.entry {
-        None => errors.push(VerifyError::NoEntryPoint),
-        Some(e) => {
-            if !program.method(e).is_static {
+    verify_copies([program]).map_err(|(_, errors)| errors)
+}
+
+/// Verifies the per-node copies of one program, each distinct method body once.
+///
+/// [`verify_method`] reads a program only through its signature tables (class count,
+/// field counts, callee signatures), which copies of one program share, so a method
+/// `Arc` that verified in one copy is verified in all of them; the entry checks stay
+/// per copy. On failure returns the index of the first copy holding an offending
+/// method, with every error of that copy. A copy whose tables differ from its
+/// predecessor's starts over rather than trust it.
+pub fn verify_copies<'p>(
+    copies: impl IntoIterator<Item = &'p Program>,
+) -> Result<(), (usize, Vec<VerifyError>)> {
+    let mut verified: HashSet<*const Method> = HashSet::new();
+    let mut previous: Option<&Program> = None;
+    for (index, program) in copies.into_iter().enumerate() {
+        if previous.is_some_and(|p| !same_signatures(p, program)) {
+            verified.clear();
+        }
+        previous = Some(program);
+        let mut errors = Vec::new();
+        match program.entry {
+            None => errors.push(VerifyError::NoEntryPoint),
+            Some(e) if !program.method(e).is_static => {
                 errors.push(VerifyError::EntryNotStatic { method: e });
             }
+            Some(_) => {}
+        }
+        for m in &program.methods {
+            if m.body.is_empty() || !verified.insert(Arc::as_ptr(m)) {
+                continue;
+            }
+            if let Err(mut es) = verify_method(program, m) {
+                errors.append(&mut es);
+            }
+        }
+        if !errors.is_empty() {
+            return Err((index, errors));
         }
     }
-    for m in &program.methods {
-        if m.body.is_empty() {
-            continue;
-        }
-        if let Err(mut es) = verify_method(program, m) {
-            errors.append(&mut es);
-        }
-    }
-    if errors.is_empty() {
-        Ok(())
-    } else {
-        Err(errors)
-    }
+    Ok(())
+}
+
+/// Whether `a` and `b` answer everything [`verify_method`] asks of a program alike.
+fn same_signatures(a: &Program, b: &Program) -> bool {
+    a.classes.len() == b.classes.len()
+        && a.methods.len() == b.methods.len()
+        && (a.classes.iter().zip(&b.classes))
+            .all(|(x, y)| Arc::ptr_eq(x, y) || x.fields.len() == y.fields.len())
+        && a.methods.iter().zip(&b.methods).all(|(x, y)| {
+            Arc::ptr_eq(x, y)
+                || (x.params.len() == y.params.len())
+                    && (x.ret == Type::Void) == (y.ret == Type::Void)
+        })
 }
 
 /// Verifies a single method body.
@@ -230,6 +266,55 @@ mod tests {
         p.set_entry(m);
         let errs = verify_program(&p).unwrap_err();
         assert!(matches!(errs[0], VerifyError::EntryNotStatic { .. }));
+    }
+
+    const TWO_METHODS: &str = "class C {
+        static int twice(int x) { return x + x; }
+        static void main() { int y = C.twice(2); }
+    }";
+
+    #[test]
+    fn a_broken_method_of_one_copy_is_pinned_on_that_copy() {
+        let source = compile_source(TWO_METHODS).unwrap();
+        let twice = source.find_method(ClassId(0), "twice").unwrap();
+        let copies = [source.clone(), source.clone(), source.clone()];
+        assert_eq!(verify_copies(&copies), Ok(()));
+        // Only copy 1 holds the broken body; copies 0 and 2 still share the source's.
+        let mut copies = copies;
+        copies[1].set_body(twice, vec![Insn::Pop, Insn::Return], 1);
+        let (copy, errors) = verify_copies(&copies).unwrap_err();
+        assert_eq!(copy, 1);
+        assert_eq!(errors, verify_program(&copies[1]).unwrap_err());
+        assert!(matches!(
+            errors[0],
+            VerifyError::StackUnderflow { pc: 0, .. }
+        ));
+        // A method every copy shares is reported on the first.
+        let mut broken = source.clone();
+        broken.set_body(twice, vec![Insn::Goto(9), Insn::Return], 1);
+        let copies = [broken.clone(), broken];
+        assert_eq!(verify_copies(&copies).unwrap_err().0, 0);
+        // The entry is checked on every copy, shared bodies or not.
+        let mut headless = source.clone();
+        headless.entry = None;
+        assert_eq!(
+            verify_copies([&source, &headless]),
+            Err((1, vec![VerifyError::NoEntryPoint]))
+        );
+    }
+
+    #[test]
+    fn a_method_verified_in_one_program_is_not_trusted_in_another() {
+        // `main` calls `twice(int)`; in `wider` the callee takes two values, so the same
+        // `main` body — the same `Arc` — underflows there.
+        let source = compile_source(TWO_METHODS).unwrap();
+        let twice = source.find_method(ClassId(0), "twice").unwrap();
+        let mut wider = source.clone();
+        wider.method_mut(twice).params.push(Type::Int);
+        assert!(Arc::ptr_eq(&source.methods[1], &wider.methods[1]));
+        let (copy, errors) = verify_copies([&source, &wider]).unwrap_err();
+        assert_eq!(copy, 1);
+        assert_eq!(errors, verify_program(&wider).unwrap_err());
     }
 
     #[test]

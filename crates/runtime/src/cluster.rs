@@ -242,9 +242,9 @@ pub fn run_distributed_profiled(
         "one program copy per configured node"
     );
     let start = Instant::now();
-    let layouts: Vec<_> = programs
-        .iter()
-        .map(|p| Arc::new(ProgramLayout::build(p)))
+    let layouts: Vec<_> = ProgramLayout::build_family(programs, Default::default())
+        .into_iter()
+        .map(Arc::new)
         .collect();
     let faults: Vec<_> = config.faults.iter().map(|plan| (0, plan.clone())).collect();
     let server = Server {

@@ -42,18 +42,19 @@ pub struct ServerApp {
 }
 
 impl ServerApp {
-    /// Builds the per-node layouts once; every admitted request's interpreters share
-    /// them. `programs[rank]` must be the copy rewritten for `rank`, and the network
-    /// must describe exactly `programs.len()` nodes.
+    /// Builds the per-node layouts once, as one family (the copies share their shape
+    /// tables and every body the rewriter left alone); every admitted request's
+    /// interpreters share them. `programs[rank]` must be the copy rewritten for
+    /// `rank`, and the network must describe exactly `programs.len()` nodes.
     pub fn prepare(programs: Vec<Program>, network: NetworkConfig) -> Self {
         assert_eq!(
             programs.len(),
             network.nodes(),
             "one placed program per network node"
         );
-        let layouts = programs
-            .iter()
-            .map(|p| Arc::new(ProgramLayout::build(p)))
+        let layouts = ProgramLayout::build_family(&programs, Default::default())
+            .into_iter()
+            .map(Arc::new)
             .collect();
         ServerApp {
             programs,

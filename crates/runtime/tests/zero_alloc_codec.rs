@@ -2,7 +2,7 @@
 //! it: two [`Interp`]s, rank 0 running a rewritten `main` and rank 1 serving it, over a
 //! [`Transport`], driven packet by packet exactly as the worker loop drives them
 //! (park → route → accept → run → reply → route → resume). A counting global allocator
-//! observes every `alloc`/`realloc` in the process.
+//! observes every `alloc`/`realloc` of the test's thread.
 //!
 //! The claim is that **the argument list costs nothing**: its values go from where the
 //! program put them (operand stack, the rewriter's `Object[]`) into the pooled frame
@@ -13,8 +13,8 @@
 //! that sneaks a per-message collection (or a second string copy) back in fails here.
 
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicUsize, Ordering};
 
 use autodist_codegen::rewrite::{rewrite_for_node, ClassPlacement};
 use autodist_ir::frontend::compile_source;
@@ -23,14 +23,19 @@ use autodist_runtime::interp::{Interp, TaskOutcome};
 use autodist_runtime::net::{MpiEndpoint, NetworkConfig, Transport};
 use autodist_runtime::value::Value;
 
-/// Counts every allocation and reallocation; frees are uninteresting here.
+/// Counts every allocation and reallocation of the calling thread; frees are
+/// uninteresting here. Per thread, because the test harness's main thread books the
+/// running test (a map insert, a timeout entry) whenever the scheduler next lets it,
+/// which can be in the middle of the counter window.
 struct CountingAlloc;
 
-static ALLOCATIONS: AtomicUsize = AtomicUsize::new(0);
+thread_local! {
+    static ALLOCATIONS: Cell<usize> = const { Cell::new(0) };
+}
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        ALLOCATIONS.with(|n| n.set(n.get() + 1));
         System.alloc(layout)
     }
 
@@ -39,7 +44,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        ALLOCATIONS.with(|n| n.set(n.get() + 1));
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -48,7 +53,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
 static ALLOC: CountingAlloc = CountingAlloc;
 
 fn allocations() -> usize {
-    ALLOCATIONS.load(Ordering::Relaxed)
+    ALLOCATIONS.with(Cell::get)
 }
 
 const WARM_UP: usize = 16;
@@ -74,8 +79,7 @@ const SERVING: [usize; 4] = [
 /// Marshal, send, park and resume add nothing.
 const CALLING: usize = 3 + 1 + 1;
 
-/// One test drives everything so nothing else in this binary allocates concurrently
-/// while the counter window is open.
+/// One test drives everything, on one thread, through every counter window.
 #[test]
 fn steady_state_remote_round_trips_allocate_nothing_for_the_argument_list() {
     let source = format!(

@@ -4,15 +4,19 @@
 //! and callee methods, and every node's program was a deep copy made twice (once by
 //! the rewriter, once on the way to the server). Now the front end borrows from the
 //! source text and a [`Program`] clone shares its classes and methods by reference
-//! count, so a node's copy owns only the methods the rewriter changed. The first test
-//! counts allocations per phase of one `plan_sweep`-shaped op (`gen` d6 w12 f3 over
-//! 2, 4 and 8 nodes) and holds each cell within 10 % of what that design costs; the
-//! second asserts the sharing itself, pointer for pointer.
+//! count, so a node's copy owns only the methods the rewriter changed — and the
+//! rewriter changes only what the node can run, the verifier checks each distinct
+//! method once and the layouts of a plan's copies are one family that decodes each
+//! distinct method once. The first test counts allocations per phase of one
+//! `plan_sweep`-shaped op (`gen` d6 w12 f3 over 2, 4 and 8 nodes) and holds each cell
+//! within 10 % of what that design costs; the second asserts the sharing itself,
+//! pointer for pointer, from the copies down to the decoded bodies.
 //!
 //! The counter is per thread, so the two tests do not see each other.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use std::collections::HashSet;
 use std::sync::Arc;
 
 use autodist::{Distributor, DistributorConfig};
@@ -79,10 +83,12 @@ fn cluster(nodes: usize) -> ClusterConfig {
 /// What the phases allocate today, per node count `[2, 4, 8]`; a cell may exceed its
 /// figure by a tenth before the test fails. Before the front end borrowed and the
 /// copies shared, the rows read 41 811, 14 171 / 23 056 / 40 409 and
-/// 5 810 / 12 426 / 25 661 (mean whole op 82 368).
+/// 5 810 / 12 426 / 25 661 (mean whole op 82 368); before the rewriter stopped at
+/// a node's reach and verification and layout went per distinct method, 5 201,
+/// 10 386 / 17 668 / 31 735 and 2 715 / 5 571 / 11 286 (mean whole op 31 549).
 const GENERATED: usize = 5_201;
-const DISTRIBUTE: [usize; 3] = [10_386, 17_668, 31_735];
-const PREPARE: [usize; 3] = [2_715, 5_571, 11_286];
+const DISTRIBUTE: [usize; 3] = [7_390, 8_291, 9_336];
+const PREPARE: [usize; 3] = [1_542, 1_626, 1_705];
 
 #[test]
 fn planning_stays_inside_its_allocation_budget() {
@@ -107,11 +113,9 @@ fn planning_stays_inside_its_allocation_budget() {
         let cluster = cluster(nodes);
         let (app, prepare_allocs) = counted(|| plan.prepare_server(&cluster));
         assert_eq!(app.nodes(), nodes);
-        let ((), layout_allocs) = counted(|| {
-            for copy in &plan.node_programs {
-                std::hint::black_box(ProgramLayout::build(&copy.program));
-            }
-        });
+        let programs = plan.programs();
+        let (_, layout_allocs) =
+            counted(|| ProgramLayout::build_family(&programs, Default::default()));
         let whole = gen_allocs + distribute_allocs + prepare_allocs;
         whole_ops += whole;
         println!(
@@ -131,46 +135,98 @@ fn planning_stays_inside_its_allocation_budget() {
     }
     let mean = whole_ops / 3;
     println!("mean whole op: {mean}");
-    assert!(mean <= 45_000, "mean planning op: {mean} allocations");
+    assert!(mean <= 17_000, "mean planning op: {mean} allocations");
 }
 
 #[test]
 fn a_nodes_copy_shares_every_method_the_rewriter_left_alone() {
     let g = generated(&sweep_config());
     let source = &g.workload.program;
-    let plan = Distributor::new(DistributorConfig::multilevel(2))
-        .try_distribute(source)
-        .expect("plans");
-    let handed_over = plan.programs();
-    for (rank, copy) in plan.node_programs.iter().enumerate() {
-        let shared = source
-            .methods
+    for nodes in [2usize, 4, 8] {
+        let plan = Distributor::new(DistributorConfig::multilevel(nodes))
+            .try_distribute(source)
+            .expect("plans");
+        let handed_over = plan.programs();
+        for (rank, copy) in plan.node_programs.iter().enumerate() {
+            let shared = source
+                .methods
+                .iter()
+                .zip(&copy.program.methods)
+                .filter(|(ours, theirs)| Arc::ptr_eq(ours, theirs))
+                .count();
+            assert_eq!(
+                shared + copy.stats.methods_transformed,
+                source.methods.len(),
+                "node {rank} of {nodes}: every method is either shared or counted as transformed"
+            );
+            assert!(
+                shared > 0 && copy.stats.methods_transformed > 0,
+                "node {rank} of {nodes}"
+            );
+            // Classes are never rewritten: all shared, the proxy class appended.
+            assert!(source
+                .classes
+                .iter()
+                .zip(&copy.program.classes)
+                .all(|(ours, theirs)| Arc::ptr_eq(ours, theirs)));
+            assert_eq!(copy.program.classes.len(), source.classes.len() + 1);
+            // What the runtime is handed is the same copy again, method for method.
+            assert_eq!(handed_over[rank].methods.len(), copy.program.methods.len());
+            assert!(handed_over[rank]
+                .methods
+                .iter()
+                .zip(&copy.program.methods)
+                .all(|(ours, theirs)| Arc::ptr_eq(ours, theirs)));
+        }
+
+        // One level down: two copies hold the same method wherever neither rewrote
+        // it, and the layouts the server is prepared with follow the copies — one
+        // shape allocation, one decoded body per distinct method.
+        let layouts = ProgramLayout::build_family(&handed_over, Default::default());
+        let mut distinct_methods = HashSet::new();
+        let mut distinct_bodies = HashSet::new();
+        for (rank, (copy, layout)) in handed_over.iter().zip(&layouts).enumerate() {
+            assert!(
+                std::ptr::eq(&layout.classes, &layouts[0].classes),
+                "node {rank} of {nodes}: one shape allocation for the plan"
+            );
+            for (m, method) in copy.methods.iter().enumerate() {
+                let first = &handed_over[0].methods[m];
+                let untouched =
+                    |copy: &Arc<_>| source.methods.get(m).is_some_and(|s| Arc::ptr_eq(s, copy));
+                assert_eq!(
+                    Arc::ptr_eq(method, first),
+                    rank == 0 || untouched(method) && untouched(first),
+                    "node {rank} of {nodes}, method {m}: shared exactly where neither copy rewrote it"
+                );
+                assert_eq!(
+                    Arc::ptr_eq(&layout.method_ops[m], &layouts[0].method_ops[m]),
+                    Arc::ptr_eq(method, first),
+                    "node {rank} of {nodes}, method {m}: one decoded body per distinct method"
+                );
+                distinct_methods.insert(Arc::as_ptr(method));
+                distinct_bodies.insert(Arc::as_ptr(&layout.method_ops[m]));
+            }
+        }
+        let transformed: usize = plan
+            .node_programs
             .iter()
-            .zip(&copy.program.methods)
-            .filter(|(ours, theirs)| Arc::ptr_eq(ours, theirs))
-            .count();
-        assert_eq!(
-            shared + copy.stats.methods_transformed,
-            source.methods.len(),
-            "node {rank}: every method is either shared or counted as transformed"
-        );
+            .map(|copy| copy.stats.methods_transformed)
+            .sum();
+        assert_eq!(distinct_bodies.len(), distinct_methods.len());
         assert!(
-            shared > 0 && copy.stats.methods_transformed > 0,
-            "node {rank}"
+            distinct_bodies.len() <= source.methods.len() + transformed + 2 * nodes,
+            "{nodes} nodes: {} decoded bodies for {} source methods, {transformed} rewritten",
+            distinct_bodies.len(),
+            source.methods.len()
         );
-        // Classes are never rewritten: all shared, the proxy class appended.
-        assert!(source
-            .classes
-            .iter()
-            .zip(&copy.program.classes)
-            .all(|(ours, theirs)| Arc::ptr_eq(ours, theirs)));
-        assert_eq!(copy.program.classes.len(), source.classes.len() + 1);
-        // What the runtime is handed is the same copy again, method for method.
-        assert_eq!(handed_over[rank].methods.len(), copy.program.methods.len());
-        assert!(handed_over[rank]
-            .methods
-            .iter()
-            .zip(&copy.program.methods)
-            .all(|(ours, theirs)| Arc::ptr_eq(ours, theirs)));
+        println!(
+            "{nodes} nodes: {} distinct decoded bodies ({} source methods + {transformed} rewritten \
+             + {} proxy stubs) instead of {}",
+            distinct_bodies.len(),
+            source.methods.len(),
+            2 * nodes,
+            handed_over.iter().map(|p| p.methods.len()).sum::<usize>()
+        );
     }
 }
