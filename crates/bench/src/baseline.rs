@@ -13,7 +13,9 @@
 //!   generated call trees under the default configuration, plus three hashes:
 //!   `odg_digest` of the whole ODG edge set, `program_digest` of what the front end
 //!   emitted and `node_programs_digest` of what the rewriter made of it for the two
-//!   nodes — each a deterministic artefact of the source text.
+//!   nodes — each a deterministic artefact of the source text. The `gen-d6w12` and
+//!   `gen-d8w24` rows add `odg_cut_n{4,8}` and `node_programs_digest_n{4,8}`: the same
+//!   plan on 4 and 8 nodes, which is where the partitioner recurses.
 //! * `op_census` — per Table 1 workload and chain microbench ([`crate::microbench`]),
 //!   the superinstruction counts the fusion pass emits and the dynamic dispatch
 //!   reduction they buy.
@@ -150,11 +152,10 @@ pub fn program_digest(program: &Program) -> u64 {
     hash.0
 }
 
-/// One `graphs` row: the Table 1 columns of `program` planned under the default
-/// configuration (two nodes), and the digests of its ODG, of the program itself and of
-/// its two rewritten copies taken together.
-fn graph_row(name: &str, program: &Program) -> PipelineResult<String> {
-    let plan = Distributor::new(DistributorConfig::default()).try_distribute(program)?;
+/// `program` planned on `nodes` nodes under the default configuration otherwise: its
+/// Table 1 row, its ODG digest and the digest of its rewritten copies taken together.
+fn plan_row(name: &str, program: &Program, nodes: usize) -> PipelineResult<(Table1Row, u64, u64)> {
+    let plan = Distributor::new(DistributorConfig::multilevel(nodes)).try_distribute(program)?;
     let row = Table1Row::build(
         name,
         program,
@@ -166,7 +167,16 @@ fn graph_row(name: &str, program: &Program) -> PipelineResult<String> {
     for copy in &plan.node_programs {
         eat_program(&mut node_programs, &copy.program);
     }
-    Ok(format!(
+    Ok((row, odg_digest(&plan.analysis.odg), node_programs.0))
+}
+
+/// One `graphs` row: the Table 1 columns of `program` planned under the default
+/// configuration (two nodes), and the digests of its ODG, of the program itself and of
+/// its two rewritten copies taken together; then, for each of `wider` node counts,
+/// `odg_cut_n{nodes}` and `node_programs_digest_n{nodes}` of the plan on that many.
+fn graph_row(name: &str, program: &Program, wider: &[usize]) -> PipelineResult<String> {
+    let (row, odg, node_programs) = plan_row(name, program, 2)?;
+    let mut out = format!(
         "\"name\": {}, \"classes\": {}, \"methods\": {}, \"crg_nodes\": {}, \
          \"crg_edges\": {}, \"crg_cut\": {}, \"odg_nodes\": {}, \"odg_edges\": {}, \
          \"odg_cut\": {}, \"odg_digest\": \"{:016x}\", \"program_digest\": \"{:016x}\", \
@@ -180,10 +190,18 @@ fn graph_row(name: &str, program: &Program) -> PipelineResult<String> {
         row.odg.nodes,
         row.odg.edges,
         row.odg.edgecut,
-        odg_digest(&plan.analysis.odg),
+        odg,
         program_digest(program),
-        node_programs.0
-    ))
+        node_programs
+    );
+    for &nodes in wider {
+        let (row, _, node_programs) = plan_row(name, program, nodes)?;
+        out.push_str(&format!(
+            ", \"odg_cut_n{nodes}\": {}, \"node_programs_digest_n{nodes}\": \"{node_programs:016x}\"",
+            row.odg.edgecut
+        ));
+    }
+    Ok(out)
 }
 
 /// One array section: `"key": [`, one object per line, `]`.
@@ -214,9 +232,11 @@ pub fn render() -> PipelineResult<String> {
 
     let mut rows = Vec::new();
     for w in table1.iter().chain([&autodist_workloads::bank(100)]) {
-        rows.push(graph_row(&w.name, &w.program)?);
+        rows.push(graph_row(&w.name, &w.program, &[])?);
     }
-    for (depth, width) in [(4, 8), (6, 12), (8, 24)] {
+    // The two larger call trees are the ones the partitioner coarsens; at 4 and 8 nodes
+    // they also pin its recursion below the first bisection.
+    for (depth, width, wider) in [(4, 8, &[][..]), (6, 12, &[4, 8]), (8, 24, &[4, 8])] {
         let g = autodist_workloads::generated(&GenConfig {
             depth,
             width,
@@ -226,6 +246,7 @@ pub fn render() -> PipelineResult<String> {
         rows.push(graph_row(
             &format!("gen-d{depth}w{width}"),
             &g.workload.program,
+            wider,
         )?);
     }
     sections.push(rows_section("graphs", &rows));
