@@ -6,10 +6,10 @@
 //! weight vector is the sum of its constituents; edges between coarse vertices
 //! accumulate the fine edge weights.
 
-use crate::graph::{Graph, GraphBuilder};
+use crate::graph::Graph;
 
 /// One level of the coarsening hierarchy.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct CoarseLevel {
     /// The coarser graph.
     pub graph: Graph,
@@ -89,42 +89,67 @@ pub fn coarsen_once(graph: &Graph, seed: u64) -> Option<CoarseLevel> {
     }
 
     // Build the coarse graph.
-    let mut builder = GraphBuilder::new(next, graph.ncon);
-    let mut weights = vec![vec![0u64; graph.ncon]; next];
+    let ncon = graph.ncon;
+    let mut coarse = Graph {
+        ncon,
+        vwgt: vec![0; next * ncon],
+        xadj: Vec::with_capacity(next + 1),
+        adjncy: Vec::with_capacity(graph.adjncy.len()),
+        adjwgt: Vec::with_capacity(graph.adjncy.len()),
+    };
+    coarse.xadj.push(0);
+    // Coarse rows in id order: a coarse vertex is built when its lower constituent is
+    // reached. The row accumulates in `row`, where `slot[cu]` is the position of
+    // coarse neighbour `cu` (a stale slot points past the row or at another neighbour).
+    let mut row: Vec<(usize, u64)> = Vec::new();
+    let mut slot = vec![usize::MAX; next];
     for v in 0..n {
-        for (acc, w) in weights[map[v]].iter_mut().zip(graph.vertex_weight(v)) {
-            *acc += w;
+        let m = match_of[v];
+        if m < v {
+            continue;
         }
-    }
-    for (cv, w) in weights.iter().enumerate() {
-        builder.set_weight(cv, w);
-    }
-    for v in 0..n {
-        for (u, w) in graph.neighbours(v) {
-            if u > v && map[u] != map[v] {
-                builder.add_edge(map[v], map[u], w);
+        let cv = map[v];
+        row.clear();
+        for fine in std::iter::once(v).chain((m != v).then_some(m)) {
+            let weights = &mut coarse.vwgt[cv * ncon..(cv + 1) * ncon];
+            for (acc, w) in weights.iter_mut().zip(graph.vertex_weight(fine)) {
+                *acc += w;
+            }
+            for (u, w) in graph.neighbours(fine) {
+                let cu = map[u];
+                if cu == cv {
+                    continue;
+                }
+                match row.get_mut(slot[cu]) {
+                    Some((at, acc)) if *at == cu => *acc += w,
+                    _ => {
+                        slot[cu] = row.len();
+                        row.push((cu, w));
+                    }
+                }
             }
         }
+        row.sort_unstable_by_key(|&(cu, _)| cu);
+        for &(cu, w) in &row {
+            coarse.adjncy.push(cu);
+            coarse.adjwgt.push(w);
+        }
+        coarse.xadj.push(coarse.adjncy.len());
     }
-    Some(CoarseLevel {
-        graph: builder.build(),
-        map,
-    })
+    Some(CoarseLevel { graph: coarse, map })
 }
 
 /// Coarsens repeatedly until the graph has at most `coarsen_to` vertices or stops
 /// shrinking. Returns the hierarchy from finest to coarsest (may be empty).
 pub fn coarsen_hierarchy(graph: &Graph, coarsen_to: usize, seed: u64) -> Vec<CoarseLevel> {
-    let mut levels = Vec::new();
-    let mut current = graph.clone();
-    let mut round = 0u64;
-    while current.vertex_count() > coarsen_to.max(2) {
-        match coarsen_once(&current, seed.wrapping_add(round)) {
-            Some(level) => {
-                current = level.graph.clone();
-                levels.push(level);
-                round += 1;
-            }
+    let mut levels: Vec<CoarseLevel> = Vec::new();
+    loop {
+        let current = levels.last().map_or(graph, |l| &l.graph);
+        if current.vertex_count() <= coarsen_to.max(2) {
+            break;
+        }
+        match coarsen_once(current, seed.wrapping_add(levels.len() as u64)) {
+            Some(level) => levels.push(level),
             None => break,
         }
     }
@@ -132,9 +157,62 @@ pub fn coarsen_hierarchy(graph: &Graph, coarsen_to: usize, seed: u64) -> Vec<Coa
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+    use crate::graph::tests::OracleBuilder;
     use crate::graph::GraphBuilder;
+
+    /// The coarse-graph build before the dense accumulator: every fine edge between two
+    /// coarse vertices goes through the `BTreeMap` builder. The matching did not change,
+    /// so the map is `coarsen_once`'s.
+    pub(crate) fn oracle_coarsen_once(graph: &Graph, seed: u64) -> Option<CoarseLevel> {
+        let map = coarsen_once(graph, seed)?.map;
+        let next = map.iter().max().map_or(0, |&cv| cv + 1);
+        let n = graph.vertex_count();
+        let mut builder = OracleBuilder::new(next, graph.ncon);
+        let mut weights = vec![vec![0u64; graph.ncon]; next];
+        for v in 0..n {
+            for (acc, w) in weights[map[v]].iter_mut().zip(graph.vertex_weight(v)) {
+                *acc += w;
+            }
+        }
+        for (cv, w) in weights.iter().enumerate() {
+            builder.set_weight(cv, w);
+        }
+        for v in 0..n {
+            for (u, w) in graph.neighbours(v) {
+                if u > v && map[u] != map[v] {
+                    builder.add_edge(map[v], map[u], w);
+                }
+            }
+        }
+        Some(CoarseLevel {
+            graph: builder.build(),
+            map,
+        })
+    }
+
+    /// The hierarchy before it borrowed its levels: each one cloned to coarsen again.
+    pub(crate) fn oracle_coarsen_hierarchy(
+        graph: &Graph,
+        coarsen_to: usize,
+        seed: u64,
+    ) -> Vec<CoarseLevel> {
+        let mut levels = Vec::new();
+        let mut current = graph.clone();
+        let mut round = 0u64;
+        while current.vertex_count() > coarsen_to.max(2) {
+            match oracle_coarsen_once(&current, seed.wrapping_add(round)) {
+                Some(level) => {
+                    current = level.graph.clone();
+                    levels.push(level);
+                    round += 1;
+                }
+                None => break,
+            }
+        }
+        levels
+    }
 
     fn grid(n: usize) -> Graph {
         // n x n grid graph with unit weights.

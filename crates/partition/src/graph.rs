@@ -5,10 +5,8 @@
 //! endpoints are separated). Storage is CSR (compressed sparse row) built once from an
 //! edge list; parallel edges are merged by summing weights.
 
-use std::collections::BTreeMap;
-
 /// An immutable weighted undirected graph in CSR form.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct Graph {
     /// Number of weight constraints per vertex (>= 1).
     pub ncon: usize,
@@ -135,8 +133,10 @@ impl Graph {
 #[derive(Clone, Debug)]
 pub struct GraphBuilder {
     ncon: usize,
-    weights: Vec<Vec<u64>>,
-    edges: BTreeMap<(usize, usize), u64>,
+    /// Vertex weights, `vertex_count * ncon`, row-major.
+    vwgt: Vec<u64>,
+    /// Every `add_edge` that was not a self loop, as `(min, max, weight)`.
+    edges: Vec<(usize, usize, u64)>,
 }
 
 impl GraphBuilder {
@@ -146,56 +146,68 @@ impl GraphBuilder {
         assert!(ncon >= 1, "at least one constraint required");
         GraphBuilder {
             ncon,
-            weights: vec![vec![1; ncon]; n],
-            edges: BTreeMap::new(),
+            vwgt: vec![1; n * ncon],
+            edges: Vec::new(),
         }
     }
 
     /// Number of vertices.
     pub fn vertex_count(&self) -> usize {
-        self.weights.len()
+        self.vwgt.len() / self.ncon
     }
 
     /// Sets the weight vector of vertex `v` (must have `ncon` entries).
     pub fn set_weight(&mut self, v: usize, w: &[u64]) -> &mut Self {
         assert_eq!(w.len(), self.ncon, "weight vector length mismatch");
-        self.weights[v] = w.to_vec();
+        self.vwgt[v * self.ncon..(v + 1) * self.ncon].copy_from_slice(w);
         self
     }
 
     /// Adds (or accumulates) an undirected edge. Self loops are ignored.
     pub fn add_edge(&mut self, a: usize, b: usize, w: u64) -> &mut Self {
-        if a == b {
-            return self;
+        if a != b {
+            self.edges.push((a.min(b), a.max(b), w));
         }
-        let key = (a.min(b), a.max(b));
-        *self.edges.entry(key).or_insert(0) += w;
         self
     }
 
-    /// Finalises the CSR representation.
+    /// Finalises the CSR representation: parallel edges merged into one whose weight is
+    /// their sum, every row listing its neighbours in ascending order (heavy-edge
+    /// matching breaks ties by that order).
     pub fn build(&self) -> Graph {
-        let n = self.weights.len();
-        let mut adj: Vec<Vec<(usize, u64)>> = vec![Vec::new(); n];
-        for (&(a, b), &w) in &self.edges {
-            adj[a].push((b, w));
-            adj[b].push((a, w));
-        }
-        let mut xadj = Vec::with_capacity(n + 1);
-        let mut adjncy = Vec::new();
-        let mut adjwgt = Vec::new();
-        xadj.push(0);
-        for list in &adj {
-            for &(u, w) in list {
-                adjncy.push(u);
-                adjwgt.push(w);
+        let n = self.vertex_count();
+        let mut edges = self.edges.clone();
+        edges.sort_unstable_by_key(|&(a, b, _)| (a, b));
+        edges.dedup_by(|next, kept| {
+            let parallel = (next.0, next.1) == (kept.0, kept.1);
+            if parallel {
+                kept.2 += next.2;
             }
-            xadj.push(adjncy.len());
+            parallel
+        });
+        let mut xadj = vec![0usize; n + 1];
+        for &(a, b, _) in &edges {
+            xadj[a + 1] += 1;
+            xadj[b + 1] += 1;
         }
-        let vwgt = self.weights.iter().flatten().copied().collect();
+        for v in 0..n {
+            xadj[v + 1] += xadj[v];
+        }
+        // In `(a, b)` order, row `v` receives its lower neighbours (edges `(u, v)`)
+        // ascending, then its higher ones (edges `(v, u)`) ascending.
+        let mut next = xadj.clone();
+        let mut adjncy = vec![0; xadj[n]];
+        let mut adjwgt = vec![0; xadj[n]];
+        for &(a, b, w) in &edges {
+            for (from, to) in [(a, b), (b, a)] {
+                adjncy[next[from]] = to;
+                adjwgt[next[from]] = w;
+                next[from] += 1;
+            }
+        }
         Graph {
             ncon: self.ncon,
-            vwgt,
+            vwgt: self.vwgt.clone(),
             xadj,
             adjncy,
             adjwgt,
@@ -204,8 +216,65 @@ impl GraphBuilder {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
+    use std::collections::BTreeMap;
+
     use super::*;
+
+    /// The builder before it was CSR-native: a `BTreeMap` keyed by `(min, max)`
+    /// accumulates the edges, one `Vec` per vertex holds the rows. `kway::tests` holds
+    /// [`GraphBuilder::build`] to it.
+    pub(crate) struct OracleBuilder {
+        ncon: usize,
+        weights: Vec<Vec<u64>>,
+        edges: BTreeMap<(usize, usize), u64>,
+    }
+
+    impl OracleBuilder {
+        pub(crate) fn new(n: usize, ncon: usize) -> Self {
+            OracleBuilder {
+                ncon,
+                weights: vec![vec![1; ncon]; n],
+                edges: BTreeMap::new(),
+            }
+        }
+
+        pub(crate) fn set_weight(&mut self, v: usize, w: &[u64]) {
+            self.weights[v] = w.to_vec();
+        }
+
+        pub(crate) fn add_edge(&mut self, a: usize, b: usize, w: u64) {
+            if a != b {
+                *self.edges.entry((a.min(b), a.max(b))).or_insert(0) += w;
+            }
+        }
+
+        pub(crate) fn build(&self) -> Graph {
+            let n = self.weights.len();
+            let mut adj: Vec<Vec<(usize, u64)>> = vec![Vec::new(); n];
+            for (&(a, b), &w) in &self.edges {
+                adj[a].push((b, w));
+                adj[b].push((a, w));
+            }
+            let mut xadj = vec![0];
+            let mut adjncy = Vec::new();
+            let mut adjwgt = Vec::new();
+            for list in &adj {
+                for &(u, w) in list {
+                    adjncy.push(u);
+                    adjwgt.push(w);
+                }
+                xadj.push(adjncy.len());
+            }
+            Graph {
+                ncon: self.ncon,
+                vwgt: self.weights.iter().flatten().copied().collect(),
+                xadj,
+                adjncy,
+                adjwgt,
+            }
+        }
+    }
 
     fn triangle() -> Graph {
         let mut b = GraphBuilder::new(3, 2);
@@ -238,6 +307,20 @@ mod tests {
         let g = b.build();
         assert_eq!(g.edge_count(), 1);
         assert_eq!(g.neighbours(0).next(), Some((1, 7)));
+    }
+
+    #[test]
+    fn rows_list_neighbours_in_ascending_order() {
+        let mut b = GraphBuilder::new(5, 1);
+        b.add_edge(2, 4, 1);
+        b.add_edge(2, 0, 2);
+        b.add_edge(3, 2, 3);
+        b.add_edge(1, 2, 0);
+        b.add_edge(2, 0, 5);
+        let g = b.build();
+        let row: Vec<(usize, u64)> = g.neighbours(2).collect();
+        assert_eq!(row, vec![(0, 7), (1, 0), (3, 3), (4, 1)]);
+        assert_eq!(g.xadj, vec![0, 1, 2, 6, 7, 8]);
     }
 
     #[test]

@@ -6,9 +6,11 @@
 //! partitions are obtained by recursively bisecting the induced subgraphs, splitting the
 //! requested part count proportionally (this is how pmetis operates).
 
+use std::borrow::Cow;
+
 use crate::coarsen::coarsen_hierarchy;
-use crate::graph::{Graph, GraphBuilder};
-use crate::refine::{fm_refine_bisection, BisectionTargets};
+use crate::graph::Graph;
+use crate::refine::{argmax, fm_refine_bisection, BisectionTargets, MASKED};
 use crate::PartitionConfig;
 
 /// Partitions `graph` into `config.nparts` parts with multilevel recursive bisection.
@@ -40,7 +42,12 @@ fn recurse(
     let right_parts = nparts - left_parts;
     let frac = left_parts as f64 / nparts as f64;
 
-    let (sub, _back) = induce(graph, vertices);
+    // The first bisection splits the whole graph: no copy.
+    let sub = if vertices.len() == graph.vertex_count() {
+        Cow::Borrowed(graph)
+    } else {
+        Cow::Owned(induce(graph, vertices))
+    };
     let split = multilevel_bisect(&sub, frac, config);
 
     let left: Vec<usize> = vertices
@@ -67,23 +74,36 @@ fn recurse(
     );
 }
 
-/// Builds the subgraph induced by `vertices`. Returns the subgraph and the map from
-/// subgraph vertex index back to the original vertex id.
-pub fn induce(graph: &Graph, vertices: &[usize]) -> (Graph, Vec<usize>) {
+/// Builds the subgraph induced by `vertices` (ascending): subgraph vertex `i` is
+/// `vertices[i]`, and its row is `vertices[i]`'s row with the neighbours outside the
+/// set dropped and the rest renumbered, so it stays in ascending order.
+pub fn induce(graph: &Graph, vertices: &[usize]) -> Graph {
+    debug_assert!(vertices.windows(2).all(|p| p[0] < p[1]), "ascending");
     let mut to_sub = vec![usize::MAX; graph.vertex_count()];
     for (i, &v) in vertices.iter().enumerate() {
         to_sub[v] = i;
     }
-    let mut b = GraphBuilder::new(vertices.len(), graph.ncon);
-    for (i, &v) in vertices.iter().enumerate() {
-        b.set_weight(i, graph.vertex_weight(v));
+    let ncon = graph.ncon;
+    let most: usize = vertices.iter().map(|&v| graph.degree(v)).sum();
+    let mut sub = Graph {
+        ncon,
+        vwgt: Vec::with_capacity(vertices.len() * ncon),
+        xadj: Vec::with_capacity(vertices.len() + 1),
+        adjncy: Vec::with_capacity(most),
+        adjwgt: Vec::with_capacity(most),
+    };
+    sub.xadj.push(0);
+    for &v in vertices {
+        sub.vwgt.extend_from_slice(graph.vertex_weight(v));
         for (u, w) in graph.neighbours(v) {
-            if u > v && to_sub[u] != usize::MAX {
-                b.add_edge(i, to_sub[u], w);
+            if to_sub[u] != usize::MAX {
+                sub.adjncy.push(to_sub[u]);
+                sub.adjwgt.push(w);
             }
         }
+        sub.xadj.push(sub.adjncy.len());
     }
-    (b.build(), vertices.to_vec())
+    sub
 }
 
 /// Multilevel bisection: coarsen, GGGP initial split, uncoarsen + refine.
@@ -155,33 +175,24 @@ pub fn greedy_graph_growing(graph: &Graph, frac: f64, seed: u64) -> Vec<usize> {
 
     let start = (seed % n as u64) as usize;
     let mut side = vec![1usize; n];
-    let mut in_region = vec![false; n];
+    // Connectivity to the grown region; vertices already in it are masked.
     let mut connectivity = vec![0i64; n];
     let mut grown_weight = 0u64;
 
     let mut current = Some(start);
     while grown_weight < target0 {
-        let v = match current.take() {
-            Some(v) => v,
-            None => {
-                // Best frontier vertex, or any remaining vertex if the frontier is empty.
-                let cand = (0..n)
-                    .filter(|&u| !in_region[u])
-                    .max_by_key(|&u| (connectivity[u], std::cmp::Reverse(u)));
-                match cand {
-                    Some(u) => u,
-                    None => break,
-                }
-            }
+        // Best frontier vertex (lowest index on ties), or any remaining vertex if the
+        // frontier is empty.
+        let Some(v) = current.take().or_else(|| argmax(&connectivity, |_| true)) else {
+            break;
         };
-        if in_region[v] {
-            continue;
-        }
-        in_region[v] = true;
+        connectivity[v] = MASKED;
         side[v] = 0;
         grown_weight += graph.vertex_weight(v)[0];
         for (u, w) in graph.neighbours(v) {
-            connectivity[u] += w as i64;
+            if connectivity[u] != MASKED {
+                connectivity[u] += w as i64;
+            }
         }
     }
     side
@@ -189,7 +200,231 @@ pub fn greedy_graph_growing(graph: &Graph, frac: f64, seed: u64) -> Vec<usize> {
 
 #[cfg(test)]
 mod tests {
+    use proptest::prelude::*;
+
     use super::*;
+    use crate::coarsen::tests::{oracle_coarsen_hierarchy, oracle_coarsen_once};
+    use crate::coarsen::{coarsen_hierarchy, coarsen_once};
+    use crate::graph::tests::OracleBuilder;
+    use crate::graph::GraphBuilder;
+    use crate::refine::tests::oracle_fm_refine_bisection;
+
+    /// `induce` before it copied rows: every internal edge through the `BTreeMap`
+    /// builder.
+    fn oracle_induce(graph: &Graph, vertices: &[usize]) -> Graph {
+        let mut to_sub = vec![usize::MAX; graph.vertex_count()];
+        for (i, &v) in vertices.iter().enumerate() {
+            to_sub[v] = i;
+        }
+        let mut b = OracleBuilder::new(vertices.len(), graph.ncon);
+        for (i, &v) in vertices.iter().enumerate() {
+            b.set_weight(i, graph.vertex_weight(v));
+            for (u, w) in graph.neighbours(v) {
+                if u > v && to_sub[u] != usize::MAX {
+                    b.add_edge(i, to_sub[u], w);
+                }
+            }
+        }
+        b.build()
+    }
+
+    /// Greedy graph growing before the masked argmax: the frontier vertex is found by
+    /// filtering the vertices outside the region and taking the best.
+    fn oracle_greedy_graph_growing(graph: &Graph, frac: f64, seed: u64) -> Vec<usize> {
+        let n = graph.vertex_count();
+        let target0 = (graph.total_weight()[0] as f64 * frac).round() as u64;
+        let mut side = vec![1usize; n];
+        let mut in_region = vec![false; n];
+        let mut connectivity = vec![0i64; n];
+        let mut grown_weight = 0u64;
+        let mut current = Some((seed % n as u64) as usize);
+        while grown_weight < target0 {
+            let v = match current.take() {
+                Some(v) => v,
+                None => {
+                    let cand = (0..n)
+                        .filter(|&u| !in_region[u])
+                        .max_by_key(|&u| (connectivity[u], std::cmp::Reverse(u)));
+                    match cand {
+                        Some(u) => u,
+                        None => break,
+                    }
+                }
+            };
+            if in_region[v] {
+                continue;
+            }
+            in_region[v] = true;
+            side[v] = 0;
+            grown_weight += graph.vertex_weight(v)[0];
+            for (u, w) in graph.neighbours(v) {
+                connectivity[u] += w as i64;
+            }
+        }
+        side
+    }
+
+    /// The multilevel driver over the oracles: cloned levels, rescanning FM and
+    /// growing, and an induced copy at every bisection including the first.
+    fn oracle_multilevel_bisect(graph: &Graph, frac: f64, config: &PartitionConfig) -> Vec<usize> {
+        let n = graph.vertex_count();
+        if n <= 1 {
+            return vec![0; n];
+        }
+        let levels = oracle_coarsen_hierarchy(graph, config.coarsen_to, config.seed);
+        let coarsest: &Graph = levels.last().map(|l| &l.graph).unwrap_or(graph);
+        let targets = BisectionTargets::from_fraction(coarsest, frac, config.balance_tolerance);
+        let mut best: Option<(u64, Vec<usize>)> = None;
+        for attempt in 0..4u64 {
+            let seed = config.seed.wrapping_add(attempt);
+            let mut split = oracle_greedy_graph_growing(coarsest, frac, seed);
+            let passes = config.refine_passes;
+            let cut = oracle_fm_refine_bisection(coarsest, &mut split, &targets, passes);
+            match &best {
+                Some((bc, _)) if *bc <= cut => {}
+                _ => best = Some((cut, split)),
+            }
+        }
+        let mut split = best.expect("at least one attempt").1;
+        for level_idx in (0..levels.len()).rev() {
+            let fine_graph = if level_idx == 0 {
+                graph
+            } else {
+                &levels[level_idx - 1].graph
+            };
+            let map = &levels[level_idx].map;
+            let mut fine_split: Vec<usize> = (0..fine_graph.vertex_count())
+                .map(|v| split[map[v]])
+                .collect();
+            let targets =
+                BisectionTargets::from_fraction(fine_graph, frac, config.balance_tolerance);
+            oracle_fm_refine_bisection(fine_graph, &mut fine_split, &targets, config.refine_passes);
+            split = fine_split;
+        }
+        if levels.is_empty() {
+            let targets = BisectionTargets::from_fraction(graph, frac, config.balance_tolerance);
+            oracle_fm_refine_bisection(graph, &mut split, &targets, config.refine_passes);
+        }
+        split
+    }
+
+    fn oracle_recurse(
+        graph: &Graph,
+        vertices: &[usize],
+        nparts: usize,
+        first_part: usize,
+        config: &PartitionConfig,
+        assignment: &mut [usize],
+    ) {
+        if nparts <= 1 || vertices.is_empty() {
+            for &v in vertices {
+                assignment[v] = first_part;
+            }
+            return;
+        }
+        let left_parts = nparts.div_ceil(2);
+        let frac = left_parts as f64 / nparts as f64;
+        let split = oracle_multilevel_bisect(&oracle_induce(graph, vertices), frac, config);
+        let side = |s: usize| -> Vec<usize> {
+            let on_side = vertices.iter().zip(&split).filter(|&(_, &p)| p == s);
+            on_side.map(|(&v, _)| v).collect()
+        };
+        let (left, right) = (side(0), side(1));
+        oracle_recurse(graph, &left, left_parts, first_part, config, assignment);
+        let right_first = first_part + left_parts;
+        oracle_recurse(
+            graph,
+            &right,
+            nparts - left_parts,
+            right_first,
+            config,
+            assignment,
+        );
+    }
+
+    fn oracle_multilevel_kway(graph: &Graph, config: &PartitionConfig) -> Vec<usize> {
+        let n = graph.vertex_count();
+        let mut assignment = vec![0usize; n];
+        let vertices: Vec<usize> = (0..n).collect();
+        oracle_recurse(graph, &vertices, config.nparts, 0, config, &mut assignment);
+        assignment
+    }
+
+    /// A random graph given to both builders: `n` vertices with `ncon` weights each from
+    /// `weights`, `components` disconnected blocks (vertex `v` is in block
+    /// `v % components`; an edge's second end is moved into its first end's block), and
+    /// every third edge added twice.
+    fn both_builders(
+        n: usize,
+        ncon: usize,
+        components: usize,
+        weights: &[u64],
+        edges: &[(usize, usize, u64)],
+    ) -> (GraphBuilder, OracleBuilder) {
+        let mut fast = GraphBuilder::new(n, ncon);
+        let mut oracle = OracleBuilder::new(n, ncon);
+        for v in 0..n {
+            let w = &weights[v * ncon..(v + 1) * ncon];
+            fast.set_weight(v, w);
+            oracle.set_weight(v, w);
+        }
+        for (i, &(a, b, w)) in edges.iter().enumerate() {
+            let (a, b) = (a % n, b % n);
+            let b = b - b % components + a % components;
+            let b = if b < n { b } else { a };
+            for _ in 0..1 + usize::from(i % 3 == 0) {
+                fast.add_edge(a, b, w);
+                oracle.add_edge(a, b, w);
+            }
+        }
+        (fast, oracle)
+    }
+
+    proptest! {
+        /// Every layer of the partitioner decides exactly what the rescanning one did:
+        /// the CSR, each coarsening level, the greedy-growing split, an FM refinement's
+        /// cut and assignment, an induced subgraph, and the k-way assignment. Graphs of
+        /// up to 300 vertices take both the coarsening path and (below `coarsen_to`)
+        /// the direct one.
+        #[test]
+        fn the_partitioner_decides_what_the_rescanning_one_did(
+            n in 2usize..300,
+            ncon in 1usize..4,
+            components in 1usize..4,
+            weights in prop::collection::vec(0u64..16, 900..901),
+            edges in prop::collection::vec((0usize..300, 0usize..300, 0u64..1000), 0..900),
+            nparts in 1usize..10,
+            seed in 0u64..1_000_000,
+        ) {
+            let (fast, oracle) = both_builders(n, ncon, components, &weights, &edges);
+            let g = fast.build();
+            prop_assert_eq!(&g, &oracle.build());
+
+            let coarsen_to = PartitionConfig::default().coarsen_to;
+            prop_assert_eq!(coarsen_once(&g, seed), oracle_coarsen_once(&g, seed));
+            prop_assert_eq!(
+                coarsen_hierarchy(&g, coarsen_to, seed),
+                oracle_coarsen_hierarchy(&g, coarsen_to, seed)
+            );
+
+            let frac = nparts.div_ceil(2) as f64 / nparts as f64;
+            let grown = greedy_graph_growing(&g, frac, seed);
+            prop_assert_eq!(&grown, &oracle_greedy_graph_growing(&g, frac, seed));
+            let targets = BisectionTargets::from_fraction(&g, frac, 0.25);
+            let (mut a, mut b) = (grown.clone(), grown);
+            prop_assert_eq!(
+                fm_refine_bisection(&g, &mut a, &targets, 4),
+                oracle_fm_refine_bisection(&g, &mut b, &targets, 4)
+            );
+            prop_assert_eq!(&a, &b);
+
+            let side: Vec<usize> = (0..n).filter(|&v| a[v] == 0).collect();
+            prop_assert_eq!(induce(&g, &side), oracle_induce(&g, &side));
+
+            let config = PartitionConfig { nparts, seed, ..PartitionConfig::default() };
+            prop_assert_eq!(multilevel_kway(&g, &config), oracle_multilevel_kway(&g, &config));
+        }
+    }
 
     fn grid(n: usize) -> Graph {
         let mut b = GraphBuilder::new(n * n, 1);
@@ -222,9 +457,8 @@ mod tests {
     fn induced_subgraph_preserves_weights_and_internal_edges() {
         let g = grid(4);
         let vertices: Vec<usize> = (0..8).collect(); // top two rows
-        let (sub, back) = induce(&g, &vertices);
+        let sub = induce(&g, &vertices);
         assert_eq!(sub.vertex_count(), 8);
-        assert_eq!(back, vertices);
         // Edges inside the top two rows: 4+4 horizontal? (3 per row * 2) + 4 vertical = 10.
         assert_eq!(sub.edge_count(), 10);
     }

@@ -41,7 +41,7 @@ pub enum Method {
 /// Configuration for [`partition`].
 #[derive(Clone, Debug)]
 pub struct PartitionConfig {
-    /// Number of parts (>= 1).
+    /// Number of parts (0 is read as 1).
     pub nparts: usize,
     /// Algorithm to use.
     pub method: Method,
@@ -105,29 +105,30 @@ pub struct Partitioning {
     pub cut_edges: usize,
     /// Per-constraint imbalance: max part weight / ideal part weight.
     pub imbalance: Vec<f64>,
-    /// Number of parts requested.
+    /// Number of parts requested (at least 1).
     pub nparts: usize,
 }
 
 /// Partitions `graph` into `config.nparts` parts.
 ///
-/// Empty graphs yield an empty assignment; `nparts == 1` puts everything in part 0.
-/// Afterwards the `MIN_PARALLELISM` floor is enforced.
+/// Empty graphs yield an empty assignment; `nparts <= 1` puts everything in part 0 and
+/// reports one part. Afterwards the `MIN_PARALLELISM` floor is enforced.
 pub fn partition(graph: &Graph, config: &PartitionConfig) -> Partitioning {
     let n = graph.vertex_count();
+    let nparts = config.nparts.max(1);
     let mut assignment = if n == 0 {
         Vec::new()
-    } else if config.nparts <= 1 {
+    } else if nparts == 1 {
         vec![0; n]
     } else {
         match config.method {
             Method::Multilevel => kway::multilevel_kway(graph, config),
-            Method::RoundRobin => naive::round_robin_partition(n, config.nparts),
-            Method::Random => naive::random_partition(n, config.nparts, config.seed),
+            Method::RoundRobin => naive::round_robin_partition(n, nparts),
+            Method::Random => naive::random_partition(n, nparts, config.seed),
         }
     };
-    enforce_min_parallelism(graph, &mut assignment, config.nparts);
-    summarize(graph, assignment, config.nparts)
+    enforce_min_parallelism(graph, &mut assignment, nparts);
+    summarize(graph, assignment, nparts)
 }
 
 /// Ensures at least `min(MIN_PARALLELISM, nparts, n)` parts are non-empty by moving,
@@ -187,14 +188,14 @@ fn enforce_min_parallelism(graph: &Graph, assignment: &mut [usize], nparts: usiz
 /// `MIN_PARALLELISM` floor, so a collapsed incumbent cannot sneak past it.
 pub fn repartition(graph: &Graph, config: &PartitionConfig, hint: &[usize]) -> Partitioning {
     let fresh = partition(graph, config);
-    let valid =
-        hint.len() == graph.vertex_count() && hint.iter().all(|&p| p < config.nparts.max(1));
+    let nparts = fresh.nparts;
+    let valid = hint.len() == graph.vertex_count() && hint.iter().all(|&p| p < nparts);
     if !valid {
         return fresh;
     }
     let mut warm = hint.to_vec();
-    enforce_min_parallelism(graph, &mut warm, config.nparts);
-    let warm = summarize(graph, warm, config.nparts);
+    enforce_min_parallelism(graph, &mut warm, nparts);
+    let warm = summarize(graph, warm, nparts);
     if warm.edgecut < fresh.edgecut {
         warm
     } else {
@@ -274,6 +275,24 @@ mod tests {
             let p = partition(&g, &cfg);
             assert_eq!(p.assignment.len(), 16);
             assert!(p.assignment.iter().all(|&a| a < 4));
+        }
+    }
+
+    #[test]
+    fn zero_parts_is_one_part_for_every_method() {
+        let g = two_clusters();
+        for method in [Method::Multilevel, Method::RoundRobin, Method::Random] {
+            let cfg = PartitionConfig {
+                nparts: 0,
+                method,
+                ..Default::default()
+            };
+            let p = partition(&g, &cfg);
+            assert_eq!(p.nparts, 1, "{method:?}");
+            assert_eq!(p.assignment, vec![0; 16], "{method:?}");
+            assert!(g.is_valid_assignment(&p.assignment, p.nparts), "{method:?}");
+            assert_eq!(p.edgecut, 0);
+            assert_eq!(repartition(&g, &cfg, &[0; 16]), p, "{method:?}");
         }
     }
 

@@ -5,6 +5,17 @@
 //! and finally rolls back to the best prefix of moves seen during the pass. Moves that
 //! would push the receiving side above its allowed weight (per constraint) are skipped,
 //! which is how the multi-constraint balance of the paper's resource model is enforced.
+//!
+//! **Selection rule.** Each move is the unlocked vertex that fits its receiving side
+//! with the highest gain, the lowest index on ties — "first feasible" in index order
+//! among the best. The rule is what fixes a partition, so it is an invariant: the
+//! rescanning FM it replaced lives on as `tests::oracle_fm_refine_bisection`, and the
+//! proptest in `kway::tests` holds [`fm_refine_bisection`] to it, cut and assignment,
+//! on random graphs. How the move is found is free: a pass keeps one
+//! gain per vertex (locked ones `MASKED`) and updates only the moved vertex's
+//! neighbours, by ±2w; a move is one `argmax` scan of the gains that asks about balance
+//! only for a vertex beating every fitting one before it (so when the top move fits,
+//! only a handful are asked); the cut is tracked, not recomputed.
 
 use crate::graph::Graph;
 
@@ -54,6 +65,24 @@ pub fn move_gain(graph: &Graph, assignment: &[usize], v: usize) -> i64 {
     external - internal
 }
 
+/// Marks a vertex that may not move (locked for the rest of the pass, or already in
+/// the grown region) in a gain array; no real gain or connectivity comes near it.
+pub(crate) const MASKED: i64 = i64::MIN;
+
+/// The first index holding the largest key that `accept` accepts — the highest gain,
+/// lowest index on ties, among the admissible. `accept` is asked only about a key
+/// that beats every accepted key before it, so a scan whose top key is accepted asks
+/// a handful of times. `None` when no unmasked key is accepted.
+pub(crate) fn argmax(keys: &[i64], mut accept: impl FnMut(usize) -> bool) -> Option<usize> {
+    let (mut best, mut best_key) = (None, MASKED);
+    for (v, &k) in keys.iter().enumerate() {
+        if k > best_key && accept(v) {
+            (best, best_key) = (Some(v), k);
+        }
+    }
+    best
+}
+
 /// Runs up to `passes` FM passes over a bisection, improving `assignment` in place.
 /// Returns the final cut weight.
 pub fn fm_refine_bisection(
@@ -63,83 +92,174 @@ pub fn fm_refine_bisection(
     passes: usize,
 ) -> u64 {
     let n = graph.vertex_count();
-    if n == 0 {
-        return 0;
-    }
     let ncon = graph.ncon;
+    let allowed = targets.allowed.concat();
     let mut best_cut = graph.edge_cut(assignment);
+    let mut gain = vec![0i64; n];
+    // `side_weight[side * ncon + c]`.
+    let mut side_weight = vec![0u64; 2 * ncon];
+    let mut moves: Vec<usize> = Vec::with_capacity(n);
 
     for _ in 0..passes {
-        let mut part_weights = graph.part_weights(assignment, 2);
-        let mut locked = vec![false; n];
-        let mut moves: Vec<usize> = Vec::new();
+        side_weight.fill(0);
+        for v in 0..n {
+            gain[v] = move_gain(graph, assignment, v);
+            let side = assignment[v] * ncon;
+            let weights = side_weight[side..side + ncon].iter_mut();
+            for (acc, w) in weights.zip(graph.vertex_weight(v)) {
+                *acc += w;
+            }
+        }
+        moves.clear();
         let mut cur_cut = best_cut as i64;
         let mut best_prefix_cut = best_cut as i64;
         let mut best_prefix_len = 0usize;
 
-        loop {
-            // Pick the best unlocked, balance-feasible move.
-            let mut best_v: Option<(usize, i64)> = None;
-            for v in 0..n {
-                if locked[v] {
-                    continue;
-                }
-                let from = assignment[v];
-                let to = 1 - from;
-                // Balance check: the receiving side must stay under its envelope.
-                let fits = (0..ncon).all(|c| {
-                    part_weights[to][c] + graph.vertex_weight(v)[c] <= targets.allowed[to][c]
-                });
-                if !fits {
-                    continue;
-                }
-                let g = move_gain(graph, assignment, v);
-                match best_v {
-                    Some((_, bg)) if bg >= g => {}
-                    _ => best_v = Some((v, g)),
-                }
-            }
-            let Some((v, gain)) = best_v else { break };
-            // Apply the move.
-            let from = assignment[v];
-            let to = 1 - from;
+        // Every vertex is unlocked until it moves, so the pass ends after `n` moves.
+        while moves.len() < n {
+            // The best unlocked move that keeps its receiving side inside the envelope.
+            let fits = |v: usize| {
+                let to = (1 - assignment[v]) * ncon;
+                let weight = graph.vertex_weight(v);
+                (0..ncon).all(|c| side_weight[to + c] + weight[c] <= allowed[to + c])
+            };
+            let Some(v) = argmax(&gain, fits) else { break };
+            cur_cut -= gain[v];
+            gain[v] = MASKED;
+            let (from, to) = (assignment[v], 1 - assignment[v]);
             for (c, w) in graph.vertex_weight(v).iter().enumerate() {
-                part_weights[from][c] -= w;
-                part_weights[to][c] += w;
+                side_weight[from * ncon + c] -= w;
+                side_weight[to * ncon + c] += w;
             }
             assignment[v] = to;
-            locked[v] = true;
+            // An edge to the side `v` joined stops being cut: its other end gains less
+            // by moving. An edge to the side `v` left starts being cut.
+            for (u, w) in graph.neighbours(v) {
+                if gain[u] != MASKED {
+                    let delta = 2 * w as i64;
+                    gain[u] += if assignment[u] == to { -delta } else { delta };
+                }
+            }
             moves.push(v);
-            cur_cut -= gain;
             if cur_cut < best_prefix_cut {
                 best_prefix_cut = cur_cut;
                 best_prefix_len = moves.len();
             }
-            // Stop early once every vertex is locked.
-            if moves.len() == n {
-                break;
-            }
         }
 
-        // Roll back to the best prefix.
-        for &v in moves.iter().skip(best_prefix_len) {
+        // Roll back to the best prefix. Its cut is `best_prefix_cut`: every gain was
+        // exact when its move was made.
+        for &v in &moves[best_prefix_len..] {
             assignment[v] = 1 - assignment[v];
         }
-        let new_cut = graph.edge_cut(assignment);
-        if new_cut >= best_cut {
-            // No improvement this pass — converged.
-            best_cut = new_cut.min(best_cut);
-            break;
+        if best_prefix_len == 0 {
+            break; // no improvement this pass — converged
         }
-        best_cut = new_cut;
+        best_cut = best_prefix_cut as u64;
     }
     best_cut
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::graph::GraphBuilder;
+
+    /// FM before it kept its gains: every move rescans every unlocked vertex, checks
+    /// its balance and recomputes its gain from its neighbour list; every pass
+    /// recomputes the cut. The definition of the selection rule.
+    pub(crate) fn oracle_fm_refine_bisection(
+        graph: &Graph,
+        assignment: &mut [usize],
+        targets: &BisectionTargets,
+        passes: usize,
+    ) -> u64 {
+        let n = graph.vertex_count();
+        if n == 0 {
+            return 0;
+        }
+        let ncon = graph.ncon;
+        let mut best_cut = graph.edge_cut(assignment);
+
+        for _ in 0..passes {
+            let mut part_weights = graph.part_weights(assignment, 2);
+            let mut locked = vec![false; n];
+            let mut moves: Vec<usize> = Vec::new();
+            let mut cur_cut = best_cut as i64;
+            let mut best_prefix_cut = best_cut as i64;
+            let mut best_prefix_len = 0usize;
+
+            loop {
+                let mut best_v: Option<(usize, i64)> = None;
+                for v in 0..n {
+                    if locked[v] {
+                        continue;
+                    }
+                    let to = 1 - assignment[v];
+                    let fits = (0..ncon).all(|c| {
+                        part_weights[to][c] + graph.vertex_weight(v)[c] <= targets.allowed[to][c]
+                    });
+                    if !fits {
+                        continue;
+                    }
+                    let g = move_gain(graph, assignment, v);
+                    match best_v {
+                        Some((_, bg)) if bg >= g => {}
+                        _ => best_v = Some((v, g)),
+                    }
+                }
+                let Some((v, gain)) = best_v else { break };
+                let from = assignment[v];
+                let to = 1 - from;
+                for (c, w) in graph.vertex_weight(v).iter().enumerate() {
+                    part_weights[from][c] -= w;
+                    part_weights[to][c] += w;
+                }
+                assignment[v] = to;
+                locked[v] = true;
+                moves.push(v);
+                cur_cut -= gain;
+                if cur_cut < best_prefix_cut {
+                    best_prefix_cut = cur_cut;
+                    best_prefix_len = moves.len();
+                }
+                if moves.len() == n {
+                    break;
+                }
+            }
+
+            for &v in moves.iter().skip(best_prefix_len) {
+                assignment[v] = 1 - assignment[v];
+            }
+            let new_cut = graph.edge_cut(assignment);
+            if new_cut >= best_cut {
+                best_cut = new_cut.min(best_cut);
+                break;
+            }
+            best_cut = new_cut;
+        }
+        best_cut
+    }
+
+    #[test]
+    fn argmax_takes_the_lowest_index_of_the_largest_accepted_key() {
+        let any = |_| true;
+        assert_eq!(argmax(&[3, 7, 7, MASKED, 1], any), Some(1));
+        assert_eq!(argmax(&[MASKED, -4, MASKED, -4], any), Some(1));
+        assert_eq!(argmax(&[MASKED, MASKED], any), None);
+        assert_eq!(argmax(&[], any), None);
+        // Vertex 1 is refused: the best admissible is the first 7 after it.
+        assert_eq!(argmax(&[3, 9, 7, 7], |v| v != 1), Some(2));
+        assert_eq!(argmax(&[3, 9], |_| false), None);
+        // Asked only about keys that beat the best accepted one: the first 3, 9, the
+        // first 7.
+        let mut asked = Vec::new();
+        let best = argmax(&[3, 2, 9, 3, 7, 7], |v| {
+            asked.push(v);
+            v != 2
+        });
+        assert_eq!((best, asked), (Some(4), vec![0, 2, 4]));
+    }
 
     /// Two 4-cliques joined by one edge, with a deliberately bad initial split.
     fn cliques_with_bad_split() -> (Graph, Vec<usize>) {

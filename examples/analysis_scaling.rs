@@ -1,5 +1,5 @@
 //! How the compile side's phases grow with the program: rta, crg, objects, odg and a
-//! two-way partition on generated call trees of 73 to 1 153 classes (fan-out 3),
+//! 2-, 4- and 8-way partition on generated call trees of 73 to 1 153 classes (fan-out 3),
 //! milliseconds, minimum of five runs. The benchmark's `plan_sweep` pool is 73-class
 //! programs only, so this is where a phase that rescans shows: a near-linear phase
 //! grows about 16× from the first row to the last, a quadratic one about 250×.
@@ -105,33 +105,31 @@ fn node_copies() {
 fn main() {
     let weights = DistributorConfig::default().weights;
     println!(
-        "{:>4} {:>4} {:>8} {:>9} {:>9} {:>9} {:>9} {:>10}",
-        "d", "w", "classes", "rta", "crg", "objects", "odg", "partition"
+        "{:>4} {:>4} {:>8} {:>9} {:>9} {:>9} {:>9} {:>9} {:>9} {:>9}",
+        "d", "w", "classes", "rta", "crg", "objects", "odg", "part/2", "part/4", "part/8"
     );
     for (depth, width) in SIZES {
         let program = program(depth, width);
-        let mut best = [f64::INFINITY; 5];
+        let mut best = [f64::INFINITY; 7];
         for _ in 0..5 {
             let (rta, call_graph) = timed(|| rapid_type_analysis(&program));
             let (crg_ms, crg) = timed(|| build_crg(&program, &call_graph));
             let (objects_ms, objects) = timed(|| collect_objects(&program, &call_graph));
             let (odg_ms, odg) = timed(|| build_odg(&program, &crg, &objects, &weights));
-            let (partition_ms, _) =
-                timed(|| partition(&odg_partition_graph(&odg), &PartitionConfig::kway(2)));
-            let run = [rta, crg_ms, objects_ms, odg_ms, partition_ms];
+            // 4 and 8 parts add the recursion's per-level `induce`.
+            let [p2, p4, p8] = [2, 4, 8].map(|parts| {
+                timed(|| partition(&odg_partition_graph(&odg), &PartitionConfig::kway(parts))).0
+            });
+            let run = [rta, crg_ms, objects_ms, odg_ms, p2, p4, p8];
             for (b, ms) in best.iter_mut().zip(run) {
                 *b = b.min(ms);
             }
         }
-        println!(
-            "{depth:>4} {width:>4} {:>8} {:>9.3} {:>9.3} {:>9.3} {:>9.3} {:>10.3}",
-            program.class_count(),
-            best[0],
-            best[1],
-            best[2],
-            best[3],
-            best[4]
-        );
+        print!("{depth:>4} {width:>4} {:>8}", program.class_count());
+        for ms in best {
+            print!(" {ms:>9.3}");
+        }
+        println!();
     }
     node_copies();
 }
