@@ -22,7 +22,7 @@ use autodist_ir::program::{ClassId, Program};
 
 use crate::crg::{ClassPart, ClassRelationGraph, CrgEdgeKind, CrgNode};
 use crate::objects::{AllocSiteId, Multiplicity, ObjectSet};
-use crate::weights::{ResourceVector, WeightModel};
+use crate::weights::{reweigh_odg, ResourceVector, WeightModel};
 
 /// Identifier of a node in the ODG (index into [`ObjectDependenceGraph::nodes`]).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -312,12 +312,15 @@ pub fn build_odg(
         Some(edge((a, b), OdgEdgeKind::Use, bytes))
     }));
 
-    // 5. Node weights.
+    // 5. Node weights: the static estimate, then whatever a profile measured.
     odg.node_weights = odg
         .nodes
         .iter()
         .map(|n| weights.node_weight(program, n))
         .collect();
+    if let WeightModel::ProfileGuided(profile) = weights {
+        reweigh_odg(&mut odg, profile);
+    }
 
     odg
 }

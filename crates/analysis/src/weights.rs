@@ -5,7 +5,8 @@
 //! the endpoints lived in different address spaces. The default static approximation
 //! gives all objects equal weights; the `StaticHeuristic` model implements the paper's
 //! suggested refinement ("objects created inside loops can be considered heavier"); the
-//! `ProfileGuided` model consumes measurements from the profiler crate.
+//! `ProfileGuided` model is the static build reweighed ([`reweigh_odg`]) by a measured
+//! [`ClassProfile`].
 
 use std::collections::BTreeMap;
 
@@ -50,14 +51,22 @@ impl ResourceVector {
     }
 }
 
-/// Profile data fed back from the runtime profiler (Section 6) for profile-guided
+/// Per-class measurements fed back from profiled runs (Section 6) for profile-guided
 /// weighting — one of the paper's planned refinements over the static approximation.
+/// Serving mode's adaptive planner tallies its live profile straight into one.
 #[derive(Clone, Debug, Default)]
-pub struct ProfileData {
+pub struct ClassProfile {
     /// Bytes allocated per class.
     pub alloc_bytes: BTreeMap<ClassId, u64>,
     /// Invocation counts per class (all methods of the class combined).
     pub invocation_counts: BTreeMap<ClassId, u64>,
+}
+
+impl ClassProfile {
+    /// `true` when nothing was measured.
+    pub fn is_empty(&self) -> bool {
+        self.alloc_bytes.is_empty() && self.invocation_counts.is_empty()
+    }
 }
 
 /// The resource model used to weight ODG nodes and edges.
@@ -72,8 +81,9 @@ pub enum WeightModel {
         /// Multiplier applied to summary allocation sites.
         loop_factor: u64,
     },
-    /// Weights taken from a previous profiled run.
-    ProfileGuided(ProfileData),
+    /// Weights taken from a previous profiled run: the static estimate with the
+    /// measurements applied by [`reweigh_odg`] (which `build_odg` runs).
+    ProfileGuided(ClassProfile),
 }
 
 impl WeightModel {
@@ -82,52 +92,34 @@ impl WeightModel {
         WeightModel::StaticHeuristic { loop_factor: 10 }
     }
 
-    /// The weight vector for an ODG node.
+    /// The static weight vector for an ODG node (under `ProfileGuided`, the part
+    /// [`reweigh_odg`] keeps where the profile measured nothing: declared sizes).
     pub fn node_weight(&self, program: &Program, node: &OdgNode) -> ResourceVector {
-        match self {
-            WeightModel::Uniform => ResourceVector::unit(),
-            WeightModel::StaticHeuristic { loop_factor } => {
-                let class = node.class();
-                let mem = program.class(class).instance_size_bytes();
-                let cpu: u64 = program
-                    .class(class)
-                    .methods
-                    .iter()
-                    .map(|&m| program.method(m).body.len() as u64)
-                    .sum::<u64>()
-                    .max(1);
-                let factor = match node {
-                    OdgNode::Object {
-                        multiplicity: crate::objects::Multiplicity::Summary,
-                        ..
-                    } => *loop_factor,
-                    _ => 1,
-                };
-                ResourceVector {
-                    memory: mem * factor,
-                    cpu: cpu * factor,
-                    battery: (cpu * factor).div_ceil(2),
-                }
-            }
-            WeightModel::ProfileGuided(data) => {
-                let class = node.class();
-                let mem = data
-                    .alloc_bytes
-                    .get(&class)
-                    .copied()
-                    .unwrap_or_else(|| program.class(class).instance_size_bytes());
-                let cpu = data
-                    .invocation_counts
-                    .get(&class)
-                    .copied()
-                    .unwrap_or(1)
-                    .max(1);
-                ResourceVector {
-                    memory: mem.max(1),
-                    cpu,
-                    battery: cpu.div_ceil(2).max(1),
-                }
-            }
+        let loop_factor = match self {
+            WeightModel::Uniform => return ResourceVector::unit(),
+            WeightModel::StaticHeuristic { loop_factor } => *loop_factor,
+            WeightModel::ProfileGuided(_) => 1,
+        };
+        let class = node.class();
+        let mem = program.class(class).instance_size_bytes();
+        let cpu: u64 = program
+            .class(class)
+            .methods
+            .iter()
+            .map(|&m| program.method(m).body.len() as u64)
+            .sum::<u64>()
+            .max(1);
+        let factor = match node {
+            OdgNode::Object {
+                multiplicity: crate::objects::Multiplicity::Summary,
+                ..
+            } => loop_factor,
+            _ => 1,
+        };
+        ResourceVector {
+            memory: mem * factor,
+            cpu: cpu * factor,
+            battery: (cpu * factor).div_ceil(2),
         }
     }
 
@@ -168,9 +160,10 @@ impl WeightModel {
 ///   class)` on top of its static byte estimate, so edges *into* hot classes
 ///   become expensive to cut and the partitioner co-locates hot call chains.
 ///
-/// This is the serving-mode adaptation path: the epoch controller drains an
-/// aggregate profile, calls this, and re-runs the partitioner on the result.
-pub fn reweigh_odg(odg: &mut ObjectDependenceGraph, profile: &ProfileData) {
+/// This is the one formula from profile to weights: `build_odg` applies it under
+/// [`WeightModel::ProfileGuided`], and serving mode's adaptive planner applies it to
+/// each epoch's live profile before re-running the partitioner.
+pub fn reweigh_odg(odg: &mut ObjectDependenceGraph, profile: &ClassProfile) {
     let invocations = |class: ClassId| profile.invocation_counts.get(&class).copied().unwrap_or(0);
     for (node, weight) in odg.nodes.iter().zip(odg.node_weights.iter_mut()) {
         let class = node.class();
@@ -256,27 +249,55 @@ mod tests {
 
     #[test]
     fn profile_guided_uses_measurements_when_available() {
-        let (p, small, big) = tiny_program();
-        let mut data = ProfileData::default();
+        use crate::crg::build_crg;
+        use crate::objects::collect_objects;
+        use crate::odg::build_odg;
+        use crate::rta::rapid_type_analysis;
+        let p = autodist_ir::frontend::compile_source(
+            r#"
+            class Small { int x; int get() { return this.x; } }
+            class Big { int f0; int f1; int f2; int f3; }
+            class Main {
+                static void main() {
+                    Small s = new Small();
+                    Big b = new Big();
+                    int v = s.get();
+                }
+            }
+        "#,
+        )
+        .unwrap();
+        let small = p.class_by_name("Small").unwrap();
+        let big = p.class_by_name("Big").unwrap();
+        let mut data = ClassProfile::default();
         data.alloc_bytes.insert(small, 4096);
         data.invocation_counts.insert(small, 500);
-        let m = WeightModel::ProfileGuided(data);
-        let n_small = OdgNode::Object {
-            site: AllocSiteId(0),
-            class: small,
-            multiplicity: Multiplicity::Single,
+        let cg = rapid_type_analysis(&p);
+        let (crg, objects) = (build_crg(&p, &cg), collect_objects(&p, &cg));
+        let odg = build_odg(
+            &p,
+            &crg,
+            &objects,
+            &WeightModel::ProfileGuided(data.clone()),
+        );
+        let weight_of = |class| {
+            let node = odg.nodes.iter().position(|n| n.class() == class);
+            odg.node_weights[node.expect("allocated")]
         };
-        let n_big = OdgNode::Object {
-            site: AllocSiteId(1),
-            class: big,
-            multiplicity: Multiplicity::Single,
-        };
-        let ws = m.node_weight(&p, &n_small);
-        let wb = m.node_weight(&p, &n_big);
-        assert_eq!(ws.memory, 4096);
-        assert_eq!(ws.cpu, 500);
-        // Big falls back to the static estimate.
-        assert_eq!(wb.memory, p.class(big).instance_size_bytes());
+        let (ws, wb) = (weight_of(small), weight_of(big));
+        assert_eq!((ws.memory, ws.cpu, ws.battery), (4096, 501, 251));
+        // Big was not measured: the static size, the baseline CPU.
+        assert_eq!((wb.memory, wb.cpu), (p.class(big).instance_size_bytes(), 1));
+        // One formula: the static build, reweighed by the profile.
+        let mut reweighed = build_odg(
+            &p,
+            &crg,
+            &objects,
+            &WeightModel::StaticHeuristic { loop_factor: 1 },
+        );
+        reweigh_odg(&mut reweighed, &data);
+        assert_eq!(odg.node_weights, reweighed.node_weights);
+        assert_eq!(odg.edges, reweighed.edges);
     }
 
     #[test]
@@ -328,7 +349,7 @@ mod tests {
             kind: OdgEdgeKind::Create,
             weight: 3,
         });
-        let mut profile = ProfileData::default();
+        let mut profile = ClassProfile::default();
         profile.invocation_counts.insert(big, 100);
         profile.alloc_bytes.insert(big, 4096);
         reweigh_odg(&mut odg, &profile);
@@ -351,7 +372,7 @@ mod tests {
         for m in [
             WeightModel::Uniform,
             WeightModel::static_heuristic(),
-            WeightModel::ProfileGuided(ProfileData::default()),
+            WeightModel::ProfileGuided(ClassProfile::default()),
         ] {
             assert!(m.communication_bytes(&p, small, big, 0) >= 1);
             assert!(m.communication_bytes(&p, small, big, 5) > 0);

@@ -5,11 +5,11 @@
 //! The runtime's epoch controller (`autodist_runtime::adapt`) knows *when* to
 //! repartition — every N completed requests — but not *how*: that is this module. Per served app the planner keeps the static
 //! analysis products (the original program and its ODG — the expensive RTA/CRG
-//! phases are **not** re-run), a shared [`AggregateProfile`] its per-request
-//! [`AggregateSink`]s tally into, and the currently installed class placement.
+//! phases are **not** re-run), a shared [`ClassProfile`] its per-request sinks
+//! (`AggregateSink`) tally into, and the currently installed class placement.
 //! On `replan` it:
 //!
-//! 1. drains the aggregate profile (declining if no instrumentation arrived),
+//! 1. drains the shared profile (declining if no instrumentation arrived),
 //! 2. clones the ODG and [`reweigh_odg`]s it — live per-class invocation counts
 //!    become node CPU weights, and use edges into hot classes become expensive
 //!    to cut,
@@ -26,16 +26,14 @@
 //!    them as a fresh [`ServerApp`] for the controller to swap in.
 
 use std::collections::BTreeMap;
-use std::sync::Arc;
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex, MutexGuard};
 
 use autodist_analysis::odg::{ObjectDependenceGraph, OdgEdgeKind};
-use autodist_analysis::weights::{reweigh_odg, ProfileData};
+use autodist_analysis::weights::{reweigh_odg, ClassProfile};
 use autodist_codegen::rewrite::ClassPlacement;
-use autodist_ir::program::{ClassId, Program};
+use autodist_ir::program::{ClassId, MethodId, Program};
 use autodist_partition::{repartition, Method, PartitionConfig};
-use autodist_profiler::{aggregate_handle, method_table, AggregateHandle, AggregateSink};
-use autodist_runtime::adapt::{EpochProfile, Replanner};
+use autodist_runtime::adapt::Replanner;
 use autodist_runtime::cluster::ClusterConfig;
 use autodist_runtime::interp::ProfilerSink;
 use autodist_runtime::net::NetworkConfig;
@@ -54,13 +52,75 @@ struct AppState {
     /// Cost model the prepared server apps carry.
     network: NetworkConfig,
     /// Method → owning class table for the profiling sinks.
-    method_class: Arc<Vec<ClassId>>,
+    method_class: Arc<[ClassId]>,
     /// Original class count (sinks ignore rewrite-appended synthetic classes).
     class_count: usize,
     /// The live profile all of this app's sinks tally into.
-    profile: AggregateHandle,
+    profile: Arc<Mutex<ClassProfile>>,
     /// The currently installed class placement (starts as the plan's).
     home: Mutex<BTreeMap<ClassId, usize>>,
+}
+
+/// Locks planner state. A profile's tallies are independent counters, valid after
+/// any prefix of an update, and a placement is replaced whole, so a holder that
+/// panicked leaves nothing to refuse: poisoning is ignored, explicitly.
+fn locked<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(|e| e.into_inner())
+}
+
+/// A [`ProfilerSink`] tallying one request's per-class invocations and allocated
+/// bytes into a [`ClassProfile`] of its own (no locking on the hot path), merged
+/// into the app's shared profile exactly once, on drop — in the request epilogue,
+/// before the epoch controller consults the planner.
+///
+/// Like every sink it is purely observational: it records enters and allocations
+/// but never steers execution, so attaching it leaves a request's virtual time,
+/// message and byte counts byte-identical to an unprofiled run.
+struct AggregateSink {
+    /// Method id → owning class of the original (pre-rewrite) program, whose class
+    /// and method ids the placed copies preserve. Ids past the end belong to
+    /// synthetic runtime classes the rewrite appended (`rt/DependentObject`
+    /// accessors); those are placement machinery, not application load, and are
+    /// skipped.
+    method_class: Arc<[ClassId]>,
+    /// Classes with an id at or past this are synthetic and ignored.
+    class_count: usize,
+    tally: ClassProfile,
+    shared: Arc<Mutex<ClassProfile>>,
+}
+
+impl ProfilerSink for AggregateSink {
+    fn method_enter(&mut self, method: MethodId, _clock_us: f64) {
+        if let Some(&class) = self.method_class.get(method.0 as usize) {
+            *self.tally.invocation_counts.entry(class).or_insert(0) += 1;
+        }
+    }
+
+    fn method_exit(&mut self, _method: MethodId, _clock_us: f64) {}
+
+    fn allocation(&mut self, class: Option<ClassId>, bytes: u64) {
+        if let Some(class) = class.filter(|c| (c.0 as usize) < self.class_count) {
+            *self.tally.alloc_bytes.entry(class).or_insert(0) += bytes;
+        }
+    }
+
+    fn sample(&mut self, _stack: &[MethodId]) {}
+}
+
+impl Drop for AggregateSink {
+    fn drop(&mut self) {
+        if self.tally.is_empty() {
+            return;
+        }
+        let tally = std::mem::take(&mut self.tally);
+        let mut shared = locked(&self.shared);
+        for (class, n) in tally.invocation_counts {
+            *shared.invocation_counts.entry(class).or_insert(0) += n;
+        }
+        for (class, b) in tally.alloc_bytes {
+            *shared.alloc_bytes.entry(class).or_insert(0) += b;
+        }
+    }
 }
 
 /// Live-weighted cut of `home`: total weight of ODG use edges whose endpoint
@@ -123,9 +183,9 @@ impl PlanReplanner {
             odg: plan.analysis.odg.clone(),
             part_cfg,
             network: cluster.network.clone(),
-            method_class: method_table(program),
+            method_class: program.methods.iter().map(|m| m.class).collect(),
             class_count: program.class_count(),
-            profile: aggregate_handle(),
+            profile: Arc::default(),
             home: Mutex::new(plan.placement.home.clone()),
         });
         self.apps.len() - 1
@@ -134,10 +194,7 @@ impl PlanReplanner {
     /// The currently installed home node of `class` for app `app` (diagnostics
     /// and tests).
     pub fn current_home(&self, app: usize, class: ClassId) -> usize {
-        self.apps[app]
-            .home
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
+        locked(&self.apps[app].home)
             .get(&class)
             .copied()
             .unwrap_or(0)
@@ -145,20 +202,16 @@ impl PlanReplanner {
 }
 
 impl Replanner for PlanReplanner {
-    fn replan(&self, profile: &EpochProfile) -> Option<ServerApp> {
-        let app = self.apps.get(profile.app)?;
-        let live = app.profile.lock().unwrap_or_else(|e| e.into_inner()).take();
+    fn replan(&self, app: usize) -> Option<ServerApp> {
+        let app = self.apps.get(app)?;
+        let live = std::mem::take(&mut *locked(&app.profile));
         if live.is_empty() {
             return None;
         }
-        let data = ProfileData {
-            alloc_bytes: live.alloc_bytes,
-            invocation_counts: live.invocations,
-        };
         let mut odg = app.odg.clone();
-        reweigh_odg(&mut odg, &data);
+        reweigh_odg(&mut odg, &live);
         let graph = crate::odg_partition_graph(&odg);
-        let incumbent = app.home.lock().unwrap_or_else(|e| e.into_inner()).clone();
+        let incumbent = locked(&app.home).clone();
         let hint: Vec<usize> = odg
             .nodes
             .iter()
@@ -179,20 +232,18 @@ impl Replanner for PlanReplanner {
         let copies = crate::rewrite_all(&app.program, &placement, nodes).ok()?;
         let programs: Vec<Program> = copies.into_iter().map(|rp| rp.program).collect();
         let server = ServerApp::prepare(programs, app.network.clone());
-        *app.home.lock().unwrap_or_else(|e| e.into_inner()) = placement.home;
+        *locked(&app.home) = placement.home;
         Some(server)
     }
 
-    fn profiler(&self, app: usize, _rank: usize) -> Option<(Box<dyn ProfilerSink>, u64)> {
+    fn profiler(&self, app: usize, _rank: usize) -> Option<Box<dyn ProfilerSink>> {
         let state = self.apps.get(app)?;
-        let sink = AggregateSink::new(
-            Arc::clone(&state.method_class),
-            state.class_count,
-            Arc::clone(&state.profile),
-        );
-        // Instrumentation-only: per-class tallies need exact enter counts, and
-        // the sampling machinery would add nothing.
-        Some((Box::new(sink), 0))
+        Some(Box::new(AggregateSink {
+            method_class: Arc::clone(&state.method_class),
+            class_count: state.class_count,
+            tally: ClassProfile::default(),
+            shared: Arc::clone(&state.profile),
+        }))
     }
 }
 
@@ -215,6 +266,95 @@ mod tests {
             affinity_skew: 8.0,
             ..GenConfig::default()
         })
+    }
+
+    const WORK_SRC: &str = r#"
+        class Node { int v; }
+        class Worker {
+            int spin(int n) {
+                int acc = 0;
+                int i = 0;
+                while (i < n) { acc = acc + i % 7; i = i + 1; }
+                return acc;
+            }
+            Node make() { return new Node(); }
+        }
+        class Main {
+            static void main() {
+                Worker w = new Worker();
+                int r = 0;
+                int i = 0;
+                while (i < 40) {
+                    r = r + w.spin(200);
+                    Node n = w.make();
+                    i = i + 1;
+                }
+            }
+        }
+    "#;
+
+    /// A sink over `p`'s method table tallying into `shared`.
+    fn sink(p: &Program, shared: &Arc<Mutex<ClassProfile>>) -> AggregateSink {
+        AggregateSink {
+            method_class: p.methods.iter().map(|m| m.class).collect(),
+            class_count: p.class_count(),
+            tally: ClassProfile::default(),
+            shared: Arc::clone(shared),
+        }
+    }
+
+    #[test]
+    fn aggregate_sink_tallies_per_class_and_flushes_on_drop() {
+        let p = autodist_ir::frontend::compile_source(WORK_SRC).unwrap();
+        let shared = Arc::default();
+        let report = autodist_runtime::cluster::run_centralized_profiled(
+            &p,
+            1.0,
+            Some(Box::new(sink(&p, &shared))),
+            0,
+        );
+        assert!(report.is_ok(), "{:?}", report.error);
+        // The run dropped the interpreter, and the sink with it, so the tallies
+        // have merged into the shared profile (serving's epilogue drops a world's
+        // sinks the same way, before the epoch controller consults the planner).
+        let worker = p.class_by_name("Worker").unwrap();
+        let node = p.class_by_name("Node").unwrap();
+        let data = std::mem::take(&mut *locked(&shared));
+        // spin + make: 40 invocations each, keyed by the owning class.
+        assert_eq!(data.invocation_counts.get(&worker), Some(&80));
+        assert!(data.alloc_bytes.get(&node).copied().unwrap_or(0) > 0);
+        assert!(locked(&shared).is_empty(), "taking drained the profile");
+    }
+
+    #[test]
+    fn aggregate_sink_skips_synthetic_method_ids() {
+        let p = autodist_ir::frontend::compile_source(WORK_SRC).unwrap();
+        let shared = Arc::default();
+        let mut sink = sink(&p, &shared);
+        // A method id past the original program's table (a rewrite-appended
+        // accessor) must not be attributed to any application class; nor may an
+        // allocation of a class past its class table (a proxy).
+        sink.method_enter(MethodId(p.method_count() as u32 + 7), 0.0);
+        sink.allocation(Some(ClassId(p.class_count() as u32)), 64);
+        drop(sink);
+        assert!(locked(&shared).is_empty());
+    }
+
+    #[test]
+    fn a_sink_still_flushes_into_a_profile_a_panicked_holder_poisoned() {
+        let p = autodist_ir::frontend::compile_source(WORK_SRC).unwrap();
+        let shared: Arc<Mutex<ClassProfile>> = Arc::default();
+        let poisoner = shared.clone();
+        let _ = std::thread::spawn(move || {
+            let _guard = poisoner.lock().unwrap();
+            panic!("poison the profile");
+        })
+        .join();
+        assert!(shared.is_poisoned());
+        let mut sink = sink(&p, &shared);
+        sink.method_enter(MethodId(0), 0.0);
+        drop(sink);
+        assert_eq!(locked(&shared).invocation_counts.len(), 1);
     }
 
     #[test]
@@ -361,14 +501,8 @@ mod tests {
         let cluster = ClusterConfig::paper_testbed();
         let mut planner = PlanReplanner::new();
         planner.add_plan(&config, &g.workload.program, &plan, &cluster);
-        // No sinks ever ran: the aggregate is empty and the planner declines.
-        let none = planner.replan(&EpochProfile {
-            app: 0,
-            requests: 16,
-            messages: 128,
-            bytes: 4096,
-        });
-        assert!(none.is_none());
+        // No sinks ever ran: the profile is empty and the planner declines.
+        assert!(planner.replan(0).is_none());
         // Unknown app indices are not an error either.
         assert!(planner.profiler(7, 0).is_none());
     }

@@ -38,7 +38,7 @@ use autodist_runtime::cluster::{
 use autodist_runtime::serve::run_serving;
 
 pub use adapt::PlanReplanner;
-pub use autodist_runtime::adapt::{AdaptOptions, EpochProfile, Replanner};
+pub use autodist_runtime::adapt::{AdaptOptions, Replanner};
 pub use autodist_runtime::cluster::NodeProfiler;
 pub use autodist_runtime::serve::{RequestReport, ServeOptions, ServerApp, ServingReport};
 pub use error::{Phase, PipelineError, PipelineResult};

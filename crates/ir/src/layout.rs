@@ -28,19 +28,22 @@
 //! so a subclass redeclaring a superclass field aliased it. The layout reproduces that
 //! behaviour by assigning the shadowing declaration the same slot as the shadowed one.
 //!
-//! A layout is two things with two lifetimes. The **shape** ([`LayoutShape`]: class
-//! layouts, vtables, selectors, field-name ids, static slots, names — exactly what the
-//! shape fingerprint covers) depends on nothing a per-node rewrite touches, so the
-//! layouts of a plan's copies hold one shape behind one `Arc`. The **ops**
-//! (`method_ops`, `const_strs`) are the decoded bodies: `Vec<Arc<MethodOps>>`, one
-//! `Arc` per distinct `Arc<Method>`, against one string-constant pool. The family
-//! constructor [`ProgramLayout::build_family`] builds the layouts of several programs
-//! in one call and is where the sharing happens — programs are grouped by
-//! fingerprint, a body is decoded and fused when its method's address is first seen
-//! in its group, and the memo dies with the call. [`ProgramLayout::build`] /
+//! Beside its program, a layout is two things with two lifetimes. The **shape**
+//! ([`LayoutShape`]: class layouts, vtables, selectors, field-name ids, static slots,
+//! names — exactly what the shape fingerprint covers) depends on nothing a per-node
+//! rewrite touches, so the layouts of a plan's copies hold one shape behind one
+//! `Arc`. The **ops** (`method_ops`, `const_strs`) are the decoded bodies:
+//! `Vec<Arc<MethodOps>>`, one `Arc` per distinct `Arc<Method>`, against one
+//! string-constant pool. The family constructor [`ProgramLayout::build_family`]
+//! builds the layouts of several programs in one call and is where the sharing
+//! happens — programs are grouped by fingerprint, a body is decoded and fused when
+//! its method's address is first seen in its group, and the memo dies with the
+//! call. [`ProgramLayout::build`] /
 //! [`ProgramLayout::build_with`] are the family of one program, the same function.
 //! A [`ProgramLayout`] dereferences to its shape, so readers write `layout.classes`
-//! and `layout.field_slot(..)` whichever way the layout was built.
+//! and `layout.field_slot(..)` whichever way the layout was built. It also owns the
+//! program it was built from ([`ProgramLayout::program`]): a layout is the whole
+//! executable, and an interpreter holds nothing else of its program.
 //!
 //! On top of the interning tables, `build` runs a **decode pass** over every method
 //! body: each [`crate::bytecode::Insn`] becomes exactly one dense [`Op`] with its
@@ -377,12 +380,14 @@ pub struct LayoutShape {
     fingerprint: u64,
 }
 
-/// The layout of one program: its (shared) shape tables plus the decoded bodies of its
-/// methods. Built with [`ProgramLayout::build`] or, for the per-node copies of a plan,
-/// [`ProgramLayout::build_family`]; the program must not be mutated afterwards (the
-/// interpreter builds it at load time, after all rewriting has happened).
+/// The layout of one program: the program itself, its (shared) shape tables and the
+/// decoded bodies of its methods — everything an interpreter runs. Built with
+/// [`ProgramLayout::build`] or, for the per-node copies of a plan,
+/// [`ProgramLayout::build_family`], after all rewriting has happened.
 #[derive(Clone, Debug, Default)]
 pub struct ProgramLayout {
+    /// The program this layout was built from (classes and methods shared by `Arc`).
+    program: Program,
     shape: Arc<LayoutShape>,
     /// Pre-decoded op bodies, indexed by [`MethodId`]. Layouts built together hold
     /// the same `Arc` wherever their programs hold the same `Arc<Method>`.
@@ -425,19 +430,30 @@ impl ProgramLayout {
         Self::build_with(program, LayoutOptions::default())
     }
 
-    /// Runs the resolution pass over `program`: a family of one.
+    /// Runs the resolution pass over `program`: a family of one, owning a copy of it.
     pub fn build_with(program: &Program, opts: LayoutOptions) -> ProgramLayout {
-        let mut family = Self::build_family(std::slice::from_ref(program), opts);
-        family.pop().expect("one program, one layout")
+        let mut family = Self::decode_family(std::slice::from_ref(program), opts);
+        let mut layout = family.pop().expect("one program, one layout");
+        layout.program = program.clone();
+        layout
     }
 
-    /// Runs the resolution pass over `programs` together, `layouts[i]` for
+    /// Runs the resolution pass over `programs` together, `layouts[i]` owning
     /// `programs[i]`. Programs with the same shape fingerprint — the per-node copies
     /// of one plan — share one [`LayoutShape`] allocation and one string-constant
     /// pool, and each distinct `Arc<Method>` among them is decoded and fused once;
     /// programs of different shapes share nothing. Nothing outlives the call but the
     /// layouts.
-    pub fn build_family(programs: &[Program], opts: LayoutOptions) -> Vec<ProgramLayout> {
+    pub fn build_family(programs: Vec<Program>, opts: LayoutOptions) -> Vec<ProgramLayout> {
+        let mut layouts = Self::decode_family(&programs, opts);
+        for (layout, program) in layouts.iter_mut().zip(programs) {
+            layout.program = program;
+        }
+        layouts
+    }
+
+    /// The layouts of [`Self::build_family`], each still without its program.
+    fn decode_family(programs: &[Program], opts: LayoutOptions) -> Vec<ProgramLayout> {
         let mut families: Vec<Family> = Vec::new();
         let mut fuse_scratch = (Vec::new(), Vec::new());
         let bodies: Vec<(usize, Vec<Arc<MethodOps>>)> = programs
@@ -473,6 +489,7 @@ impl ProgramLayout {
         let shared: Vec<ProgramLayout> = families
             .into_iter()
             .map(|f| ProgramLayout {
+                program: Program::default(),
                 shape: f.shape,
                 method_ops: Vec::new(),
                 const_strs: f.pool.strs.into(),
@@ -485,6 +502,12 @@ impl ProgramLayout {
                 ..shared[at].clone()
             })
             .collect()
+    }
+
+    /// The program this layout was built from.
+    #[inline]
+    pub fn program(&self) -> &Program {
+        &self.program
     }
 
     /// The pre-decoded body of `method` (`ops` empty iff the bytecode body is empty).
@@ -1445,7 +1468,12 @@ mod tests {
             Insn::Return,
         ];
         copy.set_body(n, body, 2);
-        let family = ProgramLayout::build_family(&[source.clone(), copy.clone()], OPTS);
+        let family = ProgramLayout::build_family(vec![source.clone(), copy.clone()], OPTS);
+        // Each layout owns its program: the very methods it was built from.
+        assert!(Arc::ptr_eq(
+            &family[1].program().methods[n.0 as usize],
+            &copy.methods[n.0 as usize]
+        ));
         assert!(Arc::ptr_eq(&family[0].shape, &family[1].shape));
         assert!(Arc::ptr_eq(&family[0].const_strs, &family[1].const_strs));
         for m in 0..source.methods.len() {
@@ -1471,8 +1499,8 @@ mod tests {
         other.add_field(a, "w", Type::Int, false);
         // `other` still holds `one`'s method `Arc`s: same bodies, another shape.
         assert!(Arc::ptr_eq(&one.methods[0], &other.methods[0]));
-        let mixed = [one.clone(), other.clone(), one.clone()];
-        let family = ProgramLayout::build_family(&mixed, OPTS);
+        let family =
+            ProgramLayout::build_family(vec![one.clone(), other.clone(), one.clone()], OPTS);
         assert_ne!(family[0].fingerprint(), family[1].fingerprint());
         assert!(!Arc::ptr_eq(&family[0].shape, &family[1].shape));
         assert!(!Arc::ptr_eq(&family[0].const_strs, &family[1].const_strs));

@@ -280,129 +280,6 @@ impl ProfilerSink for Profiler {
     }
 }
 
-/// Cheap per-class tallies accumulated *across* requests: the aggregate profile
-/// the adaptive replanner (serving mode's epoch controller) repartitions from.
-/// Unlike [`ProfileData`], which keys by method and call path for human analysis,
-/// this keeps only what the partitioner's weight model consumes — per-class
-/// invocation counts and allocated bytes.
-#[derive(Clone, Debug, Default)]
-pub struct AggregateProfile {
-    /// Method invocations per owning class, summed over flushed requests.
-    pub invocations: BTreeMap<ClassId, u64>,
-    /// Bytes allocated per class, summed over flushed requests.
-    pub alloc_bytes: BTreeMap<ClassId, u64>,
-    /// Completed sinks that flushed into this aggregate (≈ profiled node-runs).
-    pub flushes: u64,
-}
-
-impl AggregateProfile {
-    /// Drains the accumulated profile, leaving an empty aggregate for the next
-    /// epoch (the epoch controller calls this once per repartition decision).
-    pub fn take(&mut self) -> AggregateProfile {
-        std::mem::take(self)
-    }
-
-    /// `true` when nothing has been recorded since the last [`take`](Self::take).
-    pub fn is_empty(&self) -> bool {
-        self.invocations.is_empty() && self.alloc_bytes.is_empty()
-    }
-}
-
-/// Shared handle to an [`AggregateProfile`]: the planner keeps one per app and
-/// hands sinks pointing at it to every admitted request.
-pub type AggregateHandle = Arc<Mutex<AggregateProfile>>;
-
-/// A fresh, empty [`AggregateHandle`].
-pub fn aggregate_handle() -> AggregateHandle {
-    Arc::new(Mutex::new(AggregateProfile::default()))
-}
-
-/// Builds the method → owning-class table an [`AggregateSink`] resolves
-/// invocations through. Computed once per app from the *original* (pre-rewrite)
-/// program, whose class and method ids the per-node placed copies preserve.
-pub fn method_table(program: &Program) -> Arc<Vec<ClassId>> {
-    Arc::new(
-        (0..program.method_count())
-            .map(|i| program.method(MethodId(i as u32)).class)
-            .collect(),
-    )
-}
-
-/// A [`ProfilerSink`] rolling per-class invocation and allocation tallies into a
-/// shared [`AggregateHandle`]. Designed for serving mode: each admitted request
-/// gets a fresh sink (local maps, no locking on the hot path) that merges into
-/// the shared aggregate exactly once, on drop — i.e. in the request epilogue,
-/// before the epoch controller looks at the profile.
-///
-/// Like every sink, it is purely observational: it records enters and
-/// allocations but never steers execution, so attaching it leaves a request's
-/// virtual time, message and byte counts byte-identical to an unprofiled run.
-pub struct AggregateSink {
-    /// Method id → owning class, from [`method_table`]. Ids past the end belong
-    /// to synthetic runtime classes the rewrite appended (`rt/DependentObject`
-    /// accessors); those are placement machinery, not application load, and are
-    /// skipped.
-    method_class: Arc<Vec<ClassId>>,
-    class_count: usize,
-    invocations: BTreeMap<ClassId, u64>,
-    alloc_bytes: BTreeMap<ClassId, u64>,
-    shared: AggregateHandle,
-}
-
-impl AggregateSink {
-    /// A sink tallying into `shared`, resolving methods through `method_class`
-    /// (classes with id ≥ `class_count` are synthetic and ignored).
-    pub fn new(
-        method_class: Arc<Vec<ClassId>>,
-        class_count: usize,
-        shared: AggregateHandle,
-    ) -> Self {
-        AggregateSink {
-            method_class,
-            class_count,
-            invocations: BTreeMap::new(),
-            alloc_bytes: BTreeMap::new(),
-            shared,
-        }
-    }
-}
-
-impl ProfilerSink for AggregateSink {
-    fn method_enter(&mut self, method: MethodId, _clock_us: f64) {
-        if let Some(&class) = self.method_class.get(method.0 as usize) {
-            *self.invocations.entry(class).or_insert(0) += 1;
-        }
-    }
-
-    fn method_exit(&mut self, _method: MethodId, _clock_us: f64) {}
-
-    fn allocation(&mut self, class: Option<ClassId>, bytes: u64) {
-        if let Some(class) = class {
-            if (class.0 as usize) < self.class_count {
-                *self.alloc_bytes.entry(class).or_insert(0) += bytes;
-            }
-        }
-    }
-
-    fn sample(&mut self, _stack: &[MethodId]) {}
-}
-
-impl Drop for AggregateSink {
-    fn drop(&mut self) {
-        if self.invocations.is_empty() && self.alloc_bytes.is_empty() {
-            return;
-        }
-        let mut shared = locked(&self.shared);
-        for (class, n) in std::mem::take(&mut self.invocations) {
-            *shared.invocations.entry(class).or_insert(0) += n;
-        }
-        for (class, b) in std::mem::take(&mut self.alloc_bytes) {
-            *shared.alloc_bytes.entry(class).or_insert(0) += b;
-        }
-        shared.flushes += 1;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -536,61 +413,6 @@ mod tests {
         let text = handle.lock().unwrap().render(&p);
         assert!(text.contains("method frequency"));
         assert!(text.contains("Worker.spin"));
-    }
-
-    #[test]
-    fn aggregate_sink_tallies_per_class_and_flushes_on_drop() {
-        let p = compile_source(WORK_SRC).unwrap();
-        let table = method_table(&p);
-        let shared: AggregateHandle = Arc::new(Mutex::new(AggregateProfile::default()));
-        let sink = AggregateSink::new(table.clone(), p.class_count(), shared.clone());
-        let report = run_centralized_profiled(&p, 1.0, Some(Box::new(sink)), 0);
-        assert!(report.is_ok(), "{:?}", report.error);
-        // The run dropped the interpreter, and the sink with it, so the tallies
-        // have merged into the shared handle (serving's epilogue forces the same
-        // drop explicitly, before the epoch controller reads the profile).
-        let worker = p.class_by_name("Worker").unwrap();
-        let node = p.class_by_name("Node").unwrap();
-        let data = shared.lock().unwrap().take();
-        assert_eq!(data.flushes, 1, "one profiled run merged");
-        // spin + make: 40 invocations each, keyed by the owning class.
-        assert_eq!(data.invocations.get(&worker), Some(&80));
-        assert!(data.alloc_bytes.get(&node).copied().unwrap_or(0) > 0);
-        assert!(
-            shared.lock().unwrap().is_empty(),
-            "take() drained the aggregate"
-        );
-    }
-
-    #[test]
-    fn aggregate_sink_skips_synthetic_method_ids() {
-        let p = compile_source(WORK_SRC).unwrap();
-        let table = method_table(&p);
-        let shared: AggregateHandle = Arc::new(Mutex::new(AggregateProfile::default()));
-        let mut sink = AggregateSink::new(table, p.class_count(), shared.clone());
-        // A method id past the original program's table (a rewrite-appended
-        // accessor) must not be attributed to any application class.
-        sink.method_enter(MethodId(p.method_count() as u32 + 7), 0.0);
-        drop(sink);
-        assert!(shared.lock().unwrap().is_empty());
-    }
-
-    #[test]
-    fn a_sink_still_flushes_into_a_profile_a_panicked_holder_poisoned() {
-        let p = compile_source(WORK_SRC).unwrap();
-        let shared = aggregate_handle();
-        let poisoner = shared.clone();
-        let _ = std::thread::spawn(move || {
-            let _guard = poisoner.lock().unwrap();
-            panic!("poison the profile");
-        })
-        .join();
-        assert!(shared.is_poisoned());
-        let mut sink = AggregateSink::new(method_table(&p), p.class_count(), shared.clone());
-        sink.method_enter(MethodId(0), 0.0);
-        drop(sink);
-        let data = locked(&shared).take();
-        assert_eq!((data.flushes, data.invocations.len()), (1, 1));
     }
 
     #[test]

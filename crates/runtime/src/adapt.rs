@@ -4,11 +4,9 @@
 //! live traffic concentrates on objects the static plan happened to pin to the wrong
 //! rank, every request pays cross-node round-trips that a better-informed placement
 //! would not. This module closes the loop **between requests**: an epoch controller
-//! ([`AdaptState`], owned by `run_serving`) accumulates per-request observations —
-//! cross-node message and byte counts from each completed
-//! [`ExecutionReport`](crate::cluster::ExecutionReport), plus whatever per-class
-//! profile the planner's sinks gather — and at every epoch boundary asks a
-//! [`Replanner`] for a better placement. When the planner returns one, the
+//! ([`AdaptState`], owned by `run_serving`) counts each app's completed requests, and
+//! at every epoch boundary asks a [`Replanner`] — which reads the per-class profile
+//! its own sinks gathered — for a better placement. When the planner returns one, the
 //! controller swaps it in for **subsequently admitted** requests.
 //!
 //! An epoch closes every [`AdaptOptions::epoch_requests`] completed requests of an
@@ -26,58 +24,34 @@
 //! partition/codegen pipeline, which sits *above* this crate): the [`Replanner`]
 //! trait inverts the dependency, and `autodist`'s `PlanReplanner` implements it by
 //! re-weighting the plan's ODG with the live profile and re-running the multilevel
-//! partitioner. Placements produced mid-run are kept alive in a [`SnapshotArena`]
-//! (append-only, so admitted interpreters can borrow placed programs for the rest
-//! of the serving run).
+//! partitioner. The controller holds the installed placement as an `Arc<ServerApp>`
+//! and every admitted world clones the per-node layout `Arc`s it runs, so a
+//! swapped-out placement is freed when the last request admitted under it completes.
 
 use std::fmt;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
-use crate::cluster::ExecutionReport;
 use crate::interp::ProfilerSink;
+use crate::sched::lock;
 use crate::serve::ServerApp;
-
-/// What the epoch controller observed about one app since its last repartition,
-/// handed to [`Replanner::replan`] when an epoch closes.
-#[derive(Clone, Debug)]
-pub struct EpochProfile {
-    /// Index of the app (into `run_serving`'s `apps` slice) the epoch belongs to.
-    pub app: usize,
-    /// Completed requests of this app in the epoch.
-    pub requests: usize,
-    /// Cross-node messages those requests exchanged (virtual-time deterministic).
-    pub messages: u64,
-    /// Cross-node bytes those requests exchanged.
-    pub bytes: u64,
-}
-
-impl EpochProfile {
-    /// Observed cross-node bytes per completed request.
-    pub fn bytes_per_request(&self) -> f64 {
-        if self.requests == 0 {
-            return 0.0;
-        }
-        self.bytes as f64 / self.requests as f64
-    }
-}
 
 /// The half of the adaptation loop the runtime cannot provide itself: turning a
 /// live profile into a better placement. Implemented above the runtime (by
 /// `autodist::PlanReplanner`, which owns the ODG and the partitioner) and by tests.
 pub trait Replanner: Send + Sync {
-    /// Computes a new prepared placement for `profile.app` from the epoch's live
-    /// profile, or `None` when the current placement should be kept (balanced
-    /// profile, no strictly better cut). A returned app must span the same number
-    /// of virtual nodes as the one it replaces.
-    fn replan(&self, profile: &EpochProfile) -> Option<ServerApp>;
+    /// Computes a new prepared placement for `app` (an index into `run_serving`'s
+    /// `apps`) from the profile its sinks gathered since the last call, or `None`
+    /// when the current placement should be kept (balanced profile, no strictly
+    /// better cut). A returned app must span the same number of virtual nodes as
+    /// the one it replaces.
+    fn replan(&self, app: usize) -> Option<ServerApp>;
 
     /// A profiler sink to attach to node `rank` of a newly admitted request of
-    /// `app`, plus its sampling interval (0 for instrumentation-only sinks). This
-    /// is the planner's side channel for per-class hot-method weights — the epoch
-    /// controller itself only sees per-request traffic totals. Returning `None`
-    /// (the default) admits the request unprofiled.
-    fn profiler(&self, app: usize, rank: usize) -> Option<(Box<dyn ProfilerSink>, u64)> {
+    /// `app`: the planner's side channel for per-class hot-method weights (the
+    /// epoch controller itself only counts requests). Sinks are instrumentation
+    /// only; nothing samples. Returning `None` (the default) admits the request
+    /// unprofiled.
+    fn profiler(&self, app: usize, rank: usize) -> Option<Box<dyn ProfilerSink>> {
         let _ = (app, rank);
         None
     }
@@ -126,80 +100,36 @@ impl fmt::Debug for AdaptOptions {
     }
 }
 
-/// Append-only arena keeping mid-run placements alive for the rest of the serving
-/// run. Admitted interpreters borrow the placed [`ServerApp`]s (programs and
-/// layouts) for as long as their request lives, so a swapped-out placement cannot
-/// be freed while any request started under it is still in flight — the arena
-/// simply never frees until the run ends.
-#[derive(Default)]
-pub(crate) struct SnapshotArena {
-    // The per-slot Box is load-bearing, not indirection for its own sake: `alloc`
-    // hands out references that must survive the Vec reallocating.
-    #[allow(clippy::vec_box)]
-    slots: Mutex<Vec<Box<ServerApp>>>,
-}
-
-impl SnapshotArena {
-    /// Stores `app` and returns a reference that lives as long as the arena.
-    ///
-    /// SAFETY rationale for the `unsafe` below: the `ServerApp` is boxed, so its
-    /// address is stable across `Vec` reallocation; slots are append-only and
-    /// never dropped or replaced before the arena itself drops; and the returned
-    /// borrow is tied to `&self`, so it cannot outlive the arena.
-    pub(crate) fn alloc(&self, app: ServerApp) -> &ServerApp {
-        let mut slots = self.slots.lock().unwrap_or_else(|e| e.into_inner());
-        slots.push(Box::new(app));
-        let stable: *const ServerApp = &**slots.last().expect("just pushed");
-        unsafe { &*stable }
-    }
-}
-
-/// Per-app accumulator and the currently installed placement (`None` = the seed
+/// Per-app epoch counters and the currently installed placement (`None` = the seed
 /// placement the caller passed to `run_serving`).
-struct AppEpoch<'s> {
-    current: Option<&'s ServerApp>,
+#[derive(Default)]
+struct AppEpoch {
+    current: Option<Arc<ServerApp>>,
     admitted: usize,
     completed: usize,
-    messages: u64,
-    bytes: u64,
+    /// Placements installed so far.
+    swaps: usize,
 }
 
 /// The epoch controller of one serving run: owned by the run's `sched::Server` when
 /// `ServeOptions::adapt` is set, untouched (and unallocated) otherwise.
-pub(crate) struct AdaptState<'s> {
-    opts: &'s AdaptOptions,
-    arena: &'s SnapshotArena,
-    apps: Vec<Mutex<AppEpoch<'s>>>,
-    swaps: AtomicUsize,
+pub(crate) struct AdaptState {
+    opts: AdaptOptions,
+    apps: Vec<Mutex<AppEpoch>>,
 }
 
-impl<'s> AdaptState<'s> {
-    pub(crate) fn new(opts: &'s AdaptOptions, arena: &'s SnapshotArena, apps: usize) -> Self {
+impl AdaptState {
+    pub(crate) fn new(opts: AdaptOptions, apps: usize) -> Self {
         AdaptState {
             opts,
-            arena,
-            apps: (0..apps)
-                .map(|_| {
-                    Mutex::new(AppEpoch {
-                        current: None,
-                        admitted: 0,
-                        completed: 0,
-                        messages: 0,
-                        bytes: 0,
-                    })
-                })
-                .collect(),
-            swaps: AtomicUsize::new(0),
+            apps: (0..apps).map(|_| Mutex::default()).collect(),
         }
     }
 
     /// The placement requests of `app` are currently admitted under (`None` = the
     /// seed placement).
-    pub(crate) fn current(&self, app: usize) -> Option<&'s ServerApp> {
-        self.apps[app]
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .current
+    pub(crate) fn current(&self, app: usize) -> Option<Arc<ServerApp>> {
+        lock(&self.apps[app]).current.clone()
     }
 
     /// Whether a request of `app` being admitted now should carry profiler sinks:
@@ -207,59 +137,46 @@ impl<'s> AdaptState<'s> {
     /// bulk of traffic runs uninstrumented. Called once per admission (it advances
     /// the epoch's admission counter).
     pub(crate) fn admit_profiled(&self, app: usize) -> bool {
-        let mut epoch = self.apps[app].lock().unwrap_or_else(|e| e.into_inner());
+        let mut epoch = lock(&self.apps[app]);
         epoch.admitted += 1;
         epoch.admitted <= PROFILED_ADMISSIONS
     }
 
     /// The planner's profiler sink for node `rank` of a new request of `app`.
-    pub(crate) fn profiler_for(
-        &self,
-        app: usize,
-        rank: usize,
-    ) -> Option<(Box<dyn ProfilerSink>, u64)> {
+    pub(crate) fn profiler_for(&self, app: usize, rank: usize) -> Option<Box<dyn ProfilerSink>> {
         self.opts.planner.profiler(app, rank)
     }
 
     /// Placements installed so far (for the run's aggregate report).
     pub(crate) fn swaps(&self) -> usize {
-        self.swaps.load(Ordering::SeqCst)
+        self.apps.iter().map(|epoch| lock(epoch).swaps).sum()
     }
 
-    /// Feeds one completed request's report into the epoch accumulator and, at an
-    /// epoch boundary, consults the planner. A successful replan
-    /// installs the new placement for subsequently admitted requests of `app`.
+    /// Counts one completed request of `app` (a placement over `nodes` virtual
+    /// nodes) and, at an epoch boundary, consults the planner. A successful replan
+    /// installs the new placement for subsequently admitted requests of `app`;
+    /// the one it replaces lives on only in the worlds still running under it.
     ///
     /// The per-app lock is held across the replan on purpose: concurrent
     /// completions of the *same* app queue behind the repartition (their epochs
     /// must not interleave with it), while other apps and all admissions of other
     /// apps proceed untouched.
-    pub(crate) fn observe(&self, app: usize, expected_nodes: usize, report: &ExecutionReport) {
-        let mut epoch = self.apps[app].lock().unwrap_or_else(|e| e.into_inner());
+    pub(crate) fn observe(&self, app: usize, nodes: usize) {
+        let mut epoch = lock(&self.apps[app]);
         epoch.completed += 1;
-        epoch.messages += report.total_messages();
-        epoch.bytes += report.total_bytes();
         if epoch.completed < self.opts.epoch_requests.max(1) {
             return;
         }
-        let profile = EpochProfile {
-            app,
-            requests: epoch.completed,
-            messages: epoch.messages,
-            bytes: epoch.bytes,
-        };
         epoch.admitted = 0;
         epoch.completed = 0;
-        epoch.messages = 0;
-        epoch.bytes = 0;
-        if let Some(next) = self.opts.planner.replan(&profile) {
+        if let Some(next) = self.opts.planner.replan(app) {
             assert_eq!(
                 next.nodes(),
-                expected_nodes,
+                nodes,
                 "a replanned placement must span the same virtual nodes"
             );
-            epoch.current = Some(self.arena.alloc(next));
-            self.swaps.fetch_add(1, Ordering::SeqCst);
+            epoch.current = Some(Arc::new(next));
+            epoch.swaps += 1;
         }
     }
 }
@@ -270,7 +187,7 @@ mod tests {
 
     struct NeverReplan;
     impl Replanner for NeverReplan {
-        fn replan(&self, _profile: &EpochProfile) -> Option<ServerApp> {
+        fn replan(&self, _app: usize) -> Option<ServerApp> {
             None
         }
     }
@@ -283,23 +200,5 @@ mod tests {
         assert_eq!(opts.epoch_requests, 1, "epoch length clamps to 1");
         let dbg = format!("{:?}", opts.with_epoch(5));
         assert!(dbg.contains("epoch_requests: 5"), "{dbg}");
-    }
-
-    #[test]
-    fn epoch_profile_rates() {
-        let p = EpochProfile {
-            app: 0,
-            requests: 4,
-            messages: 8,
-            bytes: 1024,
-        };
-        assert_eq!(p.bytes_per_request(), 256.0);
-        let empty = EpochProfile {
-            app: 0,
-            requests: 0,
-            messages: 0,
-            bytes: 0,
-        };
-        assert_eq!(empty.bytes_per_request(), 0.0);
     }
 }

@@ -13,15 +13,15 @@
 //! [`run_distributed`] goes through it as a serving run of one request at window 1.
 
 use std::collections::BTreeMap;
-use std::sync::{Arc, Mutex};
+use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
-use autodist_ir::layout::ProgramLayout;
 use autodist_ir::program::Program;
 
 use crate::interp::{ExecError, Interp, ProfilerSink};
 use crate::net::{FaultPlan, FaultSummary, NetworkConfig};
-use crate::sched::{AppView, Server};
+use crate::sched::Server;
+use crate::serve::ServerApp;
 use crate::value::Value;
 
 /// How many OS threads run the worker loop. Virtual times, message counts and
@@ -143,7 +143,7 @@ impl ExecutionReport {
     }
 }
 
-pub(crate) fn stats_of(interp: &Interp<'_>, node: usize) -> NodeStats {
+pub(crate) fn stats_of(interp: &Interp, node: usize) -> NodeStats {
     let (messages_sent, bytes_sent) = interp
         .dist
         .as_ref()
@@ -234,25 +234,12 @@ pub fn run_distributed_profiled(
     config: &ClusterConfig,
     profilers: Vec<Option<NodeProfiler>>,
 ) -> ExecutionReport {
-    let nodes = programs.len();
-    assert!(nodes >= 1, "at least one node required");
-    assert_eq!(
-        nodes,
-        config.network.nodes(),
-        "one program copy per configured node"
-    );
+    assert!(!programs.is_empty(), "at least one node required");
     let start = Instant::now();
-    let layouts: Vec<_> = ProgramLayout::build_family(programs, Default::default())
-        .into_iter()
-        .map(Arc::new)
-        .collect();
+    let app = ServerApp::prepare(programs.to_vec(), config.network.clone());
     let faults: Vec<_> = config.faults.iter().map(|plan| (0, plan.clone())).collect();
     let server = Server {
-        apps: vec![AppView {
-            programs,
-            layouts: &layouts,
-            network: &config.network,
-        }],
+        apps: std::slice::from_ref(&app),
         sequence: &[0],
         concurrency: 1,
         schedule: config.schedule,

@@ -38,9 +38,9 @@ use crate::wire::{self, AccessKind, FrameHead, Response, WireError, WireValue};
 
 /// Distributed-execution state attached to an interpreter running as one node of the
 /// simulated cluster.
-pub struct DistState<'n> {
+pub struct DistState {
     /// This node's endpoint into the simulated MPI world.
-    pub endpoint: MpiEndpoint<'n>,
+    pub endpoint: MpiEndpoint,
     /// Export table: export id -> heap index.
     pub exports: Vec<u32>,
     /// Reverse export table: heap index -> export id.
@@ -53,9 +53,9 @@ pub struct DistState<'n> {
     peer_ok: Vec<bool>,
 }
 
-impl<'n> DistState<'n> {
+impl DistState {
     /// Wraps an endpoint.
-    pub fn new(endpoint: MpiEndpoint<'n>) -> Self {
+    pub fn new(endpoint: MpiEndpoint) -> Self {
         let n = endpoint.size;
         DistState {
             endpoint,
@@ -140,7 +140,7 @@ pub(crate) fn shutdown_frame() -> Bytes {
     wire::encode_shutdown()
 }
 
-impl<'p> Interp<'p> {
+impl Interp {
     // --- proxies ------------------------------------------------------------------
 
     /// Records a remote identity in a proxy object's home/remoteId/className slots so
@@ -162,7 +162,8 @@ impl<'p> Interp<'p> {
     fn create_at_home(&mut self, class: ClassId) -> (ObjRef, Option<MethodId>) {
         let r = self.new_instance(class);
         let ctor = self
-            .program
+            .layout
+            .program()
             .find_method(class, "<init>")
             .filter(|&c| !self.layout.ops(c).ops.is_empty());
         (r, ctor)
@@ -226,13 +227,12 @@ impl<'p> Interp<'p> {
         target: MethodId,
         push_ret: bool,
     ) -> Result<SlowInvoke, ExecError> {
-        let program = self.program;
-        let callee = program.method(target);
+        let callee = self.layout.program().method(target);
         let receiver = args
             .first()
             .ok_or_else(|| ExecError::Unsupported("instance call without receiver".into()))?;
         if Some(callee.class) == self.dep_class {
-            return self.dependent_object_call(&callee.name, receiver, args, push_ret);
+            return self.dependent_object_call(target, receiver, args, push_ret);
         }
         // Transparent forwarding: a proxy reached a normal (non-rewritten) call
         // site, or type-based rewriting missed a receiver that actually lives
@@ -275,15 +275,16 @@ impl<'p> Interp<'p> {
         Ok(SlowInvoke::Park(req_id, resume_with(push_ret)))
     }
 
-    /// `DependentObject.<init>` / `.access`: the call sites the rewriter emits.
+    /// `DependentObject.<init>` / `.access` (`method`): the call sites the rewriter
+    /// emits.
     fn dependent_object_call(
         &mut self,
-        method: &str,
+        method: MethodId,
         receiver: &Value,
         args: &[Value],
         push_ret: bool,
     ) -> Result<SlowInvoke, ExecError> {
-        match method {
+        match &**self.layout.method_name(method) {
             "<init>" => {
                 let (home, class, class_name, ctor_args) = self.parse_dep_init(args)?;
                 if Some(home) != self.dist.as_ref().map(DistState::rank) {
@@ -349,7 +350,8 @@ impl<'p> Interp<'p> {
             ));
         };
         let class = self
-            .program
+            .layout
+            .program()
             .class_by_name(class_name)
             .ok_or_else(|| ExecError::Unsupported(format!("unknown class {class_name}")))?;
         Ok((
@@ -561,7 +563,7 @@ impl<'p> Interp<'p> {
     ) -> Result<u64, ExecError> {
         let member = field.map_or(WireMember::NONE, |fr| WireMember {
             id: self.layout.field_name_id_of(fr),
-            name_len: self.program.field(fr).name.len(),
+            name_len: self.layout.program().field(fr).name.len(),
         });
         self.remote_send(target, kind, member, args)
     }
@@ -916,7 +918,7 @@ mod tests {
     "#;
 
     fn reply_to(
-        node: &mut Interp<'_>,
+        node: &mut Interp,
         net: &mut Transport,
         frame: BytesMut,
     ) -> Option<Result<WireValue, String>> {

@@ -11,14 +11,16 @@
 //! (Section 5) when a [`DistState`] is attached — is [`crate::exchange`]'s: the
 //! dispatch loop hands it a slice of operands and gets back a request id to park on.
 //!
-//! All name resolution is interned at program-load time by
-//! [`autodist_ir::layout::ProgramLayout`]: instance fields are flat slot-indexed
-//! vectors, statics live in one dense replicated vector, and dynamic dispatch goes
-//! through selector-indexed vtables. On top of those tables the layout **pre-decodes**
-//! every method body into the compact [`Op`] format (resolved slots, selectors,
-//! argument counts, interned string constants, `u32` branch targets), so the dispatch
-//! loop performs no string clone, no map probe and no signature lookup per
-//! instruction.
+//! An interpreter runs a [`autodist_ir::layout::ProgramLayout`] and holds nothing
+//! else of its program: the layout owns the program it was built from and interns all
+//! name resolution at load time — instance fields are flat slot-indexed vectors,
+//! statics live in one dense replicated vector, and dynamic dispatch goes through
+//! selector-indexed vtables. On top of those tables the layout **pre-decodes** every
+//! method body into the compact [`Op`] format (resolved slots, selectors, argument
+//! counts, interned string constants, `u32` branch targets), so the dispatch loop
+//! performs no string clone, no map probe and no signature lookup per instruction.
+//! Nothing is borrowed, so an interpreter is plain owned data: per-request worlds
+//! share layouts by `Arc` and outlive whatever placement they were admitted under.
 //!
 //! Execution itself runs on an **explicit frame stack** ([`Continuation`]): a single
 //! dispatch loop ([`Interp::run_task`]) drives a `Vec` of [`Frame`]s (locals + operand
@@ -334,9 +336,7 @@ pub enum TaskOutcome {
 }
 
 /// The bytecode interpreter for one node (or for a centralized run).
-pub struct Interp<'p> {
-    /// The program being executed (a per-node rewritten copy in distributed runs).
-    pub program: &'p Program,
+pub struct Interp {
     /// The heap.
     pub heap: Vec<HeapObject>,
     /// Execution statistics.
@@ -352,10 +352,11 @@ pub struct Interp<'p> {
     /// Sampling quantum in instructions (0 disables sampling).
     pub sample_interval: u64,
     /// Distributed runtime state (None for centralized execution).
-    pub dist: Option<DistState<'p>>,
-    /// The interning tables built at load time: field slots, static slots, vtables,
-    /// and the pre-decoded op bodies. Shared by refcount so the dispatch loop can
-    /// hold a borrow of the ops while the interpreter mutates its own state.
+    pub dist: Option<DistState>,
+    /// The executable: the program (a per-node rewritten copy in distributed runs)
+    /// with its load-time interning tables — field slots, static slots, vtables —
+    /// and pre-decoded op bodies. Shared by refcount so the dispatch loop can hold a
+    /// borrow of the ops while the interpreter mutates its own state.
     pub(crate) layout: Arc<ProgramLayout>,
     /// Replicated static fields, indexed by the layout's global static slot.
     statics: Vec<Value>,
@@ -376,29 +377,29 @@ pub struct Interp<'p> {
     frame_pool: Vec<(Vec<Value>, Vec<Value>)>,
 }
 
-impl<'p> Interp<'p> {
+impl Interp {
     /// Creates an interpreter for a centralized run at speed 1.0. This runs the
     /// program-load-time resolution pass ([`ProgramLayout::build`]) with the default
     /// options (superinstruction fusion on), after which the interpret loop performs
     /// no string clone and no map probe per field or method access.
-    pub fn new(program: &'p Program) -> Self {
+    pub fn new(program: &Program) -> Self {
         Self::new_with_options(program, LayoutOptions::default())
     }
 
     /// [`Self::new`] with explicit layout options — `fuse: false` yields the 1:1
     /// decoded stream (benches A/B the dispatch cost; the parity suite compares the
     /// two executions instruction for instruction).
-    pub fn new_with_options(program: &'p Program, opts: LayoutOptions) -> Self {
-        Self::with_layout(program, Arc::new(ProgramLayout::build_with(program, opts)))
+    pub fn new_with_options(program: &Program, opts: LayoutOptions) -> Self {
+        Self::with_layout(Arc::new(ProgramLayout::build_with(program, opts)))
     }
 
-    /// Creates an interpreter over a **pre-built, shared** layout. The layout build
-    /// (decoding, fusion, interning) is the expensive part of interpreter
-    /// construction; the serving scheduler builds it once per placed program and
-    /// every admitted request's interpreters share the `Arc`. `layout` must have
-    /// been built from this `program`.
-    pub fn with_layout(program: &'p Program, layout: Arc<ProgramLayout>) -> Self {
-        let dep_class = program.class_by_name(DEPENDENT_OBJECT_CLASS);
+    /// Creates an interpreter over a **pre-built, shared** layout, which carries the
+    /// program it runs. The layout build (decoding, fusion, interning) is the
+    /// expensive part of interpreter construction; the serving scheduler builds it
+    /// once per placed program and every admitted request's interpreters share the
+    /// `Arc`.
+    pub fn with_layout(layout: Arc<ProgramLayout>) -> Self {
+        let dep_class = layout.program().class_by_name(DEPENDENT_OBJECT_CLASS);
         let mut class_defaults: Vec<Vec<Value>> = layout
             .classes
             .iter()
@@ -423,7 +424,6 @@ impl<'p> Interp<'p> {
             }
         });
         Interp {
-            program,
             heap: Vec::new(),
             counters: ExecCounters::default(),
             clock_us: 0.0,
@@ -444,7 +444,8 @@ impl<'p> Interp<'p> {
         }
     }
 
-    /// The interning tables backing this interpreter's field and dispatch resolution.
+    /// The executable this interpreter runs: the program and the interning tables
+    /// backing its field and dispatch resolution.
     pub fn layout(&self) -> &ProgramLayout {
         &self.layout
     }
@@ -456,9 +457,9 @@ impl<'p> Interp<'p> {
     }
 
     /// Attaches the distributed runtime state.
-    pub fn with_dist(mut self, dist: DistState<'p>) -> Self {
-        self.instr_cost_us = dist.endpoint.config.instr_cost_us;
-        self.speed = dist.endpoint.config.speed_of(dist.endpoint.rank);
+    pub fn with_dist(mut self, dist: DistState) -> Self {
+        self.instr_cost_us = dist.endpoint.instr_cost_us;
+        self.speed = dist.endpoint.speed;
         self.dist = Some(dist);
         self
     }
@@ -472,7 +473,7 @@ impl<'p> Interp<'p> {
 
     /// Runs the program entry point.
     pub fn run_entry(&mut self) -> Result<Value, ExecError> {
-        let entry = self.program.entry.ok_or(ExecError::NoEntry)?;
+        let entry = self.layout.program().entry.ok_or(ExecError::NoEntry)?;
         self.invoke(entry, Vec::new())
     }
 
@@ -1533,7 +1534,7 @@ impl<'p> Interp<'p> {
             Value::Ref(ObjRef::Remote { .. }) => Err(ExecError::NotDistributed),
             Value::Null => Err(ExecError::NullPointer(format!(
                 "read of field {}",
-                self.program.field(fr).name
+                self.layout.program().field(fr).name
             ))),
             _ => Err(ExecError::Unsupported("field read on non-reference".into())),
         }
@@ -1558,7 +1559,7 @@ impl<'p> Interp<'p> {
             Value::Ref(ObjRef::Remote { .. }) => Err(ExecError::NotDistributed),
             Value::Null => Err(ExecError::NullPointer(format!(
                 "write of field {}",
-                self.program.field(fr).name
+                self.layout.program().field(fr).name
             ))),
             _ => Err(ExecError::Unsupported(
                 "field write on non-reference".into(),

@@ -29,9 +29,10 @@
 //! * [`serve`] — serving mode: the cluster as a server admitting N concurrent root
 //!   computations, each over its own request-scoped world (clocks, mailboxes,
 //!   correlation ids) while all requests share one ready queue and the workers.
-//! * [`adapt`] — adaptive placement: an epoch controller that feeds live serving
-//!   profiles back into a caller-supplied [`adapt::Replanner`] and swaps better
-//!   placements in for subsequently admitted requests.
+//! * [`adapt`] — adaptive placement: an epoch controller that consults a
+//!   caller-supplied [`adapt::Replanner`] (which profiles served requests through
+//!   its own sinks) and swaps better placements in for subsequently admitted
+//!   requests.
 
 pub mod adapt;
 pub mod cluster;
@@ -43,7 +44,7 @@ pub mod serve;
 pub mod value;
 pub mod wire;
 
-pub use adapt::{AdaptOptions, EpochProfile, Replanner};
+pub use adapt::{AdaptOptions, Replanner};
 pub use cluster::{
     run_centralized, run_distributed, run_distributed_profiled, ClusterConfig, ExecutionReport,
     NodeProfiler, NodeStats, Schedule,

@@ -63,8 +63,13 @@ impl NetworkConfig {
 
     /// Virtual time for a message of `bytes` bytes to traverse the link.
     pub fn transfer_time_us(&self, bytes: usize) -> f64 {
-        self.latency_us + (bytes as f64 * 8.0) / self.bandwidth_mbps
+        transfer_time_us(self.latency_us, self.bandwidth_mbps, bytes)
     }
+}
+
+/// The link cost: `latency + bytes / bandwidth`, in virtual microseconds.
+fn transfer_time_us(latency_us: f64, bandwidth_mbps: f64, bytes: usize) -> f64 {
+    latency_us + (bytes as f64 * 8.0) / bandwidth_mbps
 }
 
 impl Default for NetworkConfig {
@@ -205,8 +210,10 @@ impl FaultPlan {
         self
     }
 
-    /// Overrides the fault probabilities of one directed link.
+    /// Overrides the fault probabilities of one directed link (replacing an earlier
+    /// override of the same link).
     pub fn with_link(mut self, from: usize, to: usize, probs: LinkProbs) -> Self {
+        self.links.retain(|&(f, t, _)| (f, t) != (from, to));
         self.links.push((from, to, probs));
         self
     }
@@ -673,7 +680,7 @@ impl Transport {
     /// Routes everything `endpoint` sent since the last call, in send order —
     /// world send order, since a world has one live control flow — so a fault plan
     /// decides each packet's fate exactly as if it had been consulted at the send.
-    pub fn route(&mut self, endpoint: &mut MpiEndpoint<'_>) {
+    pub fn route(&mut self, endpoint: &mut MpiEndpoint) {
         for Posted {
             mut pkt,
             sent_at_us,
@@ -811,13 +818,18 @@ struct Posted {
 /// The node half of the transport: what an interpreter needs to *send* — its rank,
 /// the cost model, traffic counters, correlation ids, recycled encode buffers —
 /// and the outbox its sends wait in until the world routes them.
-pub struct MpiEndpoint<'n> {
+pub struct MpiEndpoint {
     /// This node's rank.
     pub rank: usize,
     /// World size.
     pub size: usize,
-    /// The shared cost model.
-    pub config: &'n NetworkConfig,
+    /// This rank's CPU speed under the cost model (`Interp::with_dist` adopts it).
+    pub speed: f64,
+    /// Virtual microseconds per instruction at speed 1.0 (adopted likewise).
+    pub instr_cost_us: f64,
+    /// The link terms of the cost model, all a send reads of it.
+    latency_us: f64,
+    bandwidth_mbps: f64,
     /// Number of messages sent by this endpoint.
     pub messages_sent: u64,
     /// Bytes sent by this endpoint.
@@ -837,13 +849,16 @@ pub struct MpiEndpoint<'n> {
 /// Upper bound on recycled encode buffers kept per endpoint.
 const BUF_POOL_CAP: usize = 32;
 
-impl<'n> MpiEndpoint<'n> {
+impl MpiEndpoint {
     /// The endpoint of `rank` in a world of `size` nodes under `config`.
-    pub fn new(rank: usize, size: usize, config: &'n NetworkConfig) -> Self {
+    pub fn new(rank: usize, size: usize, config: &NetworkConfig) -> Self {
         MpiEndpoint {
             rank,
             size,
-            config,
+            speed: config.speed_of(rank),
+            instr_cost_us: config.instr_cost_us,
+            latency_us: config.latency_us,
+            bandwidth_mbps: config.bandwidth_mbps,
             messages_sent: 0,
             bytes_sent: 0,
             messages_received: 0,
@@ -914,13 +929,18 @@ impl<'n> MpiEndpoint<'n> {
                 req_id,
                 seq: 0,
                 data,
-                arrival_time_us: clock_us + self.config.transfer_time_us(charged_len),
+                arrival_time_us: clock_us + self.transfer_time_us(charged_len),
             },
             sent_at_us: clock_us,
         });
         // Sending is cheap for the sender itself (asynchronous message exchange):
         // charge only a fixed software overhead.
-        clock_us + self.config.latency_us * 0.1
+        clock_us + self.latency_us * 0.1
+    }
+
+    /// Virtual time for a message of `bytes` bytes to leave this node.
+    pub fn transfer_time_us(&self, bytes: usize) -> f64 {
+        transfer_time_us(self.latency_us, self.bandwidth_mbps, bytes)
     }
 
     /// Counts one logically delivered packet.
@@ -957,7 +977,7 @@ mod tests {
 
     /// One world the way `sched::World` holds it: the transport plus one endpoint
     /// per rank.
-    fn world(config: &NetworkConfig, plan: Option<FaultPlan>) -> (Transport, Vec<MpiEndpoint<'_>>) {
+    fn world(config: &NetworkConfig, plan: Option<FaultPlan>) -> (Transport, Vec<MpiEndpoint>) {
         let n = config.nodes();
         let endpoints = (0..n).map(|r| MpiEndpoint::new(r, n, config)).collect();
         (Transport::new(n, plan), endpoints)
@@ -966,7 +986,7 @@ mod tests {
     /// A request charged at its physical length, routed at once (a one-send slice).
     fn request(
         net: &mut Transport,
-        from: &mut MpiEndpoint<'_>,
+        from: &mut MpiEndpoint,
         to: usize,
         payload: &'static [u8],
         clock_us: f64,
@@ -978,7 +998,7 @@ mod tests {
     }
 
     /// The world's delivery step: take `at`'s next packet and count it received.
-    fn recv(net: &mut Transport, at: &mut MpiEndpoint<'_>) -> Option<Packet> {
+    fn recv(net: &mut Transport, at: &mut MpiEndpoint) -> Option<Packet> {
         let pkt = net.recv(at.rank)?;
         at.received(&pkt);
         Some(pkt)
@@ -1225,6 +1245,27 @@ mod tests {
         assert_eq!(cfg.nodes(), 2);
         assert!(cfg.speed_of(1) > cfg.speed_of(0));
         assert_eq!(cfg.speed_of(99), 1.0);
+    }
+
+    #[test]
+    fn a_later_link_override_replaces_an_earlier_one() {
+        let (a, b) = (
+            LinkProbs {
+                drop: 0.5,
+                ..LinkProbs::default()
+            },
+            LinkProbs {
+                reorder: 1.0,
+                ..LinkProbs::default()
+            },
+        );
+        let plan = FaultPlan::quiet(0)
+            .with_link(0, 1, a)
+            .with_link(1, 0, a)
+            .with_link(0, 1, b);
+        assert_eq!(plan.link_probs(0, 1), b);
+        assert_eq!(plan.link_probs(1, 0), a);
+        assert_eq!(plan.links.len(), 2);
     }
 
     #[test]

@@ -12,6 +12,9 @@
 //!   them (mailboxes owned by the world, its key count, its fault state), behind
 //!   **one mutex**. The paper's protocol is synchronous request/response, so a root
 //!   computation has exactly one live control flow — per-node locks would buy nothing.
+//!   A world owns all of it: each interpreter holds its node's layout (the program
+//!   with it) by `Arc`, so a world borrows nothing from the app it was admitted
+//!   under and outlives that app's placement being swapped out.
 //! * The three per-node services of the paper's Figure 10 map onto it directly: the
 //!   **MPI service** is the world's [`Transport`], the **Execution Starter** is
 //!   `World::seed`, and the **Message Exchange** is [`crate::exchange`], driven by
@@ -48,17 +51,12 @@
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
-use autodist_ir::layout::ProgramLayout;
-use autodist_ir::program::Program;
-
 use crate::adapt::AdaptState;
 use crate::cluster::{stats_of, ExecutionReport, NodeProfiler, Schedule};
 use crate::exchange::{shutdown_frame, DistState, ServeOutcome};
 use crate::interp::{loss_to_error, Continuation, ExecError, Interp, TaskOutcome, TransportStall};
-use crate::net::{
-    FaultPlan, MpiEndpoint, NetworkConfig, Next, Packet, PacketKind, ReadyQueue, Transport,
-};
-use crate::serve::RequestReport;
+use crate::net::{FaultPlan, MpiEndpoint, Next, Packet, PacketKind, ReadyQueue, Transport};
+use crate::serve::{RequestReport, ServerApp};
 use crate::value::Value;
 
 /// What to do with a task's result once its bottom frame returns.
@@ -90,12 +88,12 @@ struct CoopTask {
 /// handful of parked computations (one per live cross-node recursion level, bounded
 /// by the call-depth guard), and the park/resume pair sits on the per-message hot
 /// path where two SipHash probes cost more than a short scan.
-struct CoopNode<'p> {
-    interp: Interp<'p>,
+struct CoopNode {
+    interp: Interp,
     parked: Vec<(u64, CoopTask)>,
 }
 
-impl<'p> CoopNode<'p> {
+impl CoopNode {
     /// Removes and returns the continuation parked on `req_id`. Scans newest-first:
     /// under synchronous request/response the resumed continuation is almost always
     /// the most recently parked one.
@@ -112,7 +110,7 @@ impl<'p> CoopNode<'p> {
         self.settle(task, outcome)
     }
 
-    fn endpoint(&mut self) -> &mut MpiEndpoint<'p> {
+    fn endpoint(&mut self) -> &mut MpiEndpoint {
         let dist = self.interp.dist.as_mut();
         &mut dist.expect("world nodes are distributed").endpoint
     }
@@ -180,10 +178,10 @@ impl<'p> CoopNode<'p> {
 
 /// One in-flight root computation: its request-scoped nodes, the transport between
 /// them, and the bookkeeping its report needs.
-struct World<'p> {
+struct World {
     /// The id stamped on this world's ready keys: `slot + slots × generation`.
     root: u32,
-    nodes: Vec<CoopNode<'p>>,
+    nodes: Vec<CoopNode>,
     /// Mailboxes, the exact ready-key count and the fault state. Owned here and
     /// handed to nobody, so everything it does happens under this world's lock.
     net: Transport,
@@ -194,12 +192,12 @@ struct World<'p> {
     started: Instant,
 }
 
-impl World<'_> {
+impl World {
     /// The Execution Starter: launches `main` as the root continuation on the
     /// launch node. Returns the root result if the world is already over.
     fn seed(&mut self, ready: &ReadyQueue) -> Option<Result<Value, ExecError>> {
         let node = &mut self.nodes[0];
-        let res = match node.interp.program.entry {
+        let res = match node.interp.layout().program().entry {
             None => Some(Err(ExecError::NoEntry)),
             Some(entry) => match node.interp.task_for(entry, Vec::new()) {
                 None => Some(Ok(Value::Null)),
@@ -322,8 +320,7 @@ impl World<'_> {
         // Control traffic: uncorrelated (`req_id` 0), so no fault plan touches it.
         // Its keys are never published: the world is over, nobody pops them.
         let data = shutdown_frame();
-        let arrival_time_us =
-            node0.interp.clock_us + node0.endpoint().config.transfer_time_us(data.len());
+        let arrival_time_us = node0.interp.clock_us + node0.endpoint().transfer_time_us(data.len());
         for to in 1..self.nodes.len() {
             self.net.post(Packet {
                 from: 0,
@@ -348,8 +345,8 @@ impl World<'_> {
             per_node.push(stats_of(&node.interp, rank));
         }
         // Dropping the nodes drops any attached profiler sinks, which flushes a
-        // planner sink's per-request tallies into its shared aggregate — before
-        // the epoch controller (which runs right after this) reads it.
+        // planner sink's per-request tallies into its shared profile — before the
+        // epoch controller (which runs right after this) consults the planner.
         drop(self);
         ExecutionReport {
             virtual_time_us: per_node[0].clock_us,
@@ -372,15 +369,6 @@ impl World<'_> {
 /// is slower than every healthy one — are calibrated to 6 ms.
 pub(crate) const SERVING_DELIVERY_DEADLINE: Duration = Duration::from_millis(6);
 
-/// What a world is instantiated from: the placed per-node programs, their shared
-/// pre-built layouts and the cost model.
-#[derive(Clone, Copy)]
-pub(crate) struct AppView<'s> {
-    pub(crate) programs: &'s [Program],
-    pub(crate) layouts: &'s [Arc<ProgramLayout>],
-    pub(crate) network: &'s NetworkConfig,
-}
-
 /// The admission window, guarded by one lock so claim-and-count is atomic.
 struct Window {
     /// Next sequence index to admit.
@@ -396,7 +384,7 @@ struct Window {
 /// [`crate::cluster::run_distributed_profiled`] both fill this in and call
 /// [`Server::run`]; the fields below `adapt` are zero/empty for the other one.
 pub(crate) struct Server<'s> {
-    pub(crate) apps: Vec<AppView<'s>>,
+    pub(crate) apps: &'s [ServerApp],
     /// `sequence[i]` names the app request `i` instantiates.
     pub(crate) sequence: &'s [usize],
     /// Maximum worlds in flight (the closed-loop window).
@@ -406,7 +394,7 @@ pub(crate) struct Server<'s> {
     pub(crate) faults: &'s [(usize, FaultPlan)],
     /// Adaptive-placement epoch controller; `None` keeps the admission and
     /// completion paths identical to a server without it.
-    pub(crate) adapt: Option<AdaptState<'s>>,
+    pub(crate) adapt: Option<AdaptState>,
     /// Caller-supplied per-node profiler sinks for request 0 (single-root runs).
     pub(crate) profilers: Mutex<Vec<Option<NodeProfiler>>>,
     /// Modelled wall-clock length of the delivery deadline (see
@@ -422,13 +410,13 @@ struct Running<'a, 's> {
     /// The one ready queue every world feeds.
     ready: ReadyQueue,
     /// The world table, a power of two long so `root & mask` finds a key's slot.
-    slots: Vec<Mutex<Option<World<'s>>>>,
+    slots: Vec<Mutex<Option<World>>>,
     window: Mutex<Window>,
     /// Per-request outcomes, indexed by submission order.
     results: Mutex<Vec<Option<RequestReport>>>,
 }
 
-fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+pub(crate) fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(|e| e.into_inner())
 }
 
@@ -545,15 +533,12 @@ impl<'s> Running<'_, 's> {
         let app_idx = server.sequence[index];
         // Adaptive placement: admit under the app's *current* placement — the seed
         // one the caller passed in, or whichever the epoch controller last
-        // installed. The choice is sealed at admission; a later swap never touches
-        // this request.
-        let app = server
-            .adapt
-            .as_ref()
-            .and_then(|a| a.current(app_idx))
-            .map_or(server.apps[app_idx], |a| a.view());
+        // installed. The choice is sealed at admission — the world holds its own
+        // `Arc`s of the placement's layouts — and a later swap never touches it.
+        let current = server.adapt.as_ref().and_then(|a| a.current(app_idx));
+        let app = current.as_deref().unwrap_or(&server.apps[app_idx]);
         let plan = server.faults.iter().find(|(i, _)| *i == index);
-        let size = app.programs.len();
+        let size = app.nodes();
         // The planner's sinks are observational (they record, never steer), so
         // attaching them leaves virtual time and traffic byte-identical — but the
         // instrumentation costs wall-clock, so only an epoch's profiled prefix of
@@ -564,16 +549,17 @@ impl<'s> Running<'_, 's> {
             .filter(|adapt| adapt.admit_profiled(app_idx));
         let mut own = std::mem::take(&mut *lock(&server.profilers));
         let nodes = app
-            .programs
+            .layouts
             .iter()
-            .zip(app.layouts)
             .enumerate()
-            .map(|(rank, (program, layout))| {
-                let dist = DistState::new(MpiEndpoint::new(rank, size, app.network));
-                let mut interp = Interp::with_layout(program, Arc::clone(layout)).with_dist(dist);
+            .map(|(rank, layout)| {
+                let dist = DistState::new(MpiEndpoint::new(rank, size, &app.network));
+                let mut interp = Interp::with_layout(Arc::clone(layout)).with_dist(dist);
                 let sink = match own.get_mut(rank).and_then(Option::take) {
                     Some(p) => Some((p.sink, p.sample_interval)),
-                    None => planner.and_then(|adapt| adapt.profiler_for(app_idx, rank)),
+                    None => planner
+                        .and_then(|adapt| adapt.profiler_for(app_idx, rank))
+                        .map(|sink| (sink, 0)),
                 };
                 if let Some((sink, interval)) = sink {
                     interp = interp.with_profiler(sink, interval);
@@ -607,7 +593,7 @@ impl<'s> Running<'_, 's> {
 
     /// Finishes a world taken out of `slot`: epilogue, result slot, window refill
     /// bookkeeping — and the end of the run when it was the last one.
-    fn complete(&self, slot: usize, world: World<'s>, res: Result<Value, ExecError>) {
+    fn complete(&self, slot: usize, world: World, res: Result<Value, ExecError>) {
         let server = self.server;
         let latency = world.started.elapsed();
         let (index, app, nodes) = (world.index, world.app, world.nodes.len());
@@ -615,7 +601,7 @@ impl<'s> Running<'_, 's> {
         // Feed the completed request into the epoch controller *after* its report
         // is sealed: adaptation can only influence requests admitted later.
         if let Some(adapt) = server.adapt.as_ref() {
-            adapt.observe(app, nodes, &report);
+            adapt.observe(app, nodes);
         }
         lock(&self.results)[index] = Some(RequestReport {
             index,
@@ -680,7 +666,7 @@ impl<'s> Running<'_, 's> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::serve::ServerApp;
+    use crate::net::NetworkConfig;
     use autodist_codegen::rewrite::{rewrite_for_node, ClassPlacement};
     use autodist_ir::frontend::compile_source;
     use std::collections::BTreeMap;
@@ -712,7 +698,7 @@ mod tests {
 
     fn server<'s>(app: &'s ServerApp, sequence: &'s [usize], schedule: Schedule) -> Server<'s> {
         Server {
-            apps: vec![app.view()],
+            apps: std::slice::from_ref(app),
             sequence,
             concurrency: 2,
             schedule,
@@ -784,8 +770,9 @@ mod tests {
         run.ready.push_counted((1, 1), 1);
         run.worker();
         let results = run.results.into_inner().unwrap();
+        let programs: Vec<_> = app.layouts.iter().map(|l| l.program().clone()).collect();
         let solo = crate::cluster::run_distributed(
-            &app.programs,
+            &programs,
             &crate::cluster::ClusterConfig::paper_testbed(),
         );
         for r in results.into_iter().map(Option::unwrap) {

@@ -20,7 +20,10 @@
 //! The expensive part of spinning up a request — decoding, fusing and interning the
 //! placed programs into a [`ProgramLayout`] — is hoisted into [`ServerApp::prepare`]
 //! and shared by every request via `Arc`, so admission cost is just interpreter
-//! state (empty heap, default statics) plus one empty mailbox per node.
+//! state (empty heap, default statics) plus one empty mailbox per node. A
+//! [`ServerApp`] is nothing but those layouts (each owning its program) and the cost
+//! model, and a world holds its own `Arc`s of them: an app — or a placement the
+//! adaptive controller swapped out — lives exactly as long as its last request.
 
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
@@ -28,15 +31,14 @@ use std::time::Instant;
 use autodist_ir::layout::ProgramLayout;
 use autodist_ir::program::Program;
 
-use crate::adapt::{AdaptOptions, AdaptState, SnapshotArena};
+use crate::adapt::{AdaptOptions, AdaptState};
 use crate::cluster::{ExecutionReport, Schedule};
 use crate::net::{FaultPlan, NetworkConfig};
-use crate::sched::{AppView, Server, SERVING_DELIVERY_DEADLINE};
+use crate::sched::{Server, SERVING_DELIVERY_DEADLINE};
 
-/// A *prepared* application the server can instantiate per request: the placed
-/// per-node programs plus their pre-built (shared) layouts and the cost model.
+/// A *prepared* application the server can instantiate per request: one pre-built
+/// (shared) layout per node — each owning its placed program — and the cost model.
 pub struct ServerApp {
-    pub(crate) programs: Vec<Program>,
     pub(crate) layouts: Vec<Arc<ProgramLayout>>,
     pub(crate) network: NetworkConfig,
 }
@@ -52,28 +54,16 @@ impl ServerApp {
             network.nodes(),
             "one placed program per network node"
         );
-        let layouts = ProgramLayout::build_family(&programs, Default::default())
+        let layouts = ProgramLayout::build_family(programs, Default::default())
             .into_iter()
             .map(Arc::new)
             .collect();
-        ServerApp {
-            programs,
-            layouts,
-            network,
-        }
+        ServerApp { layouts, network }
     }
 
     /// Number of virtual nodes a request of this app spans.
     pub fn nodes(&self) -> usize {
-        self.programs.len()
-    }
-
-    pub(crate) fn view(&self) -> AppView<'_> {
-        AppView {
-            programs: &self.programs,
-            layouts: &self.layouts,
-            network: &self.network,
-        }
+        self.layouts.len()
     }
 }
 
@@ -93,11 +83,11 @@ pub struct ServeOptions {
     /// its solo healthy run (pinned by `tests/serving_parity.rs`). Unlisted
     /// requests pay nothing.
     pub faults: Vec<(usize, FaultPlan)>,
-    /// Adaptive placement (see [`crate::adapt`]): when set, the server accumulates
-    /// live per-request traffic and profile data and repartitions between requests
-    /// at epoch boundaries. `None` (the default) is zero-cost — no sinks are
-    /// attached, no state is kept, and serving is byte-identical to a server
-    /// without the feature (like `faults`).
+    /// Adaptive placement (see [`crate::adapt`]): when set, the planner's sinks
+    /// profile a prefix of each epoch's requests and the server repartitions
+    /// between requests at epoch boundaries. `None` (the default) is zero-cost —
+    /// no sinks are attached, no state is kept, and serving is byte-identical to a
+    /// server without the feature (like `faults`).
     pub adapt: Option<AdaptOptions>,
 }
 
@@ -193,20 +183,13 @@ pub fn run_serving(apps: &[ServerApp], sequence: &[usize], opts: &ServeOptions) 
     );
     let concurrency = opts.concurrency.max(1);
     let start = Instant::now();
-    // Declared before the server so it outlives every borrow the epoch controller
-    // hands out (locals drop in reverse declaration order): placements installed
-    // mid-run live here until the serving run itself ends.
-    let adapt_arena = SnapshotArena::default();
     let server = Server {
-        apps: apps.iter().map(ServerApp::view).collect(),
+        apps,
         sequence,
         concurrency,
         schedule: opts.schedule,
         faults: &opts.faults,
-        adapt: opts
-            .adapt
-            .as_ref()
-            .map(|o| AdaptState::new(o, &adapt_arena, apps.len())),
+        adapt: opts.adapt.clone().map(|o| AdaptState::new(o, apps.len())),
         profilers: Mutex::new(Vec::new()),
         deadline_wait: SERVING_DELIVERY_DEADLINE,
     };
@@ -228,6 +211,7 @@ mod tests {
     use autodist_ir::frontend::compile_source;
     use std::collections::BTreeMap as Map;
     use std::sync::atomic::Ordering;
+    use std::sync::Weak;
 
     const PING_SRC: &str = r#"
         class Worker {
@@ -248,28 +232,25 @@ mod tests {
         }
     "#;
 
-    fn ping_app() -> ServerApp {
+    /// The ping program's two node copies, `Main` on node 0 and `Worker` on
+    /// `worker_home`.
+    fn ping_copies(worker_home: usize) -> Vec<Program> {
         let p = compile_source(PING_SRC).unwrap();
         let mut home = Map::new();
         home.insert(p.class_by_name("Main").unwrap(), 0);
-        home.insert(p.class_by_name("Worker").unwrap(), 1);
+        home.insert(p.class_by_name("Worker").unwrap(), worker_home);
         let placement = ClassPlacement { home, nparts: 2 };
-        let programs: Vec<Program> = (0..2)
+        (0..2)
             .map(|n| rewrite_for_node(&p, &placement, n).program)
-            .collect();
-        ServerApp::prepare(programs, NetworkConfig::paper_testbed())
+            .collect()
+    }
+
+    fn ping_app() -> ServerApp {
+        ServerApp::prepare(ping_copies(1), NetworkConfig::paper_testbed())
     }
 
     fn ping_single_run() -> ExecutionReport {
-        let p = compile_source(PING_SRC).unwrap();
-        let mut home = Map::new();
-        home.insert(p.class_by_name("Main").unwrap(), 0);
-        home.insert(p.class_by_name("Worker").unwrap(), 1);
-        let placement = ClassPlacement { home, nparts: 2 };
-        let programs: Vec<Program> = (0..2)
-            .map(|n| rewrite_for_node(&p, &placement, n).program)
-            .collect();
-        run_distributed(&programs, &ClusterConfig::paper_testbed())
+        run_distributed(&ping_copies(1), &ClusterConfig::paper_testbed())
     }
 
     fn assert_matches_single(report: &ServingReport, single: &ExecutionReport) {
@@ -355,21 +336,15 @@ mod tests {
     }
 
     impl crate::adapt::Replanner for Colocate {
-        fn replan(&self, profile: &crate::adapt::EpochProfile) -> Option<ServerApp> {
-            assert!(profile.requests > 0);
+        fn replan(&self, app: usize) -> Option<ServerApp> {
+            assert_eq!(app, 0);
             if self.fired.swap(true, Ordering::SeqCst) {
                 return None;
             }
-            assert!(profile.messages > 0, "the split placement messages");
-            let p = compile_source(PING_SRC).unwrap();
-            let mut home = Map::new();
-            home.insert(p.class_by_name("Main").unwrap(), 0);
-            home.insert(p.class_by_name("Worker").unwrap(), 0);
-            let placement = ClassPlacement { home, nparts: 2 };
-            let programs: Vec<Program> = (0..2)
-                .map(|n| rewrite_for_node(&p, &placement, n).program)
-                .collect();
-            Some(ServerApp::prepare(programs, NetworkConfig::paper_testbed()))
+            Some(ServerApp::prepare(
+                ping_copies(0),
+                NetworkConfig::paper_testbed(),
+            ))
         }
     }
 
@@ -420,10 +395,10 @@ mod tests {
     /// None` — and the observational sinks it never attaches cost nothing.
     #[test]
     fn declining_planner_changes_nothing() {
-        use crate::adapt::{AdaptOptions, EpochProfile, Replanner};
+        use crate::adapt::{AdaptOptions, Replanner};
         struct Decline;
         impl Replanner for Decline {
-            fn replan(&self, _p: &EpochProfile) -> Option<ServerApp> {
+            fn replan(&self, _app: usize) -> Option<ServerApp> {
                 None
             }
         }
@@ -441,6 +416,55 @@ mod tests {
         );
         assert_eq!(report.placement_swaps, 0);
         assert_matches_single(&report, &single);
+    }
+
+    /// A planner that installs a fresh co-located placement at every epoch boundary.
+    /// It keeps a `Weak` to the first one's node-0 layout and records, at its third
+    /// consultation, whether that placement was freed.
+    #[derive(Default)]
+    struct SwapEveryEpoch(Mutex<(usize, Weak<ProgramLayout>, bool)>);
+
+    impl crate::adapt::Replanner for SwapEveryEpoch {
+        fn replan(&self, _app: usize) -> Option<ServerApp> {
+            let mut state = self.0.lock().unwrap();
+            let (calls, first, freed) = &mut *state;
+            *calls += 1;
+            if *calls == 3 {
+                *freed = first.upgrade().is_none();
+            }
+            let app = ServerApp::prepare(ping_copies(0), NetworkConfig::paper_testbed());
+            if *calls == 1 {
+                *first = Arc::downgrade(&app.layouts[0]);
+            }
+            Some(app)
+        }
+    }
+
+    /// A swapped-out placement lives only as long as the requests admitted under it:
+    /// at window 1, the first swapped-in placement is replaced at the second epoch
+    /// boundary, after its one request completed, and is gone by the third.
+    #[test]
+    fn a_swapped_out_placement_is_freed() {
+        use crate::adapt::AdaptOptions;
+        let planner = Arc::new(SwapEveryEpoch::default());
+        let report = run_serving(
+            std::slice::from_ref(&ping_app()),
+            &[0; 4],
+            &ServeOptions {
+                concurrency: 1,
+                schedule: Schedule::Inline,
+                adapt: Some(AdaptOptions::new(planner.clone()).with_epoch(1)),
+                ..ServeOptions::default()
+            },
+        );
+        assert!(report.is_ok());
+        assert_eq!(report.placement_swaps, 4);
+        let (calls, _, freed) = &*planner.0.lock().unwrap();
+        assert_eq!(*calls, 4);
+        assert!(
+            freed,
+            "the first swapped-out placement outlived its requests"
+        );
     }
 
     #[test]

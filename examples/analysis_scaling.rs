@@ -84,7 +84,7 @@ fn node_copies() {
                 {
                     *b = b.min(ms);
                 }
-                let layouts = ProgramLayout::build_family(&plan.programs(), Default::default());
+                let layouts = ProgramLayout::build_family(plan.programs(), Default::default());
                 let all = layouts.iter().flat_map(|l| &l.method_ops);
                 let distinct: HashSet<_> = all.clone().map(Arc::as_ptr).collect();
                 bodies = (distinct.len(), all.count());

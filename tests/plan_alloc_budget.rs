@@ -117,7 +117,7 @@ fn planning_stays_inside_its_allocation_budget() {
         assert_eq!(app.nodes(), nodes);
         let programs = plan.programs();
         let (_, layout_allocs) =
-            counted(|| ProgramLayout::build_family(&programs, Default::default()));
+            counted(|| ProgramLayout::build_family(programs, Default::default()));
         let whole = gen_allocs + distribute_allocs + prepare_allocs;
         whole_ops += whole;
         println!(
@@ -184,7 +184,7 @@ fn a_nodes_copy_shares_every_method_the_rewriter_left_alone() {
         // One level down: two copies hold the same method wherever neither rewrote
         // it, and the layouts the server is prepared with follow the copies — one
         // shape allocation, one decoded body per distinct method.
-        let layouts = ProgramLayout::build_family(&handed_over, Default::default());
+        let layouts = ProgramLayout::build_family(handed_over.clone(), Default::default());
         let mut distinct_methods = HashSet::new();
         let mut distinct_bodies = HashSet::new();
         for (rank, (copy, layout)) in handed_over.iter().zip(&layouts).enumerate() {

@@ -193,7 +193,7 @@ fn a_family_of_layouts_is_the_standalone_layouts_sharing_what_the_copies_share()
                 .expect("plans");
             let copies = plan.programs();
             for opts in [LayoutOptions { fuse: true }, LayoutOptions { fuse: false }] {
-                let family = ProgramLayout::build_family(&copies, opts);
+                let family = ProgramLayout::build_family(copies.clone(), opts);
                 assert_eq!(family.len(), nodes);
                 for (node, (layout, copy)) in family.iter().zip(&copies).enumerate() {
                     let what = format!("{name} on {nodes}, node {node}, {opts:?}");
