@@ -24,6 +24,13 @@
 //! for `statics_snapshot` and diagnostics; the interpret loop itself only ever uses
 //! the dense indices.
 //!
+//! String literals are interned per family into [`Literals`]: [`Op::ConstStr`] carries
+//! a literal's index, the pool maps content back to that index, and each literal
+//! carries what it names in the shape (a class, a selector, a field-name id). The
+//! runtime numbers a node's strings from this pool — a literal's id is its index — so
+//! a rewritten `DependentObject` site, whose class and member names are literals,
+//! resolves them by index rather than by hashing the name on every call.
+//!
 //! Field-name shadowing note: the previous map-based heap stored one entry per *name*,
 //! so a subclass redeclaring a superclass field aliased it. The layout reproduces that
 //! behaviour by assigning the shadowing declaration the same slot as the shadowed one.
@@ -32,7 +39,7 @@
 //! ([`LayoutShape`]: class layouts, vtables, selectors, field-name ids, static slots,
 //! names — exactly what the shape fingerprint covers) depends on nothing a per-node
 //! rewrite touches, so the layouts of a plan's copies hold one shape behind one
-//! `Arc`. The **ops** (`method_ops`, `const_strs`) are the decoded bodies:
+//! `Arc`. The **ops** (`method_ops`, `literals`) are the decoded bodies:
 //! `Vec<Arc<MethodOps>>`, one `Arc` per distinct `Arc<Method>`, against one
 //! string-constant pool. The family constructor [`ProgramLayout::build_family`]
 //! builds the layouts of several programs in one call and is where the sharing
@@ -68,6 +75,7 @@
 //! virtual time is bit-identical with fusion on or off.
 
 use std::collections::HashMap;
+use std::hash::{BuildHasher, BuildHasherDefault, Hasher};
 use std::sync::Arc;
 
 use crate::bytecode::{BinOp, CmpOp, Const, Insn, InvokeKind, UnOp};
@@ -114,7 +122,7 @@ impl ArrayInit {
 /// name-carrying payload is already resolved: field accesses carry their dense slot,
 /// invokes carry the argument count, the callee selector and whether the call site
 /// expects a pushed result, and string constants are indices into the shared constant
-/// pool ([`ProgramLayout::const_strs`]).
+/// pool ([`ProgramLayout::literals`]).
 ///
 /// The fusion pass then optionally collapses hot sequences into the superinstruction
 /// variants grouped at the end of the enum ([`Op::IncLocal`] and friends); after
@@ -348,8 +356,9 @@ impl ClassLayout {
 pub struct LayoutShape {
     /// Per-class layouts, indexed by [`ClassId`].
     pub classes: Vec<ClassLayout>,
-    /// Global static slot → `Class::field` key (the `statics_snapshot` wire names).
-    pub static_names: Vec<String>,
+    /// Global static slot → `Class::field` key (the `statics_snapshot` names, shared
+    /// by every snapshot taken of the layout).
+    pub static_names: Arc<[String]>,
     /// Global static slot → declared type (for Java-style default initialisation).
     pub static_types: Vec<Type>,
     /// Selector per [`MethodId`] (methods with the same name share a selector).
@@ -366,6 +375,8 @@ pub struct LayoutShape {
     /// Interned method names, indexed by [`MethodId`]. Cold error paths (unknown
     /// method) carry one of these `Arc`s instead of cloning the `String`.
     method_names: Vec<Arc<str>>,
+    /// Per class, its own `<init>` (what a `NEW` served at home runs), if declared.
+    constructors: Vec<Option<MethodId>>,
     /// Total number of selectors (vtable width).
     pub selector_count: usize,
     /// Stable structural hash of the *shape* tables — class names and superclass
@@ -393,9 +404,8 @@ pub struct ProgramLayout {
     /// the same `Arc` wherever their programs hold the same `Arc<Method>`.
     pub method_ops: Vec<Arc<MethodOps>>,
     /// Interned string constants referenced by [`Op::ConstStr`], deduplicated across
-    /// the whole family (one allocation per distinct literal, cloned by refcount):
-    /// shared bodies index one pool.
-    pub const_strs: Arc<[Arc<str>]>,
+    /// the whole family: shared bodies index one pool.
+    pub literals: Arc<Literals>,
 }
 
 impl std::ops::Deref for ProgramLayout {
@@ -407,20 +417,164 @@ impl std::ops::Deref for ProgramLayout {
     }
 }
 
-/// The string constants of a family's bodies, in first-use order, with their index.
-#[derive(Default)]
-struct StrPool {
-    strs: Vec<Arc<str>>,
-    index: HashMap<Arc<str>, u32>,
+/// A word-at-a-time multiplicative hash (the FxHash scheme) for the literal map: a
+/// string is hashed eight bytes per step, so recognising a long tag read off the wire
+/// as a literal costs a fraction of copying it. Not keyed: the map's keys are the
+/// program's own literals, fixed at load time, so a probe crafted to collide costs
+/// at most a scan of one bucket of them.
+#[derive(Clone, Copy, Debug, Default)]
+pub struct StrHasher(u64);
+
+impl StrHasher {
+    #[inline]
+    fn add(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0xf135_7aea_2e62_a9c5);
+    }
 }
 
-/// What [`ProgramLayout::build_family`] keeps per shape while it decodes: the string
-/// pool its bodies index and the bodies decoded so far, by the address of the
-/// [`Method`] they came from (the programs outlive the call, so an address names one
-/// method).
+impl Hasher for StrHasher {
+    #[inline]
+    fn write(&mut self, bytes: &[u8]) {
+        let mut words = bytes.chunks_exact(8);
+        for w in &mut words {
+            self.add(u64::from_le_bytes(w.try_into().expect("eight bytes")));
+        }
+        let tail = words.remainder();
+        if !tail.is_empty() {
+            let mut last = [0u8; 8];
+            last[..tail.len()].copy_from_slice(tail);
+            self.add(u64::from_le_bytes(last));
+        }
+    }
+
+    #[inline]
+    fn write_u8(&mut self, b: u8) {
+        self.add(u64::from(b));
+    }
+
+    #[inline]
+    fn finish(&self) -> u64 {
+        // The multiply leaves its best bits on top; the table indexes by the bottom.
+        self.0.rotate_left(26)
+    }
+}
+
+/// Distinct strings numbered in first-seen order, each stored once (the vector and
+/// the map share it), with the map from content back to number. `S` hashes the map:
+/// [`StrHasher`] for a program's own literals, a keyed hasher where the keys arrive
+/// from outside.
+#[derive(Debug, Default)]
+pub struct Interner<S = BuildHasherDefault<StrHasher>> {
+    strs: Vec<Arc<str>>,
+    ids: HashMap<Arc<str>, u32, S>,
+}
+
+impl<S: BuildHasher> Interner<S> {
+    /// Number of distinct strings.
+    #[inline]
+    pub fn len(&self) -> usize {
+        self.strs.len()
+    }
+
+    /// `true` when nothing was interned.
+    pub fn is_empty(&self) -> bool {
+        self.strs.is_empty()
+    }
+
+    /// String number `id`.
+    #[inline]
+    pub fn get(&self, id: u32) -> Option<&str> {
+        self.strs.get(id as usize).map(|s| &**s)
+    }
+
+    /// The number of the string equal to `s`, if one is.
+    #[inline]
+    pub fn id_of(&self, s: &str) -> Option<u32> {
+        self.ids.get(s).copied()
+    }
+
+    /// The number of `s`, added at the end if it is new.
+    pub fn intern(&mut self, s: &str) -> u32 {
+        if let Some(id) = self.id_of(s) {
+            return id;
+        }
+        let id = self.strs.len() as u32;
+        let s: Arc<str> = Arc::from(s);
+        self.ids.insert(Arc::clone(&s), id);
+        self.strs.push(s);
+        id
+    }
+}
+
+/// The string constants of a family's bodies, in first-use order — [`Op::ConstStr`]
+/// carries the index — with the map from content back to index and, per literal,
+/// what it names in the family's shape.
+#[derive(Debug, Default)]
+pub struct Literals {
+    strs: Interner,
+    names: Vec<LiteralNames>,
+}
+
+/// What one literal names in a shape, by kind (`None` where it names nothing).
+#[derive(Clone, Copy, Debug, Default)]
+struct LiteralNames {
+    class: Option<ClassId>,
+    selector: Option<u32>,
+    field: Option<u32>,
+}
+
+impl std::ops::Deref for Literals {
+    type Target = Interner;
+
+    #[inline]
+    fn deref(&self) -> &Interner {
+        &self.strs
+    }
+}
+
+impl Literals {
+    /// The class literal `id` names.
+    #[inline]
+    pub fn class(&self, id: u32) -> Option<ClassId> {
+        self.names.get(id as usize)?.class
+    }
+
+    /// The selector of the method name literal `id` spells.
+    #[inline]
+    pub fn selector(&self, id: u32) -> Option<u32> {
+        self.names.get(id as usize)?.selector
+    }
+
+    /// The field-name id of the field name literal `id` spells.
+    #[inline]
+    pub fn field_name_id(&self, id: u32) -> Option<u32> {
+        self.names.get(id as usize)?.field
+    }
+
+    /// Fills in what every literal names, against `shape` and a program of it (class
+    /// names are part of the shape, so any program of the family answers alike).
+    fn resolve_names(&mut self, program: &Program, shape: &LayoutShape) {
+        self.names = self
+            .strs
+            .strs
+            .iter()
+            .map(|s| LiteralNames {
+                class: program.class_by_name(s),
+                selector: shape.selector_of_name(s),
+                field: shape.field_name_id(s),
+            })
+            .collect();
+    }
+}
+
+/// What [`ProgramLayout::build_family`] keeps per shape while it decodes: a program
+/// of the shape, the string pool its bodies index and the bodies decoded so far, by
+/// the address of the [`Method`] they came from (the programs outlive the call, so an
+/// address names one method).
 struct Family {
     shape: Arc<LayoutShape>,
-    pool: StrPool,
+    program: usize,
+    pool: Literals,
     decoded: HashMap<*const Method, Arc<MethodOps>>,
 }
 
@@ -458,7 +612,8 @@ impl ProgramLayout {
         let mut fuse_scratch = (Vec::new(), Vec::new());
         let bodies: Vec<(usize, Vec<Arc<MethodOps>>)> = programs
             .iter()
-            .map(|program| {
+            .enumerate()
+            .map(|(index, program)| {
                 let fingerprint = shape_fingerprint(program);
                 let known = families
                     .iter()
@@ -466,7 +621,8 @@ impl ProgramLayout {
                 let at = known.unwrap_or_else(|| {
                     families.push(Family {
                         shape: Arc::new(LayoutShape::of(program, fingerprint)),
-                        pool: StrPool::default(),
+                        program: index,
+                        pool: Literals::default(),
                         decoded: HashMap::with_capacity(program.methods.len()),
                     });
                     families.len() - 1
@@ -475,6 +631,7 @@ impl ProgramLayout {
                     shape,
                     pool,
                     decoded,
+                    ..
                 } = &mut families[at];
                 let method_ops = program.methods.iter().map(|m| {
                     let ops = decoded.entry(Arc::as_ptr(m)).or_insert_with(|| {
@@ -488,11 +645,14 @@ impl ProgramLayout {
         // What the layouts of one family have in common: the shape and the finished pool.
         let shared: Vec<ProgramLayout> = families
             .into_iter()
-            .map(|f| ProgramLayout {
-                program: Program::default(),
-                shape: f.shape,
-                method_ops: Vec::new(),
-                const_strs: f.pool.strs.into(),
+            .map(|mut f| {
+                f.pool.resolve_names(&programs[f.program], &f.shape);
+                ProgramLayout {
+                    program: Program::default(),
+                    shape: f.shape,
+                    method_ops: Vec::new(),
+                    literals: Arc::new(f.pool),
+                }
             })
             .collect();
         bodies
@@ -514,12 +674,6 @@ impl ProgramLayout {
     #[inline]
     pub fn ops(&self, method: MethodId) -> &MethodOps {
         &self.method_ops[method.0 as usize]
-    }
-
-    /// An interned string constant by pool index.
-    #[inline]
-    pub fn const_str(&self, idx: u32) -> &Arc<str> {
-        &self.const_strs[idx as usize]
     }
 }
 
@@ -546,6 +700,11 @@ impl LayoutShape {
         }
         let selector_count = selector_of_name.len();
         let method_classes = program.methods.iter().map(|m| m.class).collect();
+        let constructors = program
+            .classes
+            .iter()
+            .map(|c| program.find_method(c.id, "<init>"))
+            .collect();
 
         // Field-name ids: one per distinct field name, in (class, field)
         // declaration order.
@@ -656,13 +815,14 @@ impl LayoutShape {
 
         LayoutShape {
             classes,
-            static_names,
+            static_names: static_names.into(),
             static_types,
             selectors,
             method_classes,
             selector_of_name,
             field_name_ids,
             method_names,
+            constructors,
             selector_count,
             fingerprint,
         }
@@ -675,7 +835,7 @@ impl LayoutShape {
         program: &Program,
         method: &Method,
         opts: LayoutOptions,
-        pool: &mut StrPool,
+        pool: &mut Literals,
         fuse_scratch: &mut (Vec<bool>, Vec<u32>),
     ) -> MethodOps {
         let decoded: Vec<Op> = method
@@ -698,21 +858,13 @@ impl LayoutShape {
     /// Decodes one instruction against the built tables. Infallible by construction:
     /// every [`Insn`] maps to exactly one [`Op`], with unresolvable field references
     /// carrying [`NO_SLOT`] (reproducing the pre-decode `Option` semantics).
-    fn decode_insn(&self, program: &Program, insn: &Insn, pool: &mut StrPool) -> Op {
+    fn decode_insn(&self, program: &Program, insn: &Insn, pool: &mut Literals) -> Op {
         match insn {
             Insn::Const(Const::Int(v)) => Op::ConstInt(*v),
             Insn::Const(Const::Float(v)) => Op::ConstFloat(*v),
             Insn::Const(Const::Bool(v)) => Op::ConstBool(*v),
             Insn::Const(Const::Null) => Op::ConstNull,
-            Insn::Const(Const::Str(s)) => Op::ConstStr(match pool.index.get(s.as_str()) {
-                Some(&i) => i,
-                None => {
-                    let i = pool.strs.len() as u32;
-                    pool.strs.push(Arc::from(s.as_str()));
-                    pool.index.insert(Arc::clone(&pool.strs[i as usize]), i);
-                    i
-                }
-            }),
+            Insn::Const(Const::Str(s)) => Op::ConstStr(pool.strs.intern(s)),
             Insn::Load(n) => Op::Load(*n),
             Insn::Store(n) => Op::Store(*n),
             Insn::Dup => Op::Dup,
@@ -839,6 +991,12 @@ impl LayoutShape {
     #[inline]
     pub fn method_class(&self, method: MethodId) -> ClassId {
         self.method_classes[method.0 as usize]
+    }
+
+    /// `class`'s own constructor (`<init>`), if it declares one.
+    #[inline]
+    pub fn constructor(&self, class: ClassId) -> Option<MethodId> {
+        self.constructors[class.0 as usize]
     }
 
     /// The interned name of `method`: cloning the returned `Arc` is a refcount bump,
@@ -1211,14 +1369,64 @@ mod tests {
             Insn::Return,
         ];
         let layout = ProgramLayout::build(&p);
-        assert_eq!(layout.const_strs.len(), 2, "literals are deduplicated");
+        assert_eq!(layout.literals.len(), 2, "literals are deduplicated");
         let ops = &layout.ops(m).ops;
         assert_eq!(ops[0], ops[2], "same literal, same pool index");
         assert_ne!(ops[0], ops[4]);
         match ops[0] {
-            Op::ConstStr(i) => assert_eq!(&*layout.const_str(i).clone(), "dup"),
+            Op::ConstStr(i) => {
+                assert_eq!(layout.literals.get(i), Some("dup"));
+                assert_eq!(layout.literals.id_of("dup"), Some(i), "content maps back");
+            }
             ref other => panic!("expected ConstStr, got {other:?}"),
         }
+        assert_eq!(layout.literals.id_of("absent"), None);
+    }
+
+    #[test]
+    fn an_interner_stores_each_content_once() {
+        let mut strs: Interner = Interner::default();
+        let ab = strs.intern("ab");
+        assert_eq!(strs.intern("a"), ab + 1);
+        let built = format!("{}{}", "a", "b");
+        assert_eq!(strs.intern(&built), ab, "equal content, one number");
+        assert_eq!(strs.get(ab), Some("ab"));
+        assert_eq!((strs.len(), strs.id_of("zz")), (2, None));
+    }
+
+    #[test]
+    fn literals_know_what_they_name_and_classes_their_constructors() {
+        let mut p = sample();
+        let a = p.class_by_name("A").unwrap();
+        let b = p.class_by_name("B").unwrap();
+        let ctor = p.add_method(a, "<init>", vec![], Type::Void, false);
+        let m = p.find_method(a, "m").unwrap();
+        let mut body = Vec::new();
+        for literal in ["B", "n", "y", "other"] {
+            body.extend([Insn::Const(Const::Str(literal.into())), Insn::Pop]);
+        }
+        body.push(Insn::Return);
+        p.set_body(m, body, 1);
+        let layout = ProgramLayout::build(&p);
+        let lits = &layout.literals;
+        let id = |s: &str| lits.id_of(s).unwrap();
+        assert_eq!(lits.class(id("B")), Some(b));
+        assert_eq!(lits.selector(id("n")), layout.selector_of_name("n"));
+        assert_eq!(lits.field_name_id(id("y")), layout.field_name_id("y"));
+        let other = id("other");
+        let names = (
+            lits.class(other),
+            lits.selector(other),
+            lits.field_name_id(other),
+        );
+        assert_eq!(names, (None, None, None));
+        assert_eq!(lits.class(99), None, "out of range");
+        assert_eq!(layout.constructor(a), Some(ctor));
+        assert_eq!(
+            layout.constructor(b),
+            None,
+            "a constructor is not inherited"
+        );
     }
 
     #[test]
@@ -1475,7 +1683,7 @@ mod tests {
             &copy.methods[n.0 as usize]
         ));
         assert!(Arc::ptr_eq(&family[0].shape, &family[1].shape));
-        assert!(Arc::ptr_eq(&family[0].const_strs, &family[1].const_strs));
+        assert!(Arc::ptr_eq(&family[0].literals, &family[1].literals));
         for m in 0..source.methods.len() {
             assert_eq!(
                 Arc::ptr_eq(&family[0].method_ops[m], &family[1].method_ops[m]),
@@ -1484,7 +1692,9 @@ mod tests {
             );
         }
         // One pool for both: the shared bodies' literals first, then the copy's own.
-        let pool: Vec<&str> = family[0].const_strs.iter().map(|s| &**s).collect();
+        let literals = &family[0].literals;
+        let pool: Vec<&str> = (0..3).filter_map(|i| literals.get(i)).collect();
+        assert_eq!(literals.len(), 3);
         assert_eq!(pool, ["left", "right", "other"]);
         assert_eq!(family[1].ops(n).ops[0], Op::ConstStr(2));
         assert_eq!(family[1].ops(n).locals, 2);
@@ -1503,7 +1713,7 @@ mod tests {
             ProgramLayout::build_family(vec![one.clone(), other.clone(), one.clone()], OPTS);
         assert_ne!(family[0].fingerprint(), family[1].fingerprint());
         assert!(!Arc::ptr_eq(&family[0].shape, &family[1].shape));
-        assert!(!Arc::ptr_eq(&family[0].const_strs, &family[1].const_strs));
+        assert!(!Arc::ptr_eq(&family[0].literals, &family[1].literals));
         for m in 0..one.methods.len() {
             assert!(!Arc::ptr_eq(
                 &family[0].method_ops[m],

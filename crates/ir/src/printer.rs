@@ -271,7 +271,7 @@ pub fn format_op(program: &Program, layout: &ProgramLayout, op: &Op) -> String {
         Op::ConstInt(v) => format!("const.i {v}"),
         Op::ConstFloat(v) => format!("const.f {v}"),
         Op::ConstBool(v) => format!("const.b {v}"),
-        Op::ConstStr(i) => format!("const.s {:?}", &**layout.const_str(*i)),
+        Op::ConstStr(i) => format!("const.s {:?}", layout.literals.get(*i).unwrap_or_default()),
         Op::ConstNull => "const.null".to_string(),
         Op::Load(n) => format!("load {n}"),
         Op::Store(n) => format!("store {n}"),

@@ -12,7 +12,6 @@
 //! a distributed execution — the worker loop in [`crate::sched`] — and
 //! [`run_distributed`] goes through it as a serving run of one request at window 1.
 
-use std::collections::BTreeMap;
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
@@ -22,7 +21,7 @@ use crate::interp::{ExecError, Interp, ProfilerSink};
 use crate::net::{FaultPlan, FaultSummary, NetworkConfig};
 use crate::sched::Server;
 use crate::serve::ServerApp;
-use crate::value::Value;
+use crate::value::Statics;
 
 /// How many OS threads run the worker loop. Virtual times, message counts and
 /// results are identical under both.
@@ -106,9 +105,10 @@ pub struct ExecutionReport {
     pub wall_time_ms: f64,
     /// Per-node statistics (a single entry for centralized runs).
     pub per_node: Vec<NodeStats>,
-    /// Final values of static fields on the launch node (used to check that the
-    /// distributed execution computes the same answers as the centralized one).
-    pub final_statics: BTreeMap<String, Value>,
+    /// Final values of static fields on the launch node, strings resolved (used to
+    /// check that the distributed execution computes the same answers as the
+    /// centralized one).
+    pub final_statics: Statics,
     /// The typed runtime fault if execution failed.
     pub error: Option<ExecError>,
     /// Fault-layer activity of the run, when a [`FaultPlan`] was attached (`None`
@@ -259,6 +259,7 @@ pub fn run_distributed_profiled(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::value::StaticValue;
     use autodist_codegen::rewrite::{rewrite_for_node, ClassPlacement};
     use autodist_ir::frontend::compile_source;
     use std::collections::BTreeMap as Map;
@@ -399,7 +400,7 @@ mod tests {
         assert!(report.is_ok(), "{:?}", report.error);
         assert_eq!(
             report.final_statics.get("Main::result"),
-            Some(&Value::Int(10 * 1000 + 50000 - 900))
+            Some(&StaticValue::Int(10 * 1000 + 50000 - 900))
         );
         assert!(report.virtual_time_us > 0.0);
         assert_eq!(report.total_messages(), 0);
@@ -441,7 +442,7 @@ mod tests {
         assert_eq!(report.total_messages(), 0);
         assert_eq!(
             report.final_statics.get("Main::result"),
-            Some(&Value::Int(10 * 1000 + 50000 - 900))
+            Some(&StaticValue::Int(10 * 1000 + 50000 - 900))
         );
     }
 
@@ -512,7 +513,7 @@ mod tests {
             assert_matches_threaded_record(&report, &BANK_THREADED);
             assert_eq!(
                 report.final_statics.get("Main::result"),
-                Some(&Value::Int(10 * 1000 + 50000 - 900))
+                Some(&StaticValue::Int(10 * 1000 + 50000 - 900))
             );
         }
     }
@@ -576,7 +577,7 @@ mod tests {
         assert_eq!(report.total_messages(), 0);
         assert_eq!(
             report.final_statics.get("Main::result"),
-            Some(&Value::Int(10 * 1000 + 50000 - 900))
+            Some(&StaticValue::Int(10 * 1000 + 50000 - 900))
         );
     }
 
@@ -606,7 +607,7 @@ mod tests {
         assert_eq!(report.per_node.len(), nodes);
         assert_eq!(
             report.final_statics.get("Main::result"),
-            Some(&Value::Int(10 * 1000 + 50000 - 900))
+            Some(&StaticValue::Int(10 * 1000 + 50000 - 900))
         );
         assert!(report.total_messages() > 0);
     }
@@ -627,7 +628,7 @@ mod tests {
         assert_matches_threaded_record(&report, &RELAY_THREADED);
         assert_eq!(
             report.final_statics.get("Main::result"),
-            Some(&Value::Int(3))
+            Some(&StaticValue::Int(3))
         );
     }
 
@@ -647,12 +648,74 @@ mod tests {
         assert_matches_threaded_record(&report, &RELAY_THREADED);
         assert_eq!(
             report.final_statics.get("Main::result"),
-            Some(&Value::Int(3))
+            Some(&StaticValue::Int(3))
         );
         assert!(
             report.per_node[0].requests_served > 0,
             "the launch node served the callback while parked"
         );
+    }
+
+    /// Strings are per-node ids, so what crosses a node — a `NEW` argument built at
+    /// run time, invoke arguments and results, a remote field read — must arrive as
+    /// content: `+`, `==` against a literal and `<` come out as in the centralized
+    /// run, and so do the string statics, under either schedule.
+    #[test]
+    fn strings_cross_nodes_by_content() {
+        let src = r#"
+            class Shop {
+                String name;
+                Shop(String name) { this.name = name; }
+                String greet(String who) { return this.name + ", " + who; }
+                boolean before(String a, String b) { return a < b; }
+            }
+            class Main {
+                static String greeting;
+                static String owner;
+                static int result;
+                static void main() {
+                    Shop s = new Shop("Mer" + "chants");
+                    String g = s.greet("ABC");
+                    greeting = g;
+                    owner = s.name;
+                    if (g == "Merchants, ABC") { result = result + 1; }
+                    if (s.before("ABC", g)) { result = result + 10; }
+                    if (s.before(g, "ABC")) { result = result + 1000; }
+                    String zz = "z" + "z";
+                    String ab = "a" + "b";
+                    if (s.before(zz, ab)) { result = result + 10000; }
+                    if (owner == "Merchants") { result = result + 100; }
+                }
+            }
+        "#;
+        let p = compile_source(src).unwrap();
+        let central = run_centralized(&p, 1.0);
+        assert!(central.is_ok(), "{:?}", central.error);
+        assert_eq!(
+            central.final_statics.get("Main::greeting"),
+            Some(&StaticValue::Str("Merchants, ABC".into()))
+        );
+        assert_eq!(
+            central.final_statics.get("Main::result"),
+            Some(&StaticValue::Int(111))
+        );
+        let mut home = Map::new();
+        home.insert(p.class_by_name("Main").unwrap(), 0);
+        home.insert(p.class_by_name("Shop").unwrap(), 1);
+        let placement = ClassPlacement { home, nparts: 2 };
+        let copies: Vec<autodist_ir::Program> = (0..2)
+            .map(|n| rewrite_for_node(&p, &placement, n).program)
+            .collect();
+        for schedule in [Schedule::Inline, Schedule::Pool { threads: 2 }] {
+            let config = ClusterConfig {
+                schedule,
+                ..ClusterConfig::paper_testbed()
+            };
+            let dist = run_distributed(&copies, &config);
+            assert!(dist.is_ok(), "{schedule:?}: {:?}", dist.error);
+            assert!(dist.per_node[1].requests_served >= 4, "{schedule:?}");
+            assert_eq!(dist.final_statics, central.final_statics, "{schedule:?}");
+        }
     }
 
     #[test]

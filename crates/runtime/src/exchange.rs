@@ -18,13 +18,20 @@
 //! into the callee frame's locals (receiver in slot 0; a field or array access needs at
 //! most two stack locals). No intermediate collection is built on either side.
 //!
+//! A string crosses as its bytes: marshalling copies them out of the sender's string
+//! table into the frame, and unmarshalling interns them straight off the frame into
+//! the receiver's — a string equal to one of the receiver's literals (a tag the
+//! program spells out) becomes that literal's id and costs nothing.
+//!
 //! Names do not cross the wire: the one place a name is still data — the `Value::Str`
-//! member a rewritten `DependentObject.access` site passes — is resolved to a dense id
-//! by one probe of the layout's interning maps at the send site, and the receiver
-//! resolves the id against the target's runtime class. Ids that come *off* the wire
-//! (export ids, node ranks, class ids) are checked here, at the boundary, so nothing
-//! behind it indexes with one unchecked.
+//! class or member name a rewritten `DependentObject` site passes, always one of the
+//! rewriter's literals — is resolved to a dense id by an index into the layout's
+//! per-literal name columns at the send site (a string the program built is probed by
+//! content), and the receiver resolves the id against the target's runtime class. Ids
+//! that come *off* the wire (export ids, node ranks, class ids) are checked here, at
+//! the boundary, so nothing behind it indexes with one unchecked.
 
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -33,7 +40,7 @@ use bytes::{Bytes, BytesMut};
 
 use crate::interp::{Continuation, ExecError, Frame, Interp, ResumeAction};
 use crate::net::MpiEndpoint;
-use crate::value::{HeapObject, ObjRef, Value};
+use crate::value::{HeapObject, ObjRef, StrId, Value};
 use crate::wire::{self, AccessKind, FrameHead, Response, WireError, WireValue};
 
 /// Distributed-execution state attached to an interpreter running as one node of the
@@ -146,7 +153,7 @@ impl Interp {
     /// Records a remote identity in a proxy object's home/remoteId/className slots so
     /// later accesses route to the object's home node — the single encoding of the
     /// proxy representation.
-    pub(crate) fn bind_proxy(&mut self, proxy: u32, node: usize, id: u64, class_name: Arc<str>) {
+    pub(crate) fn bind_proxy(&mut self, proxy: u32, node: usize, id: u64, class_name: StrId) {
         if let Some((hs, rs, cs)) = self.proxy_slots {
             if let HeapObject::Object { fields, .. } = &mut self.heap[proxy as usize] {
                 fields[hs] = Value::Int(node as i64);
@@ -163,8 +170,7 @@ impl Interp {
         let r = self.new_instance(class);
         let ctor = self
             .layout
-            .program()
-            .find_method(class, "<init>")
+            .constructor(class)
             .filter(|&c| !self.layout.ops(c).ops.is_empty());
         (r, ctor)
     }
@@ -256,9 +262,10 @@ impl Interp {
                 }
             },
             Value::Ref(r @ ObjRef::Remote { .. }) => *r,
-            other => {
+            &other => {
                 return Err(ExecError::Unsupported(format!(
-                    "method call on non-reference {other:?}"
+                    "method call on non-reference {}",
+                    self.show(other)
                 )))
             }
         };
@@ -292,8 +299,9 @@ impl Interp {
                         (Value::Ref(ObjRef::Local(h)), Some(_)) => Some(*h),
                         _ => None,
                     };
+                    let name_len = self.string(class_name).len();
                     let req_id = self.with_args_array(ctor_args, |me, ctor_args| {
-                        me.remote_new_send(home, class, class_name.len(), ctor_args)
+                        me.remote_new_send(home, class, name_len, ctor_args)
                     })?;
                     return Ok(SlowInvoke::Park(
                         req_id,
@@ -309,7 +317,7 @@ impl Interp {
                 self.with_args_array(ctor_args, |me, ctor_args| {
                     let mut f = me.frame_for(ctor, false, ctor_args.len() + 1);
                     f.locals[0] = Value::Ref(r);
-                    f.locals[1..=ctor_args.len()].clone_from_slice(ctor_args);
+                    f.locals[1..=ctor_args.len()].copy_from_slice(ctor_args);
                     me.enter_frame(&mut f);
                     Ok(SlowInvoke::Call(f))
                 })
@@ -335,7 +343,7 @@ impl Interp {
     fn parse_dep_init(
         &self,
         args: &[Value],
-    ) -> Result<(usize, ClassId, Arc<str>, Option<u32>), ExecError> {
+    ) -> Result<(usize, ClassId, StrId, Option<u32>), ExecError> {
         let location = args
             .get(1)
             .and_then(|v| v.as_int())
@@ -344,29 +352,37 @@ impl Interp {
         let home = dist.rank_in_world(location).ok_or_else(|| {
             ExecError::Unsupported(format!("DependentObject.<init>: no node {location}"))
         })?;
-        let Some(Value::Str(class_name)) = args.get(2) else {
+        let Some(&Value::Str(class_name)) = args.get(2) else {
             return Err(ExecError::Unsupported(
                 "DependentObject.<init>: class name".into(),
             ));
         };
         let class = self
             .layout
-            .program()
-            .class_by_name(class_name)
-            .ok_or_else(|| ExecError::Unsupported(format!("unknown class {class_name}")))?;
-        Ok((
-            home,
-            class,
-            Arc::clone(class_name),
-            self.args_array(args.get(3))?,
-        ))
+            .literals
+            .class(class_name.0)
+            .or_else(|| self.named(class_name, |n| self.layout.program().class_by_name(n)))
+            .ok_or_else(|| {
+                ExecError::Unsupported(format!("unknown class {}", self.string(class_name)))
+            })?;
+        Ok((home, class, class_name, self.args_array(args.get(3))?))
+    }
+
+    /// What `lookup` finds for the name `s` if `s` is not a literal — a literal's
+    /// answer is already in the layout's name columns: the probe by content only a
+    /// string the program built pays.
+    fn named<T>(&self, s: StrId, lookup: impl FnOnce(&str) -> Option<T>) -> Option<T> {
+        if (s.0 as usize) < self.layout.literals.len() {
+            return None;
+        }
+        lookup(self.string(s))
     }
 
     /// Parses a `DependentObject.access` call — `[proxy-or-remote, kind, member,
     /// argsArray]` — into the remote target, access kind, member and call args
-    /// array. The member name costs one probe of the layout's interning maps here;
-    /// a name the layout never interned cannot be served by any node, so it fails
-    /// typed before anything is sent.
+    /// array. The member name, a literal, costs one index into the layout's name
+    /// columns here; a name the layout never interned cannot be served by any node,
+    /// so it fails typed before anything is sent.
     fn parse_dep_access(
         &self,
         receiver: &Value,
@@ -378,23 +394,24 @@ impl Interp {
             .ok_or_else(|| ExecError::Unsupported("access: kind".into()))?;
         let kind = AccessKind::from_tag(kind_tag)
             .ok_or_else(|| ExecError::Unsupported(format!("access: bad kind {kind_tag}")))?;
-        let Some(Value::Str(name)) = args.get(2) else {
+        let Some(&Value::Str(name)) = args.get(2) else {
             return Err(ExecError::Unsupported("access: member name".into()));
         };
+        let literals = &self.layout.literals;
         let id = match kind {
-            AccessKind::InvokeVoid | AccessKind::InvokeRet => self
-                .layout
-                .selector_of_name(name)
-                .ok_or_else(|| ExecError::UnknownMethod(Arc::clone(name)))?,
-            AccessKind::GetField | AccessKind::PutField => self
-                .layout
-                .field_name_id(name)
-                .ok_or_else(|| ExecError::UnknownField(name.to_string()))?,
+            AccessKind::InvokeVoid | AccessKind::InvokeRet => literals
+                .selector(name.0)
+                .or_else(|| self.named(name, |n| self.layout.selector_of_name(n)))
+                .ok_or_else(|| ExecError::UnknownMethod(self.string(name).into()))?,
+            AccessKind::GetField | AccessKind::PutField => literals
+                .field_name_id(name.0)
+                .or_else(|| self.named(name, |n| self.layout.field_name_id(n)))
+                .ok_or_else(|| ExecError::UnknownField(self.string(name).into()))?,
             AccessKind::GetElement | AccessKind::PutElement | AccessKind::ArrayLength => 0,
         };
         let member = WireMember {
             id,
-            name_len: name.len(),
+            name_len: self.string(name).len(),
         };
         let call_args = self.args_array(args.get(3))?;
         let target = match receiver {
@@ -420,8 +437,9 @@ impl Interp {
                 )),
             },
             Some(Value::Null) | None => Ok(None),
-            Some(other) => Err(ExecError::Unsupported(format!(
-                "argument list is {other:?}"
+            Some(&other) => Err(ExecError::Unsupported(format!(
+                "argument list is {}",
+                self.show(other)
             ))),
         }
     }
@@ -463,21 +481,22 @@ impl Interp {
     }
 
     /// Converts a runtime value into its wire representation, exporting local objects.
-    fn marshal(&mut self, v: &Value) -> WireValue {
+    /// A string borrows its bytes from this node's string table.
+    fn marshal(&mut self, v: Value) -> WireValue<'_> {
         match v {
             Value::Null => WireValue::Null,
-            Value::Int(i) => WireValue::Int(*i),
-            Value::Float(f) => WireValue::Float(*f),
-            Value::Bool(b) => WireValue::Bool(*b),
-            Value::Str(s) => WireValue::Str(Arc::clone(s)),
+            Value::Int(i) => WireValue::Int(i),
+            Value::Float(f) => WireValue::Float(f),
+            Value::Bool(b) => WireValue::Bool(b),
+            Value::Str(s) => WireValue::Str(Cow::Borrowed(self.string(s))),
             Value::Ref(ObjRef::Remote { node, id }) => WireValue::Remote {
-                node: *node as u32,
-                id: *id,
+                node: node as u32,
+                id,
             },
             Value::Ref(ObjRef::Local(h)) => {
                 // A proxy marshals as the identity of the object it stands for.
-                if self.heap[*h as usize].class() == self.dep_class {
-                    if let Ok(ObjRef::Remote { node, id }) = self.proxy_target(*h) {
+                if self.heap[h as usize].class() == self.dep_class {
+                    if let Ok(ObjRef::Remote { node, id }) = self.proxy_target(h) {
                         return WireValue::Remote {
                             node: node as u32,
                             id,
@@ -485,7 +504,7 @@ impl Interp {
                     }
                 }
                 let my_rank = self.dist.as_ref().map(|d| d.rank()).unwrap_or(0);
-                let id = self.export(*h);
+                let id = self.export(h);
                 WireValue::Remote {
                     node: my_rank as u32,
                     id,
@@ -494,17 +513,28 @@ impl Interp {
         }
     }
 
+    /// Marshals `args` one by one straight behind a request head already in `buf`,
+    /// and returns the bytes they took (the variable term of the request's charge).
+    fn marshal_args(&mut self, buf: &mut BytesMut, args: &[Value]) -> usize {
+        let start = buf.len();
+        for &v in args {
+            let w = self.marshal(v);
+            wire::put_value(buf, &w);
+        }
+        buf.len() - start
+    }
+
     /// Converts a wire value back into a runtime value, resolving references that point
-    /// at this node back to local heap objects. Both halves of a reference come off
-    /// the wire: an export id this node never handed out, or a node the world has no
-    /// rank for, is a typed failure.
-    fn unmarshal(&self, v: WireValue) -> Result<Value, ExecError> {
+    /// at this node back to local heap objects and interning strings. Both halves of a
+    /// reference come off the wire: an export id this node never handed out, or a
+    /// node the world has no rank for, is a typed failure.
+    fn unmarshal(&mut self, v: WireValue<'_>) -> Result<Value, ExecError> {
         Ok(match v {
             WireValue::Null => Value::Null,
             WireValue::Int(i) => Value::Int(i),
             WireValue::Float(f) => Value::Float(f),
             WireValue::Bool(b) => Value::Bool(b),
-            WireValue::Str(s) => Value::Str(s),
+            WireValue::Str(s) => self.intern(&s),
             WireValue::Remote { node, id } => Value::Ref(match &self.dist {
                 Some(d) if d.rank() == node as usize => ObjRef::Local(d.exported(id)?),
                 Some(d) => ObjRef::Remote {
@@ -522,7 +552,7 @@ impl Interp {
     }
 
     /// Reads the next value of an incoming frame into its runtime form.
-    fn read_value(&self, data: &mut Bytes) -> Result<Value, ExecError> {
+    fn read_value(&mut self, data: &mut Bytes) -> Result<Value, ExecError> {
         self.unmarshal(wire::decode_value(data)?)
     }
 
@@ -583,8 +613,8 @@ impl Interp {
             ));
         };
         let (mut buf, hello) = self.frame_start(node)?;
-        let args = args.iter().map(|v| self.marshal(v));
-        let value_bytes = wire::encode_dependence(&mut buf, hello, id, kind, member.id, args);
+        wire::dependence_head(&mut buf, hello, id, kind, member.id, args.len());
+        let value_bytes = self.marshal_args(&mut buf, args);
         let charged = wire::charged_dependence_size(member.name_len, value_bytes);
         Ok(self.send_request(node, buf, charged))
     }
@@ -598,8 +628,8 @@ impl Interp {
         args: &[Value],
     ) -> Result<u64, ExecError> {
         let (mut buf, hello) = self.frame_start(home)?;
-        let args = args.iter().map(|v| self.marshal(v));
-        let value_bytes = wire::encode_new(&mut buf, hello, class.0, args);
+        wire::new_head(&mut buf, hello, class.0, args.len());
+        let value_bytes = self.marshal_args(&mut buf, args);
         let charged = wire::charged_new_size(class_name_len, value_bytes);
         Ok(self.send_request(home, buf, charged))
     }
@@ -698,7 +728,7 @@ impl Interp {
         let (r, ctor) = self.create_at_home(ClassId(class));
         let reply = Value::Ref(r);
         let task = match ctor {
-            Some(ctor) => self.serving_task(ctor, reply.clone(), argc, data)?,
+            Some(ctor) => self.serving_task(ctor, reply, argc, data)?,
             None => None,
         };
         Ok(match task {
@@ -731,7 +761,7 @@ impl Interp {
         let heap_idx = dist.exported(target)?;
         let receiver = Value::Ref(ObjRef::Local(heap_idx));
         let mut left = argc;
-        let mut operand = |me: &Self, default: Value| match left {
+        let mut operand = |me: &mut Self, default: Value| match left {
             0 => Ok(default),
             _ => {
                 left -= 1;
@@ -744,7 +774,7 @@ impl Interp {
                     .layout
                     .slot_of_field_name(*class, member)
                     .and_then(|slot| fields.get(slot as usize))
-                    .cloned()
+                    .copied()
                     .unwrap_or(Value::Null),
                 _ => return Err(ExecError::Unsupported("field read on array".into())),
             },
@@ -834,7 +864,7 @@ impl Interp {
             }
         }
         self.enter_frame(&mut frame);
-        Ok(Some(Continuation::root(frame)))
+        Ok(Some(self.root_task(frame)))
     }
 
     // --- reply, response decode ---------------------------------------------------
@@ -842,16 +872,16 @@ impl Interp {
     /// Sends the response for request `req_id` back to `to`, marshalling the result
     /// (errors travel as `Response::Error`).
     pub fn send_reply(&mut self, to: usize, req_id: u64, result: Result<Value, ExecError>) {
-        let resp = match result {
-            Ok(v) => Response::Value(self.marshal(&v)),
-            Err(e) => Response::Error(e.to_string()),
-        };
-        let clock = self.clock_us;
         let dist = self.dist.as_mut().expect("reply requires dist state");
         let buf = dist.endpoint.take_buf();
-        let data = wire::encode_response_in(buf, &resp);
+        let data = match result {
+            Ok(v) => wire::encode_response_in(buf, &Response::Value(self.marshal(v))),
+            Err(e) => wire::encode_response_in(buf, &Response::Error(e.to_string())),
+        };
         // A response is charged at its encoded length.
         let charged = data.len();
+        let clock = self.clock_us;
+        let dist = self.dist.as_mut().expect("reply requires dist state");
         self.clock_us = dist
             .endpoint
             .send_response_charged(to, req_id, data, clock, charged);
@@ -860,14 +890,15 @@ impl Interp {
     /// Reads the one value of a response frame (`Err` for a remote failure or a
     /// corrupt frame) and returns the frame's storage to the link's buffer pool.
     pub(crate) fn decode_response(&mut self, mut data: Bytes) -> Result<Value, ExecError> {
-        let decoded = Response::decode(&mut data);
+        let value = match Response::decode(&mut data) {
+            Ok(Response::Value(v)) => self.unmarshal(v),
+            Ok(Response::Error(e)) => Err(ExecError::RemoteFailure(e)),
+            Err(e) => Err(e.into()),
+        };
         if let Some(d) = self.dist.as_mut() {
             d.endpoint.reclaim(data);
         }
-        match decoded? {
-            Response::Value(v) => self.unmarshal(v),
-            Response::Error(e) => Err(ExecError::RemoteFailure(e)),
-        }
+        value
     }
 }
 
@@ -921,7 +952,7 @@ mod tests {
         node: &mut Interp,
         net: &mut Transport,
         frame: BytesMut,
-    ) -> Option<Result<WireValue, String>> {
+    ) -> Option<Result<WireValue<'static>, String>> {
         assert!(matches!(
             node.accept_request(0, 1, frame.freeze()),
             ServeOutcome::Handled
@@ -929,7 +960,7 @@ mod tests {
         net.route(&mut node.dist.as_mut().unwrap().endpoint);
         let mut data = net.recv(0)?.data;
         Some(match Response::decode(&mut data).expect("reply decodes") {
-            Response::Value(v) => Ok(v),
+            Response::Value(v) => Ok(v.into_owned()),
             Response::Error(e) => Err(e),
         })
     }
@@ -1003,13 +1034,9 @@ mod tests {
         );
         // ...and so is a rewritten `DependentObject.<init>` whose location constant
         // is not a rank (a negative one used to wrap).
+        let cell_name = node.intern("Cell");
         for location in [-1, 2] {
-            let init = [
-                Value::Null,
-                Value::Int(location),
-                Value::str("Cell"),
-                Value::Null,
-            ];
+            let init = [Value::Null, Value::Int(location), cell_name, Value::Null];
             assert_eq!(
                 node.parse_dep_init(&init).map(|(home, ..)| home),
                 Err(ExecError::Unsupported(format!(
@@ -1044,14 +1071,12 @@ mod tests {
     fn names_the_layout_never_interned_fail_at_the_sender() {
         let p = compile_source(WIRE_SRC).unwrap();
         let config = NetworkConfig::uniform(2);
-        let node = Interp::new(&p).with_dist(DistState::new(MpiEndpoint::new(0, 2, &config)));
+        let mut node = Interp::new(&p).with_dist(DistState::new(MpiEndpoint::new(0, 2, &config)));
         let remote = Value::Ref(ObjRef::Remote { node: 1, id: 0 });
+        let names = ["get", "v", "nope", "Nope"].map(|name| (name, node.intern(name)));
+        let str_value = |name: &str| names.iter().find(|(n, _)| *n == name).unwrap().1;
         let access = |kind: AccessKind, name: &str| {
-            let args = [
-                remote.clone(),
-                Value::Int(i64::from(kind.tag())),
-                Value::str(name),
-            ];
+            let args = [remote, Value::Int(i64::from(kind.tag())), str_value(name)];
             node.parse_dep_access(&remote, &args)
                 .map(|(_, _, member, _)| (member.id, member.name_len))
         };
@@ -1073,7 +1098,7 @@ mod tests {
             access(AccessKind::GetField, "get"),
             Err(ExecError::UnknownField("get".into()))
         );
-        let init = [Value::Null, Value::Int(1), Value::str("Nope"), Value::Null];
+        let init = [Value::Null, Value::Int(1), str_value("Nope"), Value::Null];
         assert_eq!(
             node.parse_dep_init(&init).map(|(home, ..)| home),
             Err(ExecError::Unsupported("unknown class Nope".into()))

@@ -20,7 +20,13 @@
 //! counts, interned string constants, `u32` branch targets), so the dispatch loop
 //! performs no string clone, no map probe and no signature lookup per instruction.
 //! Nothing is borrowed, so an interpreter is plain owned data: per-request worlds
-//! share layouts by `Arc` and outlive whatever placement they were admitted under.
+//! share layouts — and their [`ClassDefaults`] — by `Arc` and outlive whatever
+//! placement they were admitted under.
+//!
+//! Values are [`Copy`] (see [`crate::value`]): a string is an id into this
+//! interpreter's string table, whose low ids are the layout's literals, so
+//! `Op::ConstStr` pushes its operand and string `==` compares ids. Only orderings,
+//! concatenation and error texts read a string's bytes ([`Interp::string`]).
 //!
 //! Execution itself runs on an **explicit frame stack** ([`Continuation`]): a single
 //! dispatch loop ([`Interp::run_task`]) drives a `Vec` of [`Frame`]s (locals + operand
@@ -32,20 +38,20 @@
 //! remote path: a node with a [`DistState`] always parks, and a node without one
 //! fails remote operations with [`ExecError::NotDistributed`].
 
-use std::collections::BTreeMap;
+use std::collections::hash_map::RandomState;
 use std::fmt;
 use std::sync::Arc;
 
 use autodist_codegen::rewrite::DEPENDENT_OBJECT_CLASS;
 use autodist_ir::bytecode::{BinOp, CmpOp, InvokeKind, UnOp};
-use autodist_ir::layout::{ArrayInit, LayoutOptions, Op, ProgramLayout, NO_SLOT};
+use autodist_ir::layout::{ArrayInit, Interner, LayoutOptions, Op, ProgramLayout, NO_SLOT};
 use autodist_ir::program::{ClassId, FieldRef, MethodId, Program, Type};
 
 use bytes::Bytes;
 
 use crate::exchange::{DistState, SlowInvoke};
 use crate::net::{LossReason, LostPacket};
-use crate::value::{HeapObject, ObjRef, Value};
+use crate::value::{HeapObject, ObjRef, StaticValue, Statics, StrId, Value};
 use crate::wire::{AccessKind, WireError};
 
 /// Execution statistics collected by the interpreter.
@@ -278,8 +284,8 @@ pub(crate) enum ResumeAction {
     NewProxy {
         /// Heap index of the proxy, if it can be bound.
         proxy: Option<u32>,
-        /// Class name recorded into the proxy (the rewriter's interned literal).
-        class_name: Arc<str>,
+        /// Class name recorded into the proxy (the rewriter's literal).
+        class_name: StrId,
     },
 }
 
@@ -302,15 +308,6 @@ pub struct Continuation {
 }
 
 impl Continuation {
-    /// A computation whose bottom frame is `frame` (already live).
-    pub(crate) fn root(frame: Frame) -> Self {
-        Continuation {
-            call_stack: vec![frame.method],
-            frames: vec![frame],
-            pending: None,
-        }
-    }
-
     /// Current call depth (number of live frames).
     pub fn depth(&self) -> usize {
         self.frames.len()
@@ -334,6 +331,58 @@ pub enum TaskOutcome {
         req_id: u64,
     },
 }
+
+/// What every interpreter of one layout starts from: each class's field vector
+/// filled with Java-style defaults (the `DependentObject` proxy's identity fields
+/// null, so they read as uninitialised until the remote `NEW` handshake fills them
+/// in), and the statics. A pure function of the layout's shape, built once per
+/// layout — a served app builds it beside each node's layout when it prepares — and
+/// copied slice by slice into every object and interpreter.
+#[derive(Debug)]
+pub(crate) struct ClassDefaults {
+    /// Every class's field vector end to end, in class order, then the statics.
+    values: Vec<Value>,
+    /// Where each class's fields start in `values`, then where the statics start
+    /// and end: two entries more than classes.
+    starts: Vec<usize>,
+}
+
+impl ClassDefaults {
+    /// The defaults of `layout`'s classes and statics.
+    pub(crate) fn of(layout: &ProgramLayout) -> Self {
+        let dep_class = layout.program().class_by_name(DEPENDENT_OBJECT_CLASS);
+        let fields: usize = layout.classes.iter().map(|c| c.slot_count()).sum();
+        let mut values = Vec::with_capacity(fields + layout.static_types.len());
+        let mut starts = Vec::with_capacity(layout.classes.len() + 2);
+        for (c, class) in layout.classes.iter().enumerate() {
+            starts.push(values.len());
+            let proxy = dep_class.is_some_and(|dep| dep.0 as usize == c);
+            values.extend(class.slot_types.iter().map(|ty| match proxy {
+                true => Value::Null,
+                false => default_value(ty),
+            }));
+        }
+        starts.push(values.len());
+        values.extend(layout.static_types.iter().map(default_value));
+        starts.push(values.len());
+        ClassDefaults { values, starts }
+    }
+
+    /// The default field vector of `class`.
+    fn of_class(&self, class: ClassId) -> &[Value] {
+        let c = class.0 as usize;
+        &self.values[self.starts[c]..self.starts[c + 1]]
+    }
+
+    /// The default statics.
+    fn statics(&self) -> &[Value] {
+        let n = self.starts.len();
+        &self.values[self.starts[n - 2]..]
+    }
+}
+
+/// Upper bound on spent continuations kept per interpreter.
+const TASK_POOL_CAP: usize = 32;
 
 /// The bytecode interpreter for one node (or for a centralized run).
 pub struct Interp {
@@ -360,8 +409,14 @@ pub struct Interp {
     pub(crate) layout: Arc<ProgramLayout>,
     /// Replicated static fields, indexed by the layout's global static slot.
     statics: Vec<Value>,
-    /// Per-class default field vectors cloned on instantiation.
-    class_defaults: Vec<Vec<Value>>,
+    /// Per-class default field vectors copied on instantiation (shared per layout).
+    defaults: Arc<ClassDefaults>,
+    /// The strings this node built or received beyond its layout's literals: entry
+    /// `i` has id `literals + i`. It grows with distinct strings, never with traffic,
+    /// allocates nothing until the first one and is freed with the interpreter. Its
+    /// keys arrive off the wire, so it keeps the standard keyed hasher (a string
+    /// equal to a literal never gets here: the layout's literal map answers first).
+    strings: Interner<RandomState>,
     /// Number of live frames across **all** of this node's continuations (running and
     /// parked). This is the recursion guard: served frames stay live while their task
     /// is parked, so unbounded cross-node recursion shows up here exactly as it did on
@@ -375,6 +430,9 @@ pub struct Interp {
     /// Recycled (locals, operand stack) frame vectors, so method invocation does not
     /// allocate on the hot path.
     frame_pool: Vec<(Vec<Value>, Vec<Value>)>,
+    /// Spent continuations, empty but keeping their vectors' capacity, so starting a
+    /// task (a served request, above all) does not allocate either.
+    task_pool: Vec<Continuation>,
 }
 
 impl Interp {
@@ -399,20 +457,15 @@ impl Interp {
     /// once per placed program and every admitted request's interpreters share the
     /// `Arc`.
     pub fn with_layout(layout: Arc<ProgramLayout>) -> Self {
+        let defaults = Arc::new(ClassDefaults::of(&layout));
+        Self::with_defaults(layout, defaults)
+    }
+
+    /// [`Self::with_layout`] with the layout's [`ClassDefaults`] shared too, so
+    /// creating the interpreter builds no per-class table.
+    pub(crate) fn with_defaults(layout: Arc<ProgramLayout>, defaults: Arc<ClassDefaults>) -> Self {
+        debug_assert_eq!(defaults.starts.len(), layout.classes.len() + 2);
         let dep_class = layout.program().class_by_name(DEPENDENT_OBJECT_CLASS);
-        let mut class_defaults: Vec<Vec<Value>> = layout
-            .classes
-            .iter()
-            .map(|c| c.slot_types.iter().map(default_value).collect())
-            .collect();
-        // Proxy identity fields must read as uninitialised (not Int 0) until the
-        // remote `NEW` handshake fills them in.
-        if let Some(dep) = dep_class {
-            for v in &mut class_defaults[dep.0 as usize] {
-                *v = Value::Null;
-            }
-        }
-        let statics = layout.static_types.iter().map(default_value).collect();
         let proxy_slots = dep_class.and_then(|dep| {
             match (
                 layout.slot_of_name(dep, "home"),
@@ -433,14 +486,16 @@ impl Interp {
             sample_interval: 0,
             dist: None,
             layout,
-            statics,
-            class_defaults,
+            statics: defaults.statics().to_vec(),
+            defaults,
+            strings: Interner::default(),
             live_frames: 0,
             instructions_since_sample: 0,
             max_depth: 100,
             dep_class,
             proxy_slots,
             frame_pool: Vec::new(),
+            task_pool: Vec::new(),
         }
     }
 
@@ -448,6 +503,55 @@ impl Interp {
     /// backing its field and dispatch resolution.
     pub fn layout(&self) -> &ProgramLayout {
         &self.layout
+    }
+
+    /// The string value with content `s`: the literal's id if the layout has one
+    /// equal to it, this interpreter's table entry otherwise (added if new). The
+    /// value means something only to this interpreter.
+    pub fn intern(&mut self, s: &str) -> Value {
+        let literals = &self.layout.literals;
+        let id = match literals.id_of(s) {
+            Some(id) => id,
+            None => literals.len() as u32 + self.strings.intern(s),
+        };
+        Value::Str(StrId(id))
+    }
+
+    /// The content of string `id`, an id of this interpreter's.
+    pub fn string(&self, id: StrId) -> &str {
+        let literals = &self.layout.literals;
+        let id = id.0;
+        literals
+            .get(id)
+            .or_else(|| self.strings.get(id - literals.len() as u32))
+            .expect("an id of this interpreter's")
+    }
+
+    /// How many strings this interpreter interned beyond its layout's literals: the
+    /// size of its string table.
+    pub fn interned_strings(&self) -> usize {
+        self.strings.len()
+    }
+
+    /// `v` as `Debug` showed it when values owned their strings: how error texts
+    /// print a value (a remote error is charged at its encoded length).
+    pub(crate) fn show(&self, v: Value) -> String {
+        match v {
+            Value::Str(id) => format!("Str({:?})", self.string(id)),
+            other => format!("{other:?}"),
+        }
+    }
+
+    /// The owned form of `v`, for what outlives this interpreter.
+    fn detach(&self, v: Value) -> StaticValue {
+        match v {
+            Value::Int(i) => StaticValue::Int(i),
+            Value::Float(f) => StaticValue::Float(f),
+            Value::Bool(b) => StaticValue::Bool(b),
+            Value::Str(id) => StaticValue::Str(self.string(id).into()),
+            Value::Null => StaticValue::Null,
+            Value::Ref(r) => StaticValue::Ref(r),
+        }
     }
 
     /// Sets the node speed factor.
@@ -507,7 +611,7 @@ impl Interp {
     pub(crate) fn new_instance(&mut self, class: ClassId) -> ObjRef {
         // Slot vector pre-filled with Java-style default values (computed once per
         // class at load time).
-        let fields = self.class_defaults[class.0 as usize].clone();
+        let fields = self.defaults.of_class(class).to_vec();
         self.alloc(HeapObject::Object { class, fields })
     }
 
@@ -524,7 +628,10 @@ impl Interp {
             return Ok(Value::Null);
         };
         match self.run_task(&mut task) {
-            TaskOutcome::Done(r) => r,
+            TaskOutcome::Done(r) => {
+                self.recycle_task(task);
+                r
+            }
             TaskOutcome::Parked { .. } => Err(ExecError::Unsupported(
                 "computation suspended outside the worker loop".into(),
             )),
@@ -539,11 +646,31 @@ impl Interp {
             return None;
         }
         let mut frame = self.frame_for(method, true, args.len());
-        for (slot, a) in frame.locals.iter_mut().zip(args) {
-            *slot = a;
-        }
+        frame.locals[..args.len()].copy_from_slice(&args);
         self.enter_frame(&mut frame);
-        Some(Continuation::root(frame))
+        Some(self.root_task(frame))
+    }
+
+    /// A computation whose bottom frame is `frame` (already live), in a recycled
+    /// continuation when one is spare.
+    pub(crate) fn root_task(&mut self, frame: Frame) -> Continuation {
+        let mut task = self.task_pool.pop().unwrap_or_default();
+        task.call_stack.push(frame.method);
+        task.frames.push(frame);
+        task
+    }
+
+    /// Takes back a continuation that ran to completion ([`TaskOutcome::Done`]):
+    /// its vectors serve the next task this interpreter starts. Dropping it instead
+    /// is harmless; the next task then allocates its own.
+    pub fn recycle_task(&mut self, mut task: Continuation) {
+        debug_assert!(task.frames.is_empty(), "recycling a live continuation");
+        if self.task_pool.len() < TASK_POOL_CAP {
+            task.frames.clear();
+            task.call_stack.clear();
+            task.pending = None;
+            self.task_pool.push(task);
+        }
     }
 
     /// A pooled activation frame for `method`, its locals nulled and sized for
@@ -686,10 +813,11 @@ impl Interp {
                 }
                 Value::Ref(ObjRef::Local(_)) => {}
                 other => {
-                    let e = self.unwind_frames(
-                        task,
-                        ExecError::RemoteFailure(format!("NEW returned a non-reference {other:?}")),
-                    );
+                    let e = ExecError::RemoteFailure(format!(
+                        "NEW returned a non-reference {}",
+                        self.show(other)
+                    ));
+                    let e = self.unwind_frames(task, e);
                     return TaskOutcome::Done(Err(e));
                 }
             },
@@ -820,7 +948,7 @@ impl Interp {
                 macro_rules! local {
                     ($n:expr) => {
                         match frame.locals.get($n as usize) {
-                            Some(v) => v.clone(),
+                            Some(v) => *v,
                             None => Value::Null,
                         }
                     };
@@ -910,7 +1038,7 @@ impl Interp {
                             if let HeapObject::Object { class, fields } = &self.heap[*h as usize] {
                                 if Some(*class) != self.dep_class {
                                     frame.stack.push(
-                                        fields.get(*$slot as usize).cloned().unwrap_or(Value::Null),
+                                        fields.get(*$slot as usize).copied().unwrap_or(Value::Null),
                                     );
                                     pc += 1;
                                     continue;
@@ -996,18 +1124,16 @@ impl Interp {
                         Op::ConstFloat(v) => frame.stack.push(Value::Float(*v)),
                         Op::ConstBool(v) => frame.stack.push(Value::Bool(*v)),
                         Op::ConstNull => frame.stack.push(Value::Null),
-                        Op::ConstStr(i) => frame
-                            .stack
-                            .push(Value::Str(layout.const_strs[*i as usize].clone())),
+                        Op::ConstStr(i) => frame.stack.push(Value::Str(StrId(*i))),
                         Op::Load(n) => {
                             let idx = *n as usize;
                             if idx >= frame.locals.len() {
                                 frame.locals.resize(idx + 1, Value::Null);
                             }
-                            frame.stack.push(frame.locals[idx].clone());
+                            frame.stack.push(frame.locals[idx]);
                         }
                         Op::Store(n) => store!(*n, pop!()),
-                        Op::Dup => match frame.stack.last().cloned() {
+                        Op::Dup => match frame.stack.last().copied() {
                             Some(v) => frame.stack.push(v),
                             None => fail!(ExecError::StackUnderflow {
                                 pc: seed_pc!(pc),
@@ -1039,7 +1165,7 @@ impl Interp {
                         Op::IfCmp(op, target) => {
                             let rhs = pop!();
                             let lhs = pop!();
-                            branch_if!(holds(*op, &lhs, &rhs), target);
+                            branch_if!(self.holds(*op, lhs, rhs), target);
                         }
                         Op::If(op, target) => {
                             let taken = match pop!() {
@@ -1090,7 +1216,7 @@ impl Interp {
                                 if let HeapObject::Array { data } = &self.heap[*h as usize] {
                                     match data.get(*i as usize) {
                                         Some(v) => {
-                                            frame.stack.push(v.clone());
+                                            frame.stack.push(*v);
                                             pc += 1;
                                             continue;
                                         }
@@ -1155,7 +1281,7 @@ impl Interp {
                         Op::PutField { slot, fr } => put_field!(slot, fr, false),
                         Op::GetStatic(slot) => {
                             frame.stack.push(if *slot != NO_SLOT {
-                                self.statics[*slot as usize].clone()
+                                self.statics[*slot as usize]
                             } else {
                                 Value::Null
                             });
@@ -1292,15 +1418,15 @@ impl Interp {
                             // the popped-last `rhs`. The pop is the seed IfCmp's
                             // (offset 1 into the window).
                             let lhs = pop_at!(1);
-                            branch_if!(holds(*op, &lhs, &local!(*n)), target);
+                            branch_if!(self.holds(*op, lhs, local!(*n)), target);
                         }
                         Op::IfCmpFused(op, a, b, target) => {
                             charge!(2);
-                            branch_if!(holds(*op, &local!(*a), &local!(*b)), target);
+                            branch_if!(self.holds(*op, local!(*a), local!(*b)), target);
                         }
                         Op::LoadConstIfCmp(op, n, k, target) => {
                             charge!(2);
-                            branch_if!(holds(*op, &local!(*n), &Value::Int(*k)), target);
+                            branch_if!(self.holds(*op, local!(*n), Value::Int(*k)), target);
                         }
                         Op::IncLocal(n, k) => {
                             // Charge Load/Const/Bin up front (they precede the only
@@ -1311,11 +1437,9 @@ impl Interp {
                             if idx >= frame.locals.len() {
                                 frame.locals.resize(idx + 1, Value::Null);
                             }
-                            let v = if let Value::Int(x) = &frame.locals[idx] {
-                                Value::Int(x.wrapping_add(*k))
-                            } else {
-                                let lhs = frame.locals[idx].clone();
-                                call!(self.binop(BinOp::Add, lhs, Value::Int(*k)))
+                            let v = match frame.locals[idx] {
+                                Value::Int(x) => Value::Int(x.wrapping_add(*k)),
+                                lhs => call!(self.binop(BinOp::Add, lhs, Value::Int(*k))),
                             };
                             charge!(1);
                             frame.locals[idx] = v;
@@ -1371,11 +1495,12 @@ impl Interp {
         }
     }
 
-    fn binop(&self, op: BinOp, lhs: Value, rhs: Value) -> Result<Value, ExecError> {
+    fn binop(&mut self, op: BinOp, lhs: Value, rhs: Value) -> Result<Value, ExecError> {
         // String concatenation on Add keeps the Bank example's name handling working.
         if op == BinOp::Add {
-            if let (Value::Str(a), Value::Str(b)) = (&lhs, &rhs) {
-                return Ok(Value::str(&format!("{a}{b}")));
+            if let (Value::Str(a), Value::Str(b)) = (lhs, rhs) {
+                let joined = format!("{}{}", self.string(a), self.string(b));
+                return Ok(self.intern(&joined));
             }
         }
         if let (Value::Float(_), _) | (_, Value::Float(_)) = (&lhs, &rhs) {
@@ -1400,12 +1525,10 @@ impl Interp {
             };
             return Ok(Value::Float(r));
         }
-        let a = lhs
-            .as_int()
-            .ok_or_else(|| ExecError::Unsupported(format!("{op:?} on non-number {lhs:?}")))?;
-        let b = rhs
-            .as_int()
-            .ok_or_else(|| ExecError::Unsupported(format!("{op:?} on non-number {rhs:?}")))?;
+        let non_number =
+            |v: Value| ExecError::Unsupported(format!("{op:?} on non-number {}", self.show(v)));
+        let a = lhs.as_int().ok_or_else(|| non_number(lhs))?;
+        let b = rhs.as_int().ok_or_else(|| non_number(rhs))?;
         let r = match op {
             BinOp::Add => a.wrapping_add(b),
             BinOp::Sub => a.wrapping_sub(b),
@@ -1453,7 +1576,7 @@ impl Interp {
             Value::Ref(ObjRef::Local(h)) => match &self.heap[h as usize] {
                 HeapObject::Array { data } => {
                     data.get(i as usize)
-                        .cloned()
+                        .copied()
                         .ok_or(ExecError::IndexOutOfBounds {
                             index: i,
                             len: self.array_len(h),
@@ -1527,7 +1650,7 @@ impl Interp {
                     .layout
                     .field_slot(fr)
                     .and_then(|slot| fields.get(slot as usize))
-                    .cloned()
+                    .copied()
                     .unwrap_or(Value::Null)),
                 _ => Err(ExecError::Unsupported("field read on array".into())),
             },
@@ -1567,16 +1690,55 @@ impl Interp {
         }
     }
 
-    /// A snapshot of all static fields (replicated per node), keyed `Class::field`.
-    /// Used by tests and by the cluster driver to compare centralized and distributed
-    /// final states.
-    pub fn statics_snapshot(&self) -> BTreeMap<String, Value> {
-        self.layout
-            .static_names
-            .iter()
-            .cloned()
-            .zip(self.statics.iter().cloned())
-            .collect()
+    /// A snapshot of all static fields (replicated per node), named `Class::field`,
+    /// strings resolved. Used by tests and by the cluster driver to compare
+    /// centralized and distributed final states.
+    pub fn statics_snapshot(&self) -> Statics {
+        let values = self.statics.iter().map(|&v| self.detach(v)).collect();
+        Statics::new(Arc::clone(&self.layout.static_names), values)
+    }
+
+    /// `IfCmp` and its fused forms: integer comparison without the coercions,
+    /// [`Self::compare`] for everything else.
+    #[inline(always)]
+    fn holds(&self, op: CmpOp, lhs: Value, rhs: Value) -> bool {
+        if let (Value::Int(a), Value::Int(b)) = (lhs, rhs) {
+            op.eval_ord(a.cmp(&b))
+        } else {
+            self.compare(op, lhs, rhs)
+        }
+    }
+
+    /// Evaluates a comparison between two values. Interned strings are equal exactly
+    /// when their ids are; only an ordering reads their contents.
+    fn compare(&self, op: CmpOp, lhs: Value, rhs: Value) -> bool {
+        match (lhs, rhs) {
+            (Value::Str(a), Value::Str(b)) => match op {
+                CmpOp::Eq => a == b,
+                CmpOp::Ne => a != b,
+                _ => {
+                    let lt = self.string(a) < self.string(b);
+                    lt == matches!(op, CmpOp::Lt | CmpOp::Le)
+                }
+            },
+            (Value::Null, Value::Null) => matches!(op, CmpOp::Eq | CmpOp::Le | CmpOp::Ge),
+            (Value::Null, _) | (_, Value::Null) => matches!(op, CmpOp::Ne),
+            (Value::Ref(a), Value::Ref(b)) => match op {
+                CmpOp::Eq => a == b,
+                CmpOp::Ne => a != b,
+                _ => false,
+            },
+            _ => {
+                if let (Some(a), Some(b)) = (lhs.as_float(), rhs.as_float()) {
+                    match a.partial_cmp(&b) {
+                        Some(ord) => op.eval_ord(ord),
+                        None => false,
+                    }
+                } else {
+                    false
+                }
+            }
+        }
     }
 }
 
@@ -1617,45 +1779,6 @@ fn int_bin(op: BinOp, a: i64, b: i64) -> Result<i64, ExecError> {
         BinOp::Shl => a.wrapping_shl(b as u32),
         BinOp::Shr => a.wrapping_shr(b as u32),
     })
-}
-
-/// `IfCmp` and its fused forms: integer comparison without the coercions,
-/// [`compare`] for everything else.
-#[inline(always)]
-fn holds(op: CmpOp, lhs: &Value, rhs: &Value) -> bool {
-    if let (Value::Int(a), Value::Int(b)) = (lhs, rhs) {
-        op.eval_ord(a.cmp(b))
-    } else {
-        compare(op, lhs, rhs)
-    }
-}
-
-/// Evaluates a comparison between two values.
-fn compare(op: CmpOp, lhs: &Value, rhs: &Value) -> bool {
-    match (lhs, rhs) {
-        (Value::Str(a), Value::Str(b)) => match op {
-            CmpOp::Eq => a == b,
-            CmpOp::Ne => a != b,
-            _ => a.cmp(b).is_lt() == matches!(op, CmpOp::Lt | CmpOp::Le),
-        },
-        (Value::Null, Value::Null) => matches!(op, CmpOp::Eq | CmpOp::Le | CmpOp::Ge),
-        (Value::Null, _) | (_, Value::Null) => matches!(op, CmpOp::Ne),
-        (Value::Ref(a), Value::Ref(b)) => match op {
-            CmpOp::Eq => a == b,
-            CmpOp::Ne => a != b,
-            _ => false,
-        },
-        _ => {
-            if let (Some(a), Some(b)) = (lhs.as_float(), rhs.as_float()) {
-                match a.partial_cmp(&b) {
-                    Some(ord) => op.eval_ord(ord),
-                    None => false,
-                }
-            } else {
-                false
-            }
-        }
-    }
 }
 
 #[cfg(test)]
@@ -1885,6 +2008,26 @@ mod tests {
         assert_eq!(run_static(src, "S", "check"), Value::Bool(true));
     }
 
+    /// A remote error reply is charged at its encoded length, so a value in an error
+    /// text prints as it always did: a string by its content, not its id.
+    #[test]
+    fn error_texts_print_strings_by_content() {
+        let src = r#"
+            class C {
+                static int bad() { String s = "a" + "bc"; return 1 - s; }
+                static void main() { int y = C.bad(); }
+            }
+        "#;
+        let p = compile_source(src).unwrap();
+        let mut interp = Interp::new(&p);
+        assert_eq!(
+            interp.run_entry(),
+            Err(ExecError::Unsupported(
+                r#"Sub on non-number Str("abc")"#.into()
+            ))
+        );
+    }
+
     /// The per-continuation call stack mirrors the frame stack exactly: one entry
     /// per live frame, bottom first — this is what the sampling profiler reads.
     #[test]
@@ -1954,10 +2097,10 @@ mod tests {
         let mut interp = Interp::new(&p);
         interp.run_entry().unwrap();
         let snap = interp.statics_snapshot();
-        assert_eq!(snap.get("Main::touched"), Some(&Value::Int(7)));
+        assert_eq!(snap.get("Main::touched"), Some(&StaticValue::Int(7)));
         assert_eq!(
             snap.get("Main::untouched"),
-            Some(&Value::Int(0)),
+            Some(&StaticValue::Int(0)),
             "untouched statics read as their typed default"
         );
     }

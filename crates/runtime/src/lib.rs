@@ -3,7 +3,8 @@
 //! The distributed execution runtime (Section 5 of the paper), built as an in-process
 //! simulated cluster:
 //!
-//! * [`value`] — runtime values, the heap, objects and arrays.
+//! * [`value`] — runtime values (plain `Copy` words; strings are ids into a per-node
+//!   interned table), the heap, objects and arrays.
 //! * [`wire`] — the streamed message format exchanged between nodes (`NEW` and
 //!   `DEPENDENCE` messages, marshalled values).
 //! * [`net`] — the simulated MPI transport: mailboxes owned by the world, one sending
@@ -56,5 +57,5 @@ pub use net::{
     FaultPlan, FaultSummary, KillNode, LinkProbs, LossReason, LostPacket, NetworkConfig, ReadyQueue,
 };
 pub use serve::{run_serving, RequestReport, ServeOptions, ServerApp, ServingReport};
-pub use value::{HeapObject, ObjRef, Value};
+pub use value::{HeapObject, ObjRef, StaticValue, Statics, StrId, Value};
 pub use wire::{AccessKind, Response, WireValue};

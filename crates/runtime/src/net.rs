@@ -698,7 +698,8 @@ impl Transport {
                 continue;
             }
             // One key per *physical* packet keeps the pop-one deliver-one
-            // invariant; the receiver's window suppresses the duplicate.
+            // invariant; the receiver's window suppresses the duplicate (a copy of
+            // the frame, with storage of its own).
             for _ in 1..copies {
                 self.post(pkt.clone());
             }
@@ -958,10 +959,9 @@ impl MpiEndpoint {
             .unwrap_or_else(|| BytesMut::with_capacity(64))
     }
 
-    /// Returns a spent frame's storage to the pool when this handle is its sole
-    /// owner. Fault-plan duplicates clone the buffer, so shared storage simply
-    /// fails the refcount check and is dropped — correctness never depends on a
-    /// reclaim succeeding.
+    /// Returns a spent frame's storage to the pool (up to a bound; beyond it the
+    /// storage is dropped — correctness never depends on a reclaim). Every frame owns
+    /// its storage, a fault-plan duplicate included, so every one can come back.
     pub fn reclaim(&mut self, data: Bytes) {
         if self.pool.len() < BUF_POOL_CAP {
             if let Ok(buf) = data.try_into_mut() {
@@ -1216,12 +1216,17 @@ mod tests {
         let again = a.take_buf();
         assert!(again.is_empty(), "reclaimed buffer comes back cleared");
         assert!(again.capacity() >= cap, "its allocation survives the cycle");
-        // A shared frame (e.g. a fault-plan duplicate) fails the refcount check
-        // and is simply not pooled.
-        let shared = Bytes::from(vec![1, 2, 3]);
-        let _alias = shared.clone();
-        a.reclaim(shared);
-        assert!(a.pool.is_empty(), "shared storage is not pooled");
+        // A fault-plan duplicate is a copy with storage of its own: both pool.
+        let frame = Bytes::from(vec![1, 2, 3]);
+        let duplicate = frame.clone();
+        a.reclaim(frame);
+        a.reclaim(duplicate);
+        assert_eq!(a.pool.len(), 2, "every frame owns its storage");
+        // The pool stays bounded however many frames come back.
+        for _ in 0..2 * BUF_POOL_CAP {
+            a.reclaim(Bytes::new());
+        }
+        assert_eq!(a.pool.len(), BUF_POOL_CAP);
     }
 
     #[test]

@@ -128,18 +128,21 @@ impl CoopNode {
                 self.parked.push((req_id, task));
                 None
             }
-            TaskOutcome::Done(res) => match task.done {
-                TaskDone::Root => Some(res),
-                TaskDone::Reply {
-                    to,
-                    req_id,
-                    reply_override,
-                } => {
-                    let result = res.map(|v| reply_override.unwrap_or(v));
-                    self.interp.send_reply(to, req_id, result);
-                    None
+            TaskOutcome::Done(res) => {
+                self.interp.recycle_task(task.cont);
+                match task.done {
+                    TaskDone::Root => Some(res),
+                    TaskDone::Reply {
+                        to,
+                        req_id,
+                        reply_override,
+                    } => {
+                        let result = res.map(|v| reply_override.unwrap_or(v));
+                        self.interp.send_reply(to, req_id, result);
+                        None
+                    }
                 }
-            },
+            }
         }
     }
 
@@ -318,7 +321,8 @@ impl World {
         let final_statics = node0.interp.statics_snapshot();
         let faults = self.net.fault_summary();
         // Control traffic: uncorrelated (`req_id` 0), so no fault plan touches it.
-        // Its keys are never published: the world is over, nobody pops them.
+        // Its keys are never published: the world is over, nobody pops them. Each
+        // rank gets its own copy of the one-byte frame.
         let data = shutdown_frame();
         let arrival_time_us = node0.interp.clock_us + node0.endpoint().transfer_time_us(data.len());
         for to in 1..self.nodes.len() {
@@ -527,7 +531,7 @@ impl<'s> Running<'_, 's> {
 
     /// Instantiates request `index` in `slot`: a fresh transport (its keys tagged
     /// `root` on the shared ready queue), fresh per-node interpreters over the app's
-    /// shared layouts, then the root computation seeded on node 0.
+    /// shared layouts and class defaults, then the root computation seeded on node 0.
     fn admit_one(&self, index: usize, slot: usize, root: u32) {
         let server = self.server;
         let app_idx = server.sequence[index];
@@ -551,10 +555,12 @@ impl<'s> Running<'_, 's> {
         let nodes = app
             .layouts
             .iter()
+            .zip(&app.defaults)
             .enumerate()
-            .map(|(rank, layout)| {
+            .map(|(rank, (layout, defaults))| {
                 let dist = DistState::new(MpiEndpoint::new(rank, size, &app.network));
-                let mut interp = Interp::with_layout(Arc::clone(layout)).with_dist(dist);
+                let interp = Interp::with_defaults(Arc::clone(layout), Arc::clone(defaults));
+                let mut interp = interp.with_dist(dist);
                 let sink = match own.get_mut(rank).and_then(Option::take) {
                     Some(p) => Some((p.sink, p.sample_interval)),
                     None => planner
@@ -756,6 +762,66 @@ mod tests {
             slices, 5,
             "NEW + two bounces: six packets, the last one ends it"
         );
+    }
+
+    /// Runs request 0 of `app` on one worker, slice by slice, and returns its world
+    /// as it stood when the root completed.
+    fn finished_world(app: &ServerApp) -> World {
+        let server = server(app, &[0], Schedule::Inline);
+        let run = running(&server, 1);
+        run.admit();
+        while let Some(((_, rank), count)) = run.ready.pop() {
+            let mut guard = lock(&run.slots[0]);
+            let world = guard.as_mut().expect("live until its last slice");
+            if let Some(res) = world.deliver(rank as usize, count, &run.ready) {
+                assert_eq!(res, Ok(Value::Null));
+                return guard.take().expect("the world just delivered");
+            }
+        }
+        panic!("the root never completed");
+    }
+
+    /// A node interns what it receives, so shipping one string over and over costs
+    /// its table one entry, not one per message — and a string equal to one of the
+    /// receiver's literals costs none.
+    #[test]
+    fn a_tag_shipped_ten_thousand_times_is_interned_once() {
+        let p = compile_source(
+            r#"
+            class Sink {
+                int n;
+                int take(String tag) { this.n = this.n + 1; return this.n; }
+            }
+            class Main {
+                static int result;
+                static void main() {
+                    Sink s = new Sink();
+                    String built = "ta" + "g";
+                    int i = 0;
+                    while (i < 10000) {
+                        result = s.take(built) + s.take("a literal tag");
+                        i = i + 1;
+                    }
+                }
+            }
+        "#,
+        )
+        .unwrap();
+        let mut home = BTreeMap::new();
+        home.insert(p.class_by_name("Main").unwrap(), 0);
+        home.insert(p.class_by_name("Sink").unwrap(), 1);
+        let placement = ClassPlacement { home, nparts: 2 };
+        let programs = (0..2)
+            .map(|n| rewrite_for_node(&p, &placement, n).program)
+            .collect();
+        let world = finished_world(&ServerApp::prepare(
+            programs,
+            NetworkConfig::paper_testbed(),
+        ));
+        let receiver = &world.nodes[1].interp;
+        assert_eq!(receiver.counters.requests_served, 1 + 2 * 10_000);
+        assert_eq!(receiver.interned_strings(), 1, "\"tag\", once");
+        assert_eq!(world.nodes[0].interp.interned_strings(), 1);
     }
 
     /// A stale key — its world completed, its slot re-let — is skipped by root

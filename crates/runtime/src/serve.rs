@@ -18,12 +18,13 @@
 //! key count, the moment it happens, whatever its neighbours are doing.
 //!
 //! The expensive part of spinning up a request — decoding, fusing and interning the
-//! placed programs into a [`ProgramLayout`] — is hoisted into [`ServerApp::prepare`]
-//! and shared by every request via `Arc`, so admission cost is just interpreter
-//! state (empty heap, default statics) plus one empty mailbox per node. A
-//! [`ServerApp`] is nothing but those layouts (each owning its program) and the cost
-//! model, and a world holds its own `Arc`s of them: an app — or a placement the
-//! adaptive controller swapped out — lives exactly as long as its last request.
+//! placed programs into a [`ProgramLayout`], and the per-class default field vectors
+//! beside each — is hoisted into [`ServerApp::prepare`] and shared by every request
+//! via `Arc`, so admission cost is just interpreter state (empty heap, a copy of the
+//! default statics) plus one empty mailbox per node. A [`ServerApp`] is nothing but
+//! those layouts (each owning its program), their defaults and the cost model, and a
+//! world holds its own `Arc`s of them: an app — or a placement the adaptive
+//! controller swapped out — lives exactly as long as its last request.
 
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
@@ -33,13 +34,16 @@ use autodist_ir::program::Program;
 
 use crate::adapt::{AdaptOptions, AdaptState};
 use crate::cluster::{ExecutionReport, Schedule};
+use crate::interp::ClassDefaults;
 use crate::net::{FaultPlan, NetworkConfig};
 use crate::sched::{Server, SERVING_DELIVERY_DEADLINE};
 
 /// A *prepared* application the server can instantiate per request: one pre-built
-/// (shared) layout per node — each owning its placed program — and the cost model.
+/// (shared) layout per node — each owning its placed program — with its class
+/// defaults, and the cost model.
 pub struct ServerApp {
     pub(crate) layouts: Vec<Arc<ProgramLayout>>,
+    pub(crate) defaults: Vec<Arc<ClassDefaults>>,
     pub(crate) network: NetworkConfig,
 }
 
@@ -54,11 +58,25 @@ impl ServerApp {
             network.nodes(),
             "one placed program per network node"
         );
-        let layouts = ProgramLayout::build_family(programs, Default::default())
+        let layouts: Vec<_> = ProgramLayout::build_family(programs, Default::default())
             .into_iter()
             .map(Arc::new)
             .collect();
-        ServerApp { layouts, network }
+        // A plan's copies share one shape, hence one table of defaults.
+        let mut defaults: Vec<Arc<ClassDefaults>> = Vec::with_capacity(layouts.len());
+        for (rank, layout) in layouts.iter().enumerate() {
+            let same_shape = rank > 0 && layouts[rank - 1].fingerprint() == layout.fingerprint();
+            let table = match defaults.last() {
+                Some(table) if same_shape => Arc::clone(table),
+                _ => Arc::new(ClassDefaults::of(layout)),
+            };
+            defaults.push(table);
+        }
+        ServerApp {
+            layouts,
+            defaults,
+            network,
+        }
     }
 
     /// Number of virtual nodes a request of this app spans.

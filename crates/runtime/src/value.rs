@@ -4,7 +4,17 @@
 //! references are either *local* (an index into the node's heap) or *remote* (a node id
 //! plus the export id the home node handed out); remote references are what a
 //! `DependentObject` stands for at run time.
+//!
+//! A [`Value`] is plain words and [`Copy`]: pushing, popping, storing and reading a
+//! field never touch a refcount. A string is a [`StrId`] into the string table of the
+//! interpreter that holds it: ids below the layout's literal count are the literals
+//! themselves, and every other string the node builds or receives is interned once,
+//! so equal content means equal id. A `Value::Str` therefore means
+//! nothing outside its interpreter; strings are resolved to their bytes only at the
+//! boundaries — marshalling, orderings, error texts and the [`Statics`] snapshot a
+//! report keeps.
 
+use std::fmt;
 use std::sync::Arc;
 
 use autodist_ir::program::ClassId;
@@ -23,8 +33,12 @@ pub enum ObjRef {
     },
 }
 
+/// A string's id in its interpreter's string table (see the module doc).
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+pub struct StrId(pub(crate) u32);
+
 /// A runtime value.
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub enum Value {
     /// 64-bit integer.
     Int(i64),
@@ -32,13 +46,20 @@ pub enum Value {
     Float(f64),
     /// Boolean.
     Bool(bool),
-    /// Immutable string.
-    Str(Arc<str>),
+    /// Immutable interned string.
+    Str(StrId),
     /// Null reference.
     Null,
     /// Object or array reference.
     Ref(ObjRef),
 }
+
+/// The dispatch loop copies values on every push, pop and store: they must stay plain
+/// words with no drop glue.
+const _: () = {
+    const fn copy<T: Copy>() {}
+    copy::<Value>()
+};
 
 impl Value {
     /// Interprets the value as an integer (booleans coerce to 0/1).
@@ -72,20 +93,57 @@ impl Value {
             _ => true,
         }
     }
+}
 
-    /// Convenience constructor for strings.
-    pub fn str(s: &str) -> Value {
-        Value::Str(Arc::from(s))
+/// A [`Value`] that owns its string: what a static reads as once its interpreter is
+/// gone.
+#[derive(Clone, Debug, PartialEq)]
+pub enum StaticValue {
+    /// 64-bit integer.
+    Int(i64),
+    /// 64-bit float.
+    Float(f64),
+    /// Boolean.
+    Bool(bool),
+    /// String, by content.
+    Str(Box<str>),
+    /// Null reference.
+    Null,
+    /// Object or array reference (meaningful only beside the run's own heap).
+    Ref(ObjRef),
+}
+
+/// The final static fields of a run, slot-indexed like the layout's statics: the
+/// names are the layout's own (shared, not copied) and every string is resolved, so
+/// snapshots of different runs compare by content.
+#[derive(Clone, Default, PartialEq)]
+pub struct Statics {
+    names: Arc<[String]>,
+    values: Vec<StaticValue>,
+}
+
+impl Statics {
+    /// A snapshot of `values`, named slot for slot by `names`.
+    pub(crate) fn new(names: Arc<[String]>, values: Vec<StaticValue>) -> Self {
+        debug_assert_eq!(names.len(), values.len());
+        Statics { names, values }
     }
 
-    /// An approximate marshalled size in bytes (used by the network cost model).
-    pub fn wire_size(&self) -> u64 {
-        match self {
-            Value::Int(_) | Value::Float(_) => 9,
-            Value::Bool(_) | Value::Null => 1,
-            Value::Str(s) => 5 + s.len() as u64,
-            Value::Ref(_) => 13,
-        }
+    /// The final value of the static named `Class::field`.
+    pub fn get(&self, name: &str) -> Option<&StaticValue> {
+        let slot = self.names.iter().position(|n| n == name)?;
+        self.values.get(slot)
+    }
+
+    /// `(name, value)` for every static, in slot order.
+    pub fn iter(&self) -> impl Iterator<Item = (&str, &StaticValue)> {
+        self.names.iter().map(String::as_str).zip(&self.values)
+    }
+}
+
+impl fmt::Debug for Statics {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_map().entries(self.iter()).finish()
     }
 }
 
@@ -137,7 +195,7 @@ mod tests {
         assert_eq!(Value::Bool(true).as_int(), Some(1));
         assert_eq!(Value::Float(2.9).as_int(), Some(2));
         assert_eq!(Value::Int(2).as_float(), Some(2.0));
-        assert_eq!(Value::str("x").as_int(), None);
+        assert_eq!(Value::Str(StrId(0)).as_int(), None);
     }
 
     #[test]
@@ -150,10 +208,27 @@ mod tests {
     }
 
     #[test]
-    fn wire_sizes_scale_with_content() {
-        assert!(Value::str("hello").wire_size() > Value::str("").wire_size());
-        assert_eq!(Value::Int(1).wire_size(), 9);
-        assert_eq!(Value::Null.wire_size(), 1);
+    fn statics_answer_by_name_and_compare_by_content() {
+        let names: Arc<[String]> = vec!["Main::n".to_string(), "Main::s".to_string()].into();
+        let snap = |s: &str| {
+            Statics::new(
+                Arc::clone(&names),
+                vec![StaticValue::Int(7), StaticValue::Str(s.into())],
+            )
+        };
+        assert_eq!(snap("x").get("Main::n"), Some(&StaticValue::Int(7)));
+        assert_eq!(snap("x").get("Main::absent"), None);
+        assert_eq!(snap("x"), snap("x"));
+        assert_ne!(snap("x"), snap("y"));
+        assert_eq!(
+            format!("{:?}", snap("x").get("Main::n")),
+            "Some(Int(7))",
+            "int statics print as they always did"
+        );
+        assert_eq!(
+            format!("{:?}", snap("x")),
+            r#"{"Main::n": Int(7), "Main::s": Str("x")}"#
+        );
     }
 
     #[test]

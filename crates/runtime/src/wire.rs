@@ -33,10 +33,11 @@
 //! almost always below 128, so the typical head field is one byte, and nothing a
 //! run can produce (a target beyond `u32::MAX`, hundreds of arguments) needs another
 //! frame shape. Values are a tag byte plus a fixed-width or length-prefixed payload,
-//! written and read one at a time ([`WireValue`], [`decode_value`]): no frame is ever
-//! held as a collection of values. Responses are `0` + value or `1` + length-prefixed
-//! error text. Tags `0` and `1` belonged to the retired name-carrying frames and are
-//! rejected like any unknown tag.
+//! written and read one at a time ([`WireValue`], [`put_value`], [`decode_value`]): no
+//! frame is ever held as a collection of values, and a decoded string borrows the
+//! frame's bytes until the receiver has interned it. Responses are `0` + value or
+//! `1` + length-prefixed error text. Tags `0` and `1` belonged to the retired
+//! name-carrying frames and are rejected like any unknown tag.
 //!
 //! All decode paths are total: corrupt bytes surface as a typed [`WireError`]
 //! (truncation, bad tags, overlong varints, invalid UTF-8), not a panic, and a count
@@ -55,14 +56,15 @@
 //!
 //! ([`charged_new_size`], [`charged_dependence_size`]; array accesses have the empty
 //! member name). *Value bytes* is what the encoder just appended for the arguments —
-//! [`encode_new`] and [`encode_dependence`] return it — because values are encoded
-//! today exactly as the first protocol version encoded them. The formula is the exact
-//! size of the name-carrying frame that version sent — its encoder lives on in
-//! `tests/wire_roundtrip.rs` as the executable definition — which is why every
-//! committed virtual time predates and survives the id frames. Responses are charged
-//! at their encoded length.
+//! [`encode_new`] and [`encode_dependence`] return it, and the Message Exchange, which
+//! marshals each argument straight behind the head, counts it the same way — because
+//! values are encoded today exactly as the first protocol version encoded them. The
+//! formula is the exact size of the name-carrying frame that version sent — its
+//! encoder lives on in `tests/wire_roundtrip.rs` as the executable definition — which
+//! is why every committed virtual time predates and survives the id frames. Responses
+//! are charged at their encoded length.
 
-use std::sync::Arc;
+use std::borrow::Cow;
 
 use autodist_codegen::rewrite::{
     ACCESS_GET_FIELD, ACCESS_INVOKE_HASRETURN, ACCESS_INVOKE_VOID, ACCESS_PUT_FIELD,
@@ -209,8 +211,10 @@ impl std::error::Error for WireError {}
 
 /// A marshalled value. Local references are converted to `Remote` before encoding (the
 /// sender exports the object and sends its id), so the wire never carries heap indices.
+/// A string borrows where it can: the sender's interned string on the way in, the
+/// frame's bytes on the way out ([`WireValue::into_owned`] detaches a decoded one).
 #[derive(Clone, Debug, PartialEq)]
-pub enum WireValue {
+pub enum WireValue<'a> {
     /// Null.
     Null,
     /// Integer.
@@ -219,9 +223,9 @@ pub enum WireValue {
     Float(f64),
     /// Boolean.
     Bool(bool),
-    /// String, copied by value: once into the frame from the sender's `Arc`, once
-    /// out of it into the receiver's.
-    Str(Arc<str>),
+    /// String: copied into the frame from the sender's string table, and read out of
+    /// it by the receiver straight into its own.
+    Str(Cow<'a, str>),
     /// Reference to an object hosted by `node` with export id `id`.
     Remote {
         /// Home node.
@@ -231,11 +235,25 @@ pub enum WireValue {
     },
 }
 
+impl WireValue<'_> {
+    /// The same value owning its string, independent of the frame it was read from.
+    pub fn into_owned(self) -> WireValue<'static> {
+        match self {
+            WireValue::Null => WireValue::Null,
+            WireValue::Int(x) => WireValue::Int(x),
+            WireValue::Float(x) => WireValue::Float(x),
+            WireValue::Bool(x) => WireValue::Bool(x),
+            WireValue::Str(s) => WireValue::Str(Cow::Owned(s.into_owned())),
+            WireValue::Remote { node, id } => WireValue::Remote { node, id },
+        }
+    }
+}
+
 /// A response to a request.
 #[derive(Clone, Debug, PartialEq)]
-pub enum Response {
+pub enum Response<'a> {
     /// The result value (or an acknowledgement encoded as `Null`).
-    Value(WireValue),
+    Value(WireValue<'a>),
     /// The remote operation failed.
     Error(String),
 }
@@ -278,22 +296,23 @@ fn put_string(buf: &mut BytesMut, s: &str) {
     buf.put_slice(s.as_bytes());
 }
 
-/// Reads a length-prefixed string straight into its owner (`String`, `Arc<str>`):
-/// the one copy out of the frame.
-fn get_string<S: for<'a> From<&'a str>>(
-    buf: &mut Bytes,
+/// Reads a length-prefixed string through the frame's cursor: borrowed (`&str`) for
+/// a value the receiver interns, copied once into an owner (`String`) otherwise.
+fn get_string<'a, S: From<&'a str>>(
+    buf: &'a mut Bytes,
     what: &'static str,
 ) -> Result<S, WireError> {
     let len = rd_u32(buf, what)? as usize;
     need(buf, len, what)?;
-    let b = buf.split_to(len);
-    match std::str::from_utf8(&b) {
+    match std::str::from_utf8(buf.take_slice(len)) {
         Ok(s) => Ok(S::from(s)),
         Err(_) => Err(WireError::BadUtf8 { what }),
     }
 }
 
-fn put_value(buf: &mut BytesMut, v: &WireValue) {
+/// Appends one value to a frame: the `argc` values behind a request head, one call
+/// each.
+pub fn put_value(buf: &mut BytesMut, v: &WireValue<'_>) {
     match v {
         WireValue::Null => buf.put_u8(0),
         WireValue::Int(x) => {
@@ -322,7 +341,7 @@ fn put_value(buf: &mut BytesMut, v: &WireValue) {
 
 /// Reads the next value of a frame: the `argc` values behind a request head
 /// ([`decode_head`]), one call each.
-pub fn decode_value(buf: &mut Bytes) -> Result<WireValue, WireError> {
+pub fn decode_value(buf: &mut Bytes) -> Result<WireValue<'_>, WireError> {
     Ok(match rd_u8(buf, "value tag")? {
         0 => WireValue::Null,
         1 => {
@@ -334,7 +353,7 @@ pub fn decode_value(buf: &mut Bytes) -> Result<WireValue, WireError> {
             WireValue::Float(buf.get_f64())
         }
         3 => WireValue::Bool(rd_u8(buf, "bool value")? != 0),
-        4 => WireValue::Str(get_string(buf, "string value")?),
+        4 => WireValue::Str(Cow::Borrowed(get_string(buf, "string value")?)),
         5 => WireValue::Remote {
             node: rd_u32(buf, "remote node")?,
             id: rd_u64(buf, "remote id")?,
@@ -423,11 +442,9 @@ fn put_hello(buf: &mut BytesMut, hello: Option<u64>) {
     }
 }
 
-/// Writes the count, then each value as the iterator yields it — the sender marshals
-/// inside the iterator, so no list of wire values ever exists. Returns the bytes the
-/// values took: the variable term of the virtual-time charge.
-fn put_args(buf: &mut BytesMut, args: impl ExactSizeIterator<Item = WireValue>) -> usize {
-    put_varint(buf, args.len() as u64);
+/// Writes each value as the iterator yields it. Returns the bytes the values took:
+/// the variable term of the virtual-time charge.
+fn put_args<'a>(buf: &mut BytesMut, args: impl Iterator<Item = WireValue<'a>>) -> usize {
     let start = buf.len();
     for v in args {
         put_value(buf, &v);
@@ -435,39 +452,60 @@ fn put_args(buf: &mut BytesMut, args: impl ExactSizeIterator<Item = WireValue>) 
     buf.len() - start
 }
 
-/// Encodes a `NEW` into a caller-provided (pooled) buffer, optionally wrapped in the
-/// one-time hello envelope carrying the sender's layout fingerprint. Returns the
-/// value bytes ([`charged_new_size`]).
-pub fn encode_new(
-    buf: &mut BytesMut,
-    hello: Option<u64>,
-    class: u32,
-    args: impl ExactSizeIterator<Item = WireValue>,
-) -> usize {
+/// The head of a `NEW` — hello envelope if any, tag, class id, argument count — into
+/// a caller-provided (pooled) buffer; the `argc` values follow, one [`put_value`]
+/// each.
+pub(crate) fn new_head(buf: &mut BytesMut, hello: Option<u64>, class: u32, argc: usize) {
     put_hello(buf, hello);
     buf.put_u8(TAG_NEW);
     put_varint(buf, u64::from(class));
-    put_args(buf, args)
+    put_varint(buf, argc as u64);
 }
 
-/// Encodes a `DEPENDENCE` into a caller-provided (pooled) buffer, optionally wrapped
-/// in the hello envelope. `member` is the selector or field-name id; array-access
-/// kinds omit the member word entirely. Returns the value bytes
-/// ([`charged_dependence_size`]).
-pub fn encode_dependence(
+/// The head of a `DEPENDENCE` (see [`new_head`]). `member` is the selector or
+/// field-name id; array-access kinds omit the member word entirely.
+pub(crate) fn dependence_head(
     buf: &mut BytesMut,
     hello: Option<u64>,
     target: u64,
     kind: AccessKind,
     member: u32,
-    args: impl ExactSizeIterator<Item = WireValue>,
-) -> usize {
+    argc: usize,
+) {
     put_hello(buf, hello);
     buf.put_u8(TAG_DEP_BASE | kind.tag());
     put_varint(buf, target);
     if kind.has_member() {
         put_varint(buf, u64::from(member));
     }
+    put_varint(buf, argc as u64);
+}
+
+/// Encodes a `NEW` into a caller-provided (pooled) buffer, optionally wrapped in the
+/// one-time hello envelope carrying the sender's layout fingerprint. Returns the
+/// value bytes ([`charged_new_size`]).
+pub fn encode_new<'a>(
+    buf: &mut BytesMut,
+    hello: Option<u64>,
+    class: u32,
+    args: impl ExactSizeIterator<Item = WireValue<'a>>,
+) -> usize {
+    new_head(buf, hello, class, args.len());
+    put_args(buf, args)
+}
+
+/// Encodes a `DEPENDENCE` into a caller-provided (pooled) buffer, optionally wrapped
+/// in the hello envelope (see [`dependence_head`]). Returns the value bytes
+/// ([`charged_dependence_size`]).
+pub fn encode_dependence<'a>(
+    buf: &mut BytesMut,
+    hello: Option<u64>,
+    target: u64,
+    kind: AccessKind,
+    member: u32,
+    args: impl ExactSizeIterator<Item = WireValue<'a>>,
+) -> usize {
+    dependence_head(buf, hello, target, kind, member, args.len());
     put_args(buf, args)
 }
 
@@ -477,7 +515,7 @@ pub fn encode_shutdown() -> Bytes {
 }
 
 /// Encodes a [`Response`] into a caller-provided (pooled) buffer.
-pub fn encode_response_in(mut buf: BytesMut, resp: &Response) -> Bytes {
+pub fn encode_response_in(mut buf: BytesMut, resp: &Response<'_>) -> Bytes {
     match resp {
         Response::Value(v) => {
             buf.put_u8(0);
@@ -573,11 +611,11 @@ pub fn decode_head(buf: &mut Bytes) -> Result<FrameHead, WireError> {
     }
 }
 
-impl Response {
+impl Response<'_> {
     /// Decodes a response. Takes the buffer by `&mut` so the caller keeps ownership
     /// of the spent [`Bytes`] and can reclaim its storage into the endpoint's buffer
-    /// pool afterwards.
-    pub fn decode(bytes: &mut Bytes) -> Result<Response, WireError> {
+    /// pool once it is done with the (borrowed) value.
+    pub fn decode(bytes: &mut Bytes) -> Result<Response<'_>, WireError> {
         match rd_u8(bytes, "response tag")? {
             0 => Ok(Response::Value(decode_value(bytes)?)),
             1 => Ok(Response::Error(get_string(bytes, "error message")?)),
@@ -706,14 +744,18 @@ mod tests {
 
     /// A request frame read back the way the Message Exchange reads it: hello, head,
     /// then `argc` values one at a time.
-    fn read_frame(mut data: Bytes) -> Result<(Option<u64>, FrameHead, Vec<WireValue>), WireError> {
+    fn read_frame(
+        mut data: Bytes,
+    ) -> Result<(Option<u64>, FrameHead, Vec<WireValue<'static>>), WireError> {
         let hello = split_hello(&mut data)?;
         let head = decode_head(&mut data)?;
         let argc = match head {
             FrameHead::New { argc, .. } | FrameHead::Dependence { argc, .. } => argc,
             FrameHead::Shutdown => 0,
         };
-        let args: Result<_, _> = (0..argc).map(|_| decode_value(&mut data)).collect();
+        let args: Result<_, _> = (0..argc)
+            .map(|_| decode_value(&mut data).map(WireValue::into_owned))
+            .collect();
         Ok((hello, head, args?))
     }
 

@@ -86,7 +86,7 @@ fn arb_access_kind() -> impl Strategy<Value = AccessKind> {
     ]
 }
 
-fn arb_wire_value() -> impl Strategy<Value = WireValue> {
+fn arb_wire_value() -> impl Strategy<Value = WireValue<'static>> {
     prop_oneof![
         Just(WireValue::Null),
         any::<i64>().prop_map(WireValue::Int),
@@ -120,7 +120,7 @@ fn dep_frame(
 }
 
 /// A whole request frame: the hello fingerprint if present, the head, the values.
-type Frame = (Option<u64>, FrameHead, Vec<WireValue>);
+type Frame = (Option<u64>, FrameHead, Vec<WireValue<'static>>);
 
 /// Reads a frame the way the Message Exchange does — hello, head, then `argc`
 /// values one at a time. Must return, whatever the bytes: a typed error or a
@@ -133,7 +133,9 @@ fn read_frame(frame: &[u8]) -> Result<Frame, WireError> {
         FrameHead::New { argc, .. } | FrameHead::Dependence { argc, .. } => argc,
         FrameHead::Shutdown => 0,
     };
-    let args: Result<_, _> = (0..argc).map(|_| decode_value(&mut data)).collect();
+    let args: Result<_, _> = (0..argc)
+        .map(|_| decode_value(&mut data).map(WireValue::into_owned))
+        .collect();
     Ok((hello, head, args?))
 }
 

@@ -7,10 +7,12 @@
 //! The claim is that **the argument list costs nothing**: its values go from where the
 //! program put them (operand stack, the rewriter's `Object[]`) into the pooled frame
 //! buffer and from there straight into the callee frame's locals, with no vector of
-//! values or wire values in between, and a string is copied once into the frame and
-//! once out. So each kind of round trip is pinned at exactly what remains — the
-//! program's own heap objects plus the survivors named below — and any future change
-//! that sneaks a per-message collection (or a second string copy) back in fails here.
+//! values or wire values in between; a string is copied into the frame and interned
+//! straight off it, so one equal to a literal of the receiver costs nothing; and a
+//! served request's continuation comes from the node's free list. So each kind of
+//! round trip is pinned at exactly what remains — the program's own heap objects —
+//! and any future change that sneaks a per-message collection (or a string copy)
+//! back in fails here.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -21,7 +23,7 @@ use autodist_ir::frontend::compile_source;
 use autodist_runtime::exchange::{DistState, ServeOutcome};
 use autodist_runtime::interp::{Interp, TaskOutcome};
 use autodist_runtime::net::{MpiEndpoint, NetworkConfig, Transport};
-use autodist_runtime::value::Value;
+use autodist_runtime::value::StaticValue;
 
 /// Counts every allocation and reallocation of the calling thread; frees are
 /// uninteresting here. Per thread, because the test harness's main thread books the
@@ -63,21 +65,19 @@ const MEASURED: usize = 200;
 const KINDS: [&str; 4] = ["invoke(int)", "field read", "NEW(int)", "invoke(String)"];
 
 /// What rank 1 allocates serving one request of each kind, request decode to reply
-/// sent. The two on every call that runs bytecode are the serving continuation's
-/// `frames` and `call_stack` vectors — the next thing a per-node free list would
-/// remove (the frame's own locals/stack vectors already come from one).
+/// sent. The serving continuation and its frame come from the node's free lists, and
+/// the echoed string interns to the receiver's copy of the literal.
 const SERVING: [usize; 4] = [
-    2, // the continuation
+    0, // invoke: nothing
     0, // answered on the spot from the heap
-    3, // the continuation + the instance's field vector (the program's object)
-    3, // the continuation + the one copy of the string out of the frame
+    1, // the instance's field vector (the program's object)
+    0, // invoke with a string: nothing
 ];
 
 /// What rank 0 allocates per loop iteration: the program's own heap objects — three
 /// one-element `Object[]`s (the field read packs an empty one), one proxy's field
-/// vector — and the one copy of the echoed string out of its response frame.
-/// Marshal, send, park and resume add nothing.
-const CALLING: usize = 3 + 1 + 1;
+/// vector. Marshal, send, park, resume and the echoed string add nothing.
+const CALLING: usize = 3 + 1;
 
 /// One test drives everything, on one thread, through every counter window.
 #[test]
@@ -153,6 +153,7 @@ fn steady_state_remote_round_trips_allocate_nothing_for_the_argument_list() {
                 let TaskOutcome::Done(result) = server.run_task(&mut task) else {
                     panic!("a Worker method parked");
                 };
+                server.recycle_task(task);
                 let result = result.map(|v| reply_override.unwrap_or(v));
                 server.send_reply(request.from, request.req_id, result);
             }
@@ -194,7 +195,7 @@ fn steady_state_remote_round_trips_allocate_nothing_for_the_argument_list() {
         .sum();
     assert_eq!(
         caller.statics_snapshot().get("Main::result"),
-        Some(&Value::Int(expected)),
+        Some(&StaticValue::Int(expected)),
         "the loop really ran remotely"
     );
 }

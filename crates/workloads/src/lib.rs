@@ -798,13 +798,13 @@ mod tests {
     use super::*;
     use autodist_ir::verify::verify_program;
     use autodist_runtime::cluster::run_centralized;
-    use autodist_runtime::Value;
+    use autodist_runtime::StaticValue;
 
     fn checksum_of(w: &Workload) -> i64 {
         let report = run_centralized(&w.program, 1.0);
         assert!(report.is_ok(), "{}: {:?}", w.name, report.error);
         match report.final_statics.get("Main::checksum") {
-            Some(Value::Int(v)) => *v,
+            Some(StaticValue::Int(v)) => *v,
             other => panic!("{}: missing checksum ({other:?})", w.name),
         }
     }

@@ -20,7 +20,7 @@ use autodist_runtime::cluster::{
     run_centralized, run_distributed, ClusterConfig, ExecutionReport, Schedule,
 };
 use autodist_runtime::net::NetworkConfig;
-use autodist_runtime::value::Value;
+use autodist_runtime::value::StaticValue;
 use proptest::prelude::*;
 use std::collections::BTreeMap;
 
@@ -142,7 +142,7 @@ proptest! {
         fn pong(n: i64, mul: i64) -> i64 {
             if n <= 0 { 0 } else { n * mul + ping(n - 1, mul) }
         }
-        let expected = Value::Int(ping(depth, mul));
+        let expected = StaticValue::Int(ping(depth, mul));
 
         let baseline = run_centralized(&program, 1.0);
         prop_assert!(baseline.is_ok());
@@ -269,7 +269,7 @@ fn three_node_ring_is_schedule_invariant() {
     let inline = run_pinned(&program, &pins, 3, Schedule::Inline);
     assert_eq!(
         inline.final_statics.get("Main::result"),
-        Some(&Value::Int(17))
+        Some(&StaticValue::Int(17))
     );
     assert_matches_threaded_record(Schedule::Inline, &inline, &threaded);
     // Several workers over the same loop: full parity too, even though every hop

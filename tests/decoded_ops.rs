@@ -57,7 +57,7 @@ fn decode_is_one_to_one_for_all_workloads() {
                         assert_eq!(*t, *t2 as usize);
                     }
                     (Insn::Const(Const::Str(s)), Op::ConstStr(i)) => {
-                        assert_eq!(layout.const_str(*i).as_ref(), s.as_str());
+                        assert_eq!(layout.literals.get(*i), Some(s.as_str()));
                     }
                     (Insn::Const(Const::Int(v)), Op::ConstInt(v2)) => assert_eq!(v, v2),
                     (Insn::GetField(fr), Op::GetField { slot, fr: fr2 })
@@ -263,7 +263,7 @@ fn reference_eval(body: &[Insn], args: [i64; 4], method: MethodId) -> Result<Val
                 if i >= locals.len() {
                     locals.resize(i + 1, Value::Null);
                 }
-                stack.push(locals[i].clone());
+                stack.push(locals[i]);
             }
             Insn::Store(n) => {
                 let i = *n as usize;
@@ -272,7 +272,7 @@ fn reference_eval(body: &[Insn], args: [i64; 4], method: MethodId) -> Result<Val
                 }
                 locals[i] = rpop!();
             }
-            Insn::Dup => match stack.last().cloned() {
+            Insn::Dup => match stack.last().copied() {
                 Some(v) => stack.push(v),
                 None => {
                     return Err(ExecError::StackUnderflow {

@@ -8,7 +8,7 @@ use autodist_runtime::wire::{
 use bytes::{Bytes, BytesMut};
 use proptest::prelude::*;
 
-fn arb_wire_value() -> impl Strategy<Value = WireValue> {
+fn arb_wire_value() -> impl Strategy<Value = WireValue<'static>> {
     prop_oneof![
         Just(WireValue::Null),
         any::<i64>().prop_map(WireValue::Int),
@@ -20,13 +20,13 @@ fn arb_wire_value() -> impl Strategy<Value = WireValue> {
 }
 
 /// Reads a request frame back the way the runtime does: the head, then each value.
-fn read_frame(mut data: Bytes) -> (FrameHead, Vec<WireValue>) {
+fn read_frame(mut data: Bytes) -> (FrameHead, Vec<WireValue<'static>>) {
     let head = decode_head(&mut data).expect("head decodes");
     let argc = match head {
         FrameHead::New { argc, .. } | FrameHead::Dependence { argc, .. } => argc,
         FrameHead::Shutdown => 0,
     };
-    let args = (0..argc).map(|_| decode_value(&mut data).expect("value decodes"));
+    let args = (0..argc).map(|_| decode_value(&mut data).expect("value decodes").into_owned());
     (head, args.collect())
 }
 

@@ -22,7 +22,7 @@ use autodist_ir::layout::{LayoutOptions, Op, ProgramLayout};
 use autodist_ir::program::Program;
 use autodist_profiler::{Metric, Profiler};
 use autodist_runtime::cluster::{run_centralized, run_distributed, ClusterConfig};
-use autodist_runtime::{NetworkConfig, Value};
+use autodist_runtime::{NetworkConfig, StaticValue};
 use autodist_workloads::{bank, generated, table1_workloads, table3_workloads, GenConfig};
 
 fn cluster(nodes: usize) -> ClusterConfig {
@@ -129,7 +129,7 @@ fn a_class_family_split_across_nodes_runs() {
     let central = run_centralized(&program, 1.0);
     assert_eq!(
         central.final_statics.get("Main::checksum"),
-        Some(&Value::Int(41))
+        Some(&StaticValue::Int(41))
     );
     let class = |name: &str| program.class_by_name(name).unwrap();
     for (base, derived) in [(0, 1), (1, 0), (1, 1), (1, 2), (2, 1)] {
@@ -167,7 +167,11 @@ fn assert_same_layout(what: &str, ours: &ProgramLayout, theirs: &ProgramLayout) 
         for (pc, pair) in a.ops.iter().zip(&b.ops).enumerate() {
             match pair {
                 (Op::ConstStr(x), Op::ConstStr(y)) => {
-                    assert_eq!(ours.const_str(*x), theirs.const_str(*y), "{what}: {m}@{pc}")
+                    assert_eq!(
+                        ours.literals.get(*x),
+                        theirs.literals.get(*y),
+                        "{what}: {m}@{pc}"
+                    )
                 }
                 (x, y) => assert_eq!(x, y, "{what}: method {m}@{pc}"),
             }
@@ -202,7 +206,7 @@ fn a_family_of_layouts_is_the_standalone_layouts_sharing_what_the_copies_share()
                         std::ptr::eq(&layout.classes, &family[0].classes),
                         "{what}: one shape"
                     );
-                    assert!(Arc::ptr_eq(&layout.const_strs, &family[0].const_strs));
+                    assert!(Arc::ptr_eq(&layout.literals, &family[0].literals));
                     for (m, method) in copy.methods.iter().enumerate() {
                         assert_eq!(
                             Arc::ptr_eq(&layout.method_ops[m], &family[0].method_ops[m]),

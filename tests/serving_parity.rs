@@ -20,7 +20,7 @@ use autodist::{DistributionPlan, Distributor, DistributorConfig, ServeOptions};
 use autodist_runtime::cluster::{ClusterConfig, Schedule};
 use autodist_runtime::net::FaultPlan;
 use autodist_runtime::serve::{run_serving, RequestReport, ServingReport};
-use autodist_runtime::value::Value;
+use autodist_runtime::value::StaticValue;
 use autodist_runtime::ExecError;
 use autodist_workloads::Workload;
 
@@ -39,7 +39,7 @@ struct Reference {
     virtual_time_us: f64,
     messages: u64,
     bytes: u64,
-    checksum: Option<Value>,
+    checksum: Option<StaticValue>,
 }
 
 /// Distributes each workload and records its solo (sequential) execution report —
