@@ -158,6 +158,113 @@ fn pool_runs_are_deterministic_on_table1_workloads() {
     }
 }
 
+/// Every interval [`sampled_hot_methods_are_pinned`] samples at: every instruction, a
+/// prime that lands ticks mid-superinstruction, and the metric's own quantum.
+const PINNED_INTERVALS: [u64; 3] = [1, 7, 2_000];
+
+/// Per-node hot-method tables of `crypt` and `moldyn` at each of
+/// [`PINNED_INTERVALS`]: one centralized node, then the two nodes of the default
+/// distribution under [`Schedule::Inline`].
+fn sampled_hot_methods(name: &str) -> Vec<Vec<Vec<(u32, u64)>>> {
+    let w = autodist_workloads::table1_workloads(1)
+        .into_iter()
+        .find(|w| w.name == name)
+        .expect("a Table 1 workload");
+    let plan = Distributor::new(DistributorConfig::default())
+        .try_distribute(&w.program)
+        .expect("pipeline");
+    let table = |handle: &ProfileHandle| -> Vec<(u32, u64)> {
+        let data = handle.lock().unwrap();
+        let hot: Vec<(u32, u64)> = data.hot_methods.iter().map(|(m, c)| (m.0, *c)).collect();
+        assert_eq!(data.samples, hot.iter().map(|(_, c)| c).sum::<u64>());
+        hot
+    };
+    PINNED_INTERVALS
+        .iter()
+        .map(|&interval| {
+            let (profiler, handle) = Profiler::new(Some(Metric::HotMethods));
+            let report = autodist_runtime::cluster::run_centralized_profiled(
+                &w.program,
+                1.0,
+                Some(Box::new(profiler)),
+                interval,
+            );
+            assert!(report.is_ok(), "{name} centralized: {:?}", report.error);
+            let mut tables = vec![table(&handle)];
+            let mut profilers = Vec::new();
+            let mut handles = Vec::new();
+            for _ in 0..plan.node_programs.len() {
+                let (profiler, handle) = Profiler::new(Some(Metric::HotMethods));
+                profilers.push(Some(NodeProfiler::new(Box::new(profiler), interval)));
+                handles.push(handle);
+            }
+            let config = ClusterConfig {
+                schedule: Schedule::Inline,
+                ..ClusterConfig::paper_testbed()
+            };
+            let report = plan.execute_profiled(&config, profilers);
+            assert!(report.is_ok(), "{name} distributed: {:?}", report.error);
+            tables.extend(handles.iter().map(table));
+            tables
+        })
+        .collect()
+}
+
+/// [`sampled_hot_methods`] as recorded while the dispatch loop still ticked the
+/// sampler once per seed instruction: for each interval, centralized then node 0 and
+/// node 1 of the distributed run.
+const PINNED_HOT_METHODS: [(&str, [[HotMethods; 3]; 3]); 2] = [
+    (
+        "crypt",
+        [
+            [
+                &[(0, 22816), (1, 67222), (2, 13)],
+                &[(2, 36)],
+                &[(0, 22816), (1, 67222)],
+            ],
+            [
+                &[(0, 3260), (1, 9603), (2, 1)],
+                &[(2, 5)],
+                &[(0, 3259), (1, 9603)],
+            ],
+            [&[(0, 11), (1, 34)], &[], &[(0, 11), (1, 34)]],
+        ],
+    ),
+    (
+        "moldyn",
+        [
+            [
+                &[(0, 245), (1, 26812), (2, 320), (3, 62)],
+                &[(3, 95)],
+                &[(0, 245), (1, 26812), (2, 320)],
+            ],
+            [
+                &[(0, 35), (1, 3832), (2, 46), (3, 6)],
+                &[(3, 13)],
+                &[(0, 35), (1, 3830), (2, 46)],
+            ],
+            [&[(1, 13)], &[], &[(1, 13)]],
+        ],
+    ),
+];
+
+/// Sampling lands on the same instructions however the dispatch loop batches its
+/// ticks: the exact per-node hot-method samples of two compute kernels, centralized
+/// and distributed, at every pinned interval.
+#[test]
+fn sampled_hot_methods_are_pinned() {
+    for (name, expected) in PINNED_HOT_METHODS {
+        let got = sampled_hot_methods(name);
+        for ((interval, got), expected) in PINNED_INTERVALS.iter().zip(&got).zip(expected) {
+            let expected: Vec<Vec<(u32, u64)>> = expected.iter().map(|t| t.to_vec()).collect();
+            assert_eq!(
+                got, &expected,
+                "{name} at sample interval {interval}: centralized, node 0, node 1"
+            );
+        }
+    }
+}
+
 /// A sampling profiler attached to a pool run collects the same per-node samples as
 /// a single worker: worker interleaving never changes what each node executes.
 #[test]
