@@ -58,13 +58,17 @@ pub struct DistState {
     /// Per-source: whether that peer's hello matched our layout fingerprint.
     /// Requests from unverified peers are rejected, never dispatched.
     peer_ok: Vec<bool>,
+    /// This node's rank as wire values and remote references carry it.
+    rank: u32,
 }
 
 impl DistState {
     /// Wraps an endpoint.
     pub fn new(endpoint: MpiEndpoint) -> Self {
         let n = endpoint.size;
+        let rank = u32::try_from(endpoint.rank).expect("a rank fits a wire value's u32");
         DistState {
+            rank,
             endpoint,
             exports: Vec::new(),
             export_ids: HashMap::new(),
@@ -74,17 +78,18 @@ impl DistState {
     }
 
     /// This node's rank.
-    pub fn rank(&self) -> usize {
-        self.endpoint.rank
+    pub fn rank(&self) -> u32 {
+        self.rank
     }
 
     /// `node` as a rank of this world. Ranks reach a node inside wire values and
     /// rewritten constants; one the world does not have must fail typed where it
     /// enters, not index a per-rank table at the next send.
-    fn rank_in_world(&self, node: i64) -> Option<usize> {
+    fn rank_in_world(&self, node: i64) -> Option<u32> {
         usize::try_from(node)
             .ok()
             .filter(|&rank| rank < self.endpoint.size)
+            .and_then(|rank| u32::try_from(rank).ok())
     }
 
     /// The heap index behind export id `id` — an id read off the wire, so one this
@@ -153,10 +158,10 @@ impl Interp {
     /// Records a remote identity in a proxy object's home/remoteId/className slots so
     /// later accesses route to the object's home node — the single encoding of the
     /// proxy representation.
-    pub(crate) fn bind_proxy(&mut self, proxy: u32, node: usize, id: u64, class_name: StrId) {
+    pub(crate) fn bind_proxy(&mut self, proxy: u32, node: u32, id: u64, class_name: StrId) {
         if let Some((hs, rs, cs)) = self.proxy_slots {
             if let HeapObject::Object { fields, .. } = &mut self.heap[proxy as usize] {
-                fields[hs] = Value::Int(node as i64);
+                fields[hs] = Value::Int(node.into());
                 fields[rs] = Value::Int(id as i64);
                 fields[cs] = Value::Str(class_name);
             }
@@ -184,11 +189,8 @@ impl Interp {
             HeapObject::Object { fields, .. } => {
                 let node = fields.get(hs).and_then(|v| v.as_int());
                 let id = fields.get(rs).and_then(|v| v.as_int());
-                match (node, id) {
-                    (Some(n), Some(i)) => Ok(ObjRef::Remote {
-                        node: n as usize,
-                        id: i as u64,
-                    }),
+                match (node.and_then(|n| u32::try_from(n).ok()), id) {
+                    (Some(node), Some(i)) => Ok(ObjRef::Remote { node, id: i as u64 }),
                     _ => Err(ExecError::Unsupported(
                         "DependentObject used before initialisation".into(),
                     )),
@@ -343,7 +345,7 @@ impl Interp {
     fn parse_dep_init(
         &self,
         args: &[Value],
-    ) -> Result<(usize, ClassId, StrId, Option<u32>), ExecError> {
+    ) -> Result<(u32, ClassId, StrId, Option<u32>), ExecError> {
         let location = args
             .get(1)
             .and_then(|v| v.as_int())
@@ -489,26 +491,17 @@ impl Interp {
             Value::Float(f) => WireValue::Float(f),
             Value::Bool(b) => WireValue::Bool(b),
             Value::Str(s) => WireValue::Str(Cow::Borrowed(self.string(s))),
-            Value::Ref(ObjRef::Remote { node, id }) => WireValue::Remote {
-                node: node as u32,
-                id,
-            },
+            Value::Ref(ObjRef::Remote { node, id }) => WireValue::Remote { node, id },
             Value::Ref(ObjRef::Local(h)) => {
                 // A proxy marshals as the identity of the object it stands for.
                 if self.heap[h as usize].class() == self.dep_class {
                     if let Ok(ObjRef::Remote { node, id }) = self.proxy_target(h) {
-                        return WireValue::Remote {
-                            node: node as u32,
-                            id,
-                        };
+                        return WireValue::Remote { node, id };
                     }
                 }
-                let my_rank = self.dist.as_ref().map(|d| d.rank()).unwrap_or(0);
+                let node = self.dist.as_ref().map_or(0, DistState::rank);
                 let id = self.export(h);
-                WireValue::Remote {
-                    node: my_rank as u32,
-                    id,
-                }
+                WireValue::Remote { node, id }
             }
         }
     }
@@ -536,17 +529,14 @@ impl Interp {
             WireValue::Bool(b) => Value::Bool(b),
             WireValue::Str(s) => self.intern(&s),
             WireValue::Remote { node, id } => Value::Ref(match &self.dist {
-                Some(d) if d.rank() == node as usize => ObjRef::Local(d.exported(id)?),
+                Some(d) if d.rank() == node => ObjRef::Local(d.exported(id)?),
                 Some(d) => ObjRef::Remote {
                     node: d
                         .rank_in_world(i64::from(node))
                         .ok_or_else(|| ExecError::RemoteFailure(format!("bad node rank {node}")))?,
                     id,
                 },
-                None => ObjRef::Remote {
-                    node: node as usize,
-                    id,
-                },
+                None => ObjRef::Remote { node, id },
             }),
         })
     }
@@ -560,23 +550,28 @@ impl Interp {
 
     /// A pooled encode buffer for a request to `node`, plus the fingerprint hello if
     /// this is the first request on that link.
-    fn frame_start(&mut self, node: usize) -> Result<(BytesMut, Option<u64>), ExecError> {
+    fn frame_start(&mut self, node: u32) -> Result<(BytesMut, Option<u64>), ExecError> {
         let fp = self.layout.fingerprint();
         let dist = self.dist.as_mut().ok_or(ExecError::NotDistributed)?;
-        let hello = (!dist.hello_sent[node]).then_some(fp);
-        dist.hello_sent[node] = true;
+        let sent = &mut dist.hello_sent[node as usize];
+        let hello = (!*sent).then_some(fp);
+        *sent = true;
         Ok((dist.endpoint.take_buf(), hello))
     }
 
     /// Sends an encoded request, charging the virtual clock for `charged` bytes —
     /// the size the cost model defines for the message, not the frame's — and
-    /// returns the request id the machine parks the running continuation on.
-    fn send_request(&mut self, node: usize, frame: BytesMut, charged: usize) -> u64 {
+    /// returns the request id the machine parks the running continuation on. The
+    /// transport addresses ranks as `usize`.
+    fn send_request(&mut self, node: u32, frame: BytesMut, charged: usize) -> u64 {
         self.counters.remote_requests += 1;
         let dist = self.dist.as_mut().expect("frame_start found dist state");
-        let (clock, req_id) =
-            dist.endpoint
-                .send_request_charged(node, frame.freeze(), self.clock_us, charged);
+        let (clock, req_id) = dist.endpoint.send_request_charged(
+            node as usize,
+            frame.freeze(),
+            self.clock_us,
+            charged,
+        );
         self.clock_us = clock;
         req_id
     }
@@ -622,7 +617,7 @@ impl Interp {
     /// Sends a `NEW` request without waiting (see [`Self::remote_send`]).
     fn remote_new_send(
         &mut self,
-        home: usize,
+        home: u32,
         class: ClassId,
         class_name_len: usize,
         args: &[Value],

@@ -581,16 +581,37 @@ impl Interp {
         self.invoke(entry, Vec::new())
     }
 
-    /// Sampling-profiler tick, taken out of line so the interpret loop only pays a
-    /// predictable branch when sampling is disabled. `stack` is the running
-    /// continuation's own call stack — exact even when other continuations are parked
-    /// on this node.
-    #[cold]
-    fn tick_sample(&mut self, stack: &[MethodId]) {
-        self.instructions_since_sample += 1;
-        if self.instructions_since_sample >= self.sample_interval {
-            self.instructions_since_sample = 0;
-            if let Some(p) = self.profiler.as_mut() {
+    /// Charges `seed` seed instructions run in `dispatched` dispatches: the
+    /// counters, the virtual clock (`seed` additions of `instr_cost / speed`, in
+    /// closed form — see [`advance_clock`]) and the sampling profiler. The
+    /// instructions all ran on `stack`, the running continuation's own call stack —
+    /// exact even when other continuations are parked on this node.
+    #[inline]
+    fn charge(&mut self, seed: u64, dispatched: u64, stack: &[MethodId]) {
+        self.counters.instructions += seed;
+        self.counters.dispatches += dispatched;
+        self.clock_us = advance_clock(self.clock_us, self.instr_cost_us / self.speed, seed);
+        if self.sample_interval > 0 {
+            self.tick_samples(stack, seed);
+        }
+    }
+
+    /// `n` sampling-profiler ticks on `stack`: a sample lands on every
+    /// `sample_interval`-th instruction, counted across runs, calls and tasks.
+    fn tick_samples(&mut self, stack: &[MethodId], n: u64) {
+        // Ticks up to the next sample: what the interval still lacks, at least one.
+        let first = self
+            .sample_interval
+            .saturating_sub(self.instructions_since_sample)
+            .max(1);
+        if n < first {
+            self.instructions_since_sample += n;
+            return;
+        }
+        let rest = n - first;
+        self.instructions_since_sample = rest % self.sample_interval;
+        if let Some(p) = self.profiler.as_mut() {
+            for _ in 0..=rest / self.sample_interval {
                 p.sample(stack);
             }
         }
@@ -786,14 +807,7 @@ impl Interp {
                 // The collapsed trailing Pop would have been its own dispatch in the
                 // unfused stream, executed after the response arrived: charge it
                 // identically before applying its stack effect.
-                self.counters.instructions += 1;
-                self.counters.dispatches += 1;
-                self.clock_us += self.instr_cost_us / self.speed;
-                if self.sample_interval > 0 {
-                    let stack = std::mem::take(&mut task.call_stack);
-                    self.tick_sample(&stack);
-                    task.call_stack = stack;
-                }
+                self.charge(1, 1, &task.call_stack);
                 let frame = task
                     .frames
                     .last_mut()
@@ -839,24 +853,21 @@ impl Interp {
         } = task;
         debug_assert!(pending.is_none(), "running a parked continuation");
         let layout = Arc::clone(&self.layout);
-        // Hoisted out of the loop: the per-instruction virtual-time increment (node
-        // speed and instruction cost never change mid-run) and the sampling flag.
-        let unit_cost = self.instr_cost_us / self.speed;
-        let sampling = self.sample_interval > 0;
-        // The virtual clock and instruction count are accumulated in locals
-        // (registers) and flushed back to `self` at every exit and around every call
-        // that can observe them (remote sends, the profiler).
-        let mut clock = self.clock_us;
+        // A dispatch charges nothing. The loop charges a *straight-line run* —
+        // consecutive ops of one frame — as a whole: opening one subtracts its start
+        // (seed pc, fused pc) from these accumulators, closing it where control
+        // leaves — a taken branch, a call, a return, a park, a fault, the end of
+        // the method — adds its end, so closed runs leave their seed instructions
+        // and dispatches behind and nothing else stays live. `flush!` settles the
+        // accumulators into `self` (counters, clock, profiler ticks), with every run
+        // closed, before anything can observe them — a send, a profiler hook — and
+        // at every exit.
         let mut executed: u64 = 0;
         let mut dispatched: u64 = 0;
 
-        // Flushes the register accumulators into `self` (required before any call
-        // that can observe the clock or instruction count, and at every exit).
         macro_rules! flush {
             () => {{
-                self.clock_us = clock;
-                self.counters.instructions += executed;
-                self.counters.dispatches += dispatched;
+                self.charge(executed, dispatched, call_stack);
                 #[allow(unused_assignments)]
                 {
                     executed = 0;
@@ -891,19 +902,47 @@ impl Interp {
                 let src_pc: &[u32] = &mops.src_pc;
                 let mut pc = frame.pc as usize;
 
-                macro_rules! fail {
-                    ($e:expr) => {
-                        break Transfer::Fail($e)
-                    };
-                }
-                // Seed-bytecode pc of the op at fused pc `$pc`.
+                // Seed-bytecode pc of the op at fused pc `$pc`, or of the method's
+                // end at `ops.len()` (a branch target may be one past the last op).
                 macro_rules! seed_pc {
                     ($pc:expr) => {
                         match src_pc.get($pc) {
                             Some(&s) => s,
-                            None => $pc as u32,
+                            None if src_pc.is_empty() => $pc as u32,
+                            None => seed_len(ops, src_pc),
                         }
                     };
+                }
+                // Opens a run at fused pc `$pc`, seed pc `$seed` (wrapping: the
+                // accumulators only add up once the run is closed).
+                macro_rules! open {
+                    ($pc:expr, $seed:expr) => {{
+                        executed = executed.wrapping_sub(u64::from($seed));
+                        dispatched = dispatched.wrapping_sub($pc as u64);
+                    }};
+                }
+                // Closes the run just before fused pc `$pc`, seed pc `$seed`.
+                macro_rules! close {
+                    ($pc:expr, $seed:expr) => {{
+                        executed = executed.wrapping_add(u64::from($seed));
+                        dispatched = dispatched.wrapping_add($pc as u64);
+                    }};
+                }
+                // Closes the run after the first `$k` seed instructions of the
+                // current op. An exit from inside a superinstruction closes through
+                // the component that faulted or parked; the later ones never ran.
+                macro_rules! close_through {
+                    ($k:expr) => {
+                        close!(pc + 1, seed_pc!(pc) + $k)
+                    };
+                }
+                open!(pc, seed_pc!(pc));
+                // Faults at the current op's fault point ([`fault_offset`]).
+                macro_rules! fail {
+                    ($e:expr) => {{
+                        close_through!(fault_offset(&ops[pc]) + 1);
+                        break Transfer::Fail($e);
+                    }};
                 }
                 // Pops with an underflow coordinate `$off` seed instructions into
                 // the current op's collapsed window (0 for every 1:1 op).
@@ -912,10 +951,11 @@ impl Interp {
                         match frame.stack.pop() {
                             Some(v) => v,
                             None => {
+                                close_through!($off + 1);
                                 break Transfer::Fail(ExecError::StackUnderflow {
                                     pc: seed_pc!(pc) + $off,
                                     method,
-                                })
+                                });
                             }
                         }
                     };
@@ -923,23 +963,6 @@ impl Interp {
                 macro_rules! pop {
                     () => {
                         pop_at!(0)
-                    };
-                }
-                // Charges `$extra` additional seed instructions for a
-                // superinstruction (the loop header already charged the first).
-                // Deliberately `$extra` *sequential* clock increments — not one
-                // multiplied add — so the f64 clock is bit-identical to the unfused
-                // execution, and one sampling tick per seed instruction so profiler
-                // samples land on the same instruction boundaries.
-                macro_rules! charge {
-                    ($extra:expr) => {
-                        for _ in 0..$extra {
-                            executed += 1;
-                            clock += unit_cost;
-                            if sampling {
-                                self.tick_sample(call_stack);
-                            }
-                        }
                     };
                 }
                 // Reads local `$n` like the seed `Load` does: out-of-range slots
@@ -969,7 +992,7 @@ impl Interp {
                     ($e:expr) => {
                         match $e {
                             Ok(v) => v,
-                            Err(e) => break Transfer::Fail(e),
+                            Err(e) => fail!(e),
                         }
                     };
                 }
@@ -989,12 +1012,21 @@ impl Interp {
                         }
                     }};
                 }
+                // Jumps to `$target` from the current op, `$width` seed instructions
+                // wide: the run closes here and the next one opens at the target.
+                macro_rules! jump {
+                    ($target:expr, $width:expr) => {{
+                        close_through!($width);
+                        pc = *$target as usize;
+                        open!(pc, seed_pc!(pc));
+                        continue;
+                    }};
+                }
                 // Branches to `$target` when `$taken`.
                 macro_rules! branch_if {
-                    ($taken:expr, $target:expr) => {
+                    ($taken:expr, $target:expr, $width:expr) => {
                         if $taken {
-                            pc = *$target as usize;
-                            continue;
+                            jump!($target, $width);
                         }
                     };
                 }
@@ -1002,6 +1034,7 @@ impl Interp {
                 // resumes at the next instruction.
                 macro_rules! park {
                     ($send:expr, $action:expr) => {{
+                        close_through!(fault_offset(&ops[pc]) + 1);
                         flush!();
                         match $send {
                             Ok(req_id) => {
@@ -1056,9 +1089,9 @@ impl Interp {
                     }};
                 }
                 // `PutField`, and with `$pop` the fused `PutFieldPop`: every PutField
-                // fault (underflow, null receiver) fires with only the PutField's own
-                // charge; the collapsed trailing Pop is charged right before its own
-                // stack effect (underflow coordinate = seed pc + 1).
+                // fault (underflow, null receiver) and a park on a remote write
+                // close the run through the PutField alone; the collapsed trailing
+                // Pop underflows at seed pc + 1, closing through itself.
                 macro_rules! put_field {
                     ($slot:expr, $fr:expr, $pop:literal) => {{
                         let val = pop!();
@@ -1073,7 +1106,6 @@ impl Interp {
                                         *cell = val;
                                     }
                                     if $pop {
-                                        charge!(1);
                                         let _ = pop_at!(1);
                                     }
                                     pc += 1;
@@ -1103,7 +1135,6 @@ impl Interp {
                         }
                         call!(self.put_field(obj, *$fr, val));
                         if $pop {
-                            charge!(1);
                             let _ = pop_at!(1);
                         }
                     }};
@@ -1111,13 +1142,8 @@ impl Interp {
 
                 loop {
                     if pc >= ops.len() {
+                        close!(pc, seed_pc!(pc));
                         break Transfer::Finish(Value::Null);
-                    }
-                    dispatched += 1;
-                    executed += 1;
-                    clock += unit_cost;
-                    if sampling {
-                        self.tick_sample(call_stack);
                     }
                     match &ops[pc] {
                         Op::ConstInt(v) => frame.stack.push(Value::Int(*v)),
@@ -1165,7 +1191,7 @@ impl Interp {
                         Op::IfCmp(op, target) => {
                             let rhs = pop!();
                             let lhs = pop!();
-                            branch_if!(self.holds(*op, lhs, rhs), target);
+                            branch_if!(self.holds(*op, lhs, rhs), target, 1);
                         }
                         Op::If(op, target) => {
                             let taken = match pop!() {
@@ -1176,12 +1202,9 @@ impl Interp {
                                     op.eval_ord(i.cmp(&0))
                                 }
                             };
-                            branch_if!(taken, target);
+                            branch_if!(taken, target, 1);
                         }
-                        Op::Goto(target) => {
-                            pc = *target as usize;
-                            continue;
-                        }
+                        Op::Goto(target) => jump!(target, 1),
                         Op::New(class) => {
                             let r = self.new_instance(*class);
                             frame.stack.push(Value::Ref(r));
@@ -1341,6 +1364,7 @@ impl Interp {
                                         frame.stack.push(Value::Null);
                                     }
                                 } else {
+                                    close_through!(1);
                                     if self.profiler.is_some() {
                                         flush!();
                                     }
@@ -1360,20 +1384,24 @@ impl Interp {
                                 // Proxies, remote receivers, the DependentObject
                                 // protocol: the Message Exchange reads the operands
                                 // where they lie and says how the machine proceeds.
+                                close_through!(1);
                                 flush!();
                                 let slow =
                                     self.slow_invoke(&frame.stack[base..], *target, *push_ret);
                                 frame.stack.truncate(base);
-                                match call!(slow) {
-                                    SlowInvoke::Park(req_id, action) => {
+                                match slow {
+                                    Err(e) => break Transfer::Fail(e),
+                                    Ok(SlowInvoke::Park(req_id, action)) => {
                                         frame.pc = (pc + 1) as u32;
                                         break Transfer::Park(req_id, action);
                                     }
-                                    SlowInvoke::Call(f) => {
+                                    Ok(SlowInvoke::Call(f)) => {
                                         frame.pc = (pc + 1) as u32;
                                         break Transfer::Call(f);
                                     }
-                                    SlowInvoke::Nothing => {
+                                    Ok(SlowInvoke::Nothing) => {
+                                        // The run goes on behind the call.
+                                        open!(pc + 1, seed_pc!(pc) + 1);
                                         if *push_ret {
                                             frame.stack.push(Value::Null);
                                         }
@@ -1382,57 +1410,51 @@ impl Interp {
                             }
                         }
                         Op::Return => {
+                            close_through!(1);
                             break Transfer::Finish(Value::Null);
                         }
                         Op::ReturnValue => {
                             let v = pop!();
+                            close_through!(1);
                             break Transfer::Finish(v);
                         }
 
                         // --- Superinstructions. Grouped so the whole dispatch stays
                         // one jump table; each arm reads its operands straight from
-                        // the locals, charges its full seed width up front
-                        // (`charge!` = width − 1 extra ticks), and reproduces the
-                        // seed sequence's faults at their seed coordinates.
+                        // the locals and reproduces the seed sequence's faults at
+                        // their seed coordinates. The run charges the full seed width
+                        // of an op it passes, and a fault or park inside one only
+                        // the components up to it (`fault_offset`, `pop_at!`).
                         Op::LoadLoadBin(a, b, op) => {
-                            charge!(2);
                             frame.stack.push(arith!(*op, local!(*a), local!(*b)));
                         }
                         Op::LoadConstBin(n, k, op) => {
-                            charge!(2);
                             frame.stack.push(arith!(*op, local!(*n), Value::Int(*k)));
                         }
                         Op::BinStore(op, n) => {
-                            // The seed Bin carries every fault; the Store is only
-                            // charged (and run) once the Bin succeeded, exactly like
-                            // the unfused stream.
+                            // The seed Bin carries every fault, so a fault leaves the
+                            // Store unrun and uncharged, like the unfused stream.
                             let rhs = pop!();
                             let lhs = pop!();
                             let v = arith!(*op, lhs, rhs);
-                            charge!(1);
                             store!(*n, v);
                         }
                         Op::LoadIfCmp(op, n, target) => {
-                            charge!(1);
                             // Seed order: the stack value is `lhs`, the loaded local
                             // the popped-last `rhs`. The pop is the seed IfCmp's
                             // (offset 1 into the window).
                             let lhs = pop_at!(1);
-                            branch_if!(self.holds(*op, lhs, local!(*n)), target);
+                            branch_if!(self.holds(*op, lhs, local!(*n)), target, 2);
                         }
                         Op::IfCmpFused(op, a, b, target) => {
-                            charge!(2);
-                            branch_if!(self.holds(*op, local!(*a), local!(*b)), target);
+                            branch_if!(self.holds(*op, local!(*a), local!(*b)), target, 3);
                         }
                         Op::LoadConstIfCmp(op, n, k, target) => {
-                            charge!(2);
-                            branch_if!(self.holds(*op, local!(*n), Value::Int(*k)), target);
+                            branch_if!(self.holds(*op, local!(*n), Value::Int(*k)), target, 3);
                         }
                         Op::IncLocal(n, k) => {
-                            // Charge Load/Const/Bin up front (they precede the only
-                            // fault point, the Bin); the Store is charged once the
-                            // add succeeded.
-                            charge!(2);
+                            // The Bin is the only fault point: Load/Const/Bin are
+                            // charged, the Store is not.
                             let idx = *n as usize;
                             if idx >= frame.locals.len() {
                                 frame.locals.resize(idx + 1, Value::Null);
@@ -1441,11 +1463,9 @@ impl Interp {
                                 Value::Int(x) => Value::Int(x.wrapping_add(*k)),
                                 lhs => call!(self.binop(BinOp::Add, lhs, Value::Int(*k))),
                             };
-                            charge!(1);
                             frame.locals[idx] = v;
                         }
                         Op::LoadFieldGet { local, slot, fr } => {
-                            charge!(1);
                             get_field!(local!(*local), slot, fr)
                         }
                         Op::PutFieldPop { slot, fr } => put_field!(slot, fr, true),
@@ -1750,6 +1770,71 @@ fn default_value(ty: &Type) -> Value {
         Type::Bool => Value::Bool(false),
         _ => Value::Null,
     }
+}
+
+/// Where a fault or a park leaves `op`, as a seed offset into its collapsed window:
+/// the component of a superinstruction that can fault (the Bin of the arithmetic
+/// windows, the GetField of `LoadFieldGet`, the IfCmp's pop of `LoadIfCmp`); the
+/// PutField of `PutFieldPop`, whose trailing Pop underflows at its own offset; 0 for
+/// every 1:1 op. The components up to it ran and are charged, the rest are not.
+fn fault_offset(op: &Op) -> u32 {
+    match op {
+        Op::LoadLoadBin(..) | Op::LoadConstBin(..) | Op::IncLocal(..) => 2,
+        Op::LoadIfCmp(..) | Op::LoadFieldGet { .. } => 1,
+        _ => 0,
+    }
+}
+
+/// The seed length of a fused body: the seed pc one past its last op.
+#[cold]
+fn seed_len(ops: &[Op], src_pc: &[u32]) -> u32 {
+    match (ops.last(), src_pc.last()) {
+        (Some(op), Some(&s)) => s + op.fused_width(),
+        _ => ops.len() as u32,
+    }
+}
+
+/// `clock` after `n` sequential IEEE additions of `unit`, bit for bit, in closed
+/// form.
+///
+/// Inside one binade `[2^e, 2^(e+1))` a clock is `k × ulp` for an integer `k` below
+/// 2^53, and `unit / ulp` is exact (a power-of-two scaling). Unless it ends in exactly
+/// one half, one addition rounds the sum to `k + round(unit / ulp)`, the same step
+/// every time, so `m` additions that stay in the binade are one integer
+/// multiply-add. A binade crossing, a tie (where the rounding reads `k`'s parity),
+/// zero, a subnormal or tiny clock, and anything not positive and finite take one
+/// plain `+=` and try again.
+pub(crate) fn advance_clock(mut clock: f64, unit: f64, mut n: u64) -> f64 {
+    const MANTISSA: u64 = (1 << 52) - 1;
+    const K_MAX: u64 = (1 << 53) - 1;
+    while n > 0 {
+        let bits = clock.to_bits();
+        // The biased exponent (the sign bit above it makes a negative clock fail the
+        // range test). From 53 on, the ulp `2^(exp − 1075)` is a normal float.
+        let exp = bits >> 52;
+        if (53..0x7ff).contains(&exp) && unit > 0.0 && unit.is_finite() {
+            let ulp = f64::from_bits((exp - 52) << 52);
+            let steps = unit / ulp;
+            if steps < K_MAX as f64 && steps - steps.floor() != 0.5 {
+                let m = steps.round() as u64;
+                if m == 0 {
+                    // Every addition rounds back to `clock`.
+                    return clock;
+                }
+                let k = (bits & MANTISSA) | (1 << 52);
+                let room = (K_MAX - k) / m;
+                if room > 0 {
+                    let s = room.min(n);
+                    clock = f64::from_bits((exp << 52) | ((k + s * m) & MANTISSA));
+                    n -= s;
+                    continue;
+                }
+            }
+        }
+        clock += unit;
+        n -= 1;
+    }
+    clock
 }
 
 /// Integer fast path of [`Op::Bin`] and the fused arithmetic superinstructions:
@@ -2120,5 +2205,86 @@ mod tests {
         assert_eq!(interp.layout().field_slot(fx), Some(0));
         assert_eq!(interp.layout().slot_count(a), 2);
         assert_eq!(interp.layout().slot_count(b), 3);
+    }
+
+    /// What [`advance_clock`] must equal: `n` additions, one at a time.
+    fn added(mut clock: f64, unit: f64, n: u64) -> f64 {
+        for _ in 0..n {
+            clock += unit;
+        }
+        clock
+    }
+
+    /// The ulp of a normal clock.
+    fn ulp(clock: f64) -> f64 {
+        f64::from_bits(((clock.to_bits() >> 52) - 52) << 52)
+    }
+
+    /// The testbed's units (instruction cost 0.01 µs at node speeds 1.0 and 2.1),
+    /// the interpreter's default, and against `clock`'s ulp: exactly one (a clock
+    /// below a binade edge lands on it) and two exact ties.
+    fn units(clock: f64) -> Vec<f64> {
+        let mut units = vec![0.01 / 1.0, 0.01 / 2.1, 0.02];
+        if clock.is_normal() && clock.to_bits() >> 52 > 53 {
+            units.push(ulp(clock));
+            units.push(2.5 * ulp(clock));
+            units.push(0.5 * ulp(clock));
+        }
+        units
+    }
+
+    #[test]
+    fn the_clock_advances_as_its_additions_would() {
+        let clocks = [
+            0.0,
+            f64::from_bits(1),
+            f64::MIN_POSITIVE,
+            1.0 - f64::EPSILON,
+            1.0,
+            1_023.999_999,
+            2.0_f64.powi(20) - 0.000_1,
+            15_740.485_333_152_645,
+            1e12,
+        ];
+        for clock in clocks {
+            for unit in units(clock) {
+                for n in [0, 1, 2, 7, 1_000, 250_000] {
+                    assert_eq!(
+                        advance_clock(clock, unit, n).to_bits(),
+                        added(clock, unit, n).to_bits(),
+                        "clock {clock:e} + {n} × {unit:e}"
+                    );
+                }
+            }
+        }
+    }
+
+    proptest::proptest! {
+        /// Bit-identical to sequential additions from any clock: zero, subnormal,
+        /// a few ulps below a binade edge (so the run crosses it) or anywhere, and
+        /// for any positive unit as well as the fixed ones, ties included.
+        #[test]
+        fn advance_clock_is_a_loop_of_additions(
+            kind in 0u64..4,
+            raw in 0u64..u64::MAX,
+            exp in -30i32..40,
+            unit in 0.000_001f64..10.0,
+            n in 0u64..20_000,
+        ) {
+            let clock = match kind {
+                0 => 0.0,
+                1 => f64::from_bits(raw % (1 << 52)),
+                2 => f64::from_bits(2.0_f64.powi(exp).to_bits() - raw % 10_000),
+                _ => f64::from_bits(raw % 0x7fe0_0000_0000_0000),
+            };
+            let mut all = units(clock);
+            all.push(unit);
+            for unit in all {
+                proptest::prop_assert_eq!(
+                    advance_clock(clock, unit, n).to_bits(),
+                    added(clock, unit, n).to_bits()
+                );
+            }
+        }
     }
 }

@@ -26,8 +26,9 @@ pub enum ObjRef {
     Local(u32),
     /// An object living on another node, identified by its export id there.
     Remote {
-        /// Home node rank.
-        node: usize,
+        /// Home node rank: a `u32`, as a wire value carries it, which keeps a
+        /// [`Value`] at 16 bytes.
+        node: u32,
         /// Export id assigned by the home node.
         id: u64,
     },
@@ -55,11 +56,12 @@ pub enum Value {
 }
 
 /// The dispatch loop copies values on every push, pop and store: they must stay plain
-/// words with no drop glue.
+/// words with no drop glue, two of them.
 const _: () = {
     const fn copy<T: Copy>() {}
     copy::<Value>()
 };
+const _: () = assert!(std::mem::size_of::<Value>() == 16);
 
 impl Value {
     /// Interprets the value as an integer (booleans coerce to 0/1).

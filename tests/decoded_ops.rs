@@ -17,7 +17,12 @@
 //!   semantics, down to the exact fault (`StackUnderflow` coordinates included);
 //! * **fusion parity** — the same programs (Table 1 workloads, random bodies, and
 //!   hand-built mid-pattern branch cases) produce bit-identical results, faults,
-//!   virtual clocks and instruction counts with `LayoutOptions::fuse` on and off.
+//!   virtual clocks and instruction counts with `LayoutOptions::fuse` on and off;
+//! * **accounting** — the interpreter charges whole straight-line runs, not single
+//!   dispatches, so fused-against-unfused parity cannot catch a miscount both
+//!   layouts share. The reference evaluation counts the seed instructions it runs
+//!   (the faulting one included), and both layouts must report exactly that count
+//!   and the clock that many sequential `+= unit` additions give, bit for bit.
 
 use autodist_ir::bytecode::{BinOp, CmpOp, Const, Insn, UnOp};
 use autodist_ir::layout::{LayoutOptions, Op, ProgramLayout, NO_SLOT};
@@ -224,27 +229,37 @@ fn build_probe(body: Vec<Insn>) -> (Program, MethodId) {
 /// Direct evaluation of the seed [`Insn`] semantics for the integer machine: the
 /// value model, wrapping arithmetic, comparison rules and fault coordinates mirror
 /// the interpreter's contract exactly, but execution walks the *undecoded* bytecode.
-fn reference_eval(body: &[Insn], args: [i64; 4], method: MethodId) -> Result<Value, ExecError> {
+/// Returns the outcome and the number of seed instructions executed, the faulting
+/// one included. A local past the argument slots reads as null, and a `Bin` on a
+/// null fails the way the interpreter's does.
+fn reference_eval(
+    body: &[Insn],
+    args: [i64; 4],
+    method: MethodId,
+) -> (Result<Value, ExecError>, u64) {
     let mut locals: Vec<Value> = args.iter().map(|&v| Value::Int(v)).collect();
     let mut stack: Vec<Value> = Vec::new();
     let mut pc = 0usize;
     let mut steps = 0u64;
     loop {
         if pc >= body.len() {
-            return Ok(Value::Null);
+            return (Ok(Value::Null), steps);
         }
         steps += 1;
         assert!(steps < 4_000_000, "reference evaluation ran away");
+        macro_rules! fault {
+            ($e:expr) => {
+                return (Err($e), steps)
+            };
+        }
         macro_rules! rpop {
             () => {
                 match stack.pop() {
                     Some(v) => v,
-                    None => {
-                        return Err(ExecError::StackUnderflow {
-                            pc: pc as u32,
-                            method,
-                        })
-                    }
+                    None => fault!(ExecError::StackUnderflow {
+                        pc: pc as u32,
+                        method,
+                    }),
                 }
             };
         }
@@ -274,12 +289,10 @@ fn reference_eval(body: &[Insn], args: [i64; 4], method: MethodId) -> Result<Val
             }
             Insn::Dup => match stack.last().copied() {
                 Some(v) => stack.push(v),
-                None => {
-                    return Err(ExecError::StackUnderflow {
-                        pc: pc as u32,
-                        method,
-                    })
-                }
+                None => fault!(ExecError::StackUnderflow {
+                    pc: pc as u32,
+                    method,
+                }),
             },
             Insn::Pop => {
                 rpop!();
@@ -287,7 +300,7 @@ fn reference_eval(body: &[Insn], args: [i64; 4], method: MethodId) -> Result<Val
             Insn::Swap => {
                 let len = stack.len();
                 if len < 2 {
-                    return Err(ExecError::StackUnderflow {
+                    fault!(ExecError::StackUnderflow {
                         pc: pc as u32,
                         method,
                     });
@@ -295,21 +308,27 @@ fn reference_eval(body: &[Insn], args: [i64; 4], method: MethodId) -> Result<Val
                 stack.swap(len - 1, len - 2);
             }
             Insn::Bin(op) => {
-                let b = rpop_int!();
-                let a = rpop_int!();
+                let (rhs, lhs) = (rpop!(), rpop!());
+                let (a, b) = match (lhs, rhs) {
+                    (Value::Int(a), Value::Int(b)) => (a, b),
+                    (Value::Null, _) | (_, Value::Null) => {
+                        fault!(ExecError::Unsupported(format!("{op:?} on non-number Null")))
+                    }
+                    other => panic!("integer machine produced {other:?}"),
+                };
                 let r = match op {
                     BinOp::Add => a.wrapping_add(b),
                     BinOp::Sub => a.wrapping_sub(b),
                     BinOp::Mul => a.wrapping_mul(b),
                     BinOp::Div => {
                         if b == 0 {
-                            return Err(ExecError::DivisionByZero);
+                            fault!(ExecError::DivisionByZero);
                         }
                         a.wrapping_div(b)
                     }
                     BinOp::Rem => {
                         if b == 0 {
-                            return Err(ExecError::DivisionByZero);
+                            fault!(ExecError::DivisionByZero);
                         }
                         a.wrapping_rem(b)
                     }
@@ -344,7 +363,7 @@ fn reference_eval(body: &[Insn], args: [i64; 4], method: MethodId) -> Result<Val
                 pc = *target;
                 continue;
             }
-            Insn::ReturnValue => return Ok(rpop!()),
+            Insn::ReturnValue => return (Ok(rpop!()), steps),
             other => panic!("integer machine does not emit {other:?}"),
         }
         pc += 1;
@@ -370,22 +389,43 @@ fn run_probe(
     )
 }
 
-/// Asserts fused and unfused executions of `body` agree with each other (and with
-/// the reference evaluation) on outcome, virtual clock (bitwise) and instruction
-/// count, for one argument vector.
+/// The clock of a fresh interpreter after `n` instructions, charged one at a time.
+fn sequential_clock(n: u64) -> f64 {
+    let fresh = Interp::new(&Program::new());
+    let unit = fresh.instr_cost_us / fresh.speed;
+    let mut clock = fresh.clock_us;
+    for _ in 0..n {
+        clock += unit;
+    }
+    clock
+}
+
+/// Asserts fused and unfused executions of `body` agree with each other and with
+/// the reference evaluation on outcome, instruction count and virtual clock
+/// (bitwise, against that many sequential additions), for one argument vector.
 fn assert_fusion_parity(body: &[Insn], args: [i64; 4]) {
     let (program, probe) = build_probe(body.to_vec());
-    let expected = reference_eval(body, args, probe);
+    let (expected, steps) = reference_eval(body, args, probe);
     let (fused, fclock, finstr, fdisp) = run_probe(&program, probe, args, LayoutOptions::default());
     let (plain, uclock, uinstr, udisp) = run_probe(&program, probe, args, NOFUSE);
     assert_eq!(fused, expected, "fused run diverged from the reference");
     assert_eq!(plain, expected, "unfused run diverged from the reference");
+    assert_eq!(finstr, steps, "fused run miscounted its seed instructions");
+    assert_eq!(
+        uinstr, steps,
+        "unfused run miscounted its seed instructions"
+    );
+    let clock = sequential_clock(steps);
     assert_eq!(
         fclock.to_bits(),
-        uclock.to_bits(),
-        "virtual clock must be bit-identical under fusion ({fclock} vs {uclock})"
+        clock.to_bits(),
+        "fused clock is not {steps} sequential additions ({fclock} vs {clock})"
     );
-    assert_eq!(finstr, uinstr, "instruction counts must match under fusion");
+    assert_eq!(
+        uclock.to_bits(),
+        clock.to_bits(),
+        "unfused clock is not {steps} sequential additions ({uclock} vs {clock})"
+    );
     assert!(
         fdisp <= udisp,
         "fusion must never add dispatches ({fdisp} > {udisp})"
@@ -394,6 +434,151 @@ fn assert_fusion_parity(body: &[Insn], args: [i64; 4]) {
         udisp, uinstr,
         "unfused dispatches are 1:1 with instructions"
     );
+}
+
+/// Asserts `body` fuses to an op matching `fused` and then runs it through
+/// [`assert_fusion_parity`].
+fn assert_fused_parity(body: &[Insn], fused: fn(&Op) -> bool, args: [i64; 4]) {
+    let (program, probe) = build_probe(body.to_vec());
+    let layout = ProgramLayout::build(&program);
+    assert!(
+        layout.ops(probe).ops.iter().any(fused),
+        "expected the window to fuse: {:?}",
+        layout.ops(probe).ops
+    );
+    assert_fusion_parity(body, args);
+}
+
+/// A fault inside an arithmetic superinstruction is charged through its Bin — the
+/// Load and Const (or second Load) before it too, the Store of `IncLocal` not.
+#[test]
+fn a_fault_inside_a_superinstruction_is_charged_through_its_bin() {
+    // LoadConstBin: a0 / 0.
+    let body = vec![
+        Insn::Const(Const::Int(1)),
+        Insn::Load(0),
+        Insn::Const(Const::Int(0)),
+        Insn::Bin(BinOp::Div),
+        Insn::Bin(BinOp::Add),
+        Insn::ReturnValue,
+    ];
+    assert_fused_parity(&body, |op| matches!(op, Op::LoadConstBin(..)), [5, 0, 0, 0]);
+    // LoadLoadBin: a0 % a1 with a1 = 0.
+    let body = vec![
+        Insn::Load(0),
+        Insn::Load(1),
+        Insn::Bin(BinOp::Rem),
+        Insn::ReturnValue,
+    ];
+    assert_fused_parity(&body, |op| matches!(op, Op::LoadLoadBin(..)), [5, 0, 0, 0]);
+    assert_fused_parity(&body, |op| matches!(op, Op::LoadLoadBin(..)), [5, 3, 0, 0]);
+    // IncLocal: an add cannot divide by zero, so its one fault is a null local
+    // (slot 5 is past the arguments).
+    let body = vec![
+        Insn::Const(Const::Int(7)),
+        Insn::Load(5),
+        Insn::Const(Const::Int(1)),
+        Insn::Bin(BinOp::Add),
+        Insn::Store(5),
+        Insn::ReturnValue,
+    ];
+    assert_fused_parity(&body, |op| matches!(op, Op::IncLocal(..)), [0, 0, 0, 0]);
+}
+
+/// A fused window that underflows is charged through the component that popped:
+/// the Bin of `BinStore` (its Store never runs), the IfCmp of `LoadIfCmp`.
+#[test]
+fn an_underflow_inside_a_fused_window_is_charged_through_the_pop() {
+    let body = vec![
+        Insn::Const(Const::Int(3)),
+        Insn::Bin(BinOp::Add),
+        Insn::Store(2),
+        Insn::Load(2),
+        Insn::ReturnValue,
+    ];
+    assert_fused_parity(&body, |op| matches!(op, Op::BinStore(..)), [0, 0, 0, 0]);
+    let body = vec![
+        Insn::Const(Const::Int(1)),
+        Insn::Pop,
+        Insn::Load(0),
+        Insn::IfCmp(CmpOp::Eq, 5),
+        Insn::Const(Const::Int(1)),
+        Insn::ReturnValue,
+    ];
+    assert_fused_parity(&body, |op| matches!(op, Op::LoadIfCmp(..)), [0, 0, 0, 0]);
+}
+
+/// A branch taken from the middle of straight-line code closes the run there and
+/// opens the next one at its target, over fused and 1:1 ops alike; a loop closes
+/// and reopens the same run many times.
+#[test]
+fn a_branch_out_of_the_middle_of_a_run_is_charged_where_it_leaves() {
+    let body = vec![
+        Insn::Load(0),
+        Insn::Load(1),
+        Insn::Bin(BinOp::Add), // LoadLoadBin
+        Insn::Store(2),
+        Insn::Load(0),
+        Insn::Const(Const::Int(0)),
+        Insn::IfCmp(CmpOp::Gt, 11), // LoadConstIfCmp, out of the middle
+        Insn::Load(2),
+        Insn::Const(Const::Int(3)),
+        Insn::Bin(BinOp::Mul),
+        Insn::ReturnValue,
+        Insn::Load(2), // target
+        Insn::ReturnValue,
+    ];
+    assert_fused_parity(
+        &body,
+        |op| matches!(op, Op::LoadConstIfCmp(..)),
+        [1, 2, 0, 0],
+    );
+    assert_fused_parity(
+        &body,
+        |op| matches!(op, Op::LoadConstIfCmp(..)),
+        [-1, 2, 0, 0],
+    );
+    // while (a0 > 0) { a1 = a1 + 2; a0 = a0 - 1; } return a1;
+    let body = vec![
+        Insn::Load(0),
+        Insn::Const(Const::Int(0)),
+        Insn::IfCmp(CmpOp::Le, 12),
+        Insn::Load(1),
+        Insn::Const(Const::Int(2)),
+        Insn::Bin(BinOp::Add),
+        Insn::Store(1), // IncLocal
+        Insn::Load(0),
+        Insn::Const(Const::Int(1)),
+        Insn::Bin(BinOp::Sub),
+        Insn::Store(0),
+        Insn::Goto(0),
+        Insn::Load(1),
+        Insn::ReturnValue,
+    ];
+    assert_fused_parity(&body, |op| matches!(op, Op::IncLocal(..)), [37, 1, 0, 0]);
+}
+
+/// A body that runs off its end returns null; the run that reaches the end —
+/// straight or by a branch to one past the last op, behind a fused window — is
+/// charged in full.
+#[test]
+fn a_body_that_falls_off_its_end_is_charged_to_its_end() {
+    let body = vec![
+        Insn::Load(0),
+        Insn::Load(1),
+        Insn::Bin(BinOp::Add),
+        Insn::Store(2),
+    ];
+    assert_fused_parity(&body, |op| matches!(op, Op::LoadLoadBin(..)), [1, 2, 0, 0]);
+    let body = vec![
+        Insn::Load(0),
+        Insn::If(CmpOp::Gt, 5), // to one past the end
+        Insn::Load(1),
+        Insn::Load(2),
+        Insn::Bin(BinOp::Add), // the last op is fused
+    ];
+    assert_fused_parity(&body, |op| matches!(op, Op::LoadLoadBin(..)), [1, 2, 3, 0]);
+    assert_fused_parity(&body, |op| matches!(op, Op::LoadLoadBin(..)), [0, 2, 3, 0]);
 }
 
 /// A conditional branch lands *inside* a would-be `Load/Const/Bin` window, so the
@@ -536,8 +721,9 @@ fn table1_workloads_execute_identically_with_fuse_on_and_off() {
 proptest! {
     /// Random integer-machine bodies produce the same outcome — value or typed
     /// fault, including the faulting pc — through the decode + explicit-stack loop
-    /// (fused *and* unfused) as through direct evaluation of the bytecode, with
-    /// bit-identical virtual clocks and instruction counts between the two layouts.
+    /// (fused *and* unfused) as through direct evaluation of the bytecode, with the
+    /// reference's instruction count and its count of sequential clock additions,
+    /// bit for bit, under both layouts.
     /// The generated bodies branch forward into arbitrary offsets, so targets land
     /// mid-pattern routinely and exercise the fusion blocker.
     #[test]
@@ -557,13 +743,17 @@ proptest! {
         prop_assert_eq!(widths as usize, body.len());
 
         let args = [a0, a1, a2, a3];
-        let expected = reference_eval(&body, args, probe);
+        let (expected, steps) = reference_eval(&body, args, probe);
         let (fgot, fclock, finstr, fdisp) = run_probe(&program, probe, args, LayoutOptions::default());
         let (ugot, uclock, uinstr, udisp) = run_probe(&program, probe, args, NOFUSE);
         prop_assert_eq!(fgot, expected.clone());
         prop_assert_eq!(ugot, expected);
-        prop_assert_eq!(fclock.to_bits(), uclock.to_bits());
-        prop_assert_eq!(finstr, uinstr);
+        prop_assert_eq!(finstr, steps);
+        prop_assert_eq!(uinstr, steps);
+        let clock = sequential_clock(steps).to_bits();
+        prop_assert_eq!(fclock.to_bits(), clock);
+        prop_assert_eq!(uclock.to_bits(), clock);
         prop_assert!(fdisp <= udisp);
+        prop_assert_eq!(udisp, steps);
     }
 }
