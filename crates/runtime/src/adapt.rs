@@ -126,20 +126,15 @@ impl AdaptState {
         }
     }
 
-    /// The placement requests of `app` are currently admitted under (`None` = the
-    /// seed placement).
-    pub(crate) fn current(&self, app: usize) -> Option<Arc<ServerApp>> {
-        lock(&self.apps[app]).current.clone()
-    }
-
-    /// Whether a request of `app` being admitted now should carry profiler sinks:
-    /// only the first [`PROFILED_ADMISSIONS`] admissions of each epoch do, so the
-    /// bulk of traffic runs uninstrumented. Called once per admission (it advances
-    /// the epoch's admission counter).
-    pub(crate) fn admit_profiled(&self, app: usize) -> bool {
+    /// Admits one request of `app`: the placement it runs under (`None` = the seed
+    /// placement) and whether it carries profiler sinks — only the first
+    /// [`PROFILED_ADMISSIONS`] admissions of each epoch do, so the bulk of traffic
+    /// runs uninstrumented. Called once per admission (it advances the epoch's
+    /// admission counter); both answers come from one acquisition of the app's lock.
+    pub(crate) fn admit(&self, app: usize) -> (Option<Arc<ServerApp>>, bool) {
         let mut epoch = lock(&self.apps[app]);
         epoch.admitted += 1;
-        epoch.admitted <= PROFILED_ADMISSIONS
+        (epoch.current.clone(), epoch.admitted <= PROFILED_ADMISSIONS)
     }
 
     /// The planner's profiler sink for node `rank` of a new request of `app`.

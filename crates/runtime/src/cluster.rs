@@ -12,7 +12,6 @@
 //! a distributed execution — the worker loop in [`crate::sched`] — and
 //! [`run_distributed`] goes through it as a serving run of one request at window 1.
 
-use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 use autodist_ir::program::Program;
@@ -29,8 +28,8 @@ use crate::value::Statics;
 pub enum Schedule {
     /// One worker, on the calling thread: virtual nodes are multiplexed on it; a
     /// node waiting on a remote operation parks its frame stack as a continuation
-    /// and the worker pops the next ready `(root, rank)` key off the transport's
-    /// shared ready queue (O(1) delivery per packet).
+    /// and the worker takes the next ready `(root, rank, count)` entry off the
+    /// scheduler's ready queue (O(1) delivery per packet).
     #[default]
     Inline,
     /// `threads` workers over the same loop and the same queue. A single root
@@ -245,12 +244,11 @@ pub fn run_distributed_profiled(
         schedule: config.schedule,
         faults: &faults,
         adapt: None,
-        profilers: Mutex::new(profilers),
         // A single-root run reports virtual time; its delivery deadline is the
         // instant its one world quiesces.
         deadline_wait: Duration::ZERO,
     };
-    let (mut requests, _) = server.run();
+    let (mut requests, _) = server.run(profilers);
     let mut report = requests.pop().expect("one request, one report").report;
     report.wall_time_ms = start.elapsed().as_secs_f64() * 1e3;
     report

@@ -16,10 +16,13 @@
 //!   crosses a node — the interception of `rt/DependentObject` operations that turns
 //!   rewritten call sites into message exchanges, marshal / unmarshal, send, accept,
 //!   reply.
-//! * [`sched`] — the scheduler: **one worker loop** popping `(root, rank)` keys off the
-//!   transport's shared ready queue (O(1) delivery per packet) into a fixed table of
+//! * [`sched`] — the scheduler: **one worker loop** taking `(root, rank, count)`
+//!   entries off one ready queue (O(1) delivery per packet) into a fixed table of
 //!   in-flight worlds, one lock each, with quiescence *counted* per world
-//!   (published minus consumed keys) instead of inferred from timeouts. The three
+//!   (published minus consumed keys) instead of inferred from timeouts. The queue,
+//!   the admission window and the results share one run lock, and a delivery slice
+//!   hands the entries it published back to its worker, which queues them in the
+//!   same acquisition that takes its next entry. The three
 //!   per-node services of Figure 10 (MPI service, Execution Starter, Message
 //!   Exchange) are the world's transport, its seeding, and [`exchange`] under its
 //!   delivery slice.
@@ -54,7 +57,7 @@ pub use interp::{
     Continuation, ExecCounters, ExecError, Interp, ProfilerSink, TaskOutcome, TransportStall,
 };
 pub use net::{
-    FaultPlan, FaultSummary, KillNode, LinkProbs, LossReason, LostPacket, NetworkConfig, ReadyQueue,
+    FaultPlan, FaultSummary, KillNode, LinkProbs, LossReason, LostPacket, NetworkConfig,
 };
 pub use serve::{run_serving, RequestReport, ServeOptions, ServerApp, ServingReport};
 pub use value::{HeapObject, ObjRef, StaticValue, Statics, StrId, Value};

@@ -7,11 +7,12 @@
 //! model: each node has a relative CPU speed, and every message pays
 //! `latency + bytes / bandwidth` of virtual time. Virtual clocks are carried on the
 //! packets so causality is preserved (a receiver can never observe a message before it
-//! was sent). The only state shared *between* worlds is the [`ReadyQueue`].
+//! was sent). Nothing in here is shared between worlds, and nothing in here waits:
+//! the ready entries a world publishes go into a buffer its caller owns, and the
+//! scheduler's run lock is where they meet the other worlds' entries.
 
 use bytes::{Bytes, BytesMut};
 use std::collections::VecDeque;
-use std::sync::{Condvar, Mutex};
 
 use crate::wire::{SeqVerdict, SeqWindow};
 
@@ -324,142 +325,17 @@ pub struct Packet {
     pub arrival_time_us: f64,
 }
 
-/// A ready-queue entry: `(root, rank)`.
+/// A ready entry `(root, rank, count)`: `count` deliverable packets for node `rank`
+/// of the world whose root id is `root`.
 ///
-/// `root` identifies the root computation (the world) the packet belongs to and
-/// `rank` its destination node. The worker loop uses the root to find the world a
-/// popped entry must be delivered to, and to recognise a *stale* key — one whose
-/// world already completed — by root mismatch.
-pub type ReadyKey = (u32, u32);
+/// A packet names its destination, so the world routing it records the destination
+/// and, when the sender's slice ends, [`Transport::publish`]es one counted entry per
+/// destination — delivery is then O(1) per packet (take an entry, take that many
+/// packets from that node's mailbox) instead of an O(nodes) sweep over every
+/// mailbox. The root lets the scheduler find the world an entry belongs to and
+/// recognise a *stale* one — its world already completed — by root mismatch.
+pub(crate) type Ready = (u32, u32, u32);
 
-/// What [`ReadyQueue::next`] handed the calling worker.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Next {
-    /// The oldest ready entry: its key and how many packets it covers.
-    Entry(ReadyKey, u32),
-    /// The run is over ([`ReadyQueue::close`] was called): exit.
-    Closed,
-    /// The queue is empty and every other worker is already blocked on it, so no
-    /// entry can ever arrive: the caller is the last worker standing.
-    AllIdle,
-}
-
-/// The transport's shared **ready queue**: `(root, rank)` keys for the nodes that
-/// have undelivered packets, in send order.
-///
-/// A packet names its destination, so the world routing it enqueues the destination
-/// key here when the sender's delivery slice ends — delivery is then O(1) per packet
-/// (pop a key, take from that node's mailbox) instead of an O(nodes) sweep over
-/// every mailbox. A key may appear more than once (one entry per sender's slice);
-/// popping a key whose mailbox was already drained is a cheap no-op.
-///
-/// One queue is shared by every world of a run (a single-root run has one world, a
-/// serving run up to `concurrency`), so continuations from different requests
-/// interleave freely on the same workers.
-///
-/// Every entry carries a packet **count**: several packets for one destination
-/// accumulated during a delivery slice are published as a single counted entry via
-/// [`ReadyQueue::push_counted`] — one pop then delivers the whole batch.
-#[derive(Default)]
-pub struct ReadyQueue {
-    state: Mutex<QueueState>,
-    ready: Condvar,
-}
-
-#[derive(Default)]
-struct QueueState {
-    queue: VecDeque<(ReadyKey, u32)>,
-    /// Workers currently blocked in [`ReadyQueue::next`].
-    waiters: usize,
-    closed: bool,
-}
-
-impl ReadyQueue {
-    fn lock(&self) -> std::sync::MutexGuard<'_, QueueState> {
-        self.state.lock().unwrap_or_else(|e| e.into_inner())
-    }
-
-    /// Enqueues `key` carrying `count` deliverable packets as one entry (its world
-    /// recorded that many for the rank during one delivery slice).
-    /// A zero count is ignored.
-    ///
-    /// A blocked worker is woken only when more is queued than the pusher will take
-    /// itself: the pusher is a worker in the middle of a slice, about to come back
-    /// for the next entry, and a condvar notify is a futex syscall — one control
-    /// flow bouncing between two nodes must not pay it per message just because a
-    /// sibling is asleep. A pusher that is *not* about to come back says so with
-    /// [`ReadyQueue::nudge`].
-    pub fn push_counted(&self, key: ReadyKey, count: u32) {
-        if count == 0 {
-            return;
-        }
-        let mut s = self.lock();
-        s.queue.push_back((key, count));
-        let wake = s.waiters > 0 && s.queue.len() > 1;
-        drop(s);
-        if wake {
-            self.ready.notify_one();
-        }
-    }
-
-    /// Wakes a blocked worker if anything is queued: called by a worker about to
-    /// be busy elsewhere (admitting a request) instead of coming back to pop.
-    pub fn nudge(&self) {
-        let s = self.lock();
-        let wake = s.waiters > 0 && !s.queue.is_empty();
-        drop(s);
-        if wake {
-            self.ready.notify_one();
-        }
-    }
-
-    /// Pops the oldest ready entry `(key, packet count)` without blocking (tests
-    /// only; the worker loop uses [`ReadyQueue::next`]).
-    #[cfg(test)]
-    pub(crate) fn pop(&self) -> Option<(ReadyKey, u32)> {
-        self.lock().queue.pop_front()
-    }
-
-    /// The worker loop's pop: the oldest entry, blocking on the condvar — with no
-    /// timeout — while the queue is empty. Returns [`Next::Closed`] once the run
-    /// is over, and [`Next::AllIdle`] instead of blocking when the caller would be
-    /// the last of `workers` to go idle (waiters are counted under the queue lock,
-    /// so a push can never slip between the emptiness check and the wait).
-    pub fn next(&self, workers: usize) -> Next {
-        let mut s = self.lock();
-        loop {
-            if s.closed {
-                return Next::Closed;
-            }
-            if let Some((key, count)) = s.queue.pop_front() {
-                return Next::Entry(key, count);
-            }
-            if s.waiters + 1 >= workers {
-                return Next::AllIdle;
-            }
-            s.waiters += 1;
-            s = self.ready.wait(s).unwrap_or_else(|e| e.into_inner());
-            s.waiters -= 1;
-        }
-    }
-
-    /// Ends the run: every blocked worker wakes and every later
-    /// [`ReadyQueue::next`] returns [`Next::Closed`].
-    pub fn close(&self) {
-        self.lock().closed = true;
-        self.ready.notify_all();
-    }
-
-    /// Number of queued entries (each may carry several packets when coalesced).
-    pub fn len(&self) -> usize {
-        self.lock().queue.len()
-    }
-
-    /// `true` when no rank is queued.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-}
 /// A sender-side sequencing slot for one directed link.
 #[derive(Clone, Copy, Debug, Default)]
 struct TxLink {
@@ -707,15 +583,15 @@ impl Transport {
         }
     }
 
-    /// Publishes the keys recorded since the last call as one counted ready-queue
-    /// entry per destination `(root, rank)`, in first-recorded order, and counts
-    /// them. The worker loop calls this at the end of every packet's slice, so it
-    /// observes one wake per link per slice however many packets went there.
-    pub(crate) fn publish(&mut self, root: u32, ready: &ReadyQueue) {
+    /// Publishes the keys recorded since the last call as one counted entry per
+    /// destination, `(root, rank, count)`, appended to `out` in first-recorded
+    /// order, and counts them. The world calls this at the end of every packet's
+    /// slice, so one entry per link per slice covers however many packets went there.
+    pub(crate) fn publish(&mut self, root: u32, out: &mut Vec<Ready>) {
         for to in self.tally.order.drain(..) {
             let count = std::mem::take(&mut self.tally.counts[to as usize]);
             self.keys += count;
-            ready.push_counted((root, to), count);
+            out.push((root, to, count));
         }
     }
 
@@ -835,10 +711,6 @@ pub struct MpiEndpoint {
     pub messages_sent: u64,
     /// Bytes sent by this endpoint.
     pub bytes_sent: u64,
-    /// Number of messages received.
-    pub messages_received: u64,
-    /// Bytes received.
-    pub bytes_received: u64,
     /// Next outgoing request correlation id (ids are unique per endpoint).
     next_req_id: u64,
     /// Recycled encode buffers ([`MpiEndpoint::take_buf`] / [`MpiEndpoint::reclaim`]):
@@ -862,8 +734,6 @@ impl MpiEndpoint {
             bandwidth_mbps: config.bandwidth_mbps,
             messages_sent: 0,
             bytes_sent: 0,
-            messages_received: 0,
-            bytes_received: 0,
             next_req_id: 0,
             pool: Vec::new(),
             outbox: Vec::new(),
@@ -944,12 +814,6 @@ impl MpiEndpoint {
         transfer_time_us(self.latency_us, self.bandwidth_mbps, bytes)
     }
 
-    /// Counts one logically delivered packet.
-    pub fn received(&mut self, pkt: &Packet) {
-        self.messages_received += 1;
-        self.bytes_received += pkt.data.len() as u64;
-    }
-
     /// Pops a recycled encode buffer, or allocates one. Pair with
     /// [`MpiEndpoint::reclaim`] on the matching decoded `Bytes` to keep the
     /// steady-state wire path allocation-free.
@@ -997,13 +861,6 @@ mod tests {
         sent
     }
 
-    /// The world's delivery step: take `at`'s next packet and count it received.
-    fn recv(net: &mut Transport, at: &mut MpiEndpoint) -> Option<Packet> {
-        let pkt = net.recv(at.rank)?;
-        at.received(&pkt);
-        Some(pkt)
-    }
-
     /// An uncorrelated control packet (`req_id` 0), as the shutdown broadcast posts.
     fn control(from: usize, to: usize, payload: &'static [u8]) -> Packet {
         Packet {
@@ -1034,15 +891,13 @@ mod tests {
         let (mut net, mut eps) = world(&cfg, None);
         let (clock_after, _) = request(&mut net, &mut eps[0], 1, b"hello", 100.0);
         assert!(clock_after >= 100.0);
-        let pkt = recv(&mut net, &mut eps[1]).expect("delivered");
+        let pkt = net.recv(1).expect("delivered");
         assert_eq!(pkt.from, 0);
         assert_eq!(pkt.to, 1);
         assert_eq!(&pkt.data[..], b"hello");
         assert!(pkt.arrival_time_us > 100.0, "arrival accounts for the link");
         assert_eq!(eps[0].messages_sent, 1);
         assert_eq!(eps[0].bytes_sent, 5);
-        assert_eq!(eps[1].messages_received, 1);
-        assert_eq!(eps[1].bytes_received, 5);
     }
 
     #[test]
@@ -1052,17 +907,17 @@ mod tests {
         let (_, id1) = request(&mut net, &mut eps[0], 1, b"q1", 0.0);
         let (_, id2) = request(&mut net, &mut eps[0], 1, b"q2", 0.0);
         assert_ne!(id1, id2, "each request gets a fresh correlation id");
-        let p1 = recv(&mut net, &mut eps[1]).expect("first request");
+        let p1 = net.recv(1).expect("first request");
         assert_eq!(p1.req_id, id1);
         eps[1].send_response_charged(0, p1.req_id, Bytes::from_static(b"r1"), 0.0, 2);
         net.route(&mut eps[1]);
-        let resp = recv(&mut net, &mut eps[0]).expect("response");
+        let resp = net.recv(0).expect("response");
         assert_eq!(resp.kind, PacketKind::Response);
         assert_eq!(resp.req_id, id1, "response echoes the request id");
         net.post(control(0, 1, b""));
-        assert_eq!(recv(&mut net, &mut eps[1]).map(|p| p.req_id), Some(id2));
+        assert_eq!(net.recv(1).map(|p| p.req_id), Some(id2));
         assert_eq!(
-            recv(&mut net, &mut eps[1]).map(|p| p.req_id),
+            net.recv(1).map(|p| p.req_id),
             Some(0),
             "uncorrelated control packets travel with id 0"
         );
@@ -1072,109 +927,59 @@ mod tests {
     fn sends_mark_destinations_ready_in_send_order() {
         let cfg = NetworkConfig::uniform(4);
         let (mut net, mut eps) = world(&cfg, None);
-        let ready = ReadyQueue::default();
+        let mut ready = Vec::new();
         request(&mut net, &mut eps[0], 2, b"x", 0.0);
         request(&mut net, &mut eps[0], 1, b"y", 0.0);
         request(&mut net, &mut eps[0], 2, b"z", 0.0);
-        assert!(ready.is_empty());
-        net.publish(0, &ready);
-        assert_eq!(ready.len(), 2, "one entry per destination");
-        assert_eq!(ready.pop(), Some(((0, 2), 2)));
-        assert_eq!(ready.pop(), Some(((0, 1), 1)));
-        assert_eq!(ready.pop(), None);
+        assert_eq!(net.keys(), 0, "nothing counted before the publish");
+        net.publish(0, &mut ready);
+        assert_eq!(ready, [(0, 2, 2), (0, 1, 1)], "one entry per destination");
         assert_eq!(net.keys(), 3, "every key is counted as published");
-        net.publish(0, &ready);
-        assert_eq!(net.keys(), 3, "publishing resets the tally");
+        net.publish(0, &mut ready);
+        assert_eq!(ready.len(), 2, "publishing resets the tally");
+        assert_eq!(net.keys(), 3);
         net.consume(5);
         assert_eq!(net.keys(), 0, "consumption saturates at zero");
     }
 
-    /// The worker loop's pop: entries first, `AllIdle` for the last worker standing
-    /// (never a block nobody can end), a condvar wait otherwise, `Closed` at the end.
-    #[test]
-    fn ready_queue_wait_observes_pushed_entries() {
-        let ready = ReadyQueue::default();
-        assert_eq!(ready.next(1), Next::AllIdle, "a lone worker never blocks");
-        ready.push_counted((0, 7), 1);
-        assert_eq!(ready.next(1), Next::Entry((0, 7), 1));
-        // Two workers: the first to find the queue empty blocks until a push.
-        std::thread::scope(|scope| {
-            let waiter = scope.spawn(|| ready.next(2));
-            while ready.lock().waiters == 0 {
-                std::thread::yield_now();
-            }
-            assert_eq!(ready.next(2), Next::AllIdle, "the other worker is blocked");
-            // One entry is the pusher's own to take; a second one wakes the sibling.
-            ready.push_counted((3, 1), 2);
-            ready.push_counted((3, 0), 1);
-            assert_eq!(waiter.join().unwrap(), Next::Entry((3, 1), 2));
-            assert_eq!(ready.next(2), Next::Entry((3, 0), 1));
-            // A pusher that will not come back hands its entry over explicitly.
-            let waiter = scope.spawn(|| ready.next(2));
-            while ready.lock().waiters == 0 {
-                std::thread::yield_now();
-            }
-            ready.push_counted((4, 0), 1);
-            ready.nudge();
-            assert_eq!(waiter.join().unwrap(), Next::Entry((4, 0), 1));
-        });
-        // Closing wakes blocked workers and wins over queued (stale) entries.
-        std::thread::scope(|scope| {
-            let waiter = scope.spawn(|| ready.next(2));
-            while ready.lock().waiters == 0 {
-                std::thread::yield_now();
-            }
-            ready.close();
-            assert_eq!(waiter.join().unwrap(), Next::Closed);
-        });
-        ready.push_counted((0, 0), 1);
-        assert_eq!(ready.next(2), Next::Closed);
-    }
-
     #[test]
     fn serving_worlds_tag_ready_keys_with_their_root() {
-        let shared = ReadyQueue::default();
+        let mut shared = Vec::new();
         let cfg = NetworkConfig::uniform(2);
         let (mut w3, mut eps3) = world(&cfg, None);
         let (mut w9, mut eps9) = world(&cfg, None);
         request(&mut w3, &mut eps3[0], 1, b"x", 0.0);
-        w3.publish(3, &shared);
+        w3.publish(3, &mut shared);
         request(&mut w9, &mut eps9[0], 1, b"y", 0.0);
-        w9.publish(9, &shared);
+        w9.publish(9, &mut shared);
         request(&mut w3, &mut eps3[0], 1, b"z", 0.0);
-        w3.publish(3, &shared);
+        w3.publish(3, &mut shared);
         assert_eq!(
-            shared.pop(),
-            Some(((3, 1), 1)),
-            "keys interleave on one queue"
+            shared,
+            [(3, 1, 1), (9, 1, 1), (3, 1, 1)],
+            "entries interleave in one buffer"
         );
-        assert_eq!(shared.pop(), Some(((9, 1), 1)));
-        assert_eq!(shared.pop(), Some(((3, 1), 1)));
         // Mailboxes stay per-world: w9's node 1 sees only its own packet.
-        assert_eq!(
-            recv(&mut w9, &mut eps9[1]).map(|p| p.data),
-            Some(Bytes::from_static(b"y"))
-        );
-        assert!(recv(&mut w9, &mut eps9[1]).is_none());
+        assert_eq!(w9.recv(1).map(|p| p.data), Some(Bytes::from_static(b"y")));
+        assert!(w9.recv(1).is_none());
     }
 
     #[test]
     fn coalescing_batches_ready_keys_per_destination() {
         let cfg = NetworkConfig::uniform(3);
         let (mut net, mut eps) = world(&cfg, None);
-        let ready = ReadyQueue::default();
+        let mut ready = Vec::new();
         request(&mut net, &mut eps[0], 1, b"x", 0.0);
         request(&mut net, &mut eps[0], 2, b"y", 0.0);
         request(&mut net, &mut eps[0], 1, b"z", 0.0);
-        assert!(ready.is_empty(), "keys held back until the publish");
-        net.publish(0, &ready);
-        assert_eq!(ready.pop(), Some(((0, 1), 2)), "two packets, one entry");
-        assert_eq!(ready.pop(), Some(((0, 2), 1)));
-        assert_eq!(ready.pop(), None);
-        net.publish(0, &ready);
+        assert_eq!(net.keys(), 0, "keys held back until the publish");
+        net.publish(0, &mut ready);
+        assert_eq!(ready, [(0, 1, 2), (0, 2, 1)], "two packets, one entry");
+        ready.clear();
+        net.publish(0, &mut ready);
         assert_eq!(
-            ready.pop(),
-            None,
+            ready,
+            [],
             "a publish with nothing recorded publishes nothing"
         );
     }
@@ -1183,7 +988,6 @@ mod tests {
     fn coalescing_leaves_clocks_and_counters_untouched() {
         let cfg = NetworkConfig::paper_testbed();
         let (mut net, mut eps) = world(&cfg, None);
-        let ready = ReadyQueue::default();
         let (c1, id1) = eps[0].send_request_charged(1, Bytes::from_static(b"abc"), 5.0, 3);
         let (c2, id2) = eps[0].send_request_charged(1, Bytes::from_static(b"defg"), c1, 4);
         // Everything the execution reports is decided at send time; only the
@@ -1197,9 +1001,9 @@ mod tests {
         assert_eq!(sent, (2, 7));
         assert!(net.recv(1).is_none(), "in the outbox until routed");
         net.route(&mut eps[0]);
-        let first = recv(&mut net, &mut eps[1]).expect("in the mailbox before any publish");
+        let first = net.recv(1).expect("in the mailbox before any publish");
         assert_eq!(first.arrival_time_us, 5.0 + cfg.transfer_time_us(3));
-        net.publish(0, &ready);
+        net.publish(0, &mut Vec::new());
         assert_eq!((eps[0].messages_sent, eps[0].bytes_sent), sent);
         assert_eq!(net.keys(), 2);
     }
@@ -1237,11 +1041,10 @@ mod tests {
         // traffic counters reflect the wire.
         eps[0].send_request_charged(1, Bytes::from_static(b"tiny"), 0.0, 100);
         net.route(&mut eps[0]);
-        let pkt = recv(&mut net, &mut eps[1]).expect("delivered");
+        let pkt = net.recv(1).expect("delivered");
         let want = cfg.transfer_time_us(100);
         assert!((pkt.arrival_time_us - want).abs() < 1e-9);
         assert_eq!(eps[0].bytes_sent, 4);
-        assert_eq!(eps[1].bytes_received, 4);
     }
 
     #[test]
@@ -1282,13 +1085,12 @@ mod tests {
         let (fc, fid) = request(&mut faulted, &mut f[0], 1, b"payload", 10.0);
         assert_eq!(pc, fc, "sender clock identical under a quiet plan");
         assert_eq!(pid, fid);
-        let pp = recv(&mut plain, &mut p[1]).expect("plain delivery");
-        let fp = recv(&mut faulted, &mut f[1]).expect("screened delivery");
+        let pp = plain.recv(1).expect("plain delivery");
+        let fp = faulted.recv(1).expect("screened delivery");
         assert_eq!(pp.arrival_time_us, fp.arrival_time_us, "arrival identical");
         assert_eq!(pp.seq, 0, "no plan: unsequenced");
         assert_eq!(fp.seq, 1, "plan: sequencing engaged");
-        assert_eq!(p[1].messages_received, f[1].messages_received);
-        assert_eq!(p[1].bytes_received, f[1].bytes_received);
+        assert_eq!(pp.data, fp.data);
         assert_eq!(plain.fault_summary(), None);
         assert_eq!(
             faulted.fault_summary(),
@@ -1301,21 +1103,13 @@ mod tests {
     fn duplicates_are_injected_and_suppressed_transparently() {
         let cfg = NetworkConfig::uniform(2);
         let (mut net, mut eps) = world(&cfg, Some(FaultPlan::quiet(7).with_duplicate(1.0)));
-        let ready = ReadyQueue::default();
+        let mut ready = Vec::new();
         request(&mut net, &mut eps[0], 1, b"once", 0.0);
-        net.publish(0, &ready);
-        assert_eq!(
-            ready.pop(),
-            Some(((0, 1), 2)),
-            "one ready key per physical packet"
-        );
-        let first = recv(&mut net, &mut eps[1]).expect("first copy delivers");
+        net.publish(0, &mut ready);
+        assert_eq!(ready, [(0, 1, 2)], "one ready key per physical packet");
+        let first = net.recv(1).expect("first copy delivers");
         assert_eq!(&first.data[..], b"once");
-        assert!(
-            recv(&mut net, &mut eps[1]).is_none(),
-            "second copy suppressed"
-        );
-        assert_eq!(eps[1].messages_received, 1, "logical receive counted once");
+        assert!(net.recv(1).is_none(), "second copy suppressed");
         let summary = net.fault_summary().unwrap();
         assert_eq!(summary.duplicated, 1);
         assert_eq!(summary.suppressed, 1);
@@ -1336,42 +1130,38 @@ mod tests {
     fn reordered_packets_are_buffered_and_released_in_sequence() {
         let cfg = NetworkConfig::uniform(2);
         let (mut net, mut eps) = world(&cfg, Some(reorder_link_0_to_1(3)));
-        let ready = ReadyQueue::default();
+        let mut ready = Vec::new();
         request(&mut net, &mut eps[0], 1, b"first", 0.0);
         request(&mut net, &mut eps[0], 1, b"second", 0.0);
-        net.publish(0, &ready);
+        net.publish(0, &mut ready);
         assert_eq!(net.keys(), 2, "two send keys");
         // The wire carries (seq 2, "first") then (seq 1, "second"): the window
         // buffers seq 2, then releases both in sequence order.
-        let p1 = recv(&mut net, &mut eps[1]);
+        let p1 = net.recv(1);
         assert!(p1.is_none(), "out-of-order packet buffered behind the gap");
-        let p2 = recv(&mut net, &mut eps[1]).expect("gap filler delivers immediately");
+        let p2 = net.recv(1).expect("gap filler delivers immediately");
         assert_eq!(&p2.data[..], b"second");
-        let p3 = recv(&mut net, &mut eps[1]).expect("buffered packet released behind it");
+        let p3 = net.recv(1).expect("buffered packet released behind it");
         assert_eq!(&p3.data[..], b"first");
         assert_eq!(net.fault_summary().unwrap().reordered, 1);
-        net.publish(0, &ready);
+        net.publish(0, &mut ready);
         assert_eq!(
             net.keys(),
             3,
             "plus one self-key for the released buffer entry"
         );
-        assert_eq!(ready.pop(), Some(((0, 1), 2)));
-        assert_eq!(ready.pop(), Some(((0, 1), 1)));
+        assert_eq!(ready, [(0, 1, 2), (0, 1, 1)]);
     }
 
     #[test]
     fn drop_exact_loses_one_packet_and_records_it() {
         let cfg = NetworkConfig::uniform(2);
         let (mut net, mut eps) = world(&cfg, Some(FaultPlan::drop_packet(1)));
-        let ready = ReadyQueue::default();
+        let mut ready = Vec::new();
         let (_, id0) = request(&mut net, &mut eps[0], 1, b"kept", 0.0);
         let (_, id1) = request(&mut net, &mut eps[0], 1, b"lost", 0.0);
-        assert_eq!(recv(&mut net, &mut eps[1]).map(|p| p.req_id), Some(id0));
-        assert!(
-            recv(&mut net, &mut eps[1]).is_none(),
-            "second packet never arrives"
-        );
+        assert_eq!(net.recv(1).map(|p| p.req_id), Some(id0));
+        assert!(net.recv(1).is_none(), "second packet never arrives");
         let loss = net.first_loss().expect("loss recorded");
         assert_eq!(loss.req_id, id1);
         assert_eq!(loss.kind, PacketKind::Request);
@@ -1379,8 +1169,9 @@ mod tests {
         assert_eq!((loss.from, loss.to), (0, 1));
         // One key for the delivered packet, one *wake-up* key for the lost one so
         // the world's key count reaches zero on a pop and the worker diagnoses.
-        net.publish(0, &ready);
+        net.publish(0, &mut ready);
         assert_eq!(net.keys(), 2);
+        assert_eq!(ready, [(0, 1, 2)]);
     }
 
     #[test]
@@ -1402,7 +1193,7 @@ mod tests {
         }
         let mut delivered = 0;
         let mut late = 0;
-        while let Some(p) = recv(&mut net, &mut eps[1]) {
+        while let Some(p) = net.recv(1) {
             delivered += 1;
             let extra = p.arrival_time_us - base;
             let steps = extra / 450.0;
@@ -1428,15 +1219,15 @@ mod tests {
         let (mut net, mut eps) = world(&cfg, Some(FaultPlan::kill(1, 500.0)));
         // Arrival 0.0 + transfer (~150µs) < 500: delivered.
         request(&mut net, &mut eps[0], 1, b"early", 0.0);
-        assert!(recv(&mut net, &mut eps[1]).is_some());
+        assert!(net.recv(1).is_some());
         // Arrival 450 + transfer > 500: the packet dies with the node.
         request(&mut net, &mut eps[0], 1, b"late", 450.0);
-        assert!(recv(&mut net, &mut eps[1]).is_none());
+        assert!(net.recv(1).is_none());
         let loss = net.first_loss().expect("recorded");
         assert_eq!(loss.reason, LossReason::NodeDown(1));
         // The dead rank can no longer send either.
         request(&mut net, &mut eps[1], 0, b"ghost", 600.0);
-        assert!(recv(&mut net, &mut eps[0]).is_none());
+        assert!(net.recv(0).is_none());
         assert_eq!(net.fault_summary().unwrap().lost, 2);
     }
 
@@ -1450,7 +1241,7 @@ mod tests {
                 request(&mut net, &mut eps[0], 1, b"d", 0.0);
             }
             let mut arrivals = Vec::new();
-            while let Some(p) = recv(&mut net, &mut eps[1]) {
+            while let Some(p) = net.recv(1) {
                 arrivals.push((p.seq, p.arrival_time_us.to_bits()));
             }
             (arrivals, net.fault_summary().unwrap())
@@ -1470,16 +1261,16 @@ mod tests {
         request(&mut net, &mut eps[0], 1, b"swapped", 0.0);
         // Only the reordered packet (seq 2) is on the wire; seq 1 is owed to a
         // send that never happens — the receiver sees a permanent gap.
-        assert!(recv(&mut net, &mut eps[1]).is_none());
+        assert!(net.recv(1).is_none());
         assert!(net.has_sequence_gap(1));
         assert!(!net.has_sequence_gap(0));
         assert_eq!(net.repair_gaps(), 1, "deadline repair releases the buffer");
-        let p = recv(&mut net, &mut eps[1]).expect("released packet delivers");
+        let p = net.recv(1).expect("released packet delivers");
         assert_eq!(&p.data[..], b"swapped");
         assert_eq!(net.fault_summary().unwrap().repaired, 1);
         // A late packet for the skipped number is delivered, not suppressed.
         request(&mut net, &mut eps[0], 1, b"latecomer", 0.0);
-        let late = recv(&mut net, &mut eps[1]).expect("skipped seq still delivered late");
+        let late = net.recv(1).expect("skipped seq still delivered late");
         assert_eq!(&late.data[..], b"latecomer");
     }
 }

@@ -3,9 +3,15 @@
 //! Every distributed execution — [`crate::cluster::run_distributed`] under either
 //! [`Schedule`], and [`crate::serve::run_serving`] — is the same thing: a sequence
 //! of root computations admitted through a window into a fixed table of **worlds**
-//! and driven by `Running::worker` popping `(root, rank)` keys off one shared
-//! [`ReadyQueue`]. A single-root run is a serving run of one request at window 1;
+//! and driven by `Running::worker` taking `(root, rank, count)` entries off one ready
+//! queue. A single-root run is a serving run of one request at window 1;
 //! [`Schedule::Inline`] is a pool of one worker on the calling thread.
+//!
+//! A run synchronises through exactly two kinds of lock: **the run lock** (one mutex
+//! and one condvar over `RunState`: the ready queue, its idle-worker count, the
+//! admission window and the per-request results) and **one mutex per world slot**.
+//! (An adaptive serving run adds its epoch controller's lock per app.) The one timed
+//! wait is the modelled [`SERVING_DELIVERY_DEADLINE`].
 //!
 //! * A **world** ([`World`]) is one in-flight root computation: its request-scoped
 //!   nodes (interpreter + parked continuations each) and the [`Transport`] between
@@ -24,23 +30,33 @@
 //!   `slot + slots × generation`, so a popped key finds its world by index, and a
 //!   **stale** key (say the duplicate of a finished request's final response) is
 //!   recognised by root mismatch and skipped without touching the new tenant.
+//! * **A slice's ready entries go back to its worker.** What a world's transport
+//!   publishes during a slice (routed sends, sequence-window releases, gap repairs)
+//!   lands in a buffer the worker owns. After the slice the worker makes one
+//!   `Running::exchange` under the run lock: it queues the batch, pops the oldest
+//!   entry or waits, and wakes one blocked sibling only if entries remain after its
+//!   own pop. So no worker ever pops an entry of a world whose slice is still
+//!   running, and a new world's first entries are queued only after it is installed
+//!   and its seeding slice has ended.
 //! * **Quiescence is counted, not inferred.** Ready keys for a world are only ever
-//!   published by that world's own transport (routed sends, sequence-window
-//!   releases, gap repairs), which nothing but the world can reach — i.e. under the
-//!   world's lock. So its key count, published − consumed, lives beside the
-//!   mailboxes it counts and is exact: when it reaches zero and the root has not
-//!   completed, nothing is queued and nothing is in another worker's hands — *that*
-//!   world is stuck *now*. The worker holding it fails it on the spot if it is
-//!   doomed (a recorded packet loss, or nothing left that could free it): no global
-//!   verdict, no timeout, and no second worker that can reach the same conclusion.
+//!   published by that world's own transport, which nothing but the world can reach
+//!   — i.e. under the world's lock. So its key count, published − consumed, lives
+//!   beside the mailboxes it counts and is exact: a counted key is queued, in some
+//!   worker's batch, or being delivered. When the count reaches zero and the root
+//!   has not completed, nothing is queued and nothing is in another worker's hands —
+//!   *that* world is stuck *now*. The worker holding it fails it on the spot if it
+//!   is doomed (a recorded packet loss, or nothing left that could free it): no
+//!   global verdict, no timeout, and no second worker that can reach the same
+//!   conclusion.
 //! * A world stuck behind a **sequence gap** waits for the **delivery deadline**:
-//!   the moment every worker is idle with nothing queued ([`Next::AllIdle`] — the
-//!   idle count lives under the queue lock, so this too is a fact, observed by
-//!   exactly one worker). That worker skips the gaps of every stuck world and the
-//!   loop carries on. For a single-root run the deadline is the instant its one
-//!   world quiesces; a serving run additionally sits out a modelled ack timeout
-//!   first ([`SERVING_DELIVERY_DEADLINE`]). Idle workers otherwise block on the
-//!   queue's condvar without a timeout and exit when the last completion closes it.
+//!   the moment every worker is idle with nothing queued (`Next::AllIdle` — idle
+//!   workers are counted under the run lock, and a worker holding a batch is not
+//!   idle, so this too is a fact, observed by exactly one worker). That worker skips
+//!   the gaps of every stuck world and the loop carries on. For a single-root run
+//!   the deadline is the instant its one world quiesces; a serving run additionally
+//!   sits out a modelled ack timeout first ([`SERVING_DELIVERY_DEADLINE`]). Idle
+//!   workers otherwise block on the run lock's condvar without a timeout and exit
+//!   when the last completion closes the run.
 //!
 //! Virtual times, message counts and results are deterministic under any worker
 //! count: per-node clocks depend only on that node's packet arrival order, which
@@ -48,14 +64,15 @@
 //! worker interleaving. Per-node profiler sinks attach the same way under either
 //! schedule — the call stack lives on each [`Continuation`].
 
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::collections::VecDeque;
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 use crate::adapt::AdaptState;
 use crate::cluster::{stats_of, ExecutionReport, NodeProfiler, Schedule};
 use crate::exchange::{shutdown_frame, DistState, ServeOutcome};
 use crate::interp::{loss_to_error, Continuation, ExecError, Interp, TaskOutcome, TransportStall};
-use crate::net::{FaultPlan, MpiEndpoint, Next, Packet, PacketKind, ReadyQueue, Transport};
+use crate::net::{FaultPlan, MpiEndpoint, Packet, PacketKind, Ready, Transport};
 use crate::serve::{RequestReport, ServerApp};
 use crate::value::Value;
 
@@ -119,7 +136,6 @@ impl CoopNode {
     /// receiver can never observe a message before it was sent).
     fn arrive(&mut self, pkt: &Packet) {
         self.interp.clock_us = self.interp.clock_us.max(pkt.arrival_time_us);
-        self.endpoint().received(pkt);
     }
 
     fn settle(&mut self, task: CoopTask, outcome: TaskOutcome) -> Option<Result<Value, ExecError>> {
@@ -197,8 +213,9 @@ struct World {
 
 impl World {
     /// The Execution Starter: launches `main` as the root continuation on the
-    /// launch node. Returns the root result if the world is already over.
-    fn seed(&mut self, ready: &ReadyQueue) -> Option<Result<Value, ExecError>> {
+    /// launch node, publishing its ready entries into `out`. Returns the root result
+    /// if the world is already over.
+    fn seed(&mut self, out: &mut Vec<Ready>) -> Option<Result<Value, ExecError>> {
         let node = &mut self.nodes[0];
         let res = match node.interp.layout().program().entry {
             None => Some(Err(ExecError::NoEntry)),
@@ -210,7 +227,7 @@ impl World {
                 }),
             },
         };
-        self.route(0, ready);
+        self.route(0, out);
         self.settle(0, res)
     }
 
@@ -221,7 +238,7 @@ impl World {
         &mut self,
         rank: usize,
         count: u32,
-        ready: &ReadyQueue,
+        out: &mut Vec<Ready>,
     ) -> Option<Result<Value, ExecError>> {
         let mut res = None;
         for _ in 0..count {
@@ -229,7 +246,7 @@ impl World {
                 res = self.nodes[rank].deliver_one(pkt);
             }
             // Every packet's sends are published before the next one is taken.
-            self.route(rank, ready);
+            self.route(rank, out);
             if res.is_some() {
                 break;
             }
@@ -239,10 +256,11 @@ impl World {
 
     /// Ends a packet's slice on node `rank`: routes what the node sent — fault
     /// rolls, sequencing, duplicate copies, mailbox push — and publishes one
-    /// counted ready key per destination (a window release's self keys included).
-    fn route(&mut self, rank: usize, ready: &ReadyQueue) {
+    /// counted ready entry per destination (a window release's self keys included)
+    /// into `out`.
+    fn route(&mut self, rank: usize, out: &mut Vec<Ready>) {
         self.net.route(self.nodes[rank].endpoint());
-        self.net.publish(self.root, ready);
+        self.net.publish(self.root, out);
     }
 
     /// Closes a slice that consumed `consumed` keys. A live world whose count
@@ -300,11 +318,12 @@ impl World {
     }
 
     /// The delivery deadline passed: the packets the sequence gaps are waiting for
-    /// are not coming. Skips every gap and publishes the released packets' keys (no
-    /// delivery slice is coming to do it); `false` if there was nothing to release.
-    fn repair(&mut self, ready: &ReadyQueue) -> bool {
+    /// are not coming. Skips every gap and publishes the released packets' keys into
+    /// `out` (no delivery slice is coming to do it); `false` if there was nothing to
+    /// release.
+    fn repair(&mut self, out: &mut Vec<Ready>) -> bool {
         if self.net.repair_gaps() > 0 {
-            self.net.publish(self.root, ready);
+            self.net.publish(self.root, out);
         }
         self.net.keys() > 0
     }
@@ -373,20 +392,9 @@ impl World {
 /// is slower than every healthy one — are calibrated to 6 ms.
 pub(crate) const SERVING_DELIVERY_DEADLINE: Duration = Duration::from_millis(6);
 
-/// The admission window, guarded by one lock so claim-and-count is atomic.
-struct Window {
-    /// Next sequence index to admit.
-    next: usize,
-    /// Slots with no live world.
-    free: Vec<usize>,
-    /// The root id each slot's next tenant gets.
-    roots: Vec<u32>,
-    completed: usize,
-}
-
 /// Everything one run of the worker loop shares. [`crate::serve::run_serving`] and
 /// [`crate::cluster::run_distributed_profiled`] both fill this in and call
-/// [`Server::run`]; the fields below `adapt` are zero/empty for the other one.
+/// [`Server::run`]; `adapt` is `None` for the latter.
 pub(crate) struct Server<'s> {
     pub(crate) apps: &'s [ServerApp],
     /// `sequence[i]` names the app request `i` instantiates.
@@ -399,25 +407,88 @@ pub(crate) struct Server<'s> {
     /// Adaptive-placement epoch controller; `None` keeps the admission and
     /// completion paths identical to a server without it.
     pub(crate) adapt: Option<AdaptState>,
-    /// Caller-supplied per-node profiler sinks for request 0 (single-root runs).
-    pub(crate) profilers: Mutex<Vec<Option<NodeProfiler>>>,
     /// Modelled wall-clock length of the delivery deadline (see
     /// [`Running::delivery_deadline`]): how long an idle server gives a reordered
     /// packet's predecessor to show up before skipping it.
     pub(crate) deadline_wait: Duration,
 }
 
+/// What the workers of one run share besides the worlds themselves, behind **the
+/// run lock**: the ready queue and its idle-worker count, the admission window, and
+/// the per-request results.
+struct RunState {
+    /// Ready entries of every world, oldest first.
+    queue: VecDeque<Ready>,
+    /// Workers blocked in [`Running::exchange`].
+    waiters: usize,
+    /// Set by the last completion: every worker exits.
+    closed: bool,
+    /// Next sequence index to admit.
+    next: usize,
+    /// Slots with no live world.
+    free: Vec<usize>,
+    /// The root id each slot's next tenant gets.
+    roots: Vec<u32>,
+    completed: usize,
+    /// Per-request outcomes, indexed by submission order.
+    results: Vec<Option<RequestReport>>,
+    /// The caller's per-node profiler sinks, for request 0 (single-root runs).
+    profilers: Vec<Option<NodeProfiler>>,
+}
+
+/// An admission claimed under the run lock: request index, slot, root id, and the
+/// caller's profiler sinks (non-empty for request 0 only).
+type Claim = (usize, usize, u32, Vec<Option<NodeProfiler>>);
+
+/// A world taken out of `slot` (or never installed there) with its root result.
+type Done = (usize, World, Result<Value, ExecError>);
+
+impl RunState {
+    /// Claims the next admission, if the window has a free slot and the sequence is
+    /// not exhausted. The first claim — request 0's — takes the profiler sinks.
+    fn claim(&mut self, slots: usize) -> Option<Claim> {
+        if self.next >= self.results.len() {
+            return None;
+        }
+        let slot = self.free.pop()?;
+        let index = self.next;
+        self.next += 1;
+        let root = self.roots[slot];
+        self.roots[slot] = root.wrapping_add(slots as u32);
+        Some((index, slot, root, std::mem::take(&mut self.profilers)))
+    }
+
+    /// Whether a worker that just popped wakes a blocked sibling: only if entries
+    /// remain for it. The popper is about to be busy with its own, and a notify is a
+    /// futex syscall that one control flow bouncing between two nodes must not pay
+    /// per message just because a sibling is asleep.
+    fn wake_sibling(&self) -> bool {
+        self.waiters > 0 && !self.queue.is_empty()
+    }
+}
+
+/// What [`Running::exchange`] hands the calling worker.
+#[derive(Debug, PartialEq)]
+enum Next {
+    /// The oldest ready entry.
+    Entry(Ready),
+    /// The run is over: exit.
+    Closed,
+    /// Nothing is queued and every other worker is blocked waiting, so no entry can
+    /// ever arrive: the caller is the last worker standing.
+    AllIdle,
+}
+
 /// The state [`Server::run`] adds around a [`Server`] for the duration of the run.
 struct Running<'a, 's> {
     server: &'a Server<'s>,
     workers: usize,
-    /// The one ready queue every world feeds.
-    ready: ReadyQueue,
-    /// The world table, a power of two long so `root & mask` finds a key's slot.
+    /// The world table, a power of two long so `root & mask` finds an entry's slot.
     slots: Vec<Mutex<Option<World>>>,
-    window: Mutex<Window>,
-    /// Per-request outcomes, indexed by submission order.
-    results: Mutex<Vec<Option<RequestReport>>>,
+    /// The run lock.
+    state: Mutex<RunState>,
+    /// Where idle workers wait for entries, or for the end of the run.
+    idle: Condvar,
 }
 
 pub(crate) fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
@@ -426,30 +497,17 @@ pub(crate) fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 
 impl<'s> Server<'s> {
     /// Runs the closed loop to completion and returns the per-request outcomes in
-    /// submission order, plus the worker count used.
-    pub(crate) fn run(&self) -> (Vec<RequestReport>, usize) {
+    /// submission order, plus the worker count used. `profilers[r]`, when present,
+    /// is attached to rank `r` of request 0.
+    pub(crate) fn run(&self, profilers: Vec<Option<NodeProfiler>>) -> (Vec<RequestReport>, usize) {
         let workers = match self.schedule {
             Schedule::Inline => 1,
             Schedule::Pool { threads } => threads.max(1),
         };
-        let concurrency = self.concurrency.max(1);
-        let slots = concurrency.next_power_of_two();
-        let run = Running {
-            server: self,
-            workers,
-            ready: ReadyQueue::default(),
-            slots: (0..slots).map(|_| Mutex::new(None)).collect(),
-            window: Mutex::new(Window {
-                next: 0,
-                free: (0..concurrency).rev().collect(),
-                roots: (0..slots as u32).collect(),
-                completed: 0,
-            }),
-            results: Mutex::new((0..self.sequence.len()).map(|_| None).collect()),
-        };
         if self.sequence.is_empty() {
             return (Vec::new(), workers);
         }
+        let run = Running::new(self, workers, profilers);
         if workers == 1 {
             run.worker();
         } else {
@@ -464,9 +522,10 @@ impl<'s> Server<'s> {
             });
         }
         let requests = run
-            .results
+            .state
             .into_inner()
             .unwrap_or_else(|e| e.into_inner())
+            .results
             .into_iter()
             .map(|r| r.expect("every request completed or failed"))
             .collect();
@@ -474,84 +533,153 @@ impl<'s> Server<'s> {
     }
 }
 
-impl<'s> Running<'_, 's> {
-    /// **The** worker loop: fill the window, then pop a `(root, rank)` key and run
-    /// one delivery slice on that world's node. A world completes on whichever
-    /// worker delivers its final response; that worker reports it and refills the
-    /// freed slot.
+impl<'a, 's> Running<'a, 's> {
+    fn new(server: &'a Server<'s>, workers: usize, profilers: Vec<Option<NodeProfiler>>) -> Self {
+        let concurrency = server.concurrency.max(1);
+        let slots = concurrency.next_power_of_two();
+        Running {
+            server,
+            workers,
+            slots: (0..slots).map(|_| Mutex::new(None)).collect(),
+            state: Mutex::new(RunState {
+                queue: VecDeque::new(),
+                waiters: 0,
+                closed: false,
+                next: 0,
+                free: (0..concurrency).rev().collect(),
+                roots: (0..slots as u32).collect(),
+                completed: 0,
+                results: (0..server.sequence.len()).map(|_| None).collect(),
+                profilers,
+            }),
+            idle: Condvar::new(),
+        }
+    }
+
+    /// **The** worker loop: fill the window, then trade each slice's ready entries
+    /// for the oldest queued one and run one delivery slice on that world's node. A
+    /// world completes on whichever worker delivers its final response; that worker
+    /// reports it and refills the freed slot.
     fn worker(&self) {
-        self.admit();
+        // What this worker's slices publish, queued at its next exchange.
+        let mut batch = Vec::new();
+        self.refill(None, &mut batch);
         loop {
-            match self.ready.next(self.workers) {
-                Next::Entry((root, rank), count) => {
+            match self.exchange(&mut batch) {
+                Next::Entry((root, rank, count)) => {
                     let slot = root as usize & (self.slots.len() - 1);
                     let mut guard = lock(&self.slots[slot]);
-                    // A key whose root is not the slot's tenant is stale — its
+                    // An entry whose root is not the slot's tenant is stale — its
                     // world already completed — and is skipped, count untouched.
                     let done = match guard.as_mut() {
                         Some(world) if world.root == root => {
-                            world.deliver(rank as usize, count, &self.ready)
+                            world.deliver(rank as usize, count, &mut batch)
                         }
                         _ => None,
                     };
                     if let Some(res) = done {
                         let world = guard.take().expect("the world just delivered");
                         drop(guard);
-                        self.complete(slot, world, res);
-                        self.admit();
+                        self.refill(Some((slot, world, res)), &mut batch);
                     }
                 }
                 Next::Closed => return,
-                Next::AllIdle => self.delivery_deadline(),
+                Next::AllIdle => self.delivery_deadline(&mut batch),
             }
         }
     }
 
-    /// Admits requests until the window is full or the sequence is exhausted.
-    fn admit(&self) {
+    /// A worker's one trip through the run lock between slices: queues `batch` (what
+    /// its last slice published, in publish order) behind everything already queued
+    /// and pops the oldest entry, blocking on the condvar — with no timeout — while
+    /// the queue is empty. A blocked sibling is woken only if entries remain after
+    /// the caller's pop ([`RunState::wake_sibling`]).
+    ///
+    /// Returns [`Next::Closed`] once the run is over, queued entries or not, and
+    /// [`Next::AllIdle`] instead of blocking when the caller would be the last
+    /// worker to go idle: waiters are counted under the same lock, and a worker
+    /// holding an unqueued batch is never among them.
+    fn exchange(&self, batch: &mut Vec<Ready>) -> Next {
+        let mut s = lock(&self.state);
+        s.queue.extend(batch.drain(..));
         loop {
-            let (index, slot, root) = {
-                let mut w = lock(&self.window);
-                if w.next >= self.server.sequence.len() {
-                    return;
+            if s.closed {
+                return Next::Closed;
+            }
+            if let Some(entry) = s.queue.pop_front() {
+                let wake = s.wake_sibling();
+                drop(s);
+                if wake {
+                    self.idle.notify_one();
                 }
-                let Some(slot) = w.free.pop() else { return };
-                let index = w.next;
-                w.next += 1;
-                let root = w.roots[slot];
-                w.roots[slot] = root.wrapping_add(self.slots.len() as u32);
-                (index, slot, root)
-            };
-            // This worker is about to be busy admitting: anything it left queued
-            // is a sibling's.
-            self.ready.nudge();
-            self.admit_one(index, slot, root);
+                return Next::Entry(entry);
+            }
+            if s.waiters + 1 >= self.workers {
+                return Next::AllIdle;
+            }
+            s.waiters += 1;
+            s = self.idle.wait(s).unwrap_or_else(|e| e.into_inner());
+            s.waiters -= 1;
         }
     }
 
-    /// Instantiates request `index` in `slot`: a fresh transport (its keys tagged
-    /// `root` on the shared ready queue), fresh per-node interpreters over the app's
-    /// shared layouts and class defaults, then the root computation seeded on node 0.
-    fn admit_one(&self, index: usize, slot: usize, root: u32) {
+    /// Completes `done`, if given, then admits requests until the window is full or
+    /// the sequence is exhausted. A completion's epilogue runs outside every lock;
+    /// recording its report and claiming the next admission share one acquisition
+    /// of the run lock, and the last completion closes the run. What the seeds
+    /// publish waits in `batch` for the worker's next exchange.
+    fn refill(&self, mut done: Option<Done>, batch: &mut Vec<Ready>) {
+        loop {
+            let finished = done
+                .take()
+                .map(|(slot, world, res)| (slot, self.report(world, res)));
+            let claim = {
+                let mut s = lock(&self.state);
+                if let Some((slot, report)) = finished {
+                    let index = report.index;
+                    s.results[index] = Some(report);
+                    s.free.push(slot);
+                    s.completed += 1;
+                    if s.completed == s.results.len() {
+                        s.closed = true;
+                        self.idle.notify_all();
+                    }
+                }
+                s.claim(self.slots.len())
+            };
+            let Some(claim) = claim else { return };
+            done = self.admit_one(claim, batch);
+        }
+    }
+
+    /// Instantiates a claimed request: a fresh transport, fresh per-node interpreters
+    /// over the app's shared layouts and class defaults, then the root computation
+    /// seeded on node 0 — all before anything can reach the world, so under no lock.
+    /// The seed publishes into `batch`; the world is then installed in its slot,
+    /// unless seeding already ended it, in which case it is returned for completion.
+    fn admit_one(
+        &self,
+        (index, slot, root, mut own): Claim,
+        batch: &mut Vec<Ready>,
+    ) -> Option<Done> {
         let server = self.server;
         let app_idx = server.sequence[index];
         // Adaptive placement: admit under the app's *current* placement — the seed
         // one the caller passed in, or whichever the epoch controller last
         // installed. The choice is sealed at admission — the world holds its own
         // `Arc`s of the placement's layouts — and a later swap never touches it.
-        let current = server.adapt.as_ref().and_then(|a| a.current(app_idx));
-        let app = current.as_deref().unwrap_or(&server.apps[app_idx]);
-        let plan = server.faults.iter().find(|(i, _)| *i == index);
-        let size = app.nodes();
         // The planner's sinks are observational (they record, never steer), so
         // attaching them leaves virtual time and traffic byte-identical — but the
         // instrumentation costs wall-clock, so only an epoch's profiled prefix of
         // admissions carries them.
-        let planner = server
+        let (current, profiled) = server
             .adapt
             .as_ref()
-            .filter(|adapt| adapt.admit_profiled(app_idx));
-        let mut own = std::mem::take(&mut *lock(&server.profilers));
+            .map_or((None, false), |adapt| adapt.admit(app_idx));
+        let planner = server.adapt.as_ref().filter(|_| profiled);
+        let app = current.as_deref().unwrap_or(&server.apps[app_idx]);
+        let plan = server.faults.iter().find(|(i, _)| *i == index);
+        let size = app.nodes();
         let nodes = app
             .layouts
             .iter()
@@ -576,71 +704,59 @@ impl<'s> Running<'_, 's> {
                 }
             })
             .collect();
-        // Install before seeding, and seed under the slot's lock: the root's first
-        // send publishes a key another worker may pop immediately, and that worker
-        // must find this world — and wait for the seeding slice to end.
-        let mut guard = lock(&self.slots[slot]);
-        let world = guard.insert(World {
+        let mut world = World {
             root,
             nodes,
             net: Transport::new(size, plan.map(|(_, plan)| plan.clone())),
             index,
             app: app_idx,
             started: Instant::now(),
-        });
-        if let Some(res) = world.seed(&self.ready) {
+        };
+        match world.seed(batch) {
             // The request never parked (e.g. a single-node placement), or is
-            // already doomed: complete it here; the caller keeps admitting.
-            let world = guard.take().expect("the world just seeded");
-            drop(guard);
-            self.complete(slot, world, res);
+            // already doomed: the caller completes it and keeps admitting.
+            Some(res) => Some((slot, world, res)),
+            None => {
+                *lock(&self.slots[slot]) = Some(world);
+                None
+            }
         }
     }
 
-    /// Finishes a world taken out of `slot`: epilogue, result slot, window refill
-    /// bookkeeping — and the end of the run when it was the last one.
-    fn complete(&self, slot: usize, world: World, res: Result<Value, ExecError>) {
-        let server = self.server;
+    /// The epilogue of a finished world and its report. The epoch controller counts
+    /// the completion only *after* the report is sealed: adaptation can only
+    /// influence requests admitted later.
+    fn report(&self, world: World, res: Result<Value, ExecError>) -> RequestReport {
         let latency = world.started.elapsed();
         let (index, app, nodes) = (world.index, world.app, world.nodes.len());
         let report = world.finish(res, latency);
-        // Feed the completed request into the epoch controller *after* its report
-        // is sealed: adaptation can only influence requests admitted later.
-        if let Some(adapt) = server.adapt.as_ref() {
+        if let Some(adapt) = self.server.adapt.as_ref() {
             adapt.observe(app, nodes);
         }
-        lock(&self.results)[index] = Some(RequestReport {
+        RequestReport {
             index,
             app,
             latency_us: latency.as_secs_f64() * 1e6,
             report,
-        });
-        let mut w = lock(&self.window);
-        w.free.push(slot);
-        w.completed += 1;
-        if w.completed == server.sequence.len() {
-            drop(w);
-            self.ready.close();
         }
     }
 
     /// The **delivery deadline**, behind [`Next::AllIdle`]: every worker is idle and
     /// nothing is queued, so every live world is stuck — and since a doomed world is
     /// failed by its own count the moment it quiesces, what is left waits behind a
-    /// sequence gap. Exactly one worker gets here (all others are blocked on the
-    /// queue), which is what makes the verdict single: it sits out the modelled
-    /// deadline, then skips the gaps of every stuck world under that world's lock
-    /// and carries on.
-    fn delivery_deadline(&self) {
+    /// sequence gap. Exactly one worker gets here (all others are blocked in
+    /// [`Running::exchange`]), which is what makes the verdict single: it sits out
+    /// the modelled deadline, then skips the gaps of every stuck world under that
+    /// world's lock and carries on; the released keys go out with its next exchange.
+    fn delivery_deadline(&self, batch: &mut Vec<Ready>) {
         if !self.server.deadline_wait.is_zero() {
             std::thread::sleep(self.server.deadline_wait);
         }
         let mut repaired = false;
         for slot in &self.slots {
-            // A world with keys is running again (a sibling this pass woke may
-            // even have re-let the slot): not this deadline's business.
+            // Only a world whose count is zero can be waiting on a gap.
             if let Some(world) = lock(slot).as_mut().filter(|w| w.net.keys() == 0) {
-                repaired |= world.repair(&self.ready);
+                repaired |= world.repair(batch);
             }
         }
         if repaired {
@@ -651,20 +767,21 @@ impl<'s> Running<'_, 's> {
         // holding keys that are not in the queue. Exact counts make this
         // unreachable; it exists to turn a counting bug into typed failures, each
         // with its own stall diagnosis, instead of a hang.
-        let mut live = false;
-        for slot in 0..self.slots.len() {
-            let Some(world) = lock(&self.slots[slot]).take() else {
-                continue;
-            };
-            live = true;
-            let stall = world.stall();
-            self.complete(slot, world, Err(ExecError::Transport(stall)));
-        }
-        self.admit();
-        if !live {
+        let stuck: Vec<Done> = (0..self.slots.len())
+            .filter_map(|slot| {
+                let world = lock(&self.slots[slot]).take()?;
+                let stall = world.stall();
+                Some((slot, world, Err(ExecError::Transport(stall))))
+            })
+            .collect();
+        if stuck.is_empty() {
             // Nothing live and nothing admissible, yet the run is not over: give
             // up loudly (the missing reports panic in `Server::run`), never spin.
-            self.ready.close();
+            lock(&self.state).closed = true;
+            self.idle.notify_all();
+        }
+        for done in stuck {
+            self.refill(Some(done), batch);
         }
     }
 }
@@ -710,7 +827,6 @@ mod tests {
             schedule,
             faults: &[],
             adapt: None,
-            profilers: Mutex::new(Vec::new()),
             deadline_wait: Duration::ZERO,
         }
     }
@@ -718,19 +834,73 @@ mod tests {
     /// A two-slot run whose slots have each seen one tenant already (roots 0 and 1
     /// are spent; the next ones are 2 and 3).
     fn running<'a, 's>(server: &'a Server<'s>, workers: usize) -> Running<'a, 's> {
-        Running {
-            server,
-            workers,
-            ready: ReadyQueue::default(),
-            slots: (0..2).map(|_| Mutex::new(None)).collect(),
-            window: Mutex::new(Window {
-                next: 0,
-                free: vec![1, 0],
-                roots: vec![2, 3],
-                completed: 0,
-            }),
-            results: Mutex::new((0..server.sequence.len()).map(|_| None).collect()),
-        }
+        let run = Running::new(server, workers, Vec::new());
+        lock(&run.state).roots = vec![2, 3];
+        run
+    }
+
+    /// The worker's trip through the run lock: `AllIdle` for the last worker
+    /// standing (never a block nobody can end), FIFO across what was queued and the
+    /// pushed batch, a blocked sibling woken exactly when entries remain after the
+    /// caller's pop, and `Closed` over queued entries.
+    #[test]
+    fn exchange_queues_the_batch_and_wakes_a_sibling_only_for_what_remains() {
+        let app = ping_app();
+        let server = server(&app, &[0], Schedule::Inline);
+        let lone = running(&server, 1);
+        let mut batch = Vec::new();
+        assert_eq!(
+            lone.exchange(&mut batch),
+            Next::AllIdle,
+            "a lone worker never blocks"
+        );
+        lock(&lone.state).queue.push_back((0, 7, 1));
+        batch.extend([(2, 1, 2), (3, 0, 1)]);
+        assert_eq!(lone.exchange(&mut batch), Next::Entry((0, 7, 1)));
+        assert!(batch.is_empty(), "the whole batch went into the queue");
+        assert_eq!(lone.exchange(&mut batch), Next::Entry((2, 1, 2)));
+        assert_eq!(lone.exchange(&mut batch), Next::Entry((3, 0, 1)));
+        assert_eq!(lone.exchange(&mut batch), Next::AllIdle);
+
+        let run = running(&server, 2);
+        let until_blocked = || {
+            while lock(&run.state).waiters == 0 {
+                std::thread::yield_now();
+            }
+        };
+        std::thread::scope(|scope| {
+            // Two entries: the caller takes the first and wakes the sibling for the
+            // second.
+            let sibling = scope.spawn(|| run.exchange(&mut Vec::new()));
+            until_blocked();
+            assert_eq!(
+                run.exchange(&mut Vec::new()),
+                Next::AllIdle,
+                "the sibling is blocked"
+            );
+            batch.extend([(3, 1, 2), (3, 0, 1)]);
+            assert_eq!(run.exchange(&mut batch), Next::Entry((3, 1, 2)));
+            assert_eq!(sibling.join().unwrap(), Next::Entry((3, 0, 1)));
+            // One entry: the caller's own. With the sibling blocked and nothing left,
+            // the rule the caller just applied says no wake.
+            let sibling = scope.spawn(|| run.exchange(&mut Vec::new()));
+            until_blocked();
+            batch.push((4, 0, 1));
+            assert_eq!(run.exchange(&mut batch), Next::Entry((4, 0, 1)));
+            let s = lock(&run.state);
+            assert_eq!(s.waiters, 1);
+            assert!(!s.wake_sibling(), "nothing remained, nobody was woken");
+            drop(s);
+            // Closing wakes it, and wins over queued (stale) entries.
+            let mut s = lock(&run.state);
+            s.queue.push_back((5, 0, 1));
+            s.closed = true;
+            drop(s);
+            run.idle.notify_all();
+            assert_eq!(sibling.join().unwrap(), Next::Closed);
+        });
+        batch.push((6, 0, 1));
+        assert_eq!(run.exchange(&mut batch), Next::Closed);
     }
 
     /// The key count is exact at every step of a healthy world: one key out after
@@ -740,9 +910,10 @@ mod tests {
         let app = ping_app();
         let server = server(&app, &[0], Schedule::Inline);
         let run = running(&server, 1);
-        run.admit();
+        let mut batch = Vec::new();
+        run.refill(None, &mut batch);
         let mut slices = 0;
-        while let Some(((root, rank), count)) = run.ready.pop() {
+        while let Next::Entry((root, rank, count)) = run.exchange(&mut batch) {
             let mut guard = lock(&run.slots[0]);
             let world = guard.as_mut().expect("live until its last slice");
             assert_eq!(
@@ -750,7 +921,7 @@ mod tests {
                 (root, count),
                 "one control flow"
             );
-            if let Some(res) = world.deliver(rank as usize, count, &run.ready) {
+            if let Some(res) = world.deliver(rank as usize, count, &mut batch) {
                 assert_eq!(res, Ok(Value::Null));
                 assert_eq!(world.net.keys(), 0, "the final response was the last key");
                 break;
@@ -769,11 +940,12 @@ mod tests {
     fn finished_world(app: &ServerApp) -> World {
         let server = server(app, &[0], Schedule::Inline);
         let run = running(&server, 1);
-        run.admit();
-        while let Some(((_, rank), count)) = run.ready.pop() {
+        let mut batch = Vec::new();
+        run.refill(None, &mut batch);
+        while let Next::Entry((_, rank, count)) = run.exchange(&mut batch) {
             let mut guard = lock(&run.slots[0]);
             let world = guard.as_mut().expect("live until its last slice");
-            if let Some(res) = world.deliver(rank as usize, count, &run.ready) {
+            if let Some(res) = world.deliver(rank as usize, count, &mut batch) {
                 assert_eq!(res, Ok(Value::Null));
                 return guard.take().expect("the world just delivered");
             }
@@ -832,10 +1004,9 @@ mod tests {
         let server = server(&app, &[0, 0, 0], Schedule::Inline);
         let run = running(&server, 1);
         // Leftovers of the slots' previous tenants, ahead of everything else.
-        run.ready.push_counted((0, 0), 3);
-        run.ready.push_counted((1, 1), 1);
+        lock(&run.state).queue.extend([(0, 0, 3), (1, 1, 1)]);
         run.worker();
-        let results = run.results.into_inner().unwrap();
+        let results = run.state.into_inner().unwrap().results;
         let programs: Vec<_> = app.layouts.iter().map(|l| l.program().clone()).collect();
         let solo = crate::cluster::run_distributed(
             &programs,
@@ -857,16 +1028,18 @@ mod tests {
         for workers in [1, 3] {
             let server = server(&app, &[0, 0, 0], Schedule::Pool { threads: workers });
             let run = running(&server, workers);
-            run.admit();
+            let mut batch = Vec::new();
+            run.refill(None, &mut batch);
             // Steal request 0's only key: its count says 1, the queue says none.
-            let stolen = run.ready.pop().expect("request 0's NEW");
-            assert_eq!(stolen, ((2, 1), 1));
+            let stolen = batch.remove(0);
+            assert_eq!(stolen, (2, 1, 1), "request 0's NEW");
+            lock(&run.state).queue.extend(batch);
             std::thread::scope(|scope| {
                 for _ in 0..workers {
                     scope.spawn(|| run.worker());
                 }
             });
-            let results = run.results.into_inner().unwrap();
+            let results = run.state.into_inner().unwrap().results;
             let errors: Vec<_> = results
                 .iter()
                 .map(|r| r.as_ref().unwrap().report.error.clone())

@@ -3,7 +3,7 @@
 //! An ingress admits up to `concurrency` requests at a time; each request is a full
 //! root computation over its **own request-scoped world** — mailboxes owned by the
 //! world, fresh virtual clocks, fresh correlation ids, fresh per-node interpreters —
-//! while all requests share one transport ready queue and one set of workers. This
+//! while all requests share the scheduler's one ready queue and one set of workers. This
 //! module is the public surface (prepared apps, options, reports); the loop that
 //! drives it is the one worker loop of [`crate::sched`], the same one a single
 //! [`crate::cluster::run_distributed`] goes through as a one-request run.
@@ -26,7 +26,7 @@
 //! world holds its own `Arc`s of them: an app — or a placement the adaptive
 //! controller swapped out — lives exactly as long as its last request.
 
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::Instant;
 
 use autodist_ir::layout::ProgramLayout;
@@ -208,10 +208,9 @@ pub fn run_serving(apps: &[ServerApp], sequence: &[usize], opts: &ServeOptions) 
         schedule: opts.schedule,
         faults: &opts.faults,
         adapt: opts.adapt.clone().map(|o| AdaptState::new(o, apps.len())),
-        profilers: Mutex::new(Vec::new()),
         deadline_wait: SERVING_DELIVERY_DEADLINE,
     };
-    let (requests, threads) = server.run();
+    let (requests, threads) = server.run(Vec::new());
     ServingReport {
         concurrency,
         threads,
@@ -229,7 +228,7 @@ mod tests {
     use autodist_ir::frontend::compile_source;
     use std::collections::BTreeMap as Map;
     use std::sync::atomic::Ordering;
-    use std::sync::Weak;
+    use std::sync::{Mutex, Weak};
 
     const PING_SRC: &str = r#"
         class Worker {
