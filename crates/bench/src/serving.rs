@@ -5,10 +5,9 @@
 //! *time*):
 //!
 //! * [`measure_serving`] drives a fixed mix of Table 1 programs (`serving_mix`,
-//!   prepared once so every request shares the interned layouts) through the
-//!   `Inline` schedule and reports the cross-node message and byte totals. One
-//!   schedule is enough: `tests/serving_parity.rs` pins `Pool == Inline` request by
-//!   request.
+//!   prepared once so every request shares the interned layouts) through the one
+//!   worker loop and reports the cross-node message and byte totals
+//!   (`tests/serving_parity.rs` pins each request against its solo run).
 //! * [`measure_adaptive_serving`] A/Bs the affinity-skewed generated workload with
 //!   adaptation off vs. on (the epoch controller's profile-driven repartition) and
 //!   reports both arms' message volume.
@@ -17,7 +16,7 @@ use autodist::{
     AdaptOptions, Distributor, DistributorConfig, PipelineResult, PlanReplanner, Replanner,
     ServeOptions, ServerApp,
 };
-use autodist_runtime::cluster::{ClusterConfig, Schedule};
+use autodist_runtime::cluster::ClusterConfig;
 use autodist_runtime::serve::run_serving;
 use autodist_workloads::GenConfig;
 use std::sync::Arc;
@@ -34,8 +33,7 @@ pub struct ServingArea {
     pub requests: usize,
     /// Admission window.
     pub concurrency: usize,
-    /// Total cross-node messages over the run's requests (identical across runs
-    /// and schedules).
+    /// Total cross-node messages over the run's requests (identical across runs).
     pub messages: u64,
     /// Total cross-node bytes over the run's requests.
     pub bytes: u64,
@@ -75,7 +73,6 @@ pub fn measure_serving() -> PipelineResult<ServingArea> {
     let sequence = round_robin_sequence(apps.len(), REQUESTS);
     let opts = ServeOptions {
         concurrency: CONCURRENCY,
-        schedule: Schedule::Inline,
         ..ServeOptions::default()
     };
     let run = run_serving(&apps, &sequence, &opts);
@@ -89,7 +86,7 @@ pub fn measure_serving() -> PipelineResult<ServingArea> {
 }
 
 /// The static-vs-adaptive A/B comparison on the affinity-skewed generated
-/// workload: same requests, same admission order, same schedule — the only
+/// workload: same requests, same admission order, same window — the only
 /// difference is whether `ServeOptions::adapt` carries a [`PlanReplanner`].
 #[derive(Clone, Debug)]
 pub struct AdaptiveServingArea {
@@ -135,8 +132,8 @@ pub const ADAPTIVE_REQUESTS: usize = 32;
 /// under the static placement, then repartitions for the remaining requests.
 pub const ADAPTIVE_EPOCH: usize = 16;
 
-/// Measures the adaptive-placement A/B: the skewed workload served twice under
-/// `Schedule::Inline`, concurrency 1 (fully deterministic admission order, so the
+/// Measures the adaptive-placement A/B: the skewed workload served twice at
+/// concurrency 1 (fully deterministic admission order, so the
 /// message totals are exact), once with `adapt: None` and once with a
 /// [`PlanReplanner`].
 pub fn measure_adaptive_serving() -> PipelineResult<AdaptiveServingArea> {
@@ -149,7 +146,6 @@ pub fn measure_adaptive_serving() -> PipelineResult<AdaptiveServingArea> {
 
     let static_opts = ServeOptions {
         concurrency: 1,
-        schedule: Schedule::Inline,
         ..ServeOptions::default()
     };
     let mut planner = PlanReplanner::new();

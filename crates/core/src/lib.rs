@@ -141,12 +141,10 @@ impl DistributionPlan {
 
     /// Executes the plan on the simulated cluster.
     ///
-    /// Every placement runs through the runtime's one worker loop: the
-    /// continuation-based interpreter parks a node's frame stack while it awaits a
-    /// remote response, so cyclic/re-entrant placements are scheduled just like
-    /// acyclic ones — on the calling thread under `Schedule::Inline` (the default),
-    /// on several workers under `Schedule::Pool`, with identical virtual times,
-    /// traffic and results.
+    /// Every placement runs through the runtime's one worker loop, on the calling
+    /// thread: the continuation-based interpreter parks a node's frame stack while it
+    /// awaits a remote response, so cyclic/re-entrant placements are scheduled just
+    /// like acyclic ones.
     pub fn execute(&self, cluster: &ClusterConfig) -> ExecutionReport {
         self.execute_profiled(cluster, Vec::new())
     }
@@ -154,8 +152,7 @@ impl DistributionPlan {
     /// Executes the plan with per-node profiler sinks attached (`profilers[r]` goes
     /// to rank `r`; a shorter or empty vector leaves the remaining nodes
     /// unprofiled). The interpreter's call stack travels with each parked
-    /// continuation, so sampling profilers see exact per-node stacks under either
-    /// schedule.
+    /// continuation, so sampling profilers see exact per-node stacks.
     pub fn execute_profiled(
         &self,
         cluster: &ClusterConfig,
@@ -194,9 +191,8 @@ impl DistributionPlan {
 
     /// Serves `requests` root computations of this plan as a closed-loop server:
     /// up to `opts.concurrency` requests are in flight at once, each over its own
-    /// request-scoped world (virtual clocks, mailboxes, correlation ids), scheduled
-    /// per `opts.schedule` (`Pool { threads }` for parallel serving, anything else
-    /// drives the loop on the calling thread). The returned [`ServingReport`]
+    /// request-scoped world (virtual clocks, mailboxes, correlation ids), all driven
+    /// by the one worker loop on the calling thread. The returned [`ServingReport`]
     /// carries one full per-request [`ExecutionReport`] per request plus the
     /// aggregate requests/sec and latency-percentile view; each request's virtual
     /// time, messages and final statics are byte-identical to
@@ -390,7 +386,6 @@ impl Distributor {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use autodist_runtime::cluster::Schedule;
     use autodist_runtime::NetworkConfig;
     use autodist_workloads as workloads;
 
@@ -586,7 +581,6 @@ mod tests {
             6,
             &ServeOptions {
                 concurrency: 4,
-                schedule: Schedule::Pool { threads: 2 },
                 ..ServeOptions::default()
             },
         );

@@ -29,10 +29,9 @@
 //! swapped-out placement is freed when the last request admitted under it completes.
 
 use std::fmt;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 use crate::interp::ProfilerSink;
-use crate::sched::lock;
 use crate::serve::ServerApp;
 
 /// The half of the adaptation loop the runtime cannot provide itself: turning a
@@ -115,14 +114,14 @@ struct AppEpoch {
 /// `ServeOptions::adapt` is set, untouched (and unallocated) otherwise.
 pub(crate) struct AdaptState {
     opts: AdaptOptions,
-    apps: Vec<Mutex<AppEpoch>>,
+    apps: Vec<AppEpoch>,
 }
 
 impl AdaptState {
     pub(crate) fn new(opts: AdaptOptions, apps: usize) -> Self {
         AdaptState {
             opts,
-            apps: (0..apps).map(|_| Mutex::default()).collect(),
+            apps: (0..apps).map(|_| AppEpoch::default()).collect(),
         }
     }
 
@@ -130,9 +129,9 @@ impl AdaptState {
     /// placement) and whether it carries profiler sinks — only the first
     /// [`PROFILED_ADMISSIONS`] admissions of each epoch do, so the bulk of traffic
     /// runs uninstrumented. Called once per admission (it advances the epoch's
-    /// admission counter); both answers come from one acquisition of the app's lock.
-    pub(crate) fn admit(&self, app: usize) -> (Option<Arc<ServerApp>>, bool) {
-        let mut epoch = lock(&self.apps[app]);
+    /// admission counter).
+    pub(crate) fn admit(&mut self, app: usize) -> (Option<Arc<ServerApp>>, bool) {
+        let epoch = &mut self.apps[app];
         epoch.admitted += 1;
         (epoch.current.clone(), epoch.admitted <= PROFILED_ADMISSIONS)
     }
@@ -144,20 +143,15 @@ impl AdaptState {
 
     /// Placements installed so far (for the run's aggregate report).
     pub(crate) fn swaps(&self) -> usize {
-        self.apps.iter().map(|epoch| lock(epoch).swaps).sum()
+        self.apps.iter().map(|epoch| epoch.swaps).sum()
     }
 
     /// Counts one completed request of `app` (a placement over `nodes` virtual
     /// nodes) and, at an epoch boundary, consults the planner. A successful replan
     /// installs the new placement for subsequently admitted requests of `app`;
     /// the one it replaces lives on only in the worlds still running under it.
-    ///
-    /// The per-app lock is held across the replan on purpose: concurrent
-    /// completions of the *same* app queue behind the repartition (their epochs
-    /// must not interleave with it), while other apps and all admissions of other
-    /// apps proceed untouched.
-    pub(crate) fn observe(&self, app: usize, nodes: usize) {
-        let mut epoch = lock(&self.apps[app]);
+    pub(crate) fn observe(&mut self, app: usize, nodes: usize) {
+        let epoch = &mut self.apps[app];
         epoch.completed += 1;
         if epoch.completed < self.opts.epoch_requests.max(1) {
             return;

@@ -9,8 +9,9 @@
 //!
 //! This module holds the run configuration ([`ClusterConfig`], [`Schedule`]) and the
 //! reporting surface ([`ExecutionReport`], [`NodeStats`]). There is one way to drive
-//! a distributed execution — the worker loop in [`crate::sched`] — and
-//! [`run_distributed`] goes through it as a serving run of one request at window 1.
+//! a distributed execution — the worker loop in [`crate::sched`], on the calling
+//! thread — and [`run_distributed`] goes through it as a serving run of one request
+//! at window 1.
 
 use std::time::{Duration, Instant};
 
@@ -22,8 +23,8 @@ use crate::sched::Server;
 use crate::serve::ServerApp;
 use crate::value::Statics;
 
-/// How many OS threads run the worker loop. Virtual times, message counts and
-/// results are identical under both.
+/// How the worker loop is scheduled. There is one schedule: the loop runs on the
+/// calling thread.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum Schedule {
     /// One worker, on the calling thread: virtual nodes are multiplexed on it; a
@@ -32,11 +33,11 @@ pub enum Schedule {
     /// scheduler's ready queue (O(1) delivery per packet).
     #[default]
     Inline,
-    /// `threads` workers over the same loop and the same queue. A single root
-    /// computation has one control flow, so the extra workers can only pay off when
-    /// several worlds are in flight (serving).
+    /// The same single-threaded loop as [`Schedule::Inline`]; `threads` is ignored.
+    /// Kept only so existing callers that name it still compile.
+    #[doc(hidden)]
     Pool {
-        /// Worker thread count (clamped to at least 1).
+        /// Ignored.
         threads: usize,
     },
 }
@@ -46,7 +47,8 @@ pub enum Schedule {
 pub struct ClusterConfig {
     /// The network / CPU cost model. The number of nodes is `network.nodes()`.
     pub network: NetworkConfig,
-    /// How many threads run the worker loop.
+    /// Kept for callers that name it: every [`Schedule`] runs the worker loop on the
+    /// calling thread.
     pub schedule: Schedule,
     /// Optional deterministic fault-injection plan wrapping the transport (see
     /// [`FaultPlan`]). `None` — the default — leaves the hot path untouched.
@@ -225,9 +227,9 @@ pub fn run_distributed(programs: &[Program], config: &ClusterConfig) -> Executio
 
 /// [`run_distributed`] with per-node profiler sinks attached. `profilers[r]`, when
 /// present, is handed to rank `r`'s interpreter; a shorter (or empty) vector leaves
-/// the remaining nodes unprofiled. Works under either [`Schedule`] — the call stack
-/// lives on each [`crate::interp::Continuation`], so sampling attribution is exact
-/// however many workers interleave.
+/// the remaining nodes unprofiled. Every hook fires on the calling thread, and the
+/// call stack lives on each [`crate::interp::Continuation`], so sampling attribution
+/// is exact however the loop interleaves nodes.
 pub fn run_distributed_profiled(
     programs: &[Program],
     config: &ClusterConfig,
@@ -237,18 +239,17 @@ pub fn run_distributed_profiled(
     let start = Instant::now();
     let app = ServerApp::prepare(programs.to_vec(), config.network.clone());
     let faults: Vec<_> = config.faults.iter().map(|plan| (0, plan.clone())).collect();
-    let server = Server {
+    let mut server = Server {
         apps: std::slice::from_ref(&app),
         sequence: &[0],
         concurrency: 1,
-        schedule: config.schedule,
         faults: &faults,
         adapt: None,
         // A single-root run reports virtual time; its delivery deadline is the
         // instant its one world quiesces.
         deadline_wait: Duration::ZERO,
     };
-    let (mut requests, _) = server.run(profilers);
+    let mut requests = server.run(profilers);
     let mut report = requests.pop().expect("one request, one report").report;
     report.wall_time_ms = start.elapsed().as_secs_f64() * 1e3;
     report
@@ -491,7 +492,7 @@ mod tests {
         );
     }
 
-    /// Both schedules reproduce, bit for bit, what thread-per-node execution
+    /// The worker loop reproduces, bit for bit, what thread-per-node execution
     /// computed for the split bank.
     #[test]
     fn inline_schedule_matches_threaded_results_and_virtual_time() {
@@ -500,79 +501,8 @@ mod tests {
         let copies: Vec<autodist_ir::Program> = (0..2)
             .map(|n| rewrite_for_node(&p, &placement, n).program)
             .collect();
-        for schedule in [Schedule::Inline, Schedule::Pool { threads: 2 }] {
-            let report = run_distributed(
-                &copies,
-                &ClusterConfig {
-                    schedule,
-                    ..ClusterConfig::paper_testbed()
-                },
-            );
-            assert_matches_threaded_record(&report, &BANK_THREADED);
-            assert_eq!(
-                report.final_statics.get("Main::result"),
-                Some(&StaticValue::Int(10 * 1000 + 50000 - 900))
-            );
-        }
-    }
-
-    /// Several workers must be indistinguishable from one: same results, same
-    /// traffic, same virtual clocks — and deterministic across
-    /// repeated runs (per-node clocks depend only on per-node packet order, which
-    /// the FIFO transport fixes regardless of worker interleaving).
-    #[test]
-    fn pool_schedule_matches_inline_and_is_deterministic() {
-        let p = compile_source(BANK_SRC).unwrap();
-        let placement = split_placement(&p);
-        let copies: Vec<autodist_ir::Program> = (0..2)
-            .map(|n| rewrite_for_node(&p, &placement, n).program)
-            .collect();
-        let inline = run_distributed(
-            &copies,
-            &ClusterConfig {
-                schedule: Schedule::Inline,
-                ..ClusterConfig::paper_testbed()
-            },
-        );
-        let pool_config = ClusterConfig {
-            schedule: Schedule::Pool { threads: 3 },
-            ..ClusterConfig::paper_testbed()
-        };
-        let first = run_distributed(&copies, &pool_config);
-        let second = run_distributed(&copies, &pool_config);
-        for pool in [&first, &second] {
-            assert!(pool.is_ok(), "{:?}", pool.error);
-            assert_eq!(pool.final_statics, inline.final_statics);
-            assert_eq!(pool.total_messages(), inline.total_messages());
-            assert_eq!(pool.total_bytes(), inline.total_bytes());
-            assert!(
-                (pool.virtual_time_us - inline.virtual_time_us).abs() < 1e-9,
-                "virtual clocks must agree: pool {} vs inline {}",
-                pool.virtual_time_us,
-                inline.virtual_time_us
-            );
-            for (a, b) in pool.per_node.iter().zip(inline.per_node.iter()) {
-                assert_eq!(a.instructions, b.instructions);
-                assert_eq!(a.requests_served, b.requests_served);
-            }
-        }
-    }
-
-    /// A run whose root computation never parks (single node, no messages) completes
-    /// during its own admission: the admitting worker closes the run, the rest exit.
-    #[test]
-    fn pool_schedule_handles_single_node_runs() {
-        let p = compile_source(BANK_SRC).unwrap();
-        let placement = ClassPlacement::centralized(1);
-        let copy = rewrite_for_node(&p, &placement, 0).program;
-        let config = ClusterConfig {
-            network: NetworkConfig::uniform(1),
-            schedule: Schedule::Pool { threads: 4 },
-            ..Default::default()
-        };
-        let report = run_distributed(std::slice::from_ref(&copy), &config);
-        assert!(report.is_ok(), "{:?}", report.error);
-        assert_eq!(report.total_messages(), 0);
+        let report = run_distributed(&copies, &ClusterConfig::paper_testbed());
+        assert_matches_threaded_record(&report, &BANK_THREADED);
         assert_eq!(
             report.final_statics.get("Main::result"),
             Some(&StaticValue::Int(10 * 1000 + 50000 - 900))
@@ -610,27 +540,7 @@ mod tests {
         assert!(report.total_messages() > 0);
     }
 
-    /// A cyclic placement under several workers: whichever worker delivers the
-    /// callback runs it as a fresh continuation on node 0 while node 0's root
-    /// computation stays parked. Same numbers as thread-per-node execution, where
-    /// the waiting launch node served the callback from its own mailbox.
-    #[test]
-    fn pool_schedule_supports_reentrant_callbacks() {
-        let report = run_distributed(
-            &relay_copies(),
-            &ClusterConfig {
-                schedule: Schedule::Pool { threads: 2 },
-                ..ClusterConfig::paper_testbed()
-            },
-        );
-        assert_matches_threaded_record(&report, &RELAY_THREADED);
-        assert_eq!(
-            report.final_statics.get("Main::result"),
-            Some(&StaticValue::Int(3))
-        );
-    }
-
-    /// The same cyclic placement on one worker: node 0's main parks while node 1
+    /// The cyclic placement: node 0's main parks while node 1
     /// serves `poke`, which calls back into node 0 — the callback runs as a fresh
     /// continuation on node 0 while its root computation stays parked. Results,
     /// traffic and virtual clocks are those of thread-per-node execution.
@@ -657,7 +567,7 @@ mod tests {
     /// Strings are per-node ids, so what crosses a node — a `NEW` argument built at
     /// run time, invoke arguments and results, a remote field read — must arrive as
     /// content: `+`, `==` against a literal and `<` come out as in the centralized
-    /// run, and so do the string statics, under either schedule.
+    /// run, and so do the string statics.
     #[test]
     fn strings_cross_nodes_by_content() {
         let src = r#"
@@ -704,16 +614,10 @@ mod tests {
         let copies: Vec<autodist_ir::Program> = (0..2)
             .map(|n| rewrite_for_node(&p, &placement, n).program)
             .collect();
-        for schedule in [Schedule::Inline, Schedule::Pool { threads: 2 }] {
-            let config = ClusterConfig {
-                schedule,
-                ..ClusterConfig::paper_testbed()
-            };
-            let dist = run_distributed(&copies, &config);
-            assert!(dist.is_ok(), "{schedule:?}: {:?}", dist.error);
-            assert!(dist.per_node[1].requests_served >= 4, "{schedule:?}");
-            assert_eq!(dist.final_statics, central.final_statics, "{schedule:?}");
-        }
+        let dist = run_distributed(&copies, &ClusterConfig::paper_testbed());
+        assert!(dist.is_ok(), "{:?}", dist.error);
+        assert!(dist.per_node[1].requests_served >= 4);
+        assert_eq!(dist.final_statics, central.final_statics);
     }
 
     #[test]

@@ -295,9 +295,9 @@ pub(crate) enum ResumeAction {
 ///
 /// The call stack lives **here**, not on the interpreter: a node interleaving several
 /// parked continuations carries each computation's exact stack with the computation
-/// itself, so the sampling profiler observes correct per-computation stacks under
-/// either schedule (an interpreter-global stack would mix frames of unrelated
-/// continuations above the live prefix).
+/// itself, so the sampling profiler observes correct per-computation stacks (an
+/// interpreter-global stack would mix frames of unrelated continuations above the
+/// live prefix).
 #[derive(Debug, Default)]
 pub struct Continuation {
     frames: Vec<Frame>,

@@ -16,23 +16,20 @@
 //!   crosses a node — the interception of `rt/DependentObject` operations that turns
 //!   rewritten call sites into message exchanges, marshal / unmarshal, send, accept,
 //!   reply.
-//! * [`sched`] — the scheduler: **one worker loop** taking `(root, rank, count)`
-//!   entries off one ready queue (O(1) delivery per packet) into a fixed table of
-//!   in-flight worlds, one lock each, with quiescence *counted* per world
-//!   (published minus consumed keys) instead of inferred from timeouts. The queue,
-//!   the admission window and the results share one run lock, and a delivery slice
-//!   hands the entries it published back to its worker, which queues them in the
-//!   same acquisition that takes its next entry. The three
-//!   per-node services of Figure 10 (MPI service, Execution Starter, Message
-//!   Exchange) are the world's transport, its seeding, and [`exchange`] under its
-//!   delivery slice.
+//! * [`sched`] — the scheduler: **one worker loop** on the calling thread, taking
+//!   `(root, rank, count)` entries off one ready queue (O(1) delivery per packet)
+//!   into a fixed table of in-flight worlds, with quiescence *counted* per world
+//!   (published minus consumed keys) instead of inferred from timeouts. The loop owns
+//!   the queue, the worlds, the admission window and the results, so the runtime
+//!   takes no lock and starts no thread. The three per-node services of Figure 10
+//!   (MPI service, Execution Starter, Message Exchange) are the world's transport,
+//!   its seeding, and [`exchange`] under its delivery slice.
 //! * [`cluster`] — the driver configuration and reporting surface: runs a distributed
 //!   (or centralized) execution and reports virtual time, wall time and traffic
-//!   statistics. A distributed run is a one-request serving run at window 1; the two
-//!   schedules are one worker or several over the same loop.
+//!   statistics. A distributed run is a one-request serving run at window 1.
 //! * [`serve`] — serving mode: the cluster as a server admitting N concurrent root
 //!   computations, each over its own request-scoped world (clocks, mailboxes,
-//!   correlation ids) while all requests share one ready queue and the workers.
+//!   correlation ids) while all requests share one ready queue.
 //! * [`adapt`] — adaptive placement: an epoch controller that consults a
 //!   caller-supplied [`adapt::Replanner`] (which profiles served requests through
 //!   its own sinks) and swaps better placements in for subsequently admitted

@@ -3,13 +3,13 @@
 //! The paper runs on two Pentium III machines connected by 100 Mb Ethernet and talks
 //! MPI between them. We have one machine, so the "network" is a set of mailboxes owned
 //! by the world (one [`Transport`] per root computation: plain queues and plain
-//! counters under the one lock that already guards the world) plus an explicit cost
+//! counters) plus an explicit cost
 //! model: each node has a relative CPU speed, and every message pays
 //! `latency + bytes / bandwidth` of virtual time. Virtual clocks are carried on the
 //! packets so causality is preserved (a receiver can never observe a message before it
 //! was sent). Nothing in here is shared between worlds, and nothing in here waits:
-//! the ready entries a world publishes go into a buffer its caller owns, and the
-//! scheduler's run lock is where they meet the other worlds' entries.
+//! the ready entries a world publishes go onto the scheduler's ready queue, where
+//! they meet the other worlds' entries.
 
 use bytes::{Bytes, BytesMut};
 use std::collections::VecDeque;
@@ -489,10 +489,9 @@ impl Tally {
 }
 
 /// One world's interconnect: per-rank mailboxes, the world's exact ready-key count
-/// and — when a plan is attached — its fault state, all plain data. The world that
-/// owns it sits behind one mutex, so every send, receive, window release and gap
-/// repair of its nodes runs under that lock by ownership, not by convention: there
-/// is nothing in here another thread could hold.
+/// and — when a plan is attached — its fault state, all plain data, owned by one
+/// world: every send, receive, window release and gap repair of its nodes goes
+/// through it.
 ///
 /// A node never touches it. What a node sends during a delivery slice waits in its
 /// [`MpiEndpoint`]'s outbox; when the slice ends the world [`Transport::route`]s
@@ -538,7 +537,7 @@ impl Transport {
 
     /// Ready keys published for this world and not yet consumed. Exact, because
     /// both halves are only ever counted here: zero before the root completes
-    /// means nothing is queued and nothing is in another worker's hands.
+    /// means nothing is queued for this world and nothing is being delivered.
     pub(crate) fn keys(&self) -> u32 {
         self.keys
     }
@@ -567,7 +566,7 @@ impl Transport {
                 _ => 1,
             };
             if copies == 0 {
-                // A lost packet wakes its destination anyway: the worker pops the
+                // A lost packet wakes its destination anyway: the loop pops the
                 // key, finds nothing, the key count reaches zero, and the recorded
                 // loss becomes a typed error, not a hang.
                 self.tally.mark(pkt.to, 1);
@@ -587,11 +586,11 @@ impl Transport {
     /// destination, `(root, rank, count)`, appended to `out` in first-recorded
     /// order, and counts them. The world calls this at the end of every packet's
     /// slice, so one entry per link per slice covers however many packets went there.
-    pub(crate) fn publish(&mut self, root: u32, out: &mut Vec<Ready>) {
+    pub(crate) fn publish(&mut self, root: u32, out: &mut VecDeque<Ready>) {
         for to in self.tally.order.drain(..) {
             let count = std::mem::take(&mut self.tally.counts[to as usize]);
             self.keys += count;
-            out.push((root, to, count));
+            out.push_back((root, to, count));
         }
     }
 
@@ -927,7 +926,7 @@ mod tests {
     fn sends_mark_destinations_ready_in_send_order() {
         let cfg = NetworkConfig::uniform(4);
         let (mut net, mut eps) = world(&cfg, None);
-        let mut ready = Vec::new();
+        let mut ready = VecDeque::new();
         request(&mut net, &mut eps[0], 2, b"x", 0.0);
         request(&mut net, &mut eps[0], 1, b"y", 0.0);
         request(&mut net, &mut eps[0], 2, b"z", 0.0);
@@ -944,7 +943,7 @@ mod tests {
 
     #[test]
     fn serving_worlds_tag_ready_keys_with_their_root() {
-        let mut shared = Vec::new();
+        let mut shared = VecDeque::new();
         let cfg = NetworkConfig::uniform(2);
         let (mut w3, mut eps3) = world(&cfg, None);
         let (mut w9, mut eps9) = world(&cfg, None);
@@ -968,7 +967,7 @@ mod tests {
     fn coalescing_batches_ready_keys_per_destination() {
         let cfg = NetworkConfig::uniform(3);
         let (mut net, mut eps) = world(&cfg, None);
-        let mut ready = Vec::new();
+        let mut ready = VecDeque::new();
         request(&mut net, &mut eps[0], 1, b"x", 0.0);
         request(&mut net, &mut eps[0], 2, b"y", 0.0);
         request(&mut net, &mut eps[0], 1, b"z", 0.0);
@@ -1003,7 +1002,7 @@ mod tests {
         net.route(&mut eps[0]);
         let first = net.recv(1).expect("in the mailbox before any publish");
         assert_eq!(first.arrival_time_us, 5.0 + cfg.transfer_time_us(3));
-        net.publish(0, &mut Vec::new());
+        net.publish(0, &mut VecDeque::new());
         assert_eq!((eps[0].messages_sent, eps[0].bytes_sent), sent);
         assert_eq!(net.keys(), 2);
     }
@@ -1103,7 +1102,7 @@ mod tests {
     fn duplicates_are_injected_and_suppressed_transparently() {
         let cfg = NetworkConfig::uniform(2);
         let (mut net, mut eps) = world(&cfg, Some(FaultPlan::quiet(7).with_duplicate(1.0)));
-        let mut ready = Vec::new();
+        let mut ready = VecDeque::new();
         request(&mut net, &mut eps[0], 1, b"once", 0.0);
         net.publish(0, &mut ready);
         assert_eq!(ready, [(0, 1, 2)], "one ready key per physical packet");
@@ -1130,7 +1129,7 @@ mod tests {
     fn reordered_packets_are_buffered_and_released_in_sequence() {
         let cfg = NetworkConfig::uniform(2);
         let (mut net, mut eps) = world(&cfg, Some(reorder_link_0_to_1(3)));
-        let mut ready = Vec::new();
+        let mut ready = VecDeque::new();
         request(&mut net, &mut eps[0], 1, b"first", 0.0);
         request(&mut net, &mut eps[0], 1, b"second", 0.0);
         net.publish(0, &mut ready);
@@ -1157,7 +1156,7 @@ mod tests {
     fn drop_exact_loses_one_packet_and_records_it() {
         let cfg = NetworkConfig::uniform(2);
         let (mut net, mut eps) = world(&cfg, Some(FaultPlan::drop_packet(1)));
-        let mut ready = Vec::new();
+        let mut ready = VecDeque::new();
         let (_, id0) = request(&mut net, &mut eps[0], 1, b"kept", 0.0);
         let (_, id1) = request(&mut net, &mut eps[0], 1, b"lost", 0.0);
         assert_eq!(net.recv(1).map(|p| p.req_id), Some(id0));
@@ -1168,7 +1167,7 @@ mod tests {
         assert_eq!(loss.reason, LossReason::Dropped);
         assert_eq!((loss.from, loss.to), (0, 1));
         // One key for the delivered packet, one *wake-up* key for the lost one so
-        // the world's key count reaches zero on a pop and the worker diagnoses.
+        // the world's key count reaches zero on a pop and the loop diagnoses.
         net.publish(0, &mut ready);
         assert_eq!(net.keys(), 2);
         assert_eq!(ready, [(0, 1, 2)]);

@@ -1,26 +1,26 @@
-//! The scheduler: **one worker loop** with counted per-world quiescence.
+//! The scheduler: **one worker loop** on the calling thread, with counted per-world
+//! quiescence.
 //!
-//! Every distributed execution — [`crate::cluster::run_distributed`] under either
-//! [`Schedule`], and [`crate::serve::run_serving`] — is the same thing: a sequence
-//! of root computations admitted through a window into a fixed table of **worlds**
-//! and driven by `Running::worker` taking `(root, rank, count)` entries off one ready
-//! queue. A single-root run is a serving run of one request at window 1;
-//! [`Schedule::Inline`] is a pool of one worker on the calling thread.
+//! Every distributed execution — [`crate::cluster::run_distributed`] and
+//! [`crate::serve::run_serving`], under any [`crate::cluster::Schedule`] — is the same
+//! thing: a sequence of root computations admitted through a window into a fixed table
+//! of **worlds** and driven by `Running::worker` taking `(root, rank, count)` entries
+//! off one ready queue. A single-root run is a serving run of one request at window 1.
 //!
-//! A run synchronises through exactly two kinds of lock: **the run lock** (one mutex
-//! and one condvar over `RunState`: the ready queue, its idle-worker count, the
-//! admission window and the per-request results) and **one mutex per world slot**.
-//! (An adaptive serving run adds its epoch controller's lock per app.) The one timed
-//! wait is the modelled [`SERVING_DELIVERY_DEADLINE`].
+//! The loop runs on the thread that called it and owns everything it touches — the
+//! slot table, the ready queue, the admission window, the results and the adaptive
+//! epoch controller — so nothing is shared and nothing is locked. The paper's protocol
+//! is synchronous request/response, so a root computation has exactly one live control
+//! flow, and worlds share nothing: a second OS thread could only overlap whole
+//! requests, and a pool of them never beat this loop on the serving workloads. The
+//! one timed wait is the modelled [`SERVING_DELIVERY_DEADLINE`].
 //!
 //! * A **world** ([`World`]) is one in-flight root computation: its request-scoped
 //!   nodes (interpreter + parked continuations each) and the [`Transport`] between
-//!   them (mailboxes owned by the world, its key count, its fault state), behind
-//!   **one mutex**. The paper's protocol is synchronous request/response, so a root
-//!   computation has exactly one live control flow — per-node locks would buy nothing.
-//!   A world owns all of it: each interpreter holds its node's layout (the program
-//!   with it) by `Arc`, so a world borrows nothing from the app it was admitted
-//!   under and outlives that app's placement being swapped out.
+//!   them (mailboxes owned by the world, its key count, its fault state). A world owns
+//!   all of it: each interpreter holds its node's layout (the program with it) by
+//!   `Arc`, so a world borrows nothing from the app it was admitted under and outlives
+//!   that app's placement being swapped out.
 //! * The three per-node services of the paper's Figure 10 map onto it directly: the
 //!   **MPI service** is the world's [`Transport`], the **Execution Starter** is
 //!   `World::seed`, and the **Message Exchange** is [`crate::exchange`], driven by
@@ -30,46 +30,36 @@
 //!   `slot + slots × generation`, so a popped key finds its world by index, and a
 //!   **stale** key (say the duplicate of a finished request's final response) is
 //!   recognised by root mismatch and skipped without touching the new tenant.
-//! * **A slice's ready entries go back to its worker.** What a world's transport
-//!   publishes during a slice (routed sends, sequence-window releases, gap repairs)
-//!   lands in a buffer the worker owns. After the slice the worker makes one
-//!   `Running::exchange` under the run lock: it queues the batch, pops the oldest
-//!   entry or waits, and wakes one blocked sibling only if entries remain after its
-//!   own pop. So no worker ever pops an entry of a world whose slice is still
-//!   running, and a new world's first entries are queued only after it is installed
-//!   and its seeding slice has ended.
+//! * **A slice's ready entries go to the back of the queue.** What a world's transport
+//!   publishes during a slice (routed sends, sequence-window releases, gap repairs) is
+//!   appended behind everything already queued, and the loop pops the oldest entry
+//!   next: worlds take turns slice by slice, in the order their entries were published.
 //! * **Quiescence is counted, not inferred.** Ready keys for a world are only ever
-//!   published by that world's own transport, which nothing but the world can reach
-//!   — i.e. under the world's lock. So its key count, published − consumed, lives
-//!   beside the mailboxes it counts and is exact: a counted key is queued, in some
-//!   worker's batch, or being delivered. When the count reaches zero and the root
-//!   has not completed, nothing is queued and nothing is in another worker's hands —
-//!   *that* world is stuck *now*. The worker holding it fails it on the spot if it
-//!   is doomed (a recorded packet loss, or nothing left that could free it): no
-//!   global verdict, no timeout, and no second worker that can reach the same
-//!   conclusion.
-//! * A world stuck behind a **sequence gap** waits for the **delivery deadline**:
-//!   the moment every worker is idle with nothing queued (`Next::AllIdle` — idle
-//!   workers are counted under the run lock, and a worker holding a batch is not
-//!   idle, so this too is a fact, observed by exactly one worker). That worker skips
-//!   the gaps of every stuck world and the loop carries on. For a single-root run
-//!   the deadline is the instant its one world quiesces; a serving run additionally
-//!   sits out a modelled ack timeout first ([`SERVING_DELIVERY_DEADLINE`]). Idle
-//!   workers otherwise block on the run lock's condvar without a timeout and exit
-//!   when the last completion closes the run.
+//!   published by that world's own transport, so its key count, published − consumed,
+//!   lives beside the mailboxes it counts and is exact: a counted key is queued or
+//!   being delivered. When the count reaches zero and the root has not completed,
+//!   nothing is queued for it — *that* world is stuck *now*, and the slice that saw it
+//!   fails it on the spot if it is doomed (a recorded packet loss, or nothing left
+//!   that could free it): no global verdict, no timeout.
+//! * A world stuck behind a **sequence gap** waits for the **delivery deadline**: the
+//!   moment the ready queue is empty. Every entry a slice published is queued before
+//!   the next pop, so an empty queue is a fact — no world can make progress — and the
+//!   loop skips the gaps of every stuck world and carries on. For a single-root run the
+//!   deadline is the instant its one world quiesces; a serving run additionally sits
+//!   out a modelled ack timeout first ([`SERVING_DELIVERY_DEADLINE`]).
 //!
-//! Virtual times, message counts and results are deterministic under any worker
-//! count: per-node clocks depend only on that node's packet arrival order, which
-//! the transport's FIFO mailboxes and the synchronous protocol fix regardless of
-//! worker interleaving. Per-node profiler sinks attach the same way under either
-//! schedule — the call stack lives on each [`Continuation`].
+//! Virtual times, message counts and results are deterministic: per-node clocks depend
+//! only on that node's packet arrival order, which the transport's FIFO mailboxes and
+//! the synchronous protocol fix whatever order the queue interleaves worlds in.
+//! Per-node profiler sinks run on the calling thread, and the call stack they sample
+//! lives on each [`Continuation`].
 
 use std::collections::VecDeque;
-use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use crate::adapt::AdaptState;
-use crate::cluster::{stats_of, ExecutionReport, NodeProfiler, Schedule};
+use crate::cluster::{stats_of, ExecutionReport, NodeProfiler};
 use crate::exchange::{shutdown_frame, DistState, ServeOutcome};
 use crate::interp::{loss_to_error, Continuation, ExecError, Interp, TaskOutcome, TransportStall};
 use crate::net::{FaultPlan, MpiEndpoint, Packet, PacketKind, Ready, Transport};
@@ -202,7 +192,7 @@ struct World {
     root: u32,
     nodes: Vec<CoopNode>,
     /// Mailboxes, the exact ready-key count and the fault state. Owned here and
-    /// handed to nobody, so everything it does happens under this world's lock.
+    /// handed to nobody.
     net: Transport,
     /// Position in the submitted sequence.
     index: usize,
@@ -215,7 +205,7 @@ impl World {
     /// The Execution Starter: launches `main` as the root continuation on the
     /// launch node, publishing its ready entries into `out`. Returns the root result
     /// if the world is already over.
-    fn seed(&mut self, out: &mut Vec<Ready>) -> Option<Result<Value, ExecError>> {
+    fn seed(&mut self, out: &mut VecDeque<Ready>) -> Option<Result<Value, ExecError>> {
         let node = &mut self.nodes[0];
         let res = match node.interp.layout().program().entry {
             None => Some(Err(ExecError::NoEntry)),
@@ -238,7 +228,7 @@ impl World {
         &mut self,
         rank: usize,
         count: u32,
-        out: &mut Vec<Ready>,
+        out: &mut VecDeque<Ready>,
     ) -> Option<Result<Value, ExecError>> {
         let mut res = None;
         for _ in 0..count {
@@ -258,14 +248,13 @@ impl World {
     /// rolls, sequencing, duplicate copies, mailbox push — and publishes one
     /// counted ready entry per destination (a window release's self keys included)
     /// into `out`.
-    fn route(&mut self, rank: usize, out: &mut Vec<Ready>) {
+    fn route(&mut self, rank: usize, out: &mut VecDeque<Ready>) {
         self.net.route(self.nodes[rank].endpoint());
         self.net.publish(self.root, out);
     }
 
     /// Closes a slice that consumed `consumed` keys. A live world whose count
-    /// reaches zero is stuck — nothing is queued, nothing is in another worker's
-    /// hands — and unless a gap repair can still free it ([`World::repair`]) it is
+    /// reaches zero is stuck — nothing is queued for it — and unless a gap repair can still free it ([`World::repair`]) it is
     /// failed here and now, whatever its neighbours are doing.
     fn settle(
         &mut self,
@@ -321,7 +310,7 @@ impl World {
     /// are not coming. Skips every gap and publishes the released packets' keys into
     /// `out` (no delivery slice is coming to do it); `false` if there was nothing to
     /// release.
-    fn repair(&mut self, out: &mut Vec<Ready>) -> bool {
+    fn repair(&mut self, out: &mut VecDeque<Ready>) -> bool {
         if self.net.repair_gaps() > 0 {
             self.net.publish(self.root, out);
         }
@@ -392,7 +381,7 @@ impl World {
 /// is slower than every healthy one — are calibrated to 6 ms.
 pub(crate) const SERVING_DELIVERY_DEADLINE: Duration = Duration::from_millis(6);
 
-/// Everything one run of the worker loop shares. [`crate::serve::run_serving`] and
+/// Everything one run of the worker loop needs. [`crate::serve::run_serving`] and
 /// [`crate::cluster::run_distributed_profiled`] both fill this in and call
 /// [`Server::run`]; `adapt` is `None` for the latter.
 pub(crate) struct Server<'s> {
@@ -401,7 +390,6 @@ pub(crate) struct Server<'s> {
     pub(crate) sequence: &'s [usize],
     /// Maximum worlds in flight (the closed-loop window).
     pub(crate) concurrency: usize,
-    pub(crate) schedule: Schedule,
     /// Fault plans by submission index.
     pub(crate) faults: &'s [(usize, FaultPlan)],
     /// Adaptive-placement epoch controller; `None` keeps the admission and
@@ -413,16 +401,20 @@ pub(crate) struct Server<'s> {
     pub(crate) deadline_wait: Duration,
 }
 
-/// What the workers of one run share besides the worlds themselves, behind **the
-/// run lock**: the ready queue and its idle-worker count, the admission window, and
-/// the per-request results.
-struct RunState {
+/// An admission: request index, slot, root id, and the caller's profiler sinks
+/// (non-empty for request 0 only).
+type Claim = (usize, usize, u32, Vec<Option<NodeProfiler>>);
+
+/// A world taken out of `slot` (or never installed there) with its root result.
+type Done = (usize, World, Result<Value, ExecError>);
+
+/// The state [`Server::run`] adds around a [`Server`] for the duration of the run.
+struct Running<'a, 's> {
+    server: &'a mut Server<'s>,
+    /// The world table, a power of two long so `root & mask` finds an entry's slot.
+    slots: Vec<Option<World>>,
     /// Ready entries of every world, oldest first.
     queue: VecDeque<Ready>,
-    /// Workers blocked in [`Running::exchange`].
-    waiters: usize,
-    /// Set by the last completion: every worker exits.
-    closed: bool,
     /// Next sequence index to admit.
     next: usize,
     /// Slots with no live world.
@@ -436,17 +428,84 @@ struct RunState {
     profilers: Vec<Option<NodeProfiler>>,
 }
 
-/// An admission claimed under the run lock: request index, slot, root id, and the
-/// caller's profiler sinks (non-empty for request 0 only).
-type Claim = (usize, usize, u32, Vec<Option<NodeProfiler>>);
+impl<'s> Server<'s> {
+    /// Runs the closed loop to completion on the calling thread and returns the
+    /// per-request outcomes in submission order. `profilers[r]`, when present, is
+    /// attached to rank `r` of request 0.
+    pub(crate) fn run(&mut self, profilers: Vec<Option<NodeProfiler>>) -> Vec<RequestReport> {
+        let mut run = Running::new(self, profilers);
+        run.worker();
+        run.results
+            .into_iter()
+            .map(|r| r.expect("every request completed or failed"))
+            .collect()
+    }
+}
 
-/// A world taken out of `slot` (or never installed there) with its root result.
-type Done = (usize, World, Result<Value, ExecError>);
+impl<'a, 's> Running<'a, 's> {
+    fn new(server: &'a mut Server<'s>, profilers: Vec<Option<NodeProfiler>>) -> Self {
+        let concurrency = server.concurrency.max(1);
+        let slots = concurrency.next_power_of_two();
+        let requests = server.sequence.len();
+        Running {
+            server,
+            slots: (0..slots).map(|_| None).collect(),
+            queue: VecDeque::new(),
+            next: 0,
+            free: (0..concurrency).rev().collect(),
+            roots: (0..slots as u32).collect(),
+            completed: 0,
+            results: (0..requests).map(|_| None).collect(),
+            profilers,
+        }
+    }
 
-impl RunState {
+    /// **The** worker loop: fill the window, then pop the oldest ready entry and run
+    /// one delivery slice on that world's node, until every request has a report. A
+    /// world completes on the slice that delivers its final response, which reports
+    /// it and refills the freed slot; an empty queue is the delivery deadline.
+    fn worker(&mut self) {
+        self.refill(None);
+        while self.completed < self.results.len() {
+            let Some((root, rank, count)) = self.queue.pop_front() else {
+                self.delivery_deadline();
+                continue;
+            };
+            let slot = root as usize & (self.slots.len() - 1);
+            // An entry whose root is not the slot's tenant is stale — its world
+            // already completed — and is skipped, count untouched.
+            let done = match self.slots[slot].as_mut() {
+                Some(world) if world.root == root => {
+                    world.deliver(rank as usize, count, &mut self.queue)
+                }
+                _ => None,
+            };
+            if let Some(res) = done {
+                let world = self.slots[slot].take().expect("the world just delivered");
+                self.refill(Some((slot, world, res)));
+            }
+        }
+    }
+
+    /// Completes `done`, if given, then admits requests until the window is full or
+    /// the sequence is exhausted. What the seeds publish goes onto the queue.
+    fn refill(&mut self, mut done: Option<Done>) {
+        loop {
+            if let Some((slot, world, res)) = done.take() {
+                let report = self.report(world, res);
+                let index = report.index;
+                self.results[index] = Some(report);
+                self.free.push(slot);
+                self.completed += 1;
+            }
+            let Some(claim) = self.claim() else { return };
+            done = self.admit_one(claim);
+        }
+    }
+
     /// Claims the next admission, if the window has a free slot and the sequence is
     /// not exhausted. The first claim — request 0's — takes the profiler sinks.
-    fn claim(&mut self, slots: usize) -> Option<Claim> {
+    fn claim(&mut self) -> Option<Claim> {
         if self.next >= self.results.len() {
             return None;
         }
@@ -454,215 +513,16 @@ impl RunState {
         let index = self.next;
         self.next += 1;
         let root = self.roots[slot];
-        self.roots[slot] = root.wrapping_add(slots as u32);
+        self.roots[slot] = root.wrapping_add(self.slots.len() as u32);
         Some((index, slot, root, std::mem::take(&mut self.profilers)))
-    }
-
-    /// Whether a worker that just popped wakes a blocked sibling: only if entries
-    /// remain for it. The popper is about to be busy with its own, and a notify is a
-    /// futex syscall that one control flow bouncing between two nodes must not pay
-    /// per message just because a sibling is asleep.
-    fn wake_sibling(&self) -> bool {
-        self.waiters > 0 && !self.queue.is_empty()
-    }
-}
-
-/// What [`Running::exchange`] hands the calling worker.
-#[derive(Debug, PartialEq)]
-enum Next {
-    /// The oldest ready entry.
-    Entry(Ready),
-    /// The run is over: exit.
-    Closed,
-    /// Nothing is queued and every other worker is blocked waiting, so no entry can
-    /// ever arrive: the caller is the last worker standing.
-    AllIdle,
-}
-
-/// The state [`Server::run`] adds around a [`Server`] for the duration of the run.
-struct Running<'a, 's> {
-    server: &'a Server<'s>,
-    workers: usize,
-    /// The world table, a power of two long so `root & mask` finds an entry's slot.
-    slots: Vec<Mutex<Option<World>>>,
-    /// The run lock.
-    state: Mutex<RunState>,
-    /// Where idle workers wait for entries, or for the end of the run.
-    idle: Condvar,
-}
-
-pub(crate) fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(|e| e.into_inner())
-}
-
-impl<'s> Server<'s> {
-    /// Runs the closed loop to completion and returns the per-request outcomes in
-    /// submission order, plus the worker count used. `profilers[r]`, when present,
-    /// is attached to rank `r` of request 0.
-    pub(crate) fn run(&self, profilers: Vec<Option<NodeProfiler>>) -> (Vec<RequestReport>, usize) {
-        let workers = match self.schedule {
-            Schedule::Inline => 1,
-            Schedule::Pool { threads } => threads.max(1),
-        };
-        if self.sequence.is_empty() {
-            return (Vec::new(), workers);
-        }
-        let run = Running::new(self, workers, profilers);
-        if workers == 1 {
-            run.worker();
-        } else {
-            std::thread::scope(|scope| {
-                for id in 0..workers {
-                    let run = &run;
-                    std::thread::Builder::new()
-                        .name(format!("worker-{id}"))
-                        .spawn_scoped(scope, move || run.worker())
-                        .expect("spawn worker");
-                }
-            });
-        }
-        let requests = run
-            .state
-            .into_inner()
-            .unwrap_or_else(|e| e.into_inner())
-            .results
-            .into_iter()
-            .map(|r| r.expect("every request completed or failed"))
-            .collect();
-        (requests, workers)
-    }
-}
-
-impl<'a, 's> Running<'a, 's> {
-    fn new(server: &'a Server<'s>, workers: usize, profilers: Vec<Option<NodeProfiler>>) -> Self {
-        let concurrency = server.concurrency.max(1);
-        let slots = concurrency.next_power_of_two();
-        Running {
-            server,
-            workers,
-            slots: (0..slots).map(|_| Mutex::new(None)).collect(),
-            state: Mutex::new(RunState {
-                queue: VecDeque::new(),
-                waiters: 0,
-                closed: false,
-                next: 0,
-                free: (0..concurrency).rev().collect(),
-                roots: (0..slots as u32).collect(),
-                completed: 0,
-                results: (0..server.sequence.len()).map(|_| None).collect(),
-                profilers,
-            }),
-            idle: Condvar::new(),
-        }
-    }
-
-    /// **The** worker loop: fill the window, then trade each slice's ready entries
-    /// for the oldest queued one and run one delivery slice on that world's node. A
-    /// world completes on whichever worker delivers its final response; that worker
-    /// reports it and refills the freed slot.
-    fn worker(&self) {
-        // What this worker's slices publish, queued at its next exchange.
-        let mut batch = Vec::new();
-        self.refill(None, &mut batch);
-        loop {
-            match self.exchange(&mut batch) {
-                Next::Entry((root, rank, count)) => {
-                    let slot = root as usize & (self.slots.len() - 1);
-                    let mut guard = lock(&self.slots[slot]);
-                    // An entry whose root is not the slot's tenant is stale — its
-                    // world already completed — and is skipped, count untouched.
-                    let done = match guard.as_mut() {
-                        Some(world) if world.root == root => {
-                            world.deliver(rank as usize, count, &mut batch)
-                        }
-                        _ => None,
-                    };
-                    if let Some(res) = done {
-                        let world = guard.take().expect("the world just delivered");
-                        drop(guard);
-                        self.refill(Some((slot, world, res)), &mut batch);
-                    }
-                }
-                Next::Closed => return,
-                Next::AllIdle => self.delivery_deadline(&mut batch),
-            }
-        }
-    }
-
-    /// A worker's one trip through the run lock between slices: queues `batch` (what
-    /// its last slice published, in publish order) behind everything already queued
-    /// and pops the oldest entry, blocking on the condvar — with no timeout — while
-    /// the queue is empty. A blocked sibling is woken only if entries remain after
-    /// the caller's pop ([`RunState::wake_sibling`]).
-    ///
-    /// Returns [`Next::Closed`] once the run is over, queued entries or not, and
-    /// [`Next::AllIdle`] instead of blocking when the caller would be the last
-    /// worker to go idle: waiters are counted under the same lock, and a worker
-    /// holding an unqueued batch is never among them.
-    fn exchange(&self, batch: &mut Vec<Ready>) -> Next {
-        let mut s = lock(&self.state);
-        s.queue.extend(batch.drain(..));
-        loop {
-            if s.closed {
-                return Next::Closed;
-            }
-            if let Some(entry) = s.queue.pop_front() {
-                let wake = s.wake_sibling();
-                drop(s);
-                if wake {
-                    self.idle.notify_one();
-                }
-                return Next::Entry(entry);
-            }
-            if s.waiters + 1 >= self.workers {
-                return Next::AllIdle;
-            }
-            s.waiters += 1;
-            s = self.idle.wait(s).unwrap_or_else(|e| e.into_inner());
-            s.waiters -= 1;
-        }
-    }
-
-    /// Completes `done`, if given, then admits requests until the window is full or
-    /// the sequence is exhausted. A completion's epilogue runs outside every lock;
-    /// recording its report and claiming the next admission share one acquisition
-    /// of the run lock, and the last completion closes the run. What the seeds
-    /// publish waits in `batch` for the worker's next exchange.
-    fn refill(&self, mut done: Option<Done>, batch: &mut Vec<Ready>) {
-        loop {
-            let finished = done
-                .take()
-                .map(|(slot, world, res)| (slot, self.report(world, res)));
-            let claim = {
-                let mut s = lock(&self.state);
-                if let Some((slot, report)) = finished {
-                    let index = report.index;
-                    s.results[index] = Some(report);
-                    s.free.push(slot);
-                    s.completed += 1;
-                    if s.completed == s.results.len() {
-                        s.closed = true;
-                        self.idle.notify_all();
-                    }
-                }
-                s.claim(self.slots.len())
-            };
-            let Some(claim) = claim else { return };
-            done = self.admit_one(claim, batch);
-        }
     }
 
     /// Instantiates a claimed request: a fresh transport, fresh per-node interpreters
     /// over the app's shared layouts and class defaults, then the root computation
-    /// seeded on node 0 — all before anything can reach the world, so under no lock.
-    /// The seed publishes into `batch`; the world is then installed in its slot,
-    /// unless seeding already ended it, in which case it is returned for completion.
-    fn admit_one(
-        &self,
-        (index, slot, root, mut own): Claim,
-        batch: &mut Vec<Ready>,
-    ) -> Option<Done> {
-        let server = self.server;
+    /// seeded on node 0. The world is then installed in its slot, unless seeding
+    /// already ended it, in which case it is returned for completion.
+    fn admit_one(&mut self, (index, slot, root, mut own): Claim) -> Option<Done> {
+        let server = &mut *self.server;
         let app_idx = server.sequence[index];
         // Adaptive placement: admit under the app's *current* placement — the seed
         // one the caller passed in, or whichever the epoch controller last
@@ -674,7 +534,7 @@ impl<'a, 's> Running<'a, 's> {
         // admissions carries them.
         let (current, profiled) = server
             .adapt
-            .as_ref()
+            .as_mut()
             .map_or((None, false), |adapt| adapt.admit(app_idx));
         let planner = server.adapt.as_ref().filter(|_| profiled);
         let app = current.as_deref().unwrap_or(&server.apps[app_idx]);
@@ -712,12 +572,12 @@ impl<'a, 's> Running<'a, 's> {
             app: app_idx,
             started: Instant::now(),
         };
-        match world.seed(batch) {
+        match world.seed(&mut self.queue) {
             // The request never parked (e.g. a single-node placement), or is
             // already doomed: the caller completes it and keeps admitting.
             Some(res) => Some((slot, world, res)),
             None => {
-                *lock(&self.slots[slot]) = Some(world);
+                self.slots[slot] = Some(world);
                 None
             }
         }
@@ -726,11 +586,11 @@ impl<'a, 's> Running<'a, 's> {
     /// The epilogue of a finished world and its report. The epoch controller counts
     /// the completion only *after* the report is sealed: adaptation can only
     /// influence requests admitted later.
-    fn report(&self, world: World, res: Result<Value, ExecError>) -> RequestReport {
+    fn report(&mut self, world: World, res: Result<Value, ExecError>) -> RequestReport {
         let latency = world.started.elapsed();
         let (index, app, nodes) = (world.index, world.app, world.nodes.len());
         let report = world.finish(res, latency);
-        if let Some(adapt) = self.server.adapt.as_ref() {
+        if let Some(adapt) = self.server.adapt.as_mut() {
             adapt.observe(app, nodes);
         }
         RequestReport {
@@ -741,47 +601,39 @@ impl<'a, 's> Running<'a, 's> {
         }
     }
 
-    /// The **delivery deadline**, behind [`Next::AllIdle`]: every worker is idle and
-    /// nothing is queued, so every live world is stuck — and since a doomed world is
-    /// failed by its own count the moment it quiesces, what is left waits behind a
-    /// sequence gap. Exactly one worker gets here (all others are blocked in
-    /// [`Running::exchange`]), which is what makes the verdict single: it sits out
-    /// the modelled deadline, then skips the gaps of every stuck world under that
-    /// world's lock and carries on; the released keys go out with its next exchange.
-    fn delivery_deadline(&self, batch: &mut Vec<Ready>) {
+    /// The **delivery deadline**: the queue is empty, so every live world is stuck —
+    /// and since a doomed world is failed by its own count the moment it quiesces,
+    /// what is left waits behind a sequence gap. Sits out the modelled deadline, then
+    /// skips the gaps of every stuck world; the released keys go onto the queue.
+    fn delivery_deadline(&mut self) {
         if !self.server.deadline_wait.is_zero() {
             std::thread::sleep(self.server.deadline_wait);
         }
         let mut repaired = false;
-        for slot in &self.slots {
-            // Only a world whose count is zero can be waiting on a gap.
-            if let Some(world) = lock(slot).as_mut().filter(|w| w.net.keys() == 0) {
-                repaired |= world.repair(batch);
+        // Only a world whose count is zero can be waiting on a gap.
+        for world in self.slots.iter_mut().flatten() {
+            if world.net.keys() == 0 {
+                repaired |= world.repair(&mut self.queue);
             }
         }
         if repaired {
             return;
         }
-        // Nothing was repairable, so nothing was published and every sibling is
-        // still blocked: the live worlds are exactly as `AllIdle` found them —
-        // holding keys that are not in the queue. Exact counts make this
-        // unreachable; it exists to turn a counting bug into typed failures, each
-        // with its own stall diagnosis, instead of a hang.
+        // Nothing was repairable, so the live worlds hold keys that are not in the
+        // queue. Exact counts make this unreachable; it exists to turn a counting bug
+        // into typed failures, each with its own stall diagnosis, instead of a hang.
         let stuck: Vec<Done> = (0..self.slots.len())
             .filter_map(|slot| {
-                let world = lock(&self.slots[slot]).take()?;
+                let world = self.slots[slot].take()?;
                 let stall = world.stall();
                 Some((slot, world, Err(ExecError::Transport(stall))))
             })
             .collect();
-        if stuck.is_empty() {
-            // Nothing live and nothing admissible, yet the run is not over: give
-            // up loudly (the missing reports panic in `Server::run`), never spin.
-            lock(&self.state).closed = true;
-            self.idle.notify_all();
-        }
+        // Nothing live and nothing admissible, yet the run is not over: give up
+        // loudly, never spin.
+        assert!(!stuck.is_empty(), "the run stalled with no live world");
         for done in stuck {
-            self.refill(Some(done), batch);
+            self.refill(Some(done));
         }
     }
 }
@@ -819,12 +671,11 @@ mod tests {
         ServerApp::prepare(programs, NetworkConfig::paper_testbed())
     }
 
-    fn server<'s>(app: &'s ServerApp, sequence: &'s [usize], schedule: Schedule) -> Server<'s> {
+    fn server<'s>(app: &'s ServerApp, sequence: &'s [usize]) -> Server<'s> {
         Server {
             apps: std::slice::from_ref(app),
             sequence,
             concurrency: 2,
-            schedule,
             faults: &[],
             adapt: None,
             deadline_wait: Duration::ZERO,
@@ -833,74 +684,10 @@ mod tests {
 
     /// A two-slot run whose slots have each seen one tenant already (roots 0 and 1
     /// are spent; the next ones are 2 and 3).
-    fn running<'a, 's>(server: &'a Server<'s>, workers: usize) -> Running<'a, 's> {
-        let run = Running::new(server, workers, Vec::new());
-        lock(&run.state).roots = vec![2, 3];
+    fn running<'a, 's>(server: &'a mut Server<'s>) -> Running<'a, 's> {
+        let mut run = Running::new(server, Vec::new());
+        run.roots = vec![2, 3];
         run
-    }
-
-    /// The worker's trip through the run lock: `AllIdle` for the last worker
-    /// standing (never a block nobody can end), FIFO across what was queued and the
-    /// pushed batch, a blocked sibling woken exactly when entries remain after the
-    /// caller's pop, and `Closed` over queued entries.
-    #[test]
-    fn exchange_queues_the_batch_and_wakes_a_sibling_only_for_what_remains() {
-        let app = ping_app();
-        let server = server(&app, &[0], Schedule::Inline);
-        let lone = running(&server, 1);
-        let mut batch = Vec::new();
-        assert_eq!(
-            lone.exchange(&mut batch),
-            Next::AllIdle,
-            "a lone worker never blocks"
-        );
-        lock(&lone.state).queue.push_back((0, 7, 1));
-        batch.extend([(2, 1, 2), (3, 0, 1)]);
-        assert_eq!(lone.exchange(&mut batch), Next::Entry((0, 7, 1)));
-        assert!(batch.is_empty(), "the whole batch went into the queue");
-        assert_eq!(lone.exchange(&mut batch), Next::Entry((2, 1, 2)));
-        assert_eq!(lone.exchange(&mut batch), Next::Entry((3, 0, 1)));
-        assert_eq!(lone.exchange(&mut batch), Next::AllIdle);
-
-        let run = running(&server, 2);
-        let until_blocked = || {
-            while lock(&run.state).waiters == 0 {
-                std::thread::yield_now();
-            }
-        };
-        std::thread::scope(|scope| {
-            // Two entries: the caller takes the first and wakes the sibling for the
-            // second.
-            let sibling = scope.spawn(|| run.exchange(&mut Vec::new()));
-            until_blocked();
-            assert_eq!(
-                run.exchange(&mut Vec::new()),
-                Next::AllIdle,
-                "the sibling is blocked"
-            );
-            batch.extend([(3, 1, 2), (3, 0, 1)]);
-            assert_eq!(run.exchange(&mut batch), Next::Entry((3, 1, 2)));
-            assert_eq!(sibling.join().unwrap(), Next::Entry((3, 0, 1)));
-            // One entry: the caller's own. With the sibling blocked and nothing left,
-            // the rule the caller just applied says no wake.
-            let sibling = scope.spawn(|| run.exchange(&mut Vec::new()));
-            until_blocked();
-            batch.push((4, 0, 1));
-            assert_eq!(run.exchange(&mut batch), Next::Entry((4, 0, 1)));
-            let s = lock(&run.state);
-            assert_eq!(s.waiters, 1);
-            assert!(!s.wake_sibling(), "nothing remained, nobody was woken");
-            drop(s);
-            // Closing wakes it, and wins over queued (stale) entries.
-            let mut s = lock(&run.state);
-            s.queue.push_back((5, 0, 1));
-            s.closed = true;
-            drop(s);
-            run.idle.notify_all();
-            assert_eq!(sibling.join().unwrap(), Next::Closed);
-        });
-        batch.push((6, 0, 1));
-        assert_eq!(run.exchange(&mut batch), Next::Closed);
     }
 
     /// The key count is exact at every step of a healthy world: one key out after
@@ -908,20 +695,18 @@ mod tests {
     #[test]
     fn key_count_tracks_published_minus_consumed() {
         let app = ping_app();
-        let server = server(&app, &[0], Schedule::Inline);
-        let run = running(&server, 1);
-        let mut batch = Vec::new();
-        run.refill(None, &mut batch);
+        let mut server = server(&app, &[0]);
+        let mut run = running(&mut server);
+        run.refill(None);
         let mut slices = 0;
-        while let Next::Entry((root, rank, count)) = run.exchange(&mut batch) {
-            let mut guard = lock(&run.slots[0]);
-            let world = guard.as_mut().expect("live until its last slice");
+        while let Some((root, rank, count)) = run.queue.pop_front() {
+            let world = run.slots[0].as_mut().expect("live until its last slice");
             assert_eq!(
                 (world.root, world.net.keys()),
                 (root, count),
                 "one control flow"
             );
-            if let Some(res) = world.deliver(rank as usize, count, &mut batch) {
+            if let Some(res) = world.deliver(rank as usize, count, &mut run.queue) {
                 assert_eq!(res, Ok(Value::Null));
                 assert_eq!(world.net.keys(), 0, "the final response was the last key");
                 break;
@@ -935,19 +720,17 @@ mod tests {
         );
     }
 
-    /// Runs request 0 of `app` on one worker, slice by slice, and returns its world
-    /// as it stood when the root completed.
+    /// Runs request 0 of `app` slice by slice and returns its world as it stood when
+    /// the root completed.
     fn finished_world(app: &ServerApp) -> World {
-        let server = server(app, &[0], Schedule::Inline);
-        let run = running(&server, 1);
-        let mut batch = Vec::new();
-        run.refill(None, &mut batch);
-        while let Next::Entry((_, rank, count)) = run.exchange(&mut batch) {
-            let mut guard = lock(&run.slots[0]);
-            let world = guard.as_mut().expect("live until its last slice");
-            if let Some(res) = world.deliver(rank as usize, count, &mut batch) {
+        let mut server = server(app, &[0]);
+        let mut run = running(&mut server);
+        run.refill(None);
+        while let Some((_, rank, count)) = run.queue.pop_front() {
+            let world = run.slots[0].as_mut().expect("live until its last slice");
+            if let Some(res) = world.deliver(rank as usize, count, &mut run.queue) {
                 assert_eq!(res, Ok(Value::Null));
-                return guard.take().expect("the world just delivered");
+                return run.slots[0].take().expect("the world just delivered");
             }
         }
         panic!("the root never completed");
@@ -1001,12 +784,12 @@ mod tests {
     #[test]
     fn stale_keys_do_not_touch_the_next_tenant() {
         let app = ping_app();
-        let server = server(&app, &[0, 0, 0], Schedule::Inline);
-        let run = running(&server, 1);
+        let mut server = server(&app, &[0, 0, 0]);
+        let mut run = running(&mut server);
         // Leftovers of the slots' previous tenants, ahead of everything else.
-        lock(&run.state).queue.extend([(0, 0, 3), (1, 1, 1)]);
+        run.queue.extend([(0, 0, 3), (1, 1, 1)]);
         run.worker();
-        let results = run.state.into_inner().unwrap().results;
+        let results = run.results;
         let programs: Vec<_> = app.layouts.iter().map(|l| l.program().clone()).collect();
         let solo = crate::cluster::run_distributed(
             &programs,
@@ -1019,40 +802,30 @@ mod tests {
         }
     }
 
-    /// The global guard: a world whose key went missing (stolen here) leaves every
-    /// worker idle; the last one fails it with its real stall shape and the loop
-    /// goes on to serve the rest of the sequence.
+    /// The global guard: a world whose key went missing (stolen here) leaves the
+    /// queue empty; the delivery deadline fails it with its real stall shape and the
+    /// loop goes on to serve the rest of the sequence.
     #[test]
     fn a_lost_key_fails_that_world_typed_and_the_run_continues() {
         let app = ping_app();
-        for workers in [1, 3] {
-            let server = server(&app, &[0, 0, 0], Schedule::Pool { threads: workers });
-            let run = running(&server, workers);
-            let mut batch = Vec::new();
-            run.refill(None, &mut batch);
-            // Steal request 0's only key: its count says 1, the queue says none.
-            let stolen = batch.remove(0);
-            assert_eq!(stolen, (2, 1, 1), "request 0's NEW");
-            lock(&run.state).queue.extend(batch);
-            std::thread::scope(|scope| {
-                for _ in 0..workers {
-                    scope.spawn(|| run.worker());
-                }
-            });
-            let results = run.state.into_inner().unwrap().results;
-            let errors: Vec<_> = results
-                .iter()
-                .map(|r| r.as_ref().unwrap().report.error.clone())
-                .collect();
-            assert_eq!(
-                errors[0],
-                Some(ExecError::Transport(TransportStall {
-                    gapped: vec![],
-                    parked: vec![(0, 1)],
-                })),
-                "{workers} workers"
-            );
-            assert_eq!(errors[1..], [None, None], "{workers} workers");
-        }
+        let mut server = server(&app, &[0, 0, 0]);
+        let mut run = running(&mut server);
+        run.refill(None);
+        // Steal request 0's only key: its count says 1, the queue says none.
+        assert_eq!(run.queue.pop_front(), Some((2, 1, 1)), "request 0's NEW");
+        run.worker();
+        let errors: Vec<_> = run
+            .results
+            .iter()
+            .map(|r| r.as_ref().unwrap().report.error.clone())
+            .collect();
+        assert_eq!(
+            errors[0],
+            Some(ExecError::Transport(TransportStall {
+                gapped: vec![],
+                parked: vec![(0, 1)],
+            }))
+        );
+        assert_eq!(errors[1..], [None, None]);
     }
 }

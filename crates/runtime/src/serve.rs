@@ -3,15 +3,15 @@
 //! An ingress admits up to `concurrency` requests at a time; each request is a full
 //! root computation over its **own request-scoped world** — mailboxes owned by the
 //! world, fresh virtual clocks, fresh correlation ids, fresh per-node interpreters —
-//! while all requests share the scheduler's one ready queue and one set of workers. This
-//! module is the public surface (prepared apps, options, reports); the loop that
-//! drives it is the one worker loop of [`crate::sched`], the same one a single
+//! while all requests share the scheduler's one ready queue. This module is the public
+//! surface (prepared apps, options, reports); the loop that drives it is the one worker
+//! loop of [`crate::sched`], on the calling thread, the same one a single
 //! [`crate::cluster::run_distributed`] goes through as a one-request run.
 //!
 //! Isolation is what makes the results reproducible: a request's virtual clocks and
 //! message counts depend only on its own packet order, which its private FIFO
 //! mailboxes and the synchronous request/response protocol fix regardless of how
-//! many other requests are in flight or how workers interleave. N concurrent
+//! many other requests are in flight or how the queue interleaves them. N concurrent
 //! requests therefore produce byte-identical per-request [`ExecutionReport`]s to
 //! running the same requests one at a time (pinned by `tests/serving_parity.rs`) —
 //! faulted ones included: a world that quiesces is recovered or failed by its own
@@ -91,8 +91,8 @@ pub struct ServeOptions {
     /// Maximum number of requests in flight at once (the closed-loop load
     /// generator's window). Clamped to at least 1.
     pub concurrency: usize,
-    /// Worker scheduling: `Inline` drives the whole closed loop on the calling
-    /// thread, `Pool { threads }` spawns that many workers over the same loop.
+    /// Kept for callers that name it: every [`Schedule`] drives the whole closed
+    /// loop on the calling thread.
     pub schedule: Schedule,
     /// Per-request fault plans, keyed by submission index. A listed request's
     /// world is built with that plan, so injected faults are scoped to that request
@@ -139,8 +139,6 @@ pub struct RequestReport {
 pub struct ServingReport {
     /// The admission window the run used.
     pub concurrency: usize,
-    /// Worker threads (1 for inline scheduling).
-    pub threads: usize,
     /// Wall-clock time of the whole run in milliseconds.
     pub wall_time_ms: f64,
     /// Placements the adaptive epoch controller installed during the run
@@ -201,21 +199,19 @@ pub fn run_serving(apps: &[ServerApp], sequence: &[usize], opts: &ServeOptions) 
     );
     let concurrency = opts.concurrency.max(1);
     let start = Instant::now();
-    let server = Server {
+    let mut server = Server {
         apps,
         sequence,
         concurrency,
-        schedule: opts.schedule,
         faults: &opts.faults,
         adapt: opts.adapt.clone().map(|o| AdaptState::new(o, apps.len())),
         deadline_wait: SERVING_DELIVERY_DEADLINE,
     };
-    let (requests, threads) = server.run(Vec::new());
+    let requests = server.run(Vec::new());
     ServingReport {
         concurrency,
-        threads,
         wall_time_ms: start.elapsed().as_secs_f64() * 1e3,
-        placement_swaps: server.adapt.as_ref().map_or(0, |a| a.swaps()),
+        placement_swaps: server.adapt.as_ref().map_or(0, AdaptState::swaps),
         requests,
     }
 }
@@ -308,6 +304,8 @@ mod tests {
         }
     }
 
+    /// `Schedule::Pool` is still accepted and runs the same loop on the calling
+    /// thread: its `threads` are ignored.
     #[test]
     fn pool_serving_matches_solo_runs() {
         let app = ping_app();
@@ -321,7 +319,6 @@ mod tests {
                 ..ServeOptions::default()
             },
         );
-        assert_eq!(report.threads, 4);
         assert_eq!(report.requests.len(), 24);
         assert_matches_single(&report, &single);
     }

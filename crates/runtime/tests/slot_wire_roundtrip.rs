@@ -13,7 +13,7 @@ use autodist_codegen::rewrite::{rewrite_for_node, ClassPlacement};
 use autodist_ir::frontend::compile_source;
 use autodist_ir::layout::ProgramLayout;
 use autodist_ir::{Program, Type};
-use autodist_runtime::cluster::{run_centralized, run_distributed, ClusterConfig, Schedule};
+use autodist_runtime::cluster::{run_centralized, run_distributed, ClusterConfig};
 use autodist_runtime::wire::{decode_head, encode_dependence, AccessKind, FrameHead};
 use bytes::BytesMut;
 use proptest::prelude::*;
@@ -148,21 +148,13 @@ proptest! {
             "every field access of Main went through the rewriter"
         );
         let copies: Vec<Program> = rewritten.into_iter().map(|r| r.program).collect();
-        for schedule in [Schedule::Inline, Schedule::Pool { threads: 2 }] {
-            let report = run_distributed(
-                &copies,
-                &ClusterConfig {
-                    schedule,
-                    ..ClusterConfig::paper_testbed()
-                },
-            );
-            prop_assert!(report.is_ok(), "{schedule:?}: {:?}", report.error);
-            prop_assert_eq!(
-                report.final_statics.get("Main::checksum"),
-                centralized.final_statics.get("Main::checksum"),
-                "{:?}: rewritten access must hit the same slots", schedule
-            );
-            prop_assert!(report.total_messages() > 0, "fields really crossed the wire");
-        }
+        let report = run_distributed(&copies, &ClusterConfig::paper_testbed());
+        prop_assert!(report.is_ok(), "{:?}", report.error);
+        prop_assert_eq!(
+            report.final_statics.get("Main::checksum"),
+            centralized.final_statics.get("Main::checksum"),
+            "rewritten access must hit the same slots"
+        );
+        prop_assert!(report.total_messages() > 0, "fields really crossed the wire");
     }
 }

@@ -1,22 +1,20 @@
 //! Serving mode: the distributed cluster as a throughput-oriented server.
 //!
 //! Distributes three Table 1 programs once, then drives them as a closed-loop
-//! request stream: up to `CONCURRENCY` root computations are in flight at a time,
+//! request stream: up to a window of root computations are in flight at a time,
 //! each with its own request-scoped virtual clocks and message channels, all
-//! interleaving on one shared ready queue. The same load runs under the inline
-//! scheduler (one thread, pure interleaving) and a worker pool (four threads over
-//! the same loop). The point is isolation: under both schedules every request's
-//! virtual clock equals the program's solo run exactly. Both throughputs are
-//! printed as measured — which schedule is faster depends on the machine.
+//! interleaving on one shared ready queue on the calling thread. The same load runs
+//! at window 1 (one request at a time) and window 8. The point is isolation: at any
+//! window every request's virtual clock equals the program's solo run exactly. Both
+//! throughputs are printed as measured.
 //!
 //! Run with: `cargo run --release --example serve_demo`
 
 use autodist::{Distributor, DistributorConfig, PipelineError, ServeOptions};
-use autodist_runtime::cluster::{ClusterConfig, Schedule};
+use autodist_runtime::cluster::ClusterConfig;
 use autodist_runtime::serve::run_serving;
 
 const REQUESTS: usize = 48;
-const CONCURRENCY: usize = 16;
 
 fn main() -> Result<(), PipelineError> {
     // 1. Prepare the apps once: distribute each program and intern its per-node
@@ -44,23 +42,19 @@ fn main() -> Result<(), PipelineError> {
 
     // 2. The closed-loop request stream: round-robin over the mix.
     let sequence: Vec<usize> = (0..REQUESTS).map(|i| i % apps.len()).collect();
-    println!("\nserving {REQUESTS} requests at concurrency {CONCURRENCY}:\n");
-    for (label, schedule) in [
-        ("inline", Schedule::Inline),
-        ("pool-4", Schedule::Pool { threads: 4 }),
-    ] {
+    println!("\nserving {REQUESTS} requests:\n");
+    for window in [1, 8] {
         let report = run_serving(
             &apps,
             &sequence,
             &ServeOptions {
-                concurrency: CONCURRENCY,
-                schedule,
+                concurrency: window,
                 ..ServeOptions::default()
             },
         );
         assert!(report.is_ok(), "every request completes");
         // 3. Isolation check: concurrency must not perturb any request's virtual
-        //    execution — byte-identical clocks per request, whatever the schedule.
+        //    execution — byte-identical clocks per request, whatever the window.
         for req in &report.requests {
             assert!(
                 (req.report.virtual_time_us - solo_virtual[req.app]).abs() < 1e-9,
@@ -69,7 +63,7 @@ fn main() -> Result<(), PipelineError> {
             );
         }
         println!(
-            "{label:<8} {:>8.1} req/s   p50 {:>8.1} us   p99 {:>8.1} us   wall {:>7.1} ms",
+            "window {window:<2} {:>8.1} req/s   p50 {:>8.1} us   p99 {:>8.1} us   wall {:>7.1} ms",
             report.requests_per_sec(),
             report.latency_percentile_us(0.50),
             report.latency_percentile_us(0.99),

@@ -96,7 +96,6 @@ fn balanced_workload_declines_every_repartition() {
     planner.add_plan(&distributor.config, &w.program, &plan, &cluster);
     let opts = ServeOptions {
         concurrency: 4,
-        schedule: Schedule::Pool { threads: 2 },
         adapt: Some(AdaptOptions::new(Arc::new(planner) as Arc<dyn Replanner>).with_epoch(4)),
         ..ServeOptions::default()
     };

@@ -1,10 +1,10 @@
 //! Chaos suite: fault-injection sweeps over the paper's workloads and generated
-//! call trees, under both schedules of the one worker loop.
+//! call trees, on the one worker loop.
 //!
 //! The properties, per the fault model in the README:
 //!
 //! * **Bounded termination with typed errors** — dropping *any single packet* of
-//!   any workload under any schedule ends the run within the virtual-time
+//!   any workload ends the run within the virtual-time
 //!   delivery deadline with [`ExecError::MessageTimeout`] (and a killed rank
 //!   surfaces as [`ExecError::NodeDown`]). The deadline is *counted*: a world whose
 //!   ready-key count reaches zero before its root completes is diagnosed on the
@@ -32,17 +32,6 @@ use autodist_workloads::{GenConfig, Workload};
 use proptest::prelude::*;
 use std::collections::BTreeMap;
 
-/// The schedules every property is checked under: one worker, and two racing for
-/// the same world.
-const SCHEDULES: [Schedule; 2] = [Schedule::Inline, Schedule::Pool { threads: 2 }];
-
-/// Repetitions of the Pool reorder cases: every repair is a moment where two
-/// workers could race for one quiescing world, and a verdict reached twice (one
-/// worker repairs, the other then finds nothing left and fails a healthy run) only
-/// shows up in some interleavings. A single-root repair costs no waiting, so the
-/// loop is cheap.
-const REORDER_REPEATS: usize = 25;
-
 /// A small Table 1 mix with distinct communication shapes.
 fn mix() -> Vec<Workload> {
     vec![
@@ -60,74 +49,53 @@ fn plans() -> Vec<(String, DistributionPlan)> {
         .collect()
 }
 
-fn run_with(
-    plan: &DistributionPlan,
-    schedule: Schedule,
-    faults: Option<FaultPlan>,
-) -> ExecutionReport {
-    let cluster = ClusterConfig {
+fn run_with(plan: &DistributionPlan, faults: Option<FaultPlan>) -> ExecutionReport {
+    plan.execute(&ClusterConfig {
         faults,
-        schedule,
         ..ClusterConfig::paper_testbed()
-    };
-    plan.execute(&cluster)
+    })
 }
 
-fn assert_byte_identical(
-    name: &str,
-    schedule: Schedule,
-    baseline: &ExecutionReport,
-    run: &ExecutionReport,
-) {
-    assert!(run.is_ok(), "{name} under {schedule:?}: {:?}", run.error);
+fn assert_byte_identical(name: &str, baseline: &ExecutionReport, run: &ExecutionReport) {
+    assert!(run.is_ok(), "{name}: {:?}", run.error);
     assert_eq!(
         run.final_statics, baseline.final_statics,
-        "{name} under {schedule:?}: checksum drifted"
+        "{name}: checksum drifted"
     );
     assert!(
         (run.virtual_time_us - baseline.virtual_time_us).abs() < 1e-9,
-        "{name} under {schedule:?}: virtual clock drifted: {} vs {}",
+        "{name}: virtual clock drifted: {} vs {}",
         run.virtual_time_us,
         baseline.virtual_time_us
     );
-    assert_eq!(
-        run.total_messages(),
-        baseline.total_messages(),
-        "{name} under {schedule:?}"
-    );
-    assert_eq!(
-        run.total_bytes(),
-        baseline.total_bytes(),
-        "{name} under {schedule:?}"
-    );
+    assert_eq!(run.total_messages(), baseline.total_messages(), "{name}");
+    assert_eq!(run.total_bytes(), baseline.total_bytes(), "{name}");
 }
 
 /// Dropping any single packet terminates with a typed `MessageTimeout` — sampled
-/// at the first, middle and last packet of every workload under every schedule.
+/// at the first, middle and last packet of every workload.
 #[test]
 fn dropping_any_single_packet_yields_a_typed_timeout() {
     for (name, plan) in plans() {
-        let baseline = run_with(&plan, Schedule::Inline, None);
+        let baseline = run_with(&plan, None);
         assert!(baseline.is_ok(), "{name}: {:?}", baseline.error);
         let messages = baseline.total_messages();
         assert!(messages > 0, "{name}: the mix must communicate");
-        for schedule in SCHEDULES {
-            for n in [0, messages / 2, messages - 1] {
-                let report = run_with(&plan, schedule, Some(FaultPlan::drop_packet(n)));
-                match report.error {
-                    Some(ExecError::MessageTimeout { src, dst, .. }) => {
-                        assert_ne!(src, dst, "{name}: lost packets cross links");
-                    }
-                    other => panic!(
-                        "{name} under {schedule:?}, drop packet {n}/{messages}: \
-                         expected a typed MessageTimeout, got {other:?}"
-                    ),
+        for n in [0, messages / 2, messages - 1] {
+            let report = run_with(&plan, Some(FaultPlan::drop_packet(n)));
+            match report.error {
+                Some(ExecError::MessageTimeout { src, dst, .. }) => {
+                    assert_ne!(src, dst, "{name}: lost packets cross links");
                 }
-                let faults = report
-                    .faults
-                    .unwrap_or_else(|| panic!("{name}: faulted runs carry a summary"));
-                assert_eq!(faults.lost, 1, "{name}: exactly one logical loss");
+                other => panic!(
+                    "{name}, drop packet {n}/{messages}: \
+                     expected a typed MessageTimeout, got {other:?}"
+                ),
             }
+            let faults = report
+                .faults
+                .unwrap_or_else(|| panic!("{name}: faulted runs carry a summary"));
+            assert_eq!(faults.lost, 1, "{name}: exactly one logical loss");
         }
     }
 }
@@ -137,22 +105,20 @@ fn dropping_any_single_packet_yields_a_typed_timeout() {
 #[test]
 fn quiet_plans_are_byte_identical_to_fault_free_runs() {
     for (name, plan) in plans() {
-        for schedule in SCHEDULES {
-            let baseline = run_with(&plan, schedule, None);
-            assert!(baseline.is_ok(), "{name}: {:?}", baseline.error);
-            assert!(
-                baseline.faults.is_none(),
-                "fault-free runs carry no summary"
-            );
-            let quiet = run_with(&plan, schedule, Some(FaultPlan::quiet(0xC0FFEE)));
-            assert_byte_identical(&name, schedule, &baseline, &quiet);
-            let summary = quiet.faults.expect("fault summary present");
-            assert_eq!(
-                summary,
-                Default::default(),
-                "{name}: quiet plan injects nothing"
-            );
-        }
+        let baseline = run_with(&plan, None);
+        assert!(baseline.is_ok(), "{name}: {:?}", baseline.error);
+        assert!(
+            baseline.faults.is_none(),
+            "fault-free runs carry no summary"
+        );
+        let quiet = run_with(&plan, Some(FaultPlan::quiet(0xC0FFEE)));
+        assert_byte_identical(&name, &baseline, &quiet);
+        let summary = quiet.faults.expect("fault summary present");
+        assert_eq!(
+            summary,
+            Default::default(),
+            "{name}: quiet plan injects nothing"
+        );
     }
 }
 
@@ -161,27 +127,21 @@ fn quiet_plans_are_byte_identical_to_fault_free_runs() {
 #[test]
 fn full_duplication_is_suppressed_transparently() {
     for (name, plan) in plans() {
-        let baseline = run_with(&plan, Schedule::Inline, None);
-        for schedule in SCHEDULES {
-            let run = run_with(
-                &plan,
-                schedule,
-                Some(FaultPlan::quiet(7).with_duplicate(1.0)),
-            );
-            assert_byte_identical(&name, schedule, &baseline, &run);
-            let summary = run.faults.expect("fault summary present");
-            assert!(summary.duplicated > 0, "{name}: duplicates were injected");
-            // The duplicate of a link's *final* packet can still be in flight when
-            // stats are snapshotted (nothing ever receives on that link again), so
-            // allow one unscreened copy per link into the finishing node.
-            assert!(
-                summary.suppressed <= summary.duplicated
-                    && summary.duplicated - summary.suppressed <= 2,
-                "{name}: duplicates suppressed ({}) must track injected ({})",
-                summary.suppressed,
-                summary.duplicated
-            );
-        }
+        let baseline = run_with(&plan, None);
+        let run = run_with(&plan, Some(FaultPlan::quiet(7).with_duplicate(1.0)));
+        assert_byte_identical(&name, &baseline, &run);
+        let summary = run.faults.expect("fault summary present");
+        assert!(summary.duplicated > 0, "{name}: duplicates were injected");
+        // The duplicate of a link's *final* packet can still be in flight when
+        // stats are snapshotted (nothing ever receives on that link again), so
+        // allow one unscreened copy per link into the finishing node.
+        assert!(
+            summary.suppressed <= summary.duplicated
+                && summary.duplicated - summary.suppressed <= 2,
+            "{name}: duplicates suppressed ({}) must track injected ({})",
+            summary.suppressed,
+            summary.duplicated
+        );
     }
 }
 
@@ -191,27 +151,19 @@ fn full_duplication_is_suppressed_transparently() {
 #[test]
 fn full_reordering_is_repaired_to_byte_identity() {
     for (name, plan) in plans() {
-        let baseline = run_with(&plan, Schedule::Inline, None);
-        for schedule in SCHEDULES {
-            for _ in 0..REORDER_REPEATS {
-                let run = run_with(
-                    &plan,
-                    schedule,
-                    Some(FaultPlan::quiet(13).with_reorder(1.0)),
-                );
-                assert_byte_identical(&name, schedule, &baseline, &run);
-                let summary = run.faults.expect("fault summary present");
-                assert!(summary.reordered > 0, "{name}: reorders were injected");
-            }
-        }
+        let baseline = run_with(&plan, None);
+        let run = run_with(&plan, Some(FaultPlan::quiet(13).with_reorder(1.0)));
+        assert_byte_identical(&name, &baseline, &run);
+        let summary = run.faults.expect("fault summary present");
+        assert!(summary.reordered > 0, "{name}: reorders were injected");
     }
 }
 
-/// How a faulted run heals does not depend on who runs it: full reordering, full
-/// duplication, and a lossy retried link each produce, under two workers racing
-/// for the one world, the report the single inline worker produces — the sequence
-/// window and gap repair operate per *logical* message, so the interleaving of
-/// deliveries cannot change what heals or when it is charged.
+/// How a faulted run heals is a function of its plan alone: full reordering, full
+/// duplication, and a lossy retried link each replay to the same report, under
+/// either `Schedule` value (`Pool` is the same loop, still accepted) — the sequence
+/// window and gap repair operate per *logical* message, and a fault plan is pure
+/// seeded data.
 #[test]
 fn chaos_heals_identically_under_both_schedules() {
     let chaos: [(&str, FaultPlan); 3] = [
@@ -227,28 +179,23 @@ fn chaos_heals_identically_under_both_schedules() {
     ];
     for (name, plan) in plans() {
         for (fault_name, fault) in &chaos {
-            let baseline = run_with(&plan, Schedule::Inline, Some(fault.clone()));
+            let baseline = run_with(&plan, Some(fault.clone()));
             assert!(
                 baseline.is_ok(),
                 "{name}/{fault_name}: {:?}",
                 baseline.error
             );
-            // The reorder cases are the interleaving-sensitive ones.
-            let repeats = if *fault_name == "reorder" {
-                REORDER_REPEATS
-            } else {
-                1
-            };
-            for schedule in SCHEDULES {
-                for _ in 0..repeats {
-                    let run = run_with(&plan, schedule, Some(fault.clone()));
-                    assert_byte_identical(
-                        &format!("{name}/{fault_name}"),
-                        schedule,
-                        &baseline,
-                        &run,
-                    );
-                }
+            for schedule in [Schedule::Inline, Schedule::Pool { threads: 2 }] {
+                let run = plan.execute(&ClusterConfig {
+                    schedule,
+                    faults: Some(fault.clone()),
+                    ..ClusterConfig::paper_testbed()
+                });
+                assert_byte_identical(
+                    &format!("{name}/{fault_name} {schedule:?}"),
+                    &baseline,
+                    &run,
+                );
             }
         }
     }
@@ -258,57 +205,40 @@ fn chaos_heals_identically_under_both_schedules() {
 #[test]
 fn injected_delay_shifts_clocks_but_not_checksums() {
     for (name, plan) in plans() {
-        let baseline = run_with(&plan, Schedule::Inline, None);
-        for schedule in SCHEDULES {
-            let run = run_with(
-                &plan,
-                schedule,
-                Some(FaultPlan::quiet(23).with_delay(1.0, 500.0)),
-            );
-            assert!(run.is_ok(), "{name} under {schedule:?}: {:?}", run.error);
-            assert_eq!(
-                run.final_statics, baseline.final_statics,
-                "{name} under {schedule:?}"
-            );
-            assert_eq!(
-                run.total_messages(),
-                baseline.total_messages(),
-                "{name} under {schedule:?}"
-            );
-            assert!(
-                run.virtual_time_us > baseline.virtual_time_us,
-                "{name} under {schedule:?}: delays must show up in the clock"
-            );
-            assert!(run.faults.expect("summary").delayed > 0);
-        }
+        let baseline = run_with(&plan, None);
+        let run = run_with(&plan, Some(FaultPlan::quiet(23).with_delay(1.0, 500.0)));
+        assert!(run.is_ok(), "{name}: {:?}", run.error);
+        assert_eq!(run.final_statics, baseline.final_statics, "{name}");
+        assert_eq!(run.total_messages(), baseline.total_messages(), "{name}");
+        assert!(
+            run.virtual_time_us > baseline.virtual_time_us,
+            "{name}: delays must show up in the clock"
+        );
+        assert!(run.faults.expect("summary").delayed > 0);
     }
 }
 
-/// Killing a rank mid-run surfaces as a typed `NodeDown` under every schedule.
+/// Killing a rank mid-run surfaces as a typed `NodeDown`.
 #[test]
 fn killed_ranks_surface_as_node_down() {
     for (name, plan) in plans() {
-        let baseline = run_with(&plan, Schedule::Inline, None);
+        let baseline = run_with(&plan, None);
         assert!(
             baseline.virtual_time_us > 300.0,
             "{name}: the kill must land mid-flight"
         );
-        for schedule in SCHEDULES {
-            let report = run_with(&plan, schedule, Some(FaultPlan::kill(1, 300.0)));
-            match report.error {
-                Some(ExecError::NodeDown { rank }) => assert_eq!(rank, 1, "{name}"),
-                other => {
-                    panic!("{name} under {schedule:?}: expected a typed NodeDown, got {other:?}")
-                }
-            }
+        let report = run_with(&plan, Some(FaultPlan::kill(1, 300.0)));
+        match report.error {
+            Some(ExecError::NodeDown { rank }) => assert_eq!(rank, 1, "{name}"),
+            other => panic!("{name}: expected a typed NodeDown, got {other:?}"),
         }
     }
 }
 
 /// An asymmetric partition — one direction of a link dead, the other healthy —
-/// fails typed at the first packet that needs the dead direction, identically
-/// under both schedules: with 0→1 dead node 1 never sees the first request, with
-/// 1→0 dead it serves the request and its response is what is lost.
+/// fails typed at the first packet that needs the dead direction: with 0→1 dead
+/// node 1 never sees the first request, with 1→0 dead it serves the request and its
+/// response is what is lost.
 #[test]
 fn asymmetric_partitions_fail_typed_in_the_dead_direction() {
     let program = autodist_ir::frontend::compile_source(
@@ -333,17 +263,10 @@ fn asymmetric_partitions_fail_typed_in_the_dead_direction() {
     };
     for (from, to, served_before_the_loss) in [(0, 1, 0), (1, 0, 1)] {
         let plan = FaultPlan::quiet(5).with_link(from, to, dead);
-        let run = |schedule| {
-            run_distributed(
-                &copies,
-                &ClusterConfig {
-                    schedule,
-                    faults: Some(plan.clone()),
-                    ..ClusterConfig::paper_testbed()
-                },
-            )
-        };
-        let inline = run(Schedule::Inline);
+        let inline = run_distributed(
+            &copies,
+            &ClusterConfig::paper_testbed().with_faults(plan.clone()),
+        );
         // The first packet on the dead direction is request #1 (the `NEW`) when
         // 0→1 is dead, and the response to it when 1→0 is.
         assert_eq!(
@@ -366,11 +289,6 @@ fn asymmetric_partitions_fail_typed_in_the_dead_direction() {
             1 + plan.max_retries as u64,
             "{from}→{to} dead: every attempt of that one packet dropped"
         );
-        let pool = run(Schedule::Pool { threads: 2 });
-        assert_eq!(pool.error, inline.error, "{from}→{to} dead");
-        assert_eq!(pool.per_node, inline.per_node, "{from}→{to} dead");
-        assert_eq!(pool.faults, inline.faults, "{from}→{to} dead");
-        assert_eq!(pool.final_statics, inline.final_statics, "{from}→{to} dead");
     }
 }
 
@@ -380,12 +298,12 @@ fn asymmetric_partitions_fail_typed_in_the_dead_direction() {
 #[test]
 fn retried_drops_complete_with_the_right_checksum() {
     let (name, plan) = plans().swap_remove(0);
-    let baseline = run_with(&plan, Schedule::Inline, None);
+    let baseline = run_with(&plan, None);
     let lossy = FaultPlan {
         max_retries: 64,
         ..FaultPlan::quiet(3).with_drop(0.2)
     };
-    let run = run_with(&plan, Schedule::Inline, Some(lossy));
+    let run = run_with(&plan, Some(lossy));
     assert!(run.is_ok(), "{name}: {:?}", run.error);
     assert_eq!(run.final_statics, baseline.final_statics);
     let summary = run.faults.expect("summary");

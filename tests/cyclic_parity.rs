@@ -1,36 +1,28 @@
-//! Schedule parity on deliberately *cyclic* placements.
+//! Parity on deliberately *cyclic* placements.
 //!
 //! Mutually recursive classes are pinned to different nodes, so every level of the
 //! recursion crosses the node boundary and the placement's inter-node digraph is a
 //! cycle — every callback a node serves arrives while its own computation is parked.
-//! The property: [`Schedule::Inline`] (one worker) and [`Schedule::Pool`] (several)
-//! produce the same result, the same traffic and the same virtual clocks, and agree
-//! with the centralized baseline and a direct Rust evaluation of the recursion. The
-//! fixed-program cases are also pinned to what the deleted thread-per-node schedule
+//! The property: the worker loop agrees with the centralized baseline and a direct
+//! Rust evaluation of the recursion. The fixed-program cases are also pinned — result,
+//! traffic and virtual clocks — to what the deleted thread-per-node schedule
 //! (`Schedule::Threaded`, one blocking OS thread per node) computed for them,
 //! recorded on the last commit that had it.
 //!
 //! CI runs this test binary under a watchdog timeout (see `.github/workflows/ci.yml`)
-//! so a worker-loop deadlock fails fast instead of hanging the job.
+//! as a backstop, so a worker-loop stall fails fast instead of hanging the job.
 
 use autodist_codegen::rewrite::{rewrite_for_node, ClassPlacement};
 use autodist_ir::frontend::compile_source;
 use autodist_ir::program::Program;
-use autodist_runtime::cluster::{
-    run_centralized, run_distributed, ClusterConfig, ExecutionReport, Schedule,
-};
+use autodist_runtime::cluster::{run_centralized, run_distributed, ClusterConfig, ExecutionReport};
 use autodist_runtime::net::NetworkConfig;
 use autodist_runtime::value::StaticValue;
 use proptest::prelude::*;
 use std::collections::BTreeMap;
 
-/// Pins each named class to a node and executes the rewritten copies under `schedule`.
-fn run_pinned(
-    program: &Program,
-    pins: &[(&str, usize)],
-    nodes: usize,
-    schedule: Schedule,
-) -> ExecutionReport {
+/// Pins each named class to a node and executes the rewritten copies.
+fn run_pinned(program: &Program, pins: &[(&str, usize)], nodes: usize) -> ExecutionReport {
     let mut home = BTreeMap::new();
     for (class, node) in pins {
         home.insert(program.class_by_name(class).unwrap(), *node);
@@ -53,22 +45,9 @@ fn run_pinned(
         &copies,
         &ClusterConfig {
             network,
-            schedule,
             ..Default::default()
         },
     )
-}
-
-/// Asserts that two reports from the same placement are indistinguishable: results,
-/// traffic, virtual clocks and per-node instruction counts.
-fn assert_parity(inline: &ExecutionReport, pool: &ExecutionReport) {
-    assert!(inline.is_ok(), "inline: {:?}", inline.error);
-    assert!(pool.is_ok(), "pool: {:?}", pool.error);
-    assert_eq!(inline.final_statics, pool.final_statics);
-    assert_eq!(inline.total_messages(), pool.total_messages());
-    assert_eq!(inline.total_bytes(), pool.total_bytes());
-    assert_eq!(inline.virtual_time_us, pool.virtual_time_us);
-    assert_eq!(inline.per_node, pool.per_node);
 }
 
 /// A thread-per-node run of a fixed program, as data (see the module docs).
@@ -82,23 +61,16 @@ struct ThreadedRecord {
     per_node: &'static [(u64, u64, u64)],
 }
 
-fn assert_matches_threaded_record(
-    schedule: Schedule,
-    report: &ExecutionReport,
-    record: &ThreadedRecord,
-) {
-    assert_eq!(
-        report.virtual_time_us, record.virtual_time_us,
-        "{schedule:?}"
-    );
-    assert_eq!(report.total_messages(), record.messages, "{schedule:?}");
-    assert_eq!(report.total_bytes(), record.bytes, "{schedule:?}");
+fn assert_matches_threaded_record(report: &ExecutionReport, record: &ThreadedRecord) {
+    assert_eq!(report.virtual_time_us, record.virtual_time_us);
+    assert_eq!(report.total_messages(), record.messages);
+    assert_eq!(report.total_bytes(), record.bytes);
     let per_node: Vec<_> = report
         .per_node
         .iter()
         .map(|n| (n.instructions, n.requests_served, n.remote_requests))
         .collect();
-    assert_eq!(per_node, record.per_node, "{schedule:?}");
+    assert_eq!(per_node, record.per_node);
 }
 
 proptest! {
@@ -149,11 +121,8 @@ proptest! {
         prop_assert_eq!(baseline.final_statics.get("Main::result"), Some(&expected));
 
         let pins = [("Main", 0), ("Ping", 0), ("Pong", 1)];
-        let inline = run_pinned(&program, &pins, 2, Schedule::Inline);
-        for threads in [2, 3] {
-            let pool = run_pinned(&program, &pins, 2, Schedule::Pool { threads });
-            assert_parity(&inline, &pool);
-        }
+        let inline = run_pinned(&program, &pins, 2);
+        prop_assert!(inline.is_ok(), "{:?}", inline.error);
         prop_assert_eq!(inline.final_statics.get("Main::result"), Some(&expected));
         if depth > 0 {
             prop_assert!(inline.total_messages() > 0, "the cycle must cross nodes");
@@ -170,7 +139,7 @@ proptest! {
 
 /// Cross-node recursion far beyond the interpreter's call-depth limit must surface
 /// `StackOverflow` (travelling back to the launch node as a remote failure, one hop
-/// per live recursion level) under both schedules — not hang the worker loop.
+/// per live recursion level) — not hang the worker loop.
 /// Guards the serve-side depth check in `accept_inner`. The numbers are those of
 /// thread-per-node execution, which overflowed at exactly the same frame.
 #[test]
@@ -205,24 +174,22 @@ fn deep_cross_node_recursion_overflows_cleanly() {
         bytes: 323171,
         per_node: &[(2390, 99, 100), (2376, 100, 99)],
     };
-    for schedule in [Schedule::Inline, Schedule::Pool { threads: 2 }] {
-        let report = run_pinned(&program, &pins, 2, schedule);
-        let err = report
-            .error
-            .as_ref()
-            .unwrap_or_else(|| panic!("{schedule:?}: depth 400 must exceed the call-depth limit"));
-        let text = err.to_string();
-        assert!(
-            text.ends_with("call depth limit exceeded"),
-            "{schedule:?}: expected a stack overflow, got {err}"
-        );
-        assert_eq!(
-            text.matches("remote failure: ").count(),
-            198,
-            "{schedule:?}: the overflow unwinds through every parked level"
-        );
-        assert_matches_threaded_record(schedule, &report, &threaded);
-    }
+    let report = run_pinned(&program, &pins, 2);
+    let err = report
+        .error
+        .as_ref()
+        .expect("depth 400 must exceed the call-depth limit");
+    let text = err.to_string();
+    assert!(
+        text.ends_with("call depth limit exceeded"),
+        "expected a stack overflow, got {err}"
+    );
+    assert_eq!(
+        text.matches("remote failure: ").count(),
+        198,
+        "the overflow unwinds through every parked level"
+    );
+    assert_matches_threaded_record(&report, &threaded);
 }
 
 /// A three-node ring: `A` on node 0 calls `B` on node 1 calls `C` on node 2 calls
@@ -266,16 +233,11 @@ fn three_node_ring_is_schedule_invariant() {
         bytes: 903,
         per_node: &[(217, 5, 8), (192, 7, 6), (165, 7, 5)],
     };
-    let inline = run_pinned(&program, &pins, 3, Schedule::Inline);
+    let inline = run_pinned(&program, &pins, 3);
+    assert!(inline.is_ok(), "{:?}", inline.error);
     assert_eq!(
         inline.final_statics.get("Main::result"),
         Some(&StaticValue::Int(17))
     );
-    assert_matches_threaded_record(Schedule::Inline, &inline, &threaded);
-    // Several workers over the same loop: full parity too, even though every hop
-    // of this placement crosses the node ring.
-    let schedule = Schedule::Pool { threads: 3 };
-    let pool = run_pinned(&program, &pins, 3, schedule);
-    assert_parity(&inline, &pool);
-    assert_matches_threaded_record(schedule, &pool, &threaded);
+    assert_matches_threaded_record(&inline, &threaded);
 }

@@ -1,4 +1,4 @@
-//! Profiler parity across schedulers.
+//! Profiler parity on the one worker loop.
 //!
 //! With the interpreter call stack stored per `Continuation`, the sampling profiler
 //! attaches to cooperative distributed runs — something the interpreter-global stack
@@ -6,23 +6,29 @@
 //! parked continuations). These tests pin the resulting guarantees on the Table 1
 //! workloads:
 //!
-//! * **Attribution parity** — a per-node sampling profiler attached to a
-//!   [`Schedule::Inline`] or [`Schedule::Pool`] run observes exactly the per-node
-//!   samples (hot-method counts, hence ranking) that one attached to a
-//!   thread-per-node run did: per-node instruction streams are identical, and the
-//!   worker loop samples the running continuation's own stack. Thread-per-node
-//!   execution (`Schedule::Threaded`) is gone; its Table 1 hot-method tables,
-//!   recorded on the last commit that had it, are the reference.
-//! * **Pool determinism** — [`Schedule::Pool`] runs deliver deterministic virtual
-//!   times, message counts and results, identical to a single worker's.
+//! * **Attribution parity** — a per-node sampling profiler attached to a distributed
+//!   run observes exactly the per-node samples (hot-method counts, hence ranking)
+//!   that one attached to a thread-per-node run did: per-node instruction streams
+//!   are identical, and the worker loop samples the running continuation's own
+//!   stack. Thread-per-node execution (`Schedule::Threaded`) is gone; its Table 1
+//!   hot-method tables, recorded on the last commit that had it, are the reference.
+//! * **One thread** — every profiler hook, the caller's sinks and an adaptive
+//!   planner's alike, fires on the thread that started the run, whatever
+//!   [`Schedule`] it names.
 //!
-//! CI runs this test binary under the deadlock watchdog (see
-//! `.github/workflows/ci.yml`): the worker loop's worst failure mode is a hang.
+//! CI runs this test binary under a watchdog timeout (see `.github/workflows/ci.yml`)
+//! as a backstop: the worker loop's worst failure mode is a hang.
 
-use autodist::{Distributor, DistributorConfig, NodeProfiler};
+use std::sync::{Arc, Mutex};
+use std::thread::ThreadId;
+
+use autodist::{AdaptOptions, Distributor, DistributorConfig, NodeProfiler, Replanner};
+use autodist::{ServeOptions, ServerApp};
+use autodist_ir::program::{ClassId, MethodId};
 use autodist_profiler::{Metric, ProfileHandle, Profiler};
 use autodist_runtime::cluster::{ClusterConfig, Schedule};
-use autodist_runtime::ExecutionReport;
+use autodist_runtime::serve::run_serving;
+use autodist_runtime::{ExecutionReport, ProfilerSink};
 
 /// Attaches one `HotMethods` sampling profiler per node and executes the plan.
 fn run_profiled(
@@ -66,7 +72,7 @@ const THREADED_HOT_METHODS: [(&str, [HotMethods; 2]); 8] = [
 /// The sampling profiler attaches to distributed runs and agrees with what
 /// thread-per-node execution sampled, sample for sample: per-node hot-method maps
 /// (counts included, so the ranking too) are the recorded ones on every Table 1
-/// workload, under one worker and under several.
+/// workload.
 #[test]
 fn inline_and_threaded_sampling_attribution_agree_per_node() {
     let distributor = Distributor::new(DistributorConfig::default());
@@ -77,23 +83,20 @@ fn inline_and_threaded_sampling_attribution_agree_per_node() {
         let plan = distributor.try_distribute(&w.program).expect("pipeline");
         let nodes = plan.node_programs.len();
         assert_eq!(nodes, threaded.len());
-        for schedule in [Schedule::Inline, Schedule::Pool { threads: 2 }] {
-            let (report, handles) = run_profiled(&plan, nodes, schedule);
-            assert!(report.is_ok(), "{name} {schedule:?}: {:?}", report.error);
-            for (rank, (handle, expected)) in handles.iter().zip(threaded).enumerate() {
-                let data = handle.lock().unwrap();
-                let hot: Vec<(u32, u64)> =
-                    data.hot_methods.iter().map(|(m, c)| (m.0, *c)).collect();
-                assert_eq!(
-                    hot, expected,
-                    "{name} {schedule:?}: node {rank} hot-method attribution diverges"
-                );
-                assert_eq!(
-                    data.samples,
-                    expected.iter().map(|(_, c)| c).sum::<u64>(),
-                    "{name} {schedule:?}: node {rank} sample count diverges"
-                );
-            }
+        let (report, handles) = run_profiled(&plan, nodes, Schedule::Inline);
+        assert!(report.is_ok(), "{name}: {:?}", report.error);
+        for (rank, (handle, expected)) in handles.iter().zip(threaded).enumerate() {
+            let data = handle.lock().unwrap();
+            let hot: Vec<(u32, u64)> = data.hot_methods.iter().map(|(m, c)| (m.0, *c)).collect();
+            assert_eq!(
+                hot, expected,
+                "{name}: node {rank} hot-method attribution diverges"
+            );
+            assert_eq!(
+                data.samples,
+                expected.iter().map(|(_, c)| c).sum::<u64>(),
+                "{name}: node {rank} sample count diverges"
+            );
         }
     }
 }
@@ -122,38 +125,6 @@ fn cooperative_sampling_attributes_work_to_the_serving_node() {
                 stats.node,
                 stats.instructions
             );
-        }
-    }
-}
-
-/// Pool runs produce deterministic virtual times: two runs under the same
-/// configuration agree with each other and with a single worker, on every
-/// Table 1 workload.
-#[test]
-fn pool_runs_are_deterministic_on_table1_workloads() {
-    let distributor = Distributor::new(DistributorConfig::default());
-    for w in autodist_workloads::table1_workloads(1) {
-        let plan = distributor.try_distribute(&w.program).expect("pipeline");
-        let inline = plan.execute(&ClusterConfig {
-            schedule: Schedule::Inline,
-            ..ClusterConfig::paper_testbed()
-        });
-        let pool_config = ClusterConfig {
-            schedule: Schedule::Pool { threads: 4 },
-            ..ClusterConfig::paper_testbed()
-        };
-        let first = plan.execute(&pool_config);
-        let second = plan.execute(&pool_config);
-        for pool in [&first, &second] {
-            assert!(pool.is_ok(), "{}: {:?}", w.name, pool.error);
-            assert_eq!(
-                pool.virtual_time_us, inline.virtual_time_us,
-                "{}: pool virtual time must equal a single worker's",
-                w.name
-            );
-            assert_eq!(pool.total_messages(), inline.total_messages(), "{}", w.name);
-            assert_eq!(pool.total_bytes(), inline.total_bytes(), "{}", w.name);
-            assert_eq!(pool.final_statics, inline.final_statics, "{}", w.name);
         }
     }
 }
@@ -265,8 +236,8 @@ fn sampled_hot_methods_are_pinned() {
     }
 }
 
-/// A sampling profiler attached to a pool run collects the same per-node samples as
-/// a single worker: worker interleaving never changes what each node executes.
+/// `Schedule::Pool` is still accepted and is the same loop: a sampling profiler
+/// attached under it collects the same per-node samples as under `Inline`.
 #[test]
 fn pool_sampling_matches_inline_sampling() {
     let distributor = Distributor::new(DistributorConfig::default());
@@ -284,4 +255,102 @@ fn pool_sampling_matches_inline_sampling() {
             "node {rank} attribution diverges between inline and pool"
         );
     }
+}
+
+/// The threads hooks fired on, shared by every sink of one test.
+type Threads = Arc<Mutex<Vec<ThreadId>>>;
+
+/// A sink that records the thread each of its hooks fires on.
+struct ThreadRecorder(Threads);
+
+impl ThreadRecorder {
+    fn record(&self) {
+        self.0.lock().unwrap().push(std::thread::current().id());
+    }
+}
+
+impl ProfilerSink for ThreadRecorder {
+    fn method_enter(&mut self, _: MethodId, _: f64) {
+        self.record();
+    }
+    fn method_exit(&mut self, _: MethodId, _: f64) {
+        self.record();
+    }
+    fn allocation(&mut self, _: Option<ClassId>, _: u64) {
+        self.record();
+    }
+    fn sample(&mut self, _: &[MethodId]) {
+        self.record();
+    }
+}
+
+/// A planner that never replans and hands every admitted request's nodes a
+/// [`ThreadRecorder`].
+struct RecordingPlanner(Threads);
+
+impl Replanner for RecordingPlanner {
+    fn replan(&self, _app: usize) -> Option<ServerApp> {
+        None
+    }
+
+    fn profiler(&self, _app: usize, _rank: usize) -> Option<Box<dyn ProfilerSink>> {
+        Some(Box::new(ThreadRecorder(Arc::clone(&self.0))))
+    }
+}
+
+/// Every profiler hook fires on the thread that started the run, even under a
+/// `Schedule::Pool` naming four threads: the caller's per-node sinks of a
+/// distributed run, and an adaptive planner's sinks on served requests.
+#[test]
+fn every_profiler_hook_fires_on_the_calling_thread() {
+    let caller = std::thread::current().id();
+    let w = autodist_workloads::bank(30);
+    let plan = Distributor::new(DistributorConfig::default())
+        .try_distribute(&w.program)
+        .expect("pipeline");
+    let nodes = plan.node_programs.len();
+    let pool = Schedule::Pool { threads: 4 };
+
+    let threads = Threads::default();
+    let profilers = (0..nodes)
+        .map(|_| {
+            Some(NodeProfiler::new(
+                Box::new(ThreadRecorder(threads.clone())),
+                7,
+            ))
+        })
+        .collect();
+    let config = ClusterConfig {
+        schedule: pool,
+        ..ClusterConfig::paper_testbed()
+    };
+    let report = plan.execute_profiled(&config, profilers);
+    assert!(report.is_ok(), "{:?}", report.error);
+    let seen = threads.lock().unwrap();
+    assert!(!seen.is_empty(), "the distributed run fired no hook");
+    assert!(
+        seen.iter().all(|&id| id == caller),
+        "a hook fired off the caller's thread"
+    );
+
+    let threads = Threads::default();
+    let apps = vec![plan.prepare_server(&ClusterConfig::paper_testbed())];
+    let planner = Arc::new(RecordingPlanner(threads.clone()));
+    let opts = ServeOptions {
+        concurrency: 8,
+        schedule: pool,
+        adapt: Some(AdaptOptions::new(planner).with_epoch(4)),
+        ..ServeOptions::default()
+    };
+    let report = run_serving(&apps, &[0; 16], &opts);
+    assert!(report.is_ok());
+    let seen = threads.lock().unwrap();
+    assert!(
+        !seen.is_empty(),
+        "no served request carried the planner's sinks"
+    );
+    assert!(
+        seen.iter().all(|&id| id == caller),
+        "a planner hook fired off the caller's thread"
+    );
 }

@@ -2,8 +2,8 @@
 //!
 //! Serving mode admits N concurrent requests onto one shared ready queue, each with
 //! its own request-scoped world (channels, virtual clocks, correlation ids). The
-//! property: no matter how requests interleave — inline on one thread or across a
-//! worker pool — every request's [`ExecutionReport`] must be **byte-identical** to
+//! property: no matter how requests interleave on the one worker loop, at any
+//! admission window, every request's [`ExecutionReport`] must be **byte-identical** to
 //! running the same distributed program alone: same virtual time, same message and
 //! byte counts, same final statics (checksum). Any cross-request leakage (a shared
 //! clock, a misrouted packet, a stolen continuation delivered to the wrong world)
@@ -14,7 +14,7 @@
 //! neighbours are doing), and its neighbours equal their solo healthy runs.
 //!
 //! CI runs this test binary under a watchdog timeout (see `.github/workflows/ci.yml`)
-//! so a worker-loop stall fails fast instead of hanging the job.
+//! as a backstop, so a worker-loop stall fails fast instead of hanging the job.
 
 use autodist::{DistributionPlan, Distributor, DistributorConfig, ServeOptions};
 use autodist_runtime::cluster::{ClusterConfig, Schedule};
@@ -97,7 +97,7 @@ fn assert_serving_parity(refs: &[Reference], schedule: Schedule, concurrency: us
     }
 }
 
-/// One worker thread, many in-flight requests: pure interleaving, no parallelism.
+/// One worker loop, many in-flight requests: worlds interleave slice by slice.
 #[test]
 fn inline_serving_is_byte_identical_to_sequential() {
     let refs = references();
@@ -106,16 +106,17 @@ fn inline_serving_is_byte_identical_to_sequential() {
     }
 }
 
-/// Worker pools: requests additionally migrate across OS threads mid-flight.
+/// `Schedule::Pool`, which the repository benchmark still names, is the same loop on
+/// the calling thread: at the benchmark's window it serves byte-identically too.
 #[test]
 fn pool_serving_is_byte_identical_to_sequential() {
     let refs = references();
-    assert_serving_parity(&refs, Schedule::Pool { threads: 1 }, 16);
-    assert_serving_parity(&refs, Schedule::Pool { threads: 4 }, 16);
+    assert_serving_parity(&refs, Schedule::Pool { threads: 2 }, 8);
 }
 
 /// The window is a real bound: serving the whole sequence at concurrency 1 must
-/// still complete (degenerates to back-to-back sequential execution).
+/// still complete (degenerates to back-to-back sequential execution), whatever
+/// `threads` a `Pool` names.
 #[test]
 fn pool_serving_at_window_one_degenerates_to_sequential() {
     let refs = references();
@@ -125,8 +126,7 @@ fn pool_serving_at_window_one_degenerates_to_sequential() {
 /// Per-request fault isolation: one request of a mixed serving run has its link
 /// killed mid-flight. That request must complete with a typed [`ExecError`] in
 /// its report (freeing its window slot — the run still drains), while the other
-/// 23 requests stay **byte-identical** to their solo references, under both the
-/// inline worker and a pool.
+/// 23 requests stay **byte-identical** to their solo references.
 #[test]
 fn killed_request_fails_typed_while_the_rest_stay_byte_identical() {
     let refs = references();
@@ -138,53 +138,43 @@ fn killed_request_fails_typed_while_the_rest_stay_byte_identical() {
     let requests = 24usize;
     let victim = 5usize;
     let sequence: Vec<usize> = (0..requests).map(|i| i % apps.len()).collect();
-    for schedule in [Schedule::Inline, Schedule::Pool { threads: 4 }] {
-        let report = run_serving(
-            &apps,
-            &sequence,
-            &ServeOptions {
-                concurrency: 8,
-                schedule,
-                faults: vec![(victim, FaultPlan::kill(1, 300.0))],
-                ..ServeOptions::default()
-            },
-        );
-        assert_eq!(report.requests.len(), requests);
-        for (i, req) in report.requests.iter().enumerate() {
-            assert_eq!(req.index, i);
-            let reference = &refs[req.app];
-            let ctx = format!("{schedule:?} request {i} app {}", req.app);
-            if i == victim {
-                match req.report.error {
-                    Some(ExecError::NodeDown { rank }) => assert_eq!(rank, 1, "{ctx}"),
-                    ref other => {
-                        panic!("{ctx}: expected a typed NodeDown for the killed request, got {other:?}")
-                    }
+    let report = run_serving(
+        &apps,
+        &sequence,
+        &ServeOptions {
+            concurrency: 8,
+            faults: vec![(victim, FaultPlan::kill(1, 300.0))],
+            ..ServeOptions::default()
+        },
+    );
+    assert_eq!(report.requests.len(), requests);
+    for (i, req) in report.requests.iter().enumerate() {
+        assert_eq!(req.index, i);
+        let reference = &refs[req.app];
+        let ctx = format!("request {i} app {}", req.app);
+        if i == victim {
+            match req.report.error {
+                Some(ExecError::NodeDown { rank }) => assert_eq!(rank, 1, "{ctx}"),
+                ref other => {
+                    panic!("{ctx}: expected a typed NodeDown for the killed request, got {other:?}")
                 }
-                let faults = req
-                    .report
-                    .faults
-                    .expect("faulted request carries a summary");
-                assert!(faults.lost > 0, "{ctx}: the kill lost traffic");
-                continue;
             }
-            // Everyone else: byte-identical to the solo reference, as if the
-            // faulted request never shared the server with them.
-            assert_healthy(&ctx, req, reference);
+            let faults = req
+                .report
+                .faults
+                .expect("faulted request carries a summary");
+            assert!(faults.lost > 0, "{ctx}: the kill lost traffic");
+            continue;
         }
+        // Everyone else: byte-identical to the solo reference, as if the
+        // faulted request never shared the server with them.
+        assert_healthy(&ctx, req, reference);
     }
 }
 
-/// The schedules the fault-isolation tests run under, at window 8.
-const FAULT_SCHEDULES: [Schedule; 2] = [Schedule::Inline, Schedule::Pool { threads: 4 }];
-
 /// Serves 24 requests round-robin over the mix at window 8 with the given
 /// per-request fault plans.
-fn serve_faulted(
-    refs: &[Reference],
-    schedule: Schedule,
-    faults: Vec<(usize, FaultPlan)>,
-) -> ServingReport {
+fn serve_faulted(refs: &[Reference], faults: Vec<(usize, FaultPlan)>) -> ServingReport {
     let cluster = ClusterConfig::paper_testbed();
     let apps: Vec<_> = refs
         .iter()
@@ -196,7 +186,6 @@ fn serve_faulted(
         &sequence,
         &ServeOptions {
             concurrency: 8,
-            schedule,
             faults,
             ..ServeOptions::default()
         },
@@ -249,24 +238,22 @@ fn reordered_request_equals_its_solo_faulted_run_among_healthy_neighbours() {
     let refs = references();
     let victim = 5usize;
     let plan = FaultPlan::quiet(13).with_reorder(1.0);
-    for schedule in FAULT_SCHEDULES {
-        let report = serve_faulted(&refs, schedule, vec![(victim, plan.clone())]);
-        for (i, req) in report.requests.iter().enumerate() {
-            let ctx = format!("{schedule:?} request {i} app {}", req.app);
-            if i == victim {
-                assert_equals_solo_faulted(&ctx, req, &refs[req.app], &plan);
-                let faults = req
-                    .report
-                    .faults
-                    .expect("faulted request carries a summary");
-                assert!(
-                    faults.reordered > 0 && faults.repaired > 0,
-                    "{ctx}: {faults:?}"
-                );
-            }
-            // Reordering heals, so the victim too matches the healthy yardstick.
-            assert_healthy(&ctx, req, &refs[req.app]);
+    let report = serve_faulted(&refs, vec![(victim, plan.clone())]);
+    for (i, req) in report.requests.iter().enumerate() {
+        let ctx = format!("request {i} app {}", req.app);
+        if i == victim {
+            assert_equals_solo_faulted(&ctx, req, &refs[req.app], &plan);
+            let faults = req
+                .report
+                .faults
+                .expect("faulted request carries a summary");
+            assert!(
+                faults.reordered > 0 && faults.repaired > 0,
+                "{ctx}: {faults:?}"
+            );
         }
+        // Reordering heals, so the victim too matches the healthy yardstick.
+        assert_healthy(&ctx, req, &refs[req.app]);
     }
 }
 
@@ -285,20 +272,18 @@ fn combined_faults_on_one_request_yield_one_report_per_request() {
                 .with_delay(0.3, 400.0)
                 .with_reorder(0.3)
         };
-        for schedule in FAULT_SCHEDULES {
-            let report = serve_faulted(&refs, schedule, vec![(victim, plan.clone())]);
-            for (i, req) in report.requests.iter().enumerate() {
-                let ctx = format!("{schedule:?} victim {victim} request {i} app {}", req.app);
-                if i == victim {
-                    assert_equals_solo_faulted(&ctx, req, &refs[req.app], &plan);
-                    let faults = req.report.faults.expect("summary");
-                    assert!(
-                        faults.retries + faults.duplicated + faults.delayed > 0,
-                        "{ctx}"
-                    );
-                } else {
-                    assert_healthy(&ctx, req, &refs[req.app]);
-                }
+        let report = serve_faulted(&refs, vec![(victim, plan.clone())]);
+        for (i, req) in report.requests.iter().enumerate() {
+            let ctx = format!("victim {victim} request {i} app {}", req.app);
+            if i == victim {
+                assert_equals_solo_faulted(&ctx, req, &refs[req.app], &plan);
+                let faults = req.report.faults.expect("summary");
+                assert!(
+                    faults.retries + faults.duplicated + faults.delayed > 0,
+                    "{ctx}"
+                );
+            } else {
+                assert_healthy(&ctx, req, &refs[req.app]);
             }
         }
     }
@@ -315,17 +300,15 @@ fn leftover_keys_of_duplicated_requests_do_not_touch_the_next_tenant() {
     let faults: Vec<_> = (0..8)
         .map(|i| (i, FaultPlan::quiet(7 + i as u64).with_duplicate(1.0)))
         .collect();
-    for schedule in FAULT_SCHEDULES {
-        let report = serve_faulted(&refs, schedule, faults.clone());
-        for (i, req) in report.requests.iter().enumerate() {
-            let ctx = format!("{schedule:?} request {i} app {}", req.app);
-            assert_healthy(&ctx, req, &refs[req.app]);
-            let summary = req.report.faults;
-            if i < 8 {
-                assert!(summary.expect("summary").duplicated > 0, "{ctx}");
-            } else {
-                assert!(summary.is_none(), "{ctx}: unlisted requests carry no plan");
-            }
+    let report = serve_faulted(&refs, faults);
+    for (i, req) in report.requests.iter().enumerate() {
+        let ctx = format!("request {i} app {}", req.app);
+        assert_healthy(&ctx, req, &refs[req.app]);
+        let summary = req.report.faults;
+        if i < 8 {
+            assert!(summary.expect("summary").duplicated > 0, "{ctx}");
+        } else {
+            assert!(summary.is_none(), "{ctx}: unlisted requests carry no plan");
         }
     }
 }
