@@ -289,6 +289,178 @@ fn combined_faults_on_one_request_yield_one_report_per_request() {
     }
 }
 
+/// The fault plans of the pinned table, by name: every healing class alone and
+/// combined, drops with and without enough retries, a kill early and late, and the
+/// loss of each of the first eight packets.
+fn pinned_plans() -> Vec<(String, FaultPlan)> {
+    let mut plans: Vec<(String, FaultPlan)> = vec![
+        ("reorder 1.0".into(), FaultPlan::quiet(13).with_reorder(1.0)),
+        (
+            "duplicate 1.0".into(),
+            FaultPlan::quiet(7).with_duplicate(1.0),
+        ),
+        (
+            "reorder+duplicate 0.5".into(),
+            FaultPlan::quiet(21).with_reorder(0.5).with_duplicate(0.5),
+        ),
+        (
+            "combined".into(),
+            FaultPlan {
+                max_retries: 64,
+                ..FaultPlan::quiet(33)
+                    .with_drop(0.2)
+                    .with_duplicate(0.3)
+                    .with_delay(0.3, 400.0)
+                    .with_reorder(0.3)
+            },
+        ),
+        ("drop 0.4".into(), FaultPlan::quiet(41).with_drop(0.4)),
+        (
+            "drop 0.4, 64 retries".into(),
+            FaultPlan {
+                max_retries: 64,
+                ..FaultPlan::quiet(41).with_drop(0.4)
+            },
+        ),
+        ("kill(1, 300)".into(), FaultPlan::kill(1, 300.0)),
+        ("kill(1, 3000)".into(), FaultPlan::kill(1, 3000.0)),
+    ];
+    plans.extend((0..8).map(|n| (format!("drop_packet({n})"), FaultPlan::drop_packet(n))));
+    plans
+}
+
+/// FNV-1a over a report's deterministic fields: virtual time bits, per-node stats,
+/// fault summary and verdict (`Debug` prints every float so that it round-trips).
+fn digest(report: &autodist_runtime::ExecutionReport) -> u64 {
+    let text = format!(
+        "{:x} {:?} {:?} {:?}",
+        report.virtual_time_us.to_bits(),
+        report.per_node,
+        report.faults,
+        report.error
+    );
+    text.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+        (h ^ b as u64).wrapping_mul(0x0100_0000_01b3)
+    })
+}
+
+/// `PINNED[w][p]`: the digest of mix workload `w` under `pinned_plans()[p]`.
+const PINNED: [[u64; 16]; 3] = [
+    [
+        0xed508996483f8fe9,
+        0x0deebb3ce0084f6a,
+        0x01d54f72a6c4d4e9,
+        0x030ef0ee9be97721,
+        0xd8459fee22262372,
+        0xbb87bf9e9e837336,
+        0x8a14cebb9eba6bf8,
+        0xa11ad51e9d81f60b,
+        0x71b6a608b217d449,
+        0xaebc762c642dd957,
+        0xfaddfa0e50abcb38,
+        0x565dab6561ac8561,
+        0x933ffc640618c44e,
+        0x7732d66b5c0d1a12,
+        0xcc7bbcef1c031640,
+        0xe2e30a36dd037049,
+    ],
+    [
+        0xafbace2100694e8a,
+        0xedf91d1c318863f3,
+        0x513d2a884d39f03d,
+        0x2dbbf22c120203bf,
+        0x4e0e07c796228313,
+        0xde25a8295214151f,
+        0x1f2f38f7f65724b9,
+        0x5fe9a075d4135e71,
+        0x048e517211b67ce5,
+        0xdeb7b67cb38362bf,
+        0x1c06251c9e1975d3,
+        0xb5cc5858ae26089e,
+        0xa8c9d0d89334de69,
+        0x4a878eff9d785085,
+        0x77362b48b6f3f611,
+        0xa67df2c3679dd410,
+    ],
+    [
+        0x857e72a5fb2079d9,
+        0x163997e8744089d2,
+        0x18ed603fee0ce058,
+        0x5aaa2648cb7cb883,
+        0xea75825e6e34312e,
+        0xea75825e6e34312e,
+        0x2522cb6257f4bc28,
+        0x36c2bf6f212154ed,
+        0xcae01b591706b842,
+        0x298eefcf2e2911d6,
+        0xdfa5064132cbc008,
+        0x73d3e687c4e0add7,
+        0x36c2bf6f212154ed,
+        0x36c2bf6f212154ed,
+        0x36c2bf6f212154ed,
+        0x36c2bf6f212154ed,
+    ],
+];
+
+/// Faulted reports are pinned, solo and served: every mix workload under every plan
+/// of `pinned_plans`, run alone and then served as one sequence at windows 1, 4 and
+/// 8, must reproduce the recorded digest of its row. Recovery, diagnosis and typed
+/// failure are thereby fixed to the report, whatever order the loop runs worlds in.
+#[test]
+fn faulted_reports_are_pinned_solo_and_served() {
+    let refs = references();
+    let plans = pinned_plans();
+    let cluster = ClusterConfig::paper_testbed();
+    let mut table = String::new();
+    let mut solo = vec![[0u64; 16]; refs.len()];
+    for (w, reference) in refs.iter().enumerate() {
+        for (p, (_, plan)) in plans.iter().enumerate() {
+            let report = reference
+                .plan
+                .execute(&cluster.clone().with_faults(plan.clone()));
+            solo[w][p] = digest(&report);
+        }
+        let row: Vec<_> = solo[w].iter().map(|d| format!("{d:#018x}")).collect();
+        table.push_str(&format!("    [{}],\n", row.join(", ")));
+    }
+    assert!(
+        solo == PINNED,
+        "solo faulted reports moved; the table now reads:\n{table}"
+    );
+    let apps: Vec<_> = refs
+        .iter()
+        .map(|r| r.plan.prepare_server(&cluster))
+        .collect();
+    let rows: Vec<(usize, usize)> = (0..plans.len())
+        .flat_map(|p| (0..apps.len()).map(move |w| (w, p)))
+        .collect();
+    let sequence: Vec<usize> = rows.iter().map(|&(w, _)| w).collect();
+    for window in [1, 4, 8] {
+        let report = run_serving(
+            &apps,
+            &sequence,
+            &ServeOptions {
+                concurrency: window,
+                faults: rows
+                    .iter()
+                    .enumerate()
+                    .map(|(i, &(_, p))| (i, plans[p].1.clone()))
+                    .collect(),
+                ..ServeOptions::default()
+            },
+        );
+        for (req, &(w, p)) in report.requests.iter().zip(&rows) {
+            assert_eq!(
+                digest(&req.report),
+                PINNED[w][p],
+                "window {window}: app {w} under {}: {:?}",
+                plans[p].0,
+                req.report.error
+            );
+        }
+    }
+}
+
 /// Slot reuse after duplication: the whole first window duplicates every packet, so
 /// every slot's next tenant is admitted behind a request whose duplicated traffic
 /// (final response included) may have left keys in the queue. Those keys are stale
