@@ -29,8 +29,8 @@ use crate::value::Statics;
 pub enum Schedule {
     /// One worker, on the calling thread: virtual nodes are multiplexed on it; a
     /// node waiting on a remote operation parks its frame stack as a continuation
-    /// and the worker takes the next ready `(root, rank, count)` entry off the
-    /// scheduler's ready queue (O(1) delivery per packet).
+    /// and its world delivers the oldest pending packet next (O(1) delivery per
+    /// packet).
     #[default]
     Inline,
     /// The same single-threaded loop as [`Schedule::Inline`]; `threads` is ignored.
@@ -238,15 +238,14 @@ pub fn run_distributed_profiled(
     assert!(!programs.is_empty(), "at least one node required");
     let start = Instant::now();
     let app = ServerApp::prepare(programs.to_vec(), config.network.clone());
-    let faults: Vec<_> = config.faults.iter().map(|plan| (0, plan.clone())).collect();
     let mut server = Server {
         apps: std::slice::from_ref(&app),
         sequence: &[0],
         concurrency: 1,
-        faults: &faults,
+        faults: vec![config.faults.clone()],
         adapt: None,
         // A single-root run reports virtual time; its delivery deadline is the
-        // instant its one world quiesces.
+        // instant its one world runs dry.
         deadline_wait: Duration::ZERO,
     };
     let mut requests = server.run(profilers);

@@ -16,20 +16,22 @@
 //!   crosses a node — the interception of `rt/DependentObject` operations that turns
 //!   rewritten call sites into message exchanges, marshal / unmarshal, send, accept,
 //!   reply.
-//! * [`sched`] — the scheduler: **one worker loop** on the calling thread, taking
-//!   `(root, rank, count)` entries off one ready queue (O(1) delivery per packet)
-//!   into a fixed table of in-flight worlds, with quiescence *counted* per world
-//!   (published minus consumed keys) instead of inferred from timeouts. The loop owns
-//!   the queue, the worlds, the admission window and the results, so the runtime
-//!   takes no lock and starts no thread. The three per-node services of Figure 10
-//!   (MPI service, Execution Starter, Message Exchange) are the world's transport,
-//!   its seeding, and [`exchange`] under its delivery slice.
+//! * [`sched`] — the scheduler: **one worker loop** on the calling thread that admits
+//!   requests one after another and runs each world until it finishes or waits on a
+//!   sequence gap, delivering the world's pending packets oldest first (O(1) per
+//!   packet). Quiescence is *observed* where it happens — a world's own pending list
+//!   runs dry — instead of inferred from timeouts. The loop owns the worlds waiting on
+//!   a gap, the admission window and the results, so the runtime takes no lock and
+//!   starts no thread. The three per-node services of Figure 10 (MPI service,
+//!   Execution Starter, Message Exchange) are the world's transport, its seeding, and
+//!   [`exchange`] under its run.
 //! * [`cluster`] — the driver configuration and reporting surface: runs a distributed
 //!   (or centralized) execution and reports virtual time, wall time and traffic
 //!   statistics. A distributed run is a one-request serving run at window 1.
 //! * [`serve`] — serving mode: the cluster as a server admitting N concurrent root
 //!   computations, each over its own request-scoped world (clocks, mailboxes,
-//!   correlation ids) while all requests share one ready queue.
+//!   correlation ids), with the window bounding the requests parked on a sequence
+//!   gap.
 //! * [`adapt`] — adaptive placement: an epoch controller that consults a
 //!   caller-supplied [`adapt::Replanner`] (which profiles served requests through
 //!   its own sinks) and swaps better placements in for subsequently admitted

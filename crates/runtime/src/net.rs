@@ -8,8 +8,8 @@
 //! `latency + bytes / bandwidth` of virtual time. Virtual clocks are carried on the
 //! packets so causality is preserved (a receiver can never observe a message before it
 //! was sent). Nothing in here is shared between worlds, and nothing in here waits:
-//! the ready entries a world publishes go onto the scheduler's ready queue, where
-//! they meet the other worlds' entries.
+//! the transport lists the packets its world has yet to take, in route order, and
+//! the world takes them oldest first.
 
 use bytes::{Bytes, BytesMut};
 use std::collections::VecDeque;
@@ -325,17 +325,6 @@ pub struct Packet {
     pub arrival_time_us: f64,
 }
 
-/// A ready entry `(root, rank, count)`: `count` deliverable packets for node `rank`
-/// of the world whose root id is `root`.
-///
-/// A packet names its destination, so the world routing it records the destination
-/// and, when the sender's slice ends, [`Transport::publish`]es one counted entry per
-/// destination — delivery is then O(1) per packet (take an entry, take that many
-/// packets from that node's mailbox) instead of an O(nodes) sweep over every
-/// mailbox. The root lets the scheduler find the world an entry belongs to and
-/// recognise a *stale* one — its world already completed — by root mismatch.
-pub(crate) type Ready = (u32, u32, u32);
-
 /// A sender-side sequencing slot for one directed link.
 #[derive(Clone, Copy, Debug, Default)]
 struct TxLink {
@@ -469,40 +458,22 @@ impl Faults {
     }
 }
 
-/// Ready keys recorded per destination rank since the last [`Transport::publish`],
-/// and those ranks in first-recorded order (the order the entries are published in).
-struct Tally {
-    counts: Vec<u32>,
-    order: Vec<u32>,
-}
-
-impl Tally {
-    /// Records `n` deliverable packets for `to`.
-    fn mark(&mut self, to: usize, n: u32) {
-        if n > 0 {
-            if self.counts[to] == 0 {
-                self.order.push(to as u32);
-            }
-            self.counts[to] += n;
-        }
-    }
-}
-
-/// One world's interconnect: per-rank mailboxes, the world's exact ready-key count
-/// and — when a plan is attached — its fault state, all plain data, owned by one
-/// world: every send, receive, window release and gap repair of its nodes goes
-/// through it.
+/// One world's interconnect: per-rank mailboxes, the world's pending list and —
+/// when a plan is attached — its fault state, all plain data, owned by one world:
+/// every send, receive, window release and gap repair of its nodes goes through it.
 ///
-/// A node never touches it. What a node sends during a delivery slice waits in its
-/// [`MpiEndpoint`]'s outbox; when the slice ends the world [`Transport::route`]s
-/// the outbox — fault rolls, sequencing, duplicate copies, mailbox push — and
-/// `publish`es one counted ready key per destination.
+/// A node never touches it. What a node sends while it handles a packet waits in
+/// its [`MpiEndpoint`]'s outbox; then the world [`Transport::route`]s the outbox —
+/// fault rolls, sequencing, duplicate copies, mailbox push — and each packet that
+/// reaches a mailbox gets a pending entry.
 pub struct Transport {
     /// Undelivered packets per destination rank, FIFO.
     mailboxes: Vec<VecDeque<Packet>>,
-    /// Ready keys published minus keys consumed by delivery slices.
-    keys: u32,
-    tally: Tally,
+    /// The destination rank of every packet the world has yet to take: one entry per
+    /// physical packet routed and per packet a sequence window released, in route
+    /// order. A lost packet has none, so a world whose root is owed a lost packet
+    /// runs dry.
+    pub(crate) pending: VecDeque<u32>,
     /// Present only when the world has a [`FaultPlan`] — the disabled hot path pays
     /// one branch per send and receive.
     faults: Option<Faults>,
@@ -514,11 +485,7 @@ impl Transport {
     pub fn new(n: usize, plan: Option<FaultPlan>) -> Self {
         Transport {
             mailboxes: (0..n).map(|_| VecDeque::new()).collect(),
-            keys: 0,
-            tally: Tally {
-                counts: vec![0; n],
-                order: Vec::new(),
-            },
+            pending: VecDeque::new(),
             faults: plan.map(|plan| Faults {
                 plan,
                 ranks: (0..n)
@@ -535,21 +502,21 @@ impl Transport {
         }
     }
 
-    /// Ready keys published for this world and not yet consumed. Exact, because
-    /// both halves are only ever counted here: zero before the root completes
-    /// means nothing is queued for this world and nothing is being delivered.
-    pub(crate) fn keys(&self) -> u32 {
-        self.keys
+    /// Takes the oldest pending entry: the rank whose next [`Transport::recv`]
+    /// takes the world's oldest waiting packet. `None` when the world has nothing
+    /// left to deliver.
+    pub fn next_pending(&mut self) -> Option<usize> {
+        self.pending.pop_front().map(|rank| rank as usize)
     }
 
-    /// Puts `pkt` into its destination's mailbox and records its key. Called
+    /// Puts `pkt` into its destination's mailbox and lists it as pending. Called
     /// directly only for `req_id == 0` control traffic (the shutdown broadcast),
     /// which no fault plan touches: losing a fire-and-forget control packet would
     /// model nothing the protocol waits on.
     pub(crate) fn post(&mut self, pkt: Packet) {
         let to = pkt.to;
         self.mailboxes[to].push_back(pkt);
-        self.tally.mark(to, 1);
+        self.pending.push_back(to as u32);
     }
 
     /// Routes everything `endpoint` sent since the last call, in send order —
@@ -565,47 +532,27 @@ impl Transport {
                 Some(f) if pkt.req_id != 0 => f.decide(&mut pkt, sent_at_us),
                 _ => 1,
             };
-            if copies == 0 {
-                // A lost packet wakes its destination anyway: the loop pops the
-                // key, finds nothing, the key count reaches zero, and the recorded
-                // loss becomes a typed error, not a hang.
-                self.tally.mark(pkt.to, 1);
-                continue;
-            }
-            // One key per *physical* packet keeps the pop-one deliver-one
-            // invariant; the receiver's window suppresses the duplicate (a copy of
-            // the frame, with storage of its own).
+            // A lost packet is not listed: the world runs dry and its recorded loss
+            // becomes a typed error, not a hang. A duplicate is listed right behind
+            // its original, one entry per *physical* packet; the receiver's window
+            // suppresses it (a copy of the frame, with storage of its own).
             for _ in 1..copies {
                 self.post(pkt.clone());
             }
-            self.post(pkt);
+            if copies > 0 {
+                self.post(pkt);
+            }
         }
     }
 
-    /// Publishes the keys recorded since the last call as one counted entry per
-    /// destination, `(root, rank, count)`, appended to `out` in first-recorded
-    /// order, and counts them. The world calls this at the end of every packet's
-    /// slice, so one entry per link per slice covers however many packets went there.
-    pub(crate) fn publish(&mut self, root: u32, out: &mut VecDeque<Ready>) {
-        for to in self.tally.order.drain(..) {
-            let count = std::mem::take(&mut self.tally.counts[to as usize]);
-            self.keys += count;
-            out.push_back((root, to, count));
-        }
-    }
-
-    /// A delivery slice consumed `count` keys.
-    pub(crate) fn consume(&mut self, count: u32) {
-        self.keys = self.keys.saturating_sub(count);
-    }
-
-    /// Non-blocking receive — the only receive there is: the worker loop takes one
-    /// packet per key it popped for `rank`. With a fault plan attached, arrivals are
-    /// screened through the per-link sequence window (duplicates suppressed,
+    /// Non-blocking receive — the only receive there is: the world takes one packet
+    /// per pending entry it took for `rank`. With a fault plan attached, arrivals
+    /// are screened through the per-link sequence window (duplicates suppressed,
     /// reorders buffered), so `None` may also mean "a physical packet arrived but
     /// nothing is deliverable yet". A delivery that closes a gap releases the
-    /// buffered run for the following calls, with one self ready-key per released
-    /// packet (their original keys were consumed when they buffered).
+    /// buffered run for the following calls, listing each released packet as
+    /// pending behind everything already listed (their own entries were taken when
+    /// they buffered).
     pub fn recv(&mut self, rank: usize) -> Option<Packet> {
         let Some(f) = self.faults.as_mut() else {
             return self.mailboxes[rank].pop_front();
@@ -626,7 +573,8 @@ impl Transport {
                 me.released
                     .extend(std::iter::from_fn(|| window.pop_ready()));
                 let released = me.released.len() - before;
-                self.tally.mark(rank, released as u32);
+                self.pending
+                    .extend(std::iter::repeat_n(rank as u32, released));
                 Some(pkt)
             }
             SeqVerdict::Duplicate => {
@@ -639,7 +587,7 @@ impl Transport {
 
     /// Skips the sequence gap in front of every buffered run of the world (the
     /// delivery deadline passed — the missing packets are not coming). Released
-    /// packets queue for their rank's next receives, with one self ready-key each.
+    /// packets queue for their rank's next receives, each listed as pending.
     /// Returns how many packets were released. No-op without a fault plan.
     pub(crate) fn repair_gaps(&mut self) -> usize {
         let Some(f) = self.faults.as_mut() else {
@@ -656,7 +604,8 @@ impl Transport {
                 }
             }
             let released = me.released.len() - before;
-            self.tally.mark(rank, released as u32);
+            self.pending
+                .extend(std::iter::repeat_n(rank as u32, released));
             total += released;
         }
         total
@@ -683,7 +632,7 @@ impl Transport {
     }
 }
 
-/// A packet a node sent during a delivery slice, waiting in its outbox for the
+/// A packet a node sent while handling a delivery, waiting in its outbox for the
 /// world to route it.
 struct Posted {
     pkt: Packet,
@@ -846,7 +795,7 @@ mod tests {
         (Transport::new(n, plan), endpoints)
     }
 
-    /// A request charged at its physical length, routed at once (a one-send slice).
+    /// A request charged at its physical length, routed at once (one send per delivery).
     fn request(
         net: &mut Transport,
         from: &mut MpiEndpoint,
@@ -926,61 +875,17 @@ mod tests {
     fn sends_mark_destinations_ready_in_send_order() {
         let cfg = NetworkConfig::uniform(4);
         let (mut net, mut eps) = world(&cfg, None);
-        let mut ready = VecDeque::new();
         request(&mut net, &mut eps[0], 2, b"x", 0.0);
         request(&mut net, &mut eps[0], 1, b"y", 0.0);
         request(&mut net, &mut eps[0], 2, b"z", 0.0);
-        assert_eq!(net.keys(), 0, "nothing counted before the publish");
-        net.publish(0, &mut ready);
-        assert_eq!(ready, [(0, 2, 2), (0, 1, 1)], "one entry per destination");
-        assert_eq!(net.keys(), 3, "every key is counted as published");
-        net.publish(0, &mut ready);
-        assert_eq!(ready.len(), 2, "publishing resets the tally");
-        assert_eq!(net.keys(), 3);
-        net.consume(5);
-        assert_eq!(net.keys(), 0, "consumption saturates at zero");
-    }
-
-    #[test]
-    fn serving_worlds_tag_ready_keys_with_their_root() {
-        let mut shared = VecDeque::new();
-        let cfg = NetworkConfig::uniform(2);
-        let (mut w3, mut eps3) = world(&cfg, None);
-        let (mut w9, mut eps9) = world(&cfg, None);
-        request(&mut w3, &mut eps3[0], 1, b"x", 0.0);
-        w3.publish(3, &mut shared);
-        request(&mut w9, &mut eps9[0], 1, b"y", 0.0);
-        w9.publish(9, &mut shared);
-        request(&mut w3, &mut eps3[0], 1, b"z", 0.0);
-        w3.publish(3, &mut shared);
         assert_eq!(
-            shared,
-            [(3, 1, 1), (9, 1, 1), (3, 1, 1)],
-            "entries interleave in one buffer"
+            net.pending,
+            [2, 1, 2],
+            "one entry per packet, in route order"
         );
-        // Mailboxes stay per-world: w9's node 1 sees only its own packet.
-        assert_eq!(w9.recv(1).map(|p| p.data), Some(Bytes::from_static(b"y")));
-        assert!(w9.recv(1).is_none());
-    }
-
-    #[test]
-    fn coalescing_batches_ready_keys_per_destination() {
-        let cfg = NetworkConfig::uniform(3);
-        let (mut net, mut eps) = world(&cfg, None);
-        let mut ready = VecDeque::new();
-        request(&mut net, &mut eps[0], 1, b"x", 0.0);
-        request(&mut net, &mut eps[0], 2, b"y", 0.0);
-        request(&mut net, &mut eps[0], 1, b"z", 0.0);
-        assert_eq!(net.keys(), 0, "keys held back until the publish");
-        net.publish(0, &mut ready);
-        assert_eq!(ready, [(0, 1, 2), (0, 2, 1)], "two packets, one entry");
-        ready.clear();
-        net.publish(0, &mut ready);
-        assert_eq!(
-            ready,
-            [],
-            "a publish with nothing recorded publishes nothing"
-        );
+        let order: Vec<_> = std::iter::from_fn(|| net.next_pending()).collect();
+        assert_eq!(order, [2, 1, 2], "taken oldest first");
+        assert_eq!(net.next_pending(), None, "then the world has nothing left");
     }
 
     #[test]
@@ -990,7 +895,7 @@ mod tests {
         let (c1, id1) = eps[0].send_request_charged(1, Bytes::from_static(b"abc"), 5.0, 3);
         let (c2, id2) = eps[0].send_request_charged(1, Bytes::from_static(b"defg"), c1, 4);
         // Everything the execution reports is decided at send time; only the
-        // routing and the ready keys wait for the end of the slice.
+        // routing waits for the world.
         let overhead = cfg.latency_us * 0.1;
         assert_eq!(
             (c1, id1, c2, id2),
@@ -1000,11 +905,10 @@ mod tests {
         assert_eq!(sent, (2, 7));
         assert!(net.recv(1).is_none(), "in the outbox until routed");
         net.route(&mut eps[0]);
-        let first = net.recv(1).expect("in the mailbox before any publish");
+        assert_eq!(net.pending, [1, 1], "routing lists both packets");
+        let first = net.recv(1).expect("in the mailbox once routed");
         assert_eq!(first.arrival_time_us, 5.0 + cfg.transfer_time_us(3));
-        net.publish(0, &mut VecDeque::new());
         assert_eq!((eps[0].messages_sent, eps[0].bytes_sent), sent);
-        assert_eq!(net.keys(), 2);
     }
 
     #[test]
@@ -1102,10 +1006,8 @@ mod tests {
     fn duplicates_are_injected_and_suppressed_transparently() {
         let cfg = NetworkConfig::uniform(2);
         let (mut net, mut eps) = world(&cfg, Some(FaultPlan::quiet(7).with_duplicate(1.0)));
-        let mut ready = VecDeque::new();
         request(&mut net, &mut eps[0], 1, b"once", 0.0);
-        net.publish(0, &mut ready);
-        assert_eq!(ready, [(0, 1, 2)], "one ready key per physical packet");
+        assert_eq!(net.pending, [1, 1], "both copies listed, adjacent");
         let first = net.recv(1).expect("first copy delivers");
         assert_eq!(&first.data[..], b"once");
         assert!(net.recv(1).is_none(), "second copy suppressed");
@@ -1129,34 +1031,33 @@ mod tests {
     fn reordered_packets_are_buffered_and_released_in_sequence() {
         let cfg = NetworkConfig::uniform(2);
         let (mut net, mut eps) = world(&cfg, Some(reorder_link_0_to_1(3)));
-        let mut ready = VecDeque::new();
         request(&mut net, &mut eps[0], 1, b"first", 0.0);
         request(&mut net, &mut eps[0], 1, b"second", 0.0);
-        net.publish(0, &mut ready);
-        assert_eq!(net.keys(), 2, "two send keys");
+        assert_eq!(net.pending, [1, 1], "two sends, two entries");
         // The wire carries (seq 2, "first") then (seq 1, "second"): the window
         // buffers seq 2, then releases both in sequence order.
+        assert_eq!(net.next_pending(), Some(1));
         let p1 = net.recv(1);
         assert!(p1.is_none(), "out-of-order packet buffered behind the gap");
+        assert_eq!(net.next_pending(), Some(1));
         let p2 = net.recv(1).expect("gap filler delivers immediately");
         assert_eq!(&p2.data[..], b"second");
+        assert_eq!(
+            net.pending,
+            [1],
+            "the released packet is listed after the one that freed it"
+        );
+        assert_eq!(net.next_pending(), Some(1));
         let p3 = net.recv(1).expect("buffered packet released behind it");
         assert_eq!(&p3.data[..], b"first");
         assert_eq!(net.fault_summary().unwrap().reordered, 1);
-        net.publish(0, &mut ready);
-        assert_eq!(
-            net.keys(),
-            3,
-            "plus one self-key for the released buffer entry"
-        );
-        assert_eq!(ready, [(0, 1, 2), (0, 1, 1)]);
+        assert_eq!(net.next_pending(), None);
     }
 
     #[test]
     fn drop_exact_loses_one_packet_and_records_it() {
         let cfg = NetworkConfig::uniform(2);
         let (mut net, mut eps) = world(&cfg, Some(FaultPlan::drop_packet(1)));
-        let mut ready = VecDeque::new();
         let (_, id0) = request(&mut net, &mut eps[0], 1, b"kept", 0.0);
         let (_, id1) = request(&mut net, &mut eps[0], 1, b"lost", 0.0);
         assert_eq!(net.recv(1).map(|p| p.req_id), Some(id0));
@@ -1166,11 +1067,9 @@ mod tests {
         assert_eq!(loss.kind, PacketKind::Request);
         assert_eq!(loss.reason, LossReason::Dropped);
         assert_eq!((loss.from, loss.to), (0, 1));
-        // One key for the delivered packet, one *wake-up* key for the lost one so
-        // the world's key count reaches zero on a pop and the loop diagnoses.
-        net.publish(0, &mut ready);
-        assert_eq!(net.keys(), 2);
-        assert_eq!(ready, [(0, 1, 2)]);
+        // An entry for the delivered packet and none for the lost one: the world
+        // runs dry and diagnoses the loss.
+        assert_eq!(net.pending, [1]);
     }
 
     #[test]

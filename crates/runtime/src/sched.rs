@@ -1,60 +1,53 @@
-//! The scheduler: **one worker loop** on the calling thread, with counted per-world
-//! quiescence.
+//! The scheduler: **one worker loop** on the calling thread, running each world until
+//! it finishes or waits on a sequence gap.
 //!
 //! Every distributed execution — [`crate::cluster::run_distributed`] and
 //! [`crate::serve::run_serving`], under any [`crate::cluster::Schedule`] — is the same
-//! thing: a sequence of root computations admitted through a window into a fixed table
-//! of **worlds** and driven by `Running::worker` taking `(root, rank, count)` entries
-//! off one ready queue. A single-root run is a serving run of one request at window 1.
+//! thing: a sequence of root computations admitted one after another, each into a
+//! **world** of its own that `World::run` drives until its root completes, it is
+//! doomed, or it waits behind a sequence gap. A single-root run is a serving run of
+//! one request at window 1.
 //!
 //! The loop runs on the thread that called it and owns everything it touches — the
-//! slot table, the ready queue, the admission window, the results and the adaptive
-//! epoch controller — so nothing is shared and nothing is locked. The paper's protocol
-//! is synchronous request/response, so a root computation has exactly one live control
-//! flow, and worlds share nothing: a second OS thread could only overlap whole
-//! requests, and a pool of them never beat this loop on the serving workloads. The
-//! one timed wait is the modelled [`SERVING_DELIVERY_DEADLINE`].
+//! worlds waiting on a gap, the admission window, the results and the adaptive epoch
+//! controller — so nothing is shared and nothing is locked. The paper's protocol is
+//! synchronous request/response, so a root computation has exactly one live control
+//! flow, and worlds share nothing: interleaving them would only share the processor,
+//! with nothing to overlap. The one timed wait is the modelled
+//! [`SERVING_DELIVERY_DEADLINE`].
 //!
 //! * A **world** ([`World`]) is one in-flight root computation: its request-scoped
 //!   nodes (interpreter + parked continuations each) and the [`Transport`] between
-//!   them (mailboxes owned by the world, its key count, its fault state). A world owns
-//!   all of it: each interpreter holds its node's layout (the program with it) by
+//!   them (mailboxes and pending list owned by the world, its fault state). A world
+//!   owns all of it: each interpreter holds its node's layout (the program with it) by
 //!   `Arc`, so a world borrows nothing from the app it was admitted under and outlives
 //!   that app's placement being swapped out.
 //! * The three per-node services of the paper's Figure 10 map onto it directly: the
 //!   **MPI service** is the world's [`Transport`], the **Execution Starter** is
 //!   `World::seed`, and the **Message Exchange** is [`crate::exchange`], driven by
-//!   the delivery slice (`World::deliver`) plus the shutdown epilogue
-//!   (`World::finish`).
-//! * The slot table has `concurrency` entries and a world's root id is
-//!   `slot + slots × generation`, so a popped key finds its world by index, and a
-//!   **stale** key (say the duplicate of a finished request's final response) is
-//!   recognised by root mismatch and skipped without touching the new tenant.
-//! * **A slice's ready entries go to the back of the queue.** What a world's transport
-//!   publishes during a slice (routed sends, sequence-window releases, gap repairs) is
-//!   appended behind everything already queued, and the loop pops the oldest entry
-//!   next: worlds take turns slice by slice, in the order their entries were published.
-//! * **Quiescence is counted, not inferred.** Ready keys for a world are only ever
-//!   published by that world's own transport, so its key count, published − consumed,
-//!   lives beside the mailboxes it counts and is exact: a counted key is queued or
-//!   being delivered. When the count reaches zero and the root has not completed,
-//!   nothing is queued for it — *that* world is stuck *now*, and the slice that saw it
-//!   fails it on the spot if it is doomed (a recorded packet loss, or nothing left
-//!   that could free it): no global verdict, no timeout.
-//! * A world stuck behind a **sequence gap** waits for the **delivery deadline**: the
-//!   moment the ready queue is empty. Every entry a slice published is queued before
-//!   the next pop, so an empty queue is a fact — no world can make progress — and the
-//!   loop skips the gaps of every stuck world and carries on. For a single-root run the
-//!   deadline is the instant its one world quiesces; a serving run additionally sits
-//!   out a modelled ack timeout first ([`SERVING_DELIVERY_DEADLINE`]).
+//!   `World::run` plus the shutdown epilogue (`World::finish`).
+//! * **A world delivers its pending packets oldest first.** Its transport keeps one
+//!   pending entry, the destination rank, per physical packet routed and per packet a
+//!   sequence window released, in route order; a lost packet leaves none. `World::run`
+//!   takes the oldest entry, receives on that rank and routes what the node sent, so
+//!   what a delivery adds goes behind everything already pending.
+//! * **Quiescence is observed where it happens.** A world's pending list is all the
+//!   work it has left: when the list runs dry before the root completes, *that* world
+//!   is stuck *now*, and `World::run` fails it on the spot if it is doomed (a recorded
+//!   packet loss, or nothing left that could free it): no global verdict, no timeout.
+//! * A world stuck behind a **sequence gap** waits in the loop's stuck list for the
+//!   **delivery deadline**: the moment the window is full of stuck worlds or the
+//!   sequence is exhausted, so that no world can make progress. The loop then skips
+//!   the gaps of every stuck world and resumes each. For a single-root run the deadline
+//!   is the instant its one world runs dry; a serving run additionally sits out a
+//!   modelled ack timeout first ([`SERVING_DELIVERY_DEADLINE`]).
 //!
 //! Virtual times, message counts and results are deterministic: per-node clocks depend
 //! only on that node's packet arrival order, which the transport's FIFO mailboxes and
-//! the synchronous protocol fix whatever order the queue interleaves worlds in.
+//! the synchronous protocol fix whatever order the loop runs worlds in.
 //! Per-node profiler sinks run on the calling thread, and the call stack they sample
 //! lives on each [`Continuation`].
 
-use std::collections::VecDeque;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -62,7 +55,7 @@ use crate::adapt::AdaptState;
 use crate::cluster::{stats_of, ExecutionReport, NodeProfiler};
 use crate::exchange::{shutdown_frame, DistState, ServeOutcome};
 use crate::interp::{loss_to_error, Continuation, ExecError, Interp, TaskOutcome, TransportStall};
-use crate::net::{FaultPlan, MpiEndpoint, Packet, PacketKind, Ready, Transport};
+use crate::net::{FaultPlan, MpiEndpoint, Packet, PacketKind, Transport};
 use crate::serve::{RequestReport, ServerApp};
 use crate::value::Value;
 
@@ -188,11 +181,9 @@ impl CoopNode {
 /// One in-flight root computation: its request-scoped nodes, the transport between
 /// them, and the bookkeeping its report needs.
 struct World {
-    /// The id stamped on this world's ready keys: `slot + slots × generation`.
-    root: u32,
     nodes: Vec<CoopNode>,
-    /// Mailboxes, the exact ready-key count and the fault state. Owned here and
-    /// handed to nobody.
+    /// Mailboxes, the pending list and the fault state. Owned here and handed to
+    /// nobody.
     net: Transport,
     /// Position in the submitted sequence.
     index: usize,
@@ -203,9 +194,9 @@ struct World {
 
 impl World {
     /// The Execution Starter: launches `main` as the root continuation on the
-    /// launch node, publishing its ready entries into `out`. Returns the root result
-    /// if the world is already over.
-    fn seed(&mut self, out: &mut VecDeque<Ready>) -> Option<Result<Value, ExecError>> {
+    /// launch node and routes what it sent. Returns the root result if `main`
+    /// finished without parking.
+    fn seed(&mut self) -> Option<Result<Value, ExecError>> {
         let node = &mut self.nodes[0];
         let res = match node.interp.layout().program().entry {
             None => Some(Err(ExecError::NoEntry)),
@@ -217,61 +208,38 @@ impl World {
                 }),
             },
         };
-        self.route(0, out);
-        self.settle(0, res)
-    }
-
-    /// One delivery slice: the popped entry's `count` packets on node `rank` (a
-    /// coalesced ready entry covers several), stopping early on the root result.
-    /// Returns the root result when this ends the world.
-    fn deliver(
-        &mut self,
-        rank: usize,
-        count: u32,
-        out: &mut VecDeque<Ready>,
-    ) -> Option<Result<Value, ExecError>> {
-        let mut res = None;
-        for _ in 0..count {
-            if let Some(pkt) = self.net.recv(rank) {
-                res = self.nodes[rank].deliver_one(pkt);
-            }
-            // Every packet's sends are published before the next one is taken.
-            self.route(rank, out);
-            if res.is_some() {
-                break;
-            }
-        }
-        self.settle(count, res)
-    }
-
-    /// Ends a packet's slice on node `rank`: routes what the node sent — fault
-    /// rolls, sequencing, duplicate copies, mailbox push — and publishes one
-    /// counted ready entry per destination (a window release's self keys included)
-    /// into `out`.
-    fn route(&mut self, rank: usize, out: &mut VecDeque<Ready>) {
-        self.net.route(self.nodes[rank].endpoint());
-        self.net.publish(self.root, out);
-    }
-
-    /// Closes a slice that consumed `consumed` keys. A live world whose count
-    /// reaches zero is stuck — nothing is queued for it — and unless a gap repair can still free it ([`World::repair`]) it is
-    /// failed here and now, whatever its neighbours are doing.
-    fn settle(
-        &mut self,
-        consumed: u32,
-        res: Option<Result<Value, ExecError>>,
-    ) -> Option<Result<Value, ExecError>> {
-        self.net.consume(consumed);
-        if res.is_none() && self.net.keys() == 0 {
-            return self.doomed().map(Err);
-        }
+        self.net.route(node.endpoint());
         res
     }
 
-    /// Why a quiesced world can never complete, if it cannot. Under fault-free
-    /// execution exactly one logical control flow is live at any moment, so a zero
-    /// key count before the root completes would be a scheduler bug; with a fault
-    /// plan it means a packet is owed. In order:
+    /// Runs the world until it finishes or waits on a gap: delivers its pending
+    /// packets oldest first. Returns the root result, or the typed error of a doomed
+    /// world, when the world is over; `None` when it waits behind a sequence gap for
+    /// the delivery deadline.
+    fn run(&mut self) -> Option<Result<Value, ExecError>> {
+        while let Some(rank) = self.net.next_pending() {
+            if let Some(res) = self.deliver(rank) {
+                return Some(res);
+            }
+        }
+        self.doomed().map(Err)
+    }
+
+    /// Delivers what the next receive on node `rank` yields, if anything, and routes
+    /// what the node sent on the way: fault rolls, sequencing, duplicate copies,
+    /// mailbox push. Returns the root result when this delivery ends the world.
+    fn deliver(&mut self, rank: usize) -> Option<Result<Value, ExecError>> {
+        let pkt = self.net.recv(rank)?;
+        let node = &mut self.nodes[rank];
+        let res = node.deliver_one(pkt);
+        self.net.route(node.endpoint());
+        res
+    }
+
+    /// Why a world whose pending list ran dry can never complete, if it cannot.
+    /// Under fault-free execution exactly one logical control flow is live at any
+    /// moment, so running dry before the root completes would be a scheduler bug;
+    /// with a fault plan it means a packet is owed. In order:
     ///
     /// 1. a recorded packet loss → the typed error ([`ExecError::MessageTimeout`] /
     ///    [`ExecError::NodeDown`]); under the synchronous protocol a single lost
@@ -307,14 +275,13 @@ impl World {
     }
 
     /// The delivery deadline passed: the packets the sequence gaps are waiting for
-    /// are not coming. Skips every gap and publishes the released packets' keys into
-    /// `out` (no delivery slice is coming to do it); `false` if there was nothing to
-    /// release.
-    fn repair(&mut self, out: &mut VecDeque<Ready>) -> bool {
-        if self.net.repair_gaps() > 0 {
-            self.net.publish(self.root, out);
-        }
-        self.net.keys() > 0
+    /// are not coming. Skips every gap and runs the world on. A gap always has a
+    /// packet behind it, so a repair either releases one or leaves a world with no
+    /// gap, which runs dry at once and fails with its stall shape: the loop never
+    /// waits twice on a world it cannot advance.
+    fn resume(&mut self) -> Option<Result<Value, ExecError>> {
+        self.net.repair_gaps();
+        self.run()
     }
 
     /// The epilogue of every world: snapshot the launch node, broadcast and deliver
@@ -329,8 +296,8 @@ impl World {
         let final_statics = node0.interp.statics_snapshot();
         let faults = self.net.fault_summary();
         // Control traffic: uncorrelated (`req_id` 0), so no fault plan touches it.
-        // Its keys are never published: the world is over, nobody pops them. Each
-        // rank gets its own copy of the one-byte frame.
+        // It is received below, not through the pending list: the world is over.
+        // Each rank gets its own copy of the one-byte frame.
         let data = shutdown_frame();
         let arrival_time_us = node0.interp.clock_us + node0.endpoint().transfer_time_us(data.len());
         for to in 1..self.nodes.len() {
@@ -374,9 +341,9 @@ impl World {
 /// The modelled *wall-clock* length of the delivery deadline in serving mode — the
 /// only modelled wait in the runtime: a receiver holding packets behind a sequence gap
 /// cannot know the missing one is not coming until the link has stayed quiet for an
-/// ack timeout, so an idle server sits that long before skipping the gap. Whether
-/// the server *is* idle and which worlds are stuck is counted, never timed; this is
-/// the price of the repair, not a detector. The committed benchmark's
+/// ack timeout, so a server with nothing left to run sits that long before skipping
+/// the gap. Which worlds are stuck, and that nothing else can run, is observed, never
+/// timed; this is the price of the repair, not a detector. The committed benchmark's
 /// `serve_degraded` workload — and its unit test asserting that a reordered request
 /// is slower than every healthy one — are calibrated to 6 ms.
 pub(crate) const SERVING_DELIVERY_DEADLINE: Duration = Duration::from_millis(6);
@@ -388,10 +355,10 @@ pub(crate) struct Server<'s> {
     pub(crate) apps: &'s [ServerApp],
     /// `sequence[i]` names the app request `i` instantiates.
     pub(crate) sequence: &'s [usize],
-    /// Maximum worlds in flight (the closed-loop window).
+    /// Maximum worlds waiting on a sequence gap at once (the closed-loop window).
     pub(crate) concurrency: usize,
-    /// Fault plans by submission index.
-    pub(crate) faults: &'s [(usize, FaultPlan)],
+    /// `faults[i]` is request `i`'s fault plan, taken at its admission.
+    pub(crate) faults: Vec<Option<FaultPlan>>,
     /// Adaptive-placement epoch controller; `None` keeps the admission and
     /// completion paths identical to a server without it.
     pub(crate) adapt: Option<AdaptState>,
@@ -401,27 +368,14 @@ pub(crate) struct Server<'s> {
     pub(crate) deadline_wait: Duration,
 }
 
-/// An admission: request index, slot, root id, and the caller's profiler sinks
-/// (non-empty for request 0 only).
-type Claim = (usize, usize, u32, Vec<Option<NodeProfiler>>);
-
-/// A world taken out of `slot` (or never installed there) with its root result.
-type Done = (usize, World, Result<Value, ExecError>);
-
 /// The state [`Server::run`] adds around a [`Server`] for the duration of the run.
 struct Running<'a, 's> {
     server: &'a mut Server<'s>,
-    /// The world table, a power of two long so `root & mask` finds an entry's slot.
-    slots: Vec<Option<World>>,
-    /// Ready entries of every world, oldest first.
-    queue: VecDeque<Ready>,
+    /// Worlds waiting behind a sequence gap for the delivery deadline, in the order
+    /// they got stuck.
+    stuck: Vec<World>,
     /// Next sequence index to admit.
     next: usize,
-    /// Slots with no live world.
-    free: Vec<usize>,
-    /// The root id each slot's next tenant gets.
-    roots: Vec<u32>,
-    completed: usize,
     /// Per-request outcomes, indexed by submission order.
     results: Vec<Option<RequestReport>>,
     /// The caller's per-node profiler sinks, for request 0 (single-root runs).
@@ -444,84 +398,52 @@ impl<'s> Server<'s> {
 
 impl<'a, 's> Running<'a, 's> {
     fn new(server: &'a mut Server<'s>, profilers: Vec<Option<NodeProfiler>>) -> Self {
-        let concurrency = server.concurrency.max(1);
-        let slots = concurrency.next_power_of_two();
         let requests = server.sequence.len();
         Running {
             server,
-            slots: (0..slots).map(|_| None).collect(),
-            queue: VecDeque::new(),
+            stuck: Vec::new(),
             next: 0,
-            free: (0..concurrency).rev().collect(),
-            roots: (0..slots as u32).collect(),
-            completed: 0,
             results: (0..requests).map(|_| None).collect(),
             profilers,
         }
     }
 
-    /// **The** worker loop: fill the window, then pop the oldest ready entry and run
-    /// one delivery slice on that world's node, until every request has a report. A
-    /// world completes on the slice that delivers its final response, which reports
-    /// it and refills the freed slot; an empty queue is the delivery deadline.
+    /// **The** worker loop: admit the next request and run its world until it
+    /// finishes or waits on a gap, until every request has a report. When the window
+    /// is full of stuck worlds, or nothing is left to admit, the delivery deadline
+    /// repairs and resumes them.
     fn worker(&mut self) {
-        self.refill(None);
-        while self.completed < self.results.len() {
-            let Some((root, rank, count)) = self.queue.pop_front() else {
+        let window = self.server.concurrency.max(1);
+        while self.next < self.results.len() || !self.stuck.is_empty() {
+            if self.next < self.results.len() && self.stuck.len() < window {
+                let mut world = self.admit();
+                let res = world.seed().or_else(|| world.run());
+                self.settle(world, res);
+            } else {
                 self.delivery_deadline();
-                continue;
-            };
-            let slot = root as usize & (self.slots.len() - 1);
-            // An entry whose root is not the slot's tenant is stale — its world
-            // already completed — and is skipped, count untouched.
-            let done = match self.slots[slot].as_mut() {
-                Some(world) if world.root == root => {
-                    world.deliver(rank as usize, count, &mut self.queue)
-                }
-                _ => None,
-            };
-            if let Some(res) = done {
-                let world = self.slots[slot].take().expect("the world just delivered");
-                self.refill(Some((slot, world, res)));
             }
         }
     }
 
-    /// Completes `done`, if given, then admits requests until the window is full or
-    /// the sequence is exhausted. What the seeds publish goes onto the queue.
-    fn refill(&mut self, mut done: Option<Done>) {
-        loop {
-            if let Some((slot, world, res)) = done.take() {
+    /// Reports a world that is over, or parks one that waits on a gap.
+    fn settle(&mut self, world: World, res: Option<Result<Value, ExecError>>) {
+        match res {
+            Some(res) => {
                 let report = self.report(world, res);
                 let index = report.index;
                 self.results[index] = Some(report);
-                self.free.push(slot);
-                self.completed += 1;
             }
-            let Some(claim) = self.claim() else { return };
-            done = self.admit_one(claim);
+            None => self.stuck.push(world),
         }
     }
 
-    /// Claims the next admission, if the window has a free slot and the sequence is
-    /// not exhausted. The first claim — request 0's — takes the profiler sinks.
-    fn claim(&mut self) -> Option<Claim> {
-        if self.next >= self.results.len() {
-            return None;
-        }
-        let slot = self.free.pop()?;
+    /// Instantiates the next request: a fresh transport under the request's fault
+    /// plan, fresh per-node interpreters over the app's shared layouts and class
+    /// defaults. The first admission — request 0's — takes the profiler sinks.
+    fn admit(&mut self) -> World {
         let index = self.next;
         self.next += 1;
-        let root = self.roots[slot];
-        self.roots[slot] = root.wrapping_add(self.slots.len() as u32);
-        Some((index, slot, root, std::mem::take(&mut self.profilers)))
-    }
-
-    /// Instantiates a claimed request: a fresh transport, fresh per-node interpreters
-    /// over the app's shared layouts and class defaults, then the root computation
-    /// seeded on node 0. The world is then installed in its slot, unless seeding
-    /// already ended it, in which case it is returned for completion.
-    fn admit_one(&mut self, (index, slot, root, mut own): Claim) -> Option<Done> {
+        let mut own = std::mem::take(&mut self.profilers);
         let server = &mut *self.server;
         let app_idx = server.sequence[index];
         // Adaptive placement: admit under the app's *current* placement — the seed
@@ -538,7 +460,6 @@ impl<'a, 's> Running<'a, 's> {
             .map_or((None, false), |adapt| adapt.admit(app_idx));
         let planner = server.adapt.as_ref().filter(|_| profiled);
         let app = current.as_deref().unwrap_or(&server.apps[app_idx]);
-        let plan = server.faults.iter().find(|(i, _)| *i == index);
         let size = app.nodes();
         let nodes = app
             .layouts
@@ -564,22 +485,12 @@ impl<'a, 's> Running<'a, 's> {
                 }
             })
             .collect();
-        let mut world = World {
-            root,
+        World {
             nodes,
-            net: Transport::new(size, plan.map(|(_, plan)| plan.clone())),
+            net: Transport::new(size, server.faults[index].take()),
             index,
             app: app_idx,
             started: Instant::now(),
-        };
-        match world.seed(&mut self.queue) {
-            // The request never parked (e.g. a single-node placement), or is
-            // already doomed: the caller completes it and keeps admitting.
-            Some(res) => Some((slot, world, res)),
-            None => {
-                self.slots[slot] = Some(world);
-                None
-            }
         }
     }
 
@@ -601,39 +512,17 @@ impl<'a, 's> Running<'a, 's> {
         }
     }
 
-    /// The **delivery deadline**: the queue is empty, so every live world is stuck —
-    /// and since a doomed world is failed by its own count the moment it quiesces,
-    /// what is left waits behind a sequence gap. Sits out the modelled deadline, then
-    /// skips the gaps of every stuck world; the released keys go onto the queue.
+    /// The **delivery deadline**: the window is full of worlds waiting on a gap, or
+    /// no request is left to admit, so nothing can run. Sits out the modelled
+    /// deadline, then repairs and resumes every stuck world in the order they got
+    /// stuck.
     fn delivery_deadline(&mut self) {
         if !self.server.deadline_wait.is_zero() {
             std::thread::sleep(self.server.deadline_wait);
         }
-        let mut repaired = false;
-        // Only a world whose count is zero can be waiting on a gap.
-        for world in self.slots.iter_mut().flatten() {
-            if world.net.keys() == 0 {
-                repaired |= world.repair(&mut self.queue);
-            }
-        }
-        if repaired {
-            return;
-        }
-        // Nothing was repairable, so the live worlds hold keys that are not in the
-        // queue. Exact counts make this unreachable; it exists to turn a counting bug
-        // into typed failures, each with its own stall diagnosis, instead of a hang.
-        let stuck: Vec<Done> = (0..self.slots.len())
-            .filter_map(|slot| {
-                let world = self.slots[slot].take()?;
-                let stall = world.stall();
-                Some((slot, world, Err(ExecError::Transport(stall))))
-            })
-            .collect();
-        // Nothing live and nothing admissible, yet the run is not over: give up
-        // loudly, never spin.
-        assert!(!stuck.is_empty(), "the run stalled with no live world");
-        for done in stuck {
-            self.refill(Some(done));
+        for mut world in std::mem::take(&mut self.stuck) {
+            let res = world.resume();
+            self.settle(world, res);
         }
     }
 }
@@ -676,64 +565,45 @@ mod tests {
             apps: std::slice::from_ref(app),
             sequence,
             concurrency: 2,
-            faults: &[],
+            faults: vec![None; sequence.len()],
             adapt: None,
             deadline_wait: Duration::ZERO,
         }
     }
 
-    /// A two-slot run whose slots have each seen one tenant already (roots 0 and 1
-    /// are spent; the next ones are 2 and 3).
-    fn running<'a, 's>(server: &'a mut Server<'s>) -> Running<'a, 's> {
-        let mut run = Running::new(server, Vec::new());
-        run.roots = vec![2, 3];
-        run
-    }
-
-    /// The key count is exact at every step of a healthy world: one key out after
-    /// the seed, one per delivery slice, zero only when the root completes.
+    /// A healthy world has one control flow, so exactly one packet is pending after
+    /// the seed and after every delivery, and none once the root completes.
     #[test]
-    fn key_count_tracks_published_minus_consumed() {
+    fn a_healthy_world_has_one_pending_packet_until_its_root_completes() {
         let app = ping_app();
         let mut server = server(&app, &[0]);
-        let mut run = running(&mut server);
-        run.refill(None);
-        let mut slices = 0;
-        while let Some((root, rank, count)) = run.queue.pop_front() {
-            let world = run.slots[0].as_mut().expect("live until its last slice");
-            assert_eq!(
-                (world.root, world.net.keys()),
-                (root, count),
-                "one control flow"
-            );
-            if let Some(res) = world.deliver(rank as usize, count, &mut run.queue) {
+        let mut world = Running::new(&mut server, Vec::new()).admit();
+        assert_eq!(world.seed(), None, "main parks on its NEW");
+        let mut deliveries = 0;
+        loop {
+            assert_eq!(world.net.pending.len(), 1, "one control flow");
+            let rank = world.net.next_pending().expect("a pending packet");
+            deliveries += 1;
+            if let Some(res) = world.deliver(rank) {
                 assert_eq!(res, Ok(Value::Null));
-                assert_eq!(world.net.keys(), 0, "the final response was the last key");
                 break;
             }
-            assert_eq!(world.net.keys(), 1, "the slice published its successor");
-            slices += 1;
         }
-        assert_eq!(
-            slices, 5,
-            "NEW + two bounces: six packets, the last one ends it"
+        assert!(
+            world.net.pending.is_empty(),
+            "the final response was the last packet"
         );
+        assert_eq!(deliveries, 6, "NEW + two bounces: six packets");
     }
 
-    /// Runs request 0 of `app` slice by slice and returns its world as it stood when
-    /// the root completed.
+    /// Runs request 0 of `app` and returns its world as it stood when the root
+    /// completed.
     fn finished_world(app: &ServerApp) -> World {
         let mut server = server(app, &[0]);
-        let mut run = running(&mut server);
-        run.refill(None);
-        while let Some((_, rank, count)) = run.queue.pop_front() {
-            let world = run.slots[0].as_mut().expect("live until its last slice");
-            if let Some(res) = world.deliver(rank as usize, count, &mut run.queue) {
-                assert_eq!(res, Ok(Value::Null));
-                return run.slots[0].take().expect("the world just delivered");
-            }
-        }
-        panic!("the root never completed");
+        let mut world = Running::new(&mut server, Vec::new()).admit();
+        let res = world.seed().or_else(|| world.run());
+        assert_eq!(res, Some(Ok(Value::Null)));
+        world
     }
 
     /// A node interns what it receives, so shipping one string over and over costs
@@ -779,40 +649,20 @@ mod tests {
         assert_eq!(world.nodes[0].interp.interned_strings(), 1);
     }
 
-    /// A stale key — its world completed, its slot re-let — is skipped by root
-    /// mismatch without touching the new tenant's key count, clocks or verdict.
+    /// Never spin: a world whose pending list was emptied (here by hand) before its
+    /// root completed has nothing a gap repair could release, so the delivery
+    /// deadline fails it with its stall shape and the loop goes on to serve the rest
+    /// of the sequence.
     #[test]
-    fn stale_keys_do_not_touch_the_next_tenant() {
+    fn an_emptied_pending_list_fails_that_world_typed_and_the_run_continues() {
         let app = ping_app();
         let mut server = server(&app, &[0, 0, 0]);
-        let mut run = running(&mut server);
-        // Leftovers of the slots' previous tenants, ahead of everything else.
-        run.queue.extend([(0, 0, 3), (1, 1, 1)]);
-        run.worker();
-        let results = run.results;
-        let programs: Vec<_> = app.layouts.iter().map(|l| l.program().clone()).collect();
-        let solo = crate::cluster::run_distributed(
-            &programs,
-            &crate::cluster::ClusterConfig::paper_testbed(),
-        );
-        for r in results.into_iter().map(Option::unwrap) {
-            assert!(r.report.is_ok(), "{:?}", r.report.error);
-            assert_eq!(r.report.virtual_time_us, solo.virtual_time_us);
-            assert_eq!(r.report.per_node, solo.per_node);
-        }
-    }
-
-    /// The global guard: a world whose key went missing (stolen here) leaves the
-    /// queue empty; the delivery deadline fails it with its real stall shape and the
-    /// loop goes on to serve the rest of the sequence.
-    #[test]
-    fn a_lost_key_fails_that_world_typed_and_the_run_continues() {
-        let app = ping_app();
-        let mut server = server(&app, &[0, 0, 0]);
-        let mut run = running(&mut server);
-        run.refill(None);
-        // Steal request 0's only key: its count says 1, the queue says none.
-        assert_eq!(run.queue.pop_front(), Some((2, 1, 1)), "request 0's NEW");
+        let mut run = Running::new(&mut server, Vec::new());
+        let mut world = run.admit();
+        assert_eq!(world.seed(), None, "main parks on its NEW");
+        assert_eq!(world.net.next_pending(), Some(1), "request 0's NEW");
+        assert_eq!(world.net.next_pending(), None);
+        run.stuck.push(world);
         run.worker();
         let errors: Vec<_> = run
             .results

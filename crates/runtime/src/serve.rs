@@ -1,21 +1,23 @@
 //! Serving mode: the cluster as a server admitting N concurrent root computations.
 //!
-//! An ingress admits up to `concurrency` requests at a time; each request is a full
-//! root computation over its **own request-scoped world** — mailboxes owned by the
-//! world, fresh virtual clocks, fresh correlation ids, fresh per-node interpreters —
-//! while all requests share the scheduler's one ready queue. This module is the public
-//! surface (prepared apps, options, reports); the loop that drives it is the one worker
-//! loop of [`crate::sched`], on the calling thread, the same one a single
-//! [`crate::cluster::run_distributed`] goes through as a one-request run.
+//! An ingress admits requests one after another; each request is a full root
+//! computation over its **own request-scoped world** — mailboxes owned by the world,
+//! fresh virtual clocks, fresh correlation ids, fresh per-node interpreters — run until
+//! it finishes or waits on a sequence gap, and up to `concurrency` requests may wait on
+//! a gap at once. This module is the public surface (prepared apps, options, reports);
+//! the loop that drives it is the one worker loop of [`crate::sched`], on the calling
+//! thread, the same one a single [`crate::cluster::run_distributed`] goes through as a
+//! one-request run.
 //!
 //! Isolation is what makes the results reproducible: a request's virtual clocks and
 //! message counts depend only on its own packet order, which its private FIFO
 //! mailboxes and the synchronous request/response protocol fix regardless of how
-//! many other requests are in flight or how the queue interleaves them. N concurrent
-//! requests therefore produce byte-identical per-request [`ExecutionReport`]s to
-//! running the same requests one at a time (pinned by `tests/serving_parity.rs`) —
-//! faulted ones included: a world that quiesces is recovered or failed by its own
-//! key count, the moment it happens, whatever its neighbours are doing.
+//! many other requests are in flight or in which order the loop runs them. N
+//! concurrent requests therefore produce byte-identical per-request
+//! [`ExecutionReport`]s to running the same requests one at a time (pinned by
+//! `tests/serving_parity.rs`) — faulted ones included: a world whose pending list runs
+//! dry is recovered or failed on its own, the moment it happens, whatever its
+//! neighbours are doing.
 //!
 //! The expensive part of spinning up a request — decoding, fusing and interning the
 //! placed programs into a [`ProgramLayout`], and the per-class default field vectors
@@ -88,13 +90,16 @@ impl ServerApp {
 /// Ingress configuration for [`run_serving`].
 #[derive(Clone, Debug)]
 pub struct ServeOptions {
-    /// Maximum number of requests in flight at once (the closed-loop load
-    /// generator's window). Clamped to at least 1.
+    /// Maximum number of requests waiting on a sequence gap at once (the
+    /// closed-loop load generator's window): a request runs until it finishes or
+    /// waits on a gap, and when the window is full of waiting ones the delivery
+    /// deadline repairs them. Clamped to at least 1.
     pub concurrency: usize,
     /// Kept for callers that name it: every [`Schedule`] drives the whole closed
     /// loop on the calling thread.
     pub schedule: Schedule,
-    /// Per-request fault plans, keyed by submission index. A listed request's
+    /// Per-request fault plans, keyed by submission index: at most one per request,
+    /// each index inside the sequence (`run_serving` panics otherwise). A listed request's
     /// world is built with that plan, so injected faults are scoped to that request
     /// alone: its report — typed error, fault counters, clocks — is byte-identical
     /// to its solo faulted run while every other request stays byte-identical to
@@ -197,13 +202,21 @@ pub fn run_serving(apps: &[ServerApp], sequence: &[usize], opts: &ServeOptions) 
         sequence.iter().all(|&i| i < apps.len()),
         "sequence indexes into apps"
     );
+    let mut faults = vec![None; sequence.len()];
+    for (index, plan) in &opts.faults {
+        let slot = faults
+            .get_mut(*index)
+            .expect("fault plans index into the sequence");
+        assert!(slot.is_none(), "one fault plan per request");
+        *slot = Some(plan.clone());
+    }
     let concurrency = opts.concurrency.max(1);
     let start = Instant::now();
     let mut server = Server {
         apps,
         sequence,
         concurrency,
-        faults: &opts.faults,
+        faults,
         adapt: opts.adapt.clone().map(|o| AdaptState::new(o, apps.len())),
         deadline_wait: SERVING_DELIVERY_DEADLINE,
     };
@@ -479,6 +492,33 @@ mod tests {
             freed,
             "the first swapped-out placement outlived its requests"
         );
+    }
+
+    /// Serves two ping requests with `faults`.
+    fn serve_two_with(faults: Vec<(usize, FaultPlan)>) -> ServingReport {
+        run_serving(
+            std::slice::from_ref(&ping_app()),
+            &[0; 2],
+            &ServeOptions {
+                faults,
+                ..ServeOptions::default()
+            },
+        )
+    }
+
+    #[test]
+    #[should_panic(expected = "one fault plan per request")]
+    fn a_second_fault_plan_for_one_request_is_rejected() {
+        serve_two_with(vec![
+            (1, FaultPlan::quiet(1)),
+            (1, FaultPlan::drop_packet(0)),
+        ]);
+    }
+
+    #[test]
+    #[should_panic(expected = "fault plans index into the sequence")]
+    fn a_fault_plan_past_the_sequence_is_rejected() {
+        serve_two_with(vec![(2, FaultPlan::drop_packet(0))]);
     }
 
     #[test]

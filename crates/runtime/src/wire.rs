@@ -646,8 +646,8 @@ pub enum SeqVerdict<T> {
 /// delivers exactly once and in sequence order: duplicates are suppressed,
 /// reordered packets are buffered until their predecessors arrive. When a
 /// predecessor will never arrive (the scheduler's delivery deadline — the moment
-/// its ready queue is empty — has passed),
-/// [`SeqWindow::repair`] skips the gap and
+/// the admission window is full of worlds waiting on a gap, or nothing is left to
+/// admit — has passed), [`SeqWindow::repair`] skips the gap and
 /// releases the buffer — a late packet that shows up for a skipped number is still
 /// delivered (at-least-once below, exactly-once above).
 #[derive(Debug)]

@@ -1,7 +1,8 @@
 //! Pins what a steady-state remote call allocates — on the real path, not a model of
 //! it: two [`Interp`]s, rank 0 running a rewritten `main` and rank 1 serving it, over a
-//! [`Transport`], driven packet by packet exactly as the worker loop drives them
-//! (park → route → accept → run → reply → route → resume). A counting global allocator
+//! [`Transport`], driven packet by packet exactly as a world drives them (park → route
+//! → take the pending entry → accept → run → reply → route → take the pending entry →
+//! resume). A counting global allocator
 //! observes every `alloc`/`realloc` of the test's thread.
 //!
 //! The claim is that **the argument list costs nothing**: its values go from where the
@@ -141,6 +142,7 @@ fn steady_state_remote_round_trips_allocate_nothing_for_the_argument_list() {
         let measured = round_trip > 4 * WARM_UP;
         let kind = (round_trip + 3) % 4;
         net.route(&mut caller.dist.as_mut().unwrap().endpoint);
+        assert_eq!(net.next_pending(), Some(1), "the request is pending");
         let request = net.recv(1).expect("the request was routed");
 
         let before = allocations();
@@ -168,6 +170,7 @@ fn steady_state_remote_round_trips_allocate_nothing_for_the_argument_list() {
         }
 
         net.route(&mut server.dist.as_mut().unwrap().endpoint);
+        assert_eq!(net.next_pending(), Some(0), "the response is pending");
         let response = net.recv(0).expect("the response was routed");
         outcome = caller.resume_task(&mut root, response.data);
         // The resume above ran `main` up to its next request: after the last round

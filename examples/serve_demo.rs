@@ -1,12 +1,12 @@
 //! Serving mode: the distributed cluster as a throughput-oriented server.
 //!
 //! Distributes three Table 1 programs once, then drives them as a closed-loop
-//! request stream: up to a window of root computations are in flight at a time,
-//! each with its own request-scoped virtual clocks and message channels, all
-//! interleaving on one shared ready queue on the calling thread. The same load runs
-//! at window 1 (one request at a time) and window 8. The point is isolation: at any
-//! window every request's virtual clock equals the program's solo run exactly. Both
-//! throughputs are printed as measured.
+//! request stream on the calling thread: each root computation gets its own
+//! request-scoped virtual clocks and mailboxes and runs until it finishes or waits on
+//! a sequence gap, and the window bounds how many may wait on a gap at once. Without
+//! faults no request ever waits, so window 1 and window 8 serve the same way. The
+//! point is isolation: at any window every request's virtual clock equals the
+//! program's solo run exactly. Both throughputs are printed as measured.
 //!
 //! Run with: `cargo run --release --example serve_demo`
 

@@ -6,9 +6,9 @@
 //! * **Bounded termination with typed errors** — dropping *any single packet* of
 //!   any workload ends the run within the virtual-time
 //!   delivery deadline with [`ExecError::MessageTimeout`] (and a killed rank
-//!   surfaces as [`ExecError::NodeDown`]). The deadline is *counted*: a world whose
-//!   ready-key count reaches zero before its root completes is diagnosed on the
-//!   spot, so no test here waits on a timer or relies on the CI kill watchdog.
+//!   surfaces as [`ExecError::NodeDown`]). The deadline is *observed*: a world whose
+//!   pending list runs dry before its root completes is diagnosed on the spot, so
+//!   no test here waits on a timer or relies on the CI kill watchdog.
 //! * **Zero-cost and masked faults are invisible** — a quiet plan, 100%
 //!   duplication (suppressed by the sequence window) and 100% reordering
 //!   (restored by in-order delivery plus gap repair) all leave the report
@@ -147,7 +147,7 @@ fn full_duplication_is_suppressed_transparently() {
 
 /// Reordering every packet is repaired back to byte-identity: arrival stamps are
 /// unchanged, the sequence window buffers the out-of-order packet and the world's
-/// gap repair releases it the moment its key count reaches zero.
+/// gap repair releases it the moment its pending list runs dry.
 #[test]
 fn full_reordering_is_repaired_to_byte_identity() {
     for (name, plan) in plans() {

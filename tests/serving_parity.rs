@@ -1,17 +1,19 @@
 //! Serving-vs-sequential parity: concurrent root computations stay isolated.
 //!
-//! Serving mode admits N concurrent requests onto one shared ready queue, each with
-//! its own request-scoped world (channels, virtual clocks, correlation ids). The
-//! property: no matter how requests interleave on the one worker loop, at any
-//! admission window, every request's [`ExecutionReport`] must be **byte-identical** to
+//! Serving mode admits requests one after another, each with its own request-scoped
+//! world (mailboxes, virtual clocks, correlation ids) that runs until it finishes or
+//! waits on a sequence gap. The property: whatever order the one worker loop runs
+//! worlds in, at any admission window, every request's [`ExecutionReport`] must be
+//! **byte-identical** to
 //! running the same distributed program alone: same virtual time, same message and
 //! byte counts, same final statics (checksum). Any cross-request leakage (a shared
 //! clock, a misrouted packet, a stolen continuation delivered to the wrong world)
 //! shows up as a drifting virtual clock or a wrong checksum.
 //!
 //! The same holds under faults, per request: a faulted request's report equals its
-//! own *solo faulted* run (its world is diagnosed by its own key count, whatever its
-//! neighbours are doing), and its neighbours equal their solo healthy runs.
+//! own *solo faulted* run (its world is diagnosed when its own pending list runs dry,
+//! whatever its neighbours are doing), and its neighbours equal their solo healthy
+//! runs; `faulted_reports_are_pinned_solo_and_served` pins those reports by digest.
 //!
 //! CI runs this test binary under a watchdog timeout (see `.github/workflows/ci.yml`)
 //! as a backstop, so a worker-loop stall fails fast instead of hanging the job.
@@ -97,7 +99,8 @@ fn assert_serving_parity(refs: &[Reference], schedule: Schedule, concurrency: us
     }
 }
 
-/// One worker loop, many in-flight requests: worlds interleave slice by slice.
+/// One worker loop at windows 1 and 16: healthy worlds never wait on a gap, so each
+/// runs to completion right after its admission.
 #[test]
 fn inline_serving_is_byte_identical_to_sequential() {
     let refs = references();
@@ -125,7 +128,7 @@ fn pool_serving_at_window_one_degenerates_to_sequential() {
 
 /// Per-request fault isolation: one request of a mixed serving run has its link
 /// killed mid-flight. That request must complete with a typed [`ExecError`] in
-/// its report (freeing its window slot — the run still drains), while the other
+/// its report (the run still drains), while the other
 /// 23 requests stay **byte-identical** to their solo references.
 #[test]
 fn killed_request_fails_typed_while_the_rest_stay_byte_identical() {
@@ -461,10 +464,10 @@ fn faulted_reports_are_pinned_solo_and_served() {
     }
 }
 
-/// Slot reuse after duplication: the whole first window duplicates every packet, so
-/// every slot's next tenant is admitted behind a request whose duplicated traffic
-/// (final response included) may have left keys in the queue. Those keys are stale
-/// — their root is not the new tenant's — and must not move its clocks, counts or
+/// Requests after duplicated ones: the first eight requests duplicate every packet,
+/// so each later request is admitted behind one whose duplicated traffic (final
+/// response included) may still sit in its finished world's mailboxes. That traffic
+/// goes with its world and must not move the next request's clocks, counts or
 /// verdict.
 #[test]
 fn leftover_keys_of_duplicated_requests_do_not_touch_the_next_tenant() {
