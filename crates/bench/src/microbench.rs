@@ -131,13 +131,12 @@ fn super_kind(op: &Op) -> Option<&'static str> {
         Op::LoadConstIfCmp(..) => Some("load_const_if_cmp"),
         Op::IncLocal(..) => Some("inc_local"),
         Op::LoadFieldGet { .. } => Some("load_field_get"),
-        Op::PutFieldPop { .. } => Some("put_field_pop"),
         _ => None,
     }
 }
 
 /// All census kinds in reporting order.
-const KINDS: [&str; 9] = [
+const KINDS: [&str; 8] = [
     "load_load_bin",
     "load_const_bin",
     "bin_store",
@@ -146,7 +145,6 @@ const KINDS: [&str; 9] = [
     "load_const_if_cmp",
     "inc_local",
     "load_field_get",
-    "put_field_pop",
 ];
 
 /// Computes the static census over every method of `program`.

@@ -67,11 +67,12 @@
 //! compare-and-branch heads of loops and `if`s, the `i = i + K` increment idiom, and
 //! implicit-`this` field reads — into superinstructions that read locals directly
 //! instead of round-tripping the operand stack. A fusion window never spans a branch
-//! target (a branch landing mid-pattern blocks fusion), branch targets are remapped
-//! onto the shortened stream, and [`MethodOps::src_pc`] maps every fused pc back to
-//! the seed pc so fault coordinates stay identical to the unfused stream. Each
-//! superinstruction is *accounted* as its constituent seed ops: the interpreter
-//! charges [`Op::fused_width`] virtual-clock ticks and instruction counts for it, so
+//! target (a branch landing mid-pattern blocks fusion) and branch targets are remapped
+//! onto the shortened stream. Every body, fused or not, carries one seed-accounting
+//! table, [`MethodOps::src_pc`]: op `pc` stands for seed instructions
+//! `src_pc[pc]..src_pc[pc + 1]`, and the last entry is the seed length. Fault
+//! coordinates read it, so they stay identical to the unfused stream, and the
+//! interpreter charges a superinstruction as the seed instructions it stands for, so
 //! virtual time is bit-identical with fusion on or off.
 
 use std::collections::HashMap;
@@ -126,8 +127,8 @@ impl ArrayInit {
 ///
 /// The fusion pass then optionally collapses hot sequences into the superinstruction
 /// variants grouped at the end of the enum ([`Op::IncLocal`] and friends); after
-/// fusion, one op stands for [`Op::fused_width`] seed instructions and branch targets
-/// index the shortened stream.
+/// fusion, one op stands for [`MethodOps::seed_width`] seed instructions and branch
+/// targets index the shortened stream.
 #[derive(Clone, Debug, PartialEq)]
 pub enum Op {
     /// Push an integer constant.
@@ -239,63 +240,36 @@ pub enum Op {
         /// The original field reference (slow paths + diagnostics).
         fr: FieldRef,
     },
-    /// `PutField; Pop` — pop value and object reference, store the field, then pop
-    /// one more stack value.
-    PutFieldPop {
-        /// Pre-resolved dense instance slot ([`NO_SLOT`] if unresolvable).
-        slot: u32,
-        /// The original field reference (slow paths + diagnostics).
-        fr: FieldRef,
-    },
-}
-
-impl Op {
-    /// How many seed instructions this op stands for: 1 for every decoded op,
-    /// the collapsed sequence length for superinstructions. The interpreter charges
-    /// exactly this many virtual-clock ticks and instruction counts per execution,
-    /// which is what keeps virtual time bit-identical with fusion on or off.
-    #[inline]
-    pub fn fused_width(&self) -> u32 {
-        match self {
-            Op::IncLocal(..) => 4,
-            Op::LoadLoadBin(..)
-            | Op::LoadConstBin(..)
-            | Op::IfCmpFused(..)
-            | Op::LoadConstIfCmp(..) => 3,
-            Op::BinStore(..)
-            | Op::LoadIfCmp(..)
-            | Op::LoadFieldGet { .. }
-            | Op::PutFieldPop { .. } => 2,
-            _ => 1,
-        }
-    }
 }
 
 /// The decoded body of one method (empty iff the bytecode body is empty, i.e. the
 /// method is abstract/intrinsic) plus the frame facts the interpreter needs to set up
 /// an activation without consulting the [`Program`].
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug)]
 pub struct MethodOps {
     /// The decoded (and, by default, fused) ops of the method body.
     pub ops: Vec<Op>,
-    /// Fused pc → seed pc of the first collapsed instruction. Empty when the stream
-    /// is 1:1 with the bytecode (fusion off, or nothing fused in this method), in
-    /// which case the mapping is the identity. Faults report seed coordinates
-    /// through this map, so diagnostics are stable under fusion.
+    /// The seed-accounting table: one entry per op, the seed pc of the first
+    /// instruction it stands for, plus a last entry holding the seed length. Op `pc`
+    /// stands for seed instructions `src_pc[pc]..src_pc[pc + 1]` (one each when
+    /// nothing fused). Faults report seed coordinates and the interpreter charges
+    /// seed instructions through this table, so both are stable under fusion.
     pub src_pc: Vec<u32>,
     /// Local variable slots (including parameters and `this`).
     pub locals: u16,
 }
 
 impl MethodOps {
-    /// Seed-bytecode pc of the instruction at fused pc `pc` (identity when the
-    /// stream was not shortened).
+    /// Seed-bytecode pc of the op at `pc` (the seed length at `pc == ops.len()`).
     #[inline]
     pub fn seed_pc(&self, pc: usize) -> u32 {
-        match self.src_pc.get(pc) {
-            Some(&s) => s,
-            None => pc as u32,
-        }
+        self.src_pc[pc]
+    }
+
+    /// How many seed instructions the op at `pc` stands for: 1 for every decoded
+    /// op, the collapsed sequence length for a superinstruction.
+    pub fn seed_width(&self, pc: usize) -> u32 {
+        self.src_pc[pc + 1] - self.src_pc[pc]
     }
 }
 
@@ -846,7 +820,8 @@ impl LayoutShape {
         let (ops, src_pc) = if opts.fuse {
             fuse_ops(decoded, fuse_scratch)
         } else {
-            (decoded, Vec::new())
+            let src_pc = (0..=decoded.len() as u32).collect();
+            (decoded, src_pc)
         };
         MethodOps {
             ops,
@@ -1127,10 +1102,10 @@ fn shape_fingerprint(program: &Program) -> u64 {
 /// window stays unfused. Branch targets (including targets equal to the body
 /// length, i.e. "fall off the end") are then remapped onto the shortened stream.
 ///
-/// Returns the fused ops plus the fused-pc → seed-pc map ([`MethodOps::src_pc`]);
-/// the map comes back empty when nothing fused, signalling identity. The two
-/// per-method work tables live in the caller's `scratch` (contents irrelevant on
-/// entry), so a layout build allocates them once rather than once per method.
+/// Returns the fused ops plus their seed-accounting table ([`MethodOps::src_pc`]).
+/// The two per-method work tables live in the caller's `scratch` (contents
+/// irrelevant on entry), so a layout build allocates them once rather than once per
+/// method.
 fn fuse_ops(ops: Vec<Op>, scratch: &mut (Vec<bool>, Vec<u32>)) -> (Vec<Op>, Vec<u32>) {
     let n = ops.len();
     let (is_target, old_to_new) = scratch;
@@ -1146,7 +1121,7 @@ fn fuse_ops(ops: Vec<Op>, scratch: &mut (Vec<bool>, Vec<u32>)) -> (Vec<Op>, Vec<
     }
 
     let mut fused: Vec<Op> = Vec::with_capacity(n);
-    let mut src_pc: Vec<u32> = Vec::with_capacity(n);
+    let mut src_pc: Vec<u32> = Vec::with_capacity(n + 1);
     old_to_new.clear();
     old_to_new.resize(n + 1, 0);
     let mut pc = 0usize;
@@ -1181,13 +1156,6 @@ fn fuse_ops(ops: Vec<Op>, scratch: &mut (Vec<bool>, Vec<u32>)) -> (Vec<Op>, Vec<
                 2,
             ),
             [Op::Bin(op), Op::Store(d), ..] if free(2) => (Op::BinStore(*op, *d), 2),
-            [Op::PutField { slot, fr }, Op::Pop, ..] if free(2) => (
-                Op::PutFieldPop {
-                    slot: *slot,
-                    fr: *fr,
-                },
-                2,
-            ),
             [op, ..] => (op.clone(), 1),
             [] => unreachable!("loop condition guarantees pc < n"),
         };
@@ -1201,12 +1169,8 @@ fn fuse_ops(ops: Vec<Op>, scratch: &mut (Vec<bool>, Vec<u32>)) -> (Vec<Op>, Vec<
         pc += width;
     }
     old_to_new[n] = fused.len() as u32;
+    src_pc.push(n as u32);
 
-    if fused.len() == n {
-        // Nothing fused: the stream is 1:1, targets are unchanged, the map is
-        // the identity.
-        return (fused, Vec::new());
-    }
     for op in &mut fused {
         match op {
             Op::IfCmp(_, t)
@@ -1512,10 +1476,9 @@ mod tests {
                 Op::Return,
             ]
         );
-        assert_eq!(mops.src_pc, vec![0, 1, 2, 5, 9, 10]);
+        assert_eq!(mops.src_pc, vec![0, 1, 2, 5, 9, 10, 11]);
         assert_eq!(mops.seed_pc(3), 5);
-        let width_sum: u32 = mops.ops.iter().map(Op::fused_width).sum();
-        assert_eq!(width_sum as usize, p.method(m).body.len());
+        assert_eq!((mops.seed_width(2), mops.seed_width(3)), (3, 4));
     }
 
     #[test]
@@ -1544,7 +1507,11 @@ mod tests {
                 Op::ReturnValue,
             ]
         );
-        assert!(mops.src_pc.is_empty(), "identity map when nothing fused");
+        assert_eq!(
+            mops.src_pc,
+            [0, 1, 2, 3, 4, 5],
+            "identity table when nothing fused"
+        );
         assert_eq!(mops.seed_pc(3), 3);
     }
 
@@ -1570,7 +1537,7 @@ mod tests {
                 Op::ReturnValue,
             ]
         );
-        assert_eq!(mops.src_pc, vec![0, 1, 4]);
+        assert_eq!(mops.src_pc, vec![0, 1, 4, 5]);
     }
 
     #[test]
@@ -1595,7 +1562,7 @@ mod tests {
                 Op::ReturnValue,
             ]
         );
-        assert_eq!(mops.src_pc, vec![0, 3, 4]);
+        assert_eq!(mops.src_pc, vec![0, 3, 4, 5]);
     }
 
     #[test]
@@ -1612,8 +1579,8 @@ mod tests {
         let layout = ProgramLayout::build_with(&p, LayoutOptions { fuse: false });
         let mops = layout.ops(m);
         assert_eq!(mops.ops.len(), p.method(m).body.len());
-        assert!(mops.src_pc.is_empty());
-        assert!(mops.ops.iter().all(|op| op.fused_width() == 1));
+        assert_eq!(mops.src_pc, [0, 1, 2, 3, 4]);
+        assert!((0..mops.ops.len()).all(|pc| mops.seed_width(pc) == 1));
     }
 
     #[test]

@@ -9,12 +9,11 @@
 //! Constants are kept symbolic as long as possible so that the resulting listing matches
 //! the paper's Figure 5 (`IFCMP_I IConst: 4, IConst: 2, LE, BB4`).
 
-use std::collections::HashMap;
-
 use crate::bytecode::{Const, Insn, InvokeKind};
 use crate::cfg::BytecodeCfg;
 use crate::program::{Method, MethodId, Program, Type};
 use crate::quad::{BlockId, Operand, Quad, QuadBlock, QuadMethod, Reg};
+use crate::verify::{entry_heights, VerifyError};
 
 /// Errors produced by the lowering pass.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -62,8 +61,15 @@ pub fn lower_method(program: &Program, method: &Method) -> Result<QuadMethod, Lo
     let cfg = BytecodeCfg::build(&method.body);
     let nlocals = method.locals.max(method.entry_locals()) as u32;
 
-    // Entry stack height per bytecode block, by worklist propagation.
-    let heights = compute_entry_heights(program, method, &cfg)?;
+    // Entry stack height per bytecode block (0 where no path reaches it).
+    let heights = entry_heights(program, method, &cfg).map_err(|e| match e {
+        VerifyError::StackUnderflow { method, pc } => LowerError::StackUnderflow { method, pc },
+        VerifyError::InconsistentStack { method, pc } => LowerError::InconsistentStackHeight {
+            method,
+            block_pc: pc,
+        },
+        other => unreachable!("the height pass reports only stack errors, not {other}"),
+    })?;
 
     // Quad block ids: 0 = ENTRY, 1 = EXIT, bytecode block i -> i + 2.
     let qid = |bc_block: usize| BlockId(bc_block as u32 + 2);
@@ -79,7 +85,7 @@ pub fn lower_method(program: &Program, method: &Method) -> Result<QuadMethod, Lo
     let mut max_reg = nlocals;
 
     for (bi, &(start, end)) in cfg.ranges.iter().enumerate() {
-        let mut stack: Vec<Operand> = (0..heights[bi])
+        let mut stack: Vec<Operand> = (0..heights[bi].unwrap_or(0))
             .map(|d| Operand::Reg(Reg(nlocals + d as u32)))
             .collect();
         let mut quads: Vec<Quad> = Vec::new();
@@ -347,55 +353,6 @@ fn flush_stack(stack: &[Operand], quads: &mut Vec<Quad>, nlocals: u32, max_reg: 
             *max_reg = (*max_reg).max(canonical.0 + 1);
         }
     }
-}
-
-/// Computes the operand-stack height at entry of each bytecode basic block.
-fn compute_entry_heights(
-    program: &Program,
-    method: &Method,
-    cfg: &BytecodeCfg,
-) -> Result<Vec<usize>, LowerError> {
-    let mut heights: HashMap<usize, usize> = HashMap::new();
-    heights.insert(0, 0);
-    let mut work = vec![0usize];
-    let mut out = vec![0usize; cfg.block_count()];
-    while let Some(b) = work.pop() {
-        let mut h = heights[&b] as isize;
-        out[b] = h as usize;
-        let (start, end) = cfg.ranges[b];
-        for pc in start..end {
-            let insn = &method.body[pc];
-            h += insn.stack_delta(|m| {
-                let callee = program.method(m);
-                (callee.params.len(), callee.ret != Type::Void)
-            });
-            if h < 0 {
-                return Err(LowerError::StackUnderflow {
-                    method: method.id,
-                    pc,
-                });
-            }
-        }
-        // For conditional branches the popped operands are already accounted; both
-        // successors see the same height.
-        for &s in &cfg.succs[b] {
-            let hs = h as usize;
-            match heights.get(&s) {
-                Some(&prev) if prev != hs => {
-                    return Err(LowerError::InconsistentStackHeight {
-                        method: method.id,
-                        block_pc: cfg.leaders[s],
-                    })
-                }
-                Some(_) => {}
-                None => {
-                    heights.insert(s, hs);
-                    work.push(s);
-                }
-            }
-        }
-    }
-    Ok(out)
 }
 
 #[cfg(test)]

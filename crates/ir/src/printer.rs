@@ -232,15 +232,13 @@ pub fn print_decoded(program: &Program, layout: &ProgramLayout, method: MethodId
         m.body.len()
     );
     for (pc, op) in mops.ops.iter().enumerate() {
-        let width = op.fused_width();
-        if width > 1 {
-            let seed = mops.seed_pc(pc);
+        if mops.seed_width(pc) > 1 {
             let _ = writeln!(
                 out,
                 "{pc:>4}: {}  ; insns {}..={}",
                 format_op(program, layout, op),
-                seed,
-                seed + width - 1
+                mops.seed_pc(pc),
+                mops.seed_pc(pc + 1) - 1
             );
         } else {
             let _ = writeln!(out, "{pc:>4}: {}", format_op(program, layout, op));
@@ -325,7 +323,6 @@ pub fn format_op(program: &Program, layout: &ProgramLayout, op: &Op) -> String {
         Op::LoadFieldGet { local, slot: s, fr } => {
             format!("getfield.l {local} [{}] {}", slot(*s), field(fr))
         }
-        Op::PutFieldPop { slot: s, fr } => format!("putfield.pop [{}] {}", slot(*s), field(fr)),
     }
 }
 

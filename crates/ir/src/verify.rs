@@ -174,47 +174,7 @@ pub fn verify_method(program: &Program, method: &Method) -> Result<(), Vec<Verif
 
     // 2. Stack discipline via CFG simulation.
     let cfg = BytecodeCfg::build(body);
-    let mut entry_height: Vec<Option<isize>> = vec![None; cfg.block_count()];
-    if cfg.block_count() > 0 {
-        entry_height[0] = Some(0);
-        let mut work = vec![0usize];
-        while let Some(b) = work.pop() {
-            let mut h = entry_height[b].unwrap();
-            let (start, end) = cfg.ranges[b];
-            // `pc` is a real program counter (it appears in the diagnostics below),
-            // so the index-based loop is the clearer spelling.
-            #[allow(clippy::needless_range_loop)]
-            for pc in start..end {
-                h += body[pc].stack_delta(|m| {
-                    let callee = program.method(m);
-                    (callee.params.len(), callee.ret != Type::Void)
-                });
-                if h < 0 {
-                    errors.push(VerifyError::StackUnderflow {
-                        method: method.id,
-                        pc,
-                    });
-                    return Err(errors);
-                }
-            }
-            for &s in &cfg.succs[b] {
-                match entry_height[s] {
-                    Some(prev) if prev != h => {
-                        errors.push(VerifyError::InconsistentStack {
-                            method: method.id,
-                            pc: cfg.leaders[s],
-                        });
-                        return Err(errors);
-                    }
-                    Some(_) => {}
-                    None => {
-                        entry_height[s] = Some(h);
-                        work.push(s);
-                    }
-                }
-            }
-        }
-    }
+    entry_heights(program, method, &cfg).map_err(|e| vec![e])?;
 
     // 3. Every reachable block either ends on a terminator or falls through to another
     //    block; the final instruction of the body must not fall off the end.
@@ -234,6 +194,56 @@ pub fn verify_method(program: &Program, method: &Method) -> Result<(), Vec<Verif
     } else {
         Err(errors)
     }
+}
+
+/// The operand-stack height at entry of each block of `cfg` (`None` where no path
+/// from the entry reaches the block), by worklist propagation from height 0. Fails
+/// on the first underflow and on the first join reached at two heights. The verifier
+/// and the quad lowering share it.
+pub(crate) fn entry_heights(
+    program: &Program,
+    method: &Method,
+    cfg: &BytecodeCfg,
+) -> Result<Vec<Option<usize>>, VerifyError> {
+    let mut heights = vec![None; cfg.block_count()];
+    if heights.is_empty() {
+        return Ok(heights);
+    }
+    heights[0] = Some(0);
+    let mut work = vec![0usize];
+    while let Some(b) = work.pop() {
+        let mut h = heights[b].expect("a queued block has a height") as isize;
+        let (start, end) = cfg.ranges[b];
+        for (pc, insn) in (start..end).zip(&method.body[start..end]) {
+            h += insn.stack_delta(|m| {
+                let callee = program.method(m);
+                (callee.params.len(), callee.ret != Type::Void)
+            });
+            if h < 0 {
+                return Err(VerifyError::StackUnderflow {
+                    method: method.id,
+                    pc,
+                });
+            }
+        }
+        let h = h as usize;
+        for &s in &cfg.succs[b] {
+            match heights[s] {
+                Some(prev) if prev != h => {
+                    return Err(VerifyError::InconsistentStack {
+                        method: method.id,
+                        pc: cfg.leaders[s],
+                    });
+                }
+                Some(_) => {}
+                None => {
+                    heights[s] = Some(h);
+                    work.push(s);
+                }
+            }
+        }
+    }
+    Ok(heights)
 }
 
 #[cfg(test)]

@@ -57,8 +57,9 @@ use crate::wire::{AccessKind, WireError};
 /// Execution statistics collected by the interpreter.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ExecCounters {
-    /// Bytecode instructions executed. Superinstructions count as their seed width
-    /// ([`Op::fused_width`]), so this is identical with fusion on or off.
+    /// Bytecode instructions executed. Superinstructions count as the seed
+    /// instructions they stand for ([`autodist_ir::layout::MethodOps::src_pc`]), so
+    /// this is identical with fusion on or off.
     pub instructions: u64,
     /// Dispatch-loop iterations: superinstructions count **once**. The dynamic
     /// fusion win of a run is `instructions / dispatches`; the two are equal when
@@ -271,14 +272,6 @@ pub(crate) enum ResumeAction {
     Push,
     /// Discard the response (void calls, field writes).
     Drop,
-    /// Discard the response, then pop one operand: a fused `PutField; Pop`
-    /// superinstruction parked on the field write mid-pattern, so the trailing
-    /// `Pop` still owes its stack effect. `pop_pc` is the seed pc of that `Pop`
-    /// (its underflow coordinate).
-    DropThenPop {
-        /// Seed pc of the collapsed `Pop`, for the underflow fault.
-        pop_pc: u32,
-    },
     /// `NEW` response: bind the remote identity into the proxy object's
     /// home/remoteId/className slots (when the proxy is a bindable local object).
     NewProxy {
@@ -803,22 +796,6 @@ impl Interp {
                     .push(v);
             }
             ResumeAction::Drop => {}
-            ResumeAction::DropThenPop { pop_pc } => {
-                // The collapsed trailing Pop would have been its own dispatch in the
-                // unfused stream, executed after the response arrived: charge it
-                // identically before applying its stack effect.
-                self.charge(1, 1, &task.call_stack);
-                let frame = task
-                    .frames
-                    .last_mut()
-                    .expect("parked continuation has a frame");
-                let method = frame.method;
-                if frame.stack.pop().is_none() {
-                    let e =
-                        self.unwind_frames(task, ExecError::StackUnderflow { pc: pop_pc, method });
-                    return TaskOutcome::Done(Err(e));
-                }
-            }
             ResumeAction::NewProxy { proxy, class_name } => match v {
                 Value::Ref(ObjRef::Remote { node, id }) => {
                     if let Some(h) = proxy {
@@ -854,11 +831,13 @@ impl Interp {
         debug_assert!(pending.is_none(), "running a parked continuation");
         let layout = Arc::clone(&self.layout);
         // A dispatch charges nothing. The loop charges a *straight-line run* —
-        // consecutive ops of one frame — as a whole: opening one subtracts its start
-        // (seed pc, fused pc) from these accumulators, closing it where control
-        // leaves — a taken branch, a call, a return, a park, a fault, the end of
-        // the method — adds its end, so closed runs leave their seed instructions
-        // and dispatches behind and nothing else stays live. `flush!` settles the
+        // consecutive ops of one frame — as a whole: opening one at op `pc`
+        // subtracts `(src_pc[pc], pc)` from these accumulators, closing it where
+        // control leaves adds the same pair for its end, so closed runs leave their
+        // seed instructions and dispatches behind and nothing else stays live. A run
+        // that leaves after a whole op — a taken branch, a call, a return, a park,
+        // the end of the method — ends at the next op's `src_pc`; a fault inside a
+        // superinstruction ends after the component that faulted. `flush!` settles the
         // accumulators into `self` (counters, clock, profiler ticks), with every run
         // closed, before anything can observe them — a send, a profiler hook — and
         // at every exit.
@@ -897,72 +876,53 @@ impl Interp {
                 let method = frame.method;
                 let mops = &layout.method_ops[method.0 as usize];
                 let ops: &[Op] = &mops.ops;
-                // Fused pc → seed pc (empty = identity). Fault coordinates always
-                // report seed pcs, so diagnostics are stable under fusion.
+                // The seed-accounting table (one entry per op, then the seed
+                // length): op `pc` stands for seed instructions
+                // `src_pc[pc]..src_pc[pc + 1]`.
                 let src_pc: &[u32] = &mops.src_pc;
                 let mut pc = frame.pc as usize;
 
-                // Seed-bytecode pc of the op at fused pc `$pc`, or of the method's
-                // end at `ops.len()` (a branch target may be one past the last op).
-                macro_rules! seed_pc {
-                    ($pc:expr) => {
-                        match src_pc.get($pc) {
-                            Some(&s) => s,
-                            None if src_pc.is_empty() => $pc as u32,
-                            None => seed_len(ops, src_pc),
-                        }
-                    };
-                }
-                // Opens a run at fused pc `$pc`, seed pc `$seed` (wrapping: the
-                // accumulators only add up once the run is closed).
+                // Opens a run at op `$pc` (wrapping: the accumulators only add up
+                // once the run is closed).
                 macro_rules! open {
-                    ($pc:expr, $seed:expr) => {{
-                        executed = executed.wrapping_sub(u64::from($seed));
+                    ($pc:expr) => {{
+                        executed = executed.wrapping_sub(u64::from(src_pc[$pc]));
                         dispatched = dispatched.wrapping_sub($pc as u64);
                     }};
                 }
-                // Closes the run just before fused pc `$pc`, seed pc `$seed`.
+                // Closes the run after `$seed` seed instructions, before op `$pc`.
                 macro_rules! close {
                     ($pc:expr, $seed:expr) => {{
                         executed = executed.wrapping_add(u64::from($seed));
                         dispatched = dispatched.wrapping_add($pc as u64);
                     }};
                 }
-                // Closes the run after the first `$k` seed instructions of the
-                // current op. An exit from inside a superinstruction closes through
-                // the component that faulted or parked; the later ones never ran.
-                macro_rules! close_through {
-                    ($k:expr) => {
-                        close!(pc + 1, seed_pc!(pc) + $k)
+                // Closes the run after the whole current op.
+                macro_rules! close_op {
+                    () => {
+                        close!(pc + 1, src_pc[pc + 1])
                     };
                 }
-                open!(pc, seed_pc!(pc));
-                // Faults at the current op's fault point ([`fault_offset`]).
+                open!(pc);
+                // Faults at the current op's fault point ([`fault_offset`]): the
+                // components up to it ran and are charged, the later ones are not.
                 macro_rules! fail {
                     ($e:expr) => {{
-                        close_through!(fault_offset(&ops[pc]) + 1);
+                        close!(pc + 1, src_pc[pc] + fault_offset(&ops[pc]) + 1);
                         break Transfer::Fail($e);
                     }};
                 }
-                // Pops with an underflow coordinate `$off` seed instructions into
-                // the current op's collapsed window (0 for every 1:1 op).
-                macro_rules! pop_at {
-                    ($off:expr) => {
-                        match frame.stack.pop() {
-                            Some(v) => v,
-                            None => {
-                                close_through!($off + 1);
-                                break Transfer::Fail(ExecError::StackUnderflow {
-                                    pc: seed_pc!(pc) + $off,
-                                    method,
-                                });
-                            }
-                        }
-                    };
-                }
+                // Pops an operand; an empty stack underflows at the current op's
+                // fault point.
                 macro_rules! pop {
                     () => {
-                        pop_at!(0)
+                        match frame.stack.pop() {
+                            Some(v) => v,
+                            None => fail!(ExecError::StackUnderflow {
+                                pc: src_pc[pc] + fault_offset(&ops[pc]),
+                                method,
+                            }),
+                        }
                     };
                 }
                 // Reads local `$n` like the seed `Load` does: out-of-range slots
@@ -1012,29 +972,30 @@ impl Interp {
                         }
                     }};
                 }
-                // Jumps to `$target` from the current op, `$width` seed instructions
-                // wide: the run closes here and the next one opens at the target.
+                // Jumps to `$target` from the current op: the run closes here and
+                // the next one opens at the target.
                 macro_rules! jump {
-                    ($target:expr, $width:expr) => {{
-                        close_through!($width);
+                    ($target:expr) => {{
+                        close_op!();
                         pc = *$target as usize;
-                        open!(pc, seed_pc!(pc));
+                        open!(pc);
                         continue;
                     }};
                 }
                 // Branches to `$target` when `$taken`.
                 macro_rules! branch_if {
-                    ($taken:expr, $target:expr, $width:expr) => {
+                    ($taken:expr, $target:expr) => {
                         if $taken {
-                            jump!($target, $width);
+                            jump!($target);
                         }
                     };
                 }
                 // Sends a remote request and parks the continuation: the frame
-                // resumes at the next instruction.
+                // resumes at the next op. Every op that parks does so in its last
+                // component, so the run closes after the whole op.
                 macro_rules! park {
                     ($send:expr, $action:expr) => {{
-                        close_through!(fault_offset(&ops[pc]) + 1);
+                        close_op!();
                         flush!();
                         match $send {
                             Ok(req_id) => {
@@ -1088,12 +1049,9 @@ impl Interp {
                         frame.stack.push(v);
                     }};
                 }
-                // `PutField`, and with `$pop` the fused `PutFieldPop`: every PutField
-                // fault (underflow, null receiver) and a park on a remote write
-                // close the run through the PutField alone; the collapsed trailing
-                // Pop underflows at seed pc + 1, closing through itself.
+                // `PutField`: a local write stays in the loop, a remote one parks.
                 macro_rules! put_field {
-                    ($slot:expr, $fr:expr, $pop:literal) => {{
+                    ($slot:expr, $fr:expr) => {{
                         let val = pop!();
                         let obj = pop!();
                         // Fast path: local non-proxy object.
@@ -1105,18 +1063,12 @@ impl Interp {
                                     if let Some(cell) = fields.get_mut(*$slot as usize) {
                                         *cell = val;
                                     }
-                                    if $pop {
-                                        let _ = pop_at!(1);
-                                    }
                                     pc += 1;
                                     continue;
                                 }
                             }
                         }
                         if let Some(target) = call!(self.remote_field_target(&obj, *$fr)) {
-                            // A fused write parks mid-pattern: the resume action owes
-                            // the trailing Pop (and its underflow fault) after
-                            // dropping the reply.
                             park!(
                                 self.remote_access(
                                     target,
@@ -1124,25 +1076,16 @@ impl Interp {
                                     Some(*$fr),
                                     &[val]
                                 ),
-                                if $pop {
-                                    ResumeAction::DropThenPop {
-                                        pop_pc: seed_pc!(pc) + 1,
-                                    }
-                                } else {
-                                    ResumeAction::Drop
-                                }
+                                ResumeAction::Drop
                             );
                         }
                         call!(self.put_field(obj, *$fr, val));
-                        if $pop {
-                            let _ = pop_at!(1);
-                        }
                     }};
                 }
 
                 loop {
                     if pc >= ops.len() {
-                        close!(pc, seed_pc!(pc));
+                        close!(pc, src_pc[pc]);
                         break Transfer::Finish(Value::Null);
                     }
                     match &ops[pc] {
@@ -1162,7 +1105,7 @@ impl Interp {
                         Op::Dup => match frame.stack.last().copied() {
                             Some(v) => frame.stack.push(v),
                             None => fail!(ExecError::StackUnderflow {
-                                pc: seed_pc!(pc),
+                                pc: src_pc[pc],
                                 method,
                             }),
                         },
@@ -1173,7 +1116,7 @@ impl Interp {
                             let len = frame.stack.len();
                             if len < 2 {
                                 fail!(ExecError::StackUnderflow {
-                                    pc: seed_pc!(pc),
+                                    pc: src_pc[pc],
                                     method,
                                 });
                             }
@@ -1191,7 +1134,7 @@ impl Interp {
                         Op::IfCmp(op, target) => {
                             let rhs = pop!();
                             let lhs = pop!();
-                            branch_if!(self.holds(*op, lhs, rhs), target, 1);
+                            branch_if!(self.holds(*op, lhs, rhs), target);
                         }
                         Op::If(op, target) => {
                             let taken = match pop!() {
@@ -1202,9 +1145,9 @@ impl Interp {
                                     op.eval_ord(i.cmp(&0))
                                 }
                             };
-                            branch_if!(taken, target, 1);
+                            branch_if!(taken, target);
                         }
-                        Op::Goto(target) => jump!(target, 1),
+                        Op::Goto(target) => jump!(target),
                         Op::New(class) => {
                             let r = self.new_instance(*class);
                             frame.stack.push(Value::Ref(r));
@@ -1301,7 +1244,7 @@ impl Interp {
                             frame.stack.push(v);
                         }
                         Op::GetField { slot, fr } => get_field!(pop!(), slot, fr),
-                        Op::PutField { slot, fr } => put_field!(slot, fr, false),
+                        Op::PutField { slot, fr } => put_field!(slot, fr),
                         Op::GetStatic(slot) => {
                             frame.stack.push(if *slot != NO_SLOT {
                                 self.statics[*slot as usize]
@@ -1325,7 +1268,7 @@ impl Interp {
                             let nargs = *nargs as usize;
                             if frame.stack.len() < nargs {
                                 fail!(ExecError::StackUnderflow {
-                                    pc: seed_pc!(pc),
+                                    pc: src_pc[pc],
                                     method,
                                 });
                             }
@@ -1364,7 +1307,7 @@ impl Interp {
                                         frame.stack.push(Value::Null);
                                     }
                                 } else {
-                                    close_through!(1);
+                                    close_op!();
                                     if self.profiler.is_some() {
                                         flush!();
                                     }
@@ -1384,7 +1327,7 @@ impl Interp {
                                 // Proxies, remote receivers, the DependentObject
                                 // protocol: the Message Exchange reads the operands
                                 // where they lie and says how the machine proceeds.
-                                close_through!(1);
+                                close_op!();
                                 flush!();
                                 let slow =
                                     self.slow_invoke(&frame.stack[base..], *target, *push_ret);
@@ -1401,7 +1344,7 @@ impl Interp {
                                     }
                                     Ok(SlowInvoke::Nothing) => {
                                         // The run goes on behind the call.
-                                        open!(pc + 1, seed_pc!(pc) + 1);
+                                        open!(pc + 1);
                                         if *push_ret {
                                             frame.stack.push(Value::Null);
                                         }
@@ -1410,21 +1353,21 @@ impl Interp {
                             }
                         }
                         Op::Return => {
-                            close_through!(1);
+                            close_op!();
                             break Transfer::Finish(Value::Null);
                         }
                         Op::ReturnValue => {
                             let v = pop!();
-                            close_through!(1);
+                            close_op!();
                             break Transfer::Finish(v);
                         }
 
                         // --- Superinstructions. Grouped so the whole dispatch stays
                         // one jump table; each arm reads its operands straight from
                         // the locals and reproduces the seed sequence's faults at
-                        // their seed coordinates. The run charges the full seed width
-                        // of an op it passes, and a fault or park inside one only
-                        // the components up to it (`fault_offset`, `pop_at!`).
+                        // their seed coordinates. The run charges every seed
+                        // instruction of an op it passes, and a fault inside one only
+                        // the components up to it (`fault_offset`).
                         Op::LoadLoadBin(a, b, op) => {
                             frame.stack.push(arith!(*op, local!(*a), local!(*b)));
                         }
@@ -1443,14 +1386,14 @@ impl Interp {
                             // Seed order: the stack value is `lhs`, the loaded local
                             // the popped-last `rhs`. The pop is the seed IfCmp's
                             // (offset 1 into the window).
-                            let lhs = pop_at!(1);
-                            branch_if!(self.holds(*op, lhs, local!(*n)), target, 2);
+                            let lhs = pop!();
+                            branch_if!(self.holds(*op, lhs, local!(*n)), target);
                         }
                         Op::IfCmpFused(op, a, b, target) => {
-                            branch_if!(self.holds(*op, local!(*a), local!(*b)), target, 3);
+                            branch_if!(self.holds(*op, local!(*a), local!(*b)), target);
                         }
                         Op::LoadConstIfCmp(op, n, k, target) => {
-                            branch_if!(self.holds(*op, local!(*n), Value::Int(*k)), target, 3);
+                            branch_if!(self.holds(*op, local!(*n), Value::Int(*k)), target);
                         }
                         Op::IncLocal(n, k) => {
                             // The Bin is the only fault point: Load/Const/Bin are
@@ -1468,7 +1411,6 @@ impl Interp {
                         Op::LoadFieldGet { local, slot, fr } => {
                             get_field!(local!(*local), slot, fr)
                         }
-                        Op::PutFieldPop { slot, fr } => put_field!(slot, fr, true),
                     }
                     pc += 1;
                 }
@@ -1549,29 +1491,7 @@ impl Interp {
             |v: Value| ExecError::Unsupported(format!("{op:?} on non-number {}", self.show(v)));
         let a = lhs.as_int().ok_or_else(|| non_number(lhs))?;
         let b = rhs.as_int().ok_or_else(|| non_number(rhs))?;
-        let r = match op {
-            BinOp::Add => a.wrapping_add(b),
-            BinOp::Sub => a.wrapping_sub(b),
-            BinOp::Mul => a.wrapping_mul(b),
-            BinOp::Div => {
-                if b == 0 {
-                    return Err(ExecError::DivisionByZero);
-                }
-                a.wrapping_div(b)
-            }
-            BinOp::Rem => {
-                if b == 0 {
-                    return Err(ExecError::DivisionByZero);
-                }
-                a.wrapping_rem(b)
-            }
-            BinOp::And => a & b,
-            BinOp::Or => a | b,
-            BinOp::Xor => a ^ b,
-            BinOp::Shl => a.wrapping_shl(b as u32),
-            BinOp::Shr => a.wrapping_shr(b as u32),
-        };
-        Ok(Value::Int(r))
+        int_bin(op, a, b).map(Value::Int)
     }
 
     fn unop(&self, op: UnOp, v: Value) -> Result<Value, ExecError> {
@@ -1772,25 +1692,15 @@ fn default_value(ty: &Type) -> Value {
     }
 }
 
-/// Where a fault or a park leaves `op`, as a seed offset into its collapsed window:
-/// the component of a superinstruction that can fault (the Bin of the arithmetic
-/// windows, the GetField of `LoadFieldGet`, the IfCmp's pop of `LoadIfCmp`); the
-/// PutField of `PutFieldPop`, whose trailing Pop underflows at its own offset; 0 for
+/// Where a fault leaves `op`, as a seed offset into its collapsed window: the
+/// component of a superinstruction that can fault (the Bin of the arithmetic
+/// windows, the GetField of `LoadFieldGet`, the IfCmp's pop of `LoadIfCmp`); 0 for
 /// every 1:1 op. The components up to it ran and are charged, the rest are not.
 fn fault_offset(op: &Op) -> u32 {
     match op {
         Op::LoadLoadBin(..) | Op::LoadConstBin(..) | Op::IncLocal(..) => 2,
         Op::LoadIfCmp(..) | Op::LoadFieldGet { .. } => 1,
         _ => 0,
-    }
-}
-
-/// The seed length of a fused body: the seed pc one past its last op.
-#[cold]
-fn seed_len(ops: &[Op], src_pc: &[u32]) -> u32 {
-    match (ops.last(), src_pc.last()) {
-        (Some(op), Some(&s)) => s + op.fused_width(),
-        _ => ops.len() as u32,
     }
 }
 

@@ -9,8 +9,9 @@
 //!   Table 1 workload: branch targets carry over unchanged, constant-pool indices
 //!   resolve to the original literals, field ops keep their `FieldRef` and agree with
 //!   the layout's slot resolution, invokes keep their static target and selector; and
-//!   the fused stream accounts for every seed instruction exactly once
-//!   ([`Op::fused_width`] partitions the body) with a consistent `src_pc` map;
+//!   every body, fused or not, carries one seed-accounting table (`src_pc`: an entry
+//!   per op plus the seed length, strictly increasing, so its ops partition the seed
+//!   body) on which every remapped branch target lands on its seed target;
 //! * **semantically** — random integer-machine bodies (including deliberately
 //!   unbalanced stacks reached through forward branches) execute identically under
 //!   the decoded-op interpreter and a direct reference evaluation of the seed `Insn`
@@ -102,48 +103,59 @@ fn decode_is_one_to_one_for_all_workloads() {
     }
 }
 
-/// The fused stream of every Table 1 method partitions the seed body exactly:
-/// widths sum to the bytecode length, `src_pc` walks the window starts in lockstep,
-/// and every remapped branch target lands on a fused instruction boundary (or one
-/// past the end).
+/// Asserts the seed-accounting table of `method`'s decoded body against its seed
+/// body: one entry per op plus the seed length, starting at 0 and strictly
+/// increasing (so the ops partition the seed body), and every branch target `t` of
+/// the decoded stream landing on its seed target (`src_pc[t]` is the target of the
+/// seed instruction the branch came from).
+fn assert_src_pc_is_the_seed_table(layout: &ProgramLayout, program: &Program, method: MethodId) {
+    let body = &program.method(method).body;
+    let mops = layout.ops(method);
+    let src_pc = &mops.src_pc;
+    assert_eq!(
+        src_pc.len(),
+        mops.ops.len() + 1,
+        "one entry per op, then the end"
+    );
+    assert_eq!(src_pc[0], 0, "the table starts at the seed entry");
+    assert!(
+        src_pc.windows(2).all(|w| w[0] < w[1]),
+        "the table is strictly increasing: {src_pc:?}"
+    );
+    assert_eq!(
+        *src_pc.last().unwrap() as usize,
+        body.len(),
+        "the table ends at the seed length"
+    );
+    for (pc, op) in mops.ops.iter().enumerate() {
+        if let Op::IfCmp(_, t)
+        | Op::If(_, t)
+        | Op::Goto(t)
+        | Op::LoadIfCmp(_, _, t)
+        | Op::IfCmpFused(_, _, _, t)
+        | Op::LoadConstIfCmp(_, _, _, t) = op
+        {
+            // The branch is the last component of its window.
+            let seed = body[src_pc[pc + 1] as usize - 1].branch_target();
+            assert_eq!(
+                Some(src_pc[*t as usize] as usize),
+                seed,
+                "op {pc} ({op:?}) lands off its seed target"
+            );
+        }
+    }
+}
+
+/// The ops of every Table 1 method, fused and unfused, partition its seed body
+/// through the seed-accounting table, and every remapped branch target lands on its
+/// seed target.
 #[test]
 fn fusion_partitions_every_workload_body_and_remaps_targets() {
     for w in autodist_workloads::table1_workloads(1) {
-        let layout = ProgramLayout::build(&w.program);
-        for m in &w.program.methods {
-            let mops = layout.ops(m.id);
-            let widths: Vec<u32> = mops.ops.iter().map(Op::fused_width).collect();
-            let total: u32 = widths.iter().sum();
-            assert_eq!(
-                total as usize,
-                m.body.len(),
-                "{}: fused widths must partition {}",
-                w.name,
-                m.name
-            );
-            if !mops.src_pc.is_empty() {
-                assert_eq!(mops.src_pc.len(), mops.ops.len());
-                let mut seed = 0u32;
-                for (i, w_i) in widths.iter().enumerate() {
-                    assert_eq!(mops.src_pc[i], seed, "src_pc walks the window starts");
-                    seed += w_i;
-                }
-            }
-            for op in &mops.ops {
-                if let Op::IfCmp(_, t)
-                | Op::If(_, t)
-                | Op::Goto(t)
-                | Op::LoadIfCmp(_, _, t)
-                | Op::IfCmpFused(_, _, _, t)
-                | Op::LoadConstIfCmp(_, _, _, t) = op
-                {
-                    assert!(
-                        *t as usize <= mops.ops.len(),
-                        "{}: remapped target out of range in {}",
-                        w.name,
-                        m.name
-                    );
-                }
+        for opts in [LayoutOptions::default(), NOFUSE] {
+            let layout = ProgramLayout::build_with(&w.program, opts);
+            for m in &w.program.methods {
+                assert_src_pc_is_the_seed_table(&layout, &w.program, m.id);
             }
         }
     }
@@ -739,8 +751,8 @@ proptest! {
         let unfused = ProgramLayout::build_with(&program, NOFUSE);
         prop_assert_eq!(unfused.ops(probe).ops.len(), body.len());
         let fused = ProgramLayout::build(&program);
-        let widths: u32 = fused.ops(probe).ops.iter().map(Op::fused_width).sum();
-        prop_assert_eq!(widths as usize, body.len());
+        assert_src_pc_is_the_seed_table(&unfused, &program, probe);
+        assert_src_pc_is_the_seed_table(&fused, &program, probe);
 
         let args = [a0, a1, a2, a3];
         let (expected, steps) = reference_eval(&body, args, probe);
