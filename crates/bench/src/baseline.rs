@@ -17,8 +17,8 @@
 //!   `gen-d8w24` rows add `odg_cut_n{4,8}` and `node_programs_digest_n{4,8}`: the same
 //!   plan on 4 and 8 nodes, which is where the partitioner recurses.
 //! * `op_census` — per Table 1 workload and chain microbench ([`crate::microbench`]),
-//!   the superinstruction counts the fusion pass emits and the dynamic dispatch
-//!   reduction they buy.
+//!   the op counts of the stack and register forms, the register form's placing
+//!   moves, zero-width ops and fallback bodies, and the dynamic dispatch reduction.
 //! * `wire_codec` — the encoded frame size of the three dominant remote accesses.
 //! * `serving` / `adaptive_serving` — traffic totals of the two closed loops in
 //!   [`crate::serving`].
@@ -265,21 +265,17 @@ pub fn render() -> PipelineResult<String> {
         );
     let rows: Vec<String> = census
         .map(|c| {
-            let supers = c
-                .static_
-                .super_counts
-                .iter()
-                .map(|(k, n)| format!("{}: {}", json_string(k), n))
-                .collect::<Vec<_>>()
-                .join(", ");
+            let s = &c.static_;
             format!(
-                "\"name\": {}, \"unfused_ops\": {}, \"fused_ops\": {}, \
-                 \"supers\": {{{}}}, \"instructions\": {}, \"dispatches\": {}, \
-                 \"dispatch_reduction_pct\": {:.1}",
+                "\"name\": {}, \"stack_ops\": {}, \"register_ops\": {}, \"moves\": {}, \
+                 \"zero_width\": {}, \"fallback_bodies\": {}, \"instructions\": {}, \
+                 \"dispatches\": {}, \"dispatch_reduction_pct\": {:.1}",
                 json_string(&c.name),
-                c.static_.unfused_ops,
-                c.static_.fused_ops,
-                supers,
+                s.stack_ops,
+                s.register_ops,
+                s.moves,
+                s.zero_width,
+                s.fallback_bodies,
                 c.dynamic.instructions,
                 c.dynamic.dispatches,
                 c.dynamic.dispatch_reduction_pct()

@@ -1,25 +1,27 @@
 //! The deep arithmetic / boolean / conditional-chain microbench family and the
-//! op-pair **census** justifying the interpreter's superinstruction set.
+//! op **census** of the interpreter's register form.
 //!
 //! The Table 1 workloads exercise the interpreter through realistic object graphs;
-//! this family instead maximises the density of the op *patterns* the fusion pass in
-//! `autodist_ir::layout` targets — `Load Load Bin`, `Load Const Bin`, `Bin Store`,
-//! compare-and-branch chains, and the `Load Const Add Store` increment idiom — so
-//! the `arith_chain_deep` / `cond_chain_deep` census rows record the fusion pass's
-//! best case. The [`census`] half counts, per workload, (a) **statically** how many
-//! superinstructions of each kind the fusion pass emits and (b) **dynamically** how
-//! many dispatch-loop iterations fusion saves at run time (`instructions` counts
-//! seed ops, `dispatches` counts loop trips, so `1 - dispatches/instructions` is the
-//! dynamic win).
+//! this family instead maximises the density of what the register translation in
+//! `autodist_ir::layout` gains most on — local/local and local/constant arithmetic
+//! whose result a `Store` retargets, compare-and-branch chains, and the `i = i + 1`
+//! increment idiom — so the `arith_chain_deep` / `cond_chain_deep` census rows
+//! record its best case. The [`census`] half counts, per workload, (a)
+//! **statically** the ops of the stack and register forms, the `Mov` / `Set*` ops
+//! that place a slot, the ops that stand for no seed instruction and the bodies that
+//! fell back to the stack form, and (b) **dynamically** how many dispatch-loop
+//! iterations the register form saves at run time (`instructions` counts seed ops,
+//! `dispatches` counts loop trips, so `1 - dispatches/instructions` is the dynamic
+//! win).
 
 use autodist_ir::frontend::compile_source;
-use autodist_ir::layout::{LayoutOptions, Op, ProgramLayout};
+use autodist_ir::layout::{LayoutOptions, MethodOps, Op, ProgramLayout};
 use autodist_ir::program::Program;
 use autodist_runtime::interp::Interp;
 
 /// Deep arithmetic chain: four accumulators rewritten from each other every
 /// iteration. Almost every statement lowers to `Load Load Bin Store` or
-/// `Load Const Bin Store`, the fusion pass's bread-and-butter windows.
+/// `Load Const Bin Store`: one register op each.
 pub const ARITH_CHAIN_DEEP: &str = "class Main {
     static int sink;
     static void main() {
@@ -44,8 +46,7 @@ pub const ARITH_CHAIN_DEEP: &str = "class Main {
 }";
 
 /// Deep conditional chain: a run of two-local and local-vs-constant compares per
-/// iteration, exercising the fused compare-and-branch forms (`IfCmpFused`,
-/// `LoadConstIfCmp`, `LoadIfCmp`) plus the increment idiom on every taken arm.
+/// iteration (`RIfCmp` / `RIfCmpI`) plus the increment idiom on every taken arm.
 pub const COND_CHAIN_DEEP: &str = "class Main {
     static int sink;
     static void main() {
@@ -76,31 +77,34 @@ pub fn compile_chain(src: &str) -> Program {
     compile_source(src).expect("chain microbench source compiles")
 }
 
-/// Static fusion census of one program: how many ops the unfused decode yields,
-/// how many the fused stream keeps, and how many superinstructions of each kind
-/// the fusion pass emitted (kind names match the printer's mnemonic suffixes).
+/// Static census of one program: the op counts of its two forms and what the
+/// register form spends beyond one op per consumed value.
 #[derive(Clone, Debug)]
 pub struct StaticCensus {
-    /// Decoded op count with `fuse: false` (one per bytecode insn).
-    pub unfused_ops: usize,
-    /// Op count of the fused stream.
-    pub fused_ops: usize,
-    /// `(kind, count)` per superinstruction kind, fixed order, zero counts kept.
-    pub super_counts: Vec<(&'static str, usize)>,
+    /// Op count of the stack form (`fuse: false`, one per bytecode insn).
+    pub stack_ops: usize,
+    /// Op count of the register form (the default layout).
+    pub register_ops: usize,
+    /// `Mov` / `Set*` ops of the register form: slots placed at home.
+    pub moves: usize,
+    /// Ops of the register form that stand for no seed instruction.
+    pub zero_width: usize,
+    /// Non-empty bodies the register translation left in the stack form.
+    pub fallback_bodies: usize,
 }
 
-/// Dynamic fusion census of one program: seed instructions executed vs dispatch
-/// loop iterations taken (equal when fusion is off).
+/// Dynamic census of one program: seed instructions executed vs dispatch loop
+/// iterations taken in the register form (equal in the stack form).
 #[derive(Clone, Debug)]
 pub struct DynamicCensus {
-    /// Seed instructions interpreted (fusion-independent).
+    /// Seed instructions interpreted (the same in either form).
     pub instructions: u64,
-    /// Dispatch-loop iterations with fusion on.
+    /// Dispatch-loop iterations in the register form.
     pub dispatches: u64,
 }
 
 impl DynamicCensus {
-    /// Percentage of dispatch-loop iterations fusion eliminated.
+    /// Percentage of dispatch-loop iterations the register form eliminated.
     pub fn dispatch_reduction_pct(&self) -> f64 {
         if self.instructions == 0 {
             return 0.0;
@@ -120,58 +124,79 @@ pub struct OpCensus {
     pub dynamic: DynamicCensus,
 }
 
-/// Classifies a superinstruction for the census; `None` for plain seed ops.
-fn super_kind(op: &Op) -> Option<&'static str> {
-    match op {
-        Op::LoadLoadBin(..) => Some("load_load_bin"),
-        Op::LoadConstBin(..) => Some("load_const_bin"),
-        Op::BinStore(..) => Some("bin_store"),
-        Op::LoadIfCmp(..) => Some("load_if_cmp"),
-        Op::IfCmpFused(..) => Some("if_cmp_fused"),
-        Op::LoadConstIfCmp(..) => Some("load_const_if_cmp"),
-        Op::IncLocal(..) => Some("inc_local"),
-        Op::LoadFieldGet { .. } => Some("load_field_get"),
-        _ => None,
-    }
+/// `true` when a decoded body is in the stack form: it has an op only the 1:1
+/// decode emits (a body of `Goto` and `Return` alone is the same in both forms).
+pub fn is_stack_form(mops: &MethodOps) -> bool {
+    mops.ops.iter().any(|op| {
+        matches!(
+            op,
+            Op::ConstInt(_)
+                | Op::ConstFloat(_)
+                | Op::ConstBool(_)
+                | Op::ConstStr(_)
+                | Op::ConstNull
+                | Op::Load(_)
+                | Op::Store(_)
+                | Op::Dup
+                | Op::Pop
+                | Op::Swap
+                | Op::Bin(_)
+                | Op::Un(_)
+                | Op::IfCmp(..)
+                | Op::If(..)
+                | Op::New(_)
+                | Op::NewArray(_)
+                | Op::ArrayLoad
+                | Op::ArrayStore
+                | Op::ArrayLength
+                | Op::GetField { .. }
+                | Op::PutField { .. }
+                | Op::GetStatic(_)
+                | Op::PutStatic(_)
+                | Op::Invoke { .. }
+                | Op::ReturnValue
+        )
+    })
 }
-
-/// All census kinds in reporting order.
-const KINDS: [&str; 8] = [
-    "load_load_bin",
-    "load_const_bin",
-    "bin_store",
-    "load_if_cmp",
-    "if_cmp_fused",
-    "load_const_if_cmp",
-    "inc_local",
-    "load_field_get",
-];
 
 /// Computes the static census over every method of `program`.
 pub fn static_census(program: &Program) -> StaticCensus {
-    let unfused = ProgramLayout::build_with(program, LayoutOptions { fuse: false });
-    let fused = ProgramLayout::build_with(program, LayoutOptions { fuse: true });
-    let mut counts = vec![0usize; KINDS.len()];
-    let mut unfused_ops = 0usize;
-    let mut fused_ops = 0usize;
-    for (u, f) in unfused.method_ops.iter().zip(fused.method_ops.iter()) {
-        unfused_ops += u.ops.len();
-        fused_ops += f.ops.len();
-        for op in &f.ops {
-            if let Some(kind) = super_kind(op) {
-                let i = KINDS.iter().position(|k| *k == kind).expect("known kind");
-                counts[i] += 1;
-            }
-        }
+    let stack = ProgramLayout::build_with(program, LayoutOptions { fuse: false });
+    let registers = ProgramLayout::build_with(program, LayoutOptions { fuse: true });
+    let mut census = StaticCensus {
+        stack_ops: stack.method_ops.iter().map(|m| m.ops.len()).sum(),
+        register_ops: 0,
+        moves: 0,
+        zero_width: 0,
+        fallback_bodies: 0,
+    };
+    for mops in &registers.method_ops {
+        census.register_ops += mops.ops.len();
+        census.moves += mops
+            .ops
+            .iter()
+            .filter(|op| {
+                matches!(
+                    op,
+                    Op::Mov(..)
+                        | Op::SetI(..)
+                        | Op::SetF(..)
+                        | Op::SetB(..)
+                        | Op::SetS(..)
+                        | Op::SetN(_)
+                )
+            })
+            .count();
+        census.zero_width += (0..mops.ops.len())
+            .filter(|&pc| mops.seed_width(pc) == 0)
+            .count();
+        census.fallback_bodies += usize::from(is_stack_form(mops));
     }
-    StaticCensus {
-        unfused_ops,
-        fused_ops,
-        super_counts: KINDS.iter().copied().zip(counts).collect(),
-    }
+    census
 }
 
-/// Computes the dynamic census by running `program` centralized with fusion on.
+/// Computes the dynamic census by running `program` centralized in the register
+/// form.
 pub fn dynamic_census(program: &Program) -> DynamicCensus {
     let mut interp = Interp::new_with_options(program, LayoutOptions { fuse: true });
     interp.run_entry().expect("census program runs");
@@ -202,39 +227,45 @@ mod tests {
         }
     }
 
+    /// The arithmetic statements are register ops, and the dispatch stream shrinks
+    /// by more than 60 %.
     #[test]
     fn arith_chain_census_is_dominated_by_fused_arithmetic() {
         let p = compile_chain(ARITH_CHAIN_DEEP);
         let c = census("arith_chain_deep", &p);
-        let count = |kind: &str| {
-            c.static_
-                .super_counts
-                .iter()
-                .find(|(k, _)| *k == kind)
-                .map(|(_, n)| *n)
-                .unwrap_or(0)
-        };
-        assert!(c.static_.fused_ops < c.static_.unfused_ops);
-        assert!(count("load_load_bin") >= 4, "a = b + c family");
-        assert!(count("inc_local") >= 1, "i = i + 1");
-        // Fusion must pay off dynamically, not just in the listing.
-        assert!(c.dynamic.dispatches < c.dynamic.instructions);
-        assert!(c.dynamic.dispatch_reduction_pct() > 20.0);
+        let layout = ProgramLayout::build(&p);
+        let arithmetic = layout
+            .method_ops
+            .iter()
+            .flat_map(|m| &m.ops)
+            .filter(|op| matches!(op, Op::RBin(..) | Op::RBinI(..)))
+            .count();
+        assert!(arithmetic >= 4, "a = b + c family: {arithmetic}");
+        assert!(c.static_.register_ops < c.static_.stack_ops);
+        assert_eq!(c.static_.fallback_bodies, 0);
+        assert!(
+            c.dynamic.dispatch_reduction_pct() > 60.0,
+            "{}",
+            c.dynamic.dispatch_reduction_pct()
+        );
     }
 
+    /// One register compare-and-branch per conditional: the loop head and the four
+    /// `if`s.
     #[test]
     fn cond_chain_census_contains_fused_compares() {
         let p = compile_chain(COND_CHAIN_DEEP);
-        let c = census("cond_chain_deep", &p);
-        let fused_compares: usize = c
-            .static_
-            .super_counts
+        let layout = ProgramLayout::build(&p);
+        let main = p.entry.expect("chain has main");
+        let compares = layout
+            .ops(main)
+            .ops
             .iter()
-            .filter(|(k, _)| matches!(*k, "if_cmp_fused" | "load_const_if_cmp" | "load_if_cmp"))
-            .map(|(_, n)| n)
-            .sum();
-        assert!(fused_compares >= 4, "one per conditional in the chain");
-        assert!(c.dynamic.dispatch_reduction_pct() > 10.0);
+            .filter(|op| matches!(op, Op::RIfCmp(..) | Op::RIfCmpI(..)))
+            .count();
+        assert_eq!(compares, 5, "{:?}", layout.ops(main).ops);
+        let c = census("cond_chain_deep", &p);
+        assert!(c.dynamic.dispatch_reduction_pct() > 60.0);
     }
 
     #[test]
@@ -246,7 +277,7 @@ mod tests {
         assert_eq!(fused.instructions, unfused.counters.instructions);
         assert_eq!(
             unfused.counters.instructions, unfused.counters.dispatches,
-            "without fusion every seed op is one dispatch"
+            "in the stack form every seed op is one dispatch"
         );
     }
 }

@@ -43,7 +43,7 @@
 //! `Vec<Arc<MethodOps>>`, one `Arc` per distinct `Arc<Method>`, against one
 //! string-constant pool. The family constructor [`ProgramLayout::build_family`]
 //! builds the layouts of several programs in one call and is where the sharing
-//! happens — programs are grouped by fingerprint, a body is decoded and fused when
+//! happens — programs are grouped by fingerprint, a body is decoded when
 //! its method's address is first seen in its group, and the memo dies with the
 //! call. [`ProgramLayout::build`] /
 //! [`ProgramLayout::build_with`] are the family of one program, the same function.
@@ -53,27 +53,29 @@
 //! executable, and an interpreter holds nothing else of its program.
 //!
 //! On top of the interning tables, `build` runs a **decode pass** over every method
-//! body: each [`crate::bytecode::Insn`] becomes exactly one dense [`Op`] with its
-//! name-carrying payloads resolved up front — instance/static field slots, invoke
-//! argument counts and selectors, interned constant-pool indices for string literals,
-//! and `u32` branch targets. The interpreter's dispatch loop runs over `Op`s and never
-//! touches a string or a resolution table; the original [`FieldRef`]s survive inside
-//! the ops only for the proxy/remote slow paths, which send the field's name id and
-//! charge its name length.
+//! body, with every name-carrying payload resolved up front — instance/static field
+//! slots, invoke argument counts and selectors, interned constant-pool indices for
+//! string literals, and `u32` branch targets. The interpreter's dispatch loop runs
+//! over [`Op`]s and never touches a string or a resolution table; the original
+//! [`FieldRef`]s survive only for the proxy/remote slow paths, which send the field's
+//! name id and charge its name length.
 //!
-//! After decoding, a **fusion pass** (on by default, toggled by
-//! [`LayoutOptions::fuse`]) rewrites each op stream, collapsing the dominant
-//! pairs/triples the frontend emits — local/local and local/constant arithmetic,
-//! compare-and-branch heads of loops and `if`s, the `i = i + K` increment idiom, and
-//! implicit-`this` field reads — into superinstructions that read locals directly
-//! instead of round-tripping the operand stack. A fusion window never spans a branch
-//! target (a branch landing mid-pattern blocks fusion) and branch targets are remapped
-//! onto the shortened stream. Every body, fused or not, carries one seed-accounting
-//! table, [`MethodOps::src_pc`]: op `pc` stands for seed instructions
-//! `src_pc[pc]..src_pc[pc + 1]`, and the last entry is the seed length. Fault
-//! coordinates read it, so they stay identical to the unfused stream, and the
-//! interpreter charges a superinstruction as the seed instructions it stands for, so
-//! virtual time is bit-identical with fusion on or off.
+//! By default (toggled by [`LayoutOptions::fuse`]) the pass is a one-pass **register
+//! translation** straight from each [`crate::bytecode::Insn`] body: operand-stack slot
+//! `k` becomes frame register `base + k` after the locals ([`MethodOps::regs`] is the
+//! register-file size), `Load`s and constants are read in place by the op that
+//! consumes them, and a `Store` retargets the op that produced its value — so
+//! `a = b + c`, `i = i + 1` and a loop head are one op each, with no operand-stack
+//! traffic. Slots are placed in their home registers (`Mov`, `Set*`) wherever paths
+//! meet: before a branch and at a branch target. A body that uses `Swap`, reaches a pc
+//! with two stack heights or branches back to a pc the pass has not reached keeps the
+//! **stack form**, the 1:1 decode (one op per instruction), which is also what the
+//! option turned off yields everywhere. Every body carries one seed-accounting table,
+//! [`MethodOps::src_pc`]: op `pc` stands for seed instructions
+//! `src_pc[pc]..src_pc[pc + 1]` and takes effect at the last of them, and the last
+//! entry is the seed length. Fault coordinates read it, so they are the stack form's,
+//! and the interpreter charges each op as the seed instructions it stands for, so
+//! virtual time is bit-identical in either form.
 
 use std::collections::HashMap;
 use std::hash::{BuildHasher, BuildHasherDefault, Hasher};
@@ -116,19 +118,22 @@ impl ArrayInit {
     }
 }
 
+/// No register: the `dst` of an [`Op::RInvoke`] whose callee returns nothing.
+pub const NO_REG: u16 = u16::MAX;
+
 /// One pre-decoded instruction of the compact op format the interpreter executes.
 ///
-/// The decode pass produces ops in 1:1 correspondence with the [`Insn`]s of the
-/// method body (so branch targets carry over unchanged, as `u32`), but every
-/// name-carrying payload is already resolved: field accesses carry their dense slot,
-/// invokes carry the argument count, the callee selector and whether the call site
-/// expects a pushed result, and string constants are indices into the shared constant
-/// pool ([`ProgramLayout::literals`]).
-///
-/// The fusion pass then optionally collapses hot sequences into the superinstruction
-/// variants grouped at the end of the enum ([`Op::IncLocal`] and friends); after
-/// fusion, one op stands for [`MethodOps::seed_width`] seed instructions and branch
-/// targets index the shortened stream.
+/// Two forms share the enum. The **stack form** (the variants up to `ReturnValue`)
+/// is the 1:1 decode: one op per [`Insn`], branch targets carried over as `u32`,
+/// every name-carrying payload already resolved — field accesses carry their dense
+/// slot, invokes the argument count, the callee selector and whether the call site
+/// expects a pushed result, string constants an index into the shared constant pool
+/// ([`ProgramLayout::literals`]). The **register form** (`Nop` onwards, plus the
+/// shared `Goto` and `Return`) is what the register translation emits: operands and
+/// results name frame registers — the locals, then one register per stack slot — so
+/// no op touches the operand stack. A register op stands for
+/// [`MethodOps::seed_width`] seed instructions and branch targets index the
+/// translated stream.
 #[derive(Clone, Debug, PartialEq)]
 pub enum Op {
     /// Push an integer constant.
@@ -159,7 +164,7 @@ pub enum Op {
     IfCmp(CmpOp, u32),
     /// Pop `v`; branch to `target` if `v op 0` (for refs: `Eq` = is-null).
     If(CmpOp, u32),
-    /// Unconditional branch.
+    /// Unconditional branch (both forms).
     Goto(u32),
     /// Allocate an uninitialised instance and push the reference.
     New(ClassId),
@@ -206,40 +211,79 @@ pub enum Op {
         /// Whether the result is pushed (static target returns non-void).
         push_ret: bool,
     },
-    /// Return with no value.
+    /// Return with no value (both forms).
     Return,
     /// Pop a value and return it.
     ReturnValue,
 
-    // --- Superinstructions (produced only by the fusion pass, never by decode) ---
-    /// `Load a; Load b; Bin op` — push `locals[a] op locals[b]`, no stack traffic
-    /// for the operands.
-    LoadLoadBin(u16, u16, BinOp),
-    /// `Load n; ConstInt k; Bin op` — push `locals[n] op k`.
-    LoadConstBin(u16, i64, BinOp),
-    /// `Bin op; Store n` — pop `rhs`, `lhs`; store `lhs op rhs` into local `n`.
-    BinStore(BinOp, u16),
-    /// `Load n; IfCmp op t` — pop `lhs`; branch to `t` if `lhs op locals[n]`.
-    LoadIfCmp(CmpOp, u16, u32),
-    /// `Load a; Load b; IfCmp op t` — branch to `t` if `locals[a] op locals[b]`,
-    /// no stack traffic at all (the dominant loop/`if` head shape).
-    IfCmpFused(CmpOp, u16, u16, u32),
-    /// `Load n; ConstInt k; IfCmp op t` — branch to `t` if `locals[n] op k` (the
-    /// `while (i < LITERAL)` head shape).
-    LoadConstIfCmp(CmpOp, u16, i64, u32),
-    /// `Load n; ConstInt k; Bin Add; Store n` — `locals[n] += k`, the frontend's
-    /// lowering of `i = i + K`.
-    IncLocal(u16, i64),
-    /// `Load n; GetField` — push the field at `slot` of the object in local `n`
-    /// (implicit-`this` field reads load local 0).
-    LoadFieldGet {
-        /// Local holding the object reference.
-        local: u16,
-        /// Pre-resolved dense instance slot ([`NO_SLOT`] if unresolvable).
-        slot: u32,
-        /// The original field reference (slow paths + diagnostics).
-        fr: FieldRef,
+    // --- Register form (emitted only by the register translation) ---------------
+    // Operands are registers `r[..]`; the first `u16` of a producing op is its
+    // destination. Field ops carry only the slot: their slow path reads the
+    // `FieldRef` off the seed instruction the op stands for (the last of its window).
+    /// Nothing: charges seed instructions no other op stands for (a `Store` folded
+    /// into its producer, or a dead stretch) ahead of a branch target.
+    Nop,
+    /// `r[dst] = r[src]`.
+    Mov(u16, u16),
+    /// `r[dst] = k` (integer).
+    SetI(u16, i64),
+    /// `r[dst] = k` (float).
+    SetF(u16, f64),
+    /// `r[dst] = k` (boolean).
+    SetB(u16, bool),
+    /// `r[dst] =` string literal `k`.
+    SetS(u16, u32),
+    /// `r[dst] = null`.
+    SetN(u16),
+    /// `r[dst] = r[a] op r[b]`.
+    RBin(BinOp, u16, u16, u16),
+    /// `r[dst] = r[a] op k`.
+    RBinI(BinOp, u16, u16, i64),
+    /// `r[dst] = op r[src]`.
+    RUn(UnOp, u16, u16),
+    /// Branch to `target` if `r[a] op r[b]`.
+    RIfCmp(CmpOp, u16, u16, u32),
+    /// Branch to `target` if `r[a] op k`.
+    RIfCmpI(CmpOp, u16, i64, u32),
+    /// Branch to `target` if `r[v] op 0` (for refs: `Eq` = is-null).
+    RIf(CmpOp, u16, u32),
+    /// `r[dst] =` a new instance of the class.
+    RNew(u16, ClassId),
+    /// `r[dst] =` a new array of length `r[len]`.
+    RNewArray(u16, u16, ArrayInit),
+    /// `r[dst] = r[arr][r[idx]]`.
+    RArrayLoad(u16, u16, u16),
+    /// `r[arr][r[idx]] = r[val]`.
+    RArrayStore(u16, u16, u16),
+    /// `r[dst] = r[arr].length`.
+    RArrayLength(u16, u16),
+    /// `r[dst] = r[obj].field` at the pre-resolved slot ([`NO_SLOT`] if
+    /// unresolvable): `(dst, obj, slot)`.
+    RGetField(u16, u16, u32),
+    /// `r[obj].field = r[val]` at the pre-resolved slot: `(obj, val, slot)`.
+    RPutField(u16, u16, u32),
+    /// `r[dst] =` the static at the global slot.
+    RGetStatic(u16, u32),
+    /// The static at the global slot `= r[src]`.
+    RPutStatic(u16, u32),
+    /// Invoke with the arguments in `r[args..args + nargs]` (receiver first); the
+    /// result lands in `r[dst]`, or nowhere when `dst` is [`NO_REG`].
+    RInvoke {
+        /// Dispatch kind.
+        kind: InvokeKind,
+        /// Result register ([`NO_REG`] for a callee that returns nothing).
+        dst: u16,
+        /// First argument register.
+        args: u16,
+        /// Argument count (receiver included for non-static kinds).
+        nargs: u16,
+        /// Static target method.
+        target: MethodId,
+        /// Pre-resolved selector of the target (vtable column).
+        sel: u32,
     },
+    /// Return `r[src]`.
+    RReturnValue(u16),
 }
 
 /// The decoded body of one method (empty iff the bytecode body is empty, i.e. the
@@ -247,16 +291,21 @@ pub enum Op {
 /// an activation without consulting the [`Program`].
 #[derive(Clone, Debug)]
 pub struct MethodOps {
-    /// The decoded (and, by default, fused) ops of the method body.
+    /// The ops of the method body: the register form by default, the 1:1 stack
+    /// form with [`LayoutOptions::fuse`] off or where the translation falls back.
     pub ops: Vec<Op>,
     /// The seed-accounting table: one entry per op, the seed pc of the first
     /// instruction it stands for, plus a last entry holding the seed length. Op `pc`
-    /// stands for seed instructions `src_pc[pc]..src_pc[pc + 1]` (one each when
-    /// nothing fused). Faults report seed coordinates and the interpreter charges
-    /// seed instructions through this table, so both are stable under fusion.
+    /// stands for seed instructions `src_pc[pc]..src_pc[pc + 1]` and takes effect at
+    /// the last of them (one each in the stack form; none for a `Mov` or `Set*`
+    /// that places a slot whose `Load` or constant was charged already). Faults
+    /// report seed coordinates and the interpreter charges seed instructions
+    /// through this table, so both are the same in either form.
     pub src_pc: Vec<u32>,
-    /// Local variable slots (including parameters and `this`).
-    pub locals: u16,
+    /// Register-file size: the local variable slots (parameters and `this`
+    /// included; in the register form widened to every local index the body names)
+    /// and then one register per operand-stack slot of the register form.
+    pub regs: u16,
 }
 
 impl MethodOps {
@@ -266,20 +315,20 @@ impl MethodOps {
         self.src_pc[pc]
     }
 
-    /// How many seed instructions the op at `pc` stands for: 1 for every decoded
-    /// op, the collapsed sequence length for a superinstruction.
+    /// How many seed instructions the op at `pc` stands for: 1 for every op of
+    /// the stack form, the window it was translated from for a register op.
     pub fn seed_width(&self, pc: usize) -> u32 {
         self.src_pc[pc + 1] - self.src_pc[pc]
     }
 }
 
 /// Knobs for [`ProgramLayout::build_with`]. `Default` is what the runtime uses:
-/// fusion on.
+/// the register form.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct LayoutOptions {
-    /// Run the superinstruction fusion pass over every decoded method body.
-    /// Off yields the 1:1 decode (used by benches to A/B dispatch cost and by the
-    /// parity test suite).
+    /// Translate every method body to the register form (bodies it cannot take
+    /// fall back to the stack form). Off yields the 1:1 stack decode everywhere —
+    /// the reference the census and the parity suite compare against.
     pub fuse: bool,
 }
 
@@ -553,7 +602,8 @@ struct Family {
 }
 
 impl ProgramLayout {
-    /// Runs the resolution pass over `program` with the default options (fusion on).
+    /// Runs the resolution pass over `program` with the default options (the
+    /// register form).
     pub fn build(program: &Program) -> ProgramLayout {
         Self::build_with(program, LayoutOptions::default())
     }
@@ -569,7 +619,7 @@ impl ProgramLayout {
     /// Runs the resolution pass over `programs` together, `layouts[i]` owning
     /// `programs[i]`. Programs with the same shape fingerprint — the per-node copies
     /// of one plan — share one [`LayoutShape`] allocation and one string-constant
-    /// pool, and each distinct `Arc<Method>` among them is decoded and fused once;
+    /// pool, and each distinct `Arc<Method>` among them is decoded once;
     /// programs of different shapes share nothing. Nothing outlives the call but the
     /// layouts.
     pub fn build_family(programs: Vec<Program>, opts: LayoutOptions) -> Vec<ProgramLayout> {
@@ -583,7 +633,7 @@ impl ProgramLayout {
     /// The layouts of [`Self::build_family`], each still without its program.
     fn decode_family(programs: &[Program], opts: LayoutOptions) -> Vec<ProgramLayout> {
         let mut families: Vec<Family> = Vec::new();
-        let mut fuse_scratch = (Vec::new(), Vec::new());
+        let mut work = RegWork::default();
         let bodies: Vec<(usize, Vec<Arc<MethodOps>>)> = programs
             .iter()
             .enumerate()
@@ -609,7 +659,7 @@ impl ProgramLayout {
                 } = &mut families[at];
                 let method_ops = program.methods.iter().map(|m| {
                     let ops = decoded.entry(Arc::as_ptr(m)).or_insert_with(|| {
-                        Arc::new(shape.decode(program, m, opts, pool, &mut fuse_scratch))
+                        Arc::new(shape.decode(program, m, opts, pool, &mut work))
                     });
                     Arc::clone(ops)
                 });
@@ -802,31 +852,31 @@ impl LayoutShape {
         }
     }
 
-    /// Decodes (and, per `opts`, fuses) one method body against the shape tables,
-    /// interning its string constants into `pool` as it goes.
+    /// Decodes one method body against the shape tables — to the register form
+    /// when `opts` asks for it and the body takes it, 1:1 otherwise — interning its
+    /// string constants into `pool` as it goes.
     fn decode(
         &self,
         program: &Program,
         method: &Method,
         opts: LayoutOptions,
         pool: &mut Literals,
-        fuse_scratch: &mut (Vec<bool>, Vec<u32>),
+        work: &mut RegWork,
     ) -> MethodOps {
-        let decoded: Vec<Op> = method
+        if opts.fuse {
+            if let Some(ops) = self.registers(program, method, pool, work) {
+                return ops;
+            }
+        }
+        let ops: Vec<Op> = method
             .body
             .iter()
             .map(|insn| self.decode_insn(program, insn, pool))
             .collect();
-        let (ops, src_pc) = if opts.fuse {
-            fuse_ops(decoded, fuse_scratch)
-        } else {
-            let src_pc = (0..=decoded.len() as u32).collect();
-            (decoded, src_pc)
-        };
         MethodOps {
+            src_pc: (0..=ops.len() as u32).collect(),
             ops,
-            src_pc,
-            locals: method.locals,
+            regs: method.locals,
         }
     }
 
@@ -1094,95 +1144,428 @@ fn shape_fingerprint(program: &Program) -> u64 {
     h.0
 }
 
-/// The superinstruction fusion pass over one decoded method body.
-///
-/// Walks the stream front to back, greedily collapsing the longest matching window
-/// at each pc. A window is only fusible when no branch target lands *strictly
-/// inside* it — a mid-pattern target must keep its instruction addressable, so the
-/// window stays unfused. Branch targets (including targets equal to the body
-/// length, i.e. "fall off the end") are then remapped onto the shortened stream.
-///
-/// Returns the fused ops plus their seed-accounting table ([`MethodOps::src_pc`]).
-/// The two per-method work tables live in the caller's `scratch` (contents
-/// irrelevant on entry), so a layout build allocates them once rather than once per
-/// method.
-fn fuse_ops(ops: Vec<Op>, scratch: &mut (Vec<bool>, Vec<u32>)) -> (Vec<Op>, Vec<u32>) {
-    let n = ops.len();
-    let (is_target, old_to_new) = scratch;
-    // Seed-coordinate branch-target set. `n + 1` entries: a target may legally be
-    // one past the last instruction.
-    is_target.clear();
-    is_target.resize(n + 1, false);
-    for op in &ops {
-        match op {
-            Op::IfCmp(_, t) | Op::If(_, t) | Op::Goto(t) => is_target[*t as usize] = true,
-            _ => {}
+/// Stack height not known (yet) at a seed pc.
+const UNKNOWN: u32 = u32::MAX;
+
+/// A stack slot of the register translation that no op has placed in its home
+/// register yet: a register read in place (a local, or another slot's home a `Dup`
+/// copied) or a constant.
+#[derive(Clone, Copy, Debug)]
+enum Val {
+    Reg(u16),
+    Int(i64),
+    Float(f64),
+    Bool(bool),
+    Str(u32),
+    Null,
+}
+
+/// The register translation of one body at a time: its work tables, reused by every
+/// body of one build, and the output so far.
+#[derive(Default)]
+struct RegWork {
+    /// Per seed pc, plus the end: whether a branch lands there.
+    target: Vec<bool>,
+    /// Per seed pc, plus the end: the stack height control arrives with.
+    height: Vec<u32>,
+    /// Per seed pc, plus the end: the op whose window starts there (live targets).
+    op_at: Vec<u32>,
+    /// The abstract operand stack: slot `k` is at home in register `base + k`.
+    stack: Vec<Val>,
+    ops: Vec<Op>,
+    src_pc: Vec<u32>,
+    /// First seed instruction no emitted op stands for yet.
+    from: u32,
+    /// Home register of stack slot 0.
+    base: u16,
+    /// Whether the last op's result is a slot's and a `Store` may retarget it.
+    producer: bool,
+}
+
+impl RegWork {
+    /// Home register of stack slot `d`.
+    fn home(&self, d: usize) -> u16 {
+        self.base + d as u16
+    }
+
+    /// Emits `op` standing for the pending window up to seed pc `end`.
+    fn emit(&mut self, op: Op, end: u32) {
+        self.src_pc.push(self.from);
+        self.ops.push(op);
+        self.from = end;
+        self.producer = false;
+    }
+
+    /// Emits `op`, whose result is the new top slot, at home.
+    fn produce(&mut self, op: Op, end: u32) {
+        let home = self.home(self.stack.len());
+        self.emit(op, end);
+        self.stack.push(Val::Reg(home));
+        self.producer = true;
+    }
+
+    /// Places slot `d` in its home register (ops emitted here close the pending
+    /// window at `end`, so only the first can stand for seed instructions).
+    fn place(&mut self, d: usize, end: u32) -> u16 {
+        let home = self.home(d);
+        match self.stack[d] {
+            Val::Reg(r) if r == home => {}
+            v => {
+                self.emit(set(home, v), end);
+                self.stack[d] = Val::Reg(home);
+            }
+        }
+        home
+    }
+
+    /// The register slot `d` is read from: in place, or its home once placed.
+    fn reg(&mut self, d: usize, end: u32) -> u16 {
+        match self.stack[d] {
+            Val::Reg(r) => r,
+            _ => self.place(d, end),
         }
     }
 
-    let mut fused: Vec<Op> = Vec::with_capacity(n);
-    let mut src_pc: Vec<u32> = Vec::with_capacity(n + 1);
-    old_to_new.clear();
-    old_to_new.resize(n + 1, 0);
-    let mut pc = 0usize;
-    while pc < n {
-        // No target may land inside the window; the window start itself is fine.
-        let free = |k: usize| (pc + 1..pc + k).all(|j| !is_target[j]);
-        let (op, width) = match &ops[pc..] {
-            [Op::Load(a), Op::ConstInt(k), Op::Bin(BinOp::Add), Op::Store(d), ..]
-                if a == d && free(4) =>
+    /// The registers of the top `K` slots, which are popped.
+    fn pop_regs<const K: usize>(&mut self, end: u32) -> [u16; K] {
+        let lo = self.stack.len() - K;
+        let regs = std::array::from_fn(|k| self.reg(lo + k, end));
+        self.stack.truncate(lo);
+        regs
+    }
+
+    /// The registers of the top two slots, which are popped; an integer constant on
+    /// top is read as an immediate instead.
+    fn pop_pair(&mut self, end: u32) -> (u16, Result<u16, i64>) {
+        if let Some(&Val::Int(k)) = self.stack.last() {
+            self.stack.pop();
+            let [a] = self.pop_regs(end);
+            return (a, Err(k));
+        }
+        let [a, b] = self.pop_regs(end);
+        (a, Ok(b))
+    }
+
+    /// Places every slot from `d` up.
+    fn place_from(&mut self, d: usize, end: u32) {
+        for k in d..self.stack.len() {
+            self.place(k, end);
+        }
+    }
+
+    /// `Store x` at seed pc `at`.
+    fn store(&mut self, x: u16, at: u32) {
+        let top = self.stack.pop().expect("height checked");
+        // Slots that read `x` in place keep the old value.
+        for d in 0..self.stack.len() {
+            if matches!(self.stack[d], Val::Reg(r) if r == x) {
+                self.place(d, at);
+            }
+        }
+        let fresh = self.home(self.stack.len());
+        if matches!(top, Val::Reg(r) if r == fresh) && self.producer {
+            if let Some(dst) = self
+                .ops
+                .last_mut()
+                .and_then(dst_of)
+                .filter(|d| **d == fresh)
             {
-                (Op::IncLocal(*d, *k), 4)
+                // The producer writes `x` itself; the `Store` is charged with the
+                // next op.
+                *dst = x;
+                return;
             }
-            [Op::Load(a), Op::Load(b), Op::Bin(op), ..] if free(3) => {
-                (Op::LoadLoadBin(*a, *b, *op), 3)
-            }
-            [Op::Load(a), Op::Load(b), Op::IfCmp(c, t), ..] if free(3) => {
-                (Op::IfCmpFused(*c, *a, *b, *t), 3)
-            }
-            [Op::Load(a), Op::ConstInt(k), Op::Bin(op), ..] if free(3) => {
-                (Op::LoadConstBin(*a, *k, *op), 3)
-            }
-            [Op::Load(a), Op::ConstInt(k), Op::IfCmp(c, t), ..] if free(3) => {
-                (Op::LoadConstIfCmp(*c, *a, *k, *t), 3)
-            }
-            [Op::Load(a), Op::IfCmp(c, t), ..] if free(2) => (Op::LoadIfCmp(*c, *a, *t), 2),
-            [Op::Load(a), Op::GetField { slot, fr }, ..] if free(2) => (
-                Op::LoadFieldGet {
-                    local: *a,
-                    slot: *slot,
-                    fr: *fr,
-                },
-                2,
-            ),
-            [Op::Bin(op), Op::Store(d), ..] if free(2) => (Op::BinStore(*op, *d), 2),
-            [op, ..] => (op.clone(), 1),
-            [] => unreachable!("loop condition guarantees pc < n"),
-        };
-        // Interior pcs are never branch targets (checked above), so only the window
-        // start needs a mapping; fill the whole window anyway to keep the map total.
-        for entry in &mut old_to_new[pc..pc + width] {
-            *entry = fused.len() as u32;
         }
-        src_pc.push(pc as u32);
-        fused.push(op);
-        pc += width;
+        self.emit(set(x, top), at + 1);
     }
-    old_to_new[n] = fused.len() as u32;
-    src_pc.push(n as u32);
 
-    for op in &mut fused {
-        match op {
-            Op::IfCmp(_, t)
-            | Op::If(_, t)
-            | Op::Goto(t)
-            | Op::LoadIfCmp(_, _, t)
-            | Op::IfCmpFused(_, _, _, t)
-            | Op::LoadConstIfCmp(_, _, _, t) => *t = old_to_new[*t as usize],
-            _ => {}
+    /// Emits branch `op` (seed pc `at`) to seed pc `t`, which control reaches with
+    /// the `h` slots left, all placed at home. `false` where `t` has another
+    /// height or lies behind the pass, unreached.
+    fn branch(&mut self, op: Op, at: u32, t: usize, h: usize) -> bool {
+        self.place_from(0, at);
+        let arrives = self.height[t];
+        if (t <= at as usize && self.op_at[t] == UNKNOWN)
+            || (arrives != UNKNOWN && arrives as usize != h)
+        {
+            return false;
         }
+        self.height[t] = h as u32;
+        self.emit(op, at + 1);
+        true
     }
-    (fused, src_pc)
+}
+
+/// The op that writes `v` to register `dst`.
+fn set(dst: u16, v: Val) -> Op {
+    match v {
+        Val::Reg(r) => Op::Mov(dst, r),
+        Val::Int(k) => Op::SetI(dst, k),
+        Val::Float(k) => Op::SetF(dst, k),
+        Val::Bool(k) => Op::SetB(dst, k),
+        Val::Str(k) => Op::SetS(dst, k),
+        Val::Null => Op::SetN(dst),
+    }
+}
+
+/// The destination register of a register op that produces a value.
+fn dst_of(op: &mut Op) -> Option<&mut u16> {
+    match op {
+        Op::RBin(_, d, ..)
+        | Op::RBinI(_, d, ..)
+        | Op::RUn(_, d, _)
+        | Op::RNew(d, _)
+        | Op::RNewArray(d, ..)
+        | Op::RArrayLoad(d, ..)
+        | Op::RArrayLength(d, _)
+        | Op::RGetField(d, ..)
+        | Op::RGetStatic(d, _)
+        | Op::RInvoke { dst: d, .. } => Some(d),
+        _ => None,
+    }
+}
+
+impl LayoutShape {
+    /// The register translation of one body, in one pass over its seed
+    /// instructions, or `None` where the body keeps the stack form: it uses
+    /// `Swap`, some reachable pc has no one static stack height (a join of two
+    /// heights, or a pop below the bottom), or a branch goes back to a pc the pass
+    /// has not reached. Stack slot `k` is register `base + k`, `base` the locals
+    /// widened to every local index the body names. `Load` and constants stay on
+    /// an abstract stack and are read in place by the op that consumes them; a
+    /// `Store` retargets the op that produced its value. Each op stands for the
+    /// window of seed instructions since the previous op, its own last; slots are
+    /// placed at home before every branch and branch target, so every path agrees
+    /// on where a slot lives.
+    fn registers(
+        &self,
+        program: &Program,
+        method: &Method,
+        pool: &mut Literals,
+        w: &mut RegWork,
+    ) -> Option<MethodOps> {
+        let body = &method.body;
+        let n = body.len();
+        let mut base = u32::from(method.locals);
+        w.target.clear();
+        w.target.resize(n + 1, false);
+        for insn in body {
+            match insn {
+                Insn::Swap => return None,
+                Insn::Load(x) | Insn::Store(x) => base = base.max(u32::from(*x) + 1),
+                _ => {}
+            }
+            match insn.branch_target() {
+                Some(t) if t > n => return None,
+                Some(t) => w.target[t] = true,
+                None => {}
+            }
+        }
+        if base as usize + n >= usize::from(NO_REG) {
+            return None;
+        }
+        w.height.clear();
+        w.height.resize(n + 1, UNKNOWN);
+        w.op_at.clear();
+        w.op_at.resize(n + 1, UNKNOWN);
+        w.stack.clear();
+        (w.ops, w.src_pc) = (Vec::with_capacity(n), Vec::with_capacity(n + 1));
+        (w.from, w.base, w.producer) = (0, base as u16, false);
+        let mut live = true;
+        let mut max_height = 0;
+        for (i, insn) in body.iter().enumerate() {
+            let at = i as u32;
+            if w.target[i] {
+                if live {
+                    w.place_from(0, at);
+                    if w.height[i] != UNKNOWN && w.height[i] as usize != w.stack.len() {
+                        return None;
+                    }
+                } else if w.height[i] != UNKNOWN {
+                    live = true;
+                    for d in 0..w.height[i] as usize {
+                        w.stack.push(Val::Reg(w.home(d)));
+                    }
+                }
+                if live {
+                    if w.from < at {
+                        w.emit(Op::Nop, at);
+                    }
+                    w.producer = false;
+                    w.height[i] = w.stack.len() as u32;
+                    w.op_at[i] = w.ops.len() as u32;
+                }
+            }
+            if !live {
+                // Dead code, charged to a `Nop` no run reaches; its literals are
+                // interned all the same, so the pool is the stack form's.
+                if let Insn::Const(Const::Str(s)) = insn {
+                    pool.strs.intern(s);
+                }
+                continue;
+            }
+            let h = w.stack.len();
+            let pops = match insn {
+                Insn::Store(_) | Insn::Dup | Insn::Pop | Insn::Un(_) | Insn::If(..) => 1,
+                Insn::NewArray(_) | Insn::ArrayLength | Insn::GetField(_) => 1,
+                Insn::PutStatic(_) | Insn::ReturnValue => 1,
+                Insn::Bin(_) | Insn::IfCmp(..) | Insn::ArrayLoad | Insn::PutField(_) => 2,
+                Insn::ArrayStore => 3,
+                Insn::Invoke(kind, target) => {
+                    program.method(*target).params.len() + usize::from(*kind != InvokeKind::Static)
+                }
+                _ => 0,
+            };
+            if h < pops {
+                return None;
+            }
+            let end = at + 1;
+            let top = h.wrapping_sub(1);
+            match insn {
+                Insn::Const(c) => w.stack.push(match c {
+                    Const::Int(k) => Val::Int(*k),
+                    Const::Float(k) => Val::Float(*k),
+                    Const::Bool(k) => Val::Bool(*k),
+                    Const::Str(s) => Val::Str(pool.strs.intern(s)),
+                    Const::Null => Val::Null,
+                }),
+                Insn::Load(x) => w.stack.push(Val::Reg(*x)),
+                Insn::Store(x) => w.store(*x, at),
+                Insn::Dup => w.stack.push(w.stack[top]),
+                Insn::Pop => {
+                    w.stack.pop();
+                }
+                Insn::Swap => unreachable!("a body with Swap keeps the stack form"),
+                Insn::Bin(op) => {
+                    let dst = w.home(top - 1);
+                    let op = match w.pop_pair(at) {
+                        (a, Ok(b)) => Op::RBin(*op, dst, a, b),
+                        (a, Err(k)) => Op::RBinI(*op, dst, a, k),
+                    };
+                    w.produce(op, end);
+                }
+                Insn::Un(op) => {
+                    let [v] = w.pop_regs(at);
+                    w.produce(Op::RUn(*op, w.home(top), v), end);
+                }
+                Insn::IfCmp(c, t) => {
+                    let op = match w.pop_pair(at) {
+                        (a, Ok(b)) => Op::RIfCmp(*c, a, b, *t as u32),
+                        (a, Err(k)) => Op::RIfCmpI(*c, a, k, *t as u32),
+                    };
+                    if !w.branch(op, at, *t, h - 2) {
+                        return None;
+                    }
+                }
+                Insn::If(c, t) => {
+                    let [v] = w.pop_regs(at);
+                    if !w.branch(Op::RIf(*c, v, *t as u32), at, *t, h - 1) {
+                        return None;
+                    }
+                }
+                Insn::Goto(t) => {
+                    if !w.branch(Op::Goto(*t as u32), at, *t, h) {
+                        return None;
+                    }
+                    w.stack.clear();
+                    live = false;
+                }
+                Insn::New(class) => w.produce(Op::RNew(w.home(h), *class), end),
+                Insn::NewArray(ty) => {
+                    let [len] = w.pop_regs(at);
+                    w.produce(Op::RNewArray(w.home(top), len, ArrayInit::of(ty)), end);
+                }
+                Insn::ArrayLoad => {
+                    let [arr, idx] = w.pop_regs(at);
+                    w.produce(Op::RArrayLoad(w.home(top - 1), arr, idx), end);
+                }
+                Insn::ArrayStore => {
+                    let [arr, idx, val] = w.pop_regs(at);
+                    w.emit(Op::RArrayStore(arr, idx, val), end);
+                }
+                Insn::ArrayLength => {
+                    let [arr] = w.pop_regs(at);
+                    w.produce(Op::RArrayLength(w.home(top), arr), end);
+                }
+                Insn::GetField(fr) => {
+                    let [obj] = w.pop_regs(at);
+                    let slot = self.field_slot(*fr).unwrap_or(NO_SLOT);
+                    w.produce(Op::RGetField(w.home(top), obj, slot), end);
+                }
+                Insn::PutField(fr) => {
+                    let [obj, val] = w.pop_regs(at);
+                    let slot = self.field_slot(*fr).unwrap_or(NO_SLOT);
+                    w.emit(Op::RPutField(obj, val, slot), end);
+                }
+                Insn::GetStatic(fr) => {
+                    let slot = self.static_slot(*fr).unwrap_or(NO_SLOT);
+                    w.produce(Op::RGetStatic(w.home(h), slot), end);
+                }
+                Insn::PutStatic(fr) => {
+                    let [v] = w.pop_regs(at);
+                    let slot = self.static_slot(*fr).unwrap_or(NO_SLOT);
+                    w.emit(Op::RPutStatic(v, slot), end);
+                }
+                Insn::Invoke(kind, target) => {
+                    let lo = h - pops;
+                    // Arguments already in consecutive registers are read in place.
+                    let args = match w.stack.get(lo) {
+                        Some(&Val::Reg(r))
+                            if (lo..h).all(|d| {
+                                matches!(w.stack[d], Val::Reg(q) if q as usize == r as usize + d - lo)
+                            }) =>
+                        {
+                            r
+                        }
+                        _ => {
+                            w.place_from(lo, at);
+                            w.home(lo)
+                        }
+                    };
+                    w.stack.truncate(lo);
+                    let returns = program.method(*target).ret != Type::Void;
+                    let op = Op::RInvoke {
+                        kind: *kind,
+                        dst: if returns { w.home(lo) } else { NO_REG },
+                        args,
+                        nargs: pops as u16,
+                        target: *target,
+                        sel: self.selectors[target.0 as usize],
+                    };
+                    match returns {
+                        true => w.produce(op, end),
+                        false => w.emit(op, end),
+                    }
+                }
+                Insn::Return => {
+                    w.emit(Op::Return, end);
+                    live = false;
+                }
+                Insn::ReturnValue => {
+                    let [v] = w.pop_regs(at);
+                    w.stack.clear();
+                    w.emit(Op::RReturnValue(v), end);
+                    live = false;
+                }
+            }
+            max_height = max_height.max(w.stack.len());
+        }
+        if !live && w.from < n as u32 {
+            w.emit(Op::Nop, n as u32);
+        }
+        w.op_at[n] = w.ops.len() as u32;
+        w.src_pc.push(n as u32);
+        for op in &mut w.ops {
+            if let Op::Goto(t) | Op::RIfCmp(.., t) | Op::RIfCmpI(.., t) | Op::RIf(.., t) = op {
+                *t = w.op_at[*t as usize];
+            }
+        }
+        Some(MethodOps {
+            ops: std::mem::take(&mut w.ops),
+            src_pc: std::mem::take(&mut w.src_pc),
+            regs: (base as usize + max_height) as u16,
+        })
+    }
 }
 
 #[cfg(test)]
@@ -1325,26 +1708,33 @@ mod tests {
         let m = p.add_method(a, "m", vec![], Type::Void, true);
         p.method_mut(m).body = vec![
             Insn::Const(Const::Str("dup".into())),
-            Insn::Pop,
+            Insn::Store(0),
             Insn::Const(Const::Str("dup".into())),
-            Insn::Pop,
+            Insn::Store(1),
             Insn::Const(Const::Str("other".into())),
-            Insn::Pop,
+            Insn::Store(2),
             Insn::Return,
         ];
         let layout = ProgramLayout::build(&p);
         assert_eq!(layout.literals.len(), 2, "literals are deduplicated");
         let ops = &layout.ops(m).ops;
-        assert_eq!(ops[0], ops[2], "same literal, same pool index");
-        assert_ne!(ops[0], ops[4]);
-        match ops[0] {
-            Op::ConstStr(i) => {
-                assert_eq!(layout.literals.get(i), Some("dup"));
-                assert_eq!(layout.literals.id_of("dup"), Some(i), "content maps back");
-            }
-            ref other => panic!("expected ConstStr, got {other:?}"),
-        }
+        let literal = |op: &Op| match *op {
+            Op::SetS(_, i) => i,
+            ref other => panic!("expected SetS, got {other:?}"),
+        };
+        assert_eq!(
+            literal(&ops[0]),
+            literal(&ops[1]),
+            "same literal, same pool index"
+        );
+        assert_ne!(literal(&ops[0]), literal(&ops[2]));
+        let i = literal(&ops[0]);
+        assert_eq!(layout.literals.get(i), Some("dup"));
+        assert_eq!(layout.literals.id_of("dup"), Some(i), "content maps back");
         assert_eq!(layout.literals.id_of("absent"), None);
+        // The stack form interns into the same pool, in the same order.
+        let stack = ProgramLayout::build_with(&p, LayoutOptions { fuse: false });
+        assert_eq!(stack.ops(m).ops[0], Op::ConstStr(i));
     }
 
     #[test]
@@ -1438,13 +1828,14 @@ mod tests {
             ref other => panic!("expected Invoke, got {other:?}"),
         }
         assert_eq!(ops[5], Op::Goto(0));
-        assert_eq!(layout.ops(m).locals, p.method(m).locals);
+        assert_eq!(layout.ops(m).regs, p.method(m).locals);
         assert!(layout.ops(m).ops.is_empty(), "abstract body decodes empty");
     }
 
-    /// `i = 0; while (i < 10) { i = i + 1; }` — the loop head fuses to
-    /// `LoadConstIfCmp`, the increment to `IncLocal`, and both branch targets are
-    /// remapped onto the shortened stream.
+    /// `i = 0; while (i < 10) { i = i + 1; }` — the loop head becomes one
+    /// `RIfCmpI` reading local 0 in place, the increment one `RBinI` whose `Store`
+    /// retargets it to local 0 (the `Store` is charged with the `Goto`), and both
+    /// branch targets are remapped onto the translated stream.
     #[test]
     fn fusion_collapses_the_increment_loop_idiom() {
         let mut p = Program::new();
@@ -1468,26 +1859,28 @@ mod tests {
         assert_eq!(
             mops.ops,
             vec![
-                Op::ConstInt(0),
-                Op::Store(0),
-                Op::LoadConstIfCmp(CmpOp::Ge, 0, 10, 5),
-                Op::IncLocal(0, 1),
-                Op::Goto(2),
+                Op::SetI(0, 0),
+                Op::RIfCmpI(CmpOp::Ge, 0, 10, 4),
+                Op::RBinI(BinOp::Add, 0, 0, 1),
+                Op::Goto(1),
                 Op::Return,
             ]
         );
-        assert_eq!(mops.src_pc, vec![0, 1, 2, 5, 9, 10, 11]);
-        assert_eq!(mops.seed_pc(3), 5);
-        assert_eq!((mops.seed_width(2), mops.seed_width(3)), (3, 4));
+        assert_eq!(mops.src_pc, vec![0, 2, 5, 8, 10, 11]);
+        assert_eq!(mops.seed_pc(2), 5);
+        assert_eq!((mops.seed_width(1), mops.seed_width(3)), (3, 2));
+        // Local 0 (widened: the method declares none), then two stack slots.
+        assert_eq!(mops.regs, 3);
     }
 
+    /// The `Goto` joins the `Load/Const/Bin` sequence at its `Const` with an empty
+    /// stack, so the `Bin` pops below the bottom: the body keeps the stack form,
+    /// one op per instruction.
     #[test]
     fn branch_target_landing_mid_pattern_blocks_fusion() {
         let mut p = Program::new();
         let a = p.add_class("A", None);
         let m = p.add_method(a, "m", vec![Type::Int], Type::Int, true);
-        // The Goto lands on the ConstInt *inside* the Load/Const/Bin window, so the
-        // window must stay unfused and the whole stream 1:1.
         p.method_mut(m).body = vec![
             Insn::Goto(2),
             Insn::Load(0),
@@ -1507,14 +1900,12 @@ mod tests {
                 Op::ReturnValue,
             ]
         );
-        assert_eq!(
-            mops.src_pc,
-            [0, 1, 2, 3, 4, 5],
-            "identity table when nothing fused"
-        );
+        assert_eq!(mops.src_pc, [0, 1, 2, 3, 4, 5], "identity table");
         assert_eq!(mops.seed_pc(3), 3);
     }
 
+    /// A branch to the start of a sequence translates it whole; the op at the
+    /// target starts its window there.
     #[test]
     fn branch_target_on_a_window_start_does_not_block_fusion() {
         let mut p = Program::new();
@@ -1533,8 +1924,8 @@ mod tests {
             mops.ops,
             vec![
                 Op::Goto(1),
-                Op::LoadConstBin(0, 1, BinOp::Add),
-                Op::ReturnValue,
+                Op::RBinI(BinOp::Add, 1, 0, 1),
+                Op::RReturnValue(1),
             ]
         );
         assert_eq!(mops.src_pc, vec![0, 1, 4, 5]);
@@ -1556,13 +1947,45 @@ mod tests {
         let mops = layout.ops(m);
         assert_eq!(
             mops.ops,
+            vec![Op::RIfCmp(CmpOp::Eq, 0, 1, 2), Op::RReturnValue(0)]
+        );
+        assert_eq!(mops.src_pc, vec![0, 3, 5]);
+    }
+
+    /// A `Store` whose value no op produced in place is a `Mov` or `Set*`; a
+    /// `Dup`ed or constant operand that must live in its slot's register is placed
+    /// by one that stands for no seed instruction.
+    #[test]
+    fn stores_and_placements_are_moves() {
+        let mut p = Program::new();
+        let a = p.add_class("A", None);
+        let m = p.add_method(a, "m", vec![Type::Int], Type::Int, true);
+        p.method_mut(m).body = vec![
+            Insn::Load(0),
+            Insn::Store(1), // mov 1, 0
+            Insn::Const(Const::Int(7)),
+            Insn::Load(1),
+            Insn::Bin(BinOp::Sub), // 7 - local 1: the constant is placed first
+            Insn::ReturnValue,
+        ];
+        let layout = ProgramLayout::build(&p);
+        let mops = layout.ops(m);
+        assert_eq!(
+            mops.ops,
             vec![
-                Op::IfCmpFused(CmpOp::Eq, 0, 1, 3),
-                Op::Load(0),
-                Op::ReturnValue,
+                Op::Mov(1, 0),
+                Op::SetI(2, 7),
+                Op::RBin(BinOp::Sub, 2, 2, 1),
+                Op::RReturnValue(2),
             ]
         );
-        assert_eq!(mops.src_pc, vec![0, 3, 4, 5]);
+        assert_eq!(mops.src_pc, vec![0, 2, 4, 5, 6]);
+        assert_eq!(
+            mops.seed_width(1),
+            2,
+            "the placing SetI takes the pending window"
+        );
+        assert_eq!(mops.regs, 4, "locals 0 and 1, then two stack slots");
     }
 
     #[test]
@@ -1616,7 +2039,7 @@ mod tests {
         assert_ne!(ProgramLayout::build(&renamed).fingerprint(), fp);
     }
 
-    /// `sample()` with bodies: `A.m` pushes a string, `A.n` another, `B.m` is empty.
+    /// `sample()` with bodies: `A.m` stores a string, `A.n` another, `B.m` is empty.
     fn bodied() -> Program {
         let mut p = sample();
         let a = p.class_by_name("A").unwrap();
@@ -1624,7 +2047,7 @@ mod tests {
             let m = p.find_method(a, name).unwrap();
             let body = vec![
                 Insn::Const(Const::Str(literal.into())),
-                Insn::Pop,
+                Insn::Store(0),
                 Insn::Return,
             ];
             p.set_body(m, body, 1);
@@ -1639,7 +2062,7 @@ mod tests {
         let n = MethodId(1);
         let body = vec![
             Insn::Const(Const::Str("other".into())),
-            Insn::Pop,
+            Insn::Store(1),
             Insn::Return,
         ];
         copy.set_body(n, body, 2);
@@ -1663,9 +2086,9 @@ mod tests {
         let pool: Vec<&str> = (0..3).filter_map(|i| literals.get(i)).collect();
         assert_eq!(literals.len(), 3);
         assert_eq!(pool, ["left", "right", "other"]);
-        assert_eq!(family[1].ops(n).ops[0], Op::ConstStr(2));
-        assert_eq!(family[1].ops(n).locals, 2);
-        assert_eq!(family[0].ops(n).ops[0], Op::ConstStr(1));
+        assert_eq!(family[1].ops(n).ops[0], Op::SetS(1, 2));
+        assert_eq!(family[1].ops(n).regs, 3, "the copy's two locals and a slot");
+        assert_eq!(family[0].ops(n).ops[0], Op::SetS(0, 1));
     }
 
     #[test]

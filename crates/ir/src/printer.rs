@@ -13,14 +13,14 @@
 //! [`print_bytecode`] produces a `javap`-style listing used by the Figure 8/9
 //! transformation demonstrations.
 //!
-//! [`print_decoded`] renders what the interpreter actually executes: the decoded —
-//! and, by default, fused — [`Op`] stream of a method, annotating every
-//! superinstruction with the seed-instruction range it collapsed.
+//! [`print_decoded`] renders what the interpreter actually executes: the decoded
+//! [`Op`] stream of a method — the register form by default — annotating every op
+//! that does not stand for exactly one seed instruction with its seed range.
 
 use std::fmt::Write as _;
 
 use crate::bytecode::{Insn, InvokeKind};
-use crate::layout::{Op, ProgramLayout, NO_SLOT};
+use crate::layout::{Op, ProgramLayout, NO_REG, NO_SLOT};
 use crate::program::{FieldRef, MethodId, Program};
 use crate::quad::{BlockId, Quad, QuadMethod};
 
@@ -204,11 +204,7 @@ pub fn format_insn(program: &Program, insn: &Insn) -> String {
         Insn::Invoke(kind, m) => {
             let callee = program.method(*m);
             let cname = &program.class(callee.class).name;
-            let k = match kind {
-                InvokeKind::Virtual => "invokevirtual",
-                InvokeKind::Static => "invokestatic",
-                InvokeKind::Special => "invokespecial",
-            };
+            let k = invoke_mnemonic(*kind);
             format!("{k} {cname}.{}:({})", callee.name, callee.params.len())
         }
         Insn::Return => "return".to_string(),
@@ -216,9 +212,10 @@ pub fn format_insn(program: &Program, insn: &Insn) -> String {
     }
 }
 
-/// Renders a method's decoded (and, with the default layout options, fused) op
-/// stream, one op per line. Superinstructions are annotated with the seed pc range
-/// they collapsed, read off [`crate::layout::MethodOps::src_pc`].
+/// Renders a method's decoded op stream (the register form with the default layout
+/// options), one op per line. An op that does not stand for exactly one seed
+/// instruction is annotated with the seed pc range of its window, read off
+/// [`crate::layout::MethodOps::src_pc`] (`-` for none).
 pub fn print_decoded(program: &Program, layout: &ProgramLayout, method: MethodId) -> String {
     let m = program.method(method);
     let mops = layout.ops(method);
@@ -232,24 +229,28 @@ pub fn print_decoded(program: &Program, layout: &ProgramLayout, method: MethodId
         m.body.len()
     );
     for (pc, op) in mops.ops.iter().enumerate() {
-        if mops.seed_width(pc) > 1 {
-            let _ = writeln!(
-                out,
-                "{pc:>4}: {}  ; insns {}..={}",
-                format_op(program, layout, op),
-                mops.seed_pc(pc),
-                mops.seed_pc(pc + 1) - 1
-            );
-        } else {
-            let _ = writeln!(out, "{pc:>4}: {}", format_op(program, layout, op));
-        }
+        let op = format_op(program, layout, op);
+        let (from, to) = (mops.seed_pc(pc), mops.seed_pc(pc + 1));
+        let _ = match to - from {
+            1 => writeln!(out, "{pc:>4}: {op}"),
+            0 => writeln!(out, "{pc:>4}: {op}  ; insns -"),
+            _ => writeln!(out, "{pc:>4}: {op}  ; insns {from}..={}", to - 1),
+        };
     }
     out
 }
 
-/// Renders a single decoded op. Superinstruction mnemonics carry a suffix naming
-/// their operand sources: `.l` = one local, `.ll` = two locals, `.lc` = local and
-/// constant.
+/// The mnemonic of an invoke kind.
+fn invoke_mnemonic(kind: InvokeKind) -> &'static str {
+    match kind {
+        InvokeKind::Virtual => "invokevirtual",
+        InvokeKind::Static => "invokestatic",
+        InvokeKind::Special => "invokespecial",
+    }
+}
+
+/// Renders a single decoded op. Register operands print as `r<n>`: the locals
+/// first, then one register per operand-stack slot.
 pub fn format_op(program: &Program, layout: &ProgramLayout, op: &Op) -> String {
     let field = |fr: &FieldRef| {
         format!(
@@ -257,6 +258,11 @@ pub fn format_op(program: &Program, layout: &ProgramLayout, op: &Op) -> String {
             program.class(fr.class).name,
             program.field(*fr).name
         )
+    };
+    let invoke = |kind: InvokeKind, target: MethodId, args: String| {
+        let callee = program.method(target);
+        let (k, class) = (invoke_mnemonic(kind), &program.class(callee.class).name);
+        format!("{k} {class}.{}:({args})", callee.name)
     };
     let slot = |s: u32| {
         if s == NO_SLOT {
@@ -296,33 +302,46 @@ pub fn format_op(program: &Program, layout: &ProgramLayout, op: &Op) -> String {
             nargs,
             push_ret,
             ..
-        } => {
-            let callee = program.method(*target);
-            let cname = &program.class(callee.class).name;
-            let k = match kind {
-                InvokeKind::Virtual => "invokevirtual",
-                InvokeKind::Static => "invokestatic",
-                InvokeKind::Special => "invokespecial",
-            };
-            let ret = if *push_ret { " -> push" } else { "" };
-            format!("{k} {cname}.{}:({nargs}){ret}", callee.name)
-        }
+        } => invoke(*kind, *target, nargs.to_string()) + if *push_ret { " -> push" } else { "" },
         Op::Return => "return".to_string(),
         Op::ReturnValue => "vreturn".to_string(),
-        Op::LoadLoadBin(a, b, op) => format!("{}.ll {a}, {b}", op.mnemonic().to_lowercase()),
-        Op::LoadConstBin(n, k, op) => format!("{}.lc {n}, {k}", op.mnemonic().to_lowercase()),
-        Op::BinStore(op, n) => format!("{}.store {n}", op.mnemonic().to_lowercase()),
-        Op::LoadIfCmp(c, n, t) => format!("if_cmp{}.l {n}, {t}", c.mnemonic().to_lowercase()),
-        Op::IfCmpFused(c, a, b, t) => {
-            format!("if_cmp{}.ll {a}, {b}, {t}", c.mnemonic().to_lowercase())
-        }
-        Op::LoadConstIfCmp(c, n, k, t) => {
-            format!("if_cmp{}.lc {n}, {k}, {t}", c.mnemonic().to_lowercase())
-        }
-        Op::IncLocal(n, k) => format!("inc {n}, {k}"),
-        Op::LoadFieldGet { local, slot: s, fr } => {
-            format!("getfield.l {local} [{}] {}", slot(*s), field(fr))
-        }
+        Op::Nop => "nop".to_string(),
+        Op::Mov(d, r) => format!("mov r{d}, r{r}"),
+        Op::SetI(d, k) => format!("set.i r{d}, {k}"),
+        Op::SetF(d, k) => format!("set.f r{d}, {k}"),
+        Op::SetB(d, k) => format!("set.b r{d}, {k}"),
+        Op::SetS(d, i) => format!(
+            "set.s r{d}, {:?}",
+            layout.literals.get(*i).unwrap_or_default()
+        ),
+        Op::SetN(d) => format!("set.null r{d}"),
+        Op::RBin(op, d, a, b) => format!("{} r{d}, r{a}, r{b}", op.mnemonic().to_lowercase()),
+        Op::RBinI(op, d, a, k) => format!("{} r{d}, r{a}, {k}", op.mnemonic().to_lowercase()),
+        Op::RUn(op, d, a) => format!("{} r{d}, r{a}", op.mnemonic().to_lowercase()),
+        Op::RIfCmp(c, a, b, t) => format!("if_cmp{} r{a}, r{b}, {t}", c.mnemonic().to_lowercase()),
+        Op::RIfCmpI(c, a, k, t) => format!("if_cmp{} r{a}, {k}, {t}", c.mnemonic().to_lowercase()),
+        Op::RIf(c, a, t) => format!("if{} r{a}, {t}", c.mnemonic().to_lowercase()),
+        Op::RNew(d, c) => format!("new r{d}, {}", program.class(*c).name),
+        Op::RNewArray(d, n, init) => format!("newarray r{d}, r{n} {init:?}"),
+        Op::RArrayLoad(d, a, i) => format!("aaload r{d}, r{a}[r{i}]"),
+        Op::RArrayStore(a, i, v) => format!("aastore r{a}[r{i}], r{v}"),
+        Op::RArrayLength(d, a) => format!("arraylength r{d}, r{a}"),
+        Op::RGetField(d, o, s) => format!("getfield r{d}, r{o} [{}]", slot(*s)),
+        Op::RPutField(o, v, s) => format!("putfield r{o} [{}], r{v}", slot(*s)),
+        Op::RGetStatic(d, s) => format!("getstatic r{d}, [{}]", slot(*s)),
+        Op::RPutStatic(v, s) => format!("putstatic [{}], r{v}", slot(*s)),
+        Op::RInvoke {
+            kind,
+            dst,
+            args,
+            nargs,
+            target,
+            ..
+        } => match *dst {
+            NO_REG => invoke(*kind, *target, format!("r{args}..+{nargs}")),
+            d => invoke(*kind, *target, format!("r{args}..+{nargs}")) + &format!(" -> r{d}"),
+        },
+        Op::RReturnValue(r) => format!("vreturn r{r}"),
     }
 }
 
@@ -365,18 +384,20 @@ mod tests {
         }
     }
 
+    /// The register listing: operands in place, windows annotated.
     #[test]
     fn decoded_listing_shows_superinstructions_with_seed_ranges() {
         let (p, id) = example();
         let layout = ProgramLayout::build(&p);
         let listing = print_decoded(&p, &layout, id);
-        // The example body fuses its compare-and-branch and its increment idiom.
+        // The loop head compares a local with a constant in place, and the
+        // increment's `Store` retargets its add.
         assert!(listing.contains("Example.ex decoded:"), "{listing}");
-        assert!(listing.contains("if_cmple.lc 1, 2,"), "{listing}");
-        assert!(listing.contains("inc 1, 1"), "{listing}");
-        // Superinstructions are annotated with the seed insn range they collapsed.
+        assert!(listing.contains("if_cmple r1, 2,"), "{listing}");
+        assert!(listing.contains("add r1, r1, 1"), "{listing}");
+        // Ops are annotated with the seed insn range they stand for.
         assert!(listing.contains("; insns 2..=4"), "{listing}");
-        assert!(listing.contains("; insns 5..=8"), "{listing}");
+        assert!(listing.contains("; insns 5..=7"), "{listing}");
     }
 
     #[test]

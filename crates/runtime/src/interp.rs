@@ -43,8 +43,8 @@ use std::fmt;
 use std::sync::Arc;
 
 use autodist_codegen::rewrite::DEPENDENT_OBJECT_CLASS;
-use autodist_ir::bytecode::{BinOp, CmpOp, InvokeKind, UnOp};
-use autodist_ir::layout::{ArrayInit, Interner, LayoutOptions, Op, ProgramLayout, NO_SLOT};
+use autodist_ir::bytecode::{BinOp, CmpOp, Insn, InvokeKind, UnOp};
+use autodist_ir::layout::{ArrayInit, Interner, LayoutOptions, Op, ProgramLayout, NO_REG, NO_SLOT};
 use autodist_ir::program::{ClassId, FieldRef, MethodId, Program, Type};
 
 use bytes::Bytes;
@@ -57,13 +57,13 @@ use crate::wire::{AccessKind, WireError};
 /// Execution statistics collected by the interpreter.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ExecCounters {
-    /// Bytecode instructions executed. Superinstructions count as the seed
-    /// instructions they stand for ([`autodist_ir::layout::MethodOps::src_pc`]), so
-    /// this is identical with fusion on or off.
+    /// Bytecode instructions executed. An op counts as the seed instructions it
+    /// stands for ([`autodist_ir::layout::MethodOps::src_pc`]), so this is the same
+    /// in the register and the stack form.
     pub instructions: u64,
-    /// Dispatch-loop iterations: superinstructions count **once**. The dynamic
-    /// fusion win of a run is `instructions / dispatches`; the two are equal when
-    /// fusion is off.
+    /// Dispatch-loop iterations: every op counts **once**. The dynamic win of the
+    /// register form is `instructions / dispatches`; the two are equal in the stack
+    /// form.
     pub dispatches: u64,
     /// Objects and arrays allocated.
     pub allocations: u64,
@@ -259,10 +259,23 @@ pub struct Frame {
     push_ret: bool,
     /// Whether profiler enter/exit hooks fire for this frame.
     instrumented: bool,
-    /// Local variable slots.
+    /// Where a callee's result or a parked response lands: a register, or the
+    /// operand stack ([`NO_REG`], the stack form).
+    ret_to: u16,
+    /// Local variable slots, then (register form) one register per stack slot.
     pub(crate) locals: Vec<Value>,
-    /// Operand stack.
+    /// Operand stack (stack form).
     stack: Vec<Value>,
+}
+
+impl Frame {
+    /// Delivers a callee's result or a parked response to [`Self::ret_to`].
+    fn deliver(&mut self, v: Value) {
+        match self.ret_to {
+            NO_REG => self.stack.push(v),
+            r => self.locals[r as usize] = v,
+        }
+    }
 }
 
 /// What to do with the remote response when a parked continuation is resumed.
@@ -431,21 +444,21 @@ pub struct Interp {
 impl Interp {
     /// Creates an interpreter for a centralized run at speed 1.0. This runs the
     /// program-load-time resolution pass ([`ProgramLayout::build`]) with the default
-    /// options (superinstruction fusion on), after which the interpret loop performs
+    /// options (the register form), after which the interpret loop performs
     /// no string clone and no map probe per field or method access.
     pub fn new(program: &Program) -> Self {
         Self::new_with_options(program, LayoutOptions::default())
     }
 
     /// [`Self::new`] with explicit layout options — `fuse: false` yields the 1:1
-    /// decoded stream (benches A/B the dispatch cost; the parity suite compares the
+    /// stack form (the census A/Bs the dispatch cost; the parity suite compares the
     /// two executions instruction for instruction).
     pub fn new_with_options(program: &Program, opts: LayoutOptions) -> Self {
         Self::with_layout(Arc::new(ProgramLayout::build_with(program, opts)))
     }
 
     /// Creates an interpreter over a **pre-built, shared** layout, which carries the
-    /// program it runs. The layout build (decoding, fusion, interning) is the
+    /// program it runs. The layout build (decoding, register translation, interning) is the
     /// expensive part of interpreter construction; the serving scheduler builds it
     /// once per placed program and every admitted request's interpreters share the
     /// `Arc`.
@@ -695,13 +708,14 @@ impl Interp {
     #[inline(always)]
     pub(crate) fn frame_for(&mut self, method: MethodId, push_ret: bool, nargs: usize) -> Frame {
         let (mut locals, stack) = self.frame_pool.pop().unwrap_or_default();
-        let slots = (self.layout.ops(method).locals as usize).max(nargs) + 4;
+        let slots = (self.layout.ops(method).regs as usize).max(nargs);
         locals.resize(slots, Value::Null);
         Frame {
             method,
             pc: 0,
             push_ret,
             instrumented: false,
+            ret_to: NO_REG,
             locals,
             stack,
         }
@@ -792,8 +806,7 @@ impl Interp {
                 task.frames
                     .last_mut()
                     .expect("parked continuation has a frame")
-                    .stack
-                    .push(v);
+                    .deliver(v);
             }
             ResumeAction::Drop => {}
             ResumeAction::NewProxy { proxy, class_name } => match v {
@@ -834,13 +847,13 @@ impl Interp {
         // consecutive ops of one frame — as a whole: opening one at op `pc`
         // subtracts `(src_pc[pc], pc)` from these accumulators, closing it where
         // control leaves adds the same pair for its end, so closed runs leave their
-        // seed instructions and dispatches behind and nothing else stays live. A run
-        // that leaves after a whole op — a taken branch, a call, a return, a park,
-        // the end of the method — ends at the next op's `src_pc`; a fault inside a
-        // superinstruction ends after the component that faulted. `flush!` settles the
-        // accumulators into `self` (counters, clock, profiler ticks), with every run
-        // closed, before anything can observe them — a send, a profiler hook — and
-        // at every exit.
+        // seed instructions and dispatches behind and nothing else stays live. An op
+        // takes effect at the last seed instruction of its window, so a run that
+        // leaves at an op — a taken branch, a call, a return, a park, a fault — ends
+        // at the next op's `src_pc`, and one that falls off the method at the seed
+        // length. `flush!` settles the accumulators into `self` (counters, clock,
+        // profiler ticks), with every run closed, before anything can observe them —
+        // a send, a profiler hook — and at every exit.
         let mut executed: u64 = 0;
         let mut dispatched: u64 = 0;
 
@@ -890,61 +903,67 @@ impl Interp {
                         dispatched = dispatched.wrapping_sub($pc as u64);
                     }};
                 }
-                // Closes the run after `$seed` seed instructions, before op `$pc`.
+                // Closes the run before op `$pc`, after `$seed` seed instructions.
                 macro_rules! close {
                     ($pc:expr, $seed:expr) => {{
                         executed = executed.wrapping_add(u64::from($seed));
                         dispatched = dispatched.wrapping_add($pc as u64);
                     }};
                 }
-                // Closes the run after the whole current op.
+                // Closes the run after the current op.
                 macro_rules! close_op {
                     () => {
                         close!(pc + 1, src_pc[pc + 1])
                     };
                 }
                 open!(pc);
-                // Faults at the current op's fault point ([`fault_offset`]): the
-                // components up to it ran and are charged, the later ones are not.
+                // Faults at the current op: its whole window ran and is charged.
                 macro_rules! fail {
                     ($e:expr) => {{
-                        close!(pc + 1, src_pc[pc] + fault_offset(&ops[pc]) + 1);
+                        close_op!();
                         break Transfer::Fail($e);
                     }};
                 }
-                // Pops an operand; an empty stack underflows at the current op's
-                // fault point.
+                // The operand stack (stack form) holds too few values.
+                macro_rules! underflow {
+                    () => {
+                        fail!(ExecError::StackUnderflow {
+                            pc: src_pc[pc],
+                            method
+                        })
+                    };
+                }
+                // Pops an operand (stack form); an empty stack underflows.
                 macro_rules! pop {
                     () => {
                         match frame.stack.pop() {
                             Some(v) => v,
-                            None => fail!(ExecError::StackUnderflow {
-                                pc: src_pc[pc] + fault_offset(&ops[pc]),
-                                method,
-                            }),
+                            None => underflow!(),
                         }
                     };
                 }
-                // Reads local `$n` like the seed `Load` does: out-of-range slots
-                // read as null (the seed op resizes, but a longer locals vector is
-                // not observable — every accessor handles short vectors).
-                macro_rules! local {
-                    ($n:expr) => {
-                        match frame.locals.get($n as usize) {
-                            Some(v) => *v,
-                            None => Value::Null,
-                        }
+                // Reads register `$r` (register form).
+                macro_rules! reg {
+                    ($r:expr) => {
+                        frame.locals[$r as usize]
                     };
                 }
-                // Writes local `$n` like the seed `Store` does.
-                macro_rules! store {
-                    ($n:expr, $v:expr) => {{
-                        let idx = $n as usize;
-                        if idx >= frame.locals.len() {
-                            frame.locals.resize(idx + 1, Value::Null);
-                        }
-                        frame.locals[idx] = $v;
-                    }};
+                // Delivers a result to its sink: `push` onto the operand stack
+                // (stack form) or register `[r]`.
+                macro_rules! put {
+                    (push, $v:expr) => {
+                        frame.stack.push($v)
+                    };
+                    ([$dst:expr], $v:expr) => {
+                        frame.locals[$dst as usize] = $v
+                    };
+                }
+                // Where the response of a park or the result of a call lands.
+                macro_rules! resume_to {
+                    (push) => {};
+                    ([$dst:expr]) => {
+                        frame.ret_to = $dst
+                    };
                 }
                 // Runs a `self`-helper that can fault (arithmetic, the local
                 // accesses the fast paths skipped); none of them observes the clock.
@@ -956,9 +975,8 @@ impl Interp {
                         }
                     };
                 }
-                // `Bin` and its fused forms: integer arithmetic stays inside the
-                // loop, everything else (floats, string concatenation, coercions)
-                // goes through `binop`.
+                // `Bin`: integer arithmetic stays inside the loop, everything else
+                // (floats, string concatenation, coercions) goes through `binop`.
                 macro_rules! arith {
                     ($op:expr, $lhs:expr, $rhs:expr) => {{
                         let (lhs, rhs) = ($lhs, $rhs);
@@ -991,8 +1009,7 @@ impl Interp {
                     };
                 }
                 // Sends a remote request and parks the continuation: the frame
-                // resumes at the next op. Every op that parks does so in its last
-                // component, so the run closes after the whole op.
+                // resumes at the next op.
                 macro_rules! park {
                     ($send:expr, $action:expr) => {{
                         close_op!();
@@ -1021,46 +1038,47 @@ impl Interp {
                         }
                     };
                 }
-                // `GetField` on `$obj` (popped, or read straight from a local by the
-                // fused `LoadFieldGet`).
+
+                // The semantic ops, each written once over its operands and result
+                // sink and shared by the stack arms and the register arms. `$fr` is
+                // evaluated on the slow path only.
                 macro_rules! get_field {
-                    ($obj:expr, $slot:expr, $fr:expr) => {{
+                    ($obj:expr, $slot:expr, $fr:expr, $sink:tt) => {{
                         let obj = $obj;
                         // Fast path: local non-proxy object — one pre-resolved slot
                         // index, no call.
-                        if let Value::Ref(ObjRef::Local(h)) = &obj {
-                            if let HeapObject::Object { class, fields } = &self.heap[*h as usize] {
+                        if let Value::Ref(ObjRef::Local(h)) = obj {
+                            if let HeapObject::Object { class, fields } = &self.heap[h as usize] {
                                 if Some(*class) != self.dep_class {
-                                    frame.stack.push(
-                                        fields.get(*$slot as usize).copied().unwrap_or(Value::Null),
-                                    );
+                                    let v = fields.get($slot as usize).copied();
+                                    put!($sink, v.unwrap_or(Value::Null));
                                     pc += 1;
                                     continue;
                                 }
                             }
                         }
-                        if let Some(target) = call!(self.remote_field_target(&obj, *$fr)) {
+                        let fr = $fr;
+                        if let Some(target) = call!(self.remote_field_target(&obj, fr)) {
+                            resume_to!($sink);
                             park!(
-                                self.remote_access(target, AccessKind::GetField, Some(*$fr), &[]),
+                                self.remote_access(target, AccessKind::GetField, Some(fr), &[]),
                                 ResumeAction::Push
                             );
                         }
-                        let v = call!(self.get_field(obj, *$fr));
-                        frame.stack.push(v);
+                        let v = call!(self.get_field(obj, fr));
+                        put!($sink, v);
                     }};
                 }
-                // `PutField`: a local write stays in the loop, a remote one parks.
+                // A local write stays in the loop, a remote one parks.
                 macro_rules! put_field {
-                    ($slot:expr, $fr:expr) => {{
-                        let val = pop!();
-                        let obj = pop!();
+                    ($obj:expr, $val:expr, $slot:expr, $fr:expr) => {{
+                        let (obj, val) = ($obj, $val);
                         // Fast path: local non-proxy object.
-                        if let Value::Ref(ObjRef::Local(h)) = &obj {
-                            if let HeapObject::Object { class, fields } =
-                                &mut self.heap[*h as usize]
+                        if let Value::Ref(ObjRef::Local(h)) = obj {
+                            if let HeapObject::Object { class, fields } = &mut self.heap[h as usize]
                             {
                                 if Some(*class) != self.dep_class {
-                                    if let Some(cell) = fields.get_mut(*$slot as usize) {
+                                    if let Some(cell) = fields.get_mut($slot as usize) {
                                         *cell = val;
                                     }
                                     pc += 1;
@@ -1068,18 +1086,176 @@ impl Interp {
                                 }
                             }
                         }
-                        if let Some(target) = call!(self.remote_field_target(&obj, *$fr)) {
+                        let fr = $fr;
+                        if let Some(target) = call!(self.remote_field_target(&obj, fr)) {
                             park!(
-                                self.remote_access(
-                                    target,
-                                    AccessKind::PutField,
-                                    Some(*$fr),
-                                    &[val]
-                                ),
+                                self.remote_access(target, AccessKind::PutField, Some(fr), &[val]),
                                 ResumeAction::Drop
                             );
                         }
-                        call!(self.put_field(obj, *$fr, val));
+                        call!(self.put_field(obj, fr, val));
+                    }};
+                }
+                macro_rules! array_load {
+                    ($arr:expr, $idx:expr, $sink:tt) => {{
+                        let (arr, idx) = ($arr, $idx);
+                        // Fast path: local array, integer index.
+                        if let (Value::Ref(ObjRef::Local(h)), Value::Int(i)) = (arr, idx) {
+                            if let HeapObject::Array { data } = &self.heap[h as usize] {
+                                match data.get(i as usize) {
+                                    Some(v) => {
+                                        put!($sink, *v);
+                                        pc += 1;
+                                        continue;
+                                    }
+                                    None => fail!(ExecError::IndexOutOfBounds {
+                                        index: i,
+                                        len: data.len(),
+                                    }),
+                                }
+                            }
+                        }
+                        resume_to!($sink);
+                        remote_element!(arr, idx, AccessKind::GetElement, [], ResumeAction::Push);
+                        let v = call!(self.array_load(arr, idx));
+                        put!($sink, v);
+                    }};
+                }
+                macro_rules! array_store {
+                    ($arr:expr, $idx:expr, $val:expr) => {{
+                        let (arr, idx, val) = ($arr, $idx, $val);
+                        // Fast path: local array, integer index.
+                        if let (Value::Ref(ObjRef::Local(h)), Value::Int(i)) = (arr, idx) {
+                            if let HeapObject::Array { data } = &mut self.heap[h as usize] {
+                                let len = data.len();
+                                match data.get_mut(i as usize) {
+                                    Some(cell) => {
+                                        *cell = val;
+                                        pc += 1;
+                                        continue;
+                                    }
+                                    None => fail!(ExecError::IndexOutOfBounds { index: i, len }),
+                                }
+                            }
+                        }
+                        remote_element!(
+                            arr,
+                            idx,
+                            AccessKind::PutElement,
+                            [val],
+                            ResumeAction::Drop
+                        );
+                        call!(self.array_store(arr, idx, val));
+                    }};
+                }
+                macro_rules! array_length {
+                    ($arr:expr, $sink:tt) => {{
+                        let arr = $arr;
+                        if let Value::Ref(r @ ObjRef::Remote { .. }) = arr {
+                            resume_to!($sink);
+                            park!(
+                                self.remote_access(r, AccessKind::ArrayLength, None, &[]),
+                                ResumeAction::Push
+                            );
+                        }
+                        let v = call!(self.array_length(arr));
+                        put!($sink, v);
+                    }};
+                }
+                // The argument window is consumed: popped off the operand stack,
+                // left in place in the registers.
+                macro_rules! consume {
+                    (stack, $lo:expr) => {
+                        frame.stack.truncate($lo)
+                    };
+                    (locals, $lo:expr) => {};
+                }
+                // `Invoke` over the argument window `frame.$args[$lo..][..$nargs]`,
+                // receiver first; the result goes to `$sink` when `$push_ret`.
+                macro_rules! invoke {
+                    (
+                        $kind:expr, $target:expr, $sel:expr, $nargs:expr, $push_ret:expr,
+                        $args:ident[$lo:expr], $sink:tt
+                    ) => {{
+                        let (kind, target, nargs, push_ret) =
+                            ($kind, $target, $nargs as usize, $push_ret);
+                        let lo: usize = $lo;
+                        // Hot path resolution: static calls, and virtual/special
+                        // calls on ordinary local receivers.
+                        let mut resolved: Option<MethodId> = None;
+                        if kind == InvokeKind::Static {
+                            resolved = Some(target);
+                        } else if let Value::Ref(ObjRef::Local(h)) = frame.$args[lo] {
+                            let callee_class = layout.method_class(target);
+                            if Some(callee_class) != self.dep_class {
+                                if let Some(c) = self.heap[h as usize].class() {
+                                    if Some(c) != self.dep_class {
+                                        resolved = Some(match kind {
+                                            InvokeKind::Special => target,
+                                            _ => match layout.resolve_selector(c, $sel) {
+                                                Some(m) => m,
+                                                None => fail!(ExecError::UnknownMethod(
+                                                    layout.method_name(target).clone(),
+                                                )),
+                                            },
+                                        });
+                                    }
+                                }
+                            }
+                        }
+                        if let Some(callee) = resolved {
+                            if self.live_frames >= self.max_depth {
+                                fail!(ExecError::StackOverflow);
+                            }
+                            if layout.method_ops[callee.0 as usize].ops.is_empty() {
+                                consume!($args, lo);
+                                if push_ret {
+                                    put!($sink, Value::Null);
+                                }
+                            } else {
+                                close_op!();
+                                if self.profiler.is_some() {
+                                    flush!();
+                                }
+                                // The arguments move from the caller's window
+                                // straight into the callee's locals.
+                                let mut f = self.frame_for(callee, push_ret, nargs);
+                                f.locals[..nargs].copy_from_slice(&frame.$args[lo..lo + nargs]);
+                                consume!($args, lo);
+                                self.enter_frame(&mut f);
+                                resume_to!($sink);
+                                frame.pc = (pc + 1) as u32;
+                                break Transfer::Call(f);
+                            }
+                        } else {
+                            // Proxies, remote receivers, the DependentObject
+                            // protocol: the Message Exchange reads the operands
+                            // where they lie and says how the machine proceeds.
+                            close_op!();
+                            flush!();
+                            let slow =
+                                self.slow_invoke(&frame.$args[lo..lo + nargs], target, push_ret);
+                            consume!($args, lo);
+                            match slow {
+                                Err(e) => break Transfer::Fail(e),
+                                Ok(SlowInvoke::Park(req_id, action)) => {
+                                    resume_to!($sink);
+                                    frame.pc = (pc + 1) as u32;
+                                    break Transfer::Park(req_id, action);
+                                }
+                                Ok(SlowInvoke::Call(f)) => {
+                                    frame.pc = (pc + 1) as u32;
+                                    break Transfer::Call(f);
+                                }
+                                Ok(SlowInvoke::Nothing) => {
+                                    // The run goes on behind the call.
+                                    open!(pc + 1);
+                                    if push_ret {
+                                        put!($sink, Value::Null);
+                                    }
+                                }
+                            }
+                        }
                     }};
                 }
 
@@ -1089,25 +1265,30 @@ impl Interp {
                         break Transfer::Finish(Value::Null);
                     }
                     match &ops[pc] {
-                        Op::ConstInt(v) => frame.stack.push(Value::Int(*v)),
-                        Op::ConstFloat(v) => frame.stack.push(Value::Float(*v)),
-                        Op::ConstBool(v) => frame.stack.push(Value::Bool(*v)),
-                        Op::ConstNull => frame.stack.push(Value::Null),
-                        Op::ConstStr(i) => frame.stack.push(Value::Str(StrId(*i))),
+                        // --- The stack form: the 1:1 decode.
+                        Op::ConstInt(v) => put!(push, Value::Int(*v)),
+                        Op::ConstFloat(v) => put!(push, Value::Float(*v)),
+                        Op::ConstBool(v) => put!(push, Value::Bool(*v)),
+                        Op::ConstNull => put!(push, Value::Null),
+                        Op::ConstStr(i) => put!(push, Value::Str(StrId(*i))),
                         Op::Load(n) => {
                             let idx = *n as usize;
                             if idx >= frame.locals.len() {
                                 frame.locals.resize(idx + 1, Value::Null);
                             }
-                            frame.stack.push(frame.locals[idx]);
+                            put!(push, frame.locals[idx]);
                         }
-                        Op::Store(n) => store!(*n, pop!()),
+                        Op::Store(n) => {
+                            let v = pop!();
+                            let idx = *n as usize;
+                            if idx >= frame.locals.len() {
+                                frame.locals.resize(idx + 1, Value::Null);
+                            }
+                            frame.locals[idx] = v;
+                        }
                         Op::Dup => match frame.stack.last().copied() {
-                            Some(v) => frame.stack.push(v),
-                            None => fail!(ExecError::StackUnderflow {
-                                pc: src_pc[pc],
-                                method,
-                            }),
+                            Some(v) => put!(push, v),
+                            None => underflow!(),
                         },
                         Op::Pop => {
                             pop!();
@@ -1115,21 +1296,18 @@ impl Interp {
                         Op::Swap => {
                             let len = frame.stack.len();
                             if len < 2 {
-                                fail!(ExecError::StackUnderflow {
-                                    pc: src_pc[pc],
-                                    method,
-                                });
+                                underflow!();
                             }
                             frame.stack.swap(len - 1, len - 2);
                         }
                         Op::Bin(op) => {
                             let rhs = pop!();
                             let lhs = pop!();
-                            frame.stack.push(arith!(*op, lhs, rhs));
+                            put!(push, arith!(*op, lhs, rhs));
                         }
                         Op::Un(op) => {
                             let v = pop!();
-                            frame.stack.push(call!(self.unop(*op, v)));
+                            put!(push, call!(self.unop(*op, v)));
                         }
                         Op::IfCmp(op, target) => {
                             let rhs = pop!();
@@ -1137,126 +1315,46 @@ impl Interp {
                             branch_if!(self.holds(*op, lhs, rhs), target);
                         }
                         Op::If(op, target) => {
-                            let taken = match pop!() {
-                                Value::Null => matches!(op, CmpOp::Eq | CmpOp::Le | CmpOp::Ge),
-                                Value::Ref(_) => matches!(op, CmpOp::Ne),
-                                other => {
-                                    let i = other.as_int().unwrap_or(0);
-                                    op.eval_ord(i.cmp(&0))
-                                }
-                            };
-                            branch_if!(taken, target);
+                            let v = pop!();
+                            branch_if!(if_holds(*op, v), target);
                         }
                         Op::Goto(target) => jump!(target),
                         Op::New(class) => {
                             let r = self.new_instance(*class);
-                            frame.stack.push(Value::Ref(r));
+                            put!(push, Value::Ref(r));
                         }
                         Op::NewArray(init) => {
-                            let len = match pop!().as_int() {
-                                Some(v) => v,
-                                None => {
-                                    fail!(ExecError::Unsupported("array length not an int".into()))
-                                }
-                            };
-                            if len < 0 {
-                                fail!(ExecError::IndexOutOfBounds { index: len, len: 0 });
-                            }
-                            // Java-style zero initialisation (pre-decoded per type).
-                            let default = match init {
-                                ArrayInit::Int => Value::Int(0),
-                                ArrayInit::Float => Value::Float(0.0),
-                                ArrayInit::Bool => Value::Bool(false),
-                                ArrayInit::Null => Value::Null,
-                            };
-                            let r = self.alloc(HeapObject::Array {
-                                data: vec![default; len as usize],
-                            });
-                            frame.stack.push(Value::Ref(r));
+                            let len = pop!();
+                            put!(push, call!(self.new_array(len, *init)));
                         }
                         Op::ArrayLoad => {
                             let idx = pop!();
                             let arr = pop!();
-                            // Fast path: local array, integer index.
-                            if let (Value::Ref(ObjRef::Local(h)), Value::Int(i)) = (&arr, &idx) {
-                                if let HeapObject::Array { data } = &self.heap[*h as usize] {
-                                    match data.get(*i as usize) {
-                                        Some(v) => {
-                                            frame.stack.push(*v);
-                                            pc += 1;
-                                            continue;
-                                        }
-                                        None => fail!(ExecError::IndexOutOfBounds {
-                                            index: *i,
-                                            len: data.len(),
-                                        }),
-                                    }
-                                }
-                            }
-                            remote_element!(
-                                arr,
-                                idx,
-                                AccessKind::GetElement,
-                                [],
-                                ResumeAction::Push
-                            );
-                            let v = call!(self.array_load(arr, idx));
-                            frame.stack.push(v);
+                            array_load!(arr, idx, push);
                         }
                         Op::ArrayStore => {
                             let val = pop!();
                             let idx = pop!();
                             let arr = pop!();
-                            // Fast path: local array, integer index.
-                            if let (Value::Ref(ObjRef::Local(h)), Value::Int(i)) = (&arr, &idx) {
-                                if let HeapObject::Array { data } = &mut self.heap[*h as usize] {
-                                    let len = data.len();
-                                    match data.get_mut(*i as usize) {
-                                        Some(cell) => {
-                                            *cell = val;
-                                            pc += 1;
-                                            continue;
-                                        }
-                                        None => {
-                                            fail!(ExecError::IndexOutOfBounds { index: *i, len })
-                                        }
-                                    }
-                                }
-                            }
-                            remote_element!(
-                                arr,
-                                idx,
-                                AccessKind::PutElement,
-                                [val],
-                                ResumeAction::Drop
-                            );
-                            call!(self.array_store(arr, idx, val));
+                            array_store!(arr, idx, val);
                         }
                         Op::ArrayLength => {
                             let arr = pop!();
-                            if let Value::Ref(r @ ObjRef::Remote { .. }) = arr {
-                                park!(
-                                    self.remote_access(r, AccessKind::ArrayLength, None, &[]),
-                                    ResumeAction::Push
-                                );
-                            }
-                            let v = call!(self.array_length(arr));
-                            frame.stack.push(v);
+                            array_length!(arr, push);
                         }
-                        Op::GetField { slot, fr } => get_field!(pop!(), slot, fr),
-                        Op::PutField { slot, fr } => put_field!(slot, fr),
-                        Op::GetStatic(slot) => {
-                            frame.stack.push(if *slot != NO_SLOT {
-                                self.statics[*slot as usize]
-                            } else {
-                                Value::Null
-                            });
+                        Op::GetField { slot, fr } => {
+                            let obj = pop!();
+                            get_field!(obj, *slot, *fr, push);
                         }
-                        Op::PutStatic(slot) => {
+                        Op::PutField { slot, fr } => {
                             let val = pop!();
-                            if *slot != NO_SLOT {
-                                self.statics[*slot as usize] = val;
-                            }
+                            let obj = pop!();
+                            put_field!(obj, val, *slot, *fr);
+                        }
+                        Op::GetStatic(slot) => put!(push, self.get_static(*slot)),
+                        Op::PutStatic(slot) => {
+                            let v = pop!();
+                            self.put_static(*slot, v);
                         }
                         Op::Invoke {
                             kind,
@@ -1265,92 +1363,10 @@ impl Interp {
                             nargs,
                             push_ret,
                         } => {
-                            let nargs = *nargs as usize;
-                            if frame.stack.len() < nargs {
-                                fail!(ExecError::StackUnderflow {
-                                    pc: src_pc[pc],
-                                    method,
-                                });
-                            }
-                            let base = frame.stack.len() - nargs;
-                            // Hot path resolution: static calls, and virtual/special
-                            // calls on ordinary local receivers.
-                            let mut resolved: Option<MethodId> = None;
-                            if *kind == InvokeKind::Static {
-                                resolved = Some(*target);
-                            } else if let Value::Ref(ObjRef::Local(h)) = &frame.stack[base] {
-                                let callee_class = layout.method_class(*target);
-                                if Some(callee_class) != self.dep_class {
-                                    if let Some(c) = self.heap[*h as usize].class() {
-                                        if Some(c) != self.dep_class {
-                                            resolved = Some(match kind {
-                                                InvokeKind::Special => *target,
-                                                _ => match layout.resolve_selector(c, *sel) {
-                                                    Some(m) => m,
-                                                    None => fail!(ExecError::UnknownMethod(
-                                                        layout.method_name(*target).clone(),
-                                                    )),
-                                                },
-                                            });
-                                        }
-                                    }
-                                }
-                            }
-                            if let Some(callee) = resolved {
-                                if self.live_frames >= self.max_depth {
-                                    frame.stack.truncate(base);
-                                    fail!(ExecError::StackOverflow);
-                                }
-                                if layout.method_ops[callee.0 as usize].ops.is_empty() {
-                                    frame.stack.truncate(base);
-                                    if *push_ret {
-                                        frame.stack.push(Value::Null);
-                                    }
-                                } else {
-                                    close_op!();
-                                    if self.profiler.is_some() {
-                                        flush!();
-                                    }
-                                    // The arguments move from the operand stack
-                                    // straight into the callee's locals.
-                                    let mut f = self.frame_for(callee, *push_ret, nargs);
-                                    for (slot, a) in
-                                        f.locals.iter_mut().zip(frame.stack.drain(base..))
-                                    {
-                                        *slot = a;
-                                    }
-                                    self.enter_frame(&mut f);
-                                    frame.pc = (pc + 1) as u32;
-                                    break Transfer::Call(f);
-                                }
-                            } else {
-                                // Proxies, remote receivers, the DependentObject
-                                // protocol: the Message Exchange reads the operands
-                                // where they lie and says how the machine proceeds.
-                                close_op!();
-                                flush!();
-                                let slow =
-                                    self.slow_invoke(&frame.stack[base..], *target, *push_ret);
-                                frame.stack.truncate(base);
-                                match slow {
-                                    Err(e) => break Transfer::Fail(e),
-                                    Ok(SlowInvoke::Park(req_id, action)) => {
-                                        frame.pc = (pc + 1) as u32;
-                                        break Transfer::Park(req_id, action);
-                                    }
-                                    Ok(SlowInvoke::Call(f)) => {
-                                        frame.pc = (pc + 1) as u32;
-                                        break Transfer::Call(f);
-                                    }
-                                    Ok(SlowInvoke::Nothing) => {
-                                        // The run goes on behind the call.
-                                        open!(pc + 1);
-                                        if *push_ret {
-                                            frame.stack.push(Value::Null);
-                                        }
-                                    }
-                                }
-                            }
+                            let Some(lo) = frame.stack.len().checked_sub(*nargs as usize) else {
+                                underflow!();
+                            };
+                            invoke!(*kind, *target, *sel, *nargs, *push_ret, stack[lo], push);
                         }
                         Op::Return => {
                             close_op!();
@@ -1362,54 +1378,90 @@ impl Interp {
                             break Transfer::Finish(v);
                         }
 
-                        // --- Superinstructions. Grouped so the whole dispatch stays
-                        // one jump table; each arm reads its operands straight from
-                        // the locals and reproduces the seed sequence's faults at
-                        // their seed coordinates. The run charges every seed
-                        // instruction of an op it passes, and a fault inside one only
-                        // the components up to it (`fault_offset`).
-                        Op::LoadLoadBin(a, b, op) => {
-                            frame.stack.push(arith!(*op, local!(*a), local!(*b)));
+                        // --- The register form. Grouped so the whole dispatch stays
+                        // one jump table; operands are read where they lie.
+                        Op::Nop => {}
+                        Op::Mov(dst, src) => put!([*dst], reg!(*src)),
+                        Op::SetI(dst, k) => put!([*dst], Value::Int(*k)),
+                        Op::SetF(dst, k) => put!([*dst], Value::Float(*k)),
+                        Op::SetB(dst, k) => put!([*dst], Value::Bool(*k)),
+                        Op::SetS(dst, i) => put!([*dst], Value::Str(StrId(*i))),
+                        Op::SetN(dst) => put!([*dst], Value::Null),
+                        Op::RBin(op, dst, a, b) => {
+                            let v = arith!(*op, reg!(*a), reg!(*b));
+                            put!([*dst], v);
                         }
-                        Op::LoadConstBin(n, k, op) => {
-                            frame.stack.push(arith!(*op, local!(*n), Value::Int(*k)));
+                        Op::RBinI(op, dst, a, k) => {
+                            let v = arith!(*op, reg!(*a), Value::Int(*k));
+                            put!([*dst], v);
                         }
-                        Op::BinStore(op, n) => {
-                            // The seed Bin carries every fault, so a fault leaves the
-                            // Store unrun and uncharged, like the unfused stream.
-                            let rhs = pop!();
-                            let lhs = pop!();
-                            let v = arith!(*op, lhs, rhs);
-                            store!(*n, v);
+                        Op::RUn(op, dst, src) => {
+                            let v = call!(self.unop(*op, reg!(*src)));
+                            put!([*dst], v);
                         }
-                        Op::LoadIfCmp(op, n, target) => {
-                            // Seed order: the stack value is `lhs`, the loaded local
-                            // the popped-last `rhs`. The pop is the seed IfCmp's
-                            // (offset 1 into the window).
-                            let lhs = pop!();
-                            branch_if!(self.holds(*op, lhs, local!(*n)), target);
+                        Op::RIfCmp(op, a, b, target) => {
+                            branch_if!(self.holds(*op, reg!(*a), reg!(*b)), target);
                         }
-                        Op::IfCmpFused(op, a, b, target) => {
-                            branch_if!(self.holds(*op, local!(*a), local!(*b)), target);
+                        Op::RIfCmpI(op, a, k, target) => {
+                            branch_if!(self.holds(*op, reg!(*a), Value::Int(*k)), target);
                         }
-                        Op::LoadConstIfCmp(op, n, k, target) => {
-                            branch_if!(self.holds(*op, local!(*n), Value::Int(*k)), target);
+                        Op::RIf(op, v, target) => branch_if!(if_holds(*op, reg!(*v)), target),
+                        Op::RNew(dst, class) => {
+                            let r = self.new_instance(*class);
+                            put!([*dst], Value::Ref(r));
                         }
-                        Op::IncLocal(n, k) => {
-                            // The Bin is the only fault point: Load/Const/Bin are
-                            // charged, the Store is not.
-                            let idx = *n as usize;
-                            if idx >= frame.locals.len() {
-                                frame.locals.resize(idx + 1, Value::Null);
-                            }
-                            let v = match frame.locals[idx] {
-                                Value::Int(x) => Value::Int(x.wrapping_add(*k)),
-                                lhs => call!(self.binop(BinOp::Add, lhs, Value::Int(*k))),
-                            };
-                            frame.locals[idx] = v;
+                        Op::RNewArray(dst, len, init) => {
+                            let v = call!(self.new_array(reg!(*len), *init));
+                            put!([*dst], v);
                         }
-                        Op::LoadFieldGet { local, slot, fr } => {
-                            get_field!(local!(*local), slot, fr)
+                        Op::RArrayLoad(dst, arr, idx) => {
+                            array_load!(reg!(*arr), reg!(*idx), [*dst]);
+                        }
+                        Op::RArrayStore(arr, idx, val) => {
+                            array_store!(reg!(*arr), reg!(*idx), reg!(*val));
+                        }
+                        Op::RArrayLength(dst, arr) => array_length!(reg!(*arr), [*dst]),
+                        Op::RGetField(dst, obj, slot) => {
+                            get_field!(
+                                reg!(*obj),
+                                *slot,
+                                self.seed_field(method, src_pc[pc + 1]),
+                                [*dst]
+                            );
+                        }
+                        Op::RPutField(obj, val, slot) => {
+                            put_field!(
+                                reg!(*obj),
+                                reg!(*val),
+                                *slot,
+                                self.seed_field(method, src_pc[pc + 1])
+                            );
+                        }
+                        Op::RGetStatic(dst, slot) => put!([*dst], self.get_static(*slot)),
+                        Op::RPutStatic(src, slot) => self.put_static(*slot, reg!(*src)),
+                        Op::RInvoke {
+                            kind,
+                            dst,
+                            args,
+                            nargs,
+                            target,
+                            sel,
+                        } => {
+                            let push_ret = *dst != NO_REG;
+                            invoke!(
+                                *kind,
+                                *target,
+                                *sel,
+                                *nargs,
+                                push_ret,
+                                locals[*args as usize],
+                                [*dst]
+                            );
+                        }
+                        Op::RReturnValue(src) => {
+                            let v = reg!(*src);
+                            close_op!();
+                            break Transfer::Finish(v);
                         }
                     }
                     pc += 1;
@@ -1433,7 +1485,7 @@ impl Interp {
                     match frames.last_mut() {
                         Some(caller) => {
                             if push {
-                                caller.stack.push(v);
+                                caller.deliver(v);
                             }
                         }
                         None => {
@@ -1492,6 +1544,51 @@ impl Interp {
         let a = lhs.as_int().ok_or_else(|| non_number(lhs))?;
         let b = rhs.as_int().ok_or_else(|| non_number(rhs))?;
         int_bin(op, a, b).map(Value::Int)
+    }
+
+    /// `NewArray`: an array of `len` elements, zero-filled per `init`.
+    fn new_array(&mut self, len: Value, init: ArrayInit) -> Result<Value, ExecError> {
+        let len = len
+            .as_int()
+            .ok_or_else(|| ExecError::Unsupported("array length not an int".into()))?;
+        if len < 0 {
+            return Err(ExecError::IndexOutOfBounds { index: len, len: 0 });
+        }
+        // Java-style zero initialisation (pre-decoded per type).
+        let default = match init {
+            ArrayInit::Int => Value::Int(0),
+            ArrayInit::Float => Value::Float(0.0),
+            ArrayInit::Bool => Value::Bool(false),
+            ArrayInit::Null => Value::Null,
+        };
+        let data = vec![default; len as usize];
+        Ok(Value::Ref(self.alloc(HeapObject::Array { data })))
+    }
+
+    /// The static at `slot` ([`NO_SLOT`] reads null).
+    #[inline(always)]
+    fn get_static(&self, slot: u32) -> Value {
+        match slot {
+            NO_SLOT => Value::Null,
+            s => self.statics[s as usize],
+        }
+    }
+
+    /// Writes the static at `slot` ([`NO_SLOT`] drops the value).
+    #[inline(always)]
+    fn put_static(&mut self, slot: u32, v: Value) {
+        if slot != NO_SLOT {
+            self.statics[slot as usize] = v;
+        }
+    }
+
+    /// The field a register field op of `method` stands for: the last seed
+    /// instruction of its window, which ends at `end`. Slow paths only.
+    fn seed_field(&self, method: MethodId, end: u32) -> FieldRef {
+        match self.layout.program().method(method).body[end as usize - 1] {
+            Insn::GetField(fr) | Insn::PutField(fr) => fr,
+            ref other => unreachable!("a field op's window ends in {other:?}"),
+        }
     }
 
     fn unop(&self, op: UnOp, v: Value) -> Result<Value, ExecError> {
@@ -1638,7 +1735,7 @@ impl Interp {
         Statics::new(Arc::clone(&self.layout.static_names), values)
     }
 
-    /// `IfCmp` and its fused forms: integer comparison without the coercions,
+    /// `IfCmp` and its register forms: integer comparison without the coercions,
     /// [`Self::compare`] for everything else.
     #[inline(always)]
     fn holds(&self, op: CmpOp, lhs: Value, rhs: Value) -> bool {
@@ -1692,15 +1789,13 @@ fn default_value(ty: &Type) -> Value {
     }
 }
 
-/// Where a fault leaves `op`, as a seed offset into its collapsed window: the
-/// component of a superinstruction that can fault (the Bin of the arithmetic
-/// windows, the GetField of `LoadFieldGet`, the IfCmp's pop of `LoadIfCmp`); 0 for
-/// every 1:1 op. The components up to it ran and are charged, the rest are not.
-fn fault_offset(op: &Op) -> u32 {
-    match op {
-        Op::LoadLoadBin(..) | Op::LoadConstBin(..) | Op::IncLocal(..) => 2,
-        Op::LoadIfCmp(..) | Op::LoadFieldGet { .. } => 1,
-        _ => 0,
+/// `If`: does `v op 0` hold (for references and null: `Eq` = is-null)?
+#[inline(always)]
+fn if_holds(op: CmpOp, v: Value) -> bool {
+    match v {
+        Value::Null => matches!(op, CmpOp::Eq | CmpOp::Le | CmpOp::Ge),
+        Value::Ref(_) => matches!(op, CmpOp::Ne),
+        other => op.eval_ord(other.as_int().unwrap_or(0).cmp(&0)),
     }
 }
 
@@ -1747,7 +1842,7 @@ pub(crate) fn advance_clock(mut clock: f64, unit: f64, mut n: u64) -> f64 {
     clock
 }
 
-/// Integer fast path of [`Op::Bin`] and the fused arithmetic superinstructions:
+/// Integer fast path of [`Op::Bin`] and its register forms:
 /// wrapping semantics, division faults. Kept `inline(always)` so every dispatch arm
 /// folds it into straight-line code instead of a call.
 #[inline(always)]

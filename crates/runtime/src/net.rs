@@ -585,6 +585,19 @@ impl Transport {
         }
     }
 
+    /// Hands `each` everything `rank` can still receive, in receive order, until
+    /// its mailbox and released queue are both empty. A suppressed duplicate or a
+    /// packet buffered behind a gap (`None` from [`Transport::recv`]) does not end
+    /// the drain before the packets queued behind it.
+    pub(crate) fn drain(&mut self, rank: usize, mut each: impl FnMut(Packet)) {
+        let released = |f: &Faults| f.ranks[rank].released.len();
+        while !self.mailboxes[rank].is_empty() || self.faults.as_ref().map_or(0, released) > 0 {
+            if let Some(pkt) = self.recv(rank) {
+                each(pkt);
+            }
+        }
+    }
+
     /// Skips the sequence gap in front of every buffered run of the world (the
     /// delivery deadline passed — the missing packets are not coming). Released
     /// packets queue for their rank's next receives, each listed as pending.
@@ -1014,6 +1027,24 @@ mod tests {
         let summary = net.fault_summary().unwrap();
         assert_eq!(summary.duplicated, 1);
         assert_eq!(summary.suppressed, 1);
+    }
+
+    /// A suppressed duplicate does not end a drain: the control frame queued
+    /// behind it is still received.
+    #[test]
+    fn a_drain_receives_past_a_suppressed_duplicate() {
+        let cfg = NetworkConfig::uniform(2);
+        let (mut net, mut eps) = world(&cfg, Some(FaultPlan::quiet(7)));
+        request(&mut net, &mut eps[0], 1, b"once", 0.0);
+        let copy = net.mailboxes[1][0].clone();
+        assert_eq!(copy.seq, 1, "sequenced");
+        net.post(copy);
+        net.post(control(0, 1, b"bye"));
+        let mut got = Vec::new();
+        net.drain(1, |pkt| got.push((pkt.req_id, pkt.data)));
+        assert_eq!(got.len(), 2, "the original and the control frame");
+        assert_eq!((got[1].0, &got[1].1[..]), (0, &b"bye"[..]));
+        assert_eq!(net.fault_summary().unwrap().suppressed, 1);
     }
 
     fn reorder_link_0_to_1(seed: u64) -> FaultPlan {

@@ -313,12 +313,12 @@ impl World {
         }
         let mut per_node = vec![stats0];
         for (rank, node) in self.nodes.iter_mut().enumerate().skip(1) {
-            while let Some(pkt) = self.net.recv(rank) {
+            self.net.drain(rank, |pkt| {
                 node.arrive(&pkt);
                 if pkt.kind == PacketKind::Request {
                     let _ = node.interp.accept_request(pkt.from, pkt.req_id, pkt.data);
                 }
-            }
+            });
             // A leftover request answered just now still reaches a later rank.
             self.net.route(node.endpoint());
             per_node.push(stats_of(&node.interp, rank));

@@ -19,7 +19,7 @@
 //! dry is recovered or failed on its own, the moment it happens, whatever its
 //! neighbours are doing.
 //!
-//! The expensive part of spinning up a request — decoding, fusing and interning the
+//! The expensive part of spinning up a request — decoding, translating and interning the
 //! placed programs into a [`ProgramLayout`], and the per-class default field vectors
 //! beside each — is hoisted into [`ServerApp::prepare`] and shared by every request
 //! via `Arc`, so admission cost is just interpreter state (empty heap, a copy of the

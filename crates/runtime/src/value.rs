@@ -62,6 +62,8 @@ const _: () = {
     copy::<Value>()
 };
 const _: () = assert!(std::mem::size_of::<Value>() == 16);
+// The dispatch loop reads one op per iteration: a wider one costs cache and memory.
+const _: () = assert!(std::mem::size_of::<autodist_ir::layout::Op>() == 16);
 
 impl Value {
     /// Interprets the value as an integer (booleans coerce to 0/1).

@@ -1,30 +1,37 @@
 //! Decoded-op round-trip properties.
 //!
 //! The interpreter no longer executes [`Insn`] directly: `ProgramLayout::build`
-//! decodes every method body once into the compact [`Op`] format (and, by default,
-//! fuses hot sequences into superinstructions) and the explicit-stack dispatch loop
-//! runs over that. These tests pin the pipeline down from three sides:
+//! decodes every method body once — to the register form by default, where operands
+//! are frame registers, or 1:1 to the stack form — and the explicit-stack dispatch
+//! loop runs over that. These tests pin the pipeline down from four sides:
 //!
-//! * **structurally** — the unfused decode stays 1:1 with the bytecode for every
+//! * **structurally** — the stack decode stays 1:1 with the bytecode for every
 //!   Table 1 workload: branch targets carry over unchanged, constant-pool indices
 //!   resolve to the original literals, field ops keep their `FieldRef` and agree with
 //!   the layout's slot resolution, invokes keep their static target and selector; and
-//!   every body, fused or not, carries one seed-accounting table (`src_pc`: an entry
-//!   per op plus the seed length, strictly increasing, so its ops partition the seed
-//!   body) on which every remapped branch target lands on its seed target;
+//!   every body, in either form, carries one seed-accounting table (`src_pc`: an entry
+//!   per op plus the seed length, non-decreasing, so its ops partition the seed body,
+//!   with only a `Mov` / `Set*` standing for no seed instruction) on which every
+//!   branch target lands on its seed target; and every method of the paper's
+//!   workloads, and of their 2-node copies, takes the register form;
 //! * **semantically** — random integer-machine bodies (including deliberately
 //!   unbalanced stacks reached through forward branches) execute identically under
 //!   the decoded-op interpreter and a direct reference evaluation of the seed `Insn`
 //!   semantics, down to the exact fault (`StackUnderflow` coordinates included);
-//! * **fusion parity** — the same programs (Table 1 workloads, random bodies, and
-//!   hand-built mid-pattern branch cases) produce bit-identical results, faults,
-//!   virtual clocks and instruction counts with `LayoutOptions::fuse` on and off;
+//! * **form parity** — the same programs (Table 1 workloads, random bodies, and
+//!   hand-built cases: retargeted stores, placed operands, faults inside a window,
+//!   bodies that fall back) produce bit-identical results, faults, virtual clocks
+//!   and instruction counts in the register and the stack form;
 //! * **accounting** — the interpreter charges whole straight-line runs, not single
-//!   dispatches, so fused-against-unfused parity cannot catch a miscount both
-//!   layouts share. The reference evaluation counts the seed instructions it runs
-//!   (the faulting one included), and both layouts must report exactly that count
-//!   and the clock that many sequential `+= unit` additions give, bit for bit.
+//!   dispatches, so parity between the forms cannot catch a miscount both share.
+//!   The reference evaluation counts the seed instructions it runs (the faulting one
+//!   included), and both forms must report exactly that count and the clock that
+//!   many sequential `+= unit` additions give, bit for bit.
 
+use std::sync::atomic::{AtomicUsize, Ordering};
+
+use autodist::{Distributor, DistributorConfig};
+use autodist_bench::microbench::is_stack_form;
 use autodist_ir::bytecode::{BinOp, CmpOp, Const, Insn, UnOp};
 use autodist_ir::layout::{LayoutOptions, Op, ProgramLayout, NO_SLOT};
 use autodist_ir::program::{MethodId, Program, Type};
@@ -34,7 +41,7 @@ use proptest::prelude::*;
 
 const NOFUSE: LayoutOptions = LayoutOptions { fuse: false };
 
-/// Every method body of every Table 1 workload decodes 1:1 when fusion is off: same
+/// Every method body of every Table 1 workload decodes 1:1 in the stack form: same
 /// length, branch targets preserved verbatim, names resolved consistently with the
 /// layout tables.
 #[test]
@@ -104,10 +111,11 @@ fn decode_is_one_to_one_for_all_workloads() {
 }
 
 /// Asserts the seed-accounting table of `method`'s decoded body against its seed
-/// body: one entry per op plus the seed length, starting at 0 and strictly
-/// increasing (so the ops partition the seed body), and every branch target `t` of
-/// the decoded stream landing on its seed target (`src_pc[t]` is the target of the
-/// seed instruction the branch came from).
+/// body: one entry per op plus the seed length, starting at 0 and non-decreasing
+/// (so the ops partition the seed body), a window of no seed instruction only for a
+/// `Mov` / `Set*`, and every branch target `t` landing on its seed target
+/// (`src_pc[t]` is the target of the seed instruction the branch stands for, the
+/// last of its window).
 fn assert_src_pc_is_the_seed_table(layout: &ProgramLayout, program: &Program, method: MethodId) {
     let body = &program.method(method).body;
     let mops = layout.ops(method);
@@ -119,8 +127,8 @@ fn assert_src_pc_is_the_seed_table(layout: &ProgramLayout, program: &Program, me
     );
     assert_eq!(src_pc[0], 0, "the table starts at the seed entry");
     assert!(
-        src_pc.windows(2).all(|w| w[0] < w[1]),
-        "the table is strictly increasing: {src_pc:?}"
+        src_pc.windows(2).all(|w| w[0] <= w[1]),
+        "the table is non-decreasing: {src_pc:?}"
     );
     assert_eq!(
         *src_pc.last().unwrap() as usize,
@@ -128,14 +136,27 @@ fn assert_src_pc_is_the_seed_table(layout: &ProgramLayout, program: &Program, me
         "the table ends at the seed length"
     );
     for (pc, op) in mops.ops.iter().enumerate() {
+        if mops.seed_width(pc) == 0 {
+            assert!(
+                matches!(
+                    op,
+                    Op::Mov(..)
+                        | Op::SetI(..)
+                        | Op::SetF(..)
+                        | Op::SetB(..)
+                        | Op::SetS(..)
+                        | Op::SetN(_)
+                ),
+                "op {pc} ({op:?}) stands for no seed instruction"
+            );
+        }
         if let Op::IfCmp(_, t)
         | Op::If(_, t)
         | Op::Goto(t)
-        | Op::LoadIfCmp(_, _, t)
-        | Op::IfCmpFused(_, _, _, t)
-        | Op::LoadConstIfCmp(_, _, _, t) = op
+        | Op::RIfCmp(.., t)
+        | Op::RIfCmpI(.., t)
+        | Op::RIf(.., t) = op
         {
-            // The branch is the last component of its window.
             let seed = body[src_pc[pc + 1] as usize - 1].branch_target();
             assert_eq!(
                 Some(src_pc[*t as usize] as usize),
@@ -146,9 +167,9 @@ fn assert_src_pc_is_the_seed_table(layout: &ProgramLayout, program: &Program, me
     }
 }
 
-/// The ops of every Table 1 method, fused and unfused, partition its seed body
-/// through the seed-accounting table, and every remapped branch target lands on its
-/// seed target.
+/// The ops of every Table 1 method, in both forms, partition its seed body through
+/// the seed-accounting table, and every remapped branch target lands on its seed
+/// target.
 #[test]
 fn fusion_partitions_every_workload_body_and_remaps_targets() {
     for w in autodist_workloads::table1_workloads(1) {
@@ -156,6 +177,41 @@ fn fusion_partitions_every_workload_body_and_remaps_targets() {
             let layout = ProgramLayout::build_with(&w.program, opts);
             for m in &w.program.methods {
                 assert_src_pc_is_the_seed_table(&layout, &w.program, m.id);
+            }
+        }
+    }
+}
+
+/// Every method of Table 1, Table 3 and the serving mix, and of their rewritten
+/// 2-node copies, takes the register form: none falls back to the stack form.
+#[test]
+fn every_workload_method_takes_the_register_form() {
+    let workloads = autodist_workloads::table1_workloads(1)
+        .into_iter()
+        .chain(autodist_workloads::table3_workloads(1))
+        .chain([
+            autodist_workloads::bank(40),
+            autodist_workloads::method_bench(200),
+            autodist_workloads::crypt(400),
+        ]);
+    let distributor = Distributor::new(DistributorConfig::default());
+    for w in workloads {
+        let plan = distributor.try_distribute(&w.program).expect("plans");
+        for (copy, program) in [w.program.clone()]
+            .into_iter()
+            .chain(plan.programs())
+            .enumerate()
+        {
+            let layout = ProgramLayout::build(&program);
+            for m in &program.methods {
+                let mops = layout.ops(m.id);
+                assert!(
+                    !is_stack_form(mops),
+                    "{} (copy {copy}): {} fell back to the stack form",
+                    w.name,
+                    m.name
+                );
+                assert_src_pc_is_the_seed_table(&layout, &program, m.id);
             }
         }
     }
@@ -384,7 +440,7 @@ fn reference_eval(
 
 /// One probe run under explicit layout options: the outcome plus the accounting the
 /// parity suite compares bit-for-bit (virtual clock, instruction count) and the
-/// dispatch count (which fusion is allowed — expected — to shrink).
+/// dispatch count (which the register form is allowed — expected — to shrink).
 fn run_probe(
     program: &Program,
     probe: MethodId,
@@ -412,60 +468,83 @@ fn sequential_clock(n: u64) -> f64 {
     clock
 }
 
-/// Asserts fused and unfused executions of `body` agree with each other and with
-/// the reference evaluation on outcome, instruction count and virtual clock
+/// Asserts register-form and stack-form executions of `body` agree with each other
+/// and with the reference evaluation on outcome, instruction count and virtual clock
 /// (bitwise, against that many sequential additions), for one argument vector.
-fn assert_fusion_parity(body: &[Insn], args: [i64; 4]) {
+fn assert_form_parity(body: &[Insn], args: [i64; 4]) {
     let (program, probe) = build_probe(body.to_vec());
     let (expected, steps) = reference_eval(body, args, probe);
-    let (fused, fclock, finstr, fdisp) = run_probe(&program, probe, args, LayoutOptions::default());
-    let (plain, uclock, uinstr, udisp) = run_probe(&program, probe, args, NOFUSE);
-    assert_eq!(fused, expected, "fused run diverged from the reference");
-    assert_eq!(plain, expected, "unfused run diverged from the reference");
-    assert_eq!(finstr, steps, "fused run miscounted its seed instructions");
+    let (regs, rclock, rinstr, rdisp) = run_probe(&program, probe, args, LayoutOptions::default());
+    let (stack, sclock, sinstr, sdisp) = run_probe(&program, probe, args, NOFUSE);
+    assert_eq!(regs, expected, "register form diverged from the reference");
+    assert_eq!(stack, expected, "stack form diverged from the reference");
     assert_eq!(
-        uinstr, steps,
-        "unfused run miscounted its seed instructions"
+        rinstr, steps,
+        "register form miscounted its seed instructions"
     );
+    assert_eq!(sinstr, steps, "stack form miscounted its seed instructions");
     let clock = sequential_clock(steps);
     assert_eq!(
-        fclock.to_bits(),
+        rclock.to_bits(),
         clock.to_bits(),
-        "fused clock is not {steps} sequential additions ({fclock} vs {clock})"
+        "register clock is not {steps} sequential additions ({rclock} vs {clock})"
     );
     assert_eq!(
-        uclock.to_bits(),
+        sclock.to_bits(),
         clock.to_bits(),
-        "unfused clock is not {steps} sequential additions ({uclock} vs {clock})"
+        "stack clock is not {steps} sequential additions ({sclock} vs {clock})"
     );
     assert!(
-        fdisp <= udisp,
-        "fusion must never add dispatches ({fdisp} > {udisp})"
+        rdisp <= sdisp,
+        "the register form must never add dispatches ({rdisp} > {sdisp})"
     );
-    assert_eq!(
-        udisp, uinstr,
-        "unfused dispatches are 1:1 with instructions"
-    );
+    assert_eq!(sdisp, sinstr, "stack dispatches are 1:1 with instructions");
 }
 
-/// Asserts `body` fuses to an op matching `fused` and then runs it through
-/// [`assert_fusion_parity`].
-fn assert_fused_parity(body: &[Insn], fused: fn(&Op) -> bool, args: [i64; 4]) {
+/// Asserts `body` translates to a register stream with an op matching `expect` and
+/// then runs it through [`assert_form_parity`].
+fn assert_translated_parity(body: &[Insn], expect: fn(&Op) -> bool, args: [i64; 4]) {
     let (program, probe) = build_probe(body.to_vec());
     let layout = ProgramLayout::build(&program);
     assert!(
-        layout.ops(probe).ops.iter().any(fused),
-        "expected the window to fuse: {:?}",
+        layout.ops(probe).ops.iter().any(expect),
+        "expected the op in the register form: {:?}",
         layout.ops(probe).ops
     );
-    assert_fusion_parity(body, args);
+    assert_form_parity(body, args);
 }
 
-/// A fault inside an arithmetic superinstruction is charged through its Bin — the
-/// Load and Const (or second Load) before it too, the Store of `IncLocal` not.
+/// Asserts `body` keeps the stack form and underflows at seed pc `at` in both
+/// layouts, as the reference does, for `args`.
+fn assert_falls_back_and_underflows(body: &[Insn], args: [i64; 4], at: u32) {
+    let (program, probe) = build_probe(body.to_vec());
+    let layout = ProgramLayout::build(&program);
+    assert!(
+        is_stack_form(layout.ops(probe)),
+        "{:?}",
+        layout.ops(probe).ops
+    );
+    assert_eq!(layout.ops(probe).ops.len(), body.len());
+    for opts in [LayoutOptions::default(), NOFUSE] {
+        let (got, ..) = run_probe(&program, probe, args, opts);
+        assert_eq!(
+            got,
+            Err(ExecError::StackUnderflow {
+                pc: at,
+                method: probe
+            }),
+            "{opts:?}"
+        );
+    }
+    assert_form_parity(body, args);
+}
+
+/// A fault inside a register op's window charges the whole window: the `Load`s and
+/// constants it reads in place ran before its `Bin`, the `Store` it was retargeted
+/// for did not.
 #[test]
 fn a_fault_inside_a_superinstruction_is_charged_through_its_bin() {
-    // LoadConstBin: a0 / 0.
+    // a0 / 0, the constant read in place.
     let body = vec![
         Insn::Const(Const::Int(1)),
         Insn::Load(0),
@@ -474,18 +553,30 @@ fn a_fault_inside_a_superinstruction_is_charged_through_its_bin() {
         Insn::Bin(BinOp::Add),
         Insn::ReturnValue,
     ];
-    assert_fused_parity(&body, |op| matches!(op, Op::LoadConstBin(..)), [5, 0, 0, 0]);
-    // LoadLoadBin: a0 % a1 with a1 = 0.
+    assert_translated_parity(
+        &body,
+        |op| matches!(op, Op::RBinI(BinOp::Div, ..)),
+        [5, 0, 0, 0],
+    );
+    // a0 % a1 with a1 = 0.
     let body = vec![
         Insn::Load(0),
         Insn::Load(1),
         Insn::Bin(BinOp::Rem),
         Insn::ReturnValue,
     ];
-    assert_fused_parity(&body, |op| matches!(op, Op::LoadLoadBin(..)), [5, 0, 0, 0]);
-    assert_fused_parity(&body, |op| matches!(op, Op::LoadLoadBin(..)), [5, 3, 0, 0]);
-    // IncLocal: an add cannot divide by zero, so its one fault is a null local
-    // (slot 5 is past the arguments).
+    assert_translated_parity(
+        &body,
+        |op| matches!(op, Op::RBin(BinOp::Rem, ..)),
+        [5, 0, 0, 0],
+    );
+    assert_translated_parity(
+        &body,
+        |op| matches!(op, Op::RBin(BinOp::Rem, ..)),
+        [5, 3, 0, 0],
+    );
+    // An add cannot divide by zero, so its one fault is a null local (slot 5 is
+    // past the arguments); the Store retargets it to slot 5.
     let body = vec![
         Insn::Const(Const::Int(7)),
         Insn::Load(5),
@@ -494,11 +585,104 @@ fn a_fault_inside_a_superinstruction_is_charged_through_its_bin() {
         Insn::Store(5),
         Insn::ReturnValue,
     ];
-    assert_fused_parity(&body, |op| matches!(op, Op::IncLocal(..)), [0, 0, 0, 0]);
+    assert_translated_parity(
+        &body,
+        |op| *op == Op::RBinI(BinOp::Add, 5, 5, 1),
+        [0, 0, 0, 0],
+    );
 }
 
-/// A fused window that underflows is charged through the component that popped:
-/// the Bin of `BinStore` (its Store never runs), the IfCmp of `LoadIfCmp`.
+/// `Load a; Load b; Bin Div; Store c` is one op writing `c`: dividing by zero
+/// faults in it, charged three seed instructions — `c` is never written, and the
+/// `Store` is not charged.
+#[test]
+fn a_retargeted_division_by_zero_charges_its_window_and_writes_nothing() {
+    let body = vec![
+        Insn::Load(0),
+        Insn::Load(1),
+        Insn::Bin(BinOp::Div),
+        Insn::Store(2),
+        Insn::Load(2),
+        Insn::ReturnValue,
+    ];
+    let (program, probe) = build_probe(body.clone());
+    let layout = ProgramLayout::build(&program);
+    let mops = layout.ops(probe);
+    assert_eq!(mops.ops[0], Op::RBin(BinOp::Div, 2, 0, 1));
+    assert_eq!(mops.seed_width(0), 3);
+    let (got, clock, instructions, _) =
+        run_probe(&program, probe, [6, 0, 0, 0], LayoutOptions::default());
+    assert_eq!(got, Err(ExecError::DivisionByZero));
+    assert_eq!(instructions, 3);
+    assert_eq!(clock.to_bits(), sequential_clock(3).to_bits());
+    assert_form_parity(&body, [6, 0, 0, 0]);
+    assert_form_parity(&body, [6, 4, 0, 0]);
+}
+
+/// `Load x; Load y; Store x` with the deferred `x` still on the stack: the old `x`
+/// is placed in its slot's register before the `Store` writes `x`.
+#[test]
+fn a_deferred_load_is_placed_before_its_local_is_written() {
+    let body = vec![
+        Insn::Load(0),
+        Insn::Load(1),
+        Insn::Store(0),
+        Insn::Load(0),
+        Insn::Bin(BinOp::Sub), // old a0 - a1
+        Insn::ReturnValue,
+    ];
+    let (program, probe) = build_probe(body.clone());
+    let layout = ProgramLayout::build(&program);
+    let ops = &layout.ops(probe).ops;
+    assert_eq!(ops[..2], [Op::Mov(4, 0), Op::Mov(0, 1)], "{ops:?}");
+    assert_form_parity(&body, [9, 4, 0, 0]);
+}
+
+/// A `Store` retargets only the op that produced the very slot it pops: after a
+/// `Pop` drops a newer result, the older slot underneath is moved, and the op that
+/// produced the dropped one keeps its own register.
+#[test]
+fn a_store_under_a_popped_result_moves_the_older_slot() {
+    let body = vec![
+        Insn::Load(0),
+        Insn::Load(1),
+        Insn::Bin(BinOp::Add), // slot 0: a0 + a1
+        Insn::Load(2),
+        Insn::Load(3),
+        Insn::Bin(BinOp::Mul), // slot 1: a2 * a3, dropped
+        Insn::Pop,
+        Insn::Store(2),
+        Insn::Load(2),
+        Insn::ReturnValue,
+    ];
+    let (program, probe) = build_probe(body.clone());
+    let layout = ProgramLayout::build(&program);
+    let ops = &layout.ops(probe).ops;
+    assert!(ops.contains(&Op::RBin(BinOp::Mul, 5, 2, 3)), "{ops:?}");
+    assert!(ops.contains(&Op::Mov(2, 4)), "{ops:?}");
+    assert_form_parity(&body, [1, 2, 3, 4]);
+}
+
+/// Bodies the translation leaves in the stack form — one with `Swap`, one whose
+/// join has two stack heights — fault with `StackUnderflow` at the same seed pc in
+/// both layouts.
+#[test]
+fn a_swap_body_and_an_inconsistent_join_fall_back_and_underflow_alike() {
+    let body = vec![Insn::Const(Const::Int(1)), Insn::Swap, Insn::ReturnValue];
+    assert_falls_back_and_underflows(&body, [0, 0, 0, 0], 1);
+    let body = vec![
+        Insn::Load(0),
+        Insn::If(CmpOp::Gt, 3), // a0 > 0: arrives at the Bin with an empty stack
+        Insn::Load(1),
+        Insn::Bin(BinOp::Add),
+        Insn::ReturnValue,
+    ];
+    assert_falls_back_and_underflows(&body, [1, 0, 0, 0], 3);
+    assert_form_parity(&body, [-1, 0, 0, 0]);
+}
+
+/// A body that underflows keeps the stack form, and the fault is charged through
+/// the op that popped.
 #[test]
 fn an_underflow_inside_a_fused_window_is_charged_through_the_pop() {
     let body = vec![
@@ -508,7 +692,7 @@ fn an_underflow_inside_a_fused_window_is_charged_through_the_pop() {
         Insn::Load(2),
         Insn::ReturnValue,
     ];
-    assert_fused_parity(&body, |op| matches!(op, Op::BinStore(..)), [0, 0, 0, 0]);
+    assert_falls_back_and_underflows(&body, [0, 0, 0, 0], 1);
     let body = vec![
         Insn::Const(Const::Int(1)),
         Insn::Pop,
@@ -517,22 +701,22 @@ fn an_underflow_inside_a_fused_window_is_charged_through_the_pop() {
         Insn::Const(Const::Int(1)),
         Insn::ReturnValue,
     ];
-    assert_fused_parity(&body, |op| matches!(op, Op::LoadIfCmp(..)), [0, 0, 0, 0]);
+    assert_falls_back_and_underflows(&body, [0, 0, 0, 0], 3);
 }
 
 /// A branch taken from the middle of straight-line code closes the run there and
-/// opens the next one at its target, over fused and 1:1 ops alike; a loop closes
-/// and reopens the same run many times.
+/// opens the next one at its target; a loop closes and reopens the same run many
+/// times.
 #[test]
 fn a_branch_out_of_the_middle_of_a_run_is_charged_where_it_leaves() {
     let body = vec![
         Insn::Load(0),
         Insn::Load(1),
-        Insn::Bin(BinOp::Add), // LoadLoadBin
+        Insn::Bin(BinOp::Add), // retargeted to local 2
         Insn::Store(2),
         Insn::Load(0),
         Insn::Const(Const::Int(0)),
-        Insn::IfCmp(CmpOp::Gt, 11), // LoadConstIfCmp, out of the middle
+        Insn::IfCmp(CmpOp::Gt, 11), // out of the middle
         Insn::Load(2),
         Insn::Const(Const::Int(3)),
         Insn::Bin(BinOp::Mul),
@@ -540,16 +724,9 @@ fn a_branch_out_of_the_middle_of_a_run_is_charged_where_it_leaves() {
         Insn::Load(2), // target
         Insn::ReturnValue,
     ];
-    assert_fused_parity(
-        &body,
-        |op| matches!(op, Op::LoadConstIfCmp(..)),
-        [1, 2, 0, 0],
-    );
-    assert_fused_parity(
-        &body,
-        |op| matches!(op, Op::LoadConstIfCmp(..)),
-        [-1, 2, 0, 0],
-    );
+    let compare = |op: &Op| matches!(op, Op::RIfCmpI(CmpOp::Gt, 0, 0, _));
+    assert_translated_parity(&body, compare, [1, 2, 0, 0]);
+    assert_translated_parity(&body, compare, [-1, 2, 0, 0]);
     // while (a0 > 0) { a1 = a1 + 2; a0 = a0 - 1; } return a1;
     let body = vec![
         Insn::Load(0),
@@ -558,7 +735,7 @@ fn a_branch_out_of_the_middle_of_a_run_is_charged_where_it_leaves() {
         Insn::Load(1),
         Insn::Const(Const::Int(2)),
         Insn::Bin(BinOp::Add),
-        Insn::Store(1), // IncLocal
+        Insn::Store(1),
         Insn::Load(0),
         Insn::Const(Const::Int(1)),
         Insn::Bin(BinOp::Sub),
@@ -567,12 +744,13 @@ fn a_branch_out_of_the_middle_of_a_run_is_charged_where_it_leaves() {
         Insn::Load(1),
         Insn::ReturnValue,
     ];
-    assert_fused_parity(&body, |op| matches!(op, Op::IncLocal(..)), [37, 1, 0, 0]);
+    let increment = |op: &Op| *op == Op::RBinI(BinOp::Add, 1, 1, 2);
+    assert_translated_parity(&body, increment, [37, 1, 0, 0]);
 }
 
 /// A body that runs off its end returns null; the run that reaches the end —
-/// straight or by a branch to one past the last op, behind a fused window — is
-/// charged in full.
+/// straight or by a branch to one past the last op, with a retargeted `Store` still
+/// pending — is charged in full.
 #[test]
 fn a_body_that_falls_off_its_end_is_charged_to_its_end() {
     let body = vec![
@@ -581,21 +759,22 @@ fn a_body_that_falls_off_its_end_is_charged_to_its_end() {
         Insn::Bin(BinOp::Add),
         Insn::Store(2),
     ];
-    assert_fused_parity(&body, |op| matches!(op, Op::LoadLoadBin(..)), [1, 2, 0, 0]);
+    let add = |op: &Op| matches!(op, Op::RBin(BinOp::Add, ..));
+    assert_translated_parity(&body, add, [1, 2, 0, 0]);
     let body = vec![
         Insn::Load(0),
         Insn::If(CmpOp::Gt, 5), // to one past the end
         Insn::Load(1),
         Insn::Load(2),
-        Insn::Bin(BinOp::Add), // the last op is fused
+        Insn::Bin(BinOp::Add), // the last op
     ];
-    assert_fused_parity(&body, |op| matches!(op, Op::LoadLoadBin(..)), [1, 2, 3, 0]);
-    assert_fused_parity(&body, |op| matches!(op, Op::LoadLoadBin(..)), [0, 2, 3, 0]);
+    assert_translated_parity(&body, add, [1, 2, 3, 0]);
+    assert_translated_parity(&body, add, [0, 2, 3, 0]);
 }
 
-/// A conditional branch lands *inside* a would-be `Load/Const/Bin` window, so the
-/// window must stay unfused — and the underflow reached through that join reports
-/// the same pc either way.
+/// A conditional branch lands inside a `Load/Const/Bin` sequence with another
+/// stack height than the fall-through, so the body keeps the stack form — and the
+/// underflow reached through that join reports the same pc either way.
 #[test]
 fn branch_into_mid_pattern_executes_identically() {
     let body = vec![
@@ -606,22 +785,15 @@ fn branch_into_mid_pattern_executes_identically() {
         Insn::Bin(BinOp::Add),
         Insn::ReturnValue,
     ];
-    let (program, probe) = build_probe(body.clone());
-    let fused = ProgramLayout::build(&program);
-    assert_eq!(
-        fused.ops(probe).ops.len(),
-        body.len(),
-        "mid-pattern target must block fusion"
-    );
     // a0 > 0 joins mid-pattern and underflows at the Bin (pc 4); a0 <= 0 takes the
     // straight line and returns a1 + 5.
-    assert_fusion_parity(&body, [1, 7, 0, 0]);
-    assert_fusion_parity(&body, [-1, 7, 0, 0]);
+    assert_falls_back_and_underflows(&body, [1, 7, 0, 0], 4);
+    assert_form_parity(&body, [-1, 7, 0, 0]);
 }
 
-/// A branch to a *window start* keeps the window fusible (`Bin; Store` becomes
-/// `BinStore`), and an underflow inside the fused op reports the seed pc of the
-/// component that popped.
+/// A join with two stack heights keeps the stack form even where the branch lands
+/// on the start of a sequence, and the underflow reports the seed pc of the op
+/// that popped.
 #[test]
 fn underflow_inside_a_fused_window_reports_the_seed_pc() {
     let body = vec![
@@ -629,37 +801,18 @@ fn underflow_inside_a_fused_window_reports_the_seed_pc() {
         Insn::If(CmpOp::Gt, 4), // a0 > 0: jump straight to the Bin, stack empty
         Insn::Load(1),
         Insn::Load(2),
-        Insn::Bin(BinOp::Add), // fuses with the Store below
+        Insn::Bin(BinOp::Add),
         Insn::Store(3),
         Insn::Load(3),
         Insn::ReturnValue,
     ];
-    let (program, probe) = build_probe(body.clone());
-    let fused = ProgramLayout::build(&program);
-    assert!(
-        fused
-            .ops(probe)
-            .ops
-            .iter()
-            .any(|op| matches!(op, Op::BinStore(..))),
-        "window-start branch target must not block fusion"
-    );
-    let (got, ..) = run_probe(&program, probe, [1, 0, 0, 0], LayoutOptions::default());
-    assert_eq!(
-        got,
-        Err(ExecError::StackUnderflow {
-            pc: 4,
-            method: probe
-        }),
-        "fault pc must be the seed Bin's, not the fused op's"
-    );
-    assert_fusion_parity(&body, [1, 2, 3, 0]);
-    assert_fusion_parity(&body, [-1, 2, 3, 0]);
+    assert_falls_back_and_underflows(&body, [1, 0, 0, 0], 4);
+    assert_form_parity(&body, [1, 2, 3, 0]);
+    assert_form_parity(&body, [-1, 2, 3, 0]);
 }
 
-/// `Load; IfCmp` fuses to `LoadIfCmp`, whose lhs pop is the seed IfCmp's stack
-/// effect — an empty stack underflows at the IfCmp's seed pc (offset 1 into the
-/// window), identically to the unfused run.
+/// `Load; IfCmp` on an otherwise empty stack pops below the bottom: the body keeps
+/// the stack form and underflows at the IfCmp's seed pc.
 #[test]
 fn load_ifcmp_underflow_reports_the_ifcmp_seed_pc() {
     let body = vec![
@@ -668,30 +821,13 @@ fn load_ifcmp_underflow_reports_the_ifcmp_seed_pc() {
         Insn::Const(Const::Int(1)),
         Insn::ReturnValue,
     ];
-    let (program, probe) = build_probe(body.clone());
-    let fused = ProgramLayout::build(&program);
-    assert!(
-        fused
-            .ops(probe)
-            .ops
-            .iter()
-            .any(|op| matches!(op, Op::LoadIfCmp(..))),
-        "expected the Load/IfCmp pair to fuse"
-    );
-    let (got, ..) = run_probe(&program, probe, [1, 0, 0, 0], LayoutOptions::default());
-    assert_eq!(
-        got,
-        Err(ExecError::StackUnderflow {
-            pc: 1,
-            method: probe
-        })
-    );
-    assert_fusion_parity(&body, [1, 0, 0, 0]);
+    assert_falls_back_and_underflows(&body, [1, 0, 0, 0], 1);
 }
 
 /// Every Table 1 workload runs entry-to-exit with identical results, statics,
-/// virtual clocks (bitwise) and instruction counts with fusion on and off — and
-/// fusion strictly reduces dispatch-loop iterations on every one of them.
+/// virtual clocks (bitwise) and instruction counts in the register and the stack
+/// form — and the register form strictly reduces dispatch-loop iterations on every
+/// one of them.
 #[test]
 fn table1_workloads_execute_identically_with_fuse_on_and_off() {
     for w in autodist_workloads::table1_workloads(1) {
@@ -707,39 +843,48 @@ fn table1_workloads_execute_identically_with_fuse_on_and_off() {
                 interp.counters.dispatches,
             )
         };
-        let (fr, fstatics, fclock, finstr, fdisp) = run(LayoutOptions::default());
-        let (ur, ustatics, uclock, uinstr, udisp) = run(NOFUSE);
-        assert_eq!(fr, ur, "{}: result differs under fusion", w.name);
+        let (rr, rstatics, rclock, rinstr, rdisp) = run(LayoutOptions::default());
+        let (sr, sstatics, sclock, sinstr, sdisp) = run(NOFUSE);
+        assert_eq!(rr, sr, "{}: result differs between the forms", w.name);
+        assert_eq!(rstatics, sstatics, "{}: statics differ", w.name);
         assert_eq!(
-            fstatics, ustatics,
-            "{}: statics differ under fusion",
+            rclock.to_bits(),
+            sclock.to_bits(),
+            "{}: virtual clock differs ({rclock} vs {sclock})",
             w.name
         );
-        assert_eq!(
-            fclock.to_bits(),
-            uclock.to_bits(),
-            "{}: virtual clock differs under fusion ({fclock} vs {uclock})",
-            w.name
-        );
-        assert_eq!(finstr, uinstr, "{}: instruction count differs", w.name);
+        assert_eq!(rinstr, sinstr, "{}: instruction count differs", w.name);
         assert!(
-            fdisp < udisp,
-            "{}: fusion should shorten the dispatch stream ({fdisp} vs {udisp})",
+            rdisp < sdisp,
+            "{}: the register form should shorten the dispatch stream ({rdisp} vs {sdisp})",
             w.name
         );
     }
 }
 
+/// Random bodies that took the register form, across the cases of
+/// [`random_int_body_cases`].
+static REGISTER_BODIES: AtomicUsize = AtomicUsize::new(0);
+
+/// Random integer-machine bodies produce the same outcome — value or typed fault,
+/// including the faulting pc — through the decode + explicit-stack loop (register
+/// *and* stack form) as through direct evaluation of the bytecode, with the
+/// reference's instruction count and its count of sequential clock additions, bit
+/// for bit, under both layouts. The generated bodies branch forward into arbitrary
+/// offsets, so joins of two heights (and the fallback they force) are routine;
+/// some bodies must take the register form all the same.
+#[test]
+fn random_int_bodies_execute_identically() {
+    random_int_body_cases();
+    assert!(
+        REGISTER_BODIES.load(Ordering::Relaxed) > 0,
+        "no random body took the register form"
+    );
+}
+
 proptest! {
-    /// Random integer-machine bodies produce the same outcome — value or typed
-    /// fault, including the faulting pc — through the decode + explicit-stack loop
-    /// (fused *and* unfused) as through direct evaluation of the bytecode, with the
-    /// reference's instruction count and its count of sequential clock additions,
-    /// bit for bit, under both layouts.
-    /// The generated bodies branch forward into arbitrary offsets, so targets land
-    /// mid-pattern routinely and exercise the fusion blocker.
-    #[test]
-    fn random_int_bodies_execute_identically(
+    /// The cases of [`random_int_bodies_execute_identically`].
+    fn random_int_body_cases(
         tokens in prop::collection::vec((0u8..64, -9i64..10, any::<u8>()), 0..80),
         a0 in -100i64..100,
         a1 in -100i64..100,
@@ -748,24 +893,27 @@ proptest! {
     ) {
         let body = materialize(&tokens);
         let (program, probe) = build_probe(body.clone());
-        let unfused = ProgramLayout::build_with(&program, NOFUSE);
-        prop_assert_eq!(unfused.ops(probe).ops.len(), body.len());
-        let fused = ProgramLayout::build(&program);
-        assert_src_pc_is_the_seed_table(&unfused, &program, probe);
-        assert_src_pc_is_the_seed_table(&fused, &program, probe);
+        let stack = ProgramLayout::build_with(&program, NOFUSE);
+        prop_assert_eq!(stack.ops(probe).ops.len(), body.len());
+        let registers = ProgramLayout::build(&program);
+        assert_src_pc_is_the_seed_table(&stack, &program, probe);
+        assert_src_pc_is_the_seed_table(&registers, &program, probe);
+        if !is_stack_form(registers.ops(probe)) {
+            REGISTER_BODIES.fetch_add(1, Ordering::Relaxed);
+        }
 
         let args = [a0, a1, a2, a3];
         let (expected, steps) = reference_eval(&body, args, probe);
-        let (fgot, fclock, finstr, fdisp) = run_probe(&program, probe, args, LayoutOptions::default());
-        let (ugot, uclock, uinstr, udisp) = run_probe(&program, probe, args, NOFUSE);
-        prop_assert_eq!(fgot, expected.clone());
-        prop_assert_eq!(ugot, expected);
-        prop_assert_eq!(finstr, steps);
-        prop_assert_eq!(uinstr, steps);
+        let (rgot, rclock, rinstr, rdisp) = run_probe(&program, probe, args, LayoutOptions::default());
+        let (sgot, sclock, sinstr, sdisp) = run_probe(&program, probe, args, NOFUSE);
+        prop_assert_eq!(rgot, expected.clone());
+        prop_assert_eq!(sgot, expected);
+        prop_assert_eq!(rinstr, steps);
+        prop_assert_eq!(sinstr, steps);
         let clock = sequential_clock(steps).to_bits();
-        prop_assert_eq!(fclock.to_bits(), clock);
-        prop_assert_eq!(uclock.to_bits(), clock);
-        prop_assert!(fdisp <= udisp);
-        prop_assert_eq!(udisp, steps);
+        prop_assert_eq!(rclock.to_bits(), clock);
+        prop_assert_eq!(sclock.to_bits(), clock);
+        prop_assert!(rdisp <= sdisp);
+        prop_assert_eq!(sdisp, steps);
     }
 }

@@ -161,12 +161,20 @@ fn assert_same_layout(what: &str, ours: &ProgramLayout, theirs: &ProgramLayout) 
     assert_eq!(ours.fingerprint(), theirs.fingerprint(), "{what}");
     assert_eq!(ours.method_ops.len(), theirs.method_ops.len(), "{what}");
     for (m, (a, b)) in ours.method_ops.iter().zip(&theirs.method_ops).enumerate() {
-        assert_eq!(a.locals, b.locals, "{what}: method {m}");
+        assert_eq!(a.regs, b.regs, "{what}: method {m}");
         assert_eq!(a.src_pc, b.src_pc, "{what}: method {m}");
         assert_eq!(a.ops.len(), b.ops.len(), "{what}: method {m}");
         for (pc, pair) in a.ops.iter().zip(&b.ops).enumerate() {
             match pair {
                 (Op::ConstStr(x), Op::ConstStr(y)) => {
+                    assert_eq!(
+                        ours.literals.get(*x),
+                        theirs.literals.get(*y),
+                        "{what}: {m}@{pc}"
+                    )
+                }
+                (Op::SetS(r, x), Op::SetS(q, y)) => {
+                    assert_eq!(r, q, "{what}: {m}@{pc}");
                     assert_eq!(
                         ours.literals.get(*x),
                         theirs.literals.get(*y),
