@@ -257,10 +257,13 @@ pub fn run_distributed_profiled(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::interp::ClassDefaults;
     use crate::value::StaticValue;
     use autodist_codegen::rewrite::{rewrite_for_node, ClassPlacement};
     use autodist_ir::frontend::compile_source;
+    use autodist_ir::layout::{LayoutOptions, Op, ProgramLayout};
     use std::collections::BTreeMap as Map;
+    use std::sync::Arc;
 
     const BANK_SRC: &str = r#"
         class Account {
@@ -662,5 +665,113 @@ mod tests {
             "chatty fine-grained access should pay communication overhead"
         );
         assert!(dist.total_messages() >= 400, "two messages per round trip");
+    }
+
+    /// [`run_distributed`] over layouts built with `opts`.
+    fn run_distributed_with(
+        copies: Vec<autodist_ir::Program>,
+        config: &ClusterConfig,
+        opts: LayoutOptions,
+    ) -> ExecutionReport {
+        let layouts: Vec<_> = ProgramLayout::build_family(copies, opts)
+            .into_iter()
+            .map(Arc::new)
+            .collect();
+        let defaults = layouts
+            .iter()
+            .map(|layout| Arc::new(ClassDefaults::of(layout)))
+            .collect();
+        let app = ServerApp {
+            layouts,
+            defaults,
+            network: config.network.clone(),
+        };
+        let mut server = Server {
+            apps: std::slice::from_ref(&app),
+            sequence: &[0],
+            concurrency: 1,
+            faults: vec![config.faults.clone()],
+            adapt: None,
+            deadline_wait: Duration::ZERO,
+        };
+        server.run(Vec::new()).pop().expect("one report").report
+    }
+
+    /// A loop on the launch node reads a field of an object living on the other
+    /// node through its proxy: `d.f` is a `getfield` on `Base`, at home here, so it
+    /// stays a plain field op. The register kernel runs the loop, stops at the
+    /// `RGetField` on the proxy every iteration, and the machine parks there and
+    /// resumes with the reply. The whole report — result, clocks, counters,
+    /// traffic — is the stack form's.
+    #[test]
+    fn a_loop_that_parks_at_a_proxied_field_reports_what_the_stack_form_does() {
+        let src = r#"
+            class Base { int f; }
+            class Derived extends Base {
+                Derived(int f) { this.f = f; }
+            }
+            class Main {
+                static int checksum;
+                static void main() {
+                    Derived d = new Derived(3);
+                    int s = 0;
+                    int i = 0;
+                    while (i < 10) {
+                        s = s + d.f * i;
+                        i = i + 1;
+                    }
+                    checksum = s;
+                }
+            }
+        "#;
+        let p = compile_source(src).unwrap();
+        let mut home = Map::new();
+        home.insert(p.class_by_name("Main").unwrap(), 0);
+        home.insert(p.class_by_name("Base").unwrap(), 0);
+        home.insert(p.class_by_name("Derived").unwrap(), 1);
+        let placement = ClassPlacement { home, nparts: 2 };
+        let copies: Vec<autodist_ir::Program> = (0..2)
+            .map(|n| rewrite_for_node(&p, &placement, n).program)
+            .collect();
+        let main = copies[0].entry.unwrap();
+        let layout = ProgramLayout::build(&copies[0]);
+        assert!(
+            layout
+                .ops(main)
+                .ops
+                .iter()
+                .any(|op| matches!(op, Op::RGetField(..))),
+            "{:?}",
+            layout.ops(main).ops
+        );
+        let config = ClusterConfig::paper_testbed();
+        let report = |opts| {
+            let mut report = run_distributed_with(copies.clone(), &config, opts);
+            report.wall_time_ms = 0.0;
+            report
+        };
+        let registers = report(LayoutOptions::default());
+        assert!(registers.is_ok(), "{:?}", registers.error);
+        assert_eq!(
+            registers.final_statics.get("Main::checksum"),
+            Some(&StaticValue::Int(3 * 45))
+        );
+        assert!(
+            registers.per_node[0].remote_requests >= 10,
+            "every iteration reads the field remotely"
+        );
+        assert_eq!(
+            format!("{registers:?}"),
+            format!("{:?}", report(LayoutOptions { fuse: false }))
+        );
+        assert_eq!(
+            format!("{registers:?}"),
+            format!("{:?}", {
+                let mut r = run_distributed(&copies, &config);
+                r.wall_time_ms = 0.0;
+                r
+            }),
+            "over the default layouts the helper is run_distributed"
+        );
     }
 }

@@ -1005,6 +1005,16 @@ mod tests {
             unreachable!("new_instance allocates locally")
         };
         let id = node.export(h);
+        // An export that is an object has no length: the typed error that an
+        // element access on it gets, never a length of 0.
+        assert_eq!(
+            reply_to(
+                &mut node,
+                &mut net,
+                frame(None, id, AccessKind::ArrayLength, 0, &[])
+            ),
+            Some(Err("unsupported operation: array length on object".into()))
+        );
         let put = node.layout().field_name_id("v").unwrap();
         let mut put_arg = |arg| {
             reply_to(

@@ -37,6 +37,15 @@
 //! ([`crate::sched`]) resumes it when the response is delivered. There is no blocking
 //! remote path: a node with a [`DistState`] always parks, and a node without one
 //! fails remote operations with [`ExecError::NotDistributed`].
+//!
+//! Inside a register-form body, the straight-line ops — moves, constants, `Goto`,
+//! numeric arithmetic, integer compares, local array elements and fields of local
+//! objects — run in a small **register kernel** ([`run_kernel`]) that the dispatch
+//! loop enters at such an op. The kernel stops at the first op it cannot finish (a
+//! call, a return, an allocation, a static, an operand off its fast paths) without
+//! running it, and the machine runs that op with its full semantics. Each fast-path
+//! rule is one helper both call, so the kernel is not a second interpreter: faults,
+//! the virtual clock, counters and the profiler are the machine's alone.
 
 use std::collections::hash_map::RandomState;
 use std::fmt;
@@ -44,7 +53,9 @@ use std::sync::Arc;
 
 use autodist_codegen::rewrite::DEPENDENT_OBJECT_CLASS;
 use autodist_ir::bytecode::{BinOp, CmpOp, Insn, InvokeKind, UnOp};
-use autodist_ir::layout::{ArrayInit, Interner, LayoutOptions, Op, ProgramLayout, NO_REG, NO_SLOT};
+use autodist_ir::layout::{
+    ArrayInit, Interner, LayoutOptions, MethodOps, Op, ProgramLayout, NO_REG, NO_SLOT,
+};
 use autodist_ir::program::{ClassId, FieldRef, MethodId, Program, Type};
 
 use bytes::Bytes;
@@ -853,7 +864,10 @@ impl Interp {
         // at the next op's `src_pc`, and one that falls off the method at the seed
         // length. `flush!` settles the accumulators into `self` (counters, clock,
         // profiler ticks), with every run closed, before anything can observe them —
-        // a send, a profiler hook — and at every exit.
+        // a send, a profiler hook — and at every exit. The register kernel
+        // ([`run_kernel`]) works on the same two accumulators inside the open run:
+        // it moves them only at a taken branch, through the `jump_run` that `jump!`
+        // uses, and never flushes, so a run is charged the same whoever ran its ops.
         let mut executed: u64 = 0;
         let mut dispatched: u64 = 0;
 
@@ -975,28 +989,13 @@ impl Interp {
                         }
                     };
                 }
-                // `Bin`: integer arithmetic stays inside the loop, everything else
-                // (floats, string concatenation, coercions) goes through `binop`.
-                macro_rules! arith {
-                    ($op:expr, $lhs:expr, $rhs:expr) => {{
-                        let (lhs, rhs) = ($lhs, $rhs);
-                        if let (Value::Int(a), Value::Int(b)) = (&lhs, &rhs) {
-                            match int_bin($op, *a, *b) {
-                                Ok(r) => Value::Int(r),
-                                Err(e) => fail!(e),
-                            }
-                        } else {
-                            call!(self.binop($op, lhs, rhs))
-                        }
-                    }};
-                }
                 // Jumps to `$target` from the current op: the run closes here and
                 // the next one opens at the target.
                 macro_rules! jump {
                     ($target:expr) => {{
-                        close_op!();
-                        pc = *$target as usize;
-                        open!(pc);
+                        let target = *$target as usize;
+                        jump_run(src_pc, pc, target, &mut executed, &mut dispatched);
+                        pc = target;
                         continue;
                     }};
                 }
@@ -1045,17 +1044,11 @@ impl Interp {
                 macro_rules! get_field {
                     ($obj:expr, $slot:expr, $fr:expr, $sink:tt) => {{
                         let obj = $obj;
-                        // Fast path: local non-proxy object — one pre-resolved slot
-                        // index, no call.
-                        if let Value::Ref(ObjRef::Local(h)) = obj {
-                            if let HeapObject::Object { class, fields } = &self.heap[h as usize] {
-                                if Some(*class) != self.dep_class {
-                                    let v = fields.get($slot as usize).copied();
-                                    put!($sink, v.unwrap_or(Value::Null));
-                                    pc += 1;
-                                    continue;
-                                }
-                            }
+                        if let Some(v) = local_field(&mut self.heap, self.dep_class, obj, $slot) {
+                            let v = *v;
+                            put!($sink, v);
+                            pc += 1;
+                            continue;
                         }
                         let fr = $fr;
                         if let Some(target) = call!(self.remote_field_target(&obj, fr)) {
@@ -1073,18 +1066,11 @@ impl Interp {
                 macro_rules! put_field {
                     ($obj:expr, $val:expr, $slot:expr, $fr:expr) => {{
                         let (obj, val) = ($obj, $val);
-                        // Fast path: local non-proxy object.
-                        if let Value::Ref(ObjRef::Local(h)) = obj {
-                            if let HeapObject::Object { class, fields } = &mut self.heap[h as usize]
-                            {
-                                if Some(*class) != self.dep_class {
-                                    if let Some(cell) = fields.get_mut($slot as usize) {
-                                        *cell = val;
-                                    }
-                                    pc += 1;
-                                    continue;
-                                }
-                            }
+                        if let Some(cell) = local_field(&mut self.heap, self.dep_class, obj, $slot)
+                        {
+                            *cell = val;
+                            pc += 1;
+                            continue;
                         }
                         let fr = $fr;
                         if let Some(target) = call!(self.remote_field_target(&obj, fr)) {
@@ -1099,21 +1085,11 @@ impl Interp {
                 macro_rules! array_load {
                     ($arr:expr, $idx:expr, $sink:tt) => {{
                         let (arr, idx) = ($arr, $idx);
-                        // Fast path: local array, integer index.
-                        if let (Value::Ref(ObjRef::Local(h)), Value::Int(i)) = (arr, idx) {
-                            if let HeapObject::Array { data } = &self.heap[h as usize] {
-                                match data.get(i as usize) {
-                                    Some(v) => {
-                                        put!($sink, *v);
-                                        pc += 1;
-                                        continue;
-                                    }
-                                    None => fail!(ExecError::IndexOutOfBounds {
-                                        index: i,
-                                        len: data.len(),
-                                    }),
-                                }
-                            }
+                        if let Some(v) = local_element(&mut self.heap, arr, idx) {
+                            let v = *v;
+                            put!($sink, v);
+                            pc += 1;
+                            continue;
                         }
                         resume_to!($sink);
                         remote_element!(arr, idx, AccessKind::GetElement, [], ResumeAction::Push);
@@ -1124,19 +1100,10 @@ impl Interp {
                 macro_rules! array_store {
                     ($arr:expr, $idx:expr, $val:expr) => {{
                         let (arr, idx, val) = ($arr, $idx, $val);
-                        // Fast path: local array, integer index.
-                        if let (Value::Ref(ObjRef::Local(h)), Value::Int(i)) = (arr, idx) {
-                            if let HeapObject::Array { data } = &mut self.heap[h as usize] {
-                                let len = data.len();
-                                match data.get_mut(i as usize) {
-                                    Some(cell) => {
-                                        *cell = val;
-                                        pc += 1;
-                                        continue;
-                                    }
-                                    None => fail!(ExecError::IndexOutOfBounds { index: i, len }),
-                                }
-                            }
+                        if let Some(cell) = local_element(&mut self.heap, arr, idx) {
+                            *cell = val;
+                            pc += 1;
+                            continue;
                         }
                         remote_element!(
                             arr,
@@ -1259,6 +1226,37 @@ impl Interp {
                     }};
                 }
 
+                // Where the register kernel last stopped: the op there has not
+                // executed, so the machine runs it in full instead of re-entering.
+                let mut stop = usize::MAX;
+                // Runs the kernel from op `pc` to the first op it declines.
+                macro_rules! kernel {
+                    () => {{
+                        pc = run_kernel(
+                            mops,
+                            &mut frame.locals,
+                            &mut self.heap,
+                            self.dep_class,
+                            pc,
+                            &mut executed,
+                            &mut dispatched,
+                        );
+                        stop = pc;
+                        continue;
+                    }};
+                }
+                // After a register op the kernel does not run (a call, an
+                // allocation, a static, `RUn`), the kernel takes over again at the
+                // next op, without a second dispatch, when it runs that op.
+                macro_rules! next {
+                    () => {{
+                        pc += 1;
+                        if matches!(ops.get(pc), Some(kernel_ops!())) {
+                            kernel!();
+                        }
+                        continue;
+                    }};
+                }
                 loop {
                     if pc >= ops.len() {
                         close!(pc, src_pc[pc]);
@@ -1303,7 +1301,13 @@ impl Interp {
                         Op::Bin(op) => {
                             let rhs = pop!();
                             let lhs = pop!();
-                            put!(push, arith!(*op, lhs, rhs));
+                            // The numeric rule, then `binop` for everything else
+                            // (zero divisors, string concatenation, coercions).
+                            let v = match num_bin(*op, lhs, rhs) {
+                                Some(v) => v,
+                                None => call!(self.binop(*op, lhs, rhs)),
+                            };
+                            put!(push, v);
                         }
                         Op::Un(op) => {
                             let v = pop!();
@@ -1380,6 +1384,8 @@ impl Interp {
 
                         // --- The register form. Grouped so the whole dispatch stays
                         // one jump table; operands are read where they lie.
+                        // Straight-line register ops run in the kernel first.
+                        kernel_ops!() if pc != stop => kernel!(),
                         Op::Nop => {}
                         Op::Mov(dst, src) => put!([*dst], reg!(*src)),
                         Op::SetI(dst, k) => put!([*dst], Value::Int(*k)),
@@ -1387,17 +1393,19 @@ impl Interp {
                         Op::SetB(dst, k) => put!([*dst], Value::Bool(*k)),
                         Op::SetS(dst, i) => put!([*dst], Value::Str(StrId(*i))),
                         Op::SetN(dst) => put!([*dst], Value::Null),
+                        // The kernel declined these operands: the general path.
                         Op::RBin(op, dst, a, b) => {
-                            let v = arith!(*op, reg!(*a), reg!(*b));
+                            let v = call!(self.binop(*op, reg!(*a), reg!(*b)));
                             put!([*dst], v);
                         }
                         Op::RBinI(op, dst, a, k) => {
-                            let v = arith!(*op, reg!(*a), Value::Int(*k));
+                            let v = call!(self.binop(*op, reg!(*a), Value::Int(*k)));
                             put!([*dst], v);
                         }
                         Op::RUn(op, dst, src) => {
                             let v = call!(self.unop(*op, reg!(*src)));
                             put!([*dst], v);
+                            next!();
                         }
                         Op::RIfCmp(op, a, b, target) => {
                             branch_if!(self.holds(*op, reg!(*a), reg!(*b)), target);
@@ -1409,10 +1417,12 @@ impl Interp {
                         Op::RNew(dst, class) => {
                             let r = self.new_instance(*class);
                             put!([*dst], Value::Ref(r));
+                            next!();
                         }
                         Op::RNewArray(dst, len, init) => {
                             let v = call!(self.new_array(reg!(*len), *init));
                             put!([*dst], v);
+                            next!();
                         }
                         Op::RArrayLoad(dst, arr, idx) => {
                             array_load!(reg!(*arr), reg!(*idx), [*dst]);
@@ -1437,8 +1447,14 @@ impl Interp {
                                 self.seed_field(method, src_pc[pc + 1])
                             );
                         }
-                        Op::RGetStatic(dst, slot) => put!([*dst], self.get_static(*slot)),
-                        Op::RPutStatic(src, slot) => self.put_static(*slot, reg!(*src)),
+                        Op::RGetStatic(dst, slot) => {
+                            put!([*dst], self.get_static(*slot));
+                            next!();
+                        }
+                        Op::RPutStatic(src, slot) => {
+                            self.put_static(*slot, reg!(*src));
+                            next!();
+                        }
                         Op::RInvoke {
                             kind,
                             dst,
@@ -1457,6 +1473,7 @@ impl Interp {
                                 locals[*args as usize],
                                 [*dst]
                             );
+                            next!();
                         }
                         Op::RReturnValue(src) => {
                             let v = reg!(*src);
@@ -1543,7 +1560,9 @@ impl Interp {
             |v: Value| ExecError::Unsupported(format!("{op:?} on non-number {}", self.show(v)));
         let a = lhs.as_int().ok_or_else(|| non_number(lhs))?;
         let b = rhs.as_int().ok_or_else(|| non_number(rhs))?;
-        int_bin(op, a, b).map(Value::Int)
+        int_bin(op, a, b)
+            .map(Value::Int)
+            .ok_or(ExecError::DivisionByZero)
     }
 
     /// `NewArray`: an array of `len` elements, zero-filled per `init`.
@@ -1609,29 +1628,11 @@ impl Interp {
         let i = idx
             .as_int()
             .ok_or_else(|| ExecError::Unsupported("array index not an int".into()))?;
-        match arr {
-            Value::Ref(ObjRef::Local(h)) => match &self.heap[h as usize] {
-                HeapObject::Array { data } => {
-                    data.get(i as usize)
-                        .copied()
-                        .ok_or(ExecError::IndexOutOfBounds {
-                            index: i,
-                            len: self.array_len(h),
-                        })
-                }
-                _ => Err(ExecError::Unsupported("array load on object".into())),
-            },
-            Value::Ref(ObjRef::Remote { .. }) => Err(ExecError::NotDistributed),
-            Value::Null => Err(ExecError::NullPointer("array load".into())),
-            _ => Err(ExecError::Unsupported("array load on non-reference".into())),
-        }
-    }
-
-    fn array_len(&self, h: u32) -> usize {
-        match &self.heap[h as usize] {
-            HeapObject::Array { data } => data.len(),
-            _ => 0,
-        }
+        let data = self.array_data(arr, "load")?;
+        let len = data.len();
+        data.get(i as usize)
+            .copied()
+            .ok_or(ExecError::IndexOutOfBounds { index: i, len })
     }
 
     pub(crate) fn array_store(
@@ -1643,34 +1644,33 @@ impl Interp {
         let i = idx
             .as_int()
             .ok_or_else(|| ExecError::Unsupported("array index not an int".into()))?;
-        match arr {
-            Value::Ref(ObjRef::Local(h)) => {
-                let len = self.array_len(h);
-                match &mut self.heap[h as usize] {
-                    HeapObject::Array { data } => {
-                        if i < 0 || i as usize >= data.len() {
-                            return Err(ExecError::IndexOutOfBounds { index: i, len });
-                        }
-                        data[i as usize] = val;
-                        Ok(())
-                    }
-                    _ => Err(ExecError::Unsupported("array store on object".into())),
-                }
-            }
-            Value::Ref(ObjRef::Remote { .. }) => Err(ExecError::NotDistributed),
-            Value::Null => Err(ExecError::NullPointer("array store".into())),
-            _ => Err(ExecError::Unsupported(
-                "array store on non-reference".into(),
-            )),
-        }
+        let data = self.array_data(arr, "store")?;
+        let len = data.len();
+        *data
+            .get_mut(i as usize)
+            .ok_or(ExecError::IndexOutOfBounds { index: i, len })? = val;
+        Ok(())
     }
 
     pub(crate) fn array_length(&mut self, arr: Value) -> Result<Value, ExecError> {
+        Ok(Value::Int(self.array_data(arr, "length")?.len() as i64))
+    }
+
+    /// The elements of the local array `arr` refers to, or the typed error of an
+    /// array `what` (load, store, length) on anything else.
+    fn array_data(&mut self, arr: Value, what: &str) -> Result<&mut Vec<Value>, ExecError> {
         match arr {
-            Value::Ref(ObjRef::Local(h)) => Ok(Value::Int(self.array_len(h) as i64)),
+            Value::Ref(ObjRef::Local(h)) => match &mut self.heap[h as usize] {
+                HeapObject::Array { data } => Ok(data),
+                HeapObject::Object { .. } => {
+                    Err(ExecError::Unsupported(format!("array {what} on object")))
+                }
+            },
             Value::Ref(ObjRef::Remote { .. }) => Err(ExecError::NotDistributed),
-            Value::Null => Err(ExecError::NullPointer("array length".into())),
-            _ => Err(ExecError::Unsupported("length of non-reference".into())),
+            Value::Null => Err(ExecError::NullPointer(format!("array {what}"))),
+            _ => Err(ExecError::Unsupported(format!(
+                "array {what} on non-reference"
+            ))),
         }
     }
 
@@ -1735,15 +1735,11 @@ impl Interp {
         Statics::new(Arc::clone(&self.layout.static_names), values)
     }
 
-    /// `IfCmp` and its register forms: integer comparison without the coercions,
+    /// `IfCmp` and its register forms: the integer rule ([`int_cmp`]), then
     /// [`Self::compare`] for everything else.
     #[inline(always)]
     fn holds(&self, op: CmpOp, lhs: Value, rhs: Value) -> bool {
-        if let (Value::Int(a), Value::Int(b)) = (lhs, rhs) {
-            op.eval_ord(a.cmp(&b))
-        } else {
-            self.compare(op, lhs, rhs)
-        }
+        int_cmp(op, lhs, rhs).unwrap_or_else(|| self.compare(op, lhs, rhs))
     }
 
     /// Evaluates a comparison between two values. Interned strings are equal exactly
@@ -1842,33 +1838,235 @@ pub(crate) fn advance_clock(mut clock: f64, unit: f64, mut n: u64) -> f64 {
     clock
 }
 
-/// Integer fast path of [`Op::Bin`] and its register forms:
-/// wrapping semantics, division faults. Kept `inline(always)` so every dispatch arm
-/// folds it into straight-line code instead of a call.
+// --- the register kernel ---------------------------------------------------------
+//
+// The fast-path rules below are each written once and called by the kernel and by
+// the machine's arms alike, the machine falling back to its general path (`binop`,
+// `compare`, `array_load`, `get_field`, the Message Exchange) where a rule answers
+// `None`. They are `inline(always)` so every caller folds them into straight-line
+// code.
+
+/// Integer `Bin`: wrapping arithmetic; `None` for a zero divisor.
 #[inline(always)]
-fn int_bin(op: BinOp, a: i64, b: i64) -> Result<i64, ExecError> {
-    Ok(match op {
+fn int_bin(op: BinOp, a: i64, b: i64) -> Option<i64> {
+    Some(match op {
         BinOp::Add => a.wrapping_add(b),
         BinOp::Sub => a.wrapping_sub(b),
         BinOp::Mul => a.wrapping_mul(b),
-        BinOp::Div => {
-            if b == 0 {
-                return Err(ExecError::DivisionByZero);
-            }
-            a.wrapping_div(b)
-        }
-        BinOp::Rem => {
-            if b == 0 {
-                return Err(ExecError::DivisionByZero);
-            }
-            a.wrapping_rem(b)
-        }
+        BinOp::Div if b != 0 => a.wrapping_div(b),
+        BinOp::Rem if b != 0 => a.wrapping_rem(b),
+        BinOp::Div | BinOp::Rem => return None,
         BinOp::And => a & b,
         BinOp::Or => a | b,
         BinOp::Xor => a ^ b,
         BinOp::Shl => a.wrapping_shl(b as u32),
         BinOp::Shr => a.wrapping_shr(b as u32),
     })
+}
+
+/// The numeric rule of `Bin` and its register forms: two `Int`s in wrapping
+/// integer arithmetic, a `Float` with a `Float` or an `Int` in IEEE arithmetic.
+/// `None` for whatever [`Interp::binop`] decides: a zero divisor, a bitwise op on
+/// floats, a boolean, a string, null, a reference.
+#[inline(always)]
+fn num_bin(op: BinOp, lhs: Value, rhs: Value) -> Option<Value> {
+    let (a, b) = match (lhs, rhs) {
+        (Value::Int(a), Value::Int(b)) => return int_bin(op, a, b).map(Value::Int),
+        (Value::Float(a), Value::Float(b)) => (a, b),
+        (Value::Float(a), Value::Int(b)) => (a, b as f64),
+        (Value::Int(a), Value::Float(b)) => (a as f64, b),
+        _ => return None,
+    };
+    Some(Value::Float(match op {
+        BinOp::Add => a + b,
+        BinOp::Sub => a - b,
+        BinOp::Mul => a * b,
+        BinOp::Div if b != 0.0 => a / b,
+        BinOp::Rem => a % b,
+        _ => return None,
+    }))
+}
+
+/// The integer rule of `IfCmp` and its register forms: two `Int`s, or two `Bool`s,
+/// compare as integers. `None` for whatever [`Interp::compare`] decides.
+#[inline(always)]
+fn int_cmp(op: CmpOp, lhs: Value, rhs: Value) -> Option<bool> {
+    match (lhs, rhs) {
+        (Value::Int(a), Value::Int(b)) => Some(op.eval_ord(a.cmp(&b))),
+        (Value::Bool(a), Value::Bool(b)) => Some(op.eval_ord(a.cmp(&b))),
+        _ => None,
+    }
+}
+
+/// The elements of the local array `arr` refers to; `None` for anything else.
+#[inline(always)]
+fn local_array(heap: &mut [HeapObject], arr: Value) -> Option<&mut Vec<Value>> {
+    match arr {
+        Value::Ref(ObjRef::Local(h)) => match &mut heap[h as usize] {
+            HeapObject::Array { data } => Some(data),
+            HeapObject::Object { .. } => None,
+        },
+        _ => None,
+    }
+}
+
+/// Element `idx` of a local array, when `idx` is an `Int` in range.
+#[inline(always)]
+fn local_element(heap: &mut [HeapObject], arr: Value, idx: Value) -> Option<&mut Value> {
+    match idx {
+        Value::Int(i) => local_array(heap, arr)?.get_mut(i as usize),
+        _ => None,
+    }
+}
+
+/// Field `slot` of a local object that is not a proxy, when the object has it.
+#[inline(always)]
+fn local_field(
+    heap: &mut [HeapObject],
+    dep_class: Option<ClassId>,
+    obj: Value,
+    slot: u32,
+) -> Option<&mut Value> {
+    match obj {
+        Value::Ref(ObjRef::Local(h)) => match &mut heap[h as usize] {
+            HeapObject::Object { class, fields } if Some(*class) != dep_class => {
+                fields.get_mut(slot as usize)
+            }
+            _ => None,
+        },
+        _ => None,
+    }
+}
+
+/// A branch taken at op `from` to op `to`, in a run's accumulators: the run closes
+/// after `from` and the next one opens at `to` (see [`Interp::run_task`]).
+#[inline(always)]
+fn jump_run(src_pc: &[u32], from: usize, to: usize, executed: &mut u64, dispatched: &mut u64) {
+    *executed = executed
+        .wrapping_add(u64::from(src_pc[from + 1]))
+        .wrapping_sub(u64::from(src_pc[to]));
+    *dispatched = dispatched
+        .wrapping_add(from as u64 + 1)
+        .wrapping_sub(to as u64);
+}
+
+/// The ops [`run_kernel`] runs, on some operands: the register ops
+/// [`Interp::run_task`] enters it at. `Goto` is in both forms, so the kernel runs one
+/// only inside a register run.
+macro_rules! kernel_ops {
+    () => {
+        Op::Nop
+            | Op::Mov(..)
+            | Op::SetI(..)
+            | Op::SetF(..)
+            | Op::SetB(..)
+            | Op::SetS(..)
+            | Op::SetN(_)
+            | Op::RBin(..)
+            | Op::RBinI(..)
+            | Op::RIfCmp(..)
+            | Op::RIfCmpI(..)
+            | Op::RIf(..)
+            | Op::RArrayLoad(..)
+            | Op::RArrayStore(..)
+            | Op::RArrayLength(..)
+            | Op::RGetField(..)
+            | Op::RPutField(..)
+    };
+}
+use kernel_ops;
+
+/// The register kernel: runs the straight-line register ops of one frame from op
+/// `pc` and returns the pc of the first op it cannot finish — a call, a return, an
+/// allocation, a static, the end of the body, or an operand the fast-path rules
+/// above do not cover (a zero divisor, a non-number, null, a remote reference, a
+/// proxy, an index out of range). That op has not executed: the machine runs the
+/// whole op itself, with its full semantics.
+///
+/// `executed` / `dispatched` are `run_task`'s run accumulators. The kernel moves
+/// them only where `jump!` would — a taken branch closes the run and opens one at
+/// its target — and never charges, faults, calls or samples: the clock, the
+/// counters, the profiler and every error stay the machine's. It is a separate,
+/// small function so that the op slice, the register file and the accumulators stay
+/// in machine registers, which the whole dispatch loop is too large for.
+#[inline(never)]
+fn run_kernel(
+    mops: &MethodOps,
+    regs: &mut [Value],
+    heap: &mut [HeapObject],
+    dep_class: Option<ClassId>,
+    mut pc: usize,
+    executed: &mut u64,
+    dispatched: &mut u64,
+) -> usize {
+    let (ops, src_pc) = (&mops.ops[..], &mops.src_pc[..]);
+    let (mut seed, mut disp) = (*executed, *dispatched);
+    while let Some(op) = ops.get(pc) {
+        // The value of a fast-path rule, or the end of the kernel's run.
+        macro_rules! or_stop {
+            ($rule:expr) => {
+                match $rule {
+                    Some(v) => v,
+                    None => break,
+                }
+            };
+        }
+        macro_rules! branch_if {
+            ($taken:expr, $target:expr) => {
+                if $taken {
+                    let target = $target as usize;
+                    jump_run(src_pc, pc, target, &mut seed, &mut disp);
+                    pc = target;
+                    continue;
+                }
+            };
+        }
+        macro_rules! r {
+            ($r:expr) => {
+                regs[$r as usize]
+            };
+        }
+        match *op {
+            Op::Nop => {}
+            Op::Mov(dst, src) => r!(dst) = r!(src),
+            Op::SetI(dst, k) => r!(dst) = Value::Int(k),
+            Op::SetF(dst, k) => r!(dst) = Value::Float(k),
+            Op::SetB(dst, k) => r!(dst) = Value::Bool(k),
+            Op::SetS(dst, i) => r!(dst) = Value::Str(StrId(i)),
+            Op::SetN(dst) => r!(dst) = Value::Null,
+            Op::Goto(target) => branch_if!(true, target),
+            Op::RBin(op, dst, a, b) => r!(dst) = or_stop!(num_bin(op, r!(a), r!(b))),
+            Op::RBinI(op, dst, a, k) => r!(dst) = or_stop!(num_bin(op, r!(a), Value::Int(k))),
+            Op::RIfCmp(op, a, b, target) => {
+                branch_if!(or_stop!(int_cmp(op, r!(a), r!(b))), target)
+            }
+            Op::RIfCmpI(op, a, k, target) => {
+                branch_if!(or_stop!(int_cmp(op, r!(a), Value::Int(k))), target)
+            }
+            Op::RIf(op, v, target) => branch_if!(if_holds(op, r!(v)), target),
+            Op::RArrayLoad(dst, arr, idx) => {
+                r!(dst) = *or_stop!(local_element(heap, r!(arr), r!(idx)))
+            }
+            Op::RArrayStore(arr, idx, val) => {
+                let val = r!(val);
+                *or_stop!(local_element(heap, r!(arr), r!(idx))) = val;
+            }
+            Op::RArrayLength(dst, arr) => {
+                r!(dst) = Value::Int(or_stop!(local_array(heap, r!(arr))).len() as i64)
+            }
+            Op::RGetField(dst, obj, slot) => {
+                r!(dst) = *or_stop!(local_field(heap, dep_class, r!(obj), slot))
+            }
+            Op::RPutField(obj, val, slot) => {
+                let val = r!(val);
+                *or_stop!(local_field(heap, dep_class, r!(obj), slot)) = val;
+            }
+            _ => break,
+        }
+        pc += 1;
+    }
+    (*executed, *dispatched) = (seed, disp);
+    pc
 }
 
 #[cfg(test)]
@@ -2210,6 +2408,78 @@ mod tests {
         assert_eq!(interp.layout().field_slot(fx), Some(0));
         assert_eq!(interp.layout().slot_count(a), 2);
         assert_eq!(interp.layout().slot_count(b), 3);
+    }
+
+    /// The kernel's fast-path rules against the machine's general paths, over every
+    /// operator and every pair of ints (the extremes included), floats (signed zeros,
+    /// NaN, infinity), booleans, null, a string and a reference: [`num_bin`] answers
+    /// `None` or exactly what `binop` answers — floats bit for bit — and `None`
+    /// wherever `binop` fails; [`int_cmp`] answers `None` or what `compare` does.
+    #[test]
+    fn the_fast_rules_answer_what_the_general_paths_do() {
+        let p = compile_source("class C { static void main() { } }").unwrap();
+        let mut interp = Interp::new(&p);
+        let mut values: Vec<Value> = [0, 1, -1, i64::MIN, i64::MAX].map(Value::Int).into();
+        values.extend([0.0, -0.0, 1.5, f64::NAN, f64::INFINITY].map(Value::Float));
+        values.extend([Value::Bool(false), Value::Bool(true), Value::Null]);
+        values.extend([interp.intern("s"), Value::Ref(ObjRef::Local(0))]);
+        let same = |a: Value, b: Value| match (a, b) {
+            (Value::Float(x), Value::Float(y)) => x.to_bits() == y.to_bits(),
+            _ => a == b,
+        };
+        let binops = [
+            BinOp::Add,
+            BinOp::Sub,
+            BinOp::Mul,
+            BinOp::Div,
+            BinOp::Rem,
+            BinOp::And,
+            BinOp::Or,
+            BinOp::Xor,
+            BinOp::Shl,
+            BinOp::Shr,
+        ];
+        let cmps = [
+            CmpOp::Eq,
+            CmpOp::Ne,
+            CmpOp::Lt,
+            CmpOp::Le,
+            CmpOp::Gt,
+            CmpOp::Ge,
+        ];
+        let mut answered = 0;
+        for &lhs in &values {
+            for &rhs in &values {
+                for op in binops {
+                    let fast = num_bin(op, lhs, rhs);
+                    match (fast, interp.binop(op, lhs, rhs)) {
+                        (None, _) => {}
+                        (Some(v), Ok(general)) => {
+                            assert!(
+                                same(v, general),
+                                "{lhs:?} {op:?} {rhs:?}: {v:?} vs {general:?}"
+                            );
+                            answered += 1;
+                        }
+                        (Some(v), Err(e)) => {
+                            panic!("{lhs:?} {op:?} {rhs:?}: {v:?}, but binop fails: {e}")
+                        }
+                    }
+                }
+                for op in cmps {
+                    if let Some(fast) = int_cmp(op, lhs, rhs) {
+                        assert_eq!(fast, interp.compare(op, lhs, rhs), "{lhs:?} {op:?} {rhs:?}");
+                        answered += 1;
+                    }
+                }
+            }
+        }
+        // Every int and float pair but the failing ones (764 cases), so the rules
+        // cannot pass by answering nothing.
+        assert!(
+            answered > 700,
+            "the fast rules answered only {answered} cases"
+        );
     }
 
     /// What [`advance_clock`] must equal: `n` additions, one at a time.

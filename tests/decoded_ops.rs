@@ -20,8 +20,10 @@
 //!   semantics, down to the exact fault (`StackUnderflow` coordinates included);
 //! * **form parity** — the same programs (Table 1 workloads, random bodies, and
 //!   hand-built cases: retargeted stores, placed operands, faults inside a window,
-//!   bodies that fall back) produce bit-identical results, faults, virtual clocks
-//!   and instruction counts in the register and the stack form;
+//!   bodies that fall back, and loops the register kernel leaves in the middle — a
+//!   zero divisor, an index past the end, a null receiver) produce bit-identical
+//!   results, faults, virtual clocks and instruction counts in the register and the
+//!   stack form;
 //! * **accounting** — the interpreter charges whole straight-line runs, not single
 //!   dispatches, so parity between the forms cannot catch a miscount both share.
 //!   The reference evaluation counts the seed instructions it runs (the faulting one
@@ -822,6 +824,218 @@ fn load_ifcmp_underflow_reports_the_ifcmp_seed_pc() {
         Insn::ReturnValue,
     ];
     assert_falls_back_and_underflows(&body, [1, 0, 0, 0], 1);
+}
+
+/// A loop the register kernel runs whole until iteration `n`, where its division
+/// meets a zero divisor: the kernel stops at the `RBin` without running it, and the
+/// machine faults there. Result, seed count (the faulting instruction included,
+/// which pins where it struck) and clock bits are the reference's in both forms.
+#[test]
+fn a_division_the_kernel_declines_faults_in_the_machine() {
+    // s = 0; for (i = 0; i <= n; i++) s += 100 / (n - i); return s;
+    let body = vec![
+        Insn::Load(2),
+        Insn::Load(0),
+        Insn::IfCmp(CmpOp::Gt, 16), // i > n: out (never: iteration n faults)
+        Insn::Load(1),
+        Insn::Const(Const::Int(100)),
+        Insn::Load(0),
+        Insn::Load(2),
+        Insn::Bin(BinOp::Sub),
+        Insn::Bin(BinOp::Div), // 100 / (n - i)
+        Insn::Bin(BinOp::Add),
+        Insn::Store(1),
+        Insn::Load(2),
+        Insn::Const(Const::Int(1)),
+        Insn::Bin(BinOp::Add),
+        Insn::Store(2),
+        Insn::Goto(0),
+        Insn::Load(1),
+        Insn::ReturnValue,
+    ];
+    let divide = |op: &Op| matches!(op, Op::RBin(BinOp::Div, ..));
+    let (_, probe) = build_probe(body.clone());
+    for n in [0, 1, 7] {
+        let (expected, steps) = reference_eval(&body, [n, 0, 0, 0], probe);
+        assert_eq!(expected, Err(ExecError::DivisionByZero));
+        // Sixteen per iteration, then seed pcs 0..=8: the fault is the `Div`'s.
+        assert_eq!(
+            steps,
+            16 * n as u64 + 9,
+            "faults at seed pc 8 of iteration {n}"
+        );
+        assert_translated_parity(&body, divide, [n, 0, 0, 0]);
+    }
+}
+
+/// `Kernel`'s methods run in both forms, each from a fresh interpreter.
+const KERNEL_SRC: &str = r#"
+    class Node {
+        int v;
+        Node next;
+    }
+    class Kernel {
+        static int pastTheEnd(int n, int extra) {
+            int[] xs = new int[n];
+            int i = 0;
+            while (i < n) { xs[i] = i * 3; i = i + 1; }
+            int s = 0;
+            i = 0;
+            while (i < n + extra) { s = s + xs[i]; i = i + 1; }
+            return s;
+        }
+        static float mixed(int n) {
+            float f = 0.5;
+            int k = 1;
+            int i = 0;
+            while (i < n) {
+                k = k * 3 + i;
+                f = f * 1.5 + k;
+                f = f - i / 2;
+                i = i + 1;
+            }
+            return f + k;
+        }
+        static int everyThird(int n) {
+            int s = 0;
+            int i = 0;
+            while (i < n) {
+                boolean third = i % 3 == 0;
+                if (third) { s = s + i; }
+                i = i + 1;
+            }
+            return s;
+        }
+        static int walk(int n, int extra) {
+            Node head = null;
+            int i = 0;
+            while (i < n) {
+                Node x = new Node();
+                x.v = i + 1;
+                x.next = head;
+                head = x;
+                i = i + 1;
+            }
+            int s = 0;
+            Node c = head;
+            i = 0;
+            while (i < n + extra) { s = s + c.v; c = c.next; i = i + 1; }
+            return s;
+        }
+        static void main() { }
+    }
+"#;
+
+/// The outcome of `Kernel::<name>(args)` (floats by their bits, through `Debug`),
+/// the clock bits, the seed count and the dispatches, in one form.
+fn run_kernel_method(
+    program: &Program,
+    name: &str,
+    args: &[i64],
+    opts: LayoutOptions,
+) -> (String, u64, u64, u64) {
+    let class = program.class_by_name("Kernel").unwrap();
+    let method = program.find_method(class, name).unwrap();
+    let (got, clock, instructions, dispatches) = run_method(program, method, args, opts);
+    (
+        format!("{got:?}"),
+        clock.to_bits(),
+        instructions,
+        dispatches,
+    )
+}
+
+/// One run of `method` under explicit layout options (see [`run_probe`]).
+fn run_method(
+    program: &Program,
+    method: MethodId,
+    args: &[i64],
+    opts: LayoutOptions,
+) -> (Result<Value, ExecError>, f64, u64, u64) {
+    let mut interp = Interp::new_with_options(program, opts);
+    let got = interp.invoke(method, args.iter().map(|&v| Value::Int(v)).collect());
+    (
+        got,
+        interp.clock_us,
+        interp.counters.instructions,
+        interp.counters.dispatches,
+    )
+}
+
+/// Asserts `Kernel::<name>` takes the register form with an op matching `expect`,
+/// and that it runs on `args` to the same outcome, clock bits and seed count in
+/// both forms, with no more dispatches in the register form. Returns the outcome.
+fn assert_kernel_parity(name: &str, expect: fn(&Op) -> bool, args: &[i64]) -> String {
+    let program = autodist_ir::frontend::compile_source(KERNEL_SRC).unwrap();
+    let class = program.class_by_name("Kernel").unwrap();
+    let method = program.find_method(class, name).unwrap();
+    let layout = ProgramLayout::build(&program);
+    let mops = layout.ops(method);
+    assert!(!is_stack_form(mops), "{name} fell back to the stack form");
+    assert!(mops.ops.iter().any(expect), "{name}: {:?}", mops.ops);
+    let (regs, rclock, rinstr, rdisp) =
+        run_kernel_method(&program, name, args, LayoutOptions::default());
+    let (stack, sclock, sinstr, sdisp) = run_kernel_method(&program, name, args, NOFUSE);
+    assert_eq!(regs, stack, "{name}{args:?}: outcome");
+    assert_eq!(rclock, sclock, "{name}{args:?}: clock bits");
+    assert_eq!(rinstr, sinstr, "{name}{args:?}: seed count");
+    assert_eq!(sdisp, sinstr, "{name}{args:?}: stack dispatches are 1:1");
+    assert!(
+        rdisp <= sdisp,
+        "{name}{args:?}: {rdisp} > {sdisp} dispatches"
+    );
+    regs
+}
+
+/// An `aaload` loop the kernel runs until the index reaches the length: it stops
+/// at the `RArrayLoad` and the machine reports the index and the length.
+#[test]
+fn an_element_one_past_the_end_faults_in_the_machine() {
+    let load = |op: &Op| matches!(op, Op::RArrayLoad(..));
+    assert_eq!(
+        assert_kernel_parity("pastTheEnd", load, &[6, 0]),
+        "Ok(Int(45))"
+    );
+    assert_eq!(
+        assert_kernel_parity("pastTheEnd", load, &[6, 1]),
+        "Err(IndexOutOfBounds { index: 6, len: 6 })"
+    );
+    assert_eq!(
+        assert_kernel_parity("pastTheEnd", load, &[0, 1]),
+        "Err(IndexOutOfBounds { index: 0, len: 0 })"
+    );
+}
+
+/// Integer and float accumulation in one loop: `Int` with `Float` operands in the
+/// kernel's numeric rule, the conversions and the integer division beside them.
+#[test]
+fn int_and_float_accumulation_agree_bit_for_bit() {
+    let float = |op: &Op| matches!(op, Op::RBin(BinOp::Mul, ..) | Op::RBinI(BinOp::Mul, ..));
+    for n in [0, 1, 9, 40] {
+        let got = assert_kernel_parity("mixed", float, &[n]);
+        assert!(got.starts_with("Ok(Float("), "mixed({n}) = {got}");
+    }
+}
+
+/// A boolean materialised in a register and tested by `RIf`.
+#[test]
+fn an_rif_on_a_bool_branches_as_the_stack_form_does() {
+    let rif = |op: &Op| matches!(op, Op::RIf(..));
+    assert_eq!(
+        assert_kernel_parity("everyThird", rif, &[10]),
+        "Ok(Int(18))"
+    );
+    assert_eq!(assert_kernel_parity("everyThird", rif, &[0]), "Ok(Int(0))");
+}
+
+/// A list walk the kernel runs field by field until the next node is null: it
+/// stops at the `RGetField` on null, and the machine faults there.
+#[test]
+fn a_getfield_on_null_inside_a_loop_faults_in_the_machine() {
+    let get = |op: &Op| matches!(op, Op::RGetField(..));
+    assert_eq!(assert_kernel_parity("walk", get, &[5, 0]), "Ok(Int(15))");
+    let fault = assert_kernel_parity("walk", get, &[5, 1]);
+    assert!(fault.starts_with("Err(NullPointer("), "{fault}");
 }
 
 /// Every Table 1 workload runs entry-to-exit with identical results, statics,
