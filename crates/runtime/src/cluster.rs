@@ -238,8 +238,19 @@ pub fn run_distributed_profiled(
     assert!(!programs.is_empty(), "at least one node required");
     let start = Instant::now();
     let app = ServerApp::prepare(programs.to_vec(), config.network.clone());
+    let mut report = run_app(&app, config, profilers);
+    report.wall_time_ms = start.elapsed().as_secs_f64() * 1e3;
+    report
+}
+
+/// Runs one request of `app` alone on the worker loop, under `config`'s fault plan.
+fn run_app(
+    app: &ServerApp,
+    config: &ClusterConfig,
+    profilers: Vec<Option<NodeProfiler>>,
+) -> ExecutionReport {
     let mut server = Server {
-        apps: std::slice::from_ref(&app),
+        apps: std::slice::from_ref(app),
         sequence: &[0],
         concurrency: 1,
         faults: vec![config.faults.clone()],
@@ -249,15 +260,12 @@ pub fn run_distributed_profiled(
         deadline_wait: Duration::ZERO,
     };
     let mut requests = server.run(profilers);
-    let mut report = requests.pop().expect("one request, one report").report;
-    report.wall_time_ms = start.elapsed().as_secs_f64() * 1e3;
-    report
+    requests.pop().expect("one request, one report").report
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::interp::ClassDefaults;
     use crate::value::StaticValue;
     use autodist_codegen::rewrite::{rewrite_for_node, ClassPlacement};
     use autodist_ir::frontend::compile_source;
@@ -667,36 +675,6 @@ mod tests {
         assert!(dist.total_messages() >= 400, "two messages per round trip");
     }
 
-    /// [`run_distributed`] over layouts built with `opts`.
-    fn run_distributed_with(
-        copies: Vec<autodist_ir::Program>,
-        config: &ClusterConfig,
-        opts: LayoutOptions,
-    ) -> ExecutionReport {
-        let layouts: Vec<_> = ProgramLayout::build_family(copies, opts)
-            .into_iter()
-            .map(Arc::new)
-            .collect();
-        let defaults = layouts
-            .iter()
-            .map(|layout| Arc::new(ClassDefaults::of(layout)))
-            .collect();
-        let app = ServerApp {
-            layouts,
-            defaults,
-            network: config.network.clone(),
-        };
-        let mut server = Server {
-            apps: std::slice::from_ref(&app),
-            sequence: &[0],
-            concurrency: 1,
-            faults: vec![config.faults.clone()],
-            adapt: None,
-            deadline_wait: Duration::ZERO,
-        };
-        server.run(Vec::new()).pop().expect("one report").report
-    }
-
     /// A loop on the launch node reads a field of an object living on the other
     /// node through its proxy: `d.f` is a `getfield` on `Base`, at home here, so it
     /// stays a plain field op. The register kernel runs the loop, stops at the
@@ -745,8 +723,15 @@ mod tests {
             layout.ops(main).ops
         );
         let config = ClusterConfig::paper_testbed();
+        // `run_distributed` over layouts built with `opts` (the class defaults
+        // depend only on class shapes, which `fuse` leaves alone).
         let report = |opts| {
-            let mut report = run_distributed_with(copies.clone(), &config, opts);
+            let mut app = ServerApp::prepare(copies.clone(), config.network.clone());
+            app.layouts = ProgramLayout::build_family(copies.clone(), opts)
+                .into_iter()
+                .map(Arc::new)
+                .collect();
+            let mut report = run_app(&app, &config, Vec::new());
             report.wall_time_ms = 0.0;
             report
         };
@@ -763,15 +748,6 @@ mod tests {
         assert_eq!(
             format!("{registers:?}"),
             format!("{:?}", report(LayoutOptions { fuse: false }))
-        );
-        assert_eq!(
-            format!("{registers:?}"),
-            format!("{:?}", {
-                let mut r = run_distributed(&copies, &config);
-                r.wall_time_ms = 0.0;
-                r
-            }),
-            "over the default layouts the helper is run_distributed"
         );
     }
 }

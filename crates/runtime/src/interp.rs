@@ -1245,18 +1245,6 @@ impl Interp {
                         continue;
                     }};
                 }
-                // After a register op the kernel does not run (a call, an
-                // allocation, a static, `RUn`), the kernel takes over again at the
-                // next op, without a second dispatch, when it runs that op.
-                macro_rules! next {
-                    () => {{
-                        pc += 1;
-                        if matches!(ops.get(pc), Some(kernel_ops!())) {
-                            kernel!();
-                        }
-                        continue;
-                    }};
-                }
                 loop {
                     if pc >= ops.len() {
                         close!(pc, src_pc[pc]);
@@ -1384,15 +1372,30 @@ impl Interp {
 
                         // --- The register form. Grouped so the whole dispatch stays
                         // one jump table; operands are read where they lie.
-                        // Straight-line register ops run in the kernel first.
-                        kernel_ops!() if pc != stop => kernel!(),
-                        Op::Nop => {}
-                        Op::Mov(dst, src) => put!([*dst], reg!(*src)),
-                        Op::SetI(dst, k) => put!([*dst], Value::Int(*k)),
-                        Op::SetF(dst, k) => put!([*dst], Value::Float(*k)),
-                        Op::SetB(dst, k) => put!([*dst], Value::Bool(*k)),
-                        Op::SetS(dst, i) => put!([*dst], Value::Str(StrId(*i))),
-                        Op::SetN(dst) => put!([*dst], Value::Null),
+                        // Straight-line register ops run in the kernel. It always
+                        // runs moves, constants and `RIf`; the ops below it may
+                        // decline, and then the machine runs them at `stop`.
+                        Op::Nop
+                        | Op::Mov(..)
+                        | Op::SetI(..)
+                        | Op::SetF(..)
+                        | Op::SetB(..)
+                        | Op::SetS(..)
+                        | Op::SetN(_)
+                        | Op::RIf(..) => kernel!(),
+                        Op::RBin(..)
+                        | Op::RBinI(..)
+                        | Op::RIfCmp(..)
+                        | Op::RIfCmpI(..)
+                        | Op::RArrayLoad(..)
+                        | Op::RArrayStore(..)
+                        | Op::RArrayLength(..)
+                        | Op::RGetField(..)
+                        | Op::RPutField(..)
+                            if pc != stop =>
+                        {
+                            kernel!()
+                        }
                         // The kernel declined these operands: the general path.
                         Op::RBin(op, dst, a, b) => {
                             let v = call!(self.binop(*op, reg!(*a), reg!(*b)));
@@ -1405,7 +1408,6 @@ impl Interp {
                         Op::RUn(op, dst, src) => {
                             let v = call!(self.unop(*op, reg!(*src)));
                             put!([*dst], v);
-                            next!();
                         }
                         Op::RIfCmp(op, a, b, target) => {
                             branch_if!(self.holds(*op, reg!(*a), reg!(*b)), target);
@@ -1413,16 +1415,13 @@ impl Interp {
                         Op::RIfCmpI(op, a, k, target) => {
                             branch_if!(self.holds(*op, reg!(*a), Value::Int(*k)), target);
                         }
-                        Op::RIf(op, v, target) => branch_if!(if_holds(*op, reg!(*v)), target),
                         Op::RNew(dst, class) => {
                             let r = self.new_instance(*class);
                             put!([*dst], Value::Ref(r));
-                            next!();
                         }
                         Op::RNewArray(dst, len, init) => {
                             let v = call!(self.new_array(reg!(*len), *init));
                             put!([*dst], v);
-                            next!();
                         }
                         Op::RArrayLoad(dst, arr, idx) => {
                             array_load!(reg!(*arr), reg!(*idx), [*dst]);
@@ -1449,11 +1448,9 @@ impl Interp {
                         }
                         Op::RGetStatic(dst, slot) => {
                             put!([*dst], self.get_static(*slot));
-                            next!();
                         }
                         Op::RPutStatic(src, slot) => {
                             self.put_static(*slot, reg!(*src));
-                            next!();
                         }
                         Op::RInvoke {
                             kind,
@@ -1473,7 +1470,6 @@ impl Interp {
                                 locals[*args as usize],
                                 [*dst]
                             );
-                            next!();
                         }
                         Op::RReturnValue(src) => {
                             let v = reg!(*src);
@@ -1949,32 +1945,6 @@ fn jump_run(src_pc: &[u32], from: usize, to: usize, executed: &mut u64, dispatch
         .wrapping_add(from as u64 + 1)
         .wrapping_sub(to as u64);
 }
-
-/// The ops [`run_kernel`] runs, on some operands: the register ops
-/// [`Interp::run_task`] enters it at. `Goto` is in both forms, so the kernel runs one
-/// only inside a register run.
-macro_rules! kernel_ops {
-    () => {
-        Op::Nop
-            | Op::Mov(..)
-            | Op::SetI(..)
-            | Op::SetF(..)
-            | Op::SetB(..)
-            | Op::SetS(..)
-            | Op::SetN(_)
-            | Op::RBin(..)
-            | Op::RBinI(..)
-            | Op::RIfCmp(..)
-            | Op::RIfCmpI(..)
-            | Op::RIf(..)
-            | Op::RArrayLoad(..)
-            | Op::RArrayStore(..)
-            | Op::RArrayLength(..)
-            | Op::RGetField(..)
-            | Op::RPutField(..)
-    };
-}
-use kernel_ops;
 
 /// The register kernel: runs the straight-line register ops of one frame from op
 /// `pc` and returns the pc of the first op it cannot finish — a call, a return, an

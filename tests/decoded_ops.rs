@@ -446,7 +446,7 @@ fn reference_eval(
 fn run_probe(
     program: &Program,
     probe: MethodId,
-    args: [i64; 4],
+    args: &[i64],
     opts: LayoutOptions,
 ) -> (Result<Value, ExecError>, f64, u64, u64) {
     let mut interp = Interp::new_with_options(program, opts);
@@ -476,8 +476,8 @@ fn sequential_clock(n: u64) -> f64 {
 fn assert_form_parity(body: &[Insn], args: [i64; 4]) {
     let (program, probe) = build_probe(body.to_vec());
     let (expected, steps) = reference_eval(body, args, probe);
-    let (regs, rclock, rinstr, rdisp) = run_probe(&program, probe, args, LayoutOptions::default());
-    let (stack, sclock, sinstr, sdisp) = run_probe(&program, probe, args, NOFUSE);
+    let (regs, rclock, rinstr, rdisp) = run_probe(&program, probe, &args, LayoutOptions::default());
+    let (stack, sclock, sinstr, sdisp) = run_probe(&program, probe, &args, NOFUSE);
     assert_eq!(regs, expected, "register form diverged from the reference");
     assert_eq!(stack, expected, "stack form diverged from the reference");
     assert_eq!(
@@ -528,7 +528,7 @@ fn assert_falls_back_and_underflows(body: &[Insn], args: [i64; 4], at: u32) {
     );
     assert_eq!(layout.ops(probe).ops.len(), body.len());
     for opts in [LayoutOptions::default(), NOFUSE] {
-        let (got, ..) = run_probe(&program, probe, args, opts);
+        let (got, ..) = run_probe(&program, probe, &args, opts);
         assert_eq!(
             got,
             Err(ExecError::StackUnderflow {
@@ -613,7 +613,7 @@ fn a_retargeted_division_by_zero_charges_its_window_and_writes_nothing() {
     assert_eq!(mops.ops[0], Op::RBin(BinOp::Div, 2, 0, 1));
     assert_eq!(mops.seed_width(0), 3);
     let (got, clock, instructions, _) =
-        run_probe(&program, probe, [6, 0, 0, 0], LayoutOptions::default());
+        run_probe(&program, probe, &[6, 0, 0, 0], LayoutOptions::default());
     assert_eq!(got, Err(ExecError::DivisionByZero));
     assert_eq!(instructions, 3);
     assert_eq!(clock.to_bits(), sequential_clock(3).to_bits());
@@ -936,29 +936,12 @@ fn run_kernel_method(
 ) -> (String, u64, u64, u64) {
     let class = program.class_by_name("Kernel").unwrap();
     let method = program.find_method(class, name).unwrap();
-    let (got, clock, instructions, dispatches) = run_method(program, method, args, opts);
+    let (got, clock, instructions, dispatches) = run_probe(program, method, args, opts);
     (
         format!("{got:?}"),
         clock.to_bits(),
         instructions,
         dispatches,
-    )
-}
-
-/// One run of `method` under explicit layout options (see [`run_probe`]).
-fn run_method(
-    program: &Program,
-    method: MethodId,
-    args: &[i64],
-    opts: LayoutOptions,
-) -> (Result<Value, ExecError>, f64, u64, u64) {
-    let mut interp = Interp::new_with_options(program, opts);
-    let got = interp.invoke(method, args.iter().map(|&v| Value::Int(v)).collect());
-    (
-        got,
-        interp.clock_us,
-        interp.counters.instructions,
-        interp.counters.dispatches,
     )
 }
 
@@ -1118,8 +1101,8 @@ proptest! {
 
         let args = [a0, a1, a2, a3];
         let (expected, steps) = reference_eval(&body, args, probe);
-        let (rgot, rclock, rinstr, rdisp) = run_probe(&program, probe, args, LayoutOptions::default());
-        let (sgot, sclock, sinstr, sdisp) = run_probe(&program, probe, args, NOFUSE);
+        let (rgot, rclock, rinstr, rdisp) = run_probe(&program, probe, &args, LayoutOptions::default());
+        let (sgot, sclock, sinstr, sdisp) = run_probe(&program, probe, &args, NOFUSE);
         prop_assert_eq!(rgot, expected.clone());
         prop_assert_eq!(sgot, expected);
         prop_assert_eq!(rinstr, steps);
