@@ -17,8 +17,9 @@
 //!   `gen-d8w24` rows add `odg_cut_n{4,8}` and `node_programs_digest_n{4,8}`: the same
 //!   plan on 4 and 8 nodes, which is where the partitioner recurses.
 //! * `op_census` — per Table 1 workload and chain microbench ([`crate::microbench`]),
-//!   the op counts of the stack and register forms, the register form's placing
-//!   moves, zero-width ops and fallback bodies, and the dynamic dispatch reduction.
+//!   the op counts of the 1:1 (`stack_ops`) and folded (`register_ops`) register
+//!   forms, the folded form's placing moves and zero-width ops, and the dynamic
+//!   dispatch reduction.
 //! * `wire_codec` — the encoded frame size of the three dominant remote accesses.
 //! * `serving` / `adaptive_serving` — traffic totals of the two closed loops in
 //!   [`crate::serving`].
@@ -268,14 +269,13 @@ pub fn render() -> PipelineResult<String> {
             let s = &c.static_;
             format!(
                 "\"name\": {}, \"stack_ops\": {}, \"register_ops\": {}, \"moves\": {}, \
-                 \"zero_width\": {}, \"fallback_bodies\": {}, \"instructions\": {}, \
+                 \"zero_width\": {}, \"instructions\": {}, \
                  \"dispatches\": {}, \"dispatch_reduction_pct\": {:.1}",
                 json_string(&c.name),
                 s.stack_ops,
                 s.register_ops,
                 s.moves,
                 s.zero_width,
-                s.fallback_bodies,
                 c.dynamic.instructions,
                 c.dynamic.dispatches,
                 c.dynamic.dispatch_reduction_pct()

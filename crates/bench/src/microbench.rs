@@ -7,15 +7,14 @@
 //! whose result a `Store` retargets, compare-and-branch chains, and the `i = i + 1`
 //! increment idiom — so the `arith_chain_deep` / `cond_chain_deep` census rows
 //! record its best case. The [`census`] half counts, per workload, (a)
-//! **statically** the ops of the stack and register forms, the `Mov` / `Set*` ops
-//! that place a slot, the ops that stand for no seed instruction and the bodies that
-//! fell back to the stack form, and (b) **dynamically** how many dispatch-loop
-//! iterations the register form saves at run time (`instructions` counts seed ops,
+//! **statically** the ops of the 1:1 and the folded register form, the `Mov` /
+//! `Set*` ops that place a slot and the ops that stand for no seed instruction, and
+//! (b) **dynamically** how many dispatch-loop iterations folding saves at run time (`instructions` counts seed ops,
 //! `dispatches` counts loop trips, so `1 - dispatches/instructions` is the dynamic
 //! win).
 
 use autodist_ir::frontend::compile_source;
-use autodist_ir::layout::{LayoutOptions, MethodOps, Op, ProgramLayout};
+use autodist_ir::layout::{LayoutOptions, Op, ProgramLayout};
 use autodist_ir::program::Program;
 use autodist_runtime::interp::Interp;
 
@@ -77,34 +76,32 @@ pub fn compile_chain(src: &str) -> Program {
     compile_source(src).expect("chain microbench source compiles")
 }
 
-/// Static census of one program: the op counts of its two forms and what the
-/// register form spends beyond one op per consumed value.
+/// Static census of one program: the op counts of its 1:1 and folded forms and what
+/// the folded form spends beyond one op per consumed value.
 #[derive(Clone, Debug)]
 pub struct StaticCensus {
-    /// Op count of the stack form (`fuse: false`, one per bytecode insn).
+    /// Op count of the 1:1 form (`fuse: false`, one per bytecode insn).
     pub stack_ops: usize,
-    /// Op count of the register form (the default layout).
+    /// Op count of the folded register form (the default layout).
     pub register_ops: usize,
-    /// `Mov` / `Set*` ops of the register form: slots placed at home.
+    /// `Mov` / `Set*` ops of the folded form: slots placed at home.
     pub moves: usize,
-    /// Ops of the register form that stand for no seed instruction.
+    /// Ops of the folded form that stand for no seed instruction.
     pub zero_width: usize,
-    /// Non-empty bodies the register translation left in the stack form.
-    pub fallback_bodies: usize,
 }
 
 /// Dynamic census of one program: seed instructions executed vs dispatch loop
-/// iterations taken in the register form (equal in the stack form).
+/// iterations taken in the folded form (equal in the 1:1 form).
 #[derive(Clone, Debug)]
 pub struct DynamicCensus {
     /// Seed instructions interpreted (the same in either form).
     pub instructions: u64,
-    /// Dispatch-loop iterations in the register form.
+    /// Dispatch-loop iterations in the folded form.
     pub dispatches: u64,
 }
 
 impl DynamicCensus {
-    /// Percentage of dispatch-loop iterations the register form eliminated.
+    /// Percentage of dispatch-loop iterations folding eliminated.
     pub fn dispatch_reduction_pct(&self) -> f64 {
         if self.instructions == 0 {
             return 0.0;
@@ -124,51 +121,15 @@ pub struct OpCensus {
     pub dynamic: DynamicCensus,
 }
 
-/// `true` when a decoded body is in the stack form: it has an op only the 1:1
-/// decode emits (a body of `Goto` and `Return` alone is the same in both forms).
-pub fn is_stack_form(mops: &MethodOps) -> bool {
-    mops.ops.iter().any(|op| {
-        matches!(
-            op,
-            Op::ConstInt(_)
-                | Op::ConstFloat(_)
-                | Op::ConstBool(_)
-                | Op::ConstStr(_)
-                | Op::ConstNull
-                | Op::Load(_)
-                | Op::Store(_)
-                | Op::Dup
-                | Op::Pop
-                | Op::Swap
-                | Op::Bin(_)
-                | Op::Un(_)
-                | Op::IfCmp(..)
-                | Op::If(..)
-                | Op::New(_)
-                | Op::NewArray(_)
-                | Op::ArrayLoad
-                | Op::ArrayStore
-                | Op::ArrayLength
-                | Op::GetField { .. }
-                | Op::PutField { .. }
-                | Op::GetStatic(_)
-                | Op::PutStatic(_)
-                | Op::Invoke { .. }
-                | Op::ReturnValue
-        )
-    })
-}
-
 /// Computes the static census over every method of `program`.
 pub fn static_census(program: &Program) -> StaticCensus {
-    let stack = ProgramLayout::build_with(program, LayoutOptions { fuse: false });
+    let one_to_one = ProgramLayout::build_with(program, LayoutOptions { fuse: false });
     let registers = ProgramLayout::build_with(program, LayoutOptions { fuse: true });
     let mut census = StaticCensus {
-        stack_ops: stack.method_ops.iter().map(|m| m.ops.len()).sum(),
+        stack_ops: one_to_one.method_ops.iter().map(|m| m.ops.len()).sum(),
         register_ops: 0,
         moves: 0,
         zero_width: 0,
-        fallback_bodies: 0,
     };
     for mops in &registers.method_ops {
         census.register_ops += mops.ops.len();
@@ -190,13 +151,12 @@ pub fn static_census(program: &Program) -> StaticCensus {
         census.zero_width += (0..mops.ops.len())
             .filter(|&pc| mops.seed_width(pc) == 0)
             .count();
-        census.fallback_bodies += usize::from(is_stack_form(mops));
     }
     census
 }
 
-/// Computes the dynamic census by running `program` centralized in the register
-/// form.
+/// Computes the dynamic census by running `program` centralized in the folded
+/// register form.
 pub fn dynamic_census(program: &Program) -> DynamicCensus {
     let mut interp = Interp::new_with_options(program, LayoutOptions { fuse: true });
     interp.run_entry().expect("census program runs");
@@ -242,7 +202,6 @@ mod tests {
             .count();
         assert!(arithmetic >= 4, "a = b + c family: {arithmetic}");
         assert!(c.static_.register_ops < c.static_.stack_ops);
-        assert_eq!(c.static_.fallback_bodies, 0);
         assert!(
             c.dynamic.dispatch_reduction_pct() > 60.0,
             "{}",
@@ -277,7 +236,7 @@ mod tests {
         assert_eq!(fused.instructions, unfused.counters.instructions);
         assert_eq!(
             unfused.counters.instructions, unfused.counters.dispatches,
-            "in the stack form every seed op is one dispatch"
+            "in the 1:1 form every seed op is one dispatch"
         );
     }
 }

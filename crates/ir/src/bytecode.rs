@@ -241,30 +241,28 @@ pub enum Insn {
 }
 
 impl Insn {
-    /// The net change in operand-stack height caused by this instruction, given the
-    /// callee signature lookup closure for invokes (arg count, returns-value).
-    pub fn stack_delta(&self, invoke_sig: impl Fn(MethodId) -> (usize, bool)) -> isize {
+    /// How many operand-stack values this instruction pops and then pushes, given the
+    /// callee signature lookup closure for invokes (arg count, returns-value). An
+    /// instruction underflows where the stack holds fewer than it pops.
+    pub fn stack_effect(&self, invoke_sig: impl Fn(MethodId) -> (usize, bool)) -> (usize, usize) {
         match self {
-            Insn::Const(_) | Insn::Load(_) | Insn::Dup | Insn::New(_) | Insn::GetStatic(_) => 1,
+            Insn::Const(_) | Insn::Load(_) | Insn::New(_) | Insn::GetStatic(_) => (0, 1),
+            Insn::Goto(_) | Insn::Return => (0, 0),
             Insn::Store(_)
             | Insn::Pop
             | Insn::PutStatic(_)
             | Insn::If(_, _)
-            | Insn::ReturnValue => -1,
-            Insn::Swap
-            | Insn::Goto(_)
-            | Insn::Un(_)
-            | Insn::NewArray(_)
-            | Insn::ArrayLength
-            | Insn::GetField(_)
-            | Insn::Return => 0,
-            Insn::Bin(_) | Insn::ArrayLoad => -1,
-            Insn::PutField(_) | Insn::IfCmp(_, _) => -2,
-            Insn::ArrayStore => -3,
+            | Insn::ReturnValue => (1, 0),
+            Insn::Dup => (1, 2),
+            Insn::Un(_) | Insn::NewArray(_) | Insn::ArrayLength | Insn::GetField(_) => (1, 1),
+            Insn::Swap => (2, 2),
+            Insn::Bin(_) | Insn::ArrayLoad => (2, 1),
+            Insn::PutField(_) | Insn::IfCmp(_, _) => (2, 0),
+            Insn::ArrayStore => (3, 0),
             Insn::Invoke(kind, m) => {
                 let (nargs, has_ret) = invoke_sig(*m);
-                let receiver = if *kind == InvokeKind::Static { 0 } else { 1 };
-                (has_ret as isize) - nargs as isize - receiver
+                let receiver = usize::from(*kind != InvokeKind::Static);
+                (nargs + receiver, usize::from(has_ret))
             }
         }
     }
@@ -324,29 +322,32 @@ mod tests {
     #[test]
     fn stack_deltas_are_consistent() {
         let sig = |_m: MethodId| (2usize, true);
-        assert_eq!(Insn::Const(Const::Int(1)).stack_delta(sig), 1);
-        assert_eq!(Insn::Bin(BinOp::Add).stack_delta(sig), -1);
-        assert_eq!(Insn::ArrayStore.stack_delta(sig), -3);
+        assert_eq!(Insn::Const(Const::Int(1)).stack_effect(sig), (0, 1));
+        assert_eq!(Insn::Bin(BinOp::Add).stack_effect(sig), (2, 1));
+        assert_eq!(Insn::ArrayStore.stack_effect(sig), (3, 0));
+        // dup and swap read what they push back: an empty stack underflows them.
+        assert_eq!(Insn::Dup.stack_effect(sig), (1, 2));
+        assert_eq!(Insn::Swap.stack_effect(sig), (2, 2));
         // getfield pops the receiver and pushes the value.
         assert_eq!(
             Insn::GetField(crate::program::FieldRef {
                 class: crate::program::ClassId(0),
                 index: 0
             })
-            .stack_delta(sig),
-            0
+            .stack_effect(sig),
+            (1, 1)
         );
         // if_cmp pops both comparands.
-        assert_eq!(Insn::IfCmp(CmpOp::Lt, 0).stack_delta(sig), -2);
+        assert_eq!(Insn::IfCmp(CmpOp::Lt, 0).stack_effect(sig), (2, 0));
         // virtual invoke with 2 args and a result: pops receiver + 2, pushes 1.
         assert_eq!(
-            Insn::Invoke(InvokeKind::Virtual, MethodId(0)).stack_delta(sig),
-            -2
+            Insn::Invoke(InvokeKind::Virtual, MethodId(0)).stack_effect(sig),
+            (3, 1)
         );
         // static invoke with 2 args and a result: pops 2, pushes 1.
         assert_eq!(
-            Insn::Invoke(InvokeKind::Static, MethodId(0)).stack_delta(sig),
-            -1
+            Insn::Invoke(InvokeKind::Static, MethodId(0)).stack_effect(sig),
+            (2, 1)
         );
     }
 

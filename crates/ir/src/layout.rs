@@ -24,7 +24,7 @@
 //! for `statics_snapshot` and diagnostics; the interpret loop itself only ever uses
 //! the dense indices.
 //!
-//! String literals are interned per family into [`Literals`]: [`Op::ConstStr`] carries
+//! String literals are interned per family into [`Literals`]: [`Op::SetS`] carries
 //! a literal's index, the pool maps content back to that index, and each literal
 //! carries what it names in the shape (a class, a selector, a field-name id). The
 //! runtime numbers a node's strings from this pool — a literal's id is its index — so
@@ -60,20 +60,25 @@
 //! [`FieldRef`]s survive only for the proxy/remote slow paths, which send the field's
 //! name id and charge its name length.
 //!
-//! By default (toggled by [`LayoutOptions::fuse`]) the pass is a one-pass **register
-//! translation** straight from each [`crate::bytecode::Insn`] body: operand-stack slot
-//! `k` becomes frame register `base + k` after the locals ([`MethodOps::regs`] is the
-//! register-file size), `Load`s and constants are read in place by the op that
-//! consumes them, and a `Store` retargets the op that produced its value — so
-//! `a = b + c`, `i = i + 1` and a loop head are one op each, with no operand-stack
-//! traffic. Slots are placed in their home registers (`Mov`, `Set*`) wherever paths
-//! meet: before a branch and at a branch target. A body that uses `Swap`, reaches a pc
-//! with two stack heights or branches back to a pc the pass has not reached keeps the
-//! **stack form**, the 1:1 decode (one op per instruction), which is also what the
-//! option turned off yields everywhere. Every body carries one seed-accounting table,
-//! [`MethodOps::src_pc`]: op `pc` stands for seed instructions
-//! `src_pc[pc]..src_pc[pc + 1]` and takes effect at the last of them, and the last
-//! entry is the seed length. Fault coordinates read it, so they are the stack form's,
+//! The pass is a one-pass **register translation** straight from each
+//! [`crate::bytecode::Insn`] body, and every body takes it: operand-stack slot `k`
+//! becomes frame register `base + k` after the locals ([`MethodOps::regs`] is the
+//! register-file size), so no op touches an operand stack. With
+//! [`LayoutOptions::fuse`] on (the default) `Load`s and constants are read in place
+//! by the op that consumes them and a `Store` retargets the op that produced its
+//! value — so `a = b + c`, `i = i + 1` and a loop head are one op each. Slots are
+//! placed in their home registers (`Mov`, `Set*`) wherever paths meet: before a
+//! branch and at a branch target. With the option off the same pass places every
+//! slot and closes every window after each seed instruction, which gives the 1:1
+//! form: one op per seed instruction. A `Swap` is two `Mov`s through a scratch
+//! register after the locals, and a branch back to a pc the pass left behind takes
+//! its stack height from the verifier's `verify::entry_heights`. A body
+//! whose stack discipline the verifier rejects (an underflow, a join of two
+//! heights), that branches past its end or that needs more registers than a frame
+//! names decodes to one [`Op::Fault`], which raises its [`Rejected`] reason on entry.
+//! Every body carries one seed-accounting table, [`MethodOps::src_pc`]: op `pc`
+//! stands for seed instructions `src_pc[pc]..src_pc[pc + 1]` and takes effect at the
+//! last of them, and the last entry is the seed length. Fault coordinates read it,
 //! and the interpreter charges each op as the seed instructions it stands for, so
 //! virtual time is bit-identical in either form.
 
@@ -82,7 +87,9 @@ use std::hash::{BuildHasher, BuildHasherDefault, Hasher};
 use std::sync::Arc;
 
 use crate::bytecode::{BinOp, CmpOp, Const, Insn, InvokeKind, UnOp};
+use crate::cfg::BytecodeCfg;
 use crate::program::{ClassId, FieldRef, Method, MethodId, Program, Type};
+use crate::verify::{entry_heights, VerifyError};
 
 /// Sentinel for "no method bound to this selector" inside the vtables.
 const NO_METHOD: u32 = u32::MAX;
@@ -118,110 +125,57 @@ impl ArrayInit {
     }
 }
 
-/// No register: the `dst` of an [`Op::RInvoke`] whose callee returns nothing.
+/// No register: the `dst` of an [`Op::RInvoke`] whose callee returns nothing, and
+/// for a frame waiting on a call, "the result goes nowhere".
 pub const NO_REG: u16 = u16::MAX;
 
-/// One pre-decoded instruction of the compact op format the interpreter executes.
+/// Why a body has no register translation: what its one op, [`Op::Fault`], raises
+/// on entry.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum Rejected {
+    /// The verifier's stack discipline or branch range rejects the body: an
+    /// underflow, a join of two stack heights, a branch past the end.
+    Verify(VerifyError),
+    /// The locals plus one register per seed instruction (the most stack slots the
+    /// body can hold) come to `bound`, which reaches [`NO_REG`].
+    Registers {
+        /// The method whose body it is.
+        method: MethodId,
+        /// Locals (scratch included) plus seed instructions.
+        bound: usize,
+    },
+}
+
+impl std::fmt::Display for Rejected {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            Rejected::Verify(e) => write!(f, "{e}"),
+            Rejected::Registers { method, bound } => {
+                write!(f, "{method:?}: {bound} registers reach the frame's limit")
+            }
+        }
+    }
+}
+
+/// One pre-decoded instruction of the register form the interpreter executes.
 ///
-/// Two forms share the enum. The **stack form** (the variants up to `ReturnValue`)
-/// is the 1:1 decode: one op per [`Insn`], branch targets carried over as `u32`,
-/// every name-carrying payload already resolved — field accesses carry their dense
-/// slot, invokes the argument count, the callee selector and whether the call site
-/// expects a pushed result, string constants an index into the shared constant pool
-/// ([`ProgramLayout::literals`]). The **register form** (`Nop` onwards, plus the
-/// shared `Goto` and `Return`) is what the register translation emits: operands and
-/// results name frame registers — the locals, then one register per stack slot — so
-/// no op touches the operand stack. A register op stands for
-/// [`MethodOps::seed_width`] seed instructions and branch targets index the
+/// Operands and results name frame registers — the locals, then one register per
+/// operand-stack slot — so no op touches an operand stack; the first `u16` of a
+/// producing op is its destination. Every name-carrying payload is resolved up
+/// front: field ops carry their dense slot (their slow path reads the `FieldRef` off
+/// the seed instruction the op stands for, the last of its window), invokes the
+/// argument count and the callee selector, string constants an index into the
+/// shared constant pool ([`ProgramLayout::literals`]). An op stands for
+/// [`MethodOps::seed_width`] seed instructions, and branch targets index the
 /// translated stream.
 #[derive(Clone, Debug, PartialEq)]
 pub enum Op {
-    /// Push an integer constant.
-    ConstInt(i64),
-    /// Push a float constant.
-    ConstFloat(f64),
-    /// Push a boolean constant.
-    ConstBool(bool),
-    /// Push an interned string constant (index into the program's constant pool).
-    ConstStr(u32),
-    /// Push null.
-    ConstNull,
-    /// Push local slot `n`.
-    Load(u16),
-    /// Pop into local slot `n`.
-    Store(u16),
-    /// Duplicate the top of stack.
-    Dup,
-    /// Discard the top of stack.
-    Pop,
-    /// Swap the two topmost stack values.
-    Swap,
-    /// Pop two values, push `lhs op rhs`.
-    Bin(BinOp),
-    /// Pop one value, push `op value`.
-    Un(UnOp),
-    /// Pop `rhs`, `lhs`; branch to `target` if `lhs op rhs`.
-    IfCmp(CmpOp, u32),
-    /// Pop `v`; branch to `target` if `v op 0` (for refs: `Eq` = is-null).
-    If(CmpOp, u32),
-    /// Unconditional branch (both forms).
+    /// Unconditional branch.
     Goto(u32),
-    /// Allocate an uninitialised instance and push the reference.
-    New(ClassId),
-    /// Pop a length, allocate an array zero-filled per `ArrayInit`, push the reference.
-    NewArray(ArrayInit),
-    /// Pop index and array reference, push the element.
-    ArrayLoad,
-    /// Pop value, index and array reference, store the element.
-    ArrayStore,
-    /// Pop an array reference, push its length.
-    ArrayLength,
-    /// Pop an object reference, push the field at `slot`. `fr` survives only for the
-    /// proxy/remote slow path, which sends the field's name id.
-    GetField {
-        /// Pre-resolved dense instance slot ([`NO_SLOT`] if unresolvable).
-        slot: u32,
-        /// The original field reference (slow paths + diagnostics).
-        fr: FieldRef,
-    },
-    /// Pop a value and an object reference, store into the field at `slot`.
-    PutField {
-        /// Pre-resolved dense instance slot ([`NO_SLOT`] if unresolvable).
-        slot: u32,
-        /// The original field reference (slow paths + diagnostics).
-        fr: FieldRef,
-    },
-    /// Push the static at the pre-resolved global slot ([`NO_SLOT`] pushes null).
-    GetStatic(u32),
-    /// Pop into the static at the global slot ([`NO_SLOT`] drops the value).
-    PutStatic(u32),
-    /// Invoke a method. All signature-derived facts are pre-decoded: `nargs` counts
-    /// the receiver for non-static kinds, `sel` is the callee's selector for vtable
-    /// dispatch, and `push_ret` says whether the call site expects a pushed result
-    /// (derived from the *static* target, exactly like the pre-decode interpreter).
-    Invoke {
-        /// Dispatch kind.
-        kind: InvokeKind,
-        /// Static target method.
-        target: MethodId,
-        /// Pre-resolved selector of the target (vtable column).
-        sel: u32,
-        /// Stack values consumed (receiver included for non-static kinds).
-        nargs: u16,
-        /// Whether the result is pushed (static target returns non-void).
-        push_ret: bool,
-    },
-    /// Return with no value (both forms).
+    /// Return with no value.
     Return,
-    /// Pop a value and return it.
-    ReturnValue,
-
-    // --- Register form (emitted only by the register translation) ---------------
-    // Operands are registers `r[..]`; the first `u16` of a producing op is its
-    // destination. Field ops carry only the slot: their slow path reads the
-    // `FieldRef` off the seed instruction the op stands for (the last of its window).
     /// Nothing: charges seed instructions no other op stands for (a `Store` folded
-    /// into its producer, or a dead stretch) ahead of a branch target.
+    /// into its producer, a `Pop`, or a dead stretch).
     Nop,
     /// `r[dst] = r[src]`.
     Mov(u16, u16),
@@ -284,6 +238,9 @@ pub enum Op {
     },
     /// Return `r[src]`.
     RReturnValue(u16),
+    /// The whole body of a method the translation rejects: faults on entry with the
+    /// reason, charging none of the seed instructions it stands for.
+    Fault(Box<Rejected>),
 }
 
 /// The decoded body of one method (empty iff the bytecode body is empty, i.e. the
@@ -291,20 +248,20 @@ pub enum Op {
 /// an activation without consulting the [`Program`].
 #[derive(Clone, Debug)]
 pub struct MethodOps {
-    /// The ops of the method body: the register form by default, the 1:1 stack
-    /// form with [`LayoutOptions::fuse`] off or where the translation falls back.
+    /// The ops of the method body, folded or 1:1 as [`LayoutOptions::fuse`] says;
+    /// one [`Op::Fault`] for a body the translation rejects.
     pub ops: Vec<Op>,
     /// The seed-accounting table: one entry per op, the seed pc of the first
     /// instruction it stands for, plus a last entry holding the seed length. Op `pc`
     /// stands for seed instructions `src_pc[pc]..src_pc[pc + 1]` and takes effect at
-    /// the last of them (one each in the stack form; none for a `Mov` or `Set*`
+    /// the last of them (one each in the 1:1 form; none for a `Mov` or `Set*`
     /// that places a slot whose `Load` or constant was charged already). Faults
     /// report seed coordinates and the interpreter charges seed instructions
     /// through this table, so both are the same in either form.
     pub src_pc: Vec<u32>,
     /// Register-file size: the local variable slots (parameters and `this`
-    /// included; in the register form widened to every local index the body names)
-    /// and then one register per operand-stack slot of the register form.
+    /// included, widened to every local index the body names), a scratch register
+    /// where the body has a `Swap`, then one register per operand-stack slot.
     pub regs: u16,
 }
 
@@ -315,20 +272,23 @@ impl MethodOps {
         self.src_pc[pc]
     }
 
-    /// How many seed instructions the op at `pc` stands for: 1 for every op of
-    /// the stack form, the window it was translated from for a register op.
+    /// How many seed instructions the op at `pc` stands for: the window it was
+    /// translated from (1 for every op of the 1:1 form but a `Swap`'s last two).
     pub fn seed_width(&self, pc: usize) -> u32 {
         self.src_pc[pc + 1] - self.src_pc[pc]
     }
 }
 
 /// Knobs for [`ProgramLayout::build_with`]. `Default` is what the runtime uses:
-/// the register form.
+/// the folded register form.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct LayoutOptions {
-    /// Translate every method body to the register form (bodies it cannot take
-    /// fall back to the stack form). Off yields the 1:1 stack decode everywhere —
-    /// the reference the census and the parity suite compare against.
+    /// Fold the operand stack away: `Load`s and constants read in place, a `Store`
+    /// retargeting its producer, windows of several seed instructions. Off, the same
+    /// translation places every slot and closes every window after each seed
+    /// instruction: one op of width 1 per seed instruction (a `Swap` adds two that
+    /// stand for none) — the reference the census and the parity suite compare
+    /// against.
     pub fuse: bool,
 }
 
@@ -426,7 +386,7 @@ pub struct ProgramLayout {
     /// Pre-decoded op bodies, indexed by [`MethodId`]. Layouts built together hold
     /// the same `Arc` wherever their programs hold the same `Arc<Method>`.
     pub method_ops: Vec<Arc<MethodOps>>,
-    /// Interned string constants referenced by [`Op::ConstStr`], deduplicated across
+    /// Interned string constants referenced by [`Op::SetS`], deduplicated across
     /// the whole family: shared bodies index one pool.
     pub literals: Arc<Literals>,
 }
@@ -529,7 +489,7 @@ impl<S: BuildHasher> Interner<S> {
     }
 }
 
-/// The string constants of a family's bodies, in first-use order — [`Op::ConstStr`]
+/// The string constants of a family's bodies, in first-use order — [`Op::SetS`]
 /// carries the index — with the map from content back to index and, per literal,
 /// what it names in the family's shape.
 #[derive(Debug, Default)]
@@ -659,7 +619,7 @@ impl ProgramLayout {
                 } = &mut families[at];
                 let method_ops = program.methods.iter().map(|m| {
                     let ops = decoded.entry(Arc::as_ptr(m)).or_insert_with(|| {
-                        Arc::new(shape.decode(program, m, opts, pool, &mut work))
+                        Arc::new(shape.registers(program, m, opts, pool, &mut work))
                     });
                     Arc::clone(ops)
                 });
@@ -852,85 +812,6 @@ impl LayoutShape {
         }
     }
 
-    /// Decodes one method body against the shape tables — to the register form
-    /// when `opts` asks for it and the body takes it, 1:1 otherwise — interning its
-    /// string constants into `pool` as it goes.
-    fn decode(
-        &self,
-        program: &Program,
-        method: &Method,
-        opts: LayoutOptions,
-        pool: &mut Literals,
-        work: &mut RegWork,
-    ) -> MethodOps {
-        if opts.fuse {
-            if let Some(ops) = self.registers(program, method, pool, work) {
-                return ops;
-            }
-        }
-        let ops: Vec<Op> = method
-            .body
-            .iter()
-            .map(|insn| self.decode_insn(program, insn, pool))
-            .collect();
-        MethodOps {
-            src_pc: (0..=ops.len() as u32).collect(),
-            ops,
-            regs: method.locals,
-        }
-    }
-
-    /// Decodes one instruction against the built tables. Infallible by construction:
-    /// every [`Insn`] maps to exactly one [`Op`], with unresolvable field references
-    /// carrying [`NO_SLOT`] (reproducing the pre-decode `Option` semantics).
-    fn decode_insn(&self, program: &Program, insn: &Insn, pool: &mut Literals) -> Op {
-        match insn {
-            Insn::Const(Const::Int(v)) => Op::ConstInt(*v),
-            Insn::Const(Const::Float(v)) => Op::ConstFloat(*v),
-            Insn::Const(Const::Bool(v)) => Op::ConstBool(*v),
-            Insn::Const(Const::Null) => Op::ConstNull,
-            Insn::Const(Const::Str(s)) => Op::ConstStr(pool.strs.intern(s)),
-            Insn::Load(n) => Op::Load(*n),
-            Insn::Store(n) => Op::Store(*n),
-            Insn::Dup => Op::Dup,
-            Insn::Pop => Op::Pop,
-            Insn::Swap => Op::Swap,
-            Insn::Bin(op) => Op::Bin(*op),
-            Insn::Un(op) => Op::Un(*op),
-            Insn::IfCmp(op, t) => Op::IfCmp(*op, *t as u32),
-            Insn::If(op, t) => Op::If(*op, *t as u32),
-            Insn::Goto(t) => Op::Goto(*t as u32),
-            Insn::New(c) => Op::New(*c),
-            Insn::NewArray(ty) => Op::NewArray(ArrayInit::of(ty)),
-            Insn::ArrayLoad => Op::ArrayLoad,
-            Insn::ArrayStore => Op::ArrayStore,
-            Insn::ArrayLength => Op::ArrayLength,
-            Insn::GetField(fr) => Op::GetField {
-                slot: self.field_slot(*fr).unwrap_or(NO_SLOT),
-                fr: *fr,
-            },
-            Insn::PutField(fr) => Op::PutField {
-                slot: self.field_slot(*fr).unwrap_or(NO_SLOT),
-                fr: *fr,
-            },
-            Insn::GetStatic(fr) => Op::GetStatic(self.static_slot(*fr).unwrap_or(NO_SLOT)),
-            Insn::PutStatic(fr) => Op::PutStatic(self.static_slot(*fr).unwrap_or(NO_SLOT)),
-            Insn::Invoke(kind, target) => {
-                let callee = program.method(*target);
-                let receiver = usize::from(*kind != InvokeKind::Static);
-                Op::Invoke {
-                    kind: *kind,
-                    target: *target,
-                    sel: self.selectors[target.0 as usize],
-                    nargs: (callee.params.len() + receiver) as u16,
-                    push_ret: callee.ret != Type::Void,
-                }
-            }
-            Insn::Return => Op::Return,
-            Insn::ReturnValue => Op::ReturnValue,
-        }
-    }
-
     /// Dense slot of an instance field reference, valid for objects of the declaring
     /// class and all its subclasses. `None` if `fr` names a static field.
     #[inline]
@@ -1043,7 +924,7 @@ impl LayoutShape {
     }
 
     /// Virtual dispatch by pre-decoded selector: the method bound in `class`'s vtable
-    /// column `sel`. This is what [`Op::Invoke`] uses — one array index, no probe of
+    /// column `sel`. This is what [`Op::RInvoke`] uses — one array index, no probe of
     /// the per-method selector table.
     #[inline]
     pub fn resolve_selector(&self, class: ClassId, sel: u32) -> Option<MethodId> {
@@ -1253,15 +1134,32 @@ impl RegWork {
         }
     }
 
-    /// `Store x` at seed pc `at`.
-    fn store(&mut self, x: u16, at: u32) {
-        let top = self.stack.pop().expect("height checked");
-        // Slots that read `x` in place keep the old value.
+    /// Places every slot that reads register `x` in place, so that they keep its
+    /// old value when `x` is written.
+    fn keep(&mut self, x: u16, at: u32) {
         for d in 0..self.stack.len() {
             if matches!(self.stack[d], Val::Reg(r) if r == x) {
                 self.place(d, at);
             }
         }
+    }
+
+    /// `Swap` at seed pc `at`: both slots at home, then two `Mov`s through
+    /// `scratch`, which the top slot reads in place until it is placed.
+    fn swap(&mut self, scratch: u16, at: u32) {
+        let lo = self.stack.len() - 2;
+        self.keep(scratch, at);
+        self.place_from(lo, at);
+        let (a, b) = (self.home(lo), self.home(lo + 1));
+        self.emit(Op::Mov(scratch, a), at + 1);
+        self.emit(Op::Mov(a, b), at + 1);
+        self.stack[lo + 1] = Val::Reg(scratch);
+    }
+
+    /// `Store x` at seed pc `at`.
+    fn store(&mut self, x: u16, at: u32) {
+        let top = self.stack.pop().expect("height checked");
+        self.keep(x, at);
         let fresh = self.home(self.stack.len());
         if matches!(top, Val::Reg(r) if r == fresh) && self.producer {
             if let Some(dst) = self
@@ -1325,47 +1223,117 @@ fn dst_of(op: &mut Op) -> Option<&mut u16> {
     }
 }
 
+/// Why one translation pass gave up: the body is rejected, or only the verifier's
+/// stack heights can tell (`Heights`).
+enum GiveUp {
+    Rejected(Rejected),
+    Heights,
+}
+
 impl LayoutShape {
-    /// The register translation of one body, in one pass over its seed
-    /// instructions, or `None` where the body keeps the stack form: it uses
-    /// `Swap`, some reachable pc has no one static stack height (a join of two
-    /// heights, or a pop below the bottom), or a branch goes back to a pc the pass
-    /// has not reached. Stack slot `k` is register `base + k`, `base` the locals
-    /// widened to every local index the body names. `Load` and constants stay on
-    /// an abstract stack and are read in place by the op that consumes them; a
-    /// `Store` retargets the op that produced its value. Each op stands for the
-    /// window of seed instructions since the previous op, its own last; slots are
-    /// placed at home before every branch and branch target, so every path agrees
-    /// on where a slot lives.
+    /// The register translation of one body. Every body takes it: a pass that gives
+    /// up for want of a stack height (a pop below the bottom, a join of two heights,
+    /// a branch back to a pc it left behind unreached) asks the verifier's
+    /// [`entry_heights`] and runs again with every reachable block's height known,
+    /// and a body the verifier rejects, that branches past its end or that needs
+    /// too many registers decodes to one [`Op::Fault`].
     fn registers(
         &self,
         program: &Program,
         method: &Method,
+        opts: LayoutOptions,
         pool: &mut Literals,
         w: &mut RegWork,
-    ) -> Option<MethodOps> {
+    ) -> MethodOps {
+        let body = &method.body;
+        let rejected = match self.translate(program, method, opts, pool, w, None) {
+            Ok(ops) => return ops,
+            Err(GiveUp::Rejected(rejected)) => rejected,
+            Err(GiveUp::Heights) => {
+                let cfg = BytecodeCfg::build(body);
+                match entry_heights(program, method, &cfg) {
+                    Ok(heights) => {
+                        let mut known = vec![UNKNOWN; body.len() + 1];
+                        for (&leader, h) in cfg.leaders.iter().zip(heights) {
+                            known[leader] = h.map_or(UNKNOWN, |h| h as u32);
+                        }
+                        let ops = self.translate(program, method, opts, pool, w, Some(&known));
+                        return ops.unwrap_or_else(|_| unreachable!("the verifier's heights hold"));
+                    }
+                    Err(e) => Rejected::Verify(e),
+                }
+            }
+        };
+        // The pool holds every body's literals in order, a rejected body's too.
+        for insn in body {
+            if let Insn::Const(Const::Str(s)) = insn {
+                pool.strs.intern(s);
+            }
+        }
+        MethodOps {
+            ops: vec![Op::Fault(Box::new(rejected))],
+            src_pc: vec![0, body.len() as u32],
+            regs: method.locals,
+        }
+    }
+
+    /// One pass of the register translation over `method`'s seed instructions,
+    /// with the stack heights `known` per seed pc if the verifier gave them. Stack
+    /// slot `k` is register `base + k`, `base` the locals widened to every local
+    /// index the body names (plus a scratch register if it swaps). With folding
+    /// on, `Load` and constants stay on an abstract stack and are read in place by
+    /// the op that consumes them, and a `Store` retargets the op that produced its
+    /// value; each op stands for the window of seed instructions since the previous
+    /// op, its own last. Slots are placed at home before every branch and branch
+    /// target, so every path agrees on where a slot lives, and with folding off
+    /// after every seed instruction.
+    fn translate(
+        &self,
+        program: &Program,
+        method: &Method,
+        opts: LayoutOptions,
+        pool: &mut Literals,
+        w: &mut RegWork,
+        known: Option<&[u32]>,
+    ) -> Result<MethodOps, GiveUp> {
         let body = &method.body;
         let n = body.len();
         let mut base = u32::from(method.locals);
+        let mut swaps = false;
         w.target.clear();
         w.target.resize(n + 1, false);
-        for insn in body {
+        for (pc, insn) in body.iter().enumerate() {
             match insn {
-                Insn::Swap => return None,
+                Insn::Swap => swaps = true,
                 Insn::Load(x) | Insn::Store(x) => base = base.max(u32::from(*x) + 1),
                 _ => {}
             }
             match insn.branch_target() {
-                Some(t) if t > n => return None,
+                Some(target) if target > n => {
+                    let e = VerifyError::BranchOutOfRange {
+                        method: method.id,
+                        pc,
+                        target,
+                    };
+                    return Err(GiveUp::Rejected(Rejected::Verify(e)));
+                }
                 Some(t) => w.target[t] = true,
                 None => {}
             }
         }
+        let scratch = base as u16;
+        base += u32::from(swaps);
         if base as usize + n >= usize::from(NO_REG) {
-            return None;
+            return Err(GiveUp::Rejected(Rejected::Registers {
+                method: method.id,
+                bound: base as usize + n,
+            }));
         }
         w.height.clear();
-        w.height.resize(n + 1, UNKNOWN);
+        match known {
+            Some(known) => w.height.extend_from_slice(known),
+            None => w.height.resize(n + 1, UNKNOWN),
+        }
         w.op_at.clear();
         w.op_at.resize(n + 1, UNKNOWN);
         w.stack.clear();
@@ -1379,7 +1347,7 @@ impl LayoutShape {
                 if live {
                     w.place_from(0, at);
                     if w.height[i] != UNKNOWN && w.height[i] as usize != w.stack.len() {
-                        return None;
+                        return Err(GiveUp::Heights);
                     }
                 } else if w.height[i] != UNKNOWN {
                     live = true;
@@ -1398,26 +1366,22 @@ impl LayoutShape {
             }
             if !live {
                 // Dead code, charged to a `Nop` no run reaches; its literals are
-                // interned all the same, so the pool is the stack form's.
+                // interned all the same, so the pool holds every literal of the body.
                 if let Insn::Const(Const::Str(s)) = insn {
                     pool.strs.intern(s);
+                }
+                if !opts.fuse {
+                    w.emit(Op::Nop, at + 1);
                 }
                 continue;
             }
             let h = w.stack.len();
-            let pops = match insn {
-                Insn::Store(_) | Insn::Dup | Insn::Pop | Insn::Un(_) | Insn::If(..) => 1,
-                Insn::NewArray(_) | Insn::ArrayLength | Insn::GetField(_) => 1,
-                Insn::PutStatic(_) | Insn::ReturnValue => 1,
-                Insn::Bin(_) | Insn::IfCmp(..) | Insn::ArrayLoad | Insn::PutField(_) => 2,
-                Insn::ArrayStore => 3,
-                Insn::Invoke(kind, target) => {
-                    program.method(*target).params.len() + usize::from(*kind != InvokeKind::Static)
-                }
-                _ => 0,
-            };
+            let (pops, _) = insn.stack_effect(|m| {
+                let callee = program.method(m);
+                (callee.params.len(), callee.ret != Type::Void)
+            });
             if h < pops {
-                return None;
+                return Err(GiveUp::Heights);
             }
             let end = at + 1;
             let top = h.wrapping_sub(1);
@@ -1435,7 +1399,7 @@ impl LayoutShape {
                 Insn::Pop => {
                     w.stack.pop();
                 }
-                Insn::Swap => unreachable!("a body with Swap keeps the stack form"),
+                Insn::Swap => w.swap(scratch, at),
                 Insn::Bin(op) => {
                     let dst = w.home(top - 1);
                     let op = match w.pop_pair(at) {
@@ -1454,18 +1418,18 @@ impl LayoutShape {
                         (a, Err(k)) => Op::RIfCmpI(*c, a, k, *t as u32),
                     };
                     if !w.branch(op, at, *t, h - 2) {
-                        return None;
+                        return Err(GiveUp::Heights);
                     }
                 }
                 Insn::If(c, t) => {
                     let [v] = w.pop_regs(at);
                     if !w.branch(Op::RIf(*c, v, *t as u32), at, *t, h - 1) {
-                        return None;
+                        return Err(GiveUp::Heights);
                     }
                 }
                 Insn::Goto(t) => {
                     if !w.branch(Op::Goto(*t as u32), at, *t, h) {
-                        return None;
+                        return Err(GiveUp::Heights);
                     }
                     w.stack.clear();
                     live = false;
@@ -1548,6 +1512,14 @@ impl LayoutShape {
                     live = false;
                 }
             }
+            if !opts.fuse {
+                // The 1:1 form: every slot at home, the window closed.
+                w.place_from(0, end);
+                if w.from < end {
+                    w.emit(Op::Nop, end);
+                }
+                w.producer = false;
+            }
             max_height = max_height.max(w.stack.len());
         }
         if !live && w.from < n as u32 {
@@ -1560,7 +1532,7 @@ impl LayoutShape {
                 *t = w.op_at[*t as usize];
             }
         }
-        Some(MethodOps {
+        Ok(MethodOps {
             ops: std::mem::take(&mut w.ops),
             src_pc: std::mem::take(&mut w.src_pc),
             regs: (base as usize + max_height) as u16,
@@ -1732,9 +1704,9 @@ mod tests {
         assert_eq!(layout.literals.get(i), Some("dup"));
         assert_eq!(layout.literals.id_of("dup"), Some(i), "content maps back");
         assert_eq!(layout.literals.id_of("absent"), None);
-        // The stack form interns into the same pool, in the same order.
-        let stack = ProgramLayout::build_with(&p, LayoutOptions { fuse: false });
-        assert_eq!(stack.ops(m).ops[0], Op::ConstStr(i));
+        // The 1:1 form interns into the same pool, in the same order.
+        let one_to_one = ProgramLayout::build_with(&p, LayoutOptions { fuse: false });
+        assert_eq!(one_to_one.ops(m).ops[..2], [Op::SetS(3, i), Op::Mov(0, 3)]);
     }
 
     #[test]
@@ -1792,42 +1764,50 @@ mod tests {
         let m = p.add_method(a, "m", vec![Type::Int, Type::Int], Type::Int, false);
         let caller = p.add_method(a, "caller", vec![], Type::Void, true);
         p.method_mut(caller).body = vec![
+            Insn::Load(0),
+            Insn::Load(0),
             Insn::GetField(fx),
+            Insn::PutField(fx),
             Insn::GetStatic(fs),
             Insn::PutStatic(fs),
-            Insn::PutField(fx),
+            Insn::Load(0),
+            Insn::Const(Const::Int(1)),
+            Insn::Const(Const::Int(2)),
             Insn::Invoke(InvokeKind::Virtual, m),
-            Insn::Goto(0),
+            Insn::Pop,
+            Insn::Return,
         ];
         let layout = ProgramLayout::build(&p);
-        let ops = &layout.ops(caller).ops;
-        assert_eq!(
-            ops[0],
-            Op::GetField {
-                slot: layout.field_slot(fx).unwrap(),
-                fr: fx
-            }
+        let (x, s) = (
+            layout.field_slot(fx).unwrap(),
+            layout.static_slot(fs).unwrap(),
         );
-        assert_eq!(ops[1], Op::GetStatic(layout.static_slot(fs).unwrap()));
-        assert_eq!(ops[2], Op::PutStatic(layout.static_slot(fs).unwrap()));
-        match ops[4] {
-            Op::Invoke {
-                kind,
-                target,
-                sel,
-                nargs,
-                push_ret,
-            } => {
-                assert_eq!(kind, InvokeKind::Virtual);
-                assert_eq!(target, m);
-                assert_eq!(sel, layout.selector(m));
-                assert_eq!(nargs, 3, "two params + receiver");
-                assert!(push_ret);
-                assert_eq!(layout.resolve_selector(a, sel), Some(m));
-            }
-            ref other => panic!("expected Invoke, got {other:?}"),
-        }
-        assert_eq!(ops[5], Op::Goto(0));
+        let sel = layout.selector(m);
+        // Local 0 (widened: the method declares none), then the stack slots.
+        let mops = layout.ops(caller);
+        assert_eq!(
+            mops.ops,
+            vec![
+                Op::RGetField(2, 0, x),
+                Op::RPutField(0, 2, x),
+                Op::RGetStatic(1, s),
+                Op::RPutStatic(1, s),
+                Op::Mov(1, 0),
+                Op::SetI(2, 1),
+                Op::SetI(3, 2),
+                Op::RInvoke {
+                    kind: InvokeKind::Virtual,
+                    dst: 1,
+                    args: 1,
+                    nargs: 3,
+                    target: m,
+                    sel,
+                },
+                Op::Return,
+            ]
+        );
+        assert_eq!(mops.src_pc, [0, 3, 4, 5, 6, 9, 9, 9, 10, 12]);
+        assert_eq!(layout.resolve_selector(a, sel), Some(m));
         assert_eq!(layout.ops(m).regs, p.method(m).locals);
         assert!(layout.ops(m).ops.is_empty(), "abstract body decodes empty");
     }
@@ -1874,10 +1854,10 @@ mod tests {
     }
 
     /// The `Goto` joins the `Load/Const/Bin` sequence at its `Const` with an empty
-    /// stack, so the `Bin` pops below the bottom: the body keeps the stack form,
-    /// one op per instruction.
+    /// stack, so the `Bin` pops below the bottom: the body is one op that faults on
+    /// entry with the verifier's error, standing for the whole body.
     #[test]
-    fn branch_target_landing_mid_pattern_blocks_fusion() {
+    fn branch_target_landing_mid_pattern_faults_on_entry() {
         let mut p = Program::new();
         let a = p.add_class("A", None);
         let m = p.add_method(a, "m", vec![Type::Int], Type::Int, true);
@@ -1888,20 +1868,90 @@ mod tests {
             Insn::Bin(BinOp::Add),
             Insn::ReturnValue,
         ];
+        let underflow = VerifyError::StackUnderflow { method: m, pc: 3 };
+        for fuse in [true, false] {
+            let layout = ProgramLayout::build_with(&p, LayoutOptions { fuse });
+            let mops = layout.ops(m);
+            let fault = Op::Fault(Box::new(Rejected::Verify(underflow.clone())));
+            assert_eq!(mops.ops, [fault]);
+            assert_eq!(mops.src_pc, [0, 5]);
+        }
+    }
+
+    /// Locals plus one register per seed instruction that reach [`NO_REG`] (a frame
+    /// could not name its last stack slot), and a branch past the end: both bodies
+    /// fault on entry.
+    #[test]
+    fn too_many_registers_and_a_branch_past_the_end_fault_on_entry() {
+        let mut p = Program::new();
+        let a = p.add_class("A", None);
+        let wide = p.add_method(a, "wide", vec![], Type::Void, true);
+        let body = vec![Insn::Const(Const::Int(1)), Insn::Pop, Insn::Return];
+        p.set_body(wide, body, NO_REG - 3);
+        let far = p.add_method(a, "far", vec![], Type::Void, true);
+        p.set_body(far, vec![Insn::Goto(3), Insn::Return], 0);
         let layout = ProgramLayout::build(&p);
-        let mops = layout.ops(m);
+        let registers = Rejected::Registers {
+            method: wide,
+            bound: usize::from(NO_REG),
+        };
+        assert_eq!(layout.ops(wide).ops, [Op::Fault(Box::new(registers))]);
+        let past = VerifyError::BranchOutOfRange {
+            method: far,
+            pc: 0,
+            target: 3,
+        };
+        let fault = Op::Fault(Box::new(Rejected::Verify(past)));
+        assert_eq!(layout.ops(far).ops, [fault]);
+    }
+
+    /// A branch back to a pc the pass walked past as dead code: the verifier's
+    /// heights make it live, and the body translates whole.
+    #[test]
+    fn a_backward_branch_to_a_skipped_pc_takes_the_verifiers_height() {
+        let mut p = Program::new();
+        let a = p.add_class("A", None);
+        let m = p.add_method(a, "m", vec![Type::Int], Type::Int, true);
+        p.method_mut(m).body = vec![
+            Insn::Goto(3),
+            Insn::Load(0), // reached only from the backward Goto
+            Insn::ReturnValue,
+            Insn::Goto(1),
+        ];
+        let mops = &ProgramLayout::build(&p).method_ops[m.0 as usize];
+        assert_eq!(mops.ops, [Op::Goto(2), Op::RReturnValue(0), Op::Goto(1)]);
+        assert_eq!(mops.src_pc, [0, 1, 3, 4]);
+    }
+
+    /// A `Swap` is two `Mov`s through the scratch register after the locals; the
+    /// lower slot reads it in place.
+    #[test]
+    fn a_swap_is_two_moves_through_the_scratch_register() {
+        let mut p = Program::new();
+        let a = p.add_class("A", None);
+        let m = p.add_method(a, "m", vec![Type::Int, Type::Int], Type::Int, true);
+        p.method_mut(m).body = vec![
+            Insn::Load(0),
+            Insn::Load(1),
+            Insn::Swap,
+            Insn::Bin(BinOp::Sub), // a1 - a0
+            Insn::ReturnValue,
+        ];
+        let mops = &ProgramLayout::build(&p).method_ops[m.0 as usize];
+        // Locals 0 and 1, the scratch register 2, then slots 3 and 4.
         assert_eq!(
             mops.ops,
-            vec![
-                Op::Goto(2),
-                Op::Load(0),
-                Op::ConstInt(1),
-                Op::Bin(BinOp::Add),
-                Op::ReturnValue,
+            [
+                Op::Mov(3, 0),
+                Op::Mov(4, 1),
+                Op::Mov(2, 3),
+                Op::Mov(3, 4),
+                Op::RBin(BinOp::Sub, 3, 3, 2),
+                Op::RReturnValue(3),
             ]
         );
-        assert_eq!(mops.src_pc, [0, 1, 2, 3, 4, 5], "identity table");
-        assert_eq!(mops.seed_pc(3), 3);
+        assert_eq!(mops.src_pc, [0, 2, 2, 3, 3, 4, 5]);
+        assert_eq!(mops.regs, 5);
     }
 
     /// A branch to the start of a sequence translates it whole; the op at the
@@ -1988,6 +2038,9 @@ mod tests {
         assert_eq!(mops.regs, 4, "locals 0 and 1, then two stack slots");
     }
 
+    /// With folding off the same translation places every slot and closes every
+    /// window after each seed instruction: `Load` is a `Mov`, `Pop` a `Nop`, `Bin`
+    /// an `RBin` on the two top homes, and dead code one `Nop` per instruction.
     #[test]
     fn fuse_off_yields_the_one_to_one_decode() {
         let mut p = Program::new();
@@ -1997,13 +2050,32 @@ mod tests {
             Insn::Load(0),
             Insn::Const(Const::Int(1)),
             Insn::Bin(BinOp::Add),
+            Insn::Dup,
+            Insn::Pop,
+            Insn::Store(0),
+            Insn::Load(0),
             Insn::ReturnValue,
+            Insn::Pop, // dead
+            Insn::Return,
         ];
         let layout = ProgramLayout::build_with(&p, LayoutOptions { fuse: false });
         let mops = layout.ops(m);
-        assert_eq!(mops.ops.len(), p.method(m).body.len());
-        assert_eq!(mops.src_pc, [0, 1, 2, 3, 4]);
-        assert!((0..mops.ops.len()).all(|pc| mops.seed_width(pc) == 1));
+        assert_eq!(
+            mops.ops,
+            [
+                Op::Mov(1, 0),
+                Op::SetI(2, 1),
+                Op::RBin(BinOp::Add, 1, 1, 2),
+                Op::Mov(2, 1),
+                Op::Nop,
+                Op::Mov(0, 1),
+                Op::Mov(1, 0),
+                Op::RReturnValue(1),
+                Op::Nop,
+                Op::Nop,
+            ]
+        );
+        assert_eq!(mops.src_pc, (0..=10).collect::<Vec<u32>>());
     }
 
     #[test]

@@ -21,7 +21,7 @@ use std::fmt::Write as _;
 
 use crate::bytecode::{Insn, InvokeKind};
 use crate::layout::{Op, ProgramLayout, NO_REG, NO_SLOT};
-use crate::program::{FieldRef, MethodId, Program};
+use crate::program::{MethodId, Program};
 use crate::quad::{BlockId, Quad, QuadMethod};
 
 /// Formats a block id the way the paper does, tagging entry/exit.
@@ -252,13 +252,6 @@ fn invoke_mnemonic(kind: InvokeKind) -> &'static str {
 /// Renders a single decoded op. Register operands print as `r<n>`: the locals
 /// first, then one register per operand-stack slot.
 pub fn format_op(program: &Program, layout: &ProgramLayout, op: &Op) -> String {
-    let field = |fr: &FieldRef| {
-        format!(
-            "{}.{}",
-            program.class(fr.class).name,
-            program.field(*fr).name
-        )
-    };
     let invoke = |kind: InvokeKind, target: MethodId, args: String| {
         let callee = program.method(target);
         let (k, class) = (invoke_mnemonic(kind), &program.class(callee.class).name);
@@ -272,39 +265,8 @@ pub fn format_op(program: &Program, layout: &ProgramLayout, op: &Op) -> String {
         }
     };
     match op {
-        Op::ConstInt(v) => format!("const.i {v}"),
-        Op::ConstFloat(v) => format!("const.f {v}"),
-        Op::ConstBool(v) => format!("const.b {v}"),
-        Op::ConstStr(i) => format!("const.s {:?}", layout.literals.get(*i).unwrap_or_default()),
-        Op::ConstNull => "const.null".to_string(),
-        Op::Load(n) => format!("load {n}"),
-        Op::Store(n) => format!("store {n}"),
-        Op::Dup => "dup".to_string(),
-        Op::Pop => "pop".to_string(),
-        Op::Swap => "swap".to_string(),
-        Op::Bin(op) => op.mnemonic().to_lowercase(),
-        Op::Un(op) => op.mnemonic().to_lowercase(),
-        Op::IfCmp(c, t) => format!("if_cmp{} {t}", c.mnemonic().to_lowercase()),
-        Op::If(c, t) => format!("if{} {t}", c.mnemonic().to_lowercase()),
         Op::Goto(t) => format!("goto {t}"),
-        Op::New(c) => format!("new {}", program.class(*c).name),
-        Op::NewArray(init) => format!("newarray {init:?}"),
-        Op::ArrayLoad => "aaload".to_string(),
-        Op::ArrayStore => "aastore".to_string(),
-        Op::ArrayLength => "arraylength".to_string(),
-        Op::GetField { slot: s, fr } => format!("getfield [{}] {}", slot(*s), field(fr)),
-        Op::PutField { slot: s, fr } => format!("putfield [{}] {}", slot(*s), field(fr)),
-        Op::GetStatic(s) => format!("getstatic [{}]", slot(*s)),
-        Op::PutStatic(s) => format!("putstatic [{}]", slot(*s)),
-        Op::Invoke {
-            kind,
-            target,
-            nargs,
-            push_ret,
-            ..
-        } => invoke(*kind, *target, nargs.to_string()) + if *push_ret { " -> push" } else { "" },
         Op::Return => "return".to_string(),
-        Op::ReturnValue => "vreturn".to_string(),
         Op::Nop => "nop".to_string(),
         Op::Mov(d, r) => format!("mov r{d}, r{r}"),
         Op::SetI(d, k) => format!("set.i r{d}, {k}"),
@@ -342,6 +304,7 @@ pub fn format_op(program: &Program, layout: &ProgramLayout, op: &Op) -> String {
             d => invoke(*kind, *target, format!("r{args}..+{nargs}")) + &format!(" -> r{d}"),
         },
         Op::RReturnValue(r) => format!("vreturn r{r}"),
+        Op::Fault(rejected) => format!("fault: {rejected}"),
     }
 }
 
@@ -409,7 +372,7 @@ mod tests {
         // Header line plus one line per decoded op, none annotated.
         assert_eq!(listing.lines().count(), body_len + 1, "{listing}");
         assert!(!listing.contains("; insns"), "{listing}");
-        assert!(listing.contains("load 1"), "{listing}");
+        assert!(listing.contains("mov r2, r1"), "{listing}");
     }
 
     #[test]

@@ -198,8 +198,9 @@ pub fn verify_method(program: &Program, method: &Method) -> Result<(), Vec<Verif
 
 /// The operand-stack height at entry of each block of `cfg` (`None` where no path
 /// from the entry reaches the block), by worklist propagation from height 0. Fails
-/// on the first underflow and on the first join reached at two heights. The verifier
-/// and the quad lowering share it.
+/// on the first instruction that pops more than the stack holds and on the first
+/// join reached at two heights. The verifier, the quad lowering and the layout's
+/// register translation share it.
 pub(crate) fn entry_heights(
     program: &Program,
     method: &Method,
@@ -212,21 +213,21 @@ pub(crate) fn entry_heights(
     heights[0] = Some(0);
     let mut work = vec![0usize];
     while let Some(b) = work.pop() {
-        let mut h = heights[b].expect("a queued block has a height") as isize;
+        let mut h = heights[b].expect("a queued block has a height");
         let (start, end) = cfg.ranges[b];
         for (pc, insn) in (start..end).zip(&method.body[start..end]) {
-            h += insn.stack_delta(|m| {
+            let (pops, pushes) = insn.stack_effect(|m| {
                 let callee = program.method(m);
                 (callee.params.len(), callee.ret != Type::Void)
             });
-            if h < 0 {
+            if h < pops {
                 return Err(VerifyError::StackUnderflow {
                     method: method.id,
                     pc,
                 });
             }
+            h = h - pops + pushes;
         }
-        let h = h as usize;
         for &s in &cfg.succs[b] {
             match heights[s] {
                 Some(prev) if prev != h => {
@@ -249,7 +250,7 @@ pub(crate) fn entry_heights(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::bytecode::{CmpOp, Const};
+    use crate::bytecode::{BinOp, CmpOp, Const};
     use crate::frontend::compile_source;
     use crate::program::ClassId;
 
@@ -348,6 +349,28 @@ mod tests {
         p.method_mut(m).body = vec![Insn::Pop, Insn::Return];
         let errs = verify_method(&p, p.method(m)).unwrap_err();
         assert!(matches!(errs[0], VerifyError::StackUnderflow { pc: 0, .. }));
+    }
+
+    /// An instruction that pops more than the stack holds underflows even where
+    /// what it pushes back leaves the height non-negative.
+    #[test]
+    fn an_underflow_the_pushes_would_hide_is_reported() {
+        let mut p = Program::new();
+        let c = p.add_class("C", None);
+        let m = p.add_method(c, "bad", vec![], Type::Int, true);
+        let one = Insn::Const(Const::Int(1));
+        for (body, pc) in [
+            (
+                vec![one.clone(), Insn::Bin(BinOp::Add), Insn::ReturnValue],
+                1,
+            ),
+            (vec![Insn::Dup, Insn::ReturnValue], 0),
+            (vec![one, Insn::Swap, Insn::ReturnValue], 1),
+        ] {
+            p.method_mut(m).body = body;
+            let errs = verify_method(&p, p.method(m)).unwrap_err();
+            assert_eq!(errs, [VerifyError::StackUnderflow { method: m, pc }]);
+        }
     }
 
     #[test]

@@ -680,7 +680,7 @@ mod tests {
     /// stays a plain field op. The register kernel runs the loop, stops at the
     /// `RGetField` on the proxy every iteration, and the machine parks there and
     /// resumes with the reply. The whole report — result, clocks, counters,
-    /// traffic — is the stack form's.
+    /// traffic — is the unfolded 1:1 form's (`fuse: false`).
     #[test]
     fn a_loop_that_parks_at_a_proxied_field_reports_what_the_stack_form_does() {
         let src = r#"

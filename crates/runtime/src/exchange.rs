@@ -125,8 +125,8 @@ pub(crate) enum SlowInvoke {
     Park(u64, ResumeAction),
     /// `DependentObject.<init>` whose home is this node: run the local constructor.
     Call(Frame),
-    /// Completed locally with nothing left to do (push null if the site expects a
-    /// result).
+    /// Completed locally with nothing left to do (null lands in the site's result
+    /// register, if it has one).
     Nothing,
 }
 
@@ -233,14 +233,13 @@ impl Interp {
         &mut self,
         args: &[Value],
         target: MethodId,
-        push_ret: bool,
     ) -> Result<SlowInvoke, ExecError> {
         let callee = self.layout.program().method(target);
         let receiver = args
             .first()
             .ok_or_else(|| ExecError::Unsupported("instance call without receiver".into()))?;
         if Some(callee.class) == self.dep_class {
-            return self.dependent_object_call(target, receiver, args, push_ret);
+            return self.dependent_object_call(target, receiver, args);
         }
         // Transparent forwarding: a proxy reached a normal (non-rewritten) call
         // site, or type-based rewriting missed a receiver that actually lives
@@ -281,7 +280,7 @@ impl Interp {
             name_len: callee.name.len(),
         };
         let req_id = self.remote_send(remote, kind, member, &args[1..])?;
-        Ok(SlowInvoke::Park(req_id, resume_with(push_ret)))
+        Ok(SlowInvoke::Park(req_id, ResumeAction::Deliver))
     }
 
     /// `DependentObject.<init>` / `.access` (`method`): the call sites the rewriter
@@ -291,7 +290,6 @@ impl Interp {
         method: MethodId,
         receiver: &Value,
         args: &[Value],
-        push_ret: bool,
     ) -> Result<SlowInvoke, ExecError> {
         match &**self.layout.method_name(method) {
             "<init>" => {
@@ -317,7 +315,7 @@ impl Interp {
                     return Err(ExecError::StackOverflow);
                 }
                 self.with_args_array(ctor_args, |me, ctor_args| {
-                    let mut f = me.frame_for(ctor, false, ctor_args.len() + 1);
+                    let mut f = me.frame_for(ctor, ctor_args.len() + 1);
                     f.locals[0] = Value::Ref(r);
                     f.locals[1..=ctor_args.len()].copy_from_slice(ctor_args);
                     me.enter_frame(&mut f);
@@ -329,7 +327,7 @@ impl Interp {
                 let req_id = self.with_args_array(call_args, |me, call_args| {
                     me.remote_send(target, kind, member, call_args)
                 })?;
-                Ok(SlowInvoke::Park(req_id, resume_with(push_ret)))
+                Ok(SlowInvoke::Park(req_id, ResumeAction::Deliver))
             }
             other => Err(ExecError::UnknownMethod(
                 format!("rt/DependentObject.{other}").into(),
@@ -847,7 +845,7 @@ impl Interp {
         if self.layout.ops(method).ops.is_empty() {
             return Ok(None);
         }
-        let mut frame = self.frame_for(method, true, argc + 1);
+        let mut frame = self.frame_for(method, argc + 1);
         frame.locals[0] = receiver;
         for slot in 1..=argc {
             match self.read_value(data) {
@@ -894,15 +892,6 @@ impl Interp {
             d.endpoint.reclaim(data);
         }
         value
-    }
-}
-
-/// What a parked invoke does with its response.
-fn resume_with(push: bool) -> ResumeAction {
-    if push {
-        ResumeAction::Push
-    } else {
-        ResumeAction::Drop
     }
 }
 

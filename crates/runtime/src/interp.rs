@@ -2,7 +2,8 @@
 //!
 //! The paper executes its rewritten bytecode on a JVM ("it was easier to use normal JVM
 //! since our current experiments are conducted on resource-rich x86 platforms"); this
-//! interpreter plays that JVM's role. It executes the stack bytecode directly, maintains
+//! interpreter plays that JVM's role. It executes the register form the layout
+//! translates every method body to (operand-stack slots are frame registers), maintains
 //! a virtual clock (instructions cost `instr_cost / node speed` microseconds, messages
 //! cost latency + bytes/bandwidth) and exposes profiler hooks (Section 6). This file is
 //! the *machine*: frames, continuations, the dispatch loop and the local field / array
@@ -16,8 +17,8 @@
 //! name resolution at load time — instance fields are flat slot-indexed vectors,
 //! statics live in one dense replicated vector, and dynamic dispatch goes through
 //! selector-indexed vtables. On top of those tables the layout **pre-decodes** every
-//! method body into the compact [`Op`] format (resolved slots, selectors, argument
-//! counts, interned string constants, `u32` branch targets), so the dispatch loop
+//! method body into the compact register [`Op`] format (resolved slots, selectors,
+//! argument counts, interned string constants, `u32` branch targets), so the dispatch loop
 //! performs no string clone, no map probe and no signature lookup per instruction.
 //! Nothing is borrowed, so an interpreter is plain owned data: per-request worlds
 //! share layouts — and their [`ClassDefaults`] — by `Arc` and outlive whatever
@@ -25,12 +26,12 @@
 //!
 //! Values are [`Copy`] (see [`crate::value`]): a string is an id into this
 //! interpreter's string table, whose low ids are the layout's literals, so
-//! `Op::ConstStr` pushes its operand and string `==` compares ids. Only orderings,
+//! `Op::SetS` writes its operand and string `==` compares ids. Only orderings,
 //! concatenation and error texts read a string's bytes ([`Interp::string`]).
 //!
 //! Execution itself runs on an **explicit frame stack** ([`Continuation`]): a single
-//! dispatch loop ([`Interp::run_task`]) drives a `Vec` of [`Frame`]s (locals + operand
-//! stack + pc each) instead of recursing through Rust. An in-flight computation is
+//! dispatch loop ([`Interp::run_task`]) drives a `Vec` of [`Frame`]s (method, pc and
+//! register file each) instead of recursing through Rust. An in-flight computation is
 //! therefore plain data — when a node of a distributed run hits a remote operation,
 //! the machine sends the request and *parks* the whole frame stack as a continuation
 //! keyed by the request id ([`TaskOutcome::Parked`]); the worker loop
@@ -38,7 +39,7 @@
 //! remote path: a node with a [`DistState`] always parks, and a node without one
 //! fails remote operations with [`ExecError::NotDistributed`].
 //!
-//! Inside a register-form body, the straight-line ops — moves, constants, `Goto`,
+//! The straight-line ops — moves, constants, `Goto`,
 //! numeric arithmetic, integer compares, local array elements and fields of local
 //! objects — run in a small **register kernel** ([`run_kernel`]) that the dispatch
 //! loop enters at such an op. The kernel stops at the first op it cannot finish (a
@@ -54,7 +55,7 @@ use std::sync::Arc;
 use autodist_codegen::rewrite::DEPENDENT_OBJECT_CLASS;
 use autodist_ir::bytecode::{BinOp, CmpOp, Insn, InvokeKind, UnOp};
 use autodist_ir::layout::{
-    ArrayInit, Interner, LayoutOptions, MethodOps, Op, ProgramLayout, NO_REG, NO_SLOT,
+    ArrayInit, Interner, LayoutOptions, MethodOps, Op, ProgramLayout, Rejected, NO_REG, NO_SLOT,
 };
 use autodist_ir::program::{ClassId, FieldRef, MethodId, Program, Type};
 
@@ -70,10 +71,10 @@ use crate::wire::{AccessKind, WireError};
 pub struct ExecCounters {
     /// Bytecode instructions executed. An op counts as the seed instructions it
     /// stands for ([`autodist_ir::layout::MethodOps::src_pc`]), so this is the same
-    /// in the register and the stack form.
+    /// with [`LayoutOptions::fuse`] on and off.
     pub instructions: u64,
     /// Dispatch-loop iterations: every op counts **once**. The dynamic win of the
-    /// register form is `instructions / dispatches`; the two are equal in the stack
+    /// folded form is `instructions / dispatches`; the two are equal in the 1:1
     /// form.
     pub dispatches: u64,
     /// Objects and arrays allocated.
@@ -132,14 +133,10 @@ pub enum ExecError {
     UnknownMethod(Arc<str>),
     /// Call depth limit exceeded.
     StackOverflow,
-    /// The operand stack was popped while empty (a verifier escape; never raised for
-    /// programs that pass `verify_program`).
-    StackUnderflow {
-        /// Program counter of the faulting instruction.
-        pc: u32,
-        /// The method whose operand stack underflowed.
-        method: MethodId,
-    },
+    /// The method's body was rejected when the layout was built (a stack
+    /// discipline `verify_program` refuses, a branch past its end, too many
+    /// registers): it faults on entry, having run nothing.
+    Rejected(Rejected),
     /// A remote operation failed on the other node.
     RemoteFailure(String),
     /// A remote operation was attempted without a distributed runtime attached.
@@ -232,13 +229,7 @@ impl fmt::Display for ExecError {
             ExecError::UnknownField(n) => write!(f, "unknown field {n}"),
             ExecError::UnknownMethod(n) => write!(f, "unknown method {n}"),
             ExecError::StackOverflow => write!(f, "call depth limit exceeded"),
-            ExecError::StackUnderflow { pc, method } => {
-                write!(
-                    f,
-                    "operand stack underflow at pc {pc} in method #{}",
-                    method.0
-                )
-            }
+            ExecError::Rejected(r) => write!(f, "rejected body: {r}"),
             ExecError::RemoteFailure(e) => write!(f, "remote failure: {e}"),
             ExecError::NotDistributed => write!(f, "remote access without a distributed runtime"),
             ExecError::MessageTimeout { src, dst, request } => write!(
@@ -257,34 +248,30 @@ impl fmt::Display for ExecError {
 impl std::error::Error for ExecError {}
 
 /// One activation record of the explicit-stack machine: everything needed to resume
-/// the method mid-flight. Frames live in a [`Continuation`]'s frame stack; their
-/// locals/operand-stack vectors are recycled through the interpreter's frame pool.
+/// the method mid-flight — the method, the pc and the register file. Frames live in a
+/// [`Continuation`]'s frame stack; their register files are recycled through the
+/// interpreter's frame pool.
 #[derive(Debug)]
 pub struct Frame {
     /// The executing method.
     pub method: MethodId,
     /// Resume program counter (index into the decoded op body).
     pub pc: u32,
-    /// Whether the caller's invoke site expects a pushed result (derived from the
-    /// static target's return type, like the recursive interpreter did).
-    push_ret: bool,
     /// Whether profiler enter/exit hooks fire for this frame.
     instrumented: bool,
-    /// Where a callee's result or a parked response lands: a register, or the
-    /// operand stack ([`NO_REG`], the stack form).
+    /// Where a callee's result or a parked response lands: a register, or nowhere
+    /// ([`NO_REG`]).
     ret_to: u16,
-    /// Local variable slots, then (register form) one register per stack slot.
+    /// The register file: the local variable slots, then one register per
+    /// operand-stack slot ([`MethodOps::regs`] in all).
     pub(crate) locals: Vec<Value>,
-    /// Operand stack (stack form).
-    stack: Vec<Value>,
 }
 
 impl Frame {
     /// Delivers a callee's result or a parked response to [`Self::ret_to`].
     fn deliver(&mut self, v: Value) {
-        match self.ret_to {
-            NO_REG => self.stack.push(v),
-            r => self.locals[r as usize] = v,
+        if self.ret_to != NO_REG {
+            self.locals[self.ret_to as usize] = v;
         }
     }
 }
@@ -292,9 +279,10 @@ impl Frame {
 /// What to do with the remote response when a parked continuation is resumed.
 #[derive(Debug)]
 pub(crate) enum ResumeAction {
-    /// Push the unmarshalled response onto the top frame's operand stack.
-    Push,
-    /// Discard the response (void calls, field writes).
+    /// Deliver the unmarshalled response to the top frame's `ret_to` register
+    /// (nowhere for a call that returns nothing).
+    Deliver,
+    /// Discard the response (field and element writes).
     Drop,
     /// `NEW` response: bind the remote identity into the proxy object's
     /// home/remoteId/className slots (when the proxy is a bindable local object).
@@ -444,9 +432,9 @@ pub struct Interp {
     pub(crate) dep_class: Option<ClassId>,
     /// (home, remoteId, className) slots of the proxy class, if present.
     pub(crate) proxy_slots: Option<(usize, usize, usize)>,
-    /// Recycled (locals, operand stack) frame vectors, so method invocation does not
-    /// allocate on the hot path.
-    frame_pool: Vec<(Vec<Value>, Vec<Value>)>,
+    /// Recycled register files, so method invocation does not allocate on the hot
+    /// path.
+    frame_pool: Vec<Vec<Value>>,
     /// Spent continuations, empty but keeping their vectors' capacity, so starting a
     /// task (a served request, above all) does not allocate either.
     task_pool: Vec<Continuation>,
@@ -455,15 +443,16 @@ pub struct Interp {
 impl Interp {
     /// Creates an interpreter for a centralized run at speed 1.0. This runs the
     /// program-load-time resolution pass ([`ProgramLayout::build`]) with the default
-    /// options (the register form), after which the interpret loop performs
+    /// options (the folded register form), after which the interpret loop performs
     /// no string clone and no map probe per field or method access.
     pub fn new(program: &Program) -> Self {
         Self::new_with_options(program, LayoutOptions::default())
     }
 
     /// [`Self::new`] with explicit layout options — `fuse: false` yields the 1:1
-    /// stack form (the census A/Bs the dispatch cost; the parity suite compares the
-    /// two executions instruction for instruction).
+    /// register form, one op per seed instruction (the census A/Bs the dispatch
+    /// cost; the parity suite compares the two executions instruction for
+    /// instruction).
     pub fn new_with_options(program: &Program, opts: LayoutOptions) -> Self {
         Self::with_layout(Arc::new(ProgramLayout::build_with(program, opts)))
     }
@@ -683,7 +672,7 @@ impl Interp {
         if self.layout.ops(method).ops.is_empty() {
             return None;
         }
-        let mut frame = self.frame_for(method, true, args.len());
+        let mut frame = self.frame_for(method, args.len());
         frame.locals[..args.len()].copy_from_slice(&args);
         self.enter_frame(&mut frame);
         Some(self.root_task(frame))
@@ -711,24 +700,22 @@ impl Interp {
         }
     }
 
-    /// A pooled activation frame for `method`, its locals nulled and sized for
-    /// `nargs` arguments. Not live yet: the caller moves the arguments into the
-    /// locals — the one place the callee ever holds them — and then
+    /// A pooled activation frame for `method`, its registers nulled and sized for
+    /// `nargs` arguments at least. Not live yet: the caller moves the arguments into
+    /// the locals — the one place the callee ever holds them — and then
     /// [`Self::enter_frame`]s it, so a frame whose arguments fail to arrive (a
     /// corrupt value off the wire) is recycled without ever having been counted.
     #[inline(always)]
-    pub(crate) fn frame_for(&mut self, method: MethodId, push_ret: bool, nargs: usize) -> Frame {
-        let (mut locals, stack) = self.frame_pool.pop().unwrap_or_default();
+    pub(crate) fn frame_for(&mut self, method: MethodId, nargs: usize) -> Frame {
+        let mut locals = self.frame_pool.pop().unwrap_or_default();
         let slots = (self.layout.ops(method).regs as usize).max(nargs);
         locals.resize(slots, Value::Null);
         Frame {
             method,
             pc: 0,
-            push_ret,
             instrumented: false,
             ret_to: NO_REG,
             locals,
-            stack,
         }
     }
 
@@ -766,12 +753,11 @@ impl Interp {
         self.live_frames -= 1;
     }
 
-    /// Returns a frame's vectors to the pool.
+    /// Returns a frame's register file to the pool.
     pub(crate) fn recycle_frame(&mut self, mut frame: Frame) {
         if self.frame_pool.len() < 128 {
             frame.locals.clear();
-            frame.stack.clear();
-            self.frame_pool.push((frame.locals, frame.stack));
+            self.frame_pool.push(frame.locals);
         }
     }
 
@@ -813,7 +799,7 @@ impl Interp {
             }
         };
         match action {
-            ResumeAction::Push => {
+            ResumeAction::Deliver => {
                 task.frames
                     .last_mut()
                     .expect("parked continuation has a frame")
@@ -938,45 +924,10 @@ impl Interp {
                         break Transfer::Fail($e);
                     }};
                 }
-                // The operand stack (stack form) holds too few values.
-                macro_rules! underflow {
-                    () => {
-                        fail!(ExecError::StackUnderflow {
-                            pc: src_pc[pc],
-                            method
-                        })
-                    };
-                }
-                // Pops an operand (stack form); an empty stack underflows.
-                macro_rules! pop {
-                    () => {
-                        match frame.stack.pop() {
-                            Some(v) => v,
-                            None => underflow!(),
-                        }
-                    };
-                }
-                // Reads register `$r` (register form).
+                // Register `$r` of the frame.
                 macro_rules! reg {
                     ($r:expr) => {
                         frame.locals[$r as usize]
-                    };
-                }
-                // Delivers a result to its sink: `push` onto the operand stack
-                // (stack form) or register `[r]`.
-                macro_rules! put {
-                    (push, $v:expr) => {
-                        frame.stack.push($v)
-                    };
-                    ([$dst:expr], $v:expr) => {
-                        frame.locals[$dst as usize] = $v
-                    };
-                }
-                // Where the response of a park or the result of a call lands.
-                macro_rules! resume_to {
-                    (push) => {};
-                    ([$dst:expr]) => {
-                        frame.ret_to = $dst
                     };
                 }
                 // Runs a `self`-helper that can fault (arithmetic, the local
@@ -998,14 +949,6 @@ impl Interp {
                         pc = target;
                         continue;
                     }};
-                }
-                // Branches to `$target` when `$taken`.
-                macro_rules! branch_if {
-                    ($taken:expr, $target:expr) => {
-                        if $taken {
-                            jump!($target);
-                        }
-                    };
                 }
                 // Sends a remote request and parks the continuation: the frame
                 // resumes at the next op.
@@ -1038,194 +981,6 @@ impl Interp {
                     };
                 }
 
-                // The semantic ops, each written once over its operands and result
-                // sink and shared by the stack arms and the register arms. `$fr` is
-                // evaluated on the slow path only.
-                macro_rules! get_field {
-                    ($obj:expr, $slot:expr, $fr:expr, $sink:tt) => {{
-                        let obj = $obj;
-                        if let Some(v) = local_field(&mut self.heap, self.dep_class, obj, $slot) {
-                            let v = *v;
-                            put!($sink, v);
-                            pc += 1;
-                            continue;
-                        }
-                        let fr = $fr;
-                        if let Some(target) = call!(self.remote_field_target(&obj, fr)) {
-                            resume_to!($sink);
-                            park!(
-                                self.remote_access(target, AccessKind::GetField, Some(fr), &[]),
-                                ResumeAction::Push
-                            );
-                        }
-                        let v = call!(self.get_field(obj, fr));
-                        put!($sink, v);
-                    }};
-                }
-                // A local write stays in the loop, a remote one parks.
-                macro_rules! put_field {
-                    ($obj:expr, $val:expr, $slot:expr, $fr:expr) => {{
-                        let (obj, val) = ($obj, $val);
-                        if let Some(cell) = local_field(&mut self.heap, self.dep_class, obj, $slot)
-                        {
-                            *cell = val;
-                            pc += 1;
-                            continue;
-                        }
-                        let fr = $fr;
-                        if let Some(target) = call!(self.remote_field_target(&obj, fr)) {
-                            park!(
-                                self.remote_access(target, AccessKind::PutField, Some(fr), &[val]),
-                                ResumeAction::Drop
-                            );
-                        }
-                        call!(self.put_field(obj, fr, val));
-                    }};
-                }
-                macro_rules! array_load {
-                    ($arr:expr, $idx:expr, $sink:tt) => {{
-                        let (arr, idx) = ($arr, $idx);
-                        if let Some(v) = local_element(&mut self.heap, arr, idx) {
-                            let v = *v;
-                            put!($sink, v);
-                            pc += 1;
-                            continue;
-                        }
-                        resume_to!($sink);
-                        remote_element!(arr, idx, AccessKind::GetElement, [], ResumeAction::Push);
-                        let v = call!(self.array_load(arr, idx));
-                        put!($sink, v);
-                    }};
-                }
-                macro_rules! array_store {
-                    ($arr:expr, $idx:expr, $val:expr) => {{
-                        let (arr, idx, val) = ($arr, $idx, $val);
-                        if let Some(cell) = local_element(&mut self.heap, arr, idx) {
-                            *cell = val;
-                            pc += 1;
-                            continue;
-                        }
-                        remote_element!(
-                            arr,
-                            idx,
-                            AccessKind::PutElement,
-                            [val],
-                            ResumeAction::Drop
-                        );
-                        call!(self.array_store(arr, idx, val));
-                    }};
-                }
-                macro_rules! array_length {
-                    ($arr:expr, $sink:tt) => {{
-                        let arr = $arr;
-                        if let Value::Ref(r @ ObjRef::Remote { .. }) = arr {
-                            resume_to!($sink);
-                            park!(
-                                self.remote_access(r, AccessKind::ArrayLength, None, &[]),
-                                ResumeAction::Push
-                            );
-                        }
-                        let v = call!(self.array_length(arr));
-                        put!($sink, v);
-                    }};
-                }
-                // The argument window is consumed: popped off the operand stack,
-                // left in place in the registers.
-                macro_rules! consume {
-                    (stack, $lo:expr) => {
-                        frame.stack.truncate($lo)
-                    };
-                    (locals, $lo:expr) => {};
-                }
-                // `Invoke` over the argument window `frame.$args[$lo..][..$nargs]`,
-                // receiver first; the result goes to `$sink` when `$push_ret`.
-                macro_rules! invoke {
-                    (
-                        $kind:expr, $target:expr, $sel:expr, $nargs:expr, $push_ret:expr,
-                        $args:ident[$lo:expr], $sink:tt
-                    ) => {{
-                        let (kind, target, nargs, push_ret) =
-                            ($kind, $target, $nargs as usize, $push_ret);
-                        let lo: usize = $lo;
-                        // Hot path resolution: static calls, and virtual/special
-                        // calls on ordinary local receivers.
-                        let mut resolved: Option<MethodId> = None;
-                        if kind == InvokeKind::Static {
-                            resolved = Some(target);
-                        } else if let Value::Ref(ObjRef::Local(h)) = frame.$args[lo] {
-                            let callee_class = layout.method_class(target);
-                            if Some(callee_class) != self.dep_class {
-                                if let Some(c) = self.heap[h as usize].class() {
-                                    if Some(c) != self.dep_class {
-                                        resolved = Some(match kind {
-                                            InvokeKind::Special => target,
-                                            _ => match layout.resolve_selector(c, $sel) {
-                                                Some(m) => m,
-                                                None => fail!(ExecError::UnknownMethod(
-                                                    layout.method_name(target).clone(),
-                                                )),
-                                            },
-                                        });
-                                    }
-                                }
-                            }
-                        }
-                        if let Some(callee) = resolved {
-                            if self.live_frames >= self.max_depth {
-                                fail!(ExecError::StackOverflow);
-                            }
-                            if layout.method_ops[callee.0 as usize].ops.is_empty() {
-                                consume!($args, lo);
-                                if push_ret {
-                                    put!($sink, Value::Null);
-                                }
-                            } else {
-                                close_op!();
-                                if self.profiler.is_some() {
-                                    flush!();
-                                }
-                                // The arguments move from the caller's window
-                                // straight into the callee's locals.
-                                let mut f = self.frame_for(callee, push_ret, nargs);
-                                f.locals[..nargs].copy_from_slice(&frame.$args[lo..lo + nargs]);
-                                consume!($args, lo);
-                                self.enter_frame(&mut f);
-                                resume_to!($sink);
-                                frame.pc = (pc + 1) as u32;
-                                break Transfer::Call(f);
-                            }
-                        } else {
-                            // Proxies, remote receivers, the DependentObject
-                            // protocol: the Message Exchange reads the operands
-                            // where they lie and says how the machine proceeds.
-                            close_op!();
-                            flush!();
-                            let slow =
-                                self.slow_invoke(&frame.$args[lo..lo + nargs], target, push_ret);
-                            consume!($args, lo);
-                            match slow {
-                                Err(e) => break Transfer::Fail(e),
-                                Ok(SlowInvoke::Park(req_id, action)) => {
-                                    resume_to!($sink);
-                                    frame.pc = (pc + 1) as u32;
-                                    break Transfer::Park(req_id, action);
-                                }
-                                Ok(SlowInvoke::Call(f)) => {
-                                    frame.pc = (pc + 1) as u32;
-                                    break Transfer::Call(f);
-                                }
-                                Ok(SlowInvoke::Nothing) => {
-                                    // The run goes on behind the call.
-                                    open!(pc + 1);
-                                    if push_ret {
-                                        put!($sink, Value::Null);
-                                    }
-                                }
-                            }
-                        }
-                    }};
-                }
-
                 // Where the register kernel last stopped: the op there has not
                 // executed, so the machine runs it in full instead of re-entering.
                 let mut stop = usize::MAX;
@@ -1251,130 +1006,9 @@ impl Interp {
                         break Transfer::Finish(Value::Null);
                     }
                     match &ops[pc] {
-                        // --- The stack form: the 1:1 decode.
-                        Op::ConstInt(v) => put!(push, Value::Int(*v)),
-                        Op::ConstFloat(v) => put!(push, Value::Float(*v)),
-                        Op::ConstBool(v) => put!(push, Value::Bool(*v)),
-                        Op::ConstNull => put!(push, Value::Null),
-                        Op::ConstStr(i) => put!(push, Value::Str(StrId(*i))),
-                        Op::Load(n) => {
-                            let idx = *n as usize;
-                            if idx >= frame.locals.len() {
-                                frame.locals.resize(idx + 1, Value::Null);
-                            }
-                            put!(push, frame.locals[idx]);
-                        }
-                        Op::Store(n) => {
-                            let v = pop!();
-                            let idx = *n as usize;
-                            if idx >= frame.locals.len() {
-                                frame.locals.resize(idx + 1, Value::Null);
-                            }
-                            frame.locals[idx] = v;
-                        }
-                        Op::Dup => match frame.stack.last().copied() {
-                            Some(v) => put!(push, v),
-                            None => underflow!(),
-                        },
-                        Op::Pop => {
-                            pop!();
-                        }
-                        Op::Swap => {
-                            let len = frame.stack.len();
-                            if len < 2 {
-                                underflow!();
-                            }
-                            frame.stack.swap(len - 1, len - 2);
-                        }
-                        Op::Bin(op) => {
-                            let rhs = pop!();
-                            let lhs = pop!();
-                            // The numeric rule, then `binop` for everything else
-                            // (zero divisors, string concatenation, coercions).
-                            let v = match num_bin(*op, lhs, rhs) {
-                                Some(v) => v,
-                                None => call!(self.binop(*op, lhs, rhs)),
-                            };
-                            put!(push, v);
-                        }
-                        Op::Un(op) => {
-                            let v = pop!();
-                            put!(push, call!(self.unop(*op, v)));
-                        }
-                        Op::IfCmp(op, target) => {
-                            let rhs = pop!();
-                            let lhs = pop!();
-                            branch_if!(self.holds(*op, lhs, rhs), target);
-                        }
-                        Op::If(op, target) => {
-                            let v = pop!();
-                            branch_if!(if_holds(*op, v), target);
-                        }
-                        Op::Goto(target) => jump!(target),
-                        Op::New(class) => {
-                            let r = self.new_instance(*class);
-                            put!(push, Value::Ref(r));
-                        }
-                        Op::NewArray(init) => {
-                            let len = pop!();
-                            put!(push, call!(self.new_array(len, *init)));
-                        }
-                        Op::ArrayLoad => {
-                            let idx = pop!();
-                            let arr = pop!();
-                            array_load!(arr, idx, push);
-                        }
-                        Op::ArrayStore => {
-                            let val = pop!();
-                            let idx = pop!();
-                            let arr = pop!();
-                            array_store!(arr, idx, val);
-                        }
-                        Op::ArrayLength => {
-                            let arr = pop!();
-                            array_length!(arr, push);
-                        }
-                        Op::GetField { slot, fr } => {
-                            let obj = pop!();
-                            get_field!(obj, *slot, *fr, push);
-                        }
-                        Op::PutField { slot, fr } => {
-                            let val = pop!();
-                            let obj = pop!();
-                            put_field!(obj, val, *slot, *fr);
-                        }
-                        Op::GetStatic(slot) => put!(push, self.get_static(*slot)),
-                        Op::PutStatic(slot) => {
-                            let v = pop!();
-                            self.put_static(*slot, v);
-                        }
-                        Op::Invoke {
-                            kind,
-                            target,
-                            sel,
-                            nargs,
-                            push_ret,
-                        } => {
-                            let Some(lo) = frame.stack.len().checked_sub(*nargs as usize) else {
-                                underflow!();
-                            };
-                            invoke!(*kind, *target, *sel, *nargs, *push_ret, stack[lo], push);
-                        }
-                        Op::Return => {
-                            close_op!();
-                            break Transfer::Finish(Value::Null);
-                        }
-                        Op::ReturnValue => {
-                            let v = pop!();
-                            close_op!();
-                            break Transfer::Finish(v);
-                        }
-
-                        // --- The register form. Grouped so the whole dispatch stays
-                        // one jump table; operands are read where they lie.
-                        // Straight-line register ops run in the kernel. It always
-                        // runs moves, constants and `RIf`; the ops below it may
-                        // decline, and then the machine runs them at `stop`.
+                        // Straight-line ops run in the kernel. It always runs moves,
+                        // constants and `RIf`; the ops below it may decline, and then
+                        // the machine runs them at `stop`, on their general paths.
                         Op::Nop
                         | Op::Mov(..)
                         | Op::SetI(..)
@@ -1396,62 +1030,97 @@ impl Interp {
                         {
                             kernel!()
                         }
-                        // The kernel declined these operands: the general path.
+                        Op::Goto(target) => jump!(target),
+                        // Ops the kernel declined or never runs: the general path.
                         Op::RBin(op, dst, a, b) => {
-                            let v = call!(self.binop(*op, reg!(*a), reg!(*b)));
-                            put!([*dst], v);
+                            reg!(*dst) = call!(self.binop(*op, reg!(*a), reg!(*b)));
                         }
                         Op::RBinI(op, dst, a, k) => {
-                            let v = call!(self.binop(*op, reg!(*a), Value::Int(*k)));
-                            put!([*dst], v);
+                            reg!(*dst) = call!(self.binop(*op, reg!(*a), Value::Int(*k)));
                         }
                         Op::RUn(op, dst, src) => {
-                            let v = call!(self.unop(*op, reg!(*src)));
-                            put!([*dst], v);
+                            reg!(*dst) = call!(self.unop(*op, reg!(*src)));
                         }
                         Op::RIfCmp(op, a, b, target) => {
-                            branch_if!(self.holds(*op, reg!(*a), reg!(*b)), target);
+                            if self.compare(*op, reg!(*a), reg!(*b)) {
+                                jump!(target);
+                            }
                         }
                         Op::RIfCmpI(op, a, k, target) => {
-                            branch_if!(self.holds(*op, reg!(*a), Value::Int(*k)), target);
+                            if self.compare(*op, reg!(*a), Value::Int(*k)) {
+                                jump!(target);
+                            }
                         }
                         Op::RNew(dst, class) => {
-                            let r = self.new_instance(*class);
-                            put!([*dst], Value::Ref(r));
+                            reg!(*dst) = Value::Ref(self.new_instance(*class));
                         }
                         Op::RNewArray(dst, len, init) => {
-                            let v = call!(self.new_array(reg!(*len), *init));
-                            put!([*dst], v);
+                            reg!(*dst) = call!(self.new_array(reg!(*len), *init));
                         }
                         Op::RArrayLoad(dst, arr, idx) => {
-                            array_load!(reg!(*arr), reg!(*idx), [*dst]);
+                            let (arr, idx) = (reg!(*arr), reg!(*idx));
+                            frame.ret_to = *dst;
+                            remote_element!(
+                                arr,
+                                idx,
+                                AccessKind::GetElement,
+                                [],
+                                ResumeAction::Deliver
+                            );
+                            reg!(*dst) = call!(self.array_load(arr, idx));
                         }
                         Op::RArrayStore(arr, idx, val) => {
-                            array_store!(reg!(*arr), reg!(*idx), reg!(*val));
-                        }
-                        Op::RArrayLength(dst, arr) => array_length!(reg!(*arr), [*dst]),
-                        Op::RGetField(dst, obj, slot) => {
-                            get_field!(
-                                reg!(*obj),
-                                *slot,
-                                self.seed_field(method, src_pc[pc + 1]),
-                                [*dst]
+                            let (arr, idx, val) = (reg!(*arr), reg!(*idx), reg!(*val));
+                            remote_element!(
+                                arr,
+                                idx,
+                                AccessKind::PutElement,
+                                [val],
+                                ResumeAction::Drop
                             );
+                            call!(self.array_store(arr, idx, val));
                         }
-                        Op::RPutField(obj, val, slot) => {
-                            put_field!(
-                                reg!(*obj),
-                                reg!(*val),
-                                *slot,
-                                self.seed_field(method, src_pc[pc + 1])
-                            );
+                        Op::RArrayLength(dst, arr) => {
+                            let arr = reg!(*arr);
+                            if let Value::Ref(r @ ObjRef::Remote { .. }) = arr {
+                                frame.ret_to = *dst;
+                                park!(
+                                    self.remote_access(r, AccessKind::ArrayLength, None, &[]),
+                                    ResumeAction::Deliver
+                                );
+                            }
+                            reg!(*dst) = call!(self.array_length(arr));
                         }
-                        Op::RGetStatic(dst, slot) => {
-                            put!([*dst], self.get_static(*slot));
+                        Op::RGetField(dst, obj, _) => {
+                            let obj = reg!(*obj);
+                            let fr = self.seed_field(method, src_pc[pc + 1]);
+                            if let Some(target) = call!(self.remote_field_target(&obj, fr)) {
+                                frame.ret_to = *dst;
+                                park!(
+                                    self.remote_access(target, AccessKind::GetField, Some(fr), &[]),
+                                    ResumeAction::Deliver
+                                );
+                            }
+                            reg!(*dst) = call!(self.get_field(obj, fr));
                         }
-                        Op::RPutStatic(src, slot) => {
-                            self.put_static(*slot, reg!(*src));
+                        Op::RPutField(obj, val, _) => {
+                            let (obj, val) = (reg!(*obj), reg!(*val));
+                            let fr = self.seed_field(method, src_pc[pc + 1]);
+                            if let Some(target) = call!(self.remote_field_target(&obj, fr)) {
+                                park!(
+                                    self.remote_access(
+                                        target,
+                                        AccessKind::PutField,
+                                        Some(fr),
+                                        &[val]
+                                    ),
+                                    ResumeAction::Drop
+                                );
+                            }
+                            call!(self.put_field(obj, fr, val));
                         }
+                        Op::RGetStatic(dst, slot) => reg!(*dst) = self.get_static(*slot),
+                        Op::RPutStatic(src, slot) => self.put_static(*slot, reg!(*src)),
                         Op::RInvoke {
                             kind,
                             dst,
@@ -1460,21 +1129,96 @@ impl Interp {
                             target,
                             sel,
                         } => {
-                            let push_ret = *dst != NO_REG;
-                            invoke!(
-                                *kind,
-                                *target,
-                                *sel,
-                                *nargs,
-                                push_ret,
-                                locals[*args as usize],
-                                [*dst]
-                            );
+                            // The argument window is `r[lo..lo + nargs]`, receiver
+                            // first; the result lands in `dst`, or nowhere.
+                            let (kind, target) = (*kind, *target);
+                            let (lo, nargs) = (*args as usize, *nargs as usize);
+                            // Hot path resolution: static calls, and virtual/special
+                            // calls on ordinary local receivers.
+                            let mut resolved: Option<MethodId> = None;
+                            if kind == InvokeKind::Static {
+                                resolved = Some(target);
+                            } else if let Value::Ref(ObjRef::Local(h)) = frame.locals[lo] {
+                                let callee_class = layout.method_class(target);
+                                if Some(callee_class) != self.dep_class {
+                                    if let Some(c) = self.heap[h as usize].class() {
+                                        if Some(c) != self.dep_class {
+                                            resolved = Some(match kind {
+                                                InvokeKind::Special => target,
+                                                _ => match layout.resolve_selector(c, *sel) {
+                                                    Some(m) => m,
+                                                    None => fail!(ExecError::UnknownMethod(
+                                                        layout.method_name(target).clone(),
+                                                    )),
+                                                },
+                                            });
+                                        }
+                                    }
+                                }
+                            }
+                            if let Some(callee) = resolved {
+                                if self.live_frames >= self.max_depth {
+                                    fail!(ExecError::StackOverflow);
+                                }
+                                if layout.method_ops[callee.0 as usize].ops.is_empty() {
+                                    if *dst != NO_REG {
+                                        reg!(*dst) = Value::Null;
+                                    }
+                                } else {
+                                    close_op!();
+                                    if self.profiler.is_some() {
+                                        flush!();
+                                    }
+                                    // The arguments move from the caller's window
+                                    // straight into the callee's locals.
+                                    let mut f = self.frame_for(callee, nargs);
+                                    f.locals[..nargs]
+                                        .copy_from_slice(&frame.locals[lo..lo + nargs]);
+                                    self.enter_frame(&mut f);
+                                    frame.ret_to = *dst;
+                                    frame.pc = (pc + 1) as u32;
+                                    break Transfer::Call(f);
+                                }
+                            } else {
+                                // Proxies, remote receivers, the DependentObject
+                                // protocol: the Message Exchange reads the operands
+                                // where they lie and says how the machine proceeds.
+                                close_op!();
+                                flush!();
+                                frame.ret_to = *dst;
+                                match self.slow_invoke(&frame.locals[lo..lo + nargs], target) {
+                                    Err(e) => break Transfer::Fail(e),
+                                    Ok(SlowInvoke::Park(req_id, action)) => {
+                                        frame.pc = (pc + 1) as u32;
+                                        break Transfer::Park(req_id, action);
+                                    }
+                                    Ok(SlowInvoke::Call(f)) => {
+                                        frame.pc = (pc + 1) as u32;
+                                        break Transfer::Call(f);
+                                    }
+                                    Ok(SlowInvoke::Nothing) => {
+                                        // The run goes on behind the call.
+                                        open!(pc + 1);
+                                        if *dst != NO_REG {
+                                            reg!(*dst) = Value::Null;
+                                        }
+                                    }
+                                }
+                            }
+                        }
+                        Op::Return => {
+                            close_op!();
+                            break Transfer::Finish(Value::Null);
                         }
                         Op::RReturnValue(src) => {
                             let v = reg!(*src);
                             close_op!();
                             break Transfer::Finish(v);
+                        }
+                        Op::Fault(rejected) => {
+                            // Nothing ran: the run closes before the op.
+                            close!(pc, src_pc[pc]);
+                            break Transfer::Fail(ExecError::Rejected((**rejected).clone()));
                         }
                     }
                     pc += 1;
@@ -1493,14 +1237,9 @@ impl Interp {
                     let done = frames.pop().expect("finished frame exists");
                     call_stack.pop();
                     self.retire_frame(&done);
-                    let push = done.push_ret;
                     self.recycle_frame(done);
                     match frames.last_mut() {
-                        Some(caller) => {
-                            if push {
-                                caller.deliver(v);
-                            }
-                        }
+                        Some(caller) => caller.deliver(v),
                         None => {
                             flush!();
                             return TaskOutcome::Done(Ok(v));
@@ -1610,7 +1349,7 @@ impl Interp {
         Ok(match op {
             UnOp::Neg => match v {
                 Value::Float(f) => Value::Float(-f),
-                other => Value::Int(-other.as_int().unwrap_or(0)),
+                other => Value::Int(other.as_int().unwrap_or(0).wrapping_neg()),
             },
             UnOp::Not => Value::Bool(!v.is_truthy()),
             UnOp::IntToFloat => Value::Float(v.as_float().unwrap_or(0.0)),
@@ -1731,13 +1470,6 @@ impl Interp {
         Statics::new(Arc::clone(&self.layout.static_names), values)
     }
 
-    /// `IfCmp` and its register forms: the integer rule ([`int_cmp`]), then
-    /// [`Self::compare`] for everything else.
-    #[inline(always)]
-    fn holds(&self, op: CmpOp, lhs: Value, rhs: Value) -> bool {
-        int_cmp(op, lhs, rhs).unwrap_or_else(|| self.compare(op, lhs, rhs))
-    }
-
     /// Evaluates a comparison between two values. Interned strings are equal exactly
     /// when their ids are; only an ordering reads their contents.
     fn compare(&self, op: CmpOp, lhs: Value, rhs: Value) -> bool {
@@ -1781,7 +1513,7 @@ fn default_value(ty: &Type) -> Value {
     }
 }
 
-/// `If`: does `v op 0` hold (for references and null: `Eq` = is-null)?
+/// `RIf`: does `v op 0` hold (for references and null: `Eq` = is-null)?
 #[inline(always)]
 fn if_holds(op: CmpOp, v: Value) -> bool {
     match v {
@@ -1836,13 +1568,13 @@ pub(crate) fn advance_clock(mut clock: f64, unit: f64, mut n: u64) -> f64 {
 
 // --- the register kernel ---------------------------------------------------------
 //
-// The fast-path rules below are each written once and called by the kernel and by
-// the machine's arms alike, the machine falling back to its general path (`binop`,
-// `compare`, `array_load`, `get_field`, the Message Exchange) where a rule answers
-// `None`. They are `inline(always)` so every caller folds them into straight-line
-// code.
+// The fast-path rules below are the kernel's. Where a rule answers `None` the
+// kernel stops, and the machine runs the op on its general path (`binop`,
+// `compare`, `array_load`, `get_field`, the Message Exchange), which decides every
+// operand the rule does alike. They are `inline(always)` so the kernel folds them
+// into straight-line code.
 
-/// Integer `Bin`: wrapping arithmetic; `None` for a zero divisor.
+/// Integer arithmetic: wrapping; `None` for a zero divisor.
 #[inline(always)]
 fn int_bin(op: BinOp, a: i64, b: i64) -> Option<i64> {
     Some(match op {
@@ -1860,7 +1592,7 @@ fn int_bin(op: BinOp, a: i64, b: i64) -> Option<i64> {
     })
 }
 
-/// The numeric rule of `Bin` and its register forms: two `Int`s in wrapping
+/// The numeric rule of `RBin` / `RBinI`: two `Int`s in wrapping
 /// integer arithmetic, a `Float` with a `Float` or an `Int` in IEEE arithmetic.
 /// `None` for whatever [`Interp::binop`] decides: a zero divisor, a bitwise op on
 /// floats, a boolean, a string, null, a reference.
@@ -1883,7 +1615,7 @@ fn num_bin(op: BinOp, lhs: Value, rhs: Value) -> Option<Value> {
     }))
 }
 
-/// The integer rule of `IfCmp` and its register forms: two `Int`s, or two `Bool`s,
+/// The integer rule of `RIfCmp` / `RIfCmpI`: two `Int`s, or two `Bool`s,
 /// compare as integers. `None` for whatever [`Interp::compare`] decides.
 #[inline(always)]
 fn int_cmp(op: CmpOp, lhs: Value, rhs: Value) -> Option<bool> {

@@ -1,6 +1,7 @@
-//! What the register form buys the interpreter, workload by workload: seed
+//! What folding the register form buys the interpreter, workload by workload: seed
 //! instructions, then dispatch-loop iterations and wall-clock nanoseconds per seed
-//! instruction in the 1:1 stack form and in the register form, for every Table 1
+//! instruction in the 1:1 register form (`fuse: false`, one op per seed
+//! instruction) and in the folded one (the default), for every Table 1
 //! workload at scales 1 and 2 and the two chain microbenches. Each program runs
 //! centralized from its entry point; times are the minimum of five runs, layout
 //! construction excluded. Both forms must agree on the seed-instruction count, and
@@ -36,7 +37,7 @@ fn measure(program: &Program, fuse: bool) -> (u64, u64, f64) {
 }
 
 fn row(name: &str, scale: &str, program: &Program) {
-    let (seed, stack_dispatches, stack_ns) = measure(program, false);
+    let (seed, one_to_one_dispatches, one_to_one_ns) = measure(program, false);
     let (again, dispatches, ns) = measure(program, true);
     assert_eq!(
         seed, again,
@@ -44,24 +45,24 @@ fn row(name: &str, scale: &str, program: &Program) {
     );
     let per = |t: f64| t / seed as f64;
     println!(
-        "| {name:<22} | {scale:>5} | {seed:>10} | {stack_dispatches:>10} | {:>8.2} | {dispatches:>10} ({:>4.1} %) | {:>8.2} | **{:.2}×** |",
-        per(stack_ns),
+        "| {name:<22} | {scale:>5} | {seed:>10} | {one_to_one_dispatches:>10} | {:>8.2} | {dispatches:>10} ({:>4.1} %) | {:>8.2} | **{:.2}×** |",
+        per(one_to_one_ns),
         100.0 * dispatches as f64 / seed as f64,
         per(ns),
-        stack_ns / ns
+        one_to_one_ns / ns
     );
 }
 
 fn main() {
-    println!("### Stack form vs register form (min of {RUNS} runs)\n");
+    println!("### 1:1 vs folded register form (min of {RUNS} runs)\n");
     println!(
         "| {:<22} | {:>5} | {:>10} | {:>10} | {:>8} | {:>19} | {:>8} | {:<9} |",
         "Workload",
         "Scale",
         "Seed insns",
-        "Stack disp",
+        "1:1 disp",
         "ns/insn",
-        "Register disp",
+        "Folded disp",
         "ns/insn",
         "Speedup"
     );

@@ -1,29 +1,32 @@
 //! Decoded-op round-trip properties.
 //!
-//! The interpreter no longer executes [`Insn`] directly: `ProgramLayout::build`
-//! decodes every method body once — to the register form by default, where operands
-//! are frame registers, or 1:1 to the stack form — and the explicit-stack dispatch
-//! loop runs over that. These tests pin the pipeline down from four sides:
+//! The interpreter never executes [`Insn`] directly: `ProgramLayout::build`
+//! translates every method body once to the register form — operands are frame
+//! registers, folded by default or one op per seed instruction with `fuse: false` —
+//! and the explicit-stack dispatch loop runs over that. These tests pin the pipeline
+//! down from four sides:
 //!
-//! * **structurally** — the stack decode stays 1:1 with the bytecode for every
-//!   Table 1 workload: branch targets carry over unchanged, constant-pool indices
-//!   resolve to the original literals, field ops keep their `FieldRef` and agree with
-//!   the layout's slot resolution, invokes keep their static target and selector; and
-//!   every body, in either form, carries one seed-accounting table (`src_pc`: an entry
-//!   per op plus the seed length, non-decreasing, so its ops partition the seed body,
-//!   with only a `Mov` / `Set*` standing for no seed instruction) on which every
-//!   branch target lands on its seed target; and every method of the paper's
-//!   workloads, and of their 2-node copies, takes the register form;
-//! * **semantically** — random integer-machine bodies (including deliberately
-//!   unbalanced stacks reached through forward branches) execute identically under
-//!   the decoded-op interpreter and a direct reference evaluation of the seed `Insn`
-//!   semantics, down to the exact fault (`StackUnderflow` coordinates included);
+//! * **structurally** — the 1:1 form stays one op per seed instruction for every
+//!   Table 1 workload, each the register twin of its instruction: branch targets carry
+//!   over unchanged, constant-pool indices resolve to the original literals, field ops
+//!   agree with the layout's slot resolution, invokes keep their static target and
+//!   selector; every body, in either form, carries one seed-accounting table (`src_pc`:
+//!   an entry per op plus the seed length, non-decreasing, so its ops partition the
+//!   seed body, with only a `Mov` / `Set*` standing for no seed instruction) on which
+//!   every branch target lands on its seed target; and no method of the paper's
+//!   workloads, or of their 2-node copies, is the entry-fault op;
+//! * **semantically** — random bodies over ints, floats, booleans, null and arrays
+//!   (swaps, forward branches and their joins included) execute identically under the
+//!   decoded-op interpreter and a direct reference evaluation of the seed `Insn`
+//!   semantics, down to the exact fault; a body `verify_method` rejects (an underflow,
+//!   a join of two stack heights) faults on entry with the verifier's error instead and
+//!   runs nothing;
 //! * **form parity** — the same programs (Table 1 workloads, random bodies, and
-//!   hand-built cases: retargeted stores, placed operands, faults inside a window,
-//!   bodies that fall back, and loops the register kernel leaves in the middle — a
-//!   zero divisor, an index past the end, a null receiver) produce bit-identical
-//!   results, faults, virtual clocks and instruction counts in the register and the
-//!   stack form;
+//!   hand-built cases: retargeted stores, placed operands, swaps, faults inside a
+//!   window, a body reached only through a backward branch, and loops the register
+//!   kernel leaves in the middle — a zero divisor, an index past the end, a null
+//!   receiver) produce bit-identical results, faults, virtual clocks and instruction
+//!   counts folded and 1:1;
 //! * **accounting** — the interpreter charges whole straight-line runs, not single
 //!   dispatches, so parity between the forms cannot catch a miscount both share.
 //!   The reference evaluation counts the seed instructions it runs (the faulting one
@@ -33,19 +36,19 @@
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use autodist::{Distributor, DistributorConfig};
-use autodist_bench::microbench::is_stack_form;
 use autodist_ir::bytecode::{BinOp, CmpOp, Const, Insn, UnOp};
-use autodist_ir::layout::{LayoutOptions, Op, ProgramLayout, NO_SLOT};
+use autodist_ir::layout::{LayoutOptions, MethodOps, Op, ProgramLayout, Rejected, NO_REG, NO_SLOT};
 use autodist_ir::program::{MethodId, Program, Type};
+use autodist_ir::verify::{verify_method, VerifyError};
 use autodist_runtime::interp::{ExecError, Interp};
-use autodist_runtime::value::Value;
+use autodist_runtime::value::{ObjRef, Value};
 use proptest::prelude::*;
 
 const NOFUSE: LayoutOptions = LayoutOptions { fuse: false };
 
-/// Every method body of every Table 1 workload decodes 1:1 in the stack form: same
-/// length, branch targets preserved verbatim, names resolved consistently with the
-/// layout tables.
+/// Every method body of every Table 1 workload decodes 1:1 with folding off: one
+/// op of width 1 per seed instruction, each the register twin of its instruction —
+/// branch targets verbatim, names resolved consistently with the layout tables.
 #[test]
 fn decode_is_one_to_one_for_all_workloads() {
     for w in autodist_workloads::table1_workloads(1) {
@@ -53,60 +56,66 @@ fn decode_is_one_to_one_for_all_workloads() {
         for m in &w.program.methods {
             let mops = layout.ops(m.id);
             assert_eq!(
-                mops.ops.len(),
-                m.body.len(),
-                "{}: op count differs from insn count in {}",
+                mops.src_pc,
+                (0..=m.body.len() as u32).collect::<Vec<_>>(),
+                "{}: {} is not one op per seed instruction",
                 w.name,
                 m.name
             );
-            for (pc, (insn, op)) in m.body.iter().zip(mops.ops.iter()).enumerate() {
-                match (insn, op) {
-                    (Insn::Goto(t), Op::Goto(t2)) => assert_eq!(*t, *t2 as usize),
-                    (Insn::IfCmp(c, t), Op::IfCmp(c2, t2)) => {
-                        assert_eq!(c, c2);
-                        assert_eq!(*t, *t2 as usize);
-                        assert!(*t <= m.body.len(), "branch target out of range");
+            for (insn, op) in m.body.iter().zip(&mops.ops) {
+                let twin = match (insn, op) {
+                    // A `Pop`, or dead code.
+                    (_, Op::Nop) => true,
+                    (Insn::Const(Const::Str(s)), Op::SetS(_, i)) => {
+                        layout.literals.get(*i) == Some(s.as_str())
                     }
-                    (Insn::If(c, t), Op::If(c2, t2)) => {
-                        assert_eq!(c, c2);
-                        assert_eq!(*t, *t2 as usize);
+                    (Insn::Const(Const::Int(v)), Op::SetI(_, k)) => v == k,
+                    (Insn::Const(_), Op::SetF(..) | Op::SetB(..) | Op::SetN(_)) => true,
+                    (Insn::Load(x), Op::Mov(_, r)) => x == r,
+                    (Insn::Store(x), Op::Mov(d, _)) => x == d,
+                    (Insn::Dup, Op::Mov(..)) => true,
+                    (Insn::Bin(b), Op::RBin(b2, ..)) => b == b2,
+                    (Insn::Un(u), Op::RUn(u2, ..)) => u == u2,
+                    (Insn::IfCmp(c, t), Op::RIfCmp(c2, .., t2))
+                    | (Insn::If(c, t), Op::RIf(c2, _, t2)) => c == c2 && *t == *t2 as usize,
+                    (Insn::Goto(t), Op::Goto(t2)) => *t == *t2 as usize,
+                    (Insn::New(c), Op::RNew(_, c2)) => c == c2,
+                    (Insn::NewArray(_), Op::RNewArray(..))
+                    | (Insn::ArrayLoad, Op::RArrayLoad(..))
+                    | (Insn::ArrayStore, Op::RArrayStore(..))
+                    | (Insn::ArrayLength, Op::RArrayLength(..))
+                    | (Insn::Return, Op::Return)
+                    | (Insn::ReturnValue, Op::RReturnValue(_)) => true,
+                    (Insn::GetField(fr), Op::RGetField(_, _, slot))
+                    | (Insn::PutField(fr), Op::RPutField(_, _, slot)) => {
+                        *slot == layout.field_slot(*fr).unwrap_or(NO_SLOT)
                     }
-                    (Insn::Const(Const::Str(s)), Op::ConstStr(i)) => {
-                        assert_eq!(layout.literals.get(*i), Some(s.as_str()));
-                    }
-                    (Insn::Const(Const::Int(v)), Op::ConstInt(v2)) => assert_eq!(v, v2),
-                    (Insn::GetField(fr), Op::GetField { slot, fr: fr2 })
-                    | (Insn::PutField(fr), Op::PutField { slot, fr: fr2 }) => {
-                        assert_eq!(fr, fr2, "field ref must survive for the wire path");
-                        assert_eq!(*slot, layout.field_slot(*fr).unwrap_or(NO_SLOT));
-                    }
-                    (Insn::GetStatic(fr), Op::GetStatic(slot))
-                    | (Insn::PutStatic(fr), Op::PutStatic(slot)) => {
-                        assert_eq!(*slot, layout.static_slot(*fr).unwrap_or(NO_SLOT));
+                    (Insn::GetStatic(fr), Op::RGetStatic(_, slot))
+                    | (Insn::PutStatic(fr), Op::RPutStatic(_, slot)) => {
+                        *slot == layout.static_slot(*fr).unwrap_or(NO_SLOT)
                     }
                     (
                         Insn::Invoke(kind, target),
-                        Op::Invoke {
+                        Op::RInvoke {
                             kind: k2,
                             target: t2,
                             sel,
                             nargs,
+                            dst,
                             ..
                         },
                     ) => {
-                        assert_eq!(kind, k2);
-                        assert_eq!(target, t2);
-                        assert_eq!(*sel, layout.selector(*target));
                         let callee = w.program.method(*target);
                         let receiver = usize::from(!callee.is_static);
-                        assert_eq!(*nargs as usize, callee.params.len() + receiver);
+                        kind == k2
+                            && target == t2
+                            && *sel == layout.selector(*target)
+                            && *nargs as usize == callee.params.len() + receiver
+                            && (*dst == NO_REG) == (callee.ret == Type::Void)
                     }
-                    _ => {}
-                }
-                // Every branch-carrying op was matched above; anything else is a
-                // payload-free or value-carrying op whose variant correspondence is
-                // covered by the semantic property below.
-                let _ = pc;
+                    _ => false,
+                };
+                assert!(twin, "{}: {} decodes {insn:?} to {op:?}", w.name, m.name);
             }
         }
     }
@@ -152,13 +161,7 @@ fn assert_src_pc_is_the_seed_table(layout: &ProgramLayout, program: &Program, me
                 "op {pc} ({op:?}) stands for no seed instruction"
             );
         }
-        if let Op::IfCmp(_, t)
-        | Op::If(_, t)
-        | Op::Goto(t)
-        | Op::RIfCmp(.., t)
-        | Op::RIfCmpI(.., t)
-        | Op::RIf(.., t) = op
-        {
+        if let Op::Goto(t) | Op::RIfCmp(.., t) | Op::RIfCmpI(.., t) | Op::RIf(.., t) = op {
             let seed = body[src_pc[pc + 1] as usize - 1].branch_target();
             assert_eq!(
                 Some(src_pc[*t as usize] as usize),
@@ -185,7 +188,7 @@ fn fusion_partitions_every_workload_body_and_remaps_targets() {
 }
 
 /// Every method of Table 1, Table 3 and the serving mix, and of their rewritten
-/// 2-node copies, takes the register form: none falls back to the stack form.
+/// 2-node copies, translates: none is the op that faults on entry.
 #[test]
 fn every_workload_method_takes_the_register_form() {
     let workloads = autodist_workloads::table1_workloads(1)
@@ -208,10 +211,11 @@ fn every_workload_method_takes_the_register_form() {
             for m in &program.methods {
                 let mops = layout.ops(m.id);
                 assert!(
-                    !is_stack_form(mops),
-                    "{} (copy {copy}): {} fell back to the stack form",
+                    !faults_on_entry(mops),
+                    "{} (copy {copy}): {} faults on entry: {:?}",
                     w.name,
-                    m.name
+                    m.name,
+                    mops.ops
                 );
                 assert_src_pc_is_the_seed_table(&layout, &program, m.id);
             }
@@ -240,37 +244,112 @@ const CMPS: [CmpOp; 6] = [
     CmpOp::Ge,
 ];
 
-/// Materialises a raw token stream into an integer-machine body. Each token emits
-/// exactly one insn, so token index == insn index and forward branch targets can be
-/// computed directly. A static stack-depth estimate keeps the *straight-line* path
-/// well-formed; branch joins may still reach an insn with a different runtime depth,
-/// which is exactly the situation where the interpreter's underflow semantics matter.
+const UNOPS: [UnOp; 4] = [UnOp::Neg, UnOp::Not, UnOp::IntToFloat, UnOp::FloatToInt];
+const ELEMENTS: [Type; 4] = [Type::Int, Type::Float, Type::Bool, Type::Str];
+
+/// Whether a decoded body is the one op a rejected body decodes to.
+fn faults_on_entry(mops: &MethodOps) -> bool {
+    matches!(mops.ops.first(), Some(Op::Fault(_)))
+}
+
+/// The local the random bodies keep their array in (the probe's arguments are 0..3,
+/// and local 4 starts null).
+const ARRAY: u16 = 5;
+
+/// Materialises a raw token stream into a body over ints, floats, booleans, null
+/// and arrays. A prologue puts an `int[4]` in local [`ARRAY`]; array tokens work on
+/// it (load or store at a constant index, 0 to 3 and now and then 4; its length),
+/// replace it (a new array of 4 to 6 elements, now and then -1, or null), or — for
+/// an `aux` of 0xF0 or more — apply the raw array op to whatever the stack holds. Forward branch targets name the
+/// token they land on, remapped to its first insn at the end. A static stack-depth
+/// estimate keeps the straight-line path well-formed, and joins are steered toward
+/// one height: the first branch to a token fixes the height it expects, and a later
+/// branch there, or the fall-through into it, first pops or pushes constants to
+/// match — unless the token's `aux` is 0xE0 or more, which leaves that join
+/// unbalanced. Such a join usually sees two heights, which `verify_method` rejects
+/// and the layout turns into an entry fault.
 fn materialize(tokens: &[(u8, i64, u8)]) -> Vec<Insn> {
     let end = tokens.len();
     let fwd = |i: usize, a: i64| (i + 1 + (a.unsigned_abs() as usize % 7)).min(end);
-    let mut body = Vec::with_capacity(end + 3);
+    let mut body = vec![
+        Insn::Const(Const::Int(4)),
+        Insn::NewArray(Type::Int),
+        Insn::Store(ARRAY),
+    ];
+    let mut start = Vec::with_capacity(end + 1);
+    // The height the first branch to a token arrives with.
+    let mut want: Vec<Option<usize>> = vec![None; end + 1];
     let mut depth = 0usize;
-    for (i, &(code, a, aux)) in tokens.iter().enumerate() {
-        let insn = match code % 11 {
-            1 => Insn::Load(u16::from(aux % 4)),
-            2 if depth >= 1 => Insn::Store(u16::from(aux % 4)),
-            3 if depth >= 1 => Insn::Dup,
-            4 if depth >= 1 => Insn::Pop,
-            5 if depth >= 2 => Insn::Swap,
-            6 if depth >= 2 => Insn::Bin(BINOPS[aux as usize % BINOPS.len()]),
-            7 if depth >= 1 => Insn::Un(UnOp::Neg),
-            8 if depth >= 2 => Insn::IfCmp(CMPS[aux as usize % CMPS.len()], fwd(i, a)),
-            9 if depth >= 1 => Insn::If(CMPS[aux as usize % CMPS.len()], fwd(i, a)),
-            10 => Insn::Goto(fwd(i, a)),
-            _ => Insn::Const(Const::Int(a)),
+    let mut live = true;
+    // Pops or pushes constants until the depth is `to`.
+    let level = |body: &mut Vec<Insn>, depth: &mut usize, to: usize| {
+        while *depth > to {
+            body.push(Insn::Pop);
+            *depth -= 1;
+        }
+        while *depth < to {
+            body.push(Insn::Const(Const::Int(*depth as i64)));
+            *depth += 1;
+        }
+    };
+    for i in 0..=end {
+        let (code, a, aux) = tokens.get(i).copied().unwrap_or((0, 0, 0));
+        let balance = aux < 0xE0;
+        match want[i] {
+            Some(h) if !live => (depth, live) = (h, true),
+            Some(h) if balance => level(&mut body, &mut depth, h),
+            _ => {}
+        }
+        start.push(body.len());
+        if i == end {
+            break;
+        }
+        let (pick, raw) = (aux as usize, aux >= 0xF0);
+        let index = Insn::Const(Const::Int(if a == 9 { 4 } else { a.rem_euclid(4) }));
+        let insns = match code % 17 {
+            1 => vec![Insn::Load(u16::from(aux % 5))],
+            2 if depth >= 1 => vec![Insn::Store(u16::from(aux % 5))],
+            3 if depth >= 1 => vec![Insn::Dup],
+            4 if depth >= 1 => vec![Insn::Pop],
+            5 if depth >= 2 => vec![Insn::Swap],
+            6 if depth >= 2 => vec![Insn::Bin(BINOPS[pick % BINOPS.len()])],
+            7 if depth >= 1 => vec![Insn::Un(UNOPS[pick % UNOPS.len()])],
+            8 if depth >= 2 => vec![Insn::IfCmp(CMPS[pick % CMPS.len()], fwd(i, a))],
+            9 if depth >= 1 => vec![Insn::If(CMPS[pick % CMPS.len()], fwd(i, a))],
+            10 => vec![Insn::Goto(fwd(i, a))],
+            11 => vec![Insn::Const(Const::Float(a as f64 / 4.0))],
+            12 if aux % 4 == 0 => vec![Insn::Const(Const::Null), Insn::Store(ARRAY)],
+            12 if aux % 4 == 1 => vec![Insn::Const(Const::Null)],
+            12 => vec![Insn::Const(Const::Bool(a > 0))],
+            13 => vec![
+                Insn::Const(Const::Int(if a == -9 { -1 } else { 4 + a.rem_euclid(3) })),
+                Insn::NewArray(ELEMENTS[pick % ELEMENTS.len()].clone()),
+                Insn::Store(ARRAY),
+            ],
+            14 if raw && depth >= 2 => vec![Insn::ArrayLoad],
+            14 => vec![Insn::Load(ARRAY), index, Insn::ArrayLoad],
+            15 if raw && depth >= 3 => vec![Insn::ArrayStore],
+            15 if depth >= 1 => {
+                let at = [Insn::Load(ARRAY), Insn::Swap, index, Insn::Swap];
+                at.into_iter().chain([Insn::ArrayStore]).collect()
+            }
+            16 if raw && depth >= 1 => vec![Insn::ArrayLength],
+            16 => vec![Insn::Load(ARRAY), Insn::ArrayLength],
+            _ => vec![Insn::Const(Const::Int(a))],
         };
-        depth = match &insn {
-            Insn::Const(_) | Insn::Load(_) | Insn::Dup => depth + 1,
-            Insn::Store(_) | Insn::Pop | Insn::Bin(_) | Insn::If(_, _) => depth - 1,
-            Insn::IfCmp(_, _) => depth - 2,
-            _ => depth,
-        };
-        body.push(insn);
+        for insn in insns {
+            let (pops, pushes) = insn.stack_effect(|_| unreachable!("no invokes"));
+            if let (Some(t), true) = (insn.branch_target(), live) {
+                match want[t] {
+                    Some(h) if balance => level(&mut body, &mut depth, h + pops),
+                    Some(_) => {}
+                    None => want[t] = Some(depth - pops),
+                }
+            }
+            depth = depth - pops + pushes;
+            live &= !insn.is_terminator();
+            body.push(insn);
+        }
     }
     // Epilogue: reduce whatever is left to one value and return it.
     if depth == 0 {
@@ -282,6 +361,9 @@ fn materialize(tokens: &[(u8, i64, u8)]) -> Vec<Insn> {
         depth -= 1;
     }
     body.push(Insn::ReturnValue);
+    for insn in &mut body {
+        insn.remap_targets(|t| start[t]);
+    }
     body
 }
 
@@ -296,19 +378,121 @@ fn build_probe(body: Vec<Insn>) -> (Program, MethodId) {
     (p, id)
 }
 
-/// Direct evaluation of the seed [`Insn`] semantics for the integer machine: the
-/// value model, wrapping arithmetic, comparison rules and fault coordinates mirror
-/// the interpreter's contract exactly, but execution walks the *undecoded* bytecode.
-/// Returns the outcome and the number of seed instructions executed, the faulting
-/// one included. A local past the argument slots reads as null, and a `Bin` on a
-/// null fails the way the interpreter's does.
-fn reference_eval(
-    body: &[Insn],
-    args: [i64; 4],
-    method: MethodId,
-) -> (Result<Value, ExecError>, u64) {
+/// The `Bin` rule: integer arithmetic wraps; a float on either side makes it IEEE
+/// arithmetic over both operands read as floats (ints and booleans widen); a string,
+/// null or reference operand fails with the interpreter's text.
+fn reference_bin(op: BinOp, lhs: Value, rhs: Value) -> Result<Value, ExecError> {
+    if matches!(lhs, Value::Float(_)) || matches!(rhs, Value::Float(_)) {
+        let non_number = || ExecError::Unsupported("float op on non-number".into());
+        let a = lhs.as_float().ok_or_else(non_number)?;
+        let b = rhs.as_float().ok_or_else(non_number)?;
+        return Ok(Value::Float(match op {
+            BinOp::Add => a + b,
+            BinOp::Sub => a - b,
+            BinOp::Mul => a * b,
+            BinOp::Div if b == 0.0 => return Err(ExecError::DivisionByZero),
+            BinOp::Div => a / b,
+            BinOp::Rem => a % b,
+            _ => return Err(ExecError::Unsupported(format!("bitwise {op:?} on floats"))),
+        }));
+    }
+    let int = |v: Value| match v {
+        Value::Int(_) | Value::Bool(_) => Ok(v.as_int().expect("a number")),
+        other => Err(ExecError::Unsupported(format!(
+            "{op:?} on non-number {other:?}"
+        ))),
+    };
+    let (a, b) = (int(lhs)?, int(rhs)?);
+    Ok(Value::Int(match op {
+        BinOp::Add => a.wrapping_add(b),
+        BinOp::Sub => a.wrapping_sub(b),
+        BinOp::Mul => a.wrapping_mul(b),
+        BinOp::Div | BinOp::Rem if b == 0 => return Err(ExecError::DivisionByZero),
+        BinOp::Div => a.wrapping_div(b),
+        BinOp::Rem => a.wrapping_rem(b),
+        BinOp::And => a & b,
+        BinOp::Or => a | b,
+        BinOp::Xor => a ^ b,
+        BinOp::Shl => a.wrapping_shl(b as u32),
+        BinOp::Shr => a.wrapping_shr(b as u32),
+    }))
+}
+
+/// The `Un` rule: negation keeps a float a float and reads anything else as an int
+/// (0 where it is none); `Not` is truthiness; the conversions read 0 for a non-number.
+fn reference_un(op: UnOp, v: Value) -> Value {
+    match op {
+        UnOp::Neg => match v {
+            Value::Float(f) => Value::Float(-f),
+            other => Value::Int(other.as_int().unwrap_or(0).wrapping_neg()),
+        },
+        UnOp::Not => Value::Bool(!v.is_truthy()),
+        UnOp::IntToFloat => Value::Float(v.as_float().unwrap_or(0.0)),
+        UnOp::FloatToInt => Value::Int(v.as_int().unwrap_or(0)),
+    }
+}
+
+/// The `IfCmp` rule: two ints compare as ints; null equals only null; references
+/// compare by identity and have no order; anything else compares as floats if both
+/// read as numbers (NaN: never), and holds for no operator otherwise.
+fn reference_cmp(op: CmpOp, lhs: Value, rhs: Value) -> bool {
+    match (lhs, rhs) {
+        (Value::Int(a), Value::Int(b)) => op.eval_ord(a.cmp(&b)),
+        (Value::Null, Value::Null) => matches!(op, CmpOp::Eq | CmpOp::Le | CmpOp::Ge),
+        (Value::Null, _) | (_, Value::Null) => op == CmpOp::Ne,
+        (Value::Ref(a), Value::Ref(b)) => match op {
+            CmpOp::Eq => a == b,
+            CmpOp::Ne => a != b,
+            _ => false,
+        },
+        _ => match (lhs.as_float(), rhs.as_float()) {
+            (Some(a), Some(b)) => a.partial_cmp(&b).is_some_and(|o| op.eval_ord(o)),
+            _ => false,
+        },
+    }
+}
+
+/// The `If` rule: null is zero, a reference is not, anything else reads as an int.
+fn reference_if(op: CmpOp, v: Value) -> bool {
+    match v {
+        Value::Null => matches!(op, CmpOp::Eq | CmpOp::Le | CmpOp::Ge),
+        Value::Ref(_) => op == CmpOp::Ne,
+        other => op.eval_ord(other.as_int().unwrap_or(0).cmp(&0)),
+    }
+}
+
+/// The array `arr` refers to, or the fault of an array `what` on anything else.
+fn reference_array<'h>(
+    heap: &'h mut [Vec<Value>],
+    arr: Value,
+    what: &str,
+) -> Result<&'h mut Vec<Value>, ExecError> {
+    match arr {
+        Value::Ref(ObjRef::Local(h)) => Ok(&mut heap[h as usize]),
+        Value::Null => Err(ExecError::NullPointer(format!("array {what}"))),
+        _ => Err(ExecError::Unsupported(format!(
+            "array {what} on non-reference"
+        ))),
+    }
+}
+
+/// An array index: anything that reads as an int.
+fn reference_index(idx: Value) -> Result<i64, ExecError> {
+    idx.as_int()
+        .ok_or_else(|| ExecError::Unsupported("array index not an int".into()))
+}
+
+/// Direct evaluation of the seed [`Insn`] semantics of a body `verify_method`
+/// accepts: the value model (ints, floats, booleans, null, arrays), wrapping integer
+/// arithmetic, the int/float coercions, comparison rules and fault texts mirror the
+/// interpreter's contract, but execution walks the *undecoded* bytecode. Returns the
+/// outcome and the number of seed instructions executed, the faulting one included.
+/// A local past the argument slots reads as null, and arrays are numbered in
+/// allocation order, as the interpreter's heap numbers them.
+fn reference_eval(body: &[Insn], args: [i64; 4]) -> (Result<Value, ExecError>, u64) {
     let mut locals: Vec<Value> = args.iter().map(|&v| Value::Int(v)).collect();
     let mut stack: Vec<Value> = Vec::new();
+    let mut heap: Vec<Vec<Value>> = Vec::new();
     let mut pc = 0usize;
     let mut steps = 0u64;
     loop {
@@ -317,32 +501,27 @@ fn reference_eval(
         }
         steps += 1;
         assert!(steps < 4_000_000, "reference evaluation ran away");
-        macro_rules! fault {
-            ($e:expr) => {
-                return (Err($e), steps)
+        macro_rules! pop {
+            () => {
+                stack.pop().expect("a verified body never underflows")
             };
         }
-        macro_rules! rpop {
-            () => {
-                match stack.pop() {
-                    Some(v) => v,
-                    None => fault!(ExecError::StackUnderflow {
-                        pc: pc as u32,
-                        method,
-                    }),
-                }
-            };
-        }
-        macro_rules! rpop_int {
-            () => {
-                match rpop!() {
-                    Value::Int(v) => v,
-                    other => panic!("integer machine produced {other:?}"),
+        macro_rules! or_fault {
+            ($r:expr) => {
+                match $r {
+                    Ok(v) => v,
+                    Err(e) => return (Err(e), steps),
                 }
             };
         }
         match &body[pc] {
-            Insn::Const(Const::Int(v)) => stack.push(Value::Int(*v)),
+            Insn::Const(c) => stack.push(match c {
+                Const::Int(v) => Value::Int(*v),
+                Const::Float(v) => Value::Float(*v),
+                Const::Bool(v) => Value::Bool(*v),
+                Const::Null => Value::Null,
+                Const::Str(_) => panic!("the probes hold no strings"),
+            }),
             Insn::Load(n) => {
                 let i = *n as usize;
                 if i >= locals.len() {
@@ -355,76 +534,36 @@ fn reference_eval(
                 if i >= locals.len() {
                     locals.resize(i + 1, Value::Null);
                 }
-                locals[i] = rpop!();
+                locals[i] = pop!();
             }
-            Insn::Dup => match stack.last().copied() {
-                Some(v) => stack.push(v),
-                None => fault!(ExecError::StackUnderflow {
-                    pc: pc as u32,
-                    method,
-                }),
-            },
+            Insn::Dup => {
+                let v = pop!();
+                stack.extend([v, v]);
+            }
             Insn::Pop => {
-                rpop!();
+                pop!();
             }
             Insn::Swap => {
-                let len = stack.len();
-                if len < 2 {
-                    fault!(ExecError::StackUnderflow {
-                        pc: pc as u32,
-                        method,
-                    });
-                }
-                stack.swap(len - 1, len - 2);
+                let (top, below) = (pop!(), pop!());
+                stack.extend([top, below]);
             }
             Insn::Bin(op) => {
-                let (rhs, lhs) = (rpop!(), rpop!());
-                let (a, b) = match (lhs, rhs) {
-                    (Value::Int(a), Value::Int(b)) => (a, b),
-                    (Value::Null, _) | (_, Value::Null) => {
-                        fault!(ExecError::Unsupported(format!("{op:?} on non-number Null")))
-                    }
-                    other => panic!("integer machine produced {other:?}"),
-                };
-                let r = match op {
-                    BinOp::Add => a.wrapping_add(b),
-                    BinOp::Sub => a.wrapping_sub(b),
-                    BinOp::Mul => a.wrapping_mul(b),
-                    BinOp::Div => {
-                        if b == 0 {
-                            fault!(ExecError::DivisionByZero);
-                        }
-                        a.wrapping_div(b)
-                    }
-                    BinOp::Rem => {
-                        if b == 0 {
-                            fault!(ExecError::DivisionByZero);
-                        }
-                        a.wrapping_rem(b)
-                    }
-                    BinOp::And => a & b,
-                    BinOp::Or => a | b,
-                    BinOp::Xor => a ^ b,
-                    BinOp::Shl => a.wrapping_shl(b as u32),
-                    BinOp::Shr => a.wrapping_shr(b as u32),
-                };
-                stack.push(Value::Int(r));
+                let (rhs, lhs) = (pop!(), pop!());
+                stack.push(or_fault!(reference_bin(*op, lhs, rhs)));
             }
-            Insn::Un(UnOp::Neg) => {
-                let v = rpop_int!();
-                stack.push(Value::Int(-v));
+            Insn::Un(op) => {
+                let v = pop!();
+                stack.push(reference_un(*op, v));
             }
             Insn::IfCmp(op, target) => {
-                let b = rpop_int!();
-                let a = rpop_int!();
-                if op.eval_ord(a.cmp(&b)) {
+                let (rhs, lhs) = (pop!(), pop!());
+                if reference_cmp(*op, lhs, rhs) {
                     pc = *target;
                     continue;
                 }
             }
             Insn::If(op, target) => {
-                let v = rpop_int!();
-                if op.eval_ord(v.cmp(&0)) {
+                if reference_if(*op, pop!()) {
                     pc = *target;
                     continue;
                 }
@@ -433,16 +572,87 @@ fn reference_eval(
                 pc = *target;
                 continue;
             }
-            Insn::ReturnValue => return (Ok(rpop!()), steps),
-            other => panic!("integer machine does not emit {other:?}"),
+            Insn::NewArray(ty) => {
+                let Some(len) = pop!().as_int() else {
+                    return (
+                        Err(ExecError::Unsupported("array length not an int".into())),
+                        steps,
+                    );
+                };
+                if len < 0 {
+                    return (
+                        Err(ExecError::IndexOutOfBounds { index: len, len: 0 }),
+                        steps,
+                    );
+                }
+                let zero = match ty {
+                    Type::Int => Value::Int(0),
+                    Type::Float => Value::Float(0.0),
+                    Type::Bool => Value::Bool(false),
+                    _ => Value::Null,
+                };
+                heap.push(vec![zero; len as usize]);
+                stack.push(Value::Ref(ObjRef::Local(heap.len() as u32 - 1)));
+            }
+            Insn::ArrayLoad => {
+                let (idx, arr) = (pop!(), pop!());
+                let i = or_fault!(reference_index(idx));
+                let data = or_fault!(reference_array(&mut heap, arr, "load"));
+                let len = data.len();
+                let v = data.get(i as usize).copied();
+                stack.push(or_fault!(
+                    v.ok_or(ExecError::IndexOutOfBounds { index: i, len })
+                ));
+            }
+            Insn::ArrayStore => {
+                let (val, idx, arr) = (pop!(), pop!(), pop!());
+                let i = or_fault!(reference_index(idx));
+                let data = or_fault!(reference_array(&mut heap, arr, "store"));
+                let len = data.len();
+                match data.get_mut(i as usize) {
+                    Some(cell) => *cell = val,
+                    None => return (Err(ExecError::IndexOutOfBounds { index: i, len }), steps),
+                }
+            }
+            Insn::ArrayLength => {
+                let data = or_fault!(reference_array(&mut heap, pop!(), "length"));
+                stack.push(Value::Int(data.len() as i64));
+            }
+            Insn::ReturnValue => return (Ok(pop!()), steps),
+            other => panic!("the probes hold no {other:?}"),
         }
         pc += 1;
     }
 }
 
+/// What running `probe` on `args` must give: for a body whose stack discipline or
+/// branch range `verify_method` rejects, the entry fault with the verifier's error,
+/// having run nothing; for any other, the reference evaluation. (A body may run off
+/// its end, by falling or by a branch to one past its last instruction, and return
+/// null: the verifier refuses that, the layout does not.)
+fn expected_outcome(
+    program: &Program,
+    probe: MethodId,
+    args: [i64; 4],
+) -> (Result<Value, ExecError>, u64) {
+    let method = program.method(probe);
+    let rejects = |e: &VerifyError| match e {
+        VerifyError::StackUnderflow { .. } | VerifyError::InconsistentStack { .. } => true,
+        VerifyError::BranchOutOfRange { target, .. } => *target > method.body.len(),
+        _ => false,
+    };
+    match verify_method(program, method) {
+        Err(errors) if rejects(&errors[0]) => (
+            Err(ExecError::Rejected(Rejected::Verify(errors[0].clone()))),
+            0,
+        ),
+        _ => reference_eval(&method.body, args),
+    }
+}
+
 /// One probe run under explicit layout options: the outcome plus the accounting the
 /// parity suite compares bit-for-bit (virtual clock, instruction count) and the
-/// dispatch count (which the register form is allowed — expected — to shrink).
+/// dispatch count (which folding is allowed — expected — to shrink).
 fn run_probe(
     program: &Program,
     probe: MethodId,
@@ -470,37 +680,49 @@ fn sequential_clock(n: u64) -> f64 {
     clock
 }
 
-/// Asserts register-form and stack-form executions of `body` agree with each other
-/// and with the reference evaluation on outcome, instruction count and virtual clock
-/// (bitwise, against that many sequential additions), for one argument vector.
+/// Asserts the folded and 1:1 executions of `body` agree with each other and with
+/// [`expected_outcome`] on outcome (floats by their bits, through `Debug`),
+/// instruction count and virtual clock (bitwise, against that many sequential
+/// additions), for one argument vector.
 fn assert_form_parity(body: &[Insn], args: [i64; 4]) {
     let (program, probe) = build_probe(body.to_vec());
-    let (expected, steps) = reference_eval(body, args, probe);
+    let (expected, steps) = expected_outcome(&program, probe, args);
     let (regs, rclock, rinstr, rdisp) = run_probe(&program, probe, &args, LayoutOptions::default());
-    let (stack, sclock, sinstr, sdisp) = run_probe(&program, probe, &args, NOFUSE);
-    assert_eq!(regs, expected, "register form diverged from the reference");
-    assert_eq!(stack, expected, "stack form diverged from the reference");
+    let (one, sclock, sinstr, sdisp) = run_probe(&program, probe, &args, NOFUSE);
+    let expected = format!("{expected:?}");
+    assert_eq!(
+        format!("{regs:?}"),
+        expected,
+        "folded form diverged from the reference"
+    );
+    assert_eq!(
+        format!("{one:?}"),
+        expected,
+        "1:1 form diverged from the reference"
+    );
     assert_eq!(
         rinstr, steps,
-        "register form miscounted its seed instructions"
+        "folded form miscounted its seed instructions"
     );
-    assert_eq!(sinstr, steps, "stack form miscounted its seed instructions");
+    assert_eq!(sinstr, steps, "1:1 form miscounted its seed instructions");
     let clock = sequential_clock(steps);
     assert_eq!(
         rclock.to_bits(),
         clock.to_bits(),
-        "register clock is not {steps} sequential additions ({rclock} vs {clock})"
+        "folded clock is not {steps} sequential additions ({rclock} vs {clock})"
     );
     assert_eq!(
         sclock.to_bits(),
         clock.to_bits(),
-        "stack clock is not {steps} sequential additions ({sclock} vs {clock})"
+        "1:1 clock is not {steps} sequential additions ({sclock} vs {clock})"
     );
     assert!(
         rdisp <= sdisp,
-        "the register form must never add dispatches ({rdisp} > {sdisp})"
+        "folding must never add dispatches ({rdisp} > {sdisp})"
     );
-    assert_eq!(sdisp, sinstr, "stack dispatches are 1:1 with instructions");
+    if !body.contains(&Insn::Swap) {
+        assert_eq!(sdisp, sinstr, "1:1 dispatches are 1:1 with instructions");
+    }
 }
 
 /// Asserts `body` translates to a register stream with an op matching `expect` and
@@ -516,29 +738,28 @@ fn assert_translated_parity(body: &[Insn], expect: fn(&Op) -> bool, args: [i64; 
     assert_form_parity(body, args);
 }
 
-/// Asserts `body` keeps the stack form and underflows at seed pc `at` in both
-/// layouts, as the reference does, for `args`.
-fn assert_falls_back_and_underflows(body: &[Insn], args: [i64; 4], at: u32) {
+/// Asserts `verify_method` rejects `body` with `e` alone, and that in both forms
+/// the body is one op that faults on entry with that error for `args`, charging
+/// nothing: no seed instruction, no dispatch, no clock.
+fn assert_faults_on_entry(body: &[Insn], args: [i64; 4], e: VerifyError) {
     let (program, probe) = build_probe(body.to_vec());
-    let layout = ProgramLayout::build(&program);
-    assert!(
-        is_stack_form(layout.ops(probe)),
-        "{:?}",
-        layout.ops(probe).ops
+    assert_eq!(
+        verify_method(&program, program.method(probe)),
+        Err(vec![e.clone()])
     );
-    assert_eq!(layout.ops(probe).ops.len(), body.len());
+    let rejected = Rejected::Verify(e);
     for opts in [LayoutOptions::default(), NOFUSE] {
-        let (got, ..) = run_probe(&program, probe, &args, opts);
+        let layout = ProgramLayout::build_with(&program, opts);
+        let fault = Op::Fault(Box::new(rejected.clone()));
+        assert_eq!(layout.ops(probe).ops, [fault], "{opts:?}");
+        let (got, clock, instructions, dispatches) = run_probe(&program, probe, &args, opts);
+        assert_eq!(got, Err(ExecError::Rejected(rejected.clone())), "{opts:?}");
         assert_eq!(
-            got,
-            Err(ExecError::StackUnderflow {
-                pc: at,
-                method: probe
-            }),
-            "{opts:?}"
+            (instructions, dispatches, clock.to_bits()),
+            (0, 0, sequential_clock(0).to_bits()),
+            "{opts:?}: an entry fault charges nothing"
         );
     }
-    assert_form_parity(body, args);
 }
 
 /// A fault inside a register op's window charges the whole window: the `Load`s and
@@ -665,13 +886,59 @@ fn a_store_under_a_popped_result_moves_the_older_slot() {
     assert_form_parity(&body, [1, 2, 3, 4]);
 }
 
-/// Bodies the translation leaves in the stack form — one with `Swap`, one whose
-/// join has two stack heights — fault with `StackUnderflow` at the same seed pc in
-/// both layouts.
+/// A `Swap` runs in the register form — two `Mov`s through the scratch register
+/// after the locals, whose reader is placed before a second `Swap` reuses it — while
+/// a `Swap` that pops below the bottom, and a join of two stack heights, fault on
+/// entry in both forms.
 #[test]
-fn a_swap_body_and_an_inconsistent_join_fall_back_and_underflow_alike() {
+fn a_swap_body_runs_in_registers_and_an_inconsistent_join_faults_on_entry() {
+    // a1 - a0: locals 0..3, the scratch register 4, then slots 5 and 6.
+    let body = vec![
+        Insn::Load(0),
+        Insn::Load(1),
+        Insn::Swap,
+        Insn::Bin(BinOp::Sub),
+        Insn::ReturnValue,
+    ];
+    let through_scratch = |op: &Op| *op == Op::Mov(4, 5);
+    assert_translated_parity(&body, through_scratch, [9, 4, 0, 0]);
+    // a1 - a0 * (a3 - a2): the first swap's scratch reader is placed at home
+    // before the second swap writes the scratch.
+    let body = vec![
+        Insn::Load(0),
+        Insn::Load(1),
+        Insn::Swap,
+        Insn::Load(2),
+        Insn::Load(3),
+        Insn::Swap,
+        Insn::Bin(BinOp::Sub),
+        Insn::Bin(BinOp::Mul),
+        Insn::Bin(BinOp::Sub),
+        Insn::ReturnValue,
+    ];
+    let kept = |op: &Op| *op == Op::Mov(6, 4);
+    assert_translated_parity(&body, kept, [2, 30, 5, 7]);
+    // A swap whose slots are placed at a branch and swapped back on one path.
+    let body = vec![
+        Insn::Load(0),
+        Insn::Load(1),
+        Insn::Swap,
+        Insn::Load(2),
+        Insn::If(CmpOp::Gt, 6), // a2 > 0: a1 - a0, else a0 - a1
+        Insn::Swap,
+        Insn::Bin(BinOp::Sub),
+        Insn::ReturnValue,
+    ];
+    assert_translated_parity(&body, through_scratch, [9, 4, 1, 0]);
+    assert_translated_parity(&body, through_scratch, [9, 4, -1, 0]);
+
     let body = vec![Insn::Const(Const::Int(1)), Insn::Swap, Insn::ReturnValue];
-    assert_falls_back_and_underflows(&body, [0, 0, 0, 0], 1);
+    let probe = MethodId(0);
+    let underflow = VerifyError::StackUnderflow {
+        method: probe,
+        pc: 1,
+    };
+    assert_faults_on_entry(&body, [0, 0, 0, 0], underflow);
     let body = vec![
         Insn::Load(0),
         Insn::If(CmpOp::Gt, 3), // a0 > 0: arrives at the Bin with an empty stack
@@ -679,14 +946,20 @@ fn a_swap_body_and_an_inconsistent_join_fall_back_and_underflow_alike() {
         Insn::Bin(BinOp::Add),
         Insn::ReturnValue,
     ];
-    assert_falls_back_and_underflows(&body, [1, 0, 0, 0], 3);
-    assert_form_parity(&body, [-1, 0, 0, 0]);
+    let join = VerifyError::InconsistentStack {
+        method: probe,
+        pc: 3,
+    };
+    assert_faults_on_entry(&body, [1, 0, 0, 0], join.clone());
+    assert_faults_on_entry(&body, [-1, 0, 0, 0], join);
 }
 
-/// A body that underflows keeps the stack form, and the fault is charged through
-/// the op that popped.
+/// A body that pops below the bottom on some path is rejected whole: it faults on
+/// entry, whatever path the arguments would take, and charges nothing — not the
+/// instructions before the pop, nor the pop itself.
 #[test]
-fn an_underflow_inside_a_fused_window_is_charged_through_the_pop() {
+fn an_underflowing_body_faults_on_entry_and_charges_nothing() {
+    let probe = MethodId(0);
     let body = vec![
         Insn::Const(Const::Int(3)),
         Insn::Bin(BinOp::Add),
@@ -694,7 +967,11 @@ fn an_underflow_inside_a_fused_window_is_charged_through_the_pop() {
         Insn::Load(2),
         Insn::ReturnValue,
     ];
-    assert_falls_back_and_underflows(&body, [0, 0, 0, 0], 1);
+    let underflow = VerifyError::StackUnderflow {
+        method: probe,
+        pc: 1,
+    };
+    assert_faults_on_entry(&body, [0, 0, 0, 0], underflow);
     let body = vec![
         Insn::Const(Const::Int(1)),
         Insn::Pop,
@@ -703,7 +980,40 @@ fn an_underflow_inside_a_fused_window_is_charged_through_the_pop() {
         Insn::Const(Const::Int(1)),
         Insn::ReturnValue,
     ];
-    assert_falls_back_and_underflows(&body, [0, 0, 0, 0], 3);
+    let underflow = VerifyError::StackUnderflow {
+        method: probe,
+        pc: 3,
+    };
+    assert_faults_on_entry(&body, [0, 0, 0, 0], underflow);
+}
+
+/// A body whose middle is reached only by a backward `Goto`: the translation meets
+/// that stretch before any branch to it, so it takes the stretch's height from the
+/// verifier, and the whole body runs in the register form.
+#[test]
+fn a_body_reached_only_by_a_backward_goto_takes_the_register_form() {
+    // a0 = a0 * 2 + 0, jumping back over the return that reads it: a1 + 2 * a0.
+    let body = vec![
+        Insn::Goto(5),
+        Insn::Load(1), // reached only from the Goto at 9
+        Insn::Load(0),
+        Insn::Bin(BinOp::Add),
+        Insn::ReturnValue,
+        Insn::Load(0),
+        Insn::Const(Const::Int(2)),
+        Insn::Bin(BinOp::Mul),
+        Insn::Store(0),
+        Insn::Goto(1),
+    ];
+    let (program, probe) = build_probe(body.clone());
+    for opts in [LayoutOptions::default(), NOFUSE] {
+        let layout = ProgramLayout::build_with(&program, opts);
+        assert!(!faults_on_entry(layout.ops(probe)), "{opts:?}");
+        assert_src_pc_is_the_seed_table(&layout, &program, probe);
+    }
+    let add = |op: &Op| *op == Op::RBin(BinOp::Add, 4, 1, 0);
+    assert_translated_parity(&body, add, [21, 5, 0, 0]);
+    assert_translated_parity(&body, add, [-3, 0, 0, 0]);
 }
 
 /// A branch taken from the middle of straight-line code closes the run there and
@@ -775,8 +1085,8 @@ fn a_body_that_falls_off_its_end_is_charged_to_its_end() {
 }
 
 /// A conditional branch lands inside a `Load/Const/Bin` sequence with another
-/// stack height than the fall-through, so the body keeps the stack form — and the
-/// underflow reached through that join reports the same pc either way.
+/// stack height than the fall-through, so the body faults on entry — whichever way
+/// the arguments would have gone.
 #[test]
 fn branch_into_mid_pattern_executes_identically() {
     let body = vec![
@@ -787,15 +1097,16 @@ fn branch_into_mid_pattern_executes_identically() {
         Insn::Bin(BinOp::Add),
         Insn::ReturnValue,
     ];
-    // a0 > 0 joins mid-pattern and underflows at the Bin (pc 4); a0 <= 0 takes the
-    // straight line and returns a1 + 5.
-    assert_falls_back_and_underflows(&body, [1, 7, 0, 0], 4);
-    assert_form_parity(&body, [-1, 7, 0, 0]);
+    let join = VerifyError::InconsistentStack {
+        method: MethodId(0),
+        pc: 3,
+    };
+    assert_faults_on_entry(&body, [1, 7, 0, 0], join.clone());
+    assert_faults_on_entry(&body, [-1, 7, 0, 0], join);
 }
 
-/// A join with two stack heights keeps the stack form even where the branch lands
-/// on the start of a sequence, and the underflow reports the seed pc of the op
-/// that popped.
+/// A join with two stack heights where the branch lands on the start of a sequence:
+/// the entry fault carries the seed pc of the join.
 #[test]
 fn underflow_inside_a_fused_window_reports_the_seed_pc() {
     let body = vec![
@@ -808,13 +1119,17 @@ fn underflow_inside_a_fused_window_reports_the_seed_pc() {
         Insn::Load(3),
         Insn::ReturnValue,
     ];
-    assert_falls_back_and_underflows(&body, [1, 0, 0, 0], 4);
-    assert_form_parity(&body, [1, 2, 3, 0]);
-    assert_form_parity(&body, [-1, 2, 3, 0]);
+    let join = VerifyError::InconsistentStack {
+        method: MethodId(0),
+        pc: 4,
+    };
+    for args in [[1, 0, 0, 0], [1, 2, 3, 0], [-1, 2, 3, 0]] {
+        assert_faults_on_entry(&body, args, join.clone());
+    }
 }
 
-/// `Load; IfCmp` on an otherwise empty stack pops below the bottom: the body keeps
-/// the stack form and underflows at the IfCmp's seed pc.
+/// `Load; IfCmp` on an otherwise empty stack pops below the bottom: the body faults
+/// on entry with the IfCmp's seed pc.
 #[test]
 fn load_ifcmp_underflow_reports_the_ifcmp_seed_pc() {
     let body = vec![
@@ -823,7 +1138,11 @@ fn load_ifcmp_underflow_reports_the_ifcmp_seed_pc() {
         Insn::Const(Const::Int(1)),
         Insn::ReturnValue,
     ];
-    assert_falls_back_and_underflows(&body, [1, 0, 0, 0], 1);
+    let underflow = VerifyError::StackUnderflow {
+        method: MethodId(0),
+        pc: 1,
+    };
+    assert_faults_on_entry(&body, [1, 0, 0, 0], underflow);
 }
 
 /// A loop the register kernel runs whole until iteration `n`, where its division
@@ -854,9 +1173,8 @@ fn a_division_the_kernel_declines_faults_in_the_machine() {
         Insn::ReturnValue,
     ];
     let divide = |op: &Op| matches!(op, Op::RBin(BinOp::Div, ..));
-    let (_, probe) = build_probe(body.clone());
     for n in [0, 1, 7] {
-        let (expected, steps) = reference_eval(&body, [n, 0, 0, 0], probe);
+        let (expected, steps) = reference_eval(&body, [n, 0, 0, 0]);
         assert_eq!(expected, Err(ExecError::DivisionByZero));
         // Sixteen per iteration, then seed pcs 0..=8: the fault is the `Div`'s.
         assert_eq!(
@@ -945,24 +1263,24 @@ fn run_kernel_method(
     )
 }
 
-/// Asserts `Kernel::<name>` takes the register form with an op matching `expect`,
-/// and that it runs on `args` to the same outcome, clock bits and seed count in
-/// both forms, with no more dispatches in the register form. Returns the outcome.
+/// Asserts `Kernel::<name>` translates with an op matching `expect`, and that it
+/// runs on `args` to the same outcome, clock bits and seed count folded and 1:1,
+/// with no more dispatches folded. Returns the outcome.
 fn assert_kernel_parity(name: &str, expect: fn(&Op) -> bool, args: &[i64]) -> String {
     let program = autodist_ir::frontend::compile_source(KERNEL_SRC).unwrap();
     let class = program.class_by_name("Kernel").unwrap();
     let method = program.find_method(class, name).unwrap();
     let layout = ProgramLayout::build(&program);
     let mops = layout.ops(method);
-    assert!(!is_stack_form(mops), "{name} fell back to the stack form");
+    assert!(!faults_on_entry(mops), "{name} faults on entry");
     assert!(mops.ops.iter().any(expect), "{name}: {:?}", mops.ops);
     let (regs, rclock, rinstr, rdisp) =
         run_kernel_method(&program, name, args, LayoutOptions::default());
-    let (stack, sclock, sinstr, sdisp) = run_kernel_method(&program, name, args, NOFUSE);
-    assert_eq!(regs, stack, "{name}{args:?}: outcome");
+    let (one, sclock, sinstr, sdisp) = run_kernel_method(&program, name, args, NOFUSE);
+    assert_eq!(regs, one, "{name}{args:?}: outcome");
     assert_eq!(rclock, sclock, "{name}{args:?}: clock bits");
     assert_eq!(rinstr, sinstr, "{name}{args:?}: seed count");
-    assert_eq!(sdisp, sinstr, "{name}{args:?}: stack dispatches are 1:1");
+    assert_eq!(sdisp, sinstr, "{name}{args:?}: 1:1 dispatches are 1:1");
     assert!(
         rdisp <= sdisp,
         "{name}{args:?}: {rdisp} > {sdisp} dispatches"
@@ -1000,7 +1318,7 @@ fn int_and_float_accumulation_agree_bit_for_bit() {
     }
 }
 
-/// A boolean materialised in a register and tested by `RIf`.
+/// A boolean materialised in a register and tested by `RIf`, folded as 1:1.
 #[test]
 fn an_rif_on_a_bool_branches_as_the_stack_form_does() {
     let rif = |op: &Op| matches!(op, Op::RIf(..));
@@ -1022,9 +1340,9 @@ fn a_getfield_on_null_inside_a_loop_faults_in_the_machine() {
 }
 
 /// Every Table 1 workload runs entry-to-exit with identical results, statics,
-/// virtual clocks (bitwise) and instruction counts in the register and the stack
-/// form — and the register form strictly reduces dispatch-loop iterations on every
-/// one of them.
+/// virtual clocks (bitwise) and instruction counts folded and 1:1 — folding strictly
+/// reduces dispatch-loop iterations on every one of them, and 1:1 dispatches one op
+/// per seed instruction.
 #[test]
 fn table1_workloads_execute_identically_with_fuse_on_and_off() {
     for w in autodist_workloads::table1_workloads(1) {
@@ -1051,38 +1369,48 @@ fn table1_workloads_execute_identically_with_fuse_on_and_off() {
             w.name
         );
         assert_eq!(rinstr, sinstr, "{}: instruction count differs", w.name);
+        assert_eq!(sdisp, sinstr, "{}: 1:1 dispatches are 1:1", w.name);
         assert!(
             rdisp < sdisp,
-            "{}: the register form should shorten the dispatch stream ({rdisp} vs {sdisp})",
+            "{}: folding should shorten the dispatch stream ({rdisp} vs {sdisp})",
             w.name
         );
     }
 }
 
-/// Random bodies that took the register form, across the cases of
-/// [`random_int_body_cases`].
-static REGISTER_BODIES: AtomicUsize = AtomicUsize::new(0);
+/// Random bodies generated, accepted by `verify_method`, and accepted with a
+/// `Swap`, across the cases of [`random_int_body_cases`].
+static GENERATED: AtomicUsize = AtomicUsize::new(0);
+static ACCEPTED: AtomicUsize = AtomicUsize::new(0);
+static SWAPPING: AtomicUsize = AtomicUsize::new(0);
 
-/// Random integer-machine bodies produce the same outcome — value or typed fault,
-/// including the faulting pc — through the decode + explicit-stack loop (register
-/// *and* stack form) as through direct evaluation of the bytecode, with the
-/// reference's instruction count and its count of sequential clock additions, bit
-/// for bit, under both layouts. The generated bodies branch forward into arbitrary
-/// offsets, so joins of two heights (and the fallback they force) are routine;
-/// some bodies must take the register form all the same.
+/// Random bodies produce the same outcome — value or typed fault — through the
+/// decode + explicit-stack loop (folded *and* 1:1) as [`expected_outcome`]: direct
+/// evaluation of the bytecode where `verify_method` accepts the body, the entry
+/// fault with its error where it does not. Both forms report the reference's
+/// instruction count and its count of sequential clock additions, bit for bit. The
+/// generated bodies branch forward into arbitrary offsets, so joins of two heights
+/// (and the entry faults they force) are routine; at least half of the bodies must
+/// verify all the same, and some that swap.
 #[test]
 fn random_int_bodies_execute_identically() {
     random_int_body_cases();
-    assert!(
-        REGISTER_BODIES.load(Ordering::Relaxed) > 0,
-        "no random body took the register form"
+    let load = |n: &AtomicUsize| n.load(Ordering::Relaxed);
+    let (generated, accepted, swapping) = (load(&GENERATED), load(&ACCEPTED), load(&SWAPPING));
+    eprintln!(
+        "verify_method accepted {accepted} of {generated} random bodies ({:.1} %), \
+         {swapping} of them with a Swap",
+        100.0 * accepted as f64 / generated as f64
     );
+    assert!(2 * accepted >= generated, "too few random bodies verify");
+    assert!(accepted < generated, "no random body faults on entry");
+    assert!(swapping > 0, "no verified random body swaps");
 }
 
 proptest! {
     /// The cases of [`random_int_bodies_execute_identically`].
     fn random_int_body_cases(
-        tokens in prop::collection::vec((0u8..64, -9i64..10, any::<u8>()), 0..80),
+        tokens in prop::collection::vec((0u8..68, -9i64..10, any::<u8>()), 0..80),
         a0 in -100i64..100,
         a1 in -100i64..100,
         a2 in -100i64..100,
@@ -1090,27 +1418,37 @@ proptest! {
     ) {
         let body = materialize(&tokens);
         let (program, probe) = build_probe(body.clone());
-        let stack = ProgramLayout::build_with(&program, NOFUSE);
-        prop_assert_eq!(stack.ops(probe).ops.len(), body.len());
-        let registers = ProgramLayout::build(&program);
-        assert_src_pc_is_the_seed_table(&stack, &program, probe);
-        assert_src_pc_is_the_seed_table(&registers, &program, probe);
-        if !is_stack_form(registers.ops(probe)) {
-            REGISTER_BODIES.fetch_add(1, Ordering::Relaxed);
+        let folded = ProgramLayout::build(&program);
+        let one_to_one = ProgramLayout::build_with(&program, NOFUSE);
+        assert_src_pc_is_the_seed_table(&folded, &program, probe);
+        assert_src_pc_is_the_seed_table(&one_to_one, &program, probe);
+        let swaps = body.contains(&Insn::Swap);
+        GENERATED.fetch_add(1, Ordering::Relaxed);
+        if faults_on_entry(folded.ops(probe)) {
+            prop_assert_eq!(&one_to_one.ops(probe).ops, &folded.ops(probe).ops);
+        } else {
+            ACCEPTED.fetch_add(1, Ordering::Relaxed);
+            SWAPPING.fetch_add(usize::from(swaps), Ordering::Relaxed);
+            if !swaps {
+                prop_assert_eq!(one_to_one.ops(probe).ops.len(), body.len());
+            }
         }
 
         let args = [a0, a1, a2, a3];
-        let (expected, steps) = reference_eval(&body, args, probe);
+        let (expected, steps) = expected_outcome(&program, probe, args);
         let (rgot, rclock, rinstr, rdisp) = run_probe(&program, probe, &args, LayoutOptions::default());
         let (sgot, sclock, sinstr, sdisp) = run_probe(&program, probe, &args, NOFUSE);
-        prop_assert_eq!(rgot, expected.clone());
-        prop_assert_eq!(sgot, expected);
+        let expected = format!("{expected:?}");
+        prop_assert_eq!(format!("{rgot:?}"), expected.clone());
+        prop_assert_eq!(format!("{sgot:?}"), expected);
         prop_assert_eq!(rinstr, steps);
         prop_assert_eq!(sinstr, steps);
         let clock = sequential_clock(steps).to_bits();
         prop_assert_eq!(rclock.to_bits(), clock);
         prop_assert_eq!(sclock.to_bits(), clock);
         prop_assert!(rdisp <= sdisp);
-        prop_assert_eq!(sdisp, steps);
+        if !swaps {
+            prop_assert_eq!(sdisp, steps);
+        }
     }
 }

@@ -166,13 +166,6 @@ fn assert_same_layout(what: &str, ours: &ProgramLayout, theirs: &ProgramLayout) 
         assert_eq!(a.ops.len(), b.ops.len(), "{what}: method {m}");
         for (pc, pair) in a.ops.iter().zip(&b.ops).enumerate() {
             match pair {
-                (Op::ConstStr(x), Op::ConstStr(y)) => {
-                    assert_eq!(
-                        ours.literals.get(*x),
-                        theirs.literals.get(*y),
-                        "{what}: {m}@{pc}"
-                    )
-                }
                 (Op::SetS(r, x), Op::SetS(q, y)) => {
                     assert_eq!(r, q, "{what}: {m}@{pc}");
                     assert_eq!(
