@@ -13,11 +13,14 @@
 //! (`DT`) part, so that static state can be placed independently of instances.
 //!
 //! A relation found at many program points is one edge whose weight counts them: edges
-//! are indexed by (from, to, kind, carried), and `edges` keeps first-insertion order.
+//! are indexed by (from, to, kind, carried) packed into one integer, and `edges` keeps
+//! first-insertion order.
 
-use std::collections::btree_map::{BTreeMap, Entry};
+use std::collections::hash_map::{Entry, HashMap};
+use std::hash::BuildHasherDefault;
 
 use autodist_ir::bytecode::{Insn, InvokeKind};
+use autodist_ir::layout::StrHasher;
 use autodist_ir::program::{ClassId, Program, Type};
 
 use crate::rta::CallGraph;
@@ -55,6 +58,10 @@ impl CrgNode {
             part: ClassPart::Static,
         }
     }
+    /// Where this node sits in a table of class parts: `2·class + part`.
+    fn slot(self) -> usize {
+        2 * self.class.0 as usize + self.part as usize
+    }
 }
 
 /// The kind of a CRG edge.
@@ -90,9 +97,10 @@ pub struct ClassRelationGraph {
     pub nodes: Vec<CrgNode>,
     /// Edges (deduplicated on (from, to, kind, carried), weights accumulated).
     pub edges: Vec<CrgEdge>,
-    index: BTreeMap<CrgNode, usize>,
-    /// Position in `edges` of each (from, to, kind, carried).
-    edge_index: BTreeMap<(CrgNode, CrgNode, CrgEdgeKind, Option<ClassId>), usize>,
+    /// Position in `nodes` of each class part, at [`CrgNode::slot`] (`NO_NODE` if absent).
+    index: Vec<u32>,
+    /// Position in `edges` of each (from, to, kind, carried), by [`edge_key`].
+    edge_index: HashMap<u128, usize, BuildHasherDefault<StrHasher>>,
     /// Every relation as it was added, for the linear-find oracle.
     #[cfg(test)]
     added: Vec<CrgEdge>,
@@ -111,17 +119,16 @@ impl ClassRelationGraph {
 
     /// Index of `node` in [`Self::nodes`].
     pub fn node_index(&self, node: CrgNode) -> Option<usize> {
-        self.index.get(&node).copied()
+        let i = *self.index.get(node.slot())?;
+        (i != NO_NODE).then_some(i as usize)
     }
 
-    fn add_node(&mut self, node: CrgNode) -> usize {
-        if let Some(&i) = self.index.get(&node) {
-            return i;
+    fn add_node(&mut self, node: CrgNode) {
+        let at = &mut self.index[node.slot()];
+        if *at == NO_NODE {
+            *at = self.nodes.len() as u32;
+            self.nodes.push(node);
         }
-        let i = self.nodes.len();
-        self.nodes.push(node);
-        self.index.insert(node, i);
-        i
     }
 
     fn add_edge(
@@ -145,7 +152,7 @@ impl ClassRelationGraph {
         };
         #[cfg(test)]
         self.added.push(edge.clone());
-        match self.edge_index.entry((from, to, kind, carried)) {
+        match self.edge_index.entry(edge_key(from, to, kind, carried)) {
             Entry::Occupied(at) => self.edges[*at.get()].weight += 1,
             Entry::Vacant(slot) => {
                 slot.insert(self.edges.len());
@@ -160,9 +167,23 @@ impl ClassRelationGraph {
     }
 }
 
+/// `index`'s mark for a class part that is no node.
+const NO_NODE: u32 = u32::MAX;
+
+/// One integer for `(from, to, kind, carried)`: the two slots, the kind and the
+/// carried class (0 for none, else the class id plus one), 40 bits for each number.
+/// The ids are the front end's dense numbering, so the unkeyed hash is safe here.
+fn edge_key(from: CrgNode, to: CrgNode, kind: CrgEdgeKind, carried: Option<ClassId>) -> u128 {
+    let carried = carried.map_or(0, |c| u128::from(c.0) + 1);
+    (from.slot() as u128) << 88 | (to.slot() as u128) << 48 | (kind as u128) << 40 | carried
+}
+
 /// Builds the class relation graph for the reachable part of `program`.
 pub fn build_crg(program: &Program, call_graph: &CallGraph) -> ClassRelationGraph {
-    let mut crg = ClassRelationGraph::default();
+    let mut crg = ClassRelationGraph {
+        index: vec![NO_NODE; 2 * program.classes.len()],
+        ..ClassRelationGraph::default()
+    };
 
     for &mid in &call_graph.reachable {
         let method = program.method(mid);

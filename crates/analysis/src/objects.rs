@@ -97,12 +97,12 @@ pub fn collect_objects(program: &Program, call_graph: &CallGraph) -> ObjectSet {
     // nobody left calls removes exactly those no cycle reaches, and what remains is
     // already closed under calls; the loop targets then spread over one worklist.
     let mut callers = vec![0u32; program.methods.len()];
-    for callee in call_graph.edges.values().flatten() {
+    for callee in call_graph.edges.iter().flatten() {
         callers[callee.0 as usize] += 1;
     }
     let mut multi_exec = vec![false; program.methods.len()];
     let mut work: Vec<MethodId> = Vec::new();
-    for &m in call_graph.edges.keys() {
+    for &m in &call_graph.reachable {
         multi_exec[m.0 as usize] = true;
         if callers[m.0 as usize] == 0 {
             work.push(m);
@@ -175,7 +175,7 @@ mod tests {
     /// of calls inside loops join them, and rounds close the set under calls.
     fn oracle_multi_exec(program: &Program, call_graph: &CallGraph) -> BTreeSet<MethodId> {
         let mut multi_exec = BTreeSet::new();
-        for &m in call_graph.edges.keys() {
+        for &m in &call_graph.reachable {
             let mut seen = BTreeSet::new();
             let mut stack: Vec<MethodId> = call_graph.callees(m).collect();
             while let Some(x) = stack.pop() {

@@ -220,25 +220,25 @@ pub fn build_odg(
 ) -> ObjectDependenceGraph {
     let mut odg = ObjectDependenceGraph::default();
 
-    // 1. Nodes: static roots for every class that allocates from static code, then one
-    //    node per allocation site.
-    let static_allocators: BTreeSet<ClassId> = objects
-        .sites
-        .iter()
-        .filter(|s| s.allocator_static)
-        .map(|s| s.allocator_class)
-        .collect();
-    let mut static_root_ids: BTreeMap<ClassId, OdgNodeId> = BTreeMap::new();
-    for class in &static_allocators {
-        let id = OdgNodeId(odg.nodes.len() as u32);
-        odg.nodes.push(OdgNode::StaticRoot { class: *class });
-        odg.labels
-            .push(format!("ST {}", program.class(*class).name));
-        static_root_ids.insert(*class, id);
+    // 1. Nodes: static roots for every class that allocates from static code, in class
+    //    order, then one node per allocation site. `static_root[c]` is class `c`'s
+    //    root (`NO_ROOT` if none); the site at position `i` is node `first_site + i`.
+    const NO_ROOT: u32 = u32::MAX;
+    let mut static_root = vec![NO_ROOT; program.classes.len()];
+    for s in objects.sites.iter().filter(|s| s.allocator_static) {
+        static_root[s.allocator_class.0 as usize] = 0;
     }
-    let mut site_ids: BTreeMap<AllocSiteId, OdgNodeId> = BTreeMap::new();
+    for (class, root) in static_root.iter_mut().enumerate() {
+        if *root != NO_ROOT {
+            let class = ClassId(class as u32);
+            *root = odg.nodes.len() as u32;
+            odg.nodes.push(OdgNode::StaticRoot { class });
+            odg.labels.push(format!("ST {}", program.class(class).name));
+        }
+    }
+    let first_site = odg.nodes.len() as u32;
+    let site_node = |i: usize| OdgNodeId(first_site + i as u32);
     for site in &objects.sites {
-        let id = OdgNodeId(odg.nodes.len() as u32);
         odg.nodes.push(OdgNode::Object {
             site: site.id,
             class: site.class,
@@ -256,7 +256,6 @@ pub fn build_odg(
             m.name,
             site.pc
         ));
-        site_ids.insert(site.id, id);
     }
 
     // 2. Create edges, allocator context -> allocated object: the static root of the
@@ -268,8 +267,8 @@ pub fn build_odg(
         kind,
         weight,
     };
-    for site in &objects.sites {
-        let target = site_ids[&site.id];
+    for (i, site) in objects.sites.iter().enumerate() {
+        let target = site_node(i);
         let mut create = |creator: OdgNodeId| {
             if creator != target {
                 odg.edges
@@ -277,13 +276,11 @@ pub fn build_odg(
             }
         };
         if site.allocator_static {
-            create(static_root_ids[&site.allocator_class]);
+            create(OdgNodeId(static_root[site.allocator_class.0 as usize]));
         } else {
-            objects
-                .sites
-                .iter()
-                .filter(|s| program.is_subclass_of(s.class, site.allocator_class))
-                .for_each(|s| create(site_ids[&s.id]));
+            (objects.sites.iter().enumerate())
+                .filter(|(_, s)| program.is_subclass_of(s.class, site.allocator_class))
+                .for_each(|(j, _)| create(site_node(j)));
         }
     }
 

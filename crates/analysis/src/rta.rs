@@ -13,7 +13,7 @@
 //! final call-site records ask it once more; nothing scans every instantiated class or
 //! every site. The analysis it replaced is the tests' oracle.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 
 use autodist_ir::bytecode::{Insn, InvokeKind};
 use autodist_ir::program::{ClassId, MethodId, Program};
@@ -42,19 +42,20 @@ pub struct CallGraph {
     pub instantiated: BTreeSet<ClassId>,
     /// All call sites in reachable methods.
     pub call_sites: Vec<CallSite>,
-    /// caller -> callees adjacency (deduplicated).
-    pub edges: BTreeMap<MethodId, BTreeSet<MethodId>>,
+    /// caller -> callees adjacency, indexed by `MethodId`: each row sorted and
+    /// deduplicated, empty for a method that calls nothing or is unreachable.
+    pub edges: Vec<Vec<MethodId>>,
 }
 
 impl CallGraph {
     /// Direct callees of `m`.
     pub fn callees(&self, m: MethodId) -> impl Iterator<Item = MethodId> + '_ {
-        self.edges.get(&m).into_iter().flatten().copied()
+        self.edges.get(m.0 as usize).into_iter().flatten().copied()
     }
 
     /// Number of call-graph edges.
     pub fn edge_count(&self) -> usize {
-        self.edges.values().map(|s| s.len()).sum()
+        self.edges.iter().map(Vec::len).sum()
     }
 }
 
@@ -62,35 +63,41 @@ impl CallGraph {
 /// instantiated class at or under the declaring class resolves the name to, or
 /// `declared` itself while no such class has been instantiated (so the analysis stays
 /// sound before the first instance is seen). `below[c]` lists those classes for `c`.
+/// Leaves them in `targets`, sorted and deduplicated.
 fn virtual_targets(
     program: &Program,
     below: &[Vec<ClassId>],
     declared: MethodId,
-) -> BTreeSet<MethodId> {
+    targets: &mut Vec<MethodId>,
+) {
     let method = program.method(declared);
-    let mut targets: BTreeSet<MethodId> = below[method.class.0 as usize]
-        .iter()
-        .filter_map(|&c| program.resolve_method(c, &method.name))
-        .collect();
+    targets.clear();
+    targets.extend(
+        below[method.class.0 as usize]
+            .iter()
+            .filter_map(|&c| program.resolve_method(c, &method.name)),
+    );
     if targets.is_empty() {
-        targets.insert(declared);
+        targets.push(declared);
     }
-    targets
+    targets.sort_unstable();
+    targets.dedup();
 }
 
 /// The growing call graph: `reachable` in discovery order, its membership table, the
-/// methods still to scan and the edges found so far.
+/// methods still to scan and the edges found so far (by caller, repeats included
+/// until the end).
 struct Discovery {
     reachable: Vec<MethodId>,
     seen: Vec<bool>,
     work: Vec<MethodId>,
-    edges: BTreeMap<MethodId, BTreeSet<MethodId>>,
+    edges: Vec<Vec<MethodId>>,
 }
 
 impl Discovery {
     /// Records that `caller` may call `target`, scheduling `target` on first sight.
     fn call(&mut self, caller: MethodId, target: MethodId) {
-        self.edges.entry(caller).or_default().insert(target);
+        self.edges[caller.0 as usize].push(target);
         self.reach(target);
     }
 
@@ -112,25 +119,26 @@ pub fn rapid_type_analysis(program: &Program) -> CallGraph {
         reachable: Vec::new(),
         seen: vec![false; program.methods.len()],
         work: Vec::new(),
-        edges: BTreeMap::new(),
+        edges: vec![Vec::new(); program.methods.len()],
     };
-    let mut instantiated: BTreeSet<ClassId> = BTreeSet::new();
+    let mut instantiated = vec![false; classes];
     // Instantiated classes at or under each class, and the virtual sites seen so far
     // (caller, declared target) with, per class, the indices of those declared on it:
     // a newly instantiated class re-resolves its ancestors' sites and no others.
     let mut below: Vec<Vec<ClassId>> = vec![Vec::new(); classes];
     let mut sites: Vec<(MethodId, MethodId)> = Vec::new();
     let mut sites_of: Vec<Vec<usize>> = vec![Vec::new(); classes];
+    let mut affected: Vec<usize> = Vec::new();
+    let mut targets: Vec<MethodId> = Vec::new();
 
     found.reach(entry);
     while let Some(m) = found.work.pop() {
-        found.edges.entry(m).or_default();
         for insn in &program.method(m).body {
             match insn {
-                Insn::New(c) if instantiated.insert(*c) => {
+                Insn::New(c) if !std::mem::replace(&mut instantiated[c.0 as usize], true) => {
                     // Constructors of superclasses are conceptually reachable via
                     // implicit super() chains; we only consider explicit calls.
-                    let mut affected: Vec<usize> = Vec::new();
+                    affected.clear();
                     let mut ancestor = Some(*c);
                     while let Some(a) = ancestor {
                         below[a.0 as usize].push(*c);
@@ -140,9 +148,10 @@ pub fn rapid_type_analysis(program: &Program) -> CallGraph {
                     // In the order the sites were seen: `reachable`'s discovery order
                     // fixes site order, ODG node ids and so every plan.
                     affected.sort_unstable();
-                    for i in affected {
+                    for &i in &affected {
                         let (caller, declared) = sites[i];
-                        for t in virtual_targets(program, &below, declared) {
+                        virtual_targets(program, &below, declared, &mut targets);
+                        for &t in &targets {
                             found.call(caller, t);
                         }
                     }
@@ -150,7 +159,8 @@ pub fn rapid_type_analysis(program: &Program) -> CallGraph {
                 Insn::Invoke(InvokeKind::Virtual, declared) => {
                     sites_of[program.method(*declared).class.0 as usize].push(sites.len());
                     sites.push((m, *declared));
-                    for t in virtual_targets(program, &below, *declared) {
+                    virtual_targets(program, &below, *declared, &mut targets);
+                    for &t in &targets {
                         found.call(m, t);
                     }
                 }
@@ -167,9 +177,10 @@ pub fn rapid_type_analysis(program: &Program) -> CallGraph {
             if let Insn::Invoke(kind, target) = insn {
                 let targets = match kind {
                     InvokeKind::Static | InvokeKind::Special => vec![*target],
-                    InvokeKind::Virtual => virtual_targets(program, &below, *target)
-                        .into_iter()
-                        .collect(),
+                    InvokeKind::Virtual => {
+                        virtual_targets(program, &below, *target, &mut targets);
+                        targets.clone()
+                    }
                 };
                 call_sites.push(CallSite {
                     caller: m,
@@ -181,10 +192,17 @@ pub fn rapid_type_analysis(program: &Program) -> CallGraph {
             }
         }
     }
+    for row in &mut found.edges {
+        row.sort_unstable();
+        row.dedup();
+    }
 
     CallGraph {
         reachable: found.reachable,
-        instantiated,
+        instantiated: (instantiated.iter().enumerate())
+            .filter(|&(_, &yes)| yes)
+            .map(|(c, _)| ClassId(c as u32))
+            .collect(),
         call_sites,
         edges: found.edges,
     }
@@ -195,6 +213,7 @@ mod tests {
     use super::*;
     use crate::test_programs::{corpus, hand_written};
     use autodist_ir::frontend::compile_source;
+    use std::collections::BTreeMap;
 
     /// The analysis this module replaced, kept as its definition: every first `new C`
     /// rescans every virtual site seen so far, and every site and the final pass scan
@@ -310,11 +329,15 @@ mod tests {
             }
         }
 
+        let mut rows = vec![Vec::new(); program.methods.len()];
+        for (m, callees) in edges {
+            rows[m.0 as usize] = callees.into_iter().collect();
+        }
         CallGraph {
             reachable,
             instantiated,
             call_sites,
-            edges,
+            edges: rows,
         }
     }
 
@@ -473,10 +496,10 @@ mod tests {
         "#;
         let p = compile_source(src).unwrap();
         let cg = rapid_type_analysis(&p);
-        assert_eq!(
-            cg.edge_count(),
-            cg.edges.values().map(|v| v.len()).sum::<usize>()
-        );
+        let pairs: BTreeSet<(MethodId, MethodId)> = (cg.reachable.iter())
+            .flat_map(|&m| cg.callees(m).map(move |c| (m, c)))
+            .collect();
+        assert_eq!(cg.edge_count(), pairs.len());
         assert!(cg.edge_count() >= 2);
     }
 }

@@ -23,7 +23,7 @@ fn main() -> Result<(), PipelineError> {
     home.insert(class(program, "Main")?, 0);
     home.insert(class(program, "Bank")?, 1);
     home.insert(class(program, "Account")?, 1);
-    let placement = ClassPlacement { home, nparts: 2 };
+    let placement = ClassPlacement::new(2, home);
 
     let main = program
         .entry

@@ -44,7 +44,6 @@
 //! site, is the source program's own `Arc`, shared; [`RewriteStats`] therefore counts
 //! sites in code the node can run, not in every copy of every method.
 
-use std::collections::BTreeMap;
 use std::ops::Range;
 
 use autodist_analysis::odg::{ObjectDependenceGraph, OdgNode};
@@ -67,22 +66,45 @@ pub const ACCESS_PUT_FIELD: i64 = 4;
 /// A mapping from classes to the node (virtual processor) that hosts their instances.
 #[derive(Clone, Debug, Default)]
 pub struct ClassPlacement {
-    /// Home node per class. Classes not present default to node 0.
-    pub home: BTreeMap<ClassId, usize>,
+    /// Home node per class, indexed by [`ClassId`]. A class with no entry (`None`, or
+    /// past the end) is unassigned and defaults to node 0.
+    pub home: Vec<Option<usize>>,
     /// Number of nodes.
     pub nparts: usize,
 }
 
 impl ClassPlacement {
+    /// A placement over `nparts` nodes that assigns each listed class its node.
+    pub fn new(nparts: usize, homes: impl IntoIterator<Item = (ClassId, usize)>) -> Self {
+        let mut home = Vec::new();
+        for (class, node) in homes {
+            let c = class.0 as usize;
+            if c >= home.len() {
+                home.resize(c + 1, None);
+            }
+            home[c] = Some(node);
+        }
+        ClassPlacement { home, nparts }
+    }
+
     /// The home node of `class` (0 if unassigned).
     pub fn home_of(&self, class: ClassId) -> usize {
-        self.home.get(&class).copied().unwrap_or(0)
+        self.home
+            .get(class.0 as usize)
+            .copied()
+            .flatten()
+            .unwrap_or(0)
+    }
+
+    /// The assigned classes and their home nodes, in class order.
+    pub fn homes(&self) -> impl Iterator<Item = (ClassId, usize)> + '_ {
+        (self.home.iter().enumerate()).filter_map(|(c, h)| Some((ClassId(c as u32), (*h)?)))
     }
 
     /// Places every class on node 0 (the centralized baseline).
     pub fn centralized(nparts: usize) -> Self {
         ClassPlacement {
-            home: BTreeMap::new(),
+            home: Vec::new(),
             nparts: nparts.max(1),
         }
     }
@@ -96,27 +118,31 @@ impl ClassPlacement {
         odg: &ObjectDependenceGraph,
         partitioning: &Partitioning,
     ) -> Self {
-        let mut votes: BTreeMap<ClassId, Vec<usize>> = BTreeMap::new();
+        // `votes[c * width + p]`: how many of class `c`'s nodes the partitioner put
+        // in part `p`; `cast[c]`: all of them.
+        let part_of = |i: usize| partitioning.assignment.get(i).copied().unwrap_or(0);
+        let width = (0..odg.nodes.len())
+            .map(|i| part_of(i) + 1)
+            .max()
+            .unwrap_or(1);
+        let classes = program.classes.len();
+        let mut votes = vec![0usize; classes * width];
+        let mut cast = vec![0usize; classes];
         for (i, node) in odg.nodes.iter().enumerate() {
-            let part = partitioning.assignment.get(i).copied().unwrap_or(0);
             let class = match node {
                 OdgNode::Object { class, .. } => *class,
                 OdgNode::StaticRoot { class } => *class,
             };
-            votes.entry(class).or_default().push(part);
+            votes[class.0 as usize * width + part_of(i)] += 1;
+            cast[class.0 as usize] += 1;
         }
-        let mut home = BTreeMap::new();
-        for (class, parts) in &votes {
-            let mut counts: BTreeMap<usize, usize> = BTreeMap::new();
-            for &p in parts {
-                *counts.entry(p).or_insert(0) += 1;
-            }
-            let best = counts
-                .into_iter()
-                .max_by_key(|&(p, c)| (c, std::cmp::Reverse(p)))
-                .map(|(p, _)| p)
-                .unwrap_or(0);
-            home.insert(*class, best);
+        let row = |c: usize| &votes[c * width..(c + 1) * width];
+        let voters = || (0..classes).filter(|&c| cast[c] > 0);
+        // The most-voted part, ties to the lowest.
+        let mut home: Vec<Option<usize>> = vec![None; classes];
+        for c in voters() {
+            let counts = row(c);
+            home[c] = (0..width).max_by_key(|&p| (counts[p], std::cmp::Reverse(p)));
         }
         // The majority vote can undo the partitioner's min-parallelism guarantee: a
         // class whose objects split 60/40 across nodes still lands wholly on the
@@ -124,39 +150,33 @@ impl ClassPlacement {
         // onto one node (zero messages, no offloading). If that happens, move the
         // class with the strongest minority affinity — the one the partitioner most
         // wanted elsewhere — to its minority part.
-        let populated: std::collections::BTreeSet<usize> = home.values().copied().collect();
-        if populated.len() < 2 && partitioning.nparts >= 2 && home.len() >= 2 {
-            let sole = populated.iter().next().copied().unwrap_or(0);
-            let entry_class = program.entry.map(|e| program.method(e).class);
-            let best_move = votes
-                .iter()
-                .filter(|(c, _)| Some(**c) != entry_class)
-                .filter_map(|(c, parts)| {
-                    let total = parts.len().max(1);
-                    let mut counts: BTreeMap<usize, usize> = BTreeMap::new();
-                    for &p in parts.iter().filter(|&&p| p != sole) {
-                        *counts.entry(p).or_insert(0) += 1;
-                    }
-                    counts
-                        .into_iter()
-                        .max_by_key(|&(_, n)| n)
-                        .map(|(p, n)| (n * 1000 / total, *c, p))
+        let mut populated = vec![false; width];
+        home.iter().flatten().for_each(|&p| populated[p] = true);
+        let entry_class = program.entry.map(|e| program.method(e).class.0 as usize);
+        if populated.iter().filter(|&&p| p).count() < 2
+            && partitioning.nparts >= 2
+            && voters().count() >= 2
+        {
+            let sole = populated.iter().position(|&p| p).unwrap_or(0);
+            let movable = || voters().filter(|&c| Some(c) != entry_class);
+            // The largest minority share, ties to the higher class; within a class the
+            // most-voted other part, ties to the higher part.
+            let best_move = movable()
+                .filter_map(|c| {
+                    let counts = row(c);
+                    (0..width)
+                        .filter(|&p| p != sole && counts[p] > 0)
+                        .max_by_key(|&p| counts[p])
+                        .map(|p| (counts[p] * 1000 / cast[c], c, p))
                 })
                 .max();
             match best_move {
-                Some((_, class, part)) => {
-                    home.insert(class, part);
-                }
+                Some((_, class, part)) => home[class] = Some(part),
                 None => {
                     // No minority votes at all: fall back to evicting the class with
                     // the fewest objects to the next node.
-                    if let Some((_, class)) = votes
-                        .iter()
-                        .filter(|(c, _)| Some(**c) != entry_class)
-                        .map(|(c, parts)| (parts.len(), *c))
-                        .min()
-                    {
-                        home.insert(class, (sole + 1) % partitioning.nparts);
+                    if let Some((_, class)) = movable().map(|c| (cast[c], c)).min() {
+                        home[class] = Some((sole + 1) % partitioning.nparts);
                     }
                 }
             }
@@ -165,11 +185,10 @@ impl ClassPlacement {
         // there. Rather than overriding its assignment (which would merge it with
         // whatever else is on node 0 and distort the cut), renumber the parts so the
         // entry class's part *becomes* node 0.
-        if let Some(entry) = program.entry {
-            let entry_class = program.method(entry).class;
-            let entry_part = home.get(&entry_class).copied().unwrap_or(0);
+        if let Some(entry_class) = entry_class {
+            let entry_part = home[entry_class].unwrap_or(0);
             if entry_part != 0 {
-                for part in home.values_mut() {
+                for part in home.iter_mut().flatten() {
                     if *part == entry_part {
                         *part = 0;
                     } else if *part == 0 {
@@ -177,7 +196,7 @@ impl ClassPlacement {
                     }
                 }
             }
-            home.insert(entry_class, 0);
+            home[entry_class] = Some(0);
         }
         ClassPlacement {
             home,
@@ -188,7 +207,7 @@ impl ClassPlacement {
     /// Number of classes assigned to each node.
     pub fn classes_per_node(&self) -> Vec<usize> {
         let mut counts = vec![0usize; self.nparts.max(1)];
-        for &p in self.home.values() {
+        for (_, p) in self.homes() {
             if p < counts.len() {
                 counts[p] += 1;
             }
@@ -570,11 +589,15 @@ mod tests {
 
     /// Placement that puts Bank and Account on node 1 while Main stays on node 0.
     fn split_placement(p: &Program) -> ClassPlacement {
-        let mut home = BTreeMap::new();
-        home.insert(p.class_by_name("Main").unwrap(), 0);
-        home.insert(p.class_by_name("Bank").unwrap(), 1);
-        home.insert(p.class_by_name("Account").unwrap(), 1);
-        ClassPlacement { home, nparts: 2 }
+        let class = |name| p.class_by_name(name).unwrap();
+        ClassPlacement::new(
+            2,
+            [
+                (class("Main"), 0),
+                (class("Bank"), 1),
+                (class("Account"), 1),
+            ],
+        )
     }
 
     #[test]
@@ -666,7 +689,7 @@ mod tests {
         assert_eq!(placement.home_of(main), 0);
         assert_eq!(placement.nparts, 2);
         let counts = placement.classes_per_node();
-        assert_eq!(counts.iter().sum::<usize>(), placement.home.len());
+        assert_eq!(counts.iter().sum::<usize>(), placement.homes().count());
     }
 
     #[test]
@@ -731,18 +754,9 @@ mod tests {
     /// node `(i * stride) % nodes` (class families split freely), the entry class on
     /// node 0.
     fn scattered(p: &Program, nodes: usize, stride: usize) -> ClassPlacement {
-        let mut home: BTreeMap<ClassId, usize> = p
-            .classes
-            .iter()
-            .map(|c| (c.id, c.id.0 as usize * stride % nodes))
-            .collect();
-        if let Some(entry) = p.entry {
-            home.insert(p.method(entry).class, 0);
-        }
-        ClassPlacement {
-            home,
-            nparts: nodes,
-        }
+        let homes = (p.classes.iter()).map(|c| (c.id, c.id.0 as usize * stride % nodes));
+        let entry = p.entry.map(|e| (p.method(e).class, 0));
+        ClassPlacement::new(nodes, homes.chain(entry))
     }
 
     /// Inside the reach a copy is what rewriting everything gives, outside it the
@@ -854,7 +868,7 @@ mod tests {
     /// `Tank` on node 2.
     fn families() -> (Program, ClassPlacement) {
         let p = compile_source(FAMILIES_SRC).unwrap();
-        let home = [
+        let homes = [
             ("Store", 0),
             ("Tank", 2),
             ("Base", 0),
@@ -863,10 +877,9 @@ mod tests {
             ("Worker", 1),
             ("Main", 0),
         ]
-        .into_iter()
-        .map(|(name, node)| (p.class_by_name(name).unwrap(), node))
-        .collect();
-        (p, ClassPlacement { home, nparts: 3 })
+        .map(|(name, node)| (p.class_by_name(name).unwrap(), node));
+        let placement = ClassPlacement::new(3, homes);
+        (p, placement)
     }
 
     /// `(in the reach, rewritten)` of `class.method` on `node`.

@@ -25,7 +25,6 @@
 //!    the plan was (a copy the verifier rejects declines the swap) — and prepares
 //!    them as a fresh [`ServerApp`] for the controller to swap in.
 
-use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex, MutexGuard};
 
 use autodist_analysis::odg::{ObjectDependenceGraph, OdgEdgeKind};
@@ -58,7 +57,7 @@ struct AppState {
     /// The live profile all of this app's sinks tally into.
     profile: Arc<Mutex<ClassProfile>>,
     /// The currently installed class placement (starts as the plan's).
-    home: Mutex<BTreeMap<ClassId, usize>>,
+    home: Mutex<ClassPlacement>,
 }
 
 /// Locks planner state. A profile's tallies are independent counters, valid after
@@ -123,10 +122,10 @@ impl Drop for AggregateSink {
     }
 }
 
-/// Live-weighted cut of `home`: total weight of ODG use edges whose endpoint
+/// Live-weighted cut of `placement`: total weight of ODG use edges whose endpoint
 /// classes live on different nodes. The replanner's improvement metric.
-fn placement_cut(odg: &ObjectDependenceGraph, home: &BTreeMap<ClassId, usize>) -> u64 {
-    let home_of = |c: ClassId| home.get(&c).copied().unwrap_or(0);
+fn placement_cut(odg: &ObjectDependenceGraph, placement: &ClassPlacement) -> u64 {
+    let home_of = |c: ClassId| placement.home_of(c);
     odg.edges
         .iter()
         .filter(|e| e.kind == OdgEdgeKind::Use)
@@ -186,7 +185,7 @@ impl PlanReplanner {
             method_class: program.methods.iter().map(|m| m.class).collect(),
             class_count: program.class_count(),
             profile: Arc::default(),
-            home: Mutex::new(plan.placement.home.clone()),
+            home: Mutex::new(plan.placement.clone()),
         });
         self.apps.len() - 1
     }
@@ -194,10 +193,7 @@ impl PlanReplanner {
     /// The currently installed home node of `class` for app `app` (diagnostics
     /// and tests).
     pub fn current_home(&self, app: usize, class: ClassId) -> usize {
-        locked(&self.apps[app].home)
-            .get(&class)
-            .copied()
-            .unwrap_or(0)
+        locked(&self.apps[app].home).home_of(class)
     }
 }
 
@@ -215,15 +211,15 @@ impl Replanner for PlanReplanner {
         let hint: Vec<usize> = odg
             .nodes
             .iter()
-            .map(|n| incumbent.get(&n.class()).copied().unwrap_or(0))
+            .map(|n| incumbent.home_of(n.class()))
             .collect();
         let partitioning = repartition(&graph, &app.part_cfg, &hint);
         let placement = ClassPlacement::from_odg_partition(&app.program, &odg, &partitioning);
         // Install only strict improvements of the *live-weighted* cut: a
         // balanced profile, or one the incumbent already serves optimally,
         // changes nothing (and the controller reports no swap).
-        if placement.home == incumbent
-            || placement_cut(&odg, &placement.home) >= placement_cut(&odg, &incumbent)
+        if placement.home == incumbent.home
+            || placement_cut(&odg, &placement) >= placement_cut(&odg, &incumbent)
         {
             return None;
         }
@@ -232,7 +228,7 @@ impl Replanner for PlanReplanner {
         let copies = crate::rewrite_all(&app.program, &placement, nodes).ok()?;
         let programs: Vec<Program> = copies.into_iter().map(|rp| rp.program).collect();
         let server = ServerApp::prepare(programs, app.network.clone());
-        *locked(&app.home) = placement.home;
+        *locked(&app.home) = placement;
         Some(server)
     }
 
@@ -439,11 +435,8 @@ mod tests {
             );
             assert!(report.is_ok());
             assert_eq!(report.placement_swaps, swaps);
-            let moved = plan
-                .placement
-                .home
-                .iter()
-                .any(|(&class, &home)| planner.current_home(0, class) != home);
+            let moved = (plan.placement.homes())
+                .any(|(class, home)| planner.current_home(0, class) != home);
             assert_eq!(moved, swaps == 1, "the incumbent placement is kept");
         }
     }

@@ -155,7 +155,7 @@ pub fn placement_to_dot(program: &Program, placement: &ClassPlacement) -> String
     for node in 0..placement.nparts.max(1) {
         let _ = writeln!(out, "  subgraph cluster_{node} {{");
         let _ = writeln!(out, "    label=\"Node {node}\";");
-        for (&class, &home) in &placement.home {
+        for (class, home) in placement.homes() {
             if home == node {
                 let _ = writeln!(out, "    \"{}\";", program.class(class).name);
             }

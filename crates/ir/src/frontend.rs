@@ -13,7 +13,6 @@
 //! input, the AST holds those slices and is walked by reference once per pass, and
 //! the only owned strings are the names the finished [`Program`] keeps.
 
-use std::collections::HashMap;
 use std::fmt;
 
 use crate::bytecode::{BinOp, CmpOp, Const, Insn, InvokeKind, UnOp};
@@ -701,7 +700,8 @@ struct MethodCtx<'s> {
     /// Line of the method's declaration — the line every error in its body reports.
     line: usize,
     insns: Vec<Insn>,
-    locals: HashMap<&'s str, (u16, Type)>,
+    /// Declared locals in declaration order; a name's latest declaration wins.
+    locals: Vec<(&'s str, u16, Type)>,
     next_local: u16,
     fixups: Vec<(usize, usize)>, // (insn index, label id)
     labels: Vec<Option<usize>>,
@@ -713,7 +713,7 @@ impl<'s> MethodCtx<'s> {
             class,
             line,
             insns: Vec::new(),
-            locals: HashMap::new(),
+            locals: Vec::new(),
             next_local: 0,
             fixups: Vec::new(),
             labels: Vec::new(),
@@ -736,8 +736,13 @@ impl<'s> MethodCtx<'s> {
     fn declare(&mut self, name: &'s str, ty: Type) -> u16 {
         let slot = self.next_local;
         self.next_local += 1;
-        self.locals.insert(name, (slot, ty));
+        self.locals.push((name, slot, ty));
         slot
+    }
+    /// The slot and type of local `name`: a short list, scanned from the end.
+    fn local(&self, name: &str) -> Option<(u16, &Type)> {
+        let (_, slot, ty) = self.locals.iter().rev().find(|(n, ..)| *n == name)?;
+        Some((*slot, ty))
     }
     fn err<T>(&self, message: impl Into<String>) -> Result<T, ParseError> {
         err(self.line, message)
@@ -883,7 +888,7 @@ impl Compiler {
             }
             Stmt::Assign(lhs, rhs) => match lhs {
                 Expr::Var(name) => {
-                    if let Some(&(slot, _)) = ctx.locals.get(name) {
+                    if let Some((slot, _)) = ctx.local(name) {
                         self.compile_expr(ctx, rhs)?;
                         ctx.emit(Insn::Store(slot));
                     } else {
@@ -1009,7 +1014,7 @@ impl Compiler {
             None => (ctx.class, false),
             // `Ident.method(...)` where Ident is no variable is a class name.
             Some(Expr::Var(cname))
-                if !ctx.locals.contains_key(cname)
+                if ctx.local(cname).is_none()
                     && self.program.resolve_field(ctx.class, cname).is_none() =>
             {
                 match self.program.class_by_name(cname) {
@@ -1043,7 +1048,7 @@ impl Compiler {
                 Type::Bool
             }
             Expr::Null | Expr::This => Type::Ref(ctx.class),
-            Expr::Var(name) => match ctx.locals.get(name) {
+            Expr::Var(name) => match ctx.local(name) {
                 Some((_, ty)) => ty.clone(),
                 None => self.program.field(self.field_named(ctx, name)?).ty.clone(),
             },
@@ -1097,8 +1102,8 @@ impl Compiler {
                 Ok(Type::Ref(ctx.class))
             }
             Expr::Var(name) => {
-                if let Some((slot, ty)) = ctx.locals.get(name) {
-                    let (slot, ty) = (*slot, ty.clone());
+                if let Some((slot, ty)) = ctx.local(name) {
+                    let ty = ty.clone();
                     ctx.emit(Insn::Load(slot));
                     return Ok(ty);
                 }

@@ -9,7 +9,6 @@
 //! * all referenced classes / methods / fields exist,
 //! * the method ends on a terminator on every path.
 
-use std::collections::HashSet;
 use std::sync::Arc;
 
 use crate::bytecode::Insn;
@@ -87,12 +86,14 @@ pub fn verify_program(program: &Program) -> Result<(), Vec<VerifyError>> {
 pub fn verify_copies<'p>(
     copies: impl IntoIterator<Item = &'p Program>,
 ) -> Result<(), (usize, Vec<VerifyError>)> {
-    let mut verified: HashSet<*const Method> = HashSet::new();
+    // The method `Arc` last verified at each method index.
+    let mut verified: Vec<*const Method> = Vec::new();
     let mut previous: Option<&Program> = None;
     for (index, program) in copies.into_iter().enumerate() {
         if previous.is_some_and(|p| !same_signatures(p, program)) {
             verified.clear();
         }
+        verified.resize(program.methods.len(), std::ptr::null());
         previous = Some(program);
         let mut errors = Vec::new();
         match program.entry {
@@ -102,8 +103,8 @@ pub fn verify_copies<'p>(
             }
             Some(_) => {}
         }
-        for m in &program.methods {
-            if m.body.is_empty() || !verified.insert(Arc::as_ptr(m)) {
+        for (m, seen) in program.methods.iter().zip(&mut verified) {
+            if m.body.is_empty() || std::mem::replace(seen, Arc::as_ptr(m)) == Arc::as_ptr(m) {
                 continue;
             }
             if let Err(mut es) = verify_method(program, m) {
@@ -228,7 +229,7 @@ pub(crate) fn entry_heights(
             }
             h = h - pops + pushes;
         }
-        for &s in &cfg.succs[b] {
+        for &s in cfg.succs(b) {
             match heights[s] {
                 Some(prev) if prev != h => {
                     return Err(VerifyError::InconsistentStack {

@@ -326,7 +326,7 @@ mod tests {
         home.insert(p.class_by_name("Main").unwrap(), 0);
         home.insert(p.class_by_name("Bank").unwrap(), 1);
         home.insert(p.class_by_name("Account").unwrap(), 1);
-        ClassPlacement { home, nparts: 2 }
+        ClassPlacement::new(2, home)
     }
 
     /// What the deleted thread-per-node schedule (`Schedule::Threaded`: one blocking
@@ -396,7 +396,7 @@ mod tests {
         home.insert(p.class_by_name("Main").unwrap(), 0);
         home.insert(p.class_by_name("Cell").unwrap(), 0);
         home.insert(p.class_by_name("Relay").unwrap(), 1);
-        let placement = ClassPlacement { home, nparts: 2 };
+        let placement = ClassPlacement::new(2, home);
         (0..2)
             .map(|n| rewrite_for_node(&p, &placement, n).program)
             .collect()
@@ -485,7 +485,7 @@ mod tests {
         let mut home = Map::new();
         home.insert(p.class_by_name("Main").unwrap(), 0);
         home.insert(p.class_by_name("Worker").unwrap(), 1);
-        let placement = ClassPlacement { home, nparts: 2 };
+        let placement = ClassPlacement::new(2, home);
         let copies: Vec<autodist_ir::Program> = (0..2)
             .map(|n| rewrite_for_node(&p, &placement, n).program)
             .collect();
@@ -528,10 +528,7 @@ mod tests {
         home.insert(p.class_by_name("Main").unwrap(), 0);
         home.insert(p.class_by_name("Bank").unwrap(), 1);
         home.insert(p.class_by_name("Account").unwrap(), 2);
-        let placement = ClassPlacement {
-            home,
-            nparts: nodes,
-        };
+        let placement = ClassPlacement::new(nodes, home);
         let copies: Vec<autodist_ir::Program> = (0..nodes)
             .map(|n| rewrite_for_node(&p, &placement, n).program)
             .collect();
@@ -620,7 +617,7 @@ mod tests {
         let mut home = Map::new();
         home.insert(p.class_by_name("Main").unwrap(), 0);
         home.insert(p.class_by_name("Shop").unwrap(), 1);
-        let placement = ClassPlacement { home, nparts: 2 };
+        let placement = ClassPlacement::new(2, home);
         let copies: Vec<autodist_ir::Program> = (0..2)
             .map(|n| rewrite_for_node(&p, &placement, n).program)
             .collect();
@@ -658,7 +655,7 @@ mod tests {
         let mut home = Map::new();
         home.insert(p.class_by_name("Main").unwrap(), 0);
         home.insert(p.class_by_name("Cell").unwrap(), 1);
-        let placement = ClassPlacement { home, nparts: 2 };
+        let placement = ClassPlacement::new(2, home);
         let copies: Vec<autodist_ir::Program> = (0..2)
             .map(|n| rewrite_for_node(&p, &placement, n).program)
             .collect();
@@ -707,7 +704,7 @@ mod tests {
         home.insert(p.class_by_name("Main").unwrap(), 0);
         home.insert(p.class_by_name("Base").unwrap(), 0);
         home.insert(p.class_by_name("Derived").unwrap(), 1);
-        let placement = ClassPlacement { home, nparts: 2 };
+        let placement = ClassPlacement::new(2, home);
         let copies: Vec<autodist_ir::Program> = (0..2)
             .map(|n| rewrite_for_node(&p, &placement, n).program)
             .collect();

@@ -553,7 +553,7 @@ mod tests {
         let mut home = BTreeMap::new();
         home.insert(p.class_by_name("Main").unwrap(), 0);
         home.insert(p.class_by_name("Worker").unwrap(), 1);
-        let placement = ClassPlacement { home, nparts: 2 };
+        let placement = ClassPlacement::new(2, home);
         let programs = (0..2)
             .map(|n| rewrite_for_node(&p, &placement, n).program)
             .collect();
@@ -635,7 +635,7 @@ mod tests {
         let mut home = BTreeMap::new();
         home.insert(p.class_by_name("Main").unwrap(), 0);
         home.insert(p.class_by_name("Sink").unwrap(), 1);
-        let placement = ClassPlacement { home, nparts: 2 };
+        let placement = ClassPlacement::new(2, home);
         let programs = (0..2)
             .map(|n| rewrite_for_node(&p, &placement, n).program)
             .collect();

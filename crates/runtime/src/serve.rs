@@ -265,7 +265,7 @@ mod tests {
         let mut home = Map::new();
         home.insert(p.class_by_name("Main").unwrap(), 0);
         home.insert(p.class_by_name("Worker").unwrap(), worker_home);
-        let placement = ClassPlacement { home, nparts: 2 };
+        let placement = ClassPlacement::new(2, home);
         (0..2)
             .map(|n| rewrite_for_node(&p, &placement, n).program)
             .collect()

@@ -36,7 +36,7 @@ fn two_node_copies(drift_remote_shape: bool) -> Vec<Program> {
     let mut home = BTreeMap::new();
     home.insert(p.class_by_name("Main").unwrap(), 0);
     home.insert(p.class_by_name("Data").unwrap(), 1);
-    let placement = ClassPlacement { home, nparts: 2 };
+    let placement = ClassPlacement::new(2, home);
     let mut copies: Vec<Program> = (0..2)
         .map(|n| rewrite_for_node(&p, &placement, n).program)
         .collect();

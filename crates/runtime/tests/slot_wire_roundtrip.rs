@@ -140,7 +140,7 @@ proptest! {
         if shadowed {
             home.insert(p.class_by_name("BaseData").unwrap(), 1);
         }
-        let placement = ClassPlacement { home, nparts: 2 };
+        let placement = ClassPlacement::new(2, home);
         let rewritten: Vec<_> = (0..2).map(|n| rewrite_for_node(&p, &placement, n)).collect();
         prop_assert_eq!(
             rewritten[0].stats.rewritten_field_accesses,

@@ -114,7 +114,7 @@ fn steady_state_remote_round_trips_allocate_nothing_for_the_argument_list() {
     let mut home = BTreeMap::new();
     home.insert(p.class_by_name("Main").unwrap(), 0);
     home.insert(p.class_by_name("Worker").unwrap(), 1);
-    let placement = ClassPlacement { home, nparts: 2 };
+    let placement = ClassPlacement::new(2, home);
     let programs: Vec<_> = (0..2)
         .map(|n| rewrite_for_node(&p, &placement, n).program)
         .collect();

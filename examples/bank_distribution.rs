@@ -25,7 +25,7 @@ fn main() -> Result<(), PipelineError> {
     );
 
     println!("=== class placement ===");
-    for (&class, &node) in &plan.placement.home {
+    for (class, node) in plan.placement.homes() {
         println!("  {:<20} -> node {node}", program.class(class).name);
     }
 

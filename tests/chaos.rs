@@ -322,7 +322,7 @@ fn place_generated(program: &Program, levels: &[(String, usize)]) -> Vec<Program
     for (class, level) in levels {
         home.insert(program.class_by_name(class).unwrap(), level % 2);
     }
-    let placement = ClassPlacement { home, nparts: 2 };
+    let placement = ClassPlacement::new(2, home);
     (0..2)
         .map(|n| rewrite_for_node(program, &placement, n).program)
         .collect()

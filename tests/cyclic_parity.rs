@@ -27,10 +27,7 @@ fn run_pinned(program: &Program, pins: &[(&str, usize)], nodes: usize) -> Execut
     for (class, node) in pins {
         home.insert(program.class_by_name(class).unwrap(), *node);
     }
-    let placement = ClassPlacement {
-        home,
-        nparts: nodes,
-    };
+    let placement = ClassPlacement::new(nodes, home);
     let copies: Vec<Program> = (0..nodes)
         .map(|n| rewrite_for_node(program, &placement, n).program)
         .collect();

@@ -87,10 +87,14 @@ fn cluster(nodes: usize) -> ClusterConfig {
 /// a node's reach and verification and layout went per distinct method, 5 201,
 /// 10 386 / 17 668 / 31 735 and 2 715 / 5 571 / 11 286 (mean whole op 31 549); before
 /// the partitioner stopped rebuilding each level through a `BTreeMap` and per-vertex
-/// `Vec`s, `DISTRIBUTE` read 7 390 / 8 291 / 9 336 (mean whole op 15 164).
-const GENERATED: usize = 5_201;
-const DISTRIBUTE: [usize; 3] = [6_357, 6_776, 7_289];
-const PREPARE: [usize; 3] = [1_542, 1_626, 1_705];
+/// `Vec`s, `DISTRIBUTE` read 7 390 / 8 291 / 9 336 (mean whole op 15 164); before
+/// the CFG, call graph, CRG and placement were indexed by id and the front end's
+/// locals became a list, `GENERATED` read 5 201 and `DISTRIBUTE` 6 357 / 6 776 /
+/// 7 289 (mean whole op 13 478), and the `PREPARE` figures pinned before that,
+/// 1 542 / 1 626 / 1 705, predate the stack form's removal.
+const GENERATED: usize = 5_081;
+const DISTRIBUTE: [usize; 3] = [4_617, 5_173, 5_776];
+const PREPARE: [usize; 3] = [1_394, 1_469, 1_546];
 
 #[test]
 fn planning_stays_inside_its_allocation_budget() {

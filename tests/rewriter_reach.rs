@@ -13,7 +13,6 @@
 //! * **Family layouts are the standalone layouts** — op for op, per copy, fusion on
 //!   and off, while sharing what the copies share.
 
-use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use autodist::{Distributor, DistributorConfig, NodeProfiler};
@@ -133,10 +132,8 @@ fn a_class_family_split_across_nodes_runs() {
     );
     let class = |name: &str| program.class_by_name(name).unwrap();
     for (base, derived) in [(0, 1), (1, 0), (1, 1), (1, 2), (2, 1)] {
-        let placement = ClassPlacement {
-            home: BTreeMap::from([(class("Base"), base), (class("Derived"), derived)]),
-            nparts: 3,
-        };
+        let placement =
+            ClassPlacement::new(3, [(class("Base"), base), (class("Derived"), derived)]);
         let copies: Vec<Program> = (0..3)
             .map(|node| rewrite_for_node(&program, &placement, node).program)
             .collect();
