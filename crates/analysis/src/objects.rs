@@ -13,7 +13,7 @@
 use std::collections::BTreeSet;
 
 use autodist_ir::bytecode::Insn;
-use autodist_ir::cfg::loop_pcs;
+use autodist_ir::cfg::LoopFinder;
 use autodist_ir::program::{ClassId, MethodId, Program};
 
 use crate::rta::CallGraph;
@@ -86,12 +86,18 @@ impl ObjectSet {
 
 /// Collects the allocation sites of all reachable methods.
 pub fn collect_objects(program: &Program, call_graph: &CallGraph) -> ObjectSet {
-    // Which pcs sit inside a loop, once per reachable method (indexed by `MethodId`;
-    // empty for the rest): both passes below read it.
-    let mut loops: Vec<Vec<bool>> = vec![Vec::new(); program.methods.len()];
+    // Which pcs sit inside a loop, once per reachable method, in one table: method
+    // `m`'s flags start at `loops_at[m]` (the rest are never read). Both passes below
+    // read it.
+    let body = |m: MethodId| &program.method(m).body;
+    let mut loops_at = vec![0; program.methods.len()];
+    let mut loops = Vec::with_capacity(call_graph.reachable.iter().map(|&m| body(m).len()).sum());
+    let mut finder = LoopFinder::default();
     for &m in &call_graph.reachable {
-        loops[m.0 as usize] = loop_pcs(&program.method(m).body);
+        loops_at[m.0 as usize] = loops.len();
+        finder.push_loop_pcs(body(m), &mut loops);
     }
+    let in_loop = |m: MethodId, pc: usize| loops[loops_at[m.0 as usize] + pc];
     // "May execute more than once": on or reachable from a call-graph cycle, or
     // reachable from a call made inside a loop of a reachable caller. Peeling methods
     // nobody left calls removes exactly those no cycle reaches, and what remains is
@@ -123,7 +129,7 @@ pub fn collect_objects(program: &Program, call_graph: &CallGraph) -> ObjectSet {
         }
     };
     for cs in &call_graph.call_sites {
-        if loops[cs.caller.0 as usize][cs.pc] {
+        if in_loop(cs.caller, cs.pc) {
             cs.targets.iter().for_each(|&t| mark(t, &mut work));
         }
     }
@@ -137,13 +143,12 @@ pub fn collect_objects(program: &Program, call_graph: &CallGraph) -> ObjectSet {
         if method.body.is_empty() || program.class(method.class).is_synthetic {
             continue;
         }
-        let loops = &loops[mid.0 as usize];
         for (pc, insn) in method.body.iter().enumerate() {
             if let Insn::New(c) = insn {
                 if program.class(*c).is_synthetic {
                     continue;
                 }
-                let multiplicity = if loops[pc] || multi_exec[mid.0 as usize] {
+                let multiplicity = if in_loop(mid, pc) || multi_exec[mid.0 as usize] {
                     Multiplicity::Summary
                 } else {
                     Multiplicity::Single
@@ -168,6 +173,7 @@ mod tests {
     use super::*;
     use crate::rta::rapid_type_analysis;
     use crate::test_programs::{corpus, hand_written};
+    use autodist_ir::cfg::loop_pcs;
     use autodist_ir::frontend::compile_source;
 
     /// "May execute more than once" as this module used to compute it, kept as its

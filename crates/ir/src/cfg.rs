@@ -4,13 +4,17 @@
 //! (shared with the bytecode→quad lowering) and a conservative "is this program point
 //! inside a loop" predicate, which drives the paper's distinction between single-instance
 //! allocation sites and `*`-prefixed summary sites ("created inside a control structure").
+//!
+//! A pass over many bodies keeps one [`BytecodeCfg`] and [`BytecodeCfg::rebuild`]s it
+//! for each, and finds loops with one [`LoopFinder`], so it allocates per pass rather
+//! than per body.
 
 use crate::bytecode::Insn;
 
 /// Basic-block structure of a bytecode method body. Successors and predecessors are
 /// kept in CSR form: block `b`'s row is `succ[succ_at[b]..succ_at[b + 1]]` (and the
 /// same for `pred`), read through [`BytecodeCfg::succs`] and [`BytecodeCfg::preds`].
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct BytecodeCfg {
     /// Sorted start pcs of each block.
     pub leaders: Vec<usize>,
@@ -20,17 +24,28 @@ pub struct BytecodeCfg {
     succ: Vec<usize>,
     pred_at: Vec<usize>,
     pred: Vec<usize>,
+    /// Scratch of the build: the block starting at each pc, or `NONE`.
+    block_at: Vec<u32>,
 }
 
 impl BytecodeCfg {
     /// Builds the CFG of a bytecode body.
     pub fn build(body: &[Insn]) -> Self {
+        let mut cfg = BytecodeCfg::default();
+        cfg.rebuild(body);
+        cfg
+    }
+
+    /// Makes this the CFG of `body`, reusing the buffers of the body it described.
+    pub fn rebuild(&mut self, body: &[Insn]) {
         const NONE: u32 = u32::MAX;
         let n = body.len();
         // `block_at[pc]` is the block starting at `pc`, or `NONE`. A branch may name
         // one past the end (an unverified body even further), so the table grows to
         // the largest target.
-        let mut block_at = vec![NONE; n + 1];
+        let block_at = &mut self.block_at;
+        block_at.clear();
+        block_at.resize(n + 1, NONE);
         let mut lead = |pc: usize| {
             if pc >= block_at.len() {
                 block_at.resize(pc + 1, NONE);
@@ -50,7 +65,8 @@ impl BytecodeCfg {
                 lead(pc + 1);
             }
         }
-        let mut leaders = Vec::new();
+        let leaders = &mut self.leaders;
+        leaders.clear();
         for (pc, b) in block_at.iter_mut().enumerate() {
             if *b != NONE {
                 *b = leaders.len() as u32;
@@ -58,13 +74,16 @@ impl BytecodeCfg {
             }
         }
         let blocks = leaders.len();
-        let ranges: Vec<(usize, usize)> = (0..blocks)
-            .map(|i| (leaders[i], leaders.get(i + 1).copied().unwrap_or(n)))
-            .collect();
-        let mut succ_at = Vec::with_capacity(blocks + 1);
-        let mut succ = Vec::with_capacity(2 * blocks);
+        self.ranges.clear();
+        (self.ranges)
+            .extend((0..blocks).map(|i| (leaders[i], leaders.get(i + 1).copied().unwrap_or(n))));
+        let (succ_at, succ) = (&mut self.succ_at, &mut self.succ);
+        succ_at.clear();
+        succ.clear();
+        succ_at.reserve(blocks + 1);
+        succ.reserve(2 * blocks);
         succ_at.push(0);
-        for &(start, end) in &ranges {
+        for &(start, end) in &self.ranges {
             if start != end {
                 let last = &body[end - 1];
                 if let Some(t) = last.branch_target() {
@@ -79,29 +98,24 @@ impl BytecodeCfg {
         // Predecessors by counting sort: `pred_at[s]` first counts up to the end of
         // `s`'s row, then the blocks, walked backwards, fill each row from its end, so
         // every row lists its predecessors in block order.
-        let mut pred_at = vec![0; blocks + 1];
-        for &s in &succ {
+        let (pred_at, pred) = (&mut self.pred_at, &mut self.pred);
+        pred_at.clear();
+        pred_at.resize(blocks + 1, 0);
+        for &s in succ.iter() {
             pred_at[s] += 1;
         }
         let mut total = 0;
-        for at in &mut pred_at {
+        for at in pred_at.iter_mut() {
             total += *at;
             *at = total;
         }
-        let mut pred = vec![0; succ.len()];
+        pred.clear();
+        pred.resize(succ.len(), 0);
         for b in (0..blocks).rev() {
             for &s in succ[succ_at[b]..succ_at[b + 1]].iter().rev() {
                 pred_at[s] -= 1;
                 pred[pred_at[s]] = b;
             }
-        }
-        BytecodeCfg {
-            leaders,
-            ranges,
-            succ_at,
-            succ,
-            pred_at,
-            pred,
         }
     }
 
@@ -128,51 +142,76 @@ impl BytecodeCfg {
             Err(i) => i.saturating_sub(1),
         }
     }
+}
 
-    /// Blocks reachable from the entry block (index 0).
-    pub fn reachable(&self) -> Vec<bool> {
-        let mut seen = vec![false; self.block_count()];
-        if self.block_count() == 0 {
-            return seen;
-        }
-        let mut stack = vec![0usize];
-        seen[0] = true;
-        while let Some(b) = stack.pop() {
-            for &s in self.succs(b) {
-                if !seen[s] {
-                    seen[s] = true;
-                    stack.push(s);
-                }
+/// Finds the pcs inside loops of one body after another, with one CFG and one set of
+/// search buffers.
+#[derive(Debug, Default)]
+pub struct LoopFinder {
+    cfg: BytecodeCfg,
+    /// Per block: whether it belongs to at least one natural loop.
+    in_loop: Vec<bool>,
+    /// Per block: 0 = white, 1 = on the DFS stack, 2 = done.
+    color: Vec<u8>,
+    /// The DFS stack: a block and how many of its successors it has visited.
+    stack: Vec<(usize, usize)>,
+    back_edges: Vec<(usize, usize)>,
+    /// The natural loop being collected, and its worklist.
+    body: Vec<bool>,
+    work: Vec<usize>,
+}
+
+impl LoopFinder {
+    /// Appends to `out` one flag per pc of `body`: whether that pc is inside a loop.
+    pub fn push_loop_pcs(&mut self, body: &[Insn], out: &mut Vec<bool>) {
+        self.cfg.rebuild(body);
+        self.mark_loop_blocks();
+        let at = out.len();
+        out.resize(at + body.len(), false);
+        let flags = &mut out[at..];
+        for (&(start, end), &looped) in self.cfg.ranges.iter().zip(&self.in_loop) {
+            if looped {
+                flags
+                    .iter_mut()
+                    .take(end)
+                    .skip(start)
+                    .for_each(|slot| *slot = true);
             }
         }
-        seen
     }
 
-    /// Set of blocks that belong to at least one natural loop.
+    /// Marks in `in_loop` the blocks of the CFG that belong to at least one natural
+    /// loop.
     ///
     /// Back edges are detected via a DFS from the entry block; for each back edge
     /// `n -> h` the natural loop body is collected by walking predecessors from `n`
     /// until `h` is reached.
-    pub fn loop_blocks(&self) -> Vec<bool> {
-        let n = self.block_count();
-        let mut in_loop = vec![false; n];
+    fn mark_loop_blocks(&mut self) {
+        let cfg = &self.cfg;
+        let n = cfg.block_count();
+        self.in_loop.clear();
+        self.in_loop.resize(n, false);
         if n == 0 {
-            return in_loop;
+            return;
         }
         // DFS to find back edges (edge to an ancestor on the DFS stack).
-        let mut color = vec![0u8; n]; // 0 = white, 1 = on stack, 2 = done
-        let mut back_edges = Vec::new();
-        let mut stack: Vec<(usize, usize)> = vec![(0, 0)];
+        let color = &mut self.color;
+        color.clear();
+        color.resize(n, 0);
+        self.back_edges.clear();
+        let stack = &mut self.stack;
+        stack.clear();
+        stack.push((0, 0));
         color[0] = 1;
         while let Some(&mut (b, ref mut idx)) = stack.last_mut() {
-            if let Some(&s) = self.succs(b).get(*idx) {
+            if let Some(&s) = cfg.succs(b).get(*idx) {
                 *idx += 1;
                 match color[s] {
                     0 => {
                         color[s] = 1;
                         stack.push((s, 0));
                     }
-                    1 => back_edges.push((b, s)),
+                    1 => self.back_edges.push((b, s)),
                     _ => {}
                 }
             } else {
@@ -180,45 +219,38 @@ impl BytecodeCfg {
                 stack.pop();
             }
         }
-        for (tail, head) in back_edges {
+        for &(tail, head) in &self.back_edges {
             // Natural loop of back edge tail -> head.
-            let mut body = vec![false; n];
+            let body = &mut self.body;
+            body.clear();
+            body.resize(n, false);
             body[head] = true;
-            let mut work = vec![tail];
-            while let Some(b) = work.pop() {
+            self.work.push(tail);
+            while let Some(b) = self.work.pop() {
                 if body[b] {
                     continue;
                 }
                 body[b] = true;
-                for &p in self.preds(b) {
+                for &p in cfg.preds(b) {
                     if !body[p] {
-                        work.push(p);
+                        self.work.push(p);
                     }
                 }
             }
             for (i, &inb) in body.iter().enumerate() {
                 if inb {
-                    in_loop[i] = true;
+                    self.in_loop[i] = true;
                 }
             }
         }
-        in_loop
     }
 }
 
 /// Convenience: the set of pcs of a body that are inside loops (used to classify
 /// allocation sites as summary `*` sites).
 pub fn loop_pcs(body: &[Insn]) -> Vec<bool> {
-    let cfg = BytecodeCfg::build(body);
-    let loops = cfg.loop_blocks();
-    let mut out = vec![false; body.len()];
-    for (b, &(start, end)) in cfg.ranges.iter().enumerate() {
-        if loops[b] {
-            for slot in out.iter_mut().take(end).skip(start) {
-                *slot = true;
-            }
-        }
-    }
+    let mut out = Vec::with_capacity(body.len());
+    LoopFinder::default().push_loop_pcs(body, &mut out);
     out
 }
 
@@ -289,17 +321,15 @@ mod tests {
         }
     }
 
-    /// Asserts that the CSR build of `body` is the oracle's, row for row and in order.
-    fn assert_matches_oracle(body: &[Insn], what: &str) {
-        let cfg = BytecodeCfg::build(body);
+    /// `cfg`'s blocks and rows in the oracle's form.
+    fn csr_rows(cfg: &BytecodeCfg) -> OracleCfg {
         let rows = |row: &dyn Fn(usize) -> Vec<usize>| (0..cfg.block_count()).map(row).collect();
-        let got = OracleCfg {
+        OracleCfg {
             leaders: cfg.leaders.clone(),
             ranges: cfg.ranges.clone(),
             succs: rows(&|b| cfg.succs(b).to_vec()),
             preds: rows(&|b| cfg.preds(b).to_vec()),
-        };
-        assert_eq!(got, oracle_build(body), "{what}");
+        }
     }
 
     /// The CFG sees an instruction only through `branch_target` and `is_terminator`,
@@ -313,10 +343,9 @@ mod tests {
         }
     }
 
-    /// Every body of the analyses' corpus: Table 1, Table 3, `bank(100)` and the
-    /// generated call trees at five sizes × three seeds.
-    #[test]
-    fn the_csr_build_is_the_oracles_on_every_corpus_body() {
+    /// The control-flow skeleton of every body of the analyses' corpus: Table 1,
+    /// Table 3, `bank(100)` and the generated call trees at five sizes × three seeds.
+    fn corpus_bodies() -> Vec<(String, Vec<Insn>)> {
         use autodist_workloads::{bank, generated, table1_workloads, table3_workloads, GenConfig};
         let mut programs: Vec<_> = table1_workloads(1)
             .into_iter()
@@ -335,22 +364,20 @@ mod tests {
                 programs.push(generated(&cfg).workload);
             }
         }
-        let mut bodies = 0;
+        let mut bodies = Vec::new();
         for w in &programs {
             for m in &w.program.methods {
                 let body: Vec<Insn> = (m.body.iter())
                     .map(|i| skeleton(i.branch_target(), i.is_terminator()))
                     .collect();
-                assert_matches_oracle(&body, &format!("{}: {}", w.name, m.name));
-                bodies += 1;
+                bodies.push((format!("{}: {}", w.name, m.name), body));
             }
         }
-        assert!(bodies > 1_000, "{bodies} bodies");
+        bodies
     }
 
-    #[test]
-    fn the_csr_build_is_the_oracles_at_the_edges() {
-        let cases: [(&str, Vec<Insn>); 6] = [
+    fn edge_cases() -> [(&'static str, Vec<Insn>); 6] {
+        [
             ("empty body", vec![]),
             (
                 "a branch to one past the end",
@@ -382,10 +409,60 @@ mod tests {
                 ],
             ),
             ("the loop", real_loop_body()),
-        ];
-        for (what, body) in &cases {
-            assert_matches_oracle(body, what);
+        ]
+    }
+
+    #[test]
+    fn the_csr_build_is_the_oracles_on_every_corpus_body() {
+        let bodies = corpus_bodies();
+        for (what, body) in &bodies {
+            assert_eq!(
+                csr_rows(&BytecodeCfg::build(body)),
+                oracle_build(body),
+                "{what}"
+            );
         }
+        assert!(bodies.len() > 1_000, "{} bodies", bodies.len());
+    }
+
+    #[test]
+    fn the_csr_build_is_the_oracles_at_the_edges() {
+        for (what, body) in &edge_cases() {
+            assert_eq!(
+                csr_rows(&BytecodeCfg::build(body)),
+                oracle_build(body),
+                "{what}"
+            );
+        }
+    }
+
+    /// One CFG and one loop finder carried across every body, the largest and the
+    /// smallest left in turn, so each rebuild follows a body of a very different
+    /// size: nothing of the previous body may show through.
+    #[test]
+    fn one_cfg_and_loop_finder_serve_every_body_as_fresh_ones_would() {
+        let mut bodies = corpus_bodies();
+        bodies.extend(edge_cases().map(|(what, body)| (what.to_string(), body)));
+        bodies.sort_by_key(|(_, body)| body.len());
+        let (small, large) = bodies.split_at(bodies.len() / 2);
+        let turns = large.iter().rev().zip(small).flat_map(|(l, s)| [l, s]);
+        // With an odd count, the middle body is left over.
+        let middle = large.first().filter(|_| large.len() > small.len());
+        let mut cfg = BytecodeCfg::default();
+        let mut finder = LoopFinder::default();
+        let mut flags = Vec::new();
+        let mut rebuilt = 0;
+        for (what, body) in turns.chain(middle) {
+            cfg.rebuild(body);
+            let rows = csr_rows(&cfg);
+            assert_eq!(rows, csr_rows(&BytecodeCfg::build(body)), "{what}");
+            assert_eq!(rows, oracle_build(body), "{what}");
+            let at = flags.len();
+            finder.push_loop_pcs(body, &mut flags);
+            assert_eq!(flags[at..], loop_pcs(body), "{what}");
+            rebuilt += 1;
+        }
+        assert_eq!(rebuilt, bodies.len());
     }
 
     /// while (i < 10) { i = i + 1 }  — a single natural loop.
@@ -427,23 +504,19 @@ mod tests {
         let cfg = BytecodeCfg::build(&body);
         assert_eq!(cfg.block_count(), 1);
         assert!(cfg.succs(0).is_empty());
-        assert!(!cfg.loop_blocks().iter().any(|&b| b));
+        assert!(!loop_pcs(&body).contains(&true));
     }
 
     #[test]
     fn branch_splits_blocks() {
         let cfg = BytecodeCfg::build(&loop_body());
         assert!(cfg.block_count() >= 3);
-        let reach = cfg.reachable();
-        assert!(reach.iter().all(|&r| r));
+        assert!((1..cfg.block_count()).all(|b| !cfg.preds(b).is_empty()));
     }
 
     #[test]
     fn back_edge_forms_loop() {
         let body = real_loop_body();
-        let cfg = BytecodeCfg::build(&body);
-        let loops = cfg.loop_blocks();
-        assert!(loops.iter().any(|&b| b), "loop detected");
         // the increment at pc 7 is inside the loop, the return at pc 10 is not.
         let pcs = loop_pcs(&body);
         assert!(pcs[5] && pcs[7] && pcs[9]);
@@ -465,6 +538,6 @@ mod tests {
     fn empty_body() {
         let cfg = BytecodeCfg::build(&[]);
         assert_eq!(cfg.block_count(), 0);
-        assert!(cfg.reachable().is_empty());
+        assert!(loop_pcs(&[]).is_empty());
     }
 }

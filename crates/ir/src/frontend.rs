@@ -10,12 +10,18 @@
 //! compiler (declaration collection, then body compilation with a per-method local
 //! symbol table). It borrows from the source text: the lexer walks the bytes and
 //! yields `Copy` tokens whose identifiers and string literals are slices of the
-//! input, the AST holds those slices and is walked by reference once per pass, and
-//! the only owned strings are the names the finished [`Program`] keeps.
+//! input, the AST holds those slices, and the only owned strings are the names the
+//! finished [`Program`] keeps. The AST is flat: one vector per kind of node, children
+//! referred to by `u32` index, argument lists and blocks as runs of one shared id
+//! list. The body pass reuses one set of instruction, local and label buffers for
+//! every method, so a compile allocates per vector rather than per node.
 
+use std::collections::HashMap;
 use std::fmt;
+use std::hash::BuildHasherDefault;
 
 use crate::bytecode::{BinOp, CmpOp, Const, Insn, InvokeKind, UnOp};
+use crate::layout::StrHasher;
 use crate::program::{ClassId, FieldRef, MethodId, Program, Type};
 
 /// A source-level compilation error with a line number.
@@ -214,18 +220,51 @@ fn lex(src: &str) -> Result<Vec<SpannedTok<'_>>, ParseError> {
 // AST
 // ---------------------------------------------------------------------------
 
-#[derive(Debug, PartialEq)]
-enum TypeName<'s> {
+/// Index of an expression in [`Ast::exprs`].
+type ExprId = u32;
+/// Index of a statement in [`Ast::stmts`].
+type StmtId = u32;
+
+/// Consecutive entries of one of the [`Ast`]'s vectors: an argument list or a block
+/// (in [`Ast::ids`]), a class's fields or methods, a method's parameters.
+#[derive(Debug, Clone, Copy)]
+struct Run {
+    start: u32,
+    len: u32,
+}
+
+impl Run {
+    /// The run of `list` from `start` to its end.
+    fn since<T>(list: &[T], start: usize) -> Run {
+        Run {
+            start: start as u32,
+            len: (list.len() - start) as u32,
+        }
+    }
+
+    fn of<T>(self, list: &[T]) -> &[T] {
+        &list[self.start as usize..][..self.len as usize]
+    }
+}
+
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum BaseType<'s> {
     Int,
     Float,
     Bool,
     Str,
     Void,
     Class(&'s str),
-    Array(Box<TypeName<'s>>),
 }
 
-#[derive(Debug)]
+/// A type name: its base type and how many `[]` follow it.
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct TypeName<'s> {
+    base: BaseType<'s>,
+    dims: u32,
+}
+
+#[derive(Debug, Clone, Copy)]
 enum Expr<'s> {
     IntLit(i64),
     FloatLit(f64),
@@ -234,18 +273,18 @@ enum Expr<'s> {
     Null,
     This,
     Var(&'s str),
-    Field(Box<Expr<'s>>, &'s str),
-    Index(Box<Expr<'s>>, Box<Expr<'s>>),
-    Length(Box<Expr<'s>>),
+    Field(ExprId, &'s str),
+    Index(ExprId, ExprId),
+    Length(ExprId),
     Call {
-        recv: Option<Box<Expr<'s>>>,
+        recv: Option<ExprId>,
         name: &'s str,
-        args: Vec<Expr<'s>>,
+        args: Run,
     },
-    New(&'s str, Vec<Expr<'s>>),
-    NewArray(TypeName<'s>, Box<Expr<'s>>),
-    Unary(UnOp, Box<Expr<'s>>),
-    Binary(BinKind, Box<Expr<'s>>, Box<Expr<'s>>),
+    New(&'s str, Run),
+    NewArray(BaseType<'s>, ExprId),
+    Unary(UnOp, ExprId),
+    Binary(BinKind, ExprId, ExprId),
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -256,24 +295,26 @@ enum BinKind {
     Or,
 }
 
-#[derive(Debug)]
+#[derive(Debug, Clone, Copy)]
 enum Stmt<'s> {
-    Block(Vec<Stmt<'s>>),
-    VarDecl(TypeName<'s>, &'s str, Option<Expr<'s>>),
-    Assign(Expr<'s>, Expr<'s>),
-    If(Expr<'s>, Box<Stmt<'s>>, Option<Box<Stmt<'s>>>),
-    While(Expr<'s>, Box<Stmt<'s>>),
-    Return(Option<Expr<'s>>),
-    Expr(Expr<'s>),
+    Block(Run),
+    VarDecl(TypeName<'s>, &'s str, Option<ExprId>),
+    Assign(ExprId, ExprId),
+    If(ExprId, StmtId, Option<StmtId>),
+    While(ExprId, StmtId),
+    Return(Option<ExprId>),
+    Expr(ExprId),
 }
 
 #[derive(Debug)]
 struct MethodDecl<'s> {
     name: &'s str,
     is_static: bool,
-    params: Vec<(TypeName<'s>, &'s str)>,
+    /// In [`Ast::params`].
+    params: Run,
     ret: TypeName<'s>,
-    body: Vec<Stmt<'s>>,
+    /// Statement ids in [`Ast::ids`].
+    body: Run,
     line: usize,
 }
 
@@ -289,9 +330,50 @@ struct FieldDecl<'s> {
 struct ClassDecl<'s> {
     name: &'s str,
     super_name: Option<&'s str>,
+    /// In [`Ast::fields`].
+    fields: Run,
+    /// In [`Ast::methods`].
+    methods: Run,
+    line: usize,
+}
+
+/// A parsed source file: one vector per kind of node, children referred to by index.
+/// Methods are numbered in declaration order across all classes, as [`MethodId`]s are.
+#[derive(Debug)]
+struct Ast<'s> {
+    classes: Vec<ClassDecl<'s>>,
     fields: Vec<FieldDecl<'s>>,
     methods: Vec<MethodDecl<'s>>,
-    line: usize,
+    params: Vec<(TypeName<'s>, &'s str)>,
+    exprs: Vec<Expr<'s>>,
+    stmts: Vec<Stmt<'s>>,
+    /// Every argument list and block, each one run.
+    ids: Vec<u32>,
+}
+
+impl<'s> Ast<'s> {
+    /// An empty tree with room for what `tokens` tokens of source hold, so that it is
+    /// seldom regrown: the workloads' sources run at 2.6–3.6 tokens an expression and
+    /// 12–15 a statement.
+    fn with_capacity(tokens: usize) -> Self {
+        Ast {
+            classes: Vec::with_capacity(tokens / 128),
+            fields: Vec::with_capacity(tokens / 32),
+            methods: Vec::with_capacity(tokens / 32),
+            params: Vec::with_capacity(tokens / 24),
+            exprs: Vec::with_capacity(tokens / 2),
+            stmts: Vec::with_capacity(tokens / 10),
+            ids: Vec::with_capacity(tokens / 6),
+        }
+    }
+
+    fn expr(&self, e: ExprId) -> Expr<'s> {
+        self.exprs[e as usize]
+    }
+
+    fn stmt(&self, s: StmtId) -> Stmt<'s> {
+        self.stmts[s as usize]
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -322,6 +404,10 @@ fn binary_op(t: Tok<'_>) -> Option<(u8, BinKind)> {
 struct Parser<'s> {
     toks: Vec<SpannedTok<'s>>,
     pos: usize,
+    ast: Ast<'s>,
+    /// The ids of every argument list and block still being parsed, innermost last;
+    /// a list's ids move to [`Ast::ids`] as one run when it closes.
+    open: Vec<u32>,
 }
 
 impl<'s> Parser<'s> {
@@ -370,18 +456,32 @@ impl<'s> Parser<'s> {
         self.eat(Tok::Ident(kw))
     }
 
-    fn parse_program(&mut self) -> Result<Vec<ClassDecl<'s>>, ParseError> {
-        let mut classes = Vec::new();
+    fn push_expr(&mut self, e: Expr<'s>) -> ExprId {
+        self.ast.exprs.push(e);
+        (self.ast.exprs.len() - 1) as ExprId
+    }
+    fn push_stmt(&mut self, s: Stmt<'s>) -> StmtId {
+        self.ast.stmts.push(s);
+        (self.ast.stmts.len() - 1) as StmtId
+    }
+    /// Closes the list opened when `open` held `mark` ids.
+    fn close(&mut self, mark: usize) -> Run {
+        let start = self.ast.ids.len();
+        self.ast.ids.extend(self.open.drain(mark..));
+        Run::since(&self.ast.ids, start)
+    }
+
+    fn parse_program(&mut self) -> Result<(), ParseError> {
         while self.peek() != Tok::Eof {
             if !self.eat_keyword("class") {
                 return err(self.line(), "expected 'class'");
             }
-            classes.push(self.parse_class()?);
+            self.parse_class()?;
         }
-        Ok(classes)
+        Ok(())
     }
 
-    fn parse_class(&mut self) -> Result<ClassDecl<'s>, ParseError> {
+    fn parse_class(&mut self) -> Result<(), ParseError> {
         let line = self.line();
         let name = self.expect_ident()?;
         let super_name = if self.eat_keyword("extends") {
@@ -390,38 +490,42 @@ impl<'s> Parser<'s> {
             None
         };
         self.expect(Tok::LBrace, "'{'")?;
-        let mut fields = Vec::new();
-        let mut methods = Vec::new();
+        let (fields, methods) = (self.ast.fields.len(), self.ast.methods.len());
         while self.peek() != Tok::RBrace {
             let line = self.line();
             let is_static = self.eat_keyword("static");
             // Constructor: IDENT '(' where IDENT == class name.
             if self.peek() == Tok::Ident(name) && self.peek2() == Tok::LParen {
                 self.bump();
-                methods.push(MethodDecl {
+                let method = MethodDecl {
                     name: "<init>",
                     is_static: false,
                     params: self.parse_params()?,
-                    ret: TypeName::Void,
+                    ret: TypeName {
+                        base: BaseType::Void,
+                        dims: 0,
+                    },
                     body: self.parse_block()?,
                     line,
-                });
+                };
+                self.ast.methods.push(method);
                 continue;
             }
             let ty = self.parse_type()?;
             let name = self.expect_ident()?;
             if self.peek() == Tok::LParen {
-                methods.push(MethodDecl {
+                let method = MethodDecl {
                     name,
                     is_static,
                     params: self.parse_params()?,
                     ret: ty,
                     body: self.parse_block()?,
                     line,
-                });
+                };
+                self.ast.methods.push(method);
             } else {
                 self.expect(Tok::Semi, "';'")?;
-                fields.push(FieldDecl {
+                self.ast.fields.push(FieldDecl {
                     ty,
                     name,
                     is_static,
@@ -430,63 +534,67 @@ impl<'s> Parser<'s> {
             }
         }
         self.expect(Tok::RBrace, "'}'")?;
-        Ok(ClassDecl {
+        let class = ClassDecl {
             name,
             super_name,
-            fields,
-            methods,
+            fields: Run::since(&self.ast.fields, fields),
+            methods: Run::since(&self.ast.methods, methods),
             line,
-        })
+        };
+        self.ast.classes.push(class);
+        Ok(())
     }
 
-    fn parse_params(&mut self) -> Result<Vec<(TypeName<'s>, &'s str)>, ParseError> {
+    fn parse_params(&mut self) -> Result<Run, ParseError> {
         self.expect(Tok::LParen, "'('")?;
-        let mut params = Vec::new();
+        let start = self.ast.params.len();
         while self.peek() != Tok::RParen {
-            if !params.is_empty() {
+            if self.ast.params.len() > start {
                 self.expect(Tok::Comma, "','")?;
             }
             let ty = self.parse_type()?;
             let name = self.expect_ident()?;
-            params.push((ty, name));
+            self.ast.params.push((ty, name));
         }
         self.expect(Tok::RParen, "')'")?;
-        Ok(params)
+        Ok(Run::since(&self.ast.params, start))
     }
 
     /// Parses a type name without any trailing `[]` suffix (needed by `new T[expr]`).
-    fn parse_base_type(&mut self) -> Result<TypeName<'s>, ParseError> {
+    fn parse_base_type(&mut self) -> Result<BaseType<'s>, ParseError> {
         match self.bump() {
             Tok::Ident(s) => Ok(match s {
-                "int" => TypeName::Int,
-                "float" | "double" => TypeName::Float,
-                "boolean" => TypeName::Bool,
-                "String" => TypeName::Str,
-                "void" => TypeName::Void,
-                _ => TypeName::Class(s),
+                "int" => BaseType::Int,
+                "float" | "double" => BaseType::Float,
+                "boolean" => BaseType::Bool,
+                "String" => BaseType::Str,
+                "void" => BaseType::Void,
+                _ => BaseType::Class(s),
             }),
             other => err(self.line(), format!("expected type, found {other:?}")),
         }
     }
 
     fn parse_type(&mut self) -> Result<TypeName<'s>, ParseError> {
-        let mut ty = self.parse_base_type()?;
+        let base = self.parse_base_type()?;
+        let mut dims = 0;
         while self.peek() == Tok::LBracket && self.peek2() == Tok::RBracket {
             self.bump();
             self.bump();
-            ty = TypeName::Array(Box::new(ty));
+            dims += 1;
         }
-        Ok(ty)
+        Ok(TypeName { base, dims })
     }
 
-    fn parse_block(&mut self) -> Result<Vec<Stmt<'s>>, ParseError> {
+    fn parse_block(&mut self) -> Result<Run, ParseError> {
         self.expect(Tok::LBrace, "'{'")?;
-        let mut stmts = Vec::new();
+        let mark = self.open.len();
         while self.peek() != Tok::RBrace {
-            stmts.push(self.parse_stmt()?);
+            let s = self.parse_stmt()?;
+            self.open.push(s);
         }
         self.expect(Tok::RBrace, "'}'")?;
-        Ok(stmts)
+        Ok(self.close(mark))
     }
 
     fn looks_like_decl(&self) -> bool {
@@ -505,38 +613,37 @@ impl<'s> Parser<'s> {
         }
     }
 
-    fn parse_stmt(&mut self) -> Result<Stmt<'s>, ParseError> {
-        match self.peek() {
-            Tok::LBrace => Ok(Stmt::Block(self.parse_block()?)),
+    fn parse_stmt(&mut self) -> Result<StmtId, ParseError> {
+        let stmt = match self.peek() {
+            Tok::LBrace => Stmt::Block(self.parse_block()?),
             Tok::Ident("if") => {
                 self.bump();
                 self.expect(Tok::LParen, "'('")?;
                 let cond = self.parse_expr()?;
                 self.expect(Tok::RParen, "')'")?;
-                let then = Box::new(self.parse_stmt()?);
+                let then = self.parse_stmt()?;
                 let els = if self.eat_keyword("else") {
-                    Some(Box::new(self.parse_stmt()?))
+                    Some(self.parse_stmt()?)
                 } else {
                     None
                 };
-                Ok(Stmt::If(cond, then, els))
+                Stmt::If(cond, then, els)
             }
             Tok::Ident("while") => {
                 self.bump();
                 self.expect(Tok::LParen, "'('")?;
                 let cond = self.parse_expr()?;
                 self.expect(Tok::RParen, "')'")?;
-                let body = Box::new(self.parse_stmt()?);
-                Ok(Stmt::While(cond, body))
+                Stmt::While(cond, self.parse_stmt()?)
             }
             Tok::Ident("return") => {
                 self.bump();
                 if self.eat(Tok::Semi) {
-                    Ok(Stmt::Return(None))
+                    Stmt::Return(None)
                 } else {
                     let e = self.parse_expr()?;
                     self.expect(Tok::Semi, "';'")?;
-                    Ok(Stmt::Return(Some(e)))
+                    Stmt::Return(Some(e))
                 }
             }
             _ if self.looks_like_decl() => {
@@ -548,30 +655,31 @@ impl<'s> Parser<'s> {
                     None
                 };
                 self.expect(Tok::Semi, "';'")?;
-                Ok(Stmt::VarDecl(ty, name, init))
+                Stmt::VarDecl(ty, name, init)
             }
             _ => {
                 let e = self.parse_expr()?;
                 if self.eat(Tok::Assign) {
                     let rhs = self.parse_expr()?;
                     self.expect(Tok::Semi, "';'")?;
-                    Ok(Stmt::Assign(e, rhs))
+                    Stmt::Assign(e, rhs)
                 } else {
                     self.expect(Tok::Semi, "';'")?;
-                    Ok(Stmt::Expr(e))
+                    Stmt::Expr(e)
                 }
             }
-        }
+        };
+        Ok(self.push_stmt(stmt))
     }
 
-    fn parse_expr(&mut self) -> Result<Expr<'s>, ParseError> {
+    fn parse_expr(&mut self) -> Result<ExprId, ParseError> {
         self.parse_binary(1)
     }
 
     /// Precedence climbing over [`binary_op`]: parses the operators that bind at least
     /// as tightly as `min`. All associate to the left except the comparisons, which
     /// do not chain (`a < b < c` is a syntax error, as in Java).
-    fn parse_binary(&mut self, min: u8) -> Result<Expr<'s>, ParseError> {
+    fn parse_binary(&mut self, min: u8) -> Result<ExprId, ParseError> {
         let mut lhs = self.parse_unary()?;
         // Tightest operator that may still follow `lhs` at this level.
         let mut max = u8::MAX;
@@ -580,7 +688,7 @@ impl<'s> Parser<'s> {
         {
             self.bump();
             let rhs = self.parse_binary(power + 1)?;
-            lhs = Expr::Binary(kind, Box::new(lhs), Box::new(rhs));
+            lhs = self.push_expr(Expr::Binary(kind, lhs, rhs));
             max = match kind {
                 BinKind::Cmp(_) => power - 1,
                 _ => power,
@@ -589,112 +697,123 @@ impl<'s> Parser<'s> {
         Ok(lhs)
     }
 
-    fn parse_unary(&mut self) -> Result<Expr<'s>, ParseError> {
+    fn parse_unary(&mut self) -> Result<ExprId, ParseError> {
         let op = match self.peek() {
             Tok::Minus => UnOp::Neg,
             Tok::Bang => UnOp::Not,
             _ => return self.parse_postfix(),
         };
         self.bump();
-        Ok(Expr::Unary(op, Box::new(self.parse_unary()?)))
+        let operand = self.parse_unary()?;
+        Ok(self.push_expr(Expr::Unary(op, operand)))
     }
 
-    fn parse_postfix(&mut self) -> Result<Expr<'s>, ParseError> {
+    fn parse_postfix(&mut self) -> Result<ExprId, ParseError> {
         let mut e = self.parse_primary()?;
         loop {
-            match self.peek() {
+            let next = match self.peek() {
                 Tok::Dot => {
                     self.bump();
                     let name = self.expect_ident()?;
                     if self.peek() == Tok::LParen {
-                        let args = self.parse_args()?;
-                        e = Expr::Call {
-                            recv: Some(Box::new(e)),
+                        Expr::Call {
+                            recv: Some(e),
                             name,
-                            args,
-                        };
+                            args: self.parse_args()?,
+                        }
                     } else if name == "length" {
-                        e = Expr::Length(Box::new(e));
+                        Expr::Length(e)
                     } else {
-                        e = Expr::Field(Box::new(e), name);
+                        Expr::Field(e, name)
                     }
                 }
                 Tok::LBracket => {
                     self.bump();
                     let idx = self.parse_expr()?;
                     self.expect(Tok::RBracket, "']'")?;
-                    e = Expr::Index(Box::new(e), Box::new(idx));
+                    Expr::Index(e, idx)
                 }
                 _ => break,
-            }
+            };
+            e = self.push_expr(next);
         }
         Ok(e)
     }
 
-    fn parse_args(&mut self) -> Result<Vec<Expr<'s>>, ParseError> {
+    fn parse_args(&mut self) -> Result<Run, ParseError> {
         self.expect(Tok::LParen, "'('")?;
-        let mut args = Vec::new();
+        let mark = self.open.len();
         while self.peek() != Tok::RParen {
-            if !args.is_empty() {
+            if self.open.len() > mark {
                 self.expect(Tok::Comma, "','")?;
             }
-            args.push(self.parse_expr()?);
+            let arg = self.parse_expr()?;
+            self.open.push(arg);
         }
         self.expect(Tok::RParen, "')'")?;
-        Ok(args)
+        Ok(self.close(mark))
     }
 
-    fn parse_primary(&mut self) -> Result<Expr<'s>, ParseError> {
-        match self.bump() {
-            Tok::Int(v) => Ok(Expr::IntLit(v)),
-            Tok::Float(v) => Ok(Expr::FloatLit(v)),
-            Tok::Str(s) => Ok(Expr::StrLit(s)),
+    fn parse_primary(&mut self) -> Result<ExprId, ParseError> {
+        let e = match self.bump() {
+            Tok::Int(v) => Expr::IntLit(v),
+            Tok::Float(v) => Expr::FloatLit(v),
+            Tok::Str(s) => Expr::StrLit(s),
             Tok::LParen => {
                 let e = self.parse_expr()?;
                 self.expect(Tok::RParen, "')'")?;
-                Ok(e)
+                return Ok(e);
             }
-            Tok::Ident("true") => Ok(Expr::BoolLit(true)),
-            Tok::Ident("false") => Ok(Expr::BoolLit(false)),
-            Tok::Ident("null") => Ok(Expr::Null),
-            Tok::Ident("this") => Ok(Expr::This),
+            Tok::Ident("true") => Expr::BoolLit(true),
+            Tok::Ident("false") => Expr::BoolLit(false),
+            Tok::Ident("null") => Expr::Null,
+            Tok::Ident("this") => Expr::This,
             Tok::Ident("new") => {
-                let ty = self.parse_base_type()?;
+                let base = self.parse_base_type()?;
                 if self.eat(Tok::LBracket) {
                     let len = self.parse_expr()?;
                     self.expect(Tok::RBracket, "']'")?;
-                    Ok(Expr::NewArray(ty, Box::new(len)))
+                    Expr::NewArray(base, len)
                 } else {
-                    let class = match ty {
-                        TypeName::Class(c) => c,
-                        other => {
-                            return err(
-                                self.line(),
-                                format!("cannot 'new' non-class type {other:?}"),
-                            )
-                        }
+                    let BaseType::Class(class) = base else {
+                        return err(self.line(), format!("cannot 'new' non-class type {base:?}"));
                     };
-                    Ok(Expr::New(class, self.parse_args()?))
+                    Expr::New(class, self.parse_args()?)
                 }
             }
             // A qualified static call `Class.method(...)` is handled in postfix as a
             // field/virtual chain; plain `name(...)` is a same-class call.
-            Tok::Ident(name) if self.peek() == Tok::LParen => Ok(Expr::Call {
+            Tok::Ident(name) if self.peek() == Tok::LParen => Expr::Call {
                 recv: None,
                 name,
                 args: self.parse_args()?,
-            }),
-            Tok::Ident(name) => Ok(Expr::Var(name)),
-            other => err(self.line(), format!("unexpected token {other:?}")),
-        }
+            },
+            Tok::Ident(name) => Expr::Var(name),
+            other => return err(self.line(), format!("unexpected token {other:?}")),
+        };
+        Ok(self.push_expr(e))
     }
+}
+
+/// Lexes and parses `src`. The tokens are freed here; the tree borrows only the text.
+fn parse(src: &str) -> Result<Ast<'_>, ParseError> {
+    let toks = lex(src)?;
+    let mut parser = Parser {
+        ast: Ast::with_capacity(toks.len()),
+        toks,
+        pos: 0,
+        open: Vec::new(),
+    };
+    parser.parse_program()?;
+    Ok(parser.ast)
 }
 
 // ---------------------------------------------------------------------------
 // Compiler (AST -> bytecode)
 // ---------------------------------------------------------------------------
 
-/// One method body being compiled: where it is declared, and what it has emitted.
+/// The method body being compiled: where it is declared, and what it has emitted.
+/// One is made per compile and cleared for each method, so its buffers are reused.
 struct MethodCtx<'s> {
     class: ClassId,
     /// Line of the method's declaration — the line every error in its body reports.
@@ -708,16 +827,26 @@ struct MethodCtx<'s> {
 }
 
 impl<'s> MethodCtx<'s> {
-    fn new(class: ClassId, line: usize) -> Self {
+    fn new() -> Self {
         MethodCtx {
-            class,
-            line,
+            class: ClassId(0),
+            line: 0,
             insns: Vec::new(),
             locals: Vec::new(),
             next_local: 0,
             fixups: Vec::new(),
             labels: Vec::new(),
         }
+    }
+    /// Starts the body of a method of `class` declared on `line`.
+    fn begin(&mut self, class: ClassId, line: usize) {
+        self.class = class;
+        self.line = line;
+        self.insns.clear();
+        self.locals.clear();
+        self.next_local = 0;
+        self.fixups.clear();
+        self.labels.clear();
     }
     fn emit(&mut self, i: Insn) {
         self.insns.push(i);
@@ -747,77 +876,89 @@ impl<'s> MethodCtx<'s> {
     fn err<T>(&self, message: impl Into<String>) -> Result<T, ParseError> {
         err(self.line, message)
     }
-    fn finish(mut self) -> (Vec<Insn>, u16) {
-        let fixups = std::mem::take(&mut self.fixups);
+    /// The finished body, in a vector of its exact size, and its local count.
+    fn finish(&mut self) -> (Vec<Insn>, u16) {
         // A label may legitimately point one past the last instruction (e.g. the join
         // label of an if/else whose branches both return). Keep branch targets in range
         // by appending an unreachable return.
-        if fixups
-            .iter()
-            .any(|&(_, l)| self.labels[l] == Some(self.insns.len()))
-        {
+        if (self.fixups.iter()).any(|&(_, l)| self.labels[l] == Some(self.insns.len())) {
             self.insns.push(Insn::Return);
         }
-        for (idx, label) in fixups {
+        for &(idx, label) in &self.fixups {
             let target = self.labels[label].expect("unplaced label");
             self.insns[idx].remap_targets(|_| target);
         }
-        (self.insns, self.next_local)
+        (self.insns.drain(..).collect(), self.next_local)
     }
 }
 
 /// The two passes over the declarations. Pass 1 ([`Compiler::declare_all`]) is the only
 /// one that adds to the program; pass 2 reads classes, fields and callees in place and
 /// writes each finished body once.
-struct Compiler {
+struct Compiler<'a, 's> {
+    ast: &'a Ast<'s>,
     program: Program,
+    /// Every class by name, filled in pass 1a.
+    class_ids: HashMap<&'s str, ClassId, BuildHasherDefault<StrHasher>>,
 }
 
-impl Compiler {
+impl<'s> Compiler<'_, 's> {
     fn class_named(&self, name: &str, line: usize) -> Result<ClassId, ParseError> {
-        self.program
-            .class_by_name(name)
+        (self.class_ids.get(name).copied())
             .ok_or_else(|| error(line, format!("unknown class {name}")))
     }
 
-    fn resolve_type(&self, t: &TypeName<'_>, line: usize) -> Result<Type, ParseError> {
-        Ok(match t {
-            TypeName::Int => Type::Int,
-            TypeName::Float => Type::Float,
-            TypeName::Bool => Type::Bool,
-            TypeName::Str => Type::Str,
-            TypeName::Void => Type::Void,
-            TypeName::Class(c) => Type::Ref(self.class_named(c, line)?),
-            TypeName::Array(inner) => Type::Array(Box::new(self.resolve_type(inner, line)?)),
+    fn resolve_base(&self, base: BaseType<'_>, line: usize) -> Result<Type, ParseError> {
+        Ok(match base {
+            BaseType::Int => Type::Int,
+            BaseType::Float => Type::Float,
+            BaseType::Bool => Type::Bool,
+            BaseType::Str => Type::Str,
+            BaseType::Void => Type::Void,
+            BaseType::Class(c) => Type::Ref(self.class_named(c, line)?),
         })
     }
 
-    fn declare_all(&mut self, decls: &[ClassDecl<'_>]) -> Result<(), ParseError> {
-        // Pass 1a: classes (ids follow declaration order, so `decls[i]` is class `i`).
-        for decl in decls {
+    fn resolve_type(&self, t: TypeName<'_>, line: usize) -> Result<Type, ParseError> {
+        let mut ty = self.resolve_base(t.base, line)?;
+        for _ in 0..t.dims {
+            ty = Type::Array(Box::new(ty));
+        }
+        Ok(ty)
+    }
+
+    fn declare_all(&mut self) -> Result<(), ParseError> {
+        let ast = self.ast;
+        // Pass 1a: classes (ids follow declaration order, so `classes[i]` is class `i`).
+        self.program.classes.reserve_exact(ast.classes.len());
+        self.program.methods.reserve_exact(ast.methods.len());
+        for decl in &ast.classes {
+            let id = self.program.classes.len() as u32;
+            if self.class_ids.insert(decl.name, ClassId(id)).is_some() {
+                return err(decl.line, format!("duplicate class {}", decl.name));
+            }
             self.program.add_class(decl.name, None);
         }
         // Pass 1b: supers, fields, method signatures (method ids follow declaration
         // order too, which is how pass 2 finds each body's method again).
-        for (decl, cid) in decls.iter().zip((0..).map(ClassId)) {
+        for (decl, cid) in ast.classes.iter().zip((0..).map(ClassId)) {
             if let Some(sup) = decl.super_name {
-                let sid = self
-                    .program
-                    .class_by_name(sup)
+                let sid = (self.class_ids.get(sup).copied())
                     .ok_or_else(|| error(decl.line, format!("unknown superclass {sup}")))?;
                 self.program.class_mut(cid).super_class = Some(sid);
             }
-            for f in &decl.fields {
-                let ty = self.resolve_type(&f.ty, f.line)?;
+            for f in decl.fields.of(&ast.fields) {
+                let ty = self.resolve_type(f.ty, f.line)?;
+                if self.program.class(cid).field_index(f.name).is_some() {
+                    return err(f.line, format!("duplicate field {}.{}", decl.name, f.name));
+                }
                 self.program.add_field(cid, f.name, ty, f.is_static);
             }
-            for m in &decl.methods {
-                let params = m
-                    .params
-                    .iter()
-                    .map(|(t, _)| self.resolve_type(t, m.line))
+            for m in decl.methods.of(&ast.methods) {
+                let params = (m.params.of(&ast.params).iter())
+                    .map(|&(t, _)| self.resolve_type(t, m.line))
                     .collect::<Result<Vec<_>, _>>()?;
-                let ret = self.resolve_type(&m.ret, m.line)?;
+                let ret = self.resolve_type(m.ret, m.line)?;
                 self.program
                     .add_method(cid, m.name, params, ret, m.is_static);
             }
@@ -825,15 +966,15 @@ impl Compiler {
         Ok(())
     }
 
-    fn compile_bodies(&mut self, decls: &[ClassDecl<'_>]) -> Result<(), ParseError> {
-        let methods = decls.iter().flat_map(|decl| &decl.methods);
-        for (m, mid) in methods.zip((0..).map(MethodId)) {
-            let (body, locals) = self.compile_method(mid, m)?;
+    fn compile_bodies(&mut self) -> Result<(), ParseError> {
+        let mut ctx = MethodCtx::new();
+        for (m, mid) in self.ast.methods.iter().zip((0..).map(MethodId)) {
+            let (body, locals) = self.compile_method(&mut ctx, mid, m)?;
             let entry_locals = self.program.method(mid).entry_locals();
             self.program.set_body(mid, body, locals.max(entry_locals));
         }
         // entry point: a static `main` method anywhere (the last one declared wins).
-        for cid in (0..decls.len() as u32).map(ClassId) {
+        for cid in (0..self.ast.classes.len() as u32).map(ClassId) {
             if let Some(mid) = self.program.find_method(cid, "main") {
                 if self.program.method(mid).is_static {
                     self.program.set_entry(mid);
@@ -843,21 +984,22 @@ impl Compiler {
         Ok(())
     }
 
-    fn compile_method<'s>(
+    fn compile_method(
         &self,
+        ctx: &mut MethodCtx<'s>,
         mid: MethodId,
         m: &MethodDecl<'s>,
     ) -> Result<(Vec<Insn>, u16), ParseError> {
         let declared = self.program.method(mid);
-        let mut ctx = MethodCtx::new(declared.class, m.line);
+        ctx.begin(declared.class, m.line);
         if !m.is_static {
             ctx.declare("this", Type::Ref(declared.class));
         }
-        for ((_, name), ty) in m.params.iter().zip(&declared.params) {
+        for (&(_, name), ty) in m.params.of(&self.ast.params).iter().zip(&declared.params) {
             ctx.declare(name, ty.clone());
         }
-        for stmt in &m.body {
-            self.compile_stmt(&mut ctx, stmt)?;
+        for &stmt in m.body.of(&self.ast.ids) {
+            self.compile_stmt(ctx, stmt)?;
         }
         // Implicit return for void methods / constructors.
         if !matches!(ctx.insns.last(), Some(i) if i.is_terminator()) {
@@ -869,10 +1011,10 @@ impl Compiler {
         Ok(ctx.finish())
     }
 
-    fn compile_stmt<'s>(&self, ctx: &mut MethodCtx<'s>, stmt: &Stmt<'s>) -> Result<(), ParseError> {
-        match stmt {
+    fn compile_stmt(&self, ctx: &mut MethodCtx<'s>, stmt: StmtId) -> Result<(), ParseError> {
+        match self.ast.stmt(stmt) {
             Stmt::Block(stmts) => {
-                for s in stmts {
+                for &s in stmts.of(&self.ast.ids) {
                     self.compile_stmt(ctx, s)?;
                 }
             }
@@ -886,7 +1028,7 @@ impl Compiler {
                     ctx.declare(name, rty);
                 }
             }
-            Stmt::Assign(lhs, rhs) => match lhs {
+            Stmt::Assign(lhs, rhs) => match self.ast.expr(lhs) {
                 Expr::Var(name) => {
                     if let Some((slot, _)) = ctx.local(name) {
                         self.compile_expr(ctx, rhs)?;
@@ -963,13 +1105,13 @@ impl Compiler {
     }
 
     /// Compiles `cond`, branching to `false_label` if it evaluates to false.
-    fn compile_condition<'s>(
+    fn compile_condition(
         &self,
         ctx: &mut MethodCtx<'s>,
-        cond: &Expr<'s>,
+        cond: ExprId,
         false_label: usize,
     ) -> Result<(), ParseError> {
-        if let Expr::Binary(BinKind::Cmp(op), lhs, rhs) = cond {
+        if let Expr::Binary(BinKind::Cmp(op), lhs, rhs) = self.ast.expr(cond) {
             self.compile_expr(ctx, lhs)?;
             self.compile_expr(ctx, rhs)?;
             ctx.branch(Insn::IfCmp(op.negate(), usize::MAX), false_label);
@@ -1004,25 +1146,25 @@ impl Compiler {
 
     /// The method a call expression names, and whether it is reached through a class
     /// name (`Class.method(...)`) and therefore static whatever its declaration says.
-    fn callee<'s>(
+    fn callee(
         &self,
         ctx: &MethodCtx<'s>,
-        recv: Option<&Expr<'s>>,
+        recv: Option<ExprId>,
         name: &str,
     ) -> Result<(MethodId, bool), ParseError> {
-        let (recv_class, via_class) = match recv {
+        let (recv_class, via_class) = match recv.map(|r| (r, self.ast.expr(r))) {
             None => (ctx.class, false),
             // `Ident.method(...)` where Ident is no variable is a class name.
-            Some(Expr::Var(cname))
+            Some((_, Expr::Var(cname)))
                 if ctx.local(cname).is_none()
                     && self.program.resolve_field(ctx.class, cname).is_none() =>
             {
-                match self.program.class_by_name(cname) {
-                    Some(cid) => (cid, true),
+                match self.class_ids.get(cname) {
+                    Some(&cid) => (cid, true),
                     None => return ctx.err(format!("unknown receiver {cname}")),
                 }
             }
-            Some(r) => match self.type_of(ctx, r)?.ref_class() {
+            Some((r, _)) => match self.type_of(ctx, r)?.ref_class() {
                 Some(cid) => (cid, false),
                 None => return ctx.err(format!("call {name} on non-object")),
             },
@@ -1039,8 +1181,8 @@ impl Compiler {
     /// The type [`Compiler::compile_expr`] would return for `e`, emitting nothing: a
     /// call must know its receiver's class before it knows whether the receiver is
     /// evaluated at all (a static callee takes none).
-    fn type_of<'s>(&self, ctx: &MethodCtx<'s>, e: &Expr<'s>) -> Result<Type, ParseError> {
-        Ok(match e {
+    fn type_of(&self, ctx: &MethodCtx<'s>, e: ExprId) -> Result<Type, ParseError> {
+        Ok(match self.ast.expr(e) {
             Expr::IntLit(_) | Expr::Length(_) => Type::Int,
             Expr::FloatLit(_) => Type::Float,
             Expr::StrLit(_) => Type::Str,
@@ -1064,25 +1206,25 @@ impl Compiler {
                 _ => return ctx.err("indexing a non-array"),
             },
             Expr::Call { recv, name, .. } => {
-                let (mid, _) = self.callee(ctx, recv.as_deref(), name)?;
+                let (mid, _) = self.callee(ctx, recv, name)?;
                 self.program.method(mid).ret.clone()
             }
             Expr::New(cname, _) => Type::Ref(self.class_named(cname, ctx.line)?),
-            Expr::NewArray(ty, _) => Type::Array(Box::new(self.resolve_type(ty, ctx.line)?)),
+            Expr::NewArray(base, _) => Type::Array(Box::new(self.resolve_base(base, ctx.line)?)),
             Expr::Unary(_, inner) | Expr::Binary(BinKind::Arith(_), inner, _) => {
                 self.type_of(ctx, inner)?
             }
         })
     }
 
-    fn compile_expr<'s>(&self, ctx: &mut MethodCtx<'s>, e: &Expr<'s>) -> Result<Type, ParseError> {
-        match e {
+    fn compile_expr(&self, ctx: &mut MethodCtx<'s>, e: ExprId) -> Result<Type, ParseError> {
+        match self.ast.expr(e) {
             Expr::IntLit(v) => {
-                ctx.emit(Insn::Const(Const::Int(*v)));
+                ctx.emit(Insn::Const(Const::Int(v)));
                 Ok(Type::Int)
             }
             Expr::FloatLit(v) => {
-                ctx.emit(Insn::Const(Const::Float(*v)));
+                ctx.emit(Insn::Const(Const::Float(v)));
                 Ok(Type::Float)
             }
             Expr::StrLit(s) => {
@@ -1090,7 +1232,7 @@ impl Compiler {
                 Ok(Type::Str)
             }
             Expr::BoolLit(b) => {
-                ctx.emit(Insn::Const(Const::Bool(*b)));
+                ctx.emit(Insn::Const(Const::Bool(b)));
                 Ok(Type::Bool)
             }
             Expr::Null => {
@@ -1138,7 +1280,7 @@ impl Compiler {
                 Ok(Type::Int)
             }
             Expr::Call { recv, name, args } => {
-                let (mid, via_class) = self.callee(ctx, recv.as_deref(), name)?;
+                let (mid, via_class) = self.callee(ctx, recv, name)?;
                 let callee = self.program.method(mid);
                 let kind = if callee.is_static || via_class {
                     InvokeKind::Static
@@ -1151,7 +1293,7 @@ impl Compiler {
                     }
                     InvokeKind::Virtual
                 };
-                for a in args {
+                for &a in args.of(&self.ast.ids) {
                     self.compile_expr(ctx, a)?;
                 }
                 ctx.emit(Insn::Invoke(kind, mid));
@@ -1162,30 +1304,30 @@ impl Compiler {
                 ctx.emit(Insn::New(cid));
                 if let Some(ctor) = self.program.find_method(cid, "<init>") {
                     ctx.emit(Insn::Dup);
-                    for a in args {
+                    for &a in args.of(&self.ast.ids) {
                         self.compile_expr(ctx, a)?;
                     }
                     ctx.emit(Insn::Invoke(InvokeKind::Special, ctor));
-                } else if !args.is_empty() {
+                } else if args.len > 0 {
                     return ctx.err(format!("class {cname} has no constructor"));
                 }
                 Ok(Type::Ref(cid))
             }
-            Expr::NewArray(ty, len) => {
-                let elem = self.resolve_type(ty, ctx.line)?;
+            Expr::NewArray(base, len) => {
+                let elem = self.resolve_base(base, ctx.line)?;
                 self.compile_expr(ctx, len)?;
                 ctx.emit(Insn::NewArray(elem.clone()));
                 Ok(Type::Array(Box::new(elem)))
             }
             Expr::Unary(op, inner) => {
                 let t = self.compile_expr(ctx, inner)?;
-                ctx.emit(Insn::Un(*op));
+                ctx.emit(Insn::Un(op));
                 Ok(t)
             }
             Expr::Binary(BinKind::Arith(op), lhs, rhs) => {
                 let t = self.compile_expr(ctx, lhs)?;
                 self.compile_expr(ctx, rhs)?;
-                ctx.emit(Insn::Bin(*op));
+                ctx.emit(Insn::Bin(op));
                 Ok(t)
             }
             Expr::Binary(kind @ (BinKind::And | BinKind::Or), lhs, rhs) => {
@@ -1194,7 +1336,7 @@ impl Compiler {
                 let short = ctx.new_label();
                 let end = ctx.new_label();
                 self.compile_expr(ctx, lhs)?;
-                let decided = if *kind == BinKind::And {
+                let decided = if kind == BinKind::And {
                     CmpOp::Eq
                 } else {
                     CmpOp::Ne
@@ -1203,7 +1345,7 @@ impl Compiler {
                 self.compile_expr(ctx, rhs)?;
                 ctx.branch(Insn::Goto(usize::MAX), end);
                 ctx.place(short);
-                ctx.emit(Insn::Const(Const::Bool(*kind == BinKind::Or)));
+                ctx.emit(Insn::Const(Const::Bool(kind == BinKind::Or)));
                 ctx.place(end);
                 Ok(Type::Bool)
             }
@@ -1213,7 +1355,7 @@ impl Compiler {
                 self.compile_expr(ctx, rhs)?;
                 let true_l = ctx.new_label();
                 let end_l = ctx.new_label();
-                ctx.branch(Insn::IfCmp(*op, usize::MAX), true_l);
+                ctx.branch(Insn::IfCmp(op, usize::MAX), true_l);
                 ctx.emit(Insn::Const(Const::Bool(false)));
                 ctx.branch(Insn::Goto(usize::MAX), end_l);
                 ctx.place(true_l);
@@ -1230,16 +1372,14 @@ impl Compiler {
 /// The entry point is any `static void main()` method. See the module documentation for
 /// the supported language subset.
 pub fn compile_source(src: &str) -> Result<Program, ParseError> {
-    let mut parser = Parser {
-        toks: lex(src)?,
-        pos: 0,
-    };
-    let decls = parser.parse_program()?;
+    let ast = parse(src)?;
     let mut compiler = Compiler {
+        ast: &ast,
         program: Program::new(),
+        class_ids: HashMap::with_capacity_and_hasher(ast.classes.len(), Default::default()),
     };
-    compiler.declare_all(&decls)?;
-    compiler.compile_bodies(&decls)?;
+    compiler.declare_all()?;
+    compiler.compile_bodies()?;
     Ok(compiler.program)
 }
 
@@ -1247,6 +1387,7 @@ pub fn compile_source(src: &str) -> Result<Program, ParseError> {
 mod tests {
     use super::*;
     use crate::verify::verify_program;
+    use oracle::oracle_compile_source;
 
     const BANK_SRC: &str = r#"
         class Account {
@@ -1314,6 +1455,178 @@ mod tests {
         }
     "#;
 
+    const ARITHMETIC_SRC: &str = r#"
+        class Calc {
+            int square(int x) { return x * x; }
+            static void main() {
+                Calc c = new Calc();
+                int y = c.square(7);
+                if (y > 40) { y = y - 1; } else { y = 0; }
+                while (y > 0) { y = y - 10; }
+            }
+        }
+    "#;
+
+    const NO_CONSTRUCTOR_SRC: &str = r#"
+        class Point { int x; int y; }
+        class Main {
+            static void main() {
+                Point p = new Point();
+                p.x = 3;
+                p.y = 4;
+                int d = p.x * p.x + p.y * p.y;
+            }
+        }
+    "#;
+
+    const ARRAYS_SRC: &str = r#"
+        class A {
+            static void main() {
+                int[] xs = new int[10];
+                int i = 0;
+                while (i < xs.length) {
+                    xs[i] = i * 2;
+                    i = i + 1;
+                }
+                int total = 0;
+                i = 0;
+                while (i < xs.length) {
+                    total = total + xs[i];
+                    i = i + 1;
+                }
+            }
+        }
+    "#;
+
+    const UNKNOWN_VARIABLE_SRC: &str = r#"
+        class A { static void main() { x = 3; } }
+    "#;
+
+    const UNKNOWN_CLASS_SRC: &str = r#"
+        class A { static void main() { B b = new B(); } }
+    "#;
+
+    const BOOLEAN_VALUE_SRC: &str = r#"
+        class A {
+            static void main() {
+                int x = 5;
+                boolean big = x > 3;
+                if (big) { x = 1; }
+            }
+        }
+    "#;
+
+    const INHERITANCE_SRC: &str = r#"
+        class Shape {
+            int area() { return 0; }
+        }
+        class Square extends Shape {
+            int side;
+            Square(int side) { this.side = side; }
+            int area() { return this.side * this.side; }
+        }
+        class Main {
+            static void main() {
+                Shape s = new Square(4);
+                int a = s.area();
+            }
+        }
+    "#;
+
+    const UNTERMINATED_STRING_SRC: &str = "class A { static void main() { String s = \"oops; } }";
+
+    const COMMENTS_SRC: &str = r#"
+        // line comment
+        class A {
+            /* block
+               comment */
+            static void main() { int x = 1; }
+        }
+    "#;
+
+    /// The sources the rest of the crate's tests compile (`verify`'s and Figure 5's).
+    const OTHER_IR_SOURCES: [&str; 4] = [
+        "class C { static void main() { int x = 1 + 2; } }",
+        "class C { static void helper() { } }",
+        "class C {
+        static int twice(int x) { return x + x; }
+        static void main() { int y = C.twice(2); }
+    }",
+        "class Example { int ex(int b) { b = 4; if (b > 2) { b = b + 1; } return b; } }",
+    ];
+
+    /// Every diagnostic keeps its line and its wording. Body errors carry the line
+    /// their method starts on; parse errors the line of the offending token.
+    const ERROR_CASES: [(&str, usize, &str); 14] = [
+        (
+            "class A {\n  static void main() {\n    x = 3;\n  }\n}",
+            2,
+            "unknown variable x",
+        ),
+        (
+            "class A {\n\n  static void main() { B b = new B(); }\n}",
+            3,
+            "unknown class B",
+        ),
+        (
+            "class C { }\nclass A {\n  static void main() {\n    C c = new C();\n    c.m();\n  }\n}",
+            3,
+            "unknown method C.m",
+        ),
+        (
+            "class A {\n  int f;\n  static void main() { Zed.go(); }\n}",
+            3,
+            "unknown receiver Zed",
+        ),
+        (
+            "class C { }\nclass A {\n  static void main() { C c = new C(1); }\n}",
+            3,
+            "class C has no constructor",
+        ),
+        (
+            "class A {\n  static void main() { }\n  int m() { }\n}",
+            3,
+            "method m may not return a value",
+        ),
+        (
+            "class A {\n  static void main() {\n    int x = 1\n  }\n}",
+            4,
+            "expected ';', found RBrace",
+        ),
+        (
+            "class A {\n  static void main() {\n    String s = \"oops;\n  }\n}",
+            3,
+            "unterminated string literal",
+        ),
+        // Declaration errors carry the declaration's line (they reported line 0).
+        ("class A {\n  int ok;\n  Nope gone;\n}", 3, "unknown class Nope"),
+        (
+            "class A { }\n\nclass B extends Base { }",
+            3,
+            "unknown superclass Base",
+        ),
+        // So does an error inside a call's receiver, which is typed before it is
+        // compiled (it reported line 0 too).
+        (
+            "class A {\n  int f() { return 1; }\n  static void main() {\n    nope.f.f();\n  }\n}",
+            3,
+            "unknown variable nope",
+        ),
+        (
+            "class A {\n  static void main() { }\n}\n/* never closed\n\n",
+            4,
+            "unterminated block comment",
+        ),
+        // A repeated class or field is an error on the line of the second declaration
+        // (they panicked inside `Program`).
+        ("class A { }\nclass A { }", 2, "duplicate class A"),
+        (
+            "class A {\n  int x;\n  static void main() { }\n  String x;\n}",
+            4,
+            "duplicate field A.x",
+        ),
+    ];
+
     #[test]
     fn bank_example_compiles_and_verifies() {
         let p = compile_source(BANK_SRC).expect("compiles");
@@ -1325,18 +1638,7 @@ mod tests {
 
     #[test]
     fn simple_arithmetic_compiles() {
-        let src = r#"
-            class Calc {
-                int square(int x) { return x * x; }
-                static void main() {
-                    Calc c = new Calc();
-                    int y = c.square(7);
-                    if (y > 40) { y = y - 1; } else { y = 0; }
-                    while (y > 0) { y = y - 10; }
-                }
-            }
-        "#;
-        let p = compile_source(src).expect("compiles");
+        let p = compile_source(ARITHMETIC_SRC).expect("compiles");
         verify_program(&p).expect("verifies");
         let main = p.entry.unwrap();
         assert!(p.method(main).body.len() > 10);
@@ -1344,96 +1646,36 @@ mod tests {
 
     #[test]
     fn classes_without_constructor_are_allowed() {
-        let src = r#"
-            class Point { int x; int y; }
-            class Main {
-                static void main() {
-                    Point p = new Point();
-                    p.x = 3;
-                    p.y = 4;
-                    int d = p.x * p.x + p.y * p.y;
-                }
-            }
-        "#;
-        let p = compile_source(src).expect("compiles");
+        let p = compile_source(NO_CONSTRUCTOR_SRC).expect("compiles");
         verify_program(&p).expect("verifies");
     }
 
     #[test]
     fn arrays_and_length_compile() {
-        let src = r#"
-            class A {
-                static void main() {
-                    int[] xs = new int[10];
-                    int i = 0;
-                    while (i < xs.length) {
-                        xs[i] = i * 2;
-                        i = i + 1;
-                    }
-                    int total = 0;
-                    i = 0;
-                    while (i < xs.length) {
-                        total = total + xs[i];
-                        i = i + 1;
-                    }
-                }
-            }
-        "#;
-        let p = compile_source(src).expect("compiles");
+        let p = compile_source(ARRAYS_SRC).expect("compiles");
         verify_program(&p).expect("verifies");
     }
 
     #[test]
     fn unknown_variable_is_an_error() {
-        let src = r#"
-            class A { static void main() { x = 3; } }
-        "#;
-        let e = compile_source(src).unwrap_err();
+        let e = compile_source(UNKNOWN_VARIABLE_SRC).unwrap_err();
         assert!(e.message.contains("unknown variable"));
     }
 
     #[test]
     fn unknown_class_is_an_error() {
-        let src = r#"
-            class A { static void main() { B b = new B(); } }
-        "#;
-        assert!(compile_source(src).is_err());
+        assert!(compile_source(UNKNOWN_CLASS_SRC).is_err());
     }
 
     #[test]
     fn boolean_comparison_as_value() {
-        let src = r#"
-            class A {
-                static void main() {
-                    int x = 5;
-                    boolean big = x > 3;
-                    if (big) { x = 1; }
-                }
-            }
-        "#;
-        let p = compile_source(src).expect("compiles");
+        let p = compile_source(BOOLEAN_VALUE_SRC).expect("compiles");
         verify_program(&p).expect("verifies");
     }
 
     #[test]
     fn inheritance_and_virtual_dispatch_compile() {
-        let src = r#"
-            class Shape {
-                int area() { return 0; }
-            }
-            class Square extends Shape {
-                int side;
-                Square(int side) { this.side = side; }
-                int area() { return this.side * this.side; }
-            }
-            class Main {
-                static void main() {
-                    Shape s = new Square(4);
-                    int a = s.area();
-                }
-            }
-        "#;
-        let p = compile_source(src).expect("compiles");
+        let p = compile_source(INHERITANCE_SRC).expect("compiles");
         verify_program(&p).expect("verifies");
         let sq = p.class_by_name("Square").unwrap();
         let sh = p.class_by_name("Shape").unwrap();
@@ -1442,90 +1684,1101 @@ mod tests {
 
     #[test]
     fn lexer_reports_unterminated_string() {
-        assert!(compile_source("class A { static void main() { String s = \"oops; } }").is_err());
+        assert!(compile_source(UNTERMINATED_STRING_SRC).is_err());
     }
 
-    /// Every diagnostic keeps its line and its wording. Body errors carry the line
-    /// their method starts on; parse errors the line of the offending token.
     #[test]
     fn errors_keep_their_lines_and_messages() {
-        let cases: [(&str, usize, &str); 12] = [
-            (
-                "class A {\n  static void main() {\n    x = 3;\n  }\n}",
-                2,
-                "unknown variable x",
-            ),
-            (
-                "class A {\n\n  static void main() { B b = new B(); }\n}",
-                3,
-                "unknown class B",
-            ),
-            (
-                "class C { }\nclass A {\n  static void main() {\n    C c = new C();\n    c.m();\n  }\n}",
-                3,
-                "unknown method C.m",
-            ),
-            (
-                "class A {\n  int f;\n  static void main() { Zed.go(); }\n}",
-                3,
-                "unknown receiver Zed",
-            ),
-            (
-                "class C { }\nclass A {\n  static void main() { C c = new C(1); }\n}",
-                3,
-                "class C has no constructor",
-            ),
-            (
-                "class A {\n  static void main() { }\n  int m() { }\n}",
-                3,
-                "method m may not return a value",
-            ),
-            (
-                "class A {\n  static void main() {\n    int x = 1\n  }\n}",
-                4,
-                "expected ';', found RBrace",
-            ),
-            (
-                "class A {\n  static void main() {\n    String s = \"oops;\n  }\n}",
-                3,
-                "unterminated string literal",
-            ),
-            // Declaration errors carry the declaration's line (they reported line 0).
-            ("class A {\n  int ok;\n  Nope gone;\n}", 3, "unknown class Nope"),
-            (
-                "class A { }\n\nclass B extends Base { }",
-                3,
-                "unknown superclass Base",
-            ),
-            // So does an error inside a call's receiver, which is typed before it is
-            // compiled (it reported line 0 too).
-            (
-                "class A {\n  int f() { return 1; }\n  static void main() {\n    nope.f.f();\n  }\n}",
-                3,
-                "unknown variable nope",
-            ),
-            (
-                "class A {\n  static void main() { }\n}\n/* never closed\n\n",
-                4,
-                "unterminated block comment",
-            ),
-        ];
-        for (src, line, message) in cases {
+        for (src, line, message) in ERROR_CASES {
             let e = compile_source(src).unwrap_err();
             assert_eq!((e.line, e.message.as_str()), (line, message), "{src}");
         }
     }
 
     #[test]
+    fn duplicate_method_names_stay_accepted() {
+        let p = compile_source("class A {\n  int m() { return 1; }\n  int m() { return 2; }\n}")
+            .expect("compiles");
+        assert_eq!(p.methods.len(), 2);
+    }
+
+    #[test]
     fn comments_are_ignored() {
-        let src = r#"
-            // line comment
-            class A {
-                /* block
-                   comment */
-                static void main() { int x = 1; }
+        assert!(compile_source(COMMENTS_SRC).is_ok());
+    }
+
+    /// Compiles `src` with both front ends and asserts the same outcome: the same
+    /// program, field for field, or the same error. Where the oracle panics on a
+    /// duplicate declaration the flat front end must report its wording.
+    fn assert_matches_oracle(src: &str, what: &str) {
+        let ours = compile_source(src);
+        match std::panic::catch_unwind(|| oracle_compile_source(src)) {
+            Ok(theirs) => assert!(format!("{ours:?}") == format!("{theirs:?}"), "{what}"),
+            Err(panic) => {
+                let wording = panic.downcast_ref::<String>().expect("a formatted panic");
+                let ours = ours.map(|_| ()).expect_err("the oracle panicked");
+                assert_eq!(&ours.message, wording, "{what}");
             }
-        "#;
-        assert!(compile_source(src).is_ok());
+        }
+    }
+
+    #[test]
+    fn the_flat_front_end_compiles_what_the_boxed_one_did() {
+        let sources = [
+            BANK_SRC,
+            ARITHMETIC_SRC,
+            NO_CONSTRUCTOR_SRC,
+            ARRAYS_SRC,
+            UNKNOWN_VARIABLE_SRC,
+            UNKNOWN_CLASS_SRC,
+            BOOLEAN_VALUE_SRC,
+            INHERITANCE_SRC,
+            UNTERMINATED_STRING_SRC,
+            COMMENTS_SRC,
+        ];
+        let errors = ERROR_CASES.map(|(src, ..)| src);
+        for src in sources.into_iter().chain(OTHER_IR_SOURCES).chain(errors) {
+            assert_matches_oracle(src, src);
+        }
+    }
+
+    #[test]
+    fn the_flat_front_end_compiles_every_generated_tree_as_the_boxed_one_did() {
+        use autodist_workloads::{generated_source, GenConfig};
+        let mut configs = Vec::new();
+        for (depth, width) in [(3, 4), (4, 8), (6, 12), (6, 16), (8, 24)] {
+            for seed in [1, 2, 3] {
+                configs.push((depth, width, seed, 0.0));
+            }
+            for skew in [2.0, 8.0] {
+                configs.push((depth, width, 1, skew));
+            }
+        }
+        for (depth, width, seed, affinity_skew) in configs {
+            let config = GenConfig {
+                seed,
+                depth,
+                width,
+                fan_out: 3,
+                affinity_skew,
+                ..Default::default()
+            };
+            assert_matches_oracle(&generated_source(&config), &format!("{config:?}"));
+        }
+    }
+
+    /// The boxed-AST front end the flat one replaced, kept verbatim as its definition:
+    /// one `Box` per expression and statement, one `Vec` per argument list, block and
+    /// declaration list, a method context per method and class lookups through
+    /// [`Program::class_by_name`]. It shares the lexer and the operator table.
+    /// Duplicate declarations panic in it (inside [`Program`]) where the flat front end
+    /// reports them.
+    mod oracle {
+        use super::super::{binary_op, err, error, lex, BinKind, ParseError, SpannedTok, Tok};
+        use crate::bytecode::{CmpOp, Const, Insn, InvokeKind, UnOp};
+        use crate::program::{ClassId, FieldRef, MethodId, Program, Type};
+
+        #[derive(Debug, PartialEq)]
+        enum TypeName<'s> {
+            Int,
+            Float,
+            Bool,
+            Str,
+            Void,
+            Class(&'s str),
+            Array(Box<TypeName<'s>>),
+        }
+
+        #[derive(Debug)]
+        enum Expr<'s> {
+            IntLit(i64),
+            FloatLit(f64),
+            StrLit(&'s str),
+            BoolLit(bool),
+            Null,
+            This,
+            Var(&'s str),
+            Field(Box<Expr<'s>>, &'s str),
+            Index(Box<Expr<'s>>, Box<Expr<'s>>),
+            Length(Box<Expr<'s>>),
+            Call {
+                recv: Option<Box<Expr<'s>>>,
+                name: &'s str,
+                args: Vec<Expr<'s>>,
+            },
+            New(&'s str, Vec<Expr<'s>>),
+            NewArray(TypeName<'s>, Box<Expr<'s>>),
+            Unary(UnOp, Box<Expr<'s>>),
+            Binary(BinKind, Box<Expr<'s>>, Box<Expr<'s>>),
+        }
+
+        #[derive(Debug)]
+        enum Stmt<'s> {
+            Block(Vec<Stmt<'s>>),
+            VarDecl(TypeName<'s>, &'s str, Option<Expr<'s>>),
+            Assign(Expr<'s>, Expr<'s>),
+            If(Expr<'s>, Box<Stmt<'s>>, Option<Box<Stmt<'s>>>),
+            While(Expr<'s>, Box<Stmt<'s>>),
+            Return(Option<Expr<'s>>),
+            Expr(Expr<'s>),
+        }
+
+        #[derive(Debug)]
+        struct MethodDecl<'s> {
+            name: &'s str,
+            is_static: bool,
+            params: Vec<(TypeName<'s>, &'s str)>,
+            ret: TypeName<'s>,
+            body: Vec<Stmt<'s>>,
+            line: usize,
+        }
+
+        #[derive(Debug)]
+        struct FieldDecl<'s> {
+            ty: TypeName<'s>,
+            name: &'s str,
+            is_static: bool,
+            line: usize,
+        }
+
+        #[derive(Debug)]
+        struct ClassDecl<'s> {
+            name: &'s str,
+            super_name: Option<&'s str>,
+            fields: Vec<FieldDecl<'s>>,
+            methods: Vec<MethodDecl<'s>>,
+            line: usize,
+        }
+
+        struct Parser<'s> {
+            toks: Vec<SpannedTok<'s>>,
+            pos: usize,
+        }
+
+        impl<'s> Parser<'s> {
+            fn peek(&self) -> Tok<'s> {
+                self.toks[self.pos].tok
+            }
+            /// The token after the next one (`Eof` repeats for ever).
+            fn peek2(&self) -> Tok<'s> {
+                self.toks.get(self.pos + 1).map_or(Tok::Eof, |t| t.tok)
+            }
+            fn line(&self) -> usize {
+                self.toks[self.pos].line
+            }
+            fn bump(&mut self) -> Tok<'s> {
+                let t = self.peek();
+                if t != Tok::Eof {
+                    self.pos += 1;
+                }
+                t
+            }
+            fn expect(&mut self, t: Tok<'_>, what: &str) -> Result<(), ParseError> {
+                if self.peek() == t {
+                    self.bump();
+                    Ok(())
+                } else {
+                    err(
+                        self.line(),
+                        format!("expected {what}, found {:?}", self.peek()),
+                    )
+                }
+            }
+            fn expect_ident(&mut self) -> Result<&'s str, ParseError> {
+                match self.bump() {
+                    Tok::Ident(s) => Ok(s),
+                    other => err(self.line(), format!("expected identifier, found {other:?}")),
+                }
+            }
+            fn eat(&mut self, t: Tok<'_>) -> bool {
+                let found = self.peek() == t;
+                if found {
+                    self.bump();
+                }
+                found
+            }
+            fn eat_keyword(&mut self, kw: &str) -> bool {
+                self.eat(Tok::Ident(kw))
+            }
+
+            fn parse_program(&mut self) -> Result<Vec<ClassDecl<'s>>, ParseError> {
+                let mut classes = Vec::new();
+                while self.peek() != Tok::Eof {
+                    if !self.eat_keyword("class") {
+                        return err(self.line(), "expected 'class'");
+                    }
+                    classes.push(self.parse_class()?);
+                }
+                Ok(classes)
+            }
+
+            fn parse_class(&mut self) -> Result<ClassDecl<'s>, ParseError> {
+                let line = self.line();
+                let name = self.expect_ident()?;
+                let super_name = if self.eat_keyword("extends") {
+                    Some(self.expect_ident()?)
+                } else {
+                    None
+                };
+                self.expect(Tok::LBrace, "'{'")?;
+                let mut fields = Vec::new();
+                let mut methods = Vec::new();
+                while self.peek() != Tok::RBrace {
+                    let line = self.line();
+                    let is_static = self.eat_keyword("static");
+                    // Constructor: IDENT '(' where IDENT == class name.
+                    if self.peek() == Tok::Ident(name) && self.peek2() == Tok::LParen {
+                        self.bump();
+                        methods.push(MethodDecl {
+                            name: "<init>",
+                            is_static: false,
+                            params: self.parse_params()?,
+                            ret: TypeName::Void,
+                            body: self.parse_block()?,
+                            line,
+                        });
+                        continue;
+                    }
+                    let ty = self.parse_type()?;
+                    let name = self.expect_ident()?;
+                    if self.peek() == Tok::LParen {
+                        methods.push(MethodDecl {
+                            name,
+                            is_static,
+                            params: self.parse_params()?,
+                            ret: ty,
+                            body: self.parse_block()?,
+                            line,
+                        });
+                    } else {
+                        self.expect(Tok::Semi, "';'")?;
+                        fields.push(FieldDecl {
+                            ty,
+                            name,
+                            is_static,
+                            line,
+                        });
+                    }
+                }
+                self.expect(Tok::RBrace, "'}'")?;
+                Ok(ClassDecl {
+                    name,
+                    super_name,
+                    fields,
+                    methods,
+                    line,
+                })
+            }
+
+            fn parse_params(&mut self) -> Result<Vec<(TypeName<'s>, &'s str)>, ParseError> {
+                self.expect(Tok::LParen, "'('")?;
+                let mut params = Vec::new();
+                while self.peek() != Tok::RParen {
+                    if !params.is_empty() {
+                        self.expect(Tok::Comma, "','")?;
+                    }
+                    let ty = self.parse_type()?;
+                    let name = self.expect_ident()?;
+                    params.push((ty, name));
+                }
+                self.expect(Tok::RParen, "')'")?;
+                Ok(params)
+            }
+
+            /// Parses a type name without any trailing `[]` suffix (needed by `new T[expr]`).
+            fn parse_base_type(&mut self) -> Result<TypeName<'s>, ParseError> {
+                match self.bump() {
+                    Tok::Ident(s) => Ok(match s {
+                        "int" => TypeName::Int,
+                        "float" | "double" => TypeName::Float,
+                        "boolean" => TypeName::Bool,
+                        "String" => TypeName::Str,
+                        "void" => TypeName::Void,
+                        _ => TypeName::Class(s),
+                    }),
+                    other => err(self.line(), format!("expected type, found {other:?}")),
+                }
+            }
+
+            fn parse_type(&mut self) -> Result<TypeName<'s>, ParseError> {
+                let mut ty = self.parse_base_type()?;
+                while self.peek() == Tok::LBracket && self.peek2() == Tok::RBracket {
+                    self.bump();
+                    self.bump();
+                    ty = TypeName::Array(Box::new(ty));
+                }
+                Ok(ty)
+            }
+
+            fn parse_block(&mut self) -> Result<Vec<Stmt<'s>>, ParseError> {
+                self.expect(Tok::LBrace, "'{'")?;
+                let mut stmts = Vec::new();
+                while self.peek() != Tok::RBrace {
+                    stmts.push(self.parse_stmt()?);
+                }
+                self.expect(Tok::RBrace, "'}'")?;
+                Ok(stmts)
+            }
+
+            fn looks_like_decl(&self) -> bool {
+                // `Type name ...` — identifier followed by identifier, or a primitive keyword,
+                // or `Type[] name`.
+                match self.peek() {
+                    Tok::Ident("int" | "float" | "double" | "boolean" | "String") => true,
+                    Tok::Ident(_) => {
+                        // Ident Ident  or  Ident [ ] Ident
+                        matches!(
+                            (self.peek2(), self.toks.get(self.pos + 2).map(|t| t.tok)),
+                            (Tok::Ident(_), _) | (Tok::LBracket, Some(Tok::RBracket))
+                        )
+                    }
+                    _ => false,
+                }
+            }
+
+            fn parse_stmt(&mut self) -> Result<Stmt<'s>, ParseError> {
+                match self.peek() {
+                    Tok::LBrace => Ok(Stmt::Block(self.parse_block()?)),
+                    Tok::Ident("if") => {
+                        self.bump();
+                        self.expect(Tok::LParen, "'('")?;
+                        let cond = self.parse_expr()?;
+                        self.expect(Tok::RParen, "')'")?;
+                        let then = Box::new(self.parse_stmt()?);
+                        let els = if self.eat_keyword("else") {
+                            Some(Box::new(self.parse_stmt()?))
+                        } else {
+                            None
+                        };
+                        Ok(Stmt::If(cond, then, els))
+                    }
+                    Tok::Ident("while") => {
+                        self.bump();
+                        self.expect(Tok::LParen, "'('")?;
+                        let cond = self.parse_expr()?;
+                        self.expect(Tok::RParen, "')'")?;
+                        let body = Box::new(self.parse_stmt()?);
+                        Ok(Stmt::While(cond, body))
+                    }
+                    Tok::Ident("return") => {
+                        self.bump();
+                        if self.eat(Tok::Semi) {
+                            Ok(Stmt::Return(None))
+                        } else {
+                            let e = self.parse_expr()?;
+                            self.expect(Tok::Semi, "';'")?;
+                            Ok(Stmt::Return(Some(e)))
+                        }
+                    }
+                    _ if self.looks_like_decl() => {
+                        let ty = self.parse_type()?;
+                        let name = self.expect_ident()?;
+                        let init = if self.eat(Tok::Assign) {
+                            Some(self.parse_expr()?)
+                        } else {
+                            None
+                        };
+                        self.expect(Tok::Semi, "';'")?;
+                        Ok(Stmt::VarDecl(ty, name, init))
+                    }
+                    _ => {
+                        let e = self.parse_expr()?;
+                        if self.eat(Tok::Assign) {
+                            let rhs = self.parse_expr()?;
+                            self.expect(Tok::Semi, "';'")?;
+                            Ok(Stmt::Assign(e, rhs))
+                        } else {
+                            self.expect(Tok::Semi, "';'")?;
+                            Ok(Stmt::Expr(e))
+                        }
+                    }
+                }
+            }
+
+            fn parse_expr(&mut self) -> Result<Expr<'s>, ParseError> {
+                self.parse_binary(1)
+            }
+
+            /// Precedence climbing over [`binary_op`]: parses the operators that bind at least
+            /// as tightly as `min`. All associate to the left except the comparisons, which
+            /// do not chain (`a < b < c` is a syntax error, as in Java).
+            fn parse_binary(&mut self, min: u8) -> Result<Expr<'s>, ParseError> {
+                let mut lhs = self.parse_unary()?;
+                // Tightest operator that may still follow `lhs` at this level.
+                let mut max = u8::MAX;
+                while let Some((power, kind)) =
+                    binary_op(self.peek()).filter(|&(power, _)| (min..=max).contains(&power))
+                {
+                    self.bump();
+                    let rhs = self.parse_binary(power + 1)?;
+                    lhs = Expr::Binary(kind, Box::new(lhs), Box::new(rhs));
+                    max = match kind {
+                        BinKind::Cmp(_) => power - 1,
+                        _ => power,
+                    };
+                }
+                Ok(lhs)
+            }
+
+            fn parse_unary(&mut self) -> Result<Expr<'s>, ParseError> {
+                let op = match self.peek() {
+                    Tok::Minus => UnOp::Neg,
+                    Tok::Bang => UnOp::Not,
+                    _ => return self.parse_postfix(),
+                };
+                self.bump();
+                Ok(Expr::Unary(op, Box::new(self.parse_unary()?)))
+            }
+
+            fn parse_postfix(&mut self) -> Result<Expr<'s>, ParseError> {
+                let mut e = self.parse_primary()?;
+                loop {
+                    match self.peek() {
+                        Tok::Dot => {
+                            self.bump();
+                            let name = self.expect_ident()?;
+                            if self.peek() == Tok::LParen {
+                                let args = self.parse_args()?;
+                                e = Expr::Call {
+                                    recv: Some(Box::new(e)),
+                                    name,
+                                    args,
+                                };
+                            } else if name == "length" {
+                                e = Expr::Length(Box::new(e));
+                            } else {
+                                e = Expr::Field(Box::new(e), name);
+                            }
+                        }
+                        Tok::LBracket => {
+                            self.bump();
+                            let idx = self.parse_expr()?;
+                            self.expect(Tok::RBracket, "']'")?;
+                            e = Expr::Index(Box::new(e), Box::new(idx));
+                        }
+                        _ => break,
+                    }
+                }
+                Ok(e)
+            }
+
+            fn parse_args(&mut self) -> Result<Vec<Expr<'s>>, ParseError> {
+                self.expect(Tok::LParen, "'('")?;
+                let mut args = Vec::new();
+                while self.peek() != Tok::RParen {
+                    if !args.is_empty() {
+                        self.expect(Tok::Comma, "','")?;
+                    }
+                    args.push(self.parse_expr()?);
+                }
+                self.expect(Tok::RParen, "')'")?;
+                Ok(args)
+            }
+
+            fn parse_primary(&mut self) -> Result<Expr<'s>, ParseError> {
+                match self.bump() {
+                    Tok::Int(v) => Ok(Expr::IntLit(v)),
+                    Tok::Float(v) => Ok(Expr::FloatLit(v)),
+                    Tok::Str(s) => Ok(Expr::StrLit(s)),
+                    Tok::LParen => {
+                        let e = self.parse_expr()?;
+                        self.expect(Tok::RParen, "')'")?;
+                        Ok(e)
+                    }
+                    Tok::Ident("true") => Ok(Expr::BoolLit(true)),
+                    Tok::Ident("false") => Ok(Expr::BoolLit(false)),
+                    Tok::Ident("null") => Ok(Expr::Null),
+                    Tok::Ident("this") => Ok(Expr::This),
+                    Tok::Ident("new") => {
+                        let ty = self.parse_base_type()?;
+                        if self.eat(Tok::LBracket) {
+                            let len = self.parse_expr()?;
+                            self.expect(Tok::RBracket, "']'")?;
+                            Ok(Expr::NewArray(ty, Box::new(len)))
+                        } else {
+                            let class = match ty {
+                                TypeName::Class(c) => c,
+                                other => {
+                                    return err(
+                                        self.line(),
+                                        format!("cannot 'new' non-class type {other:?}"),
+                                    )
+                                }
+                            };
+                            Ok(Expr::New(class, self.parse_args()?))
+                        }
+                    }
+                    // A qualified static call `Class.method(...)` is handled in postfix as a
+                    // field/virtual chain; plain `name(...)` is a same-class call.
+                    Tok::Ident(name) if self.peek() == Tok::LParen => Ok(Expr::Call {
+                        recv: None,
+                        name,
+                        args: self.parse_args()?,
+                    }),
+                    Tok::Ident(name) => Ok(Expr::Var(name)),
+                    other => err(self.line(), format!("unexpected token {other:?}")),
+                }
+            }
+        }
+
+        /// One method body being compiled: where it is declared, and what it has emitted.
+        struct MethodCtx<'s> {
+            class: ClassId,
+            /// Line of the method's declaration — the line every error in its body reports.
+            line: usize,
+            insns: Vec<Insn>,
+            /// Declared locals in declaration order; a name's latest declaration wins.
+            locals: Vec<(&'s str, u16, Type)>,
+            next_local: u16,
+            fixups: Vec<(usize, usize)>, // (insn index, label id)
+            labels: Vec<Option<usize>>,
+        }
+
+        impl<'s> MethodCtx<'s> {
+            fn new(class: ClassId, line: usize) -> Self {
+                MethodCtx {
+                    class,
+                    line,
+                    insns: Vec::new(),
+                    locals: Vec::new(),
+                    next_local: 0,
+                    fixups: Vec::new(),
+                    labels: Vec::new(),
+                }
+            }
+            fn emit(&mut self, i: Insn) {
+                self.insns.push(i);
+            }
+            fn new_label(&mut self) -> usize {
+                self.labels.push(None);
+                self.labels.len() - 1
+            }
+            fn place(&mut self, l: usize) {
+                self.labels[l] = Some(self.insns.len());
+            }
+            fn branch(&mut self, insn: Insn, label: usize) {
+                self.fixups.push((self.insns.len(), label));
+                self.insns.push(insn);
+            }
+            fn declare(&mut self, name: &'s str, ty: Type) -> u16 {
+                let slot = self.next_local;
+                self.next_local += 1;
+                self.locals.push((name, slot, ty));
+                slot
+            }
+            /// The slot and type of local `name`: a short list, scanned from the end.
+            fn local(&self, name: &str) -> Option<(u16, &Type)> {
+                let (_, slot, ty) = self.locals.iter().rev().find(|(n, ..)| *n == name)?;
+                Some((*slot, ty))
+            }
+            fn err<T>(&self, message: impl Into<String>) -> Result<T, ParseError> {
+                err(self.line, message)
+            }
+            fn finish(mut self) -> (Vec<Insn>, u16) {
+                let fixups = std::mem::take(&mut self.fixups);
+                // A label may legitimately point one past the last instruction (e.g. the join
+                // label of an if/else whose branches both return). Keep branch targets in range
+                // by appending an unreachable return.
+                if fixups
+                    .iter()
+                    .any(|&(_, l)| self.labels[l] == Some(self.insns.len()))
+                {
+                    self.insns.push(Insn::Return);
+                }
+                for (idx, label) in fixups {
+                    let target = self.labels[label].expect("unplaced label");
+                    self.insns[idx].remap_targets(|_| target);
+                }
+                (self.insns, self.next_local)
+            }
+        }
+
+        /// The two passes over the declarations. Pass 1 ([`Compiler::declare_all`]) is the only
+        /// one that adds to the program; pass 2 reads classes, fields and callees in place and
+        /// writes each finished body once.
+        struct Compiler {
+            program: Program,
+        }
+
+        impl Compiler {
+            fn class_named(&self, name: &str, line: usize) -> Result<ClassId, ParseError> {
+                self.program
+                    .class_by_name(name)
+                    .ok_or_else(|| error(line, format!("unknown class {name}")))
+            }
+
+            fn resolve_type(&self, t: &TypeName<'_>, line: usize) -> Result<Type, ParseError> {
+                Ok(match t {
+                    TypeName::Int => Type::Int,
+                    TypeName::Float => Type::Float,
+                    TypeName::Bool => Type::Bool,
+                    TypeName::Str => Type::Str,
+                    TypeName::Void => Type::Void,
+                    TypeName::Class(c) => Type::Ref(self.class_named(c, line)?),
+                    TypeName::Array(inner) => {
+                        Type::Array(Box::new(self.resolve_type(inner, line)?))
+                    }
+                })
+            }
+
+            fn declare_all(&mut self, decls: &[ClassDecl<'_>]) -> Result<(), ParseError> {
+                // Pass 1a: classes (ids follow declaration order, so `decls[i]` is class `i`).
+                for decl in decls {
+                    self.program.add_class(decl.name, None);
+                }
+                // Pass 1b: supers, fields, method signatures (method ids follow declaration
+                // order too, which is how pass 2 finds each body's method again).
+                for (decl, cid) in decls.iter().zip((0..).map(ClassId)) {
+                    if let Some(sup) = decl.super_name {
+                        let sid = self
+                            .program
+                            .class_by_name(sup)
+                            .ok_or_else(|| error(decl.line, format!("unknown superclass {sup}")))?;
+                        self.program.class_mut(cid).super_class = Some(sid);
+                    }
+                    for f in &decl.fields {
+                        let ty = self.resolve_type(&f.ty, f.line)?;
+                        self.program.add_field(cid, f.name, ty, f.is_static);
+                    }
+                    for m in &decl.methods {
+                        let params = m
+                            .params
+                            .iter()
+                            .map(|(t, _)| self.resolve_type(t, m.line))
+                            .collect::<Result<Vec<_>, _>>()?;
+                        let ret = self.resolve_type(&m.ret, m.line)?;
+                        self.program
+                            .add_method(cid, m.name, params, ret, m.is_static);
+                    }
+                }
+                Ok(())
+            }
+
+            fn compile_bodies(&mut self, decls: &[ClassDecl<'_>]) -> Result<(), ParseError> {
+                let methods = decls.iter().flat_map(|decl| &decl.methods);
+                for (m, mid) in methods.zip((0..).map(MethodId)) {
+                    let (body, locals) = self.compile_method(mid, m)?;
+                    let entry_locals = self.program.method(mid).entry_locals();
+                    self.program.set_body(mid, body, locals.max(entry_locals));
+                }
+                // entry point: a static `main` method anywhere (the last one declared wins).
+                for cid in (0..decls.len() as u32).map(ClassId) {
+                    if let Some(mid) = self.program.find_method(cid, "main") {
+                        if self.program.method(mid).is_static {
+                            self.program.set_entry(mid);
+                        }
+                    }
+                }
+                Ok(())
+            }
+
+            fn compile_method<'s>(
+                &self,
+                mid: MethodId,
+                m: &MethodDecl<'s>,
+            ) -> Result<(Vec<Insn>, u16), ParseError> {
+                let declared = self.program.method(mid);
+                let mut ctx = MethodCtx::new(declared.class, m.line);
+                if !m.is_static {
+                    ctx.declare("this", Type::Ref(declared.class));
+                }
+                for ((_, name), ty) in m.params.iter().zip(&declared.params) {
+                    ctx.declare(name, ty.clone());
+                }
+                for stmt in &m.body {
+                    self.compile_stmt(&mut ctx, stmt)?;
+                }
+                // Implicit return for void methods / constructors.
+                if !matches!(ctx.insns.last(), Some(i) if i.is_terminator()) {
+                    if declared.ret != Type::Void {
+                        return ctx.err(format!("method {} may not return a value", m.name));
+                    }
+                    ctx.emit(Insn::Return);
+                }
+                Ok(ctx.finish())
+            }
+
+            fn compile_stmt<'s>(
+                &self,
+                ctx: &mut MethodCtx<'s>,
+                stmt: &Stmt<'s>,
+            ) -> Result<(), ParseError> {
+                match stmt {
+                    Stmt::Block(stmts) => {
+                        for s in stmts {
+                            self.compile_stmt(ctx, s)?;
+                        }
+                    }
+                    Stmt::VarDecl(ty, name, init) => {
+                        let rty = self.resolve_type(ty, ctx.line)?;
+                        if let Some(e) = init {
+                            self.compile_expr(ctx, e)?;
+                            let slot = ctx.declare(name, rty);
+                            ctx.emit(Insn::Store(slot));
+                        } else {
+                            ctx.declare(name, rty);
+                        }
+                    }
+                    Stmt::Assign(lhs, rhs) => match lhs {
+                        Expr::Var(name) => {
+                            if let Some((slot, _)) = ctx.local(name) {
+                                self.compile_expr(ctx, rhs)?;
+                                ctx.emit(Insn::Store(slot));
+                            } else {
+                                // implicit this.field = rhs
+                                let fr = self.field_named(ctx, name)?;
+                                if self.program.field(fr).is_static {
+                                    self.compile_expr(ctx, rhs)?;
+                                    ctx.emit(Insn::PutStatic(fr));
+                                } else {
+                                    ctx.emit(Insn::Load(0));
+                                    self.compile_expr(ctx, rhs)?;
+                                    ctx.emit(Insn::PutField(fr));
+                                }
+                            }
+                        }
+                        Expr::Field(obj, fname) => {
+                            let oty = self.compile_expr(ctx, obj)?;
+                            let ocls = oty.ref_class().ok_or_else(|| {
+                                error(ctx.line, format!("field {fname} on non-object"))
+                            })?;
+                            let fr = self
+                                .program
+                                .resolve_field(ocls, fname)
+                                .ok_or_else(|| error(ctx.line, format!("unknown field {fname}")))?;
+                            self.compile_expr(ctx, rhs)?;
+                            ctx.emit(Insn::PutField(fr));
+                        }
+                        Expr::Index(arr, idx) => {
+                            self.compile_expr(ctx, arr)?;
+                            self.compile_expr(ctx, idx)?;
+                            self.compile_expr(ctx, rhs)?;
+                            ctx.emit(Insn::ArrayStore);
+                        }
+                        _ => return ctx.err("invalid assignment target"),
+                    },
+                    Stmt::If(cond, then, els) => {
+                        let else_l = ctx.new_label();
+                        let end_l = ctx.new_label();
+                        self.compile_condition(ctx, cond, else_l)?;
+                        self.compile_stmt(ctx, then)?;
+                        ctx.branch(Insn::Goto(usize::MAX), end_l);
+                        ctx.place(else_l);
+                        if let Some(e) = els {
+                            self.compile_stmt(ctx, e)?;
+                        }
+                        ctx.place(end_l);
+                    }
+                    Stmt::While(cond, body) => {
+                        let head = ctx.insns.len();
+                        let exit_l = ctx.new_label();
+                        self.compile_condition(ctx, cond, exit_l)?;
+                        self.compile_stmt(ctx, body)?;
+                        ctx.emit(Insn::Goto(head));
+                        ctx.place(exit_l);
+                    }
+                    Stmt::Return(e) => {
+                        if let Some(e) = e {
+                            self.compile_expr(ctx, e)?;
+                            ctx.emit(Insn::ReturnValue);
+                        } else {
+                            ctx.emit(Insn::Return);
+                        }
+                    }
+                    Stmt::Expr(e) => {
+                        let ty = self.compile_expr(ctx, e)?;
+                        if ty != Type::Void {
+                            ctx.emit(Insn::Pop);
+                        }
+                    }
+                }
+                Ok(())
+            }
+
+            /// Compiles `cond`, branching to `false_label` if it evaluates to false.
+            fn compile_condition<'s>(
+                &self,
+                ctx: &mut MethodCtx<'s>,
+                cond: &Expr<'s>,
+                false_label: usize,
+            ) -> Result<(), ParseError> {
+                if let Expr::Binary(BinKind::Cmp(op), lhs, rhs) = cond {
+                    self.compile_expr(ctx, lhs)?;
+                    self.compile_expr(ctx, rhs)?;
+                    ctx.branch(Insn::IfCmp(op.negate(), usize::MAX), false_label);
+                    return Ok(());
+                }
+                self.compile_expr(ctx, cond)?;
+                ctx.branch(Insn::If(CmpOp::Eq, usize::MAX), false_label);
+                Ok(())
+            }
+
+            /// The field (of `this`, or static) a bare name that is no local refers to.
+            fn field_named(&self, ctx: &MethodCtx<'_>, name: &str) -> Result<FieldRef, ParseError> {
+                self.program
+                    .resolve_field(ctx.class, name)
+                    .ok_or_else(|| error(ctx.line, format!("unknown variable {name}")))
+            }
+
+            /// The field `fname` of an object of type `oty`.
+            fn field_of(
+                &self,
+                ctx: &MethodCtx<'_>,
+                oty: &Type,
+                fname: &str,
+            ) -> Result<FieldRef, ParseError> {
+                let ocls = oty.ref_class().ok_or_else(|| {
+                    error(ctx.line, format!("field access {fname} on non-object"))
+                })?;
+                self.program
+                    .resolve_field(ocls, fname)
+                    .ok_or_else(|| error(ctx.line, format!("unknown field {fname}")))
+            }
+
+            /// The method a call expression names, and whether it is reached through a class
+            /// name (`Class.method(...)`) and therefore static whatever its declaration says.
+            fn callee<'s>(
+                &self,
+                ctx: &MethodCtx<'s>,
+                recv: Option<&Expr<'s>>,
+                name: &str,
+            ) -> Result<(MethodId, bool), ParseError> {
+                let (recv_class, via_class) = match recv {
+                    None => (ctx.class, false),
+                    // `Ident.method(...)` where Ident is no variable is a class name.
+                    Some(Expr::Var(cname))
+                        if ctx.local(cname).is_none()
+                            && self.program.resolve_field(ctx.class, cname).is_none() =>
+                    {
+                        match self.program.class_by_name(cname) {
+                            Some(cid) => (cid, true),
+                            None => return ctx.err(format!("unknown receiver {cname}")),
+                        }
+                    }
+                    Some(r) => match self.type_of(ctx, r)?.ref_class() {
+                        Some(cid) => (cid, false),
+                        None => return ctx.err(format!("call {name} on non-object")),
+                    },
+                };
+                match self.program.resolve_method(recv_class, name) {
+                    Some(mid) => Ok((mid, via_class)),
+                    None => ctx.err(format!(
+                        "unknown method {}.{name}",
+                        self.program.class(recv_class).name
+                    )),
+                }
+            }
+
+            /// The type [`Compiler::compile_expr`] would return for `e`, emitting nothing: a
+            /// call must know its receiver's class before it knows whether the receiver is
+            /// evaluated at all (a static callee takes none).
+            fn type_of<'s>(&self, ctx: &MethodCtx<'s>, e: &Expr<'s>) -> Result<Type, ParseError> {
+                Ok(match e {
+                    Expr::IntLit(_) | Expr::Length(_) => Type::Int,
+                    Expr::FloatLit(_) => Type::Float,
+                    Expr::StrLit(_) => Type::Str,
+                    Expr::BoolLit(_)
+                    | Expr::Binary(BinKind::Cmp(_) | BinKind::And | BinKind::Or, ..) => Type::Bool,
+                    Expr::Null | Expr::This => Type::Ref(ctx.class),
+                    Expr::Var(name) => match ctx.local(name) {
+                        Some((_, ty)) => ty.clone(),
+                        None => self.program.field(self.field_named(ctx, name)?).ty.clone(),
+                    },
+                    Expr::Field(obj, fname) => {
+                        let oty = self.type_of(ctx, obj)?;
+                        self.program
+                            .field(self.field_of(ctx, &oty, fname)?)
+                            .ty
+                            .clone()
+                    }
+                    Expr::Index(arr, _) => match self.type_of(ctx, arr)? {
+                        Type::Array(inner) => *inner,
+                        _ => return ctx.err("indexing a non-array"),
+                    },
+                    Expr::Call { recv, name, .. } => {
+                        let (mid, _) = self.callee(ctx, recv.as_deref(), name)?;
+                        self.program.method(mid).ret.clone()
+                    }
+                    Expr::New(cname, _) => Type::Ref(self.class_named(cname, ctx.line)?),
+                    Expr::NewArray(ty, _) => {
+                        Type::Array(Box::new(self.resolve_type(ty, ctx.line)?))
+                    }
+                    Expr::Unary(_, inner) | Expr::Binary(BinKind::Arith(_), inner, _) => {
+                        self.type_of(ctx, inner)?
+                    }
+                })
+            }
+
+            fn compile_expr<'s>(
+                &self,
+                ctx: &mut MethodCtx<'s>,
+                e: &Expr<'s>,
+            ) -> Result<Type, ParseError> {
+                match e {
+                    Expr::IntLit(v) => {
+                        ctx.emit(Insn::Const(Const::Int(*v)));
+                        Ok(Type::Int)
+                    }
+                    Expr::FloatLit(v) => {
+                        ctx.emit(Insn::Const(Const::Float(*v)));
+                        Ok(Type::Float)
+                    }
+                    Expr::StrLit(s) => {
+                        ctx.emit(Insn::Const(Const::Str(s.to_string())));
+                        Ok(Type::Str)
+                    }
+                    Expr::BoolLit(b) => {
+                        ctx.emit(Insn::Const(Const::Bool(*b)));
+                        Ok(Type::Bool)
+                    }
+                    Expr::Null => {
+                        ctx.emit(Insn::Const(Const::Null));
+                        Ok(Type::Ref(ctx.class))
+                    }
+                    Expr::This => {
+                        ctx.emit(Insn::Load(0));
+                        Ok(Type::Ref(ctx.class))
+                    }
+                    Expr::Var(name) => {
+                        if let Some((slot, ty)) = ctx.local(name) {
+                            let ty = ty.clone();
+                            ctx.emit(Insn::Load(slot));
+                            return Ok(ty);
+                        }
+                        let fr = self.field_named(ctx, name)?;
+                        let f = self.program.field(fr);
+                        if f.is_static {
+                            ctx.emit(Insn::GetStatic(fr));
+                        } else {
+                            ctx.emit(Insn::Load(0));
+                            ctx.emit(Insn::GetField(fr));
+                        }
+                        Ok(f.ty.clone())
+                    }
+                    Expr::Field(obj, fname) => {
+                        let oty = self.compile_expr(ctx, obj)?;
+                        let fr = self.field_of(ctx, &oty, fname)?;
+                        ctx.emit(Insn::GetField(fr));
+                        Ok(self.program.field(fr).ty.clone())
+                    }
+                    Expr::Index(arr, idx) => {
+                        let aty = self.compile_expr(ctx, arr)?;
+                        self.compile_expr(ctx, idx)?;
+                        ctx.emit(Insn::ArrayLoad);
+                        match aty {
+                            Type::Array(inner) => Ok(*inner),
+                            _ => ctx.err("indexing a non-array"),
+                        }
+                    }
+                    Expr::Length(arr) => {
+                        self.compile_expr(ctx, arr)?;
+                        ctx.emit(Insn::ArrayLength);
+                        Ok(Type::Int)
+                    }
+                    Expr::Call { recv, name, args } => {
+                        let (mid, via_class) = self.callee(ctx, recv.as_deref(), name)?;
+                        let callee = self.program.method(mid);
+                        let kind = if callee.is_static || via_class {
+                            InvokeKind::Static
+                        } else {
+                            match recv {
+                                None => ctx.emit(Insn::Load(0)),
+                                Some(r) => {
+                                    self.compile_expr(ctx, r)?;
+                                }
+                            }
+                            InvokeKind::Virtual
+                        };
+                        for a in args {
+                            self.compile_expr(ctx, a)?;
+                        }
+                        ctx.emit(Insn::Invoke(kind, mid));
+                        Ok(callee.ret.clone())
+                    }
+                    Expr::New(cname, args) => {
+                        let cid = self.class_named(cname, ctx.line)?;
+                        ctx.emit(Insn::New(cid));
+                        if let Some(ctor) = self.program.find_method(cid, "<init>") {
+                            ctx.emit(Insn::Dup);
+                            for a in args {
+                                self.compile_expr(ctx, a)?;
+                            }
+                            ctx.emit(Insn::Invoke(InvokeKind::Special, ctor));
+                        } else if !args.is_empty() {
+                            return ctx.err(format!("class {cname} has no constructor"));
+                        }
+                        Ok(Type::Ref(cid))
+                    }
+                    Expr::NewArray(ty, len) => {
+                        let elem = self.resolve_type(ty, ctx.line)?;
+                        self.compile_expr(ctx, len)?;
+                        ctx.emit(Insn::NewArray(elem.clone()));
+                        Ok(Type::Array(Box::new(elem)))
+                    }
+                    Expr::Unary(op, inner) => {
+                        let t = self.compile_expr(ctx, inner)?;
+                        ctx.emit(Insn::Un(*op));
+                        Ok(t)
+                    }
+                    Expr::Binary(BinKind::Arith(op), lhs, rhs) => {
+                        let t = self.compile_expr(ctx, lhs)?;
+                        self.compile_expr(ctx, rhs)?;
+                        ctx.emit(Insn::Bin(*op));
+                        Ok(t)
+                    }
+                    Expr::Binary(kind @ (BinKind::And | BinKind::Or), lhs, rhs) => {
+                        // Java-style short-circuit evaluation: the right operand is only
+                        // evaluated when the left one has not already decided the result.
+                        let short = ctx.new_label();
+                        let end = ctx.new_label();
+                        self.compile_expr(ctx, lhs)?;
+                        let decided = if *kind == BinKind::And {
+                            CmpOp::Eq
+                        } else {
+                            CmpOp::Ne
+                        };
+                        ctx.branch(Insn::If(decided, usize::MAX), short);
+                        self.compile_expr(ctx, rhs)?;
+                        ctx.branch(Insn::Goto(usize::MAX), end);
+                        ctx.place(short);
+                        ctx.emit(Insn::Const(Const::Bool(*kind == BinKind::Or)));
+                        ctx.place(end);
+                        Ok(Type::Bool)
+                    }
+                    Expr::Binary(BinKind::Cmp(op), lhs, rhs) => {
+                        // Comparison producing a boolean value: if (cmp) push true else false.
+                        self.compile_expr(ctx, lhs)?;
+                        self.compile_expr(ctx, rhs)?;
+                        let true_l = ctx.new_label();
+                        let end_l = ctx.new_label();
+                        ctx.branch(Insn::IfCmp(*op, usize::MAX), true_l);
+                        ctx.emit(Insn::Const(Const::Bool(false)));
+                        ctx.branch(Insn::Goto(usize::MAX), end_l);
+                        ctx.place(true_l);
+                        ctx.emit(Insn::Const(Const::Bool(true)));
+                        ctx.place(end_l);
+                        Ok(Type::Bool)
+                    }
+                }
+            }
+        }
+
+        /// Compiles MiniJava-like source text into a [`Program`].
+        ///
+        /// The entry point is any `static void main()` method. See the module documentation for
+        /// the supported language subset.
+        pub(super) fn oracle_compile_source(src: &str) -> Result<Program, ParseError> {
+            let mut parser = Parser {
+                toks: lex(src)?,
+                pos: 0,
+            };
+            let decls = parser.parse_program()?;
+            let mut compiler = Compiler {
+                program: Program::new(),
+            };
+            compiler.declare_all(&decls)?;
+            compiler.compile_bodies(&decls)?;
+            Ok(compiler.program)
+        }
     }
 }

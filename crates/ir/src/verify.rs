@@ -82,13 +82,15 @@ pub fn verify_program(program: &Program) -> Result<(), Vec<VerifyError>> {
 /// `Arc` that verified in one copy is verified in all of them; the entry checks stay
 /// per copy. On failure returns the index of the first copy holding an offending
 /// method, with every error of that copy. A copy whose tables differ from its
-/// predecessor's starts over rather than trust it.
+/// predecessor's starts over rather than trust it. One CFG, height table and
+/// worklist serve every method checked.
 pub fn verify_copies<'p>(
     copies: impl IntoIterator<Item = &'p Program>,
 ) -> Result<(), (usize, Vec<VerifyError>)> {
     // The method `Arc` last verified at each method index.
     let mut verified: Vec<*const Method> = Vec::new();
     let mut previous: Option<&Program> = None;
+    let mut scratch = Scratch::default();
     for (index, program) in copies.into_iter().enumerate() {
         if previous.is_some_and(|p| !same_signatures(p, program)) {
             verified.clear();
@@ -107,9 +109,7 @@ pub fn verify_copies<'p>(
             if m.body.is_empty() || std::mem::replace(seen, Arc::as_ptr(m)) == Arc::as_ptr(m) {
                 continue;
             }
-            if let Err(mut es) = verify_method(program, m) {
-                errors.append(&mut es);
-            }
+            check_method(program, m, &mut scratch, &mut errors);
         }
         if !errors.is_empty() {
             return Err((index, errors));
@@ -134,8 +134,32 @@ fn same_signatures(a: &Program, b: &Program) -> bool {
 /// Verifies a single method body.
 pub fn verify_method(program: &Program, method: &Method) -> Result<(), Vec<VerifyError>> {
     let mut errors = Vec::new();
+    check_method(program, method, &mut Scratch::default(), &mut errors);
+    if errors.is_empty() {
+        Ok(())
+    } else {
+        Err(errors)
+    }
+}
+
+/// What checking a body needs beyond the body, kept from one method to the next.
+#[derive(Default)]
+struct Scratch {
+    cfg: BytecodeCfg,
+    heights: Vec<Option<usize>>,
+    work: Vec<usize>,
+}
+
+/// Appends the errors of `method`'s body to `errors`.
+fn check_method(
+    program: &Program,
+    method: &Method,
+    scratch: &mut Scratch,
+    errors: &mut Vec<VerifyError>,
+) {
     let body = &method.body;
     let n = body.len();
+    let found = errors.len();
 
     // 1. Branch targets and entity references.
     for (pc, insn) in body.iter().enumerate() {
@@ -169,31 +193,29 @@ pub fn verify_method(program: &Program, method: &Method) -> Result<(), Vec<Verif
             _ => {}
         }
     }
-    if !errors.is_empty() {
-        return Err(errors);
+    if errors.len() > found {
+        return;
     }
 
     // 2. Stack discipline via CFG simulation.
-    let cfg = BytecodeCfg::build(body);
-    entry_heights(program, method, &cfg).map_err(|e| vec![e])?;
+    let Scratch { cfg, heights, work } = scratch;
+    cfg.rebuild(body);
+    if let Err(e) = fill_heights(program, method, cfg, heights, work) {
+        errors.push(e);
+        return;
+    }
 
-    // 3. Every reachable block either ends on a terminator or falls through to another
-    //    block; the final instruction of the body must not fall off the end.
-    let reach = cfg.reachable();
-    for (b, &(start, end)) in cfg.ranges.iter().enumerate() {
-        if !reach[b] || start == end {
+    // 3. Every reachable block (every block with an entry height) either ends on a
+    //    terminator or falls through to another block; the final instruction of the
+    //    body must not fall off the end.
+    for (&(start, end), height) in cfg.ranges.iter().zip(heights.iter()) {
+        if height.is_none() || start == end {
             continue;
         }
         let last = &body[end - 1];
         if end == n && !last.is_terminator() {
             errors.push(VerifyError::MissingReturn { method: method.id });
         }
-    }
-
-    if errors.is_empty() {
-        Ok(())
-    } else {
-        Err(errors)
     }
 }
 
@@ -207,12 +229,27 @@ pub(crate) fn entry_heights(
     method: &Method,
     cfg: &BytecodeCfg,
 ) -> Result<Vec<Option<usize>>, VerifyError> {
-    let mut heights = vec![None; cfg.block_count()];
+    let mut heights = Vec::new();
+    fill_heights(program, method, cfg, &mut heights, &mut Vec::new())?;
+    Ok(heights)
+}
+
+/// [`entry_heights`] into `heights`, with `work` as the worklist.
+fn fill_heights(
+    program: &Program,
+    method: &Method,
+    cfg: &BytecodeCfg,
+    heights: &mut Vec<Option<usize>>,
+    work: &mut Vec<usize>,
+) -> Result<(), VerifyError> {
+    heights.clear();
+    heights.resize(cfg.block_count(), None);
     if heights.is_empty() {
-        return Ok(heights);
+        return Ok(());
     }
     heights[0] = Some(0);
-    let mut work = vec![0usize];
+    work.clear();
+    work.push(0);
     while let Some(b) = work.pop() {
         let mut h = heights[b].expect("a queued block has a height");
         let (start, end) = cfg.ranges[b];
@@ -245,7 +282,7 @@ pub(crate) fn entry_heights(
             }
         }
     }
-    Ok(heights)
+    Ok(())
 }
 
 #[cfg(test)]
@@ -411,5 +448,90 @@ mod tests {
         p.method_mut(m).body = vec![Insn::Const(Const::Int(1)), Insn::Pop];
         let errs = verify_method(&p, p.method(m)).unwrap_err();
         assert!(errs.contains(&VerifyError::MissingReturn { method: m }));
+    }
+
+    /// A loop with a join: `i = 0; while (i < 10) { i = i + 1 }` over six blocks.
+    fn counting_loop() -> Vec<Insn> {
+        vec![
+            Insn::Const(Const::Int(0)),
+            Insn::Store(0),
+            Insn::Load(0),
+            Insn::Const(Const::Int(10)),
+            Insn::IfCmp(CmpOp::Ge, 10),
+            Insn::Load(0),
+            Insn::Const(Const::Int(1)),
+            Insn::Bin(BinOp::Add),
+            Insn::Store(0),
+            Insn::Goto(2),
+            Insn::Return,
+        ]
+    }
+
+    /// Good and broken bodies in turn, each broken one in a way of its own, in both
+    /// orders: what `verify_copies` reports with one CFG, height table and worklist
+    /// for all of them is what `verify_method` reports body by body.
+    #[test]
+    fn one_scratch_reports_what_each_method_alone_does() {
+        let one = || Insn::Const(Const::Int(1));
+        let bodies: [(&str, Vec<Insn>); 10] = [
+            ("loop", counting_loop()),
+            (
+                "underflow",
+                vec![one(), Insn::Bin(BinOp::Add), Insn::Return],
+            ),
+            ("loop after an underflow", counting_loop()),
+            (
+                "heights differ at a join",
+                vec![one(), Insn::If(CmpOp::Ne, 3), one(), Insn::Return],
+            ),
+            // Its tail is unreachable: a height left over from the loop before it
+            // would make it fall off the end.
+            ("unreachable tail", vec![Insn::Return, one(), one()]),
+            ("loop after a join", counting_loop()),
+            ("falls off the end", vec![one(), Insn::Pop]),
+            ("straight line", vec![one(), Insn::Pop, Insn::Return]),
+            ("branch out of range", vec![Insn::Goto(40), Insn::Return]),
+            ("loop at the end", counting_loop()),
+        ];
+        for reversed in [false, true] {
+            let mut p = Program::new();
+            let c = p.add_class("C", None);
+            let mut order: Vec<_> = bodies.iter().collect();
+            if reversed {
+                order.reverse();
+            }
+            for (name, body) in order {
+                let m = p.add_method(c, name, vec![], Type::Void, true);
+                p.set_body(m, body.clone(), 1);
+            }
+            p.set_entry(p.find_method(c, "loop").unwrap());
+            let alone: Vec<VerifyError> = (p.methods.iter())
+                .flat_map(|m| verify_method(&p, m).err().unwrap_or_default())
+                .collect();
+            let broken = |name: &str| p.find_method(c, name).unwrap();
+            let mut expected = [
+                VerifyError::StackUnderflow {
+                    method: broken("underflow"),
+                    pc: 1,
+                },
+                VerifyError::InconsistentStack {
+                    method: broken("heights differ at a join"),
+                    pc: 3,
+                },
+                VerifyError::MissingReturn {
+                    method: broken("falls off the end"),
+                },
+                VerifyError::BranchOutOfRange {
+                    method: broken("branch out of range"),
+                    pc: 0,
+                    target: 40,
+                },
+            ];
+            if reversed {
+                expected.reverse();
+            }
+            assert_eq!(alone, expected, "reversed: {reversed}");
+            assert_eq!(verify_copies([&p]), Err((0, alone)), "reversed: {reversed}");
+        }
     }
 }

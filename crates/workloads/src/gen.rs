@@ -100,6 +100,39 @@ impl Rng {
 
 /// Builds the workload described by `cfg`. See the module docs for the shape.
 pub fn generated(cfg: &GenConfig) -> GeneratedWorkload {
+    let Tree {
+        name,
+        src,
+        levels,
+        edges,
+    } = tree(cfg);
+    let workload = build(
+        &name,
+        "seeded synthetic call tree for the chaos suite",
+        &src,
+    );
+    GeneratedWorkload {
+        workload,
+        levels,
+        edges,
+    }
+}
+
+/// The source text [`generated`] compiles for `cfg`.
+pub fn generated_source(cfg: &GenConfig) -> String {
+    tree(cfg).src
+}
+
+/// A generated workload before compilation: its name, its source and the facts
+/// [`GeneratedWorkload`] reports beside the program.
+struct Tree {
+    name: String,
+    src: String,
+    levels: Vec<(String, usize)>,
+    edges: Vec<((usize, usize), (usize, usize))>,
+}
+
+fn tree(cfg: &GenConfig) -> Tree {
     let depth = cfg.depth.max(1);
     let width = cfg.width.max(1);
     let fan_out = cfg.fan_out.max(1);
@@ -228,13 +261,9 @@ pub fn generated(cfg: &GenConfig) -> GeneratedWorkload {
         "gen(seed={:#x},d={depth},w={width},f={fan_out},skew={},pay={payload})",
         cfg.seed, cfg.affinity_skew
     );
-    let workload = build(
-        &name,
-        "seeded synthetic call tree for the chaos suite",
-        &src,
-    );
-    GeneratedWorkload {
-        workload,
+    Tree {
+        name,
+        src,
         levels,
         edges,
     }

@@ -18,7 +18,7 @@ use autodist_ir::frontend::compile_source;
 use autodist_ir::Program;
 
 mod gen;
-pub use gen::{generated, phased, GenConfig, GeneratedWorkload, PhasedWorkload};
+pub use gen::{generated, generated_source, phased, GenConfig, GeneratedWorkload, PhasedWorkload};
 
 /// The array-element flavour of the Create benchmark (the paper's Table 3 rows).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]

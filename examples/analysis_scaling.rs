@@ -1,8 +1,9 @@
-//! How the compile side's phases grow with the program: rta, crg, objects, odg and a
-//! 2-, 4- and 8-way partition on generated call trees of 73 to 1 153 classes (fan-out 3),
-//! milliseconds, minimum of five runs. The benchmark's `plan_sweep` pool is 73-class
-//! programs only, so this is where a phase that rescans shows: a near-linear phase
-//! grows about 16× from the first row to the last, a quadratic one about 250×.
+//! How the compile side's phases grow with the program: the front end (`generated`:
+//! writing the source and compiling it), rta, crg, objects, odg and a 2-, 4- and 8-way
+//! partition on generated call trees of 73 to 1 153 classes (fan-out 3), milliseconds,
+//! minimum of five runs. The benchmark's `plan_sweep` pool is 73-class programs only,
+//! so this is where a phase that rescans shows: a near-linear phase grows about 16×
+//! from the first row to the last (as the source does), a quadratic one about 250×.
 //!
 //! A second table follows the per-node copies at 2 / 4 / 8 nodes through the public
 //! path: the rewriter alone (`rewrite_for_node` per node under the plan's placement),
@@ -39,15 +40,18 @@ fn timed<T>(f: impl FnOnce() -> T) -> (f64, T) {
 
 const SIZES: [(usize, usize); 4] = [(6, 12), (8, 24), (10, 48), (12, 96)];
 
-fn program(depth: usize, width: usize) -> autodist_ir::program::Program {
-    let config = GenConfig {
+fn config(depth: usize, width: usize) -> GenConfig {
+    GenConfig {
         seed: 1,
         depth,
         width,
         fan_out: 3,
         ..Default::default()
-    };
-    generated(&config).workload.program
+    }
+}
+
+fn program(depth: usize, width: usize) -> autodist_ir::program::Program {
+    generated(&config(depth, width)).workload.program
 }
 
 /// The per-node copies of a plan: milliseconds (minimum of three) of the rewriter
@@ -105,13 +109,15 @@ fn node_copies() {
 fn main() {
     let weights = DistributorConfig::default().weights;
     println!(
-        "{:>4} {:>4} {:>8} {:>9} {:>9} {:>9} {:>9} {:>9} {:>9} {:>9}",
-        "d", "w", "classes", "rta", "crg", "objects", "odg", "part/2", "part/4", "part/8"
+        "{:>4} {:>4} {:>8} {:>9} {:>9} {:>9} {:>9} {:>9} {:>9} {:>9} {:>9}",
+        "d", "w", "classes", "front", "rta", "crg", "objects", "odg", "part/2", "part/4", "part/8"
     );
     for (depth, width) in SIZES {
+        let config = config(depth, width);
         let program = program(depth, width);
-        let mut best = [f64::INFINITY; 7];
+        let mut best = [f64::INFINITY; 8];
         for _ in 0..5 {
+            let (front, _) = timed(|| generated(&config));
             let (rta, call_graph) = timed(|| rapid_type_analysis(&program));
             let (crg_ms, crg) = timed(|| build_crg(&program, &call_graph));
             let (objects_ms, objects) = timed(|| collect_objects(&program, &call_graph));
@@ -120,7 +126,7 @@ fn main() {
             let [p2, p4, p8] = [2, 4, 8].map(|parts| {
                 timed(|| partition(&odg_partition_graph(&odg), &PartitionConfig::kway(parts))).0
             });
-            let run = [rta, crg_ms, objects_ms, odg_ms, p2, p4, p8];
+            let run = [front, rta, crg_ms, objects_ms, odg_ms, p2, p4, p8];
             for (b, ms) in best.iter_mut().zip(run) {
                 *b = b.min(ms);
             }

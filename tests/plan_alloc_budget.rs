@@ -91,9 +91,12 @@ fn cluster(nodes: usize) -> ClusterConfig {
 /// the CFG, call graph, CRG and placement were indexed by id and the front end's
 /// locals became a list, `GENERATED` read 5 201 and `DISTRIBUTE` 6 357 / 6 776 /
 /// 7 289 (mean whole op 13 478), and the `PREPARE` figures pinned before that,
-/// 1 542 / 1 626 / 1 705, predate the stack form's removal.
-const GENERATED: usize = 5_081;
-const DISTRIBUTE: [usize; 3] = [4_617, 5_173, 5_776];
+/// 1 542 / 1 626 / 1 705, predate the stack form's removal; before the front end's
+/// AST went flat and its method buffers, the loop search's and the verifier's CFG
+/// were reused, `GENERATED` read 5 081 and `DISTRIBUTE` 4 617 / 5 173 / 5 776 (mean
+/// whole op 11 739).
+const GENERATED: usize = 1_281;
+const DISTRIBUTE: [usize; 3] = [1_469, 1_745, 2_148];
 const PREPARE: [usize; 3] = [1_394, 1_469, 1_546];
 
 #[test]
@@ -143,7 +146,33 @@ fn planning_stays_inside_its_allocation_budget() {
     }
     let mean = whole_ops / 3;
     println!("mean whole op: {mean}");
-    assert!(mean <= 15_000, "mean planning op: {mean} allocations");
+    assert!(mean <= 6_000, "mean planning op: {mean} allocations");
+
+    // Informational: what the allocator costs in page faults once warm. A large
+    // transient buffer freed at the top of the heap can be trimmed and faulted in
+    // again by the next op; this line shows it in the log and is never asserted.
+    let ops = 20;
+    let before = minor_faults();
+    for nodes in [2usize, 4, 8].into_iter().cycle().take(ops) {
+        let g = generated(&cfg);
+        let plan = (Distributor::new(DistributorConfig::multilevel(nodes)))
+            .try_distribute(&g.workload.program)
+            .expect("plans");
+        plan.prepare_server(&cluster(nodes));
+    }
+    if let (Some(before), Some(after)) = (before, minor_faults()) {
+        let per_op = (after - before) as f64 / ops as f64;
+        println!("steady state: {per_op:.1} minor page faults per op (this thread, {ops} ops)");
+    }
+}
+
+/// Minor page faults of the calling thread so far (`minflt` of `/proc/thread-self/stat`),
+/// where the system has that file.
+fn minor_faults() -> Option<u64> {
+    let stat = std::fs::read_to_string("/proc/thread-self/stat").ok()?;
+    // The fields after the command name, which is in parentheses, start at field 3.
+    let fields = stat.get(stat.rfind(')')? + 2..)?;
+    fields.split(' ').nth(10 - 3)?.parse().ok()
 }
 
 #[test]
