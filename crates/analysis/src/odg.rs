@@ -134,7 +134,9 @@ type Reference = (OdgNodeId, OdgNodeId);
 /// are applied in. Each reference is propagated once, when it is taken off `pending`:
 /// it is matched, in each of the four positions it can fill in the two rules, against
 /// the references propagated before it, and only then joins them — so every pair of
-/// references meets exactly once, when the later of the two is propagated.
+/// references meets exactly once, when the later of the two is propagated. The types
+/// a rule asks about depend only on the pair's ends, so a propagated reference keeps
+/// them beside it: a pop looks up the CRG twice, not once per reference it meets.
 fn close_references(
     program: &Program,
     crg: &ClassRelationGraph,
@@ -159,19 +161,21 @@ fn close_references(
             class: class_of(a),
             part: nodes[a.0 as usize].part(),
         };
-        carried.get(&(kind, from, class_of(b)))
+        carried.get(&(kind, from, class_of(b))).map(Vec::as_slice)
     };
-    let fits = |types: Option<&Vec<ClassId>>, c: OdgNodeId| {
+    let fits = |types: Option<&[ClassId]>, c: OdgNodeId| {
         types.is_some_and(|ts| ts.iter().any(|&t| program.is_subclass_of(class_of(c), t)))
     };
 
     // The relation: every reference found so far (`known`, sorted — the order it is
     // emitted in), those not yet propagated (`pending`), and the propagated ones by
-    // holder (`held_by[x]`: every `y` with `x -> y`) and by target (`holders_of`).
+    // holder (`held_by[x]`: every `y` with `x -> y`, beside what `x` exports to `y`)
+    // and by target (`holders_of[y]`: every `x`, beside what `x` imports from `y`).
     let mut pending: Vec<Reference> = creators.collect();
     let mut known: BTreeSet<Reference> = pending.iter().copied().collect();
-    let mut held_by: Vec<Vec<OdgNodeId>> = vec![Vec::new(); nodes.len()];
-    let mut holders_of: Vec<Vec<OdgNodeId>> = vec![Vec::new(); nodes.len()];
+    type Rows<'a> = Vec<Vec<(OdgNodeId, Option<&'a [ClassId]>)>>;
+    let mut held_by: Rows = vec![Vec::new(); nodes.len()];
+    let mut holders_of: Rows = vec![Vec::new(); nodes.len()];
     while let Some((x, y)) = pending.pop() {
         let mut found = |from: OdgNodeId, to: OdgNodeId| {
             if from != to && known.insert((from, to)) {
@@ -180,29 +184,31 @@ fn close_references(
         };
         // x -> y beside x -> z: x may pass either to the other.
         let x_to_y = types(CrgEdgeKind::Export, x, y);
-        for &z in &held_by[x.0 as usize] {
+        for &(z, x_to_z) in &held_by[x.0 as usize] {
             if fits(x_to_y, z) {
                 found(y, z);
             }
-            if fits(types(CrgEdgeKind::Export, x, z), y) {
+            if fits(x_to_z, y) {
                 found(z, y);
             }
         }
         // x -> y -> z: x may obtain z from y.
         let x_from_y = types(CrgEdgeKind::Import, x, y);
-        for &z in &held_by[y.0 as usize] {
-            if fits(x_from_y, z) {
-                found(x, z);
+        if x_from_y.is_some() {
+            for &(z, _) in &held_by[y.0 as usize] {
+                if fits(x_from_y, z) {
+                    found(x, z);
+                }
             }
         }
         // w -> x -> y: w may obtain y from x.
-        for &w in &holders_of[x.0 as usize] {
-            if fits(types(CrgEdgeKind::Import, w, x), y) {
+        for &(w, w_from_x) in &holders_of[x.0 as usize] {
+            if fits(w_from_x, y) {
                 found(w, y);
             }
         }
-        held_by[x.0 as usize].push(y);
-        holders_of[y.0 as usize].push(x);
+        held_by[x.0 as usize].push((y, x_to_y));
+        holders_of[y.0 as usize].push((x, x_from_y));
     }
     known
 }
@@ -620,16 +626,27 @@ mod tests {
 
     #[test]
     fn closure_is_the_oracles_on_generated_call_trees() {
-        for (depth, width) in [(3, 4), (4, 8), (6, 12), (6, 16)] {
+        // The skewed affinities and 193 classes are hub shapes: rows with many holders.
+        let shapes = [
+            (3, 4, 0.0),
+            (4, 8, 0.0),
+            (6, 12, 0.0),
+            (6, 16, 0.0),
+            (6, 12, 2.0),
+            (6, 12, 8.0),
+            (8, 24, 0.0),
+        ];
+        for (depth, width, affinity_skew) in shapes {
             for seed in [1, 2, 3] {
                 let g = autodist_workloads::generated(&autodist_workloads::GenConfig {
                     seed,
                     depth,
                     width,
                     fan_out: 3,
+                    affinity_skew,
                     ..Default::default()
                 });
-                let name = format!("d{depth}w{width} seed {seed}");
+                let name = format!("d{depth}w{width} skew {affinity_skew} seed {seed}");
                 let odg = assert_odg_matches_its_definition(&name, &g.workload.program);
                 let references = odg.edges_of_kind(OdgEdgeKind::Reference).count();
                 let creates = odg.edges_of_kind(OdgEdgeKind::Create).count();
@@ -690,6 +707,41 @@ mod tests {
         assert!(has_edge(&odg, OdgEdgeKind::Create, bx, item));
         assert!(!has_edge(&odg, OdgEdgeKind::Create, root, item));
         assert!(has_edge(&odg, OdgEdgeKind::Reference, root, item));
+    }
+
+    #[test]
+    fn an_import_through_a_reference_found_after_its_holder() {
+        // The reader holds the box before the box comes to hold the item (Main exports
+        // it there), so `reader -> box -> item` completes when `box -> item` is
+        // propagated: the import rule's `w -> x -> y` position, with the types the
+        // reader imports from the box kept in the box's row of holders.
+        let src = r#"
+            class Item { int v; void poke() { this.v = this.v + 1; } }
+            class Box {
+                Item item;
+                void put(Item i) { this.item = i; }
+                Item get() { return this.item; }
+            }
+            class Reader {
+                Box box;
+                void setBox(Box b) { this.box = b; }
+                void run() { Item i = this.box.get(); i.poke(); }
+            }
+            class Main {
+                static void main() {
+                    Box b = new Box();
+                    Reader r = new Reader();
+                    r.setBox(b);
+                    Item i = new Item();
+                    b.put(i);
+                    r.run();
+                }
+            }
+        "#;
+        let p = compile_source(src).unwrap();
+        let odg = assert_odg_matches_its_definition("import after its holder", &p);
+        let (reader, item) = (object_of(&p, &odg, "Reader"), object_of(&p, &odg, "Item"));
+        assert!(has_edge(&odg, OdgEdgeKind::Reference, reader, item));
     }
 
     #[test]

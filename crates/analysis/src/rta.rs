@@ -109,11 +109,10 @@ impl Discovery {
     }
 }
 
-/// Runs rapid type analysis over `program`, starting at its entry point.
-///
-/// Panics if the program has no entry point (callers should verify first).
+/// Runs rapid type analysis over `program`, starting at its entry point. A program
+/// without one reaches nothing: its call graph is empty (no reachable method,
+/// instantiated class, call site or edge).
 pub fn rapid_type_analysis(program: &Program) -> CallGraph {
-    let entry = program.entry.expect("program has an entry point");
     let classes = program.classes.len();
     let mut found = Discovery {
         reachable: Vec::new(),
@@ -131,7 +130,9 @@ pub fn rapid_type_analysis(program: &Program) -> CallGraph {
     let mut affected: Vec<usize> = Vec::new();
     let mut targets: Vec<MethodId> = Vec::new();
 
-    found.reach(entry);
+    if let Some(entry) = program.entry {
+        found.reach(entry);
+    }
     while let Some(m) = found.work.pop() {
         for insn in &program.method(m).body {
             match insn {

@@ -517,6 +517,26 @@ mod tests {
     }
 
     #[test]
+    fn a_program_without_an_entry_point_analyzes_to_an_empty_odg() {
+        let src = "class A { int x; int get() { return this.x; } }";
+        let program = Distributor::compile(src).expect("compiles");
+        let distributor = Distributor::new(DistributorConfig::default());
+        let analysis = distributor.analyze(&program);
+        assert!(analysis.call_graph.reachable.is_empty());
+        assert_eq!(analysis.call_graph.edge_count(), 0);
+        assert_eq!(
+            (analysis.odg.node_count(), analysis.odg.edge_count()),
+            (0, 0)
+        );
+        match distributor.try_distribute(&program) {
+            Err(PipelineError::Verify { node: None, errors }) => {
+                assert_eq!(errors, [VerifyError::NoEntryPoint])
+            }
+            other => panic!("expected a verify error, got {other:?}"),
+        }
+    }
+
+    #[test]
     fn fallible_pipeline_matches_the_infallible_one() {
         let w = workloads::bank(10);
         let distributor = Distributor::new(DistributorConfig::default());

@@ -119,24 +119,32 @@ pub fn multilevel_bisect(graph: &Graph, frac: f64, config: &PartitionConfig) -> 
     let levels = coarsen_hierarchy(graph, config.coarsen_to, config.seed);
     let coarsest: &Graph = levels.last().map(|l| &l.graph).unwrap_or(graph);
 
-    // Initial split on the coarsest graph: try several GGGP seeds, keep the best.
+    // Initial split on the coarsest graph: try several GGGP seeds, keep the best (the
+    // first on a tie). FM is deterministic, so a seed that grows the same start as an
+    // earlier one would refine to the same cut: it is not refined again.
     let targets_coarsest =
         BisectionTargets::from_fraction(coarsest, frac, config.balance_tolerance);
-    let mut best: Option<(u64, Vec<usize>)> = None;
+    let mut starts: Vec<Vec<usize>> = Vec::with_capacity(4);
+    let mut best: Option<(u64, bool, Vec<usize>)> = None;
     for attempt in 0..4u64 {
-        let mut split = greedy_graph_growing(coarsest, frac, config.seed.wrapping_add(attempt));
-        let cut = fm_refine_bisection(
+        let start = greedy_graph_growing(coarsest, frac, config.seed.wrapping_add(attempt));
+        if starts.contains(&start) {
+            continue;
+        }
+        let mut split = start.clone();
+        starts.push(start);
+        let (cut, converged) = fm_refine_bisection(
             coarsest,
             &mut split,
             &targets_coarsest,
             config.refine_passes,
         );
         match &best {
-            Some((bc, _)) if *bc <= cut => {}
-            _ => best = Some((cut, split)),
+            Some((bc, _, _)) if *bc <= cut => {}
+            _ => best = Some((cut, converged, split)),
         }
     }
-    let mut split = best.expect("at least one attempt").1;
+    let (_, converged, mut split) = best.expect("at least one attempt");
 
     // Project the split back through the hierarchy, refining at every level.
     for level_idx in (0..levels.len()).rev() {
@@ -155,9 +163,10 @@ pub fn multilevel_bisect(graph: &Graph, frac: f64, config: &PartitionConfig) -> 
         split = fine_split;
     }
 
-    if levels.is_empty() {
+    if levels.is_empty() && !converged {
         // No coarsening happened: `split` is already for the original graph, but run a
         // final refinement for good measure on graphs small enough to skip coarsening.
+        // A converged split is a fixed point of that refinement, so it is skipped.
         let targets = BisectionTargets::from_fraction(graph, frac, config.balance_tolerance);
         fm_refine_bisection(graph, &mut split, &targets, config.refine_passes);
     }
@@ -411,12 +420,26 @@ mod tests {
             let grown = greedy_graph_growing(&g, frac, seed);
             prop_assert_eq!(&grown, &oracle_greedy_graph_growing(&g, frac, seed));
             let targets = BisectionTargets::from_fraction(&g, frac, 0.25);
-            let (mut a, mut b) = (grown.clone(), grown);
-            prop_assert_eq!(
-                fm_refine_bisection(&g, &mut a, &targets, 4),
-                oracle_fm_refine_bisection(&g, &mut b, &targets, 4)
-            );
+            let (mut a, mut b) = (grown.clone(), grown.clone());
+            let (cut, converged) = fm_refine_bisection(&g, &mut a, &targets, 4);
+            prop_assert_eq!(cut, oracle_fm_refine_bisection(&g, &mut b, &targets, 4));
             prop_assert_eq!(&a, &b);
+            if converged {
+                // A fixed point: refining it again moves nothing.
+                let mut again = a.clone();
+                prop_assert_eq!(fm_refine_bisection(&g, &mut again, &targets, 4), (cut, true));
+                prop_assert_eq!(&again, &a);
+            } else {
+                // Every pass it ran improved the cut.
+                let mut last = g.edge_cut(&grown);
+                for passes in 1..=4 {
+                    let mut c = grown.clone();
+                    let (cut, converged) = fm_refine_bisection(&g, &mut c, &targets, passes);
+                    prop_assert!(!converged && cut < last, "pass {} improved nothing", passes);
+                    last = cut;
+                }
+                prop_assert_eq!(last, cut);
+            }
 
             let side: Vec<usize> = (0..n).filter(|&v| a[v] == 0).collect();
             prop_assert_eq!(induce(&g, &side), oracle_induce(&g, &side));
@@ -424,6 +447,63 @@ mod tests {
             let config = PartitionConfig { nparts, seed, ..PartitionConfig::default() };
             prop_assert_eq!(multilevel_kway(&g, &config), oracle_multilevel_kway(&g, &config));
         }
+    }
+
+    /// An ODG-shaped graph of `n` vertices with 3 constraints: a hub (vertex 0, like a
+    /// static root) adjacent to every other vertex, and a fan-out-3 tree over vertices
+    /// `1..n` (vertex `v`'s parent is `1 + (v - 2) / 3`).
+    fn hub_and_tree(n: usize) -> Graph {
+        let mut b = GraphBuilder::new(n, 3);
+        for v in 0..n as u64 {
+            b.set_weight(v as usize, &[1 + v % 4, v % 3, 1]);
+        }
+        for v in 1..n {
+            b.add_edge(0, v, 1 + (v as u64 % 5));
+            if v >= 2 {
+                b.add_edge(1 + (v - 2) / 3, v, 1 + (v as u64 * 7) % 11);
+            }
+        }
+        b.build()
+    }
+
+    #[test]
+    fn the_bisection_shortcuts_decide_what_the_oracle_did_on_hub_and_tree_graphs() {
+        let (mut duplicate_starts, mut converged_bests) = (0, 0);
+        for n in 20..=73 {
+            let g = hub_and_tree(n);
+            for nparts in 2..=8 {
+                let config = PartitionConfig {
+                    nparts,
+                    ..PartitionConfig::default()
+                };
+                assert_eq!(
+                    multilevel_kway(&g, &config),
+                    oracle_multilevel_kway(&g, &config),
+                    "{n} vertices, {nparts} parts"
+                );
+
+                // The first bisection's attempts, as `multilevel_bisect` makes them.
+                let frac = nparts.div_ceil(2) as f64 / nparts as f64;
+                let levels = coarsen_hierarchy(&g, config.coarsen_to, config.seed);
+                let coarsest = levels.last().map(|l| &l.graph).unwrap_or(&g);
+                let targets =
+                    BisectionTargets::from_fraction(coarsest, frac, config.balance_tolerance);
+                let starts: Vec<Vec<usize>> = (0..4)
+                    .map(|a| greedy_graph_growing(coarsest, frac, config.seed + a))
+                    .collect();
+                let distinct = (0..4).filter(|&i| !starts[..i].contains(&starts[i]));
+                duplicate_starts += usize::from(distinct.clone().count() < 4);
+                let best = distinct
+                    .map(|i| {
+                        let mut split = starts[i].clone();
+                        fm_refine_bisection(coarsest, &mut split, &targets, config.refine_passes)
+                    })
+                    .reduce(|best, next| if best.0 <= next.0 { best } else { next });
+                converged_bests += usize::from(best.expect("an attempt").1);
+            }
+        }
+        assert!(duplicate_starts > 0, "no bisection grew one start twice");
+        assert!(converged_bests > 0, "no bisection's best attempt converged");
     }
 
     fn grid(n: usize) -> Graph {

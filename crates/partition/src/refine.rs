@@ -84,30 +84,34 @@ pub(crate) fn argmax(keys: &[i64], mut accept: impl FnMut(usize) -> bool) -> Opt
 }
 
 /// Runs up to `passes` FM passes over a bisection, improving `assignment` in place.
-/// Returns the final cut weight.
+/// Returns the final cut weight, and whether the last pass ran improved nothing — then
+/// `assignment` is a fixed point: a pass from it replays that pass and moves nothing.
 pub fn fm_refine_bisection(
     graph: &Graph,
     assignment: &mut [usize],
     targets: &BisectionTargets,
     passes: usize,
-) -> u64 {
+) -> (u64, bool) {
     let n = graph.vertex_count();
     let ncon = graph.ncon;
     let allowed = targets.allowed.concat();
     let mut best_cut = graph.edge_cut(assignment);
     let mut gain = vec![0i64; n];
-    // `side_weight[side * ncon + c]`.
-    let mut side_weight = vec![0u64; 2 * ncon];
+    // `room[side * ncon + c]`: what `side` may still take of constraint `c` (negative
+    // when the side is already over its envelope).
+    let mut room = vec![0i64; 2 * ncon];
     let mut moves: Vec<usize> = Vec::with_capacity(n);
 
     for _ in 0..passes {
-        side_weight.fill(0);
+        for (r, &a) in room.iter_mut().zip(&allowed) {
+            *r = a as i64;
+        }
         for v in 0..n {
             gain[v] = move_gain(graph, assignment, v);
             let side = assignment[v] * ncon;
-            let weights = side_weight[side..side + ncon].iter_mut();
-            for (acc, w) in weights.zip(graph.vertex_weight(v)) {
-                *acc += w;
+            let rooms = room[side..side + ncon].iter_mut();
+            for (r, &w) in rooms.zip(graph.vertex_weight(v)) {
+                *r -= w as i64;
             }
         }
         moves.clear();
@@ -119,17 +123,18 @@ pub fn fm_refine_bisection(
         while moves.len() < n {
             // The best unlocked move that keeps its receiving side inside the envelope.
             let fits = |v: usize| {
-                let to = (1 - assignment[v]) * ncon;
-                let weight = graph.vertex_weight(v);
-                (0..ncon).all(|c| side_weight[to + c] + weight[c] <= allowed[to + c])
+                let to = &room[(1 - assignment[v]) * ncon..][..ncon];
+                to.iter()
+                    .zip(graph.vertex_weight(v))
+                    .all(|(&r, &w)| w as i64 <= r)
             };
             let Some(v) = argmax(&gain, fits) else { break };
             cur_cut -= gain[v];
             gain[v] = MASKED;
             let (from, to) = (assignment[v], 1 - assignment[v]);
-            for (c, w) in graph.vertex_weight(v).iter().enumerate() {
-                side_weight[from * ncon + c] -= w;
-                side_weight[to * ncon + c] += w;
+            for (c, &w) in graph.vertex_weight(v).iter().enumerate() {
+                room[from * ncon + c] += w as i64;
+                room[to * ncon + c] -= w as i64;
             }
             assignment[v] = to;
             // An edge to the side `v` joined stops being cut: its other end gains less
@@ -153,11 +158,11 @@ pub fn fm_refine_bisection(
             assignment[v] = 1 - assignment[v];
         }
         if best_prefix_len == 0 {
-            break; // no improvement this pass — converged
+            return (best_cut, true); // no improvement this pass — converged
         }
         best_cut = best_prefix_cut as u64;
     }
-    best_cut
+    (best_cut, false)
 }
 
 #[cfg(test)]
@@ -283,7 +288,7 @@ pub(crate) mod tests {
     fn refinement_recovers_the_natural_cut() {
         let (g, mut a) = cliques_with_bad_split();
         let targets = BisectionTargets::from_fraction(&g, 0.5, 0.1);
-        let cut = fm_refine_bisection(&g, &mut a, &targets, 8);
+        let (cut, _) = fm_refine_bisection(&g, &mut a, &targets, 8);
         assert_eq!(cut, 1, "refinement should find the single bridge cut");
         assert_eq!(g.edge_cut(&a), 1);
         // The parts are the two cliques.
@@ -299,7 +304,7 @@ pub(crate) mod tests {
         let before = g.edge_cut(&a0);
         let mut a = a0.clone();
         let targets = BisectionTargets::from_fraction(&g, 0.5, 0.1);
-        let after = fm_refine_bisection(&g, &mut a, &targets, 3);
+        let (after, _) = fm_refine_bisection(&g, &mut a, &targets, 3);
         assert!(after <= before);
     }
 
@@ -364,6 +369,6 @@ pub(crate) mod tests {
         let g = GraphBuilder::new(0, 1).build();
         let targets = BisectionTargets::from_fraction(&g, 0.5, 0.1);
         let mut a: Vec<usize> = vec![];
-        assert_eq!(fm_refine_bisection(&g, &mut a, &targets, 2), 0);
+        assert_eq!(fm_refine_bisection(&g, &mut a, &targets, 2).0, 0);
     }
 }

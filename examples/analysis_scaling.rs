@@ -4,6 +4,8 @@
 //! minimum of five runs. The benchmark's `plan_sweep` pool is 73-class programs only,
 //! so this is where a phase that rescans shows: a near-linear phase grows about 16×
 //! from the first row to the last (as the source does), a quadratic one about 250×.
+//! The row after the table prints each column's growth from the first size to the
+//! last as an exponent of the class ratio (`n^`): about 1.0 is linear, 2.0 quadratic.
 //!
 //! A second table follows the per-node copies at 2 / 4 / 8 nodes through the public
 //! path: the rewriter alone (`rewrite_for_node` per node under the plan's placement),
@@ -112,6 +114,8 @@ fn main() {
         "{:>4} {:>4} {:>8} {:>9} {:>9} {:>9} {:>9} {:>9} {:>9} {:>9} {:>9}",
         "d", "w", "classes", "front", "rta", "crg", "objects", "odg", "part/2", "part/4", "part/8"
     );
+    // Each size's class count and best times, for the growth row.
+    let mut rows: Vec<(usize, [f64; 8])> = Vec::new();
     for (depth, width) in SIZES {
         let config = config(depth, width);
         let program = program(depth, width);
@@ -136,6 +140,19 @@ fn main() {
             print!(" {ms:>9.3}");
         }
         println!();
+        rows.push((program.class_count(), best));
     }
+    let ((first_classes, first), (last_classes, last)) = (rows[0], rows[SIZES.len() - 1]);
+    let ratio = (last_classes as f64 / first_classes as f64).ln();
+    print!(
+        "{:>4} {:>4} {:>8}",
+        "n^",
+        "",
+        format!("{first_classes}-{last_classes}")
+    );
+    for (a, b) in first.iter().zip(last) {
+        print!(" {:>9.2}", (b / a).ln() / ratio);
+    }
+    println!();
     node_copies();
 }
