@@ -98,8 +98,6 @@ pub struct ObjectDependenceGraph {
     pub edges: Vec<OdgEdge>,
     /// Per-node resource weight vectors (memory, CPU, battery).
     pub node_weights: Vec<ResourceVector>,
-    /// Human-readable node labels (`1 Account@Bank.initializeAccounts` style).
-    pub labels: Vec<String>,
 }
 
 impl ObjectDependenceGraph {
@@ -239,7 +237,6 @@ pub fn build_odg(
             let class = ClassId(class as u32);
             *root = odg.nodes.len() as u32;
             odg.nodes.push(OdgNode::StaticRoot { class });
-            odg.labels.push(format!("ST {}", program.class(class).name));
         }
     }
     let first_site = odg.nodes.len() as u32;
@@ -250,18 +247,6 @@ pub fn build_odg(
             class: site.class,
             multiplicity: site.multiplicity,
         });
-        let prefix = match site.multiplicity {
-            Multiplicity::Single => "1",
-            Multiplicity::Summary => "*",
-        };
-        let m = program.method(site.method);
-        odg.labels.push(format!(
-            "{prefix} {} @{}.{}:{}",
-            program.class(site.class).name,
-            program.class(m.class).name,
-            m.name,
-            site.pc
-        ));
     }
 
     // 2. Create edges, allocator context -> allocated object: the static root of the
@@ -542,7 +527,6 @@ mod tests {
             .filter(|n| matches!(n, OdgNode::Object { class, .. } if *class == account))
             .count();
         assert_eq!(account_nodes, 3);
-        assert_eq!(odg.node_count(), odg.labels.len());
         assert_eq!(odg.node_count(), odg.node_weights.len());
     }
 
@@ -604,14 +588,6 @@ mod tests {
             assert_ne!(ca, cb, "self-class uses are not cross-partition candidates");
             assert!(e.weight > 0);
         }
-    }
-
-    #[test]
-    fn labels_use_paper_prefixes() {
-        let (_p, odg) = bank_odg();
-        assert!(odg.labels.iter().any(|l| l.starts_with("1 ")));
-        assert!(odg.labels.iter().any(|l| l.starts_with("* ")));
-        assert!(odg.labels.iter().any(|l| l.starts_with("ST ")));
     }
 
     #[test]

@@ -148,8 +148,8 @@ impl WeightModel {
 }
 
 /// Re-weights an existing ODG in place from live profile measurements, without
-/// re-running any pointer or type analysis: the graph's *shape* (nodes, edges,
-/// labels) is the static analysis result and stays; only the weights — what the
+/// re-running any pointer or type analysis: the graph's *shape* (nodes and edges) is
+/// the static analysis result and stays; only the weights — what the
 /// partitioner balances and cuts — are replaced.
 ///
 /// * **Node weights**: CPU becomes `1 + invocations(class)` (the live hot-method
@@ -335,7 +335,6 @@ mod tests {
                 multiplicity: Multiplicity::Single,
             });
             odg.node_weights.push(ResourceVector::unit());
-            odg.labels.push(format!("n{i}"));
         }
         odg.edges.push(OdgEdge {
             from: OdgNodeId(0),

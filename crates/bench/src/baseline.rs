@@ -145,7 +145,7 @@ fn eat_program(hash: &mut Fnv, program: &Program) {
     }
 }
 
-/// The digest of one program ([`eat_program`]): equal for two programs exactly when
+/// The digest of one program (`eat_program`): equal for two programs exactly when
 /// they declare the same classes and methods with the same bodies, id for id.
 pub fn program_digest(program: &Program) -> u64 {
     let mut hash = Fnv::new();

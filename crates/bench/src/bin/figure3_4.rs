@@ -18,8 +18,9 @@ fn main() -> Result<(), PipelineError> {
     fs::create_dir_all(out_dir).map_err(io_err)?;
     let crg_vcg = viz::crg_to_vcg(&w.program, &plan.analysis.crg);
     let crg_dot = viz::crg_to_dot(&w.program, &plan.analysis.crg);
-    let odg_vcg = viz::odg_to_vcg(&plan.analysis.odg, Some(&plan.partitioning.assignment));
-    let odg_dot = viz::odg_to_dot(&plan.analysis.odg, Some(&plan.partitioning.assignment));
+    let assignment = Some(plan.partitioning.assignment.as_slice());
+    let odg_vcg = viz::odg_to_vcg(&w.program, &plan.analysis, assignment);
+    let odg_dot = viz::odg_to_dot(&w.program, &plan.analysis, assignment);
     fs::write(out_dir.join("figure3_crg.vcg"), &crg_vcg).map_err(io_err)?;
     fs::write(out_dir.join("figure3_crg.dot"), &crg_dot).map_err(io_err)?;
     fs::write(out_dir.join("figure4_odg.vcg"), &odg_vcg).map_err(io_err)?;

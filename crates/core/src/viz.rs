@@ -8,9 +8,12 @@
 use std::fmt::Write as _;
 
 use autodist_analysis::crg::{ClassPart, ClassRelationGraph, CrgEdgeKind};
-use autodist_analysis::odg::{ObjectDependenceGraph, OdgEdgeKind};
+use autodist_analysis::objects::Multiplicity;
+use autodist_analysis::odg::{OdgEdgeKind, OdgNode};
 use autodist_codegen::rewrite::ClassPlacement;
 use autodist_ir::program::Program;
+
+use crate::Analysis;
 
 fn crg_node_label(program: &Program, class: autodist_ir::ClassId, part: ClassPart) -> String {
     let prefix = match part {
@@ -79,21 +82,52 @@ pub fn crg_to_dot(program: &Program, crg: &ClassRelationGraph) -> String {
     out
 }
 
-fn odg_node_label(odg: &ObjectDependenceGraph, idx: usize, assignment: Option<&[usize]>) -> String {
-    let base = odg.labels[idx].clone();
-    match assignment.and_then(|a| a.get(idx)) {
-        Some(p) => format!("{base} [{p}]"),
-        None => base,
+/// The label of ODG node `idx` as Figure 4 prints it: `ST Main` for a static root,
+/// `1 Account @Bank.initializeAccounts:12` for an allocation site (`*` if it summarises
+/// many objects), then the node's partition in brackets when `assignment` has one.
+fn odg_node_label(
+    program: &Program,
+    analysis: &Analysis,
+    idx: usize,
+    assignment: Option<&[usize]>,
+) -> String {
+    let mut label = match analysis.odg.nodes[idx] {
+        OdgNode::StaticRoot { class } => format!("ST {}", program.class(class).name),
+        OdgNode::Object {
+            site,
+            class,
+            multiplicity,
+        } => {
+            let prefix = match multiplicity {
+                Multiplicity::Single => "1",
+                Multiplicity::Summary => "*",
+            };
+            let site = analysis.objects.site(site);
+            let m = program.method(site.method);
+            format!(
+                "{prefix} {} @{}.{}:{}",
+                program.class(class).name,
+                program.class(m.class).name,
+                m.name,
+                site.pc
+            )
+        }
+    };
+    if let Some(p) = assignment.and_then(|a| a.get(idx)) {
+        let _ = write!(label, " [{p}]");
     }
+    label
 }
 
-/// Renders the object dependence graph in VCG format. When `assignment` is provided,
-/// each node label carries its partition number in square brackets, as Figure 4 does.
-pub fn odg_to_vcg(odg: &ObjectDependenceGraph, assignment: Option<&[usize]>) -> String {
+/// Renders the object dependence graph of `analysis` (labelled from its allocation
+/// sites) in VCG format. When `assignment` is provided, each node label carries its
+/// partition number in square brackets, as Figure 4 does.
+pub fn odg_to_vcg(program: &Program, analysis: &Analysis, assignment: Option<&[usize]>) -> String {
+    let odg = &analysis.odg;
     let mut out = String::new();
     let _ = writeln!(out, "graph: {{ title: \"Object Dependence Graph\"");
     for i in 0..odg.node_count() {
-        let label = odg_node_label(odg, i, assignment);
+        let label = odg_node_label(program, analysis, i, assignment);
         let _ = writeln!(out, "  node: {{ title: \"n{i}\" label: \"{label}\" }}");
     }
     for edge in &odg.edges {
@@ -112,14 +146,15 @@ pub fn odg_to_vcg(odg: &ObjectDependenceGraph, assignment: Option<&[usize]>) -> 
     out
 }
 
-/// Renders the object dependence graph in DOT format, with partition numbers when
-/// `assignment` is provided and use-edges highlighted.
-pub fn odg_to_dot(odg: &ObjectDependenceGraph, assignment: Option<&[usize]>) -> String {
+/// Renders the object dependence graph of `analysis` in DOT format, with partition
+/// numbers when `assignment` is provided and use-edges highlighted.
+pub fn odg_to_dot(program: &Program, analysis: &Analysis, assignment: Option<&[usize]>) -> String {
+    let odg = &analysis.odg;
     let mut out = String::new();
     let _ = writeln!(out, "digraph odg {{");
     let _ = writeln!(out, "  node [shape=ellipse];");
     for i in 0..odg.node_count() {
-        let label = odg_node_label(odg, i, assignment);
+        let label = odg_node_label(program, analysis, i, assignment);
         let color = match assignment.and_then(|a| a.get(i)) {
             Some(0) => "lightblue",
             Some(1) => "lightyellow",
@@ -193,8 +228,8 @@ mod tests {
 
     #[test]
     fn odg_vcg_carries_partition_numbers() {
-        let (_p, plan) = bank_plan();
-        let vcg = odg_to_vcg(&plan.analysis.odg, Some(&plan.partitioning.assignment));
+        let (p, plan) = bank_plan();
+        let vcg = odg_to_vcg(&p, &plan.analysis, Some(&plan.partitioning.assignment));
         assert!(vcg.contains("[0]") || vcg.contains("[1]"));
         assert!(vcg.contains("create"));
         assert!(vcg.contains("use"));
@@ -205,7 +240,7 @@ mod tests {
         let (p, plan) = bank_plan();
         for text in [
             crg_to_dot(&p, &plan.analysis.crg),
-            odg_to_dot(&plan.analysis.odg, Some(&plan.partitioning.assignment)),
+            odg_to_dot(&p, &plan.analysis, Some(&plan.partitioning.assignment)),
             placement_to_dot(&p, &plan.placement),
         ] {
             assert!(text.starts_with("digraph"));
@@ -215,8 +250,19 @@ mod tests {
 
     #[test]
     fn odg_without_assignment_has_no_partition_brackets() {
-        let (_p, plan) = bank_plan();
-        let vcg = odg_to_vcg(&plan.analysis.odg, None);
+        let (p, plan) = bank_plan();
+        let vcg = odg_to_vcg(&p, &plan.analysis, None);
         assert!(!vcg.contains(" [0]\""));
+    }
+
+    #[test]
+    fn odg_labels_use_paper_prefixes() {
+        let (p, plan) = bank_plan();
+        let labels: Vec<String> = (0..plan.analysis.odg.node_count())
+            .map(|i| odg_node_label(&p, &plan.analysis, i, None))
+            .collect();
+        assert!(labels.iter().any(|l| l.starts_with("1 ")));
+        assert!(labels.iter().any(|l| l.starts_with("* ")));
+        assert!(labels.iter().any(|l| l.starts_with("ST ")));
     }
 }

@@ -16,7 +16,7 @@
 //!   of `javac`: every program outside tests (the workloads, the paper's Bank/Account
 //!   example of Figure 2) is compiled from source text by it. Tests that need a shape
 //!   it never emits write a body with [`Program::add_method`] and [`Program::set_body`].
-//! * [`cfg`] — control-flow graph utilities over bytecode (leaders, back edges, loops).
+//! * [`cfg`](mod@cfg) — control-flow graph utilities over bytecode (leaders, back edges, loops).
 //! * [`layout`] — the load-time interning pass: dense field slots, static slots,
 //!   selector-indexed vtables, and the pre-decoded compact op format
 //!   ([`layout::Op`]) the interpreter's dispatch loop executes.

@@ -57,16 +57,6 @@ pub enum Operand {
     Null,
 }
 
-impl Operand {
-    /// Returns the register if this operand is one.
-    pub fn as_reg(&self) -> Option<Reg> {
-        match self {
-            Operand::Reg(r) => Some(*r),
-            _ => None,
-        }
-    }
-}
-
 impl fmt::Display for Operand {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
@@ -261,11 +251,6 @@ impl QuadMethod {
     /// Accessor for a block.
     pub fn block(&self, id: BlockId) -> &QuadBlock {
         &self.blocks[id.0 as usize]
-    }
-
-    /// Total number of quads across all blocks.
-    pub fn quad_count(&self) -> usize {
-        self.blocks.iter().map(|b| b.quads.len()).sum()
     }
 
     /// Iterates over all quads in block order.

@@ -4,7 +4,7 @@
 //! live traffic concentrates on objects the static plan happened to pin to the wrong
 //! rank, every request pays cross-node round-trips that a better-informed placement
 //! would not. This module closes the loop **between requests**: an epoch controller
-//! ([`AdaptState`], owned by `run_serving`) counts each app's completed requests, and
+//! (`AdaptState`, owned by `run_serving`) counts each app's completed requests, and
 //! at every epoch boundary asks a [`Replanner`] — which reads the per-class profile
 //! its own sinks gathered — for a better placement. When the planner returns one, the
 //! controller swaps it in for **subsequently admitted** requests.

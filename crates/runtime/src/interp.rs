@@ -21,7 +21,7 @@
 //! argument counts, interned string constants, `u32` branch targets), so the dispatch loop
 //! performs no string clone, no map probe and no signature lookup per instruction.
 //! Nothing is borrowed, so an interpreter is plain owned data: per-request worlds
-//! share layouts — and their [`ClassDefaults`] — by `Arc` and outlive whatever
+//! share layouts — and their `ClassDefaults` — by `Arc` and outlive whatever
 //! placement they were admitted under.
 //!
 //! Values are [`Copy`] (see [`crate::value`]): a string is an id into this
@@ -41,7 +41,7 @@
 //!
 //! The straight-line ops — moves, constants, `Goto`,
 //! numeric arithmetic, integer compares, local array elements and fields of local
-//! objects — run in a small **register kernel** ([`run_kernel`]) that the dispatch
+//! objects — run in a small **register kernel** (`run_kernel`) that the dispatch
 //! loop enters at such an op. The kernel stops at the first op it cannot finish (a
 //! call, a return, an allocation, a static, an operand off its fast paths) without
 //! running it, and the machine runs that op with its full semantics. Each fast-path

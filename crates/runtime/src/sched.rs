@@ -14,9 +14,9 @@
 //! synchronous request/response, so a root computation has exactly one live control
 //! flow, and worlds share nothing: interleaving them would only share the processor,
 //! with nothing to overlap. The one timed wait is the modelled
-//! [`SERVING_DELIVERY_DEADLINE`].
+//! `SERVING_DELIVERY_DEADLINE`.
 //!
-//! * A **world** ([`World`]) is one in-flight root computation: its request-scoped
+//! * A **world** (`World`) is one in-flight root computation: its request-scoped
 //!   nodes (interpreter + parked continuations each) and the [`Transport`] between
 //!   them (mailboxes and pending list owned by the world, its fault state). A world
 //!   owns all of it: each interpreter holds its node's layout (the program with it) by
@@ -40,7 +40,7 @@
 //!   sequence is exhausted, so that no world can make progress. The loop then skips
 //!   the gaps of every stuck world and resumes each. For a single-root run the deadline
 //!   is the instant its one world runs dry; a serving run additionally sits out a
-//!   modelled ack timeout first ([`SERVING_DELIVERY_DEADLINE`]).
+//!   modelled ack timeout first (`SERVING_DELIVERY_DEADLINE`).
 //!
 //! Virtual times, message counts and results are deterministic: per-node clocks depend
 //! only on that node's packet arrival order, which the transport's FIFO mailboxes and

@@ -495,7 +495,7 @@ pub fn encode_new<'a>(
 }
 
 /// Encodes a `DEPENDENCE` into a caller-provided (pooled) buffer, optionally wrapped
-/// in the hello envelope (see [`dependence_head`]). Returns the value bytes
+/// in the hello envelope (see `dependence_head`). Returns the value bytes
 /// ([`charged_dependence_size`]).
 pub fn encode_dependence<'a>(
     buf: &mut BytesMut,

@@ -21,7 +21,7 @@ fn main() -> Result<(), PipelineError> {
     println!("=== Figure 4: object dependence graph with partition numbers (VCG) ===");
     println!(
         "{}",
-        viz::odg_to_vcg(&plan.analysis.odg, Some(&plan.partitioning.assignment))
+        viz::odg_to_vcg(program, &plan.analysis, Some(&plan.partitioning.assignment))
     );
 
     println!("=== class placement ===");

@@ -94,9 +94,11 @@ fn cluster(nodes: usize) -> ClusterConfig {
 /// 1 542 / 1 626 / 1 705, predate the stack form's removal; before the front end's
 /// AST went flat and its method buffers, the loop search's and the verifier's CFG
 /// were reused, `GENERATED` read 5 081 and `DISTRIBUTE` 4 617 / 5 173 / 5 776 (mean
-/// whole op 11 739).
-const GENERATED: usize = 1_281;
-const DISTRIBUTE: [usize; 3] = [1_469, 1_745, 2_148];
+/// whole op 11 739); before method bodies compiled as they parse, with no expression
+/// or statement tree, and the ODG stopped formatting a label per node, `GENERATED`
+/// read 1 281 and `DISTRIBUTE` 1 469 / 1 745 / 2 148 (mean whole op 4 511).
+const GENERATED: usize = 1_272;
+const DISTRIBUTE: [usize; 3] = [1_245, 1_500, 1_866];
 const PREPARE: [usize; 3] = [1_394, 1_469, 1_546];
 
 #[test]
