@@ -1,21 +1,31 @@
 //! A small bottom-up rewrite system (BURS) engine.
 //!
-//! This plays the role of JBurg in the paper: a code-generator generator. A target is a
-//! table of [`Rule`]s; each rule matches a tree operator, requires its children to be
-//! derivable as particular [`Nonterminal`]s, has a cost, and knows how to emit target
-//! code. Generation is two passes over each AST (exactly as the paper describes):
+//! This plays the role of JBurg in the paper: a code-generator generator, in which a
+//! target is data. A target is a [`Dialect`], which holds what differs between the two
+//! columns of Figure 7 (register names, immediate syntax, mnemonics, two- or
+//! three-address arithmetic, the call convention, address templates and the return
+//! sequence), and a table of [`Rule`]s. A rule is plain data too: the tree
+//! [`Pattern`] it matches, the [`Nonterminal`] it derives, the nonterminals its
+//! children must derive, and its cost. One [`Emitter`] serves every target, in two
+//! passes over each AST (exactly as the paper describes):
 //!
 //! 1. **Labelling** — dynamic programming bottom-up over the tree computing, for every
-//!    node and every nonterminal, the cheapest way to derive that nonterminal at that
-//!    node (including chain derivations such as "materialise an immediate in a
-//!    register").
-//! 2. **Reduction** — top-down walk that follows the recorded cheapest rules and emits
-//!    instructions.
+//!    node and every nonterminal, the cheapest rule deriving it there, including the
+//!    chain derivation "materialise an immediate in a register". Each tree is
+//!    labelled once.
+//! 2. **Reduction** — a top-down walk that follows the recorded rules, reducing each
+//!    child to the nonterminal its parent's rule asks for, and emits each node in the
+//!    dialect's syntax. Which rule derives a node decides only what its children are
+//!    reduced to (an immediate, or a register that may have to be materialised); how
+//!    the node prints is the dialect's.
+//!
+//! No move the emitter writes is a self-move (`mov X, X`), whatever the target. The one
+//! `mov` that comes from a dialect's template, StrongARM's `mov R0, len` before an
+//! array allocation, is printed as it stands.
 
-use std::collections::HashMap;
-
-use crate::ast::{TreeNode, TreeOp};
-use autodist_ir::quad::Reg;
+use crate::ast::{build_method_forest, TreeNode, TreeOp};
+use autodist_ir::quad::{QuadMethod, Reg};
+use autodist_ir::Program;
 
 /// The grammar nonterminals of the code-generation grammar.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -28,226 +38,449 @@ pub enum Nonterminal {
     Imm,
 }
 
-const NT_COUNT: usize = 3;
-
-fn nt_index(nt: Nonterminal) -> usize {
-    match nt {
-        Nonterminal::Stmt => 0,
-        Nonterminal::Reg => 1,
-        Nonterminal::Imm => 2,
-    }
+/// The tree operators a rule can match, grouped the way both targets print them.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Pattern {
+    /// A virtual-register leaf.
+    Reg,
+    /// An integer, float, string or `null` leaf.
+    Const,
+    /// `dst := src`.
+    Move,
+    /// A binary or unary operation.
+    Arith,
+    /// A conditional branch on a comparison.
+    Compare,
+    /// An unconditional branch.
+    Jump,
+    /// A return, with or without a value.
+    Return,
+    /// A method call.
+    Call,
+    /// A field, static, element or length read.
+    Load,
+    /// A field, static or element write.
+    Store,
+    /// An object or array allocation.
+    Alloc,
 }
 
-/// Emission context shared across a method: allocates scratch registers and names
-/// virtual registers for the target.
-pub struct EmitCtx {
-    /// The register used to return values / accumulate results (e.g. `eax`).
-    pub result_reg: String,
-    /// Counter for temporaries.
-    next_temp: u32,
-    /// Virtual-register to target-register name cache.
-    reg_names: HashMap<Reg, String>,
-}
-
-impl EmitCtx {
-    /// Creates a context whose canonical result register is `result_reg`.
-    pub fn new(result_reg: &str) -> Self {
-        EmitCtx {
-            result_reg: result_reg.to_string(),
-            next_temp: 0,
-            reg_names: HashMap::new(),
+impl Pattern {
+    /// The pattern `op` belongs to.
+    pub fn of(op: &TreeOp) -> Pattern {
+        match op {
+            TreeOp::RegLeaf(_) => Pattern::Reg,
+            TreeOp::IConstLeaf(_)
+            | TreeOp::FConstLeaf(_)
+            | TreeOp::SConstLeaf(_)
+            | TreeOp::NullLeaf => Pattern::Const,
+            TreeOp::Move => Pattern::Move,
+            TreeOp::Bin(_) | TreeOp::Un(_) => Pattern::Arith,
+            TreeOp::IfCmp { .. } => Pattern::Compare,
+            TreeOp::Goto(_) => Pattern::Jump,
+            TreeOp::Return => Pattern::Return,
+            TreeOp::Invoke(_) => Pattern::Call,
+            TreeOp::GetField(_) | TreeOp::GetStatic(_) | TreeOp::ALoad | TreeOp::ALen => {
+                Pattern::Load
+            }
+            TreeOp::PutField(_) | TreeOp::PutStatic(_) | TreeOp::AStore => Pattern::Store,
+            TreeOp::New(_) | TreeOp::NewArray => Pattern::Alloc,
         }
     }
-
-    /// Returns a fresh scratch register name with the given prefix.
-    pub fn fresh_temp(&mut self, prefix: &str) -> String {
-        let t = format!("{prefix}{}", self.next_temp + 8);
-        self.next_temp += 1;
-        t
-    }
-
-    /// Names a virtual register on this target, memoised so the same virtual register
-    /// always maps to the same name.
-    pub fn reg_name(&mut self, reg: Reg, namer: impl Fn(Reg) -> String) -> String {
-        self.reg_names
-            .entry(reg)
-            .or_insert_with(|| namer(reg))
-            .clone()
-    }
 }
 
-/// The emit callback: receives the node, the already-reduced child operand strings and
-/// the context; returns emitted lines plus the operand string holding this node's
-/// result (empty for statements).
-pub type EmitFn = Box<dyn Fn(&TreeNode, &[String], &mut EmitCtx) -> (Vec<String>, String)>;
-
-/// Emitter materialising an immediate into a register: takes the immediate's text,
-/// returns the emitted lines and the register holding the value.
-pub type ImmEmitFn = Box<dyn Fn(&str, &mut EmitCtx) -> (Vec<String>, String)>;
-
 /// A single BURS rule.
+#[derive(Clone, Copy, Debug)]
 pub struct Rule {
-    /// Human-readable rule name (useful in tests and debugging).
+    /// Human-readable rule name (used by tests and the rule census).
     pub name: &'static str,
     /// The nonterminal this rule derives.
     pub produces: Nonterminal,
-    /// Root pattern: does the node operator match?
-    pub matches: Box<dyn Fn(&TreeOp) -> bool>,
+    /// The tree operators it matches.
+    pub pattern: Pattern,
     /// Required nonterminals of the children. If `variadic` is set, every child must
-    /// derive `child_nts[0]` regardless of arity.
-    pub child_nts: Vec<Nonterminal>,
-    /// Accept any number of children, all deriving `child_nts[0]`.
+    /// derive `kids[0]` regardless of arity.
+    pub kids: &'static [Nonterminal],
+    /// Accept any number of children, all deriving `kids[0]`.
     pub variadic: bool,
     /// Rule cost (target instruction count / latency estimate).
     pub cost: u32,
-    /// Code emitter.
-    pub emit: EmitFn,
 }
 
-/// A target: a rule table plus the chain rule that materialises an immediate into a
-/// register.
-pub struct Burs {
-    /// The rule table.
-    pub rules: Vec<Rule>,
-    /// Cost of the `reg <- imm` chain derivation.
-    pub imm_to_reg_cost: u32,
-    /// Emitter for the `reg <- imm` chain derivation.
-    pub imm_to_reg: ImmEmitFn,
+/// A rule deriving `produces` from a node of `pattern` whose children derive `kids`
+/// (every child `kids[0]` if `variadic`), at `cost`.
+pub const fn rule(
+    name: &'static str,
+    produces: Nonterminal,
+    pattern: Pattern,
+    kids: &'static [Nonterminal],
+    variadic: bool,
+    cost: u32,
+) -> Rule {
+    Rule {
+        name,
+        produces,
+        pattern,
+        kids,
+        variadic,
+        cost,
+    }
+}
+
+impl Rule {
+    /// The nonterminal child `i` must derive.
+    fn kid(&self, i: usize) -> Nonterminal {
+        self.kids[if self.variadic { 0 } else { i }]
+    }
+}
+
+/// Cost of the chain derivation `reg <- imm`, on every target.
+const CHAIN_COST: u32 = 1;
+
+/// The binary operators in the order of [`Dialect::bin`].
+const BIN_OPS: [&str; 10] = [
+    "ADD", "SUB", "MUL", "DIV", "REM", "AND", "OR", "XOR", "SHL", "SHR",
+];
+/// The unary operators in the order of [`Dialect::unary`].
+const UN_OPS: [&str; 4] = ["NEG", "NOT", "I2F", "F2I"];
+/// The comparisons in the order of [`Dialect::branch`].
+const CMP_OPS: [&str; 6] = ["EQ", "NE", "LT", "LE", "GT", "GE"];
+
+/// How a call passes its arguments.
+#[derive(Clone, Copy, Debug)]
+pub enum Args {
+    /// Pushed right to left with `push`, then popped by the caller with `pop, n * slot`.
+    Stack {
+        push: &'static str,
+        pop: &'static str,
+        slot: usize,
+    },
+    /// Moved into these registers in order; arguments past the last are not passed.
+    Registers(&'static [&'static str]),
+}
+
+/// What one target's assembly looks like. The templates name their operands `{0}`,
+/// `{1}`.
+#[derive(Clone, Copy, Debug)]
+pub struct Dialect {
+    /// The target name of a virtual register.
+    pub reg_name: fn(Reg) -> String,
+    /// Prefix of the scratch register that holds a materialised immediate.
+    pub temp: &'static str,
+    /// The register a method returns its value in.
+    pub result: &'static str,
+    /// Prefix of an immediate operand.
+    pub imm: &'static str,
+    /// Prefix of a string constant's address, completed by the string's length.
+    pub string: &'static str,
+    /// The mnemonic that materialises an immediate in a scratch register.
+    pub load_imm: &'static str,
+    /// Mnemonics of `ADD SUB MUL DIV REM AND OR XOR SHL SHR`.
+    pub bin: [&'static str; 10],
+    /// Mnemonics of `NEG NOT I2F F2I`.
+    pub unary: [&'static str; 4],
+    /// Conditional branches on `EQ NE LT LE GT GE`.
+    pub branch: [&'static str; 6],
+    /// The unconditional branch.
+    pub jump: &'static str,
+    /// `op d, a, b` (and `op d, a, #0` for a unary op) instead of `mov d, a; op d, b`.
+    pub three_address: bool,
+    /// The call mnemonic.
+    pub call: &'static str,
+    /// How a call passes its arguments.
+    pub args: Args,
+    /// The register a call returns its value in.
+    pub call_result: &'static str,
+    /// Passes an array allocation's length `{0}`.
+    pub alloc_len: &'static str,
+    /// Reads address `{1}` into register `{0}`.
+    pub load: &'static str,
+    /// Writes value `{0}` to address `{1}`.
+    pub store: &'static str,
+    /// The address of field `{1}` of object `{0}`.
+    pub field: &'static str,
+    /// The address of static `{0}`.
+    pub static_field: &'static str,
+    /// The address of element `{1}` of array `{0}`.
+    pub element: &'static str,
+    /// The address of the length of array `{0}`.
+    pub length: &'static str,
+    /// Returns once the value is in [`Dialect::result`].
+    pub ret: &'static str,
+    /// Returns without a value.
+    pub ret_void: &'static str,
+}
+
+/// `template` with each `{k}` replaced by `args[k]`.
+fn fill(template: &str, args: &[&str]) -> String {
+    (args.iter().enumerate()).fold(template.to_string(), |text, (k, arg)| {
+        text.replace(&format!("{{{k}}}"), arg)
+    })
+}
+
+/// The dialect's name for `key` in `names`, which is ordered as `keys`.
+fn lookup(keys: &[&str], names: &[&'static str], key: &'static str) -> &'static str {
+    keys.iter()
+        .position(|k| *k == key)
+        .map_or(key, |i| names[i])
 }
 
 /// Per-node labelling result: for each nonterminal, the cheapest derivation.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Copy, Debug, Default)]
 struct Label {
-    /// `cost[nt]` = (total cost, rule index) — `None` if not derivable.
-    best: [Option<(u32, usize)>; NT_COUNT],
-    /// Whether the Reg derivation goes through the imm chain rule.
-    reg_via_imm: bool,
+    /// `best[nt]` = (total cost, rule index; the table's length stands for the chain
+    /// rule), `None` if not derivable.
+    best: [Option<(u32, usize)>; 3],
+    /// Nodes in the subtree rooted here, so that a node's children can be found in the
+    /// pre-order label list.
+    size: usize,
 }
 
-impl Burs {
-    /// Labels a tree: computes the cheapest derivation of every nonterminal at every
-    /// node. Returns one label per node in post-order (children before parents), along
-    /// with the matching post-order node list.
-    fn label(&self, node: &TreeNode, labels: &mut Vec<Label>) -> usize {
-        let child_indices: Vec<usize> = node
-            .children
-            .iter()
-            .map(|c| self.label(c, labels))
-            .collect();
+/// Emits one target's code: the dialect and rule table, the labels of the tree being
+/// reduced, the scratch-register counter and how often each rule was chosen.
+pub struct Emitter {
+    dialect: &'static Dialect,
+    rules: &'static [Rule],
+    /// One label per node of the current tree, in pre-order.
+    labels: Vec<Label>,
+    next_temp: u32,
+    /// Reductions per rule; the last entry counts the chain rule.
+    chosen: Vec<u32>,
+}
 
-        let mut label = Label::default();
-        for (ri, rule) in self.rules.iter().enumerate() {
-            if !(rule.matches)(&node.op) {
-                continue;
-            }
-            if !rule.variadic && rule.child_nts.len() != node.children.len() {
-                continue;
-            }
-            // Sum child costs for the required nonterminals.
-            let mut total = rule.cost;
-            let mut ok = true;
-            for (i, &ci) in child_indices.iter().enumerate() {
-                let need = if rule.variadic {
-                    rule.child_nts[0]
-                } else {
-                    rule.child_nts[i]
-                };
-                match labels[ci].best[nt_index(need)] {
-                    Some((c, _)) => total += c,
-                    None => {
-                        // The child may still be derivable via the imm->reg chain.
-                        if need == Nonterminal::Reg {
-                            if let Some((c, _)) = labels[ci].best[nt_index(Nonterminal::Imm)] {
-                                total += c + self.imm_to_reg_cost;
-                                continue;
-                            }
-                        }
-                        ok = false;
-                        break;
-                    }
-                }
-            }
-            if !ok {
-                continue;
-            }
-            let slot = &mut label.best[nt_index(rule.produces)];
-            if slot.map(|(c, _)| total < c).unwrap_or(true) {
-                *slot = Some((total, ri));
-            }
-        }
-        // Chain closure: Reg from Imm.
-        if let Some((ic, _)) = label.best[nt_index(Nonterminal::Imm)] {
-            let via = ic + self.imm_to_reg_cost;
-            let slot = &mut label.best[nt_index(Nonterminal::Reg)];
-            if slot.map(|(c, _)| via < c).unwrap_or(true) {
-                *slot = Some((via, usize::MAX));
-                label.reg_via_imm = true;
-            }
-        }
-        labels.push(label);
-        labels.len() - 1
-    }
-
-    /// Reduces `node` to the given `goal` nonterminal, emitting instructions into
-    /// `out`. Returns the operand string holding the result.
-    fn reduce_to(
-        &self,
-        node: &TreeNode,
-        goal: Nonterminal,
-        ctx: &mut EmitCtx,
-        out: &mut Vec<String>,
-    ) -> String {
-        // Re-label locally (trees are tiny, so the repeated labelling cost is noise).
-        let mut labels = Vec::new();
-        self.label(node, &mut labels);
-        let root_label = labels.last().unwrap().clone();
-
-        let chosen = root_label.best[nt_index(goal)];
-        match chosen {
-            Some((_, usize::MAX)) => {
-                // Chain: derive Imm first, then materialise.
-                let imm = self.reduce_to(node, Nonterminal::Imm, ctx, out);
-                let (lines, operand) = (self.imm_to_reg)(&imm, ctx);
-                out.extend(lines);
-                operand
-            }
-            Some((_, ri)) => {
-                let rule = &self.rules[ri];
-                let mut child_ops = Vec::new();
-                for (i, c) in node.children.iter().enumerate() {
-                    let need = if rule.variadic {
-                        rule.child_nts[0]
-                    } else {
-                        rule.child_nts[i]
-                    };
-                    child_ops.push(self.reduce_to(c, need, ctx, out));
-                }
-                let (lines, operand) = (rule.emit)(node, &child_ops, ctx);
-                out.extend(lines);
-                operand
-            }
-            None => {
-                // No derivation: fall back to a comment so the output stays inspectable
-                // rather than panicking on exotic trees.
-                out.push(format!("; unsupported tree op {:?}", node.op));
-                String::new()
-            }
+impl Emitter {
+    /// An emitter for `dialect` driven by `rules`.
+    pub fn new(dialect: &'static Dialect, rules: &'static [Rule]) -> Self {
+        Emitter {
+            dialect,
+            rules,
+            labels: Vec::new(),
+            next_temp: 0,
+            chosen: vec![0; rules.len() + 1],
         }
     }
 
-    /// Reduces a statement tree (a quad root) to target code.
-    pub fn reduce(&self, tree: &TreeNode, ctx: &mut EmitCtx) -> Vec<String> {
+    /// Emits one quad method: each block's label, then each of its trees reduced to
+    /// a statement. Scratch registers are numbered afresh for every method.
+    pub fn method(&mut self, program: &Program, qm: &QuadMethod) -> Vec<String> {
+        self.next_temp = 0;
         let mut out = Vec::new();
-        self.reduce_to(tree, Nonterminal::Stmt, ctx, &mut out);
+        for (block, trees) in build_method_forest(program, qm) {
+            if !trees.is_empty() && block.0 >= 2 {
+                out.push(format!("BB{}:", block.0));
+            }
+            for tree in &trees {
+                self.reduce_into(tree, &mut out);
+            }
+        }
         out
     }
 
-    /// The minimum derivation cost of `goal` for the tree, if derivable. Exposed for
-    /// tests and for the ablation bench comparing rule tables.
-    pub fn derivation_cost(&self, tree: &TreeNode, goal: Nonterminal) -> Option<u32> {
-        let mut labels = Vec::new();
-        self.label(tree, &mut labels);
-        labels.last().unwrap().best[nt_index(goal)].map(|(c, _)| c)
+    /// Reduces a statement tree (a quad root) to target code.
+    pub fn reduce(&mut self, tree: &TreeNode) -> Vec<String> {
+        let mut out = Vec::new();
+        self.reduce_into(tree, &mut out);
+        out
+    }
+
+    fn reduce_into(&mut self, tree: &TreeNode, out: &mut Vec<String>) {
+        self.labels.clear();
+        self.label(tree);
+        self.reduce_to(tree, 0, Nonterminal::Stmt, out);
+    }
+
+    /// The minimum derivation cost of `goal` for the tree, if derivable.
+    pub fn derivation_cost(&mut self, tree: &TreeNode, goal: Nonterminal) -> Option<u32> {
+        self.labels.clear();
+        self.label(tree);
+        self.labels[0].best[goal as usize].map(|(c, _)| c)
+    }
+
+    /// Every rule's name and how often it was chosen so far, in table order, then the
+    /// chain rule's as `imm_to_reg`.
+    pub fn census(&self) -> Vec<(&'static str, u32)> {
+        let names = self.rules.iter().map(|r| r.name).chain(["imm_to_reg"]);
+        names.zip(self.chosen.iter().copied()).collect()
+    }
+
+    /// Labels `node` and its subtree, appending their labels in pre-order.
+    fn label(&mut self, node: &TreeNode) {
+        let at = self.labels.len();
+        self.labels.push(Label::default());
+        for child in &node.children {
+            self.label(child);
+        }
+        let pattern = Pattern::of(&node.op);
+        let mut best = [None; 3];
+        for (ri, rule) in self.rules.iter().enumerate() {
+            if rule.pattern != pattern || (!rule.variadic && rule.kids.len() != node.children.len())
+            {
+                continue;
+            }
+            let mut total = Some(rule.cost);
+            let mut child = at + 1;
+            for i in 0..node.children.len() {
+                let need = self.labels[child].best[rule.kid(i) as usize];
+                total = total.zip(need).map(|(t, (c, _))| t + c);
+                child += self.labels[child].size;
+            }
+            let slot = &mut best[rule.produces as usize];
+            if let Some(total) = total.filter(|&t| slot.is_none_or(|(c, _)| t < c)) {
+                *slot = Some((total, ri));
+            }
+        }
+        if let Some((imm, _)) = best[Nonterminal::Imm as usize] {
+            let via = imm + CHAIN_COST;
+            let slot = &mut best[Nonterminal::Reg as usize];
+            if slot.is_none_or(|(c, _)| via < c) {
+                *slot = Some((via, self.rules.len()));
+            }
+        }
+        self.labels[at] = Label {
+            best,
+            size: self.labels.len() - at,
+        };
+    }
+
+    /// Reduces `node`, labelled at `at`, to `goal`, emitting into `out`. Returns the
+    /// operand text of its value (empty for a statement that has none).
+    fn reduce_to(
+        &mut self,
+        node: &TreeNode,
+        at: usize,
+        goal: Nonterminal,
+        out: &mut Vec<String>,
+    ) -> String {
+        let Some((_, ri)) = self.labels[at].best[goal as usize] else {
+            // No derivation: fall back to a comment so the output stays inspectable
+            // rather than panicking on exotic trees.
+            out.push(format!("; unsupported tree op {:?}", node.op));
+            return String::new();
+        };
+        self.chosen[ri] += 1;
+        let Some(rule) = self.rules.get(ri) else {
+            let imm = self.reduce_to(node, at, Nonterminal::Imm, out);
+            let temp = format!("{}{}", self.dialect.temp, self.next_temp + 8);
+            self.next_temp += 1;
+            out.push(format!("{} {temp}, {imm}", self.dialect.load_imm));
+            return temp;
+        };
+        let mut ops = Vec::with_capacity(node.children.len());
+        let mut child = at + 1;
+        for (i, c) in node.children.iter().enumerate() {
+            ops.push(self.reduce_to(c, child, rule.kid(i), out));
+            child += self.labels[child].size;
+        }
+        self.emit(node, &ops, out)
+    }
+
+    /// Prints `node`, whose children reduced to `ops`, in the dialect's syntax.
+    fn emit(&self, node: &TreeNode, ops: &[String], out: &mut Vec<String>) -> String {
+        let d = self.dialect;
+        let op = |i: usize| ops.get(i).map_or("", String::as_str);
+        let dst = || node.dst.map_or_else(|| d.result.to_string(), d.reg_name);
+        let load = |address: String| fill(d.load, &[&dst(), &address]);
+        let store = |value: &str, address: String| fill(d.store, &[value, &address]);
+        match &node.op {
+            TreeOp::RegLeaf(r) => return (d.reg_name)(*r),
+            TreeOp::IConstLeaf(v) => return format!("{}{v}", d.imm),
+            TreeOp::FConstLeaf(v) => return format!("{}{v}", d.imm),
+            TreeOp::SConstLeaf(s) => return format!("{}{}", d.string, s.len()),
+            TreeOp::NullLeaf => return format!("{}0", d.imm),
+            TreeOp::Move => mov(out, &dst(), op(0)),
+            TreeOp::Bin(m) => {
+                let mnemonic = lookup(&BIN_OPS, &d.bin, m);
+                return self.arith(out, dst(), mnemonic, op(0), Some(op(1)));
+            }
+            TreeOp::Un(m) => {
+                return self.arith(out, dst(), lookup(&UN_OPS, &d.unary, m), op(0), None)
+            }
+            TreeOp::IfCmp { cond, target } => {
+                out.push(format!("cmp {}, {}", op(0), op(1)));
+                let branch = lookup(&CMP_OPS, &d.branch, cond);
+                out.push(format!("{branch} BB{}", target.0));
+            }
+            TreeOp::Goto(target) => out.push(format!("{} BB{}", d.jump, target.0)),
+            TreeOp::Return => match ops.first() {
+                Some(value) => {
+                    mov(out, d.result, value);
+                    out.push(d.ret.to_string());
+                }
+                None => out.push(d.ret_void.to_string()),
+            },
+            TreeOp::Invoke(name) => {
+                match d.args {
+                    Args::Stack { push, pop, slot } => {
+                        out.extend(ops.iter().rev().map(|a| format!("{push} {a}")));
+                        out.push(format!("{} {name}", d.call));
+                        if !ops.is_empty() {
+                            out.push(format!("{pop}, {}", ops.len() * slot));
+                        }
+                    }
+                    Args::Registers(regs) => {
+                        for (reg, a) in regs.iter().zip(ops) {
+                            mov(out, reg, a);
+                        }
+                        out.push(format!("{} {name}", d.call));
+                    }
+                }
+                self.take_result(node, out);
+            }
+            TreeOp::New(class) => {
+                out.push(format!("{} rt_new_{class}", d.call));
+                self.take_result(node, out);
+            }
+            TreeOp::NewArray => {
+                out.push(fill(d.alloc_len, &[op(0)]));
+                out.push(format!("{} rt_new_array", d.call));
+                self.take_result(node, out);
+            }
+            TreeOp::GetField(f) => out.push(load(fill(d.field, &[op(0), f]))),
+            TreeOp::GetStatic(f) => out.push(load(fill(d.static_field, &[f]))),
+            TreeOp::ALoad => out.push(load(fill(d.element, &[op(0), op(1)]))),
+            TreeOp::ALen => out.push(load(fill(d.length, &[op(0)]))),
+            TreeOp::PutField(f) => out.push(store(op(1), fill(d.field, &[op(0), f]))),
+            TreeOp::PutStatic(f) => out.push(store(op(0), fill(d.static_field, &[f]))),
+            TreeOp::AStore => out.push(store(op(2), fill(d.element, &[op(0), op(1)]))),
+        }
+        String::new()
+    }
+
+    /// `dst := lhs op rhs`, or `dst := op lhs` without `rhs`; returns `dst`. Three-address
+    /// code gives a unary op a zero second operand.
+    fn arith(
+        &self,
+        out: &mut Vec<String>,
+        dst: String,
+        mnemonic: &str,
+        lhs: &str,
+        rhs: Option<&str>,
+    ) -> String {
+        if self.dialect.three_address {
+            let zero = format!("{}0", self.dialect.imm);
+            out.push(format!("{mnemonic} {dst}, {lhs}, {}", rhs.unwrap_or(&zero)));
+        } else {
+            mov(out, &dst, lhs);
+            match rhs {
+                Some(rhs) => out.push(format!("{mnemonic} {dst}, {rhs}")),
+                None => out.push(format!("{mnemonic} {dst}")),
+            }
+        }
+        dst
+    }
+
+    /// Moves a call's result into the node's destination register, if it has one.
+    fn take_result(&self, node: &TreeNode, out: &mut Vec<String>) {
+        if let Some(dst) = node.dst {
+            mov(out, &(self.dialect.reg_name)(dst), self.dialect.call_result);
+        }
+    }
+}
+
+/// `mov dst, src`, unless the two are the same register.
+fn mov(out: &mut Vec<String>, dst: &str, src: &str) {
+    if dst != src {
+        out.push(format!("mov {dst}, {src}"));
     }
 }
 
@@ -256,83 +489,70 @@ mod tests {
     use super::*;
     use crate::ast::{TreeNode, TreeOp};
 
-    /// A toy target with: imm leaves, reg leaves, add(reg, imm) cheap, add(reg, reg)
-    /// expensive — the labeler must pick the cheap form when the rhs is an immediate.
-    fn toy_target() -> Burs {
-        let rules = vec![
-            Rule {
-                name: "imm",
-                produces: Nonterminal::Imm,
-                matches: Box::new(|op| matches!(op, TreeOp::IConstLeaf(_))),
-                child_nts: vec![],
-                variadic: false,
-                cost: 0,
-                emit: Box::new(|n, _, _| {
-                    let v = match n.op {
-                        TreeOp::IConstLeaf(v) => v,
-                        _ => unreachable!(),
-                    };
-                    (vec![], format!("{v}"))
-                }),
-            },
-            Rule {
-                name: "reg",
-                produces: Nonterminal::Reg,
-                matches: Box::new(|op| matches!(op, TreeOp::RegLeaf(_))),
-                child_nts: vec![],
-                variadic: false,
-                cost: 0,
-                emit: Box::new(|n, _, ctx| {
-                    let r = match n.op {
-                        TreeOp::RegLeaf(r) => r,
-                        _ => unreachable!(),
-                    };
-                    (vec![], ctx.reg_name(r, |r| format!("r{}", r.0)))
-                }),
-            },
-            Rule {
-                name: "add_ri",
-                produces: Nonterminal::Reg,
-                matches: Box::new(|op| matches!(op, TreeOp::Bin("ADD"))),
-                child_nts: vec![Nonterminal::Reg, Nonterminal::Imm],
-                variadic: false,
-                cost: 1,
-                emit: Box::new(|_, ops, _| {
-                    (vec![format!("addi {}, {}", ops[0], ops[1])], ops[0].clone())
-                }),
-            },
-            Rule {
-                name: "add_rr",
-                produces: Nonterminal::Reg,
-                matches: Box::new(|op| matches!(op, TreeOp::Bin("ADD"))),
-                child_nts: vec![Nonterminal::Reg, Nonterminal::Reg],
-                variadic: false,
-                cost: 3,
-                emit: Box::new(|_, ops, _| {
-                    (vec![format!("add {}, {}", ops[0], ops[1])], ops[0].clone())
-                }),
-            },
-            Rule {
-                name: "move",
-                produces: Nonterminal::Stmt,
-                matches: Box::new(|op| matches!(op, TreeOp::Move)),
-                child_nts: vec![Nonterminal::Reg],
-                variadic: false,
-                cost: 1,
-                emit: Box::new(|n, ops, ctx| {
-                    let dst = ctx.reg_name(n.dst.unwrap(), |r| format!("r{}", r.0));
-                    (vec![format!("mov {dst}, {}", ops[0])], String::new())
-                }),
-            },
-        ];
-        Burs {
-            rules,
-            imm_to_reg_cost: 1,
-            imm_to_reg: Box::new(|imm, ctx| {
-                let t = ctx.fresh_temp("t");
-                (vec![format!("li {t}, {imm}")], t)
-            }),
-        }
+    fn toy_reg_name(r: Reg) -> String {
+        format!("r{}", r.0)
+    }
+
+    /// A toy target: two-address, `addi` for an add, `li` to materialise an immediate.
+    static TOY: Dialect = Dialect {
+        reg_name: toy_reg_name,
+        temp: "t",
+        result: "r0",
+        load_imm: "li",
+        bin: [
+            "addi", "sub", "mul", "div", "rem", "and", "or", "xor", "shl", "shr",
+        ],
+        ..crate::x86::DIALECT
+    };
+
+    /// Imm leaves, reg leaves, add(reg, imm) cheap, add(reg, reg) expensive — the
+    /// labeler must pick the cheap form when the rhs is an immediate. No rule matches
+    /// a return.
+    static TOY_RULES: [Rule; 5] = [
+        Rule {
+            name: "imm",
+            produces: Nonterminal::Imm,
+            pattern: Pattern::Const,
+            kids: &[],
+            variadic: false,
+            cost: 0,
+        },
+        Rule {
+            name: "reg",
+            produces: Nonterminal::Reg,
+            pattern: Pattern::Reg,
+            kids: &[],
+            variadic: false,
+            cost: 0,
+        },
+        Rule {
+            name: "add_ri",
+            produces: Nonterminal::Reg,
+            pattern: Pattern::Arith,
+            kids: &[Nonterminal::Reg, Nonterminal::Imm],
+            variadic: false,
+            cost: 1,
+        },
+        Rule {
+            name: "add_rr",
+            produces: Nonterminal::Reg,
+            pattern: Pattern::Arith,
+            kids: &[Nonterminal::Reg, Nonterminal::Reg],
+            variadic: false,
+            cost: 3,
+        },
+        Rule {
+            name: "move",
+            produces: Nonterminal::Stmt,
+            pattern: Pattern::Move,
+            kids: &[Nonterminal::Reg],
+            variadic: false,
+            cost: 1,
+        },
+    ];
+
+    fn toy_target() -> Emitter {
+        Emitter::new(&TOY, &TOY_RULES)
     }
 
     fn add_tree(rhs_imm: bool) -> TreeNode {
@@ -369,7 +589,7 @@ mod tests {
 
     #[test]
     fn labeler_prefers_the_cheaper_rule() {
-        let t = toy_target();
+        let mut t = toy_target();
         // add reg, imm: move(1) + add_ri(1) = 2
         assert_eq!(
             t.derivation_cost(&add_tree(true), Nonterminal::Stmt),
@@ -384,17 +604,21 @@ mod tests {
 
     #[test]
     fn reduction_emits_the_chosen_instructions() {
-        let t = toy_target();
-        let mut ctx = EmitCtx::new("r0");
-        let lines = t.reduce(&add_tree(true), &mut ctx);
-        assert_eq!(lines, vec!["addi r1, 4", "mov r1, r1"]);
+        let mut t = toy_target();
+        // add_ri keeps the immediate; the move of r1 into itself is never emitted.
+        assert_eq!(t.reduce(&add_tree(true)), vec!["addi r1, 4"]);
+        let chosen = |t: &Emitter, name| t.census().iter().find(|r| r.0 == name).unwrap().1;
+        assert_eq!((chosen(&t, "add_ri"), chosen(&t, "add_rr")), (1, 0));
+        // add_rr is the only way to add two registers.
+        assert_eq!(t.reduce(&add_tree(false)), vec!["addi r1, r2"]);
+        assert_eq!((chosen(&t, "add_ri"), chosen(&t, "add_rr")), (1, 1));
     }
 
     #[test]
     fn chain_rule_materialises_immediates_when_needed() {
         // A Move whose operand is an immediate: the move rule wants a Reg child, so the
         // imm must go through the chain rule.
-        let t = toy_target();
+        let mut t = toy_target();
         let tree = TreeNode {
             op: TreeOp::Move,
             dst: Some(autodist_ir::Reg(3)),
@@ -404,8 +628,7 @@ mod tests {
                 children: vec![],
             }],
         };
-        let mut ctx = EmitCtx::new("r0");
-        let lines = t.reduce(&tree, &mut ctx);
+        let lines = t.reduce(&tree);
         assert_eq!(lines.len(), 2);
         assert!(lines[0].starts_with("li "), "{lines:?}");
         assert!(lines[1].starts_with("mov r3"), "{lines:?}");
@@ -413,26 +636,30 @@ mod tests {
 
     #[test]
     fn unsupported_ops_degrade_to_comments() {
-        let t = toy_target();
+        let mut t = toy_target();
         let tree = TreeNode {
             op: TreeOp::Return,
             dst: None,
             children: vec![],
         };
-        let mut ctx = EmitCtx::new("r0");
-        let lines = t.reduce(&tree, &mut ctx);
+        let lines = t.reduce(&tree);
         assert_eq!(lines.len(), 1);
         assert!(lines[0].starts_with(';'));
     }
 
     #[test]
-    fn emit_ctx_temp_names_are_unique_and_reg_names_memoised() {
-        let mut ctx = EmitCtx::new("eax");
-        let a = ctx.fresh_temp("t");
-        let b = ctx.fresh_temp("t");
-        assert_ne!(a, b);
-        let r1 = ctx.reg_name(autodist_ir::Reg(5), |r| format!("r{}", r.0));
-        let r2 = ctx.reg_name(autodist_ir::Reg(5), |_| "something-else".to_string());
-        assert_eq!(r1, r2, "memoised");
+    fn temp_names_are_unique_and_start_afresh_per_method() {
+        let mut t = toy_target();
+        let tree = TreeNode {
+            op: TreeOp::Move,
+            dst: Some(autodist_ir::Reg(3)),
+            children: vec![TreeNode::leaf(&autodist_ir::quad::Operand::IConst(7))],
+        };
+        let a = t.reduce(&tree);
+        let b = t.reduce(&tree);
+        assert_ne!(a[0], b[0]);
+        let (p, id) = crate::tests::figure5_example();
+        let qm = autodist_ir::lower::lower_method(&p, p.method(id)).unwrap();
+        assert_eq!(t.method(&p, &qm), t.method(&p, &qm));
     }
 }

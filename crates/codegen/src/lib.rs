@@ -4,12 +4,14 @@
 //!
 //! * [`ast`] — turns quad methods into abstract syntax trees: every quad becomes the
 //!   root of a small tree whose leaves are its operands (Figure 6).
-//! * [`burs`] — a bottom-up rewrite system (BURS) code-generator generator: rules map
-//!   tree patterns to target instructions with costs; a first dynamic-programming pass
+//! * [`burs`] — a bottom-up rewrite system (BURS) code-generator generator (the JBurg
+//!   role). Rules are data: a tree pattern, the nonterminals its children derive and a
+//!   cost. A target is data too: a [`Dialect`] holding what its assembly looks like,
+//!   and a rule table. One [`Emitter`] serves every target: a dynamic-programming pass
 //!   labels every node with its cheapest derivation per nonterminal, and a second pass
-//!   reduces the tree emitting code (the JBurg role).
-//! * [`x86`] / [`arm`] — rule tables and emitters for an x86-like and a StrongARM-like
-//!   target (Figure 7).
+//!   reduces the tree, printing it in the dialect.
+//! * [`x86`] / [`arm`] — the dialects and rule tables of an x86-like and a
+//!   StrongARM-like target (Figure 7).
 //! * [`rewrite`] — **communication generation**: given a placement of classes onto
 //!   nodes, produces the per-node program copies in which accesses to remote objects
 //!   are replaced by operations on `rt/DependentObject` proxies that exchange `NEW` and
@@ -22,7 +24,7 @@ pub mod rewrite;
 pub mod x86;
 
 pub use ast::{build_method_forest, TreeNode, TreeOp};
-pub use burs::{Burs, EmitCtx, Nonterminal, Rule};
+pub use burs::{Dialect, Emitter, Nonterminal, Pattern, Rule};
 pub use rewrite::{
     rewrite_for_node, ClassPlacement, RewriteStats, RewrittenProgram, ACCESS_GET_FIELD,
     ACCESS_INVOKE_HASRETURN, ACCESS_INVOKE_VOID, ACCESS_PUT_FIELD, DEPENDENT_OBJECT_CLASS,
@@ -37,32 +39,23 @@ pub enum Target {
     StrongArm,
 }
 
+impl Target {
+    /// A fresh emitter for this target's dialect and rule table.
+    pub fn emitter(self) -> Emitter {
+        match self {
+            Target::X86 => Emitter::new(&x86::DIALECT, &x86::RULES),
+            Target::StrongArm => Emitter::new(&arm::DIALECT, &arm::RULES),
+        }
+    }
+}
+
 /// Generates assembly text for one quad method on the chosen target.
 pub fn generate_method(
     program: &autodist_ir::Program,
     qm: &autodist_ir::QuadMethod,
     target: Target,
 ) -> Vec<String> {
-    let burs = match target {
-        Target::X86 => x86::x86_rules(),
-        Target::StrongArm => arm::arm_rules(),
-    };
-    let forest = ast::build_method_forest(program, qm);
-    let mut out = Vec::new();
-    let mut ctx = burs::EmitCtx::new(match target {
-        Target::X86 => "eax",
-        Target::StrongArm => "R1",
-    });
-    for (block, trees) in forest {
-        if !trees.is_empty() && block.0 >= 2 {
-            out.push(format!("BB{}:", block.0));
-        }
-        for tree in trees {
-            let lines = burs.reduce(&tree, &mut ctx);
-            out.extend(lines);
-        }
-    }
-    out
+    target.emitter().method(program, qm)
 }
 
 #[cfg(test)]

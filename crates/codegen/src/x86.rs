@@ -1,12 +1,11 @@
-//! x86-flavoured BURS rule table (Figure 7, left column).
+//! x86-flavoured target (Figure 7, left column): its dialect and rule table.
 //!
 //! The output is pedagogical assembly in the same style the paper prints: virtual
 //! registers are mapped onto a small set of general-purpose register names, constants
-//! may appear as immediates, calls become `call`, and returns place their value in
-//! `eax`.
+//! may appear as immediates, arithmetic is two-address, calls push their arguments and
+//! become `call`, and returns place their value in `eax`.
 
-use crate::ast::TreeOp;
-use crate::burs::{Burs, EmitCtx, Nonterminal, Rule};
+use crate::burs::{rule, Args, Dialect, Nonterminal, Pattern, Rule};
 use autodist_ir::quad::Reg;
 
 /// Maps a virtual register onto an x86 register name (cycling through the GPRs, with a
@@ -20,432 +19,124 @@ pub fn x86_reg_name(r: Reg) -> String {
     }
 }
 
-fn reg_leaf() -> Rule {
-    Rule {
-        name: "x86.reg",
-        produces: Nonterminal::Reg,
-        matches: Box::new(|op| matches!(op, TreeOp::RegLeaf(_))),
-        child_nts: vec![],
-        variadic: false,
-        cost: 0,
-        emit: Box::new(|n, _, ctx| {
-            let r = match n.op {
-                TreeOp::RegLeaf(r) => r,
-                _ => unreachable!(),
-            };
-            (vec![], ctx.reg_name(r, x86_reg_name))
-        }),
-    }
-}
+/// The x86 dialect.
+pub static DIALECT: Dialect = Dialect {
+    reg_name: x86_reg_name,
+    temp: "r",
+    result: "eax",
+    imm: "",
+    string: "offset str_",
+    load_imm: "mov",
+    bin: [
+        "add",
+        "sub",
+        "imul",
+        "idiv",
+        "idiv ; remainder in edx",
+        "and",
+        "or",
+        "xor",
+        "shl",
+        "sar",
+    ],
+    unary: ["neg", "not", "not", "not"],
+    branch: ["je", "jne", "jl", "jle", "jg", "jge"],
+    jump: "jmp",
+    three_address: false,
+    call: "call",
+    args: Args::Stack {
+        push: "push",
+        pop: "add esp",
+        slot: 4,
+    },
+    call_result: "eax",
+    alloc_len: "push {0}",
+    load: "mov {0}, {1}",
+    store: "mov {1}, {0}",
+    field: "[{0} + {1}]",
+    static_field: "[{0}]",
+    element: "[{0} + {1}*8]",
+    length: "[{0} - 8]",
+    ret: "ret eax",
+    ret_void: "ret",
+};
 
-fn imm_leaf() -> Rule {
-    Rule {
-        name: "x86.imm",
-        produces: Nonterminal::Imm,
-        matches: Box::new(|op| {
-            matches!(
-                op,
-                TreeOp::IConstLeaf(_)
-                    | TreeOp::SConstLeaf(_)
-                    | TreeOp::NullLeaf
-                    | TreeOp::FConstLeaf(_)
-            )
-        }),
-        child_nts: vec![],
-        variadic: false,
-        cost: 0,
-        emit: Box::new(|n, _, _| {
-            let text = match &n.op {
-                TreeOp::IConstLeaf(v) => format!("{v}"),
-                TreeOp::FConstLeaf(v) => format!("{v}"),
-                TreeOp::SConstLeaf(s) => format!("offset str_{}", s.len()),
-                TreeOp::NullLeaf => "0".to_string(),
-                _ => unreachable!(),
-            };
-            (vec![], text)
-        }),
-    }
-}
+const REG: &[Nonterminal] = &[Nonterminal::Reg];
+const IMM: &[Nonterminal] = &[Nonterminal::Imm];
 
-fn dst_name(n: &crate::ast::TreeNode, ctx: &mut EmitCtx) -> String {
-    match n.dst {
-        Some(r) => ctx.reg_name(r, x86_reg_name),
-        None => ctx.result_reg.clone(),
-    }
-}
-
-fn bin_mnemonic(m: &str) -> &'static str {
-    match m {
-        "ADD" => "add",
-        "SUB" => "sub",
-        "MUL" => "imul",
-        "DIV" => "idiv",
-        "REM" => "idiv ; remainder in edx",
-        "AND" => "and",
-        "OR" => "or",
-        "XOR" => "xor",
-        "SHL" => "shl",
-        "SHR" => "sar",
-        _ => "op",
-    }
-}
-
-fn cond_jump(m: &str) -> &'static str {
-    match m {
-        "EQ" => "je",
-        "NE" => "jne",
-        "LT" => "jl",
-        "LE" => "jle",
-        "GT" => "jg",
-        "GE" => "jge",
-        _ => "jmp",
-    }
-}
-
-/// Builds the x86 rule table.
-pub fn x86_rules() -> Burs {
-    let rules = vec![
-        reg_leaf(),
-        imm_leaf(),
-        // mov dst, src   (src may be reg or imm)
-        Rule {
-            name: "x86.move_ri",
-            produces: Nonterminal::Stmt,
-            matches: Box::new(|op| matches!(op, TreeOp::Move)),
-            child_nts: vec![Nonterminal::Imm],
-            variadic: false,
-            cost: 1,
-            emit: Box::new(|n, ops, ctx| {
-                let dst = dst_name(n, ctx);
-                (vec![format!("mov {dst}, {}", ops[0])], String::new())
-            }),
-        },
-        Rule {
-            name: "x86.move_rr",
-            produces: Nonterminal::Stmt,
-            matches: Box::new(|op| matches!(op, TreeOp::Move)),
-            child_nts: vec![Nonterminal::Reg],
-            variadic: false,
-            cost: 1,
-            emit: Box::new(|n, ops, ctx| {
-                let dst = dst_name(n, ctx);
-                if dst == ops[0] {
-                    (vec![], String::new())
-                } else {
-                    (vec![format!("mov {dst}, {}", ops[0])], String::new())
-                }
-            }),
-        },
-        // Binary ops: dst := lhs op rhs  =>  mov dst, lhs ; op dst, rhs
-        Rule {
-            name: "x86.bin",
-            produces: Nonterminal::Reg,
-            matches: Box::new(|op| matches!(op, TreeOp::Bin(_))),
-            child_nts: vec![Nonterminal::Reg, Nonterminal::Imm],
-            variadic: false,
-            cost: 2,
-            emit: Box::new(|n, ops, ctx| {
-                let m = match n.op {
-                    TreeOp::Bin(m) => m,
-                    _ => unreachable!(),
-                };
-                let dst = dst_name(n, ctx);
-                let mut lines = Vec::new();
-                if dst != ops[0] {
-                    lines.push(format!("mov {dst}, {}", ops[0]));
-                }
-                lines.push(format!("{} {dst}, {}", bin_mnemonic(m), ops[1]));
-                (lines, dst)
-            }),
-        },
-        Rule {
-            name: "x86.bin_rr",
-            produces: Nonterminal::Reg,
-            matches: Box::new(|op| matches!(op, TreeOp::Bin(_))),
-            child_nts: vec![Nonterminal::Reg, Nonterminal::Reg],
-            variadic: false,
-            cost: 3,
-            emit: Box::new(|n, ops, ctx| {
-                let m = match n.op {
-                    TreeOp::Bin(m) => m,
-                    _ => unreachable!(),
-                };
-                let dst = dst_name(n, ctx);
-                let mut lines = Vec::new();
-                if dst != ops[0] {
-                    lines.push(format!("mov {dst}, {}", ops[0]));
-                }
-                lines.push(format!("{} {dst}, {}", bin_mnemonic(m), ops[1]));
-                (lines, dst)
-            }),
-        },
-        // A computed binary value used as a statement root (dst := a op b with no
-        // further use in the tree) still has to be materialised.
-        Rule {
-            name: "x86.bin_stmt",
-            produces: Nonterminal::Stmt,
-            matches: Box::new(|op| matches!(op, TreeOp::Bin(_) | TreeOp::Un(_))),
-            child_nts: vec![Nonterminal::Reg],
-            variadic: true,
-            cost: 3,
-            emit: Box::new(|n, ops, ctx| {
-                let dst = dst_name(n, ctx);
-                let mut lines = Vec::new();
-                match &n.op {
-                    TreeOp::Bin(m) => {
-                        if !ops.is_empty() && dst != ops[0] {
-                            lines.push(format!("mov {dst}, {}", ops[0]));
-                        }
-                        if ops.len() > 1 {
-                            lines.push(format!("{} {dst}, {}", bin_mnemonic(m), ops[1]));
-                        }
-                    }
-                    TreeOp::Un(m) => {
-                        if !ops.is_empty() && dst != ops[0] {
-                            lines.push(format!("mov {dst}, {}", ops[0]));
-                        }
-                        lines.push(format!("{} {dst}", if *m == "NEG" { "neg" } else { "not" }));
-                    }
-                    _ => unreachable!(),
-                }
-                (lines, String::new())
-            }),
-        },
-        // Unary producing a value.
-        Rule {
-            name: "x86.un",
-            produces: Nonterminal::Reg,
-            matches: Box::new(|op| matches!(op, TreeOp::Un(_))),
-            child_nts: vec![Nonterminal::Reg],
-            variadic: false,
-            cost: 2,
-            emit: Box::new(|n, ops, ctx| {
-                let dst = dst_name(n, ctx);
-                let mut lines = Vec::new();
-                if dst != ops[0] {
-                    lines.push(format!("mov {dst}, {}", ops[0]));
-                }
-                lines.push(format!("neg {dst}"));
-                (lines, dst)
-            }),
-        },
-        // cmp a, b ; jcc BBn
-        Rule {
-            name: "x86.ifcmp",
-            produces: Nonterminal::Stmt,
-            matches: Box::new(|op| matches!(op, TreeOp::IfCmp { .. })),
-            child_nts: vec![Nonterminal::Imm],
-            variadic: true,
-            cost: 2,
-            emit: Box::new(|n, ops, _| {
-                let (cond, target) = match &n.op {
-                    TreeOp::IfCmp { cond, target } => (*cond, *target),
-                    _ => unreachable!(),
-                };
-                (
-                    vec![
-                        format!("cmp {}, {}", ops[0], ops[1]),
-                        format!("{} BB{}", cond_jump(cond), target.0),
-                    ],
-                    String::new(),
-                )
-            }),
-        },
-        // Mixed-operand compare: materialise whatever is needed into registers.
-        Rule {
-            name: "x86.ifcmp_r",
-            produces: Nonterminal::Stmt,
-            matches: Box::new(|op| matches!(op, TreeOp::IfCmp { .. })),
-            child_nts: vec![Nonterminal::Reg],
-            variadic: true,
-            cost: 3,
-            emit: Box::new(|n, ops, _| {
-                let (cond, target) = match &n.op {
-                    TreeOp::IfCmp { cond, target } => (*cond, *target),
-                    _ => unreachable!(),
-                };
-                (
-                    vec![
-                        format!("cmp {}, {}", ops[0], ops[1]),
-                        format!("{} BB{}", cond_jump(cond), target.0),
-                    ],
-                    String::new(),
-                )
-            }),
-        },
-        Rule {
-            name: "x86.goto",
-            produces: Nonterminal::Stmt,
-            matches: Box::new(|op| matches!(op, TreeOp::Goto(_))),
-            child_nts: vec![],
-            variadic: false,
-            cost: 1,
-            emit: Box::new(|n, _, _| {
-                let t = match &n.op {
-                    TreeOp::Goto(t) => *t,
-                    _ => unreachable!(),
-                };
-                (vec![format!("jmp BB{}", t.0)], String::new())
-            }),
-        },
-        // ret (value already moved to eax)
-        Rule {
-            name: "x86.ret",
-            produces: Nonterminal::Stmt,
-            matches: Box::new(|op| matches!(op, TreeOp::Return)),
-            child_nts: vec![Nonterminal::Reg],
-            variadic: true,
-            cost: 1,
-            emit: Box::new(|_, ops, ctx| {
-                let mut lines = Vec::new();
-                if let Some(v) = ops.first() {
-                    if *v != ctx.result_reg {
-                        lines.push(format!("mov {}, {v}", ctx.result_reg));
-                    }
-                    lines.push(format!("ret {}", ctx.result_reg));
-                } else {
-                    lines.push("ret".to_string());
-                }
-                (lines, String::new())
-            }),
-        },
-        // Calls: push args right-to-left, call, result in eax.
-        Rule {
-            name: "x86.call",
-            produces: Nonterminal::Stmt,
-            matches: Box::new(|op| matches!(op, TreeOp::Invoke(_))),
-            child_nts: vec![Nonterminal::Reg],
-            variadic: true,
-            cost: 4,
-            emit: Box::new(|n, ops, ctx| {
-                let name = match &n.op {
-                    TreeOp::Invoke(m) => m.clone(),
-                    _ => unreachable!(),
-                };
-                let mut lines = Vec::new();
-                for a in ops.iter().rev() {
-                    lines.push(format!("push {a}"));
-                }
-                lines.push(format!("call {name}"));
-                if !ops.is_empty() {
-                    lines.push(format!("add esp, {}", ops.len() * 4));
-                }
-                if let Some(d) = n.dst {
-                    let dst = ctx.reg_name(d, x86_reg_name);
-                    if dst != "eax" {
-                        lines.push(format!("mov {dst}, eax"));
-                    }
-                }
-                (lines, String::new())
-            }),
-        },
-        // Memory-ish operations: loads/stores through a runtime helper layout.
-        Rule {
-            name: "x86.getfield",
-            produces: Nonterminal::Stmt,
-            matches: Box::new(|op| {
-                matches!(
-                    op,
-                    TreeOp::GetField(_) | TreeOp::GetStatic(_) | TreeOp::ALoad | TreeOp::ALen
-                )
-            }),
-            child_nts: vec![Nonterminal::Reg],
-            variadic: true,
-            cost: 2,
-            emit: Box::new(|n, ops, ctx| {
-                let dst = dst_name(n, ctx);
-                let what = match &n.op {
-                    TreeOp::GetField(f) | TreeOp::GetStatic(f) => f.to_string(),
-                    TreeOp::ALoad => {
-                        format!("{} + {}*8", ops[0], ops.get(1).cloned().unwrap_or_default())
-                    }
-                    TreeOp::ALen => format!("{} - 8", ops[0]),
-                    _ => unreachable!(),
-                };
-                let base = ops.first().cloned().unwrap_or_else(|| "globals".into());
-                let line = match &n.op {
-                    TreeOp::GetField(f) => format!("mov {dst}, [{base} + {f}]"),
-                    TreeOp::GetStatic(_) => format!("mov {dst}, [{what}]"),
-                    _ => format!("mov {dst}, [{what}]"),
-                };
-                (vec![line], String::new())
-            }),
-        },
-        Rule {
-            name: "x86.putfield",
-            produces: Nonterminal::Stmt,
-            matches: Box::new(|op| {
-                matches!(
-                    op,
-                    TreeOp::PutField(_) | TreeOp::PutStatic(_) | TreeOp::AStore
-                )
-            }),
-            child_nts: vec![Nonterminal::Reg],
-            variadic: true,
-            cost: 2,
-            emit: Box::new(|n, ops, _| {
-                let line = match &n.op {
-                    TreeOp::PutField(f) => {
-                        format!(
-                            "mov [{} + {f}], {}",
-                            ops[0],
-                            ops.get(1).cloned().unwrap_or_default()
-                        )
-                    }
-                    TreeOp::PutStatic(f) => {
-                        format!("mov [{f}], {}", ops.first().cloned().unwrap_or_default())
-                    }
-                    TreeOp::AStore => format!(
-                        "mov [{} + {}*8], {}",
-                        ops[0],
-                        ops.get(1).cloned().unwrap_or_default(),
-                        ops.get(2).cloned().unwrap_or_default()
-                    ),
-                    _ => unreachable!(),
-                };
-                (vec![line], String::new())
-            }),
-        },
-        // Allocation: call into the runtime allocator.
-        Rule {
-            name: "x86.new",
-            produces: Nonterminal::Stmt,
-            matches: Box::new(|op| matches!(op, TreeOp::New(_) | TreeOp::NewArray)),
-            child_nts: vec![Nonterminal::Reg],
-            variadic: true,
-            cost: 4,
-            emit: Box::new(|n, ops, ctx| {
-                let dst = dst_name(n, ctx);
-                let mut lines = Vec::new();
-                match &n.op {
-                    TreeOp::New(c) => lines.push(format!("call rt_new_{c}")),
-                    TreeOp::NewArray => {
-                        lines.push(format!("push {}", ops.first().cloned().unwrap_or_default()));
-                        lines.push("call rt_new_array".to_string());
-                    }
-                    _ => unreachable!(),
-                }
-                if dst != "eax" {
-                    lines.push(format!("mov {dst}, eax"));
-                }
-                (lines, String::new())
-            }),
-        },
-    ];
-    Burs {
-        rules,
-        imm_to_reg_cost: 1,
-        imm_to_reg: Box::new(|imm, ctx| {
-            let t = ctx.fresh_temp("r");
-            (vec![format!("mov {t}, {imm}")], t)
-        }),
-    }
-}
+/// The x86 rule table. A compare of two immediates keeps both; every other root takes
+/// its operands in registers, materialising immediates through the chain rule, except
+/// a move of an immediate.
+pub static RULES: [Rule; 13] = [
+    rule("x86.reg", Nonterminal::Reg, Pattern::Reg, &[], false, 0),
+    rule("x86.imm", Nonterminal::Imm, Pattern::Const, &[], false, 0),
+    rule(
+        "x86.move_ri",
+        Nonterminal::Stmt,
+        Pattern::Move,
+        IMM,
+        false,
+        1,
+    ),
+    rule(
+        "x86.move_rr",
+        Nonterminal::Stmt,
+        Pattern::Move,
+        REG,
+        false,
+        1,
+    ),
+    rule(
+        "x86.bin_stmt",
+        Nonterminal::Stmt,
+        Pattern::Arith,
+        REG,
+        true,
+        3,
+    ),
+    rule(
+        "x86.ifcmp",
+        Nonterminal::Stmt,
+        Pattern::Compare,
+        IMM,
+        true,
+        2,
+    ),
+    rule(
+        "x86.ifcmp_r",
+        Nonterminal::Stmt,
+        Pattern::Compare,
+        REG,
+        true,
+        3,
+    ),
+    rule("x86.goto", Nonterminal::Stmt, Pattern::Jump, &[], false, 1),
+    rule("x86.ret", Nonterminal::Stmt, Pattern::Return, REG, true, 1),
+    rule("x86.call", Nonterminal::Stmt, Pattern::Call, REG, true, 4),
+    rule(
+        "x86.getfield",
+        Nonterminal::Stmt,
+        Pattern::Load,
+        REG,
+        true,
+        2,
+    ),
+    rule(
+        "x86.putfield",
+        Nonterminal::Stmt,
+        Pattern::Store,
+        REG,
+        true,
+        2,
+    ),
+    rule("x86.new", Nonterminal::Stmt, Pattern::Alloc, REG, true, 4),
+];
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ast::TreeNode;
+    use crate::ast::{TreeNode, TreeOp};
+    use crate::Target;
     use autodist_ir::quad::BlockId;
 
     #[test]
@@ -458,7 +149,7 @@ mod tests {
 
     #[test]
     fn move_of_constant_matches_figure7_line1() {
-        let burs = x86_rules();
+        let mut burs = Target::X86.emitter();
         let tree = TreeNode {
             op: TreeOp::Move,
             dst: Some(Reg(0)),
@@ -468,14 +159,13 @@ mod tests {
                 children: vec![],
             }],
         };
-        let mut ctx = EmitCtx::new("eax");
-        let lines = burs.reduce(&tree, &mut ctx);
+        let lines = burs.reduce(&tree);
         assert_eq!(lines, vec!["mov eax, 4"]);
     }
 
     #[test]
     fn compare_and_branch_matches_figure7_line2() {
-        let burs = x86_rules();
+        let mut burs = Target::X86.emitter();
         let tree = TreeNode {
             op: TreeOp::IfCmp {
                 cond: "LE",
@@ -495,14 +185,13 @@ mod tests {
                 },
             ],
         };
-        let mut ctx = EmitCtx::new("eax");
-        let lines = burs.reduce(&tree, &mut ctx);
+        let lines = burs.reduce(&tree);
         assert_eq!(lines, vec!["cmp 4, 2", "jle BB4"]);
     }
 
     #[test]
     fn call_pushes_arguments_and_cleans_the_stack() {
-        let burs = x86_rules();
+        let mut burs = Target::X86.emitter();
         let tree = TreeNode {
             op: TreeOp::Invoke("Account.getSavings".to_string()),
             dst: Some(Reg(1)),
@@ -512,8 +201,7 @@ mod tests {
                 children: vec![],
             }],
         };
-        let mut ctx = EmitCtx::new("eax");
-        let lines = burs.reduce(&tree, &mut ctx);
+        let lines = burs.reduce(&tree);
         let text = lines.join("\n");
         assert!(text.contains("push ecx"));
         assert!(text.contains("call Account.getSavings"));

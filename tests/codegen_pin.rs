@@ -400,7 +400,8 @@ impl Fnv {
     }
 }
 
-fn corpus() -> Vec<(String, Program)> {
+/// Each corpus program followed by its two rewritten copies from a 2-node plan.
+fn corpus() -> Vec<(String, Vec<Program>)> {
     let mut programs: Vec<(String, Program)> = Vec::new();
     for (table, workloads) in [("t1", table1_workloads(1)), ("t3", table3_workloads(1))] {
         for w in workloads {
@@ -414,7 +415,15 @@ fn corpus() -> Vec<(String, Program)> {
         "hand".into(),
         compile_source(HAND).expect("the hand source compiles"),
     ));
-    programs
+    let planner = Distributor::new(DistributorConfig::multilevel(2));
+    (programs.into_iter())
+        .map(|(name, program)| {
+            let plan = (planner.try_distribute(&program))
+                .unwrap_or_else(|e| panic!("{name} plans on two nodes: {e}"));
+            let copies = plan.node_programs.into_iter().map(|copy| copy.program);
+            (name, std::iter::once(program).chain(copies).collect())
+        })
+        .collect()
 }
 
 /// Every method with a body, in id order: a header line, then its assembly.
@@ -448,15 +457,11 @@ fn sample(lines: &[String], i: usize) -> String {
 #[test]
 fn every_corpus_method_emits_its_pinned_assembly() {
     let mut fresh = Vec::new();
-    for (name, program) in corpus() {
-        let plan = Distributor::new(DistributorConfig::multilevel(2))
-            .try_distribute(&program)
-            .unwrap_or_else(|e| panic!("{name} plans on two nodes: {e}"));
+    for (name, programs) in corpus() {
         for (tag, target) in [("x86", Target::X86), ("arm", Target::StrongArm)] {
             let mut lines = Vec::new();
-            listing(&program, target, &mut lines);
-            for copy in &plan.node_programs {
-                listing(&copy.program, target, &mut lines);
+            for program in &programs {
+                listing(program, target, &mut lines);
             }
             let mut hash = Fnv(0xcbf2_9ce4_8422_2325);
             for line in &lines {
@@ -485,4 +490,30 @@ fn every_corpus_method_emits_its_pinned_assembly() {
         matches,
         "the emitted assembly moved; the fresh table is printed above"
     );
+}
+
+/// Every rule left in either table is chosen somewhere in the corpus, so none can
+/// change without the pin above noticing. Prints how often each was chosen.
+#[test]
+fn every_rule_is_chosen_somewhere_in_the_corpus() {
+    let corpus = corpus();
+    for target in [Target::X86, Target::StrongArm] {
+        let mut emitter = target.emitter();
+        for program in corpus.iter().flat_map(|(_, programs)| programs) {
+            for method in program.methods.iter().filter(|m| !m.body.is_empty()) {
+                let qm = lower_method(program, method).expect("every corpus method lowers");
+                emitter.method(program, &qm);
+            }
+        }
+        let census = emitter.census();
+        println!("{target:?} rule census:");
+        for (rule, chosen) in &census {
+            println!("  {rule:<16} {chosen:>7}");
+        }
+        let unused: Vec<_> = census.iter().filter(|(_, n)| *n == 0).collect();
+        assert!(
+            unused.is_empty(),
+            "{target:?} rules never chosen: {unused:?}"
+        );
+    }
 }
