@@ -741,7 +741,7 @@ enum Item<'s> {
     /// A field of the object on the stack.
     Field(FieldRef),
     /// An element of the array under the index on the stack, of this type (`None` if
-    /// the array expression is no array, which only a read rejects).
+    /// the array expression is no array, which a read and a store reject).
     Element(Option<Type>),
     /// A comparison of the two values on the stack, not yet branched on.
     Cmp(CmpOp),
@@ -880,7 +880,8 @@ impl<'s> BodyCompiler<'_, 's> {
             Item::Local(slot) => Insn::Store(slot),
             Item::Static(fr) => Insn::PutStatic(fr),
             Item::Field(fr) => Insn::PutField(fr),
-            Item::Element(_) => Insn::ArrayStore,
+            Item::Element(Some(_)) => Insn::ArrayStore,
+            Item::Element(None) => return self.ctx.err("indexing a non-array"),
             Item::Name(name) => return self.ctx.err(format!("unknown variable {name}")),
             Item::NoObject(name) => return self.ctx.err(format!("field {name} on non-object")),
             Item::Value(_) | Item::Cmp(_) => return self.ctx.err("invalid assignment target"),
@@ -1091,12 +1092,17 @@ impl<'s> BodyCompiler<'_, 's> {
         }
     }
 
-    /// The field `name` of a value of type `ty`.
-    fn field_of(&self, ty: &Type, name: &'s str) -> Result<Item<'s>, ParseError> {
+    /// The field `name` of the value of type `ty` on the stack. A static field named
+    /// through an instance drops the instance, as Java does.
+    fn field_of(&mut self, ty: &Type, name: &'s str) -> Result<Item<'s>, ParseError> {
         let Some(class) = ty.ref_class() else {
             return Ok(Item::NoObject(name));
         };
         match self.c.program.resolve_field(class, name) {
+            Some(fr) if self.c.program.field(fr).is_static => {
+                self.ctx.emit(Insn::Pop);
+                Ok(Item::Static(fr))
+            }
             Some(fr) => Ok(Item::Field(fr)),
             None => self.ctx.err(format!("unknown field {name}")),
         }
@@ -1412,6 +1418,8 @@ mod tests {
                 count = e;
                 (f) = count;
                 o.next.next.h.v = -e;
+                o.next.count = e + 1;
+                e = o.count + this.count;
             }
             int branches(int a) {
                 if (a < 0) { return 0 - a; } else { return a; }
@@ -1438,7 +1446,7 @@ mod tests {
 
     /// Every diagnostic keeps its line and its wording. Body errors carry the line
     /// their method starts on; parse errors the line of the offending token.
-    const ERROR_CASES: [(&str, usize, &str); 14] = [
+    const ERROR_CASES: [(&str, usize, &str); 15] = [
         (
             "class A {\n  static void main() {\n    x = 3;\n  }\n}",
             2,
@@ -1500,6 +1508,12 @@ mod tests {
         ),
         // A repeated class or field is an error on the line of the second declaration
         // (they panicked inside `Program`).
+        // An element store into a non-array is refused as the read is (it compiled).
+        (
+            "class A {\n  static void main() {\n    int y = 3;\n    y[0] = 2;\n  }\n}",
+            2,
+            "indexing a non-array",
+        ),
         ("class A { }\nclass A { }", 2, "duplicate class A"),
         (
             "class A {\n  int x;\n  static void main() { }\n  String x;\n}",
@@ -2369,12 +2383,21 @@ mod tests {
                                 .program
                                 .resolve_field(ocls, fname)
                                 .ok_or_else(|| error(ctx.line, format!("unknown field {fname}")))?;
-                            self.compile_expr(ctx, rhs)?;
-                            ctx.emit(Insn::PutField(fr));
+                            if self.program.field(fr).is_static {
+                                ctx.emit(Insn::Pop);
+                                self.compile_expr(ctx, rhs)?;
+                                ctx.emit(Insn::PutStatic(fr));
+                            } else {
+                                self.compile_expr(ctx, rhs)?;
+                                ctx.emit(Insn::PutField(fr));
+                            }
                         }
                         Expr::Index(arr, idx) => {
-                            self.compile_expr(ctx, arr)?;
+                            let aty = self.compile_expr(ctx, arr)?;
                             self.compile_expr(ctx, idx)?;
+                            if !matches!(aty, Type::Array(_)) {
+                                return ctx.err("indexing a non-array");
+                            }
                             self.compile_expr(ctx, rhs)?;
                             ctx.emit(Insn::ArrayStore);
                         }
@@ -2581,7 +2604,12 @@ mod tests {
                     Expr::Field(obj, fname) => {
                         let oty = self.compile_expr(ctx, obj)?;
                         let fr = self.field_of(ctx, &oty, fname)?;
-                        ctx.emit(Insn::GetField(fr));
+                        if self.program.field(fr).is_static {
+                            ctx.emit(Insn::Pop);
+                            ctx.emit(Insn::GetStatic(fr));
+                        } else {
+                            ctx.emit(Insn::GetField(fr));
+                        }
                         Ok(self.program.field(fr).ty.clone())
                     }
                     Expr::Index(arr, idx) => {

@@ -6,7 +6,9 @@
 //!
 //! * all branch targets are in range,
 //! * the operand stack never underflows and has consistent heights at join points,
-//! * all referenced classes / methods / fields exist,
+//! * all referenced classes / methods / fields exist, and a field instruction matches
+//!   its field's kind (`GetField` / `PutField` an instance field, `GetStatic` /
+//!   `PutStatic` a static one),
 //! * the method ends on a terminator on every path.
 
 use std::sync::Arc;
@@ -34,6 +36,13 @@ pub enum VerifyError {
         pc: usize,
         what: &'static str,
     },
+    /// A field instruction of the other kind than its field: `GetField` / `PutField` on
+    /// a static field (`static_field`), or `GetStatic` / `PutStatic` on an instance one.
+    FieldKindMismatch {
+        method: MethodId,
+        pc: usize,
+        static_field: bool,
+    },
     /// Execution can fall off the end of the body.
     MissingReturn { method: MethodId },
     /// The program has no entry point.
@@ -57,6 +66,17 @@ impl std::fmt::Display for VerifyError {
             VerifyError::DanglingReference { method, pc, what } => {
                 write!(f, "{method:?}@{pc}: dangling {what} reference")
             }
+            VerifyError::FieldKindMismatch {
+                method,
+                pc,
+                static_field,
+            } => {
+                let (insn, field) = match static_field {
+                    true => ("instance", "static"),
+                    false => ("static", "instance"),
+                };
+                write!(f, "{method:?}@{pc}: {insn} field access to a {field} field")
+            }
             VerifyError::MissingReturn { method } => {
                 write!(f, "{method:?}: execution can fall off the end of the body")
             }
@@ -78,9 +98,9 @@ pub fn verify_program(program: &Program) -> Result<(), Vec<VerifyError>> {
 /// Verifies the per-node copies of one program, each distinct method body once.
 ///
 /// [`verify_method`] reads a program only through its signature tables (class count,
-/// field counts, callee signatures), which copies of one program share, so a method
-/// `Arc` that verified in one copy is verified in all of them; the entry checks stay
-/// per copy. On failure returns the index of the first copy holding an offending
+/// field counts and kinds, callee signatures), which copies of one program share, so a
+/// method `Arc` that verified in one copy is verified in all of them; the entry checks
+/// stay per copy. On failure returns the index of the first copy holding an offending
 /// method, with every error of that copy. A copy whose tables differ from its
 /// predecessor's starts over rather than trust it. One CFG, height table and
 /// worklist serve every method checked.
@@ -122,8 +142,11 @@ pub fn verify_copies<'p>(
 fn same_signatures(a: &Program, b: &Program) -> bool {
     a.classes.len() == b.classes.len()
         && a.methods.len() == b.methods.len()
-        && (a.classes.iter().zip(&b.classes))
-            .all(|(x, y)| Arc::ptr_eq(x, y) || x.fields.len() == y.fields.len())
+        && (a.classes.iter().zip(&b.classes)).all(|(x, y)| {
+            Arc::ptr_eq(x, y)
+                || (x.fields.len() == y.fields.len()
+                    && (x.fields.iter().zip(&y.fields)).all(|(f, g)| f.is_static == g.is_static))
+        })
         && a.methods.iter().zip(&b.methods).all(|(x, y)| {
             Arc::ptr_eq(x, y)
                 || (x.params.len() == y.params.len())
@@ -186,6 +209,20 @@ fn check_method(
                     || f.index as usize >= program.class(f.class).fields.len()) =>
             {
                 errors.push(dangling("field"));
+            }
+            Insn::GetField(f) | Insn::PutField(f) if program.field(*f).is_static => {
+                errors.push(VerifyError::FieldKindMismatch {
+                    method: method.id,
+                    pc,
+                    static_field: true,
+                });
+            }
+            Insn::GetStatic(f) | Insn::PutStatic(f) if !program.field(*f).is_static => {
+                errors.push(VerifyError::FieldKindMismatch {
+                    method: method.id,
+                    pc,
+                    static_field: false,
+                });
             }
             Insn::Invoke(_, m) if m.0 as usize >= program.methods.len() => {
                 errors.push(dangling("method"));
