@@ -67,7 +67,7 @@ pub enum Pattern {
 
 impl Pattern {
     /// The pattern `op` belongs to.
-    pub fn of(op: &TreeOp) -> Pattern {
+    fn of(op: &TreeOp) -> Pattern {
         match op {
             TreeOp::RegLeaf(_) => Pattern::Reg,
             TreeOp::IConstLeaf(_)
@@ -109,7 +109,7 @@ pub struct Rule {
 
 /// A rule deriving `produces` from a node of `pattern` whose children derive `kids`
 /// (every child `kids[0]` if `variadic`), at `cost`.
-pub const fn rule(
+pub(crate) const fn rule(
     name: &'static str,
     produces: Nonterminal,
     pattern: Pattern,
@@ -509,47 +509,35 @@ mod tests {
     /// labeler must pick the cheap form when the rhs is an immediate. No rule matches
     /// a return.
     static TOY_RULES: [Rule; 5] = [
-        Rule {
-            name: "imm",
-            produces: Nonterminal::Imm,
-            pattern: Pattern::Const,
-            kids: &[],
-            variadic: false,
-            cost: 0,
-        },
-        Rule {
-            name: "reg",
-            produces: Nonterminal::Reg,
-            pattern: Pattern::Reg,
-            kids: &[],
-            variadic: false,
-            cost: 0,
-        },
-        Rule {
-            name: "add_ri",
-            produces: Nonterminal::Reg,
-            pattern: Pattern::Arith,
-            kids: &[Nonterminal::Reg, Nonterminal::Imm],
-            variadic: false,
-            cost: 1,
-        },
-        Rule {
-            name: "add_rr",
-            produces: Nonterminal::Reg,
-            pattern: Pattern::Arith,
-            kids: &[Nonterminal::Reg, Nonterminal::Reg],
-            variadic: false,
-            cost: 3,
-        },
-        Rule {
-            name: "move",
-            produces: Nonterminal::Stmt,
-            pattern: Pattern::Move,
-            kids: &[Nonterminal::Reg],
-            variadic: false,
-            cost: 1,
-        },
+        rule("imm", Nonterminal::Imm, Pattern::Const, &[], false, 0),
+        rule("reg", Nonterminal::Reg, Pattern::Reg, &[], false, 0),
+        rule(
+            "add_ri",
+            Nonterminal::Reg,
+            Pattern::Arith,
+            REG_IMM,
+            false,
+            1,
+        ),
+        rule(
+            "add_rr",
+            Nonterminal::Reg,
+            Pattern::Arith,
+            REG_REG,
+            false,
+            3,
+        ),
+        rule(
+            "move",
+            Nonterminal::Stmt,
+            Pattern::Move,
+            &[Nonterminal::Reg],
+            false,
+            1,
+        ),
     ];
+    const REG_IMM: &[Nonterminal] = &[Nonterminal::Reg, Nonterminal::Imm];
+    const REG_REG: &[Nonterminal] = &[Nonterminal::Reg, Nonterminal::Reg];
 
     fn toy_target() -> Emitter {
         Emitter::new(&TOY, &TOY_RULES)

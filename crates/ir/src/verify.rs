@@ -71,11 +71,11 @@ impl std::fmt::Display for VerifyError {
                 pc,
                 static_field,
             } => {
-                let (insn, field) = match static_field {
+                let (access, field) = match static_field {
                     true => ("instance", "static"),
                     false => ("static", "instance"),
                 };
-                write!(f, "{method:?}@{pc}: {insn} field access to a {field} field")
+                write!(f, "{method:?}@{pc}: {access} access to a {field} field")
             }
             VerifyError::MissingReturn { method } => {
                 write!(f, "{method:?}: execution can fall off the end of the body")
@@ -210,18 +210,14 @@ fn check_method(
             {
                 errors.push(dangling("field"));
             }
-            Insn::GetField(f) | Insn::PutField(f) if program.field(*f).is_static => {
+            Insn::GetField(f) | Insn::PutField(f) | Insn::GetStatic(f) | Insn::PutStatic(f)
+                if program.field(*f).is_static
+                    != matches!(insn, Insn::GetStatic(_) | Insn::PutStatic(_)) =>
+            {
                 errors.push(VerifyError::FieldKindMismatch {
                     method: method.id,
                     pc,
-                    static_field: true,
-                });
-            }
-            Insn::GetStatic(f) | Insn::PutStatic(f) if !program.field(*f).is_static => {
-                errors.push(VerifyError::FieldKindMismatch {
-                    method: method.id,
-                    pc,
-                    static_field: false,
+                    static_field: program.field(*f).is_static,
                 });
             }
             Insn::Invoke(_, m) if m.0 as usize >= program.methods.len() => {
