@@ -15,9 +15,10 @@
 //!    relations between objects, computed by propagating each new reference once
 //!    against the export and import relations of the CRG — the least fixed point of the
 //!    paper's two rules (paper Figure 4) — with `edges` in one canonical order.
-//! 5. [`weights`] — resource models that annotate graph nodes with (memory, CPU,
-//!    battery) weight vectors and edges with communication volumes, ready for the
-//!    multi-constraint graph partitioner (Section 3).
+//! 5. [`weights`] — the (memory, CPU, battery) weight vectors of graph nodes, unit
+//!    in the static build, and the one function that reweighs nodes and use edges
+//!    from a measured per-class profile, ready for the multi-constraint graph
+//!    partitioner (Section 3).
 
 pub mod crg;
 pub mod objects;

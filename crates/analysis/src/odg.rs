@@ -22,7 +22,7 @@ use autodist_ir::program::{ClassId, Program};
 
 use crate::crg::{ClassPart, ClassRelationGraph, CrgEdgeKind, CrgNode};
 use crate::objects::{AllocSiteId, Multiplicity, ObjectSet};
-use crate::weights::{reweigh_odg, ResourceVector, WeightModel};
+use crate::weights::{ResourceVector, WeightModel};
 
 /// Identifier of a node in the ODG (index into [`ObjectDependenceGraph::nodes`]).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -85,7 +85,8 @@ pub struct OdgEdge {
     pub to: OdgNodeId,
     /// Relation kind.
     pub kind: OdgEdgeKind,
-    /// Estimated communication volume in bytes if the endpoints are separated.
+    /// What cutting the edge costs: a use edge's CRG use count (scaled by
+    /// [`crate::weights::reweigh_odg`] when a profile is applied), 1 for the others.
     pub weight: u64,
 }
 
@@ -215,12 +216,14 @@ fn close_references(
 ///
 /// `crg` must have been built from the same call graph that produced `objects`.
 /// `edges` comes out in one canonical order: create edges in site order, then
-/// reference edges by `(from, to)`, then use edges by `(from, to)`.
+/// reference edges by `(from, to)`, then use edges by `(from, to)`. Every node weighs
+/// [`ResourceVector::unit`] and every use edge the CRG's use count between its two
+/// classes; `WeightModel` has one value and is not read.
 pub fn build_odg(
     program: &Program,
     crg: &ClassRelationGraph,
     objects: &ObjectSet,
-    weights: &WeightModel,
+    _weights: &WeightModel,
 ) -> ObjectDependenceGraph {
     let mut odg = ObjectDependenceGraph::default();
 
@@ -296,19 +299,12 @@ pub fn build_odg(
     odg.edges.extend(references.iter().filter_map(|&(a, b)| {
         let (ca, cb) = (class_of(a), class_of(b));
         let w = *use_weight.get(&(ca.min(cb), ca.max(cb)))?;
-        let bytes = weights.communication_bytes(program, ca, cb, w);
-        Some(edge((a, b), OdgEdgeKind::Use, bytes))
+        Some(edge((a, b), OdgEdgeKind::Use, w))
     }));
 
-    // 5. Node weights: the static estimate, then whatever a profile measured.
-    odg.node_weights = odg
-        .nodes
-        .iter()
-        .map(|n| weights.node_weight(program, n))
-        .collect();
-    if let WeightModel::ProfileGuided(profile) = weights {
-        reweigh_odg(&mut odg, profile);
-    }
+    // 5. Node weights: every object weighs the same until a profile says otherwise
+    //    (`weights::reweigh_odg`).
+    odg.node_weights = vec![ResourceVector::unit(); odg.nodes.len()];
 
     odg
 }
@@ -458,60 +454,62 @@ mod tests {
         }
     }
 
-    /// Builds the ODG of `p` under both static weight models and checks it against the
-    /// definitions: the reference edges are the oracle's closure of the create edges
-    /// (as sets), every kind comes out in canonical order, there is exactly one use
-    /// edge per reference between classes the CRG relates, weighted by all of the
-    /// CRG's use edges between the two, and a second build is equal edge for edge.
+    /// Builds the ODG of `p` and checks it against the definitions: the reference edges
+    /// are the oracle's closure of the create edges (as sets), every kind comes out in
+    /// canonical order, there is exactly one use edge per reference between classes the
+    /// CRG relates, weighted by the count of all of the CRG's use edges between the two,
+    /// every node weighs the unit vector, and a second build is equal edge for edge.
     fn assert_odg_matches_its_definition(name: &str, p: &Program) -> ObjectDependenceGraph {
         let (crg, objects) = analyse(p);
-        let mut last = None;
-        for model in [WeightModel::Uniform, WeightModel::static_heuristic()] {
-            let odg = build_odg(p, &crg, &objects, &model);
-            let pairs = |kind| -> Vec<Reference> {
-                odg.edges_of_kind(kind).map(|e| (e.from, e.to)).collect()
-            };
-            let creates = pairs(OdgEdgeKind::Create);
-            let references = pairs(OdgEdgeKind::Reference);
-            let expected = oracle_closure(p, &crg, &odg.nodes, creates.iter().copied());
-            assert!(
-                references.iter().copied().eq(expected.iter().copied()),
-                "{name}: references {references:?}\nare not the sorted closure {expected:?}"
-            );
-            assert!(
-                odg.edges.iter().all(|e| e.from != e.to),
-                "{name}: self edge"
-            );
-            let kinds: Vec<OdgEdgeKind> = odg.edges.iter().map(|e| e.kind).collect();
-            assert!(kinds.is_sorted(), "{name}: create, reference, use");
+        let odg = build_odg(p, &crg, &objects, &WeightModel::Uniform);
+        let pairs =
+            |kind| -> Vec<Reference> { odg.edges_of_kind(kind).map(|e| (e.from, e.to)).collect() };
+        let creates = pairs(OdgEdgeKind::Create);
+        let references = pairs(OdgEdgeKind::Reference);
+        let expected = oracle_closure(p, &crg, &odg.nodes, creates.iter().copied());
+        assert!(
+            references.iter().copied().eq(expected.iter().copied()),
+            "{name}: references {references:?}\nare not the sorted closure {expected:?}"
+        );
+        assert!(
+            odg.edges.iter().all(|e| e.from != e.to),
+            "{name}: self edge"
+        );
+        let kinds: Vec<OdgEdgeKind> = odg.edges.iter().map(|e| e.kind).collect();
+        assert!(kinds.is_sorted(), "{name}: create, reference, use");
 
-            let class_of = |n: OdgNodeId| odg.nodes[n.0 as usize].class();
-            let expected_uses: Vec<(Reference, u64)> = references
+        let class_of = |n: OdgNodeId| odg.nodes[n.0 as usize].class();
+        let expected_uses: Vec<(Reference, u64)> = references
+            .iter()
+            .filter_map(|&(a, b)| {
+                let (ca, cb) = (class_of(a), class_of(b));
+                let w: u64 = crg
+                    .edges_of_kind(CrgEdgeKind::Use)
+                    .filter(|e| {
+                        (e.from.class, e.to.class) == (ca, cb)
+                            || (e.from.class, e.to.class) == (cb, ca)
+                    })
+                    .map(|e| e.weight)
+                    .sum();
+                (w > 0).then_some(((a, b), w))
+            })
+            .collect();
+        let uses: Vec<(Reference, u64)> = odg
+            .edges_of_kind(OdgEdgeKind::Use)
+            .map(|e| ((e.from, e.to), e.weight))
+            .collect();
+        assert_eq!(uses, expected_uses, "{name}: use edges");
+        assert_eq!(odg.node_weights.len(), odg.nodes.len(), "{name}");
+        assert!(
+            odg.node_weights
                 .iter()
-                .filter_map(|&(a, b)| {
-                    let (ca, cb) = (class_of(a), class_of(b));
-                    let w: u64 = crg
-                        .edges_of_kind(CrgEdgeKind::Use)
-                        .filter(|e| {
-                            (e.from.class, e.to.class) == (ca, cb)
-                                || (e.from.class, e.to.class) == (cb, ca)
-                        })
-                        .map(|e| e.weight)
-                        .sum();
-                    (w > 0).then(|| ((a, b), model.communication_bytes(p, ca, cb, w)))
-                })
-                .collect();
-            let uses: Vec<(Reference, u64)> = odg
-                .edges_of_kind(OdgEdgeKind::Use)
-                .map(|e| ((e.from, e.to), e.weight))
-                .collect();
-            assert_eq!(uses, expected_uses, "{name}: use edges");
+                .all(|&w| w == ResourceVector::unit()),
+            "{name}: node weights"
+        );
 
-            let again = build_odg(p, &crg, &objects, &model);
-            assert_eq!(odg.edges, again.edges, "{name}: a rebuild reorders edges");
-            last = Some(odg);
-        }
-        last.expect("two models")
+        let again = build_odg(p, &crg, &objects, &WeightModel::Uniform);
+        assert_eq!(odg.edges, again.edges, "{name}: a rebuild reorders edges");
+        odg
     }
 
     #[test]

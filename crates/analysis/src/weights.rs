@@ -1,28 +1,28 @@
-//! Resource weight models.
+//! Resource weights.
 //!
 //! The paper models each ODG node with a weight *vector* — memory, CPU and battery
 //! usage — and each edge with the amount of data that would have to be transferred if
-//! the endpoints lived in different address spaces. The default static approximation
-//! gives all objects equal weights; the `StaticHeuristic` model implements the paper's
-//! suggested refinement ("objects created inside loops can be considered heavier"); the
-//! `ProfileGuided` model is the static build reweighed ([`reweigh_odg`]) by a measured
-//! [`ClassProfile`].
+//! the endpoints lived in different address spaces. The static build gives every node
+//! the unit vector and every use edge the number of program points the CRG found the
+//! relation at ([`crate::odg::build_odg`]); a measured [`ClassProfile`] then reweighs
+//! that graph in place ([`reweigh_odg`]), the paper's suggested refinement of the
+//! static estimate by profiling.
 
 use std::collections::BTreeMap;
 
-use autodist_ir::program::{ClassId, Program};
+use autodist_ir::program::ClassId;
 
-use crate::odg::{ObjectDependenceGraph, OdgEdgeKind, OdgNode};
+use crate::odg::{ObjectDependenceGraph, OdgEdgeKind};
 
 /// A (memory, CPU, battery) weight vector, the multi-constraint node weight used by the
 /// partitioner.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ResourceVector {
-    /// Estimated resident bytes attributable to the node.
+    /// Resident bytes attributable to the node.
     pub memory: u64,
-    /// Estimated abstract CPU cost (instruction count).
+    /// Abstract CPU cost.
     pub cpu: u64,
-    /// Estimated battery cost (we model it as proportional to CPU + communication).
+    /// Battery cost (modelled as proportional to CPU).
     pub battery: u64,
 }
 
@@ -36,24 +36,15 @@ impl ResourceVector {
         }
     }
 
-    /// Component-wise addition.
-    pub fn add(&self, other: &ResourceVector) -> ResourceVector {
-        ResourceVector {
-            memory: self.memory + other.memory,
-            cpu: self.cpu + other.cpu,
-            battery: self.battery + other.battery,
-        }
-    }
-
     /// The vector as a fixed-order slice `[memory, cpu, battery]`.
     pub fn as_array(&self) -> [u64; 3] {
         [self.memory, self.cpu, self.battery]
     }
 }
 
-/// Per-class measurements fed back from profiled runs (Section 6) for profile-guided
-/// weighting — one of the paper's planned refinements over the static approximation.
-/// Serving mode's adaptive planner tallies its live profile straight into one.
+/// Per-class measurements fed back from profiled runs (Section 6), the input of
+/// [`reweigh_odg`]. Serving mode's adaptive planner tallies its live profile straight
+/// into one.
 #[derive(Clone, Debug, Default)]
 pub struct ClassProfile {
     /// Bytes allocated per class.
@@ -69,82 +60,14 @@ impl ClassProfile {
     }
 }
 
-/// The resource model used to weight ODG nodes and edges.
+/// The static weight model of the ODG: every object weighs the same, and a use edge
+/// weighs its CRG use count. It is the only model; [`crate::odg::build_odg`] reads
+/// nothing from it.
 #[derive(Clone, Debug, Default)]
 pub enum WeightModel {
     /// All objects weigh the same; edge weight is the relation count.
     #[default]
     Uniform,
-    /// Static approximation: memory from declared field sizes, CPU from method body
-    /// sizes, summary (loop-allocated) objects multiplied by `loop_factor`.
-    StaticHeuristic {
-        /// Multiplier applied to summary allocation sites.
-        loop_factor: u64,
-    },
-    /// Weights taken from a previous profiled run: the static estimate with the
-    /// measurements applied by [`reweigh_odg`] (which `build_odg` runs).
-    ProfileGuided(ClassProfile),
-}
-
-impl WeightModel {
-    /// A reasonable default for the static heuristic (summary sites weigh 10x).
-    pub fn static_heuristic() -> Self {
-        WeightModel::StaticHeuristic { loop_factor: 10 }
-    }
-
-    /// The static weight vector for an ODG node (under `ProfileGuided`, the part
-    /// [`reweigh_odg`] keeps where the profile measured nothing: declared sizes).
-    pub fn node_weight(&self, program: &Program, node: &OdgNode) -> ResourceVector {
-        let loop_factor = match self {
-            WeightModel::Uniform => return ResourceVector::unit(),
-            WeightModel::StaticHeuristic { loop_factor } => *loop_factor,
-            WeightModel::ProfileGuided(_) => 1,
-        };
-        let class = node.class();
-        let mem = program.class(class).instance_size_bytes();
-        let cpu: u64 = program
-            .class(class)
-            .methods
-            .iter()
-            .map(|&m| program.method(m).body.len() as u64)
-            .sum::<u64>()
-            .max(1);
-        let factor = match node {
-            OdgNode::Object {
-                multiplicity: crate::objects::Multiplicity::Summary,
-                ..
-            } => loop_factor,
-            _ => 1,
-        };
-        ResourceVector {
-            memory: mem * factor,
-            cpu: cpu * factor,
-            battery: (cpu * factor).div_ceil(2),
-        }
-    }
-
-    /// The number of bytes estimated to cross the network per unit of time if objects
-    /// of `a` and `b` end up in different partitions, given the accumulated CRG use
-    /// weight between the classes.
-    pub fn communication_bytes(
-        &self,
-        program: &Program,
-        a: ClassId,
-        b: ClassId,
-        use_weight: u64,
-    ) -> u64 {
-        match self {
-            WeightModel::Uniform => use_weight.max(1),
-            _ => {
-                // Dependence data = fields, arguments, results; approximate with the
-                // average field size of the two classes plus a fixed message header.
-                let avg = (program.class(a).instance_size_bytes()
-                    + program.class(b).instance_size_bytes())
-                    / 2;
-                use_weight.max(1) * (16 + avg.min(256))
-            }
-        }
-    }
 }
 
 /// Re-weights an existing ODG in place from live profile measurements, without
@@ -154,15 +77,14 @@ impl WeightModel {
 ///
 /// * **Node weights**: CPU becomes `1 + invocations(class)` (the live hot-method
 ///   load attributed to the class the node instantiates), memory becomes the
-///   live allocated bytes when observed (falling back to the static estimate),
-///   battery stays proportional to CPU as elsewhere in the model.
+///   live allocated bytes when observed (keeping the node's current memory weight
+///   otherwise), battery stays proportional to CPU as elsewhere in the model.
 /// * **Use-edge weights**: each edge is scaled by `1 + invocations(callee
-///   class)` on top of its static byte estimate, so edges *into* hot classes
+///   class)` on top of its static use count, so edges *into* hot classes
 ///   become expensive to cut and the partitioner co-locates hot call chains.
 ///
-/// This is the one formula from profile to weights: `build_odg` applies it under
-/// [`WeightModel::ProfileGuided`], and serving mode's adaptive planner applies it to
-/// each epoch's live profile before re-running the partitioner.
+/// This is the one formula from profile to weights: serving mode's adaptive planner
+/// applies it to each epoch's live profile before re-running the partitioner.
 pub fn reweigh_odg(odg: &mut ObjectDependenceGraph, profile: &ClassProfile) {
     let invocations = |class: ClassId| profile.invocation_counts.get(&class).copied().unwrap_or(0);
     for (node, weight) in odg.nodes.iter().zip(odg.node_weights.iter_mut()) {
@@ -193,8 +115,11 @@ pub fn reweigh_odg(odg: &mut ObjectDependenceGraph, profile: &ClassProfile) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::objects::{AllocSiteId, Multiplicity};
-    use autodist_ir::program::Type;
+    use crate::crg::build_crg;
+    use crate::objects::{collect_objects, AllocSiteId, Multiplicity};
+    use crate::odg::{build_odg, OdgNode};
+    use crate::rta::rapid_type_analysis;
+    use autodist_ir::program::{Program, Type};
 
     fn tiny_program() -> (Program, ClassId, ClassId) {
         let mut p = Program::new();
@@ -207,52 +132,8 @@ mod tests {
         (p, small, big)
     }
 
-    #[test]
-    fn uniform_weights_are_unit() {
-        let (p, small, _big) = tiny_program();
-        let m = WeightModel::Uniform;
-        let n = OdgNode::Object {
-            site: AllocSiteId(0),
-            class: small,
-            multiplicity: Multiplicity::Single,
-        };
-        assert_eq!(m.node_weight(&p, &n), ResourceVector::unit());
-        assert_eq!(m.communication_bytes(&p, small, small, 3), 3);
-    }
-
-    #[test]
-    fn static_heuristic_weights_scale_with_class_size_and_loops() {
-        let (p, small, big) = tiny_program();
-        let m = WeightModel::static_heuristic();
-        let small_single = OdgNode::Object {
-            site: AllocSiteId(0),
-            class: small,
-            multiplicity: Multiplicity::Single,
-        };
-        let big_single = OdgNode::Object {
-            site: AllocSiteId(1),
-            class: big,
-            multiplicity: Multiplicity::Single,
-        };
-        let small_summary = OdgNode::Object {
-            site: AllocSiteId(2),
-            class: small,
-            multiplicity: Multiplicity::Summary,
-        };
-        let ws = m.node_weight(&p, &small_single);
-        let wb = m.node_weight(&p, &big_single);
-        let wsum = m.node_weight(&p, &small_summary);
-        assert!(wb.memory > ws.memory, "bigger class has more memory weight");
-        assert!(wsum.memory > ws.memory, "summary sites are heavier");
-        assert_eq!(wsum.memory, ws.memory * 10);
-    }
-
-    #[test]
-    fn profile_guided_uses_measurements_when_available() {
-        use crate::crg::build_crg;
-        use crate::objects::collect_objects;
-        use crate::odg::build_odg;
-        use crate::rta::rapid_type_analysis;
+    /// `Small` is allocated and called from `main`, `Big` only allocated.
+    fn small_and_big() -> (Program, ObjectDependenceGraph) {
         let p = autodist_ir::frontend::compile_source(
             r#"
             class Small { int x; int get() { return this.x; } }
@@ -267,37 +148,55 @@ mod tests {
         "#,
         )
         .unwrap();
+        let cg = rapid_type_analysis(&p);
+        let (crg, objects) = (build_crg(&p, &cg), collect_objects(&p, &cg));
+        let odg = build_odg(&p, &crg, &objects, &WeightModel::default());
+        (p, odg)
+    }
+
+    #[test]
+    fn uniform_weights_are_unit() {
+        let (_p, odg) = small_and_big();
+        assert_eq!(odg.node_weights.len(), odg.nodes.len());
+        assert!(odg
+            .node_weights
+            .iter()
+            .all(|&w| w == ResourceVector::unit()));
+        assert_eq!(ResourceVector::unit().as_array(), [1, 1, 1]);
+    }
+
+    /// The path a profile takes in production: the static build, then [`reweigh_odg`].
+    #[test]
+    fn profile_guided_uses_measurements_when_available() {
+        let (p, built) = small_and_big();
         let small = p.class_by_name("Small").unwrap();
         let big = p.class_by_name("Big").unwrap();
         let mut data = ClassProfile::default();
         data.alloc_bytes.insert(small, 4096);
         data.invocation_counts.insert(small, 500);
-        let cg = rapid_type_analysis(&p);
-        let (crg, objects) = (build_crg(&p, &cg), collect_objects(&p, &cg));
-        let odg = build_odg(
-            &p,
-            &crg,
-            &objects,
-            &WeightModel::ProfileGuided(data.clone()),
-        );
+        let mut odg = built.clone();
+        reweigh_odg(&mut odg, &data);
         let weight_of = |class| {
             let node = odg.nodes.iter().position(|n| n.class() == class);
             odg.node_weights[node.expect("allocated")]
         };
         let (ws, wb) = (weight_of(small), weight_of(big));
         assert_eq!((ws.memory, ws.cpu, ws.battery), (4096, 501, 251));
-        // Big was not measured: the static size, the baseline CPU.
-        assert_eq!((wb.memory, wb.cpu), (p.class(big).instance_size_bytes(), 1));
-        // One formula: the static build, reweighed by the profile.
-        let mut reweighed = build_odg(
-            &p,
-            &crg,
-            &objects,
-            &WeightModel::StaticHeuristic { loop_factor: 1 },
-        );
-        reweigh_odg(&mut reweighed, &data);
-        assert_eq!(odg.node_weights, reweighed.node_weights);
-        assert_eq!(odg.edges, reweighed.edges);
+        // Big was not measured: the unit memory of the build, the baseline CPU.
+        assert_eq!((wb.memory, wb.cpu, wb.battery), (1, 1, 1));
+        // Use edges into Small carry its heat; the shape is the build's.
+        let mut scaled = 0;
+        for (e, before) in odg.edges.iter().zip(&built.edges) {
+            assert_eq!(
+                (e.from, e.to, e.kind),
+                (before.from, before.to, before.kind)
+            );
+            let hot = e.kind == OdgEdgeKind::Use && odg.nodes[e.to.0 as usize].class() == small;
+            scaled += usize::from(hot);
+            let factor = if hot { 501 } else { 1 };
+            assert_eq!(e.weight, before.weight * factor);
+        }
+        assert!(scaled > 0, "main uses Small");
     }
 
     #[test]
@@ -307,25 +206,12 @@ mod tests {
             cpu: 2,
             battery: 3,
         };
-        let b = ResourceVector {
-            memory: 10,
-            cpu: 20,
-            battery: 30,
-        };
-        assert_eq!(
-            a.add(&b),
-            ResourceVector {
-                memory: 11,
-                cpu: 22,
-                battery: 33
-            }
-        );
         assert_eq!(a.as_array(), [1, 2, 3]);
     }
 
     #[test]
     fn reweigh_replaces_node_weights_and_scales_hot_use_edges() {
-        use crate::odg::{ObjectDependenceGraph, OdgEdge, OdgNodeId};
+        use crate::odg::{OdgEdge, OdgNodeId};
         let (_p, small, big) = tiny_program();
         let mut odg = ObjectDependenceGraph::default();
         for (i, class) in [small, big].into_iter().enumerate() {
@@ -363,18 +249,5 @@ mod tests {
         assert_eq!(odg.edges[0].weight, 3 * 101);
         // ...while non-use edges (not partition input) are untouched.
         assert_eq!(odg.edges[1].weight, 3);
-    }
-
-    #[test]
-    fn communication_bytes_never_zero() {
-        let (p, small, big) = tiny_program();
-        for m in [
-            WeightModel::Uniform,
-            WeightModel::static_heuristic(),
-            WeightModel::ProfileGuided(ClassProfile::default()),
-        ] {
-            assert!(m.communication_bytes(&p, small, big, 0) >= 1);
-            assert!(m.communication_bytes(&p, small, big, 5) > 0);
-        }
     }
 }

@@ -3,7 +3,8 @@
 //! The ARM target demonstrates the retargetability of the BURS back-end: the same AST
 //! reduces to three-operand RISC instructions (`add R2, R1, R8`), immediates carry the
 //! `#` prefix, conditional branches use `b<cc>`, calls pass their first four arguments
-//! in `R0`–`R3`, and returns are `mov PC, R14`.
+//! in `R0`–`R3` and push the rest (`str Rn, [SP, #-4]!`, popped with
+//! `add SP, SP, #4k` after the call), and returns are `mov PC, R14`.
 
 use crate::burs::{rule, Args, Dialect, Nonterminal, Pattern, Rule};
 use autodist_ir::quad::Reg;
@@ -29,9 +30,13 @@ pub static DIALECT: Dialect = Dialect {
     jump: "b",
     three_address: true,
     call: "bl",
-    args: Args::Registers(&["R0", "R1", "R2", "R3"]),
+    args: Args {
+        regs: &["R0", "R1", "R2", "R3"],
+        push: "str {0}, [SP, #-4]!",
+        pop: "add SP, SP, #{0}",
+        slot: 4,
+    },
     call_result: "R0",
-    alloc_len: "mov R0, {0}",
     load: "ldr {0}, {1}",
     store: "str {0}, {1}",
     field: "[{0}, #{1}]",

@@ -19,9 +19,9 @@
 //!    reduced to (an immediate, or a register that may have to be materialised); how
 //!    the node prints is the dialect's.
 //!
-//! No move the emitter writes is a self-move (`mov X, X`), whatever the target. The one
-//! `mov` that comes from a dialect's template, StrongARM's `mov R0, len` before an
-//! array allocation, is printed as it stands.
+//! No move the emitter writes is a self-move (`mov X, X`), whatever the target. Every
+//! call, an allocation's included, passes its arguments through one convention
+//! ([`Args`]): the stack slots a call pushes are popped right after it.
 
 use crate::ast::{build_method_forest, TreeNode, TreeOp};
 use autodist_ir::quad::{QuadMethod, Reg};
@@ -146,17 +146,20 @@ const UN_OPS: [&str; 4] = ["NEG", "NOT", "I2F", "F2I"];
 /// The comparisons in the order of [`Dialect::branch`].
 const CMP_OPS: [&str; 6] = ["EQ", "NE", "LT", "LE", "GT", "GE"];
 
-/// How a call passes its arguments.
+/// How a call passes its arguments: the first ones in `regs`, in order, and the rest
+/// on the stack. The stacked ones are pushed right to left before the register moves,
+/// and the caller pops their slots after the call.
 #[derive(Clone, Copy, Debug)]
-pub enum Args {
-    /// Pushed right to left with `push`, then popped by the caller with `pop, n * slot`.
-    Stack {
-        push: &'static str,
-        pop: &'static str,
-        slot: usize,
-    },
-    /// Moved into these registers in order; arguments past the last are not passed.
-    Registers(&'static [&'static str]),
+pub struct Args {
+    /// The argument registers, in order (none on a target that passes all on the
+    /// stack).
+    pub regs: &'static [&'static str],
+    /// Pushes argument `{0}`.
+    pub push: &'static str,
+    /// Pops `{0}` bytes of arguments.
+    pub pop: &'static str,
+    /// Bytes of one pushed argument.
+    pub slot: usize,
 }
 
 /// What one target's assembly looks like. The templates name their operands `{0}`,
@@ -191,8 +194,6 @@ pub struct Dialect {
     pub args: Args,
     /// The register a call returns its value in.
     pub call_result: &'static str,
-    /// Passes an array allocation's length `{0}`.
-    pub alloc_len: &'static str,
     /// Reads address `{1}` into register `{0}`.
     pub load: &'static str,
     /// Writes value `{0}` to address `{1}`.
@@ -408,33 +409,9 @@ impl Emitter {
                 }
                 None => out.push(d.ret_void.to_string()),
             },
-            TreeOp::Invoke(name) => {
-                match d.args {
-                    Args::Stack { push, pop, slot } => {
-                        out.extend(ops.iter().rev().map(|a| format!("{push} {a}")));
-                        out.push(format!("{} {name}", d.call));
-                        if !ops.is_empty() {
-                            out.push(format!("{pop}, {}", ops.len() * slot));
-                        }
-                    }
-                    Args::Registers(regs) => {
-                        for (reg, a) in regs.iter().zip(ops) {
-                            mov(out, reg, a);
-                        }
-                        out.push(format!("{} {name}", d.call));
-                    }
-                }
-                self.take_result(node, out);
-            }
-            TreeOp::New(class) => {
-                out.push(format!("{} rt_new_{class}", d.call));
-                self.take_result(node, out);
-            }
-            TreeOp::NewArray => {
-                out.push(fill(d.alloc_len, &[op(0)]));
-                out.push(format!("{} rt_new_array", d.call));
-                self.take_result(node, out);
-            }
+            TreeOp::Invoke(name) => self.call(node, name, ops, out),
+            TreeOp::New(class) => self.call(node, &format!("rt_new_{class}"), &[], out),
+            TreeOp::NewArray => self.call(node, "rt_new_array", ops, out),
             TreeOp::GetField(f) => out.push(load(fill(d.field, &[op(0), f]))),
             TreeOp::GetStatic(f) => out.push(load(fill(d.static_field, &[f]))),
             TreeOp::ALoad => out.push(load(fill(d.element, &[op(0), op(1)]))),
@@ -469,10 +446,23 @@ impl Emitter {
         dst
     }
 
-    /// Moves a call's result into the node's destination register, if it has one.
-    fn take_result(&self, node: &TreeNode, out: &mut Vec<String>) {
+    /// Calls `callee` with `args` in the dialect's convention, then moves the result
+    /// into the node's destination register, if it has one.
+    fn call(&self, node: &TreeNode, callee: &str, args: &[String], out: &mut Vec<String>) {
+        let d = self.dialect;
+        let in_regs = args.len().min(d.args.regs.len());
+        let stacked = &args[in_regs..];
+        out.extend(stacked.iter().rev().map(|a| fill(d.args.push, &[a])));
+        for (reg, a) in d.args.regs.iter().zip(args) {
+            mov(out, reg, a);
+        }
+        out.push(format!("{} {callee}", d.call));
+        if !stacked.is_empty() {
+            let bytes = (stacked.len() * d.args.slot).to_string();
+            out.push(fill(d.args.pop, &[&bytes]));
+        }
         if let Some(dst) = node.dst {
-            mov(out, &(self.dialect.reg_name)(dst), self.dialect.call_result);
+            mov(out, &(d.reg_name)(dst), d.call_result);
         }
     }
 }
@@ -488,6 +478,7 @@ fn mov(out: &mut Vec<String>, dst: &str, src: &str) {
 mod tests {
     use super::*;
     use crate::ast::{TreeNode, TreeOp};
+    use autodist_ir::quad::Operand;
 
     fn toy_reg_name(r: Reg) -> String {
         format!("r{}", r.0)
@@ -633,6 +624,43 @@ mod tests {
         let lines = t.reduce(&tree);
         assert_eq!(lines.len(), 1);
         assert!(lines[0].starts_with(';'));
+    }
+
+    /// `C.m(a0, .., a5)` from registers 6..=11 into register 1: x86 pushes all six and
+    /// pops 24 bytes; ARM moves four into `R0`–`R3` and pushes and pops the other two.
+    #[test]
+    fn a_six_argument_call_passes_every_argument_and_pops_what_it_pushed() {
+        let tree = TreeNode {
+            op: TreeOp::Invoke("C.m".to_string()),
+            dst: Some(Reg(1)),
+            children: (6..12)
+                .map(|r| TreeNode::leaf(&Operand::Reg(Reg(r))))
+                .collect(),
+        };
+        let x86 = [
+            "push [ebp-24]",
+            "push [ebp-20]",
+            "push [ebp-16]",
+            "push [ebp-12]",
+            "push [ebp-8]",
+            "push [ebp-4]",
+            "call C.m",
+            "add esp, 24",
+            "mov ebx, eax",
+        ];
+        assert_eq!(crate::Target::X86.emitter().reduce(&tree), x86);
+        let arm = [
+            "str R11, [SP, #-4]!",
+            "str R10, [SP, #-4]!",
+            "mov R0, R6",
+            "mov R1, R7",
+            "mov R2, R8",
+            "mov R3, R9",
+            "bl C.m",
+            "add SP, SP, #8",
+            "mov R1, R0",
+        ];
+        assert_eq!(crate::Target::StrongArm.emitter().reduce(&tree), arm);
     }
 
     #[test]

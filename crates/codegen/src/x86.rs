@@ -2,8 +2,9 @@
 //!
 //! The output is pedagogical assembly in the same style the paper prints: virtual
 //! registers are mapped onto a small set of general-purpose register names, constants
-//! may appear as immediates, arithmetic is two-address, calls push their arguments and
-//! become `call`, and returns place their value in `eax`.
+//! may appear as immediates, arithmetic is two-address, calls (an allocation's too)
+//! push their arguments, become `call` and pop them with `add esp, 4n`, and returns
+//! place their value in `eax`.
 
 use crate::burs::{rule, Args, Dialect, Nonterminal, Pattern, Rule};
 use autodist_ir::quad::Reg;
@@ -44,13 +45,13 @@ pub static DIALECT: Dialect = Dialect {
     jump: "jmp",
     three_address: false,
     call: "call",
-    args: Args::Stack {
-        push: "push",
-        pop: "add esp",
+    args: Args {
+        regs: &[],
+        push: "push {0}",
+        pop: "add esp, {0}",
         slot: 4,
     },
     call_result: "eax",
-    alloc_len: "push {0}",
     load: "mov {0}, {1}",
     store: "mov {1}, {0}",
     field: "[{0} + {1}]",

@@ -6,8 +6,9 @@
 //!
 //! 1. runs rapid type analysis and builds the class relation graph and the object
 //!    dependence graph (`autodist-analysis`),
-//! 2. weights the ODG with a resource model and partitions it with the multilevel
-//!    multi-constraint partitioner or a naive baseline (`autodist-partition`),
+//! 2. weights the ODG (unit nodes, use edges by their CRG use count) and partitions
+//!    it with the multilevel multi-constraint partitioner or a naive baseline
+//!    (`autodist-partition`),
 //! 3. derives a class-level placement and generates the per-node program copies with
 //!    communication inserted for remote dependences (`autodist-codegen`),
 //! 4. hands the copies to the distributed runtime for execution on the simulated
@@ -51,7 +52,8 @@ pub struct DistributorConfig {
     pub nodes: usize,
     /// Partitioning algorithm.
     pub method: Method,
-    /// Resource weight model for ODG nodes and edges.
+    /// Resource weight model for ODG nodes and edges. It has one value, `Uniform`,
+    /// and `build_odg` does not read it.
     pub weights: WeightModel,
     /// Allowed partition imbalance.
     pub balance_tolerance: f64,

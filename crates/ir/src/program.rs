@@ -85,19 +85,6 @@ impl Type {
             _ => None,
         }
     }
-
-    /// A rough per-value size in bytes, used by the static resource model
-    /// (memory weight of an object = sum of its field sizes).
-    pub fn size_bytes(&self) -> u64 {
-        match self {
-            Type::Int | Type::Float => 8,
-            Type::Bool => 1,
-            Type::Str => 16,
-            Type::Void => 0,
-            Type::Ref(_) => 8,
-            Type::Array(_) => 8,
-        }
-    }
 }
 
 impl fmt::Display for Type {
@@ -191,16 +178,6 @@ impl Class {
             .iter()
             .position(|f| f.name == name)
             .map(|i| i as u16)
-    }
-
-    /// Sum of the instance field sizes, a rough per-instance memory footprint.
-    pub fn instance_size_bytes(&self) -> u64 {
-        16 + self
-            .fields
-            .iter()
-            .filter(|f| !f.is_static)
-            .map(|f| f.ty.size_bytes())
-            .sum::<u64>()
     }
 }
 
@@ -573,9 +550,7 @@ mod tests {
     }
 
     #[test]
-    fn type_sizes_and_display() {
-        assert_eq!(Type::Int.size_bytes(), 8);
-        assert_eq!(Type::Bool.size_bytes(), 1);
+    fn type_display_and_ref_class() {
         assert_eq!(Type::Array(Box::new(Type::Int)).to_string(), "int[]");
         assert!(Type::Ref(ClassId(0)).is_ref());
         assert_eq!(Type::Ref(ClassId(3)).ref_class(), Some(ClassId(3)));

@@ -4,10 +4,11 @@
 //! The corpus is every method of Table 1, Table 3 (`fft` and `montecarlo` among
 //! them), `bank` and a default `generated` tree, each together with its two
 //! rewritten copies from a 2-node plan, plus [`HAND`], which writes the forms the
-//! corpus may lack. Every method is lowered to quads and emitted for both targets;
-//! each program and target is pinned by an FNV-1a digest of its listing, the listing's
-//! line count and three sample instructions. On a mismatch the test prints the whole fresh
-//! table in source form.
+//! corpus may lack, and [`FIGURE5`], the method Figures 5–7 print. Every method is
+//! lowered to quads and emitted for both targets; each program and target is pinned by
+//! an FNV-1a digest of its listing, the listing's line count and three sample
+//! instructions. On a mismatch the test prints the whole fresh table in source form.
+//! Every listing also keeps the call convention and writes no self-move.
 
 use autodist::{Distributor, DistributorConfig};
 use autodist_codegen::{generate_method, Target};
@@ -48,6 +49,11 @@ const HAND: &str = r#"
     }
 "#;
 
+/// The paper's Figure 5 source, as `figure5_7` compiles it. It has no `main`, so it
+/// has no 2-node copies.
+const FIGURE5: &str =
+    "class Example { int ex(int b) { b = 4; if (b > 2) { b = b + 1; } return b; } }";
+
 /// `(program, target, digest, lines, samples)`: the listing of the program and of its
 /// 2-node copies on one target.
 type Pin = (&'static str, &'static str, u64, usize, [&'static str; 3]);
@@ -56,9 +62,9 @@ const PINS: &[Pin] = &[
     (
         "t1/CreateBench (Custom[])",
         "x86",
-        0xeedbb3875d0ce6bc,
-        196,
-        ["push r8", "mov eax, ecx", "cmp edx, ebx"],
+        0xd4f093fef0aafb27,
+        201,
+        ["push r8", "mov eax, ecx", "mov edx, 0"],
     ),
     (
         "t1/CreateBench (Custom[])",
@@ -70,8 +76,8 @@ const PINS: &[Pin] = &[
     (
         "t1/method",
         "x86",
-        0x26937b25298a56c8,
-        294,
+        0xa4f92ef7e02c86ad,
+        295,
         ["mov edx, esi", "cmp edx, ebx", "mov ebx, eax"],
     ),
     (
@@ -84,9 +90,9 @@ const PINS: &[Pin] = &[
     (
         "t1/crypt",
         "x86",
-        0x43d600b0d078f205,
-        366,
-        ["mov eax, esi", "jmp BB3", "mov edi, esi"],
+        0xeff3548a176b4b5d,
+        374,
+        ["mov eax, esi", "jmp BB3", "mov r11, 1"],
     ),
     (
         "t1/crypt",
@@ -98,9 +104,9 @@ const PINS: &[Pin] = &[
     (
         "t1/heapsort",
         "x86",
-        0x208189b83a21e0c6,
-        733,
-        ["push eax", "mov [ebp-12], [eax + data]", "mov [ebp-12], 0"],
+        0x7d4f0cf1f8084c67,
+        738,
+        ["push eax", "mov [ebp-12], [eax + data]", "jle BB5"],
     ),
     (
         "t1/heapsort",
@@ -112,9 +118,13 @@ const PINS: &[Pin] = &[
     (
         "t1/moldyn",
         "x86",
-        0xef1ffc2bdb301034,
-        668,
-        ["ret eax", "mov [ebp-4], [eax + y]", "cmp ebx, [ebp-8]"],
+        0x7f1c8a94fb346c57,
+        683,
+        [
+            "mov eax, ebx",
+            "mov [[ebp-4] + ebx*8], [ebp-12]",
+            "mov ebx, 0",
+        ],
     ),
     (
         "t1/moldyn",
@@ -126,27 +136,27 @@ const PINS: &[Pin] = &[
     (
         "t1/search",
         "x86",
-        0xf0e1476423846082,
-        443,
-        [
-            "call rt_new_Searcher",
-            "mov [ebp-12], [ebp-24]",
-            "push [ebp-20]",
-        ],
+        0x7fa11f2d3bbd4f5c,
+        445,
+        ["call rt_new_Searcher", "add [ebp-24], r21", "push ebx"],
     ),
     (
         "t1/search",
         "arm",
-        0xa816e7c7081ad287,
-        381,
-        ["bl rt_new_Searcher", "add R11, R11, R7", "bl rt_new_Board"],
+        0x0b3dabb87040de97,
+        393,
+        ["mov R2, R0", "add R11, R11, R19", "bl rt_new_Board"],
     ),
     (
         "t1/compress",
         "x86",
-        0x53ef5cd22376a030,
-        802,
-        ["mov [ebp-12], [[ebp-12] + edi*8]", "je BB8", "je BB13"],
+        0xc37727e623764437,
+        813,
+        [
+            "mov [ebp-12], [[ebp-12] + edi*8]",
+            "cmp [ebp-16], [ebp-20]",
+            "mov r10, 0",
+        ],
     ),
     (
         "t1/compress",
@@ -158,9 +168,9 @@ const PINS: &[Pin] = &[
     (
         "t1/db",
         "x86",
-        0x44efbeda56c2f15f,
-        815,
-        ["call Database.update", "ret", "mov ecx, 0"],
+        0xa9324190bf6b0d59,
+        821,
+        ["add esp, 12", "ret", "ret"],
     ),
     (
         "t1/db",
@@ -172,8 +182,8 @@ const PINS: &[Pin] = &[
     (
         "t3/CreateBench (int[])",
         "x86",
-        0x9aef49140d499171,
-        166,
+        0x546a1e259d4f3084,
+        171,
         [
             "call Factory.run",
             "call rt_new_rt/DependentObject",
@@ -194,8 +204,8 @@ const PINS: &[Pin] = &[
     (
         "t3/CreateBench (long[])",
         "x86",
-        0x9aef49140d499171,
-        166,
+        0x546a1e259d4f3084,
+        171,
         [
             "call Factory.run",
             "call rt_new_rt/DependentObject",
@@ -216,8 +226,8 @@ const PINS: &[Pin] = &[
     (
         "t3/CreateBench (float[])",
         "x86",
-        0x28c67eade4de0f11,
-        166,
+        0x231b6a2893e98138,
+        171,
         [
             "call Factory.run",
             "call rt_new_rt/DependentObject",
@@ -238,13 +248,9 @@ const PINS: &[Pin] = &[
     (
         "t3/CreateBench (Object[])",
         "x86",
-        0xc9698853346cf720,
-        159,
-        [
-            "mov r8, 200",
-            "call rt/DependentObject.<init>",
-            "cmp edx, ebx",
-        ],
+        0x42cf234ccda7e5d0,
+        163,
+        ["mov r8, 200", "push [ebp-8]", "cmp edx, ebx"],
     ),
     (
         "t3/CreateBench (Object[])",
@@ -256,9 +262,9 @@ const PINS: &[Pin] = &[
     (
         "t3/CreateBench (Custom[])",
         "x86",
-        0x915ebb232862d7c6,
-        196,
-        ["push r8", "mov eax, ecx", "cmp edx, ebx"],
+        0x58ec862e016f268d,
+        201,
+        ["push r8", "mov eax, ecx", "mov edx, 0"],
     ),
     (
         "t3/CreateBench (Custom[])",
@@ -270,8 +276,8 @@ const PINS: &[Pin] = &[
     (
         "t3/method",
         "x86",
-        0x3e344cb75b455dda,
-        294,
+        0xec6fb7262b428047,
+        295,
         ["mov edx, esi", "cmp edx, ebx", "mov ebx, eax"],
     ),
     (
@@ -284,27 +290,27 @@ const PINS: &[Pin] = &[
     (
         "t3/fft",
         "x86",
-        0xbb3173d99d945f30,
-        484,
+        0x876497d34b1b81a8,
+        492,
         [
             "mov [ebp-12], r8",
-            "mov [ebp-4], esi",
+            "mov [ebp-8], [ecx + edi*8]",
             "add [ebp-8], [ebp-12]",
         ],
     ),
     (
         "t3/fft",
         "arm",
-        0x31fc8a09aadc78e1,
-        416,
-        ["mul R8, R8, R3", "add R6, R6, R7", "mul R8, R8, R11"],
+        0x13cecc22430e5479,
+        410,
+        ["mul R8, R8, R3", "mul R7, R7, R8", "mov R11, #0.7"],
     ),
     (
         "t3/heapsort",
         "x86",
-        0xc95b9114cc8e7639,
-        733,
-        ["push eax", "mov [ebp-12], [eax + data]", "mov [ebp-12], 0"],
+        0xb005e9354642bb32,
+        738,
+        ["push eax", "mov [ebp-12], [eax + data]", "jle BB5"],
     ),
     (
         "t3/heapsort",
@@ -316,9 +322,13 @@ const PINS: &[Pin] = &[
     (
         "t3/moldyn",
         "x86",
-        0x02353f6044760a15,
-        668,
-        ["ret eax", "mov [ebp-4], [eax + y]", "cmp ebx, [ebp-8]"],
+        0xd97360cc1207774c,
+        683,
+        [
+            "mov eax, ebx",
+            "mov [[ebp-4] + ebx*8], [ebp-12]",
+            "mov ebx, 0",
+        ],
     ),
     (
         "t3/moldyn",
@@ -330,11 +340,11 @@ const PINS: &[Pin] = &[
     (
         "t3/montecarlo",
         "x86",
-        0x254e0b071c35663b,
-        319,
+        0xc890bc69a32b7451,
+        321,
         [
             "mov r14, 4000",
-            "imul [ebp-8], edi",
+            "mov [ebp-12], [ebp-4]",
             "mov edx, [eax + state]",
         ],
     ),
@@ -348,23 +358,27 @@ const PINS: &[Pin] = &[
     (
         "bank",
         "x86",
-        0x7f3dfae00b5fa63f,
-        758,
-        ["push edi", "jmp BB6", "mov [eax + count], r9"],
+        0x9f99162eb96f114b,
+        768,
+        ["add esp, 20", "jmp BB6", "mov [eax + accounts], edi"],
     ),
     (
         "bank",
         "arm",
-        0x64721abf4c8b0237,
-        641,
-        ["mov R1, R15", "mov PC, R14", "str R1, [R0, #name]"],
+        0xd4b36398a2c97713,
+        653,
+        ["str R18, [SP, #-4]!", "mov PC, R14", "mov R0, R8"],
     ),
     (
         "generated",
         "x86",
-        0x31e29c986cd266b9,
-        1237,
-        ["mov r11, 2", "ret", "idiv ; remainder in edx [ebp-4], r11"],
+        0xaccc159ebb170d51,
+        1241,
+        [
+            "mov [ebp-20], [ebp-16]",
+            "mov [ebp-4], [eax + salt]",
+            "push ecx",
+        ],
     ),
     (
         "generated",
@@ -376,16 +390,30 @@ const PINS: &[Pin] = &[
     (
         "hand",
         "x86",
-        0xfa3d353a3a039755,
-        370,
-        ["add esp, 4", "mov esi, 3", "mov r8, 2"],
+        0xf32422c79537ed6b,
+        376,
+        ["mov edi, eax", "mov r10, 1", "mov r8, 2"],
     ),
     (
         "hand",
         "arm",
-        0xd1e9279d16178d0b,
-        336,
+        0xe8a4862841a9876d,
+        333,
         ["add R4, R4, R5", "mov R4, #3", "ldr R1, [R0, #scale]"],
+    ),
+    (
+        "figure5",
+        "x86",
+        0x87669fb821629ec7,
+        15,
+        ["mov r8, 2", "mov r9, 1", "jmp BB4"],
+    ),
+    (
+        "figure5",
+        "arm",
+        0xb5441d623aee6c61,
+        12,
+        ["cmp R1, #2", "mov R8, #1", "b BB4"],
     ),
 ];
 
@@ -411,19 +439,42 @@ fn corpus() -> Vec<(String, Vec<Program>)> {
     programs.push(("bank".into(), bank(100).program));
     let tree = generated(&GenConfig::default()).workload.program;
     programs.push(("generated".into(), tree));
-    programs.push((
-        "hand".into(),
-        compile_source(HAND).expect("the hand source compiles"),
-    ));
+    for (name, source) in [("hand", HAND), ("figure5", FIGURE5)] {
+        let program = compile_source(source).expect("the source compiles");
+        programs.push((name.into(), program));
+    }
     let planner = Distributor::new(DistributorConfig::multilevel(2));
     (programs.into_iter())
         .map(|(name, program)| {
-            let plan = (planner.try_distribute(&program))
-                .unwrap_or_else(|e| panic!("{name} plans on two nodes: {e}"));
-            let copies = plan.node_programs.into_iter().map(|copy| copy.program);
+            let copies = match program.entry {
+                None => Vec::new(),
+                Some(_) => (planner.try_distribute(&program))
+                    .unwrap_or_else(|e| panic!("{name} plans on two nodes: {e}"))
+                    .node_programs
+                    .into_iter()
+                    .map(|copy| copy.program)
+                    .collect(),
+            };
             (name, std::iter::once(program).chain(copies).collect())
         })
         .collect()
+}
+
+const TARGETS: [(&str, Target); 2] = [("x86", Target::X86), ("arm", Target::StrongArm)];
+
+/// Each corpus program's listing, its copies' included, on each target in turn.
+fn listings() -> Vec<(String, &'static str, Vec<String>)> {
+    let mut out = Vec::new();
+    for (name, programs) in corpus() {
+        for (tag, target) in TARGETS {
+            let mut lines = Vec::new();
+            for program in &programs {
+                listing(program, target, &mut lines);
+            }
+            out.push((name.clone(), tag, lines));
+        }
+    }
+    out
 }
 
 /// Every method with a body, in id order: a header line, then its assembly.
@@ -457,20 +508,14 @@ fn sample(lines: &[String], i: usize) -> String {
 #[test]
 fn every_corpus_method_emits_its_pinned_assembly() {
     let mut fresh = Vec::new();
-    for (name, programs) in corpus() {
-        for (tag, target) in [("x86", Target::X86), ("arm", Target::StrongArm)] {
-            let mut lines = Vec::new();
-            for program in &programs {
-                listing(program, target, &mut lines);
-            }
-            let mut hash = Fnv(0xcbf2_9ce4_8422_2325);
-            for line in &lines {
-                hash.line(line);
-            }
-            let n = lines.len();
-            let samples = [n / 4, n / 2, 3 * n / 4].map(|i| sample(&lines, i));
-            fresh.push((name.clone(), tag, hash.0, n, samples));
+    for (name, tag, lines) in listings() {
+        let mut hash = Fnv(0xcbf2_9ce4_8422_2325);
+        for line in &lines {
+            hash.line(line);
         }
+        let n = lines.len();
+        let samples = [n / 4, n / 2, 3 * n / 4].map(|i| sample(&lines, i));
+        fresh.push((name, tag, hash.0, n, samples));
     }
     let matches = fresh.len() == PINS.len()
         && fresh.iter().zip(PINS).all(|(f, p)| {
@@ -489,6 +534,51 @@ fn every_corpus_method_emits_its_pinned_assembly() {
     assert!(
         matches,
         "the emitted assembly moved; the fresh table is printed above"
+    );
+}
+
+/// Every listing keeps the call convention: a call that pushed `n` argument slots is
+/// followed at once by the pop of exactly `n` slots (and a call that pushed none by no
+/// pop), and no push is left without its call. No listing moves a register into itself.
+#[test]
+fn every_call_pops_what_it_pushed_and_no_move_is_a_self_move() {
+    let mut faults = Vec::new();
+    for (name, tag, lines) in listings() {
+        // How the target pushes an argument, pops `4n` bytes of them, and calls.
+        let (push, pop, call) = match tag {
+            "x86" => (("push ", ""), "add esp, ", "call "),
+            _ => (("str ", ", [SP, #-4]!"), "add SP, SP, #", "bl "),
+        };
+        let (mut pushed, mut owed) = (0, 0);
+        for (i, line) in lines.iter().enumerate() {
+            let popped = line
+                .strip_prefix(pop)
+                .map_or(0, |bytes| bytes.parse::<usize>().expect("a byte count") / 4);
+            let header = line.starts_with("==");
+            if popped != owed || (header && pushed != 0) {
+                faults.push(format!(
+                    "{name} {tag} line {i}: `{line}` after {owed} slots owed, {pushed} pushed"
+                ));
+            }
+            owed = 0;
+            if line.starts_with(push.0) && line.ends_with(push.1) {
+                pushed += 1;
+            } else if line.starts_with(call) {
+                (owed, pushed) = (pushed, 0);
+            }
+            let moved = line.strip_prefix("mov ").and_then(|m| m.split_once(", "));
+            if moved.is_some_and(|(dst, src)| dst == src) {
+                faults.push(format!("{name} {tag} line {i}: self-move `{line}`"));
+            }
+        }
+    }
+    for fault in &faults {
+        println!("{fault}");
+    }
+    assert!(
+        faults.is_empty(),
+        "{} listing faults, printed above",
+        faults.len()
     );
 }
 

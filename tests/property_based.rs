@@ -105,7 +105,6 @@ proptest! {
         width in 1usize..7,
         fan_out in 1usize..4,
         nodes in 2usize..5,
-        heuristic in 0usize..2,
     ) {
         let g = autodist_workloads::generated(&autodist_workloads::GenConfig {
             seed,
@@ -115,12 +114,7 @@ proptest! {
             iterations: 1,
             ..Default::default()
         });
-        let weights = [
-            autodist_analysis::WeightModel::Uniform,
-            autodist_analysis::WeightModel::static_heuristic(),
-        ][heuristic]
-            .clone();
-        let config = autodist::DistributorConfig { nodes, weights, ..Default::default() };
+        let config = autodist::DistributorConfig { nodes, ..Default::default() };
         let plan = || {
             autodist::Distributor::new(config.clone())
                 .try_distribute(&g.workload.program)
