@@ -25,7 +25,12 @@ pub static DIALECT: Dialect = Dialect {
     bin: [
         "add", "sub", "mul", "sdiv", "srem", "and", "orr", "eor", "lsl", "asr",
     ],
-    unary: ["rsb", "rsb", "rsb", "rsb"],
+    unary: [
+        "rsb {0}, {1}, #0",
+        "mvn {0}, {1}",
+        "rsb {0}, {1}, #0",
+        "rsb {0}, {1}, #0",
+    ],
     branch: ["beq", "bne", "blt", "ble", "bgt", "bge"],
     jump: "b",
     three_address: true,
@@ -34,6 +39,7 @@ pub static DIALECT: Dialect = Dialect {
         regs: &["R0", "R1", "R2", "R3"],
         push: "str {0}, [SP, #-4]!",
         pop: "add SP, SP, #{0}",
+        pop_into: "ldr {0}, [SP], #4",
         slot: 4,
     },
     call_result: "R0",

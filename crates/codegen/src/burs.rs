@@ -21,7 +21,9 @@
 //!
 //! No move the emitter writes is a self-move (`mov X, X`), whatever the target. Every
 //! call, an allocation's included, passes its arguments through one convention
-//! ([`Args`]): the stack slots a call pushes are popped right after it.
+//! ([`Args`]): the stack slots a call pushes are popped right after it, and the moves
+//! into argument registers are one parallel move, so none reads a register an earlier
+//! one overwrote.
 
 use crate::ast::{build_method_forest, TreeNode, TreeOp};
 use autodist_ir::quad::{QuadMethod, Reg};
@@ -148,7 +150,8 @@ const CMP_OPS: [&str; 6] = ["EQ", "NE", "LT", "LE", "GT", "GE"];
 
 /// How a call passes its arguments: the first ones in `regs`, in order, and the rest
 /// on the stack. The stacked ones are pushed right to left before the register moves,
-/// and the caller pops their slots after the call.
+/// and the caller pops their slots after the call. A cycle among the register moves
+/// is broken through the stack with `push` and `pop_into`.
 #[derive(Clone, Copy, Debug)]
 pub struct Args {
     /// The argument registers, in order (none on a target that passes all on the
@@ -158,6 +161,8 @@ pub struct Args {
     pub push: &'static str,
     /// Pops `{0}` bytes of arguments.
     pub pop: &'static str,
+    /// Pops the slot pushed last into register `{0}`.
+    pub pop_into: &'static str,
     /// Bytes of one pushed argument.
     pub slot: usize,
 }
@@ -180,13 +185,14 @@ pub struct Dialect {
     pub load_imm: &'static str,
     /// Mnemonics of `ADD SUB MUL DIV REM AND OR XOR SHL SHR`.
     pub bin: [&'static str; 10],
-    /// Mnemonics of `NEG NOT I2F F2I`.
+    /// `NEG NOT I2F F2I`, each writing register `{0}` from operand `{1}`; a two-address
+    /// target first moves the operand into `{0}`.
     pub unary: [&'static str; 4],
     /// Conditional branches on `EQ NE LT LE GT GE`.
     pub branch: [&'static str; 6],
     /// The unconditional branch.
     pub jump: &'static str,
-    /// `op d, a, b` (and `op d, a, #0` for a unary op) instead of `mov d, a; op d, b`.
+    /// `op d, a, b` instead of `mov d, a; op d, b`.
     pub three_address: bool,
     /// The call mnemonic.
     pub call: &'static str,
@@ -391,10 +397,15 @@ impl Emitter {
             TreeOp::Move => mov(out, &dst(), op(0)),
             TreeOp::Bin(m) => {
                 let mnemonic = lookup(&BIN_OPS, &d.bin, m);
-                return self.arith(out, dst(), mnemonic, op(0), Some(op(1)));
+                return self.arith(out, dst(), mnemonic, op(0), op(1));
             }
             TreeOp::Un(m) => {
-                return self.arith(out, dst(), lookup(&UN_OPS, &d.unary, m), op(0), None)
+                let dst = dst();
+                if !d.three_address {
+                    mov(out, &dst, op(0));
+                }
+                out.push(fill(lookup(&UN_OPS, &d.unary, m), &[&dst, op(0)]));
+                return dst;
             }
             TreeOp::IfCmp { cond, target } => {
                 out.push(format!("cmp {}, {}", op(0), op(1)));
@@ -423,25 +434,20 @@ impl Emitter {
         String::new()
     }
 
-    /// `dst := lhs op rhs`, or `dst := op lhs` without `rhs`; returns `dst`. Three-address
-    /// code gives a unary op a zero second operand.
+    /// `dst := lhs op rhs`; returns `dst`.
     fn arith(
         &self,
         out: &mut Vec<String>,
         dst: String,
         mnemonic: &str,
         lhs: &str,
-        rhs: Option<&str>,
+        rhs: &str,
     ) -> String {
         if self.dialect.three_address {
-            let zero = format!("{}0", self.dialect.imm);
-            out.push(format!("{mnemonic} {dst}, {lhs}, {}", rhs.unwrap_or(&zero)));
+            out.push(format!("{mnemonic} {dst}, {lhs}, {rhs}"));
         } else {
             mov(out, &dst, lhs);
-            match rhs {
-                Some(rhs) => out.push(format!("{mnemonic} {dst}, {rhs}")),
-                None => out.push(format!("{mnemonic} {dst}")),
-            }
+            out.push(format!("{mnemonic} {dst}, {rhs}"));
         }
         dst
     }
@@ -453,9 +459,10 @@ impl Emitter {
         let in_regs = args.len().min(d.args.regs.len());
         let stacked = &args[in_regs..];
         out.extend(stacked.iter().rev().map(|a| fill(d.args.push, &[a])));
-        for (reg, a) in d.args.regs.iter().zip(args) {
-            mov(out, reg, a);
-        }
+        let moves: Vec<(&str, &str)> = (d.args.regs.iter().zip(args))
+            .map(|(reg, a)| (*reg, a.as_str()))
+            .collect();
+        parallel_move(&d.args, &moves, out);
         out.push(format!("{} {callee}", d.call));
         if !stacked.is_empty() {
             let bytes = (stacked.len() * d.args.slot).to_string();
@@ -463,6 +470,34 @@ impl Emitter {
         }
         if let Some(dst) = node.dst {
             mov(out, &(d.reg_name)(dst), d.call_result);
+        }
+    }
+}
+
+/// Writes every `(dst, src)` of `moves` as if all at once: a move waits until no
+/// pending move still reads its destination. When every pending destination is still
+/// read, the pending moves form cycles; the first one's destination is pushed, and the
+/// move that read it pops it instead.
+fn parallel_move(args: &Args, moves: &[(&str, &str)], out: &mut Vec<String>) {
+    // A `None` source is the slot pushed last.
+    let mut pending: Vec<(&str, Option<&str>)> = (moves.iter())
+        .filter(|(dst, src)| dst != src)
+        .map(|&(dst, src)| (dst, Some(src)))
+        .collect();
+    while !pending.is_empty() {
+        let read = |reg: &str| pending.iter().any(|&(_, src)| src == Some(reg));
+        match pending.iter().position(|&(dst, _)| !read(dst)) {
+            Some(i) => match pending.remove(i) {
+                (dst, Some(src)) => mov(out, dst, src),
+                (dst, None) => out.push(fill(args.pop_into, &[dst])),
+            },
+            None => {
+                let saved = pending[0].0;
+                out.push(fill(args.push, &[saved]));
+                for (_, src) in pending.iter_mut().filter(|(_, src)| *src == Some(saved)) {
+                    *src = None;
+                }
+            }
         }
     }
 }
@@ -661,6 +696,54 @@ mod tests {
             "mov R1, R0",
         ];
         assert_eq!(crate::Target::StrongArm.emitter().reduce(&tree), arm);
+    }
+
+    /// `C.m(r1, r0, r0, r5)`: ARM's argument moves swap `R0` and `R1` while `R2` still
+    /// reads the old `R0`, so `R2` and `R3` are written first and the swap goes through
+    /// the stack; x86 pushes all four.
+    #[test]
+    fn argument_moves_are_one_parallel_move() {
+        let tree = TreeNode {
+            op: TreeOp::Invoke("C.m".to_string()),
+            dst: None,
+            children: [1, 0, 0, 5]
+                .map(|r| TreeNode::leaf(&Operand::Reg(Reg(r))))
+                .into(),
+        };
+        let x86 = [
+            "push edi",
+            "push eax",
+            "push eax",
+            "push ebx",
+            "call C.m",
+            "add esp, 16",
+        ];
+        assert_eq!(crate::Target::X86.emitter().reduce(&tree), x86);
+        let arm = [
+            "mov R2, R0",
+            "mov R3, R5",
+            "str R0, [SP, #-4]!",
+            "mov R0, R1",
+            "ldr R1, [SP], #4",
+            "bl C.m",
+        ];
+        assert_eq!(crate::Target::StrongArm.emitter().reduce(&tree), arm);
+    }
+
+    /// `r1 := ~r2`: a complement, not a negation, on both targets.
+    #[test]
+    fn not_is_a_bitwise_complement_on_both_targets() {
+        let tree = TreeNode {
+            op: TreeOp::Un("NOT"),
+            dst: Some(Reg(1)),
+            children: vec![TreeNode::leaf(&Operand::Reg(Reg(2)))],
+        };
+        let x86 = ["mov ebx, ecx", "not ebx"];
+        assert_eq!(crate::Target::X86.emitter().reduce(&tree), x86);
+        assert_eq!(
+            crate::Target::StrongArm.emitter().reduce(&tree),
+            ["mvn R1, R2"]
+        );
     }
 
     #[test]

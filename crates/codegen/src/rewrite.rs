@@ -144,12 +144,14 @@ impl ClassPlacement {
             let counts = row(c);
             home[c] = (0..width).max_by_key(|&p| (counts[p], std::cmp::Reverse(p)));
         }
-        // The majority vote can undo the partitioner's min-parallelism guarantee: a
-        // class whose objects split 60/40 across nodes still lands wholly on the
-        // majority node, and with few classes that can collapse the whole placement
-        // onto one node (zero messages, no offloading). If that happens, move the
-        // class with the strongest minority affinity — the one the partitioner most
-        // wanted elsewhere — to its minority part.
+        // The pipeline's one rule that keeps a plan on two nodes. The partitioner
+        // sets no floor on non-empty parts (its bisections' balance envelope splits
+        // the ODG), and the majority vote can undo a split anyway: a class whose objects
+        // split 60/40 across nodes still lands wholly on the majority node, and with
+        // few classes that can collapse the whole placement onto one node (zero
+        // messages, no offloading). If that happens, move the class with the
+        // strongest minority affinity — the one the partitioner most wanted
+        // elsewhere — to its minority part.
         let mut populated = vec![false; width];
         home.iter().flatten().for_each(|&p| populated[p] = true);
         let entry_class = program.entry.map(|e| program.method(e).class.0 as usize);

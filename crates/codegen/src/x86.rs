@@ -40,7 +40,7 @@ pub static DIALECT: Dialect = Dialect {
         "shl",
         "sar",
     ],
-    unary: ["neg", "not", "not", "not"],
+    unary: ["neg {0}", "not {0}", "not {0}", "not {0}"],
     branch: ["je", "jne", "jl", "jle", "jg", "jge"],
     jump: "jmp",
     three_address: false,
@@ -49,6 +49,7 @@ pub static DIALECT: Dialect = Dialect {
         regs: &[],
         push: "push {0}",
         pop: "add esp, {0}",
+        pop_into: "pop {0}",
         slot: 4,
     },
     call_result: "eax",

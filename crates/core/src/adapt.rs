@@ -13,14 +13,15 @@
 //! 2. clones the ODG and [`reweigh_odg`]s it — live per-class invocation counts
 //!    become node CPU weights, and use edges into hot classes become expensive
 //!    to cut,
-//! 3. warm-starts the multilevel partitioner with the incumbent assignment
-//!    ([`repartition`]), under a **relaxed balance tolerance**: splitting a hot
-//!    call chain across nodes to balance CPU maximises the very round-trips
-//!    adaptation is meant to remove, so the replanner is comm-first and leaves
-//!    load balance to the partitioner's floor of two non-empty parts,
-//! 4. derives the class placement and declines unless it strictly improves the
-//!    live-weighted cut of the incumbent — the installed placement can only get
-//!    better, never churn sideways,
+//! 3. runs the multilevel partitioner afresh ([`partition`]) under a **relaxed
+//!    balance tolerance**: splitting a hot call chain across nodes to balance CPU
+//!    maximises the very round-trips adaptation is meant to remove, so the
+//!    replanner is comm-first; the class placement's guard still keeps it on two
+//!    nodes,
+//! 4. derives the class placement and declines unless it differs from the
+//!    incumbent and strictly improves the incumbent's live-weighted cut — the one
+//!    incumbent check, so what is installed is never worse than what is running
+//!    and never churns sideways,
 //! 5. rewrites the per-node program copies — verified like the offline plan's, if
 //!    the plan was (a copy the verifier rejects declines the swap) — and prepares
 //!    them as a fresh [`ServerApp`] for the controller to swap in.
@@ -31,7 +32,7 @@ use autodist_analysis::odg::{ObjectDependenceGraph, OdgEdgeKind};
 use autodist_analysis::weights::{reweigh_odg, ClassProfile};
 use autodist_codegen::rewrite::ClassPlacement;
 use autodist_ir::program::{ClassId, MethodId, Program};
-use autodist_partition::{repartition, Method, PartitionConfig};
+use autodist_partition::{partition, Method, PartitionConfig};
 use autodist_runtime::adapt::Replanner;
 use autodist_runtime::cluster::ClusterConfig;
 use autodist_runtime::interp::ProfilerSink;
@@ -165,15 +166,15 @@ impl PlanReplanner {
         cluster: &ClusterConfig,
     ) -> usize {
         let part_cfg = PartitionConfig {
-            // Replans always use the multilevel partitioner (warm-started), even
-            // when the seed plan was naive: the naive methods ignore weights
-            // entirely, so they cannot act on a profile.
+            // Replans always use the multilevel partitioner, even when the seed
+            // plan was naive: the naive methods ignore weights entirely, so they
+            // cannot act on a profile.
             method: Method::Multilevel,
             // Comm-first: live CPU weights concentrate on the hot chain, and a
             // tight balance constraint would force that chain apart — paying
             // round-trips to balance a load the cluster can absorb. Relax to at
-            // least 100% imbalance; the partitioner's two-part floor still
-            // guarantees a real distribution.
+            // least 100% imbalance; `ClassPlacement::from_odg_partition` still
+            // keeps the placement on two nodes.
             balance_tolerance: config.balance_tolerance.max(1.0),
             ..config.partition_config()
         };
@@ -207,22 +208,20 @@ impl Replanner for PlanReplanner {
         let mut odg = app.odg.clone();
         reweigh_odg(&mut odg, &live);
         let graph = crate::odg_partition_graph(&odg);
-        let incumbent = locked(&app.home).clone();
-        let hint: Vec<usize> = odg
-            .nodes
-            .iter()
-            .map(|n| incumbent.home_of(n.class()))
-            .collect();
-        let partitioning = repartition(&graph, &app.part_cfg, &hint);
+        let partitioning = partition(&graph, &app.part_cfg);
         let placement = ClassPlacement::from_odg_partition(&app.program, &odg, &partitioning);
-        // Install only strict improvements of the *live-weighted* cut: a
-        // balanced profile, or one the incumbent already serves optimally,
-        // changes nothing (and the controller reports no swap).
+        // The one incumbent check: install only a placement that differs from the
+        // running one and strictly improves its *live-weighted* cut, so a swap
+        // never installs anything worse than what runs. A balanced profile, or one
+        // the incumbent already serves optimally, changes nothing (and the
+        // controller reports no swap).
+        let incumbent = locked(&app.home);
         if placement.home == incumbent.home
             || placement_cut(&odg, &placement) >= placement_cut(&odg, &incumbent)
         {
             return None;
         }
+        drop(incumbent);
         // A copy the verifier rejects is never served: decline and keep the incumbent.
         let nodes = app.part_cfg.nparts.max(1);
         let copies = crate::rewrite_all(&app.program, &placement, nodes).ok()?;
@@ -443,9 +442,10 @@ mod tests {
 
     #[test]
     fn balanced_placement_declines_to_replan() {
-        // Two classes on two nodes: the partitioner's floor pins one class per node no
-        // matter the weights, so the live profile cannot improve the cut and the
-        // planner must decline — reports stay byte-identical throughout.
+        // Two classes on two nodes: `ClassPlacement::from_odg_partition` keeps a plan
+        // on two nodes, so with `Main` pinned to node 0 `Worker` stays on node 1 no
+        // matter the weights; the live profile cannot improve the cut and the planner
+        // must decline — reports stay byte-identical throughout.
         let src = r#"
             class Worker { int bounce(int x) { return x * 2 + 1; } }
             class Main {
@@ -484,6 +484,40 @@ mod tests {
             assert_eq!(req.report.total_messages(), solo.total_messages());
             assert_eq!(req.report.total_bytes(), solo.total_bytes());
         }
+    }
+
+    #[test]
+    fn a_fresh_placement_that_cuts_more_than_the_incumbent_is_declined() {
+        // Profile the skewed workload, then hand the planner an incumbent no fresh run
+        // can beat: every class on node 0, which cuts no live weight at all. The fresh
+        // placement keeps two nodes, so the two differ and only the live-cut
+        // comparison stands between them: the planner must decline and keep the
+        // incumbent.
+        let g = skewed();
+        let program = &g.workload.program;
+        let config = DistributorConfig::default();
+        let plan = Distributor::new(config.clone()).distribute(program);
+        let mut planner = PlanReplanner::new();
+        planner.add_plan(&config, program, &plan, &ClusterConfig::paper_testbed());
+        let sink = planner.profiler(0, 0);
+        let report = autodist_runtime::cluster::run_centralized_profiled(program, 1.0, sink, 0);
+        assert!(report.is_ok(), "{:?}", report.error);
+        let state = &planner.apps[0];
+        let mut odg = state.odg.clone();
+        reweigh_odg(&mut odg, &locked(&state.profile));
+        let graph = crate::odg_partition_graph(&odg);
+        let fresh =
+            ClassPlacement::from_odg_partition(program, &odg, &partition(&graph, &state.part_cfg));
+        let incumbent = ClassPlacement::centralized(2);
+        assert_ne!(fresh.home, incumbent.home);
+        assert!(placement_cut(&odg, &fresh) > placement_cut(&odg, &incumbent));
+        *locked(&state.home) = incumbent.clone();
+        assert!(planner.replan(0).is_none(), "a worse placement is declined");
+        assert_eq!(
+            locked(&state.home).home,
+            incumbent.home,
+            "the incumbent stays"
+        );
     }
 
     #[test]

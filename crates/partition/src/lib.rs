@@ -55,13 +55,6 @@ pub struct PartitionConfig {
     pub seed: u64,
 }
 
-/// Minimum number of non-empty parts (capped at `nparts` and at the vertex count). The
-/// multilevel scheme legitimately minimises the cut by collapsing a small dependence
-/// graph into one part — which yields a "distribution" with zero communication and no
-/// offloading at all. A floor of 2 guarantees the pipeline actually places work on more
-/// than one node.
-const MIN_PARALLELISM: usize = 2;
-
 impl Default for PartitionConfig {
     fn default() -> Self {
         PartitionConfig {
@@ -112,11 +105,16 @@ pub struct Partitioning {
 /// Partitions `graph` into `config.nparts` parts.
 ///
 /// Empty graphs yield an empty assignment; `nparts <= 1` puts everything in part 0 and
-/// reports one part. Afterwards the `MIN_PARALLELISM` floor is enforced.
+/// reports one part. Otherwise the assignment is exactly what `config.method` produced:
+/// like Metis, the partitioner applies no floor on the number of non-empty parts
+/// afterwards. The multilevel method does not collapse a graph of two or more vertices
+/// into one part anyway: every bisection's balance envelope
+/// ([`refine::BisectionTargets`]) holds each side within `1 + balance_tolerance` of
+/// its share and below the total weight.
 pub fn partition(graph: &Graph, config: &PartitionConfig) -> Partitioning {
     let n = graph.vertex_count();
     let nparts = config.nparts.max(1);
-    let mut assignment = if n == 0 {
+    let assignment = if n == 0 {
         Vec::new()
     } else if nparts == 1 {
         vec![0; n]
@@ -127,80 +125,7 @@ pub fn partition(graph: &Graph, config: &PartitionConfig) -> Partitioning {
             Method::Random => naive::random_partition(n, nparts, config.seed),
         }
     };
-    enforce_min_parallelism(graph, &mut assignment, nparts);
     summarize(graph, assignment, nparts)
-}
-
-/// Ensures at least `min(MIN_PARALLELISM, nparts, n)` parts are non-empty by moving,
-/// one at a time, the vertex whose migration adds the least edge weight to the cut
-/// (choosing from parts that keep at least one vertex) into an empty part.
-fn enforce_min_parallelism(graph: &Graph, assignment: &mut [usize], nparts: usize) {
-    let n = assignment.len();
-    let target = MIN_PARALLELISM.min(nparts).min(n);
-    if target <= 1 {
-        return;
-    }
-    loop {
-        let mut part_sizes = vec![0usize; nparts];
-        for &a in assignment.iter() {
-            part_sizes[a] += 1;
-        }
-        let non_empty = part_sizes.iter().filter(|&&s| s > 0).count();
-        if non_empty >= target {
-            return;
-        }
-        let empty_part = part_sizes
-            .iter()
-            .position(|&s| s == 0)
-            .expect("non_empty < nparts implies an empty part exists");
-        // The cost of moving v out of its part is the weight of its edges into that
-        // part (they become cut edges) minus the weight of edges already cut that
-        // stay cut; edges into the empty destination are impossible. Prefer the
-        // cheapest move, breaking ties towards lighter vertices.
-        let candidate = (0..n)
-            .filter(|&v| part_sizes[assignment[v]] > 1)
-            .map(|v| {
-                let internal: u64 = graph
-                    .neighbours(v)
-                    .filter(|&(u, _)| assignment[u] == assignment[v])
-                    .map(|(_, w)| w)
-                    .sum();
-                (internal, graph.vertex_weight(v)[0], v)
-            })
-            .min();
-        match candidate {
-            Some((_, _, v)) => assignment[v] = empty_part,
-            None => return, // every part has exactly one vertex; nothing to move
-        }
-    }
-}
-
-/// Repartitions `graph` with a warm start: runs a fresh partitioning *and*
-/// evaluates the incumbent assignment `hint` under the (re-weighted) graph, then
-/// returns whichever cuts less edge weight. The adaptive serving loop calls this
-/// with the currently installed placement as the hint, which guarantees the
-/// result is never worse than what is already running — a fresh multilevel run
-/// on freshly re-weighted edges can legitimately lose to an incumbent that the
-/// previous round already optimised.
-///
-/// A hint of the wrong length, or naming parts outside `0..nparts`, is ignored
-/// (the fresh partitioning wins by default). The hint is re-subjected to the
-/// `MIN_PARALLELISM` floor, so a collapsed incumbent cannot sneak past it.
-pub fn repartition(graph: &Graph, config: &PartitionConfig, hint: &[usize]) -> Partitioning {
-    let fresh = partition(graph, config);
-    let nparts = fresh.nparts;
-    let valid = hint.len() == graph.vertex_count() && hint.iter().all(|&p| p < nparts);
-    if !valid {
-        return fresh;
-    }
-    let mut warm = hint.to_vec();
-    enforce_min_parallelism(graph, &mut warm, nparts);
-    let warm = summarize(graph, warm, nparts);
-    if warm.edgecut < fresh.edgecut {
-        warm
-    } else {
-        fresh
-    }
 }
 
 /// Computes the quality metrics for an existing assignment.
@@ -292,7 +217,6 @@ mod tests {
             assert_eq!(p.assignment, vec![0; 16], "{method:?}");
             assert!(g.is_valid_assignment(&p.assignment, p.nparts), "{method:?}");
             assert_eq!(p.edgecut, 0);
-            assert_eq!(repartition(&g, &cfg, &[0; 16]), p, "{method:?}");
         }
     }
 
@@ -320,10 +244,10 @@ mod tests {
     }
 
     #[test]
-    fn min_parallelism_prevents_fully_collapsed_partitions() {
+    fn balance_tolerance_splits_a_clique_the_cut_would_collapse() {
         // A single dense clique: the cut-minimal 2-way partition puts everything in
-        // one part (cut 0), which means no distribution at all. The min-parallelism
-        // constraint must force a second non-empty part.
+        // one part (cut 0), which means no distribution at all. The bisection's balance
+        // envelope lets a side hold at most ceil(3 * 1.1) = 4 of the six vertices.
         let mut b = GraphBuilder::new(6, 1);
         for v in 0..6 {
             b.set_weight(v, &[1]);
@@ -338,68 +262,18 @@ mod tests {
             counts[a] += 1;
         }
         assert!(
-            counts[0] > 0 && counts[1] > 0,
-            "both parts must be populated: {counts:?}"
+            counts.iter().all(|&c| (1..=4).contains(&c)),
+            "both parts must be populated within the envelope: {counts:?}"
         );
     }
 
     #[test]
-    fn min_parallelism_is_capped_by_vertex_count() {
+    fn one_vertex_fills_one_part_of_four() {
         let mut b = GraphBuilder::new(1, 1);
         b.set_weight(0, &[1]);
         let g = b.build();
         let p = partition(&g, &PartitionConfig::kway(4));
         assert_eq!(p.assignment, vec![0], "one vertex can only fill one part");
-    }
-
-    #[test]
-    fn repartition_keeps_a_better_incumbent() {
-        // Hand the optimal bisection of the two-cluster graph as the hint but
-        // configure a naive method whose fresh run cuts far more: the warm start
-        // must win.
-        let g = two_clusters();
-        let cfg = PartitionConfig::naive(2);
-        let hint: Vec<usize> = (0..16).map(|v| v / 8).collect();
-        let p = repartition(&g, &cfg, &hint);
-        assert_eq!(p.edgecut, 1, "the incumbent bisection is kept");
-        assert_eq!(p.assignment, hint);
-    }
-
-    #[test]
-    fn repartition_abandons_a_worse_incumbent() {
-        // An alternating incumbent cuts almost every clique edge; the fresh
-        // multilevel run must replace it.
-        let g = two_clusters();
-        let cfg = PartitionConfig::kway(2);
-        let hint: Vec<usize> = (0..16).map(|v| v % 2).collect();
-        let p = repartition(&g, &cfg, &hint);
-        assert_eq!(p.edgecut, 1, "the fresh run wins over the bad incumbent");
-    }
-
-    #[test]
-    fn repartition_ignores_invalid_hints() {
-        let g = two_clusters();
-        let cfg = PartitionConfig::kway(2);
-        let fresh = partition(&g, &cfg);
-        // Wrong length.
-        assert_eq!(repartition(&g, &cfg, &[0; 3]), fresh);
-        // Part index out of range.
-        let bad: Vec<usize> = (0..16).map(|_| 7).collect();
-        assert_eq!(repartition(&g, &cfg, &bad), fresh);
-    }
-
-    #[test]
-    fn repartition_re_enforces_min_parallelism_on_the_hint() {
-        // A collapsed incumbent (everything on part 0) would have edgecut 0 and
-        // always "win" — unless the floor is re-applied to it first.
-        let g = two_clusters();
-        let cfg = PartitionConfig::kway(2);
-        let p = repartition(&g, &cfg, &[0; 16]);
-        let mut counts = [0usize; 2];
-        for &a in &p.assignment {
-            counts[a] += 1;
-        }
-        assert!(counts[0] > 0 && counts[1] > 0, "{counts:?}");
     }
 
     #[test]
