@@ -28,8 +28,8 @@ pub static DIALECT: Dialect = Dialect {
     unary: [
         "rsb {0}, {1}, #0",
         "mvn {0}, {1}",
-        "rsb {0}, {1}, #0",
-        "rsb {0}, {1}, #0",
+        "flt {0}, {1}",
+        "fix {0}, {1}",
     ],
     branch: ["beq", "bne", "blt", "ble", "bgt", "bge"],
     jump: "b",

@@ -185,8 +185,9 @@ pub struct Dialect {
     pub load_imm: &'static str,
     /// Mnemonics of `ADD SUB MUL DIV REM AND OR XOR SHL SHR`.
     pub bin: [&'static str; 10],
-    /// `NEG NOT I2F F2I`, each writing register `{0}` from operand `{1}`; a two-address
-    /// target first moves the operand into `{0}`.
+    /// `NEG NOT I2F F2I`, each writing register `{0}` from operand `{1}`; on a
+    /// two-address target a template that does not read `{1}` works in place, after a
+    /// move of the operand into `{0}`.
     pub unary: [&'static str; 4],
     /// Conditional branches on `EQ NE LT LE GT GE`.
     pub branch: [&'static str; 6],
@@ -401,10 +402,11 @@ impl Emitter {
             }
             TreeOp::Un(m) => {
                 let dst = dst();
-                if !d.three_address {
+                let template = lookup(&UN_OPS, &d.unary, m);
+                if !d.three_address && !template.contains("{1}") {
                     mov(out, &dst, op(0));
                 }
-                out.push(fill(lookup(&UN_OPS, &d.unary, m), &[&dst, op(0)]));
+                out.push(fill(template, &[&dst, op(0)]));
                 return dst;
             }
             TreeOp::IfCmp { cond, target } => {
@@ -744,6 +746,24 @@ mod tests {
             crate::Target::StrongArm.emitter().reduce(&tree),
             ["mvn R1, R2"]
         );
+    }
+
+    /// `r1 := (float) r2` and `r1 := (int) r2`: conversions, not a complement or a
+    /// negation, on both targets; x86's conversions read their source, so no move
+    /// comes first.
+    #[test]
+    fn conversions_convert_on_both_targets() {
+        let convert = |op| TreeNode {
+            op: TreeOp::Un(op),
+            dst: Some(Reg(1)),
+            children: vec![TreeNode::leaf(&Operand::Reg(Reg(2)))],
+        };
+        let mut x86 = crate::Target::X86.emitter();
+        let mut arm = crate::Target::StrongArm.emitter();
+        assert_eq!(x86.reduce(&convert("I2F")), ["cvtsi2sd ebx, ecx"]);
+        assert_eq!(x86.reduce(&convert("F2I")), ["cvttsd2si ebx, ecx"]);
+        assert_eq!(arm.reduce(&convert("I2F")), ["flt R1, R2"]);
+        assert_eq!(arm.reduce(&convert("F2I")), ["fix R1, R2"]);
     }
 
     #[test]

@@ -40,7 +40,12 @@ pub static DIALECT: Dialect = Dialect {
         "shl",
         "sar",
     ],
-    unary: ["neg {0}", "not {0}", "not {0}", "not {0}"],
+    unary: [
+        "neg {0}",
+        "not {0}",
+        "cvtsi2sd {0}, {1}",
+        "cvttsd2si {0}, {1}",
+    ],
     branch: ["je", "jne", "jl", "jle", "jg", "jge"],
     jump: "jmp",
     three_address: false,
