@@ -42,8 +42,9 @@ use crate::microbench::{self, ARITH_CHAIN_DEEP, COND_CHAIN_DEEP};
 use crate::{fault, measure_speedup, serving};
 
 /// Encoded sizes of the dominant Table 1 remote accesses — the bounce invoke with one
-/// int argument, the bare field read, a one-argument constructor — hello excluded (it
-/// is paid once per link, not per message).
+/// int argument, the bare field read, a one-argument constructor naming its object
+/// with the export id its creator chose — hello excluded (it is paid once per link,
+/// not per message).
 fn frame_sizes() -> [(&'static str, usize); 3] {
     let dep = |kind, member, args: &[WireValue]| {
         let mut frame = BytesMut::new();
@@ -52,7 +53,7 @@ fn frame_sizes() -> [(&'static str, usize); 3] {
     };
     let new = |class, args: &[WireValue]| {
         let mut frame = BytesMut::new();
-        encode_new(&mut frame, None, class, args.iter().cloned());
+        encode_new(&mut frame, None, class, 7, false, args.iter().cloned());
         frame.len()
     };
     [

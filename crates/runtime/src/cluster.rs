@@ -347,16 +347,26 @@ mod tests {
     const BANK_THREADED: ThreadedRecord = ThreadedRecord {
         virtual_time_us: 2131.472380952402,
         messages: 14,
-        bytes: 159,
+        // Two `NEW`s, each one export-id byte longer since `NEW` names its object.
+        bytes: 161,
         per_node: &[(88, 0), (625, 7)],
     };
 
     const RELAY_THREADED: ThreadedRecord = ThreadedRecord {
         virtual_time_us: 1211.9333333333325,
         messages: 8,
-        bytes: 90,
+        // One `NEW` that crosses a node, one export-id byte longer.
+        bytes: 91,
         per_node: &[(42, 2), (14, 2)],
     };
+
+    /// `copies` run alone with every `NEW` a round trip: the protocol the threaded
+    /// schedule ran.
+    fn round_trip_run(copies: &[autodist_ir::Program]) -> ExecutionReport {
+        let mut app = ServerApp::prepare(copies.to_vec(), NetworkConfig::paper_testbed());
+        app.one_way = Default::default();
+        run_app(&app, &ClusterConfig::paper_testbed(), Vec::new())
+    }
 
     fn assert_matches_threaded_record(report: &ExecutionReport, record: &ThreadedRecord) {
         assert!(report.is_ok(), "{:?}", report.error);
@@ -503,7 +513,8 @@ mod tests {
     }
 
     /// The worker loop reproduces, bit for bit, what thread-per-node execution
-    /// computed for the split bank.
+    /// computed for the split bank when every `NEW` is a round trip; one-way `NEW`s
+    /// keep the result and save their replies.
     #[test]
     fn inline_schedule_matches_threaded_results_and_virtual_time() {
         let p = compile_source(BANK_SRC).unwrap();
@@ -511,12 +522,17 @@ mod tests {
         let copies: Vec<autodist_ir::Program> = (0..2)
             .map(|n| rewrite_for_node(&p, &placement, n).program)
             .collect();
+        let round_trips = round_trip_run(&copies);
+        assert_matches_threaded_record(&round_trips, &BANK_THREADED);
         let report = run_distributed(&copies, &ClusterConfig::paper_testbed());
-        assert_matches_threaded_record(&report, &BANK_THREADED);
-        assert_eq!(
-            report.final_statics.get("Main::result"),
-            Some(&StaticValue::Int(10 * 1000 + 50000 - 900))
-        );
+        for r in [&round_trips, &report] {
+            assert_eq!(
+                r.final_statics.get("Main::result"),
+                Some(&StaticValue::Int(10 * 1000 + 50000 - 900))
+            );
+        }
+        assert!(report.total_messages() < round_trips.total_messages());
+        assert!(report.virtual_time_us < round_trips.virtual_time_us);
     }
 
     #[test]
@@ -553,22 +569,19 @@ mod tests {
     /// traffic and virtual clocks are those of thread-per-node execution.
     #[test]
     fn inline_schedule_supports_reentrant_callbacks() {
-        let report = run_distributed(
-            &relay_copies(),
-            &ClusterConfig {
-                schedule: Schedule::Inline,
-                ..ClusterConfig::paper_testbed()
-            },
-        );
-        assert_matches_threaded_record(&report, &RELAY_THREADED);
-        assert_eq!(
-            report.final_statics.get("Main::result"),
-            Some(&StaticValue::Int(3))
-        );
-        assert!(
-            report.per_node[0].requests_served > 0,
-            "the launch node served the callback while parked"
-        );
+        let round_trips = round_trip_run(&relay_copies());
+        assert_matches_threaded_record(&round_trips, &RELAY_THREADED);
+        let report = run_distributed(&relay_copies(), &ClusterConfig::paper_testbed());
+        for r in [&round_trips, &report] {
+            assert_eq!(
+                r.final_statics.get("Main::result"),
+                Some(&StaticValue::Int(3))
+            );
+            assert!(
+                r.per_node[0].requests_served > 0,
+                "the launch node served the callback while parked"
+            );
+        }
     }
 
     /// Strings are per-node ids, so what crosses a node — a `NEW` argument built at

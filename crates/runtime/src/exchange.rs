@@ -30,6 +30,32 @@
 //! content), and the receiver resolves the id against the target's runtime class. Ids
 //! that come *off* the wire (export ids, node ranks, class ids) are checked here, at
 //! the boundary, so nothing behind it indexes with one unchecked.
+//!
+//! **Export ids interleave by world size.** An object is registered at its home under
+//! one export id for good. Ids congruent to the home's rank modulo the world size are
+//! the home's own (`home + k·size`, handed out as it marshals a local object); ids
+//! congruent to another rank `c` are the ones creator `c` chose for the objects it
+//! creates there (`c + n·size`, one counter per home). Every `NEW` carries its
+//! creator's id, and the home registers the object under it, so the export table is
+//! indexed by id: a lookup is one bounds-checked index. An id from the home's own
+//! range that it never handed out is an immediate typed error.
+//!
+//! **When a `NEW` is one-way.** [`crate::serve::ServerApp::prepare`] marks, per home,
+//! the classes whose constructor cannot be observed: primitive and string parameters
+//! only, no static field, and no call but constructors of classes so marked there. Such
+//! a constructor sends nothing and never parks, and it reaches only the new object and
+//! what it allocates itself. A `NEW` of such a class is one-way: the creator already
+//! knows the reference (it chose the id), so it pays only the send overhead, posts
+//! itself the reply it would have received as a local packet that is not on the wire,
+//! and parks on it exactly as on a round trip. The home registers the object, runs the
+//! constructor and sends nothing back; a constructor that faults fails the world at
+//! the home. Every other `NEW` keeps its round trip.
+//!
+//! **A frame can overtake the `NEW` of the object it names** when a reorder fault
+//! delivers a creator's next frame on a link before the `NEW` it sent first, or the
+//! reference reaches a third node first. `Interp::names_an_object_not_yet_created`
+//! says so, and the world holds such a frame until the `NEW` registers the id (see
+//! [`crate::sched`]).
 
 use std::borrow::Cow;
 use std::collections::HashMap;
@@ -39,19 +65,33 @@ use autodist_ir::program::{ClassId, FieldRef, MethodId, Type};
 use bytes::{Bytes, BytesMut};
 
 use crate::interp::{Continuation, ExecError, Frame, Interp, ResumeAction};
-use crate::net::MpiEndpoint;
+use crate::net::{MpiEndpoint, Packet, PacketKind};
+use crate::serve::OneWay;
 use crate::value::{HeapObject, ObjRef, StrId, Value};
-use crate::wire::{self, AccessKind, FrameHead, Response, WireError, WireValue};
+use crate::wire::{self, AccessKind, FrameHead, Peek, Response, WireError, WireValue};
+
+/// An export-table slot no object is registered under (yet).
+const UNREGISTERED: u32 = u32::MAX;
 
 /// Distributed-execution state attached to an interpreter running as one node of the
 /// simulated cluster.
 pub struct DistState {
     /// This node's endpoint into the simulated MPI world.
     pub endpoint: MpiEndpoint,
-    /// Export table: export id -> heap index.
+    /// Export table, indexed by export id: the heap index of the object registered
+    /// under it, or `u32::MAX` for an id nothing is registered under yet.
     pub exports: Vec<u32>,
     /// Reverse export table: heap index -> export id.
     pub export_ids: HashMap<u32, u64>,
+    /// Per home rank: how many export ids this node handed out for objects there (at
+    /// its own rank: its own exports).
+    handed_out: Vec<u64>,
+    /// Per creator rank: how many of the ids that creator chose for objects here are
+    /// registered. A creator names its objects in the order it sends their `NEW`s, and
+    /// they register in that order.
+    registered: Vec<u64>,
+    /// Which `NEW`s are one-way (by default, none).
+    one_way: OneWay,
     /// Per-destination: whether the one-time fingerprint hello already went out
     /// on that link (it wraps the first request we send there).
     hello_sent: Vec<bool>,
@@ -72,14 +112,54 @@ impl DistState {
             endpoint,
             exports: Vec::new(),
             export_ids: HashMap::new(),
+            handed_out: vec![0; n],
+            registered: vec![0; n],
+            one_way: OneWay::default(),
             hello_sent: vec![false; n],
             peer_ok: vec![false; n],
         }
     }
 
+    /// Makes the `NEW`s `table` marks one-way.
+    pub(crate) fn with_one_way(mut self, table: OneWay) -> Self {
+        self.one_way = table;
+        self
+    }
+
     /// This node's rank.
     pub fn rank(&self) -> u32 {
         self.rank
+    }
+
+    /// The next export id this node hands out for an object at `home`.
+    fn hand_out(&mut self, home: u32) -> u64 {
+        let n = &mut self.handed_out[home as usize];
+        let id = u64::from(self.rank) + *n * self.endpoint.size as u64;
+        *n += 1;
+        id
+    }
+
+    /// Registers the object at heap index `heap_idx` under export `id`.
+    fn register(&mut self, id: u64, heap_idx: u32) {
+        let slot = id as usize;
+        if slot >= self.exports.len() {
+            self.exports.resize(slot + 1, UNREGISTERED);
+        }
+        self.exports[slot] = heap_idx;
+        self.export_ids.insert(heap_idx, id);
+    }
+
+    /// The creator rank whose range `id` is in, and its place in that range.
+    fn creator_of(&self, id: u64) -> (usize, u64) {
+        let size = self.endpoint.size as u64;
+        ((id % size) as usize, id / size)
+    }
+
+    /// Whether `id` is one another node chose for an object here whose `NEW` has not
+    /// registered yet.
+    fn awaits_new(&self, id: u64) -> bool {
+        let (creator, n) = self.creator_of(id);
+        creator != self.rank as usize && n >= self.registered[creator]
     }
 
     /// `node` as a rank of this world. Ranks reach a node inside wire values and
@@ -99,23 +179,37 @@ impl DistState {
             .ok()
             .and_then(|i| self.exports.get(i))
             .copied()
+            .filter(|&heap_idx| heap_idx != UNREGISTERED)
             .ok_or_else(|| ExecError::RemoteFailure(format!("bad export id {id}")))
     }
 }
 
 /// What [`Interp::accept_request`] did with an incoming request packet.
 pub enum ServeOutcome {
-    /// Fully handled: the response was sent (or it was a shutdown, which owes none).
+    /// Fully handled: the response was sent, or none is owed (a shutdown, or a
+    /// one-way `NEW` of a class without a constructor body).
     Handled,
-    /// Bytecode must run to produce the response: the scheduler runs `task` and
-    /// replies with its result — or with `reply_override` (the freshly created
-    /// object reference) for `NEW` requests whose constructor is still running.
+    /// Bytecode must run: the scheduler runs `task` and answers as `reply` says.
     Spawned {
         /// The serving computation.
         task: Continuation,
-        /// Response value overriding the task's return value (`NEW` requests).
-        reply_override: Option<Value>,
+        /// What the requester gets when the task completes.
+        reply: Reply,
     },
+    /// A one-way `NEW` failed before its constructor ran. Nobody waits for a reply
+    /// to tell, so the failure is the world's.
+    Failed(ExecError),
+}
+
+/// How a spawned serving task is answered.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub enum Reply {
+    /// With the task's result.
+    Result,
+    /// With this value whatever the task returns: the new object of a `NEW`.
+    Override(Value),
+    /// Not at all: the constructor of a one-way `NEW`. If it faults, the world fails.
+    OneWay,
 }
 
 /// How the machine proceeds after an invoke left its fast path (proxies, remote
@@ -474,9 +568,8 @@ impl Interp {
         if let Some(&id) = dist.export_ids.get(&heap_idx) {
             return id;
         }
-        let id = dist.exports.len() as u64;
-        dist.exports.push(heap_idx);
-        dist.export_ids.insert(heap_idx, id);
+        let id = dist.hand_out(dist.rank);
+        dist.register(id, heap_idx);
         id
     }
 
@@ -612,7 +705,10 @@ impl Interp {
         Ok(self.send_request(node, buf, charged))
     }
 
-    /// Sends a `NEW` request without waiting (see [`Self::remote_send`]).
+    /// Sends a `NEW` request without waiting (see [`Self::remote_send`]), naming the
+    /// object with an id of this node's range at `home`. A one-way `NEW` is answered
+    /// here and now: the reply it would have received, posted to this node as a
+    /// local packet that arrives at the clock after the send overhead.
     fn remote_new_send(
         &mut self,
         home: u32,
@@ -621,10 +717,20 @@ impl Interp {
         args: &[Value],
     ) -> Result<u64, ExecError> {
         let (mut buf, hello) = self.frame_start(home)?;
-        wire::new_head(&mut buf, hello, class.0, args.len());
+        let dist = self.dist.as_mut().expect("frame_start found dist state");
+        let id = dist.hand_out(home);
+        let one_way = dist.one_way.at(home, class);
+        wire::new_head(&mut buf, hello, class.0, id, one_way, args.len());
         let value_bytes = self.marshal_args(&mut buf, args);
         let charged = wire::charged_new_size(class_name_len, value_bytes);
-        Ok(self.send_request(home, buf, charged))
+        let req_id = self.send_request(home, buf, charged);
+        if one_way {
+            let endpoint = &mut self.dist.as_mut().expect("sent above").endpoint;
+            let reply = Response::Value(WireValue::Remote { node: home, id });
+            let data = wire::encode_response_in(endpoint.take_buf(), &reply);
+            endpoint.post_to_self(req_id, data, self.clock_us);
+        }
+        Ok(req_id)
     }
 
     // --- accept -------------------------------------------------------------------
@@ -636,11 +742,15 @@ impl Interp {
     /// makes cyclic placements schedulable on one thread. The spent frame goes back
     /// to the link's buffer pool either way.
     pub fn accept_request(&mut self, from: usize, req_id: u64, mut data: Bytes) -> ServeOutcome {
-        let served = self.accept_frame(from, req_id, &mut data);
+        let mut owes_reply = true;
+        let served = self.accept_frame(from, req_id, &mut data, &mut owes_reply);
         if let Some(d) = self.dist.as_mut() {
             d.endpoint.reclaim(data);
         }
         served.unwrap_or_else(|e| {
+            if !owes_reply {
+                return ServeOutcome::Failed(e);
+            }
             self.send_reply(from, req_id, Err(e));
             ServeOutcome::Handled
         })
@@ -649,13 +759,16 @@ impl Interp {
     /// Serves one request frame: strips and verifies the fingerprint hello, then —
     /// `Shutdown` alone exempt — refuses anything from a peer whose fingerprint was
     /// never verified before decoding a single id, then dispatches on the head.
+    /// Clears `owes_reply` as soon as the frame shows it is a one-way `NEW`.
     fn accept_frame(
         &mut self,
         from: usize,
         req_id: u64,
         data: &mut Bytes,
+        owes_reply: &mut bool,
     ) -> Result<ServeOutcome, ExecError> {
         let hello = wire::split_hello(data)?;
+        *owes_reply = wire::peek_tag(data)? != wire::TAG_NEW_ONE_WAY;
         self.verify_hello(from, hello)?;
         let verified = self
             .dist
@@ -667,7 +780,12 @@ impl Interp {
         let to = (from, req_id);
         match wire::decode_head(data)? {
             FrameHead::Shutdown => Ok(ServeOutcome::Handled), // nothing to reply
-            FrameHead::New { class, argc } => self.accept_new(to, class, argc, data),
+            FrameHead::New {
+                class,
+                id,
+                one_way,
+                argc,
+            } => self.accept_new(to, class, id, one_way, argc, data),
             FrameHead::Dependence {
                 target,
                 kind,
@@ -704,13 +822,17 @@ impl Interp {
     }
 
     /// The `NEW` service: instantiate the class with the wire-carried dense id
-    /// (range-checked against the shared tables), and when a constructor with a
-    /// body exists return it as a task (replying with the fresh reference either
-    /// way).
+    /// (range-checked against the shared tables) and register it under the export id
+    /// its creator chose — the next one of the requester's range here, anything else
+    /// is a typed failure — and when a constructor with a body exists return it as a
+    /// task. A round trip is answered with the fresh reference either way; a one-way
+    /// `NEW` is not answered.
     fn accept_new(
         &mut self,
         to: (usize, u64),
         class: u32,
+        id: u64,
+        one_way: bool,
         argc: usize,
         data: &mut Bytes,
     ) -> Result<ServeOutcome, ExecError> {
@@ -718,18 +840,34 @@ impl Interp {
         if (class as usize) >= self.layout.classes.len() {
             return Err(ExecError::RemoteFailure(format!("bad class id {class}")));
         }
+        let dist = self.dist.as_ref().ok_or(ExecError::NotDistributed)?;
+        let (creator, n) = dist.creator_of(id);
+        if creator != to.0 || n != dist.registered[creator] {
+            return Err(ExecError::RemoteFailure(format!("bad export id {id}")));
+        }
         let (r, ctor) = self.create_at_home(ClassId(class));
+        let ObjRef::Local(heap_idx) = r else {
+            unreachable!("create_at_home allocates locally")
+        };
+        let dist = self.dist.as_mut().expect("checked above");
+        dist.register(id, heap_idx);
+        dist.registered[creator] += 1;
         let reply = Value::Ref(r);
         let task = match ctor {
             Some(ctor) => self.serving_task(ctor, reply, argc, data)?,
             None => None,
         };
-        Ok(match task {
-            Some(task) => ServeOutcome::Spawned {
+        Ok(match (task, one_way) {
+            (Some(task), true) => ServeOutcome::Spawned {
                 task,
-                reply_override: Some(reply),
+                reply: Reply::OneWay,
             },
-            None => self.answer(to, reply),
+            (Some(task), false) => ServeOutcome::Spawned {
+                task,
+                reply: Reply::Override(reply),
+            },
+            (None, true) => ServeOutcome::Handled,
+            (None, false) => self.answer(to, reply),
         })
     }
 
@@ -814,7 +952,7 @@ impl Interp {
                     Some(task) => {
                         return Ok(ServeOutcome::Spawned {
                             task,
-                            reply_override: None,
+                            reply: Reply::Result,
                         })
                     }
                     // Abstract / intrinsic methods behave as no-ops.
@@ -858,6 +996,53 @@ impl Interp {
         }
         self.enter_frame(&mut frame);
         Ok(Some(self.root_task(frame)))
+    }
+
+    /// Whether `pkt` names an object of this node whose `NEW` has not registered
+    /// here yet: a `DEPENDENCE` on it, a value that refers to it (in a request's
+    /// arguments or a response), or a `NEW` its creator sent after one still owed. The
+    /// frame is read, not consumed; a corrupt one is not held, so its delivery fails
+    /// typed.
+    pub(crate) fn names_an_object_not_yet_created(&self, pkt: &Packet) -> bool {
+        let Some(dist) = self.dist.as_ref() else {
+            return false;
+        };
+        let mut frame = Peek(&pkt.data);
+        let names_one = |v: &WireValue| matches!(*v, WireValue::Remote { node, id } if node == dist.rank && dist.awaits_new(id));
+        let argc = match pkt.kind {
+            PacketKind::Response => {
+                return matches!(Response::decode(&mut frame), Ok(Response::Value(v)) if names_one(&v));
+            }
+            PacketKind::Request => {
+                if wire::split_hello(&mut frame).is_err() {
+                    return false;
+                }
+                match wire::decode_head(&mut frame) {
+                    Ok(FrameHead::New { id, argc, .. }) => {
+                        let (creator, n) = dist.creator_of(id);
+                        if creator == pkt.from && n > dist.registered[creator] {
+                            return true;
+                        }
+                        argc
+                    }
+                    Ok(FrameHead::Dependence { target, argc, .. }) => {
+                        if dist.awaits_new(target) {
+                            return true;
+                        }
+                        argc
+                    }
+                    _ => return false,
+                }
+            }
+        };
+        for _ in 0..argc {
+            match wire::decode_value(&mut frame) {
+                Ok(v) if names_one(&v) => return true,
+                Ok(_) => {}
+                Err(_) => return false,
+            }
+        }
+        false
     }
 
     // --- reply, response decode ---------------------------------------------------
@@ -982,13 +1167,48 @@ mod tests {
         assert!(net.recv(0).is_none(), "a shutdown owes no reply");
         assert_eq!(node.counters.requests_served, 0);
 
-        // An export id this node never handed out — as the target, or inside an
-        // argument that claims to point back here — is a typed failure.
-        let bad_target = frame(Some(fp), 998, AccessKind::ArrayLength, 0, &[]);
+        // An export id of this node's own range (odd ones, at rank 1 of 2) that it
+        // never handed out — as the target, or inside an argument that claims to
+        // point back here — is an immediate typed failure.
+        let bad_target = frame(Some(fp), 999, AccessKind::ArrayLength, 0, &[]);
         assert_eq!(
             reply_to(&mut node, &mut net, bad_target),
-            Some(Err("remote failure: bad export id 998".into()))
+            Some(Err("remote failure: bad export id 999".into()))
         );
+        // An id of node 0's range names an object node 0 may have created here with
+        // a `NEW` still on its way: the frame is held, and stays held for as long as
+        // no `NEW` registers that id. (A world that runs dry holding it fails with its
+        // stall shape: `sched::tests::a_request_held_for_a_new_that_never_comes_stalls`.)
+        let request = |data: BytesMut| Packet {
+            from: 0,
+            to: 1,
+            kind: PacketKind::Request,
+            req_id: 2,
+            seq: 0,
+            data: data.freeze(),
+            arrival_time_us: 0.0,
+        };
+        let held = request(frame(None, 998, AccessKind::ArrayLength, 0, &[]));
+        assert!(node.names_an_object_not_yet_created(&held));
+        let new = |id, one_way| {
+            let mut buf = BytesMut::new();
+            let cell = p.class_by_name("Cell").unwrap().0;
+            wire::encode_new(&mut buf, None, cell, id, one_way, std::iter::empty());
+            request(buf)
+        };
+        // A `NEW` that node 0 sent after one still owed is held too; the owed one
+        // registers (one-way: no reply), and then only the never-sent 998 is awaited.
+        assert!(node.names_an_object_not_yet_created(&new(2, true)));
+        assert!(!node.names_an_object_not_yet_created(&new(0, true)));
+        let registered = new(0, true);
+        assert!(matches!(
+            node.accept_request(0, 3, registered.data),
+            ServeOutcome::Handled
+        ));
+        assert!(!node.names_an_object_not_yet_created(&new(2, true)));
+        assert!(node.names_an_object_not_yet_created(&held));
+        net.route(&mut node.dist.as_mut().unwrap().endpoint);
+        assert!(net.recv(0).is_none(), "a one-way NEW owes no reply");
         let cell = p.class_by_name("Cell").unwrap();
         let ObjRef::Local(h) = node.new_instance(cell) else {
             unreachable!("new_instance allocates locally")

@@ -61,3 +61,6 @@ pub use net::{
 pub use serve::{run_serving, RequestReport, ServeOptions, ServerApp, ServingReport};
 pub use value::{HeapObject, ObjRef, StaticValue, Statics, StrId, Value};
 pub use wire::{AccessKind, Response, WireValue};
+
+#[cfg(test)]
+mod explore;

@@ -10,6 +10,12 @@
 //! was sent). Nothing in here is shared between worlds, and nothing in here waits:
 //! the transport lists the packets its world has yet to take, in route order, and
 //! the world takes them oldest first.
+//!
+//! A packet a node posts to itself (the reply a one-way `NEW`'s creator would have
+//! received, see [`crate::exchange`]) is not on the wire: no fault plan rolls it, and
+//! it is neither counted nor charged. A recorded loss fails its world typed even when
+//! the root completed: a lost one-way `NEW` leaves nobody waiting, so the world's end
+//! is the last place to notice it.
 
 use bytes::{Bytes, BytesMut};
 use std::collections::VecDeque;
@@ -477,6 +483,9 @@ pub struct Transport {
     /// Present only when the world has a [`FaultPlan`] — the disabled hot path pays
     /// one branch per send and receive.
     faults: Option<Faults>,
+    /// A seeded choice of which pending entry to take, in place of the oldest.
+    #[cfg(test)]
+    pub(crate) order: Option<crate::explore::Order>,
 }
 
 impl Transport {
@@ -499,6 +508,8 @@ impl Transport {
                 lost: Vec::new(),
                 summary: FaultSummary::default(),
             }),
+            #[cfg(test)]
+            order: None,
         }
     }
 
@@ -506,7 +517,17 @@ impl Transport {
     /// takes the world's oldest waiting packet. `None` when the world has nothing
     /// left to deliver.
     pub fn next_pending(&mut self) -> Option<usize> {
+        #[cfg(test)]
+        if let Some(order) = self.order.as_mut() {
+            return order.take(&mut self.pending);
+        }
         self.pending.pop_front().map(|rank| rank as usize)
+    }
+
+    /// Whether a fault plan is attached: only then can a packet overtake the `NEW`
+    /// of the object it names.
+    pub(crate) fn faulted(&self) -> bool {
+        self.faults.is_some()
     }
 
     /// Puts `pkt` into its destination's mailbox and lists it as pending. Called
@@ -529,7 +550,7 @@ impl Transport {
         } in endpoint.outbox.drain(..)
         {
             let copies = match self.faults.as_mut() {
-                Some(f) if pkt.req_id != 0 => f.decide(&mut pkt, sent_at_us),
+                Some(f) if pkt.req_id != 0 && pkt.from != pkt.to => f.decide(&mut pkt, sent_at_us),
                 _ => 1,
             };
             // A lost packet is not listed: the world runs dry and its recorded loss
@@ -768,6 +789,23 @@ impl MpiEndpoint {
         // Sending is cheap for the sender itself (asynchronous message exchange):
         // charge only a fixed software overhead.
         clock_us + self.latency_us * 0.1
+    }
+
+    /// Posts this node a response for its own request `req_id`, arriving at
+    /// `clock_us`: not on the wire, so neither counted nor charged.
+    pub(crate) fn post_to_self(&mut self, req_id: u64, data: Bytes, clock_us: f64) {
+        self.outbox.push(Posted {
+            pkt: Packet {
+                from: self.rank,
+                to: self.rank,
+                kind: PacketKind::Response,
+                req_id,
+                seq: 0,
+                data,
+                arrival_time_us: clock_us,
+            },
+            sent_at_us: clock_us,
+        });
     }
 
     /// Virtual time for a message of `bytes` bytes to leave this node.

@@ -11,10 +11,12 @@
 //! The loop runs on the thread that called it and owns everything it touches — the
 //! worlds waiting on a gap, the admission window, the results and the adaptive epoch
 //! controller — so nothing is shared and nothing is locked. The paper's protocol is
-//! synchronous request/response, so a root computation has exactly one live control
-//! flow, and worlds share nothing: interleaving them would only share the processor,
-//! with nothing to overlap. The one timed wait is the modelled
-//! `SERVING_DELIVERY_DEADLINE`.
+//! synchronous request/response, so a root computation has one live control flow: at
+//! most one network packet of it is in flight, plus — right after a one-way `NEW` —
+//! the creator's local resume queued behind the `NEW` (see [`crate::exchange`]; the
+//! home's constructor sends nothing). Worlds share nothing: interleaving them would
+//! only share the processor, with nothing to overlap. The one timed wait is the
+//! modelled `SERVING_DELIVERY_DEADLINE`.
 //!
 //! * A **world** (`World`) is one in-flight root computation: its request-scoped
 //!   nodes (interpreter + parked continuations each) and the [`Transport`] between
@@ -31,6 +33,13 @@
 //!   sequence window released, in route order; a lost packet leaves none. `World::run`
 //!   takes the oldest entry, receives on that rank and routes what the node sent, so
 //!   what a delivery adds goes behind everything already pending.
+//! * **A frame that overtook the `NEW` of the object it names is held** by its
+//!   node (`Interp::names_an_object_not_yet_created`): it does not touch the node's
+//!   clock until the `NEW` has registered the object, and then it is delivered at
+//!   once, so the clock sees the order the frames were sent in. Only a reorder fault
+//!   can deliver such a frame first (a fault-free link delivers in send order, and a
+//!   `NEW` is routed before anything that names its object), so a world without a
+//!   fault plan never looks.
 //! * **Quiescence is observed where it happens.** A world's pending list is all the
 //!   work it has left: when the list runs dry before the root completes, *that* world
 //!   is stuck *now*, and `World::run` fails it on the spot if it is doomed (a recorded
@@ -53,7 +62,7 @@ use std::time::{Duration, Instant};
 
 use crate::adapt::AdaptState;
 use crate::cluster::{stats_of, ExecutionReport, NodeProfiler};
-use crate::exchange::{shutdown_frame, DistState, ServeOutcome};
+use crate::exchange::{shutdown_frame, DistState, Reply, ServeOutcome};
 use crate::interp::{loss_to_error, Continuation, ExecError, Interp, TaskOutcome, TransportStall};
 use crate::net::{FaultPlan, MpiEndpoint, Packet, PacketKind, Transport};
 use crate::serve::{RequestReport, ServerApp};
@@ -63,13 +72,11 @@ use crate::value::Value;
 enum TaskDone {
     /// The Execution Starter's `main` on the launch node: its result ends the world.
     Root,
-    /// A serving computation: reply to `to` for request `req_id`. `reply_override`
-    /// carries the freshly created object reference for `NEW` requests (the
-    /// constructor's return value is discarded).
+    /// A serving computation: answer request `req_id` from `to` as `reply` says.
     Reply {
         to: usize,
         req_id: u64,
-        reply_override: Option<Value>,
+        reply: Reply,
     },
 }
 
@@ -91,6 +98,9 @@ struct CoopTask {
 struct CoopNode {
     interp: Interp,
     parked: Vec<(u64, CoopTask)>,
+    /// Frames that name an object whose `NEW` has not registered here yet, in the
+    /// order they arrived.
+    held: Vec<Packet>,
 }
 
 impl CoopNode {
@@ -131,18 +141,46 @@ impl CoopNode {
                 self.interp.recycle_task(task.cont);
                 match task.done {
                     TaskDone::Root => Some(res),
+                    // Nobody waits for a one-way constructor: its fault is the world's.
                     TaskDone::Reply {
-                        to,
-                        req_id,
-                        reply_override,
-                    } => {
-                        let result = res.map(|v| reply_override.unwrap_or(v));
+                        reply: Reply::OneWay,
+                        ..
+                    } => res.err().map(Err),
+                    TaskDone::Reply { to, req_id, reply } => {
+                        let result = match reply {
+                            Reply::Override(v) => res.map(|_| v),
+                            _ => res,
+                        };
                         self.interp.send_reply(to, req_id, result);
                         None
                     }
                 }
             }
         }
+    }
+
+    /// Delivers one packet — or, when `screen` is set and it names an object whose
+    /// `NEW` has not registered here yet, holds it. After a delivery, each held frame
+    /// whose object now exists is delivered, oldest first.
+    fn deliver(&mut self, pkt: Packet, screen: bool) -> Option<Result<Value, ExecError>> {
+        if screen && self.interp.names_an_object_not_yet_created(&pkt) {
+            self.held.push(pkt);
+            return None;
+        }
+        let mut res = self.deliver_one(pkt);
+        while res.is_none() {
+            let interp = &self.interp;
+            let Some(i) = self
+                .held
+                .iter()
+                .position(|p| !interp.names_an_object_not_yet_created(p))
+            else {
+                break;
+            };
+            let pkt = self.held.remove(i);
+            res = self.deliver_one(pkt);
+        }
+        res
     }
 
     /// Delivers one packet: a request spawns (or answers) a serving task, a
@@ -154,15 +192,13 @@ impl CoopNode {
             PacketKind::Request => {
                 match self.interp.accept_request(pkt.from, pkt.req_id, pkt.data) {
                     ServeOutcome::Handled => None,
-                    ServeOutcome::Spawned {
-                        task,
-                        reply_override,
-                    } => self.run(CoopTask {
+                    ServeOutcome::Failed(e) => Some(Err(e)),
+                    ServeOutcome::Spawned { task, reply } => self.run(CoopTask {
                         cont: task,
                         done: TaskDone::Reply {
                             to: pkt.from,
                             req_id: pkt.req_id,
-                            reply_override,
+                            reply,
                         },
                     }),
                 }
@@ -230,16 +266,17 @@ impl World {
     /// mailbox push. Returns the root result when this delivery ends the world.
     fn deliver(&mut self, rank: usize) -> Option<Result<Value, ExecError>> {
         let pkt = self.net.recv(rank)?;
+        let screen = self.net.faulted();
         let node = &mut self.nodes[rank];
-        let res = node.deliver_one(pkt);
+        let res = node.deliver(pkt, screen);
         self.net.route(node.endpoint());
         res
     }
 
     /// Why a world whose pending list ran dry can never complete, if it cannot.
-    /// Under fault-free execution exactly one logical control flow is live at any
-    /// moment, so running dry before the root completes would be a scheduler bug;
-    /// with a fault plan it means a packet is owed. In order:
+    /// Under fault-free execution one logical control flow is live at any moment, so
+    /// running dry before the root completes would be a scheduler bug; with a fault
+    /// plan it means a packet is owed. In order:
     ///
     /// 1. a recorded packet loss → the typed error ([`ExecError::MessageTimeout`] /
     ///    [`ExecError::NodeDown`]); under the synchronous protocol a single lost
@@ -247,7 +284,9 @@ impl World {
     /// 2. a sequence gap on some rank (a reorder whose partner is still owed) →
     ///    `None`: the world waits for the delivery deadline to repair it;
     /// 3. neither → a typed [`ExecError::Transport`] naming which continuations are
-    ///    parked on which requests — a genuine deadlock reports its shape.
+    ///    parked on which requests — a genuine deadlock reports its shape. A request
+    ///    held for a `NEW` that never came is named by its requester's
+    ///    `(rank, request)` among them.
     fn doomed(&self) -> Option<ExecError> {
         if let Some(loss) = self.net.first_loss() {
             return Some(loss_to_error(loss));
@@ -290,11 +329,18 @@ impl World {
     /// arrival) and assemble the report. The execution ends when the launch node
     /// finishes `main`; its clock has already absorbed every synchronous round trip,
     /// so node 0's final clock is the execution time the paper measures.
+    ///
+    /// The root can complete before a one-way `NEW` it sent was delivered. Such a
+    /// `NEW` is still delivered here, ahead of the shutdown, and its constructor runs
+    /// to completion: the world is over, so a `NEW` buffered behind a sequence gap no
+    /// later frame will fill is released first. A constructor that faults here fails
+    /// the world, and so does a recorded loss, though the root completed. Every
+    /// mailbox is drained — the launch node's after its snapshot — before the fault
+    /// summary is taken.
     fn finish(mut self, root: Result<Value, ExecError>, wall: Duration) -> ExecutionReport {
         let node0 = &mut self.nodes[0];
         let stats0 = stats_of(&node0.interp, 0);
         let final_statics = node0.interp.statics_snapshot();
-        let faults = self.net.fault_summary();
         // Control traffic: uncorrelated (`req_id` 0), so no fault plan touches it.
         // It is received below, not through the pending list: the world is over.
         // Each rank gets its own copy of the one-byte frame.
@@ -311,18 +357,32 @@ impl World {
                 arrival_time_us,
             });
         }
+        self.net.repair_gaps();
+        let screen = self.net.faulted();
+        let mut late = None;
         let mut per_node = vec![stats0];
-        for (rank, node) in self.nodes.iter_mut().enumerate().skip(1) {
-            self.net.drain(rank, |pkt| {
-                node.arrive(&pkt);
-                if pkt.kind == PacketKind::Request {
-                    let _ = node.interp.accept_request(pkt.from, pkt.req_id, pkt.data);
+        for (rank, node) in self.nodes.iter_mut().enumerate() {
+            self.net.drain(rank, |pkt| match pkt.kind {
+                PacketKind::Request => {
+                    if let Some(Err(e)) = node.deliver(pkt, screen) {
+                        late.get_or_insert(e);
+                    }
                 }
+                PacketKind::Response => node.arrive(&pkt),
             });
             // A leftover request answered just now still reaches a later rank.
             self.net.route(node.endpoint());
-            per_node.push(stats_of(&node.interp, rank));
+            if rank > 0 {
+                per_node.push(stats_of(&node.interp, rank));
+            }
         }
+        // Every packet has been received, so a duplicate counts as suppressed
+        // whenever it was taken.
+        let faults = self.net.fault_summary();
+        let error = root
+            .err()
+            .or_else(|| self.net.first_loss().map(loss_to_error))
+            .or(late);
         // Dropping the nodes drops any attached profiler sinks, which flushes a
         // planner sink's per-request tallies into its shared profile — before the
         // epoch controller (which runs right after this) consults the planner.
@@ -332,7 +392,7 @@ impl World {
             wall_time_ms: wall.as_secs_f64() * 1e3,
             per_node,
             final_statics,
-            error: root.err(),
+            error,
             faults,
         }
     }
@@ -380,6 +440,9 @@ struct Running<'a, 's> {
     results: Vec<Option<RequestReport>>,
     /// The caller's per-node profiler sinks, for request 0 (single-root runs).
     profilers: Vec<Option<NodeProfiler>>,
+    /// A seeded choice of delivery and resumption orders, in place of FIFO.
+    #[cfg(test)]
+    explore: Option<crate::explore::Explorer>,
 }
 
 impl<'s> Server<'s> {
@@ -405,6 +468,8 @@ impl<'a, 's> Running<'a, 's> {
             next: 0,
             results: (0..requests).map(|_| None).collect(),
             profilers,
+            #[cfg(test)]
+            explore: None,
         }
     }
 
@@ -467,7 +532,8 @@ impl<'a, 's> Running<'a, 's> {
             .zip(&app.defaults)
             .enumerate()
             .map(|(rank, (layout, defaults))| {
-                let dist = DistState::new(MpiEndpoint::new(rank, size, &app.network));
+                let dist = DistState::new(MpiEndpoint::new(rank, size, &app.network))
+                    .with_one_way(app.one_way.clone());
                 let interp = Interp::with_defaults(Arc::clone(layout), Arc::clone(defaults));
                 let mut interp = interp.with_dist(dist);
                 let sink = match own.get_mut(rank).and_then(Option::take) {
@@ -482,12 +548,16 @@ impl<'a, 's> Running<'a, 's> {
                 CoopNode {
                     interp,
                     parked: Vec::new(),
+                    held: Vec::new(),
                 }
             })
             .collect();
+        let net = Transport::new(size, server.faults[index].take());
+        #[cfg(test)]
+        let net = crate::explore::ordered(net, self.explore.as_mut());
         World {
             nodes,
-            net: Transport::new(size, server.faults[index].take()),
+            net,
             index,
             app: app_idx,
             started: Instant::now(),
@@ -500,6 +570,10 @@ impl<'a, 's> Running<'a, 's> {
     fn report(&mut self, world: World, res: Result<Value, ExecError>) -> RequestReport {
         let latency = world.started.elapsed();
         let (index, app, nodes) = (world.index, world.app, world.nodes.len());
+        #[cfg(test)]
+        if let Some(explore) = self.explore.as_mut() {
+            explore.record(world.net.order.as_ref());
+        }
         let report = world.finish(res, latency);
         if let Some(adapt) = self.server.adapt.as_mut() {
             adapt.observe(app, nodes);
@@ -520,11 +594,32 @@ impl<'a, 's> Running<'a, 's> {
         if !self.server.deadline_wait.is_zero() {
             std::thread::sleep(self.server.deadline_wait);
         }
-        for mut world in std::mem::take(&mut self.stuck) {
+        let stuck = std::mem::take(&mut self.stuck);
+        #[cfg(test)]
+        let stuck = crate::explore::shuffled(stuck, self.explore.as_mut());
+        for mut world in stuck {
             let res = world.resume();
             self.settle(world, res);
         }
     }
+}
+
+/// Runs `server` with `explore` choosing every world's delivery order and the order
+/// stuck worlds resume in; returns the per-request reports and the explorer.
+#[cfg(test)]
+pub(crate) fn run_explored(
+    server: &mut Server<'_>,
+    explore: crate::explore::Explorer,
+) -> (Vec<RequestReport>, crate::explore::Explorer) {
+    let mut run = Running::new(server, Vec::new());
+    run.explore = Some(explore);
+    run.worker();
+    let explore = run.explore.take().expect("set above");
+    let reports = run
+        .results
+        .into_iter()
+        .map(|r| r.expect("every request completed or failed"));
+    (reports.collect(), explore)
 }
 
 #[cfg(test)]
@@ -571,19 +666,24 @@ mod tests {
         }
     }
 
-    /// A healthy world has one control flow, so exactly one packet is pending after
-    /// the seed and after every delivery, and none once the root completes.
+    /// A healthy world has one control flow: one network packet is pending after the
+    /// seed and after every delivery — with, right after a one-way `NEW`, the
+    /// creator's local resume queued behind it — and none once the root completes.
     #[test]
     fn a_healthy_world_has_one_pending_packet_until_its_root_completes() {
         let app = ping_app();
         let mut server = server(&app, &[0]);
         let mut world = Running::new(&mut server, Vec::new()).admit();
         assert_eq!(world.seed(), None, "main parks on its NEW");
-        let mut deliveries = 0;
+        assert_eq!(
+            world.net.pending,
+            [1, 0],
+            "the one-way NEW, then main's local resume"
+        );
+        let mut pending = Vec::new();
         loop {
-            assert_eq!(world.net.pending.len(), 1, "one control flow");
+            pending.push(world.net.pending.len());
             let rank = world.net.next_pending().expect("a pending packet");
-            deliveries += 1;
             if let Some(res) = world.deliver(rank) {
                 assert_eq!(res, Ok(Value::Null));
                 break;
@@ -593,7 +693,42 @@ mod tests {
             world.net.pending.is_empty(),
             "the final response was the last packet"
         );
-        assert_eq!(deliveries, 6, "NEW + two bounces: six packets");
+        assert_eq!(
+            pending,
+            [2, 1, 1, 1, 1, 1],
+            "NEW, local resume, two bounces: six deliveries"
+        );
+        let sent: Vec<_> = world
+            .nodes
+            .iter_mut()
+            .map(|n| n.endpoint().messages_sent)
+            .collect();
+        assert_eq!(sent, [3, 2], "the NEW owes no reply: five messages");
+    }
+
+    /// A request that names an object whose `NEW` never arrives — here the `NEW` is
+    /// taken off the wire by hand, so no loss is recorded — is held, and a world that
+    /// runs dry holding it, with no sequence gap, fails typed: its stall shape names
+    /// the held request by its parked requester.
+    #[test]
+    fn a_request_held_for_a_new_that_never_comes_stalls() {
+        let app = ping_app();
+        let mut server = server(&app, &[0]);
+        server.faults = vec![Some(FaultPlan::quiet(1))];
+        let mut world = Running::new(&mut server, Vec::new()).admit();
+        assert_eq!(world.seed(), None, "main parks on its NEW");
+        assert_eq!(world.net.next_pending(), Some(1));
+        let new = world.net.recv(1).expect("the NEW, in sequence");
+        assert_eq!(new.req_id, 1);
+        assert_eq!(
+            world.run(),
+            Some(Err(ExecError::Transport(TransportStall {
+                gapped: vec![],
+                parked: vec![(0, 2)],
+            })))
+        );
+        assert_eq!(world.nodes[1].held.len(), 1, "the first bounce, #2");
+        assert_eq!(world.nodes[1].interp.counters.requests_served, 0);
     }
 
     /// Runs request 0 of `app` and returns its world as it stood when the root
@@ -661,6 +796,7 @@ mod tests {
         let mut world = run.admit();
         assert_eq!(world.seed(), None, "main parks on its NEW");
         assert_eq!(world.net.next_pending(), Some(1), "request 0's NEW");
+        assert_eq!(world.net.next_pending(), Some(0), "and main's local resume");
         assert_eq!(world.net.next_pending(), None);
         run.stuck.push(world);
         run.worker();

@@ -31,8 +31,10 @@
 use std::sync::Arc;
 use std::time::Instant;
 
+use autodist_codegen::rewrite::DEPENDENT_OBJECT_CLASS;
+use autodist_ir::bytecode::{Insn, InvokeKind};
 use autodist_ir::layout::ProgramLayout;
-use autodist_ir::program::Program;
+use autodist_ir::program::{ClassId, Program, Type};
 
 use crate::adapt::{AdaptOptions, AdaptState};
 use crate::cluster::{ExecutionReport, Schedule};
@@ -42,10 +44,11 @@ use crate::sched::{Server, SERVING_DELIVERY_DEADLINE};
 
 /// A *prepared* application the server can instantiate per request: one pre-built
 /// (shared) layout per node — each owning its placed program — with its class
-/// defaults, and the cost model.
+/// defaults, which `NEW`s are one-way at each node, and the cost model.
 pub struct ServerApp {
     pub(crate) layouts: Vec<Arc<ProgramLayout>>,
     pub(crate) defaults: Vec<Arc<ClassDefaults>>,
+    pub(crate) one_way: OneWay,
     pub(crate) network: NetworkConfig,
 }
 
@@ -74,9 +77,11 @@ impl ServerApp {
             };
             defaults.push(table);
         }
+        let one_way = OneWay::of(&layouts);
         ServerApp {
             layouts,
             defaults,
+            one_way,
             network,
         }
     }
@@ -85,6 +90,86 @@ impl ServerApp {
     pub fn nodes(&self) -> usize {
         self.layouts.len()
     }
+}
+
+/// Which classes a `NEW` creates one-way at each node: built once per prepared app and
+/// shared by its worlds. The default marks none.
+///
+/// A class qualifies at a home when its constructor there, if it has one, takes only
+/// `int` / `float` / `boolean` / `String` parameters, reads and writes no static
+/// field, and invokes nothing but constructors of classes that qualify at that home. A
+/// rewritten `new` of a class homed elsewhere is a `DependentObject` constructor,
+/// which never qualifies. Such a constructor sends no message and never parks, and it
+/// reaches only the new object and what it allocates itself, so nothing can observe
+/// when it runs. One pass over the constructor bodies of each copy decides every
+/// class once (a class whose constructors create one another does not qualify).
+#[derive(Clone, Default)]
+pub(crate) struct OneWay {
+    classes: usize,
+    /// `verdicts[home * classes + class]`.
+    verdicts: Arc<[Verdict]>,
+}
+
+#[derive(Clone, Copy, PartialEq)]
+enum Verdict {
+    Open,
+    Deciding,
+    Yes,
+    No,
+}
+
+impl OneWay {
+    fn of(layouts: &[Arc<ProgramLayout>]) -> Self {
+        let classes = layouts
+            .iter()
+            .map(|l| l.program().classes.len())
+            .max()
+            .unwrap_or(0);
+        let mut verdicts: Arc<[Verdict]> = (0..classes * layouts.len())
+            .map(|_| Verdict::Open)
+            .collect();
+        let table = Arc::get_mut(&mut verdicts).expect("just built");
+        for (layout, verdicts) in layouts.iter().zip(table.chunks_mut(classes.max(1))) {
+            for class in 0..layout.program().classes.len() {
+                decide(layout, ClassId(class as u32), verdicts);
+            }
+        }
+        OneWay { classes, verdicts }
+    }
+
+    /// Whether a `NEW` of `class` at `home` owes no reply.
+    pub(crate) fn at(&self, home: u32, class: ClassId) -> bool {
+        let at = home as usize * self.classes + class.0 as usize;
+        (class.0 as usize) < self.classes && self.verdicts.get(at) == Some(&Verdict::Yes)
+    }
+}
+
+/// Decides whether `class` qualifies in `layout`'s copy (see [`OneWay`]).
+fn decide(layout: &ProgramLayout, class: ClassId, verdicts: &mut [Verdict]) -> bool {
+    match verdicts[class.0 as usize] {
+        Verdict::Yes => return true,
+        Verdict::No | Verdict::Deciding => return false,
+        Verdict::Open => {}
+    }
+    verdicts[class.0 as usize] = Verdict::Deciding;
+    let program = layout.program();
+    let primitive = |t: &Type| matches!(t, Type::Int | Type::Float | Type::Bool | Type::Str);
+    let qualifies = program.class(class).name != DEPENDENT_OBJECT_CLASS
+        && layout.constructor(class).is_none_or(|ctor| {
+            let ctor = program.method(ctor);
+            ctor.params.iter().all(primitive)
+                && ctor.body.iter().all(|insn| match insn {
+                    Insn::GetStatic(_) | Insn::PutStatic(_) => false,
+                    Insn::Invoke(InvokeKind::Special, callee) => {
+                        let callee = program.method(*callee);
+                        callee.name == "<init>" && decide(layout, callee.class, verdicts)
+                    }
+                    Insn::Invoke(..) => false,
+                    _ => true,
+                })
+        });
+    verdicts[class.0 as usize] = if qualifies { Verdict::Yes } else { Verdict::No };
+    qualifies
 }
 
 /// Ingress configuration for [`run_serving`].

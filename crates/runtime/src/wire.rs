@@ -25,11 +25,16 @@
 //! | tag           | frame        | body                                                  |
 //! |---------------|--------------|-------------------------------------------------------|
 //! | `2`           | shutdown     | —                                                     |
-//! | `3`           | `NEW`        | class id · argc · values                              |
+//! | `3`           | `NEW`        | class id · export id · argc · values                  |
+//! | `4`           | one-way `NEW`| class id · export id · argc · values (no reply owed)  |
 //! | `5`           | hello        | fingerprint `u64` · one inner request frame           |
 //! | `0x40 \| kind` | `DEPENDENCE` | target · member id (`Invoke*`/field kinds) · argc · values |
 //!
-//! Head fields (class id, target, member id, argc) are LEB128 varints: ids are
+//! A `NEW` carries the export id its creator chose for the object (see
+//! [`crate::exchange`]): the home registers the object under it, and a one-way `NEW`
+//! owes no reply because the creator already holds the reference.
+//!
+//! Head fields (class id, export id, target, member id, argc) are LEB128 varints: ids are
 //! almost always below 128, so the typical head field is one byte, and nothing a
 //! run can produce (a target beyond `u32::MAX`, hundreds of arguments) needs another
 //! frame shape. Values are a tag byte plus a fixed-width or length-prefixed payload,
@@ -65,6 +70,7 @@
 //! are charged at their encoded length.
 
 use std::borrow::Cow;
+use std::ops::Deref;
 
 use autodist_codegen::rewrite::{
     ACCESS_GET_FIELD, ACCESS_INVOKE_HASRETURN, ACCESS_INVOKE_VOID, ACCESS_PUT_FIELD,
@@ -260,11 +266,12 @@ pub enum Response<'a> {
 
 pub(crate) const TAG_SHUTDOWN: u8 = 2;
 const TAG_NEW: u8 = 3;
+pub(crate) const TAG_NEW_ONE_WAY: u8 = 4;
 const TAG_HELLO: u8 = 5;
 /// `DEPENDENCE` tags pack the access kind into the frame tag: `0x40 | kind`.
 const TAG_DEP_BASE: u8 = 0x40;
 
-fn need(buf: &Bytes, n: usize, what: &'static str) -> Result<(), WireError> {
+fn need<B: Buf>(buf: &B, n: usize, what: &'static str) -> Result<(), WireError> {
     if buf.remaining() < n {
         Err(WireError::Truncated {
             what,
@@ -276,17 +283,17 @@ fn need(buf: &Bytes, n: usize, what: &'static str) -> Result<(), WireError> {
     }
 }
 
-fn rd_u8(buf: &mut Bytes, what: &'static str) -> Result<u8, WireError> {
+fn rd_u8<B: Buf>(buf: &mut B, what: &'static str) -> Result<u8, WireError> {
     need(buf, 1, what)?;
     Ok(buf.get_u8())
 }
 
-fn rd_u32(buf: &mut Bytes, what: &'static str) -> Result<u32, WireError> {
+fn rd_u32<B: Buf>(buf: &mut B, what: &'static str) -> Result<u32, WireError> {
     need(buf, 4, what)?;
     Ok(buf.get_u32())
 }
 
-fn rd_u64(buf: &mut Bytes, what: &'static str) -> Result<u64, WireError> {
+fn rd_u64<B: Buf>(buf: &mut B, what: &'static str) -> Result<u64, WireError> {
     need(buf, 8, what)?;
     Ok(buf.get_u64())
 }
@@ -298,8 +305,8 @@ fn put_string(buf: &mut BytesMut, s: &str) {
 
 /// Reads a length-prefixed string through the frame's cursor: borrowed (`&str`) for
 /// a value the receiver interns, copied once into an owner (`String`) otherwise.
-fn get_string<'a, S: From<&'a str>>(
-    buf: &'a mut Bytes,
+fn get_string<'a, S: From<&'a str>, B: Buf>(
+    buf: &'a mut B,
     what: &'static str,
 ) -> Result<S, WireError> {
     let len = rd_u32(buf, what)? as usize;
@@ -341,7 +348,7 @@ pub fn put_value(buf: &mut BytesMut, v: &WireValue<'_>) {
 
 /// Reads the next value of a frame: the `argc` values behind a request head
 /// ([`decode_head`]), one call each.
-pub fn decode_value(buf: &mut Bytes) -> Result<WireValue<'_>, WireError> {
+pub fn decode_value<B: Buf>(buf: &mut B) -> Result<WireValue<'_>, WireError> {
     Ok(match rd_u8(buf, "value tag")? {
         0 => WireValue::Null,
         1 => {
@@ -399,7 +406,7 @@ fn put_varint(buf: &mut BytesMut, mut v: u64) {
 
 /// Reads a LEB128 `u64`; an encoding that runs past 64 bits is a typed corruption
 /// error.
-fn rd_varint(buf: &mut Bytes, what: &'static str) -> Result<u64, WireError> {
+fn rd_varint<B: Buf>(buf: &mut B, what: &'static str) -> Result<u64, WireError> {
     let mut v = 0u64;
     for shift in (0..64).step_by(7) {
         let byte = rd_u8(buf, what)?;
@@ -416,14 +423,14 @@ fn rd_varint(buf: &mut Bytes, what: &'static str) -> Result<u64, WireError> {
 }
 
 /// Reads a varint head field that must fit a dense `u32` id.
-fn rd_id(buf: &mut Bytes, what: &'static str) -> Result<u32, WireError> {
+fn rd_id<B: Buf>(buf: &mut B, what: &'static str) -> Result<u32, WireError> {
     u32::try_from(rd_varint(buf, what)?).map_err(|_| WireError::VarintOverflow { what })
 }
 
 /// Reads an argument count and bounds it by the bytes that remain (every value is
 /// at least one byte), so no count off the wire can size an allocation the frame
 /// could not fill.
-fn rd_argc(buf: &mut Bytes) -> Result<usize, WireError> {
+fn rd_argc<B: Buf>(buf: &mut B) -> Result<usize, WireError> {
     let argc = rd_varint(buf, "arg count")?;
     match usize::try_from(argc) {
         Ok(n) if n <= buf.remaining() => Ok(n),
@@ -452,13 +459,21 @@ fn put_args<'a>(buf: &mut BytesMut, args: impl Iterator<Item = WireValue<'a>>) -
     buf.len() - start
 }
 
-/// The head of a `NEW` — hello envelope if any, tag, class id, argument count — into
-/// a caller-provided (pooled) buffer; the `argc` values follow, one [`put_value`]
-/// each.
-pub(crate) fn new_head(buf: &mut BytesMut, hello: Option<u64>, class: u32, argc: usize) {
+/// The head of a `NEW` — hello envelope if any, tag, class id, the export id the
+/// creator chose, argument count — into a caller-provided (pooled) buffer; the `argc`
+/// values follow, one [`put_value`] each. A `one_way` `NEW` owes no reply.
+pub(crate) fn new_head(
+    buf: &mut BytesMut,
+    hello: Option<u64>,
+    class: u32,
+    id: u64,
+    one_way: bool,
+    argc: usize,
+) {
     put_hello(buf, hello);
-    buf.put_u8(TAG_NEW);
+    buf.put_u8(if one_way { TAG_NEW_ONE_WAY } else { TAG_NEW });
     put_varint(buf, u64::from(class));
+    put_varint(buf, id);
     put_varint(buf, argc as u64);
 }
 
@@ -488,9 +503,11 @@ pub fn encode_new<'a>(
     buf: &mut BytesMut,
     hello: Option<u64>,
     class: u32,
+    id: u64,
+    one_way: bool,
     args: impl ExactSizeIterator<Item = WireValue<'a>>,
 ) -> usize {
-    new_head(buf, hello, class, args.len());
+    new_head(buf, hello, class, id, one_way, args.len());
     put_args(buf, args)
 }
 
@@ -541,6 +558,10 @@ pub enum FrameHead {
     New {
         /// Dense class id to instantiate.
         class: u32,
+        /// The export id the creator chose for the new object.
+        id: u64,
+        /// `true` when no reply is owed.
+        one_way: bool,
         /// Number of constructor arguments following the head.
         argc: usize,
     },
@@ -560,7 +581,7 @@ pub enum FrameHead {
 }
 
 /// Peeks the frame tag without consuming it.
-pub fn peek_tag(buf: &Bytes) -> Result<u8, WireError> {
+pub fn peek_tag(buf: &[u8]) -> Result<u8, WireError> {
     match buf.first() {
         Some(&t) => Ok(t),
         None => Err(WireError::Truncated {
@@ -571,9 +592,31 @@ pub fn peek_tag(buf: &Bytes) -> Result<u8, WireError> {
     }
 }
 
+/// A read cursor over a borrowed frame: the decoders run over it to look at a frame
+/// without consuming it (see `Interp::names_an_object_not_yet_created`).
+pub(crate) struct Peek<'a>(pub(crate) &'a [u8]);
+
+impl Buf for Peek<'_> {
+    fn remaining(&self) -> usize {
+        self.0.len()
+    }
+    fn take_slice(&mut self, n: usize) -> &[u8] {
+        let (head, rest) = self.0.split_at(n);
+        self.0 = rest;
+        head
+    }
+}
+
+impl Deref for Peek<'_> {
+    type Target = [u8];
+    fn deref(&self) -> &[u8] {
+        self.0
+    }
+}
+
 /// Consumes the hello envelope header if the frame starts with one, returning the
 /// peer's layout fingerprint. The inner frame remains in `buf`.
-pub fn split_hello(buf: &mut Bytes) -> Result<Option<u64>, WireError> {
+pub fn split_hello<B: Buf + Deref<Target = [u8]>>(buf: &mut B) -> Result<Option<u64>, WireError> {
     if peek_tag(buf)? != TAG_HELLO {
         return Ok(None);
     }
@@ -583,12 +626,14 @@ pub fn split_hello(buf: &mut Bytes) -> Result<Option<u64>, WireError> {
 
 /// Decodes a request head (tag through arg count), leaving the argument values in
 /// `buf`. The hot receive path: no allocation, no string in sight.
-pub fn decode_head(buf: &mut Bytes) -> Result<FrameHead, WireError> {
+pub fn decode_head<B: Buf>(buf: &mut B) -> Result<FrameHead, WireError> {
     let tag = rd_u8(buf, "frame tag")?;
     match tag {
         TAG_SHUTDOWN => Ok(FrameHead::Shutdown),
-        TAG_NEW => Ok(FrameHead::New {
+        TAG_NEW | TAG_NEW_ONE_WAY => Ok(FrameHead::New {
             class: rd_id(buf, "class id")?,
+            id: rd_varint(buf, "export id")?,
+            one_way: tag == TAG_NEW_ONE_WAY,
             argc: rd_argc(buf)?,
         }),
         _ if tag & 0xf8 == TAG_DEP_BASE => {
@@ -615,7 +660,7 @@ impl Response<'_> {
     /// Decodes a response. Takes the buffer by `&mut` so the caller keeps ownership
     /// of the spent [`Bytes`] and can reclaim its storage into the endpoint's buffer
     /// pool once it is done with the (borrowed) value.
-    pub fn decode(bytes: &mut Bytes) -> Result<Response<'_>, WireError> {
+    pub fn decode<B: Buf>(bytes: &mut B) -> Result<Response<'_>, WireError> {
         match rd_u8(bytes, "response tag")? {
             0 => Ok(Response::Value(decode_value(bytes)?)),
             1 => Ok(Response::Error(get_string(bytes, "error message")?)),
@@ -761,7 +806,7 @@ mod tests {
 
     fn new_frame(class: u32, args: &[WireValue]) -> Bytes {
         let mut buf = BytesMut::new();
-        encode_new(&mut buf, None, class, args.iter().cloned());
+        encode_new(&mut buf, None, class, 5, false, args.iter().cloned());
         buf.freeze()
     }
 
@@ -781,9 +826,26 @@ mod tests {
             WireValue::Null,
             WireValue::Remote { node: 1, id: 42 },
         ];
-        let head = FrameHead::New { class: 2, argc: 6 };
+        let head = FrameHead::New {
+            class: 2,
+            id: 5,
+            one_way: false,
+            argc: 6,
+        };
         assert_eq!(
             read_frame(new_frame(2, &every_kind)),
+            Ok((None, head, every_kind.to_vec()))
+        );
+        let mut one_way = BytesMut::new();
+        encode_new(&mut one_way, None, 2, 300, true, every_kind.iter().cloned());
+        let head = FrameHead::New {
+            class: 2,
+            id: 300,
+            one_way: true,
+            argc: 6,
+        };
+        assert_eq!(
+            read_frame(one_way.freeze()),
             Ok((None, head, every_kind.to_vec()))
         );
         assert_eq!(
@@ -928,7 +990,7 @@ mod tests {
             WireValue::Null,                      // 1
         ];
         let mut buf = BytesMut::new();
-        let value_bytes = encode_new(&mut buf, Some(1), 0, args.iter().cloned());
+        let value_bytes = encode_new(&mut buf, Some(1), 0, 0, true, args.iter().cloned());
         assert_eq!(value_bytes, 11 + 9 + 13 + 2 + 1);
         let dep_bytes = encode_dependence(
             &mut buf,
@@ -950,7 +1012,7 @@ mod tests {
     fn corrupt_frames_fail_typed_not_panicking() {
         let decode = |bytes: Vec<u8>| read_frame(Bytes::from(bytes));
         // Unknown request tags, the retired name-carrying frames' among them.
-        for tag in [0u8, 1, 4, 99] {
+        for tag in [0u8, 1, 6, 99] {
             assert_eq!(
                 decode(vec![tag, 0, 0, 0]),
                 Err(WireError::BadRequestTag(tag))
@@ -963,7 +1025,7 @@ mod tests {
         );
         // Bad value tag inside a NEW arg list.
         assert_eq!(
-            decode(vec![TAG_NEW, 1, 1, 9]),
+            decode(vec![TAG_NEW, 1, 0, 1, 9]),
             Err(WireError::BadValueTag(9))
         );
         // Truncated mid-head.
@@ -1003,6 +1065,7 @@ mod tests {
         let mut buf = BytesMut::new();
         buf.put_u8(TAG_NEW);
         buf.put_u8(0); // class id
+        buf.put_u8(0); // export id
         buf.put_u8(1); // one argument
         buf.put_u8(4); // a string value
         buf.put_u32(2);

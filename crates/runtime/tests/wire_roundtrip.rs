@@ -99,9 +99,15 @@ fn arb_wire_value() -> impl Strategy<Value = WireValue<'static>> {
 
 /// A `NEW` frame as the Message Exchange builds it, plus the value bytes the encoder
 /// reports (the variable term of the virtual-time charge).
-fn new_frame(hello: Option<u64>, class: u32, args: &[WireValue]) -> (Bytes, usize) {
+fn new_frame(
+    hello: Option<u64>,
+    class: u32,
+    id: u64,
+    one_way: bool,
+    args: &[WireValue],
+) -> (Bytes, usize) {
     let mut buf = BytesMut::new();
-    let value_bytes = encode_new(&mut buf, hello, class, args.iter().cloned());
+    let value_bytes = encode_new(&mut buf, hello, class, id, one_way, args.iter().cloned());
     (buf.freeze(), value_bytes)
 }
 
@@ -154,10 +160,13 @@ proptest! {
     #[test]
     fn new_requests_round_trip(
         class in any::<u32>(),
+        id in any::<u64>(),
+        one_way in any::<bool>(),
         args in prop::collection::vec(arb_wire_value(), 0..8),
     ) {
-        let head = FrameHead::New { class, argc: args.len() };
-        prop_assert_eq!(read_frame(&new_frame(None, class, &args).0), Ok((None, head, args)));
+        let head = FrameHead::New { class, id, one_way, argc: args.len() };
+        let frame = new_frame(None, class, id, one_way, &args).0;
+        prop_assert_eq!(read_frame(&frame), Ok((None, head, args)));
     }
 
     /// `DEPENDENCE` requests round-trip for every access kind and any 64-bit target.
@@ -206,10 +215,12 @@ proptest! {
         hello_fp in any::<u64>(),
     ) {
         let hello = if has_hello { Some(hello_fp) } else { None };
-        let (data, value_bytes) = new_frame(hello, class, &args);
+        // An export id below 128 takes the one head byte the class name's length
+        // prefix leaves over.
+        let (data, value_bytes) = new_frame(hello, class, 127, false, &args);
         let hello_len = if hello.is_some() { 9 } else { 0 };
         prop_assert!(data.len() - hello_len <= charged_new_size(1, value_bytes));
-        let head = FrameHead::New { class, argc: args.len() };
+        let head = FrameHead::New { class, id: 127, one_way: false, argc: args.len() };
         prop_assert_eq!(read_frame(&data), Ok((hello, head, args)));
     }
 
@@ -223,7 +234,7 @@ proptest! {
         kind in arb_access_kind(),
         args in prop::collection::vec(arb_wire_value(), 0..8),
     ) {
-        let (_, value_bytes) = new_frame(Some(target), 3, &args);
+        let (_, value_bytes) = new_frame(Some(target), 3, target, false, &args);
         prop_assert_eq!(
             charged_new_size(name.len(), value_bytes),
             v1_oracle::encode_new(&name, &args).len()
@@ -250,7 +261,7 @@ proptest! {
         let (v2, payload) = dep_frame(None, target, kind, member_id, &args);
         prop_assert_eq!(&v1[v1.len() - payload..], &v2[v2.len() - payload..]);
         let v1 = v1_oracle::encode_new(&member_name, &args);
-        let (v2, payload) = new_frame(None, member_id, &args);
+        let (v2, payload) = new_frame(None, member_id, target, true, &args);
         prop_assert_eq!(&v1[v1.len() - payload..], &v2[v2.len() - payload..]);
     }
 
@@ -286,7 +297,7 @@ proptest! {
         args in prop::collection::vec(arb_wire_value(), 0..4),
     ) {
         let frames = [
-            new_frame(Some(7), member, &args).0,
+            new_frame(Some(7), member, target, false, &args).0,
             dep_frame(None, target, kind, member, &args).0,
         ];
         for frame in frames {
@@ -315,9 +326,14 @@ fn wide_targets_and_long_argument_lists_round_trip() {
             let (dep, _) = dep_frame(None, target, AccessKind::InvokeRet, 3, &args);
             let head = dep_head(target, AccessKind::InvokeRet, 3, argc);
             assert_eq!(read_frame(&dep), Ok((None, head, args.clone())));
-            let head = FrameHead::New { class: 5, argc };
+            let head = FrameHead::New {
+                class: 5,
+                id: target,
+                one_way: true,
+                argc,
+            };
             assert_eq!(
-                read_frame(&new_frame(None, 5, &args).0),
+                read_frame(&new_frame(None, 5, target, true, &args).0),
                 Ok((None, head, args))
             );
         }
@@ -347,8 +363,8 @@ fn retired_name_frames_are_rejected_by_tag() {
 /// A five-byte frame cannot ask the decoder to reserve four billion values.
 #[test]
 fn an_arg_count_beyond_the_frame_is_truncation_not_allocation() {
-    // NEW · class 0 · argc = u32::MAX as a five-byte varint · nothing.
-    let frame = [3u8, 0, 0xff, 0xff, 0xff, 0xff, 0x0f];
+    // NEW · class 0 · export id 0 · argc = u32::MAX as a five-byte varint · nothing.
+    let frame = [3u8, 0, 0, 0xff, 0xff, 0xff, 0xff, 0x0f];
     assert!(matches!(
         read_frame(&frame),
         Err(WireError::Truncated {

@@ -21,7 +21,7 @@ use std::collections::BTreeMap;
 
 use autodist_codegen::rewrite::{rewrite_for_node, ClassPlacement};
 use autodist_ir::frontend::compile_source;
-use autodist_runtime::exchange::{DistState, ServeOutcome};
+use autodist_runtime::exchange::{DistState, Reply, ServeOutcome};
 use autodist_runtime::interp::{Interp, TaskOutcome};
 use autodist_runtime::net::{MpiEndpoint, NetworkConfig, Transport};
 use autodist_runtime::value::StaticValue;
@@ -129,7 +129,8 @@ fn steady_state_remote_round_trips_allocate_nothing_for_the_argument_list() {
     caller.heap.reserve(8 * (WARM_UP + MEASURED));
     server.heap.reserve(2 * (WARM_UP + MEASURED));
     let exports = server.dist.as_mut().unwrap();
-    exports.exports.reserve(2 * (WARM_UP + MEASURED));
+    // The export table is indexed by export id, and ids interleave by world size.
+    exports.exports.reserve(2 * 2 * (WARM_UP + MEASURED));
     exports.export_ids.reserve(2 * (WARM_UP + MEASURED));
 
     let entry = programs[0].entry.unwrap();
@@ -148,15 +149,16 @@ fn steady_state_remote_round_trips_allocate_nothing_for_the_argument_list() {
         let before = allocations();
         match server.accept_request(request.from, request.req_id, request.data) {
             ServeOutcome::Handled => {}
-            ServeOutcome::Spawned {
-                mut task,
-                reply_override,
-            } => {
+            ServeOutcome::Failed(e) => panic!("a one-way NEW failed: {e}"),
+            ServeOutcome::Spawned { mut task, reply } => {
                 let TaskOutcome::Done(result) = server.run_task(&mut task) else {
                     panic!("a Worker method parked");
                 };
                 server.recycle_task(task);
-                let result = result.map(|v| reply_override.unwrap_or(v));
+                let result = match reply {
+                    Reply::Override(v) => result.map(|_| v),
+                    _ => result,
+                };
                 server.send_reply(request.from, request.req_id, result);
             }
         }

@@ -218,16 +218,15 @@ fn injected_delay_shifts_clocks_but_not_checksums() {
     }
 }
 
-/// Killing a rank mid-run surfaces as a typed `NodeDown`.
+/// Killing a rank mid-run (halfway through the fault-free run's virtual time)
+/// surfaces as a typed `NodeDown`.
 #[test]
 fn killed_ranks_surface_as_node_down() {
     for (name, plan) in plans() {
         let baseline = run_with(&plan, None);
-        assert!(
-            baseline.virtual_time_us > 300.0,
-            "{name}: the kill must land mid-flight"
-        );
-        let report = run_with(&plan, Some(FaultPlan::kill(1, 300.0)));
+        let halfway = baseline.virtual_time_us / 2.0;
+        assert!(halfway > 150.0, "{name}: the kill must land mid-flight");
+        let report = run_with(&plan, Some(FaultPlan::kill(1, halfway)));
         match report.error {
             Some(ExecError::NodeDown { rank }) => assert_eq!(rank, 1, "{name}"),
             other => panic!("{name}: expected a typed NodeDown, got {other:?}"),
@@ -236,9 +235,10 @@ fn killed_ranks_surface_as_node_down() {
 }
 
 /// An asymmetric partition — one direction of a link dead, the other healthy —
-/// fails typed at the first packet that needs the dead direction: with 0→1 dead
-/// node 1 never sees the first request, with 1→0 dead it serves the request and its
-/// response is what is lost.
+/// fails typed at the first packet that needs the dead direction. With 0→1 dead
+/// node 1 never sees the first request, the one-way `NEW`; its creator runs on to the
+/// first bounce, which is lost too. With 1→0 dead node 1 creates the worker and serves
+/// the first bounce, and that bounce's response is what is lost.
 #[test]
 fn asymmetric_partitions_fail_typed_in_the_dead_direction() {
     let program = autodist_ir::frontend::compile_source(
@@ -261,20 +261,20 @@ fn asymmetric_partitions_fail_typed_in_the_dead_direction() {
         drop: 1.0,
         ..LinkProbs::default()
     };
-    for (from, to, served_before_the_loss) in [(0, 1, 0), (1, 0, 1)] {
+    for (from, to, request, served_before_the_loss, lost) in [(0, 1, 1, 0, 2), (1, 0, 2, 2, 1)] {
         let plan = FaultPlan::quiet(5).with_link(from, to, dead);
         let inline = run_distributed(
             &copies,
             &ClusterConfig::paper_testbed().with_faults(plan.clone()),
         );
         // The first packet on the dead direction is request #1 (the `NEW`) when
-        // 0→1 is dead, and the response to it when 1→0 is.
+        // 0→1 is dead, and the response to request #2 (the first bounce) when 1→0 is.
         assert_eq!(
             inline.error,
             Some(ExecError::MessageTimeout {
                 src: from,
                 dst: to,
-                request: 1
+                request
             }),
             "{from}→{to} dead"
         );
@@ -283,11 +283,11 @@ fn asymmetric_partitions_fail_typed_in_the_dead_direction() {
             "{from}→{to} dead: the healthy direction still carries traffic"
         );
         let faults = inline.faults.expect("faulted runs carry a summary");
-        assert_eq!(faults.lost, 1, "{from}→{to} dead: exactly one logical loss");
+        assert_eq!(faults.lost, lost, "{from}→{to} dead: logical losses");
         assert_eq!(
             faults.dropped_attempts,
-            1 + plan.max_retries as u64,
-            "{from}→{to} dead: every attempt of that one packet dropped"
+            lost * (1 + plan.max_retries as u64),
+            "{from}→{to} dead: every attempt of each lost packet dropped"
         );
     }
 }
@@ -379,4 +379,110 @@ proptest! {
             other => prop_assert!(false, "expected a typed MessageTimeout, got {other:?}"),
         }
     }
+}
+
+/// Four nodes: `Main` (node 0) creates each `Cell` one-way on node 1 and hands the
+/// reference to `Relay` on node 2, which calls the cell before node 1 has seen the
+/// `NEW` whenever the link 0→1 reorders it. Node 1 holds the call until the `NEW`
+/// registers the cell, and the checksum is the centralized run's.
+#[test]
+fn a_reference_that_overtakes_its_new_to_a_third_node_is_held() {
+    let program = autodist_ir::frontend::compile_source(
+        r#"
+        class Cell {
+            int v;
+            Cell(int v) { this.v = v; }
+            int get() { return this.v; }
+        }
+        class Relay { int read(Cell c) { return c.get() + 1; } }
+        class Tally { int count; int add(int x) { this.count = this.count + x; return this.count; } }
+        class Main {
+            static int checksum;
+            static void main() {
+                Relay r = new Relay();
+                Tally t = new Tally();
+                int total = 0;
+                int i = 0;
+                while (i < 5) {
+                    Cell c = new Cell(i * 11 + 3);
+                    total = total + r.read(c) + t.add(i);
+                    i = i + 1;
+                }
+                checksum = total;
+            }
+        }
+    "#,
+    )
+    .unwrap();
+    let central = run_centralized(&program, 1.0);
+    let mut home = BTreeMap::new();
+    for (class, node) in [("Main", 0), ("Cell", 1), ("Relay", 2), ("Tally", 3)] {
+        home.insert(program.class_by_name(class).unwrap(), node);
+    }
+    let placement = ClassPlacement::new(4, home);
+    let copies: Vec<Program> = (0..4)
+        .map(|n| rewrite_for_node(&program, &placement, n).program)
+        .collect();
+    let cluster = ClusterConfig {
+        network: NetworkConfig::uniform(4),
+        ..Default::default()
+    };
+    let clean = run_distributed(&copies, &cluster);
+    assert!(clean.is_ok(), "{:?}", clean.error);
+    let reorder = LinkProbs {
+        reorder: 1.0,
+        ..LinkProbs::default()
+    };
+    for seed in 0..8 {
+        let plan = FaultPlan::quiet(seed).with_link(0, 1, reorder);
+        let run = run_distributed(&copies, &cluster.clone().with_faults(plan));
+        assert_byte_identical(&format!("reorder 0→1, seed {seed}"), &clean, &run);
+        assert_eq!(
+            run.final_statics.get("Main::checksum"),
+            central.final_statics.get("Main::checksum")
+        );
+        let faults = run.faults.expect("summary");
+        assert!(faults.reordered > 0 && faults.repaired > 0, "{faults:?}");
+    }
+}
+
+/// A program whose last statement creates an object nobody uses: its one-way `NEW`
+/// is the last packet of the run, and the root completes without it. Dropping it
+/// still fails the run with a typed `MessageTimeout`.
+#[test]
+fn a_dropped_trailing_one_way_new_is_a_typed_timeout() {
+    let program = autodist_ir::frontend::compile_source(
+        r#"
+        class Worker { int bounce(int x) { return x * 2 + 1; } }
+        class Unused { int n; Unused(int n) { this.n = n; } }
+        class Main {
+            static int checksum;
+            static void main() {
+                Worker w = new Worker();
+                checksum = w.bounce(20);
+                Unused u = new Unused(checksum);
+            }
+        }
+    "#,
+    )
+    .unwrap();
+    let copies = place_generated(&program, &[("Worker".into(), 1), ("Unused".into(), 1)]);
+    let clean = run_distributed(&copies, &ClusterConfig::paper_testbed());
+    assert!(clean.is_ok(), "{:?}", clean.error);
+    let last = clean.total_messages() - 1;
+    let run = run_distributed(
+        &copies,
+        &ClusterConfig::paper_testbed().with_faults(FaultPlan::drop_packet(last)),
+    );
+    assert_eq!(
+        run.error,
+        Some(ExecError::MessageTimeout {
+            src: 0,
+            dst: 1,
+            request: 3
+        }),
+        "the trailing NEW is request #3"
+    );
+    assert_eq!(run.final_statics, clean.final_statics, "the root completed");
+    assert_eq!(run.faults.expect("summary").lost, 1);
 }

@@ -7,7 +7,10 @@
 //! Rust evaluation of the recursion. The fixed-program cases are also pinned — result,
 //! traffic and virtual clocks — to what the deleted thread-per-node schedule
 //! (`Schedule::Threaded`, one blocking OS thread per node) computed for them,
-//! recorded on the last commit that had it.
+//! recorded on the last commit that had it, and re-recorded when a `NEW` whose
+//! constructor cannot be observed became one-way: each such `NEW` saves its reply
+//! message, its reply's bytes less the export id the `NEW` now carries, and a round
+//! trip of virtual time, and no instruction or request count moved.
 //!
 //! CI runs this test binary under a watchdog timeout (see `.github/workflows/ci.yml`)
 //! as a backstop, so a worker-loop stall fails fast instead of hanging the job.
@@ -166,9 +169,9 @@ fn deep_cross_node_recursion_overflows_cleanly() {
     let program = compile_source(src).expect("deep recursion compiles");
     let pins = [("Main", 0), ("Ping", 0), ("Pong", 1)];
     let threaded = ThreadedRecord {
-        virtual_time_us: 85908.58857142924,
-        messages: 398,
-        bytes: 323171,
+        virtual_time_us: 85621.42857142923,
+        messages: 397,
+        bytes: 323158,
         per_node: &[(2390, 99, 100), (2376, 100, 99)],
     };
     let report = run_pinned(&program, &pins, 2);
@@ -225,9 +228,9 @@ fn three_node_ring_is_schedule_invariant() {
     let program = compile_source(src).expect("ring compiles");
     let pins = [("Main", 0), ("A", 0), ("B", 1), ("C", 2)];
     let threaded = ThreadedRecord {
-        virtual_time_us: 5802.360000000005,
-        messages: 38,
-        bytes: 903,
+        virtual_time_us: 5228.520000000002,
+        messages: 36,
+        bytes: 877,
         per_node: &[(217, 5, 8), (192, 7, 6), (165, 7, 5)],
     };
     let inline = run_pinned(&program, &pins, 3);

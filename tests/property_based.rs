@@ -35,16 +35,18 @@ proptest! {
     #[test]
     fn wire_requests_round_trip(
         class in any::<u32>(),
+        id in any::<u64>(),
+        one_way in any::<bool>(),
         member in any::<u32>(),
         target in any::<u64>(),
         args in prop::collection::vec(arb_wire_value(), 0..6),
     ) {
         let argc = args.len();
         let mut frame = BytesMut::new();
-        encode_new(&mut frame, None, class, args.iter().cloned());
+        encode_new(&mut frame, None, class, id, one_way, args.iter().cloned());
         prop_assert_eq!(
             read_frame(frame.freeze()),
-            (FrameHead::New { class, argc }, args.clone())
+            (FrameHead::New { class, id, one_way, argc }, args.clone())
         );
         let kind = AccessKind::InvokeRet;
         let mut frame = BytesMut::new();

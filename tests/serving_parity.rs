@@ -141,12 +141,14 @@ fn killed_request_fails_typed_while_the_rest_stay_byte_identical() {
     let requests = 24usize;
     let victim = 5usize;
     let sequence: Vec<usize> = (0..requests).map(|i| i % apps.len()).collect();
+    // Halfway through the victim's solo run, so the kill lands mid-flight.
+    let halfway = refs[sequence[victim]].virtual_time_us / 2.0;
     let report = run_serving(
         &apps,
         &sequence,
         &ServeOptions {
             concurrency: 8,
-            faults: vec![(victim, FaultPlan::kill(1, 300.0))],
+            faults: vec![(victim, FaultPlan::kill(1, halfway))],
             ..ServeOptions::default()
         },
     );
@@ -350,58 +352,58 @@ fn digest(report: &autodist_runtime::ExecutionReport) -> u64 {
 /// `PINNED[w][p]`: the digest of mix workload `w` under `pinned_plans()[p]`.
 const PINNED: [[u64; 16]; 3] = [
     [
-        0xed508996483f8fe9,
-        0x0deebb3ce0084f6a,
-        0x01d54f72a6c4d4e9,
-        0x030ef0ee9be97721,
-        0xd8459fee22262372,
-        0xbb87bf9e9e837336,
-        0x8a14cebb9eba6bf8,
-        0xa11ad51e9d81f60b,
-        0x71b6a608b217d449,
-        0xaebc762c642dd957,
-        0xfaddfa0e50abcb38,
-        0x565dab6561ac8561,
-        0x933ffc640618c44e,
-        0x7732d66b5c0d1a12,
-        0xcc7bbcef1c031640,
-        0xe2e30a36dd037049,
+        0x50abd3fcc1c05a73,
+        0x7b10bd7440d6eeab,
+        0x1ffc2a5801d6c541,
+        0xefb091869ad95520,
+        0xde4f29c1f9df45c1,
+        0xcd8f07536117a1e0,
+        0x41a58c7f2fbe2578,
+        0x3be32033be8fd1aa,
+        0xf76c2f94896a314e,
+        0x6c9c41de36b1ef56,
+        0xf83a64b2c3b1b265,
+        0x55b07165f2cddf98,
+        0x6f36157de0b28655,
+        0xec20d67ccbac07ba,
+        0x9f92c344c7f91cdf,
+        0x1e5b9fd7f9508134,
     ],
     [
-        0xafbace2100694e8a,
-        0xedf91d1c318863f3,
-        0x513d2a884d39f03d,
-        0x2dbbf22c120203bf,
-        0x4e0e07c796228313,
-        0xde25a8295214151f,
-        0x1f2f38f7f65724b9,
-        0x5fe9a075d4135e71,
-        0x048e517211b67ce5,
-        0xdeb7b67cb38362bf,
-        0x1c06251c9e1975d3,
-        0xb5cc5858ae26089e,
-        0xa8c9d0d89334de69,
-        0x4a878eff9d785085,
-        0x77362b48b6f3f611,
-        0xa67df2c3679dd410,
+        0x6ac295a8a8f3d942,
+        0x5552cc3c5ca4fc3d,
+        0x92ca144200b129f9,
+        0x274bff1ea317d673,
+        0x5b3721413acfd5f7,
+        0xdc97fd35f58f2c9e,
+        0xcaa64dae375f54e5,
+        0xbc4fe015453cdb38,
+        0xdedc21c7f3f7a255,
+        0xe5709e8f5a93911c,
+        0xa7308d1e9c356f9c,
+        0xa53ab7bf20eeb932,
+        0x6f4714a0e2007e52,
+        0xc35a47924154b2d9,
+        0x03f0f98e2386737e,
+        0xcc86345d99408d2f,
     ],
     [
-        0x857e72a5fb2079d9,
-        0x163997e8744089d2,
-        0x18ed603fee0ce058,
-        0x5aaa2648cb7cb883,
-        0xea75825e6e34312e,
-        0xea75825e6e34312e,
-        0x2522cb6257f4bc28,
-        0x36c2bf6f212154ed,
-        0xcae01b591706b842,
-        0x298eefcf2e2911d6,
-        0xdfa5064132cbc008,
-        0x73d3e687c4e0add7,
-        0x36c2bf6f212154ed,
-        0x36c2bf6f212154ed,
-        0x36c2bf6f212154ed,
-        0x36c2bf6f212154ed,
+        0x947516b09c05347b,
+        0x7f1a57ea37031090,
+        0x94beff761afc2b44,
+        0xca2fba3cc7526812,
+        0xa88f323b9d6c7acd,
+        0xa88f323b9d6c7acd,
+        0x9a51527c707c3056,
+        0x9a51527c707c3056,
+        0x9393e820e66449c7,
+        0xf75663dcbba28d3f,
+        0xddbc54a11f391d38,
+        0x9a51527c707c3056,
+        0x9a51527c707c3056,
+        0x9a51527c707c3056,
+        0x9a51527c707c3056,
+        0x9a51527c707c3056,
     ],
 ];
 
