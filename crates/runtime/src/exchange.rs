@@ -53,9 +53,10 @@
 //!
 //! **A frame can overtake the `NEW` of the object it names** when a reorder fault
 //! delivers a creator's next frame on a link before the `NEW` it sent first, or the
-//! reference reaches a third node first. `Interp::names_an_object_not_yet_created`
-//! says so, and the world holds such a frame until the `NEW` registers the id (see
-//! [`crate::sched`]).
+//! reference reaches a third node first. Once a link's first request is a one-way
+//! `NEW`, the next frame can also overtake the fingerprint hello that `NEW` carries.
+//! `Interp::overtook_a_frame_it_needs` says so, and the world holds such a frame
+//! until the `NEW` registers the id or the hello is verified (see [`crate::sched`]).
 
 use std::borrow::Cow;
 use std::collections::HashMap;
@@ -998,12 +999,14 @@ impl Interp {
         Ok(Some(self.root_task(frame)))
     }
 
-    /// Whether `pkt` names an object of this node whose `NEW` has not registered
-    /// here yet: a `DEPENDENCE` on it, a value that refers to it (in a request's
-    /// arguments or a response), or a `NEW` its creator sent after one still owed. The
-    /// frame is read, not consumed; a corrupt one is not held, so its delivery fails
-    /// typed.
-    pub(crate) fn names_an_object_not_yet_created(&self, pkt: &Packet) -> bool {
+    /// Whether `pkt` overtook a frame it needs: a request without the fingerprint
+    /// hello from a peer not yet verified (the hello rides on the first request of a
+    /// link, so it is still on its way), or a frame that names an object of this node
+    /// whose `NEW` has not registered here yet — a `DEPENDENCE` on it, a value that
+    /// refers to it (in a request's arguments or a response), or a `NEW` its creator
+    /// sent after one still owed. A shutdown never waits. The frame is read, not
+    /// consumed; a corrupt one is not held, so its delivery fails typed.
+    pub(crate) fn overtook_a_frame_it_needs(&self, pkt: &Packet) -> bool {
         let Some(dist) = self.dist.as_ref() else {
             return false;
         };
@@ -1014,19 +1017,21 @@ impl Interp {
                 return matches!(Response::decode(&mut frame), Ok(Response::Value(v)) if names_one(&v));
             }
             PacketKind::Request => {
-                if wire::split_hello(&mut frame).is_err() {
+                let Ok(hello) = wire::split_hello(&mut frame) else {
                     return false;
-                }
+                };
+                let unverified =
+                    hello.is_none() && !dist.peer_ok.get(pkt.from).copied().unwrap_or(false);
                 match wire::decode_head(&mut frame) {
                     Ok(FrameHead::New { id, argc, .. }) => {
                         let (creator, n) = dist.creator_of(id);
-                        if creator == pkt.from && n > dist.registered[creator] {
+                        if unverified || creator == pkt.from && n > dist.registered[creator] {
                             return true;
                         }
                         argc
                     }
                     Ok(FrameHead::Dependence { target, argc, .. }) => {
-                        if dist.awaits_new(target) {
+                        if unverified || dist.awaits_new(target) {
                             return true;
                         }
                         argc
@@ -1146,8 +1151,26 @@ mod tests {
             wire::encode_dependence(&mut buf, hello, target, kind, member, args.iter().cloned());
             buf
         };
+        let request = |data: BytesMut| Packet {
+            from: 0,
+            to: 1,
+            kind: PacketKind::Request,
+            req_id: 2,
+            seq: 0,
+            data: data.freeze(),
+            arrival_time_us: 0.0,
+        };
 
-        // No hello yet: nothing but a shutdown is honoured from this peer.
+        // No hello yet: under a fault plan a frame from this peer waits for the hello
+        // it overtook, which rides on the peer's first request; a shutdown never waits.
+        let early = request(frame(None, 999, AccessKind::ArrayLength, 0, &[]));
+        assert!(node.overtook_a_frame_it_needs(&early));
+        let shutdown = Packet {
+            data: shutdown_frame(),
+            ..request(BytesMut::new())
+        };
+        assert!(!node.overtook_a_frame_it_needs(&shutdown));
+        // Delivered anyway, nothing but a shutdown is honoured from this peer.
         let unverified = reply_to(
             &mut node,
             &mut net,
@@ -1179,17 +1202,8 @@ mod tests {
         // a `NEW` still on its way: the frame is held, and stays held for as long as
         // no `NEW` registers that id. (A world that runs dry holding it fails with its
         // stall shape: `sched::tests::a_request_held_for_a_new_that_never_comes_stalls`.)
-        let request = |data: BytesMut| Packet {
-            from: 0,
-            to: 1,
-            kind: PacketKind::Request,
-            req_id: 2,
-            seq: 0,
-            data: data.freeze(),
-            arrival_time_us: 0.0,
-        };
         let held = request(frame(None, 998, AccessKind::ArrayLength, 0, &[]));
-        assert!(node.names_an_object_not_yet_created(&held));
+        assert!(node.overtook_a_frame_it_needs(&held));
         let new = |id, one_way| {
             let mut buf = BytesMut::new();
             let cell = p.class_by_name("Cell").unwrap().0;
@@ -1198,15 +1212,15 @@ mod tests {
         };
         // A `NEW` that node 0 sent after one still owed is held too; the owed one
         // registers (one-way: no reply), and then only the never-sent 998 is awaited.
-        assert!(node.names_an_object_not_yet_created(&new(2, true)));
-        assert!(!node.names_an_object_not_yet_created(&new(0, true)));
+        assert!(node.overtook_a_frame_it_needs(&new(2, true)));
+        assert!(!node.overtook_a_frame_it_needs(&new(0, true)));
         let registered = new(0, true);
         assert!(matches!(
             node.accept_request(0, 3, registered.data),
             ServeOutcome::Handled
         ));
-        assert!(!node.names_an_object_not_yet_created(&new(2, true)));
-        assert!(node.names_an_object_not_yet_created(&held));
+        assert!(!node.overtook_a_frame_it_needs(&new(2, true)));
+        assert!(node.overtook_a_frame_it_needs(&held));
         net.route(&mut node.dist.as_mut().unwrap().endpoint);
         assert!(net.recv(0).is_none(), "a one-way NEW owes no reply");
         let cell = p.class_by_name("Cell").unwrap();

@@ -206,6 +206,40 @@ mod tests {
         }
     "#;
 
+    /// Two nodes: node 1 is called with a `Probe` of node 0, creates a `Tally` on node
+    /// 0 one-way and then calls the probe. Its first request on the link carries the
+    /// fingerprint hello; a reorder delivers the call before it.
+    const CALLBACK: &str = r#"
+        class Probe {
+            int v;
+            Probe(int v) { this.v = v; }
+            int get() { return this.v; }
+        }
+        class Tally {
+            int n;
+            Tally(int n) { this.n = n * 3; }
+        }
+        class Worker {
+            int work(Probe p) {
+                Tally t = new Tally(7);
+                return p.get() + 1;
+            }
+        }
+        class Main {
+            static int checksum;
+            static void main() {
+                Worker w = new Worker();
+                int total = 0;
+                int i = 0;
+                while (i < 4) {
+                    total = total + w.work(new Probe(i * 5 + 2));
+                    i = i + 1;
+                }
+                checksum = total;
+            }
+        }
+    "#;
+
     /// A program of `src` placed by `homes`, prepared for `network`.
     fn app(src: &str, homes: &[(&str, usize)], network: NetworkConfig) -> ServerApp {
         let p = compile_source(src).unwrap();
@@ -241,6 +275,15 @@ mod tests {
                 app(
                     SEARCH,
                     &[("Main", 0), ("Board", 1)],
+                    NetworkConfig::paper_testbed(),
+                ),
+            ),
+            (
+                "callback",
+                CALLBACK,
+                app(
+                    CALLBACK,
+                    &[("Main", 0), ("Probe", 0), ("Tally", 0), ("Worker", 1)],
                     NetworkConfig::paper_testbed(),
                 ),
             ),

@@ -33,13 +33,14 @@
 //!   sequence window released, in route order; a lost packet leaves none. `World::run`
 //!   takes the oldest entry, receives on that rank and routes what the node sent, so
 //!   what a delivery adds goes behind everything already pending.
-//! * **A frame that overtook the `NEW` of the object it names is held** by its
-//!   node (`Interp::names_an_object_not_yet_created`): it does not touch the node's
-//!   clock until the `NEW` has registered the object, and then it is delivered at
-//!   once, so the clock sees the order the frames were sent in. Only a reorder fault
-//!   can deliver such a frame first (a fault-free link delivers in send order, and a
-//!   `NEW` is routed before anything that names its object), so a world without a
-//!   fault plan never looks.
+//! * **A frame that overtook a frame it needs is held** by its node
+//!   (`Interp::overtook_a_frame_it_needs`): the `NEW` of the object it names, or the
+//!   fingerprint hello on its sender's first request of the link. It does not touch
+//!   the node's clock until that frame has been delivered, and then it is delivered
+//!   at once, so the clock sees the order the frames were sent in. Only a reorder
+//!   fault can deliver such a frame first (a fault-free link delivers in send order,
+//!   and a `NEW` is routed before anything that names its object), so a world without
+//!   a fault plan never looks.
 //! * **Quiescence is observed where it happens.** A world's pending list is all the
 //!   work it has left: when the list runs dry before the root completes, *that* world
 //!   is stuck *now*, and `World::run` fails it on the spot if it is doomed (a recorded
@@ -98,8 +99,8 @@ struct CoopTask {
 struct CoopNode {
     interp: Interp,
     parked: Vec<(u64, CoopTask)>,
-    /// Frames that name an object whose `NEW` has not registered here yet, in the
-    /// order they arrived.
+    /// Frames that overtook a frame they need (a `NEW` or a hello), in the order
+    /// they arrived.
     held: Vec<Packet>,
 }
 
@@ -159,11 +160,11 @@ impl CoopNode {
         }
     }
 
-    /// Delivers one packet — or, when `screen` is set and it names an object whose
-    /// `NEW` has not registered here yet, holds it. After a delivery, each held frame
-    /// whose object now exists is delivered, oldest first.
+    /// Delivers one packet — or, when `screen` is set and it overtook a frame it
+    /// needs, holds it. After a delivery, each held frame that no longer waits is
+    /// delivered, oldest first.
     fn deliver(&mut self, pkt: Packet, screen: bool) -> Option<Result<Value, ExecError>> {
-        if screen && self.interp.names_an_object_not_yet_created(&pkt) {
+        if screen && self.interp.overtook_a_frame_it_needs(&pkt) {
             self.held.push(pkt);
             return None;
         }
@@ -173,7 +174,7 @@ impl CoopNode {
             let Some(i) = self
                 .held
                 .iter()
-                .position(|p| !interp.names_an_object_not_yet_created(p))
+                .position(|p| !interp.overtook_a_frame_it_needs(p))
             else {
                 break;
             };

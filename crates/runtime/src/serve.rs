@@ -113,7 +113,6 @@ pub(crate) struct OneWay {
 #[derive(Clone, Copy, PartialEq)]
 enum Verdict {
     Open,
-    Deciding,
     Yes,
     No,
 }
@@ -148,10 +147,11 @@ impl OneWay {
 fn decide(layout: &ProgramLayout, class: ClassId, verdicts: &mut [Verdict]) -> bool {
     match verdicts[class.0 as usize] {
         Verdict::Yes => return true,
-        Verdict::No | Verdict::Deciding => return false,
+        Verdict::No => return false,
         Verdict::Open => {}
     }
-    verdicts[class.0 as usize] = Verdict::Deciding;
+    // `No` until decided, so a constructor cycle does not qualify.
+    verdicts[class.0 as usize] = Verdict::No;
     let program = layout.program();
     let primitive = |t: &Type| matches!(t, Type::Int | Type::Float | Type::Bool | Type::Str);
     let qualifies = program.class(class).name != DEPENDENT_OBJECT_CLASS
@@ -354,6 +354,48 @@ mod tests {
         (0..2)
             .map(|n| rewrite_for_node(&p, &placement, n).program)
             .collect()
+    }
+
+    /// The one-way decision at node 1, where every class but `Far` and `Main` is
+    /// homed: primitive and string parameters, no static, and no call but
+    /// constructors that qualify there; a constructor cycle does not qualify.
+    #[test]
+    fn one_way_marks_exactly_the_unobservable_constructors() {
+        const SRC: &str = r#"
+            class Plain { int v; Plain(int v, String s, float f, boolean b) { this.v = v; } }
+            class Bare { int v; }
+            class Nest { Plain p; Nest(int v) { this.p = new Plain(v, "n", 1.5, true); } }
+            class Far { int v; }
+            class Reach { Far f; Reach() { this.f = new Far(); } }
+            class Counter { static int n; Counter() { n = n + 1; } }
+            class Takes { int v; Takes(Plain p) { this.v = 1; } }
+            class Calls { int v; Calls() { this.v = this.three(); } int three() { return 3; } }
+            class Ping { Ping(int n) { if (n > 0) { Pong q = new Pong(n - 1); } } }
+            class Pong { Pong(int n) { if (n > 0) { Ping q = new Ping(n - 1); } } }
+            class Main { static void main() { } }
+        "#;
+        let p = compile_source(SRC).unwrap();
+        let home: Map<_, _> = p
+            .classes
+            .iter()
+            .enumerate()
+            .map(|(i, c)| {
+                let away = c.name == "Far" || c.name == "Main";
+                (ClassId(i as u32), usize::from(!away))
+            })
+            .collect();
+        let placement = ClassPlacement::new(2, home);
+        let copies = (0..2)
+            .map(|n| rewrite_for_node(&p, &placement, n).program)
+            .collect();
+        let app = ServerApp::prepare(copies, NetworkConfig::uniform(2));
+        let one_way: Vec<_> = [
+            "Plain", "Bare", "Nest", "Reach", "Counter", "Takes", "Calls", "Ping", "Pong",
+        ]
+        .into_iter()
+        .filter(|name| app.one_way.at(1, p.class_by_name(name).unwrap()))
+        .collect();
+        assert_eq!(one_way, ["Plain", "Bare", "Nest"]);
     }
 
     fn ping_app() -> ServerApp {

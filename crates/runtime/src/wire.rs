@@ -593,7 +593,7 @@ pub fn peek_tag(buf: &[u8]) -> Result<u8, WireError> {
 }
 
 /// A read cursor over a borrowed frame: the decoders run over it to look at a frame
-/// without consuming it (see `Interp::names_an_object_not_yet_created`).
+/// without consuming it (see `Interp::overtook_a_frame_it_needs`).
 pub(crate) struct Peek<'a>(pub(crate) &'a [u8]);
 
 impl Buf for Peek<'_> {

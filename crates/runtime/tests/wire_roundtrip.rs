@@ -160,7 +160,7 @@ proptest! {
     #[test]
     fn new_requests_round_trip(
         class in any::<u32>(),
-        id in any::<u64>(),
+        id in prop_oneof![0..1u64 << 21, any::<u64>()],
         one_way in any::<bool>(),
         args in prop::collection::vec(arb_wire_value(), 0..8),
     ) {
@@ -206,21 +206,26 @@ proptest! {
     }
 
     /// `NEW` under the hello envelope: round-trips, and stays under the charge for
-    /// any class that has a name at all.
+    /// any class and export id when the class name is at least as long as the id's
+    /// varint beyond two bytes. The charge's nine fixed bytes hold the tag, the class
+    /// varint (at most five), the argument count (one below 128) and two id bytes;
+    /// each further id byte needs a name byte.
     #[test]
     fn v2_new_requests_round_trip(
         class in any::<u32>(),
+        id in prop_oneof![0..1u64 << 21, any::<u64>()],
+        one_way in any::<bool>(),
         args in prop::collection::vec(arb_wire_value(), 0..8),
         has_hello in any::<bool>(),
         hello_fp in any::<u64>(),
     ) {
         let hello = if has_hello { Some(hello_fp) } else { None };
-        // An export id below 128 takes the one head byte the class name's length
-        // prefix leaves over.
-        let (data, value_bytes) = new_frame(hello, class, 127, false, &args);
+        let (data, value_bytes) = new_frame(hello, class, id, one_way, &args);
         let hello_len = if hello.is_some() { 9 } else { 0 };
-        prop_assert!(data.len() - hello_len <= charged_new_size(1, value_bytes));
-        let head = FrameHead::New { class, id: 127, one_way: false, argc: args.len() };
+        let id_len = (64 - id.leading_zeros()).max(1).div_ceil(7) as usize;
+        let name_len = id_len.saturating_sub(2);
+        prop_assert!(data.len() - hello_len <= charged_new_size(name_len, value_bytes));
+        let head = FrameHead::New { class, id, one_way, argc: args.len() };
         prop_assert_eq!(read_frame(&data), Ok((hello, head, args)));
     }
 

@@ -294,10 +294,13 @@ fn combined_faults_on_one_request_yield_one_report_per_request() {
     }
 }
 
-/// The fault plans of the pinned table, by name: every healing class alone and
-/// combined, drops with and without enough retries, a kill early and late, and the
-/// loss of each of the first eight packets.
-fn pinned_plans() -> Vec<(String, FaultPlan)> {
+/// The fault plans of the pinned table for one workload, by name: every healing
+/// class alone and combined, drops with and without enough retries, a kill at a
+/// quarter and at half of the workload's fault-free virtual time (so both land
+/// mid-flight however fast the protocol gets), and the loss of each of the first
+/// eight packets.
+fn pinned_plans(reference: &Reference) -> Vec<(String, FaultPlan)> {
+    let solo = reference.virtual_time_us;
     let mut plans: Vec<(String, FaultPlan)> = vec![
         ("reorder 1.0".into(), FaultPlan::quiet(13).with_reorder(1.0)),
         (
@@ -327,8 +330,8 @@ fn pinned_plans() -> Vec<(String, FaultPlan)> {
                 ..FaultPlan::quiet(41).with_drop(0.4)
             },
         ),
-        ("kill(1, 300)".into(), FaultPlan::kill(1, 300.0)),
-        ("kill(1, 3000)".into(), FaultPlan::kill(1, 3000.0)),
+        ("kill(1, solo/4)".into(), FaultPlan::kill(1, solo / 4.0)),
+        ("kill(1, solo/2)".into(), FaultPlan::kill(1, solo / 2.0)),
     ];
     plans.extend((0..8).map(|n| (format!("drop_packet({n})"), FaultPlan::drop_packet(n))));
     plans
@@ -349,7 +352,7 @@ fn digest(report: &autodist_runtime::ExecutionReport) -> u64 {
     })
 }
 
-/// `PINNED[w][p]`: the digest of mix workload `w` under `pinned_plans()[p]`.
+/// `PINNED[w][p]`: the digest of mix workload `w` under `pinned_plans(w)[p]`.
 const PINNED: [[u64; 16]; 3] = [
     [
         0x50abd3fcc1c05a73,
@@ -358,8 +361,8 @@ const PINNED: [[u64; 16]; 3] = [
         0xefb091869ad95520,
         0xde4f29c1f9df45c1,
         0xcd8f07536117a1e0,
-        0x41a58c7f2fbe2578,
-        0x3be32033be8fd1aa,
+        0x32489340b51b07f3,
+        0xc0b9affc2c60c063,
         0xf76c2f94896a314e,
         0x6c9c41de36b1ef56,
         0xf83a64b2c3b1b265,
@@ -376,8 +379,8 @@ const PINNED: [[u64; 16]; 3] = [
         0x274bff1ea317d673,
         0x5b3721413acfd5f7,
         0xdc97fd35f58f2c9e,
-        0xcaa64dae375f54e5,
-        0xbc4fe015453cdb38,
+        0xa527578865938acf,
+        0xaa505c63b3773e7b,
         0xdedc21c7f3f7a255,
         0xe5709e8f5a93911c,
         0xa7308d1e9c356f9c,
@@ -394,8 +397,8 @@ const PINNED: [[u64; 16]; 3] = [
         0xca2fba3cc7526812,
         0xa88f323b9d6c7acd,
         0xa88f323b9d6c7acd,
-        0x9a51527c707c3056,
-        0x9a51527c707c3056,
+        0x7761dd9afcfd683c,
+        0x2d304e72c12fd038,
         0x9393e820e66449c7,
         0xf75663dcbba28d3f,
         0xddbc54a11f391d38,
@@ -411,19 +414,27 @@ const PINNED: [[u64; 16]; 3] = [
 /// of `pinned_plans`, run alone and then served as one sequence at windows 1, 4 and
 /// 8, must reproduce the recorded digest of its row. Recovery, diagnosis and typed
 /// failure are thereby fixed to the report, whatever order the loop runs worlds in.
+/// A kill that no longer changes the report would pin nothing, so each kill row
+/// must differ from the digest under a plan that injects nothing.
 #[test]
 fn faulted_reports_are_pinned_solo_and_served() {
     let refs = references();
-    let plans = pinned_plans();
+    let plans: Vec<_> = refs.iter().map(pinned_plans).collect();
     let cluster = ClusterConfig::paper_testbed();
     let mut table = String::new();
     let mut solo = vec![[0u64; 16]; refs.len()];
     for (w, reference) in refs.iter().enumerate() {
-        for (p, (_, plan)) in plans.iter().enumerate() {
+        let quiet = cluster.clone().with_faults(FaultPlan::quiet(0));
+        let unfaulted = digest(&reference.plan.execute(&quiet));
+        for (p, (name, plan)) in plans[w].iter().enumerate() {
             let report = reference
                 .plan
                 .execute(&cluster.clone().with_faults(plan.clone()));
             solo[w][p] = digest(&report);
+            assert!(
+                !name.starts_with("kill") || solo[w][p] != unfaulted,
+                "app {w}: {name} changes nothing"
+            );
         }
         let row: Vec<_> = solo[w].iter().map(|d| format!("{d:#018x}")).collect();
         table.push_str(&format!("    [{}],\n", row.join(", ")));
@@ -436,7 +447,7 @@ fn faulted_reports_are_pinned_solo_and_served() {
         .iter()
         .map(|r| r.plan.prepare_server(&cluster))
         .collect();
-    let rows: Vec<(usize, usize)> = (0..plans.len())
+    let rows: Vec<(usize, usize)> = (0..plans[0].len())
         .flat_map(|p| (0..apps.len()).map(move |w| (w, p)))
         .collect();
     let sequence: Vec<usize> = rows.iter().map(|&(w, _)| w).collect();
@@ -449,7 +460,7 @@ fn faulted_reports_are_pinned_solo_and_served() {
                 faults: rows
                     .iter()
                     .enumerate()
-                    .map(|(i, &(_, p))| (i, plans[p].1.clone()))
+                    .map(|(i, &(w, p))| (i, plans[w][p].1.clone()))
                     .collect(),
                 ..ServeOptions::default()
             },
@@ -459,7 +470,7 @@ fn faulted_reports_are_pinned_solo_and_served() {
                 digest(&req.report),
                 PINNED[w][p],
                 "window {window}: app {w} under {}: {:?}",
-                plans[p].0,
+                plans[w][p].0,
                 req.report.error
             );
         }
