@@ -45,27 +45,34 @@
 //! only, no static field, and no call but constructors of classes so marked there. Such
 //! a constructor sends nothing and never parks, and it reaches only the new object and
 //! what it allocates itself. A `NEW` of such a class is one-way: the creator already
-//! knows the reference (it chose the id), so it pays only the send overhead, posts
-//! itself the reply it would have received as a local packet that is not on the wire,
-//! and parks on it exactly as on a round trip. The home registers the object, runs the
-//! constructor and sends nothing back; a constructor that faults fails the world at
-//! the home. Every other `NEW` keeps its round trip.
+//! knows the reference (it chose the id), so it posts itself the reply it would have
+//! received as a local packet that is not on the wire, and parks on it exactly as on a
+//! round trip. The frame itself does not leave yet: it joins the creator's open packet
+//! ([`crate::net`]), which the creator's next request to the same home closes and
+//! travels in, and which any other send first sends on its own. Until the creator
+//! sends again nothing else runs (a world has one live control flow) and only the
+//! creator holds the new id, so the deferral cannot be observed. The home serves a
+//! packet's frames in order, registering the object and running a one-way constructor
+//! to completion before it reads the next frame, and sends nothing back for it; a
+//! constructor that faults fails the world at the home. Every other `NEW` keeps its
+//! round trip.
 //!
 //! **A frame can overtake the `NEW` of the object it names** when a reorder fault
-//! delivers a creator's next frame on a link before the `NEW` it sent first, or the
-//! reference reaches a third node first. Once a link's first request is a one-way
-//! `NEW`, the next frame can also overtake the fingerprint hello that `NEW` carries.
+//! delivers a creator's next packet on a link before the packet holding the `NEW`, or
+//! the reference reaches a third node first. Once a link's first packet holds only
+//! one-way `NEW`s, the next packet can also overtake the fingerprint hello it carries.
 //! `Interp::overtook_a_frame_it_needs` says so, and the world holds such a frame
 //! until the `NEW` registers the id or the hello is verified (see [`crate::sched`]).
 
 use std::borrow::Cow;
-use std::collections::HashMap;
 use std::sync::Arc;
 
 use autodist_ir::program::{ClassId, FieldRef, MethodId, Type};
 use bytes::{Bytes, BytesMut};
 
-use crate::interp::{Continuation, ExecError, Frame, Interp, ResumeAction};
+use crate::interp::{
+    Continuation, ExecError, Frame, Interp, ResumeAction, TaskOutcome, TransportStall,
+};
 use crate::net::{MpiEndpoint, Packet, PacketKind};
 use crate::serve::OneWay;
 use crate::value::{HeapObject, ObjRef, StrId, Value};
@@ -73,6 +80,9 @@ use crate::wire::{self, AccessKind, FrameHead, Peek, Response, WireError, WireVa
 
 /// An export-table slot no object is registered under (yet).
 const UNREGISTERED: u32 = u32::MAX;
+
+/// A reverse-export slot of a heap object that was never exported.
+const NOT_EXPORTED: u64 = u64::MAX;
 
 /// Distributed-execution state attached to an interpreter running as one node of the
 /// simulated cluster.
@@ -82,8 +92,9 @@ pub struct DistState {
     /// Export table, indexed by export id: the heap index of the object registered
     /// under it, or `u32::MAX` for an id nothing is registered under yet.
     pub exports: Vec<u32>,
-    /// Reverse export table: heap index -> export id.
-    pub export_ids: HashMap<u32, u64>,
+    /// Reverse export table, indexed by heap index: the export id of the object
+    /// there, or `u64::MAX` for one never exported.
+    pub export_ids: Vec<u64>,
     /// Per home rank: how many export ids this node handed out for objects there (at
     /// its own rank: its own exports).
     handed_out: Vec<u64>,
@@ -112,7 +123,7 @@ impl DistState {
             rank,
             endpoint,
             exports: Vec::new(),
-            export_ids: HashMap::new(),
+            export_ids: Vec::new(),
             handed_out: vec![0; n],
             registered: vec![0; n],
             one_way: OneWay::default(),
@@ -147,7 +158,11 @@ impl DistState {
             self.exports.resize(slot + 1, UNREGISTERED);
         }
         self.exports[slot] = heap_idx;
-        self.export_ids.insert(heap_idx, id);
+        let at = heap_idx as usize;
+        if at >= self.export_ids.len() {
+            self.export_ids.resize(at + 1, NOT_EXPORTED);
+        }
+        self.export_ids[at] = id;
     }
 
     /// The creator rank whose range `id` is in, and its place in that range.
@@ -157,10 +172,12 @@ impl DistState {
     }
 
     /// Whether `id` is one another node chose for an object here whose `NEW` has not
-    /// registered yet.
-    fn awaits_new(&self, id: u64) -> bool {
+    /// registered yet, counting `ahead` more `NEW`s of `from` as registered (those
+    /// in front of the frame in its packet).
+    fn awaits_new(&self, id: u64, from: usize, ahead: u64) -> bool {
         let (creator, n) = self.creator_of(id);
-        creator != self.rank as usize && n >= self.registered[creator]
+        let ahead = if creator == from { ahead } else { 0 };
+        creator != self.rank as usize && n >= self.registered[creator] + ahead
     }
 
     /// `node` as a rank of this world. Ranks reach a node inside wire values and
@@ -188,7 +205,7 @@ impl DistState {
 /// What [`Interp::accept_request`] did with an incoming request packet.
 pub enum ServeOutcome {
     /// Fully handled: the response was sent, or none is owed (a shutdown, or a
-    /// one-way `NEW` of a class without a constructor body).
+    /// packet of one-way `NEW`s only).
     Handled,
     /// Bytecode must run: the scheduler runs `task` and answers as `reply` says.
     Spawned {
@@ -197,8 +214,8 @@ pub enum ServeOutcome {
         /// What the requester gets when the task completes.
         reply: Reply,
     },
-    /// A one-way `NEW` failed before its constructor ran. Nobody waits for a reply
-    /// to tell, so the failure is the world's.
+    /// A one-way `NEW` or its constructor failed. Nobody waits for a reply to tell,
+    /// so the failure is the world's.
     Failed(ExecError),
 }
 
@@ -209,8 +226,6 @@ pub enum Reply {
     Result,
     /// With this value whatever the task returns: the new object of a `NEW`.
     Override(Value),
-    /// Not at all: the constructor of a one-way `NEW`. If it faults, the world fails.
-    OneWay,
 }
 
 /// How the machine proceeds after an invoke left its fast path (proxies, remote
@@ -566,8 +581,9 @@ impl Interp {
     /// Exports a local heap object and returns its export id.
     fn export(&mut self, heap_idx: u32) -> u64 {
         let dist = self.dist.as_mut().expect("export requires dist state");
-        if let Some(&id) = dist.export_ids.get(&heap_idx) {
-            return id;
+        match dist.export_ids.get(heap_idx as usize) {
+            Some(&id) if id != NOT_EXPORTED => return id,
+            _ => {}
         }
         let id = dist.hand_out(dist.rank);
         dist.register(id, heap_idx);
@@ -707,9 +723,10 @@ impl Interp {
     }
 
     /// Sends a `NEW` request without waiting (see [`Self::remote_send`]), naming the
-    /// object with an id of this node's range at `home`. A one-way `NEW` is answered
-    /// here and now: the reply it would have received, posted to this node as a
-    /// local packet that arrives at the clock after the send overhead.
+    /// object with an id of this node's range at `home`. A one-way `NEW` joins the
+    /// open packet for `home` instead, at no send overhead, and is answered here and
+    /// now: the reply it would have received, posted to this node as a local packet
+    /// that arrives at the unchanged clock.
     fn remote_new_send(
         &mut self,
         home: u32,
@@ -724,43 +741,68 @@ impl Interp {
         wire::new_head(&mut buf, hello, class.0, id, one_way, args.len());
         let value_bytes = self.marshal_args(&mut buf, args);
         let charged = wire::charged_new_size(class_name_len, value_bytes);
-        let req_id = self.send_request(home, buf, charged);
-        if one_way {
-            let endpoint = &mut self.dist.as_mut().expect("sent above").endpoint;
-            let reply = Response::Value(WireValue::Remote { node: home, id });
-            let data = wire::encode_response_in(endpoint.take_buf(), &reply);
-            endpoint.post_to_self(req_id, data, self.clock_us);
+        if !one_way {
+            return Ok(self.send_request(home, buf, charged));
         }
+        self.counters.remote_requests += 1;
+        let endpoint = &mut self
+            .dist
+            .as_mut()
+            .expect("frame_start found dist state")
+            .endpoint;
+        let (clock, req_id) =
+            endpoint.defer_request_charged(home as usize, buf, self.clock_us, charged);
+        self.clock_us = clock;
+        let reply = Response::Value(WireValue::Remote { node: home, id });
+        let data = wire::encode_response_in(endpoint.take_buf(), &reply);
+        endpoint.post_to_self(req_id, data, clock);
         Ok(req_id)
+    }
+
+    /// Sends the open packet, if this node holds one, as a packet of its own: the
+    /// world is over and no later request will close it.
+    pub(crate) fn flush_open_packet(&mut self) {
+        if let Some(dist) = self.dist.as_mut() {
+            self.clock_us = dist.endpoint.flush(self.clock_us);
+        }
     }
 
     // --- accept -------------------------------------------------------------------
 
-    /// Processes one incoming *request* packet. Requests that need no bytecode
-    /// (field/array accesses on local objects) are answered on the spot; invocations
-    /// and constructions spawn a [`Continuation`] the worker loop runs — re-entrantly
-    /// with any continuation this node already has parked, which is exactly what
-    /// makes cyclic placements schedulable on one thread. The spent frame goes back
-    /// to the link's buffer pool either way.
+    /// Processes one incoming *request* packet, its frames in the order they were
+    /// sent. Every frame but the last is a one-way `NEW`, served to completion before
+    /// the next is read; the first frame that owes a reply — the last a sender puts in
+    /// a packet — ends the packet and decides the outcome. Requests that need no
+    /// bytecode (field/array accesses on local objects) are answered on the spot;
+    /// invocations and constructions spawn a [`Continuation`] the worker loop runs —
+    /// re-entrantly with any continuation this node already has parked, which is
+    /// exactly what makes cyclic placements schedulable on one thread. The spent
+    /// packet goes back to the link's buffer pool either way.
     pub fn accept_request(&mut self, from: usize, req_id: u64, mut data: Bytes) -> ServeOutcome {
-        let mut owes_reply = true;
-        let served = self.accept_frame(from, req_id, &mut data, &mut owes_reply);
+        let outcome = loop {
+            let mut owes_reply = true;
+            match self.accept_frame(from, req_id, &mut data, &mut owes_reply) {
+                Ok(outcome) if owes_reply => break outcome,
+                Ok(_) if data.is_empty() => break ServeOutcome::Handled,
+                Ok(_) => {}
+                Err(e) if owes_reply => {
+                    self.send_reply(from, req_id, Err(e));
+                    break ServeOutcome::Handled;
+                }
+                Err(e) => break ServeOutcome::Failed(e),
+            }
+        };
         if let Some(d) = self.dist.as_mut() {
             d.endpoint.reclaim(data);
         }
-        served.unwrap_or_else(|e| {
-            if !owes_reply {
-                return ServeOutcome::Failed(e);
-            }
-            self.send_reply(from, req_id, Err(e));
-            ServeOutcome::Handled
-        })
+        outcome
     }
 
-    /// Serves one request frame: strips and verifies the fingerprint hello, then —
-    /// `Shutdown` alone exempt — refuses anything from a peer whose fingerprint was
-    /// never verified before decoding a single id, then dispatches on the head.
-    /// Clears `owes_reply` as soon as the frame shows it is a one-way `NEW`.
+    /// Serves one request frame: strips and verifies the fingerprint hello (only a
+    /// packet's first frame carries one), then — `Shutdown` alone exempt — refuses
+    /// anything from a peer whose fingerprint was never verified before decoding a
+    /// single id, then dispatches on the head. Clears `owes_reply` as soon as the
+    /// frame shows it is a one-way `NEW`.
     fn accept_frame(
         &mut self,
         from: usize,
@@ -825,9 +867,9 @@ impl Interp {
     /// The `NEW` service: instantiate the class with the wire-carried dense id
     /// (range-checked against the shared tables) and register it under the export id
     /// its creator chose — the next one of the requester's range here, anything else
-    /// is a typed failure — and when a constructor with a body exists return it as a
-    /// task. A round trip is answered with the fresh reference either way; a one-way
-    /// `NEW` is not answered.
+    /// is a typed failure. A round trip returns a constructor with a body as a task
+    /// and is answered with the fresh reference either way; a one-way `NEW` runs its
+    /// constructor here, to completion, and is not answered.
     fn accept_new(
         &mut self,
         to: (usize, u64),
@@ -859,10 +901,10 @@ impl Interp {
             None => None,
         };
         Ok(match (task, one_way) {
-            (Some(task), true) => ServeOutcome::Spawned {
-                task,
-                reply: Reply::OneWay,
-            },
+            (Some(task), true) => {
+                self.construct(task)?;
+                ServeOutcome::Handled
+            }
             (Some(task), false) => ServeOutcome::Spawned {
                 task,
                 reply: Reply::Override(reply),
@@ -870,6 +912,26 @@ impl Interp {
             (None, true) => ServeOutcome::Handled,
             (None, false) => self.answer(to, reply),
         })
+    }
+
+    /// Runs a one-way constructor to completion. It cannot send — that is what made
+    /// its `NEW` one-way — so it never parks; if it did, the frames behind it in its
+    /// packet could not be served in order, and its world fails typed with the stall
+    /// of the request it parked on.
+    fn construct(&mut self, mut task: Continuation) -> Result<(), ExecError> {
+        match self.run_task(&mut task) {
+            TaskOutcome::Done(res) => {
+                self.recycle_task(task);
+                res.map(drop)
+            }
+            TaskOutcome::Parked { req_id } => {
+                let rank = self.dist.as_ref().map_or(0, |d| d.rank as usize);
+                Err(ExecError::Transport(TransportStall {
+                    gapped: Vec::new(),
+                    parked: vec![(rank, req_id)],
+                }))
+            }
+        }
     }
 
     /// The `DEPENDENCE` service. `member` is resolved against the target's runtime
@@ -1000,52 +1062,56 @@ impl Interp {
     }
 
     /// Whether `pkt` overtook a frame it needs: a request without the fingerprint
-    /// hello from a peer not yet verified (the hello rides on the first request of a
-    /// link, so it is still on its way), or a frame that names an object of this node
+    /// hello from a peer not yet verified (the hello leads the first packet of a link,
+    /// so it is still on its way), or a frame that names an object of this node
     /// whose `NEW` has not registered here yet — a `DEPENDENCE` on it, a value that
     /// refers to it (in a request's arguments or a response), or a `NEW` its creator
-    /// sent after one still owed. A shutdown never waits. The frame is read, not
-    /// consumed; a corrupt one is not held, so its delivery fails typed.
+    /// sent after one still owed. A request packet is read frame by frame, and its own
+    /// `NEW`s count as registered for the frames behind them. A shutdown never waits.
+    /// The packet is read, not consumed; a corrupt one is not held, so its delivery
+    /// fails typed.
     pub(crate) fn overtook_a_frame_it_needs(&self, pkt: &Packet) -> bool {
         let Some(dist) = self.dist.as_ref() else {
             return false;
         };
+        let from = pkt.from;
+        let names_one = |v: &WireValue, ahead| matches!(*v, WireValue::Remote { node, id } if node == dist.rank && dist.awaits_new(id, from, ahead));
         let mut frame = Peek(&pkt.data);
-        let names_one = |v: &WireValue| matches!(*v, WireValue::Remote { node, id } if node == dist.rank && dist.awaits_new(id));
-        let argc = match pkt.kind {
-            PacketKind::Response => {
-                return matches!(Response::decode(&mut frame), Ok(Response::Value(v)) if names_one(&v));
-            }
-            PacketKind::Request => {
-                let Ok(hello) = wire::split_hello(&mut frame) else {
-                    return false;
-                };
-                let unverified =
-                    hello.is_none() && !dist.peer_ok.get(pkt.from).copied().unwrap_or(false);
-                match wire::decode_head(&mut frame) {
-                    Ok(FrameHead::New { id, argc, .. }) => {
-                        let (creator, n) = dist.creator_of(id);
-                        if unverified || creator == pkt.from && n > dist.registered[creator] {
-                            return true;
-                        }
-                        argc
+        if pkt.kind == PacketKind::Response {
+            return matches!(Response::decode(&mut frame), Ok(Response::Value(v)) if names_one(&v, 0));
+        }
+        let Ok(hello) = wire::split_hello(&mut frame) else {
+            return false;
+        };
+        let unverified = hello.is_none() && !dist.peer_ok.get(from).copied().unwrap_or(false);
+        // The packet's own `NEW`s of `from`'s range read so far.
+        let mut ahead = 0;
+        while !frame.is_empty() {
+            let (argc, registers) = match wire::decode_head(&mut frame) {
+                Ok(FrameHead::New { id, argc, .. }) => {
+                    let (creator, n) = dist.creator_of(id);
+                    let own = creator == from;
+                    if unverified || own && n > dist.registered[creator] + ahead {
+                        return true;
                     }
-                    Ok(FrameHead::Dependence { target, argc, .. }) => {
-                        if unverified || dist.awaits_new(target) {
-                            return true;
-                        }
-                        argc
+                    (argc, own)
+                }
+                Ok(FrameHead::Dependence { target, argc, .. }) => {
+                    if unverified || dist.awaits_new(target, from, ahead) {
+                        return true;
                     }
-                    _ => return false,
+                    (argc, false)
+                }
+                _ => return false,
+            };
+            for _ in 0..argc {
+                match wire::decode_value(&mut frame) {
+                    Ok(v) if names_one(&v, ahead) => return true,
+                    Ok(_) => {}
+                    Err(_) => return false,
                 }
             }
-        };
-        for _ in 0..argc {
-            match wire::decode_value(&mut frame) {
-                Ok(v) if names_one(&v) => return true,
-                Ok(_) => {}
-                Err(_) => return false,
-            }
+            ahead += u64::from(registers);
         }
         false
     }
@@ -1090,6 +1156,7 @@ mod tests {
     use super::*;
     use crate::net::{NetworkConfig, Transport};
     use autodist_ir::frontend::compile_source;
+    use bytes::BufMut;
 
     #[test]
     fn remote_access_without_runtime_is_rejected() {
@@ -1223,6 +1290,23 @@ mod tests {
         assert!(node.overtook_a_frame_it_needs(&held));
         net.route(&mut node.dist.as_mut().unwrap().endpoint);
         assert!(net.recv(0).is_none(), "a one-way NEW owes no reply");
+        // A packet's own `NEW`s count as registered for the frames behind them, in
+        // order: a read of id 2 behind the `NEW` of 2 waits for nothing, behind the
+        // `NEW` of 4 (one ahead of 2) it waits, and so does the `NEW` of 4 itself.
+        let v = node.layout().field_name_id("v").unwrap();
+        let packet = |new_id| {
+            let mut buf = BytesMut::new();
+            buf.put_slice(&new(new_id, true).data);
+            buf.put_slice(&frame(None, 2, AccessKind::GetField, v, &[]));
+            buf
+        };
+        assert!(!node.overtook_a_frame_it_needs(&request(packet(2))));
+        assert!(node.overtook_a_frame_it_needs(&request(packet(4))));
+        // Served frame by frame: the `NEW` registers the cell, the read answers.
+        assert_eq!(
+            reply_to(&mut node, &mut net, packet(2)),
+            Some(Ok(WireValue::Int(0)))
+        );
         let cell = p.class_by_name("Cell").unwrap();
         let ObjRef::Local(h) = node.new_instance(cell) else {
             unreachable!("new_instance allocates locally")

@@ -12,15 +12,27 @@
 //! mailbox's oldest packet — so taking the first entry of a rank chosen among the
 //! distinct ranks pending keeps every mailbox FIFO and explores one order per class
 //! of equivalent ones: two entries for one rank are the same choice.
+//!
+//! Two invariants, after Adjiman et al.'s termination detection, are checked while a
+//! run is explored, and the first violation is reported with the explorer's seed:
+//!
+//! 1. a world whose pending list runs dry before its root completes is doomed by a
+//!    recorded loss or waits on a sequence gap — it is never simply stuck
+//!    ([`check_dry`], after every delivery);
+//! 2. a world in the stuck list has nothing it could deliver, so when the window is
+//!    full of them no world can progress (checked by the worker loop each time it
+//!    decides between admitting and the delivery deadline).
 
 use std::collections::VecDeque;
 
 use crate::net::Transport;
 
-/// One world's seeded choice of pending entries, and a hash of the ranks it took.
+/// One world's seeded choice of pending entries, a hash of the ranks it took, and
+/// the first invariant it broke.
 pub(crate) struct Order {
     rng: u64,
     trace: u64,
+    violation: Option<String>,
 }
 
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
@@ -59,11 +71,14 @@ impl Order {
     }
 }
 
-/// The seeded choices of one run of the worker loop, and what they were.
+/// The seeded choices of one run of the worker loop, what they were, and the
+/// invariants they broke.
 pub(crate) struct Explorer {
     rng: u64,
     /// A hash of the ranks each finished world took, in completion order.
     pub(crate) worlds: Vec<u64>,
+    /// Every invariant violation seen, in the order seen.
+    pub(crate) violations: Vec<String>,
 }
 
 impl Explorer {
@@ -71,12 +86,16 @@ impl Explorer {
         Explorer {
             rng: seed,
             worlds: Vec::new(),
+            violations: Vec::new(),
         }
     }
 
-    /// Records a finished world's order.
+    /// Records a finished world's order and the invariant it broke, if any.
     pub(crate) fn record(&mut self, order: Option<&Order>) {
         self.worlds.push(order.map_or(0, |o| o.trace));
+        if let Some(v) = order.and_then(|o| o.violation.clone()) {
+            self.violations.push(v);
+        }
     }
 }
 
@@ -85,8 +104,23 @@ pub(crate) fn ordered(mut net: Transport, explore: Option<&mut Explorer>) -> Tra
     net.order = explore.map(|e| Order {
         rng: splitmix(&mut e.rng),
         trace: FNV_OFFSET,
+        violation: None,
     });
     net
+}
+
+/// Invariant 1, checked after a delivery that did not end the world: an explored
+/// world of `ranks` nodes whose pending list is empty has a recorded loss or a
+/// sequence gap.
+pub(crate) fn check_dry(net: &mut Transport, ranks: usize) {
+    let explained = !net.pending.is_empty()
+        || net.first_loss().is_some()
+        || (0..ranks).any(|rank| net.has_sequence_gap(rank));
+    if let (false, Some(order)) = (explained, net.order.as_mut()) {
+        order.violation.get_or_insert_with(|| {
+            "a world's pending list ran dry with no loss and no sequence gap".to_string()
+        });
+    }
 }
 
 /// `worlds` in a seeded order drawn from `explore`, if there is one.
@@ -240,6 +274,58 @@ mod tests {
         }
     "#;
 
+    /// A run of one-way creations, then a call on one of them: the run and the call
+    /// travel as one packet of four frames.
+    const BATCH: &str = r#"
+        class Cell {
+            int v;
+            Cell(int v) { this.v = v * 3 + 1; }
+            int get() { return this.v; }
+        }
+        class Main {
+            static int checksum;
+            static void main() {
+                int total = 0;
+                int i = 0;
+                while (i < 4) {
+                    Cell a = new Cell(i);
+                    Cell b = new Cell(i + 5);
+                    Cell c = new Cell(i + 9);
+                    total = total + b.get();
+                    i = i + 1;
+                }
+                checksum = total;
+            }
+        }
+    "#;
+
+    /// Three nodes: a run of one-way creations on node 1, then a call to node 2 that
+    /// passes one of them, so the run leaves as a packet of its own just before the
+    /// call, and node 2 calls back into node 1.
+    const FLUSH: &str = r#"
+        class Cell {
+            int v;
+            Cell(int v) { this.v = v + 2; }
+            int get() { return this.v; }
+        }
+        class Relay { int read(Cell c) { return c.get() * 5; } }
+        class Main {
+            static int checksum;
+            static void main() {
+                Relay r = new Relay();
+                int total = 0;
+                int i = 0;
+                while (i < 4) {
+                    Cell a = new Cell(i * 7);
+                    Cell b = new Cell(i);
+                    total = total + r.read(a) + r.read(b);
+                    i = i + 1;
+                }
+                checksum = total;
+            }
+        }
+    "#;
+
     /// A program of `src` placed by `homes`, prepared for `network`.
     fn app(src: &str, homes: &[(&str, usize)], network: NetworkConfig) -> ServerApp {
         let p = compile_source(src).unwrap();
@@ -258,6 +344,10 @@ mod tests {
         let four = NetworkConfig {
             node_speeds: vec![1.0, 2.1, 1.5, 0.8],
             ..NetworkConfig::uniform(4)
+        };
+        let three = NetworkConfig {
+            node_speeds: vec![1.0, 2.1, 1.5],
+            ..NetworkConfig::uniform(3)
         };
         vec![
             (
@@ -295,6 +385,20 @@ mod tests {
                     &[("Main", 0), ("Cell", 1), ("Relay", 2), ("Echo", 3)],
                     four,
                 ),
+            ),
+            (
+                "batch",
+                BATCH,
+                app(
+                    BATCH,
+                    &[("Main", 0), ("Cell", 1)],
+                    NetworkConfig::paper_testbed(),
+                ),
+            ),
+            (
+                "flush",
+                FLUSH,
+                app(FLUSH, &[("Main", 0), ("Cell", 1), ("Relay", 2)], three),
             ),
         ]
     }
@@ -361,10 +465,11 @@ mod tests {
         server.run(Vec::new()).pop().unwrap().report
     }
 
-    /// Seeds × fault plans × windows over the three programs: every report equals the
-    /// FIFO solo run of its request under its plan, and a plan that heals (reorder,
-    /// duplicate) leaves the launch node's clock, the checksum and the traffic where
-    /// the fault-free run has them. Counts the distinct world orders it saw.
+    /// Seeds × fault plans × windows over the programs: no order breaks an invariant
+    /// of the module doc, every report equals the FIFO solo run of its request under
+    /// its plan, and a plan that heals (reorder, duplicate) leaves the launch node's
+    /// clock, the checksum and the traffic where the fault-free run has them. Counts
+    /// the distinct world orders it saw.
     #[test]
     fn every_order_gives_the_fifo_solo_report() {
         const REQUESTS: usize = 3;
@@ -391,6 +496,11 @@ mod tests {
                         let seed = seed * 0x9e37_79b9 + window as u64;
                         let mut server = server(&app, &sequence, window, &plan);
                         let (reports, explorer) = run_explored(&mut server, Explorer::new(seed));
+                        if let Some(v) = explorer.violations.first() {
+                            panic!(
+                                "{name} / {plan_name}, window {window}, explorer seed {seed}: {v}"
+                            );
+                        }
                         for r in &reports {
                             let at = format!(
                                 "{name} / {plan_name}, window {window}, explorer seed {seed}, \
@@ -418,9 +528,10 @@ mod tests {
 
     const SEEDS: u64 = 300;
 
-    /// `main` ends on a remote creation. Whichever order is chosen the constructor
-    /// runs — in the world when the `NEW` is taken first, in `World::finish` when
-    /// `main`'s local resume is — and every node executes the same instructions.
+    /// `main` ends on a remote creation. Its one-way `NEW` waits in node 0's open
+    /// packet, which no later request closes, so the world has one order: `main`'s
+    /// local resume, after which `World::finish` sends the packet and the constructor
+    /// runs there. Every seed gives the same instructions on every node.
     #[test]
     fn a_trailing_creation_runs_whichever_order_is_chosen() {
         const TAIL: &str = r#"
@@ -457,6 +568,6 @@ mod tests {
             assert_eq!(instructions(report), instructions(&want), "seed {seed}");
             orders.insert(explorer.worlds[0]);
         }
-        assert_eq!(orders.len(), 2, "both orders were taken");
+        assert_eq!(orders.len(), 1, "one order: the NEW leaves after main ends");
     }
 }

@@ -11,13 +11,22 @@
 //! the transport lists the packets its world has yet to take, in route order, and
 //! the world takes them oldest first.
 //!
+//! **A packet is one or more frames.** A frame that owes no reply (a one-way `NEW`, see
+//! [`crate::exchange`]) does not leave at once: it joins the sender's *open packet*,
+//! one per endpoint, and the next request to the same destination closes that packet
+//! and travels in it. Any other send — a request elsewhere, a response — and the end of
+//! the world first send the open packet as a packet of its own. A packet pays one send
+//! overhead, one link charge for the sum of its frames' charges, and one fault roll; a
+//! loss loses every frame in it and is recorded once, under the packet's request id
+//! (its last frame's).
+//!
 //! A packet a node posts to itself (the reply a one-way `NEW`'s creator would have
-//! received, see [`crate::exchange`]) is not on the wire: no fault plan rolls it, and
-//! it is neither counted nor charged. A recorded loss fails its world typed even when
-//! the root completed: a lost one-way `NEW` leaves nobody waiting, so the world's end
-//! is the last place to notice it.
+//! received) is not on the wire: no fault plan rolls it, and it is neither counted nor
+//! charged. A recorded loss fails its world typed even when the root completed: a lost
+//! one-way `NEW` leaves nobody waiting, so the world's end is the last place to notice
+//! it.
 
-use bytes::{Bytes, BytesMut};
+use bytes::{BufMut, Bytes, BytesMut};
 use std::collections::VecDeque;
 
 use crate::wire::{SeqVerdict, SeqWindow};
@@ -317,14 +326,16 @@ pub struct Packet {
     /// Correlation id: assigned per requesting endpoint for requests, echoed back on
     /// the matching response. This is transport metadata (it does not count against
     /// the byte cost model) and is what lets the cooperative scheduler park an
-    /// in-flight computation as a continuation keyed by its outstanding request.
+    /// in-flight computation as a continuation keyed by its outstanding request. A
+    /// request packet of several frames carries its last frame's id.
     pub req_id: u64,
     /// Per-link sequence number, 1-based, assigned by the fault layer so receivers
     /// can suppress duplicates and re-sort reorders. Like `req_id` it is transport
     /// metadata (no byte cost); 0 means *unsequenced* — no fault plan is active or
     /// the packet is exempt control traffic — and bypasses the sequence window.
     pub seq: u64,
-    /// Encoded payload.
+    /// Encoded payload: for a request, the optional hello and then the frames back to
+    /// back.
     pub data: Bytes,
     /// The sender's virtual clock (µs) *after* accounting for the transfer, i.e. the
     /// earliest virtual time at which the receiver may observe the packet.
@@ -674,6 +685,18 @@ struct Posted {
     sent_at_us: f64,
 }
 
+/// Frames an endpoint holds back for the next request to `to`, which closes the packet
+/// and travels in it.
+struct OpenPacket {
+    to: usize,
+    /// The frames so far, back to back (the first carries the link's hello, if any).
+    data: BytesMut,
+    /// The sum of the frames' virtual-time charges.
+    charged: usize,
+    /// The last frame's request id.
+    req_id: u64,
+}
+
 /// The node half of the transport: what an interpreter needs to *send* — its rank,
 /// the cost model, traffic counters, correlation ids, recycled encode buffers —
 /// and the outbox its sends wait in until the world routes them.
@@ -689,7 +712,7 @@ pub struct MpiEndpoint {
     /// The link terms of the cost model, all a send reads of it.
     latency_us: f64,
     bandwidth_mbps: f64,
-    /// Number of messages sent by this endpoint.
+    /// Number of messages (packets) sent by this endpoint.
     pub messages_sent: u64,
     /// Bytes sent by this endpoint.
     pub bytes_sent: u64,
@@ -699,6 +722,8 @@ pub struct MpiEndpoint {
     /// the steady-state wire path reuses one allocation per in-flight message.
     pool: Vec<BytesMut>,
     outbox: Vec<Posted>,
+    /// One-way frames waiting for the next send (at most one open packet).
+    open: Option<OpenPacket>,
 }
 
 /// Upper bound on recycled encode buffers kept per endpoint.
@@ -719,6 +744,7 @@ impl MpiEndpoint {
             next_req_id: 0,
             pool: Vec::new(),
             outbox: Vec::new(),
+            open: None,
         }
     }
 
@@ -727,7 +753,8 @@ impl MpiEndpoint {
     /// will echo. `clock_us` is the sender's current virtual time. The cost model
     /// is charged for `charged_len` bytes instead of the physical frame length: it
     /// defines a message's size by formula (`wire::charged_*_size`), independent of
-    /// how compactly the frame happens to be encoded.
+    /// how compactly the frame happens to be encoded. An open packet for `to` is
+    /// closed by the request and travels with it.
     pub fn send_request_charged(
         &mut self,
         to: usize,
@@ -735,14 +762,69 @@ impl MpiEndpoint {
         clock_us: f64,
         charged_len: usize,
     ) -> (f64, u64) {
-        self.next_req_id += 1;
-        let id = self.next_req_id;
+        let id = self.fresh_req_id();
         let clock = self.send(to, PacketKind::Request, id, data, clock_us, charged_len);
         (clock, id)
     }
 
+    /// Holds back a request frame that owes no reply: it joins the open packet for
+    /// `to`, which the next request there closes. An open packet for another
+    /// destination is sent first — the only way this moves the clock; the frame
+    /// itself adds no send overhead. Returns the clock and the frame's request id.
+    pub(crate) fn defer_request_charged(
+        &mut self,
+        to: usize,
+        frame: BytesMut,
+        clock_us: f64,
+        charged_len: usize,
+    ) -> (f64, u64) {
+        let clock_us = match self.open.as_ref().is_some_and(|open| open.to != to) {
+            true => self.flush(clock_us),
+            false => clock_us,
+        };
+        let req_id = self.fresh_req_id();
+        match self.open.as_mut() {
+            Some(open) => {
+                open.data.put_slice(&frame);
+                open.charged += charged_len;
+                open.req_id = req_id;
+                self.recycle(frame);
+            }
+            None => {
+                self.open = Some(OpenPacket {
+                    to,
+                    data: frame,
+                    charged: charged_len,
+                    req_id,
+                })
+            }
+        }
+        (clock_us, req_id)
+    }
+
+    /// Sends the open packet, if there is one, as a packet of its own; returns the
+    /// clock after its send overhead.
+    pub(crate) fn flush(&mut self, clock_us: f64) -> f64 {
+        match self.open.take() {
+            Some(open) => self.post(
+                open.to,
+                PacketKind::Request,
+                open.req_id,
+                open.data.freeze(),
+                clock_us,
+                open.charged,
+            ),
+            None => clock_us,
+        }
+    }
+
+    fn fresh_req_id(&mut self) -> u64 {
+        self.next_req_id += 1;
+        self.next_req_id
+    }
+
     /// Sends the response for request `req_id` back to `to` (see
-    /// [`MpiEndpoint::send_request_charged`]).
+    /// [`MpiEndpoint::send_request_charged`]). An open packet is sent first.
     pub fn send_response_charged(
         &mut self,
         to: usize,
@@ -761,7 +843,34 @@ impl MpiEndpoint {
         )
     }
 
+    /// A request to the open packet's destination closes it: its frames travel
+    /// behind the open ones, charged as one packet. Any other send flushes it first.
     fn send(
+        &mut self,
+        to: usize,
+        kind: PacketKind,
+        req_id: u64,
+        data: Bytes,
+        clock_us: f64,
+        charged_len: usize,
+    ) -> f64 {
+        let (data, clock_us, charged_len) = match self.open.take() {
+            Some(mut open) if kind == PacketKind::Request && open.to == to => {
+                open.data.put_slice(&data);
+                self.reclaim(data);
+                (open.data.freeze(), clock_us, open.charged + charged_len)
+            }
+            open => {
+                self.open = open;
+                (data, self.flush(clock_us), charged_len)
+            }
+        };
+        self.post(to, kind, req_id, data, clock_us, charged_len)
+    }
+
+    /// Puts one packet in the outbox: counted, charged `latency + bytes / bandwidth`
+    /// for `charged_len` bytes, and one send overhead on the sender's clock.
+    fn post(
         &mut self,
         to: usize,
         kind: PacketKind,
@@ -826,10 +935,15 @@ impl MpiEndpoint {
     /// storage is dropped — correctness never depends on a reclaim). Every frame owns
     /// its storage, a fault-plan duplicate included, so every one can come back.
     pub fn reclaim(&mut self, data: Bytes) {
+        if let Ok(buf) = data.try_into_mut() {
+            self.recycle(buf);
+        }
+    }
+
+    fn recycle(&mut self, mut buf: BytesMut) {
         if self.pool.len() < BUF_POOL_CAP {
-            if let Ok(buf) = data.try_into_mut() {
-                self.pool.push(buf);
-            }
+            buf.clear();
+            self.pool.push(buf);
         }
     }
 }
@@ -960,6 +1074,80 @@ mod tests {
         let first = net.recv(1).expect("in the mailbox once routed");
         assert_eq!(first.arrival_time_us, 5.0 + cfg.transfer_time_us(3));
         assert_eq!((eps[0].messages_sent, eps[0].bytes_sent), sent);
+    }
+
+    fn frame(bytes: &[u8]) -> BytesMut {
+        let mut buf = BytesMut::new();
+        buf.put_slice(bytes);
+        buf
+    }
+
+    /// Deferred frames add no send overhead and join the open packet for their
+    /// destination; the next request there closes it: one packet, one overhead, the
+    /// frames back to back, charged the sum of their charges, under the closing
+    /// request's id. A send anywhere else — a request to another rank, a response —
+    /// sends the open packet first, on its own.
+    #[test]
+    fn one_way_frames_ride_in_the_next_request_to_their_destination() {
+        let cfg = NetworkConfig::uniform(3);
+        let overhead = cfg.latency_us * 0.1;
+        let (mut net, mut eps) = world(&cfg, None);
+        let ep = &mut eps[0];
+        assert_eq!(
+            ep.defer_request_charged(1, frame(b"ab"), 10.0, 20),
+            (10.0, 1)
+        );
+        assert_eq!(
+            ep.defer_request_charged(1, frame(b"c"), 10.0, 30),
+            (10.0, 2)
+        );
+        assert_eq!(ep.messages_sent, 0, "held back");
+        let (clock, id) = ep.send_request_charged(1, Bytes::from_static(b"de"), 10.0, 5);
+        assert_eq!((clock, id), (10.0 + overhead, 3));
+        assert_eq!((ep.messages_sent, ep.bytes_sent), (1, 5));
+        net.route(ep);
+        assert_eq!(net.next_pending(), Some(1));
+        let pkt = net.recv(1).expect("one packet");
+        assert_eq!((&pkt.data[..], pkt.req_id), (&b"abcde"[..], 3));
+        assert_eq!(pkt.arrival_time_us, 10.0 + cfg.transfer_time_us(55));
+
+        // Another destination: the open packet leaves first, with its own overhead.
+        ep.defer_request_charged(1, frame(b"f"), 20.0, 7);
+        let (clock, id) = ep.defer_request_charged(2, frame(b"g"), 20.0, 7);
+        assert_eq!((clock, id), (20.0 + overhead, 5));
+        let clock = ep.send_response_charged(1, 9, Bytes::from_static(b"r"), clock, 1);
+        assert_eq!(
+            clock,
+            20.0 + 3.0 * overhead,
+            "a response flushes the packet to 2"
+        );
+        net.route(ep);
+        assert_eq!(net.pending, [1, 2, 1], "packet to 1, packet to 2, response");
+        assert_eq!(
+            net.recv(1).map(|p| (p.req_id, p.kind)),
+            Some((4, PacketKind::Request))
+        );
+        assert_eq!(net.recv(2).map(|p| p.req_id), Some(5));
+        assert_eq!(ep.flush(0.0), 0.0, "nothing left open");
+        assert_eq!(ep.messages_sent, 4);
+    }
+
+    /// A packet of several frames takes one fault roll: lost, it is one loss under
+    /// its last frame's request id — dropped, or killed with its destination.
+    #[test]
+    fn a_lost_merged_packet_is_one_loss_under_its_last_request() {
+        let cfg = NetworkConfig::uniform(2);
+        for plan in [FaultPlan::drop_packet(0), FaultPlan::kill(1, 100.0)] {
+            let (mut net, mut eps) = world(&cfg, Some(plan));
+            eps[0].defer_request_charged(1, frame(b"new"), 0.0, 3);
+            eps[0].defer_request_charged(1, frame(b"new"), 0.0, 3);
+            let (_, id) = request(&mut net, &mut eps[0], 1, b"call", 0.0);
+            assert_eq!(id, 3);
+            assert!(net.recv(1).is_none());
+            let loss = net.first_loss().expect("recorded");
+            assert_eq!((loss.req_id, loss.from, loss.to), (3, 0, 1));
+            assert_eq!(net.fault_summary().unwrap().lost, 1);
+        }
     }
 
     #[test]

@@ -12,11 +12,12 @@
 //! worlds waiting on a gap, the admission window, the results and the adaptive epoch
 //! controller — so nothing is shared and nothing is locked. The paper's protocol is
 //! synchronous request/response, so a root computation has one live control flow: at
-//! most one network packet of it is in flight, plus — right after a one-way `NEW` —
-//! the creator's local resume queued behind the `NEW` (see [`crate::exchange`]; the
-//! home's constructor sends nothing). Worlds share nothing: interleaving them would
-//! only share the processor, with nothing to overlap. The one timed wait is the
-//! modelled `SERVING_DELIVERY_DEADLINE`.
+//! most one packet of it is in flight — right after a one-way `NEW`, the creator's
+//! local resume, while the `NEW` itself waits in the creator's open packet for the
+//! creator's next send (see [`crate::net`] and [`crate::exchange`]; the home's
+//! constructor sends nothing). Worlds share nothing: interleaving them would only
+//! share the processor, with nothing to overlap. The one timed wait is the modelled
+//! `SERVING_DELIVERY_DEADLINE`.
 //!
 //! * A **world** (`World`) is one in-flight root computation: its request-scoped
 //!   nodes (interpreter + parked continuations each) and the [`Transport`] between
@@ -32,15 +33,20 @@
 //!   pending entry, the destination rank, per physical packet routed and per packet a
 //!   sequence window released, in route order; a lost packet leaves none. `World::run`
 //!   takes the oldest entry, receives on that rank and routes what the node sent, so
-//!   what a delivery adds goes behind everything already pending.
+//!   what a delivery adds goes behind everything already pending. A packet in flight
+//!   may hold several frames: one-way `NEW`s and the request that closed their packet.
+//!   The receiving node serves them in order within the one delivery, each one-way
+//!   constructor to completion before the next frame, so a packet is delivered, held,
+//!   lost, duplicated or reordered as a whole.
 //! * **A frame that overtook a frame it needs is held** by its node
 //!   (`Interp::overtook_a_frame_it_needs`): the `NEW` of the object it names, or the
-//!   fingerprint hello on its sender's first request of the link. It does not touch
+//!   fingerprint hello on its sender's first packet of the link. It does not touch
 //!   the node's clock until that frame has been delivered, and then it is delivered
 //!   at once, so the clock sees the order the frames were sent in. Only a reorder
 //!   fault can deliver such a frame first (a fault-free link delivers in send order,
 //!   and a `NEW` is routed before anything that names its object), so a world without
-//!   a fault plan never looks.
+//!   a fault plan never looks. A `NEW` in the same packet ahead of the frame that
+//!   names its object counts as delivered.
 //! * **Quiescence is observed where it happens.** A world's pending list is all the
 //!   work it has left: when the list runs dry before the root completes, *that* world
 //!   is stuck *now*, and `World::run` fails it on the spot if it is doomed (a recorded
@@ -142,15 +148,10 @@ impl CoopNode {
                 self.interp.recycle_task(task.cont);
                 match task.done {
                     TaskDone::Root => Some(res),
-                    // Nobody waits for a one-way constructor: its fault is the world's.
-                    TaskDone::Reply {
-                        reply: Reply::OneWay,
-                        ..
-                    } => res.err().map(Err),
                     TaskDone::Reply { to, req_id, reply } => {
                         let result = match reply {
                             Reply::Override(v) => res.map(|_| v),
-                            _ => res,
+                            Reply::Result => res,
                         };
                         self.interp.send_reply(to, req_id, result);
                         None
@@ -258,6 +259,8 @@ impl World {
             if let Some(res) = self.deliver(rank) {
                 return Some(res);
             }
+            #[cfg(test)]
+            crate::explore::check_dry(&mut self.net, self.nodes.len());
         }
         self.doomed().map(Err)
     }
@@ -331,14 +334,20 @@ impl World {
     /// finishes `main`; its clock has already absorbed every synchronous round trip,
     /// so node 0's final clock is the execution time the paper measures.
     ///
-    /// The root can complete before a one-way `NEW` it sent was delivered. Such a
-    /// `NEW` is still delivered here, ahead of the shutdown, and its constructor runs
-    /// to completion: the world is over, so a `NEW` buffered behind a sequence gap no
-    /// later frame will fill is released first. A constructor that faults here fails
-    /// the world, and so does a recorded loss, though the root completed. Every
-    /// mailbox is drained — the launch node's after its snapshot — before the fault
-    /// summary is taken.
+    /// The root can complete holding one-way `NEW`s in an open packet that no later
+    /// request will close, or before a `NEW` it sent was delivered. The open packets
+    /// are sent first — the launch node's before its snapshot, so its clock and
+    /// counters include the send — and every such `NEW` is delivered here, ahead of
+    /// the shutdown, its constructor run to completion: the world is over, so a
+    /// packet buffered behind a sequence gap no later frame will fill is released
+    /// first. A constructor that faults here fails the world, and so does a recorded
+    /// loss, though the root completed. Every mailbox is drained — the launch node's
+    /// after its snapshot — before the fault summary is taken.
     fn finish(mut self, root: Result<Value, ExecError>, wall: Duration) -> ExecutionReport {
+        for node in &mut self.nodes {
+            node.interp.flush_open_packet();
+            self.net.route(node.endpoint());
+        }
         let node0 = &mut self.nodes[0];
         let stats0 = stats_of(&node0.interp, 0);
         let final_statics = node0.interp.statics_snapshot();
@@ -481,6 +490,8 @@ impl<'a, 's> Running<'a, 's> {
     fn worker(&mut self) {
         let window = self.server.concurrency.max(1);
         while self.next < self.results.len() || !self.stuck.is_empty() {
+            #[cfg(test)]
+            self.check_stuck(window);
             if self.next < self.results.len() && self.stuck.len() < window {
                 let mut world = self.admit();
                 let res = world.seed().or_else(|| world.run());
@@ -624,9 +635,42 @@ pub(crate) fn run_explored(
 }
 
 #[cfg(test)]
+impl World {
+    /// Whether this world could deliver something now: a pending entry, or a held
+    /// frame that no longer waits.
+    fn can_deliver(&self) -> bool {
+        !self.net.pending.is_empty()
+            || self.nodes.iter().any(|node| {
+                let interp = &node.interp;
+                node.held
+                    .iter()
+                    .any(|p| !interp.overtook_a_frame_it_needs(p))
+            })
+    }
+}
+
+#[cfg(test)]
+impl Running<'_, '_> {
+    /// The explorer's second invariant: no world in the stuck list can deliver, so a
+    /// window full of them cannot progress without the delivery deadline.
+    fn check_stuck(&mut self, window: usize) {
+        let Some(explore) = self.explore.as_mut() else {
+            return;
+        };
+        if self.stuck.iter().any(World::can_deliver) {
+            let full = self.stuck.len() >= window;
+            explore.violations.push(format!(
+                "a stuck world can deliver (window {window}, full: {full})"
+            ));
+        }
+    }
+}
+
+#[cfg(test)]
 mod tests {
     use super::*;
     use crate::net::NetworkConfig;
+    use crate::wire::{self, FrameHead, Peek};
     use autodist_codegen::rewrite::{rewrite_for_node, ClassPlacement};
     use autodist_ir::frontend::compile_source;
     use std::collections::BTreeMap;
@@ -667,9 +711,10 @@ mod tests {
         }
     }
 
-    /// A healthy world has one control flow: one network packet is pending after the
-    /// seed and after every delivery — with, right after a one-way `NEW`, the
-    /// creator's local resume queued behind it — and none once the root completes.
+    /// A healthy world has one control flow: one packet is pending after the seed and
+    /// after every delivery — right after a one-way `NEW`, the creator's local resume,
+    /// the `NEW` itself waiting in the creator's open packet — and none once the root
+    /// completes.
     #[test]
     fn a_healthy_world_has_one_pending_packet_until_its_root_completes() {
         let app = ping_app();
@@ -678,8 +723,8 @@ mod tests {
         assert_eq!(world.seed(), None, "main parks on its NEW");
         assert_eq!(
             world.net.pending,
-            [1, 0],
-            "the one-way NEW, then main's local resume"
+            [0],
+            "main's local resume; the one-way NEW is held back"
         );
         let mut pending = Vec::new();
         loop {
@@ -696,21 +741,25 @@ mod tests {
         );
         assert_eq!(
             pending,
-            [2, 1, 1, 1, 1, 1],
-            "NEW, local resume, two bounces: six deliveries"
+            [1, 1, 1, 1, 1],
+            "local resume, two bounces: five deliveries"
         );
         let sent: Vec<_> = world
             .nodes
             .iter_mut()
             .map(|n| n.endpoint().messages_sent)
             .collect();
-        assert_eq!(sent, [3, 2], "the NEW owes no reply: five messages");
+        assert_eq!(
+            sent,
+            [2, 2],
+            "the NEW rides in the first bounce's packet and owes no reply: four messages"
+        );
     }
 
     /// A request that names an object whose `NEW` never arrives — here the `NEW` is
-    /// taken off the wire by hand, so no loss is recorded — is held, and a world that
-    /// runs dry holding it, with no sequence gap, fails typed: its stall shape names
-    /// the held request by its parked requester.
+    /// cut out of its packet by hand, so no loss is recorded — is held, and a world
+    /// that runs dry holding it, with no sequence gap, fails typed: its stall shape
+    /// names the held request by its parked requester.
     #[test]
     fn a_request_held_for_a_new_that_never_comes_stalls() {
         let app = ping_app();
@@ -718,9 +767,29 @@ mod tests {
         server.faults = vec![Some(FaultPlan::quiet(1))];
         let mut world = Running::new(&mut server, Vec::new()).admit();
         assert_eq!(world.seed(), None, "main parks on its NEW");
+        assert_eq!(world.net.next_pending(), Some(0), "main's local resume");
+        assert_eq!(world.deliver(0), None, "main sends the first bounce");
         assert_eq!(world.net.next_pending(), Some(1));
-        let new = world.net.recv(1).expect("the NEW, in sequence");
-        assert_eq!(new.req_id, 1);
+        let mut pkt = world
+            .net
+            .recv(1)
+            .expect("the NEW and the bounce, in sequence");
+        assert_eq!(
+            pkt.req_id, 2,
+            "a packet carries its last frame's request id"
+        );
+        let mut frames = Peek(&pkt.data);
+        assert!(wire::split_hello(&mut frames).unwrap().is_some());
+        let hello = pkt.data.len() - frames.len();
+        let new = matches!(
+            wire::decode_head(&mut frames),
+            Ok(FrameHead::New { argc: 0, .. })
+        );
+        assert!(new, "the NEW leads the packet");
+        pkt.data = [&pkt.data[..hello], &*frames].concat().into();
+        // Posted back past the sequence window, which has already taken its number.
+        pkt.seq = 0;
+        world.net.post(pkt);
         assert_eq!(
             world.run(),
             Some(Err(ExecError::Transport(TransportStall {
@@ -796,8 +865,11 @@ mod tests {
         let mut run = Running::new(&mut server, Vec::new());
         let mut world = run.admit();
         assert_eq!(world.seed(), None, "main parks on its NEW");
-        assert_eq!(world.net.next_pending(), Some(1), "request 0's NEW");
-        assert_eq!(world.net.next_pending(), Some(0), "and main's local resume");
+        assert_eq!(
+            world.net.next_pending(),
+            Some(0),
+            "main's local resume; the NEW waits in its open packet"
+        );
         assert_eq!(world.net.next_pending(), None);
         run.stuck.push(world);
         run.worker();

@@ -16,18 +16,24 @@
 //! resolves the id against the target's runtime class. No frame carries a name.
 //!
 //! What licenses the ids is the layout **fingerprint** — a stable hash of the
-//! program's shape tables. The first request on a link travels inside a one-time
-//! *hello* envelope carrying the sender's fingerprint; the receiver verifies it
-//! against its own layout before honouring any request from that peer, so version
-//! skew yields a typed [`WireError::FingerprintMismatch`] and a peer that never said
-//! hello a [`WireError::UnverifiedSlotFrame`] — never a wrong-slot dispatch.
+//! program's shape tables. The first packet on a link starts with a one-time *hello*
+//! carrying the sender's fingerprint; the receiver verifies it against its own layout
+//! before honouring any request from that peer, so version skew yields a typed
+//! [`WireError::FingerprintMismatch`] and a peer that never said hello a
+//! [`WireError::UnverifiedSlotFrame`] — never a wrong-slot dispatch.
+//!
+//! **A request packet is `hello? · frame · frame …`**: the optional hello, then one or
+//! more request frames back to back, with no batch header (each frame is
+//! self-delimiting: its head says how many values follow). Only the last frame may owe
+//! a reply; every frame before it is a one-way `NEW` ([`crate::net`] says when frames
+//! share a packet). A packet's physical bytes are therefore the sum of its frames'.
 //!
 //! | tag           | frame        | body                                                  |
 //! |---------------|--------------|-------------------------------------------------------|
 //! | `2`           | shutdown     | —                                                     |
 //! | `3`           | `NEW`        | class id · export id · argc · values                  |
 //! | `4`           | one-way `NEW`| class id · export id · argc · values (no reply owed)  |
-//! | `5`           | hello        | fingerprint `u64` · one inner request frame           |
+//! | `5`           | hello        | fingerprint `u64` (then the packet's frames)          |
 //! | `0x40 \| kind` | `DEPENDENCE` | target · member id (`Invoke*`/field kinds) · argc · values |
 //!
 //! A `NEW` carries the export id its creator chose for the object (see
@@ -67,7 +73,8 @@
 //! formula is the exact size of the name-carrying frame that version sent — its
 //! encoder lives on in `tests/wire_roundtrip.rs` as the executable definition — which
 //! is why every committed virtual time predates and survives the id frames. Responses
-//! are charged at their encoded length.
+//! are charged at their encoded length. A packet of several frames is charged the sum
+//! of its frames' charges.
 
 use std::borrow::Cow;
 use std::ops::Deref;
@@ -614,8 +621,8 @@ impl Deref for Peek<'_> {
     }
 }
 
-/// Consumes the hello envelope header if the frame starts with one, returning the
-/// peer's layout fingerprint. The inner frame remains in `buf`.
+/// Consumes the hello if the packet starts with one, returning the peer's layout
+/// fingerprint. The packet's frames remain in `buf`.
 pub fn split_hello<B: Buf + Deref<Target = [u8]>>(buf: &mut B) -> Result<Option<u64>, WireError> {
     if peek_tag(buf)? != TAG_HELLO {
         return Ok(None);
@@ -971,6 +978,74 @@ mod tests {
         assert_eq!(
             read_frame(dep_frame(7, AccessKind::InvokeRet, 3, &args)),
             Ok((None, head, args.to_vec()))
+        );
+    }
+
+    /// A packet is the hello and then its frames back to back: each frame's head says
+    /// how many values follow, so the frames need no header of their own.
+    #[test]
+    fn a_packet_is_its_frames_back_to_back() {
+        let args = [WireValue::Int(5), WireValue::Str("tag".into())];
+        let mut packet = BytesMut::new();
+        encode_new(&mut packet, Some(7), 2, 4, true, args.iter().cloned());
+        let first = packet.len();
+        encode_new(&mut packet, None, 2, 6, true, args[..1].iter().cloned());
+        encode_dependence(
+            &mut packet,
+            None,
+            4,
+            AccessKind::InvokeRet,
+            3,
+            args.iter().cloned(),
+        );
+        assert_eq!(
+            first,
+            9 + new_frame(2, &args).len(),
+            "the hello leads, once"
+        );
+        let mut data = packet.freeze();
+        assert_eq!(split_hello(&mut data), Ok(Some(7)));
+        let mut heads = Vec::new();
+        while !data.is_empty() {
+            let head = decode_head(&mut data).unwrap();
+            let (FrameHead::New { argc, .. } | FrameHead::Dependence { argc, .. }) = head else {
+                unreachable!("no shutdown here")
+            };
+            for _ in 0..argc {
+                decode_value(&mut data).unwrap();
+            }
+            heads.push(head);
+        }
+        assert_eq!(
+            split_hello(&mut data),
+            Err(WireError::Truncated {
+                what: "frame tag",
+                needed: 1,
+                remaining: 0,
+            })
+        );
+        assert_eq!(
+            heads,
+            [
+                FrameHead::New {
+                    class: 2,
+                    id: 4,
+                    one_way: true,
+                    argc: 2
+                },
+                FrameHead::New {
+                    class: 2,
+                    id: 6,
+                    one_way: true,
+                    argc: 1
+                },
+                FrameHead::Dependence {
+                    target: 4,
+                    kind: AccessKind::InvokeRet,
+                    member: 3,
+                    argc: 2
+                },
+            ]
         );
     }
 

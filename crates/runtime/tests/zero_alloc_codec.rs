@@ -129,7 +129,8 @@ fn steady_state_remote_round_trips_allocate_nothing_for_the_argument_list() {
     caller.heap.reserve(8 * (WARM_UP + MEASURED));
     server.heap.reserve(2 * (WARM_UP + MEASURED));
     let exports = server.dist.as_mut().unwrap();
-    // The export table is indexed by export id, and ids interleave by world size.
+    // The export table is indexed by export id, and ids interleave by world size; the
+    // reverse table is indexed by heap index.
     exports.exports.reserve(2 * 2 * (WARM_UP + MEASURED));
     exports.export_ids.reserve(2 * (WARM_UP + MEASURED));
 

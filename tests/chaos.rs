@@ -236,9 +236,9 @@ fn killed_ranks_surface_as_node_down() {
 
 /// An asymmetric partition — one direction of a link dead, the other healthy —
 /// fails typed at the first packet that needs the dead direction. With 0→1 dead
-/// node 1 never sees the first request, the one-way `NEW`; its creator runs on to the
-/// first bounce, which is lost too. With 1→0 dead node 1 creates the worker and serves
-/// the first bounce, and that bounce's response is what is lost.
+/// node 1 never sees the first packet, the one-way `NEW` riding with the first bounce
+/// (request #2, whose id the packet carries): one loss. With 1→0 dead node 1 creates
+/// the worker and serves the first bounce, and that bounce's response is what is lost.
 #[test]
 fn asymmetric_partitions_fail_typed_in_the_dead_direction() {
     let program = autodist_ir::frontend::compile_source(
@@ -261,14 +261,14 @@ fn asymmetric_partitions_fail_typed_in_the_dead_direction() {
         drop: 1.0,
         ..LinkProbs::default()
     };
-    for (from, to, request, served_before_the_loss, lost) in [(0, 1, 1, 0, 2), (1, 0, 2, 2, 1)] {
+    for (from, to, request, served_before_the_loss, lost) in [(0, 1, 2, 0, 1), (1, 0, 2, 2, 1)] {
         let plan = FaultPlan::quiet(5).with_link(from, to, dead);
         let inline = run_distributed(
             &copies,
             &ClusterConfig::paper_testbed().with_faults(plan.clone()),
         );
-        // The first packet on the dead direction is request #1 (the `NEW`) when
-        // 0→1 is dead, and the response to request #2 (the first bounce) when 1→0 is.
+        // The first packet on the dead direction is the `NEW` and request #2 (the first
+        // bounce) when 0→1 is dead, and the response to request #2 when 1→0 is.
         assert_eq!(
             inline.error,
             Some(ExecError::MessageTimeout {
@@ -485,4 +485,143 @@ fn a_dropped_trailing_one_way_new_is_a_typed_timeout() {
     );
     assert_eq!(run.final_statics, clean.final_statics, "the root completed");
     assert_eq!(run.faults.expect("summary").lost, 1);
+}
+
+/// `Main` (node 0) creates three `Cell`s one-way on node 1 each round and then calls
+/// one of them: the three `NEW`s ride in the call's packet, four frames carrying the
+/// call's request id (#4 in round 0, #8 in round 1, ...).
+const BATCH: &str = r#"
+    class Cell {
+        int v;
+        Cell(int v) { this.v = v * 3 + 1; }
+        int get() { return this.v; }
+    }
+    class Main {
+        static int checksum;
+        static void main() {
+            int total = 0;
+            int i = 0;
+            while (i < 3) {
+                Cell a = new Cell(i);
+                Cell b = new Cell(i + 5);
+                Cell c = new Cell(i + 9);
+                total = total + b.get();
+                i = i + 1;
+            }
+            checksum = total;
+        }
+    }
+"#;
+
+/// Losing a packet that holds several frames is one typed loss under the packet's
+/// request id, whether the plan drops it, kills its destination before it arrives,
+/// or drops the first packet of the link, the one that carries the fingerprint hello.
+#[test]
+fn losing_a_merged_packet_is_one_typed_loss_naming_its_request() {
+    let program = autodist_ir::frontend::compile_source(BATCH).unwrap();
+    let copies = place_generated(&program, &[("Cell".into(), 1)]);
+    let clean = run_distributed(&copies, &ClusterConfig::paper_testbed());
+    assert!(clean.is_ok(), "{:?}", clean.error);
+    assert_eq!(
+        (clean.per_node[0].remote_requests, clean.total_messages()),
+        (12, 6),
+        "three rounds of one four-frame packet and one response"
+    );
+    let timeout = |request| ExecError::MessageTimeout {
+        src: 0,
+        dst: 1,
+        request,
+    };
+    for (name, plan, error, served) in [
+        (
+            "the link's first packet, with the hello",
+            FaultPlan::drop_packet(0),
+            timeout(4),
+            0,
+        ),
+        ("round 1's packet", FaultPlan::drop_packet(2), timeout(8), 4),
+        (
+            "a kill before the first packet arrives",
+            FaultPlan::kill(1, 100.0),
+            ExecError::NodeDown { rank: 1 },
+            0,
+        ),
+    ] {
+        let run = run_distributed(&copies, &ClusterConfig::paper_testbed().with_faults(plan));
+        assert_eq!(run.error, Some(error), "{name}");
+        let faults = run.faults.expect("faulted runs carry a summary");
+        assert_eq!(faults.lost, 1, "{name}: one loss for four frames");
+        assert_eq!(run.per_node[1].requests_served, served, "{name}");
+    }
+}
+
+/// Three nodes: each round `Main` (node 0) creates two `Cell`s one-way on node 1 and
+/// then calls `Relay` on node 2, so the two `NEW`s leave as a packet of their own,
+/// one-way frames only; `Relay` calls into node 1. With every packet on 0→1
+/// reordered, each such packet takes its successor's sequence number and node 1
+/// buffers it, holds `Relay`'s call until the gap repair releases the `NEW`s, and the
+/// run heals to the fault-free report.
+#[test]
+fn a_reordered_packet_of_one_way_frames_is_held_and_heals() {
+    let program = autodist_ir::frontend::compile_source(
+        r#"
+        class Cell {
+            int v;
+            Cell(int v) { this.v = v + 2; }
+            int get() { return this.v; }
+        }
+        class Relay { int read(Cell c) { return c.get() * 5; } }
+        class Main {
+            static int checksum;
+            static void main() {
+                Relay r = new Relay();
+                int total = 0;
+                int i = 0;
+                while (i < 4) {
+                    Cell a = new Cell(i * 7);
+                    Cell b = new Cell(i);
+                    total = total + r.read(a) + r.read(b);
+                    i = i + 1;
+                }
+                checksum = total;
+            }
+        }
+    "#,
+    )
+    .unwrap();
+    let central = run_centralized(&program, 1.0);
+    let mut home = BTreeMap::new();
+    for (class, node) in [("Main", 0), ("Cell", 1), ("Relay", 2)] {
+        home.insert(program.class_by_name(class).unwrap(), node);
+    }
+    let placement = ClassPlacement::new(3, home);
+    let copies: Vec<Program> = (0..3)
+        .map(|n| rewrite_for_node(&program, &placement, n).program)
+        .collect();
+    let cluster = ClusterConfig {
+        network: NetworkConfig::uniform(3),
+        ..Default::default()
+    };
+    let clean = run_distributed(&copies, &cluster);
+    assert!(clean.is_ok(), "{:?}", clean.error);
+    assert_eq!(
+        clean.per_node[0].messages_sent,
+        1 + 4 * 3,
+        "Relay's NEW, then per round one packet of two NEWs and two calls"
+    );
+    let reorder = LinkProbs {
+        reorder: 1.0,
+        ..LinkProbs::default()
+    };
+    for seed in 0..4 {
+        let plan = FaultPlan::quiet(seed).with_link(0, 1, reorder);
+        let run = run_distributed(&copies, &cluster.clone().with_faults(plan));
+        assert_byte_identical(&format!("reorder 0→1, seed {seed}"), &clean, &run);
+        assert_eq!(
+            run.final_statics.get("Main::checksum"),
+            central.final_statics.get("Main::checksum")
+        );
+        let faults = run.faults.expect("summary");
+        assert!(faults.reordered > 0 && faults.repaired > 0, "{faults:?}");
+    }
 }

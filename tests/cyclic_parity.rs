@@ -10,7 +10,11 @@
 //! recorded on the last commit that had it, and re-recorded when a `NEW` whose
 //! constructor cannot be observed became one-way: each such `NEW` saves its reply
 //! message, its reply's bytes less the export id the `NEW` now carries, and a round
-//! trip of virtual time, and no instruction or request count moved.
+//! trip of virtual time, and no instruction or request count moved. Re-recorded once
+//! more when a one-way `NEW` began to ride in the packet of its creator's next request
+//! to the same home: such a `NEW` saves its own packet and send overhead (the deep
+//! recursion's `Pong`), and a `NEW` whose home gets no request next still travels
+//! alone (the ring's `B` and `C`, whose record did not move).
 //!
 //! CI runs this test binary under a watchdog timeout (see `.github/workflows/ci.yml`)
 //! as a backstop, so a worker-loop stall fails fast instead of hanging the job.
@@ -169,8 +173,8 @@ fn deep_cross_node_recursion_overflows_cleanly() {
     let program = compile_source(src).expect("deep recursion compiles");
     let pins = [("Main", 0), ("Ping", 0), ("Pong", 1)];
     let threaded = ThreadedRecord {
-        virtual_time_us: 85621.42857142923,
-        messages: 397,
+        virtual_time_us: 85607.46857142923,
+        messages: 396,
         bytes: 323158,
         per_node: &[(2390, 99, 100), (2376, 100, 99)],
     };

@@ -355,58 +355,58 @@ fn digest(report: &autodist_runtime::ExecutionReport) -> u64 {
 /// `PINNED[w][p]`: the digest of mix workload `w` under `pinned_plans(w)[p]`.
 const PINNED: [[u64; 16]; 3] = [
     [
-        0x50abd3fcc1c05a73,
-        0x7b10bd7440d6eeab,
-        0x1ffc2a5801d6c541,
-        0xefb091869ad95520,
-        0xde4f29c1f9df45c1,
-        0xcd8f07536117a1e0,
-        0x32489340b51b07f3,
-        0xc0b9affc2c60c063,
-        0xf76c2f94896a314e,
-        0x6c9c41de36b1ef56,
-        0xf83a64b2c3b1b265,
-        0x55b07165f2cddf98,
-        0x6f36157de0b28655,
-        0xec20d67ccbac07ba,
-        0x9f92c344c7f91cdf,
-        0x1e5b9fd7f9508134,
+        0xcb514a14160e243a,
+        0x658178fd6526ce56,
+        0x9e6df1f81796095c,
+        0xacdb9218c907c2cc,
+        0xac8c6babd87a5c1c,
+        0x2a96b0f39fbaad0c,
+        0xb2b83c44c5d224c9,
+        0xff1fdcdc16661d3a,
+        0xc3988ae851946d51,
+        0xbd27c8553e7a856f,
+        0x374cffaac3693fbb,
+        0x8a0456fd67c95c48,
+        0xdba1c10453fb789f,
+        0x8a7f4000f32102fb,
+        0xc6662ceb001a824c,
+        0x99c412013ff5c4e8,
     ],
     [
-        0x6ac295a8a8f3d942,
-        0x5552cc3c5ca4fc3d,
-        0x92ca144200b129f9,
-        0x274bff1ea317d673,
-        0x5b3721413acfd5f7,
-        0xdc97fd35f58f2c9e,
-        0xa527578865938acf,
-        0xaa505c63b3773e7b,
-        0xdedc21c7f3f7a255,
-        0xe5709e8f5a93911c,
-        0xa7308d1e9c356f9c,
-        0xa53ab7bf20eeb932,
-        0x6f4714a0e2007e52,
-        0xc35a47924154b2d9,
-        0x03f0f98e2386737e,
-        0xcc86345d99408d2f,
+        0x0d46a99d8e79c8d7,
+        0xe3a7a8a1c683fd75,
+        0x18af81c8dc8ee5bf,
+        0xf33ff65b01503a6c,
+        0xafcf371666695ec1,
+        0x9ab3456733d45dce,
+        0x59db2a81370219aa,
+        0xca3a91d94d462cb3,
+        0x874570c49bbb8020,
+        0x0e9a918f298b3a1f,
+        0x0537f834103c298e,
+        0x9ad31b9aa0fc9cac,
+        0xab55ece9cc9cc7b9,
+        0xa5a4bc7b634fa0a3,
+        0x9c2698a0192acb00,
+        0xb856626497014c4b,
     ],
     [
-        0x947516b09c05347b,
-        0x7f1a57ea37031090,
-        0x94beff761afc2b44,
-        0xca2fba3cc7526812,
-        0xa88f323b9d6c7acd,
-        0xa88f323b9d6c7acd,
-        0x7761dd9afcfd683c,
-        0x2d304e72c12fd038,
-        0x9393e820e66449c7,
-        0xf75663dcbba28d3f,
-        0xddbc54a11f391d38,
-        0x9a51527c707c3056,
-        0x9a51527c707c3056,
-        0x9a51527c707c3056,
-        0x9a51527c707c3056,
-        0x9a51527c707c3056,
+        0x82a7ac8687c5f9c9,
+        0xfab6d37207f0dc59,
+        0xf33b0f0f59c11d9f,
+        0xb2d7fcad680a2b10,
+        0xc6cfa17015567423,
+        0xc6cfa17015567423,
+        0x96d2f4dc5bcc0219,
+        0xe5a461b13161280e,
+        0xf563a8555436b833,
+        0x5f0afd2092696596,
+        0x55d5b046b89e9e9d,
+        0x55d5b046b89e9e9d,
+        0x55d5b046b89e9e9d,
+        0x55d5b046b89e9e9d,
+        0x55d5b046b89e9e9d,
+        0x55d5b046b89e9e9d,
     ],
 ];
 
