@@ -20,7 +20,8 @@
 //!   the op counts of the 1:1 (`stack_ops`) and folded (`register_ops`) register
 //!   forms, the folded form's placing moves and zero-width ops, and the dynamic
 //!   dispatch reduction.
-//! * `wire_codec` — the encoded frame size of the three dominant remote accesses.
+//! * `wire_codec` — the encoded frame size of the three dominant remote accesses,
+//!   then physical and charged size of a message of each other value-carrying shape.
 //! * `serving` / `adaptive_serving` — traffic totals of the two closed loops in
 //!   [`crate::serving`].
 //! * `quiet_fault_plans` — the identity booleans of [`crate::fault`].
@@ -34,7 +35,10 @@ use autodist::{Distributor, DistributorConfig, PipelineResult, Table1Row};
 use autodist_analysis::odg::ObjectDependenceGraph;
 use autodist_ir::printer::format_insn;
 use autodist_ir::program::Program;
-use autodist_runtime::wire::{encode_dependence, encode_new, AccessKind, WireValue};
+use autodist_runtime::wire::{
+    charged_dependence_size, charged_new_size, charged_response_size, encode_dependence,
+    encode_new, encode_response_in, AccessKind, Response, WireValue,
+};
 use autodist_workloads::GenConfig;
 use bytes::BytesMut;
 
@@ -63,6 +67,35 @@ fn frame_sizes() -> [(&'static str, usize); 3] {
         ),
         ("dep_getfield", dep(AccessKind::GetField, 1, &[])),
         ("new_1int", new(4, &[WireValue::Int(42)])),
+    ]
+}
+
+/// Physical and charged sizes of one message of each remaining value-carrying
+/// shape — a response carrying an `int`, a `NEW` of `Account` with a string, a
+/// `transfer` passing a remote reference — so a change to either the encoding or the
+/// charge shows here, apart.
+fn charged_frame_sizes() -> [(&'static str, usize, usize); 3] {
+    let reply = Response::Value(WireValue::Int(2));
+    let response = (
+        encode_response_in(BytesMut::new(), &reply).len(),
+        charged_response_size(&reply),
+    );
+    let mut frame = BytesMut::new();
+    let args = [WireValue::Str("ABC Market".into())];
+    let charge = encode_new(&mut frame, None, 4, 7, false, args.iter().cloned());
+    let new = (frame.len(), charged_new_size("Account".len(), charge));
+    let mut frame = BytesMut::new();
+    let args = [WireValue::Remote { node: 1, id: 9 }];
+    let kind = AccessKind::InvokeVoid;
+    let charge = encode_dependence(&mut frame, None, 7, kind, 3, args.iter().cloned());
+    let dep = (
+        frame.len(),
+        charged_dependence_size("transfer".len(), charge),
+    );
+    [
+        ("response_int", response.0, response.1),
+        ("new_1str", new.0, new.1),
+        ("dep_invoke_1ref", dep.0, dep.1),
     ]
 }
 
@@ -285,10 +318,18 @@ pub fn render() -> PipelineResult<String> {
         .collect();
     sections.push(rows_section("op_census", &rows));
 
-    let rows: Vec<String> = frame_sizes()
+    let mut rows: Vec<String> = frame_sizes()
         .iter()
         .map(|(name, bytes)| format!("\"name\": {}, \"bytes\": {}", json_string(name), bytes))
         .collect();
+    rows.extend(charged_frame_sizes().iter().map(|(name, bytes, charged)| {
+        format!(
+            "\"name\": {}, \"bytes\": {}, \"charged\": {}",
+            json_string(name),
+            bytes,
+            charged
+        )
+    }));
     sections.push(rows_section("wire_codec", &rows));
 
     let s = serving::measure_serving()?;

@@ -347,16 +347,18 @@ mod tests {
     const BANK_THREADED: ThreadedRecord = ThreadedRecord {
         virtual_time_us: 2131.472380952402,
         messages: 14,
-        // Two `NEW`s, each one export-id byte longer since `NEW` names its object.
-        bytes: 161,
+        // Compact values; 161 with fixed-width values (two `NEW`s, each one
+        // export-id byte longer than the threaded schedule's frames).
+        bytes: 72,
         per_node: &[(88, 0), (625, 7)],
     };
 
     const RELAY_THREADED: ThreadedRecord = ThreadedRecord {
         virtual_time_us: 1211.9333333333325,
         messages: 8,
-        // One `NEW` that crosses a node, one export-id byte longer.
-        bytes: 91,
+        // Compact values; 91 with fixed-width values (one `NEW` that crosses a
+        // node, one export-id byte longer than the threaded schedule's frame).
+        bytes: 46,
         per_node: &[(42, 2), (14, 2)],
     };
 

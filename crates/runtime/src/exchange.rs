@@ -615,14 +615,14 @@ impl Interp {
     }
 
     /// Marshals `args` one by one straight behind a request head already in `buf`,
-    /// and returns the bytes they took (the variable term of the request's charge).
+    /// and returns their charge (the variable term of the request's charge).
     fn marshal_args(&mut self, buf: &mut BytesMut, args: &[Value]) -> usize {
-        let start = buf.len();
+        let mut charge = 0;
         for &v in args {
             let w = self.marshal(v);
-            wire::put_value(buf, &w);
+            charge += wire::put_value(buf, &w);
         }
-        buf.len() - start
+        charge
     }
 
     /// Converts a wire value back into a runtime value, resolving references that point
@@ -717,8 +717,8 @@ impl Interp {
         };
         let (mut buf, hello) = self.frame_start(node)?;
         wire::dependence_head(&mut buf, hello, id, kind, member.id, args.len());
-        let value_bytes = self.marshal_args(&mut buf, args);
-        let charged = wire::charged_dependence_size(member.name_len, value_bytes);
+        let value_charge = self.marshal_args(&mut buf, args);
+        let charged = wire::charged_dependence_size(member.name_len, value_charge);
         Ok(self.send_request(node, buf, charged))
     }
 
@@ -739,8 +739,8 @@ impl Interp {
         let id = dist.hand_out(home);
         let one_way = dist.one_way.at(home, class);
         wire::new_head(&mut buf, hello, class.0, id, one_way, args.len());
-        let value_bytes = self.marshal_args(&mut buf, args);
-        let charged = wire::charged_new_size(class_name_len, value_bytes);
+        let value_charge = self.marshal_args(&mut buf, args);
+        let charged = wire::charged_new_size(class_name_len, value_charge);
         if !one_way {
             return Ok(self.send_request(home, buf, charged));
         }
@@ -1004,7 +1004,7 @@ impl Interp {
                     .class()
                     .ok_or_else(|| ExecError::Unsupported("invoke on array".into()))?;
                 let m = self.layout.resolve_selector(class, member).ok_or_else(|| {
-                    // The reply is charged at its encoded length, so the text is
+                    // An error reply is charged by its text's length, so the text is
                     // part of virtual time: report the name the selector stands for.
                     ExecError::UnknownMethod(match self.layout.selector_name(member) {
                         Some(name) => Arc::clone(name),
@@ -1123,12 +1123,12 @@ impl Interp {
     pub fn send_reply(&mut self, to: usize, req_id: u64, result: Result<Value, ExecError>) {
         let dist = self.dist.as_mut().expect("reply requires dist state");
         let buf = dist.endpoint.take_buf();
-        let data = match result {
-            Ok(v) => wire::encode_response_in(buf, &Response::Value(self.marshal(v))),
-            Err(e) => wire::encode_response_in(buf, &Response::Error(e.to_string())),
+        let reply = match result {
+            Ok(v) => Response::Value(self.marshal(v)),
+            Err(e) => Response::Error(e.to_string()),
         };
-        // A response is charged at its encoded length.
-        let charged = data.len();
+        let charged = wire::charged_response_size(&reply);
+        let data = wire::encode_response_in(buf, &reply);
         let clock = self.clock_us;
         let dist = self.dist.as_mut().expect("reply requires dist state");
         self.clock_us = dist

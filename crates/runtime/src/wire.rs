@@ -43,38 +43,54 @@
 //! Head fields (class id, export id, target, member id, argc) are LEB128 varints: ids are
 //! almost always below 128, so the typical head field is one byte, and nothing a
 //! run can produce (a target beyond `u32::MAX`, hundreds of arguments) needs another
-//! frame shape. Values are a tag byte plus a fixed-width or length-prefixed payload,
-//! written and read one at a time ([`WireValue`], [`put_value`], [`decode_value`]): no
-//! frame is ever held as a collection of values, and a decoded string borrows the
-//! frame's bytes until the receiver has interned it. Responses are `0` + value or
-//! `1` + length-prefixed error text. Tags `0` and `1` belonged to the retired
-//! name-carrying frames and are rejected like any unknown tag.
+//! frame shape. Values are compact the same way: a tag byte, then a varint, eight
+//! bytes or a varint-length-prefixed string:
+//!
+//! | tag | value   | payload                                   | charged |
+//! |-----|---------|-------------------------------------------|---------|
+//! | `0` | `null`  | —                                         | 1       |
+//! | `1` | `int`   | zigzag LEB128 varint (1–10 bytes)         | 9       |
+//! | `2` | `float` | `f64`, big-endian                         | 9       |
+//! | `3` | `false` | — (a `boolean` is its tag)                | 2       |
+//! | `4` | `true`  | —                                         | 2       |
+//! | `5` | string  | varint length · UTF-8 bytes               | 5 + len |
+//! | `6` | remote  | varint node · varint export id            | 13      |
+//!
+//! Values are written and read one at a time ([`WireValue`], [`put_value`],
+//! [`decode_value`]): no frame is ever held as a collection of values, and a decoded
+//! string borrows the frame's bytes until the receiver has interned it. A response
+//! is its value alone, or tag `7` — no value's — and the varint-length-prefixed
+//! error text. Request tags `0` and `1` belonged to the retired name-carrying frames
+//! and are rejected like any unknown tag.
 //!
 //! All decode paths are total: corrupt bytes surface as a typed [`WireError`]
 //! (truncation, bad tags, overlong varints, invalid UTF-8), not a panic, and a count
-//! read off the wire is bounded by the bytes that remain before anything is reserved.
+//! or length read off the wire is bounded by the bytes that remain before anything is
+//! reserved — every value is at least its tag byte.
 //!
 //! # Virtual-time charging
 //!
 //! The transport counts the *physical* encoded bytes; the network cost model charges
-//! a request by a formula over what the sender holds — the member's *name* length and
-//! the argument values:
+//! a message by a formula over what the sender holds — the member's *name* length and
+//! the argument values — never by what the encoder appended:
 //!
 //! ```text
-//! charged(NEW)        = 1 + 4 + len(class name)          + 4 + value bytes
-//! charged(DEPENDENCE) = 1 + 8 + 1 + 4 + len(member name) + 4 + value bytes
+//! charged(NEW)        = 1 + 4 + len(class name)          + 4 + value charge
+//! charged(DEPENDENCE) = 1 + 8 + 1 + 4 + len(member name) + 4 + value charge
+//! charged(response)   = 1 + value charge      (error: 1 + 4 + len(text))
 //! ```
 //!
-//! ([`charged_new_size`], [`charged_dependence_size`]; array accesses have the empty
-//! member name). *Value bytes* is what the encoder just appended for the arguments —
-//! [`encode_new`] and [`encode_dependence`] return it, and the Message Exchange, which
-//! marshals each argument straight behind the head, counts it the same way — because
-//! values are encoded today exactly as the first protocol version encoded them. The
-//! formula is the exact size of the name-carrying frame that version sent — its
+//! ([`charged_new_size`], [`charged_dependence_size`], [`charged_response_size`];
+//! array accesses have the empty member name). A value's charge is the
+//! [`charged_value_size`] column above: its size in the first protocol version,
+//! which wrote an `int` in eight bytes, a reference in twelve and every length in
+//! four. [`put_value`] returns it as it encodes, so [`encode_new`],
+//! [`encode_dependence`] and the Message Exchange sum the charge in the pass that
+//! marshals. The formulas are the exact sizes of the frames that version sent — its
 //! encoder lives on in `tests/wire_roundtrip.rs` as the executable definition — which
-//! is why every committed virtual time predates and survives the id frames. Responses
-//! are charged at their encoded length. A packet of several frames is charged the sum
-//! of its frames' charges.
+//! is why every committed virtual time predates and survives both the id frames and
+//! the compact values: how a message is encoded moves its bytes, never its time. A
+//! packet of several frames is charged the sum of its frames' charges.
 
 use std::borrow::Cow;
 use std::ops::Deref;
@@ -278,6 +294,17 @@ const TAG_HELLO: u8 = 5;
 /// `DEPENDENCE` tags pack the access kind into the frame tag: `0x40 | kind`.
 const TAG_DEP_BASE: u8 = 0x40;
 
+// Value tags. A `Bool` is its tag alone.
+const VAL_NULL: u8 = 0;
+const VAL_INT: u8 = 1;
+const VAL_FLOAT: u8 = 2;
+const VAL_FALSE: u8 = 3;
+const VAL_TRUE: u8 = 4;
+const VAL_STR: u8 = 5;
+const VAL_REMOTE: u8 = 6;
+/// A response is a value, or an error text under the one tag no value uses.
+const TAG_ERROR: u8 = 7;
+
 fn need<B: Buf>(buf: &B, n: usize, what: &'static str) -> Result<(), WireError> {
     if buf.remaining() < n {
         Err(WireError::Truncated {
@@ -295,28 +322,25 @@ fn rd_u8<B: Buf>(buf: &mut B, what: &'static str) -> Result<u8, WireError> {
     Ok(buf.get_u8())
 }
 
-fn rd_u32<B: Buf>(buf: &mut B, what: &'static str) -> Result<u32, WireError> {
-    need(buf, 4, what)?;
-    Ok(buf.get_u32())
-}
-
 fn rd_u64<B: Buf>(buf: &mut B, what: &'static str) -> Result<u64, WireError> {
     need(buf, 8, what)?;
     Ok(buf.get_u64())
 }
 
 fn put_string(buf: &mut BytesMut, s: &str) {
-    buf.put_u32(s.len() as u32);
+    put_varint(buf, s.len() as u64);
     buf.put_slice(s.as_bytes());
 }
 
-/// Reads a length-prefixed string through the frame's cursor: borrowed (`&str`) for
-/// a value the receiver interns, copied once into an owner (`String`) otherwise.
+/// Reads a varint-length-prefixed string through the frame's cursor: borrowed
+/// (`&str`) for a value the receiver interns, copied once into an owner (`String`)
+/// otherwise. A length past the end of the frame is truncation.
 fn get_string<'a, S: From<&'a str>, B: Buf>(
     buf: &'a mut B,
     what: &'static str,
 ) -> Result<S, WireError> {
-    let len = rd_u32(buf, what)? as usize;
+    let len = rd_varint(buf, what)?;
+    let len = usize::try_from(len).unwrap_or(usize::MAX);
     need(buf, len, what)?;
     match std::str::from_utf8(buf.take_slice(len)) {
         Ok(s) => Ok(S::from(s)),
@@ -324,53 +348,66 @@ fn get_string<'a, S: From<&'a str>, B: Buf>(
     }
 }
 
-/// Appends one value to a frame: the `argc` values behind a request head, one call
-/// each.
-pub fn put_value(buf: &mut BytesMut, v: &WireValue<'_>) {
+/// An `i64` as an unsigned varint payload: small magnitudes of either sign stay
+/// small (0, -1, 1, -2, … map to 0, 1, 2, 3, …).
+fn zigzag(x: i64) -> u64 {
+    ((x << 1) ^ (x >> 63)) as u64
+}
+
+fn unzigzag(u: u64) -> i64 {
+    (u >> 1) as i64 ^ -((u & 1) as i64)
+}
+
+/// Appends one value to a frame — the `argc` values behind a request head, one call
+/// each — and returns what the cost model charges for it ([`charged_value_size`]),
+/// so a marshaller sums the charge in the pass that encodes.
+pub fn put_value(buf: &mut BytesMut, v: &WireValue<'_>) -> usize {
     match v {
-        WireValue::Null => buf.put_u8(0),
+        WireValue::Null => buf.put_u8(VAL_NULL),
         WireValue::Int(x) => {
-            buf.put_u8(1);
-            buf.put_i64(*x);
+            buf.put_u8(VAL_INT);
+            put_varint(buf, zigzag(*x));
         }
         WireValue::Float(x) => {
-            buf.put_u8(2);
+            buf.put_u8(VAL_FLOAT);
             buf.put_f64(*x);
         }
-        WireValue::Bool(x) => {
-            buf.put_u8(3);
-            buf.put_u8(*x as u8);
-        }
+        WireValue::Bool(x) => buf.put_u8(if *x { VAL_TRUE } else { VAL_FALSE }),
         WireValue::Str(s) => {
-            buf.put_u8(4);
+            buf.put_u8(VAL_STR);
             put_string(buf, s);
         }
         WireValue::Remote { node, id } => {
-            buf.put_u8(5);
-            buf.put_u32(*node);
-            buf.put_u64(*id);
+            buf.put_u8(VAL_REMOTE);
+            put_varint(buf, u64::from(*node));
+            put_varint(buf, *id);
         }
     }
+    charged_value_size(v)
 }
 
 /// Reads the next value of a frame: the `argc` values behind a request head
 /// ([`decode_head`]), one call each.
 pub fn decode_value<B: Buf>(buf: &mut B) -> Result<WireValue<'_>, WireError> {
-    Ok(match rd_u8(buf, "value tag")? {
-        0 => WireValue::Null,
-        1 => {
-            need(buf, 8, "int value")?;
-            WireValue::Int(buf.get_i64())
-        }
-        2 => {
+    let tag = rd_u8(buf, "value tag")?;
+    value_body(tag, buf)
+}
+
+/// The rest of a value whose tag has been read.
+fn value_body<B: Buf>(tag: u8, buf: &mut B) -> Result<WireValue<'_>, WireError> {
+    Ok(match tag {
+        VAL_NULL => WireValue::Null,
+        VAL_INT => WireValue::Int(unzigzag(rd_varint(buf, "int value")?)),
+        VAL_FLOAT => {
             need(buf, 8, "float value")?;
             WireValue::Float(buf.get_f64())
         }
-        3 => WireValue::Bool(rd_u8(buf, "bool value")? != 0),
-        4 => WireValue::Str(Cow::Borrowed(get_string(buf, "string value")?)),
-        5 => WireValue::Remote {
-            node: rd_u32(buf, "remote node")?,
-            id: rd_u64(buf, "remote id")?,
+        VAL_FALSE => WireValue::Bool(false),
+        VAL_TRUE => WireValue::Bool(true),
+        VAL_STR => WireValue::Str(Cow::Borrowed(get_string(buf, "string value")?)),
+        VAL_REMOTE => WireValue::Remote {
+            node: rd_id(buf, "remote node")?,
+            id: rd_varint(buf, "remote id")?,
         },
         t => return Err(WireError::BadValueTag(t)),
     })
@@ -380,26 +417,52 @@ pub fn decode_value<B: Buf>(buf: &mut B) -> Result<WireValue<'_>, WireError> {
 // The virtual-time charge (see the module doc)
 // ---------------------------------------------------------------------------
 
+/// What the cost model charges for one value: its size in the first protocol
+/// version, a tag byte and a fixed-width or `u32`-length-prefixed payload.
+pub fn charged_value_size(v: &WireValue<'_>) -> usize {
+    match v {
+        WireValue::Null => 1,
+        WireValue::Int(_) | WireValue::Float(_) => 1 + 8,
+        WireValue::Bool(_) => 1 + 1,
+        WireValue::Str(s) => 1 + 4 + s.len(),
+        WireValue::Remote { .. } => 1 + 4 + 8,
+    }
+}
+
 /// What the cost model charges for a `NEW` of a class with a name this long whose
-/// argument values took `value_bytes` in the frame.
-pub fn charged_new_size(class_name_len: usize, value_bytes: usize) -> usize {
-    1 + 4 + class_name_len + 4 + value_bytes
+/// argument values are charged `value_charge` ([`charged_value_size`] summed).
+pub fn charged_new_size(class_name_len: usize, value_charge: usize) -> usize {
+    1 + 4 + class_name_len + 4 + value_charge
 }
 
 /// What the cost model charges for a `DEPENDENCE` on a member with a name this long
-/// (0 for array accesses) whose argument values took `value_bytes` in the frame.
-pub fn charged_dependence_size(member_len: usize, value_bytes: usize) -> usize {
-    1 + 8 + 1 + 4 + member_len + 4 + value_bytes
+/// (0 for array accesses) whose argument values are charged `value_charge`.
+pub fn charged_dependence_size(member_len: usize, value_charge: usize) -> usize {
+    1 + 8 + 1 + 4 + member_len + 4 + value_charge
+}
+
+/// What the cost model charges for a response: a status byte and the value, or
+/// the `u32`-length-prefixed error text.
+pub fn charged_response_size(resp: &Response<'_>) -> usize {
+    match resp {
+        Response::Value(v) => 1 + charged_value_size(v),
+        Response::Error(e) => 1 + 4 + e.len(),
+    }
 }
 
 // ---------------------------------------------------------------------------
 // Encoders
 // ---------------------------------------------------------------------------
 
-/// LEB128-encodes a head field. Dense ids — class ids, selectors, field-name ids —
-/// export counters and argument counts are almost always tiny, so the common head
-/// field is one byte.
+/// LEB128-encodes a head field, an `int` (zigzagged), a reference or a length.
+/// Dense ids — class ids, selectors, field-name ids — export counters, argument
+/// counts and most integers a program passes are tiny, so the common varint is one
+/// byte.
 fn put_varint(buf: &mut BytesMut, mut v: u64) {
+    if v < 0x80 {
+        buf.put_u8(v as u8);
+        return;
+    }
     loop {
         let byte = (v & 0x7f) as u8;
         v >>= 7;
@@ -414,8 +477,12 @@ fn put_varint(buf: &mut BytesMut, mut v: u64) {
 /// Reads a LEB128 `u64`; an encoding that runs past 64 bits is a typed corruption
 /// error.
 fn rd_varint<B: Buf>(buf: &mut B, what: &'static str) -> Result<u64, WireError> {
-    let mut v = 0u64;
-    for shift in (0..64).step_by(7) {
+    let first = rd_u8(buf, what)?;
+    if first < 0x80 {
+        return Ok(u64::from(first));
+    }
+    let mut v = u64::from(first & 0x7f);
+    for shift in (7..64).step_by(7) {
         let byte = rd_u8(buf, what)?;
         let bits = u64::from(byte & 0x7f);
         if shift == 63 && bits > 1 {
@@ -456,14 +523,10 @@ fn put_hello(buf: &mut BytesMut, hello: Option<u64>) {
     }
 }
 
-/// Writes each value as the iterator yields it. Returns the bytes the values took:
-/// the variable term of the virtual-time charge.
+/// Writes each value as the iterator yields it. Returns the values' charge: the
+/// variable term of the virtual-time charge.
 fn put_args<'a>(buf: &mut BytesMut, args: impl Iterator<Item = WireValue<'a>>) -> usize {
-    let start = buf.len();
-    for v in args {
-        put_value(buf, &v);
-    }
-    buf.len() - start
+    args.map(|v| put_value(buf, &v)).sum()
 }
 
 /// The head of a `NEW` — hello envelope if any, tag, class id, the export id the
@@ -505,7 +568,7 @@ pub(crate) fn dependence_head(
 
 /// Encodes a `NEW` into a caller-provided (pooled) buffer, optionally wrapped in the
 /// one-time hello envelope carrying the sender's layout fingerprint. Returns the
-/// value bytes ([`charged_new_size`]).
+/// values' charge ([`charged_new_size`]).
 pub fn encode_new<'a>(
     buf: &mut BytesMut,
     hello: Option<u64>,
@@ -519,7 +582,7 @@ pub fn encode_new<'a>(
 }
 
 /// Encodes a `DEPENDENCE` into a caller-provided (pooled) buffer, optionally wrapped
-/// in the hello envelope (see `dependence_head`). Returns the value bytes
+/// in the hello envelope (see `dependence_head`). Returns the values' charge
 /// ([`charged_dependence_size`]).
 pub fn encode_dependence<'a>(
     buf: &mut BytesMut,
@@ -538,15 +601,15 @@ pub fn encode_shutdown() -> Bytes {
     Bytes::from_static(&[TAG_SHUTDOWN])
 }
 
-/// Encodes a [`Response`] into a caller-provided (pooled) buffer.
+/// Encodes a [`Response`] into a caller-provided (pooled) buffer: the value alone,
+/// or the error tag and the text ([`charged_response_size`] is its charge).
 pub fn encode_response_in(mut buf: BytesMut, resp: &Response<'_>) -> Bytes {
     match resp {
         Response::Value(v) => {
-            buf.put_u8(0);
             put_value(&mut buf, v);
         }
         Response::Error(e) => {
-            buf.put_u8(1);
+            buf.put_u8(TAG_ERROR);
             put_string(&mut buf, e);
         }
     }
@@ -669,9 +732,11 @@ impl Response<'_> {
     /// pool once it is done with the (borrowed) value.
     pub fn decode<B: Buf>(bytes: &mut B) -> Result<Response<'_>, WireError> {
         match rd_u8(bytes, "response tag")? {
-            0 => Ok(Response::Value(decode_value(bytes)?)),
-            1 => Ok(Response::Error(get_string(bytes, "error message")?)),
-            t => Err(WireError::BadResponseTag(t)),
+            TAG_ERROR => Ok(Response::Error(get_string(bytes, "error message")?)),
+            tag => match value_body(tag, bytes) {
+                Err(WireError::BadValueTag(t)) => Err(WireError::BadResponseTag(t)),
+                value => value.map(Response::Value),
+            },
         }
     }
 }
@@ -922,12 +987,12 @@ mod tests {
 
     #[test]
     fn encoding_is_compact() {
-        // Invoke: tag + target varint(1) + selector varint(1) + argc(1) + int(9).
-        assert_eq!(dep(1, AccessKind::InvokeRet, 9, &[WireValue::Int(5)]), 13);
+        // Invoke: tag + target varint(1) + selector varint(1) + argc(1) + int(1 + 1).
+        assert_eq!(dep(1, AccessKind::InvokeRet, 9, &[WireValue::Int(5)]), 6);
         // Field read: tag + target(1) + field-name id(1) + argc(1).
         assert_eq!(dep(1, AccessKind::GetField, 0, &[]), 4);
-        // Array read drops the member word: tag + target(1) + argc(1) + index(9).
-        assert_eq!(dep(1, AccessKind::GetElement, 0, &[WireValue::Int(2)]), 12);
+        // Array read drops the member word: tag + target(1) + argc(1) + index(2).
+        assert_eq!(dep(1, AccessKind::GetElement, 0, &[WireValue::Int(2)]), 5);
         // Wide ids widen gracefully: five bytes per maxed-out u32 field, ten for a
         // maxed-out target, two for a count past 127.
         let wide = u64::from(u32::MAX);
@@ -937,6 +1002,60 @@ mod tests {
             dep(1, AccessKind::InvokeVoid, 1, &vec![WireValue::Null; 128]),
             5 + 128
         );
+        // Each value against its charge: a boolean is its tag, a small reference
+        // three bytes, a string's length one byte below 128.
+        for (v, bytes, charged) in [
+            (WireValue::Null, 1, 1),
+            (WireValue::Int(-64), 2, 9),
+            (WireValue::Int(64), 3, 9),
+            (WireValue::Float(0.5), 9, 9),
+            (WireValue::Bool(false), 1, 2),
+            (WireValue::Bool(true), 1, 2),
+            (WireValue::Str("tag".into()), 5, 8),
+            (WireValue::Remote { node: 1, id: 9 }, 3, 13),
+            (
+                WireValue::Remote {
+                    node: u32::MAX,
+                    id: u64::MAX,
+                },
+                16,
+                13,
+            ),
+        ] {
+            let mut buf = BytesMut::new();
+            assert_eq!(put_value(&mut buf, &v), charged, "{v:?}");
+            assert_eq!(buf.len(), bytes, "{v:?}");
+            assert_eq!(charged_value_size(&v), charged, "{v:?}");
+        }
+        // A response is its value alone.
+        let reply = Response::Value(WireValue::Int(2));
+        assert_eq!(encode_response_in(BytesMut::new(), &reply).len(), 2);
+        assert_eq!(charged_response_size(&reply), 10);
+        let failure = Response::Error("boom".into());
+        assert_eq!(encode_response_in(BytesMut::new(), &failure).len(), 6);
+        assert_eq!(charged_response_size(&failure), 9);
+    }
+
+    /// Zigzag keeps small magnitudes of either sign small and round-trips the
+    /// extremes, whose varints are the longest an `int` takes.
+    #[test]
+    fn zigzag_ints_round_trip_at_the_extremes() {
+        for (x, zz, len) in [
+            (0i64, 0u64, 2),
+            (-1, 1, 2),
+            (1, 2, 2),
+            (-64, 127, 2),
+            (64, 128, 3),
+            (i64::MAX, u64::MAX - 1, 11),
+            (i64::MIN, u64::MAX, 11),
+        ] {
+            assert_eq!(zigzag(x), zz);
+            assert_eq!(unzigzag(zz), x);
+            let mut buf = BytesMut::new();
+            put_value(&mut buf, &WireValue::Int(x));
+            assert_eq!(buf.len(), len, "{x}");
+            assert_eq!(decode_value(&mut buf.freeze()), Ok(WireValue::Int(x)));
+        }
     }
 
     #[test]
@@ -1051,8 +1170,8 @@ mod tests {
 
     /// The charging rule, spelled out field by field against the layout of the
     /// name-carrying frames it is defined by (the encoder itself is the oracle of
-    /// the property test in `tests/wire_roundtrip.rs`): the value term is the count
-    /// the encoders return.
+    /// the property test in `tests/wire_roundtrip.rs`): the value term is the charge
+    /// the encoders return, not the bytes they appended.
     #[test]
     fn charged_sizes_match_v1_encodings_exactly() {
         assert_eq!(charged_new_size(7, 0), 1 + (4 + 7) + 4);
@@ -1065,9 +1184,9 @@ mod tests {
             WireValue::Null,                      // 1
         ];
         let mut buf = BytesMut::new();
-        let value_bytes = encode_new(&mut buf, Some(1), 0, 0, true, args.iter().cloned());
-        assert_eq!(value_bytes, 11 + 9 + 13 + 2 + 1);
-        let dep_bytes = encode_dependence(
+        let value_charge = encode_new(&mut buf, Some(1), 0, 0, true, args.iter().cloned());
+        assert_eq!(value_charge, 11 + 9 + 13 + 2 + 1);
+        let dep_charge = encode_dependence(
             &mut buf,
             None,
             u64::MAX,
@@ -1075,10 +1194,10 @@ mod tests {
             0,
             args.iter().cloned(),
         );
-        assert_eq!(dep_bytes, value_bytes, "whatever head precedes them");
-        assert_eq!(charged_new_size(7, value_bytes), 16 + 11 + 9 + 13 + 2 + 1);
+        assert_eq!(dep_charge, value_charge, "whatever head precedes them");
+        assert_eq!(charged_new_size(7, value_charge), 16 + 11 + 9 + 13 + 2 + 1);
         assert_eq!(
-            charged_dependence_size(0, value_bytes),
+            charged_dependence_size(0, value_charge),
             18 + 11 + 9 + 13 + 2 + 1
         );
     }
@@ -1126,10 +1245,62 @@ mod tests {
                 what: "dependence target"
             })
         );
-        // Bad response tag.
+        // Every unknown value tag, in a request's arguments and as a response.
+        for tag in 7..=u8::MAX {
+            assert_eq!(
+                decode(vec![TAG_NEW, 1, 0, 1, tag]),
+                Err(WireError::BadValueTag(tag))
+            );
+            if tag != TAG_ERROR {
+                assert_eq!(
+                    Response::decode(&mut Bytes::from(vec![tag])),
+                    Err(WireError::BadResponseTag(tag))
+                );
+            }
+        }
+        // An `int` whose varint runs to an eleventh byte, and one whose tenth byte
+        // carries more than the sixty-fourth bit.
+        let mut long_int = vec![TAG_NEW, 1, 0, 1, VAL_INT];
+        long_int.extend([0xff; 10]);
+        long_int.push(0);
         assert_eq!(
-            Response::decode(&mut Bytes::from(vec![7u8])),
-            Err(WireError::BadResponseTag(7))
+            decode(long_int),
+            Err(WireError::VarintOverflow { what: "int value" })
+        );
+        let mut wide_int = vec![VAL_INT];
+        wide_int.extend([0xff; 9]);
+        wide_int.push(2);
+        assert_eq!(
+            Response::decode(&mut Bytes::from(wide_int)),
+            Err(WireError::VarintOverflow { what: "int value" })
+        );
+        // A string, or an error text, whose length runs past the frame.
+        assert_eq!(
+            decode(vec![TAG_NEW, 1, 0, 1, VAL_STR, 3, b'a', b'b']),
+            Err(WireError::Truncated {
+                what: "string value",
+                needed: 3,
+                remaining: 2,
+            })
+        );
+        assert_eq!(
+            Response::decode(&mut Bytes::from(vec![TAG_ERROR, 0x80, 0x01, b'x'])),
+            Err(WireError::Truncated {
+                what: "error message",
+                needed: 128,
+                remaining: 1,
+            })
+        );
+        // A reference whose node does not fit 32 bits.
+        let mut far = BytesMut::new();
+        far.put_u8(VAL_REMOTE);
+        put_varint(&mut far, u64::from(u32::MAX) + 1);
+        far.put_u8(0);
+        assert_eq!(
+            Response::decode(&mut far.freeze()),
+            Err(WireError::VarintOverflow {
+                what: "remote node"
+            })
         );
         // Empty frame.
         assert!(matches!(decode(vec![]), Err(WireError::Truncated { .. })));
@@ -1142,8 +1313,8 @@ mod tests {
         buf.put_u8(0); // class id
         buf.put_u8(0); // export id
         buf.put_u8(1); // one argument
-        buf.put_u8(4); // a string value
-        buf.put_u32(2);
+        buf.put_u8(VAL_STR);
+        buf.put_u8(2); // varint length
         buf.put_slice(&[0xff, 0xfe]);
         assert_eq!(
             read_frame(buf.freeze()),
@@ -1152,8 +1323,8 @@ mod tests {
             })
         );
         let mut buf = BytesMut::new();
-        buf.put_u8(1); // error response
-        buf.put_u32(1);
+        buf.put_u8(TAG_ERROR);
+        buf.put_u8(1); // varint length
         buf.put_u8(0xff);
         assert_eq!(
             Response::decode(&mut buf.freeze()),

@@ -2,53 +2,59 @@
 //! checksum equivalence tests depend silently on wire fidelity: every request and
 //! response must survive serialize → deserialize byte-exactly, no input may panic
 //! the decoder, and the virtual-time charge must stay what it was defined to be —
-//! the length of the name-carrying frame the first protocol version sent, whose
-//! encoder survives here as the oracle for exactly that definition.
+//! the length of the frame the first protocol version sent (member names, fixed-width
+//! values, `u32` lengths), whose encoder survives here as the oracle for exactly that
+//! definition.
 
 use autodist_runtime::wire::{
-    charged_dependence_size, charged_new_size, decode_head, decode_value, encode_dependence,
-    encode_new, encode_response_in, encode_shutdown, split_hello, AccessKind, FrameHead, Response,
-    WireError, WireValue,
+    charged_dependence_size, charged_new_size, charged_response_size, decode_head, decode_value,
+    encode_dependence, encode_new, encode_response_in, encode_shutdown, split_hello, AccessKind,
+    FrameHead, Response, WireError, WireValue,
 };
 use bytes::{Bytes, BytesMut};
 use proptest::prelude::*;
 
-/// The retired name-carrying (v1) frames, written independently of the crate's
-/// codec: `NEW` = tag 0 · class name · values, `DEPENDENCE` = tag 1 · target `u64` ·
-/// kind · member name · values; names and value lists are `u32`-length-prefixed,
-/// integers big-endian.
+/// The retired (v1) frames, written independently of the crate's codec: `NEW` = tag 0
+/// · class name · values, `DEPENDENCE` = tag 1 · target `u64` · kind · member name ·
+/// values, a response = status 0 · value or status 1 · error text; names, texts and
+/// value lists are `u32`-length-prefixed, integers big-endian, a value is a tag and a
+/// fixed-width or length-prefixed payload.
 mod v1_oracle {
-    use super::{AccessKind, WireValue};
+    use super::{AccessKind, Response, WireValue};
 
     fn put_str(out: &mut Vec<u8>, s: &str) {
         out.extend((s.len() as u32).to_be_bytes());
         out.extend(s.as_bytes());
     }
 
+    fn put_value(out: &mut Vec<u8>, v: &WireValue) {
+        match v {
+            WireValue::Null => out.push(0),
+            WireValue::Int(x) => {
+                out.push(1);
+                out.extend(x.to_be_bytes());
+            }
+            WireValue::Float(x) => {
+                out.push(2);
+                out.extend(x.to_be_bytes());
+            }
+            WireValue::Bool(x) => out.extend([3, *x as u8]),
+            WireValue::Str(s) => {
+                out.push(4);
+                put_str(out, s);
+            }
+            WireValue::Remote { node, id } => {
+                out.push(5);
+                out.extend(node.to_be_bytes());
+                out.extend(id.to_be_bytes());
+            }
+        }
+    }
+
     fn put_values(out: &mut Vec<u8>, vs: &[WireValue]) {
         out.extend((vs.len() as u32).to_be_bytes());
         for v in vs {
-            match v {
-                WireValue::Null => out.push(0),
-                WireValue::Int(x) => {
-                    out.push(1);
-                    out.extend(x.to_be_bytes());
-                }
-                WireValue::Float(x) => {
-                    out.push(2);
-                    out.extend(x.to_be_bytes());
-                }
-                WireValue::Bool(x) => out.extend([3, *x as u8]),
-                WireValue::Str(s) => {
-                    out.push(4);
-                    put_str(out, s);
-                }
-                WireValue::Remote { node, id } => {
-                    out.push(5);
-                    out.extend(node.to_be_bytes());
-                    out.extend(id.to_be_bytes());
-                }
-            }
+            put_value(out, v);
         }
     }
 
@@ -72,6 +78,21 @@ mod v1_oracle {
         put_values(&mut out, args);
         out
     }
+
+    pub fn encode_response(resp: &Response) -> Vec<u8> {
+        let mut out = Vec::new();
+        match resp {
+            Response::Value(v) => {
+                out.push(0);
+                put_value(&mut out, v);
+            }
+            Response::Error(e) => {
+                out.push(1);
+                put_str(&mut out, e);
+            }
+        }
+        out
+    }
 }
 
 fn arb_access_kind() -> impl Strategy<Value = AccessKind> {
@@ -86,18 +107,35 @@ fn arb_access_kind() -> impl Strategy<Value = AccessKind> {
     ]
 }
 
+/// Any value; half the integers and references are of the magnitudes a program
+/// passes (small counters, a handful of nodes, export ids below 2^21), half span
+/// their whole type.
 fn arb_wire_value() -> impl Strategy<Value = WireValue<'static>> {
     prop_oneof![
         Just(WireValue::Null),
-        any::<i64>().prop_map(WireValue::Int),
+        prop_oneof![any::<i64>(), -(1i64 << 20)..1 << 20].prop_map(WireValue::Int),
         (-1e300f64..1e300).prop_map(WireValue::Float),
         any::<bool>().prop_map(WireValue::Bool),
         "[ -~]{0,32}".prop_map(|s| WireValue::Str(s.into())),
-        (any::<u32>(), any::<u64>()).prop_map(|(node, id)| WireValue::Remote { node, id }),
+        prop_oneof![(any::<u32>(), any::<u64>()), (0..64u32, 0..1u64 << 21),]
+            .prop_map(|(node, id)| WireValue::Remote { node, id }),
     ]
 }
 
-/// A `NEW` frame as the Message Exchange builds it, plus the value bytes the encoder
+/// Whether a value's varint form can be wider than its v1 form: an `int` beyond
+/// ±2^55 (more than eight varint bytes) or a reference whose node and id varints
+/// outgrow twelve bytes. Only such a value makes a frame longer than its v1 frame,
+/// and by at most three bytes.
+fn wider_than_v1(v: &WireValue) -> bool {
+    let varint_len = |x: u64| (64 - x.leading_zeros()).max(1).div_ceil(7);
+    match *v {
+        WireValue::Int(x) => !(-(1i64 << 55)..1 << 55).contains(&x),
+        WireValue::Remote { node, id } => varint_len(u64::from(node)) + varint_len(id) > 12,
+        _ => false,
+    }
+}
+
+/// A `NEW` frame as the Message Exchange builds it, plus the value charge the encoder
 /// reports (the variable term of the virtual-time charge).
 fn new_frame(
     hello: Option<u64>,
@@ -107,8 +145,8 @@ fn new_frame(
     args: &[WireValue],
 ) -> (Bytes, usize) {
     let mut buf = BytesMut::new();
-    let value_bytes = encode_new(&mut buf, hello, class, id, one_way, args.iter().cloned());
-    (buf.freeze(), value_bytes)
+    let value_charge = encode_new(&mut buf, hello, class, id, one_way, args.iter().cloned());
+    (buf.freeze(), value_charge)
 }
 
 /// The same for a `DEPENDENCE` frame.
@@ -120,9 +158,9 @@ fn dep_frame(
     args: &[WireValue],
 ) -> (Bytes, usize) {
     let mut buf = BytesMut::new();
-    let value_bytes =
+    let value_charge =
         encode_dependence(&mut buf, hello, target, kind, member, args.iter().cloned());
-    (buf.freeze(), value_bytes)
+    (buf.freeze(), value_charge)
 }
 
 /// A whole request frame: the hello fingerprint if present, the head, the values.
@@ -184,7 +222,8 @@ proptest! {
 
     /// The same with and without the fingerprint hello envelope — and the frame is
     /// never larger than what the cost model charges for the same message, even
-    /// one with an empty member name.
+    /// one with an empty member name, but for three bytes per value
+    /// [`wider_than_v1`].
     #[test]
     fn v2_dependence_requests_round_trip(
         target in any::<u64>(),
@@ -195,10 +234,11 @@ proptest! {
         hello_fp in any::<u64>(),
     ) {
         let hello = if has_hello { Some(hello_fp) } else { None };
-        let (data, value_bytes) = dep_frame(hello, target, kind, member, &args);
+        let (data, value_charge) = dep_frame(hello, target, kind, member, &args);
         let hello_len = if hello.is_some() { 9 } else { 0 };
+        let slack = 3 * args.iter().filter(|v| wider_than_v1(v)).count();
         prop_assert!(
-            data.len() - hello_len <= charged_dependence_size(0, value_bytes),
+            data.len() - hello_len <= charged_dependence_size(0, value_charge) + slack,
             "frame larger than the charge for an empty-name message"
         );
         let head = dep_head(target, kind, member, args.len());
@@ -207,9 +247,10 @@ proptest! {
 
     /// `NEW` under the hello envelope: round-trips, and stays under the charge for
     /// any class and export id when the class name is at least as long as the id's
-    /// varint beyond two bytes. The charge's nine fixed bytes hold the tag, the class
-    /// varint (at most five), the argument count (one below 128) and two id bytes;
-    /// each further id byte needs a name byte.
+    /// varint beyond two bytes, but for three bytes per value [`wider_than_v1`]. The
+    /// charge's nine fixed bytes hold the tag, the class varint (at most five), the
+    /// argument count (one below 128) and two id bytes; each further id byte needs a
+    /// name byte.
     #[test]
     fn v2_new_requests_round_trip(
         class in any::<u32>(),
@@ -220,18 +261,21 @@ proptest! {
         hello_fp in any::<u64>(),
     ) {
         let hello = if has_hello { Some(hello_fp) } else { None };
-        let (data, value_bytes) = new_frame(hello, class, id, one_way, &args);
+        let (data, value_charge) = new_frame(hello, class, id, one_way, &args);
         let hello_len = if hello.is_some() { 9 } else { 0 };
         let id_len = (64 - id.leading_zeros()).max(1).div_ceil(7) as usize;
         let name_len = id_len.saturating_sub(2);
-        prop_assert!(data.len() - hello_len <= charged_new_size(name_len, value_bytes));
+        let slack = 3 * args.iter().filter(|v| wider_than_v1(v)).count();
+        prop_assert!(
+            data.len() - hello_len <= charged_new_size(name_len, value_charge) + slack
+        );
         let head = FrameHead::New { class, id, one_way, argc: args.len() };
         prop_assert_eq!(read_frame(&data), Ok((hello, head, args)));
     }
 
     /// The charging rule *is* the v1 frame length: for arbitrary names (empty and
-    /// multi-byte included) and arbitrary values, the formula — over the value bytes
-    /// the encoder reports having appended — and the oracle agree.
+    /// multi-byte included) and arbitrary values, the formula — over the value charge
+    /// the encoder reports as it appends — and the oracle agree.
     #[test]
     fn charged_sizes_are_the_v1_frame_lengths(
         name in "[a-zA-Z0-9_<>/é銀 ]{0,24}",
@@ -239,35 +283,62 @@ proptest! {
         kind in arb_access_kind(),
         args in prop::collection::vec(arb_wire_value(), 0..8),
     ) {
-        let (_, value_bytes) = new_frame(Some(target), 3, target, false, &args);
+        let (_, value_charge) = new_frame(Some(target), 3, target, false, &args);
         prop_assert_eq!(
-            charged_new_size(name.len(), value_bytes),
+            charged_new_size(name.len(), value_charge),
             v1_oracle::encode_new(&name, &args).len()
         );
-        let (_, value_bytes) = dep_frame(None, target, kind, 3, &args);
+        let (_, value_charge) = dep_frame(None, target, kind, 3, &args);
         prop_assert_eq!(
-            charged_dependence_size(name.len(), value_bytes),
+            charged_dependence_size(name.len(), value_charge),
             v1_oracle::encode_dependence(target, kind, &name, &args).len()
         );
     }
 
-    /// Both framings carry the argument values as the same bytes — only the head
-    /// (how target, member and count are written) differs — which is why charging
-    /// by the old head and sending the new one cannot disagree about a payload.
+    /// The v1 encoder is the charge's definition. For every generated frame — a
+    /// `DEPENDENCE`, a `NEW`, a response of each kind — the charge is the v1 frame's
+    /// length, the compact (v2) frame decodes to the same values, and it is never
+    /// longer than the v1 frame unless a value is [`wider_than_v1`], and then by at
+    /// most three bytes per such value. (A `NEW`'s export id is one its creator
+    /// counts out, below 2^21 here; a wider one outgrows the v1 head, see
+    /// `v2_new_requests_round_trip`.)
     #[test]
     fn v1_and_v2_framings_agree_on_payload(
         target in any::<u64>(),
         kind in arb_access_kind(),
         member_name in "[a-z][A-Za-z0-9]{0,12}",
         member_id in any::<u32>(),
+        export_id in 0..1u64 << 21,
         args in prop::collection::vec(arb_wire_value(), 0..6),
+        error in "[ -~]{0,200}",
     ) {
+        let slack = 3 * args.iter().filter(|v| wider_than_v1(v)).count();
         let v1 = v1_oracle::encode_dependence(target, kind, &member_name, &args);
-        let (v2, payload) = dep_frame(None, target, kind, member_id, &args);
-        prop_assert_eq!(&v1[v1.len() - payload..], &v2[v2.len() - payload..]);
+        let (v2, charge) = dep_frame(None, target, kind, member_id, &args);
+        prop_assert_eq!(charged_dependence_size(member_name.len(), charge), v1.len());
+        prop_assert!(v2.len() <= v1.len() + slack, "{} > {}", v2.len(), v1.len());
+        let head = dep_head(target, kind, member_id, args.len());
+        prop_assert_eq!(read_frame(&v2), Ok((None, head, args.clone())));
+
         let v1 = v1_oracle::encode_new(&member_name, &args);
-        let (v2, payload) = new_frame(None, member_id, target, true, &args);
-        prop_assert_eq!(&v1[v1.len() - payload..], &v2[v2.len() - payload..]);
+        let (v2, charge) = new_frame(None, member_id, export_id, true, &args);
+        prop_assert_eq!(charged_new_size(member_name.len(), charge), v1.len());
+        prop_assert!(v2.len() <= v1.len() + slack, "{} > {}", v2.len(), v1.len());
+        let head = FrameHead::New { class: member_id, id: export_id, one_way: true, argc: args.len() };
+        prop_assert_eq!(read_frame(&v2), Ok((None, head, args.clone())));
+
+        let values = args.iter().cloned().map(Response::Value);
+        for resp in values.chain([Response::Error(error)]) {
+            let v1 = v1_oracle::encode_response(&resp);
+            prop_assert_eq!(charged_response_size(&resp), v1.len());
+            let mut v2 = encode_response_in(BytesMut::new(), &resp);
+            let slack = match &resp {
+                Response::Value(v) if wider_than_v1(v) => 3,
+                _ => 0,
+            };
+            prop_assert!(v2.len() <= v1.len() + slack, "{} > {}", v2.len(), v1.len());
+            prop_assert_eq!(Response::decode(&mut v2), Ok(resp));
+        }
     }
 
     /// Responses round-trip for values and errors alike.

@@ -9,7 +9,7 @@
 //! home, so a packet can carry several requests), `bytes` the physical bytes, and
 //! `virtual us` the launch node's final clock. The mean row of each mix is the
 //! per-op figure the benchmark reports (`messages_per_op`, `virtual_us_per_op`, ...).
-//! Prints only; nothing is asserted.
+//! Prints only; CI diffs the output against `.github/traffic_ledger.txt`.
 //!
 //! Run with: `cargo run --release --example traffic_ledger`
 

@@ -20,13 +20,20 @@
 //! Fault plans are pure data (a `u64` seed plus probabilities), so every failure
 //! in this file reproduces from its printed configuration alone.
 
-use autodist::{DistributionPlan, Distributor, DistributorConfig};
+use std::sync::Arc;
+
+use autodist::{
+    AdaptOptions, DistributionPlan, Distributor, DistributorConfig, PlanReplanner, Replanner,
+    ServeOptions,
+};
+use autodist_bench::serving::{adaptive_workload_config, ADAPTIVE_EPOCH, ADAPTIVE_REQUESTS};
 use autodist_codegen::rewrite::{rewrite_for_node, ClassPlacement};
 use autodist_ir::program::Program;
 use autodist_runtime::cluster::{
     run_centralized, run_distributed, ClusterConfig, ExecutionReport, Schedule,
 };
 use autodist_runtime::net::{FaultPlan, LinkProbs, NetworkConfig};
+use autodist_runtime::serve::run_serving;
 use autodist_runtime::ExecError;
 use autodist_workloads::{GenConfig, Workload};
 use proptest::prelude::*;
@@ -623,5 +630,80 @@ fn a_reordered_packet_of_one_way_frames_is_held_and_heals() {
         );
         let faults = run.faults.expect("summary");
         assert!(faults.reordered > 0 && faults.repaired > 0, "{faults:?}");
+    }
+}
+
+/// Healing faults on requests on both sides of an adaptive placement swap change
+/// nothing the controller or a request's traffic shows: the skewed workload served
+/// at window 1 with a replanner swaps once, and with full reordering, full
+/// duplication or a lossy retried link on requests before and after the epoch
+/// boundary, every request keeps the fault-free adaptive run's checksum, message
+/// and byte counts, and the run its one swap. The profile that decides the swap is
+/// taken from requests some of which were faulted, and a faulted request after the
+/// boundary runs under the swapped-in placement.
+#[test]
+fn healing_faults_across_an_adaptive_swap_replay_the_fault_free_run() {
+    let generated = autodist_workloads::generated(&adaptive_workload_config());
+    let distributor = Distributor::new(DistributorConfig::default());
+    let cluster = ClusterConfig::paper_testbed();
+    let plan = distributor
+        .try_distribute(&generated.workload.program)
+        .expect("distributes");
+    let apps = vec![plan.prepare_server(&cluster)];
+    let sequence = vec![0usize; ADAPTIVE_REQUESTS];
+    let serve = |faults: Vec<(usize, FaultPlan)>| {
+        let mut planner = PlanReplanner::new();
+        planner.add_plan(
+            &distributor.config,
+            &generated.workload.program,
+            &plan,
+            &cluster,
+        );
+        let adapt = AdaptOptions::new(Arc::new(planner) as Arc<dyn Replanner>);
+        let opts = ServeOptions {
+            concurrency: 1,
+            faults,
+            adapt: Some(adapt.with_epoch(ADAPTIVE_EPOCH)),
+            ..ServeOptions::default()
+        };
+        run_serving(&apps, &sequence, &opts)
+    };
+    let clean = serve(Vec::new());
+    assert!(clean.is_ok());
+    assert_eq!(clean.placement_swaps, 1, "one epoch boundary, one swap");
+
+    let reorder = FaultPlan::quiet(13).with_reorder(1.0);
+    let duplicate = FaultPlan::quiet(7).with_duplicate(1.0);
+    let lossy = FaultPlan {
+        max_retries: 64,
+        ..FaultPlan::quiet(4).with_drop(0.5)
+    };
+    let faults = vec![
+        (0, duplicate.clone()),
+        (ADAPTIVE_EPOCH / 2, lossy.clone()),
+        (ADAPTIVE_EPOCH - 1, reorder.clone()),
+        (ADAPTIVE_EPOCH, reorder),
+        (ADAPTIVE_EPOCH + 1, lossy),
+        (ADAPTIVE_REQUESTS - 1, duplicate),
+    ];
+    let faulted = serve(faults.clone());
+    assert!(faulted.is_ok());
+    assert_eq!(faulted.placement_swaps, clean.placement_swaps);
+    for (run, want) in faulted.requests.iter().zip(&clean.requests) {
+        let i = run.index;
+        assert_eq!(run.report.final_statics, want.report.final_statics, "{i}");
+        assert_eq!(
+            run.report.total_messages(),
+            want.report.total_messages(),
+            "{i}"
+        );
+        assert_eq!(run.report.total_bytes(), want.report.total_bytes(), "{i}");
+    }
+    for (i, _) in &faults {
+        let s = faulted.requests[*i].report.faults.expect("a faulted world");
+        assert!(
+            s.reordered + s.suppressed + s.retries > 0,
+            "request {i} was faulted: {s:?}"
+        );
     }
 }

@@ -14,7 +14,9 @@
 //! more when a one-way `NEW` began to ride in the packet of its creator's next request
 //! to the same home: such a `NEW` saves its own packet and send overhead (the deep
 //! recursion's `Pong`), and a `NEW` whose home gets no request next still travels
-//! alone (the ring's `B` and `C`, whose record did not move).
+//! alone (the ring's `B` and `C`, whose record did not move). When values became
+//! compact on the wire only `bytes` was re-recorded: the charge is still the
+//! fixed-width size, so no clock, message or instruction count moved.
 //!
 //! CI runs this test binary under a watchdog timeout (see `.github/workflows/ci.yml`)
 //! as a backstop, so a worker-loop stall fails fast instead of hanging the job.
@@ -175,7 +177,7 @@ fn deep_cross_node_recursion_overflows_cleanly() {
     let threaded = ThreadedRecord {
         virtual_time_us: 85607.46857142923,
         messages: 396,
-        bytes: 323158,
+        bytes: 319587,
         per_node: &[(2390, 99, 100), (2376, 100, 99)],
     };
     let report = run_pinned(&program, &pins, 2);
@@ -234,7 +236,7 @@ fn three_node_ring_is_schedule_invariant() {
     let threaded = ThreadedRecord {
         virtual_time_us: 5228.520000000002,
         messages: 36,
-        bytes: 877,
+        bytes: 282,
         per_node: &[(217, 5, 8), (192, 7, 6), (165, 7, 5)],
     };
     let inline = run_pinned(&program, &pins, 3);

@@ -355,58 +355,58 @@ fn digest(report: &autodist_runtime::ExecutionReport) -> u64 {
 /// `PINNED[w][p]`: the digest of mix workload `w` under `pinned_plans(w)[p]`.
 const PINNED: [[u64; 16]; 3] = [
     [
-        0xcb514a14160e243a,
-        0x658178fd6526ce56,
-        0x9e6df1f81796095c,
-        0xacdb9218c907c2cc,
-        0xac8c6babd87a5c1c,
-        0x2a96b0f39fbaad0c,
-        0xb2b83c44c5d224c9,
-        0xff1fdcdc16661d3a,
-        0xc3988ae851946d51,
-        0xbd27c8553e7a856f,
-        0x374cffaac3693fbb,
-        0x8a0456fd67c95c48,
-        0xdba1c10453fb789f,
-        0x8a7f4000f32102fb,
-        0xc6662ceb001a824c,
-        0x99c412013ff5c4e8,
+        0xcf714a5e80f1ba12,
+        0xd0fd6f6eb89924ae,
+        0x06c26d70230c5ef4,
+        0x3cc65b21981db956,
+        0xd396595f2abed94b,
+        0x7e8780bee464c2f2,
+        0xc7cda0297e8eef2d,
+        0x09073c5b7338390e,
+        0xaa89ef34b1fc0295,
+        0x454e84a993caff50,
+        0x6807eae000ca63bc,
+        0xfca4f13e3b6f24dc,
+        0x1579fbf95b312629,
+        0x3baf1a9856ecd8fa,
+        0x9733a3008bccfdc7,
+        0xf187f3453c788445,
     ],
     [
-        0x0d46a99d8e79c8d7,
-        0xe3a7a8a1c683fd75,
-        0x18af81c8dc8ee5bf,
-        0xf33ff65b01503a6c,
-        0xafcf371666695ec1,
-        0x9ab3456733d45dce,
-        0x59db2a81370219aa,
-        0xca3a91d94d462cb3,
+        0x8a526d3635d5a28c,
+        0x9fd25dedb6f4b2f2,
+        0x4b112419050358d0,
+        0xb1a62c561d93f825,
+        0x0aa562f488e28b7d,
+        0x96023f717997f0d5,
+        0xacfb5c6d969f4957,
+        0x5a5b66307ec0fc40,
         0x874570c49bbb8020,
-        0x0e9a918f298b3a1f,
-        0x0537f834103c298e,
-        0x9ad31b9aa0fc9cac,
-        0xab55ece9cc9cc7b9,
-        0xa5a4bc7b634fa0a3,
-        0x9c2698a0192acb00,
-        0xb856626497014c4b,
+        0xc04fccb21d294468,
+        0x0ad6b05101275771,
+        0xdfe2a0f68e619a70,
+        0xf366c5750cc5f05d,
+        0x9ccd1cd92cd75b50,
+        0x7349030e886672d3,
+        0x808a73bcbf3ccbb7,
     ],
     [
-        0x82a7ac8687c5f9c9,
-        0xfab6d37207f0dc59,
-        0xf33b0f0f59c11d9f,
-        0xb2d7fcad680a2b10,
-        0xc6cfa17015567423,
-        0xc6cfa17015567423,
-        0x96d2f4dc5bcc0219,
-        0xe5a461b13161280e,
-        0xf563a8555436b833,
-        0x5f0afd2092696596,
-        0x55d5b046b89e9e9d,
-        0x55d5b046b89e9e9d,
-        0x55d5b046b89e9e9d,
-        0x55d5b046b89e9e9d,
-        0x55d5b046b89e9e9d,
-        0x55d5b046b89e9e9d,
+        0x6b8bddefe9b63c7c,
+        0xb626a3f869874d7c,
+        0x604da00fa9327642,
+        0xe55776e97997f47f,
+        0x2dd0b753488f1778,
+        0x2dd0b753488f1778,
+        0xcfb5fd51416d341b,
+        0xb0b05fd78535aec1,
+        0x24ac952ce32346d5,
+        0xb47710b3619edfa3,
+        0x413d30d5728d8224,
+        0x413d30d5728d8224,
+        0x413d30d5728d8224,
+        0x413d30d5728d8224,
+        0x413d30d5728d8224,
+        0x413d30d5728d8224,
     ],
 ];
 
