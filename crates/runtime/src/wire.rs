@@ -46,22 +46,31 @@
 //! frame shape. Values are compact the same way: a tag byte, then a varint, eight
 //! bytes or a varint-length-prefixed string:
 //!
-//! | tag | value   | payload                                   | charged |
-//! |-----|---------|-------------------------------------------|---------|
-//! | `0` | `null`  | —                                         | 1       |
-//! | `1` | `int`   | zigzag LEB128 varint (1–10 bytes)         | 9       |
-//! | `2` | `float` | `f64`, big-endian                         | 9       |
-//! | `3` | `false` | — (a `boolean` is its tag)                | 2       |
-//! | `4` | `true`  | —                                         | 2       |
-//! | `5` | string  | varint length · UTF-8 bytes               | 5 + len |
-//! | `6` | remote  | varint node · varint export id            | 13      |
+//! | tag  | value   | payload                                          | charged |
+//! |------|---------|--------------------------------------------------|---------|
+//! | `0`  | `null`  | —                                                | 1       |
+//! | `1`  | `int`   | zigzag LEB128 varint (1–8 bytes)                 | 9       |
+//! | `2`  | `float` | `f64`, big-endian                                | 9       |
+//! | `3`  | `false` | — (a `boolean` is its tag)                       | 2       |
+//! | `4`  | `true`  | —                                                | 2       |
+//! | `5`  | string  | varint length (1–4 bytes) · UTF-8 bytes          | 5 + len |
+//! | `6`  | remote  | varint node (1–4 bytes) · varint export id (1–8) | 13      |
+//! | `9`  | `int`   | `i64`, big-endian                                | 9       |
+//! | `13` | string  | `u32` length · UTF-8 bytes                       | 5 + len |
+//! | `14` | remote  | `u32` node · `u64` export id                     | 13      |
+//!
+//! Tag `t | 8` is the fixed-width form of tag `t`: the first protocol version's layout,
+//! written for the rare value whose varints would be wider than it — an `int` whose
+//! zigzag value needs more than 56 bits, a node or export id beyond 28 or 56 bits, a
+//! string of 2^28 bytes or more. So no value is ever longer than its charge.
 //!
 //! Values are written and read one at a time ([`WireValue`], [`put_value`],
 //! [`decode_value`]): no frame is ever held as a collection of values, and a decoded
 //! string borrows the frame's bytes until the receiver has interned it. A response
 //! is its value alone, or tag `7` — no value's — and the varint-length-prefixed
-//! error text. Request tags `0` and `1` belonged to the retired name-carrying frames
-//! and are rejected like any unknown tag.
+//! error text (tag `15` and a `u32` length for a text of 2^28 bytes or more).
+//! Request tags `0` and `1` belonged to the retired name-carrying frames and are
+//! rejected like any unknown tag.
 //!
 //! All decode paths are total: corrupt bytes surface as a typed [`WireError`]
 //! (truncation, bad tags, overlong varints, invalid UTF-8), not a panic, and a count
@@ -304,6 +313,18 @@ const VAL_STR: u8 = 5;
 const VAL_REMOTE: u8 = 6;
 /// A response is a value, or an error text under the one tag no value uses.
 const TAG_ERROR: u8 = 7;
+/// `tag | WIDE` is the fixed-width form of `tag`, for a value whose varints would be
+/// wider than the first protocol version's fields (see the module doc).
+const WIDE: u8 = 8;
+const VAL_INT_WIDE: u8 = VAL_INT | WIDE;
+const VAL_STR_WIDE: u8 = VAL_STR | WIDE;
+const VAL_REMOTE_WIDE: u8 = VAL_REMOTE | WIDE;
+const TAG_ERROR_WIDE: u8 = TAG_ERROR | WIDE;
+/// Below `NARROW_INT` a zigzagged `int` or an export id is at most eight varint
+/// bytes, below `NARROW_LEN` a length or a node at most four: no wider than their
+/// fixed-width forms.
+const NARROW_INT: u64 = 1 << 56;
+const NARROW_LEN: u64 = 1 << 28;
 
 fn need<B: Buf>(buf: &B, n: usize, what: &'static str) -> Result<(), WireError> {
     if buf.remaining() < n {
@@ -322,24 +343,50 @@ fn rd_u8<B: Buf>(buf: &mut B, what: &'static str) -> Result<u8, WireError> {
     Ok(buf.get_u8())
 }
 
+fn rd_u32<B: Buf>(buf: &mut B, what: &'static str) -> Result<u32, WireError> {
+    need(buf, 4, what)?;
+    Ok(buf.get_u32())
+}
+
 fn rd_u64<B: Buf>(buf: &mut B, what: &'static str) -> Result<u64, WireError> {
     need(buf, 8, what)?;
     Ok(buf.get_u64())
 }
 
-fn put_string(buf: &mut BytesMut, s: &str) {
-    put_varint(buf, s.len() as u64);
+/// A string's tag and length: a varint length, or `tag | WIDE` and a `u32` length
+/// where the varint would be wider.
+fn put_len(buf: &mut BytesMut, tag: u8, len: usize) {
+    match u32::try_from(len) {
+        Ok(n) if u64::from(n) >= NARROW_LEN => {
+            buf.put_u8(tag | WIDE);
+            buf.put_u32(n);
+        }
+        _ => {
+            buf.put_u8(tag);
+            put_varint(buf, len as u64);
+        }
+    }
+}
+
+fn put_string(buf: &mut BytesMut, tag: u8, s: &str) {
+    put_len(buf, tag, s.len());
     buf.put_slice(s.as_bytes());
 }
 
-/// Reads a varint-length-prefixed string through the frame's cursor: borrowed
-/// (`&str`) for a value the receiver interns, copied once into an owner (`String`)
-/// otherwise. A length past the end of the frame is truncation.
+/// Reads a length-prefixed string (a `u32` length if `wide`, else a varint) through
+/// the frame's cursor: borrowed (`&str`) for a value the receiver interns, copied
+/// once into an owner (`String`) otherwise. A length past the end of the frame is
+/// truncation.
 fn get_string<'a, S: From<&'a str>, B: Buf>(
     buf: &'a mut B,
+    wide: bool,
     what: &'static str,
 ) -> Result<S, WireError> {
-    let len = rd_varint(buf, what)?;
+    let len = if wide {
+        u64::from(rd_u32(buf, what)?)
+    } else {
+        rd_varint(buf, what)?
+    };
     let len = usize::try_from(len).unwrap_or(usize::MAX);
     need(buf, len, what)?;
     match std::str::from_utf8(buf.take_slice(len)) {
@@ -360,27 +407,34 @@ fn unzigzag(u: u64) -> i64 {
 
 /// Appends one value to a frame — the `argc` values behind a request head, one call
 /// each — and returns what the cost model charges for it ([`charged_value_size`]),
-/// so a marshaller sums the charge in the pass that encodes.
+/// so a marshaller sums the charge in the pass that encodes. What it appends is never
+/// longer than that charge.
 pub fn put_value(buf: &mut BytesMut, v: &WireValue<'_>) -> usize {
     match v {
         WireValue::Null => buf.put_u8(VAL_NULL),
-        WireValue::Int(x) => {
+        WireValue::Int(x) if zigzag(*x) < NARROW_INT => {
             buf.put_u8(VAL_INT);
             put_varint(buf, zigzag(*x));
+        }
+        WireValue::Int(x) => {
+            buf.put_u8(VAL_INT_WIDE);
+            buf.put_i64(*x);
         }
         WireValue::Float(x) => {
             buf.put_u8(VAL_FLOAT);
             buf.put_f64(*x);
         }
         WireValue::Bool(x) => buf.put_u8(if *x { VAL_TRUE } else { VAL_FALSE }),
-        WireValue::Str(s) => {
-            buf.put_u8(VAL_STR);
-            put_string(buf, s);
-        }
-        WireValue::Remote { node, id } => {
+        WireValue::Str(s) => put_string(buf, VAL_STR, s),
+        WireValue::Remote { node, id } if u64::from(*node) < NARROW_LEN && *id < NARROW_INT => {
             buf.put_u8(VAL_REMOTE);
             put_varint(buf, u64::from(*node));
             put_varint(buf, *id);
+        }
+        WireValue::Remote { node, id } => {
+            buf.put_u8(VAL_REMOTE_WIDE);
+            buf.put_u32(*node);
+            buf.put_u64(*id);
         }
     }
     charged_value_size(v)
@@ -398,16 +452,25 @@ fn value_body<B: Buf>(tag: u8, buf: &mut B) -> Result<WireValue<'_>, WireError> 
     Ok(match tag {
         VAL_NULL => WireValue::Null,
         VAL_INT => WireValue::Int(unzigzag(rd_varint(buf, "int value")?)),
+        VAL_INT_WIDE => WireValue::Int(rd_u64(buf, "int value")? as i64),
         VAL_FLOAT => {
             need(buf, 8, "float value")?;
             WireValue::Float(buf.get_f64())
         }
         VAL_FALSE => WireValue::Bool(false),
         VAL_TRUE => WireValue::Bool(true),
-        VAL_STR => WireValue::Str(Cow::Borrowed(get_string(buf, "string value")?)),
+        VAL_STR | VAL_STR_WIDE => WireValue::Str(Cow::Borrowed(get_string(
+            buf,
+            tag == VAL_STR_WIDE,
+            "string value",
+        )?)),
         VAL_REMOTE => WireValue::Remote {
             node: rd_id(buf, "remote node")?,
             id: rd_varint(buf, "remote id")?,
+        },
+        VAL_REMOTE_WIDE => WireValue::Remote {
+            node: rd_u32(buf, "remote node")?,
+            id: rd_u64(buf, "remote id")?,
         },
         t => return Err(WireError::BadValueTag(t)),
     })
@@ -459,10 +522,6 @@ pub fn charged_response_size(resp: &Response<'_>) -> usize {
 /// counts and most integers a program passes are tiny, so the common varint is one
 /// byte.
 fn put_varint(buf: &mut BytesMut, mut v: u64) {
-    if v < 0x80 {
-        buf.put_u8(v as u8);
-        return;
-    }
     loop {
         let byte = (v & 0x7f) as u8;
         v >>= 7;
@@ -477,12 +536,8 @@ fn put_varint(buf: &mut BytesMut, mut v: u64) {
 /// Reads a LEB128 `u64`; an encoding that runs past 64 bits is a typed corruption
 /// error.
 fn rd_varint<B: Buf>(buf: &mut B, what: &'static str) -> Result<u64, WireError> {
-    let first = rd_u8(buf, what)?;
-    if first < 0x80 {
-        return Ok(u64::from(first));
-    }
-    let mut v = u64::from(first & 0x7f);
-    for shift in (7..64).step_by(7) {
+    let mut v = 0u64;
+    for shift in (0..64).step_by(7) {
         let byte = rd_u8(buf, what)?;
         let bits = u64::from(byte & 0x7f);
         if shift == 63 && bits > 1 {
@@ -608,10 +663,7 @@ pub fn encode_response_in(mut buf: BytesMut, resp: &Response<'_>) -> Bytes {
         Response::Value(v) => {
             put_value(&mut buf, v);
         }
-        Response::Error(e) => {
-            buf.put_u8(TAG_ERROR);
-            put_string(&mut buf, e);
-        }
+        Response::Error(e) => put_string(&mut buf, TAG_ERROR, e),
     }
     buf.freeze()
 }
@@ -732,7 +784,11 @@ impl Response<'_> {
     /// pool once it is done with the (borrowed) value.
     pub fn decode<B: Buf>(bytes: &mut B) -> Result<Response<'_>, WireError> {
         match rd_u8(bytes, "response tag")? {
-            TAG_ERROR => Ok(Response::Error(get_string(bytes, "error message")?)),
+            tag @ (TAG_ERROR | TAG_ERROR_WIDE) => Ok(Response::Error(get_string(
+                bytes,
+                tag == TAG_ERROR_WIDE,
+                "error message",
+            )?)),
             tag => match value_body(tag, bytes) {
                 Err(WireError::BadValueTag(t)) => Err(WireError::BadResponseTag(t)),
                 value => value.map(Response::Value),
@@ -1003,7 +1059,8 @@ mod tests {
             5 + 128
         );
         // Each value against its charge: a boolean is its tag, a small reference
-        // three bytes, a string's length one byte below 128.
+        // three bytes, a string's length one byte below 128; a value whose varints
+        // would outgrow its fixed-width form takes that form instead.
         for (v, bytes, charged) in [
             (WireValue::Null, 1, 1),
             (WireValue::Int(-64), 2, 9),
@@ -1015,10 +1072,34 @@ mod tests {
             (WireValue::Remote { node: 1, id: 9 }, 3, 13),
             (
                 WireValue::Remote {
+                    node: (1 << 28) - 1,
+                    id: (1 << 56) - 1,
+                },
+                13,
+                13,
+            ),
+            (
+                WireValue::Remote {
+                    node: 1 << 28,
+                    id: 9,
+                },
+                13,
+                13,
+            ),
+            (
+                WireValue::Remote {
+                    node: 1,
+                    id: 1 << 56,
+                },
+                13,
+                13,
+            ),
+            (
+                WireValue::Remote {
                     node: u32::MAX,
                     id: u64::MAX,
                 },
-                16,
+                13,
                 13,
             ),
         ] {
@@ -1037,7 +1118,8 @@ mod tests {
     }
 
     /// Zigzag keeps small magnitudes of either sign small and round-trips the
-    /// extremes, whose varints are the longest an `int` takes.
+    /// extremes. An `int` whose zigzag value needs more than 56 bits — eight varint
+    /// bytes — travels as a fixed `i64`, so no `int` is longer than nine bytes.
     #[test]
     fn zigzag_ints_round_trip_at_the_extremes() {
         for (x, zz, len) in [
@@ -1046,16 +1128,47 @@ mod tests {
             (1, 2, 2),
             (-64, 127, 2),
             (64, 128, 3),
-            (i64::MAX, u64::MAX - 1, 11),
-            (i64::MIN, u64::MAX, 11),
+            (-(1 << 55), (1 << 56) - 1, 9),
+            (1 << 55, 1 << 56, 9),
+            (i64::MAX, u64::MAX - 1, 9),
+            (i64::MIN, u64::MAX, 9),
         ] {
             assert_eq!(zigzag(x), zz);
             assert_eq!(unzigzag(zz), x);
             let mut buf = BytesMut::new();
             put_value(&mut buf, &WireValue::Int(x));
             assert_eq!(buf.len(), len, "{x}");
+            let wide = zz >= NARROW_INT;
+            assert_eq!(buf[0], if wide { VAL_INT_WIDE } else { VAL_INT }, "{x}");
             assert_eq!(decode_value(&mut buf.freeze()), Ok(WireValue::Int(x)));
         }
+    }
+
+    /// A length takes a varint up to four bytes and a `u32` under the wide tag from
+    /// 2^28 on; a string or an error text in the wide form reads back like any other.
+    #[test]
+    fn long_lengths_take_the_fixed_width_form() {
+        for (len, bytes) in [
+            ((1 << 28) - 1, &[VAL_STR, 0xff, 0xff, 0xff, 0x7f][..]),
+            (1 << 28, &[VAL_STR_WIDE, 0x10, 0, 0, 0][..]),
+        ] {
+            let mut buf = BytesMut::new();
+            put_len(&mut buf, VAL_STR, len);
+            assert_eq!(&buf[..], bytes);
+        }
+        let mut buf = BytesMut::new();
+        put_len(&mut buf, TAG_ERROR, 1 << 28);
+        assert_eq!(&buf[..], [TAG_ERROR_WIDE, 0x10, 0, 0, 0]);
+        let wide_str = [VAL_STR_WIDE, 0, 0, 0, 2, b'o', b'k'];
+        assert_eq!(
+            decode_value(&mut Bytes::from(wide_str.to_vec())),
+            Ok(WireValue::Str("ok".into()))
+        );
+        let wide_error = [TAG_ERROR_WIDE, 0, 0, 0, 2, b'n', b'o'];
+        assert_eq!(
+            Response::decode(&mut Bytes::from(wide_error.to_vec())),
+            Ok(Response::Error("no".into()))
+        );
     }
 
     #[test]
@@ -1219,8 +1332,8 @@ mod tests {
         );
         // Bad value tag inside a NEW arg list.
         assert_eq!(
-            decode(vec![TAG_NEW, 1, 0, 1, 9]),
-            Err(WireError::BadValueTag(9))
+            decode(vec![TAG_NEW, 1, 0, 1, 12]),
+            Err(WireError::BadValueTag(12))
         );
         // Truncated mid-head.
         let mut enc = dep_frame(1 << 40, AccessKind::GetField, 1, &[]);
@@ -1246,12 +1359,24 @@ mod tests {
             })
         );
         // Every unknown value tag, in a request's arguments and as a response.
-        for tag in 7..=u8::MAX {
+        let values = [
+            VAL_NULL,
+            VAL_INT,
+            VAL_FLOAT,
+            VAL_FALSE,
+            VAL_TRUE,
+            VAL_STR,
+            VAL_REMOTE,
+            VAL_INT_WIDE,
+            VAL_STR_WIDE,
+            VAL_REMOTE_WIDE,
+        ];
+        for tag in (0..=u8::MAX).filter(|t| !values.contains(t)) {
             assert_eq!(
                 decode(vec![TAG_NEW, 1, 0, 1, tag]),
                 Err(WireError::BadValueTag(tag))
             );
-            if tag != TAG_ERROR {
+            if tag != TAG_ERROR && tag != TAG_ERROR_WIDE {
                 assert_eq!(
                     Response::decode(&mut Bytes::from(vec![tag])),
                     Err(WireError::BadResponseTag(tag))
@@ -1291,6 +1416,21 @@ mod tests {
                 remaining: 1,
             })
         );
+        // Fixed-width forms cut short.
+        for (tag, what, needed) in [
+            (VAL_INT_WIDE, "int value", 8),
+            (VAL_REMOTE_WIDE, "remote node", 4),
+            (VAL_STR_WIDE, "string value", 4),
+        ] {
+            assert_eq!(
+                decode_value(&mut Bytes::from(vec![tag, 0, 0])),
+                Err(WireError::Truncated {
+                    what,
+                    needed,
+                    remaining: 2,
+                })
+            );
+        }
         // A reference whose node does not fit 32 bits.
         let mut far = BytesMut::new();
         far.put_u8(VAL_REMOTE);

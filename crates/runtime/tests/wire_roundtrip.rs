@@ -8,8 +8,8 @@
 
 use autodist_runtime::wire::{
     charged_dependence_size, charged_new_size, charged_response_size, decode_head, decode_value,
-    encode_dependence, encode_new, encode_response_in, encode_shutdown, split_hello, AccessKind,
-    FrameHead, Response, WireError, WireValue,
+    encode_dependence, encode_new, encode_response_in, encode_shutdown, put_value, split_hello,
+    AccessKind, FrameHead, Response, WireError, WireValue,
 };
 use bytes::{Bytes, BytesMut};
 use proptest::prelude::*;
@@ -27,7 +27,7 @@ mod v1_oracle {
         out.extend(s.as_bytes());
     }
 
-    fn put_value(out: &mut Vec<u8>, v: &WireValue) {
+    pub fn put_value(out: &mut Vec<u8>, v: &WireValue) {
         match v {
             WireValue::Null => out.push(0),
             WireValue::Int(x) => {
@@ -107,32 +107,25 @@ fn arb_access_kind() -> impl Strategy<Value = AccessKind> {
     ]
 }
 
-/// Any value; half the integers and references are of the magnitudes a program
-/// passes (small counters, a handful of nodes, export ids below 2^21), half span
-/// their whole type.
+/// Any value. A third of the integers and references are of the magnitudes a program
+/// passes (small counters, a handful of nodes, export ids below 2^21), a third
+/// straddle the point where the compact form gives way to the fixed-width one (an
+/// `int` at ±2^55, a node at 2^28, an id at 2^56), a third span their whole type.
 fn arb_wire_value() -> impl Strategy<Value = WireValue<'static>> {
     prop_oneof![
         Just(WireValue::Null),
-        prop_oneof![any::<i64>(), -(1i64 << 20)..1 << 20].prop_map(WireValue::Int),
+        prop_oneof![any::<i64>(), -(1i64 << 20)..1 << 20, -(1i64 << 56)..1 << 56]
+            .prop_map(WireValue::Int),
         (-1e300f64..1e300).prop_map(WireValue::Float),
         any::<bool>().prop_map(WireValue::Bool),
         "[ -~]{0,32}".prop_map(|s| WireValue::Str(s.into())),
-        prop_oneof![(any::<u32>(), any::<u64>()), (0..64u32, 0..1u64 << 21),]
-            .prop_map(|(node, id)| WireValue::Remote { node, id }),
+        prop_oneof![
+            (any::<u32>(), any::<u64>()),
+            (0..64u32, 0..1u64 << 21),
+            (0..1u32 << 29, 0..1u64 << 57),
+        ]
+        .prop_map(|(node, id)| WireValue::Remote { node, id }),
     ]
-}
-
-/// Whether a value's varint form can be wider than its v1 form: an `int` beyond
-/// ±2^55 (more than eight varint bytes) or a reference whose node and id varints
-/// outgrow twelve bytes. Only such a value makes a frame longer than its v1 frame,
-/// and by at most three bytes.
-fn wider_than_v1(v: &WireValue) -> bool {
-    let varint_len = |x: u64| (64 - x.leading_zeros()).max(1).div_ceil(7);
-    match *v {
-        WireValue::Int(x) => !(-(1i64 << 55)..1 << 55).contains(&x),
-        WireValue::Remote { node, id } => varint_len(u64::from(node)) + varint_len(id) > 12,
-        _ => false,
-    }
 }
 
 /// A `NEW` frame as the Message Exchange builds it, plus the value charge the encoder
@@ -222,8 +215,7 @@ proptest! {
 
     /// The same with and without the fingerprint hello envelope — and the frame is
     /// never larger than what the cost model charges for the same message, even
-    /// one with an empty member name, but for three bytes per value
-    /// [`wider_than_v1`].
+    /// one with an empty member name.
     #[test]
     fn v2_dependence_requests_round_trip(
         target in any::<u64>(),
@@ -236,9 +228,8 @@ proptest! {
         let hello = if has_hello { Some(hello_fp) } else { None };
         let (data, value_charge) = dep_frame(hello, target, kind, member, &args);
         let hello_len = if hello.is_some() { 9 } else { 0 };
-        let slack = 3 * args.iter().filter(|v| wider_than_v1(v)).count();
         prop_assert!(
-            data.len() - hello_len <= charged_dependence_size(0, value_charge) + slack,
+            data.len() - hello_len <= charged_dependence_size(0, value_charge),
             "frame larger than the charge for an empty-name message"
         );
         let head = dep_head(target, kind, member, args.len());
@@ -247,10 +238,9 @@ proptest! {
 
     /// `NEW` under the hello envelope: round-trips, and stays under the charge for
     /// any class and export id when the class name is at least as long as the id's
-    /// varint beyond two bytes, but for three bytes per value [`wider_than_v1`]. The
-    /// charge's nine fixed bytes hold the tag, the class varint (at most five), the
-    /// argument count (one below 128) and two id bytes; each further id byte needs a
-    /// name byte.
+    /// varint beyond two bytes. The charge's nine fixed bytes hold the tag, the class
+    /// varint (at most five), the argument count (one below 128) and two id bytes;
+    /// each further id byte needs a name byte.
     #[test]
     fn v2_new_requests_round_trip(
         class in any::<u32>(),
@@ -265,10 +255,7 @@ proptest! {
         let hello_len = if hello.is_some() { 9 } else { 0 };
         let id_len = (64 - id.leading_zeros()).max(1).div_ceil(7) as usize;
         let name_len = id_len.saturating_sub(2);
-        let slack = 3 * args.iter().filter(|v| wider_than_v1(v)).count();
-        prop_assert!(
-            data.len() - hello_len <= charged_new_size(name_len, value_charge) + slack
-        );
+        prop_assert!(data.len() - hello_len <= charged_new_size(name_len, value_charge));
         let head = FrameHead::New { class, id, one_way, argc: args.len() };
         prop_assert_eq!(read_frame(&data), Ok((hello, head, args)));
     }
@@ -296,11 +283,10 @@ proptest! {
     }
 
     /// The v1 encoder is the charge's definition. For every generated frame — a
-    /// `DEPENDENCE`, a `NEW`, a response of each kind — the charge is the v1 frame's
-    /// length, the compact (v2) frame decodes to the same values, and it is never
-    /// longer than the v1 frame unless a value is [`wider_than_v1`], and then by at
-    /// most three bytes per such value. (A `NEW`'s export id is one its creator
-    /// counts out, below 2^21 here; a wider one outgrows the v1 head, see
+    /// `DEPENDENCE`, a `NEW`, each value, a response of each kind — the charge is the
+    /// v1 frame's length, the compact (v2) frame decodes to the same values, and it is
+    /// never longer than the v1 frame. (A `NEW`'s export id is one its creator counts
+    /// out, below 2^21 here; a wider one outgrows the v1 head, see
     /// `v2_new_requests_round_trip`.)
     #[test]
     fn v1_and_v2_framings_agree_on_payload(
@@ -312,31 +298,33 @@ proptest! {
         args in prop::collection::vec(arb_wire_value(), 0..6),
         error in "[ -~]{0,200}",
     ) {
-        let slack = 3 * args.iter().filter(|v| wider_than_v1(v)).count();
         let v1 = v1_oracle::encode_dependence(target, kind, &member_name, &args);
         let (v2, charge) = dep_frame(None, target, kind, member_id, &args);
         prop_assert_eq!(charged_dependence_size(member_name.len(), charge), v1.len());
-        prop_assert!(v2.len() <= v1.len() + slack, "{} > {}", v2.len(), v1.len());
+        prop_assert!(v2.len() <= v1.len(), "{} > {}", v2.len(), v1.len());
         let head = dep_head(target, kind, member_id, args.len());
         prop_assert_eq!(read_frame(&v2), Ok((None, head, args.clone())));
 
         let v1 = v1_oracle::encode_new(&member_name, &args);
         let (v2, charge) = new_frame(None, member_id, export_id, true, &args);
         prop_assert_eq!(charged_new_size(member_name.len(), charge), v1.len());
-        prop_assert!(v2.len() <= v1.len() + slack, "{} > {}", v2.len(), v1.len());
+        prop_assert!(v2.len() <= v1.len(), "{} > {}", v2.len(), v1.len());
         let head = FrameHead::New { class: member_id, id: export_id, one_way: true, argc: args.len() };
         prop_assert_eq!(read_frame(&v2), Ok((None, head, args.clone())));
+
+        for v in &args {
+            let (mut v1, mut v2) = (Vec::new(), BytesMut::new());
+            v1_oracle::put_value(&mut v1, v);
+            prop_assert_eq!(put_value(&mut v2, v), v1.len());
+            prop_assert!(v2.len() <= v1.len(), "{:?}: {} > {}", v, v2.len(), v1.len());
+        }
 
         let values = args.iter().cloned().map(Response::Value);
         for resp in values.chain([Response::Error(error)]) {
             let v1 = v1_oracle::encode_response(&resp);
             prop_assert_eq!(charged_response_size(&resp), v1.len());
             let mut v2 = encode_response_in(BytesMut::new(), &resp);
-            let slack = match &resp {
-                Response::Value(v) if wider_than_v1(v) => 3,
-                _ => 0,
-            };
-            prop_assert!(v2.len() <= v1.len() + slack, "{} > {}", v2.len(), v1.len());
+            prop_assert!(v2.len() <= v1.len(), "{} > {}", v2.len(), v1.len());
             prop_assert_eq!(Response::decode(&mut v2), Ok(resp));
         }
     }
