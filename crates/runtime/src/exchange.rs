@@ -12,11 +12,12 @@
 //! **An argument list exists three times**: where the program put it (the caller's
 //! operand stack, or the `Object[]` the rewriter packed for `DependentObject`), in the
 //! frame, and in the callee's locals. The send side marshals each value straight from
-//! a borrowed slice into the pooled frame buffer and charges virtual time from the
-//! bytes it appended; the accept side decodes the head, resolves the target method or
-//! slot against the receiver's runtime class, and unmarshals value by value straight
-//! into the callee frame's locals (receiver in slot 0; a field or array access needs at
-//! most two stack locals). No intermediate collection is built on either side.
+//! a borrowed slice into the pooled frame buffer and charges virtual time by the
+//! formula [`wire::charged_value_size`], which [`wire::put_value`] returns per value,
+//! not by the bytes it appended; the accept side decodes the head, resolves the target
+//! method or slot against the receiver's runtime class, and unmarshals value by value
+//! straight into the callee frame's locals (receiver in slot 0; a field or array access
+//! needs at most two stack locals). No intermediate collection is built on either side.
 //!
 //! A string crosses as its bytes: marshalling copies them out of the sender's string
 //! table into the frame, and unmarshalling interns them straight off the frame into
@@ -44,18 +45,19 @@
 //! the classes whose constructor cannot be observed: primitive and string parameters
 //! only, no static field, and no call but constructors of classes so marked there. Such
 //! a constructor sends nothing and never parks, and it reaches only the new object and
-//! what it allocates itself. A `NEW` of such a class is one-way: the creator already
-//! knows the reference (it chose the id), so it posts itself the reply it would have
-//! received as a local packet that is not on the wire, and parks on it exactly as on a
-//! round trip. The frame itself does not leave yet: it joins the creator's open packet
-//! ([`crate::net`]), which the creator's next request to the same home closes and
-//! travels in, and which any other send first sends on its own. Until the creator
-//! sends again nothing else runs (a world has one live control flow) and only the
-//! creator holds the new id, so the deferral cannot be observed. The home serves a
-//! packet's frames in order, registering the object and running a one-way constructor
-//! to completion before it reads the next frame, and sends nothing back for it; a
-//! constructor that faults fails the world at the home. Every other `NEW` keeps its
-//! round trip.
+//! what it allocates itself. Every remote `NEW` binds its proxy to the id the creator
+//! chose as it is sent. A `NEW` of such a class is one-way: the creator already holds
+//! the reference, so it goes on running without a reply. The frame itself does not
+//! leave yet: it joins the creator's open packet ([`crate::net`]), which the creator's
+//! next request to the same home closes and travels in, and which any other send
+//! first sends on its own. Until the creator sends again nothing else runs (a world
+//! has one live control flow) and only the creator holds the new id, so the deferral
+//! cannot be observed. The home serves a packet's frames in order, registering the
+//! object and running a one-way constructor to completion before it reads the next
+//! frame, and sends nothing back for it; a constructor that faults fails the world at
+//! the home. Every other `NEW` keeps its
+//! round trip: the creator parks on the reply, which is the reference it already
+//! bound (or the constructor's fault), and discards it.
 //!
 //! **A frame can overtake the `NEW` of the object it names** when a reorder fault
 //! delivers a creator's next packet on a link before the packet holding the `NEW`, or
@@ -70,9 +72,7 @@ use std::sync::Arc;
 use autodist_ir::program::{ClassId, FieldRef, MethodId, Type};
 use bytes::{Bytes, BytesMut};
 
-use crate::interp::{
-    Continuation, ExecError, Frame, Interp, ResumeAction, TaskOutcome, TransportStall,
-};
+use crate::interp::{Continuation, ExecError, Frame, Interp, TaskOutcome, TransportStall};
 use crate::net::{MpiEndpoint, Packet, PacketKind};
 use crate::serve::OneWay;
 use crate::value::{HeapObject, ObjRef, StrId, Value};
@@ -232,7 +232,7 @@ pub enum Reply {
 /// receivers, the DependentObject protocol) — see [`Interp::slow_invoke`].
 pub(crate) enum SlowInvoke {
     /// A request went out: park on it.
-    Park(u64, ResumeAction),
+    Park(u64),
     /// `DependentObject.<init>` whose home is this node: run the local constructor.
     Call(Frame),
     /// Completed locally with nothing left to do (null lands in the site's result
@@ -390,7 +390,7 @@ impl Interp {
             name_len: callee.name.len(),
         };
         let req_id = self.remote_send(remote, kind, member, &args[1..])?;
-        Ok(SlowInvoke::Park(req_id, ResumeAction::Deliver))
+        Ok(SlowInvoke::Park(req_id))
     }
 
     /// `DependentObject.<init>` / `.access` (`method`): the call sites the rewriter
@@ -405,18 +405,14 @@ impl Interp {
             "<init>" => {
                 let (home, class, class_name, ctor_args) = self.parse_dep_init(args)?;
                 if Some(home) != self.dist.as_ref().map(DistState::rank) {
-                    let proxy = match (receiver, self.proxy_slots) {
-                        (Value::Ref(ObjRef::Local(h)), Some(_)) => Some(*h),
-                        _ => None,
-                    };
                     let name_len = self.string(class_name).len();
-                    let req_id = self.with_args_array(ctor_args, |me, ctor_args| {
+                    let (id, req_id) = self.with_args_array(ctor_args, |me, ctor_args| {
                         me.remote_new_send(home, class, name_len, ctor_args)
                     })?;
-                    return Ok(SlowInvoke::Park(
-                        req_id,
-                        ResumeAction::NewProxy { proxy, class_name },
-                    ));
+                    if let &Value::Ref(ObjRef::Local(proxy)) = receiver {
+                        self.bind_proxy(proxy, home, id, class_name);
+                    }
+                    return Ok(req_id.map_or(SlowInvoke::Nothing, SlowInvoke::Park));
                 }
                 let (r, Some(ctor)) = self.create_at_home(class) else {
                     return Ok(SlowInvoke::Nothing);
@@ -437,7 +433,7 @@ impl Interp {
                 let req_id = self.with_args_array(call_args, |me, call_args| {
                     me.remote_send(target, kind, member, call_args)
                 })?;
-                Ok(SlowInvoke::Park(req_id, ResumeAction::Deliver))
+                Ok(SlowInvoke::Park(req_id))
             }
             other => Err(ExecError::UnknownMethod(
                 format!("rt/DependentObject.{other}").into(),
@@ -723,17 +719,16 @@ impl Interp {
     }
 
     /// Sends a `NEW` request without waiting (see [`Self::remote_send`]), naming the
-    /// object with an id of this node's range at `home`. A one-way `NEW` joins the
-    /// open packet for `home` instead, at no send overhead, and is answered here and
-    /// now: the reply it would have received, posted to this node as a local packet
-    /// that arrives at the unchanged clock.
+    /// object with an id of this node's range at `home`. Returns that id, and the
+    /// request id to park on for a round trip. A one-way `NEW` owes no reply: it joins
+    /// the open packet for `home` instead, at no send overhead.
     fn remote_new_send(
         &mut self,
         home: u32,
         class: ClassId,
         class_name_len: usize,
         args: &[Value],
-    ) -> Result<u64, ExecError> {
+    ) -> Result<(u64, Option<u64>), ExecError> {
         let (mut buf, hello) = self.frame_start(home)?;
         let dist = self.dist.as_mut().expect("frame_start found dist state");
         let id = dist.hand_out(home);
@@ -742,7 +737,7 @@ impl Interp {
         let value_charge = self.marshal_args(&mut buf, args);
         let charged = wire::charged_new_size(class_name_len, value_charge);
         if !one_way {
-            return Ok(self.send_request(home, buf, charged));
+            return Ok((id, Some(self.send_request(home, buf, charged))));
         }
         self.counters.remote_requests += 1;
         let endpoint = &mut self
@@ -750,13 +745,8 @@ impl Interp {
             .as_mut()
             .expect("frame_start found dist state")
             .endpoint;
-        let (clock, req_id) =
-            endpoint.defer_request_charged(home as usize, buf, self.clock_us, charged);
-        self.clock_us = clock;
-        let reply = Response::Value(WireValue::Remote { node: home, id });
-        let data = wire::encode_response_in(endpoint.take_buf(), &reply);
-        endpoint.post_to_self(req_id, data, clock);
-        Ok(req_id)
+        self.clock_us = endpoint.defer_request_charged(home as usize, buf, self.clock_us, charged);
+        Ok((id, None))
     }
 
     /// Sends the open packet, if this node holds one, as a packet of its own: the
@@ -1178,6 +1168,59 @@ mod tests {
         assert_eq!(
             interp.array_length(Value::Ref(remote)),
             Err(ExecError::NotDistributed)
+        );
+    }
+
+    /// Every remote `NEW` binds its proxy to the id its creator chose as it is sent:
+    /// a one-way `NEW` runs on without a reply, and a round trip parks with its proxy
+    /// already bound.
+    #[test]
+    fn a_remote_new_binds_its_proxy_as_it_is_sent() {
+        use crate::serve::ServerApp;
+        use autodist_codegen::rewrite::{rewrite_for_node, ClassPlacement};
+        let p = compile_source(
+            r#"
+            class Plain { int v; Plain(int v) { this.v = v; } }
+            class Linked { Plain next; Linked(Plain next) { this.next = next; } }
+            class Main {
+                static void main() { Plain p = new Plain(1); Linked l = new Linked(null); }
+            }
+        "#,
+        )
+        .unwrap();
+        let home = [("Main", 0), ("Plain", 1), ("Linked", 1)]
+            .map(|(class, node)| (p.class_by_name(class).unwrap(), node));
+        let placement = ClassPlacement::new(2, home);
+        let programs = (0..2)
+            .map(|n| rewrite_for_node(&p, &placement, n).program)
+            .collect();
+        let app = ServerApp::prepare(programs, NetworkConfig::uniform(2));
+        let dist =
+            DistState::new(MpiEndpoint::new(0, 2, &app.network)).with_one_way(app.one_way.clone());
+        let mut node =
+            Interp::with_defaults(Arc::clone(&app.layouts[0]), Arc::clone(&app.defaults[0]))
+                .with_dist(dist);
+        let entry = node.layout().program().entry.unwrap();
+        let mut main = node.task_for(entry, Vec::new()).unwrap();
+        let TaskOutcome::Parked { req_id } = node.run_task(&mut main) else {
+            panic!("main parks on the round trip");
+        };
+        assert_eq!(req_id, 2, "the one-way NEW took request id 1");
+        let proxies: Vec<_> = (0..node.heap.len() as u32)
+            .filter(|&h| node.heap[h as usize].class() == node.dep_class)
+            .map(|h| node.proxy_target(h))
+            .collect();
+        assert_eq!(
+            proxies,
+            [
+                Ok(ObjRef::Remote { node: 1, id: 0 }),
+                Ok(ObjRef::Remote { node: 1, id: 2 })
+            ]
+        );
+        let endpoint = &node.dist.as_ref().unwrap().endpoint;
+        assert_eq!(
+            endpoint.messages_sent, 1,
+            "the one-way NEW rides in the round trip's packet"
         );
     }
 

@@ -529,9 +529,10 @@ mod tests {
     const SEEDS: u64 = 300;
 
     /// `main` ends on a remote creation. Its one-way `NEW` waits in node 0's open
-    /// packet, which no later request closes, so the world has one order: `main`'s
-    /// local resume, after which `World::finish` sends the packet and the constructor
-    /// runs there. Every seed gives the same instructions on every node.
+    /// packet, which no later request closes, so the world has one order: `main`
+    /// completes in the seed without a delivery, and `World::finish` sends the packet
+    /// and the constructor runs there. Every seed gives the same instructions on every
+    /// node.
     #[test]
     fn a_trailing_creation_runs_whichever_order_is_chosen() {
         const TAIL: &str = r#"

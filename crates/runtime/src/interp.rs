@@ -276,26 +276,8 @@ impl Frame {
     }
 }
 
-/// What to do with the remote response when a parked continuation is resumed.
-#[derive(Debug)]
-pub(crate) enum ResumeAction {
-    /// Deliver the unmarshalled response to the top frame's `ret_to` register
-    /// (nowhere for a call that returns nothing).
-    Deliver,
-    /// Discard the response (field and element writes).
-    Drop,
-    /// `NEW` response: bind the remote identity into the proxy object's
-    /// home/remoteId/className slots (when the proxy is a bindable local object).
-    NewProxy {
-        /// Heap index of the proxy, if it can be bound.
-        proxy: Option<u32>,
-        /// Class name recorded into the proxy (the rewriter's literal).
-        class_name: StrId,
-    },
-}
-
 /// An in-flight computation as plain data: the explicit frame stack, the method call
-/// stack mirroring it, and — when parked — what to do with the awaited response.
+/// stack mirroring it, and whether it is parked on a response.
 /// This is the continuation the worker loop keys by request id.
 ///
 /// The call stack lives **here**, not on the interpreter: a node interleaving several
@@ -309,7 +291,8 @@ pub struct Continuation {
     /// `frames[i].method` for every live frame, maintained in lockstep with `frames`
     /// so a sampling tick can read the whole stack without walking the frames.
     call_stack: Vec<MethodId>,
-    pending: Option<ResumeAction>,
+    /// Parked on a remote request: the response goes to the top frame's `ret_to`.
+    parked: bool,
 }
 
 impl Continuation {
@@ -339,8 +322,8 @@ pub enum TaskOutcome {
 
 /// What every interpreter of one layout starts from: each class's field vector
 /// filled with Java-style defaults (the `DependentObject` proxy's identity fields
-/// null, so they read as uninitialised until the remote `NEW` handshake fills them
-/// in), and the statics. A pure function of the layout's shape, built once per
+/// null, so they read as uninitialised until a remote `NEW`'s send fills them in),
+/// and the statics. A pure function of the layout's shape, built once per
 /// layout — a served app builds it beside each node's layout when it prepares — and
 /// copied slice by slice into every object and interpreter.
 #[derive(Debug)]
@@ -540,7 +523,9 @@ impl Interp {
     }
 
     /// `v` as `Debug` showed it when values owned their strings: how error texts
-    /// print a value (a remote error is charged at its encoded length).
+    /// print a value (a remote error reply is charged `1 + 4 + len` by
+    /// [`wire::charged_response_size`](crate::wire::charged_response_size), so its text
+    /// is part of virtual time).
     pub(crate) fn show(&self, v: Value) -> String {
         match v {
             Value::Str(id) => format!("Str({:?})", self.string(id)),
@@ -695,7 +680,7 @@ impl Interp {
         if self.task_pool.len() < TASK_POOL_CAP {
             task.frames.clear();
             task.call_stack.clear();
-            task.pending = None;
+            task.parked = false;
             self.task_pool.push(task);
         }
     }
@@ -784,44 +769,23 @@ impl Interp {
     }
 
     /// Resumes a parked continuation with the response frame of its outstanding
-    /// request — decoded here, its one value going straight where the resume action
-    /// wants it — and drives it onward.
+    /// request — decoded here, its one value going straight to the top frame's
+    /// `ret_to` — and drives it onward.
     pub fn resume_task(&mut self, task: &mut Continuation, response: Bytes) -> TaskOutcome {
-        let action = task
-            .pending
-            .take()
-            .expect("resumed continuation has no pending request");
-        let v = match self.decode_response(response) {
-            Ok(v) => v,
+        assert!(
+            std::mem::take(&mut task.parked),
+            "resumed continuation has no pending request"
+        );
+        match self.decode_response(response) {
+            Ok(v) => task
+                .frames
+                .last_mut()
+                .expect("parked continuation has a frame")
+                .deliver(v),
             Err(e) => {
                 let e = self.unwind_frames(task, e);
                 return TaskOutcome::Done(Err(e));
             }
-        };
-        match action {
-            ResumeAction::Deliver => {
-                task.frames
-                    .last_mut()
-                    .expect("parked continuation has a frame")
-                    .deliver(v);
-            }
-            ResumeAction::Drop => {}
-            ResumeAction::NewProxy { proxy, class_name } => match v {
-                Value::Ref(ObjRef::Remote { node, id }) => {
-                    if let Some(h) = proxy {
-                        self.bind_proxy(h, node, id, class_name);
-                    }
-                }
-                Value::Ref(ObjRef::Local(_)) => {}
-                other => {
-                    let e = ExecError::RemoteFailure(format!(
-                        "NEW returned a non-reference {}",
-                        self.show(other)
-                    ));
-                    let e = self.unwind_frames(task, e);
-                    return TaskOutcome::Done(Err(e));
-                }
-            },
         }
         self.run_task(task)
     }
@@ -836,9 +800,9 @@ impl Interp {
         let Continuation {
             frames,
             call_stack,
-            pending,
+            parked,
         } = task;
-        debug_assert!(pending.is_none(), "running a parked continuation");
+        debug_assert!(!*parked, "running a parked continuation");
         let layout = Arc::clone(&self.layout);
         // A dispatch charges nothing. The loop charges a *straight-line run* —
         // consecutive ops of one frame — as a whole: opening one at op `pc`
@@ -874,8 +838,8 @@ impl Interp {
             Call(Frame),
             /// The current frame returned this value.
             Finish(Value),
-            /// Park the continuation on request `.0`, resuming with `.1`.
-            Park(u64, ResumeAction),
+            /// Park the continuation on request `.0`.
+            Park(u64),
             /// The computation faulted.
             Fail(ExecError),
         }
@@ -951,15 +915,16 @@ impl Interp {
                     }};
                 }
                 // Sends a remote request and parks the continuation: the frame
-                // resumes at the next op.
+                // resumes at the next op, the response landing in `$ret_to`.
                 macro_rules! park {
-                    ($send:expr, $action:expr) => {{
+                    ($ret_to:expr, $send:expr) => {{
                         close_op!();
                         flush!();
+                        frame.ret_to = $ret_to;
                         match $send {
                             Ok(req_id) => {
                                 frame.pc = (pc + 1) as u32;
-                                break Transfer::Park(req_id, $action);
+                                break Transfer::Park(req_id);
                             }
                             Err(e) => break Transfer::Fail(e),
                         }
@@ -968,14 +933,14 @@ impl Interp {
                 // An array access whose array lives on another node: the index (and
                 // the stored value) go out as the request's arguments.
                 macro_rules! remote_element {
-                    ($arr:expr, $idx:expr, $kind:expr, [$($val:expr)?], $action:expr) => {
+                    ($ret_to:expr, $arr:expr, $idx:expr, $kind:expr, [$($val:expr)?]) => {
                         if let Value::Ref(r @ ObjRef::Remote { .. }) = $arr {
                             let Some(i) = $idx.as_int() else {
                                 fail!(ExecError::Unsupported("array index not an int".into()))
                             };
                             park!(
-                                self.remote_access(r, $kind, None, &[Value::Int(i) $(, $val)?]),
-                                $action
+                                $ret_to,
+                                self.remote_access(r, $kind, None, &[Value::Int(i) $(, $val)?])
                             );
                         }
                     };
@@ -1059,34 +1024,20 @@ impl Interp {
                         }
                         Op::RArrayLoad(dst, arr, idx) => {
                             let (arr, idx) = (reg!(*arr), reg!(*idx));
-                            frame.ret_to = *dst;
-                            remote_element!(
-                                arr,
-                                idx,
-                                AccessKind::GetElement,
-                                [],
-                                ResumeAction::Deliver
-                            );
+                            remote_element!(*dst, arr, idx, AccessKind::GetElement, []);
                             reg!(*dst) = call!(self.array_load(arr, idx));
                         }
                         Op::RArrayStore(arr, idx, val) => {
                             let (arr, idx, val) = (reg!(*arr), reg!(*idx), reg!(*val));
-                            remote_element!(
-                                arr,
-                                idx,
-                                AccessKind::PutElement,
-                                [val],
-                                ResumeAction::Drop
-                            );
+                            remote_element!(NO_REG, arr, idx, AccessKind::PutElement, [val]);
                             call!(self.array_store(arr, idx, val));
                         }
                         Op::RArrayLength(dst, arr) => {
                             let arr = reg!(*arr);
                             if let Value::Ref(r @ ObjRef::Remote { .. }) = arr {
-                                frame.ret_to = *dst;
                                 park!(
-                                    self.remote_access(r, AccessKind::ArrayLength, None, &[]),
-                                    ResumeAction::Deliver
+                                    *dst,
+                                    self.remote_access(r, AccessKind::ArrayLength, None, &[])
                                 );
                             }
                             reg!(*dst) = call!(self.array_length(arr));
@@ -1095,10 +1046,9 @@ impl Interp {
                             let obj = reg!(*obj);
                             let fr = self.seed_field(method, src_pc[pc + 1]);
                             if let Some(target) = call!(self.remote_field_target(&obj, fr)) {
-                                frame.ret_to = *dst;
                                 park!(
-                                    self.remote_access(target, AccessKind::GetField, Some(fr), &[]),
-                                    ResumeAction::Deliver
+                                    *dst,
+                                    self.remote_access(target, AccessKind::GetField, Some(fr), &[])
                                 );
                             }
                             reg!(*dst) = call!(self.get_field(obj, fr));
@@ -1108,13 +1058,13 @@ impl Interp {
                             let fr = self.seed_field(method, src_pc[pc + 1]);
                             if let Some(target) = call!(self.remote_field_target(&obj, fr)) {
                                 park!(
+                                    NO_REG,
                                     self.remote_access(
                                         target,
                                         AccessKind::PutField,
                                         Some(fr),
                                         &[val]
-                                    ),
-                                    ResumeAction::Drop
+                                    )
                                 );
                             }
                             call!(self.put_field(obj, fr, val));
@@ -1188,9 +1138,9 @@ impl Interp {
                                 frame.ret_to = *dst;
                                 match self.slow_invoke(&frame.locals[lo..lo + nargs], target) {
                                     Err(e) => break Transfer::Fail(e),
-                                    Ok(SlowInvoke::Park(req_id, action)) => {
+                                    Ok(SlowInvoke::Park(req_id)) => {
                                         frame.pc = (pc + 1) as u32;
-                                        break Transfer::Park(req_id, action);
+                                        break Transfer::Park(req_id);
                                     }
                                     Ok(SlowInvoke::Call(f)) => {
                                         frame.pc = (pc + 1) as u32;
@@ -1246,10 +1196,10 @@ impl Interp {
                         }
                     }
                 }
-                Transfer::Park(req_id, action) => {
+                Transfer::Park(req_id) => {
                     // The accumulators were flushed before the send; `self.clock_us`
                     // already includes the send overhead.
-                    *pending = Some(action);
+                    *parked = true;
                     return TaskOutcome::Parked { req_id };
                 }
                 Transfer::Fail(e) => {
@@ -1998,8 +1948,9 @@ mod tests {
         assert_eq!(run_static(src, "S", "check"), Value::Bool(true));
     }
 
-    /// A remote error reply is charged at its encoded length, so a value in an error
-    /// text prints as it always did: a string by its content, not its id.
+    /// A remote error reply is charged `1 + 4 + len` by `wire::charged_response_size`,
+    /// so a value in an error text prints as it always did: a string by its content,
+    /// not its id.
     #[test]
     fn error_texts_print_strings_by_content() {
         let src = r#"

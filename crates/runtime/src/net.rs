@@ -20,11 +20,8 @@
 //! loss loses every frame in it and is recorded once, under the packet's request id
 //! (its last frame's).
 //!
-//! A packet a node posts to itself (the reply a one-way `NEW`'s creator would have
-//! received) is not on the wire: no fault plan rolls it, and it is neither counted nor
-//! charged. A recorded loss fails its world typed even when the root completed: a lost
-//! one-way `NEW` leaves nobody waiting, so the world's end is the last place to notice
-//! it.
+//! A recorded loss fails its world typed even when the root completed: a lost one-way
+//! `NEW` leaves nobody waiting, so the world's end is the last place to notice it.
 
 use bytes::{BufMut, Bytes, BytesMut};
 use std::collections::VecDeque;
@@ -561,7 +558,7 @@ impl Transport {
         } in endpoint.outbox.drain(..)
         {
             let copies = match self.faults.as_mut() {
-                Some(f) if pkt.req_id != 0 && pkt.from != pkt.to => f.decide(&mut pkt, sent_at_us),
+                Some(f) if pkt.req_id != 0 => f.decide(&mut pkt, sent_at_us),
                 _ => 1,
             };
             // A lost packet is not listed: the world runs dry and its recorded loss
@@ -770,14 +767,15 @@ impl MpiEndpoint {
     /// Holds back a request frame that owes no reply: it joins the open packet for
     /// `to`, which the next request there closes. An open packet for another
     /// destination is sent first — the only way this moves the clock; the frame
-    /// itself adds no send overhead. Returns the clock and the frame's request id.
+    /// itself adds no send overhead. Returns the clock. The frame takes a request id
+    /// of its own, which names the packet while it is the packet's last frame.
     pub(crate) fn defer_request_charged(
         &mut self,
         to: usize,
         frame: BytesMut,
         clock_us: f64,
         charged_len: usize,
-    ) -> (f64, u64) {
+    ) -> f64 {
         let clock_us = match self.open.as_ref().is_some_and(|open| open.to != to) {
             true => self.flush(clock_us),
             false => clock_us,
@@ -799,7 +797,7 @@ impl MpiEndpoint {
                 })
             }
         }
-        (clock_us, req_id)
+        clock_us
     }
 
     /// Sends the open packet, if there is one, as a packet of its own; returns the
@@ -898,23 +896,6 @@ impl MpiEndpoint {
         // Sending is cheap for the sender itself (asynchronous message exchange):
         // charge only a fixed software overhead.
         clock_us + self.latency_us * 0.1
-    }
-
-    /// Posts this node a response for its own request `req_id`, arriving at
-    /// `clock_us`: not on the wire, so neither counted nor charged.
-    pub(crate) fn post_to_self(&mut self, req_id: u64, data: Bytes, clock_us: f64) {
-        self.outbox.push(Posted {
-            pkt: Packet {
-                from: self.rank,
-                to: self.rank,
-                kind: PacketKind::Response,
-                req_id,
-                seq: 0,
-                data,
-                arrival_time_us: clock_us,
-            },
-            sent_at_us: clock_us,
-        });
     }
 
     /// Virtual time for a message of `bytes` bytes to leave this node.
@@ -1093,17 +1074,15 @@ mod tests {
         let overhead = cfg.latency_us * 0.1;
         let (mut net, mut eps) = world(&cfg, None);
         let ep = &mut eps[0];
-        assert_eq!(
-            ep.defer_request_charged(1, frame(b"ab"), 10.0, 20),
-            (10.0, 1)
-        );
-        assert_eq!(
-            ep.defer_request_charged(1, frame(b"c"), 10.0, 30),
-            (10.0, 2)
-        );
+        assert_eq!(ep.defer_request_charged(1, frame(b"ab"), 10.0, 20), 10.0);
+        assert_eq!(ep.defer_request_charged(1, frame(b"c"), 10.0, 30), 10.0);
         assert_eq!(ep.messages_sent, 0, "held back");
         let (clock, id) = ep.send_request_charged(1, Bytes::from_static(b"de"), 10.0, 5);
-        assert_eq!((clock, id), (10.0 + overhead, 3));
+        assert_eq!(
+            (clock, id),
+            (10.0 + overhead, 3),
+            "each deferred frame took an id"
+        );
         assert_eq!((ep.messages_sent, ep.bytes_sent), (1, 5));
         net.route(ep);
         assert_eq!(net.next_pending(), Some(1));
@@ -1113,8 +1092,8 @@ mod tests {
 
         // Another destination: the open packet leaves first, with its own overhead.
         ep.defer_request_charged(1, frame(b"f"), 20.0, 7);
-        let (clock, id) = ep.defer_request_charged(2, frame(b"g"), 20.0, 7);
-        assert_eq!((clock, id), (20.0 + overhead, 5));
+        let clock = ep.defer_request_charged(2, frame(b"g"), 20.0, 7);
+        assert_eq!(clock, 20.0 + overhead);
         let clock = ep.send_response_charged(1, 9, Bytes::from_static(b"r"), clock, 1);
         assert_eq!(
             clock,

@@ -12,11 +12,11 @@
 //! worlds waiting on a gap, the admission window, the results and the adaptive epoch
 //! controller — so nothing is shared and nothing is locked. The paper's protocol is
 //! synchronous request/response, so a root computation has one live control flow: at
-//! most one packet of it is in flight — right after a one-way `NEW`, the creator's
-//! local resume, while the `NEW` itself waits in the creator's open packet for the
-//! creator's next send (see [`crate::net`] and [`crate::exchange`]; the home's
-//! constructor sends nothing). Worlds share nothing: interleaving them would only
-//! share the processor, with nothing to overlap. The one timed wait is the modelled
+//! most one packet of it is in flight. A one-way `NEW` adds none: its creator runs on
+//! at once, and the `NEW` waits in the creator's open packet for the creator's next
+//! send (see [`crate::net`] and [`crate::exchange`]; the home's constructor sends
+//! nothing). Worlds share nothing: interleaving them would only share the processor,
+//! with nothing to overlap. The one timed wait is the modelled
 //! `SERVING_DELIVERY_DEADLINE`.
 //!
 //! * A **world** (`World`) is one in-flight root computation: its request-scoped
@@ -712,19 +712,18 @@ mod tests {
     }
 
     /// A healthy world has one control flow: one packet is pending after the seed and
-    /// after every delivery — right after a one-way `NEW`, the creator's local resume,
-    /// the `NEW` itself waiting in the creator's open packet — and none once the root
-    /// completes.
+    /// after every delivery — a one-way `NEW` adds none: its creator runs on, and the
+    /// `NEW` waits in the creator's open packet — and none once the root completes.
     #[test]
     fn a_healthy_world_has_one_pending_packet_until_its_root_completes() {
         let app = ping_app();
         let mut server = server(&app, &[0]);
         let mut world = Running::new(&mut server, Vec::new()).admit();
-        assert_eq!(world.seed(), None, "main parks on its NEW");
+        assert_eq!(world.seed(), None, "main parks on its first bounce");
         assert_eq!(
             world.net.pending,
-            [0],
-            "main's local resume; the one-way NEW is held back"
+            [1],
+            "the first bounce, the one-way NEW riding in its packet"
         );
         let mut pending = Vec::new();
         loop {
@@ -739,11 +738,7 @@ mod tests {
             world.net.pending.is_empty(),
             "the final response was the last packet"
         );
-        assert_eq!(
-            pending,
-            [1, 1, 1, 1, 1],
-            "local resume, two bounces: five deliveries"
-        );
+        assert_eq!(pending, [1, 1, 1, 1], "two bounces: four deliveries");
         let sent: Vec<_> = world
             .nodes
             .iter_mut()
@@ -766,9 +761,7 @@ mod tests {
         let mut server = server(&app, &[0]);
         server.faults = vec![Some(FaultPlan::quiet(1))];
         let mut world = Running::new(&mut server, Vec::new()).admit();
-        assert_eq!(world.seed(), None, "main parks on its NEW");
-        assert_eq!(world.net.next_pending(), Some(0), "main's local resume");
-        assert_eq!(world.deliver(0), None, "main sends the first bounce");
+        assert_eq!(world.seed(), None, "main parks on its first bounce");
         assert_eq!(world.net.next_pending(), Some(1));
         let mut pkt = world
             .net
@@ -809,6 +802,54 @@ mod tests {
         let res = world.seed().or_else(|| world.run());
         assert_eq!(res, Some(Ok(Value::Null)));
         world
+    }
+
+    /// A constructor that faults: a one-way `NEW`'s runs at the home with nobody
+    /// waiting on it, so its fault fails the world as it is; a round trip's fault is
+    /// the reply its creator parked on, so it reaches the creator as a remote failure.
+    #[test]
+    fn a_faulting_constructor_fails_at_the_home_one_way_and_at_the_creator_round_trip() {
+        let run = |main: &str| {
+            let p = compile_source(&format!(
+                r#"
+                class Div {{ int q; Div(int d) {{ this.q = 1 / d; }} int get() {{ return this.q; }} }}
+                class Ref {{ int q; Ref(Div o, int d) {{ this.q = 1 / d; }} }}
+                class Main {{ static int result; static void main() {{ {main} }} }}
+            "#
+            ))
+            .unwrap();
+            let mut home = BTreeMap::new();
+            home.insert(p.class_by_name("Main").unwrap(), 0);
+            home.insert(p.class_by_name("Div").unwrap(), 1);
+            home.insert(p.class_by_name("Ref").unwrap(), 1);
+            let placement = ClassPlacement::new(2, home);
+            let programs = (0..2)
+                .map(|n| rewrite_for_node(&p, &placement, n).program)
+                .collect();
+            let app = ServerApp::prepare(programs, NetworkConfig::paper_testbed());
+            let mut server = server(&app, &[0]);
+            let mut world = Running::new(&mut server, Vec::new()).admit();
+            let root = world
+                .seed()
+                .or_else(|| world.run())
+                .expect("the world ends");
+            world.finish(root, Duration::ZERO).error
+        };
+        assert_eq!(
+            run("Div d = new Div(0); result = d.get();"),
+            Some(ExecError::DivisionByZero),
+            "one-way, closed by a call"
+        );
+        assert_eq!(
+            run("Div d = new Div(0);"),
+            Some(ExecError::DivisionByZero),
+            "one-way, sent at the world's end"
+        );
+        assert_eq!(
+            run("Ref r = new Ref(null, 0); result = 1;"),
+            Some(ExecError::RemoteFailure("division by zero".into())),
+            "round trip"
+        );
     }
 
     /// A node interns what it receives, so shipping one string over and over costs
@@ -864,11 +905,11 @@ mod tests {
         let mut server = server(&app, &[0, 0, 0]);
         let mut run = Running::new(&mut server, Vec::new());
         let mut world = run.admit();
-        assert_eq!(world.seed(), None, "main parks on its NEW");
+        assert_eq!(world.seed(), None, "main parks on its first bounce");
         assert_eq!(
             world.net.next_pending(),
-            Some(0),
-            "main's local resume; the NEW waits in its open packet"
+            Some(1),
+            "the first bounce, the NEW riding in its packet"
         );
         assert_eq!(world.net.next_pending(), None);
         run.stuck.push(world);
@@ -882,7 +923,7 @@ mod tests {
             errors[0],
             Some(ExecError::Transport(TransportStall {
                 gapped: vec![],
-                parked: vec![(0, 1)],
+                parked: vec![(0, 2)],
             }))
         );
         assert_eq!(errors[1..], [None, None]);
